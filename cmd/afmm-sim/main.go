@@ -269,7 +269,7 @@ func runClusterSim(a clusterSimArgs) {
 	cpu.Cores = a.cores
 	d, err := afmm.NewClusterSolver(a.sys, afmm.ClusterConfig{
 		Core: afmm.GravityConfig{
-			P: a.p, S: a.s, DisableM2LTable: true,
+			P: a.p, S: a.s,
 			Kernel: afmm.GravityKernel{G: 1, Softening: a.soften},
 			CPU:    cpu,
 		},

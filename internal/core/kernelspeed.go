@@ -3,6 +3,8 @@ package core
 import (
 	"afmm/internal/expansion"
 	"afmm/internal/kernels"
+	"afmm/internal/octree"
+	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 )
 
@@ -10,59 +12,70 @@ import (
 // gated float32 near field. Both are prepared once per Solve, before the
 // near/far fork, so workers only ever read settled state.
 
-// m2lRotCap bounds the shared rotation setups the table precomputes (the
-// expensive per-angle Wigner stacks, ~8 KB each at p=8). The top
-// pair-weighted angles cover most translations (~70% at 1024 on a
-// Plummer tree at N=100k); the tail falls back to the per-workspace
-// cache, which is the same bit-identical arithmetic.
-const m2lRotCap = 1024
+// SharedM2L is the factored M2L operator table (expansion.M2LTable) of one
+// tree's current interaction lists, with the class schedule it was built
+// from and the list epoch it is valid for. One value serves one tree: the
+// gravity and Stokes solvers and the dmem runtime each hold one, prepare
+// it before their workers start and only read it afterwards.
+type SharedM2L struct {
+	Tab   *expansion.M2LTable
+	Cls   *octree.M2LClassSchedule
+	epoch uint64
+}
 
-// m2lClassCap is a sanity bound on the class count itself (per-class cost
-// is only a rot index plus 2p+2 radial powers, ~160 B at p=8).
-const m2lClassCap = 1 << 20
-
-// prepareM2LTable builds (or revalidates) the shared per-class M2L
-// operator table for the current lists. The table replaces the
-// per-workspace direction cache on the level-synchronous sweep: one
-// Wigner/radial/phase setup per translation class, built in parallel and
-// shared read-only by every worker, invalidated by the list epoch.
-func (s *Solver) prepareM2LTable() {
-	useTable := !s.Cfg.DisableM2LTable && s.Cfg.SweepMode == SweepLevelSync &&
-		!s.Cfg.SkipFarField
-	if !useTable {
-		s.m2lTab, s.m2lCls = nil, nil
-		s.m2lEpoch = 0
+// Prepare builds (or revalidates) the table for t's current lists: one
+// Wigner/phase/radial setup per translation class, built in parallel on
+// pool, invalidated by the list epoch. use == false drops the table, so
+// M2L falls back to the uncached reference form.
+func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *telemetry.Recorder, use bool) {
+	if !use {
+		*m = SharedM2L{}
 		return
 	}
-	rec := s.Cfg.Rec
-	t := s.Tree
 	rebuilt := false
-	if s.m2lTab == nil || s.m2lEpoch != t.ListEpoch() {
+	if m.Tab == nil || m.epoch != t.ListEpoch() {
 		cls := t.M2LClasses()
-		if cls.Classes() > m2lClassCap {
-			// Degenerate geometry (almost no repeated directions): the
-			// table would outgrow its payoff; fall back to the cache.
-			s.m2lTab, s.m2lCls = nil, nil
-			s.m2lEpoch = 0
-			return
-		}
 		tok := rec.Begin(telemetry.SpanM2LTable, int32(cls.Classes()))
-		if s.m2lTab == nil {
-			s.m2lTab = expansion.NewM2LTable(s.Cfg.P)
+		if m.Tab == nil {
+			m.Tab = expansion.NewM2LTable(p)
 		}
-		nrot := s.m2lTab.Plan(cls.Dirs, cls.PairsPerClass, m2lRotCap)
-		s.Cfg.Pool.ParallelRange(nrot, func(lo, hi int) {
-			s.m2lTab.BuildRotRange(lo, hi)
-		})
-		s.m2lCls = cls
-		s.m2lEpoch = t.ListEpoch()
+		pool.ParallelRange(m.Tab.Plan(cls.Dirs, cls.PairsPerClass, 0), m.Tab.BuildRotRange)
+		m.Cls, m.epoch = cls, t.ListEpoch()
 		rebuilt = true
 		rec.End(tok)
 	}
-	if rec.Enabled() && s.m2lCls != nil {
-		rec.SetM2LTable(s.m2lCls.Classes(), s.m2lCls.Pairs,
-			s.m2lCls.KeyHits, s.m2lCls.KeyMisses, rebuilt)
+	if rec.Enabled() {
+		rec.SetM2LTable(m.Cls.Classes(), m.Cls.Pairs, m.Cls.KeyHits, m.Cls.KeyMisses, rebuilt)
 	}
+}
+
+// M2L accumulates into l node ni's V-list translations (srcs parallel to
+// t.Nodes[ni].V): through the table when it was built for exactly t's
+// current list topology (direct sweep callers may run without Prepare),
+// else through the reference form — the same arithmetic either way.
+func (m *SharedM2L) M2L(w *expansion.Workspace, l expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource) {
+	to := t.Nodes[ni].Box.Center
+	if m.Tab != nil && m.epoch == t.ListEpoch() {
+		w.M2LBatchTable(l, to, srcs, m.Cls.Row(ni), m.Tab)
+	} else {
+		w.M2LBatch(l, to, srcs)
+	}
+}
+
+// Stats returns the class schedule stats (zero-valued when the table is
+// off or not yet built).
+func (m *SharedM2L) Stats() (classes int, pairs, keyHits, keyMisses int64) {
+	if m.Cls == nil {
+		return 0, 0, 0, 0
+	}
+	return m.Cls.Classes(), m.Cls.Pairs, m.Cls.KeyHits, m.Cls.KeyMisses
+}
+
+// prepareM2LTable readies the shared table for this Solve (level-
+// synchronous sweeps with a far field, unless disabled).
+func (s *Solver) prepareM2LTable() {
+	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec,
+		!s.Cfg.DisableM2LTable && s.Cfg.SweepMode == SweepLevelSync && !s.Cfg.SkipFarField)
 }
 
 // nearF32ErrorEstimate bounds the relative rounding error of the float32
@@ -140,8 +153,5 @@ func (s *Solver) NearFloat32Active() bool { return s.f32Active }
 // M2LTableStats returns the current class schedule stats (zero-valued
 // when the table path is off or not yet built).
 func (s *Solver) M2LTableStats() (classes int, pairs, keyHits, keyMisses int64) {
-	if s.m2lCls == nil {
-		return 0, 0, 0, 0
-	}
-	return s.m2lCls.Classes(), s.m2lCls.Pairs, s.m2lCls.KeyHits, s.m2lCls.KeyMisses
+	return s.m2l.Stats()
 }

@@ -23,17 +23,17 @@ func solveBoth(t *testing.T, sys *particle.System, cfg Config, steps int) (*part
 		a.Solve()
 		b.Solve()
 	}
-	if a.M2LTableStats(); a.m2lTab == nil {
+	if a.M2LTableStats(); a.m2l.Tab == nil {
 		t.Fatal("table solver did not build a class table")
 	}
-	if b.m2lTab != nil {
+	if b.m2l.Tab != nil {
 		t.Fatal("DisableM2LTable still built a table")
 	}
 	return sysA, sysB
 }
 
 // TestM2LTableSolveBitIdentical is the end-to-end bit-identity check: a
-// whole solve through the class table must equal the per-workspace-cache
+// whole solve through the class table must equal the reference-form
 // solve exactly, potentials and accelerations alike.
 func TestM2LTableSolveBitIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 19} {
@@ -175,5 +175,32 @@ func TestNearFloat32CostModelScales(t *testing.T) {
 	// prediction with the gate on must be below the prior coefficient's.
 	if s.Model.Coef == before {
 		t.Fatal("cost model coefficients unchanged by the precision gate")
+	}
+}
+
+// TestSolveAllocationCeiling is the allocs/step gate: once slabs, lists,
+// the class table and the workspaces are warm, a Solve allocates only
+// per-step structures (the virtual-CPU replay's task graph, chunk closures,
+// the host task graph), never per translation or per V list. The ceilings
+// are 1.5x the measured counts (fork-join 2004, task graph 2466 at this
+// size); before the factored table the same solves made 19 939 and 23 309
+// allocations.
+func TestSolveAllocationCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		graph   bool
+		ceiling float64
+	}{
+		{"fork-join", false, 3000},
+		{"task-graph", true, 3700},
+	} {
+		s := NewSolver(distrib.Plummer(2000, 1, 1, 3), Config{P: 4, S: 32, TaskGraph: tc.graph})
+		s.Solve()
+		s.Solve()
+		if got := testing.AllocsPerRun(5, func() { s.Solve() }); got > tc.ceiling {
+			t.Errorf("%s: warmed Solve makes %.0f allocations, ceiling %.0f", tc.name, got, tc.ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations per warmed Solve", tc.name, got)
+		}
 	}
 }

@@ -52,8 +52,8 @@ const (
 	// level-synchronous parallel ranges over Tree.LevelOrder: one barrier
 	// per level instead of a task per node, interaction-weighted chunking,
 	// long-lived per-worker workspaces, and each node's V list applied
-	// through the batched rotation-accelerated M2L (Workspace.M2LBatch),
-	// whose per-direction setup is cached across nodes. M2M/L2L still
+	// through the batched rotation-accelerated M2L, whose per-direction
+	// setup comes from the shared class table (SharedM2L). M2M/L2L still
 	// follow UseRotatedTranslations; the M2L results agree with the direct
 	// operators to rounding.
 	SweepLevelSync SweepMode = iota
@@ -159,9 +159,10 @@ type Config struct {
 	// only time-slice the graph). cmd tools enable it by default and
 	// expose -no-taskgraph.
 	TaskGraph bool
-	// DisableM2LTable turns off the shared M2L translation-class table and
-	// falls back to the per-workspace direction cache inside M2LBatch.
-	// Kept for A/B measurement; results are bit-identical either way.
+	// DisableM2LTable turns off the shared M2L translation-class table:
+	// every translation then recomputes its setup (Workspace.M2LBatch, the
+	// uncached reference form of the same kernel). Kept as the A/B switch
+	// of the == tests; results are bit-identical either way.
 	DisableM2LTable bool
 	// NearFloat32 opts the near field into the float32 kernel path:
 	// source spans are packed into float32 SoA and the P2P arithmetic runs
@@ -284,13 +285,8 @@ type Solver struct {
 	capEpoch int64
 	capVal   float64
 
-	// M2L translation-class table state (see kernelspeed.go): the shared
-	// per-class operator table, the class schedule it was built from, the
-	// list epoch it is valid for, and whether the current sweep may use it.
-	m2lTab   *expansion.M2LTable
-	m2lCls   *octree.M2LClassSchedule
-	m2lEpoch uint64
-	m2lUse   bool
+	// m2l is the shared M2L translation-class table (see kernelspeed.go).
+	m2l SharedM2L
 
 	// Near-field precision gate state (see kernelspeed.go): whether the
 	// float32 path is active this step, whether a bound violation disabled
@@ -989,16 +985,12 @@ func (s *Solver) upNode(w *expansion.Workspace, ni int32) {
 // on its parent (previous level) and on V-list multipoles (finalized by
 // the up sweep), so each level is one flat weighted parallel range. The
 // V list is applied through the batched M2L, whose per-direction setup is
-// cached in the chunk's workspace across nodes. withL2P selects whether
+// read from the shared class table. withL2P selects whether
 // leaves also evaluate L2P in place (the sequential fused path) or leave
 // it for a later l2pSweep (the overlapped path, which must not touch the
 // body accumulators while the near field is still writing them).
 func (s *Solver) downSweepLevels(withL2P bool) {
 	t := s.Tree
-	// Resolve table eligibility once per sweep: the table must have been
-	// built for exactly the current list topology (SweepBench and other
-	// direct sweep callers may run without prepareM2LTable).
-	s.m2lUse = s.m2lTab != nil && s.m2lEpoch == t.ListEpoch()
 	levels := t.LevelOrder()
 	for lv := 0; lv < len(levels); lv++ {
 		nodes := levels[lv]
@@ -1009,9 +1001,8 @@ func (s *Solver) downSweepLevels(withL2P bool) {
 		lvTimer := sched.StartTimer()
 		s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 			w := s.getWS()
-			var srcs []expansion.M2LSource
 			for _, ni := range nodes[lo:hi] {
-				srcs = s.downNode(w, ni, srcs, withL2P)
+				s.downNode(w, ni, withL2P)
 			}
 			s.putWS(w)
 		})
@@ -1020,9 +1011,8 @@ func (s *Solver) downSweepLevels(withL2P bool) {
 }
 
 // downNode applies L2L from the parent, batched M2L over the V list, and
-// (on leaves, when withL2P) L2P. srcs is chunk-local scratch, returned for
-// reuse.
-func (s *Solver) downNode(w *expansion.Workspace, ni int32, srcs []expansion.M2LSource, withL2P bool) []expansion.M2LSource {
+// (on leaves, when withL2P) L2P.
+func (s *Solver) downNode(w *expansion.Workspace, ni int32, withL2P bool) {
 	t := s.Tree
 	n := &t.Nodes[ni]
 	l := s.local(ni)
@@ -1034,20 +1024,15 @@ func (s *Solver) downNode(w *expansion.Workspace, ni int32, srcs []expansion.M2L
 		}
 	}
 	if len(n.V) > 0 {
-		srcs = srcs[:0]
+		srcs := w.Sources(len(n.V))
 		for _, vi := range n.V {
 			srcs = append(srcs, expansion.M2LSource{M: s.mpole(vi), From: t.Nodes[vi].Box.Center})
 		}
-		if s.m2lUse {
-			w.M2LBatchTable(l, n.Box.Center, srcs, s.m2lCls.Row(ni), s.m2lTab)
-		} else {
-			w.M2LBatch(l, n.Box.Center, srcs)
-		}
+		s.m2l.M2L(w, l, t, ni, srcs)
 	}
 	if withL2P && n.IsVisibleLeaf() {
 		s.leafL2P(w, ni)
 	}
-	return srcs
 }
 
 // leafL2P evaluates the finalized local expansion of one visible leaf at

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"afmm/internal/dag"
-	"afmm/internal/expansion"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 	"afmm/internal/vgpu"
@@ -78,10 +77,6 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		defer s.Cfg.Pool.SetReserved(0)
 	}
 
-	// Table eligibility is per-sweep state on the fork-join path; settle
-	// it before the build so down chunks read a constant.
-	s.m2lUse = s.m2lTab != nil && s.m2lEpoch == t.ListEpoch()
-
 	spec := dag.Spec{
 		Tree:       t,
 		Pool:       s.Cfg.Pool,
@@ -100,9 +95,8 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		DownChunk: func(_, _ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()
-				var srcs []expansion.M2LSource
 				for _, ni := range nodes {
-					srcs = s.downNode(w, ni, srcs, false)
+					s.downNode(w, ni, false)
 				}
 				s.putWS(w)
 			}

@@ -3,6 +3,7 @@ package dmem
 import (
 	"fmt"
 
+	"afmm/internal/core"
 	"afmm/internal/fault"
 	"afmm/internal/stokes"
 	"afmm/internal/telemetry"
@@ -33,14 +34,16 @@ func NewStokesCluster(sv *stokes.Solver, nodes int, net NetworkSpec) (*StokesClu
 	if net.Bandwidth == 0 {
 		net = DefaultNetwork()
 	}
+	m2l := new(core.SharedM2L)
 	eng := make([]nodeEngine, nodes)
 	for k := range eng {
-		eng[k] = newStokesEngine(sv)
+		eng[k] = newStokesEngine(sv, m2l)
 	}
 	c := &StokesCluster{
 		sv: sv,
 		rt: &Runtime{
 			tree: sv.Tree, sys: sv.Sys, eng: eng, net: net,
+			m2l: m2l, p: sv.Cfg.P, pool: sv.Cfg.Pool, noTable: sv.Cfg.DisableM2LTable,
 			rec:     sv.Cfg.Rec,
 			skipFar: sv.Cfg.SkipFarField,
 		},

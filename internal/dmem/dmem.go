@@ -227,12 +227,14 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	}
 	s.equalCountCuts()
 	if cfg.Execute {
+		m2l := new(core.SharedM2L)
 		eng := make([]nodeEngine, p)
 		for k := range eng {
-			eng[k] = newGravityEngine(inner)
+			eng[k] = newGravityEngine(inner, m2l)
 		}
 		s.rt = &Runtime{
 			tree: inner.Tree, sys: inner.Sys, eng: eng, net: s.Cfg.Net,
+			m2l: m2l, p: inner.Cfg.P, pool: inner.Cfg.Pool, noTable: inner.Cfg.DisableM2LTable,
 			rec:      inner.Cfg.Rec,
 			link:     cfg.Link,
 			linkSch:  cfg.LinkFaults,

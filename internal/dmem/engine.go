@@ -67,15 +67,16 @@ type engineBase struct {
 	owner  []int32
 	ghosts []ghostLeaf
 	ws     chan *expansion.Workspace
-	// m2lSrcs free-list mirrors the solvers' chunk-local scratch.
-	srcs chan []expansion.M2LSource
+	// m2l is the runtime's M2L class table, shared by all node engines
+	// and read-only while they run (like the tree).
+	m2l *core.SharedM2L
 }
 
-func (e *engineBase) init(t *octree.Tree, sys *particle.System, p int, rot bool) {
+func (e *engineBase) init(t *octree.Tree, sys *particle.System, p int, rot bool, m2l *core.SharedM2L) {
 	e.tree, e.sys = t, sys
 	e.p, e.packed, e.rot = p, sphharm.PackedLen(p), rot
 	e.ws = make(chan *expansion.Workspace, 32)
-	e.srcs = make(chan []expansion.M2LSource, 32)
+	e.m2l = m2l
 }
 
 func (e *engineBase) prepareBase(owner []int32, me int) {
@@ -108,22 +109,6 @@ func (e *engineBase) putWS(w *expansion.Workspace) {
 	}
 }
 
-func (e *engineBase) getSrcs() []expansion.M2LSource {
-	select {
-	case s := <-e.srcs:
-		return s[:0]
-	default:
-		return nil
-	}
-}
-
-func (e *engineBase) putSrcs(s []expansion.M2LSource) {
-	select {
-	case e.srcs <- s:
-	default:
-	}
-}
-
 // sizeSlab grows (and zeroes) one expansion slab to n complex values.
 func sizeSlab(slab []complex128, n int) []complex128 {
 	if cap(slab) < n {
@@ -147,9 +132,9 @@ type gravityEngine struct {
 	locals []complex128
 }
 
-func newGravityEngine(sv *core.Solver) *gravityEngine {
+func newGravityEngine(sv *core.Solver, m2l *core.SharedM2L) *gravityEngine {
 	e := &gravityEngine{kernel: sv.Cfg.Kernel}
-	e.init(sv.Tree, sv.Sys, sv.Cfg.P, sv.Cfg.UseRotatedTranslations)
+	e.init(sv.Tree, sv.Sys, sv.Cfg.P, sv.Cfg.UseRotatedTranslations, m2l)
 	return e
 }
 
@@ -205,14 +190,11 @@ func (e *gravityEngine) downCell(w *expansion.Workspace, ni int32) {
 		}
 	}
 	if len(n.V) > 0 {
-		srcs := e.getSrcs()
+		srcs := w.Sources(len(n.V))
 		for _, vi := range n.V {
 			srcs = append(srcs, expansion.M2LSource{M: e.mpole(vi), From: t.Nodes[vi].Box.Center})
 		}
-		// M2LBatch is bit-identical to the table path (the PR 6 property),
-		// so the engines need no shared table.
-		w.M2LBatch(l, n.Box.Center, srcs)
-		e.putSrcs(srcs)
+		e.m2l.M2L(w, l, t, ni, srcs)
 	}
 }
 
@@ -284,9 +266,9 @@ type stokesEngine struct {
 	locals [stokesPasses][]complex128
 }
 
-func newStokesEngine(sv *stokes.Solver) *stokesEngine {
+func newStokesEngine(sv *stokes.Solver, m2l *core.SharedM2L) *stokesEngine {
 	e := &stokesEngine{kernel: sv.Cfg.Kernel}
-	e.init(sv.Tree, sv.Sys, sv.Cfg.P, sv.Cfg.UseRotatedTranslations)
+	e.init(sv.Tree, sv.Sys, sv.Cfg.P, sv.Cfg.UseRotatedTranslations, m2l)
 	return e
 }
 
@@ -352,7 +334,6 @@ func (e *stokesEngine) upCell(w *expansion.Workspace, ni int32) {
 func (e *stokesEngine) downCell(w *expansion.Workspace, ni int32) {
 	t := e.tree
 	n := &t.Nodes[ni]
-	srcs := e.getSrcs()
 	for k := 0; k < stokesPasses; k++ {
 		l := e.local(k, ni)
 		if parent := n.Parent; parent != octree.NilNode {
@@ -363,14 +344,13 @@ func (e *stokesEngine) downCell(w *expansion.Workspace, ni int32) {
 			}
 		}
 		if len(n.V) > 0 {
-			srcs = srcs[:0]
+			srcs := w.Sources(len(n.V))
 			for _, vi := range n.V {
 				srcs = append(srcs, expansion.M2LSource{M: e.mpole(k, vi), From: t.Nodes[vi].Box.Center})
 			}
-			w.M2LBatch(l, n.Box.Center, srcs)
+			e.m2l.M2L(w, l, t, ni, srcs)
 		}
 	}
-	e.putSrcs(srcs)
 }
 
 func (e *stokesEngine) leafL2P(w *expansion.Workspace, ni int32) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"afmm/internal/core"
 	"afmm/internal/fault"
 	"afmm/internal/octree"
 	"afmm/internal/particle"
@@ -44,6 +45,14 @@ type Runtime struct {
 
 	skipFar  bool
 	skipNear bool
+
+	// m2l is the one M2L class table all node engines translate through,
+	// built on pool once per list epoch before the node goroutines start.
+	// noTable is the solver's DisableM2LTable A/B switch.
+	m2l     *core.SharedM2L
+	p       int
+	pool    *sched.Pool
+	noTable bool
 }
 
 // NodeComm is one node's measured communication activity in a step.
@@ -90,6 +99,7 @@ type nodeCommAtomic struct {
 func (rt *Runtime) Step(ownerOf func(int32) int32, alive []bool, step int) *ExecStats {
 	t := rt.tree
 	t.BuildLists()
+	rt.m2l.Prepare(t, rt.p, rt.pool, rt.rec, !rt.noTable && !rt.skipFar)
 	sch := t.NearField()
 	rt.sys.ResetAccumulators()
 

@@ -11,10 +11,10 @@ import (
 )
 
 // execCoreConfig keeps both sides of a cross-mode comparison on the one
-// code path the engines replicate: plain float64 near field, direct
-// M2LBatch (no translation-class table), CPU execution.
+// code path the engines replicate: plain float64 near field, the shared
+// M2L translation-class table, CPU execution.
 func execCoreConfig() core.Config {
-	return core.Config{P: 5, S: 32, DisableM2LTable: true}
+	return core.Config{P: 5, S: 32}
 }
 
 func execClusterConfig(nodes int) Config {
@@ -137,7 +137,7 @@ func stokesTwin(n int, seed int64) *stokes.Solver {
 		sys.Aux[i].Y = -0.2 * p.Z
 		sys.Aux[i].Z = 0.1 * p.X
 	}
-	return stokes.NewSolver(sys, stokes.Config{P: 4, S: 32, DisableM2LTable: true})
+	return stokes.NewSolver(sys, stokes.Config{P: 4, S: 32})
 }
 
 // TestStokesClusterBitIdentical checks the distributed Stokes execution
@@ -170,6 +170,66 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if svD.Sys.Acc[i] != svS.Sys.Acc[i] {
 			t.Fatalf("post-loss vel[%d]: distributed %v != single %v", i, svD.Sys.Acc[i], svS.Sys.Acc[i])
+		}
+	}
+}
+
+// TestExecuteRunsSharedTable: the node engines and the single-node twin
+// both translate through the class table — one table per runtime, built
+// for the current list epoch, every class covered — and still end ==;
+// DisableM2LTable switches both to the reference form with the same bits.
+func TestExecuteRunsSharedTable(t *testing.T) {
+	const n = 1200
+	var ref []float64
+	for _, disable := range []bool{false, true} {
+		cfg := execClusterConfig(3)
+		cfg.Core.DisableM2LTable = disable
+		sysD := distrib.TwoClusters(n, 0.3, 1, 8, 0, 13)
+		sysS := distrib.TwoClusters(n, 0.3, 1, 8, 0, 13)
+		single := core.NewSolver(sysS, cfg.Core)
+		single.Solve()
+		d, err := NewSolver(sysD, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Solve()
+
+		classes, pairs, _, _ := single.M2LTableStats()
+		dClasses, dPairs, _, _ := d.rt.m2l.Stats()
+		if disable {
+			if classes != 0 || d.rt.m2l.Tab != nil {
+				t.Fatal("DisableM2LTable still built a table")
+			}
+		} else {
+			if classes == 0 || dClasses != classes || dPairs != pairs {
+				t.Fatalf("engine table has %d classes / %d pairs, twin %d / %d",
+					dClasses, dPairs, classes, pairs)
+			}
+			for c := 0; c < dClasses; c++ {
+				if !d.rt.m2l.Tab.HasRot(c) {
+					t.Fatalf("class %d not covered by the engines' table", c)
+				}
+			}
+			for _, e := range d.rt.eng {
+				if e.(*gravityEngine).m2l != d.rt.m2l {
+					t.Fatal("a node engine does not share the runtime's table")
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			if sysD.Phi[i] != sysS.Phi[i] || sysD.Acc[i] != sysS.Acc[i] {
+				t.Fatalf("disable=%v body %d: distributed (%v, %v) != single (%v, %v)",
+					disable, i, sysD.Phi[i], sysD.Acc[i], sysS.Phi[i], sysS.Acc[i])
+			}
+		}
+		if ref == nil {
+			ref = append(ref, sysS.Phi...)
+		} else {
+			for i := range ref {
+				if ref[i] != sysS.Phi[i] {
+					t.Fatalf("phi[%d]: table %v != reference form %v", i, ref[i], sysS.Phi[i])
+				}
+			}
 		}
 	}
 }

@@ -101,43 +101,33 @@ func TestM2LBatchMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestM2LBatchCachePersistsAndBounds(t *testing.T) {
+// TestM2LBatchAllocationFree: the reference form keeps no cache and
+// computes every setup into the workspace scratch, so a warmed workspace
+// translates without allocating — repeated directions and fresh ones.
+func TestM2LBatchAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p := 4
+	const p = 6
 	w := NewWorkspace(p)
 	to := geom.Vec3{}
-	d := geom.Vec3{X: 3, Y: 1, Z: 0}
-	src := []M2LSource{{M: randomExpansion(p, rng), From: d}}
-	l := NewExpansion(p)
-	w.M2LBatch(l, to, src)
-	if len(w.geomCache) != 1 {
-		t.Fatalf("cache holds %d entries after one direction", len(w.geomCache))
-	}
-	g1 := w.geomCache[d]
-	// A second batch over the same direction must reuse the entry, and the
-	// result must stay consistent with a fresh workspace.
-	l2 := NewExpansion(p)
-	w.M2LBatch(l2, to, src)
-	if w.geomCache[d] != g1 {
-		t.Fatal("cache entry was rebuilt for a repeated direction")
-	}
-	fresh := NewExpansion(p)
-	NewWorkspace(p).M2LBatch(fresh, to, src)
-	if d := maxRelDiff(l2.C, fresh.C); d > 1e-15 {
-		t.Fatalf("cached result drifted by %g", d)
-	}
-	// Flooding with unique directions must keep the cache bounded.
-	var flood []M2LSource
-	m := randomExpansion(p, rng)
-	for i := 0; i < geomCacheMax+100; i++ {
-		flood = append(flood, M2LSource{
-			M:    m,
-			From: geom.Vec3{X: 5 + float64(i)*1e-6, Y: 1, Z: 1},
+	var srcs []M2LSource
+	for i := 0; i < 40; i++ {
+		srcs = append(srcs, M2LSource{
+			M:    randomExpansion(p, rng),
+			From: geom.Vec3{X: 3 + float64(i%4), Y: 1 + rng.Float64(), Z: float64(i%3) - 1},
 		})
 	}
-	w.M2LBatch(NewExpansion(p), to, flood)
-	if len(w.geomCache) > geomCacheMax {
-		t.Fatalf("cache grew to %d entries (max %d)", len(w.geomCache), geomCacheMax)
+	l := NewExpansion(p)
+	if a := testing.AllocsPerRun(10, func() { w.M2LBatch(l, to, srcs) }); a != 0 {
+		t.Fatalf("M2LBatch allocates %v times per call, want 0", a)
+	}
+	// Reuse leaves no state behind: a used workspace equals a fresh one.
+	used, fresh := NewExpansion(p), NewExpansion(p)
+	w.M2LBatch(used, to, srcs)
+	NewWorkspace(p).M2LBatch(fresh, to, srcs)
+	for i := range used.C {
+		if used.C[i] != fresh.C[i] {
+			t.Fatalf("coefficient %d: used workspace %v != fresh %v", i, used.C[i], fresh.C[i])
+		}
 	}
 }
 

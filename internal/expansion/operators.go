@@ -47,10 +47,8 @@ type Workspace struct {
 	tmp  []complex128 // generic degree-p buffer
 	rpow []float64
 	rot  *rotWorkspace // buffers for the rotation-accelerated operators
-
-	// geomCache memoizes the per-direction setup of batched M2L
-	// translations (see M2LBatch); allocated lazily on first use.
-	geomCache map[geom.Vec3]*m2lGeom
+	axb  []float64     // axialBase(p), shared read-only
+	srcs []M2LSource   // V-list scratch (see Sources)
 }
 
 // NewWorkspace creates scratch space for order-p operators.
@@ -67,6 +65,7 @@ func NewWorkspace(p int) *Workspace {
 		tmp:  make([]complex128, sphharm.PackedLen(p)),
 		rpow: make([]float64, 2*p+2),
 		rot:  newRotWorkspace(p),
+		axb:  axialBase(p),
 	}
 }
 

@@ -26,29 +26,25 @@ import (
 
 // rotWorkspace holds the reusable buffers for rotated operators.
 type rotWorkspace struct {
-	stack [][]float64  // Wigner stack, reused across calls
+	flat  []float64    // Wigner stack storage, degree blocks in order
+	stack [][]float64  // per-degree views of flat, reused across calls
 	buf1  []complex128 // packed coefficients, scratch
 	buf2  []complex128
-	rpow  []float64 // powers of 1/rho or rho
+	rpow  []float64    // powers of 1/rho or rho
+	zph   []complex128 // e^{i m phi} scratch (M2LBatch)
 }
 
 func newRotWorkspace(p int) *rotWorkspace {
 	r := &rotWorkspace{
-		buf1: make([]complex128, sphharm.PackedLen(p)),
-		buf2: make([]complex128, sphharm.PackedLen(p)),
-		rpow: make([]float64, 2*p+2),
+		flat:  make([]float64, stackLen(p)),
+		stack: make([][]float64, p+1),
+		buf1:  make([]complex128, sphharm.PackedLen(p)),
+		buf2:  make([]complex128, sphharm.PackedLen(p)),
+		rpow:  make([]float64, 2*p+2),
+		zph:   make([]complex128, p+1),
 	}
-	r.stack = make([][]float64, p+1)
-	for l := 0; l <= p; l++ {
-		r.stack[l] = make([]float64, (2*l+1)*(2*l+1))
-	}
+	stackViews(r.stack, r.flat)
 	return r
-}
-
-// fillWignerStack computes d^l(beta) for l = 0..p into the pre-allocated
-// stack (allocation-free).
-func fillWignerStack(stack [][]float64, p int, beta float64) {
-	WignerStackInto(stack, p, beta)
 }
 
 // rotateZ multiplies coefficient (n, m) by e^{i m phase} in place
@@ -108,7 +104,7 @@ func (w *Workspace) M2LRotated(l Expansion, to geom.Vec3, o Expansion, from geom
 	r := w.rot
 	d := from.Sub(to)
 	rho, theta, phi := d.Spherical()
-	fillWignerStack(r.stack, p, theta)
+	WignerStackInto(r.stack, p, theta)
 
 	// Forward frame change Q = Ry(-theta) Rz(-phi): phase e^{im phi},
 	// then the transposed Wigner stack (d(-theta) = d(theta)^T).
@@ -119,11 +115,7 @@ func (w *Workspace) M2LRotated(l Expansion, to geom.Vec3, o Expansion, from geom
 	// Axial M2L along +z at distance rho:
 	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}
 	t := w.t
-	inv := 1 / rho
-	r.rpow[0] = inv
-	for i := 1; i < len(r.rpow); i++ {
-		r.rpow[i] = r.rpow[i-1] * inv
-	}
+	fillInvPowers(r.rpow, rho)
 	for j := 0; j <= p; j++ {
 		sj := 1.0
 		if j%2 == 1 {
@@ -164,7 +156,7 @@ func (w *Workspace) M2MRotated(m Expansion, to geom.Vec3, o Expansion, from geom
 		m.Add(o)
 		return
 	}
-	fillWignerStack(r.stack, p, theta)
+	WignerStackInto(r.stack, p, theta)
 	copy(r.buf1, o.C)
 	rotateZ(p, r.buf1, phi)
 	rotateY(p, r.buf2, r.buf1, r.stack, true)
@@ -205,7 +197,7 @@ func (w *Workspace) L2LRotated(l Expansion, to geom.Vec3, o Expansion, from geom
 		l.Add(o)
 		return
 	}
-	fillWignerStack(r.stack, p, theta)
+	WignerStackInto(r.stack, p, theta)
 	copy(r.buf1, o.C)
 	rotateZ(p, r.buf1, phi)
 	rotateY(p, r.buf2, r.buf1, r.stack, true)

@@ -1,325 +1,275 @@
 package expansion
 
 import (
+	"math"
 	"math/cmplx"
+	"slices"
 	"sort"
+	"sync"
 
 	"afmm/internal/geom"
 	"afmm/internal/sphharm"
 )
 
-// M2L translation-class tables: the per-direction setup M2LBatch hoists
-// into its per-workspace cache — Wigner stack, azimuthal phases, radial
-// powers — precomputed per translation class (see octree.M2LClassSchedule)
-// into a table shared read-only by every worker.
+// M2L translation-class table: the per-direction setup of the rotated M2L
+// — Wigner stack, azimuthal phases, radial powers — precomputed for every
+// translation class (see octree.M2LClassSchedule) into a table shared
+// read-only by every worker.
 //
-// The operator factors by what each piece actually depends on:
+// The operator factors by what each piece actually depends on, and each
+// factor is keyed by exactly that:
 //
-//   - the rotation setup (Wigner d-matrices and e^{im phi} phases) depends
-//     only on the direction's angles (theta, phi). Angles recur massively
-//     across classes — the same lattice offset at every level and scale
-//     shares them — so rotation ops are built once per distinct angle pair,
-//     for the top pair-weighted angles up to a cap;
-//   - the radial powers rho^-(j+n+1) are per class but tiny (2p+2 floats);
-//   - the axial coefficients sk * A_n^k * A_j^k * (j+n)! are
-//     direction-independent and stored once per table; the inner loop
-//     multiplies them by the class's radial power.
+//   - the pre-signed Wigner d-matrices depend only on the polar angle
+//     theta of the class direction;
+//   - the phases e^{im phi} only on the azimuth phi;
+//   - the radial powers rho^-(i+1) only on the length rho;
+//   - the axial coefficients sk * A_n^k * A_j^k * (j+n)! on nothing but
+//     the order (axialBase, shared by every table and workspace).
 //
-// Every folded factor is an exact product in the same order as the
-// uncached path evaluates it (the basis-conversion signs are ±1, so
-// folding them into the Wigner entries is exact), which keeps table
-// translations bit-identical to M2LBatch. Classes whose angles fall
-// outside the rotation cap carry rot == -1 and are translated through the
-// per-workspace cache path, which is the same bit-identical arithmetic.
+// A class is three row indices into three flat slabs. Distinct theta, phi
+// and rho are each far fewer than distinct directions (the same angle or
+// length recurs across levels, octants and scales), so the table covers
+// every class for a few thousand rows per slab. Keys are the exact float64
+// bits d.Spherical() returns, and every stored factor is the expression
+// the uncached form (M2LBatch) evaluates, in its order (the
+// basis-conversion signs are ±1, so folding them into the Wigner entries
+// is exact): a table translation is bit-identical to M2LBatch.
+//
+// Only the theta slab is large (stackLen(p) floats per row), so it alone
+// is bounded, by a fixed byte budget: when the distinct theta outgrow it
+// (p >= ~16 on large trees) the least pair-weighted ones spill. A spill
+// class computes its stack into the workspace scratch and runs the same
+// kernel on the same values.
 type M2LTable struct {
 	p   int
-	axb []float64 // sk * Anm(n,k) * Anm(j,k) * Fact[j+n], flattened (j,k,n)
-	ops []M2LOp
-	// rots holds the shared rotation setups; rotAng their angles, in the
-	// deterministic popularity order Plan assigned.
-	rots   []m2lRot
-	rotAng []angKey
-	// classAng is per-class plan scratch (angle of each class direction).
-	classAng []angKey
+	ops []m2lOp // per class
+	// thetas holds the distinct polar angles, pair weight descending
+	// (angle ascending on ties); the first nStack have a row in stacks.
+	thetas []float64
+	nStack int
+	stacks []float64    // nStack rows of stackLen(p): pre-signed d^l(theta), l = 0..p
+	zph    []complex128 // per distinct phi: e^{i m phi}, m = 0..p
+	rpow   []float64    // per distinct rho: rho^-(i+1), i = 0..2p+1
+
+	thetaBudget int // bytes; m2lThetaBudget outside tests
 }
 
-// M2LOp is the per-class part of the operator.
-type M2LOp struct {
-	// rot indexes the shared rotation setup, or -1 when the class's angle
-	// was not popular enough for the cap (fallback to the workspace cache).
-	rot int32
-	// rpow holds rho^-(i+1), i = 0..2p, exactly as the uncached path
-	// computes them.
-	rpow []float64
-}
+// m2lOp is one class: its rows in the theta, phi and rho slabs.
+type m2lOp struct{ theta, phi, rho int32 }
 
-// m2lRot is the rotation setup shared by all classes with one angle pair.
-type m2lRot struct {
-	stack [][]float64  // pre-signed Wigner d^l(theta), l = 0..p
-	zph   []complex128 // e^{i m phi}, m = 0..p
-}
-
-type angKey struct{ theta, phi float64 }
+// m2lThetaBudget bounds the theta slab. At p=8 a row is 7.6 KB and a
+// 100k-body Plummer tree has ~3000 distinct theta (23 MB); the budget is
+// reached near p=16.
+const m2lThetaBudget = 128 << 20
 
 // NewM2LTable creates an empty table for order-p translations.
-func NewM2LTable(p int) *M2LTable { return &M2LTable{p: p} }
+func NewM2LTable(p int) *M2LTable { return &M2LTable{p: p, thetaBudget: m2lThetaBudget} }
 
-// Order returns the expansion order the table serves.
-func (tb *M2LTable) Order() int { return tb.p }
+// Rotations returns the number of Wigner stacks the last Plan kept (the
+// expensive part of the table).
+func (tb *M2LTable) Rotations() int { return tb.nStack }
 
-// Len returns the number of classes currently in the table.
-func (tb *M2LTable) Len() int { return len(tb.ops) }
+// HasRot reports whether class c translates through a precomputed Wigner
+// stack (false means its theta spilled out of the byte budget).
+func (tb *M2LTable) HasRot(c int) bool { return int(tb.ops[c].theta) < tb.nStack }
 
-// Rotations returns the number of shared rotation setups the last Plan
-// kept (the expensive part of the table).
-func (tb *M2LTable) Rotations() int { return len(tb.rots) }
+// stackLen is the float count of a flat Wigner stack of degrees 0..p:
+// degree l is a dense (2l+1)x(2l+1) block, blocks in degree order.
+func stackLen(p int) int { return (p + 1) * (2*p + 1) * (2*p + 3) / 3 }
 
-// HasRot reports whether class c translates through a precomputed rotation
-// setup (false means the class falls back to the per-workspace cache).
-func (tb *M2LTable) HasRot(c int) bool { return tb.ops[c].rot >= 0 }
-
-// axialLen is the flattened length of the (j, k, n) axial coefficient
-// loop: j = 0..p, k = 0..j, n = k..p.
-func axialLen(p int) int {
-	n := 0
-	for j := 0; j <= p; j++ {
-		for k := 0; k <= j; k++ {
-			n += p - k + 1
-		}
-	}
-	return n
+var axialBases [sphharm.MaxOrder + 1]struct {
+	once sync.Once
+	axb  []float64
 }
 
-func (tb *M2LTable) buildAxialBase() {
-	p := tb.p
-	t := sphharm.NewTables(p)
-	tb.axb = make([]float64, axialLen(p))
-	idx := 0
-	for j := 0; j <= p; j++ {
-		sj := 1.0
-		if j%2 == 1 {
-			sj = -1
-		}
-		for k := 0; k <= j; k++ {
-			sk := sj
-			if k%2 == 1 {
-				sk = -sk
+// axialBase returns sk * Anm(n,k) * Anm(j,k) * Fact[j+n] flattened over
+// the axial loop (j = 0..p, k = 0..j, n = k..p): the leading factors of
+// the axial M2L term in evaluation order; the kernel multiplies in the
+// radial power. Built once per order.
+func axialBase(p int) []float64 {
+	e := &axialBases[p]
+	e.once.Do(func() {
+		t := sphharm.NewTables(p)
+		for j := 0; j <= p; j++ {
+			sj := 1.0
+			if j%2 == 1 {
+				sj = -1
 			}
-			ajk := t.Anm(j, k)
-			for n := k; n <= p; n++ {
-				// Exactly the leading factors of the uncached per-term
-				// expression, in its evaluation order; the radial power is
-				// applied per class in the inner loop.
-				tb.axb[idx] = sk * t.Anm(n, k) * ajk * t.Fact[j+n]
-				idx++
+			for k := 0; k <= j; k++ {
+				sk := sj
+				if k%2 == 1 {
+					sk = -sk
+				}
+				ajk := t.Anm(j, k)
+				for n := k; n <= p; n++ {
+					e.axb = append(e.axb, sk*t.Anm(n, k)*ajk*t.Fact[j+n])
+				}
 			}
 		}
-	}
+	})
+	return e.axb
 }
 
-// Plan sizes the table for the class directions, fills the cheap per-class
-// radial parts, and elects the rotation setups: distinct angle pairs
-// ranked by their summed pair weight, keeping the top rotCap. It returns
-// the number of rotation setups to build; the caller then builds them
-// (concurrently, if desired) with BuildRotRange before first use.
-// pairsPerClass weights the ranking (the schedule's per-class pair
-// counts); nil weights every class equally.
-func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, rotCap int) int {
-	if tb.axb == nil {
-		tb.buildAxialBase()
+// rowOf returns the slab row keyed by the exact bits of x, assigning the
+// next row (first-seen order, so the layout is deterministic) when new.
+func rowOf(rows map[uint64]int32, x float64) (row int32, isNew bool) {
+	k := math.Float64bits(x)
+	row, ok := rows[k]
+	if !ok {
+		row = int32(len(rows))
+		rows[k] = row
 	}
+	return row, !ok
+}
+
+// Plan sizes the table for the class directions, fills the phase and
+// radial slabs and the per-class rows, and elects the theta that get a
+// Wigner stack: all of them, unless the byte budget forces the least
+// pair-weighted out. It returns the number of stacks to build; the caller
+// then builds them (concurrently, if desired) with BuildRotRange before
+// first use. pairsPerClass weights the ranking (the schedule's per-class
+// pair counts); nil weights every class equally. The last argument was
+// the rotation-count cap the byte budget superseded; it is ignored.
+func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 	p := tb.p
-	n := len(dirs)
-	if cap(tb.ops) < n {
-		ops := make([]M2LOp, n)
-		copy(ops, tb.ops)
-		tb.ops = ops
-	} else {
-		tb.ops = tb.ops[:n]
+	if cap(tb.ops) < len(dirs) {
+		tb.ops = make([]m2lOp, len(dirs))
 	}
-	if cap(tb.classAng) < n {
-		tb.classAng = make([]angKey, n)
-	} else {
-		tb.classAng = tb.classAng[:n]
-	}
-	weight := make(map[angKey]int64, 1024)
+	tb.ops = tb.ops[:len(dirs)]
+	tb.zph, tb.rpow = tb.zph[:0], tb.rpow[:0]
+	thetaRow := make(map[uint64]int32, 1024)
+	phiRow := make(map[uint64]int32, 1024)
+	rhoRow := make(map[uint64]int32, 1024)
+	var thetas []float64 // first-seen order, ranked below
+	var weight []int64
 	for ci, d := range dirs {
 		rho, theta, phi := d.Spherical()
 		op := &tb.ops[ci]
-		if op.rpow == nil {
-			op.rpow = make([]float64, 2*p+2)
+		var isNew bool
+		if op.theta, isNew = rowOf(thetaRow, theta); isNew {
+			thetas = append(thetas, theta)
+			weight = append(weight, 0)
 		}
-		inv := 1 / rho
-		op.rpow[0] = inv
-		for i := 1; i < len(op.rpow); i++ {
-			op.rpow[i] = op.rpow[i-1] * inv
-		}
-		op.rot = -1
-		a := angKey{theta, phi}
-		tb.classAng[ci] = a
-		w := int64(1)
 		if pairsPerClass != nil {
-			w = pairsPerClass[ci]
+			weight[op.theta] += pairsPerClass[ci]
+		} else {
+			weight[op.theta]++
 		}
-		weight[a] += w
-	}
-	type angWeight struct {
-		k angKey
-		w int64
-	}
-	ranked := make([]angWeight, 0, len(weight))
-	for k, w := range weight {
-		ranked = append(ranked, angWeight{k, w})
-	}
-	// Deterministic order: weight descending, angles as tie-break (map
-	// iteration order must not leak into the table layout).
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].w != ranked[j].w {
-			return ranked[i].w > ranked[j].w
+		if op.phi, isNew = rowOf(phiRow, phi); isNew {
+			tb.zph = slices.Grow(tb.zph, p+1)[:len(tb.zph)+p+1]
+			fillPhases(tb.zph[len(tb.zph)-(p+1):], phi)
 		}
-		if ranked[i].k.theta != ranked[j].k.theta {
-			return ranked[i].k.theta < ranked[j].k.theta
+		if op.rho, isNew = rowOf(rhoRow, rho); isNew {
+			tb.rpow = slices.Grow(tb.rpow, 2*p+2)[:len(tb.rpow)+2*p+2]
+			fillInvPowers(tb.rpow[len(tb.rpow)-(2*p+2):], rho)
 		}
-		return ranked[i].k.phi < ranked[j].k.phi
+	}
+	// Rank theta by pair weight, angle as tie-break, and renumber.
+	order := make([]int32, len(thetas))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if weight[i] != weight[j] {
+			return weight[i] > weight[j]
+		}
+		return thetas[i] < thetas[j]
 	})
-	if rotCap > 0 && len(ranked) > rotCap {
-		ranked = ranked[:rotCap]
-	}
-	if cap(tb.rots) < len(ranked) {
-		rots := make([]m2lRot, len(ranked))
-		copy(rots, tb.rots)
-		tb.rots = rots
-	} else {
-		tb.rots = tb.rots[:len(ranked)]
-	}
-	if cap(tb.rotAng) < len(ranked) {
-		tb.rotAng = make([]angKey, len(ranked))
-	} else {
-		tb.rotAng = tb.rotAng[:len(ranked)]
-	}
-	idx := make(map[angKey]int32, len(ranked))
-	for i, a := range ranked {
-		idx[a.k] = int32(i)
-		tb.rotAng[i] = a.k
+	rank := make([]int32, len(order))
+	tb.thetas = tb.thetas[:0]
+	for r, i := range order {
+		rank[i] = int32(r)
+		tb.thetas = append(tb.thetas, thetas[i])
 	}
 	for ci := range tb.ops {
-		if ri, ok := idx[tb.classAng[ci]]; ok {
-			tb.ops[ci].rot = ri
-		}
+		tb.ops[ci].theta = rank[tb.ops[ci].theta]
 	}
-	return len(tb.rots)
+	sl := stackLen(p)
+	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*sl))
+	if cap(tb.stacks) < tb.nStack*sl {
+		tb.stacks = make([]float64, tb.nStack*sl)
+	}
+	tb.stacks = tb.stacks[:tb.nStack*sl]
+	return tb.nStack
 }
 
-// BuildRotRange fills rotation setups [lo, hi) from their planned angles.
-// Distinct ranges may build concurrently (each call allocates its own
-// scratch).
+// BuildRotRange fills Wigner stacks [lo, hi) from their planned angles.
+// Distinct ranges may build concurrently.
 func (tb *M2LTable) BuildRotRange(lo, hi int) {
-	p := tb.p
-	raw := make([][]float64, p+1)
-	for l := 0; l <= p; l++ {
-		raw[l] = make([]float64, (2*l+1)*(2*l+1))
-	}
+	sl := stackLen(tb.p)
+	views := make([][]float64, tb.p+1)
 	for ri := lo; ri < hi; ri++ {
-		rot := &tb.rots[ri]
-		if rot.stack == nil {
-			rot.stack = make([][]float64, p+1)
-			for l := 0; l <= p; l++ {
-				rot.stack[l] = make([]float64, (2*l+1)*(2*l+1))
-			}
-			rot.zph = make([]complex128, p+1)
-		}
-		a := tb.rotAng[ri]
-
-		// Pre-signed Wigner stack: entry (m', m) times sigma(m') sigma(m).
-		// The sign matrix is symmetric, so the same stack serves the
-		// transposed forward rotation and the untransposed back rotation.
-		WignerStackInto(raw, p, a.theta)
-		for n := 0; n <= p; n++ {
-			dim := 2*n + 1
-			src, dst := raw[n], rot.stack[n]
-			for i := 0; i < dim; i++ {
-				si := sigma(i - n)
-				for j := 0; j < dim; j++ {
-					dst[i*dim+j] = src[i*dim+j] * si * sigma(j-n)
-				}
-			}
-		}
-		for m := 0; m <= p; m++ {
-			rot.zph[m] = cmplx.Exp(complex(0, float64(m)*a.phi))
-		}
+		stackViews(views, tb.stacks[ri*sl:(ri+1)*sl])
+		signedWignerInto(views, tb.p, tb.thetas[ri])
 	}
 }
 
-// rotateYSigned applies a pre-signed Wigner stack (signs already folded
-// into the matrix entries): identical to rotateY minus the per-entry sigma
-// products. The w == 0 skip is kept so the accumulation order over nonzero
-// entries matches rotateY bit-for-bit.
-func rotateYSigned(p int, out, in []complex128, stack [][]float64, transpose bool) {
+// stackViews points views[l] at degree l's block of the flat stack.
+func stackViews(views [][]float64, flat []float64) {
+	off := 0
+	for l := range views {
+		views[l] = flat[off : off+(2*l+1)*(2*l+1)]
+		off += (2*l + 1) * (2*l + 1)
+	}
+}
+
+// fillPhases sets dst[m] = e^{i m phi}.
+func fillPhases(dst []complex128, phi float64) {
+	for m := range dst {
+		dst[m] = cmplx.Exp(complex(0, float64(m)*phi))
+	}
+}
+
+// fillInvPowers sets dst[i] = rho^-(i+1) by repeated multiplication.
+func fillInvPowers(dst []float64, rho float64) {
+	inv := 1 / rho
+	dst[0] = inv
+	for i := 1; i < len(dst); i++ {
+		dst[i] = dst[i-1] * inv
+	}
+}
+
+// signedWignerInto fills the per-degree blocks stack[0..p] (views of one
+// flat stack, see stackViews) with the pre-signed Wigner stack of theta:
+// entry (m', m) times sigma(m') sigma(m). The sign matrix is symmetric, so
+// the same stack serves the transposed forward rotation and the
+// untransposed back rotation.
+func signedWignerInto(stack [][]float64, p int, theta float64) {
+	WignerStackInto(stack, p, theta)
 	for n := 0; n <= p; n++ {
 		dim := 2*n + 1
 		d := stack[n]
-		for mp := 0; mp <= n; mp++ {
-			var acc complex128
-			for m := -n; m <= n; m++ {
-				var w float64
-				if transpose {
-					w = d[(m+n)*dim+(mp+n)]
-				} else {
-					w = d[(mp+n)*dim+(m+n)]
-				}
-				if w == 0 {
-					continue
-				}
-				acc += complex(w, 0) * get(in[:], n, m)
+		for i := 0; i < dim; i++ {
+			si := sigma(i - n)
+			for j := 0; j < dim; j++ {
+				d[i*dim+j] = d[i*dim+j] * si * sigma(j-n)
 			}
-			out[sphharm.Idx(n, mp)] = acc
 		}
 	}
 }
 
-// M2LBatchTable is M2LBatch driven by a prebuilt class table: classes[i]
-// is the translation class of srcs[i] (from the octree class schedule),
-// and to is the target center (used only by the fallback for classes
-// outside the rotation cap). Results are bit-identical to M2LBatch for
-// the same sources.
-func (w *Workspace) M2LBatchTable(l Expansion, to geom.Vec3, srcs []M2LSource, classes []int32, tb *M2LTable) {
+// M2LBatchTable accumulates into l the local expansions at the target of
+// every source multipole in srcs through the class table: classes[i] is
+// the translation class of srcs[i] (from the octree class schedule).
+// The target center is not needed (every class carries its geometry); the
+// parameter keeps M2LBatch's call shape. Results are bit-identical to
+// M2LBatch for the same sources.
+func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, classes []int32, tb *M2LTable) {
 	p := l.P
-	r := w.rot
-	axb := tb.axb
+	sl := stackLen(p)
 	for i := range srcs {
-		op := &tb.ops[classes[i]]
-		if op.rot < 0 {
-			// Rare angle: the per-workspace cache path, same arithmetic.
-			w.M2LBatch(l, to, srcs[i:i+1])
-			continue
+		op := tb.ops[classes[i]]
+		var stack []float64
+		if ti := int(op.theta); ti < tb.nStack {
+			stack = tb.stacks[ti*sl : (ti+1)*sl]
+		} else {
+			// Spilled theta: same values, computed into the scratch.
+			stack = w.rot.flat
+			signedWignerInto(w.rot.stack, p, tb.thetas[ti])
 		}
-		rot := &tb.rots[op.rot]
-
-		// Forward frame change: phase e^{im phi}, transposed stack.
-		copy(r.buf1, srcs[i].M.C)
-		rotateZCached(p, r.buf1, rot.zph, false)
-		rotateYSigned(p, r.buf2, r.buf1, rot.stack, true)
-
-		// Axial M2L along +z: global coefficient base times the class's
-		// radial power, in the uncached path's factor order.
-		rpow := op.rpow
-		idx := 0
-		for j := 0; j <= p; j++ {
-			for k := 0; k <= j; k++ {
-				var acc complex128
-				for n := k; n <= p; n++ {
-					acc += complex(axb[idx]*rpow[j+n], 0) * r.buf2[sphharm.Idx(n, k)]
-					idx++
-				}
-				r.buf1[sphharm.Idx(j, k)] = acc
-			}
-		}
-
-		// Back rotation: untransposed stack, conjugate phases; accumulate.
-		rotateYSigned(p, r.buf2, r.buf1, rot.stack, false)
-		rotateZCached(p, r.buf2, rot.zph, true)
-		for ci := range l.C {
-			l.C[ci] += r.buf2[ci]
-		}
+		w.m2lApply(l, srcs[i].M.C, stack,
+			tb.zph[int(op.phi)*(p+1):int(op.phi+1)*(p+1)],
+			tb.rpow[int(op.rho)*(2*p+2):int(op.rho+1)*(2*p+2)])
 	}
 }

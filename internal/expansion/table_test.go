@@ -1,17 +1,25 @@
 package expansion
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"afmm/internal/distrib"
 	"afmm/internal/geom"
+	"afmm/internal/octree"
+	"afmm/internal/particle"
 )
 
 // tableFor builds a table + class indices for a source batch: one class
 // per distinct direction, exactly as the octree schedule would key them.
-// rotCap limits the precomputed rotation setups (0 = unlimited), so tests
-// can force the fallback path for tail classes.
+// rotCap > 0 shrinks the theta byte budget to rotCap Wigner stacks, so
+// tests can force the spill path for the remaining theta (0 = the
+// production budget).
 func tableFor(p int, to geom.Vec3, srcs []M2LSource, rotCap int) (*M2LTable, []int32) {
 	byDir := map[geom.Vec3]int32{}
 	var dirs []geom.Vec3
@@ -26,14 +34,20 @@ func tableFor(p int, to geom.Vec3, srcs []M2LSource, rotCap int) (*M2LTable, []i
 		}
 		classes[i] = c
 	}
+	return buildTable(p, dirs, nil, rotCap), classes
+}
+
+func buildTable(p int, dirs []geom.Vec3, pairs []int64, rotCap int) *M2LTable {
 	tb := NewM2LTable(p)
-	nrot := tb.Plan(dirs, nil, rotCap)
-	tb.BuildRotRange(0, nrot)
-	return tb, classes
+	if rotCap > 0 {
+		tb.thetaBudget = rotCap * 8 * stackLen(p)
+	}
+	tb.BuildRotRange(0, tb.Plan(dirs, pairs, 0))
+	return tb
 }
 
 // TestM2LBatchTableBitIdentical is the central kernel-speed invariant:
-// table-driven translations must equal the per-direction-cached batch
+// table-driven translations must equal the uncached reference batch
 // bit-for-bit, over random expansions, orders, and direction sets
 // (repeated V-list-like offsets plus arbitrary fresh ones).
 func TestM2LBatchTableBitIdentical(t *testing.T) {
@@ -56,8 +70,8 @@ func TestM2LBatchTableBitIdentical(t *testing.T) {
 				From: to.Add(geom.Vec3{X: 3 + rng.Float64(), Y: -2 + rng.Float64(), Z: 2 + rng.Float64()}),
 			})
 		}
-		// Full table, and a capped table that forces the fallback path for
-		// the less popular angles — both must be bit-identical to M2LBatch.
+		// Full table, and a tiny-budget table that forces the spill path for
+		// the less popular theta — both must be bit-identical to M2LBatch.
 		for _, rotCap := range []int{0, 3} {
 			tb, classes := tableFor(p, to, srcs, rotCap)
 
@@ -177,4 +191,253 @@ func TestM2LTableConcurrentBuildAndUse(t *testing.T) {
 		}()
 	}
 	uwg.Wait()
+}
+
+// goldenBatch is a fixed V-list-like batch: repeated lattice offsets at two
+// scales plus fresh directions, random Hermitian sources.
+func goldenBatch(p int) (geom.Vec3, []M2LSource) {
+	rng := rand.New(rand.NewSource(int64(1000 + p)))
+	to := geom.Vec3{X: 0.125, Y: -0.375, Z: 0.25}
+	var srcs []M2LSource
+	for _, scale := range []float64{1, 0.5} {
+		for _, d := range []geom.Vec3{
+			{X: 3, Y: 0, Z: 0}, {X: 0, Y: -3, Z: 1}, {X: -2, Y: 3, Z: -3},
+			{X: 2, Y: -2, Z: 2}, {X: 0, Y: 0, Z: -4}, {X: 1, Y: 2, Z: 3},
+		} {
+			srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: to.Add(d.Scale(scale))})
+		}
+	}
+	for i := 0; i < 8; i++ {
+		srcs = append(srcs, M2LSource{
+			M:    randomExpansion(p, rng),
+			From: to.Add(geom.Vec3{X: 3 + rng.Float64(), Y: -2 + rng.Float64(), Z: 2 * rng.NormFloat64()}),
+		})
+	}
+	return to, srcs
+}
+
+func hashCoeffs(c []complex128) uint64 {
+	h := fnv.New64a()
+	var b [16]byte
+	for _, v := range c {
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestM2LMatchesParentCommitBits pins the numerics across the table
+// rebuild: the hashes are of the coefficient bits commit 861f1ab produced
+// for goldenBatch through its M2LBatch (then a cached form) and its
+// M2LBatchTable (rotation cap 0 and 3), which agreed. The factored table,
+// its spill path and the uncached M2LBatch must all reproduce them.
+func TestM2LMatchesParentCommitBits(t *testing.T) {
+	golden := map[int]uint64{
+		2: 0xf20eacd9d278adc1, 4: 0x25a7d382b89570b8,
+		8: 0x4fa52376f3b33b5f, 12: 0x4c2c0749a8a4ce45,
+	}
+	for p, want := range golden {
+		to, srcs := goldenBatch(p)
+		batch := NewExpansion(p)
+		NewWorkspace(p).M2LBatch(batch, to, srcs)
+		if got := hashCoeffs(batch.C); got != want {
+			t.Errorf("p=%d: M2LBatch hash %#x, parent commit %#x", p, got, want)
+		}
+		for _, rotCap := range []int{0, 3} {
+			tb, classes := tableFor(p, to, srcs, rotCap)
+			l := NewExpansion(p)
+			NewWorkspace(p).M2LBatchTable(l, to, srcs, classes, tb)
+			if got := hashCoeffs(l.C); got != want {
+				t.Errorf("p=%d rotCap=%d: M2LBatchTable hash %#x, parent commit %#x", p, rotCap, got, want)
+			}
+		}
+	}
+}
+
+// treeCases are the three body distributions the table properties are
+// checked on: centrally concentrated, uniform, and bimodal.
+var treeCases = []struct {
+	name string
+	sys  func() *particle.System
+}{
+	{"plummer", func() *particle.System { return distrib.Plummer(3000, 1, 1, 5) }},
+	{"cube", func() *particle.System { return distrib.UniformCube(3000, 1, 6) }},
+	{"two-clusters", func() *particle.System { return distrib.TwoClusters(3000, 0.3, 1, 8, 0, 7) }},
+}
+
+// sweepTree applies every node's V list (random multipoles mp) through
+// apply and returns the hash of all resulting locals, in node order.
+func sweepTree(tr *octree.Tree, p int, mp []Expansion, apply func(w *Workspace, l Expansion, ni int32, srcs []M2LSource)) uint64 {
+	w := NewWorkspace(p)
+	var all []complex128
+	for ni := range tr.Nodes {
+		n := &tr.Nodes[ni]
+		if len(n.V) == 0 {
+			continue
+		}
+		srcs := w.Sources(len(n.V))
+		for _, vi := range n.V {
+			srcs = append(srcs, M2LSource{M: mp[vi], From: tr.Nodes[vi].Box.Center})
+		}
+		l := NewExpansion(p)
+		apply(w, l, int32(ni), srcs)
+		all = append(all, l.C...)
+	}
+	return hashCoeffs(all)
+}
+
+// TestM2LTableRealTrees: on real adaptive trees the in-budget table covers
+// every class, a table squeezed to a handful of stacks spills most of
+// them, and both equal the uncached reference bit-for-bit over every V
+// list.
+func TestM2LTableRealTrees(t *testing.T) {
+	const p = 4
+	for _, tc := range treeCases {
+		tr := octree.Build(tc.sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
+		rng := rand.New(rand.NewSource(31))
+		mp := make([]Expansion, len(tr.Nodes))
+		for i := range mp {
+			mp[i] = randomExpansion(p, rng)
+		}
+		want := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
+			w.M2LBatch(l, tr.Nodes[ni].Box.Center, srcs)
+		})
+		for _, rotCap := range []int{0, 5} {
+			tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
+			covered := 0
+			for c := range cls.Dirs {
+				if tb.HasRot(c) {
+					covered++
+				}
+			}
+			if rotCap == 0 && covered != cls.Classes() {
+				t.Errorf("%s: in-budget table covers %d of %d classes", tc.name, covered, cls.Classes())
+			}
+			if rotCap > 0 && (tb.Rotations() != rotCap || covered == cls.Classes()) {
+				t.Errorf("%s: squeezed table kept %d stacks (want %d), covers %d of %d classes",
+					tc.name, tb.Rotations(), rotCap, covered, cls.Classes())
+			}
+			got := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
+				w.M2LBatchTable(l, tr.Nodes[ni].Box.Center, srcs, cls.Row(ni), tb)
+			})
+			if got != want {
+				t.Errorf("%s rotCap=%d: table sweep hash %#x != batch sweep %#x", tc.name, rotCap, got, want)
+			}
+		}
+	}
+}
+
+// TestM2LTablePlanDeterministic: the slab layout is a function of the
+// class list alone — no map-iteration order leaks into row numbers —
+// whether the table is fresh or re-planned after serving another tree.
+func TestM2LTablePlanDeterministic(t *testing.T) {
+	const p = 3
+	var prev *octree.M2LClassSchedule
+	for _, tc := range treeCases {
+		tr := octree.Build(tc.sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
+		a := buildTable(p, cls.Dirs, cls.PairsPerClass, 40)
+		for rep := 0; rep < 3; rep++ {
+			b := NewM2LTable(p)
+			b.thetaBudget = a.thetaBudget
+			if prev != nil {
+				b.BuildRotRange(0, b.Plan(prev.Dirs, prev.PairsPerClass, 0))
+			}
+			b.BuildRotRange(0, b.Plan(cls.Dirs, cls.PairsPerClass, 0))
+			if !reflect.DeepEqual(a.ops, b.ops) || !reflect.DeepEqual(a.thetas, b.thetas) ||
+				!reflect.DeepEqual(a.stacks, b.stacks) || !reflect.DeepEqual(a.zph, b.zph) ||
+				!reflect.DeepEqual(a.rpow, b.rpow) || a.nStack != b.nStack {
+				t.Fatalf("%s: plan %d laid the table out differently", tc.name, rep)
+			}
+		}
+		c := *cls
+		c.Dirs = append([]geom.Vec3(nil), cls.Dirs...)
+		c.PairsPerClass = append([]int64(nil), cls.PairsPerClass...)
+		prev = &c
+	}
+}
+
+// TestM2LBatchTableAllocationFree gates the steady state: over a real V
+// list neither the in-budget table nor the spill branch allocates.
+func TestM2LBatchTableAllocationFree(t *testing.T) {
+	const p = 4
+	tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
+	tr.BuildLists()
+	cls := tr.M2LClasses()
+	ni := 0
+	for i := range tr.Nodes {
+		if len(tr.Nodes[i].V) > len(tr.Nodes[ni].V) {
+			ni = i
+		}
+	}
+	n := &tr.Nodes[ni]
+	rng := rand.New(rand.NewSource(32))
+	w := NewWorkspace(p)
+	srcs := w.Sources(len(n.V))
+	for _, vi := range n.V {
+		srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: tr.Nodes[vi].Box.Center})
+	}
+	l := NewExpansion(p)
+	for _, rotCap := range []int{0, 2} {
+		tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
+		spilled := 0
+		for _, c := range cls.Row(int32(ni)) {
+			if !tb.HasRot(int(c)) {
+				spilled++
+			}
+		}
+		if (rotCap > 0) != (spilled > 0) {
+			t.Fatalf("rotCap=%d: %d of %d pairs spill", rotCap, spilled, len(srcs))
+		}
+		a := testing.AllocsPerRun(10, func() {
+			w.M2LBatchTable(l, n.Box.Center, srcs, cls.Row(int32(ni)), tb)
+		})
+		if a != 0 {
+			t.Errorf("rotCap=%d: M2LBatchTable allocates %v times per V list, want 0", rotCap, a)
+		}
+	}
+}
+
+// FuzzM2LTable: for arbitrary direction sets, orders and theta budgets the
+// table translation equals the uncached reference bit-for-bit.
+func FuzzM2LTable(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(6), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(20), uint8(3))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(4), uint8(0), uint8(9), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, order, ndirs, rotCap uint8) {
+		p := int(order % 10)
+		rng := rand.New(rand.NewSource(seed))
+		to := geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
+		// Offsets on a coarse lattice (shared theta, phi and rho across
+		// distinct directions, as in a tree) and off it.
+		dirs := make([]geom.Vec3, 1+int(ndirs%32))
+		for i := range dirs {
+			d := geom.Vec3{X: float64(rng.Intn(9) - 4), Y: float64(rng.Intn(9) - 4), Z: float64(rng.Intn(9) - 4)}
+			if rng.Intn(4) == 0 {
+				d = d.Add(geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()})
+			}
+			if d.Norm() < 2 {
+				d.Z += 5
+			}
+			dirs[i] = d.Scale(float64(int(1)<<rng.Intn(3)) / 4)
+		}
+		var srcs []M2LSource
+		for i := 0; i < 1+rng.Intn(30); i++ {
+			srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: to.Add(dirs[rng.Intn(len(dirs))])})
+		}
+		tb, classes := tableFor(p, to, srcs, int(rotCap%8))
+		got, want := NewExpansion(p), NewExpansion(p)
+		NewWorkspace(p).M2LBatchTable(got, to, srcs, classes, tb)
+		NewWorkspace(p).M2LBatch(want, to, srcs)
+		for i := range got.C {
+			if got.C[i] != want.C[i] {
+				t.Fatalf("coefficient %d differs: table %v vs batch %v", i, got.C[i], want.C[i])
+			}
+		}
+	})
 }

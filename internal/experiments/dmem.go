@@ -174,7 +174,7 @@ func dmemExecCheck(p Params) DmemExecCheck {
 		steps = 3
 	)
 	chk := DmemExecCheck{N: n, Nodes: nodes, Steps: steps}
-	coreCfg := core.Config{P: p.P, S: 32, DisableM2LTable: true}
+	coreCfg := core.Config{P: p.P, S: 32}
 	sysD := distrib.Plummer(n, 1, 1, p.Seed)
 	sysS := distrib.Plummer(n, 1, 1, p.Seed)
 

@@ -18,9 +18,9 @@ import (
 //
 // The M2L phase replays the exact downward-pass translation workload of a
 // Plummer tree — every V-list pair, in node order — through three
-// implementations: the shared class table (M2LBatchTable), the PR-1
-// per-workspace per-direction cache (M2LBatch), and the uncached
-// per-pair rotated operator (M2LRotated). The P2P phase measures pair
+// implementations: the shared class table (M2LBatchTable), its uncached
+// reference form (M2LBatch: the same kernel, setup recomputed per pair),
+// and the per-pair rotated operator (M2LRotated). The P2P phase measures pair
 // rates of the tiled kernels against their scalar baselines and the
 // float32 variants on a near-field-shaped call (one leaf row against a
 // gathered source span). The end-to-end phase times whole solver steps at
@@ -38,13 +38,13 @@ type KernelsBenchResult struct {
 	M2LRotCoverage float64 `json:"m2l_rot_coverage"`
 	TableBuildNs   int64   `json:"table_build_ns"`
 	// Nanoseconds per translation.
-	M2LNsTable  float64 `json:"m2l_ns_table"`
-	M2LNsCache  float64 `json:"m2l_ns_cache"`
-	M2LNsDirect float64 `json:"m2l_ns_direct"`
-	// Headline ratios: table throughput over the per-direction cache
-	// (acceptance target >= 1.3) and over the uncached operator.
-	M2LSpeedupVsCache  float64 `json:"m2l_speedup_vs_cache"`
-	M2LSpeedupVsDirect float64 `json:"m2l_speedup_vs_direct"`
+	M2LNsTable     float64 `json:"m2l_ns_table"`
+	M2LNsReference float64 `json:"m2l_ns_reference"`
+	M2LNsDirect    float64 `json:"m2l_ns_direct"`
+	// Headline ratios: table throughput over the uncached reference form
+	// and over the per-pair rotated operator.
+	M2LSpeedupVsReference float64 `json:"m2l_speedup_vs_reference"`
+	M2LSpeedupVsDirect    float64 `json:"m2l_speedup_vs_direct"`
 
 	// P2P pair rates (pairs per second), near-field call shape.
 	P2PTargets int `json:"p2p_targets"`
@@ -69,12 +69,8 @@ type KernelsBenchResult struct {
 	EndToEndSpeedup float64 `json:"end_to_end_speedup"`
 }
 
-// kernelsRotCap mirrors the solvers' rotation-setup cap so the benchmarked
-// table is the production table.
-const kernelsRotCap = 1024
-
-// Kernels measures the raw kernel-speed work: class-table M2L against the
-// per-direction cache and the uncached operator on a real tree's
+// Kernels measures the raw kernel-speed work: class-table M2L against its
+// uncached reference form and the per-pair rotated operator on a real tree's
 // translation workload, tiled/float32 P2P pair rates against the scalar
 // baseline, and the end-to-end step effect of the table.
 func Kernels(p Params) KernelsBenchResult {
@@ -106,7 +102,7 @@ func Kernels(p Params) KernelsBenchResult {
 
 	tb := expansion.NewM2LTable(p.P)
 	tm := sched.StartTimer()
-	nrot := tb.Plan(cls.Dirs, cls.PairsPerClass, kernelsRotCap)
+	nrot := tb.Plan(cls.Dirs, cls.PairsPerClass, 0)
 	tb.BuildRotRange(0, nrot) // serial: the build cost a 1-core host pays
 	res.TableBuildNs = tm.Elapsed().Nanoseconds()
 	res.M2LRotations = tb.Rotations()
@@ -121,8 +117,7 @@ func Kernels(p Params) KernelsBenchResult {
 	}
 
 	// One sweep = every V-list pair once, node order, like the downward
-	// pass. Each variant keeps its own workspace (the cache variant's LRU
-	// warms across repetitions, exactly as a long-lived worker's would).
+	// pass. Each variant keeps its own workspace.
 	var srcs []expansion.M2LSource
 	sweep := func(w *expansion.Workspace, l expansion.Expansion, f func(l expansion.Expansion, to geom.Vec3, srcs []expansion.M2LSource, row []int32)) {
 		for ni := range tr.Nodes {
@@ -137,10 +132,10 @@ func Kernels(p Params) KernelsBenchResult {
 			f(l, n.Box.Center, srcs, cls.Row(int32(ni)))
 		}
 	}
-	wTab, wCache, wDir := expansion.NewWorkspace(p.P), expansion.NewWorkspace(p.P), expansion.NewWorkspace(p.P)
-	lTab, lCache, lDir := expansion.NewExpansion(p.P), expansion.NewExpansion(p.P), expansion.NewExpansion(p.P)
+	wTab, wRef, wDir := expansion.NewWorkspace(p.P), expansion.NewWorkspace(p.P), expansion.NewWorkspace(p.P)
+	lTab, lRef, lDir := expansion.NewExpansion(p.P), expansion.NewExpansion(p.P), expansion.NewExpansion(p.P)
 	const reps = 3
-	var nsTable, nsCache, nsDirect int64
+	var nsTable, nsRef, nsDirect int64
 	for rep := 0; rep < reps; rep++ {
 		// Alternate variants within each repetition so slow host-speed
 		// drift hits all three equally.
@@ -151,10 +146,10 @@ func Kernels(p Params) KernelsBenchResult {
 		nsTable += tm.Elapsed().Nanoseconds()
 
 		tm = sched.StartTimer()
-		sweep(wCache, lCache, func(l expansion.Expansion, to geom.Vec3, srcs []expansion.M2LSource, row []int32) {
-			wCache.M2LBatch(l, to, srcs)
+		sweep(wRef, lRef, func(l expansion.Expansion, to geom.Vec3, srcs []expansion.M2LSource, row []int32) {
+			wRef.M2LBatch(l, to, srcs)
 		})
-		nsCache += tm.Elapsed().Nanoseconds()
+		nsRef += tm.Elapsed().Nanoseconds()
 
 		tm = sched.StartTimer()
 		sweep(wDir, lDir, func(l expansion.Expansion, to geom.Vec3, srcs []expansion.M2LSource, row []int32) {
@@ -167,11 +162,11 @@ func Kernels(p Params) KernelsBenchResult {
 	den := float64(cls.Pairs) * reps
 	if den > 0 {
 		res.M2LNsTable = float64(nsTable) / den
-		res.M2LNsCache = float64(nsCache) / den
+		res.M2LNsReference = float64(nsRef) / den
 		res.M2LNsDirect = float64(nsDirect) / den
 	}
 	if res.M2LNsTable > 0 {
-		res.M2LSpeedupVsCache = res.M2LNsCache / res.M2LNsTable
+		res.M2LSpeedupVsReference = res.M2LNsReference / res.M2LNsTable
 		res.M2LSpeedupVsDirect = res.M2LNsDirect / res.M2LNsTable
 	}
 

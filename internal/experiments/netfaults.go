@@ -115,7 +115,7 @@ func NetFaults(p Params) NetFaultsResult {
 		steps = 3
 	)
 	dt := p.Dt
-	coreCfg := core.Config{P: p.P, S: 32, DisableM2LTable: true}
+	coreCfg := core.Config{P: p.P, S: 32}
 	res := NetFaultsResult{
 		N: n, P: p.P, Nodes: nodes, Steps: steps,
 		HostCores: runtime.NumCPU(),

@@ -2,61 +2,12 @@ package stokes
 
 import (
 	"afmm/internal/core"
-	"afmm/internal/expansion"
 	"afmm/internal/kernels"
 	"afmm/internal/telemetry"
 )
 
-// Kernel-speed layer for the Stokes solver: the shared M2L
-// translation-class table and the gated float32 near field. Mirrors
-// core.Solver's layer; the table is especially profitable here because
-// all four harmonic passes translate over the same class schedule.
-
-// m2lRotCap/m2lClassCap mirror core's table bounds.
-const (
-	m2lRotCap   = 1024
-	m2lClassCap = 1 << 20
-)
-
-// prepareM2LTable builds (or revalidates) the shared per-class M2L
-// operator table for the current lists (see core.Solver.prepareM2LTable).
-func (s *Solver) prepareM2LTable() {
-	useTable := !s.Cfg.DisableM2LTable && s.Cfg.SweepMode == core.SweepLevelSync &&
-		!s.Cfg.SkipFarField
-	if !useTable {
-		s.m2lTab, s.m2lCls = nil, nil
-		s.m2lEpoch = 0
-		return
-	}
-	rec := s.Cfg.Rec
-	t := s.Tree
-	rebuilt := false
-	if s.m2lTab == nil || s.m2lEpoch != t.ListEpoch() {
-		cls := t.M2LClasses()
-		if cls.Classes() > m2lClassCap {
-			// See core: degenerate geometry, table would outgrow its payoff.
-			s.m2lTab, s.m2lCls = nil, nil
-			s.m2lEpoch = 0
-			return
-		}
-		tok := rec.Begin(telemetry.SpanM2LTable, int32(cls.Classes()))
-		if s.m2lTab == nil {
-			s.m2lTab = expansion.NewM2LTable(s.Cfg.P)
-		}
-		nrot := s.m2lTab.Plan(cls.Dirs, cls.PairsPerClass, m2lRotCap)
-		s.Cfg.Pool.ParallelRange(nrot, func(lo, hi int) {
-			s.m2lTab.BuildRotRange(lo, hi)
-		})
-		s.m2lCls = cls
-		s.m2lEpoch = t.ListEpoch()
-		rebuilt = true
-		rec.End(tok)
-	}
-	if rec.Enabled() && s.m2lCls != nil {
-		rec.SetM2LTable(s.m2lCls.Classes(), s.m2lCls.Pairs,
-			s.m2lCls.KeyHits, s.m2lCls.KeyMisses, rebuilt)
-	}
-}
+// Kernel-speed layer for the Stokes solver: the gated float32 near field
+// (the shared M2L class table is core.SharedM2L, prepared in Solve).
 
 // nearF32ErrorEstimate bounds the relative rounding error of the float32
 // Stokeslet near field (see core.Solver.nearF32ErrorEstimate).
@@ -125,8 +76,5 @@ func (s *Solver) NearFloat32Active() bool { return s.f32Active }
 // M2LTableStats returns the current class schedule stats (zero-valued
 // when the table path is off or not yet built).
 func (s *Solver) M2LTableStats() (classes int, pairs, keyHits, keyMisses int64) {
-	if s.m2lCls == nil {
-		return 0, 0, 0, 0
-	}
-	return s.m2lCls.Classes(), s.m2lCls.Pairs, s.m2lCls.KeyHits, s.m2lCls.KeyMisses
+	return s.m2l.Stats()
 }

@@ -168,12 +168,9 @@ type Solver struct {
 	classSnap  []int64
 	classDelta []int64
 
-	// M2L translation-class table state (see core.Solver): one table
-	// serves all four harmonic passes.
-	m2lTab   *expansion.M2LTable
-	m2lCls   *octree.M2LClassSchedule
-	m2lEpoch uint64
-	m2lUse   bool
+	// m2l is the shared M2L translation-class table (see core.SharedM2L):
+	// one table serves all four harmonic passes.
+	m2l core.SharedM2L
 
 	// NearFloat32 precision-gate state (see core.Solver).
 	f32Active  bool
@@ -331,8 +328,11 @@ func (s *Solver) Solve() StepTimes {
 	rec.AddSpan(telemetry.SpanPrep, 0, prepTimer.StartTime(), prepTimer.Elapsed())
 
 	// Kernel-speed preparation before the near/far fork (see core.Solver):
-	// the shared class table and the float32 precision gate.
-	s.prepareM2LTable()
+	// the shared class table (especially profitable here: all four harmonic
+	// passes translate over the same class schedule) and the float32
+	// precision gate.
+	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, rec,
+		!s.Cfg.DisableM2LTable && s.Cfg.SweepMode == core.SweepLevelSync && !s.Cfg.SkipFarField)
 	s.updateNearPrecision()
 
 	// Near and far phases, overlapped exactly as in core.Solver.Solve: a
@@ -766,10 +766,7 @@ func (s *Solver) upNodePass(w *expansion.Workspace, k int, ni int32) {
 }
 
 func (s *Solver) downSweepLevels(withL2P bool) {
-	t := s.Tree
-	// Resolve table eligibility once per sweep (see core.Solver).
-	s.m2lUse = s.m2lTab != nil && s.m2lEpoch == t.ListEpoch()
-	levels := t.LevelOrder()
+	levels := s.Tree.LevelOrder()
 	for lv := 0; lv < len(levels); lv++ {
 		nodes := levels[lv]
 		if len(nodes) == 0 {
@@ -778,30 +775,28 @@ func (s *Solver) downSweepLevels(withL2P bool) {
 		weights := s.levelWeights(nodes, false)
 		s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 			w := s.getWS()
-			var srcs []expansion.M2LSource
 			for _, ni := range nodes[lo:hi] {
-				srcs = s.downNode(w, ni, srcs, withL2P)
+				s.downNode(w, ni, withL2P)
 			}
 			s.putWS(w)
 		})
 	}
 }
 
-func (s *Solver) downNode(w *expansion.Workspace, ni int32, srcs []expansion.M2LSource, withL2P bool) []expansion.M2LSource {
+func (s *Solver) downNode(w *expansion.Workspace, ni int32, withL2P bool) {
 	for k := 0; k < passes; k++ {
-		srcs = s.downNodePass(w, k, ni, srcs)
+		s.downNodePass(w, k, ni)
 	}
 	if withL2P && s.Tree.Nodes[ni].IsVisibleLeaf() {
 		s.leafL2P(w, ni)
 	}
-	return srcs
 }
 
 // downNodePass applies pass k's L2L and batched M2L to node ni's local.
 // Like upNodePass, each pass touches only its own slab, so passes may be
 // scheduled independently; L2P stays with the caller (it reads all four
 // finalized locals).
-func (s *Solver) downNodePass(w *expansion.Workspace, k int, ni int32, srcs []expansion.M2LSource) []expansion.M2LSource {
+func (s *Solver) downNodePass(w *expansion.Workspace, k int, ni int32) {
 	t := s.Tree
 	n := &t.Nodes[ni]
 	l := s.local(k, ni)
@@ -813,17 +808,12 @@ func (s *Solver) downNodePass(w *expansion.Workspace, k int, ni int32, srcs []ex
 		}
 	}
 	if len(n.V) > 0 {
-		srcs = srcs[:0]
+		srcs := w.Sources(len(n.V))
 		for _, vi := range n.V {
 			srcs = append(srcs, expansion.M2LSource{M: s.mpole(k, vi), From: t.Nodes[vi].Box.Center})
 		}
-		if s.m2lUse {
-			w.M2LBatchTable(l, n.Box.Center, srcs, s.m2lCls.Row(ni), s.m2lTab)
-		} else {
-			w.M2LBatch(l, n.Box.Center, srcs)
-		}
+		s.m2l.M2L(w, l, t, ni, srcs)
 	}
-	return srcs
 }
 
 // leafL2P evaluates the four finalized harmonic locals of one visible

@@ -5,7 +5,6 @@ import (
 
 	"afmm/internal/core"
 	"afmm/internal/dag"
-	"afmm/internal/expansion"
 	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
@@ -63,10 +62,6 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		defer s.Cfg.Pool.SetReserved(0)
 	}
 
-	// Settle table eligibility before the build (per-sweep state on the
-	// fork-join path).
-	s.m2lUse = s.m2lTab != nil && s.m2lEpoch == t.ListEpoch()
-
 	spec := dag.Spec{
 		Tree:   t,
 		Pool:   s.Cfg.Pool,
@@ -96,9 +91,8 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		DownChunk: func(pass, _ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()
-				var srcs []expansion.M2LSource
 				for _, ni := range nodes {
-					srcs = s.downNodePass(w, pass, ni, srcs)
+					s.downNodePass(w, pass, ni)
 				}
 				s.putWS(w)
 			}
