@@ -7,8 +7,8 @@ import (
 
 // Batched M2L: the sweeps apply a target's whole V list in one call. Both
 // batch forms run one kernel, m2lApply, over the per-direction setup of
-// the rotation-accelerated translation — the pre-signed Wigner stack for
-// the polar angle theta, the azimuthal phases e^{i m phi} and the radial
+// the rotation-accelerated translation — the half Wigner stack for the
+// polar angle theta, the azimuthal phases e^{i m phi} and the radial
 // powers 1/rho^k. M2LBatchTable (the production form) reads the setup from
 // the shared class table; M2LBatch (the reference form) computes it per
 // source into the workspace scratch.
@@ -29,92 +29,102 @@ func (w *Workspace) Sources(n int) []M2LSource {
 	return w.srcs[:0]
 }
 
-// rotateZCached multiplies coefficient (n, m) by ph[m] (or its conjugate),
-// the cached-phase equivalent of rotateZ(p, e, ±phi).
-func rotateZCached(p int, e []complex128, ph []complex128, conj bool) {
-	for m := 1; m <= p; m++ {
-		f := ph[m]
-		if conj {
-			f = complex(real(f), -imag(f))
-		}
-		for n := m; n <= p; n++ {
-			e[sphharm.Idx(n, m)] *= f
-		}
-	}
-}
-
-// rotateYSigned applies a flat pre-signed Wigner stack (see
-// signedWignerInto): rotateY with the per-entry sigma products already
-// folded into the matrix entries,
+// rotateHalf applies a half stack (see halfStackInto) to split
+// coefficients, degree by degree:
 //
-//	out_n^{m'} = sum_{m=-n..n} w_{m'm} in_n^m,  in_n^{-m} = conj(in_n^m),
+//	Re out_n^{m'} = sum_{m=0..n} P_{m'm} Re in_n^m,
+//	Im out_n^{m'} = sum_{m=0..n} Q_{m'm} Im in_n^m,
 //
-// w the stack entry (m', m), or (m, m') when transposed. The w == 0 skip
-// and the m = -n..n order are rotateY's, so the accumulation matches it
-// bit-for-bit.
-func rotateYSigned(p int, out, in []complex128, stack []float64, transpose bool) {
-	off := 0
+// the real form of out_n^{m'} = sum_{m=-n..n} w_{m'm} in_n^m under the
+// packed storage's in_n^{-m} = conj(in_n^m). in is degree-major
+// (sphharm.Idx); out is written order-major (m' = 0..p, n = m'..p), the
+// order both consumers read: the axial step and the phase merge run per
+// order.
+func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64) {
+	off, base := 0, 0
 	for n := 0; n <= p; n++ {
-		dim := 2*n + 1
-		d := stack[off : off+dim*dim]
-		off += dim * dim
-		row := in[sphharm.Idx(n, 0) : sphharm.Idx(n, 0)+n+1] // in_n^m, m = 0..n
+		h := n + 1
+		xr := inRe[base : base+h]
+		xi := inIm[base:][:h]
+		base += h
+		o := n
 		for mp := 0; mp <= n; mp++ {
-			// Entry (m', m) sits at start + (m+n)*step.
-			start, step := (mp+n)*dim, 1
-			if transpose {
-				start, step = mp+n, dim
+			pr, qr := half[off:][:h], half[off+h:][:h]
+			off += 2 * h
+			var ar, ai float64
+			for m, x := range xr {
+				ar += pr[m] * x
+				ai += qr[m] * xi[m]
 			}
-			var acc complex128
-			for m := n; m >= 1; m-- { // m' column -m
-				if w := d[start+(n-m)*step]; w != 0 {
-					acc += complex(w, 0) * complex(real(row[m]), -imag(row[m]))
-				}
-			}
-			for m := 0; m <= n; m++ {
-				if w := d[start+(n+m)*step]; w != 0 {
-					acc += complex(w, 0) * row[m]
-				}
-			}
-			out[sphharm.Idx(n, mp)] = acc
+			outRe[o], outIm[o] = ar, ai
+			o += p - mp
 		}
 	}
 }
 
 // m2lApply is the one M2L inner routine: rotate the source coefficients so
 // the translation vector lies along +z, translate axially, rotate back,
-// and accumulate into l. stack is the flat pre-signed Wigner stack of the
-// vector's theta, zph its e^{im phi} (m = 0..p), rpow its rho^-(i+1)
-// (i = 0..2p+1).
-func (w *Workspace) m2lApply(l Expansion, src []complex128, stack []float64, zph []complex128, rpow []float64) {
+// and accumulate into l — in real arithmetic on split re/im scratch. half
+// is the half Wigner stack of the vector's theta, zph its e^{im phi}
+// (m = 0..p), rpow its rho^-(i+1) (i = 0..2p+1).
+//
+// The forward rotation is the back rotation's transpose, and the signed
+// stack satisfies w(m,m') = (-1)^{m+m'} w(m',m): forward = D back D,
+// D = diag((-1)^m). Both D are exact sign flips, folded into the phase
+// split and the axial write (the axial step is diagonal in the order k),
+// so one half stack serves both rotations (THEORY §14).
+func (w *Workspace) m2lApply(l Expansion, src []complex128, half []float64, zph []complex128, rpow []float64) {
 	p := l.P
 	r := w.rot
+	aRe, aIm, bRe, bIm := r.aRe, r.aIm, r.bRe, r.bIm
 
-	// Forward frame change: phase e^{im phi}, transposed stack.
-	copy(r.buf1, src)
-	rotateZCached(p, r.buf1, zph, false)
-	rotateYSigned(p, r.buf2, r.buf1, stack, true)
+	// Forward frame change: split D * e^{im phi} * src, rotate.
+	for m := 0; m <= p; m++ {
+		c, s := real(zph[m]), imag(zph[m])
+		if m%2 == 1 {
+			c, s = -c, -s
+		}
+		for n, i := m, sphharm.Idx(m, m); n <= p; n, i = n+1, i+n+1 {
+			x, y := real(src[i]), imag(src[i])
+			aRe[i], aIm[i] = x*c-y*s, x*s+y*c
+		}
+	}
+	rotateHalf(p, bRe, bIm, aRe, aIm, half)
 
 	// Axial M2L along +z:
 	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}
 	axb := w.axb
-	idx := 0
+	o := 0 // Idx(j, k)
 	for j := 0; j <= p; j++ {
+		ko := 0 // order k's run of b, n = k..p
 		for k := 0; k <= j; k++ {
-			var acc complex128
-			for n := k; n <= p; n++ {
-				acc += complex(axb[idx]*rpow[j+n], 0) * r.buf2[sphharm.Idx(n, k)]
-				idx++
+			cnt := p - k + 1
+			xr, xi := bRe[ko:ko+cnt], bIm[ko:][:cnt]
+			ab, rp := axb[:cnt], rpow[j+k:][:cnt]
+			axb, ko = axb[cnt:], ko+cnt
+			var ar, ai float64
+			for i, x := range xr {
+				c := ab[i] * rp[i]
+				ar += c * x
+				ai += c * xi[i]
 			}
-			r.buf1[sphharm.Idx(j, k)] = acc
+			if k%2 == 1 {
+				ar, ai = -ar, -ai
+			}
+			aRe[o], aIm[o] = ar, ai
+			o++
 		}
 	}
 
-	// Back rotation: untransposed stack, conjugate phases; accumulate.
-	rotateYSigned(p, r.buf2, r.buf1, stack, false)
-	rotateZCached(p, r.buf2, zph, true)
-	for i := range l.C {
-		l.C[i] += r.buf2[i]
+	// Back rotation, conjugate phases; accumulate.
+	rotateHalf(p, bRe, bIm, aRe, aIm, half)
+	o = 0
+	for m := 0; m <= p; m++ {
+		c, s := real(zph[m]), imag(zph[m])
+		for n, i := m, sphharm.Idx(m, m); n <= p; n, i = n+1, i+n+1 {
+			l.C[i] += complex(bRe[o]*c+bIm[o]*s, bIm[o]*c-bRe[o]*s)
+			o++
+		}
 	}
 }
 
@@ -127,9 +137,9 @@ func (w *Workspace) M2LBatch(l Expansion, to geom.Vec3, srcs []M2LSource) {
 	r := w.rot
 	for _, s := range srcs {
 		rho, theta, phi := s.From.Sub(to).Spherical()
-		signedWignerInto(r.stack, p, theta)
+		r.halfStackInto(r.half, p, theta)
 		fillPhases(r.zph, phi)
 		fillInvPowers(r.rpow, rho)
-		w.m2lApply(l, s.M.C, r.flat, r.zph, r.rpow)
+		w.m2lApply(l, s.M.C, r.half, r.zph, r.rpow)
 	}
 }

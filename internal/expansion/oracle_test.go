@@ -1,0 +1,228 @@
+package expansion
+
+import (
+	"math"
+	"math/cmplx"
+	"math/rand"
+	"testing"
+
+	"afmm/internal/geom"
+	"afmm/internal/octree"
+	"afmm/internal/sphharm"
+)
+
+// The complex-arithmetic M2L kernel of commit 14d1dcf, verbatim: the oracle
+// the real-arithmetic m2lApply is held to (TestM2LKernelMatchesOracle). It
+// takes the full pre-signed Wigner stack (signedWignerInto), not the half
+// stack.
+
+// rotateZCached multiplies coefficient (n, m) by ph[m] (or its conjugate),
+// the cached-phase equivalent of rotateZ(p, e, ±phi).
+func rotateZCached(p int, e []complex128, ph []complex128, conj bool) {
+	for m := 1; m <= p; m++ {
+		f := ph[m]
+		if conj {
+			f = complex(real(f), -imag(f))
+		}
+		for n := m; n <= p; n++ {
+			e[sphharm.Idx(n, m)] *= f
+		}
+	}
+}
+
+// rotateYSigned applies a flat pre-signed Wigner stack (see
+// signedWignerInto): rotateY with the per-entry sigma products already
+// folded into the matrix entries,
+//
+//	out_n^{m'} = sum_{m=-n..n} w_{m'm} in_n^m,  in_n^{-m} = conj(in_n^m),
+//
+// w the stack entry (m', m), or (m, m') when transposed. The w == 0 skip
+// and the m = -n..n order are rotateY's, so the accumulation matches it
+// bit-for-bit.
+func rotateYSigned(p int, out, in []complex128, stack []float64, transpose bool) {
+	off := 0
+	for n := 0; n <= p; n++ {
+		dim := 2*n + 1
+		d := stack[off : off+dim*dim]
+		off += dim * dim
+		row := in[sphharm.Idx(n, 0) : sphharm.Idx(n, 0)+n+1] // in_n^m, m = 0..n
+		for mp := 0; mp <= n; mp++ {
+			// Entry (m', m) sits at start + (m+n)*step.
+			start, step := (mp+n)*dim, 1
+			if transpose {
+				start, step = mp+n, dim
+			}
+			var acc complex128
+			for m := n; m >= 1; m-- { // m' column -m
+				if w := d[start+(n-m)*step]; w != 0 {
+					acc += complex(w, 0) * complex(real(row[m]), -imag(row[m]))
+				}
+			}
+			for m := 0; m <= n; m++ {
+				if w := d[start+(n+m)*step]; w != 0 {
+					acc += complex(w, 0) * row[m]
+				}
+			}
+			out[sphharm.Idx(n, mp)] = acc
+		}
+	}
+}
+
+// m2lApplyOracle is commit 14d1dcf's complex-arithmetic M2L inner routine,
+// kept verbatim (with rotateZCached and rotateYSigned) as the numerics
+// oracle of the real-arithmetic kernel: rotate the source coefficients so
+// the translation vector lies along +z, translate axially, rotate back,
+// and accumulate into l. stack is the flat pre-signed Wigner stack of the
+// vector's theta, zph its e^{im phi} (m = 0..p), rpow its rho^-(i+1)
+// (i = 0..2p+1).
+func (w *Workspace) m2lApplyOracle(l Expansion, src []complex128, stack []float64, zph []complex128, rpow []float64) {
+	p := l.P
+	r := w.rot
+
+	// Forward frame change: phase e^{im phi}, transposed stack.
+	copy(r.buf1, src)
+	rotateZCached(p, r.buf1, zph, false)
+	rotateYSigned(p, r.buf2, r.buf1, stack, true)
+
+	// Axial M2L along +z:
+	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}
+	axb := w.axb
+	idx := 0
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			var acc complex128
+			for n := k; n <= p; n++ {
+				acc += complex(axb[idx]*rpow[j+n], 0) * r.buf2[sphharm.Idx(n, k)]
+				idx++
+			}
+			r.buf1[sphharm.Idx(j, k)] = acc
+		}
+	}
+
+	// Back rotation: untransposed stack, conjugate phases; accumulate.
+	rotateYSigned(p, r.buf2, r.buf1, stack, false)
+	rotateZCached(p, r.buf2, zph, true)
+	for i := range l.C {
+		l.C[i] += r.buf2[i]
+	}
+}
+
+// m2lBatchOracle is commit 14d1dcf's M2LBatch over the oracle kernel.
+func (w *Workspace) m2lBatchOracle(l Expansion, to geom.Vec3, srcs []M2LSource) {
+	p := l.P
+	r := w.rot
+	for _, s := range srcs {
+		rho, theta, phi := s.From.Sub(to).Spherical()
+		signedWignerInto(r.stack, p, theta)
+		fillPhases(r.zph, phi)
+		fillInvPowers(r.rpow, rho)
+		w.m2lApplyOracle(l, s.M.C, r.flat, r.zph, r.rpow)
+	}
+}
+
+// m2lRelDiff is the largest coefficient difference of one translation of
+// src over distance rho, relative to the size of the terms its output
+// degree j sums: max_k sum_n |axial coefficient| rho^-(j+n+1) |O_n|, with
+// |O_n| the rotation-invariant norm of the source's degree n. (Relative to
+// the result itself would measure the conditioning of the sum, which
+// cancels freely for random sources, not the kernels.)
+func m2lRelDiff(w *Workspace, got, want, src []complex128, rho float64) float64 {
+	p := w.p
+	norm := make([]float64, p+1)
+	for n := range norm {
+		for m := 0; m <= n; m++ {
+			a := cmplx.Abs(src[sphharm.Idx(n, m)])
+			norm[n] += a * a * float64(min(m, 1)+1)
+		}
+		norm[n] = math.Sqrt(norm[n])
+	}
+	fillInvPowers(w.rot.rpow, rho)
+	var worst float64
+	idx := 0
+	for j := 0; j <= p; j++ {
+		var scale, diff float64
+		for k := 0; k <= j; k++ {
+			var terms float64
+			for n := k; n <= p; n++ {
+				terms += math.Abs(w.axb[idx]) * w.rot.rpow[j+n] * norm[n]
+				idx++
+			}
+			scale = math.Max(scale, terms)
+			diff = math.Max(diff, cmplx.Abs(got[sphharm.Idx(j, k)]-want[sphharm.Idx(j, k)]))
+		}
+		worst = math.Max(worst, diff/scale)
+	}
+	return worst
+}
+
+// oracleOrders are the orders the numerics gate runs at.
+var oracleOrders = []int{0, 1, 2, 4, 8, 12, sphharm.MaxOrder}
+
+// TestM2LKernelMatchesOracle is the numerics gate of the real-arithmetic
+// kernel: against the complex-arithmetic kernel it replaced, a translation
+// may differ only by rounding (sums regrouped into P/Q entries, no w == 0
+// skip) — on the golden batch, on exactly axial and equatorial offsets
+// (theta 0, pi, pi/2: the commonest V-list entries, and the old kernel's
+// sparse fast case), and on every translation class (every distinct
+// V-list offset; every 16th at MaxOrder) of the three real trees. Translations are compared one by
+// one, so no pair hides behind its neighbours' sum.
+func TestM2LKernelMatchesOracle(t *testing.T) {
+	const tol = 1e-13
+	check := func(name string, p int, w *Workspace, to geom.Vec3, srcs []M2LSource) {
+		t.Helper()
+		got, want := NewExpansion(p), NewExpansion(p)
+		var worst float64
+		defer func() { t.Logf("%s p=%d: %d translations, worst deviation %.2g", name, p, len(srcs), worst) }()
+		for i := range srcs {
+			got.Zero()
+			want.Zero()
+			w.M2LBatch(got, to, srcs[i:i+1])
+			w.m2lBatchOracle(want, to, srcs[i:i+1])
+			off := srcs[i].From.Sub(to)
+			if d := m2lRelDiff(w, got.C, want.C, srcs[i].M.C, off.Norm()); !(d <= tol) {
+				t.Fatalf("%s p=%d offset %v: kernel deviates from the oracle by %g (tolerance %g)",
+					name, p, off, d, tol)
+			} else if d > worst {
+				worst = d
+			}
+		}
+	}
+	for _, p := range oracleOrders {
+		w := NewWorkspace(p)
+		to, srcs := goldenBatch(p)
+		check("golden", p, w, to, srcs)
+		rng := rand.New(rand.NewSource(int64(50 + p)))
+		srcs = srcs[:0]
+		for _, d := range []geom.Vec3{
+			{Z: 3}, {Z: -3}, {Z: 1.5}, {X: 3}, {Y: -3}, {X: 2, Y: 2}, {X: -3, Y: 1},
+		} {
+			if _, theta, _ := d.Spherical(); theta != 0 && theta != math.Pi && theta != math.Pi/2 {
+				t.Fatalf("offset %v has theta %v, want an exact 0, pi/2 or pi", d, theta)
+			}
+			srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: d})
+		}
+		check("axial", p, w, geom.Vec3{}, srcs)
+	}
+	for _, tc := range treeCases {
+		tr := octree.Build(tc.sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
+		for _, p := range oracleOrders {
+			// Both kernels and both stack builds are O(p^3): ~1 ms a
+			// translation at MaxOrder, so it samples every 16th class.
+			stride := 1
+			if p > 12 {
+				stride = 16
+			}
+			if testing.Short() {
+				stride *= 8
+			}
+			rng := rand.New(rand.NewSource(int64(60 + p)))
+			var srcs []M2LSource
+			for i := 0; i < len(cls.Dirs); i += stride {
+				srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: cls.Dirs[i]})
+			}
+			check(tc.name, p, NewWorkspace(p), geom.Vec3{}, srcs)
+		}
+	}
+}

@@ -28,20 +28,27 @@ import (
 type rotWorkspace struct {
 	flat  []float64    // Wigner stack storage, degree blocks in order
 	stack [][]float64  // per-degree views of flat, reused across calls
+	half  []float64    // half stack scratch (M2LBatch, spilled theta)
 	buf1  []complex128 // packed coefficients, scratch
 	buf2  []complex128
 	rpow  []float64    // powers of 1/rho or rho
 	zph   []complex128 // e^{i m phi} scratch (M2LBatch)
+	// Split re/im packed coefficients, ping-pong pairs of m2lApply.
+	aRe, aIm, bRe, bIm []float64
 }
 
 func newRotWorkspace(p int) *rotWorkspace {
+	pl := sphharm.PackedLen(p)
+	split := make([]float64, 4*pl)
 	r := &rotWorkspace{
 		flat:  make([]float64, stackLen(p)),
 		stack: make([][]float64, p+1),
-		buf1:  make([]complex128, sphharm.PackedLen(p)),
-		buf2:  make([]complex128, sphharm.PackedLen(p)),
+		half:  make([]float64, halfLen(p)),
+		buf1:  make([]complex128, pl),
+		buf2:  make([]complex128, pl),
 		rpow:  make([]float64, 2*p+2),
 		zph:   make([]complex128, p+1),
+		aRe:   split[:pl], aIm: split[pl : 2*pl], bRe: split[2*pl : 3*pl], bIm: split[3*pl:],
 	}
 	stackViews(r.stack, r.flat)
 	return r

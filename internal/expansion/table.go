@@ -1,10 +1,10 @@
 package expansion
 
 import (
+	"cmp"
 	"math"
 	"math/cmplx"
 	"slices"
-	"sort"
 	"sync"
 
 	"afmm/internal/geom"
@@ -35,35 +35,57 @@ import (
 // basis-conversion signs are ±1, so folding them into the Wigner entries
 // is exact): a table translation is bit-identical to M2LBatch.
 //
-// Only the theta slab is large (stackLen(p) floats per row), so it alone
-// is bounded, by a fixed byte budget: when the distinct theta outgrow it
-// (p >= ~16 on large trees) the least pair-weighted ones spill. A spill
-// class computes its stack into the workspace scratch and runs the same
-// kernel on the same values.
+// The theta slab stores half stacks (halfStackInto): the kernel works in
+// real arithmetic on Hermitian-packed coefficients, so per degree it needs
+// only sums and differences of the signed entries' +m and -m columns for
+// rows m' >= 0 — halfLen(p) floats a row, not stackLen(p). Only this slab
+// is large, so it alone is bounded, by a fixed byte budget: when the
+// distinct theta outgrow it (p >= ~19 on large trees) the least
+// pair-weighted ones spill. A spill class folds its half stack into the
+// workspace scratch and runs the same kernel on the same values.
 type M2LTable struct {
 	p   int
 	ops []m2lOp // per class
 	// thetas holds the distinct polar angles, pair weight descending
 	// (angle ascending on ties); the first nStack have a row in stacks.
-	thetas []float64
+	thetas []thetaKey
 	nStack int
-	stacks []float64    // nStack rows of stackLen(p): pre-signed d^l(theta), l = 0..p
+	stacks []float64    // nStack rows of halfLen(p): half stacks of d^l(theta), l = 0..p
 	zph    []complex128 // per distinct phi: e^{i m phi}, m = 0..p
 	rpow   []float64    // per distinct rho: rho^-(i+1), i = 0..2p+1
 
 	thetaBudget int // bytes; m2lThetaBudget outside tests
+
+	// Plan scratch, kept across list epochs so a re-plan does not allocate.
+	thetaRow, phiRow, rhoRow map[uint64]int32
+	rank                     []int32 // first-seen row -> ranked row
+
+	// Full-stack scratch of BuildRotRange, one per concurrent range.
+	mu   sync.Mutex
+	free []*rotWorkspace
 }
 
 // m2lOp is one class: its rows in the theta, phi and rho slabs.
 type m2lOp struct{ theta, phi, rho int32 }
 
-// m2lThetaBudget bounds the theta slab. At p=8 a row is 7.6 KB and a
-// 100k-body Plummer tree has ~3000 distinct theta (23 MB); the budget is
-// reached near p=16.
+// thetaKey is one distinct theta, with what Plan ranks it by: its pair
+// weight, and its first-seen row.
+type thetaKey struct {
+	theta  float64
+	weight int64
+	seen   int32
+}
+
+// m2lThetaBudget bounds the theta slab. At p=8 a row is 4.5 KB and a
+// 100k-body Plummer tree has ~3000 distinct theta (13.6 MB); the budget is
+// reached near p=19.
 const m2lThetaBudget = 128 << 20
 
 // NewM2LTable creates an empty table for order-p translations.
-func NewM2LTable(p int) *M2LTable { return &M2LTable{p: p, thetaBudget: m2lThetaBudget} }
+func NewM2LTable(p int) *M2LTable {
+	return &M2LTable{p: p, thetaBudget: m2lThetaBudget,
+		thetaRow: map[uint64]int32{}, phiRow: map[uint64]int32{}, rhoRow: map[uint64]int32{}}
+}
 
 // Rotations returns the number of Wigner stacks the last Plan kept (the
 // expensive part of the table).
@@ -76,6 +98,10 @@ func (tb *M2LTable) HasRot(c int) bool { return int(tb.ops[c].theta) < tb.nStack
 // stackLen is the float count of a flat Wigner stack of degrees 0..p:
 // degree l is a dense (2l+1)x(2l+1) block, blocks in degree order.
 func stackLen(p int) int { return (p + 1) * (2*p + 1) * (2*p + 3) / 3 }
+
+// halfLen is the float count of a half stack of degrees 0..p: degree l
+// holds l+1 row pairs (P row, Q row) of l+1 entries.
+func halfLen(p int) int { return (p + 1) * (p + 2) * (2*p + 3) / 3 }
 
 var axialBases [sphharm.MaxOrder + 1]struct {
 	once sync.Once
@@ -132,77 +158,70 @@ func rowOf(rows map[uint64]int32, x float64) (row int32, isNew bool) {
 // the rotation-count cap the byte budget superseded; it is ignored.
 func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 	p := tb.p
-	if cap(tb.ops) < len(dirs) {
-		tb.ops = make([]m2lOp, len(dirs))
-	}
-	tb.ops = tb.ops[:len(dirs)]
+	tb.ops = slices.Grow(tb.ops[:0], len(dirs))[:len(dirs)]
 	tb.zph, tb.rpow = tb.zph[:0], tb.rpow[:0]
-	thetaRow := make(map[uint64]int32, 1024)
-	phiRow := make(map[uint64]int32, 1024)
-	rhoRow := make(map[uint64]int32, 1024)
-	var thetas []float64 // first-seen order, ranked below
-	var weight []int64
+	clear(tb.thetaRow)
+	clear(tb.phiRow)
+	clear(tb.rhoRow)
+	keys := tb.thetas[:0] // first-seen order, ranked below
 	for ci, d := range dirs {
 		rho, theta, phi := d.Spherical()
 		op := &tb.ops[ci]
 		var isNew bool
-		if op.theta, isNew = rowOf(thetaRow, theta); isNew {
-			thetas = append(thetas, theta)
-			weight = append(weight, 0)
+		if op.theta, isNew = rowOf(tb.thetaRow, theta); isNew {
+			keys = append(keys, thetaKey{theta: theta, seen: op.theta})
 		}
 		if pairsPerClass != nil {
-			weight[op.theta] += pairsPerClass[ci]
+			keys[op.theta].weight += pairsPerClass[ci]
 		} else {
-			weight[op.theta]++
+			keys[op.theta].weight++
 		}
-		if op.phi, isNew = rowOf(phiRow, phi); isNew {
+		if op.phi, isNew = rowOf(tb.phiRow, phi); isNew {
 			tb.zph = slices.Grow(tb.zph, p+1)[:len(tb.zph)+p+1]
 			fillPhases(tb.zph[len(tb.zph)-(p+1):], phi)
 		}
-		if op.rho, isNew = rowOf(rhoRow, rho); isNew {
+		if op.rho, isNew = rowOf(tb.rhoRow, rho); isNew {
 			tb.rpow = slices.Grow(tb.rpow, 2*p+2)[:len(tb.rpow)+2*p+2]
 			fillInvPowers(tb.rpow[len(tb.rpow)-(2*p+2):], rho)
 		}
 	}
 	// Rank theta by pair weight, angle as tie-break, and renumber.
-	order := make([]int32, len(thetas))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if weight[i] != weight[j] {
-			return weight[i] > weight[j]
-		}
-		return thetas[i] < thetas[j]
+	slices.SortFunc(keys, func(a, b thetaKey) int {
+		return cmp.Or(cmp.Compare(b.weight, a.weight), cmp.Compare(a.theta, b.theta))
 	})
-	rank := make([]int32, len(order))
-	tb.thetas = tb.thetas[:0]
-	for r, i := range order {
-		rank[i] = int32(r)
-		tb.thetas = append(tb.thetas, thetas[i])
+	tb.thetas = keys
+	tb.rank = slices.Grow(tb.rank[:0], len(keys))[:len(keys)]
+	for r, k := range keys {
+		tb.rank[k.seen] = int32(r)
 	}
 	for ci := range tb.ops {
-		tb.ops[ci].theta = rank[tb.ops[ci].theta]
+		tb.ops[ci].theta = tb.rank[tb.ops[ci].theta]
 	}
-	sl := stackLen(p)
-	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*sl))
-	if cap(tb.stacks) < tb.nStack*sl {
-		tb.stacks = make([]float64, tb.nStack*sl)
-	}
-	tb.stacks = tb.stacks[:tb.nStack*sl]
+	hl := halfLen(p)
+	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*hl))
+	tb.stacks = slices.Grow(tb.stacks[:0], tb.nStack*hl)[:tb.nStack*hl]
 	return tb.nStack
 }
 
-// BuildRotRange fills Wigner stacks [lo, hi) from their planned angles.
+// BuildRotRange fills half stacks [lo, hi) from their planned angles.
 // Distinct ranges may build concurrently.
 func (tb *M2LTable) BuildRotRange(lo, hi int) {
-	sl := stackLen(tb.p)
-	views := make([][]float64, tb.p+1)
-	for ri := lo; ri < hi; ri++ {
-		stackViews(views, tb.stacks[ri*sl:(ri+1)*sl])
-		signedWignerInto(views, tb.p, tb.thetas[ri])
+	tb.mu.Lock()
+	var r *rotWorkspace
+	if n := len(tb.free); n > 0 {
+		r, tb.free = tb.free[n-1], tb.free[:n-1]
 	}
+	tb.mu.Unlock()
+	if r == nil {
+		r = newRotWorkspace(tb.p)
+	}
+	hl := halfLen(tb.p)
+	for ri := lo; ri < hi; ri++ {
+		r.halfStackInto(tb.stacks[ri*hl:(ri+1)*hl], tb.p, tb.thetas[ri].theta)
+	}
+	tb.mu.Lock()
+	tb.free = append(tb.free, r)
+	tb.mu.Unlock()
 }
 
 // stackViews points views[l] at degree l's block of the flat stack.
@@ -249,6 +268,32 @@ func signedWignerInto(stack [][]float64, p int, theta float64) {
 	}
 }
 
+// halfStackInto is the one fold every M2L path builds its rotation with:
+// it computes the full signed stack of theta into r's scratch and folds it
+// into dst (halfLen(p) floats). Per degree n and row m' = 0..n it stores
+//
+//	P[m'][m] = w(m',m) + w(m',-m),  Q[m'][m] = w(m',m) - w(m',-m)   (m >= 1)
+//
+// and w(m',0) in column 0 of both, row pair after row pair, so that for
+// Hermitian-packed coefficients Re out = P Re in and Im out = Q Im in
+// (rotateHalf).
+func (r *rotWorkspace) halfStackInto(dst []float64, p int, theta float64) {
+	signedWignerInto(r.stack, p, theta)
+	off := 0
+	for n := 0; n <= p; n++ {
+		h := n + 1
+		for mp := 0; mp <= n; mp++ {
+			row := r.stack[n][(mp+n)*(2*n+1):][:2*n+1] // w(m', -n..n)
+			pr, qr := dst[off:off+h], dst[off+h:off+2*h]
+			off += 2 * h
+			pr[0], qr[0] = row[n], row[n]
+			for m := 1; m <= n; m++ {
+				pr[m], qr[m] = row[n+m]+row[n-m], row[n+m]-row[n-m]
+			}
+		}
+	}
+}
+
 // M2LBatchTable accumulates into l the local expansions at the target of
 // every source multipole in srcs through the class table: classes[i] is
 // the translation class of srcs[i] (from the octree class schedule).
@@ -257,18 +302,18 @@ func signedWignerInto(stack [][]float64, p int, theta float64) {
 // M2LBatch for the same sources.
 func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, classes []int32, tb *M2LTable) {
 	p := l.P
-	sl := stackLen(p)
+	hl := halfLen(p)
 	for i := range srcs {
 		op := tb.ops[classes[i]]
-		var stack []float64
+		var half []float64
 		if ti := int(op.theta); ti < tb.nStack {
-			stack = tb.stacks[ti*sl : (ti+1)*sl]
+			half = tb.stacks[ti*hl : (ti+1)*hl]
 		} else {
-			// Spilled theta: same values, computed into the scratch.
-			stack = w.rot.flat
-			signedWignerInto(w.rot.stack, p, tb.thetas[ti])
+			// Spilled theta: same values, folded into the scratch.
+			half = w.rot.half
+			w.rot.halfStackInto(half, p, tb.thetas[ti].theta)
 		}
-		w.m2lApply(l, srcs[i].M.C, stack,
+		w.m2lApply(l, srcs[i].M.C, half,
 			tb.zph[int(op.phi)*(p+1):int(op.phi+1)*(p+1)],
 			tb.rpow[int(op.rho)*(2*p+2):int(op.rho+1)*(2*p+2)])
 	}

@@ -2,6 +2,7 @@ package expansion
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"afmm/internal/geom"
 	"afmm/internal/octree"
 	"afmm/internal/particle"
+	"afmm/internal/sphharm"
 )
 
 // tableFor builds a table + class indices for a source batch: one class
@@ -40,7 +42,7 @@ func tableFor(p int, to geom.Vec3, srcs []M2LSource, rotCap int) (*M2LTable, []i
 func buildTable(p int, dirs []geom.Vec3, pairs []int64, rotCap int) *M2LTable {
 	tb := NewM2LTable(p)
 	if rotCap > 0 {
-		tb.thetaBudget = rotCap * 8 * stackLen(p)
+		tb.thetaBudget = rotCap * 8 * halfLen(p)
 	}
 	tb.BuildRotRange(0, tb.Plan(dirs, pairs, 0))
 	return tb
@@ -227,29 +229,86 @@ func hashCoeffs(c []complex128) uint64 {
 	return h.Sum64()
 }
 
-// TestM2LMatchesParentCommitBits pins the numerics across the table
-// rebuild: the hashes are of the coefficient bits commit 861f1ab produced
-// for goldenBatch through its M2LBatch (then a cached form) and its
-// M2LBatchTable (rotation cap 0 and 3), which agreed. The factored table,
-// its spill path and the uncached M2LBatch must all reproduce them.
-func TestM2LMatchesParentCommitBits(t *testing.T) {
+// TestM2LKernelGoldenBits pins the kernel's numerics so a refactor that
+// moves a bit is caught: the hashes are of the coefficient bits the
+// real-arithmetic half-stack kernel produced for goldenBatch when it
+// replaced the complex kernel of commit 14d1dcf (which it matches to
+// rounding, TestM2LKernelMatchesOracle). The table, its spill path and the
+// uncached M2LBatch must all reproduce them.
+func TestM2LKernelGoldenBits(t *testing.T) {
 	golden := map[int]uint64{
-		2: 0xf20eacd9d278adc1, 4: 0x25a7d382b89570b8,
-		8: 0x4fa52376f3b33b5f, 12: 0x4c2c0749a8a4ce45,
+		2: 0x7fb297f7e92805b0, 4: 0xddac083fb5873fbc,
+		8: 0xc475ca7a2fa378d2, 12: 0x19f290b23ef892b6,
 	}
 	for p, want := range golden {
 		to, srcs := goldenBatch(p)
 		batch := NewExpansion(p)
 		NewWorkspace(p).M2LBatch(batch, to, srcs)
 		if got := hashCoeffs(batch.C); got != want {
-			t.Errorf("p=%d: M2LBatch hash %#x, parent commit %#x", p, got, want)
+			t.Errorf("p=%d: M2LBatch hash %#x, pinned %#x", p, got, want)
 		}
 		for _, rotCap := range []int{0, 3} {
 			tb, classes := tableFor(p, to, srcs, rotCap)
 			l := NewExpansion(p)
 			NewWorkspace(p).M2LBatchTable(l, to, srcs, classes, tb)
 			if got := hashCoeffs(l.C); got != want {
-				t.Errorf("p=%d rotCap=%d: M2LBatchTable hash %#x, parent commit %#x", p, rotCap, got, want)
+				t.Errorf("p=%d rotCap=%d: M2LBatchTable hash %#x, pinned %#x", p, rotCap, got, want)
+			}
+		}
+	}
+}
+
+// TestHalfStackFold checks the fold the kernel's rotations read against
+// the full signed stack it is folded from, at the special angles and at
+// random ones, up to MaxOrder: P and Q are exactly the stated sums and
+// differences; Q's row 0 vanishes (w(0,m) == w(0,-m), so a real M_n^0
+// stays real); and the signed stack is D-symmetric bit-for-bit,
+// w(m,m') == (-1)^{m+m'} w(m',m) — the identity that lets the forward
+// (transposed) rotation run on the back rotation's half stack.
+func TestHalfStackFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	thetas := []float64{0, math.Pi / 2, math.Pi, math.Pi / 4, math.Acos(1 / math.Sqrt(3))}
+	for i := 0; i < 60; i++ {
+		thetas = append(thetas, math.Pi*rng.Float64())
+	}
+	for _, p := range []int{0, 1, 3, 8, sphharm.MaxOrder} {
+		r := newRotWorkspace(p)
+		half := make([]float64, halfLen(p))
+		for _, theta := range thetas {
+			r.halfStackInto(half, p, theta)
+			signedWignerInto(r.stack, p, theta) // the fold's input, recomputed
+			off := 0
+			for n := 0; n <= p; n++ {
+				dim := 2*n + 1
+				w := func(mp, m int) float64 { return r.stack[n][(mp+n)*dim+m+n] }
+				for mp := -n; mp <= n; mp++ {
+					for m := -n; m <= n; m++ {
+						if w(m, mp) != signPow(m+mp)*w(mp, m) {
+							t.Fatalf("p=%d theta=%v n=%d: w(%d,%d) = %v but w(%d,%d) = %v: not D-symmetric",
+								p, theta, n, m, mp, w(m, mp), mp, m, w(mp, m))
+						}
+					}
+				}
+				for mp := 0; mp <= n; mp++ {
+					pr, qr := half[off:off+n+1], half[off+n+1:off+2*(n+1)]
+					off += 2 * (n + 1)
+					if pr[0] != w(mp, 0) || qr[0] != w(mp, 0) {
+						t.Fatalf("p=%d theta=%v n=%d m'=%d: column 0 is (%v, %v), want w(m',0) = %v",
+							p, theta, n, mp, pr[0], qr[0], w(mp, 0))
+					}
+					for m := 1; m <= n; m++ {
+						if pr[m] != w(mp, m)+w(mp, -m) || qr[m] != w(mp, m)-w(mp, -m) {
+							t.Fatalf("p=%d theta=%v n=%d: P/Q[%d][%d] = (%v, %v), want (%v, %v)", p, theta, n, mp, m,
+								pr[m], qr[m], w(mp, m)+w(mp, -m), w(mp, m)-w(mp, -m))
+						}
+						if mp == 0 && qr[m] != 0 {
+							t.Fatalf("p=%d theta=%v n=%d: Q[0][%d] = %v, want 0", p, theta, n, m, qr[m])
+						}
+					}
+				}
+			}
+			if off != len(half) {
+				t.Fatalf("p=%d: fold covers %d of %d floats", p, off, len(half))
 			}
 		}
 	}
@@ -361,6 +420,28 @@ func TestM2LTablePlanDeterministic(t *testing.T) {
 	}
 }
 
+// TestM2LTableReplanAllocationFree: a table that has served one list
+// epoch re-plans and rebuilds for the same directions without allocating —
+// key maps, ranking scratch, slabs and the build's full-stack scratch are
+// all kept on the table (what a dynamic run pays per list rebuild).
+func TestM2LTableReplanAllocationFree(t *testing.T) {
+	const p = 4
+	tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
+	tr.BuildLists()
+	cls := tr.M2LClasses()
+	tb := buildTable(p, cls.Dirs, cls.PairsPerClass, 0)
+	want := append([]float64(nil), tb.stacks...)
+	a := testing.AllocsPerRun(5, func() {
+		tb.BuildRotRange(0, tb.Plan(cls.Dirs, cls.PairsPerClass, 0))
+	})
+	if a != 0 {
+		t.Errorf("re-plan + rebuild allocates %v times, want 0", a)
+	}
+	if !reflect.DeepEqual(tb.stacks, want) {
+		t.Error("re-planned table differs from the first build")
+	}
+}
+
 // TestM2LBatchTableAllocationFree gates the steady state: over a real V
 // list neither the in-budget table nor the spill branch allocates.
 func TestM2LBatchTableAllocationFree(t *testing.T) {
@@ -440,4 +521,49 @@ func FuzzM2LTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkM2LBatchTable times the production M2L form the way the far
+// field runs it on grav-far-p8: a theta slab of 2 600 distinct rows (12 MB
+// at p=8, far beyond L2, like the workload's 2 570) read in shuffled class
+// order by 189-source V lists, so every translation fetches a cold
+// rotation. ns/translation is the figure to hold against the traced
+// expansion.m2l_ns.
+func BenchmarkM2LBatchTable(b *testing.B) {
+	const nDirs, nBatch, vList, nSrc = 2600, 64, 189, 512
+	for _, p := range []int{4, 8} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(41))
+			dirs := make([]geom.Vec3, nDirs)
+			for i := range dirs {
+				// Well-separated offsets at three box scales.
+				d := geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
+				dirs[i] = d.Scale((2 + 2*rng.Float64()) / d.Norm() / float64(int(1)<<rng.Intn(3)))
+			}
+			tb := buildTable(p, dirs, nil, 0)
+			if tb.Rotations() < 2500 {
+				b.Fatalf("table has %d theta rows, want >= 2500", tb.Rotations())
+			}
+			pool := make([]Expansion, nSrc)
+			for i := range pool {
+				pool[i] = randomExpansion(p, rng)
+			}
+			srcs := make([][]M2LSource, nBatch)
+			classes := make([][]int32, nBatch)
+			for bi := range srcs {
+				for i := 0; i < vList; i++ {
+					srcs[bi] = append(srcs[bi], M2LSource{M: pool[rng.Intn(nSrc)]})
+					classes[bi] = append(classes[bi], int32(rng.Intn(nDirs)))
+				}
+			}
+			w := NewWorkspace(p)
+			l := NewExpansion(p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.M2LBatchTable(l, geom.Vec3{}, srcs[i%nBatch], classes[i%nBatch], tb)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vList), "ns/translation")
+		})
+	}
 }

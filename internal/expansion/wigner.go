@@ -22,16 +22,6 @@ import (
 // the symmetries d_{m'm} = (-1)^{m'-m} d_{m m'} = d_{-m,-m'}. The explicit
 // factorial sum (wignerdExplicit, in the tests) is the reference.
 
-// WignerStack computes d^l(beta) for l = 0..p, allocating the stack.
-func WignerStack(p int, beta float64) [][]float64 {
-	stack := make([][]float64, p+1)
-	for l := 0; l <= p; l++ {
-		stack[l] = make([]float64, (2*l+1)*(2*l+1))
-	}
-	WignerStackInto(stack, p, beta)
-	return stack
-}
-
 // wignerDegree holds the beta-independent factors of degree l's
 // construction, tabulated once per degree (like sphharm.Tables): per
 // interior entry (m', m), row-major, the recurrence triple

@@ -200,3 +200,13 @@ func TestWignerStackMatchesOracleExactly(t *testing.T) {
 		}
 	}
 }
+
+// WignerStack computes d^l(beta) for l = 0..p, allocating the stack.
+func WignerStack(p int, beta float64) [][]float64 {
+	stack := make([][]float64, p+1)
+	for l := 0; l <= p; l++ {
+		stack[l] = make([]float64, (2*l+1)*(2*l+1))
+	}
+	WignerStackInto(stack, p, beta)
+	return stack
+}
