@@ -62,6 +62,25 @@ func (m *SharedM2L) M2L(w *expansion.Workspace, l expansion.Expansion, t *octree
 	}
 }
 
+// M2L4 is M2L for four expansions per cell over one geometry (the
+// Stokeslet's harmonic passes): srcs[i].M[c] translates into l[c], through
+// the table's four-column form or, without a table, one reference batch
+// per column — the same arithmetic either way, and per column the
+// arithmetic of M2L.
+func (m *SharedM2L) M2L4(w *expansion.Workspace, l *[4]expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource4) {
+	if m.Tab != nil && m.epoch == t.ListEpoch() {
+		w.M2LBatchTable4(l, srcs, m.Cls.Row(ni), m.Tab)
+		return
+	}
+	for c := range l {
+		col := w.Sources(len(srcs))
+		for _, s := range srcs {
+			col = append(col, expansion.M2LSource{M: s.M[c], From: s.From})
+		}
+		w.M2LBatch(l[c], t.Nodes[ni].Box.Center, col)
+	}
+}
+
 // Stats returns the class schedule stats (zero-valued when the table is
 // off or not yet built).
 func (m *SharedM2L) Stats() (classes int, pairs, keyHits, keyMisses int64) {

@@ -80,10 +80,9 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 	spec := dag.Spec{
 		Tree:       t,
 		Pool:       s.Cfg.Pool,
-		Passes:     1,
 		UpWeight:   upWeight,
 		DownWeight: downWeight,
-		UpChunk: func(_, _ int, nodes []int32) func() {
+		UpChunk: func(_ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()
 				for _, ni := range nodes {
@@ -92,7 +91,7 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 				s.putWS(w)
 			}
 		},
-		DownChunk: func(_, _ int, nodes []int32) func() {
+		DownChunk: func(_ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()
 				for _, ni := range nodes {

@@ -43,13 +43,12 @@ type Tags struct {
 
 // Spec describes one step's DAG. The chunk callbacks are invoked at
 // build time with the node ranges and return the closure executed when
-// the graph node runs; pass indexes the harmonic far-field pass (always
-// 0 for gravity; 0..3 for Stokes, whose passes pipeline independently
-// until the combined L2P).
+// the graph node runs. There is one far-field chain per step: a solver
+// with several expansions per cell (Stokes' four harmonic passes) computes
+// all of them inside each chunk body.
 type Spec struct {
-	Tree   *octree.Tree
-	Pool   *sched.Pool
-	Passes int // far-field passes; <= 0 means 1
+	Tree *octree.Tree
+	Pool *sched.Pool
 
 	// Per-node chunking weights, identical to the level-sync sweeps so
 	// graph chunks match ParallelRangeWeightedClass boundaries.
@@ -59,10 +58,10 @@ type Spec struct {
 	// UpChunk/DownChunk build one far-field chunk body over the given
 	// level slice. DownChunk must NOT evaluate L2P (that is the L2P
 	// node's job, after the near field converges).
-	UpChunk   func(pass, level int, nodes []int32) func()
-	DownChunk func(pass, level int, nodes []int32) func()
+	UpChunk   func(level int, nodes []int32) func()
+	DownChunk func(level int, nodes []int32) func()
 	// L2P builds the leaf-evaluation body for the given visible leaves
-	// (reading all passes' finalized locals). nil skips leaf nodes.
+	// (reading their finalized locals). nil skips leaf nodes.
 	L2P func(leaves []int32) func()
 
 	// Exactly one of the near-field forms (or neither, when the near
@@ -79,15 +78,23 @@ type Spec struct {
 // is used) near-field schedule are resolved here, on the calling
 // goroutine, so graph nodes only read settled caches.
 func Build(spec Spec) *sched.Graph {
+	g := spec.Pool.NewGraph()
+	build(spec, g)
+	return g
+}
+
+// graph is what build needs of *sched.Graph; the test records nodes and
+// edges through it.
+type graph interface {
+	Node(c sched.Class, tag, arg int32, fn func()) sched.NodeID
+	Edge(from, to sched.NodeID)
+}
+
+func build(spec Spec, g graph) {
 	t := spec.Tree
 	pool := spec.Pool
 	levels := t.LevelOrder()
 	nLevels := len(levels)
-	passes := spec.Passes
-	if passes <= 0 {
-		passes = 1
-	}
-	g := pool.NewGraph()
 
 	// Position of every node within its level slice: children of a
 	// contiguous DFS-ordered parent range form a contiguous range at the
@@ -148,53 +155,46 @@ func Build(spec Spec) *sched.Graph {
 		downBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], spec.DownWeight))
 	}
 
-	// Up sweep, bottom-up: chunk nodes plus one milestone per (pass,
-	// level) joining the level's chunks (a single-chunk level is its own
+	// Up sweep, bottom-up: chunk nodes plus one milestone per level
+	// joining the level's chunks (a single-chunk level is its own
 	// milestone). The milestones carry the cross-level M2L dependencies.
-	upIDs := make([][][]sched.NodeID, passes)
-	upMile := make([][]sched.NodeID, passes)
-	for p := 0; p < passes; p++ {
-		upIDs[p] = make([][]sched.NodeID, nLevels)
-		upMile[p] = make([]sched.NodeID, nLevels)
-		for lv := range upMile[p] {
-			upMile[p][lv] = -1
+	upIDs := make([][]sched.NodeID, nLevels)
+	upMile := make([]sched.NodeID, nLevels)
+	for lv := range upMile {
+		upMile[lv] = -1
+	}
+	for lv := nLevels - 1; lv >= 0; lv-- {
+		nodes := levels[lv]
+		if len(nodes) == 0 {
+			continue
 		}
-		for lv := nLevels - 1; lv >= 0; lv-- {
-			nodes := levels[lv]
-			if len(nodes) == 0 {
-				continue
-			}
-			b := upBounds[lv]
-			for c := 0; c+1 < len(b); c++ {
-				lo, hi := b[c], b[c+1]
-				id := g.Node(sched.ClassFar, spec.Tags.Up, int32(lv), spec.UpChunk(p, lv, nodes[lo:hi]))
-				if lv+1 < nLevels && len(upIDs[p][lv+1]) > 0 {
-					if clo, chi, ok := childSpan(t, pos, nodes[lo:hi]); ok {
-						forChunks(upBounds[lv+1], clo, chi+1, func(k int) {
-							g.Edge(upIDs[p][lv+1][k], id)
-						})
-					}
+		b := upBounds[lv]
+		for c := 0; c+1 < len(b); c++ {
+			lo, hi := b[c], b[c+1]
+			id := g.Node(sched.ClassFar, spec.Tags.Up, int32(lv), spec.UpChunk(lv, nodes[lo:hi]))
+			if lv+1 < nLevels && len(upIDs[lv+1]) > 0 {
+				if clo, chi, ok := childSpan(t, pos, nodes[lo:hi]); ok {
+					forChunks(upBounds[lv+1], clo, chi+1, func(k int) {
+						g.Edge(upIDs[lv+1][k], id)
+					})
 				}
-				upIDs[p][lv] = append(upIDs[p][lv], id)
 			}
-			if len(upIDs[p][lv]) == 1 {
-				upMile[p][lv] = upIDs[p][lv][0]
-			} else {
-				ms := g.Node(sched.ClassFar, spec.Tags.Milestone, int32(lv), func() {})
-				for _, id := range upIDs[p][lv] {
-					g.Edge(id, ms)
-				}
-				upMile[p][lv] = ms
+			upIDs[lv] = append(upIDs[lv], id)
+		}
+		if len(upIDs[lv]) == 1 {
+			upMile[lv] = upIDs[lv][0]
+		} else {
+			ms := g.Node(sched.ClassFar, spec.Tags.Milestone, int32(lv), func() {})
+			for _, id := range upIDs[lv] {
+				g.Edge(id, ms)
 			}
+			upMile[lv] = ms
 		}
 	}
 
-	// Down sweep, top-down, with the combined L2P nodes hanging off each
-	// level's down chunks.
-	downIDs := make([][][]sched.NodeID, passes)
-	for p := range downIDs {
-		downIDs[p] = make([][]sched.NodeID, nLevels)
-	}
+	// Down sweep, top-down, with the L2P nodes hanging off each level's
+	// down chunks.
+	downIDs := make([][]sched.NodeID, nLevels)
 	vSeen := make([]bool, nLevels)
 	var vTouched []int
 	for lv := 0; lv < nLevels; lv++ {
@@ -216,26 +216,22 @@ func Build(spec Spec) *sched.Graph {
 					}
 				}
 			}
-			for p := 0; p < passes; p++ {
-				id := g.Node(sched.ClassFar, spec.Tags.Down, int32(lv), spec.DownChunk(p, lv, nodes[lo:hi]))
-				if lv > 0 && len(downIDs[p][lv-1]) > 0 {
-					plo, phi, ok := parentSpan(t, pos, nodes[lo:hi])
-					if ok {
-						forChunks(downBounds[lv-1], plo, phi+1, func(k int) {
-							g.Edge(downIDs[p][lv-1][k], id)
-						})
-					}
+			id := g.Node(sched.ClassFar, spec.Tags.Down, int32(lv), spec.DownChunk(lv, nodes[lo:hi]))
+			if lv > 0 && len(downIDs[lv-1]) > 0 {
+				plo, phi, ok := parentSpan(t, pos, nodes[lo:hi])
+				if ok {
+					forChunks(downBounds[lv-1], plo, phi+1, func(k int) {
+						g.Edge(downIDs[lv-1][k], id)
+					})
 				}
-				for _, pl := range vTouched {
-					if upMile[p][pl] >= 0 {
-						g.Edge(upMile[p][pl], id)
-					}
-				}
-				downIDs[p][lv] = append(downIDs[p][lv], id)
 			}
 			for _, pl := range vTouched {
+				if upMile[pl] >= 0 {
+					g.Edge(upMile[pl], id)
+				}
 				vSeen[pl] = false
 			}
+			downIDs[lv] = append(downIDs[lv], id)
 			if spec.L2P == nil {
 				continue
 			}
@@ -249,9 +245,7 @@ func Build(spec Spec) *sched.Graph {
 				continue
 			}
 			l2p := g.Node(sched.ClassFar, spec.Tags.L2P, int32(lv), spec.L2P(leaves))
-			for p := 0; p < passes; p++ {
-				g.Edge(downIDs[p][lv][c], l2p)
-			}
+			g.Edge(id, l2p)
 			switch {
 			case nearSingle >= 0:
 				g.Edge(nearSingle, l2p)
@@ -272,7 +266,6 @@ func Build(spec Spec) *sched.Graph {
 			}
 		}
 	}
-	return g
 }
 
 // childSpan returns the position span (inclusive) at level lv+1 covered

@@ -258,7 +258,7 @@ const stokesPasses = 4
 
 // stokesEngine mirrors stokes.Solver's four-pass per-cell numerics over
 // private per-pass slabs (operation order copied verbatim from
-// upNodePass / downNodePass / leafL2P / nearFieldChunk).
+// upNode / downNode / leafL2P / nearFieldChunk).
 type stokesEngine struct {
 	engineBase
 	kernel kernels.Stokeslet
@@ -293,32 +293,32 @@ func (e *stokesEngine) local(k int, ni int32) expansion.Expansion {
 	return expansion.Expansion{P: e.p, C: e.locals[k][off : off+e.packed]}
 }
 
-// charge returns the pass-k harmonic charge of body i: f_x, f_y, f_z, f·y.
-func (e *stokesEngine) charge(k int, i int32) float64 {
-	f := e.sys.Aux[i]
-	switch k {
-	case 0:
-		return f.X
-	case 1:
-		return f.Y
-	case 2:
-		return f.Z
-	default:
-		return f.Dot(e.sys.Pos[i])
+func (e *stokesEngine) mpoles4(ni int32) (m [stokesPasses]expansion.Expansion) {
+	for k := range m {
+		m[k] = e.mpole(k, ni)
 	}
+	return m
+}
+
+func (e *stokesEngine) locals4(ni int32) (l [stokesPasses]expansion.Expansion) {
+	for k := range l {
+		l[k] = e.local(k, ni)
+	}
+	return l
 }
 
 func (e *stokesEngine) upCell(w *expansion.Workspace, ni int32) {
 	t := e.tree
 	n := &t.Nodes[ni]
+	if n.IsVisibleLeaf() {
+		m := e.mpoles4(ni)
+		for i := n.Start; i < n.End; i++ {
+			w.P2M4(&m, n.Box.Center, e.sys.Pos[i], stokes.Charges(e.sys.Aux[i], e.sys.Pos[i]))
+		}
+		return
+	}
 	for k := 0; k < stokesPasses; k++ {
 		m := e.mpole(k, ni)
-		if n.IsVisibleLeaf() {
-			for i := n.Start; i < n.End; i++ {
-				w.P2M(m, n.Box.Center, e.sys.Pos[i], e.charge(k, i))
-			}
-			continue
-		}
 		for _, ci := range n.Children {
 			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
 				if e.rot {
@@ -334,40 +334,33 @@ func (e *stokesEngine) upCell(w *expansion.Workspace, ni int32) {
 func (e *stokesEngine) downCell(w *expansion.Workspace, ni int32) {
 	t := e.tree
 	n := &t.Nodes[ni]
-	for k := 0; k < stokesPasses; k++ {
-		l := e.local(k, ni)
-		if parent := n.Parent; parent != octree.NilNode {
+	l := e.locals4(ni)
+	if parent := n.Parent; parent != octree.NilNode {
+		for k := range l {
 			if e.rot {
-				w.L2LRotated(l, n.Box.Center, e.local(k, parent), t.Nodes[parent].Box.Center)
+				w.L2LRotated(l[k], n.Box.Center, e.local(k, parent), t.Nodes[parent].Box.Center)
 			} else {
-				w.L2L(l, n.Box.Center, e.local(k, parent), t.Nodes[parent].Box.Center)
+				w.L2L(l[k], n.Box.Center, e.local(k, parent), t.Nodes[parent].Box.Center)
 			}
 		}
-		if len(n.V) > 0 {
-			srcs := w.Sources(len(n.V))
-			for _, vi := range n.V {
-				srcs = append(srcs, expansion.M2LSource{M: e.mpole(k, vi), From: t.Nodes[vi].Box.Center})
-			}
-			e.m2l.M2L(w, l, t, ni, srcs)
+	}
+	if len(n.V) > 0 {
+		srcs := w.Sources4(len(n.V))
+		for _, vi := range n.V {
+			srcs = append(srcs, expansion.M2LSource4{M: e.mpoles4(vi), From: t.Nodes[vi].Box.Center})
 		}
+		e.m2l.M2L4(w, &l, t, ni, srcs)
 	}
 }
 
 func (e *stokesEngine) leafL2P(w *expansion.Workspace, ni int32) {
 	n := &e.tree.Nodes[ni]
+	l := e.locals4(ni)
 	c0 := 1 / (8 * math.Pi * e.kernel.Mu)
 	for i := n.Start; i < n.End; i++ {
 		x := e.sys.Pos[i]
-		p0, g0 := w.L2P(e.local(0, ni), n.Box.Center, x)
-		p1, g1 := w.L2P(e.local(1, ni), n.Box.Center, x)
-		p2, g2 := w.L2P(e.local(2, ni), n.Box.Center, x)
-		_, gp := w.L2P(e.local(3, ni), n.Box.Center, x)
-		u := geom.Vec3{
-			X: p0 - (x.X*g0.X + x.Y*g1.X + x.Z*g2.X) + gp.X,
-			Y: p1 - (x.X*g0.Y + x.Y*g1.Y + x.Z*g2.Y) + gp.Y,
-			Z: p2 - (x.X*g0.Z + x.Y*g1.Z + x.Z*g2.Z) + gp.Z,
-		}
-		e.sys.Acc[i] = e.sys.Acc[i].Add(u.Scale(c0))
+		phi, grad := w.L2P4(&l, n.Box.Center, x)
+		e.sys.Acc[i] = e.sys.Acc[i].Add(stokes.Combine(x, &phi, &grad).Scale(c0))
 	}
 }
 

@@ -1,0 +1,205 @@
+package expansion
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"afmm/internal/geom"
+	"afmm/internal/octree"
+)
+
+// randomQuads draws four random source columns over the given centers: the
+// pairs as the four-column kernel takes them, and column by column as the
+// single-column forms do.
+func randomQuads(p int, rng *rand.Rand, froms []geom.Vec3) (quads []M2LSource4, cols [4][]M2LSource) {
+	for _, from := range froms {
+		q := M2LSource4{From: from}
+		for c := range cols {
+			q.M[c] = randomExpansion(p, rng)
+			cols[c] = append(cols[c], M2LSource{M: q.M[c], From: from})
+		}
+		quads = append(quads, q)
+	}
+	return quads, cols
+}
+
+// randomLocals returns four locals with random content, and a copy.
+func randomLocals(p int, rng *rand.Rand) (a, b [4]Expansion) {
+	for c := range a {
+		a[c], b[c] = randomExpansion(p, rng), NewExpansion(p)
+		copy(b[c].C, a[c].C)
+	}
+	return a, b
+}
+
+// TestM2LFusedMatchesSingle is the gate of kernel width 4: translation by
+// translation, column c of m2lApply4 equals m2lApply on column c's inputs,
+// coefficient for coefficient, accumulating onto the same nonzero local —
+// through the table in budget and squeezed to five stacks (so most theta
+// spill) — on the golden batch, on exactly axial and equatorial offsets,
+// and on every translation class of the three real trees (sampled at
+// MaxOrder and under -short, as in TestM2LKernelMatchesOracle).
+func TestM2LFusedMatchesSingle(t *testing.T) {
+	check := func(name string, p int, to geom.Vec3, froms []geom.Vec3) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(int64(70 + p)))
+		quads, cols := randomQuads(p, rng, froms)
+		w := NewWorkspace(p)
+		for _, rotCap := range []int{0, 5} {
+			tb, classes := tableFor(p, to, cols[0], rotCap)
+			for i := range quads {
+				got, want := randomLocals(p, rng)
+				w.M2LBatchTable4(&got, quads[i:i+1], classes[i:i+1], tb)
+				for c := range want {
+					w.M2LBatchTable(want[c], to, cols[c][i:i+1], classes[i:i+1], tb)
+					for k := range want[c].C {
+						if got[c].C[k] != want[c].C[k] {
+							t.Fatalf("%s p=%d rotCap=%d offset %v column %d coefficient %d: fused %v, single %v",
+								name, p, rotCap, froms[i].Sub(to), c, k, got[c].C[k], want[c].C[k])
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, p := range oracleOrders {
+		to, srcs := goldenBatch(p)
+		var froms []geom.Vec3
+		for _, s := range srcs {
+			froms = append(froms, s.From)
+		}
+		check("golden", p, to, froms)
+		check("axial", p, geom.Vec3{}, axialOffsets)
+	}
+	for _, tc := range treeCases {
+		tr := octree.Build(tc.sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
+		for _, p := range oracleOrders {
+			check(tc.name, p, geom.Vec3{}, sampledClasses(cls.Dirs, p))
+		}
+	}
+}
+
+// TestM2LBatchTable4AllocationFree: once the four-column scratch exists
+// (the first call makes it), the fused table form translates a real V list
+// without allocating, in budget and through the spill branch.
+func TestM2LBatchTable4AllocationFree(t *testing.T) {
+	const p = 4
+	tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
+	tr.BuildLists()
+	cls := tr.M2LClasses()
+	ni := 0
+	for i := range tr.Nodes {
+		if len(tr.Nodes[i].V) > len(tr.Nodes[ni].V) {
+			ni = i
+		}
+	}
+	var froms []geom.Vec3
+	for _, vi := range tr.Nodes[ni].V {
+		froms = append(froms, tr.Nodes[vi].Box.Center)
+	}
+	rng := rand.New(rand.NewSource(34))
+	quads, _ := randomQuads(p, rng, froms)
+	l, _ := randomLocals(p, rng)
+	w := NewWorkspace(p)
+	for _, rotCap := range []int{0, 2} {
+		tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
+		a := testing.AllocsPerRun(10, func() {
+			w.M2LBatchTable4(&l, quads, cls.Row(int32(ni)), tb)
+		})
+		if a != 0 {
+			t.Errorf("rotCap=%d: M2LBatchTable4 allocates %v times per V list, want 0", rotCap, a)
+		}
+	}
+}
+
+// BenchmarkM2LBatchTableFused holds the two ways of translating four
+// columns over one geometry against each other the way stokes-cube-p4 runs
+// them: 118-source V lists reading a cold 1 300-row theta slab in shuffled
+// class order, as four single-column batches (one per harmonic pass) and
+// as one four-column batch. ns/pair-of-four is the cost of one V-list pair
+// for all four passes.
+func BenchmarkM2LBatchTableFused(b *testing.B) {
+	const nDirs, nBatch, vList, nSrc = 1300, 64, 118, 512
+	for _, p := range []int{4, 8} {
+		rng := rand.New(rand.NewSource(42))
+		tb := buildTable(p, benchDirs(rng, nDirs), nil, 0)
+		pool := make([]Expansion, nSrc)
+		for i := range pool {
+			pool[i] = randomExpansion(p, rng)
+		}
+		quads := make([][]M2LSource4, nBatch)
+		var cols [4][][]M2LSource
+		classes := make([][]int32, nBatch)
+		for bi := range quads {
+			for c := range cols {
+				cols[c] = append(cols[c], nil)
+			}
+			for i := 0; i < vList; i++ {
+				var q M2LSource4
+				for c := range cols {
+					q.M[c] = pool[rng.Intn(nSrc)]
+					cols[c][bi] = append(cols[c][bi], M2LSource{M: q.M[c]})
+				}
+				quads[bi] = append(quads[bi], q)
+				classes[bi] = append(classes[bi], int32(rng.Intn(nDirs)))
+			}
+		}
+		w := NewWorkspace(p)
+		l, _ := randomLocals(p, rng)
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vList), "ns/pair-of-four")
+		}
+		b.Run(fmt.Sprintf("p=%d/single-x4", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for c := range cols {
+					w.M2LBatchTable(l[c], geom.Vec3{}, cols[c][i%nBatch], classes[i%nBatch], tb)
+				}
+			}
+			report(b)
+		})
+		b.Run(fmt.Sprintf("p=%d/fused", p), func(b *testing.B) {
+			w.M2LBatchTable4(&l, quads[0], classes[0], tb) // make the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.M2LBatchTable4(&l, quads[i%nBatch], classes[i%nBatch], tb)
+			}
+			report(b)
+		})
+	}
+}
+
+// TestLeafOperators4MatchSingle: P2M4 and L2P4 evaluate the harmonics once
+// for four charges or locals; each column must equal the single operator
+// bit for bit.
+func TestLeafOperators4MatchSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, p := range []int{0, 1, 4, 8} {
+		w := NewWorkspace(p)
+		center := geom.Vec3{X: 0.25, Y: -0.5, Z: 0.125}
+		got, want := randomLocals(p, rng)
+		for body := 0; body < 10; body++ {
+			pos := center.Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(0.1))
+			q := [4]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			w.P2M4(&got, center, pos, q)
+			for c := range want {
+				w.P2M(want[c], center, pos, q[c])
+			}
+			phi, grad := w.L2P4(&got, center, pos)
+			for c := range want {
+				if ph, g := w.L2P(want[c], center, pos); ph != phi[c] || g != grad[c] {
+					t.Fatalf("p=%d column %d: L2P4 (%v, %v), L2P (%v, %v)", p, c, phi[c], grad[c], ph, g)
+				}
+				for k := range want[c].C {
+					if got[c].C[k] != want[c].C[k] {
+						t.Fatalf("p=%d column %d coefficient %d: P2M4 %v, P2M %v", p, c, k, got[c].C[k], want[c].C[k])
+					}
+				}
+			}
+		}
+	}
+}

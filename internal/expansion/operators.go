@@ -49,6 +49,7 @@ type Workspace struct {
 	rot  *rotWorkspace // buffers for the rotation-accelerated operators
 	axb  []float64     // axialBase(p), shared read-only
 	srcs []M2LSource   // V-list scratch (see Sources)
+	src4 []M2LSource4  // four-column V-list scratch (see Sources4)
 }
 
 // NewWorkspace creates scratch space for order-p operators.
@@ -80,6 +81,19 @@ func (w *Workspace) P2M(m Expansion, center, pos geom.Vec3, q float64) {
 	Regular(m.P, pos.Sub(center), w.reg)
 	for i, r := range w.reg[:len(m.C)] {
 		m.C[i] += complex(q, 0) * complex(real(r), -imag(r))
+	}
+}
+
+// P2M4 is P2M for four charges q[c] at one position, accumulated into the
+// four expansions m[c] of one center: the harmonics are evaluated once.
+// m[c] ends bit-identical to P2M(m[c], center, pos, q[c]).
+func (w *Workspace) P2M4(m *[4]Expansion, center, pos geom.Vec3, q [4]float64) {
+	Regular(m[0].P, pos.Sub(center), w.reg)
+	for c := range m {
+		qc := complex(q[c], 0)
+		for i, r := range w.reg[:len(m[c].C)] {
+			m[c].C[i] += qc * complex(real(r), -imag(r))
+		}
 	}
 }
 
@@ -185,6 +199,23 @@ func (w *Workspace) L2L(l Expansion, to geom.Vec3, o Expansion, from geom.Vec3) 
 // returning the potential and its Cartesian gradient.
 func (w *Workspace) L2P(l Expansion, center, pos geom.Vec3) (phi float64, grad geom.Vec3) {
 	RegularGrad(l.P, pos.Sub(center), w.val, w.gx, w.gy, w.gz)
+	return w.evalLocal(l)
+}
+
+// L2P4 is L2P for the four local expansions l[c] of one center: the
+// harmonics and their gradients are evaluated once. Each result is
+// bit-identical to L2P(l[c], center, pos).
+func (w *Workspace) L2P4(l *[4]Expansion, center, pos geom.Vec3) (phi [4]float64, grad [4]geom.Vec3) {
+	RegularGrad(l[0].P, pos.Sub(center), w.val, w.gx, w.gy, w.gz)
+	for c := range l {
+		phi[c], grad[c] = w.evalLocal(l[c])
+	}
+	return phi, grad
+}
+
+// evalLocal contracts l with the harmonics and gradients RegularGrad left
+// in the workspace.
+func (w *Workspace) evalLocal(l Expansion) (phi float64, grad geom.Vec3) {
 	var p, gx, gy, gz float64
 	for n := 0; n <= l.P; n++ {
 		i0 := sphharm.Idx(n, 0)

@@ -158,6 +158,30 @@ func m2lRelDiff(w *Workspace, got, want, src []complex128, rho float64) float64 
 // oracleOrders are the orders the numerics gate runs at.
 var oracleOrders = []int{0, 1, 2, 4, 8, 12, sphharm.MaxOrder}
 
+// axialOffsets have theta exactly 0, pi or pi/2: the commonest V-list
+// entries.
+var axialOffsets = []geom.Vec3{
+	{Z: 3}, {Z: -3}, {Z: 1.5}, {X: 3}, {Y: -3}, {X: 2, Y: 2}, {X: -3, Y: 1},
+}
+
+// sampledClasses returns the class directions the kernel gates visit at
+// order p: all of them, but every 16th above p = 12 (both kernels and both
+// stack builds are O(p^3): ~1 ms a translation at MaxOrder), and 8x
+// sparser under -short.
+func sampledClasses(dirs []geom.Vec3, p int) (out []geom.Vec3) {
+	stride := 1
+	if p > 12 {
+		stride = 16
+	}
+	if testing.Short() {
+		stride *= 8
+	}
+	for i := 0; i < len(dirs); i += stride {
+		out = append(out, dirs[i])
+	}
+	return out
+}
+
 // TestM2LKernelMatchesOracle is the numerics gate of the real-arithmetic
 // kernel: against the complex-arithmetic kernel it replaced, a translation
 // may differ only by rounding (sums regrouped into P/Q entries, no w == 0
@@ -193,9 +217,7 @@ func TestM2LKernelMatchesOracle(t *testing.T) {
 		check("golden", p, w, to, srcs)
 		rng := rand.New(rand.NewSource(int64(50 + p)))
 		srcs = srcs[:0]
-		for _, d := range []geom.Vec3{
-			{Z: 3}, {Z: -3}, {Z: 1.5}, {X: 3}, {Y: -3}, {X: 2, Y: 2}, {X: -3, Y: 1},
-		} {
+		for _, d := range axialOffsets {
 			if _, theta, _ := d.Spherical(); theta != 0 && theta != math.Pi && theta != math.Pi/2 {
 				t.Fatalf("offset %v has theta %v, want an exact 0, pi/2 or pi", d, theta)
 			}
@@ -208,19 +230,10 @@ func TestM2LKernelMatchesOracle(t *testing.T) {
 		tr.BuildLists()
 		cls := tr.M2LClasses()
 		for _, p := range oracleOrders {
-			// Both kernels and both stack builds are O(p^3): ~1 ms a
-			// translation at MaxOrder, so it samples every 16th class.
-			stride := 1
-			if p > 12 {
-				stride = 16
-			}
-			if testing.Short() {
-				stride *= 8
-			}
 			rng := rand.New(rand.NewSource(int64(60 + p)))
 			var srcs []M2LSource
-			for i := 0; i < len(cls.Dirs); i += stride {
-				srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: cls.Dirs[i]})
+			for _, d := range sampledClasses(cls.Dirs, p) {
+				srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: d})
 			}
 			check(tc.name, p, NewWorkspace(p), geom.Vec3{}, srcs)
 		}

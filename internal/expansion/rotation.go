@@ -35,6 +35,9 @@ type rotWorkspace struct {
 	zph   []complex128 // e^{i m phi} scratch (M2LBatch)
 	// Split re/im packed coefficients, ping-pong pairs of m2lApply.
 	aRe, aIm, bRe, bIm []float64
+	// The same for m2lApply4, four columns per coefficient; allocated on
+	// the first four-column call.
+	aRe4, aIm4, bRe4, bIm4 [][4]float64
 }
 
 func newRotWorkspace(p int) *rotWorkspace {

@@ -318,3 +318,25 @@ func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, cl
 			tb.rpow[int(op.rho)*(2*p+2):int(op.rho+1)*(2*p+2)])
 	}
 }
+
+// M2LBatchTable4 is M2LBatchTable at kernel width 4: srcs[i].M[c]
+// translates into l[c], one class lookup (and, for a spilled theta, one
+// fold) per pair serving all four columns. l[c] ends bit-identical to
+// M2LBatchTable over column c's sources alone.
+func (w *Workspace) M2LBatchTable4(l *[4]Expansion, srcs []M2LSource4, classes []int32, tb *M2LTable) {
+	p := l[0].P
+	hl := halfLen(p)
+	for i := range srcs {
+		op := tb.ops[classes[i]]
+		var half []float64
+		if ti := int(op.theta); ti < tb.nStack {
+			half = tb.stacks[ti*hl : (ti+1)*hl]
+		} else {
+			half = w.rot.half
+			w.rot.halfStackInto(half, p, tb.thetas[ti].theta)
+		}
+		w.m2lApply4(l, &srcs[i].M, half,
+			tb.zph[int(op.phi)*(p+1):int(op.phi+1)*(p+1)],
+			tb.rpow[int(op.rho)*(2*p+2):int(op.rho+1)*(2*p+2)])
+	}
+}

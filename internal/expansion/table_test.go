@@ -484,7 +484,8 @@ func TestM2LBatchTableAllocationFree(t *testing.T) {
 }
 
 // FuzzM2LTable: for arbitrary direction sets, orders and theta budgets the
-// table translation equals the uncached reference bit-for-bit.
+// table translation equals the uncached reference bit-for-bit, at kernel
+// width 1 and — column by column — at width 4.
 func FuzzM2LTable(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(6), uint8(0))
 	f.Add(int64(2), uint8(7), uint8(20), uint8(3))
@@ -507,20 +508,40 @@ func FuzzM2LTable(f *testing.F) {
 			}
 			dirs[i] = d.Scale(float64(int(1)<<rng.Intn(3)) / 4)
 		}
-		var srcs []M2LSource
+		var froms []geom.Vec3
 		for i := 0; i < 1+rng.Intn(30); i++ {
-			srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: to.Add(dirs[rng.Intn(len(dirs))])})
+			froms = append(froms, to.Add(dirs[rng.Intn(len(dirs))]))
 		}
-		tb, classes := tableFor(p, to, srcs, int(rotCap%8))
-		got, want := NewExpansion(p), NewExpansion(p)
-		NewWorkspace(p).M2LBatchTable(got, to, srcs, classes, tb)
-		NewWorkspace(p).M2LBatch(want, to, srcs)
-		for i := range got.C {
-			if got.C[i] != want.C[i] {
-				t.Fatalf("coefficient %d differs: table %v vs batch %v", i, got.C[i], want.C[i])
+		quads, cols := randomQuads(p, rng, froms)
+		tb, classes := tableFor(p, to, cols[0], int(rotCap%8))
+		var fused [4]Expansion
+		for c := range fused {
+			fused[c] = NewExpansion(p)
+		}
+		NewWorkspace(p).M2LBatchTable4(&fused, quads, classes, tb)
+		for c, srcs := range cols {
+			got, want := NewExpansion(p), NewExpansion(p)
+			NewWorkspace(p).M2LBatchTable(got, to, srcs, classes, tb)
+			NewWorkspace(p).M2LBatch(want, to, srcs)
+			for i := range want.C {
+				if got.C[i] != want.C[i] || fused[c].C[i] != want.C[i] {
+					t.Fatalf("column %d coefficient %d differs: table %v, fused %v vs batch %v",
+						c, i, got.C[i], fused[c].C[i], want.C[i])
+				}
 			}
 		}
 	})
+}
+
+// benchDirs draws n well-separated offsets at three box scales (so nearly
+// as many distinct theta rows).
+func benchDirs(rng *rand.Rand, n int) []geom.Vec3 {
+	dirs := make([]geom.Vec3, n)
+	for i := range dirs {
+		d := geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
+		dirs[i] = d.Scale((2 + 2*rng.Float64()) / d.Norm() / float64(int(1)<<rng.Intn(3)))
+	}
+	return dirs
 }
 
 // BenchmarkM2LBatchTable times the production M2L form the way the far
@@ -534,13 +555,7 @@ func BenchmarkM2LBatchTable(b *testing.B) {
 	for _, p := range []int{4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(41))
-			dirs := make([]geom.Vec3, nDirs)
-			for i := range dirs {
-				// Well-separated offsets at three box scales.
-				d := geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
-				dirs[i] = d.Scale((2 + 2*rng.Float64()) / d.Norm() / float64(int(1)<<rng.Intn(3)))
-			}
-			tb := buildTable(p, dirs, nil, 0)
+			tb := buildTable(p, benchDirs(rng, nDirs), nil, 0)
 			if tb.Rotations() < 2500 {
 				b.Fatalf("table has %d theta rows, want >= 2500", tb.Rotations())
 			}

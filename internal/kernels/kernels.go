@@ -266,12 +266,12 @@ func (k Stokeslet) SingularVelocity(x, y geom.Vec3, f geom.Vec3) geom.Vec3 {
 }
 
 // P2P accumulates regularized Stokeslet velocities at targets xt due to
-// point forces fs at ys into vel. Unlike Gravity.P2P it is not tiled over
-// targets: a Stokeslet target keeps 6 live lanes (3 velocity accumulators +
-// 3 position components) against gravity's 4+3, so even a 2-wide tile
-// overflows the x86-64 scalar register file and measures 14-27% slower
-// than the scalar walk under Go's codegen. The scalar walk is the blocked
-// optimum at width 1; P2PScalar remains the named A/B baseline.
+// point forces fs at ys into vel: P2PScalar over the sources both ys and fs
+// cover. Unlike Gravity.P2P it is not tiled over targets: a Stokeslet
+// target keeps 6 live lanes (3 velocity accumulators + 3 position
+// components) against gravity's 4+3, so even a 2-wide tile overflows the
+// x86-64 scalar register file and measured 14-27% slower than the scalar
+// walk under Go's codegen.
 func (k Stokeslet) P2P(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
 	n := len(ys)
 	if n > len(fs) {
@@ -280,8 +280,9 @@ func (k Stokeslet) P2P(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geo
 	k.P2PScalar(xt, vel, ys[:n], fs[:n])
 }
 
-// P2PScalar is the untiled reference Stokeslet kernel (the pre-tiling
-// P2P), retained as the tiled path's remainder loop and the A/B baseline.
+// P2PScalar is the Stokeslet pair walk, one target at a time over all
+// sources: the whole of P2P's arithmetic, and the baseline the kernel
+// benchmarks name.
 func (k Stokeslet) P2PScalar(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
 	e2 := k.Eps * k.Eps
 	c0 := 1 / (8 * math.Pi * k.Mu)

@@ -11,7 +11,11 @@
 //
 // so one Stokes solve runs four Laplace FMM passes over the same tree —
 // which is why the per-pair M2L cost of this problem is ~4x the
-// gravitational one (§IX.B), the property Figure 10 exploits.
+// gravitational one (§IX.B), the property Figure 10 exploits. The passes
+// share every geometric quantity, so the sweeps run them side by side: one
+// harmonic evaluation per body and one four-column translation per V-list
+// pair serve all four (upNode, downNode, leafL2P); the cost model keeps
+// counting four passes of expansion work.
 package stokes
 
 import (
@@ -53,8 +57,8 @@ type Config struct {
 	// SweepMode selects the host execution of the four far-field passes:
 	// level-synchronous flat sweeps with batched M2L (default) or the
 	// legacy task recursion (core.SweepRecursive). The four passes share
-	// one tree, so in level-sync mode every M2L direction's hoisted setup
-	// is reused across all four harmonic passes.
+	// one tree, so in level-sync mode every V-list pair is translated once,
+	// four columns wide.
 	SweepMode core.SweepMode
 	// UseRotatedTranslations switches to the O(p^3) rotation-accelerated
 	// translation operators (numerically equivalent; faster for P >= ~6).
@@ -80,16 +84,15 @@ type Config struct {
 	// device, -1 = none).
 	ReservedDrivers int
 	// TaskGraph opts the solve into the dependency-driven execution path
-	// (see core.Config.TaskGraph). For Stokes the four harmonic passes
-	// become independent task chains over the same tree — pass 1's up
-	// sweep pipelines against pass 0's M2L — joined only at the combined
-	// four-local L2P. Results stay bit-identical: each pass touches only
-	// its own expansion slabs, and each body still gets exactly one L2P
-	// addition.
+	// (see core.Config.TaskGraph): one far-field chain whose chunks compute
+	// all four harmonic passes of their cells, against the near field,
+	// joined only at the combined four-local L2P. Results stay
+	// bit-identical: the chunk bodies are the level-synchronous ones, and
+	// each body still gets exactly one L2P addition.
 	TaskGraph bool
 	// DisableM2LTable turns off the shared M2L translation-class table
-	// (see core.Config.DisableM2LTable); the table pays off four-fold here
-	// because all four harmonic passes translate over the same geometry.
+	// (see core.Config.DisableM2LTable); each V-list pair then runs the
+	// uncached reference form once per harmonic pass.
 	DisableM2LTable bool
 	// NearFloat32 opts the Stokeslet near field into the gated float32
 	// kernel path (see core.Config.NearFloat32).
@@ -153,8 +156,7 @@ type Solver struct {
 	packedLen  int
 	multipoles [passes][]complex128
 	locals     [passes][]complex128
-	// wsFree is a free-list of long-lived operator workspaces (the M2L
-	// geometry caches inside survive across levels, passes, and solves).
+	// wsFree is a free-list of long-lived operator workspaces.
 	wsFree    chan *expansion.Workspace
 	weightBuf []int64
 	// gatherFree recycles per-chunk near-field source gathers.
@@ -328,9 +330,8 @@ func (s *Solver) Solve() StepTimes {
 	rec.AddSpan(telemetry.SpanPrep, 0, prepTimer.StartTime(), prepTimer.Elapsed())
 
 	// Kernel-speed preparation before the near/far fork (see core.Solver):
-	// the shared class table (especially profitable here: all four harmonic
-	// passes translate over the same class schedule) and the float32
-	// precision gate.
+	// the shared class table (one lookup per V-list pair serves all four
+	// harmonic passes) and the float32 precision gate.
 	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, rec,
 		!s.Cfg.DisableM2LTable && s.Cfg.SweepMode == core.SweepLevelSync && !s.Cfg.SkipFarField)
 	s.updateNearPrecision()
@@ -551,18 +552,34 @@ func (s *Solver) local(k int, ni int32) expansion.Expansion {
 	return expansion.Expansion{P: s.Cfg.P, C: s.locals[k][off : off+s.packedLen]}
 }
 
-// charge returns the pass-k harmonic charge of body i: f_x, f_y, f_z, f·y.
-func (s *Solver) charge(k int, i int32) float64 {
-	f := s.Sys.Aux[i]
-	switch k {
-	case 0:
-		return f.X
-	case 1:
-		return f.Y
-	case 2:
-		return f.Z
-	default:
-		return f.Dot(s.Sys.Pos[i])
+// mpoles4 and locals4 return node ni's four harmonic expansions.
+func (s *Solver) mpoles4(ni int32) (m [passes]expansion.Expansion) {
+	for k := range m {
+		m[k] = s.mpole(k, ni)
+	}
+	return m
+}
+
+func (s *Solver) locals4(ni int32) (l [passes]expansion.Expansion) {
+	for k := range l {
+		l[k] = s.local(k, ni)
+	}
+	return l
+}
+
+// Charges returns the four harmonic charges of a body at x carrying the
+// force f: f_x, f_y, f_z and f·x, one per pass.
+func Charges(f, x geom.Vec3) [passes]float64 {
+	return [passes]float64{f.X, f.Y, f.Z, f.Dot(x)}
+}
+
+// Combine assembles 8 pi mu u(x) from the four harmonic potentials and
+// gradients at x (the package comment's decomposition).
+func Combine(x geom.Vec3, phi *[passes]float64, g *[passes]geom.Vec3) geom.Vec3 {
+	return geom.Vec3{
+		X: phi[0] - (x.X*g[0].X + x.Y*g[1].X + x.Z*g[2].X) + g[3].X,
+		Y: phi[1] - (x.X*g[0].Y + x.Y*g[1].Y + x.Z*g[2].Y) + g[3].Y,
+		Z: phi[2] - (x.X*g[0].Z + x.Y*g[1].Z + x.Z*g[2].Z) + g[3].Z,
 	}
 }
 
@@ -713,9 +730,7 @@ func (s *Solver) downSweep() {
 
 // upSweepLevels / downSweepLevels are the level-synchronous sweeps of
 // core, run for all four harmonic passes of the Stokeslet decomposition.
-// Each level is one flat parallel range weighted by per-node work; the
-// batched M2L shares its per-direction setup across the passes (the four
-// passes translate over identical geometry).
+// Each level is one flat parallel range weighted by per-node work.
 func (s *Solver) upSweepLevels() {
 	t := s.Tree
 	levels := t.LevelOrder()
@@ -735,31 +750,29 @@ func (s *Solver) upSweepLevels() {
 	}
 }
 
+// upNode computes node ni's four multipoles: at a leaf one harmonic
+// evaluation per body feeds all four charges; above, each pass translates
+// its children's multipoles. Every pass writes only its own slab, in the
+// order a pass-by-pass sweep would.
 func (s *Solver) upNode(w *expansion.Workspace, ni int32) {
-	for k := 0; k < passes; k++ {
-		s.upNodePass(w, k, ni)
-	}
-}
-
-// upNodePass computes node ni's pass-k multipole. Each pass touches only
-// its own slab, so the four passes of one node may run in any order (or
-// in different task-graph nodes) without changing a bit of the result.
-func (s *Solver) upNodePass(w *expansion.Workspace, k int, ni int32) {
 	t := s.Tree
 	n := &t.Nodes[ni]
-	m := s.mpole(k, ni)
 	if n.IsVisibleLeaf() {
+		m := s.mpoles4(ni)
 		for i := n.Start; i < n.End; i++ {
-			w.P2M(m, n.Box.Center, s.Sys.Pos[i], s.charge(k, i))
+			w.P2M4(&m, n.Box.Center, s.Sys.Pos[i], Charges(s.Sys.Aux[i], s.Sys.Pos[i]))
 		}
 		return
 	}
-	for _, ci := range n.Children {
-		if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-			if s.Cfg.UseRotatedTranslations {
-				w.M2MRotated(m, n.Box.Center, s.mpole(k, ci), t.Nodes[ci].Box.Center)
-			} else {
-				w.M2M(m, n.Box.Center, s.mpole(k, ci), t.Nodes[ci].Box.Center)
+	for k := 0; k < passes; k++ {
+		m := s.mpole(k, ni)
+		for _, ci := range n.Children {
+			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
+				if s.Cfg.UseRotatedTranslations {
+					w.M2MRotated(m, n.Box.Center, s.mpole(k, ci), t.Nodes[ci].Box.Center)
+				} else {
+					w.M2M(m, n.Box.Center, s.mpole(k, ci), t.Nodes[ci].Box.Center)
+				}
 			}
 		}
 	}
@@ -783,58 +796,48 @@ func (s *Solver) downSweepLevels(withL2P bool) {
 	}
 }
 
+// downNode applies L2L per pass and then node ni's V list to all four
+// locals at once: the passes translate over one geometry, so each V pair
+// is one four-column translation (core.SharedM2L.M2L4). Per pass the
+// operations and their order are those of a pass-by-pass sweep.
 func (s *Solver) downNode(w *expansion.Workspace, ni int32, withL2P bool) {
-	for k := 0; k < passes; k++ {
-		s.downNodePass(w, k, ni)
+	t := s.Tree
+	n := &t.Nodes[ni]
+	l := s.locals4(ni)
+	if parent := n.Parent; parent != octree.NilNode {
+		for k := range l {
+			if s.Cfg.UseRotatedTranslations {
+				w.L2LRotated(l[k], n.Box.Center, s.local(k, parent), t.Nodes[parent].Box.Center)
+			} else {
+				w.L2L(l[k], n.Box.Center, s.local(k, parent), t.Nodes[parent].Box.Center)
+			}
+		}
 	}
-	if withL2P && s.Tree.Nodes[ni].IsVisibleLeaf() {
+	if len(n.V) > 0 {
+		srcs := w.Sources4(len(n.V))
+		for _, vi := range n.V {
+			srcs = append(srcs, expansion.M2LSource4{M: s.mpoles4(vi), From: t.Nodes[vi].Box.Center})
+		}
+		s.m2l.M2L4(w, &l, t, ni, srcs)
+	}
+	if withL2P && n.IsVisibleLeaf() {
 		s.leafL2P(w, ni)
 	}
 }
 
-// downNodePass applies pass k's L2L and batched M2L to node ni's local.
-// Like upNodePass, each pass touches only its own slab, so passes may be
-// scheduled independently; L2P stays with the caller (it reads all four
-// finalized locals).
-func (s *Solver) downNodePass(w *expansion.Workspace, k int, ni int32) {
-	t := s.Tree
-	n := &t.Nodes[ni]
-	l := s.local(k, ni)
-	if parent := n.Parent; parent != octree.NilNode {
-		if s.Cfg.UseRotatedTranslations {
-			w.L2LRotated(l, n.Box.Center, s.local(k, parent), t.Nodes[parent].Box.Center)
-		} else {
-			w.L2L(l, n.Box.Center, s.local(k, parent), t.Nodes[parent].Box.Center)
-		}
-	}
-	if len(n.V) > 0 {
-		srcs := w.Sources(len(n.V))
-		for _, vi := range n.V {
-			srcs = append(srcs, expansion.M2LSource{M: s.mpole(k, vi), From: t.Nodes[vi].Box.Center})
-		}
-		s.m2l.M2L(w, l, t, ni, srcs)
-	}
-}
-
 // leafL2P evaluates the four finalized harmonic locals of one visible
-// leaf and combines them into the Stokeslet velocity — per body, exactly
-// one addition onto the near-field-accumulated value, fused or split
-// (the bit-identity argument of the overlapped path).
+// leaf — one harmonic evaluation per body — and combines them into the
+// Stokeslet velocity: per body, exactly one addition onto the
+// near-field-accumulated value, fused or split (the bit-identity argument
+// of the overlapped path).
 func (s *Solver) leafL2P(w *expansion.Workspace, ni int32) {
 	n := &s.Tree.Nodes[ni]
+	l := s.locals4(ni)
 	c0 := 1 / (8 * math.Pi * s.Cfg.Kernel.Mu)
 	for i := n.Start; i < n.End; i++ {
 		x := s.Sys.Pos[i]
-		p0, g0 := w.L2P(s.local(0, ni), n.Box.Center, x)
-		p1, g1 := w.L2P(s.local(1, ni), n.Box.Center, x)
-		p2, g2 := w.L2P(s.local(2, ni), n.Box.Center, x)
-		_, gp := w.L2P(s.local(3, ni), n.Box.Center, x)
-		u := geom.Vec3{
-			X: p0 - (x.X*g0.X + x.Y*g1.X + x.Z*g2.X) + gp.X,
-			Y: p1 - (x.X*g0.Y + x.Y*g1.Y + x.Z*g2.Y) + gp.Y,
-			Z: p2 - (x.X*g0.Z + x.Y*g1.Z + x.Z*g2.Z) + gp.Z,
-		}
-		s.Sys.Acc[i] = s.Sys.Acc[i].Add(u.Scale(c0))
+		phi, grad := w.L2P4(&l, n.Box.Center, x)
+		s.Sys.Acc[i] = s.Sys.Acc[i].Add(Combine(x, &phi, &grad).Scale(c0))
 	}
 }
 
@@ -892,38 +895,18 @@ func (s *Solver) upSweepRecursive() {
 	rec = func(ni int32) {
 		t := s.Tree
 		n := &t.Nodes[ni]
-		if n.IsVisibleLeaf() {
-			w := s.getWS()
-			for k := 0; k < passes; k++ {
-				m := s.mpole(k, ni)
-				for i := n.Start; i < n.End; i++ {
-					w.P2M(m, n.Box.Center, s.Sys.Pos[i], s.charge(k, i))
-				}
-			}
-			s.putWS(w)
-			return
-		}
-		g := s.Cfg.Pool.NewGroup()
-		for _, ci := range n.Children {
-			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-				ci := ci
-				g.Spawn(func() { rec(ci) })
-			}
-		}
-		g.Wait()
-		w := s.getWS()
-		for k := 0; k < passes; k++ {
-			m := s.mpole(k, ni)
+		if !n.IsVisibleLeaf() {
+			g := s.Cfg.Pool.NewGroup()
 			for _, ci := range n.Children {
 				if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-					if s.Cfg.UseRotatedTranslations {
-						w.M2MRotated(m, n.Box.Center, s.mpole(k, ci), t.Nodes[ci].Box.Center)
-					} else {
-						w.M2M(m, n.Box.Center, s.mpole(k, ci), t.Nodes[ci].Box.Center)
-					}
+					ci := ci
+					g.Spawn(func() { rec(ci) })
 				}
 			}
+			g.Wait()
 		}
+		w := s.getWS()
+		s.upNode(w, ni)
 		s.putWS(w)
 	}
 	if s.Tree.Nodes[s.Tree.Root].Count() > 0 {
@@ -931,8 +914,9 @@ func (s *Solver) upSweepRecursive() {
 	}
 }
 
+// downSweepRecursive keeps the per-pair direct (or rotated) M2L, pass by
+// pass: the reference form the batched sweeps are compared against.
 func (s *Solver) downSweepRecursive() {
-	c0 := 1 / (8 * math.Pi * s.Cfg.Kernel.Mu)
 	var rec func(ni, parent int32)
 	rec = func(ni, parent int32) {
 		t := s.Tree
@@ -956,19 +940,7 @@ func (s *Solver) downSweepRecursive() {
 			}
 		}
 		if n.IsVisibleLeaf() {
-			for i := n.Start; i < n.End; i++ {
-				x := s.Sys.Pos[i]
-				p0, g0 := w.L2P(s.local(0, ni), n.Box.Center, x)
-				p1, g1 := w.L2P(s.local(1, ni), n.Box.Center, x)
-				p2, g2 := w.L2P(s.local(2, ni), n.Box.Center, x)
-				_, gp := w.L2P(s.local(3, ni), n.Box.Center, x)
-				u := geom.Vec3{
-					X: p0 - (x.X*g0.X + x.Y*g1.X + x.Z*g2.X) + gp.X,
-					Y: p1 - (x.X*g0.Y + x.Y*g1.Y + x.Z*g2.Y) + gp.Y,
-					Z: p2 - (x.X*g0.Z + x.Y*g1.Z + x.Z*g2.Z) + gp.Z,
-				}
-				s.Sys.Acc[i] = s.Sys.Acc[i].Add(u.Scale(c0))
-			}
+			s.leafL2P(w, ni)
 			s.putWS(w)
 			return
 		}

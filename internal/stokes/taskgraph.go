@@ -11,13 +11,13 @@ import (
 )
 
 // Task-graph solve path for the Stokes solver (see core/taskgraph.go for
-// the shared design). The distinguishing feature here is Passes = 4: each
-// harmonic pass forms its own up/M2L chain over the shared tree, so the
-// passes pipeline against each other — pass 1's up sweep runs while pass
-// 0 is still translating — and only the combined four-local L2P joins
-// them. Each pass touches exclusively its own expansion slabs, which is
-// why splitting the fork-join loop over k into per-pass graph nodes
-// cannot change a bit of the result.
+// the shared design). The graph has the gravity solver's shape — one
+// up/M2L/L2L chain and the near field, joined at the leaves' L2P — and
+// each far-field chunk computes all four harmonic passes of its cells
+// (upNode, downNode), because the passes share every translation's
+// geometry and the fused M2L needs them side by side. The chunk bodies
+// are the level-synchronous sweeps' bodies, so the result is bit-identical
+// to theirs.
 
 var taskTags = dag.Tags{
 	Up:        int32(telemetry.SpanTaskUp),
@@ -63,9 +63,8 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 	}
 
 	spec := dag.Spec{
-		Tree:   t,
-		Pool:   s.Cfg.Pool,
-		Passes: passes,
+		Tree: t,
+		Pool: s.Cfg.Pool,
 		UpWeight: func(n *octree.Node) int64 {
 			if n.IsVisibleLeaf() {
 				return int64(n.Count()) + 1
@@ -79,20 +78,20 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 			}
 			return w
 		},
-		UpChunk: func(pass, _ int, nodes []int32) func() {
+		UpChunk: func(_ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()
 				for _, ni := range nodes {
-					s.upNodePass(w, pass, ni)
+					s.upNode(w, ni)
 				}
 				s.putWS(w)
 			}
 		},
-		DownChunk: func(pass, _ int, nodes []int32) func() {
+		DownChunk: func(_ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()
 				for _, ni := range nodes {
-					s.downNodePass(w, pass, ni)
+					s.downNode(w, ni, false)
 				}
 				s.putWS(w)
 			}

@@ -8,11 +8,11 @@ import (
 	"afmm/internal/sched"
 )
 
-// TestTaskGraphBitIdenticalStokes: the dependency-driven schedule — four
-// harmonic pass chains pipelining against each other and the Stokeslet
-// near field, joined only at the combined L2P — must produce exactly the
-// same velocities as the fork-join path, on 2- and 4-worker pools, before
-// and after the balancer's tree edits.
+// TestTaskGraphBitIdenticalStokes: the dependency-driven schedule — one
+// far-field chain whose chunks compute all four harmonic passes, running
+// against the Stokeslet near field and joined only at the combined L2P —
+// must produce exactly the same velocities as the fork-join path, on 2-
+// and 4-worker pools, before and after the balancer's tree edits.
 func TestTaskGraphBitIdenticalStokes(t *testing.T) {
 	k := kernels.Stokeslet{Mu: 0.9, Eps: 1e-3}
 	for _, tc := range []struct {
@@ -78,6 +78,35 @@ func TestTaskGraphBitIdenticalStokes(t *testing.T) {
 				b.Solve()
 				compare()
 			})
+		}
+	}
+}
+
+// TestSolveAllocationCeiling is the Stokes allocs/step gate (see
+// core.TestSolveAllocationCeiling): a warmed Solve allocates per-step
+// structures only — the virtual-CPU replay's graph, chunk closures, the
+// host task graph — never per translation, V list or body, in either
+// execution mode. The ceilings are 1.5x the measured counts (fork-join
+// 1747, task graph 2016 at this size; with a far-field chain per harmonic
+// pass the task graph made 2536).
+func TestSolveAllocationCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		graph   bool
+		ceiling float64
+	}{
+		{"fork-join", false, 2600},
+		{"task-graph", true, 3000},
+	} {
+		sys := distrib.UniformCube(2000, 1, 3)
+		randomForces(sys, 5)
+		s := NewSolver(sys, Config{P: 4, S: 32, TaskGraph: tc.graph, Pool: sched.NewPool(2)})
+		s.Solve()
+		s.Solve()
+		if got := testing.AllocsPerRun(5, func() { s.Solve() }); got > tc.ceiling {
+			t.Errorf("%s: warmed Solve makes %.0f allocations, ceiling %.0f", tc.name, got, tc.ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations per warmed Solve", tc.name, got)
 		}
 	}
 }
