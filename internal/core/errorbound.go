@@ -10,7 +10,8 @@ import (
 // ErrorBound summarizes the a-priori truncation error of the current
 // interaction lists: the classical per-pair bound (a/(d-a))^(p+1) for a
 // multipole of radius a accepted at center distance d, aggregated over all
-// V-list pairs.
+// translated V-list pairs (a pair the near-field schedule sums directly is
+// exact and carries no truncation error).
 type ErrorBound struct {
 	// MaxPair is the worst single-pair relative truncation bound.
 	MaxPair float64
@@ -36,9 +37,14 @@ func TreeTruncationBound(t *octree.Tree, p int) ErrorBound {
 	var b ErrorBound
 	var wsum, w float64
 	sqrt3 := math.Sqrt(3)
+	t.NearField() // the direct masks follow the current occupancy
 	t.WalkVisible(func(ni int32) {
 		n := &t.Nodes[ni]
-		for _, vi := range n.V {
+		direct := t.DirectMask(ni)
+		for k, vi := range n.V {
+			if direct[k] {
+				continue
+			}
 			src := &t.Nodes[vi]
 			a := sqrt3 * src.Box.Half
 			// The evaluation points lie within the target cell, so the

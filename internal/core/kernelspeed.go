@@ -12,6 +12,27 @@ import (
 // gated float32 near field. Both are prepared once per Solve, before the
 // near/far fork, so workers only ever read settled state.
 
+// DirectK is the gravity solver's break-even threshold, handed to
+// octree.Tree.SetDirectK: an accepted leaf–leaf pair with n_t·n_s <=
+// DirectK is summed directly (one P2P of n_t·n_s body pairs) instead of
+// translated (one M2L at order p). The break-even is (M2L ns per
+// translation) / (P2P ns per body pair on small leaves);
+// BenchmarkDirectBreakEven measures both with this repo's own kernels and
+// prints the ratio beside this value. For p = 4, 8, 12 it reads 103–115,
+// 318–329, 666–787 — 3.9–4.7 (p+1)², the table form of M2L being closer to
+// quadratic than to its asymptotic cubic at these orders — and the
+// end-to-end optimum is flat from about 0.8 of it up to 1.3
+// (EXPERIMENTS.md); the low end of the flat region, 3.2 (p+1)², is kept,
+// because every pair moved inflates the near field. The value depends on
+// nothing but p: not on wall-clock observations, which would make the
+// operator choice, hence the force bits, differ from run to run, and not
+// on the virtual machine's coefficients, whose M2L/P2P ratio (700, the
+// same at every p) is far above the host's at low order. (The Stokes
+// solver sets no threshold; see stokes.NewSolver.)
+func DirectK(p int) int64 {
+	return int64(3.2 * float64((p+1)*(p+1)))
+}
+
 // SharedM2L is the factored M2L operator table (expansion.M2LTable) of one
 // tree's current interaction lists, with the class schedule it was built
 // from and the list epoch it is valid for. One value serves one tree: the
@@ -49,16 +70,39 @@ func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *teleme
 	}
 }
 
-// M2L accumulates into l node ni's V-list translations (srcs parallel to
-// t.Nodes[ni].V): through the table when it was built for exactly t's
-// current list topology (direct sweep callers may run without Prepare),
-// else through the reference form — the same arithmetic either way.
+// farRun returns the next maximal run [lo, hi) of translated pairs in node
+// ni's V list at or after from — the entries the near-field schedule does
+// not sum directly (octree.Tree.DirectMask); lo == len(V) when none is
+// left. Both M2L forms below walk V in these runs, so the sweeps, the task
+// graph and the dmem engines all skip the same pairs in the same order.
+func farRun(t *octree.Tree, ni int32, from int) (lo, hi int) {
+	mask := t.DirectMask(ni)
+	lo = from
+	for lo < len(mask) && mask[lo] {
+		lo++
+	}
+	hi = lo
+	for hi < len(mask) && !mask[hi] {
+		hi++
+	}
+	return lo, hi
+}
+
+// M2L accumulates into l the translated pairs of node ni's V list (srcs
+// parallel to t.Nodes[ni].V; entries the near-field schedule sums directly
+// are skipped): through the table when it was built for
+// exactly t's current list topology (direct sweep callers may run without
+// Prepare), else through the reference form — the same arithmetic either
+// way.
 func (m *SharedM2L) M2L(w *expansion.Workspace, l expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource) {
 	to := t.Nodes[ni].Box.Center
-	if m.Tab != nil && m.epoch == t.ListEpoch() {
-		w.M2LBatchTable(l, to, srcs, m.Cls.Row(ni), m.Tab)
-	} else {
-		w.M2LBatch(l, to, srcs)
+	table := m.Tab != nil && m.epoch == t.ListEpoch()
+	for lo, hi := farRun(t, ni, 0); lo < len(srcs); lo, hi = farRun(t, ni, hi) {
+		if table {
+			w.M2LBatchTable(l, to, srcs[lo:hi], m.Cls.Row(ni)[lo:hi], m.Tab)
+		} else {
+			w.M2LBatch(l, to, srcs[lo:hi])
+		}
 	}
 }
 
@@ -68,16 +112,19 @@ func (m *SharedM2L) M2L(w *expansion.Workspace, l expansion.Expansion, t *octree
 // per column — the same arithmetic either way, and per column the
 // arithmetic of M2L.
 func (m *SharedM2L) M2L4(w *expansion.Workspace, l *[4]expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource4) {
-	if m.Tab != nil && m.epoch == t.ListEpoch() {
-		w.M2LBatchTable4(l, srcs, m.Cls.Row(ni), m.Tab)
-		return
-	}
-	for c := range l {
-		col := w.Sources(len(srcs))
-		for _, s := range srcs {
-			col = append(col, expansion.M2LSource{M: s.M[c], From: s.From})
+	table := m.Tab != nil && m.epoch == t.ListEpoch()
+	for lo, hi := farRun(t, ni, 0); lo < len(srcs); lo, hi = farRun(t, ni, hi) {
+		if table {
+			w.M2LBatchTable4(l, srcs[lo:hi], m.Cls.Row(ni)[lo:hi], m.Tab)
+			continue
 		}
-		w.M2LBatch(l[c], t.Nodes[ni].Box.Center, col)
+		for c := range l {
+			col := w.Sources(hi - lo)
+			for _, s := range srcs[lo:hi] {
+				col = append(col, expansion.M2LSource{M: s.M[c], From: s.From})
+			}
+			w.M2LBatch(l[c], t.Nodes[ni].Box.Center, col)
+		}
 	}
 }
 

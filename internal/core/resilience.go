@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"afmm/internal/geom"
-	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 )
@@ -70,8 +69,8 @@ func (s *Solver) ValidateAccumulators() error {
 	if len(leaves) == 0 {
 		return nil
 	}
-	weights := s.levelWeights(leaves, func(n *octree.Node) int64 {
-		return int64(n.Count()) + 1
+	weights := s.levelWeights(leaves, func(ni int32) int64 {
+		return int64(t.Nodes[ni].Count()) + 1
 	})
 	var worst atomic.Int64
 	worst.Store(-1)

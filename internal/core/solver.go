@@ -320,6 +320,7 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 		Pool:        cfg.Pool,
 		NoListCache: cfg.DisableListCache,
 	})
+	s.Tree.SetDirectK(DirectK(cfg.P))
 	if cfg.NumGPUs > 0 {
 		s.Cluster = vgpu.NewCluster(cfg.NumGPUs, cfg.GPUSpec)
 		s.Cluster.Rec = cfg.Rec
@@ -435,6 +436,12 @@ func (s *Solver) Solve() StepTimes {
 	prepTimer := sched.StartTimer()
 	s.Sys.ResetAccumulatorsParallel(s.Cfg.Pool)
 	s.ensureSlabs()
+	// Resolve the near-field schedule here, on the solve goroutine: its
+	// rows (and the translated-pair counts behind the far-field weights)
+	// follow this step's occupancy, and every phase below — near drivers,
+	// sweeps, graph nodes — only reads it.
+	sch := t.NearField()
+	rec.SetDirect(sch.DirectPairs, sch.DirectInteractions)
 	rec.AddSpan(telemetry.SpanPrep, 0, prepTimer.StartTime(), prepTimer.Elapsed())
 
 	// Kernel-speed preparation, before the near/far fork: the shared M2L
@@ -485,11 +492,9 @@ func (s *Solver) Solve() StepTimes {
 		nearDur, upDur, downDur, l2pDur = tg.near, tg.up, tg.down, tg.l2p
 		overlapRegion = tg.region
 	} else if overlapped {
-		// Prewarm the lazily-built tree caches the near phase reads, so
-		// the driver goroutine only ever sees resolved state (NearField
-		// also resolves VisibleLeaves). The far sweeps touch LevelOrder
+		// The near phase reads only tree caches resolved above (NearField
+		// also resolves VisibleLeaves); the far sweeps touch LevelOrder
 		// from this goroutine only.
-		t.NearField()
 		if k := s.reservedDrivers(); k > 0 {
 			s.Cfg.Pool.SetReserved(k)
 			defer s.Cfg.Pool.SetReserved(0)
@@ -716,6 +721,7 @@ func (s *Solver) reservedDrivers() int {
 // for the old-vs-new sweep report.
 func (s *Solver) SweepBench() (up, down, near time.Duration) {
 	s.Tree.BuildLists()
+	s.Tree.NearField()
 	s.Sys.ResetAccumulators()
 	s.ensureSlabs()
 	s.prepareM2LTable()
@@ -834,27 +840,11 @@ func (s *Solver) p2pPair(target, source int32) {
 	)
 }
 
-// runCPUNearField executes all U-list work on the host pool (CPU-only
-// configurations). The default mode walks the cached CSR near-field
-// schedule in interaction-count-weighted chunks — so a few heavy leaves
-// cannot serialize the tail — packing each chunk's distinct source leaves
-// once into contiguous SoA buffers; the legacy mode chunks leaves evenly
-// and chases node indices per pair (still one task per chunk, never one
-// per leaf).
+// runCPUNearField executes the near-field schedule on the host pool
+// (CPU-only configurations): the cached CSR rows in interaction-count-
+// weighted chunks, so a few heavy leaves cannot serialize the tail.
 func (s *Solver) runCPUNearField() {
-	t := s.Tree
-	if s.Cfg.SweepMode == SweepRecursive {
-		leaves := t.VisibleLeaves()
-		s.Cfg.Pool.ParallelRangeClass(sched.ClassNear, len(leaves), func(lo, hi int) {
-			for _, li := range leaves[lo:hi] {
-				for _, si := range t.Nodes[li].U {
-					s.p2pPair(li, si)
-				}
-			}
-		})
-		return
-	}
-	sch := t.NearField()
+	sch := s.Tree.NearField()
 	f32 := s.f32Active
 	s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassNear, sch.Weights, func(lo, hi int) {
 		s.nearFieldChunk(sch, f32, lo, hi)
@@ -918,7 +908,9 @@ func (s *Solver) nearFieldChunk(sch *octree.NearSchedule, f32 bool, lo, hi int) 
 }
 
 // upSweep computes multipoles bottom-up; downSweep propagates locals
-// top-down. Both dispatch on Config.SweepMode.
+// top-down. Both dispatch on Config.SweepMode. The down sweep reads the
+// direct masks, so it resolves the near-field schedule on entry (a no-op
+// when Solve already did): no caller can sweep over unresolved masks.
 func (s *Solver) upSweep() {
 	if s.Cfg.SweepMode == SweepRecursive {
 		s.upSweepRecursive()
@@ -928,6 +920,7 @@ func (s *Solver) upSweep() {
 }
 
 func (s *Solver) downSweep() {
+	s.Tree.NearField()
 	if s.Cfg.SweepMode == SweepRecursive {
 		s.downSweepRecursive()
 		return
@@ -947,7 +940,7 @@ func (s *Solver) upSweepLevels() {
 		if len(nodes) == 0 {
 			continue
 		}
-		weights := s.levelWeights(nodes, upWeight)
+		weights := s.levelWeights(nodes, s.upWeight)
 		lvTimer := sched.StartTimer()
 		s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 			w := s.getWS()
@@ -997,7 +990,7 @@ func (s *Solver) downSweepLevels(withL2P bool) {
 		if len(nodes) == 0 {
 			continue
 		}
-		weights := s.levelWeights(nodes, downWeight)
+		weights := s.levelWeights(nodes, s.downWeight)
 		lvTimer := sched.StartTimer()
 		s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 			w := s.getWS()
@@ -1060,8 +1053,8 @@ func (s *Solver) l2pSweep() {
 	if len(leaves) == 0 {
 		return
 	}
-	weights := s.levelWeights(leaves, func(n *octree.Node) int64 {
-		return int64(n.Count()) + 1
+	weights := s.levelWeights(leaves, func(ni int32) int64 {
+		return int64(t.Nodes[ni].Count()) + 1
 	})
 	s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 		w := s.getWS()
@@ -1079,15 +1072,19 @@ const (
 	m2mWeight = 4  // one M2M/L2L translation
 )
 
-func upWeight(n *octree.Node) int64 {
+func (s *Solver) upWeight(ni int32) int64 {
+	n := &s.Tree.Nodes[ni]
 	if n.IsVisibleLeaf() {
 		return int64(n.Count()) + 1
 	}
 	return 8*m2mWeight + 1
 }
 
-func downWeight(n *octree.Node) int64 {
-	w := int64(len(n.V))*m2lWeight + m2mWeight + 1
+// downWeight weighs the translated pairs of the V list: entries the
+// near-field schedule sums directly cost the far field nothing.
+func (s *Solver) downWeight(ni int32) int64 {
+	n := &s.Tree.Nodes[ni]
+	w := int64(s.Tree.FarPairs(ni))*m2lWeight + m2mWeight + 1
 	if n.IsVisibleLeaf() {
 		w += int64(n.Count())
 	}
@@ -1095,13 +1092,13 @@ func downWeight(n *octree.Node) int64 {
 }
 
 // levelWeights fills the solver's scratch weight buffer for one level.
-func (s *Solver) levelWeights(nodes []int32, weight func(*octree.Node) int64) []int64 {
+func (s *Solver) levelWeights(nodes []int32, weight func(ni int32) int64) []int64 {
 	if cap(s.weightBuf) < len(nodes) {
 		s.weightBuf = make([]int64, len(nodes))
 	}
 	buf := s.weightBuf[:len(nodes)]
 	for i, ni := range nodes {
-		buf[i] = weight(&s.Tree.Nodes[ni])
+		buf[i] = weight(ni)
 	}
 	return buf
 }
@@ -1167,7 +1164,11 @@ func (s *Solver) downSweepRecursive() {
 				w.L2L(l, n.Box.Center, s.local(parent), t.Nodes[parent].Box.Center)
 			}
 		}
-		for _, vi := range n.V {
+		direct := t.DirectMask(ni)
+		for k, vi := range n.V {
+			if direct[k] {
+				continue // summed by the near-field schedule
+			}
 			if s.Cfg.UseRotatedTranslations {
 				w.M2LRotated(l, n.Box.Center, s.mpole(vi), t.Nodes[vi].Box.Center)
 			} else {

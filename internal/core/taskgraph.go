@@ -66,10 +66,6 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 	rec := s.Cfg.Rec
 	var out taskGraphResult
 
-	// Prewarm the lazily-built caches graph nodes read from worker
-	// goroutines (NearField also resolves VisibleLeaves).
-	t.NearField()
-
 	// Reserve driver slots before the build: the builder's chunk bounds
 	// are reservation-aware, so they must see the final partition.
 	if k := s.reservedDrivers(); k > 0 {
@@ -80,8 +76,8 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 	spec := dag.Spec{
 		Tree:       t,
 		Pool:       s.Cfg.Pool,
-		UpWeight:   upWeight,
-		DownWeight: downWeight,
+		UpWeight:   s.upWeight,
+		DownWeight: s.downWeight,
 		UpChunk: func(_ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()

@@ -9,8 +9,9 @@
 //     blocks its own ancestors, not the whole level);
 //   - a down-sweep chunk at level L depends on the level-L-1 chunks
 //     holding its parents (L2L) and on the up sweep having finished at
-//     every level its V-list partners live on (M2L reads multipoles;
-//     the adaptive dual traversal pairs nodes across levels, so the
+//     every level its translated V-list partners live on (M2L reads
+//     multipoles; a pair the near-field schedule sums directly reads
+//     none; the adaptive dual traversal pairs nodes across levels, so the
 //     partner levels are collected per chunk and joined through
 //     per-level up milestones);
 //   - near-field work (CPU CSR chunks, or the device cluster walk) is
@@ -52,8 +53,8 @@ type Spec struct {
 
 	// Per-node chunking weights, identical to the level-sync sweeps so
 	// graph chunks match ParallelRangeWeightedClass boundaries.
-	UpWeight   func(n *octree.Node) int64
-	DownWeight func(n *octree.Node) int64
+	UpWeight   func(ni int32) int64
+	DownWeight func(ni int32) int64
 
 	// UpChunk/DownChunk build one far-field chunk body over the given
 	// level slice. DownChunk must NOT evaluate L2P (that is the L2P
@@ -74,9 +75,10 @@ type Spec struct {
 	Tags Tags
 }
 
-// Build assembles the graph. The tree's level order and (when NearChunk
-// is used) near-field schedule are resolved here, on the calling
-// goroutine, so graph nodes only read settled caches.
+// Build assembles the graph. The tree's level order and near-field
+// schedule (its rows for NearChunk, its direct masks for the V-list
+// edges) are resolved here, on the calling goroutine, so graph nodes only
+// read settled caches.
 func Build(spec Spec) *sched.Graph {
 	g := spec.Pool.NewGraph()
 	build(spec, g)
@@ -95,6 +97,7 @@ func build(spec Spec, g graph) {
 	pool := spec.Pool
 	levels := t.LevelOrder()
 	nLevels := len(levels)
+	sch := t.NearField()
 
 	// Position of every node within its level slice: children of a
 	// contiguous DFS-ordered parent range form a contiguous range at the
@@ -113,7 +116,6 @@ func build(spec Spec, g graph) {
 	if spec.NearSingle != nil {
 		nearSingle = g.Node(sched.ClassNear, spec.Tags.Near, 0, spec.NearSingle)
 	} else if spec.NearChunk != nil {
-		sch := t.NearField()
 		if len(sch.Weights) > 0 {
 			bounds := pool.WeightedBounds(sched.ClassNear, sch.Weights)
 			rowChunk = make([]int32, len(sch.Weights))
@@ -140,10 +142,10 @@ func build(spec Spec, g graph) {
 	upBounds := make([][]int, nLevels)
 	downBounds := make([][]int, nLevels)
 	var wbuf []int64
-	weigh := func(nodes []int32, w func(*octree.Node) int64) []int64 {
+	weigh := func(nodes []int32, w func(int32) int64) []int64 {
 		wbuf = wbuf[:0]
 		for _, ni := range nodes {
-			wbuf = append(wbuf, w(&t.Nodes[ni]))
+			wbuf = append(wbuf, w(ni))
 		}
 		return wbuf
 	}
@@ -205,11 +207,15 @@ func build(spec Spec, g graph) {
 		b := downBounds[lv]
 		for c := 0; c+1 < len(b); c++ {
 			lo, hi := b[c], b[c+1]
-			// Levels holding this chunk's V-list partners (the adaptive
-			// traversal pairs nodes across levels).
+			// Levels holding this chunk's translated V-list partners (the
+			// adaptive traversal pairs nodes across levels).
 			vTouched = vTouched[:0]
 			for _, ni := range nodes[lo:hi] {
-				for _, vi := range t.Nodes[ni].V {
+				direct := t.DirectMask(ni)
+				for k, vi := range t.Nodes[ni].V {
+					if direct[k] {
+						continue
+					}
 					if pl := int(t.Nodes[vi].Level); !vSeen[pl] {
 						vSeen[pl] = true
 						vTouched = append(vTouched, pl)

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,13 +73,13 @@ func record(t *octree.Tree, pool *sched.Pool, near string) *recorder {
 	spec := Spec{
 		Tree: t,
 		Pool: pool,
-		UpWeight: func(n *octree.Node) int64 {
-			if n.IsVisibleLeaf() {
+		UpWeight: func(ni int32) int64 {
+			if n := &t.Nodes[ni]; n.IsVisibleLeaf() {
 				return int64(n.Count()) + 1
 			}
 			return 33
 		},
-		DownWeight: func(n *octree.Node) int64 { return int64(len(n.V))*12 + 5 },
+		DownWeight: func(ni int32) int64 { return int64(t.FarPairs(ni))*12 + 5 },
 		UpChunk: func(lv int, nodes []int32) func() {
 			return func() {
 				r.cur = task{kind: kindUp, level: lv}
@@ -104,7 +105,10 @@ func record(t *octree.Tree, pool *sched.Pool, near string) *recorder {
 						r.cur.reads = append(r.cur.reads, res{'L', n.Parent})
 					}
 					for _, vi := range n.V {
-						r.cur.reads = append(r.cur.reads, res{'M', vi})
+						// A pair summed directly reads no multipole.
+						if !t.Direct(ni, vi) {
+							r.cur.reads = append(r.cur.reads, res{'M', vi})
+						}
 					}
 				}
 			}
@@ -162,6 +166,8 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 		}
 		tr := octree.Build(sys, octree.Config{S: 4 + rng.Intn(40)})
 		tr.BuildLists()
+		// From "translate everything" to "sum every mutual leaf pair".
+		tr.SetDirectK([]int64{0, 30, 400, math.MaxInt64}[trial%4])
 		workers := 1 + rng.Intn(6)
 		near := []string{"chunks", "single", "none"}[rng.Intn(3)]
 		name := fmt.Sprintf("trial %d (n=%d S=%d workers=%d near=%s)", trial, n, tr.Cfg.S, workers, near)

@@ -10,10 +10,11 @@
 // interaction is computed by the owner of the *target* cell; source data
 // owned elsewhere must be communicated first:
 //
-//   - a V-list (M2L) source cell owned remotely ships its multipole
-//     expansion — the locally essential tree exchange;
-//   - a U-list (P2P) source leaf owned remotely ships its bodies — the
-//     ghost-particle exchange.
+//   - a translated V-list (M2L) source cell owned remotely ships its
+//     multipole expansion — the locally essential tree exchange;
+//   - a near-field (P2P) source leaf owned remotely — a U-list neighbour, or
+//     an accepted leaf the tree's Direct predicate sums directly — ships
+//     its bodies: the ghost-particle exchange.
 //
 // Transfers are deduplicated per (receiver, source cell) and charged to an
 // alpha-beta network model; per-node compute times come from the same
@@ -154,6 +155,9 @@ type StepReport struct {
 	// Net is the executed step's link-layer delivery activity (zero when
 	// pricing).
 	Net NetStats
+	// GhostLeaves counts the (receiver, source leaf) ghost-body shipments
+	// of the executed step's exchange plan (zero when pricing).
+	GhostLeaves int64
 	// Single is the underlying single-node timing for reference (zero in
 	// Execute mode, where no single-node solve runs).
 	Single core.StepTimes
@@ -370,6 +374,7 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 	rep := StepReport{PerNode: make([]NodeTimes, p), Single: single}
 	if es != nil {
 		rep.Net = es.Net
+		rep.GhostLeaves = es.GhostLeaves
 	}
 
 	// Ownership of visible cells: owner of the cell's first body.
@@ -468,29 +473,42 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 			// Parent local expansion arrives from the parent's owner.
 			addComm(k, n.Parent, expBytes)
 		}
-		// Remote V-list multipoles and U-list ghost bodies.
+		// Remote V-list multipoles.
 		for _, vi := range n.V {
 			if cellOwner[vi] != k {
 				addComm(k, vi, expBytes)
 			}
 		}
-		if n.IsVisibleLeaf() {
-			for _, ui := range n.U {
-				if cellOwner[ui] != k {
-					addComm(k, ui, int64(t.Nodes[ui].Count())*int64(s.Cfg.Net.BytesPerBody))
-				}
-			}
-		}
 	})
 
-	// Per-node device work: each node's GPUs run its owned leaves.
-	leafSets := make([][]int32, p)
-	t.WalkVisible(func(ni int32) {
-		if t.Nodes[ni].IsVisibleLeaf() {
-			k := cellOwner[ni]
-			leafSets[k] = append(leafSets[k], ni)
-		}
-	})
+	// Near field, from the schedule rows — their U-list entries: like the
+	// single-node virtual machine, the priced cluster keeps the paper's
+	// operator assignment, and the executed step's measured volumes
+	// replace these modeled ones anyway. Each row belongs to its target
+	// leaf's owner (whose GPUs run it); remote source leaves ship their
+	// bodies as ghosts. Interactions split by source ownership — ghost
+	// sends are roots of the executed step graph, on the wire before any
+	// compute, so while halos are in flight a node works through the
+	// interactions whose sources it already owns. That locally-sourced
+	// volume is the halo-hiding budget; the remotely-sourced remainder
+	// gates on arrival.
+	sch := t.NearField()
+	rowSets := make([][]int, p)
+	localBy := make([]int64, p)
+	remoteBy := make([]int64, p)
+	for r, li := range sch.Leaves {
+		k := cellOwner[li]
+		rowSets[k] = append(rowSets[k], r)
+		cnt := int64(t.Nodes[li].Count())
+		sch.PricedRow(r, func(si int32, src int64) {
+			if cellOwner[si] != k {
+				remoteBy[k] += cnt * src
+				addComm(k, si, src*int64(s.Cfg.Net.BytesPerBody))
+			} else {
+				localBy[k] += cnt * src
+			}
+		})
+	}
 
 	var totalOps float64
 	var maxEnd float64
@@ -508,24 +526,7 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 		res := spec.Simulate(graphs[k])
 		nt := &rep.PerNode[k]
 		nt.CPUTime = res.Makespan
-		// Split the node's near-field interactions by source ownership.
-		// Ghost sends are roots of the executed step graph — they are on
-		// the wire before any compute — so while halos are in flight the
-		// node works through interactions whose sources it already owns.
-		// That locally-sourced volume is the halo-hiding budget; the
-		// remotely-sourced remainder gates on arrival.
-		var localInts, remoteInts int64
-		for _, li := range leafSets[k] {
-			cnt := int64(t.Nodes[li].Count())
-			for _, ui := range t.Nodes[li].U {
-				ints := cnt * int64(t.Nodes[ui].Count())
-				if cellOwner[ui] != k {
-					remoteInts += ints
-				} else {
-					localInts += ints
-				}
-			}
-		}
+		localInts, remoteInts := localBy[k], remoteBy[k]
 		var nearLocal float64
 		if s.Cfg.Nodes[k].GPUs > 0 {
 			gs := s.Cfg.Nodes[k].GPUSpec
@@ -533,7 +534,7 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 				gs = vgpu.DefaultSpec()
 			}
 			cl := vgpu.NewCluster(s.Cfg.Nodes[k].GPUs, gs)
-			assignLeaves(cl, leafSets[k])
+			assignRows(cl, sch, rowSets[k])
 			nt.GPUTime = cl.Execute(t, nil)
 			if tot := localInts + remoteInts; tot > 0 {
 				nearLocal = nt.GPUTime * float64(localInts) / float64(tot)
@@ -587,45 +588,36 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 	}
 	s.updateCaps(throughput)
 
-	// Record per-leaf cost estimates for Rebalance.
+	// Record per-leaf cost estimates for Rebalance (the schedule's rows are
+	// the visible leaves in DFS order).
 	model := s.Inner.Model
-	t.WalkVisible(func(ni int32) {
+	for r, ni := range sch.Leaves {
 		n := &t.Nodes[ni]
-		if !n.IsVisibleLeaf() {
-			return
-		}
-		var srcs int64
-		for _, ui := range n.U {
-			srcs += int64(t.Nodes[ui].Count())
-		}
 		c := float64(n.Count())*(model.Coef[costmodel.P2M]+model.Coef[costmodel.L2P]) +
 			float64(len(n.V))*model.Coef[costmodel.M2L] +
-			float64(int64(n.Count())*srcs)*model.Coef[costmodel.P2P]
+			float64(sch.Priced(r))*model.Coef[costmodel.P2P]
 		s.lastLeaves = append(s.lastLeaves, ni)
 		s.lastLeafCost = append(s.lastLeafCost, c)
-	})
+	}
 	return rep
 }
 
-// assignLeaves distributes a node's leaves over its devices by interaction
-// share, mirroring the single-node partitioner.
-func assignLeaves(cl *vgpu.Cluster, leaves []int32) {
-	for _, d := range cl.Devices {
-		d.Targets = d.Targets[:0]
-	}
+// assignRows distributes a node's near-field schedule rows over its
+// devices in equal row counts.
+func assignRows(cl *vgpu.Cluster, sch *octree.NearSchedule, rows []int) {
 	if len(cl.Devices) == 0 {
 		return
 	}
-	per := (len(leaves) + len(cl.Devices) - 1) / len(cl.Devices)
+	per := (len(rows) + len(cl.Devices) - 1) / len(cl.Devices)
 	if per < 1 {
 		per = 1
 	}
-	for i, leaf := range leaves {
+	for i, r := range rows {
 		di := i / per
 		if di >= len(cl.Devices) {
 			di = len(cl.Devices) - 1
 		}
-		cl.Devices[di].Targets = append(cl.Devices[di].Targets, leaf)
+		cl.Devices[di].Assign(sch, r)
 	}
 }
 

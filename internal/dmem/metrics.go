@@ -19,6 +19,7 @@ type dmemMetrics struct {
 	losses     metrics.Counter
 	bytes      metrics.Counter
 	msgs       metrics.Counter
+	ghosts     metrics.Counter
 	busy       []metrics.Histogram
 	comm       []metrics.Histogram
 
@@ -65,6 +66,8 @@ func newDmemMetrics(reg *metrics.Registry, p int) *dmemMetrics {
 			"Modeled bytes moved across the interconnect."),
 		msgs: reg.Counter("afmm_dmem_messages_total",
 			"Aggregated peer-to-peer messages delivered."),
+		ghosts: reg.Counter("afmm_dmem_ghost_leaves_total",
+			"Source leaves shipped as ghost bodies (near-field neighbours and directly summed accepted leaves)."),
 		retries: reg.Counter("afmm_dmem_retries_total",
 			"Frame retransmissions after ack timeout or nack."),
 		dropped: reg.Counter("afmm_dmem_frames_dropped_total",
@@ -128,6 +131,7 @@ func (m *dmemMetrics) observe(rep *StepReport, alive []bool) {
 	}
 	m.bytes.Add(rep.TotalBytes)
 	m.msgs.Add(rep.TotalMsgs)
+	m.ghosts.Add(rep.GhostLeaves)
 }
 
 // observeNet folds one step's link-layer counters into the live series.

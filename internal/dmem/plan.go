@@ -38,11 +38,13 @@ type exchangePlan struct {
 	ownedCells [][]int32
 
 	// mpoleNeed[{j,k,L}]: level-L cells whose multipoles node k needs
-	// from node j (remote children of owned parents + remote V-list
-	// sources). localNeed[{j,k,L}]: level-L cells whose local expansions
-	// node k needs from j (remote parents of owned cells). ghostNeed
-	// [{j,k}]: remote U-list source leaves whose bodies k needs from j.
-	// All slices sorted ascending and deduplicated.
+	// from node j (remote children of owned parents + remote sources of
+	// translated V-list pairs). localNeed[{j,k,L}]: level-L cells whose
+	// local expansions node k needs from j (remote parents of owned
+	// cells). ghostNeed[{j,k}]: remote source leaves of k's near-field
+	// rows — U-list neighbours and the accepted leaves Tree.Direct sums
+	// directly — whose bodies k needs from j. All slices sorted ascending
+	// and deduplicated.
 	mpoleNeed map[flowKey][]int32
 	localNeed map[flowKey][]int32
 	ghostNeed map[pairKey][]int32
@@ -119,8 +121,9 @@ func buildPlan(t *octree.Tree, sch *octree.NearSchedule, ownerOf func(int32) int
 				}
 			}
 		}
-		for _, vi := range n.V {
-			if j := int(pl.owner[vi]); j != k {
+		direct := t.DirectMask(ni)
+		for i, vi := range n.V {
+			if j := int(pl.owner[vi]); j != k && !direct[i] {
 				fk := flowKey{from: j, to: k, level: int(t.Nodes[vi].Level)}
 				pl.mpoleNeed[fk] = append(pl.mpoleNeed[fk], vi)
 			}

@@ -78,6 +78,10 @@ type ExecStats struct {
 	// Net is the step's link-layer delivery activity (frames, retries,
 	// checksum rejects, deadline degradations, per-link RTT).
 	Net NetStats
+	// GhostLeaves counts the plan's (receiver, source leaf) ghost-body
+	// shipments: U-list neighbours plus the accepted leaves summed
+	// directly, which need bodies where a translation needed a multipole.
+	GhostLeaves int64
 }
 
 // nodeCommAtomic is NodeComm with atomic fields (milestones run on
@@ -128,6 +132,9 @@ func (rt *Runtime) Step(ownerOf func(int32) int32, alive []bool, step int) *Exec
 	tp.Close()
 
 	es := &ExecStats{PerNode: make([]NodeComm, p), Net: tp.Stats()}
+	for _, cells := range pl.ghostNeed {
+		es.GhostLeaves += int64(len(cells))
+	}
 	for k := 0; k < p; k++ {
 		nc := &es.PerNode[k]
 		nc.BytesIn = comm[k].bytesIn.Load()
@@ -322,7 +329,11 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 					g.Edge(cellLocalMS[pi], downID[ni])
 				}
 			}
-			for _, vi := range n.V {
+			direct := t.DirectMask(ni)
+			for j, vi := range n.V {
+				if direct[j] {
+					continue // summed by the near rows: reads no multipole
+				}
 				if pl.owner[vi] == int32(k) {
 					g.Edge(upID[vi], downID[ni])
 				} else {

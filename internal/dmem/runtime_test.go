@@ -48,6 +48,12 @@ func TestExecuteBitIdenticalGravity(t *testing.T) {
 		t.Fatalf("expected cross-node traffic, got bytes=%d msgs=%d",
 			rep.TotalBytes, rep.TotalMsgs)
 	}
+	// The twins agree with accepted pairs summed directly: their remote
+	// sources cross the wire as ghost bodies, not as multipoles.
+	if sch := d.Inner.Tree.NearField(); sch.DirectPairs == 0 || rep.GhostLeaves == 0 {
+		t.Fatalf("%d direct pairs, %d ghost leaves: the predicate is not exercised",
+			sch.DirectPairs, rep.GhostLeaves)
+	}
 	for i := 0; i < n; i++ {
 		if sysD.Phi[i] != sysS.Phi[i] {
 			t.Fatalf("phi[%d]: distributed %v != single %v", i, sysD.Phi[i], sysS.Phi[i])
@@ -137,7 +143,11 @@ func stokesTwin(n int, seed int64) *stokes.Solver {
 		sys.Aux[i].Y = -0.2 * p.Z
 		sys.Aux[i].Z = 0.1 * p.X
 	}
-	return stokes.NewSolver(sys, stokes.Config{P: 4, S: 32})
+	sv := stokes.NewSolver(sys, stokes.Config{P: 4, S: 32})
+	// The Stokes solver's own threshold is 0; set one so the twins also
+	// agree with accepted pairs summed directly (ghost forces on the wire).
+	sv.Tree.SetDirectK(100)
+	return sv
 }
 
 // TestStokesClusterBitIdentical checks the distributed Stokes execution
@@ -155,6 +165,9 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 	es := cl.Solve()
 	if es.TotalBytes == 0 {
 		t.Fatal("expected cross-node traffic")
+	}
+	if svD.Tree.NearField().DirectPairs == 0 {
+		t.Fatal("no accepted pair summed directly: the predicate is not exercised")
 	}
 	for i := 0; i < n; i++ {
 		if svD.Sys.Acc[i] != svS.Sys.Acc[i] {

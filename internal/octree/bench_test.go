@@ -123,3 +123,29 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// BenchmarkNearFieldRefill times the per-occupancy-change refill of the
+// near-field schedule (rows, spans, weights, direct masks) and, as
+// "reserve", the per-list-epoch part (leaf index, reservation, candidate
+// flags) on a grav-far-p8-sized tree.
+func BenchmarkNearFieldRefill(b *testing.B) {
+	sys := distrib.Plummer(20000, 1, 1, 42)
+	tr := Build(sys, Config{S: 64})
+	tr.SetDirectK(255)
+	tr.BuildLists()
+	tr.NearField()
+	b.Run("refill", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr.nearRowsOK = false
+			tr.NearField()
+		}
+	})
+	b.Run("reserve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr.nearEpoch = 0
+			tr.NearField()
+		}
+	})
+}

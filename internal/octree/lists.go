@@ -540,10 +540,13 @@ func (t *Tree) dual(a, b int32, visits *int64) {
 	}
 }
 
-// OpCounts tallies how many times each FMM operation will be applied on
-// the current visible tree and lists, in the units of the paper's cost
-// model: P2M and L2P per body, M2M and L2L per parent-child translation,
-// M2L per translation pair, P2P per body-body interaction.
+// OpCounts tallies how many times each FMM operation is applied on the
+// current visible tree and lists, in the units of the paper's cost model:
+// P2M and L2P per body, M2M and L2L per parent-child translation, M2L per
+// V-list pair, P2P per U-list body-body interaction. These are the counts
+// the virtual machine is priced by; it keeps the paper's operator
+// assignment, so an accepted pair counts as a translation whether or not
+// the host sums it directly (NearSchedule.DirectPairs says how many are).
 type OpCounts struct {
 	P2M  int64
 	M2M  int64
@@ -557,16 +560,15 @@ type OpCounts struct {
 // CountOps requires BuildLists to have been called.
 func (t *Tree) CountOps() OpCounts {
 	var c OpCounts
+	sch := t.NearField()
+	c.P2P = sch.PricedTotal()
+	c.P2PN = int64(len(sch.Srcs)) - sch.DirectPairs
 	t.WalkVisible(func(ni int32) {
 		n := &t.Nodes[ni]
 		c.M2L += int64(len(n.V))
 		if n.IsVisibleLeaf() {
 			c.P2M += int64(n.Count())
 			c.L2P += int64(n.Count())
-			for _, si := range n.U {
-				c.P2P += int64(n.Count()) * int64(t.Nodes[si].Count())
-				c.P2PN++
-			}
 			return
 		}
 		for _, ci := range n.Children {
@@ -583,32 +585,73 @@ func (t *Tree) CountOps() OpCounts {
 // number of direct interactions it participates in as a target:
 // Interactions(t) = n_t * sum_{s in U(t)} n_s — the quantity the paper
 // uses to divide near-field work across GPUs. It is a view over the
-// cached near-field schedule (see NearField); the returned slices are
-// owned by the tree and valid until the next list or occupancy change.
+// cached near-field schedule (see NearSchedule.Priced); the
+// returned slices are owned by the tree and valid until the next list or
+// occupancy change.
 func (t *Tree) LeafInteractions() (leaves []int32, inter []int64) {
 	sch := t.NearField()
-	return sch.Leaves, sch.Weights
+	return sch.Leaves, sch.priced
 }
 
-// ValidateLists checks that for every pair of bodies (i, j) the interaction
-// is accounted exactly once: either j's leaf is in i's U list, or some
-// ancestor-pair is connected through a V-list edge. It is O(N^2 log N) and
+// ValidateLists checks the interaction description the solvers execute:
+// for every ordered pair of bodies (i, j) the interaction is accounted
+// exactly once — either j's leaf is in the near-field schedule row of i's
+// leaf, or some ancestor pair is connected through a V-list entry that is
+// translated (not selected by Direct) — and the near-field rows are
+// symmetric (s ∈ row(t) ⇔ t ∈ row(s)), which is what keeps the direct
+// part's pairwise force cancellation exact. It is O(N^2 log N) and
 // intended for tests on small systems.
 func (t *Tree) ValidateLists() error {
 	n := t.Sys.Len()
 	if n == 0 {
 		return nil
 	}
-	// Map each body to its visible leaf.
-	leafOf := make([]int32, n)
-	t.WalkVisible(func(ni int32) {
-		nd := &t.Nodes[ni]
-		if nd.IsVisibleLeaf() {
-			for i := nd.Start; i < nd.End; i++ {
-				leafOf[i] = ni
+	sch := t.NearField()
+	rowOf := make(map[int32]int, sch.Rows())
+	for r, li := range sch.Leaves {
+		rowOf[li] = r
+	}
+	inRow := func(target, src int32) bool {
+		_, ok := slices.BinarySearch(sch.Row(rowOf[target]), src)
+		return ok
+	}
+	for r, li := range sch.Leaves {
+		if !slices.IsSorted(sch.Row(r)) {
+			return fmt.Errorf("octree: near row of leaf %d not ascending", li)
+		}
+		for _, si := range sch.Row(r) {
+			if !inRow(si, li) {
+				return fmt.Errorf("octree: near rows asymmetric: %d in row(%d) but not the reverse", si, li)
 			}
 		}
+	}
+	var err error
+	t.WalkVisible(func(ni int32) {
+		far, mask := 0, t.DirectMask(ni)
+		for k, vi := range t.Nodes[ni].V {
+			direct := t.Direct(ni, vi)
+			if !direct {
+				far++
+			}
+			if direct != mask[k] && err == nil {
+				err = fmt.Errorf("octree: DirectMask(%d)[%d] disagrees with Direct(%d,%d) = %v", ni, k, ni, vi, direct)
+			}
+		}
+		if far != t.FarPairs(ni) && err == nil {
+			err = fmt.Errorf("octree: node %d translates %d pairs, FarPairs says %d", ni, far, t.FarPairs(ni))
+		}
 	})
+	if err != nil {
+		return err
+	}
+	// Map each body to its visible leaf.
+	leafOf := make([]int32, n)
+	for _, li := range sch.Leaves {
+		nd := &t.Nodes[li]
+		for i := nd.Start; i < nd.End; i++ {
+			leafOf[i] = li
+		}
+	}
 	// For each node, the chain of visible ancestors (inclusive).
 	ancestors := func(ni int32) []int32 {
 		var chain []int32
@@ -618,32 +661,20 @@ func (t *Tree) ValidateLists() error {
 		}
 		return chain
 	}
-	inU := func(target, src int32) bool {
-		for _, s := range t.Nodes[target].U {
-			if s == src {
-				return true
-			}
-		}
-		return false
-	}
-	inV := func(target, src int32) bool {
-		for _, s := range t.Nodes[target].V {
-			if s == src {
-				return true
-			}
-		}
-		return false
+	translated := func(target, src int32) bool {
+		_, ok := slices.BinarySearch(t.Nodes[target].V, src)
+		return ok && !t.Direct(target, src)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			ti, sj := leafOf[i], leafOf[j]
 			count := 0
-			if inU(ti, sj) {
+			if inRow(ti, sj) {
 				count++
 			}
 			for _, ta := range ancestors(ti) {
 				for _, sa := range ancestors(sj) {
-					if inV(ta, sa) {
+					if translated(ta, sa) {
 						count++
 					}
 				}

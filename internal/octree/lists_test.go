@@ -17,7 +17,7 @@ import (
 // list state, so a from-scratch RebuildLists on the clone is the reference
 // for the original's incrementally repaired lists.
 func cloneForLists(t *Tree) *Tree {
-	c := &Tree{Sys: t.Sys, Root: t.Root, Cfg: t.Cfg}
+	c := &Tree{Sys: t.Sys, Root: t.Root, Cfg: t.Cfg, directK: t.directK}
 	c.Cfg.Pool = nil
 	c.Nodes = make([]Node, len(t.Nodes))
 	copy(c.Nodes, t.Nodes)
@@ -377,6 +377,7 @@ func FuzzListRepair(f *testing.F) {
 			sys.Pos[i] = geom.Vec3{X: u(0), Y: u(1), Z: u(2)}
 		}
 		tr := Build(sys, Config{S: 4})
+		tr.SetDirectK(6)
 		tr.BuildLists()
 		for k, op := range script {
 			mutate(tr, rand.New(rand.NewSource(int64(op)*977+int64(k))), 0.2)

@@ -1,19 +1,33 @@
 package octree
 
-// NearSchedule is the flattened CSR form of the per-leaf U lists: row i is
-// visible leaf Leaves[i] (DFS order, matching WalkVisible), its near-field
-// sources are Srcs[RowPtr[i]:RowPtr[i+1]] (ascending node order, identical
-// to the leaf's U list), Weights[i] = n_t * Σ n_s is its interaction
-// count, and Prefix is the running sum of Weights (Prefix[len(Leaves)] is
-// the total near-field work). The schedule is the shared near-field work
-// description consumed by the CPU near-field chunking, the virtual-GPU
-// partitioners, and the virtual-CPU task graph, replacing per-step
-// LeafInteractions recomputation and per-target U-list chasing.
+import "slices"
+
+// NearSchedule is the near-field work description in CSR form: row i is
+// visible leaf Leaves[i] (DFS order, matching WalkVisible), its direct-sum
+// sources are Srcs[RowPtr[i]:RowPtr[i+1]] in ascending node order — the
+// leaf's U list merged with the entries of its V list that Tree.Direct
+// selects for direct summation — Weights[i] = n_t * Σ n_s is its
+// interaction count, and Prefix is the running sum of Weights
+// (Prefix[len(Leaves)] is the total near-field work). The schedule is the
+// one near-field description: the CPU near-field chunking, the virtual-GPU
+// partitioners and device walk, the virtual-CPU task graph and the dmem
+// exchange plan all read its rows, never the node lists.
 // SrcStart/SrcEnd are parallel to Srcs and hold each source leaf's body
 // range in the particle arrays, so near-field consumers slice source
 // positions/masses directly without re-indirecting through Tree.Nodes per
-// target. They are occupancy-derived (a Refill moves them) and refresh
-// with Weights.
+// target. Everything below Leaves is occupancy-derived (a Refill moves
+// body ranges and may move pairs across the Direct threshold) and is
+// refilled into reserved buffers when the occupancy changed.
+//
+// Two readings of a row coexist. What is executed is the whole row:
+// Weights, Prefix and Total count it, the host chunking balances by it and
+// every executor walks it. What the virtual machine is charged is the
+// paper's near field, the U-list entries only — the modeled machine keeps
+// the paper's operator assignment, in which every accepted pair is a
+// translation. That second reading has exactly one door: Priced(r) =
+// n_t * Σ_{s ∈ U} n_s (the paper's Interactions(t)), PricedTotal, and
+// PricedRow for the one consumer that prices per source. The flags behind
+// it are not exported, so a consumer cannot filter rows by hand.
 type NearSchedule struct {
 	Leaves   []int32
 	RowPtr   []int32
@@ -22,6 +36,16 @@ type NearSchedule struct {
 	SrcEnd   []int32
 	Weights  []int64
 	Prefix   []int64
+
+	fromV  []bool  // parallel to Srcs: the entry came from V (Tree.Direct)
+	priced []int64 // per row: Weights minus the entries from V
+
+	// DirectPairs counts the row entries that came from V lists (accepted
+	// pairs summed directly instead of translated) and DirectInteractions
+	// their body-body interactions; both are included in the rows and in
+	// Weights/Prefix/Total.
+	DirectPairs        int64
+	DirectInteractions int64
 }
 
 // Rows returns the number of target leaves.
@@ -38,67 +62,207 @@ func (s *NearSchedule) Total() int64 {
 	return s.Prefix[len(s.Prefix)-1]
 }
 
-// NearField returns the cached near-field schedule for the current lists.
-// BuildLists must have run (the schedule is derived from the U lists).
-// The topology (Leaves, RowPtr, Srcs) is rebuilt only when the list
-// topology changed (full build or repair — tracked by ListEpoch); a
-// Refill merely refreshes Weights/Prefix from the new occupancies. The
-// returned schedule is owned by the tree and valid until the next list or
-// occupancy change.
-func (t *Tree) NearField() *NearSchedule {
-	if t.nearEpoch == t.listEpoch && t.nearEpoch != 0 {
-		if !t.nearWeightsOK {
-			t.refreshNearWeights()
+// Priced returns the interactions row r is charged for on the modeled
+// machine: its U-list entries only, the paper's Interactions(t).
+func (s *NearSchedule) Priced(r int) int64 { return s.priced[r] }
+
+// PricedTotal returns the near field of the paper's cost model: the
+// body-body interaction count over the U-list entries of all rows.
+func (s *NearSchedule) PricedTotal() int64 { return s.Total() - s.DirectInteractions }
+
+// PricedRow calls fn for every priced (U-list) entry of row r with the
+// source leaf and its body count.
+func (s *NearSchedule) PricedRow(r int, fn func(src int32, bodies int64)) {
+	for j := s.RowPtr[r]; j < s.RowPtr[r+1]; j++ {
+		if !s.fromV[j] {
+			fn(s.Srcs[j], int64(s.SrcEnd[j]-s.SrcStart[j]))
 		}
-		return &t.nearSched
 	}
-	t.buildNearSchedule()
+}
+
+// SetDirectK sets the break-even threshold of Direct: an accepted
+// leaf–leaf pair with n_t·n_s <= k is summed directly instead of
+// translated. The solvers set it once, from the expansion order, right
+// after Build; a tree that was never told sums no accepted pair directly.
+func (t *Tree) SetDirectK(k int64) {
+	t.directK = k
+	t.nearRowsOK = false
+}
+
+// Direct reports whether the accepted pair (a, b) — b ∈ V(a) — is summed
+// directly (P2P) instead of translated (M2L): both cells are visible
+// leaves accepted in both directions (directCandidate, the topological
+// half) and n_a·n_b is at most the break-even threshold (the occupancy
+// half). It is a function of the tree's current state, never stored in the
+// lists, so U/V, their repair and the list epoch stay purely topological;
+// it is symmetric in (a, b). The near-field schedule evaluates the two
+// halves — the topological one per list epoch, the occupancy one per
+// occupancy change — and every executor reads the result: the schedule's
+// rows, or DirectMask for the entries of V to skip. Direct itself is the
+// definition ValidateLists and the dag oracle hold those against.
+func (t *Tree) Direct(a, b int32) bool {
+	return t.withinDirectK(a, b) && t.directCandidate(a, b)
+}
+
+// directCandidate is the topological half of Direct: both cells visible
+// leaves, each in the other's V list. The dual traversal records
+// mixed-granularity pairs in one direction only (a leaf can hold a leaf in
+// V whose own V holds the first one's ancestor instead), and summing such a
+// one-way pair directly would leave a pair force without its reaction in
+// the near field.
+func (t *Tree) directCandidate(a, b int32) bool {
+	na, nb := &t.Nodes[a], &t.Nodes[b]
+	if !na.IsVisibleLeaf() || !nb.IsVisibleLeaf() {
+		return false
+	}
+	_, mutual := slices.BinarySearch(nb.V, a)
+	return mutual
+}
+
+// withinDirectK is the occupancy half of Direct.
+func (t *Tree) withinDirectK(a, b int32) bool {
+	return int64(t.Nodes[a].Count())*int64(t.Nodes[b].Count()) <= t.directK
+}
+
+// DirectMask returns, parallel to node ni's V list, which entries the
+// near-field schedule sums directly under the current occupancy — the
+// entries every far-field consumer skips. The mask belongs to the schedule
+// (see NearField) and is only current once that was resolved after the
+// last list or occupancy change, which the owning goroutine does before
+// any worker reads it (top of Solve, entry of the down sweeps, dag.Build,
+// Runtime.Step); reading an unresolved mask would count pairs twice or not
+// at all, so it panics instead. Read-only.
+func (t *Tree) DirectMask(ni int32) []bool {
+	if !t.nearRowsOK || t.nearEpoch != t.listEpoch {
+		panic("octree: DirectMask read before NearField resolved the schedule")
+	}
+	return t.directMask[t.maskOff[ni]:][:len(t.Nodes[ni].V)]
+}
+
+// FarPairs returns the number of entries of node ni's V list that are
+// translated (len(V) minus the entries summed directly), from the count
+// kept with the near-field schedule. It resolves the schedule when stale,
+// so call it from the goroutine that owns the tree.
+func (t *Tree) FarPairs(ni int32) int {
+	t.NearField()
+	return len(t.Nodes[ni].V) - int(t.nDirect[ni])
+}
+
+// NearField returns the cached near-field schedule for the current lists
+// and occupancy. BuildLists must have run. The leaf index, the buffer
+// reservation and the candidate flags (directCandidate per leaf V entry)
+// follow the list topology (ListEpoch); the rows themselves, the direct
+// masks and the per-node direct counts are refilled whenever the
+// occupancy changed (Refill, SetDirectK), because Direct reads occupancy —
+// without allocating: a row never exceeds U plus the candidates of V,
+// which is topological. The returned schedule is owned by the tree and
+// valid until the next list or occupancy change.
+func (t *Tree) NearField() *NearSchedule {
+	if t.nearEpoch != t.listEpoch || t.nearEpoch == 0 {
+		t.reserveNearSchedule()
+		t.nearEpoch = t.listEpoch
+		t.nearRowsOK = false
+	}
+	if !t.nearRowsOK {
+		t.fillNearRows()
+	}
 	return &t.nearSched
 }
 
-// buildNearSchedule flattens the U lists into CSR form.
-func (t *Tree) buildNearSchedule() {
+// reserveNearSchedule rebuilds the topological part: the leaf index, every
+// buffer sized for the largest rows the current lists can produce, and
+// the candidate flag of every leaf V entry.
+func (t *Tree) reserveNearSchedule() {
 	s := &t.nearSched
 	// Copy the leaf index rather than aliasing the VisibleLeaves cache:
 	// the cache's backing array is recycled on invalidation, while the
 	// schedule must stay coherent until the next topology change.
 	s.Leaves = append(s.Leaves[:0], t.VisibleLeaves()...)
-	s.RowPtr = append(s.RowPtr[:0], 0)
-	s.Srcs = s.Srcs[:0]
-	for _, ni := range s.Leaves {
-		s.Srcs = append(s.Srcs, t.Nodes[ni].U...)
-		s.RowPtr = append(s.RowPtr, int32(len(s.Srcs)))
+	t.maskOff = slices.Grow(t.maskOff[:0], len(t.Nodes))[:len(t.Nodes)]
+	t.nDirect = slices.Grow(t.nDirect[:0], len(t.Nodes))[:len(t.Nodes)]
+	clear(t.nDirect)
+	// Flags mirror every V list; only leaf rows ever set one.
+	vs := 0
+	for i := range t.Nodes {
+		t.maskOff[i] = int32(vs)
+		vs += len(t.Nodes[i].V)
 	}
-	t.refreshNearWeights()
-	t.nearEpoch = t.listEpoch
+	t.directCand = slices.Grow(t.directCand[:0], vs)[:vs]
+	t.directMask = slices.Grow(t.directMask[:0], vs)[:vs]
+	clear(t.directMask)
+	// A row holds U and at most the candidates of V.
+	bound := 0
+	for _, ni := range s.Leaves {
+		bound += len(t.Nodes[ni].U)
+		cand := t.directCand[t.maskOff[ni]:]
+		for k, vi := range t.Nodes[ni].V {
+			cand[k] = t.directCandidate(ni, vi)
+			if cand[k] {
+				bound++
+			}
+		}
+	}
+	s.Srcs = slices.Grow(s.Srcs[:0], bound)
+	s.SrcStart = slices.Grow(s.SrcStart[:0], bound)
+	s.SrcEnd = slices.Grow(s.SrcEnd[:0], bound)
+	s.fromV = slices.Grow(s.fromV[:0], bound)
+	s.RowPtr = slices.Grow(s.RowPtr[:0], len(s.Leaves)+1)
+	s.Weights = slices.Grow(s.Weights[:0], len(s.Leaves))
+	s.priced = slices.Grow(s.priced[:0], len(s.Leaves))
+	s.Prefix = slices.Grow(s.Prefix[:0], len(s.Leaves)+1)
 }
 
-// refreshNearWeights recomputes the occupancy-derived parts of the
-// schedule — Weights, Prefix and the source body spans — keeping the
-// topology.
-func (t *Tree) refreshNearWeights() {
+// fillNearRows recomputes the occupancy-derived part — row sources, body
+// spans, weights, direct masks and counts — from the lists, the candidate
+// flags and the current occupancy.
+func (t *Tree) fillNearRows() {
 	s := &t.nearSched
-	s.Weights = s.Weights[:0]
+	s.RowPtr = append(s.RowPtr[:0], 0)
+	s.Srcs, s.SrcStart, s.SrcEnd, s.fromV = s.Srcs[:0], s.SrcStart[:0], s.SrcEnd[:0], s.fromV[:0]
+	s.Weights, s.priced = s.Weights[:0], s.priced[:0]
 	s.Prefix = append(s.Prefix[:0], 0)
-	if cap(s.SrcStart) < len(s.Srcs) {
-		s.SrcStart = make([]int32, len(s.Srcs))
-		s.SrcEnd = make([]int32, len(s.Srcs))
+	s.DirectPairs, s.DirectInteractions = 0, 0
+	add := func(si int32, direct bool) int64 {
+		sn := &t.Nodes[si]
+		s.Srcs = append(s.Srcs, si)
+		s.SrcStart = append(s.SrcStart, sn.Start)
+		s.SrcEnd = append(s.SrcEnd, sn.End)
+		s.fromV = append(s.fromV, direct)
+		return int64(sn.Count())
 	}
-	s.SrcStart = s.SrcStart[:len(s.Srcs)]
-	s.SrcEnd = s.SrcEnd[:len(s.Srcs)]
 	run := int64(0)
-	for i, ni := range s.Leaves {
-		var srcs int64
-		for k := s.RowPtr[i]; k < s.RowPtr[i+1]; k++ {
-			sn := &t.Nodes[s.Srcs[k]]
-			s.SrcStart[k] = sn.Start
-			s.SrcEnd[k] = sn.End
-			srcs += int64(sn.Count())
+	for _, ni := range s.Leaves {
+		n := &t.Nodes[ni]
+		cand := t.directCand[t.maskOff[ni]:][:len(n.V)]
+		mask := t.directMask[t.maskOff[ni]:][:len(n.V)]
+		var srcs, direct int64
+		var nd int32
+		// Merge U with the direct entries of V, both ascending.
+		u := n.U
+		for k, vi := range n.V {
+			mask[k] = cand[k] && t.withinDirectK(ni, vi)
+			if !mask[k] {
+				continue
+			}
+			for len(u) > 0 && u[0] < vi {
+				srcs += add(u[0], false)
+				u = u[1:]
+			}
+			direct += add(vi, true)
+			nd++
 		}
-		w := int64(t.Nodes[ni].Count()) * srcs
+		for _, ui := range u {
+			srcs += add(ui, false)
+		}
+		t.nDirect[ni] = nd
+		s.RowPtr = append(s.RowPtr, int32(len(s.Srcs)))
+		s.DirectPairs += int64(nd)
+		s.DirectInteractions += int64(n.Count()) * direct
+		w := int64(n.Count()) * (srcs + direct)
 		s.Weights = append(s.Weights, w)
+		s.priced = append(s.priced, int64(n.Count())*srcs)
 		run += w
 		s.Prefix = append(s.Prefix, run)
 	}
-	t.nearWeightsOK = true
+	t.nearRowsOK = true
 }

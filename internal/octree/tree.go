@@ -154,10 +154,19 @@ type Tree struct {
 	listStats ListStats
 	lastWork  ListWork
 
-	// near-field CSR schedule cache (see schedule.go)
-	nearSched     NearSchedule
-	nearEpoch     uint64 // listEpoch the topology was built at (0 = never)
-	nearWeightsOK bool
+	// near-field CSR schedule cache (see schedule.go). directK is the
+	// threshold of Direct. The entries of V(ni) have flags at maskOff[ni]
+	// (set for visible leaves only): directCand is topological (kept per
+	// list epoch), directMask and the count nDirect[ni] follow the
+	// occupancy the rows were filled at.
+	nearSched  NearSchedule
+	nearEpoch  uint64 // listEpoch the leaf index was built at (0 = never)
+	nearRowsOK bool
+	directK    int64
+	maskOff    []int32
+	directCand []bool
+	directMask []bool
+	nDirect    []int32
 
 	// M2L translation-class schedule cache (see farclass.go), keyed on
 	// listEpoch like the near-field schedule.
@@ -556,9 +565,9 @@ func (t *Tree) Refill() {
 		t.Nodes[ni].End = offs[k+1]
 	}
 	t.refreshRanges(t.Root)
-	// Occupancy changed: cached near-field weights are stale, and any
+	// Occupancy changed: the near-field rows are stale, and any
 	// empty/non-empty flip changes the dual-traversal topology.
-	t.nearWeightsOK = false
+	t.nearRowsOK = false
 	t.noteRefillOccupancy()
 }
 

@@ -199,6 +199,13 @@ func TestGravityListCacheBitForBit(t *testing.T) {
 	if sc.Skips != 0 || sc.Repairs != 0 {
 		t.Fatalf("disabled cache still skipped/repaired: %+v", sc)
 	}
+	// ...and with accepted pairs summed directly, re-chosen from the
+	// drifting occupancy every step, on both sides.
+	cached.Tree.BuildLists()
+	scratch.Tree.BuildLists()
+	if a, b := cached.Tree.NearField(), scratch.Tree.NearField(); a.DirectPairs == 0 || a.DirectPairs != b.DirectPairs {
+		t.Fatalf("direct pairs: cached %d, from scratch %d", a.DirectPairs, b.DirectPairs)
+	}
 }
 
 // TestStokesListCacheBitForBit is the Stokes analogue: elastic rings

@@ -1,0 +1,94 @@
+package stokes
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"afmm/internal/core"
+	"afmm/internal/distrib"
+	"afmm/internal/kernels"
+	"afmm/internal/particle"
+	"afmm/internal/sched"
+)
+
+func accHash(sys *particle.System) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, a := range sys.AccInInputOrder() {
+		for _, v := range [3]float64{a.X, a.Y, a.Z} {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestDirectOffKeepsParentBits: the Stokes solver sets no threshold on its
+// tree, so it sums no accepted pair directly and reproduces the
+// velocities of the commit before the per-pair operator choice existed
+// (hash recorded there: uniform cube N=1200 seed 7, forces seed 8, p=6,
+// S=16).
+func TestDirectOffKeepsParentBits(t *testing.T) {
+	sys := distrib.UniformCube(1200, 1, 7)
+	randomForces(sys, 8)
+	s := NewSolver(sys, Config{P: 6, S: 16, Kernel: kernels.Stokeslet{Mu: 1, Eps: 1e-3}})
+	s.Solve()
+	if sch := s.Tree.NearField(); sch.DirectPairs != 0 {
+		t.Fatalf("Stokes solver selected %d pairs at its default threshold", sch.DirectPairs)
+	}
+	const parent = 0x5c649d91488f2540
+	if h := accHash(sys); h != parent {
+		t.Fatalf("velocities hash %#x, parent commit %#x", h, parent)
+	}
+}
+
+// TestDirectPairsBitIdenticalAcrossPaths: the mechanism is the gravity
+// solver's, so with a threshold set on the tree every Stokes path skips
+// the same V entries in the four-column translation and sums them in the
+// same near-field rows: velocities are exactly equal across paths, agree
+// with the per-pair recursive reference to rounding, and are no further
+// from direct summation than with the mechanism off.
+func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
+	base := distrib.Plummer(1500, 1, 1, 4)
+	randomForces(base, 5)
+	k := kernels.Stokeslet{Mu: 1, Eps: 1e-4}
+	solve := func(directK int64, mut func(cfg *Config)) *Solver {
+		cfg := Config{P: 6, S: 16, Kernel: k, Pool: sched.NewPool(3)}
+		mut(&cfg)
+		s := NewSolver(base.Clone(), cfg)
+		s.Tree.SetDirectK(directK)
+		s.Solve()
+		return s
+	}
+	const directK = 150
+	ref := solve(directK, func(cfg *Config) { cfg.Overlap = core.OverlapOff })
+	sch := ref.Tree.NearField()
+	if ops := ref.Tree.CountOps(); 10*sch.DirectPairs < ops.M2L {
+		t.Fatalf("only %d direct pairs beside %d translations", sch.DirectPairs, ops.M2L)
+	}
+	want := accHash(ref.Sys)
+	for name, mut := range map[string]func(cfg *Config){
+		"overlap":        func(cfg *Config) {},
+		"taskgraph":      func(cfg *Config) { cfg.TaskGraph = true },
+		"vgpu":           func(cfg *Config) { cfg.NumGPUs = 2 },
+		"vgpu-taskgraph": func(cfg *Config) { cfg.NumGPUs = 2; cfg.TaskGraph = true },
+		"no-list-cache":  func(cfg *Config) { cfg.DisableListCache = true },
+		"no-m2l-table":   func(cfg *Config) { cfg.DisableM2LTable = true },
+	} {
+		if h := accHash(solve(directK, mut).Sys); h != want {
+			t.Fatalf("%s: hash %#x, sequential %#x", name, h, want)
+		}
+	}
+	rec := solve(directK, func(cfg *Config) { cfg.SweepMode = core.SweepRecursive })
+	if e := velErr(rec.Sys.AccInInputOrder(), ref.Sys.AccInInputOrder()); e > 1e-9 {
+		t.Fatalf("recursive reference differs from level-sync by %g", e)
+	}
+	exact := DirectVelocities(ref.Sys, k)
+	off := solve(0, func(cfg *Config) { cfg.Overlap = core.OverlapOff })
+	eOn, eOff := velErr(ref.Sys.Acc, exact), velErr(off.Sys.Acc, DirectVelocities(off.Sys, k))
+	if eOn > eOff {
+		t.Fatalf("error vs direct summation %g with direct pairs, %g without", eOn, eOff)
+	}
+}

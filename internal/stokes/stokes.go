@@ -195,6 +195,9 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 		Pool:        cfg.Pool,
 		NoListCache: cfg.DisableListCache,
 	})
+	// No Tree.SetDirectK: at 4.5 (p+1)² stokes-cube-p4 did not move (99.86 →
+	// 99.93 ms), so Stokes sums no accepted pair directly until a workload
+	// shows a gain.
 	if cfg.NumGPUs > 0 {
 		s.Cl = vgpu.NewCluster(cfg.NumGPUs, cfg.GPUSpec)
 		s.Cl.Rec = cfg.Rec
@@ -327,6 +330,10 @@ func (s *Solver) Solve() StepTimes {
 	prepTimer := sched.StartTimer()
 	s.Sys.ResetAccumulatorsParallel(s.Cfg.Pool)
 	s.ensureSlabs()
+	// Resolve the near-field schedule on the solve goroutine (see
+	// core.Solver.Solve): every phase below only reads it.
+	sch := t.NearField()
+	rec.SetDirect(sch.DirectPairs, sch.DirectInteractions)
 	rec.AddSpan(telemetry.SpanPrep, 0, prepTimer.StartTime(), prepTimer.Elapsed())
 
 	// Kernel-speed preparation before the near/far fork (see core.Solver):
@@ -373,7 +380,6 @@ func (s *Solver) Solve() StepTimes {
 		nearDur, upDur, downDur, l2pDur = tg.near, tg.up, tg.down, tg.l2p
 		overlapRegion = tg.region
 	} else if overlapped {
-		t.NearField() // prewarm the caches the driver goroutine reads
 		if k := s.reservedDrivers(); k > 0 {
 			s.Cfg.Pool.SetReserved(k)
 			defer s.Cfg.Pool.SetReserved(0)
@@ -605,23 +611,10 @@ func (s *Solver) p2pPair(target, source int32) {
 	)
 }
 
-// runCPUNearField mirrors core: the default mode walks the cached CSR
-// near-field schedule in weighted chunks, packing each chunk's distinct
-// source leaves (positions and Stokeslet forces) once into SoA buffers.
+// runCPUNearField mirrors core: the cached CSR near-field schedule in
+// interaction-count-weighted chunks.
 func (s *Solver) runCPUNearField() {
-	t := s.Tree
-	if s.Cfg.SweepMode == core.SweepRecursive {
-		leaves := t.VisibleLeaves()
-		s.Cfg.Pool.ParallelRangeClass(sched.ClassNear, len(leaves), func(lo, hi int) {
-			for _, li := range leaves[lo:hi] {
-				for _, si := range t.Nodes[li].U {
-					s.p2pPair(li, si)
-				}
-			}
-		})
-		return
-	}
-	sch := t.NearField()
+	sch := s.Tree.NearField()
 	f32 := s.f32Active
 	s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassNear, sch.Weights, func(lo, hi int) {
 		s.nearFieldChunk(sch, f32, lo, hi)
@@ -720,7 +713,10 @@ func (s *Solver) upSweep() {
 	s.upSweepLevels()
 }
 
+// downSweep resolves the near-field schedule on entry, like core's: the
+// direct masks it reads must follow the current occupancy.
 func (s *Solver) downSweep() {
+	s.Tree.NearField()
 	if s.Cfg.SweepMode == core.SweepRecursive {
 		s.downSweepRecursive()
 		return
@@ -739,7 +735,7 @@ func (s *Solver) upSweepLevels() {
 		if len(nodes) == 0 {
 			continue
 		}
-		weights := s.levelWeights(nodes, true)
+		weights := s.levelWeights(nodes, s.upWeight)
 		s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 			w := s.getWS()
 			for _, ni := range nodes[lo:hi] {
@@ -785,7 +781,7 @@ func (s *Solver) downSweepLevels(withL2P bool) {
 		if len(nodes) == 0 {
 			continue
 		}
-		weights := s.levelWeights(nodes, false)
+		weights := s.levelWeights(nodes, s.downWeight)
 		s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 			w := s.getWS()
 			for _, ni := range nodes[lo:hi] {
@@ -848,13 +844,9 @@ func (s *Solver) l2pSweep() {
 	if len(leaves) == 0 {
 		return
 	}
-	if cap(s.weightBuf) < len(leaves) {
-		s.weightBuf = make([]int64, len(leaves))
-	}
-	weights := s.weightBuf[:len(leaves)]
-	for i, ni := range leaves {
-		weights[i] = int64(t.Nodes[ni].Count()) + 1
-	}
+	weights := s.levelWeights(leaves, func(ni int32) int64 {
+		return int64(t.Nodes[ni].Count()) + 1
+	})
 	s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassFar, weights, func(lo, hi int) {
 		w := s.getWS()
 		for _, ni := range leaves[lo:hi] {
@@ -864,28 +856,34 @@ func (s *Solver) l2pSweep() {
 	})
 }
 
-// levelWeights fills the scratch weight buffer for one level (up sweeps
-// weigh leaf bodies, down sweeps weigh V-list translations; all four
-// passes scale every node equally so the constant factor drops out).
-func (s *Solver) levelWeights(nodes []int32, up bool) []int64 {
+// Per-node chunking weights of the sweeps and the task graph (all four
+// passes scale every node equally, so the constant factor drops out): up
+// sweeps weigh leaf bodies, down sweeps the translated V-list pairs —
+// entries the near-field schedule sums directly cost the far field nothing.
+func (s *Solver) upWeight(ni int32) int64 {
+	if n := &s.Tree.Nodes[ni]; n.IsVisibleLeaf() {
+		return int64(n.Count()) + 1
+	}
+	return 33
+}
+
+func (s *Solver) downWeight(ni int32) int64 {
+	n := &s.Tree.Nodes[ni]
+	w := int64(s.Tree.FarPairs(ni))*12 + 5
+	if n.IsVisibleLeaf() {
+		w += int64(n.Count())
+	}
+	return w
+}
+
+// levelWeights fills the scratch weight buffer for one level.
+func (s *Solver) levelWeights(nodes []int32, weight func(ni int32) int64) []int64 {
 	if cap(s.weightBuf) < len(nodes) {
 		s.weightBuf = make([]int64, len(nodes))
 	}
 	buf := s.weightBuf[:len(nodes)]
 	for i, ni := range nodes {
-		n := &s.Tree.Nodes[ni]
-		if up {
-			if n.IsVisibleLeaf() {
-				buf[i] = int64(n.Count()) + 1
-			} else {
-				buf[i] = 33
-			}
-		} else {
-			buf[i] = int64(len(n.V))*12 + 5
-			if n.IsVisibleLeaf() {
-				buf[i] += int64(n.Count())
-			}
-		}
+		buf[i] = weight(ni)
 	}
 	return buf
 }
@@ -922,6 +920,7 @@ func (s *Solver) downSweepRecursive() {
 		t := s.Tree
 		n := &t.Nodes[ni]
 		w := s.getWS()
+		direct := t.DirectMask(ni)
 		for k := 0; k < passes; k++ {
 			l := s.local(k, ni)
 			if parent != octree.NilNode {
@@ -931,7 +930,10 @@ func (s *Solver) downSweepRecursive() {
 					w.L2L(l, n.Box.Center, s.local(k, parent), t.Nodes[parent].Box.Center)
 				}
 			}
-			for _, vi := range n.V {
+			for j, vi := range n.V {
+				if direct[j] {
+					continue // summed by the near-field schedule
+				}
 				if s.Cfg.UseRotatedTranslations {
 					w.M2LRotated(l, n.Box.Center, s.mpole(k, vi), t.Nodes[vi].Box.Center)
 				} else {

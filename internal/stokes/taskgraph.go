@@ -5,7 +5,6 @@ import (
 
 	"afmm/internal/core"
 	"afmm/internal/dag"
-	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 )
@@ -53,8 +52,6 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 	rec := s.Cfg.Rec
 	var out taskGraphResult
 
-	t.NearField() // prewarm caches graph nodes read from worker goroutines
-
 	// Reserve driver slots before the build: chunk bounds are
 	// reservation-aware, so they must see the final partition.
 	if k := s.reservedDrivers(); k > 0 {
@@ -63,21 +60,10 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 	}
 
 	spec := dag.Spec{
-		Tree: t,
-		Pool: s.Cfg.Pool,
-		UpWeight: func(n *octree.Node) int64 {
-			if n.IsVisibleLeaf() {
-				return int64(n.Count()) + 1
-			}
-			return 33
-		},
-		DownWeight: func(n *octree.Node) int64 {
-			w := int64(len(n.V))*12 + 5
-			if n.IsVisibleLeaf() {
-				w += int64(n.Count())
-			}
-			return w
-		},
+		Tree:       t,
+		Pool:       s.Cfg.Pool,
+		UpWeight:   s.upWeight,
+		DownWeight: s.downWeight,
 		UpChunk: func(_ int, nodes []int32) func() {
 			return func() {
 				w := s.getWS()

@@ -39,6 +39,8 @@ type stepMetrics struct {
 	predG  metrics.Gauge
 	treeOp [2]metrics.Counter // collapses, pushdowns
 
+	direct [2]metrics.Gauge // pairs, interactions
+
 	taskRatio metrics.Gauge
 	taskNodes metrics.Gauge
 	taskReady metrics.Gauge
@@ -80,6 +82,10 @@ func newStepMetrics(reg *metrics.Registry, flight *FlightRecorder) *stepMetrics 
 	m.predG = reg.Gauge("afmm_predicted_seconds", "pre-solve model prediction of the last step", "unit", "gpu")
 	m.treeOp[0] = reg.Counter("afmm_tree_edits_total", "balancer tree edits", "kind", "collapse")
 	m.treeOp[1] = reg.Counter("afmm_tree_edits_total", "balancer tree edits", "kind", "pushdown")
+	m.direct[0] = reg.Gauge("afmm_direct_per_step",
+		"accepted pairs the last step summed directly instead of translating", "unit", "pairs")
+	m.direct[1] = reg.Gauge("afmm_direct_per_step",
+		"accepted pairs the last step summed directly instead of translating", "unit", "interactions")
 	m.taskRatio = reg.Gauge("afmm_taskgraph_critical_path_ratio",
 		"critical path / makespan of the last task-graph step (1 = no slack)")
 	m.taskNodes = reg.Gauge("afmm_taskgraph_nodes", "node count of the last task-graph step")
@@ -146,6 +152,9 @@ func (m *stepMetrics) publish(rec *StepRecord) {
 	}
 	m.treeOp[0].Add(int64(rec.Collapses))
 	m.treeOp[1].Add(int64(rec.Pushdowns))
+
+	m.direct[0].Set(float64(rec.DirectPairs))
+	m.direct[1].Set(float64(rec.DirectInteractions))
 
 	if rec.TaskMakespanNs > 0 {
 		m.taskRatio.Set(float64(rec.TaskCriticalNs) / float64(rec.TaskMakespanNs))

@@ -428,6 +428,15 @@ type StepRecord struct {
 	M2LRebuilt   bool  `json:"m2l_rebuilt,omitempty"`
 	// NearF32 marks steps whose near field ran the gated float32 path.
 	NearF32 bool `json:"near_f32,omitempty"`
+	// DirectPairs counts the accepted (V-list) leaf pairs this step summed
+	// directly instead of translating, DirectInteractions their body-body
+	// interactions. Counts keeps the paper's operator assignment (M2L =
+	// every V pair, P2P = U-list interactions only): subtract DirectPairs
+	// from Counts.M2L and add DirectInteractions to Counts.P2P to get what
+	// the host executed — the shift of host time from the far to the near
+	// phase.
+	DirectPairs        int64 `json:"direct_pairs,omitempty"`
+	DirectInteractions int64 `json:"direct_interactions,omitempty"`
 
 	// Task-graph execution summary (dependency-driven solve path): node
 	// and edge counts of the step's DAG, the ready-queue depth high-water
@@ -919,6 +928,19 @@ func (r *Recorder) SetM2LTable(classes int, pairs, keyHits, keyMisses int64, reb
 	r.cur.M2LKeyHits = keyHits
 	r.cur.M2LKeyMisses = keyMisses
 	r.cur.M2LRebuilt = rebuilt
+	r.mu.Unlock()
+}
+
+// SetDirect records how many accepted pairs the step summed directly and
+// how many body-body interactions that was.
+func (r *Recorder) SetDirect(pairs, interactions int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.ensureStepLocked()
+	r.cur.DirectPairs = pairs
+	r.cur.DirectInteractions = interactions
 	r.mu.Unlock()
 }
 

@@ -268,9 +268,11 @@ func BuildFMMGraph(t *octree.Tree, base costmodel.Coefficients, opt FMMGraphOpti
 	g := &Graph{}
 	up := map[int32]int32{}
 	down := map[int32]int32{}
-	// The near-field costs come from the cached CSR schedule; its rows are
-	// the visible leaves in DFS order, which is exactly the order buildDown
-	// reaches them, so a running row index suffices.
+	// The near-field costs come from the cached CSR schedule (its U-list
+	// weights: the virtual machine keeps the paper's operator assignment,
+	// every V pair a translation); its rows are the visible leaves in DFS
+	// order, which is exactly the order buildDown reaches them, so a
+	// running row index suffices.
 	var sch *octree.NearSchedule
 	var row int
 	if opt.IncludeP2P {
@@ -322,7 +324,7 @@ func BuildFMMGraph(t *octree.Tree, base costmodel.Coefficients, opt FMMGraphOpti
 				tc[costmodel.L2P] = passes * base[costmodel.L2P] * float64(n.Count())
 			}
 			if opt.IncludeP2P {
-				tc[costmodel.P2P] = p2pf * base[costmodel.P2P] * float64(sch.Weights[row])
+				tc[costmodel.P2P] = p2pf * base[costmodel.P2P] * float64(sch.Priced(row))
 				row++
 			}
 		}

@@ -17,6 +17,11 @@
 //     model of block/warp interleaving); the kernel time is the resulting
 //     makespan plus launch and PCIe-transfer overheads.
 //
+// The device is charged for the paper's near field, the U-list entries of
+// its rows (octree.NearSchedule.Priced); the accepted pairs the host
+// sums directly ride in the same rows and are executed with them, but in
+// the modeled machine they remain translations on the CPU.
+//
 // Work is split across devices by equalizing per-target-node interaction
 // counts, exactly as in the paper: no target node is split across devices.
 package vgpu
@@ -80,11 +85,10 @@ type Device struct {
 	// Targets are the visible leaf nodes whose near field this device
 	// computes.
 	Targets []int32
-	// Rows are the near-field schedule rows of Targets (parallel slice),
-	// filled by the Partition* methods so execution walks the cached CSR
-	// schedule instead of chasing per-node U lists. Code that assigns
-	// Targets directly may leave Rows empty; execution then falls back to
-	// the node lists (identical contents).
+	// Rows are the near-field schedule rows of Targets (parallel slice):
+	// execution walks the cached CSR schedule, the one near-field
+	// description (octree.NearSchedule). The Partition* methods fill both;
+	// code that assigns work itself calls Assign.
 	Rows []int32
 	// Results of the last Execute call:
 	KernelTime   float64 // simulated kernel seconds (event-timer analogue)
@@ -197,8 +201,8 @@ func NewCluster(n int, spec Spec) *Cluster {
 	return c
 }
 
-// assign appends schedule row r to device d.
-func assign(d *Device, sch *octree.NearSchedule, r int) {
+// Assign appends schedule row r (and its target leaf) to the device's work.
+func (d *Device) Assign(sch *octree.NearSchedule, r int) {
 	d.Targets = append(d.Targets, sch.Leaves[r])
 	d.Rows = append(d.Rows, int32(r))
 }
@@ -237,15 +241,15 @@ func (c *Cluster) Partition(t *octree.Tree) {
 	if len(devs) == 0 {
 		return
 	}
-	share := sch.Total() / int64(len(devs))
+	share := sch.PricedTotal() / int64(len(devs))
 	if share < 1 {
 		share = 1
 	}
 	di := 0
 	var acc int64
 	for r := 0; r < sch.Rows(); r++ {
-		assign(devs[di], sch, r)
-		acc += sch.Weights[r]
+		devs[di].Assign(sch, r)
+		acc += sch.Priced(r)
 		if acc >= share && di < len(devs)-1 {
 			di++
 			acc = 0
@@ -267,12 +271,11 @@ func (c *Cluster) PartitionLPT(t *octree.Tree) {
 	if nd == 0 {
 		return
 	}
-	inter := sch.Weights
 	order := make([]int, sch.Rows())
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return inter[order[a]] > inter[order[b]] })
+	sort.Slice(order, func(a, b int) bool { return sch.Priced(order[a]) > sch.Priced(order[b]) })
 	load := make([]int64, nd)
 	for _, idx := range order {
 		k := 0
@@ -281,8 +284,8 @@ func (c *Cluster) PartitionLPT(t *octree.Tree) {
 				k = j
 			}
 		}
-		assign(devs[k], sch, idx)
-		load[k] += inter[idx]
+		devs[k].Assign(sch, idx)
+		load[k] += sch.Priced(idx)
 	}
 }
 
@@ -304,7 +307,7 @@ func (c *Cluster) PartitionByLeafCount(t *octree.Tree) {
 		if di >= nd {
 			di = nd - 1
 		}
-		assign(devs[di], sch, r)
+		devs[di].Assign(sch, r)
 	}
 }
 
@@ -312,18 +315,6 @@ func (c *Cluster) PartitionByLeafCount(t *octree.Tree) {
 // leaf) node pair numerically. It is supplied by the solver so the device
 // model stays kernel-agnostic.
 type P2PFunc func(target, source int32)
-
-// schedule resolves the near-field schedule once, on the caller's
-// goroutine, so concurrently running devices only read it. Devices with
-// ad-hoc Targets (no Rows) don't need it.
-func (c *Cluster) schedule(t *octree.Tree) *octree.NearSchedule {
-	for _, d := range c.Devices {
-		if len(d.Rows) > 0 {
-			return t.NearField()
-		}
-	}
-	return nil
-}
 
 // Execute runs each device's assigned near-field work: the numeric P2P via
 // fn and the SIMT timing model. It returns the maximum kernel time across
@@ -348,19 +339,19 @@ func (c *Cluster) ExecuteParallel(t *octree.Tree, fn P2PFunc, pool *sched.Pool) 
 }
 
 func (c *Cluster) executeWith(t *octree.Tree, fn P2PFunc, pool *sched.Pool) float64 {
-	sch := c.schedule(t)
+	// Resolved once, on the caller's goroutine: concurrently running
+	// devices only read the schedule.
+	sch := t.NearField()
 	stopWatch := c.beginExecute()
 	// With every device dead the whole schedule is fallback work: the
 	// cluster still completes the near field, entirely on the host.
 	if c.Injector != nil && len(c.Devices) > 0 && c.AliveDevices() == 0 {
 		stopWatch()
-		nsch := t.NearField()
-		lw := lostWork{dev: -1, rows: make([]int32, nsch.Rows()), targets: make([]int32, nsch.Rows())}
-		for r := 0; r < nsch.Rows(); r++ {
+		lw := lostWork{dev: -1, rows: make([]int32, sch.Rows())}
+		for r := range lw.rows {
 			lw.rows[r] = int32(r)
-			lw.targets[r] = nsch.Leaves[r]
 		}
-		virtual := c.fallback(t, nsch, fn, pool, []lostWork{lw})
+		virtual := c.fallback(sch, fn, pool, []lostWork{lw})
 		c.mu.Lock()
 		c.report.DeadDevices = len(c.Devices)
 		c.mu.Unlock()
@@ -396,7 +387,7 @@ func (c *Cluster) executeWith(t *octree.Tree, fn P2PFunc, pool *sched.Pool) floa
 		g.Wait()
 	}
 	stopWatch()
-	virtual := c.finishExecute(t, sch, fn, pool)
+	virtual := c.finishExecute(sch, fn, pool)
 	return c.MaxKernelTime() + virtual
 }
 
@@ -448,7 +439,6 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 		d.KernelTime = 0
 		return
 	}
-	useRows := sch != nil && len(d.Rows) == len(d.Targets)
 	cfg := c.Watchdog.withDefaults()
 	// Per-warp compute times for the scheduling makespan. An SM retires
 	// one warp-source step per issue slot, so a warp over ns sources
@@ -476,29 +466,16 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 		if nt == 0 {
 			return
 		}
-		var ns int64
-		if useRows {
-			// Scheduled path: source leaves and their body counts come from
-			// the cached CSR schedule, with no per-source Node indirection.
-			row := int(d.Rows[k])
-			for j := sch.RowPtr[row]; j < sch.RowPtr[row+1]; j++ {
-				cnt := int64(sch.SrcEnd[j] - sch.SrcStart[j])
-				ns += cnt
-				if fn != nil {
-					fn(ti, sch.Srcs[j])
-				}
-				sourceBodies += cnt
-			}
-		} else {
-			for _, si := range tn.U {
-				sn := &t.Nodes[si]
-				ns += int64(sn.Count())
-				if fn != nil {
-					fn(ti, si)
-				}
-				sourceBodies += int64(sn.Count())
+		// Every entry of the row is executed; the timing model counts
+		// the priced source bodies, Interactions(t) / n_t.
+		row := int(d.Rows[k])
+		ns := sch.Priced(row) / int64(nt)
+		if fn != nil {
+			for _, si := range sch.Row(row) {
+				fn(ti, si)
 			}
 		}
+		sourceBodies += ns
 		targetBodies += int64(nt)
 		d.Interactions += int64(nt) * ns
 		warps := (nt + spec.WarpSize - 1) / spec.WarpSize
@@ -532,10 +509,10 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 			// host time (measured per-interaction rate × chunk
 			// interactions) × slack, floored at MinDeadline.
 			var predNs float64
-			if useRows && d.nsPerInter > 0 {
+			if d.nsPerInter > 0 {
 				var ci int64
 				for k := k0; k < k1; k++ {
-					ci += sch.Weights[d.Rows[k]]
+					ci += sch.Priced(int(d.Rows[k]))
 				}
 				predNs = float64(ci) * d.nsPerInter
 			}

@@ -120,6 +120,40 @@ func TestExecuteRunsNumericCallback(t *testing.T) {
 	}
 }
 
+// TestDirectPairsExecutedNotCharged: accepted pairs the host sums directly
+// ride in the device's rows — the callback sees every row entry — but the
+// modeled device prices the paper's near field, the U-list entries: kernel
+// times, interaction and slot counts and the partition are those of the
+// same tree with the mechanism off.
+func TestDirectPairsExecutedNotCharged(t *testing.T) {
+	off := buildTree(3000, 12, 6)
+	on := buildTree(3000, 12, 6)
+	on.SetDirectK(60)
+	sch := on.NearField()
+	if sch.DirectPairs == 0 {
+		t.Fatal("nothing selected")
+	}
+	cOff, cOn := NewCluster(3, DefaultSpec()), NewCluster(3, DefaultSpec())
+	cOff.Partition(off)
+	cOn.Partition(on)
+	var calls int64
+	tOff := cOff.Execute(off, nil)
+	tOn := cOn.Execute(on, func(target, source int32) { calls++ })
+	if calls != int64(len(sch.Srcs)) || calls != on.CountOps().P2PN+sch.DirectPairs {
+		t.Fatalf("callback saw %d entries, rows hold %d (%d of them direct)", calls, len(sch.Srcs), sch.DirectPairs)
+	}
+	if tOn != tOff {
+		t.Fatalf("modeled kernel time %v with direct pairs in the rows, %v without", tOn, tOff)
+	}
+	for i, d := range cOn.Devices {
+		o := cOff.Devices[i]
+		if len(d.Rows) != len(o.Rows) || d.Interactions != o.Interactions || d.SlotWork != o.SlotWork {
+			t.Fatalf("device %d: rows/interactions/slots %d/%d/%d, mechanism off %d/%d/%d",
+				i, len(d.Rows), d.Interactions, d.SlotWork, len(o.Rows), o.Interactions, o.SlotWork)
+		}
+	}
+}
+
 func TestGreedyMakespan(t *testing.T) {
 	if m := greedyMakespan(nil, 4); m != 0 {
 		t.Fatalf("empty makespan %v", m)

@@ -303,11 +303,11 @@ func (c *Cluster) watch(stop <-chan struct{}, wg *sync.WaitGroup) {
 	}
 }
 
-// lostWork is the un-executed remainder of a dead device's assignment.
+// lostWork is the un-executed remainder of a dead device's assignment:
+// the schedule rows to re-execute.
 type lostWork struct {
-	dev     int
-	rows    []int32 // schedule rows to re-execute (CSR path)
-	targets []int32 // parallel target nodes; authoritative when rows is empty
+	dev  int
+	rows []int32
 }
 
 // collectLosses gathers the rows each device failed to execute this
@@ -320,11 +320,7 @@ func (c *Cluster) collectLosses() []lostWork {
 		if d.Health != Dead || d.CompletedRows >= len(d.Targets) {
 			continue
 		}
-		lw := lostWork{dev: d.ID, targets: d.Targets[d.CompletedRows:]}
-		if len(d.Rows) == len(d.Targets) {
-			lw.rows = d.Rows[d.CompletedRows:]
-		}
-		losses = append(losses, lw)
+		losses = append(losses, lostWork{dev: d.ID, rows: d.Rows[d.CompletedRows:]})
 	}
 	return losses
 }
@@ -338,7 +334,7 @@ func (c *Cluster) collectLosses() []lostWork {
 // Returns the virtual seconds charged for the recovered work: the
 // fallback executes after detection, serialized behind the surviving
 // kernels, at the host's P2P rate.
-func (c *Cluster) fallback(t *octree.Tree, sch *octree.NearSchedule, fn P2PFunc, pool *sched.Pool, losses []lostWork) float64 {
+func (c *Cluster) fallback(sch *octree.NearSchedule, fn P2PFunc, pool *sched.Pool, losses []lostWork) float64 {
 	if len(losses) == 0 {
 		return 0
 	}
@@ -346,7 +342,7 @@ func (c *Cluster) fallback(t *octree.Tree, sch *octree.NearSchedule, fn P2PFunc,
 	if cfg.DisableFallback {
 		lost := 0
 		for _, lw := range losses {
-			lost += len(lw.targets)
+			lost += len(lw.rows)
 		}
 		c.mu.Lock()
 		c.report.LostRows += lost
@@ -358,53 +354,32 @@ func (c *Cluster) fallback(t *octree.Tree, sch *octree.NearSchedule, fn P2PFunc,
 	var totalRows int
 	var totalInter int64
 	for _, lw := range losses {
-		rows := len(lw.targets)
+		rows := len(lw.rows)
 		var inter int64
 		runRow := func(k int) {
-			ti := lw.targets[k]
-			if lw.rows != nil && sch != nil {
-				row := int(lw.rows[k])
-				for j := sch.RowPtr[row]; j < sch.RowPtr[row+1]; j++ {
-					if fn != nil {
-						fn(ti, sch.Srcs[j])
-					}
-				}
-			} else {
-				for _, si := range t.Nodes[ti].U {
-					if fn != nil {
-						fn(ti, si)
-					}
-				}
+			if fn == nil {
+				return
+			}
+			row := int(lw.rows[k])
+			for j := sch.RowPtr[row]; j < sch.RowPtr[row+1]; j++ {
+				fn(sch.Leaves[row], sch.Srcs[j])
 			}
 		}
 		devTimer := sched.StartTimer()
-		if lw.rows != nil && sch != nil {
-			weights := make([]int64, rows)
-			for k := range weights {
-				w := sch.Weights[lw.rows[k]]
-				weights[k] = w
-				inter += w
-			}
-			if pool != nil {
-				pool.ParallelRangeWeightedClass(sched.ClassNear, weights, func(lo, hi int) {
-					for k := lo; k < hi; k++ {
-						runRow(k)
-					}
-				})
-			} else {
-				for k := 0; k < rows; k++ {
+		weights := make([]int64, rows)
+		for k := range weights {
+			w := sch.Priced(int(lw.rows[k]))
+			weights[k] = w
+			inter += w
+		}
+		if pool != nil {
+			pool.ParallelRangeWeightedClass(sched.ClassNear, weights, func(lo, hi int) {
+				for k := lo; k < hi; k++ {
 					runRow(k)
 				}
-			}
+			})
 		} else {
-			// Ad-hoc assignment without schedule rows: serial walk over
-			// the node U lists (contents identical to the device walk).
 			for k := 0; k < rows; k++ {
-				tn := &t.Nodes[lw.targets[k]]
-				for _, si := range tn.U {
-					inter += int64(tn.Count()) * int64(t.Nodes[si].Count())
-					_ = si
-				}
 				runRow(k)
 			}
 		}
@@ -436,10 +411,10 @@ func (c *Cluster) fallback(t *octree.Tree, sch *octree.NearSchedule, fn P2PFunc,
 
 // finishExecute runs fallback recovery and fills the cluster-state
 // counters of the report; returns the fallback's virtual-time charge.
-func (c *Cluster) finishExecute(t *octree.Tree, sch *octree.NearSchedule, fn P2PFunc, pool *sched.Pool) float64 {
+func (c *Cluster) finishExecute(sch *octree.NearSchedule, fn P2PFunc, pool *sched.Pool) float64 {
 	var virtual float64
 	if c.Injector != nil {
-		virtual = c.fallback(t, sch, fn, pool, c.collectLosses())
+		virtual = c.fallback(sch, fn, pool, c.collectLosses())
 	}
 	dead, degraded := 0, 0
 	for _, d := range c.Devices {
