@@ -144,7 +144,7 @@ func main() {
 		runFaults(p)
 	}
 	if which == "kernels" { // host wall-clock benchmark; not part of "all"
-		fmt.Println("==== KERNELS (M2L class table, blocked P2P, float32 near field) ====")
+		fmt.Println("==== KERNELS (M2L class table, packed P2P) ====")
 		runKernels(p, pSet)
 	}
 	if which == "taskgraph" { // host wall-clock benchmark; not part of "all"
@@ -229,7 +229,7 @@ func runTaskGraph(p experiments.Params) {
 // runKernels benchmarks the raw translation and P2P kernels on the host
 // (single core) and writes the machine-readable BENCH_kernels.json: the
 // class table against its uncached reference form and the per-pair
-// rotated operator, and the blocked P2P against the scalar kernel.
+// rotated operator, and the packed P2P against the scalar reference.
 func runKernels(p experiments.Params, pSet bool) {
 	if !pSet {
 		// Like the sweeps benchmark: the kernels under test are the
@@ -247,12 +247,10 @@ func runKernels(p experiments.Params, pSet bool) {
 	fmt.Printf("%-34s %12.2fx vs reference, %.2fx vs per-pair rotation\n",
 		"M2L table speedup", res.M2LSpeedupVsReference, res.M2LSpeedupVsDirect)
 	fmt.Printf("P2P call shape: %d targets x %d sources\n", res.P2PTargets, res.P2PSources)
-	fmt.Printf("%-34s %12.1f Mpairs/s (blocked) %10.1f (scalar) %10.1f (f32): %.2fx blocked, %.2fx f32\n",
-		"gravity", res.GravPairRateBlocked/1e6, res.GravPairRateScalar/1e6,
-		res.GravPairRateF32/1e6, res.GravBlockedSpeedup, res.GravF32Speedup)
-	fmt.Printf("%-34s %12.1f Mpairs/s (blocked) %10.1f (scalar) %10.1f (f32): %.2fx blocked, %.2fx f32\n",
-		"stokeslet", res.StokesPairRateBlocked/1e6, res.StokesPairRateScalar/1e6,
-		res.StokesPairRateF32/1e6, res.StokesBlockedSpeedup, res.StokesF32Speedup)
+	fmt.Printf("%-34s %12.1f Mpairs/s (packed) %10.1f (scalar): %.2fx packed\n",
+		"gravity", res.GravPairRatePacked/1e6, res.GravPairRateScalar/1e6, res.GravPackedSpeedup)
+	fmt.Printf("%-34s %12.1f Mpairs/s (packed) %10.1f (scalar): %.2fx packed\n",
+		"stokeslet", res.StokesPairRatePacked/1e6, res.StokesPairRateScalar/1e6, res.StokesPackedSpeedup)
 	fmt.Printf("%-34s %12.3f ms/step (table) vs %.3f ms/step (no table): %.3fx over %d steps\n",
 		"end-to-end step, 1 worker", float64(res.StepNsTable)/1e6,
 		float64(res.StepNsNoTable)/1e6, res.EndToEndSpeedup, res.EndToEndSteps)

@@ -161,8 +161,10 @@ func TestSweepBenchResolvesSchedule(t *testing.T) {
 // fetches a cold rotation, as in a real down sweep) against the direct
 // kernel on leaf pairs of 2–20 bodies, at widths 1 (gravity) and 4 (the
 // Stokeslet's four harmonic columns against one Stokeslet pair). It
-// reports ns per translation, ns per body pair, their ratio — the
-// break-even n_t·n_s — and, at width 1, the K the gravity solver uses
+// reports ns per translation, ns per body pair and their ratio — the
+// break-even n_t·n_s — for P2P as dispatched on this host (the packed body
+// where it has AVX2) and for the scalar reference P2PScalar, which is what
+// a host without AVX2 runs, and, at width 1, the K the gravity solver uses
 // (Stokes uses none).
 func BenchmarkDirectBreakEven(b *testing.B) {
 	const nDirs, vList, nSrc, nLeaves = 2600, 189, 512, 4096
@@ -231,34 +233,46 @@ func BenchmarkDirectBreakEven(b *testing.B) {
 				acc := make([]geom.Vec3, len(pos))
 				grav := kernels.Gravity{G: 1}
 				stk := kernels.Stokeslet{Mu: 1, Eps: 1e-3}
-				p2p := func(bi int) (bodyPairs int64) {
+				p2p := func(bi int, scalar bool) (bodyPairs int64) {
 					for _, lp := range leafPairs[bi] {
 						t1, s1 := lp.t0+lp.nt, lp.s0+lp.ns
-						if width == 1 {
-							grav.P2P(pos[lp.t0:t1], phi[lp.t0:t1], acc[lp.t0:t1], pos[lp.s0:s1], mass[lp.s0:s1])
-						} else {
-							stk.P2P(pos[lp.t0:t1], acc[lp.t0:t1], pos[lp.s0:s1], aux[lp.s0:s1])
+						xt, vel, ys := pos[lp.t0:t1], acc[lp.t0:t1], pos[lp.s0:s1]
+						switch {
+						case width == 1 && scalar:
+							grav.P2PScalar(xt, phi[lp.t0:t1], vel, ys, mass[lp.s0:s1])
+						case width == 1:
+							grav.P2P(xt, phi[lp.t0:t1], vel, ys, mass[lp.s0:s1])
+						case scalar:
+							stk.P2PScalar(xt, vel, ys, aux[lp.s0:s1])
+						default:
+							stk.P2P(xt, vel, ys, aux[lp.s0:s1])
 						}
 						bodyPairs += int64(lp.nt * lp.ns)
 					}
 					return bodyPairs
 				}
 
-				var m2lNs, p2pNs, bodyPairs int64
+				var m2lNs, p2pNs, scalarNs, bodyPairs int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					t0 := b.Elapsed()
 					m2l(i % nBatch)
 					t1 := b.Elapsed()
-					bodyPairs += p2p(i % nBatch)
+					bodyPairs += p2p(i%nBatch, false)
+					t2 := b.Elapsed()
+					p2p(i%nBatch, true)
 					m2lNs += int64(t1 - t0)
-					p2pNs += int64(b.Elapsed() - t1)
+					p2pNs += int64(t2 - t1)
+					scalarNs += int64(b.Elapsed() - t2)
 				}
 				perM2L := float64(m2lNs) / float64(b.N*vList)
 				perPair := float64(p2pNs) / float64(bodyPairs)
+				perScalar := float64(scalarNs) / float64(bodyPairs)
 				b.ReportMetric(perM2L, "ns/translation")
 				b.ReportMetric(perPair, "ns/bodypair")
 				b.ReportMetric(perM2L/perPair, "breakeven")
+				b.ReportMetric(perScalar, "ns/bodypair-scalar")
+				b.ReportMetric(perM2L/perScalar, "breakeven-scalar")
 				if width == 1 {
 					b.ReportMetric(float64(DirectK(p)), "K")
 				}

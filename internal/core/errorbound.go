@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"afmm/internal/expansion"
-	"afmm/internal/octree"
 )
 
 // ErrorBound summarizes the a-priori truncation error of the current
@@ -26,14 +25,7 @@ type ErrorBound struct {
 // smaller MAC or a larger P tightens both fields. BuildLists must be
 // current (Solve and Predict leave it so).
 func (s *Solver) EstimateError() ErrorBound {
-	return TreeTruncationBound(s.Tree, s.Cfg.P)
-}
-
-// TreeTruncationBound is the solver-independent form of EstimateError: the
-// a-priori truncation bound of a tree's current V lists at order p. The
-// Stokes solver shares it for its NearFloat32 gate (its four harmonic
-// passes carry the same per-pair Laplace truncation error).
-func TreeTruncationBound(t *octree.Tree, p int) ErrorBound {
+	t, p := s.Tree, s.Cfg.P
 	var b ErrorBound
 	var wsum, w float64
 	sqrt3 := math.Sqrt(3)

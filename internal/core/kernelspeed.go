@@ -2,15 +2,14 @@ package core
 
 import (
 	"afmm/internal/expansion"
-	"afmm/internal/kernels"
 	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 )
 
-// Kernel-speed layer: the shared M2L translation-class table and the
-// gated float32 near field. Both are prepared once per Solve, before the
-// near/far fork, so workers only ever read settled state.
+// Kernel-speed layer: the shared M2L translation-class table, prepared
+// once per Solve, before the near/far fork, so workers only ever read
+// settled state, and the translate-or-sum threshold.
 
 // DirectK is the gravity solver's break-even threshold, handed to
 // octree.Tree.SetDirectK: an accepted leaf–leaf pair with n_t·n_s <=
@@ -23,7 +22,16 @@ import (
 // quadratic than to its asymptotic cubic at these orders — and the
 // end-to-end optimum is flat from about 0.8 of it up to 1.3
 // (EXPERIMENTS.md); the low end of the flat region, 3.2 (p+1)², is kept,
-// because every pair moved inflates the near field. The value depends on
+// because every pair moved inflates the near field. Those readings are
+// against the scalar pair walk of PR 18; with the packed P2P body the same
+// benchmark (five runs, scalar | packed side by side) reads 138–143 |
+// 168–177, 449–461 | 494–513, 1072–1110 | 1000–1102 for p = 4, 8, 12: on
+// its cache-cold 2–20-body leaves both kernels wait for the bodies, so the
+// break-even rises 1.2x at p = 4 and not at all at p = 12, although the
+// packed body is 2.5–3x faster on resident rows. K is not moved here:
+// raising it changes force bits, so it is a change of its own behind
+// TestAccuracyMatrix, and a host without AVX2 runs the scalar column
+// (EXPERIMENTS.md, ROADMAP direction 4). The value depends on
 // nothing but p: not on wall-clock observations, which would make the
 // operator choice, hence the force bits, differ from run to run, and not
 // on the virtual machine's coefficients, whose M2L/P2P ratio (700, the
@@ -143,78 +151,6 @@ func (s *Solver) prepareM2LTable() {
 	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec,
 		!s.Cfg.DisableM2LTable && s.Cfg.SweepMode == SweepLevelSync && !s.Cfg.SkipFarField)
 }
-
-// nearF32ErrorEstimate bounds the relative rounding error of the float32
-// near field for the current schedule: per-pair forces are computed in
-// float32 and accumulated per target, so the worst row's error grows like
-// eps32 * n_src with n_src the row's total source count.
-func (s *Solver) nearF32ErrorEstimate() float64 {
-	t := s.Tree
-	sch := t.NearField()
-	var maxRow int64
-	for r := range sch.Leaves {
-		tn := t.Nodes[sch.Leaves[r]].Count()
-		if tn == 0 {
-			continue
-		}
-		if v := sch.Weights[r] / int64(tn); v > maxRow {
-			maxRow = v
-		}
-	}
-	return kernels.Eps32 * float64(maxRow)
-}
-
-// updateNearPrecision runs the NearFloat32 gate for this step: estimate
-// the float32 rounding error of the current near-field schedule, compare
-// it against the accuracy target (the user's Config.AccuracyTarget, or the
-// a-priori truncation bound of the lists when unset), and activate or
-// deactivate the float32 path. A violation while the option is on disables
-// the path for the rest of the run (sticky), so a drifting system cannot
-// oscillate across the bound. Every toggle pre-scales the cost model's P2P
-// coefficient so the balancer re-converges without a mispredicted step.
-func (s *Solver) updateNearPrecision() {
-	rec := s.Cfg.Rec
-	want := s.Cfg.NearFloat32 && !s.f32Blocked && !s.Cfg.SkipNearField
-	if !want {
-		if s.f32Active {
-			s.f32Active = false
-			s.Model.ScaleP2P(kernels.NearFloat32Speedup)
-		}
-		rec.SetNearPrecision(false)
-		return
-	}
-	est := s.nearF32ErrorEstimate()
-	target := s.Cfg.AccuracyTarget
-	if target <= 0 {
-		// Default target: the truncation error already being paid by the
-		// far field (cached per list epoch — the walk is O(pairs)).
-		if s.gateEpoch != s.Tree.ListEpoch() || s.gateBound == 0 {
-			s.gateBound = s.EstimateError().MeanPair
-			s.gateEpoch = s.Tree.ListEpoch()
-		}
-		target = s.gateBound
-	}
-	active := target > 0 && est <= target
-	if !active && target > 0 {
-		// Bound violated: sticky disable, reported once.
-		s.f32Blocked = true
-		rec.EmitEvent(telemetry.EventPrecision, 0, 1, est, target)
-	}
-	if active != s.f32Active {
-		if active {
-			s.Model.ScaleP2P(1 / kernels.NearFloat32Speedup)
-			rec.EmitEvent(telemetry.EventPrecision, 1, 0, est, target)
-		} else {
-			s.Model.ScaleP2P(kernels.NearFloat32Speedup)
-		}
-		s.f32Active = active
-	}
-	rec.SetNearPrecision(s.f32Active)
-}
-
-// NearFloat32Active reports whether the last gate evaluation enabled the
-// float32 near field (tests and benchmarks).
-func (s *Solver) NearFloat32Active() bool { return s.f32Active }
 
 // M2LTableStats returns the current class schedule stats (zero-valued
 // when the table path is off or not yet built).

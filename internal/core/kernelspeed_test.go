@@ -80,104 +80,6 @@ func TestM2LTableStatsReported(t *testing.T) {
 	}
 }
 
-// TestNearFloat32GateActivates: with a loose accuracy target the float32
-// near field activates, stays within the requested error against the
-// float64 reference, and reports through telemetry.
-func TestNearFloat32GateActivates(t *testing.T) {
-	sys := distrib.Plummer(900, 1, 1, 13)
-	ref := sys.Clone()
-	rs := NewSolver(ref, Config{P: 6, S: 24})
-	rs.Solve()
-
-	rec := telemetry.New(telemetry.Options{Keep: true})
-	s := NewSolver(sys, Config{P: 6, S: 24, NearFloat32: true, AccuracyTarget: 1e-3, Rec: rec})
-	rec.StartStep(0)
-	s.Solve()
-	rec.EndStep()
-	if !s.NearFloat32Active() {
-		t.Fatal("gate did not activate under a loose target")
-	}
-	steps := rec.Steps()
-	if len(steps) != 1 || !steps[0].NearF32 {
-		t.Fatal("telemetry did not record the active float32 near field")
-	}
-	var enabled bool
-	for _, e := range steps[0].Events {
-		if e.Kind == telemetry.EventPrecision && e.A == 1 {
-			enabled = true
-		}
-	}
-	if !enabled {
-		t.Fatal("no precision enable event")
-	}
-	// Accuracy: the far field is untouched, so total error vs the float64
-	// run must stay within the gate's target with margin.
-	worst := 0.0
-	for i := range sys.Acc {
-		d := sys.Acc[i].Sub(ref.Acc[i]).Norm() / (1 + ref.Acc[i].Norm())
-		if d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-3 {
-		t.Fatalf("float32 near field error %g exceeds the 1e-3 target", worst)
-	}
-}
-
-// TestNearFloat32GateStickyDisable: an unmeetable target must keep the
-// float64 path, emit a violation event, and stay off for the whole run.
-func TestNearFloat32GateStickyDisable(t *testing.T) {
-	rec := telemetry.New(telemetry.Options{Keep: true})
-	sys := distrib.Plummer(900, 1, 1, 17)
-	s := NewSolver(sys, Config{P: 6, S: 24, NearFloat32: true, AccuracyTarget: 1e-16, Rec: rec})
-	rec.StartStep(0)
-	s.Solve()
-	rec.EndStep()
-	if s.NearFloat32Active() {
-		t.Fatal("gate activated past an unmeetable target")
-	}
-	if !s.f32Blocked {
-		t.Fatal("violation did not stick")
-	}
-	steps := rec.Steps()
-	var violated bool
-	for _, e := range steps[0].Events {
-		if e.Kind == telemetry.EventPrecision && e.A == 0 && e.B == 1 {
-			violated = true
-		}
-	}
-	if !violated {
-		t.Fatal("no sticky-disable event")
-	}
-	// Results must be bit-identical to a plain float64 run.
-	ref := distrib.Plummer(900, 1, 1, 17)
-	rs := NewSolver(ref, Config{P: 6, S: 24})
-	rs.Solve()
-	for i := range sys.Acc {
-		if sys.Acc[i] != ref.Acc[i] {
-			t.Fatalf("blocked gate changed acc[%d]", i)
-		}
-	}
-}
-
-// TestNearFloat32CostModelScales: activating the gate must pre-scale the
-// P2P coefficient so the balancer predicts the faster near field.
-func TestNearFloat32CostModelScales(t *testing.T) {
-	sys := distrib.Plummer(900, 1, 1, 23)
-	s := NewSolver(sys, Config{P: 6, S: 24, NumGPUs: 0, NearFloat32: true, AccuracyTarget: 1e-2})
-	before := s.Model.Coef
-	s.Solve()
-	if !s.NearFloat32Active() {
-		t.Skip("gate did not activate on this configuration")
-	}
-	// The toggle divides the P2P coefficient; Observe may have refitted it
-	// afterwards, so check against a fresh pre-toggle prediction instead:
-	// prediction with the gate on must be below the prior coefficient's.
-	if s.Model.Coef == before {
-		t.Fatal("cost model coefficients unchanged by the precision gate")
-	}
-}
-
 // TestSolveAllocationCeiling is the allocs/step gate: once slabs, lists,
 // the class table and the workspaces are warm, a Solve allocates only
 // per-step structures (the virtual-CPU replay's task graph, chunk closures,

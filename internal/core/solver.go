@@ -131,15 +131,6 @@ type Config struct {
 	// near-field schedule from scratch (octree.Config.NoListCache). Kept
 	// for A/B measurement; results are bit-identical either way.
 	DisableListCache bool
-	// GatherSources makes each near-field chunk copy its source bodies
-	// into per-worker SoA gather buffers (octree.SourceGather) before the
-	// P2P sweep, instead of slicing the particle arrays through the
-	// schedule's cached source spans. The particle arrays are already
-	// leaf-contiguous, so the copy only pays off when they far exceed the
-	// last-level cache; the default zero-copy path benches faster at
-	// moderate N (see kernels.BenchmarkNearFieldCSR vs ...Gather).
-	// Results are bit-identical either way.
-	GatherSources bool
 	// Overlap controls the concurrent near/far host execution (see
 	// OverlapMode). The default OverlapAuto enables it on eligible solves;
 	// cmd tools expose -no-overlap to force OverlapOff.
@@ -164,20 +155,6 @@ type Config struct {
 	// uncached reference form of the same kernel). Kept as the A/B switch
 	// of the == tests; results are bit-identical either way.
 	DisableM2LTable bool
-	// NearFloat32 opts the near field into the float32 kernel path:
-	// source spans are packed into float32 SoA and the P2P arithmetic runs
-	// in single precision, halving source bandwidth and using the cheaper
-	// sqrt. The path is gated per step against the accuracy target (see
-	// AccuracyTarget): it only activates while the estimated float32
-	// rounding error (~eps32 * worst-row source count) stays below the
-	// target, and a violation disables it for the rest of the run.
-	NearFloat32 bool
-	// AccuracyTarget is the relative accuracy the user asks of the solve,
-	// used by the NearFloat32 gate. Zero means "as accurate as the far
-	// field": the gate compares against the a-priori truncation bound of
-	// the current lists (EstimateError().MeanPair), so float32 is allowed
-	// only where its rounding is buried under the expansion error.
-	AccuracyTarget float64
 	// ReservedDrivers is the number of pool worker slots dedicated to the
 	// near-field class while the phases overlap — the paper's "one core
 	// per GPU driver thread". 0 (default) reserves one slot per simulated
@@ -276,9 +253,6 @@ type Solver struct {
 	busyDelta  []int64
 	classSnap  []int64
 	classDelta []int64
-	// gatherFree recycles per-chunk near-field source gathers (SoA packing
-	// buffers), one per concurrently executing chunk.
-	gatherFree chan *octree.SourceGather
 	// capEpoch/capVal track the cluster's last-seen capacity state, so
 	// Solve can re-derive the GPU prediction exactly once per topology
 	// change (device loss/derating).
@@ -287,15 +261,6 @@ type Solver struct {
 
 	// m2l is the shared M2L translation-class table (see kernelspeed.go).
 	m2l SharedM2L
-
-	// Near-field precision gate state (see kernelspeed.go): whether the
-	// float32 path is active this step, whether a bound violation disabled
-	// it for the rest of the run, and the cached truncation bound per list
-	// epoch backing the default accuracy target.
-	f32Active  bool
-	f32Blocked bool
-	gateEpoch  uint64
-	gateBound  float64
 
 	// taskStats holds the graph statistics of the most recent task-graph
 	// Solve (see taskgraph.go); benchmarks read it via TaskGraphStats.
@@ -311,7 +276,6 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 		packedLen: sphharm.PackedLen(cfg.P),
 	}
 	s.wsFree = make(chan *expansion.Workspace, cfg.Pool.Workers()+8)
-	s.gatherFree = make(chan *octree.SourceGather, cfg.Pool.Workers()+8)
 	s.Tree = octree.Build(sys, octree.Config{
 		S:           cfg.S,
 		MaxDepth:    cfg.MaxDepth,
@@ -445,10 +409,8 @@ func (s *Solver) Solve() StepTimes {
 	rec.AddSpan(telemetry.SpanPrep, 0, prepTimer.StartTime(), prepTimer.Elapsed())
 
 	// Kernel-speed preparation, before the near/far fork: the shared M2L
-	// class table must be complete before any worker translates, and the
-	// precision gate must settle before the near-field drivers launch.
+	// class table must be complete before any worker translates.
 	s.prepareM2LTable()
-	s.updateNearPrecision()
 
 	// Execute the near-field "kernels" and the far-field traversal. The
 	// near phase is launched exactly like the paper's concurrent kernel
@@ -671,6 +633,11 @@ func (s *Solver) Solve() StepTimes {
 		if taskGraphed {
 			st.Host.SerialWall += l2pDur
 		}
+		// Back to back cannot beat overlapped: the graph's per-phase span
+		// unions leave out the moments no node was running (worker
+		// wake-up, a descheduled worker), so on a busy host their sum can
+		// fall short of the region they tile.
+		st.Host.SerialWall = max(st.Host.SerialWall, st.Real)
 		rec.SetOverlap(st.Host.SerialWall)
 	}
 	rec.End(solveTok)
@@ -795,42 +762,13 @@ func (s *Solver) putWS(w *expansion.Workspace) {
 	}
 }
 
-func (s *Solver) getGather() *octree.SourceGather {
-	select {
-	case g := <-s.gatherFree:
-		return g
-	default:
-		return &octree.SourceGather{}
-	}
-}
-
-func (s *Solver) putGather(g *octree.SourceGather) {
-	select {
-	case s.gatherFree <- g:
-	default:
-	}
-}
-
 // p2pPair executes the direct interaction of one target/source leaf pair
-// (the numeric work the simulated device performs). When the precision
-// gate activated NearFloat32 for this step, the pair runs the float32
-// arithmetic (converting AoS sources on the fly — the device walk has no
-// gather buffer).
+// (the numeric work the simulated device performs).
 func (s *Solver) p2pPair(target, source int32) {
 	t := s.Tree
 	sys := s.Sys
 	tn := &t.Nodes[target]
 	sn := &t.Nodes[source]
-	if s.f32Active {
-		s.Cfg.Kernel.P2P32AoS(
-			sys.Pos[tn.Start:tn.End],
-			sys.Phi[tn.Start:tn.End],
-			sys.Acc[tn.Start:tn.End],
-			sys.Pos[sn.Start:sn.End],
-			sys.Mass[sn.Start:sn.End],
-		)
-		return
-	}
 	s.Cfg.Kernel.P2P(
 		sys.Pos[tn.Start:tn.End],
 		sys.Phi[tn.Start:tn.End],
@@ -845,9 +783,8 @@ func (s *Solver) p2pPair(target, source int32) {
 // weighted chunks, so a few heavy leaves cannot serialize the tail.
 func (s *Solver) runCPUNearField() {
 	sch := s.Tree.NearField()
-	f32 := s.f32Active
 	s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassNear, sch.Weights, func(lo, hi int) {
-		s.nearFieldChunk(sch, f32, lo, hi)
+		s.nearFieldChunk(sch, lo, hi)
 	})
 }
 
@@ -856,44 +793,9 @@ func (s *Solver) runCPUNearField() {
 // task-graph near nodes. Rows run in order and each row's sources in
 // schedule order, so the accumulation order per body is independent of
 // how chunks are scheduled.
-func (s *Solver) nearFieldChunk(sch *octree.NearSchedule, f32 bool, lo, hi int) {
+func (s *Solver) nearFieldChunk(sch *octree.NearSchedule, lo, hi int) {
 	t := s.Tree
 	sys := s.Sys
-	if f32 {
-		// Float32 path: pack the chunk's sources once into float32 SoA
-		// and stream the single-precision kernel over them.
-		g := s.getGather()
-		g.Pack32(t, sch, lo, hi, true, false)
-		for r := lo; r < hi; r++ {
-			tn := &t.Nodes[sch.Leaves[r]]
-			xt := sys.Pos[tn.Start:tn.End]
-			pot := sys.Phi[tn.Start:tn.End]
-			acc := sys.Acc[tn.Start:tn.End]
-			for _, si := range sch.Row(r) {
-				a, b := g.Span(si)
-				s.Cfg.Kernel.P2P32(xt, pot, acc,
-					g.X32[a:b], g.Y32[a:b], g.Z32[a:b], g.M32[a:b])
-			}
-		}
-		s.putGather(g)
-		return
-	}
-	if s.Cfg.GatherSources {
-		g := s.getGather()
-		g.Pack(t, sch, lo, hi, true, false)
-		for r := lo; r < hi; r++ {
-			tn := &t.Nodes[sch.Leaves[r]]
-			xt := sys.Pos[tn.Start:tn.End]
-			pot := sys.Phi[tn.Start:tn.End]
-			acc := sys.Acc[tn.Start:tn.End]
-			for _, si := range sch.Row(r) {
-				a, b := g.Span(si)
-				s.Cfg.Kernel.P2P(xt, pot, acc, g.Pos[a:b], g.Mass[a:b])
-			}
-		}
-		s.putGather(g)
-		return
-	}
 	for r := lo; r < hi; r++ {
 		tn := &t.Nodes[sch.Leaves[r]]
 		xt := sys.Pos[tn.Start:tn.End]

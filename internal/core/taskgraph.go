@@ -117,9 +117,8 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		}
 	} else if !s.Cfg.SkipNearField {
 		sch := t.NearField()
-		f32 := s.f32Active
 		spec.NearChunk = func(lo, hi int) func() {
-			return func() { s.nearFieldChunk(sch, f32, lo, hi) }
+			return func() { s.nearFieldChunk(sch, lo, hi) }
 		}
 	}
 

@@ -35,7 +35,6 @@ func TestTaskGraphBitIdenticalGravity(t *testing.T) {
 		mut  func(cfg *Config)
 	}{
 		{"cpu-only", func(cfg *Config) {}},
-		{"cpu-gather", func(cfg *Config) { cfg.GatherSources = true }},
 		{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
 		{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
 		{"two-gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.ReservedDrivers = 2 }},

@@ -111,17 +111,6 @@ func (m *Model) ScaleGPU(factor float64) {
 	}
 }
 
-// ScaleP2P multiplies the P2P coefficient by factor — the immediate
-// prediction update when the near-field kernel's per-pair rate changes
-// discontinuously (the float32 precision gate toggling). Like ScaleGPU,
-// it only bridges until the next Observe fits the measured rate, so the
-// balancer's S search re-converges without a mispredicted step.
-func (m *Model) ScaleP2P(factor float64) {
-	if factor > 0 {
-		m.Coef[P2P] *= factor
-	}
-}
-
 // PredictCPU returns the predicted far-field (CPU) time for the counts.
 func (m *Model) PredictCPU(c Counts) float64 {
 	var t float64

@@ -28,9 +28,6 @@ func NewStokesCluster(sv *stokes.Solver, nodes int, net NetworkSpec) (*StokesClu
 	if nodes < 1 {
 		return nil, fmt.Errorf("dmem: no nodes configured")
 	}
-	if sv.Cfg.NearFloat32 || sv.Cfg.GatherSources {
-		return nil, fmt.Errorf("dmem: Execute requires the plain float64 near-field path (disable NearFloat32 and GatherSources)")
-	}
 	if net.Bandwidth == 0 {
 		net = DefaultNetwork()
 	}

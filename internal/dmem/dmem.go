@@ -75,8 +75,7 @@ type Config struct {
 	// each executing its locally essential tree through its own task
 	// graph, with multipole/local/ghost exchange over channels (see
 	// Runtime). Off, Solve prices the decomposition against the
-	// single-node solve as before. Execute requires the plain float64
-	// near-field path (Core.NearFloat32 and Core.GatherSources off).
+	// single-node solve as before.
 	Execute bool
 	// NodeFaults injects node-level fail-stop events into RunWith
 	// (parse specs like "node2:failstop@step12" with
@@ -198,9 +197,6 @@ type Solver struct {
 func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("dmem: no nodes configured")
-	}
-	if cfg.Execute && (cfg.Core.NearFloat32 || cfg.Core.GatherSources) {
-		return nil, fmt.Errorf("dmem: Execute requires the plain float64 near-field path (disable NearFloat32 and GatherSources)")
 	}
 	for _, ev := range cfg.NodeFaults {
 		if ev.Node < 0 || ev.Node >= len(cfg.Nodes) {

@@ -122,17 +122,6 @@ func TestExecuteBitIdenticalUnderNodeLoss(t *testing.T) {
 	}
 }
 
-// TestExecuteRejectsFloat32NearField: the engines implement only the
-// plain float64 near path.
-func TestExecuteRejectsFloat32NearField(t *testing.T) {
-	sys := distrib.Plummer(200, 1.0, 1.0, 3)
-	cfg := execClusterConfig(2)
-	cfg.Core.NearFloat32 = true
-	if _, err := NewSolver(sys, cfg); err == nil {
-		t.Fatal("Execute with NearFloat32 must be rejected")
-	}
-}
-
 func stokesTwin(n int, seed int64) *stokes.Solver {
 	sys := distrib.Plummer(n, 1.0, 1.0, seed)
 	// Deterministic driving forces derived from the (identically

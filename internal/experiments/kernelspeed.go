@@ -21,10 +21,10 @@ import (
 // implementations: the shared class table (M2LBatchTable), its uncached
 // reference form (M2LBatch: the same kernel, setup recomputed per pair),
 // and the per-pair rotated operator (M2LRotated). The P2P phase measures pair
-// rates of the tiled kernels against their scalar baselines and the
-// float32 variants on a near-field-shaped call (one leaf row against a
-// gathered source span). The end-to-end phase times whole solver steps at
-// the same N and P with the class table on and off.
+// rates of P2P as dispatched on the host (the packed body where it has
+// AVX2) against the scalar reference P2PScalar on a near-field-shaped call
+// (one leaf row against a long source span). The end-to-end phase times
+// whole solver steps at the same N and P with the class table on and off.
 type KernelsBenchResult struct {
 	N    int   `json:"n"`
 	S    int   `json:"s"`
@@ -50,17 +50,13 @@ type KernelsBenchResult struct {
 	P2PTargets int `json:"p2p_targets"`
 	P2PSources int `json:"p2p_sources"`
 
-	GravPairRateBlocked float64 `json:"grav_pair_rate_blocked"`
-	GravPairRateScalar  float64 `json:"grav_pair_rate_scalar"`
-	GravPairRateF32     float64 `json:"grav_pair_rate_f32"`
-	GravBlockedSpeedup  float64 `json:"grav_blocked_speedup"`
-	GravF32Speedup      float64 `json:"grav_f32_speedup"`
+	GravPairRatePacked float64 `json:"grav_pair_rate_packed"`
+	GravPairRateScalar float64 `json:"grav_pair_rate_scalar"`
+	GravPackedSpeedup  float64 `json:"grav_packed_speedup"`
 
-	StokesPairRateBlocked float64 `json:"stokes_pair_rate_blocked"`
-	StokesPairRateScalar  float64 `json:"stokes_pair_rate_scalar"`
-	StokesPairRateF32     float64 `json:"stokes_pair_rate_f32"`
-	StokesBlockedSpeedup  float64 `json:"stokes_blocked_speedup"`
-	StokesF32Speedup      float64 `json:"stokes_f32_speedup"`
+	StokesPairRatePacked float64 `json:"stokes_pair_rate_packed"`
+	StokesPairRateScalar float64 `json:"stokes_pair_rate_scalar"`
+	StokesPackedSpeedup  float64 `json:"stokes_packed_speedup"`
 
 	// End-to-end solver steps, single-worker pool.
 	EndToEndSteps   int     `json:"end_to_end_steps"`
@@ -71,8 +67,8 @@ type KernelsBenchResult struct {
 
 // Kernels measures the raw kernel-speed work: class-table M2L against its
 // uncached reference form and the per-pair rotated operator on a real tree's
-// translation workload, tiled/float32 P2P pair rates against the scalar
-// baseline, and the end-to-end step effect of the table.
+// translation workload, packed P2P pair rates against the scalar
+// reference, and the end-to-end step effect of the table.
 func Kernels(p Params) KernelsBenchResult {
 	if p.N <= 0 {
 		p.N = 100000
@@ -171,8 +167,8 @@ func Kernels(p Params) KernelsBenchResult {
 	}
 
 	// ---- Phase 2: P2P pair rates ------------------------------------------
-	// Near-field call shape: one leaf row of S targets against a gathered
-	// span of sources, repeated until the pair count is statistically
+	// Near-field call shape: one leaf row of S targets against a long span
+	// of sources, repeated until the pair count is statistically
 	// meaningful (~2e8 pairs per variant).
 	const nt, ns = s, 4096
 	res.P2PTargets, res.P2PSources = nt, ns
@@ -183,20 +179,10 @@ func Kernels(p Params) KernelsBenchResult {
 	for i := range xt {
 		xt[i] = randUnit(rng).Scale(0.5 + rng.Float64())
 	}
-	sx32 := make([]float32, ns)
-	sy32 := make([]float32, ns)
-	sz32 := make([]float32, ns)
-	sm32 := make([]float32, ns)
-	fx32 := make([]float32, ns)
-	fy32 := make([]float32, ns)
-	fz32 := make([]float32, ns)
 	for j := range ys {
 		ys[j] = randUnit(rng).Scale(0.5 + rng.Float64())
 		ms[j] = rng.Float64()
 		fs[j] = randUnit(rng)
-		sx32[j], sy32[j], sz32[j] = float32(ys[j].X), float32(ys[j].Y), float32(ys[j].Z)
-		sm32[j] = float32(ms[j])
-		fx32[j], fy32[j], fz32[j] = float32(fs[j].X), float32(fs[j].Y), float32(fs[j].Z)
 	}
 	phi := make([]float64, nt)
 	acc := make([]geom.Vec3, nt)
@@ -232,23 +218,19 @@ func Kernels(p Params) KernelsBenchResult {
 	gr := pairRates(
 		func() { gk.P2P(xt, phi, acc, ys, ms) },
 		func() { gk.P2PScalar(xt, phi, acc, ys, ms) },
-		func() { gk.P2P32(xt, phi, acc, sx32, sy32, sz32, sm32) },
 	)
-	res.GravPairRateBlocked, res.GravPairRateScalar, res.GravPairRateF32 = gr[0], gr[1], gr[2]
+	res.GravPairRatePacked, res.GravPairRateScalar = gr[0], gr[1]
 	if res.GravPairRateScalar > 0 {
-		res.GravBlockedSpeedup = res.GravPairRateBlocked / res.GravPairRateScalar
-		res.GravF32Speedup = res.GravPairRateF32 / res.GravPairRateScalar
+		res.GravPackedSpeedup = res.GravPairRatePacked / res.GravPairRateScalar
 	}
 	sk := kernels.Stokeslet{Mu: 1, Eps: 0.05}
 	sr := pairRates(
 		func() { sk.P2P(xt, vel, ys, fs) },
 		func() { sk.P2PScalar(xt, vel, ys, fs) },
-		func() { sk.P2P32(xt, vel, sx32, sy32, sz32, fx32, fy32, fz32) },
 	)
-	res.StokesPairRateBlocked, res.StokesPairRateScalar, res.StokesPairRateF32 = sr[0], sr[1], sr[2]
+	res.StokesPairRatePacked, res.StokesPairRateScalar = sr[0], sr[1]
 	if res.StokesPairRateScalar > 0 {
-		res.StokesBlockedSpeedup = res.StokesPairRateBlocked / res.StokesPairRateScalar
-		res.StokesF32Speedup = res.StokesPairRateF32 / res.StokesPairRateScalar
+		res.StokesPackedSpeedup = res.StokesPairRatePacked / res.StokesPairRateScalar
 	}
 
 	// ---- Phase 3: end-to-end steps ----------------------------------------

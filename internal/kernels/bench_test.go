@@ -22,20 +22,45 @@ func randBodies(n int, seed int64) ([]geom.Vec3, []float64, []geom.Vec3) {
 	return pos, mass, f
 }
 
-// BenchmarkGravityP2P reports the direct-kernel throughput in
-// interactions/second (the quantity the device model is calibrated in).
-func BenchmarkGravityP2P(b *testing.B) {
-	const n = 512
-	pos, mass, _ := randBodies(n, 1)
-	phi := make([]float64, n)
-	acc := make([]geom.Vec3, n)
-	k := Gravity{G: 1, Softening: 0.01}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.P2P(pos, phi, acc, pos, mass)
+// BenchmarkP2P times one P2P call of nt targets against ns sources —
+// packed is P2P as dispatched on this host, scalar is the reference
+// P2PScalar — and reports ns per body pair. 8x10 is the short row of a
+// direct-summed accepted pair (core.DirectK), 64x64 and 256x256 are leaf
+// rows at S = 64 and 256.
+func BenchmarkP2P(b *testing.B) {
+	shapes := []struct {
+		name   string
+		nt, ns int
+	}{{"8x10", 8, 10}, {"16x16", 16, 16}, {"64x64", 64, 64}, {"256x256", 256, 256}}
+	g := Gravity{G: 1, Softening: 0.01}
+	s := Stokeslet{Mu: 1, Eps: 1e-3}
+	for _, field := range []string{"gravity", "stokeslet"} {
+		for _, kernel := range []string{"packed", "scalar"} {
+			for _, sh := range shapes {
+				xt, _, _ := randBodies(sh.nt, 1)
+				ys, ms, fs := randBodies(sh.ns, 2)
+				phi := make([]float64, sh.nt)
+				acc := make([]geom.Vec3, sh.nt)
+				var call func()
+				switch field + "/" + kernel {
+				case "gravity/packed":
+					call = func() { g.P2P(xt, phi, acc, ys, ms) }
+				case "gravity/scalar":
+					call = func() { g.P2PScalar(xt, phi, acc, ys, ms) }
+				case "stokeslet/packed":
+					call = func() { s.P2P(xt, acc, ys, fs) }
+				default:
+					call = func() { s.P2PScalar(xt, acc, ys, fs) }
+				}
+				b.Run(field+"/"+kernel+"/"+sh.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						call()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.nt*sh.ns), "ns/pair")
+				})
+			}
+		}
 	}
-	b.ReportMetric(float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9,
-		"Ginteractions/s")
 }
 
 // nearFieldTree builds a Plummer decomposition with lists for the two
@@ -95,53 +120,5 @@ func BenchmarkNearFieldCSR(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(sch.Total())*float64(b.N)/b.Elapsed().Seconds()/1e9,
-		"Ginteractions/s")
-}
-
-// BenchmarkNearFieldGather sweeps through chunked SoA source gathering
-// (core.Config.GatherSources): each chunk's distinct sources are copied
-// once into compact buffers. The copy only pays off when the particle
-// arrays far exceed the last-level cache.
-func BenchmarkNearFieldGather(b *testing.B) {
-	t := nearFieldTree(b)
-	sys := t.Sys
-	k := Gravity{G: 1, Softening: 0.01}
-	sch := t.NearField()
-	var g octree.SourceGather
-	const chunk = 16
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < sch.Rows(); lo += chunk {
-			hi := lo + chunk
-			if hi > sch.Rows() {
-				hi = sch.Rows()
-			}
-			g.Pack(t, sch, lo, hi, true, false)
-			for r := lo; r < hi; r++ {
-				tn := &t.Nodes[sch.Leaves[r]]
-				xt := sys.Pos[tn.Start:tn.End]
-				pot := sys.Phi[tn.Start:tn.End]
-				acc := sys.Acc[tn.Start:tn.End]
-				for _, si := range sch.Row(r) {
-					a, z := g.Span(si)
-					k.P2P(xt, pot, acc, g.Pos[a:z], g.Mass[a:z])
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(sch.Total())*float64(b.N)/b.Elapsed().Seconds()/1e9,
-		"Ginteractions/s")
-}
-
-func BenchmarkStokesletP2P(b *testing.B) {
-	const n = 512
-	pos, _, f := randBodies(n, 2)
-	vel := make([]geom.Vec3, n)
-	k := Stokeslet{Mu: 1, Eps: 1e-3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.P2P(pos, vel, pos, f)
-	}
-	b.ReportMetric(float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9,
 		"Ginteractions/s")
 }

@@ -35,190 +35,56 @@ func (k Gravity) Accumulate(x, y geom.Vec3, m float64) (phi float64, acc geom.Ve
 	return -k.G * m * inv, d.Scale(-k.G * m * inv3)
 }
 
-// p2pTile is the target-block width of the tiled gravity P2P kernel: the
-// tile's accumulators live in registers while each source position/mass is
-// loaded once and applied to the whole tile, dividing the source-stream
-// memory traffic of the dominant near-field loop by the tile width. Width 2
-// is the measured optimum for Go's scalar codegen on x86-64: each gravity
-// target keeps 4 accumulator lanes (phi + 3 acc) plus its position live, so
-// wider tiles overflow the 16-entry vector register file and spill; on
-// divider-throughput-bound hosts (where 1/sqrt dominates) width 2 is at
-// parity with the scalar walk, and on memory-bound hosts it wins by halving
-// the stream.
-const p2pTile = 2
-
 // P2P computes the mutual interactions of targets (positions xt) against
-// sources (positions ys, masses ms), accumulating potential into phi and
-// acceleration into acc (parallel to xt). It is the reference CPU kernel;
-// the virtual GPU executes the numerically identical computation. The loop
-// is tiled over targets but evaluates the per-pair arithmetic of P2PScalar
-// term-for-term, so results are bit-identical to the scalar kernel.
+// sources (positions ys, masses ms; the shorter of the two bounds the list),
+// accumulating potential into phi and acceleration into acc (parallel to
+// xt). Where the host has AVX2 the targets run four at a time through the
+// packed body of p2p_amd64.s — one target per vector lane, the sources
+// streamed, every lane performing P2PScalar's IEEE operations in its order,
+// a last block of one to three targets padded; elsewhere everything is
+// P2PScalar. The results are bit-identical either way.
 func (k Gravity) P2P(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
-	eps2 := k.Softening * k.Softening
 	n := len(ys)
 	if n > len(ms) {
 		n = len(ms)
 	}
-	ys = ys[:n]
-	ms = ms[:n]
-	i := 0
-	for ; i+p2pTile <= len(xt); i += p2pTile {
-		x0, x1 := xt[i], xt[i+1]
-		p0, p1 := phi[i], phi[i+1]
-		a0, a1 := acc[i], acc[i+1]
-		for j := 0; j < n; j++ {
-			y := ys[j]
-			gm := k.G * ms[j]
-			{
-				dx, dy, dz := x0.X-y.X, x0.Y-y.Y, x0.Z-y.Z
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 != 0 {
-					r2 += eps2
-					inv := 1 / math.Sqrt(r2)
-					p0 -= gm * inv
-					f := gm * inv * inv * inv
-					a0.X -= f * dx
-					a0.Y -= f * dy
-					a0.Z -= f * dz
-				}
-			}
-			{
-				dx, dy, dz := x1.X-y.X, x1.Y-y.Y, x1.Z-y.Z
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 != 0 {
-					r2 += eps2
-					inv := 1 / math.Sqrt(r2)
-					p1 -= gm * inv
-					f := gm * inv * inv * inv
-					a1.X -= f * dx
-					a1.Y -= f * dy
-					a1.Z -= f * dz
-				}
-			}
-		}
-		phi[i], phi[i+1] = p0, p1
-		acc[i], acc[i+1] = a0, a1
+	ys, ms = ys[:n], ms[:n]
+	if packedOK && n > 0 {
+		k.p2pPacked(xt, phi, acc, ys, ms)
+		return
 	}
-	if i < len(xt) {
-		k.P2PScalar(xt[i:], phi[i:], acc[i:], ys, ms)
-	}
+	k.P2PScalar(xt, phi, acc, ys, ms)
 }
 
-// P2PScalar is the untiled reference kernel (the pre-tiling P2P), retained
-// as the remainder loop of the tiled path and as the A/B baseline for the
-// kernel benchmarks and bit-identity tests.
+// P2PScalar is the portable reference kernel: one target at a time over all
+// sources. It is P2P on hosts without the packed body and the oracle of the
+// bit-identity tests. Every product is wrapped in an explicit float64 conversion — a
+// rounding point by the language spec — so no compiler may fuse it into a
+// multiply-add and the function computes the same bits on every target.
 func (k Gravity) P2PScalar(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
-	eps2 := k.Softening * k.Softening
+	eps2 := float64(k.Softening * k.Softening)
 	for i := range xt {
 		p := phi[i]
 		a := acc[i]
 		xi := xt[i]
 		for j := range ys {
-			d := xi.Sub(ys[j])
-			r2 := d.Norm2()
+			y := ys[j]
+			dx, dy, dz := xi.X-y.X, xi.Y-y.Y, xi.Z-y.Z
+			r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 			if r2 == 0 {
 				continue // self pair or exact coincidence
 			}
 			r2 += eps2
 			inv := 1 / math.Sqrt(r2)
 			gm := k.G * ms[j]
-			p -= gm * inv
-			f := gm * inv * inv * inv
-			a.X -= f * d.X
-			a.Y -= f * d.Y
-			a.Z -= f * d.Z
+			t := float64(gm * inv)
+			p -= t
+			f := t * inv * inv
+			a.X -= float64(f * dx)
+			a.Y -= float64(f * dy)
+			a.Z -= float64(f * dz)
 		}
 		phi[i] = p
-		acc[i] = a
-	}
-}
-
-// P2P32 is the float32 near-field kernel: sources arrive as float32 SoA
-// (packed by octree.SourceGather.Pack32), per-pair arithmetic runs in
-// float32 — halving the source memory stream and using the cheaper
-// single-precision square root — and each target's partial sums widen to
-// float64 once, when added to phi/acc. The per-target float32 accumulation
-// bounds the relative error by roughly eps32 * n_src, which is what the
-// solver's precision gate checks before enabling this path.
-func (k Gravity) P2P32(xt []geom.Vec3, phi []float64, acc []geom.Vec3, sx, sy, sz, sm []float32) {
-	eps2 := float32(k.Softening * k.Softening)
-	g := float32(k.G)
-	n := len(sx)
-	if len(sy) < n {
-		n = len(sy)
-	}
-	if len(sz) < n {
-		n = len(sz)
-	}
-	if len(sm) < n {
-		n = len(sm)
-	}
-	sx, sy, sz, sm = sx[:n], sy[:n], sz[:n], sm[:n]
-	for i := range xt {
-		xi := xt[i]
-		tx, ty, tz := float32(xi.X), float32(xi.Y), float32(xi.Z)
-		var p, ax, ay, az float32
-		for j := 0; j < n; j++ {
-			dx, dy, dz := tx-sx[j], ty-sy[j], tz-sz[j]
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 == 0 {
-				continue
-			}
-			r2 += eps2
-			inv := float32(1) / float32(math.Sqrt(float64(r2)))
-			gm := g * sm[j]
-			p -= gm * inv
-			f := gm * inv * inv * inv
-			ax -= f * dx
-			ay -= f * dy
-			az -= f * dz
-		}
-		phi[i] += float64(p)
-		a := acc[i]
-		a.X += float64(ax)
-		a.Y += float64(ay)
-		a.Z += float64(az)
-		acc[i] = a
-	}
-}
-
-// P2P32AoS runs the float32 near-field arithmetic over float64 AoS source
-// slices, converting on the fly. It is the NearFloat32 path for consumers
-// without a gather buffer (the virtual-GPU per-pair walk).
-func (k Gravity) P2P32AoS(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
-	eps2 := float32(k.Softening * k.Softening)
-	g := float32(k.G)
-	n := len(ys)
-	if n > len(ms) {
-		n = len(ms)
-	}
-	ys = ys[:n]
-	ms = ms[:n]
-	for i := range xt {
-		xi := xt[i]
-		tx, ty, tz := float32(xi.X), float32(xi.Y), float32(xi.Z)
-		var p, ax, ay, az float32
-		for j := 0; j < n; j++ {
-			y := ys[j]
-			dx, dy, dz := tx-float32(y.X), ty-float32(y.Y), tz-float32(y.Z)
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 == 0 {
-				continue
-			}
-			r2 += eps2
-			inv := float32(1) / float32(math.Sqrt(float64(r2)))
-			gm := g * float32(ms[j])
-			p -= gm * inv
-			f := gm * inv * inv * inv
-			ax -= f * dx
-			ay -= f * dy
-			az -= f * dz
-		}
-		phi[i] += float64(p)
-		a := acc[i]
-		a.X += float64(ax)
-		a.Y += float64(ay)
-		a.Z += float64(az)
 		acc[i] = a
 	}
 }
@@ -266,126 +132,59 @@ func (k Stokeslet) SingularVelocity(x, y geom.Vec3, f geom.Vec3) geom.Vec3 {
 }
 
 // P2P accumulates regularized Stokeslet velocities at targets xt due to
-// point forces fs at ys into vel: P2PScalar over the sources both ys and fs
-// cover. Unlike Gravity.P2P it is not tiled over targets: a Stokeslet
-// target keeps 6 live lanes (3 velocity accumulators + 3 position
-// components) against gravity's 4+3, so even a 2-wide tile overflows the
-// x86-64 scalar register file and measured 14-27% slower than the scalar
-// walk under Go's codegen.
+// point forces fs at ys (the shorter of the two bounds the list) into vel,
+// dispatched exactly as Gravity.P2P.
 func (k Stokeslet) P2P(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
 	n := len(ys)
 	if n > len(fs) {
 		n = len(fs)
 	}
-	k.P2PScalar(xt, vel, ys[:n], fs[:n])
+	ys, fs = ys[:n], fs[:n]
+	if packedOK && n > 0 {
+		k.p2pPacked(xt, vel, ys, fs)
+		return
+	}
+	k.P2PScalar(xt, vel, ys, fs)
 }
 
-// P2PScalar is the Stokeslet pair walk, one target at a time over all
-// sources: the whole of P2P's arithmetic, and the baseline the kernel
-// benchmarks name.
+// consts returns the per-call constants of the pair walk: eps^2, 2 eps^2
+// and 1/(8 pi mu), rounded here so that no caller fuses them into a sum.
+func (k Stokeslet) consts() (e2, twoE2, c0 float64) {
+	e2 = float64(k.Eps * k.Eps)
+	return e2, float64(2 * e2), 1 / (8 * math.Pi * k.Mu)
+}
+
+// P2PScalar is the portable Stokeslet reference kernel, one target at a time
+// over all sources; products carry explicit float64 rounding points for the
+// reason given at Gravity.P2PScalar.
 func (k Stokeslet) P2PScalar(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
-	e2 := k.Eps * k.Eps
-	c0 := 1 / (8 * math.Pi * k.Mu)
+	e2, twoE2, c0 := k.consts()
 	for i := range xt {
 		v := vel[i]
 		xi := xt[i]
 		for j := range ys {
-			d := xi.Sub(ys[j])
-			r2 := d.Norm2()
+			y, f := ys[j], fs[j]
+			dx, dy, dz := xi.X-y.X, xi.Y-y.Y, xi.Z-y.Z
+			r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
+			// dot precedes the square root on purpose: SQRTSD merges into
+			// its destination register, and with the dot product's
+			// temporaries just freed the compiler picks one last written
+			// early in the iteration. Computed after the divide, the
+			// root waits for the previous pair's tail: 13.5 against 5.4
+			// ns/pair on the reference host.
+			dot := float64(dx*f.X) + float64(dy*f.Y) + float64(dz*f.Z)
 			den := r2 + e2
 			den15 := den * math.Sqrt(den)
 			if den15 == 0 {
 				continue
 			}
 			c := c0 / den15
-			f := fs[j]
-			h1 := (r2 + 2*e2) * c
-			h2 := d.Dot(f) * c
-			v.X += f.X*h1 + d.X*h2
-			v.Y += f.Y*h1 + d.Y*h2
-			v.Z += f.Z*h1 + d.Z*h2
+			h1 := (r2 + twoE2) * c
+			h2 := dot * c
+			v.X += float64(f.X*h1) + float64(dx*h2)
+			v.Y += float64(f.Y*h1) + float64(dy*h2)
+			v.Z += float64(f.Z*h1) + float64(dz*h2)
 		}
-		vel[i] = v
-	}
-}
-
-// P2P32 is the float32 Stokeslet near-field kernel over float32 SoA
-// sources (positions sx/sy/sz, forces fx/fy/fz); see Gravity.P2P32 for the
-// precision contract.
-func (k Stokeslet) P2P32(xt []geom.Vec3, vel []geom.Vec3, sx, sy, sz, fx, fy, fz []float32) {
-	e2 := float32(k.Eps * k.Eps)
-	c0 := float32(1 / (8 * math.Pi * k.Mu))
-	n := len(sx)
-	for _, s := range [][]float32{sy, sz, fx, fy, fz} {
-		if len(s) < n {
-			n = len(s)
-		}
-	}
-	sx, sy, sz = sx[:n], sy[:n], sz[:n]
-	fx, fy, fz = fx[:n], fy[:n], fz[:n]
-	for i := range xt {
-		xi := xt[i]
-		tx, ty, tz := float32(xi.X), float32(xi.Y), float32(xi.Z)
-		var vx, vy, vz float32
-		for j := 0; j < n; j++ {
-			dx, dy, dz := tx-sx[j], ty-sy[j], tz-sz[j]
-			r2 := dx*dx + dy*dy + dz*dz
-			den := r2 + e2
-			den15 := den * float32(math.Sqrt(float64(den)))
-			if den15 == 0 {
-				continue
-			}
-			c := c0 / den15
-			h1 := (r2 + 2*e2) * c
-			h2 := (dx*fx[j] + dy*fy[j] + dz*fz[j]) * c
-			vx += fx[j]*h1 + dx*h2
-			vy += fy[j]*h1 + dy*h2
-			vz += fz[j]*h1 + dz*h2
-		}
-		v := vel[i]
-		v.X += float64(vx)
-		v.Y += float64(vy)
-		v.Z += float64(vz)
-		vel[i] = v
-	}
-}
-
-// P2P32AoS runs the float32 Stokeslet arithmetic over float64 AoS slices,
-// converting on the fly (the gather-free NearFloat32 path).
-func (k Stokeslet) P2P32AoS(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
-	e2 := float32(k.Eps * k.Eps)
-	c0 := float32(1 / (8 * math.Pi * k.Mu))
-	n := len(ys)
-	if n > len(fs) {
-		n = len(fs)
-	}
-	ys = ys[:n]
-	fs = fs[:n]
-	for i := range xt {
-		xi := xt[i]
-		tx, ty, tz := float32(xi.X), float32(xi.Y), float32(xi.Z)
-		var vx, vy, vz float32
-		for j := 0; j < n; j++ {
-			y := ys[j]
-			sfx, sfy, sfz := float32(fs[j].X), float32(fs[j].Y), float32(fs[j].Z)
-			dx, dy, dz := tx-float32(y.X), ty-float32(y.Y), tz-float32(y.Z)
-			r2 := dx*dx + dy*dy + dz*dz
-			den := r2 + e2
-			den15 := den * float32(math.Sqrt(float64(den)))
-			if den15 == 0 {
-				continue
-			}
-			c := c0 / den15
-			h1 := (r2 + 2*e2) * c
-			h2 := (dx*sfx + dy*sfy + dz*sfz) * c
-			vx += sfx*h1 + dx*h2
-			vy += sfy*h1 + dy*h2
-			vz += sfz*h1 + dz*h2
-		}
-		v := vel[i]
-		v.X += float64(vx)
-		v.Y += float64(vy)
-		v.Z += float64(vz)
 		vel[i] = v
 	}
 }
@@ -397,15 +196,3 @@ const FlopsPerGravityInteraction = 20
 // FlopsPerStokesletInteraction is the approximate cost of one regularized
 // Stokeslet pair.
 const FlopsPerStokesletInteraction = 34
-
-// Eps32 is the float32 unit roundoff (2^-24). The per-target float32
-// accumulation of the P2P32 kernels bounds the relative near-field error
-// by about Eps32 * n_src for the worst row, which the solvers' precision
-// gate compares against the accuracy target before enabling NearFloat32.
-const Eps32 = 1.0 / (1 << 24)
-
-// NearFloat32Speedup is the assumed throughput ratio of the float32 near
-// field over the float64 path, used to pre-scale the cost model's P2P
-// coefficient when the precision gate toggles so the balancer's S search
-// re-converges quickly (observations then refine the real rate).
-const NearFloat32Speedup = 1.6

@@ -318,41 +318,6 @@ func TestNearScheduleMatchesLists(t *testing.T) {
 	}
 }
 
-// TestSourceGatherPack checks the SoA gather: every source leaf of a chunk
-// is packed exactly once and Span returns its bodies verbatim.
-func TestSourceGatherPack(t *testing.T) {
-	sys := distrib.Plummer(1200, 1, 1, 6)
-	tr := Build(sys, Config{S: 16})
-	sch := tr.NearField()
-	var g SourceGather
-	for lo := 0; lo < sch.Rows(); lo += 7 {
-		hi := lo + 7
-		if hi > sch.Rows() {
-			hi = sch.Rows()
-		}
-		g.Pack(tr, sch, lo, hi, true, true)
-		if len(g.Pos) != len(g.Mass) || len(g.Pos) != len(g.Aux) {
-			t.Fatalf("chunk [%d,%d): SoA lengths diverge", lo, hi)
-		}
-		for r := lo; r < hi; r++ {
-			for _, si := range sch.Row(r) {
-				a, b := g.Span(si)
-				n := &tr.Nodes[si]
-				if b-a != n.Count() {
-					t.Fatalf("leaf %d span %d bodies, want %d", si, b-a, n.Count())
-				}
-				for k := 0; k < b-a; k++ {
-					if g.Pos[a+k] != sys.Pos[int(n.Start)+k] ||
-						g.Mass[a+k] != sys.Mass[int(n.Start)+k] ||
-						g.Aux[a+k] != sys.Aux[int(n.Start)+k] {
-						t.Fatalf("leaf %d body %d packed wrong", si, k)
-					}
-				}
-			}
-		}
-	}
-}
-
 // FuzzListRepair drives arbitrary edit scripts against the list cache and
 // checks the repaired lists against a from-scratch build every time. Run
 // with `go test -fuzz FuzzListRepair`; the seeds execute as normal tests.

@@ -146,13 +146,13 @@ func TestMomentumConservedByIntegrator(t *testing.T) {
 }
 
 // TestGravityListCacheBitForBit runs the same trajectory with the
-// persistent list cache (default), with the cache disabled (from-scratch
-// dual traversal every solve), and with SoA source gathering, under the
-// full balancing strategy — so the run includes search rebuilds,
-// Enforce_S and fine-grained Collapse/PushDown batches. All variants must
-// agree bit for bit, step for step.
+// persistent list cache (default) and with the cache disabled
+// (from-scratch dual traversal every solve), under the full balancing
+// strategy — so the run includes search rebuilds, Enforce_S and
+// fine-grained Collapse/PushDown batches. Both variants must agree bit for
+// bit, step for step.
 func TestGravityListCacheBitForBit(t *testing.T) {
-	run := func(disableCache, gather bool) (*core.Solver, Result) {
+	run := func(disableCache bool) (*core.Solver, Result) {
 		sys := distrib.PlummerTruncated(2500, 1, 1, 0.8, 13)
 		for i := range sys.Vel {
 			sys.Vel[i] = geom.Vec3{}
@@ -166,20 +166,15 @@ func TestGravityListCacheBitForBit(t *testing.T) {
 		}
 		cfg.CPU.Cores = 10
 		cfg.DisableListCache = disableCache
-		cfg.GatherSources = gather
 		s := core.NewSolver(sys, cfg)
 		return s, RunGravity(s, simCfg(balance.StrategyFull, 40))
 	}
-	cached, resCached := run(false, false)
-	scratch, resScratch := run(true, false)
-	gathered, _ := run(false, true)
+	cached, resCached := run(false)
+	scratch, resScratch := run(true)
 	for i := range cached.Sys.Pos {
 		if cached.Sys.Pos[i] != scratch.Sys.Pos[i] || cached.Sys.Vel[i] != scratch.Sys.Vel[i] {
 			t.Fatalf("body %d diverged from from-scratch lists: %v vs %v",
 				i, cached.Sys.Pos[i], scratch.Sys.Pos[i])
-		}
-		if cached.Sys.Pos[i] != gathered.Sys.Pos[i] {
-			t.Fatalf("body %d diverged under source gathering", i)
 		}
 	}
 	for i := range resCached.Records {

@@ -67,12 +67,6 @@ type Config struct {
 	// (octree.Config.NoListCache); kept for A/B measurement. Results are
 	// bit-identical either way.
 	DisableListCache bool
-	// GatherSources copies each near-field chunk's source bodies into
-	// per-worker SoA gather buffers before the Stokeslet sweep instead of
-	// slicing the particle arrays through the schedule's cached source
-	// spans (see core.Config.GatherSources). Results are bit-identical
-	// either way.
-	GatherSources bool
 	// Overlap controls the concurrent near/far host execution (see
 	// core.OverlapMode): with the default core.OverlapAuto the Stokeslet
 	// near field runs concurrently with all four harmonic up-sweep/M2L
@@ -94,13 +88,6 @@ type Config struct {
 	// (see core.Config.DisableM2LTable); each V-list pair then runs the
 	// uncached reference form once per harmonic pass.
 	DisableM2LTable bool
-	// NearFloat32 opts the Stokeslet near field into the gated float32
-	// kernel path (see core.Config.NearFloat32).
-	NearFloat32 bool
-	// AccuracyTarget is the relative accuracy for the NearFloat32 gate;
-	// zero compares against the truncation bound of the current lists
-	// (see core.Config.AccuracyTarget).
-	AccuracyTarget float64
 	// Rec receives per-phase telemetry from every Solve (see
 	// core.Config.Rec); nil compiles to no-ops. Prefer Solver.SetRecorder
 	// after construction.
@@ -159,8 +146,6 @@ type Solver struct {
 	// wsFree is a free-list of long-lived operator workspaces.
 	wsFree    chan *expansion.Workspace
 	weightBuf []int64
-	// gatherFree recycles per-chunk near-field source gathers.
-	gatherFree chan *octree.SourceGather
 	// capEpoch/capVal track the last-seen cluster capacity (see
 	// core.Solver).
 	capEpoch int64
@@ -173,12 +158,6 @@ type Solver struct {
 	// m2l is the shared M2L translation-class table (see core.SharedM2L):
 	// one table serves all four harmonic passes.
 	m2l core.SharedM2L
-
-	// NearFloat32 precision-gate state (see core.Solver).
-	f32Active  bool
-	f32Blocked bool
-	gateEpoch  uint64
-	gateBound  float64
 }
 
 // NewSolver builds the decomposition for the body positions.
@@ -186,7 +165,6 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 	cfg.setDefaults()
 	s := &Solver{Cfg: cfg, Sys: sys, packedLen: sphharm.PackedLen(cfg.P)}
 	s.wsFree = make(chan *expansion.Workspace, cfg.Pool.Workers()+8)
-	s.gatherFree = make(chan *octree.SourceGather, cfg.Pool.Workers()+8)
 	s.Tree = octree.Build(sys, octree.Config{
 		S:           cfg.S,
 		MaxDepth:    cfg.MaxDepth,
@@ -338,10 +316,9 @@ func (s *Solver) Solve() StepTimes {
 
 	// Kernel-speed preparation before the near/far fork (see core.Solver):
 	// the shared class table (one lookup per V-list pair serves all four
-	// harmonic passes) and the float32 precision gate.
+	// harmonic passes).
 	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, rec,
 		!s.Cfg.DisableM2LTable && s.Cfg.SweepMode == core.SweepLevelSync && !s.Cfg.SkipFarField)
-	s.updateNearPrecision()
 
 	// Near and far phases, overlapped exactly as in core.Solver.Solve: a
 	// driver goroutine executes the Stokeslet near field while this
@@ -508,6 +485,8 @@ func (s *Solver) Solve() StepTimes {
 		if taskGraphed {
 			st.Host.SerialWall += l2pDur
 		}
+		// Back to back cannot beat overlapped (see core.Solver.Solve).
+		st.Host.SerialWall = max(st.Host.SerialWall, wall)
 		rec.SetOverlap(st.Host.SerialWall)
 	}
 	rec.End(solveTok)
@@ -594,15 +573,6 @@ func (s *Solver) p2pPair(target, source int32) {
 	sys := s.Sys
 	tn := &t.Nodes[target]
 	sn := &t.Nodes[source]
-	if s.f32Active {
-		s.Cfg.Kernel.P2P32AoS(
-			sys.Pos[tn.Start:tn.End],
-			sys.Acc[tn.Start:tn.End],
-			sys.Pos[sn.Start:sn.End],
-			sys.Aux[sn.Start:sn.End],
-		)
-		return
-	}
 	s.Cfg.Kernel.P2P(
 		sys.Pos[tn.Start:tn.End],
 		sys.Acc[tn.Start:tn.End],
@@ -615,9 +585,8 @@ func (s *Solver) p2pPair(target, source int32) {
 // interaction-count-weighted chunks.
 func (s *Solver) runCPUNearField() {
 	sch := s.Tree.NearField()
-	f32 := s.f32Active
 	s.Cfg.Pool.ParallelRangeWeightedClass(sched.ClassNear, sch.Weights, func(lo, hi int) {
-		s.nearFieldChunk(sch, f32, lo, hi)
+		s.nearFieldChunk(sch, lo, hi)
 	})
 }
 
@@ -626,41 +595,9 @@ func (s *Solver) runCPUNearField() {
 // task-graph near nodes. Rows run in order and each row's sources in
 // schedule order, so the accumulation order per body is independent of
 // how chunks are scheduled.
-func (s *Solver) nearFieldChunk(sch *octree.NearSchedule, f32 bool, lo, hi int) {
+func (s *Solver) nearFieldChunk(sch *octree.NearSchedule, lo, hi int) {
 	t := s.Tree
 	sys := s.Sys
-	if f32 {
-		g := s.getGather()
-		g.Pack32(t, sch, lo, hi, false, true)
-		for r := lo; r < hi; r++ {
-			tn := &t.Nodes[sch.Leaves[r]]
-			xt := sys.Pos[tn.Start:tn.End]
-			vel := sys.Acc[tn.Start:tn.End]
-			for _, si := range sch.Row(r) {
-				a, b := g.Span(si)
-				s.Cfg.Kernel.P2P32(xt, vel,
-					g.X32[a:b], g.Y32[a:b], g.Z32[a:b],
-					g.AX32[a:b], g.AY32[a:b], g.AZ32[a:b])
-			}
-		}
-		s.putGather(g)
-		return
-	}
-	if s.Cfg.GatherSources {
-		g := s.getGather()
-		g.Pack(t, sch, lo, hi, false, true)
-		for r := lo; r < hi; r++ {
-			tn := &t.Nodes[sch.Leaves[r]]
-			xt := sys.Pos[tn.Start:tn.End]
-			vel := sys.Acc[tn.Start:tn.End]
-			for _, si := range sch.Row(r) {
-				a, b := g.Span(si)
-				s.Cfg.Kernel.P2P(xt, vel, g.Pos[a:b], g.Aux[a:b])
-			}
-		}
-		s.putGather(g)
-		return
-	}
 	for r := lo; r < hi; r++ {
 		tn := &t.Nodes[sch.Leaves[r]]
 		xt := sys.Pos[tn.Start:tn.End]
@@ -670,22 +607,6 @@ func (s *Solver) nearFieldChunk(sch *octree.NearSchedule, f32 bool, lo, hi int) 
 				sys.Pos[sch.SrcStart[k]:sch.SrcEnd[k]],
 				sys.Aux[sch.SrcStart[k]:sch.SrcEnd[k]])
 		}
-	}
-}
-
-func (s *Solver) getGather() *octree.SourceGather {
-	select {
-	case g := <-s.gatherFree:
-		return g
-	default:
-		return &octree.SourceGather{}
-	}
-}
-
-func (s *Solver) putGather(g *octree.SourceGather) {
-	select {
-	case s.gatherFree <- g:
-	default:
 	}
 }
 

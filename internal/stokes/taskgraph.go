@@ -99,9 +99,8 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		}
 	} else {
 		sch := t.NearField()
-		f32 := s.f32Active
 		spec.NearChunk = func(lo, hi int) func() {
-			return func() { s.nearFieldChunk(sch, f32, lo, hi) }
+			return func() { s.nearFieldChunk(sch, lo, hi) }
 		}
 	}
 

@@ -162,16 +162,11 @@ func WriteChromeTrace(w io.Writer, steps []StepRecord) error {
 				Args: map[string]any{"cpu": rec.CPU, "gpu": rec.GPU}},
 		)
 		if rec.M2LClasses > 0 {
-			f32 := 0
-			if rec.NearF32 {
-				f32 = 1
-			}
 			events = append(events, chromeEvent{
 				Name: "m2l table", Ph: "C", PID: chromePID, TID: chromeTIDKern, TS: base,
 				Args: map[string]any{
 					"classes": rec.M2LClasses, "pairs": rec.M2LPairs,
 					"key_hits": rec.M2LKeyHits, "key_misses": rec.M2LKeyMisses,
-					"near_f32": f32,
 				},
 			})
 		}

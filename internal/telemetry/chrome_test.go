@@ -171,7 +171,6 @@ func TestChromeTrackMapping(t *testing.T) {
 		EventCapacity:    flt,
 		EventStepFail:    flt,
 		EventRestore:     flt,
-		EventPrecision:   bal,
 		EventAnomaly:     flt,
 		EventNetTimeout:  flt,
 	}

@@ -279,11 +279,6 @@ const (
 	// EventRestore: the step loop restored a snapshot. A = failing step,
 	// B = snapshot step execution resumes from.
 	EventRestore
-	// EventPrecision: the near-field precision gate toggled. A = 1 when
-	// float32 was enabled, 0 when disabled; B = 1 when the disable is
-	// sticky (error-bound violation); FA = estimated float32 relative
-	// error, FB = the accuracy target it was compared against.
-	EventPrecision
 	// EventAnomaly: the regression sentinel flagged a step whose wall
 	// clock (A = SpanSolve) or phase duration (A = the SpanKind integer)
 	// left its rolling EWMA+MAD baseline band. B = step index, FA =
@@ -314,7 +309,6 @@ var eventNames = [numEventKinds]string{
 	EventCapacity:    "capacity",
 	EventStepFail:    "step_fail",
 	EventRestore:     "restore",
-	EventPrecision:   "precision",
 	EventAnomaly:     "anomaly",
 	EventNetTimeout:  "net-timeout",
 }
@@ -426,8 +420,6 @@ type StepRecord struct {
 	M2LKeyHits   int64 `json:"m2l_key_hits,omitempty"`
 	M2LKeyMisses int64 `json:"m2l_key_misses,omitempty"`
 	M2LRebuilt   bool  `json:"m2l_rebuilt,omitempty"`
-	// NearF32 marks steps whose near field ran the gated float32 path.
-	NearF32 bool `json:"near_f32,omitempty"`
 	// DirectPairs counts the accepted (V-list) leaf pairs this step summed
 	// directly instead of translating, DirectInteractions their body-body
 	// interactions. Counts keeps the paper's operator assignment (M2L =
@@ -941,17 +933,6 @@ func (r *Recorder) SetDirect(pairs, interactions int64) {
 	r.ensureStepLocked()
 	r.cur.DirectPairs = pairs
 	r.cur.DirectInteractions = interactions
-	r.mu.Unlock()
-}
-
-// SetNearPrecision marks whether the step's near field ran in float32.
-func (r *Recorder) SetNearPrecision(f32 bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.NearF32 = f32
 	r.mu.Unlock()
 }
 
