@@ -119,29 +119,6 @@ type (
 	StokesSolver = stokes.Solver
 	// Boundary is an immersed flexible structure (fiber or ring).
 	Boundary = stokes.Boundary
-	// SweepMode selects the host execution of the far-field sweeps.
-	SweepMode = core.SweepMode
-	// OverlapMode selects whether a solve runs its near-field sweep
-	// concurrently with the far-field phases.
-	OverlapMode = core.OverlapMode
-)
-
-// Sweep modes for GravityConfig.SweepMode / StokesConfig.SweepMode.
-const (
-	// SweepLevelSync (the default) runs flat level-synchronous sweeps
-	// with batched rotation-accelerated M2L.
-	SweepLevelSync = core.SweepLevelSync
-	// SweepRecursive is the legacy task-per-node recursive traversal.
-	SweepRecursive = core.SweepRecursive
-)
-
-// Overlap modes for GravityConfig.Overlap / StokesConfig.Overlap.
-const (
-	// OverlapAuto (the default) overlaps near and far phases on eligible
-	// solves; results stay bit-identical to the sequential order.
-	OverlapAuto = core.OverlapAuto
-	// OverlapOff forces the sequential near-then-far execution.
-	OverlapOff = core.OverlapOff
 )
 
 // NewGravitySolver builds the AFMM over the system's bodies.

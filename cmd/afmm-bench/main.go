@@ -72,7 +72,7 @@ func main() {
 	})
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: afmm-bench [flags] fig3|fig4|fig6|table1|fig7|fig8|fig9|table2|fig10|all|sweeps|cluster|lists|telemetry|overlap|faults|kernels|taskgraph|dmem|netfaults")
+		fmt.Fprintln(os.Stderr, "usage: afmm-bench [flags] fig3|fig4|fig6|table1|fig7|fig8|fig9|table2|fig10|all|cluster|lists|telemetry|faults|kernels|dmem|netfaults")
 		os.Exit(2)
 	}
 	which := strings.ToLower(flag.Arg(0))
@@ -85,9 +85,9 @@ func main() {
 	}
 	known := map[string]bool{"fig3": true, "fig4": true, "fig6": true,
 		"table1": true, "fig7": true, "fig8": true, "fig9": true,
-		"table2": true, "fig10": true, "cluster": true, "sweeps": true,
-		"lists": true, "telemetry": true, "overlap": true, "faults": true,
-		"kernels": true, "taskgraph": true, "dmem": true, "netfaults": true,
+		"table2": true, "fig10": true, "cluster": true,
+		"lists": true, "telemetry": true, "faults": true,
+		"kernels": true, "dmem": true, "netfaults": true,
 		"all": true}
 	if !known[which] {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
@@ -123,10 +123,6 @@ func main() {
 		fmt.Println("==== CLUSTER (distributed-memory extension, strong scaling) ====")
 		runCluster(p)
 	}
-	if which == "sweeps" { // host wall-clock benchmark; not part of "all"
-		fmt.Println("==== SWEEPS (host far-field sweeps, level-sync vs recursive) ====")
-		runSweeps(p, pSet)
-	}
 	if which == "lists" { // host wall-clock benchmark; not part of "all"
 		fmt.Println("==== LISTS (persistent interaction lists, cached vs from-scratch) ====")
 		runLists(p)
@@ -135,10 +131,6 @@ func main() {
 		fmt.Println("==== TELEMETRY (step-trace recorder overhead and coverage) ====")
 		runTelemetry(p)
 	}
-	if which == "overlap" { // host wall-clock benchmark; not part of "all"
-		fmt.Println("==== OVERLAP (concurrent near/far schedule vs sequential) ====")
-		runOverlap(p)
-	}
 	if which == "faults" { // resilience benchmark; not part of "all"
 		fmt.Println("==== FAULTS (device fault injection: detection, recovery, degradation) ====")
 		runFaults(p)
@@ -146,10 +138,6 @@ func main() {
 	if which == "kernels" { // host wall-clock benchmark; not part of "all"
 		fmt.Println("==== KERNELS (M2L class table, packed P2P) ====")
 		runKernels(p, pSet)
-	}
-	if which == "taskgraph" { // host wall-clock benchmark; not part of "all"
-		fmt.Println("==== TASKGRAPH (dependency-driven step DAG vs fork-join level-sync) ====")
-		runTaskGraph(p)
 	}
 	if which == "dmem" { // distributed-runtime benchmark; not part of "all"
 		fmt.Println("==== DMEM (virtual-node scaling, cost-driven repartitioning, executed runtime) ====")
@@ -191,50 +179,14 @@ func runNetFaults(p experiments.Params) {
 	fmt.Println("wrote BENCH_netfaults.json")
 }
 
-// runTaskGraph benchmarks the dependency-driven step DAG against the
-// fork-join level-synchronous schedule at forced 2/4-worker pools and
-// writes the machine-readable BENCH_taskgraph.json. The acceptance target
-// is DAG makespan <= level-sync makespan on a >= 2-worker pool, with the
-// critical-path/makespan gap reported (the ROADMAP success metric: the
-// BENCH_overlap.json critical-path projection becomes a measured number).
-func runTaskGraph(p experiments.Params) {
-	res := experiments.TaskGraph(p)
-	fmt.Printf("trajectory: Plummer N=%d, S=%d, P=%d, %d GPUs, %d steps each variant (host cores: %d)\n",
-		res.N, res.S, res.P, res.GPUs, res.Steps, res.HostCores)
-	for _, pr := range res.Pools {
-		fmt.Printf("---- %d-worker pool ----\n", pr.PoolWorkers)
-		fmt.Printf("%-34s %12.3f ms/solve\n", "solve wall (level-sync)", float64(pr.StepNsLevelSync)/1e6)
-		fmt.Printf("%-34s %12.3f ms/solve\n", "solve wall (task graph)", float64(pr.StepNsTaskGraph)/1e6)
-		fmt.Printf("%-34s %+12.1f%%\n", "measured step reduction", 100*pr.MeasuredReduction)
-		fmt.Printf("%-34s %12.3f ms\n", "region makespan (level-sync)", float64(pr.MakespanNsLevelSync)/1e6)
-		fmt.Printf("%-34s %12.3f ms (+%.3f ms graph overhead)\n", "region makespan (task graph)",
-			float64(pr.MakespanNsTaskGraph)/1e6, float64(pr.GraphOverheadNs)/1e6)
-		fmt.Printf("%-34s %+12.1f%% (target >= 0%%)\n", "makespan reduction", 100*pr.MakespanReduction)
-		fmt.Printf("%-34s %12.3f ms = %.1f%% of makespan (1.0 = dependency-limited)\n",
-			"critical path", float64(pr.CriticalPathNs)/1e6, 100*pr.CriticalPathFrac)
-		fmt.Printf("graph: %d nodes, %d edges, max ready-queue depth %d\n",
-			pr.Nodes, pr.Edges, pr.MaxReady)
-	}
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_taskgraph.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_taskgraph.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_taskgraph.json")
-}
-
 // runKernels benchmarks the raw translation and P2P kernels on the host
 // (single core) and writes the machine-readable BENCH_kernels.json: the
 // class table against its uncached reference form and the per-pair
 // rotated operator, and the packed P2P against the scalar reference.
 func runKernels(p experiments.Params, pSet bool) {
 	if !pSet {
-		// Like the sweeps benchmark: the kernels under test are the
-		// accuracy-grade rotation path, so default to order 8 rather than
-		// the cost-model default.
+		// The kernels under test are the accuracy-grade rotation path, so
+		// default to order 8 rather than the cost-model default.
 		p.P = 8
 	}
 	res := experiments.Kernels(p)
@@ -302,35 +254,6 @@ func runFaults(p experiments.Params) {
 	fmt.Println("wrote BENCH_faults.json")
 }
 
-// runOverlap benchmarks the concurrent-phase scheduler against sequential
-// near-then-far solves (host wall clock) and writes the machine-readable
-// BENCH_overlap.json. The acceptance target is a >= 15% step-wall
-// reduction at N=100k with >= 1 simulated GPU — a target the measured
-// number can only reach on hosts with enough cores to actually run the
-// two phases side by side (see OverlapBenchResult).
-func runOverlap(p experiments.Params) {
-	res := experiments.Overlap(p)
-	fmt.Printf("trajectory: Plummer N=%d, S=%d, P=%d, %d GPUs, %d steps each variant (host cores: %d, pool workers: %d)\n",
-		res.N, res.S, res.P, res.GPUs, res.Steps, res.HostCores, res.PoolWorkers)
-	fmt.Printf("%-34s %12.3f ms/solve\n", "solve wall (sequential)", float64(res.StepNsSequential)/1e6)
-	fmt.Printf("%-34s %12.3f ms/solve\n", "solve wall (overlapped)", float64(res.StepNsOverlapped)/1e6)
-	fmt.Printf("%-34s %+12.1f%% (target >= 15%%)\n", "measured reduction", 100*res.MeasuredReduction)
-	fmt.Printf("%-34s %12.3f ms/solve\n", "scheduler-accounted saving", float64(res.OverlapSavingNs)/1e6)
-	fmt.Printf("phases (sequential): near %.3f ms, far %.3f ms of %.3f ms wall\n",
-		float64(res.NearNs)/1e6, float64(res.FarNs)/1e6, float64(res.WallNs)/1e6)
-	fmt.Printf("%-34s %12.3f ms/solve (-%.1f%%, critical-path model)\n",
-		"projected wall, unconstrained host", float64(res.ProjectedStepNs)/1e6, 100*res.ProjectedReduction)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_overlap.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_overlap.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_overlap.json")
-}
-
 // runTelemetry benchmarks the enabled step tracer against untraced solver
 // steps (host wall clock) and writes the machine-readable
 // BENCH_telemetry.json. The acceptance target is overhead < 2%.
@@ -386,40 +309,6 @@ func runLists(p experiments.Params) {
 		os.Exit(1)
 	}
 	fmt.Println("wrote BENCH_lists.json")
-}
-
-// runSweeps benchmarks the actual host numerics (wall clock, not the
-// virtual machine) and writes the machine-readable BENCH_sweeps.json.
-func runSweeps(p experiments.Params, pSet bool) {
-	if !pSet {
-		// The -p default (4) targets the virtual cost model; the host sweep
-		// benchmark defaults to the accuracy-grade order the rotation-
-		// accelerated M2L is built for.
-		p.P = 8
-	}
-	var sizes []int
-	if p.N > 0 {
-		sizes = []int{p.N}
-	}
-	res := experiments.Sweeps(p, sizes)
-	fmt.Printf("%8s %-10s %12s %12s %12s %12s\n",
-		"N", "mode", "up[ms]", "down[ms]", "far[ms]", "near[ms]")
-	for _, r := range res.Rows {
-		fmt.Printf("%8d %-10s %12.2f %12.2f %12.2f %12.2f\n",
-			r.N, r.Mode, float64(r.UpNs)/1e6, float64(r.DownNs)/1e6,
-			float64(r.UpNs+r.DownNs)/1e6, float64(r.NearNs)/1e6)
-	}
-	fmt.Printf("far-field speedup (level-sync vs recursive) at N=%d: %.2fx\n",
-		res.Rows[len(res.Rows)-1].N, res.FarFieldSpeedup)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_sweeps.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_sweeps.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_sweeps.json")
 }
 
 func runCluster(p experiments.Params) {

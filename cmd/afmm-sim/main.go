@@ -35,8 +35,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve the live dashboard, Prometheus /metrics, /status and /flightrec on this address (implies a metrics registry; alias for -debug-addr with metrics enabled)")
 	flightDir := flag.String("flightrec", "", "keep a flight-recorder ring of the last 32 steps and dump it into this directory on faults, failed steps, and sentinel anomalies (use '.' for the working directory)")
 	sentinel := flag.Bool("sentinel", true, "arm the step-time regression sentinel (emits anomaly events; with -flightrec, alarms also dump)")
-	noOverlap := flag.Bool("no-overlap", false, "run near and far phases sequentially instead of overlapped (results are bit-identical either way)")
-	noTaskGraph := flag.Bool("no-taskgraph", false, "run the far field through the fork-join phase barriers instead of the dependency-driven task graph (results are bit-identical either way)")
 	faults := flag.String("faults", "", "fault-injection schedule, e.g. gpu1:failstop@step12,gpu0:straggle2.5@step20")
 	pinS := flag.Bool("pin-s", false, "hold S fixed at its initial value (no balancer-driven rebuilds) so paired runs can be compared for bit-identity")
 	validate := flag.Bool("validate", false, "check accumulators for NaN/Inf after every solve (fails the step, triggering checkpoint recovery)")
@@ -132,12 +130,6 @@ func main() {
 		Kernel:   afmm.GravityKernel{G: 1, Softening: *soft},
 		Validate: *validate,
 	}
-	if *noOverlap {
-		cfg.Overlap = afmm.OverlapOff
-	}
-	// Task-graph execution is the tool default; the solver still falls
-	// back to level-synchronous sweeps on single-worker pools.
-	cfg.TaskGraph = !*noTaskGraph
 	if *faults != "" {
 		sch, err := afmm.ParseFaultSchedule(*faults)
 		if err != nil {

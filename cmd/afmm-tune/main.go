@@ -23,8 +23,6 @@ func main() {
 	traceFile := flag.String("trace", "", "write a JSONL trace of the tuning sweep (one record per S candidate) to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve the live dashboard, Prometheus /metrics and /status on this address during the sweep")
 	flightDir := flag.String("flightrec", "", "keep a flight-recorder ring of the last 32 candidate records and dump it into this directory on sentinel anomalies")
-	noOverlap := flag.Bool("no-overlap", false, "run near and far phases sequentially instead of overlapped")
-	noTaskGraph := flag.Bool("no-taskgraph", false, "configure the machine for fork-join sweeps instead of the dependency-driven task graph")
 	flag.Parse()
 
 	var sys *afmm.System
@@ -48,10 +46,6 @@ func main() {
 	}
 	machine.CPU = afmm.DefaultCPU()
 	machine.CPU.Cores = *cores
-	if *noOverlap {
-		machine.Overlap = afmm.OverlapOff
-	}
-	machine.TaskGraph = !*noTaskGraph
 
 	var rec *afmm.Recorder
 	if *traceFile != "" || *metricsAddr != "" || *flightDir != "" {

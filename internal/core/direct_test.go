@@ -56,22 +56,18 @@ func TestDirectKZeroKeepsParentBits(t *testing.T) {
 }
 
 // TestDirectPairsBitIdenticalAcrossPaths: with the predicate selecting a
-// good share of the accepted pairs, every execution path — fork-join with
-// and without overlap, the task graph, the device walk, list cache off,
-// table off — sums and translates the same pairs in the same order:
-// accelerations are exactly equal, over steps that move bodies across the
-// threshold.
+// good share of the accepted pairs, every configuration of the step — CPU
+// near field, the device walk, list cache off, table off, one worker —
+// sums and translates the same pairs in the same order: accelerations are
+// exactly equal, over steps that move bodies across the threshold.
 func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
 	base := distrib.Plummer(2500, 1, 1, 12)
 	paths := []struct {
 		name string
 		mut  func(cfg *Config)
 	}{
-		{"sequential", func(cfg *Config) { cfg.Overlap = OverlapOff }},
-		{"overlap", func(cfg *Config) {}},
-		{"taskgraph", func(cfg *Config) { cfg.TaskGraph = true }},
+		{"cpu", func(cfg *Config) {}},
 		{"vgpu", func(cfg *Config) { cfg.NumGPUs = 2 }},
-		{"vgpu-taskgraph", func(cfg *Config) { cfg.NumGPUs = 2; cfg.TaskGraph = true }},
 		{"no-list-cache", func(cfg *Config) { cfg.DisableListCache = true }},
 		{"no-m2l-table", func(cfg *Config) { cfg.DisableM2LTable = true }},
 		{"one-worker", func(cfg *Config) { cfg.Pool = sched.NewPool(1) }},
@@ -111,47 +107,6 @@ func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
 		if recs[0].DirectPairs != direct[0] || recs[0].DirectInteractions == 0 {
 			t.Fatalf("%s: step record reports %d direct pairs / %d interactions, schedule %d",
 				pc.name, recs[0].DirectPairs, recs[0].DirectInteractions, direct[0])
-		}
-	}
-}
-
-// TestSweepBenchResolvesSchedule: SweepBench on a solver that never ran
-// Solve — how cmd/afmm-bench's sweeps experiment calls it — resolves the
-// near-field schedule itself, in both sweep modes, with pairs selected; so
-// does a second call after a Refill that moved pairs across the threshold.
-// Its accelerations match Solve's to rounding (it sums far before near,
-// Solve near before far).
-func TestSweepBenchResolvesSchedule(t *testing.T) {
-	base := distrib.Plummer(1500, 1, 1, 7)
-	drift := func(sys *particle.System) {
-		for i := range sys.Pos {
-			d := sys.Pos[i].Scale(0.02)
-			sys.Pos[i] = sys.Pos[i].Add(geom.Vec3{X: d.Y, Y: -d.X, Z: d.Z * 0.5})
-		}
-	}
-	for _, mode := range []SweepMode{SweepLevelSync, SweepRecursive} {
-		cfg := Config{P: 6, S: 16, SweepMode: mode, Overlap: OverlapOff}
-		bench, ref := base.Clone(), base.Clone()
-		sb, sr := NewSolver(bench, cfg), NewSolver(ref, cfg)
-		for step := 0; step < 2; step++ {
-			sb.SweepBench()
-			sr.Solve()
-			if sb.Tree.NearField().DirectPairs == 0 {
-				t.Fatalf("mode %v step %d: no pair selected", mode, step)
-			}
-			var num, den float64
-			want := ref.AccInInputOrder()
-			for i, a := range bench.AccInInputOrder() {
-				num += a.Sub(want[i]).Norm2()
-				den += want[i].Norm2()
-			}
-			if e := math.Sqrt(num / den); e > 1e-13 {
-				t.Fatalf("mode %v step %d: SweepBench differs from Solve by %.3g", mode, step, e)
-			}
-			drift(bench)
-			drift(ref)
-			sb.Refill()
-			sr.Refill()
 		}
 	}
 }

@@ -1,0 +1,309 @@
+package core
+
+import (
+	"math"
+
+	"afmm/internal/expansion"
+	"afmm/internal/geom"
+	"afmm/internal/kernels"
+	"afmm/internal/octree"
+	"afmm/internal/particle"
+	"afmm/internal/sphharm"
+)
+
+// Field is a kernel on a tree: the six FMM operators (P2M and M2M in Up,
+// M2L and L2L in Down, L2P, P2P in NearRow and Pair) over expansion slabs
+// the value owns. It is implemented once per kernel — GravityField here,
+// stokes.Field for the regularized Stokeslet — and everything that
+// executes a step calls these methods and nothing else for numerics: the
+// solver's step graph, and each dmem node through a Private copy.
+//
+// Every method computes its cell (or row) wholly, in a fixed operation
+// order, so the result's bits do not depend on who calls it when, as long
+// as the callers respect the data dependences (internal/dag).
+type Field interface {
+	// Width is the number of expansions per cell (1 for gravity, 4 for the
+	// Stokeslet's harmonic passes); PackMpole/PackLocal move Width packed
+	// expansions per cell.
+	Width() int
+	// Reset sizes the multipole/local slabs to the tree and zeroes them.
+	Reset()
+	// Up computes cell ni's multipoles: P2M at a visible leaf, M2M from
+	// the occupied children above.
+	Up(w *expansion.Workspace, ni int32)
+	// Down computes cell ni's locals: L2L from the parent, then the
+	// translated pairs of the V list through the shared M2L table.
+	Down(w *expansion.Workspace, ni int32)
+	// L2P evaluates leaf ni's finalized locals at its bodies: per body
+	// exactly one addition onto the near-field-accumulated value — the
+	// only far-field write into the body accumulators.
+	L2P(w *expansion.Workspace, ni int32)
+	// NearRow executes row r of the near-field schedule, its sources in
+	// schedule order. A source whose entry in ghosts holds bodies is read
+	// from there (a dmem node's copies of remote leaves); nil ghosts means
+	// every source is local.
+	NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf)
+	// Pair is the direct interaction of one target/source leaf pair: the
+	// numeric work of a simulated device (vgpu.P2PFunc).
+	Pair(target, source int32)
+
+	// Pack/Load copy cell ni's Width packed expansions to and from a
+	// buffer: the dmem wire format.
+	PackMpole(ni int32, dst []complex128)
+	LoadMpole(ni int32, src []complex128)
+	PackLocal(ni int32, dst []complex128)
+	LoadLocal(ni int32, src []complex128)
+	// PackGhost copies leaf ni's bodies with the kernel's source payload.
+	PackGhost(ni int32) GhostLeaf
+
+	// Poison overwrites one accumulator of the body with NaN: the fault
+	// injector's silent-data-corruption stand-in, which the Validate guard
+	// must catch before integration.
+	Poison(body int32)
+	// Private returns a field over the same tree, bodies and M2L table
+	// with slabs of its own (one per dmem node).
+	Private() Field
+}
+
+// GhostLeaf is one source leaf's bodies as a dmem node holds them after
+// the ghost exchange: positions plus the kernel's source payload (masses
+// for gravity, forces for Stokes). Copies are bit-for-bit the owner's
+// values.
+type GhostLeaf struct {
+	Pos  []geom.Vec3
+	Mass []float64
+	Aux  []geom.Vec3
+}
+
+// Cells is what the kernels' fields share: the tree and bodies they read,
+// the expansion order, the M2L table, and one multipole and one local
+// slab per expansion column. Fields embed it and add the kernel.
+type Cells struct {
+	Tree *octree.Tree
+	Sys  *particle.System
+	P    int
+	// Rotated routes M2M/L2L through the O(p^3) rotation-accelerated
+	// operators (Config.UseRotatedTranslations).
+	Rotated bool
+	// M2L is the translation table of Tree's lists: prepared by the
+	// step's driver before any Down runs, read-only afterwards.
+	M2L *SharedM2L
+
+	packed         int
+	mpoles, locals [][]complex128
+}
+
+// NewCells returns the shared state of a width-column field.
+func NewCells(t *octree.Tree, sys *particle.System, p, width int, rotated bool, m2l *SharedM2L) Cells {
+	return Cells{
+		Tree: t, Sys: sys, P: p, Rotated: rotated, M2L: m2l,
+		packed: sphharm.PackedLen(p),
+		mpoles: make([][]complex128, width),
+		locals: make([][]complex128, width),
+	}
+}
+
+func (c *Cells) Width() int { return len(c.mpoles) }
+
+func (c *Cells) Reset() {
+	need := len(c.Tree.Nodes) * c.packed
+	for _, slabs := range [2][][]complex128{c.mpoles, c.locals} {
+		for k, s := range slabs {
+			if cap(s) < need {
+				slabs[k] = make([]complex128, need)
+				continue
+			}
+			s = s[:need]
+			for i := range s {
+				s[i] = 0
+			}
+			slabs[k] = s
+		}
+	}
+}
+
+// Mpole and Local return column k of cell ni's multipole / local
+// expansion, aliasing the slab.
+func (c *Cells) Mpole(k int, ni int32) expansion.Expansion {
+	off := int(ni) * c.packed
+	return expansion.Expansion{P: c.P, C: c.mpoles[k][off : off+c.packed]}
+}
+
+func (c *Cells) Local(k int, ni int32) expansion.Expansion {
+	off := int(ni) * c.packed
+	return expansion.Expansion{P: c.P, C: c.locals[k][off : off+c.packed]}
+}
+
+// M2M accumulates the occupied children's multipoles into cell ni's,
+// column by column.
+func (c *Cells) M2M(w *expansion.Workspace, ni int32) {
+	t := c.Tree
+	n := &t.Nodes[ni]
+	for k := range c.mpoles {
+		m := c.Mpole(k, ni)
+		for _, ci := range n.Children {
+			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
+				if c.Rotated {
+					w.M2MRotated(m, n.Box.Center, c.Mpole(k, ci), t.Nodes[ci].Box.Center)
+				} else {
+					w.M2M(m, n.Box.Center, c.Mpole(k, ci), t.Nodes[ci].Box.Center)
+				}
+			}
+		}
+	}
+}
+
+// L2L shifts the parent's locals into cell ni's, column by column; the
+// root has none to shift.
+func (c *Cells) L2L(w *expansion.Workspace, ni int32) {
+	t := c.Tree
+	n := &t.Nodes[ni]
+	parent := n.Parent
+	if parent == octree.NilNode {
+		return
+	}
+	for k := range c.locals {
+		if c.Rotated {
+			w.L2LRotated(c.Local(k, ni), n.Box.Center, c.Local(k, parent), t.Nodes[parent].Box.Center)
+		} else {
+			w.L2L(c.Local(k, ni), n.Box.Center, c.Local(k, parent), t.Nodes[parent].Box.Center)
+		}
+	}
+}
+
+func (c *Cells) pack(slabs [][]complex128, ni int32, dst []complex128) {
+	off := int(ni) * c.packed
+	for k, s := range slabs {
+		copy(dst[k*c.packed:(k+1)*c.packed], s[off:off+c.packed])
+	}
+}
+
+func (c *Cells) load(slabs [][]complex128, ni int32, src []complex128) {
+	off := int(ni) * c.packed
+	for k, s := range slabs {
+		copy(s[off:off+c.packed], src[k*c.packed:(k+1)*c.packed])
+	}
+}
+
+func (c *Cells) PackMpole(ni int32, dst []complex128) { c.pack(c.mpoles, ni, dst) }
+func (c *Cells) LoadMpole(ni int32, src []complex128) { c.load(c.mpoles, ni, src) }
+func (c *Cells) PackLocal(ni int32, dst []complex128) { c.pack(c.locals, ni, dst) }
+func (c *Cells) LoadLocal(ni int32, src []complex128) { c.load(c.locals, ni, src) }
+
+// Workspaces is a free-list of long-lived operator workspaces, one per
+// concurrently executing chunk. Unlike a sync.Pool it never discards
+// entries, so the scratch inside the workspaces survives across levels and
+// across solves.
+type Workspaces struct {
+	p    int
+	free chan *expansion.Workspace
+}
+
+// NewWorkspaces returns a free-list of order-p workspaces keeping up to
+// keep of them.
+func NewWorkspaces(p, keep int) Workspaces {
+	return Workspaces{p: p, free: make(chan *expansion.Workspace, keep)}
+}
+
+func (ws Workspaces) Get() *expansion.Workspace {
+	select {
+	case w := <-ws.free:
+		return w
+	default:
+		return expansion.NewWorkspace(ws.p)
+	}
+}
+
+func (ws Workspaces) Put(w *expansion.Workspace) {
+	select {
+	case ws.free <- w:
+	default:
+	}
+}
+
+// GravityField is the width-1 field of the softened Newtonian kernel:
+// masses are the charges, potentials and accelerations the result.
+type GravityField struct {
+	Cells
+	Kernel kernels.Gravity
+}
+
+// NewGravityField returns the gravity field of t's cells and sys's bodies.
+func NewGravityField(t *octree.Tree, sys *particle.System, p int, k kernels.Gravity, rotated bool, m2l *SharedM2L) *GravityField {
+	return &GravityField{Cells: NewCells(t, sys, p, 1, rotated, m2l), Kernel: k}
+}
+
+func (f *GravityField) Private() Field {
+	return NewGravityField(f.Tree, f.Sys, f.P, f.Kernel, f.Rotated, f.M2L)
+}
+
+func (f *GravityField) Up(w *expansion.Workspace, ni int32) {
+	n := &f.Tree.Nodes[ni]
+	if !n.IsVisibleLeaf() {
+		f.M2M(w, ni)
+		return
+	}
+	m := f.Mpole(0, ni)
+	for i := n.Start; i < n.End; i++ {
+		w.P2M(m, n.Box.Center, f.Sys.Pos[i], f.Sys.Mass[i])
+	}
+}
+
+func (f *GravityField) Down(w *expansion.Workspace, ni int32) {
+	t := f.Tree
+	n := &t.Nodes[ni]
+	f.L2L(w, ni)
+	if len(n.V) > 0 {
+		srcs := w.Sources(len(n.V))
+		for _, vi := range n.V {
+			srcs = append(srcs, expansion.M2LSource{M: f.Mpole(0, vi), From: t.Nodes[vi].Box.Center})
+		}
+		f.M2L.M2L(w, f.Local(0, ni), t, ni, srcs)
+	}
+}
+
+func (f *GravityField) L2P(w *expansion.Workspace, ni int32) {
+	n := &f.Tree.Nodes[ni]
+	l := f.Local(0, ni)
+	g := f.Kernel.G
+	sys := f.Sys
+	for i := n.Start; i < n.End; i++ {
+		phi, grad := w.L2P(l, n.Box.Center, sys.Pos[i])
+		sys.Phi[i] += -g * phi
+		sys.Acc[i] = sys.Acc[i].Add(grad.Scale(g))
+	}
+}
+
+func (f *GravityField) NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf) {
+	sys := f.Sys
+	tn := &f.Tree.Nodes[sch.Leaves[r]]
+	xt := sys.Pos[tn.Start:tn.End]
+	pot := sys.Phi[tn.Start:tn.End]
+	acc := sys.Acc[tn.Start:tn.End]
+	for k := sch.RowPtr[r]; k < sch.RowPtr[r+1]; k++ {
+		xs, ms := sys.Pos[sch.SrcStart[k]:sch.SrcEnd[k]], sys.Mass[sch.SrcStart[k]:sch.SrcEnd[k]]
+		if ghosts != nil && ghosts[sch.Srcs[k]].Pos != nil {
+			xs, ms = ghosts[sch.Srcs[k]].Pos, ghosts[sch.Srcs[k]].Mass
+		}
+		f.Kernel.P2P(xt, pot, acc, xs, ms)
+	}
+}
+
+func (f *GravityField) Pair(target, source int32) {
+	sys := f.Sys
+	tn := &f.Tree.Nodes[target]
+	sn := &f.Tree.Nodes[source]
+	f.Kernel.P2P(
+		sys.Pos[tn.Start:tn.End], sys.Phi[tn.Start:tn.End], sys.Acc[tn.Start:tn.End],
+		sys.Pos[sn.Start:sn.End], sys.Mass[sn.Start:sn.End])
+}
+
+func (f *GravityField) PackGhost(ni int32) GhostLeaf {
+	n := &f.Tree.Nodes[ni]
+	return GhostLeaf{
+		Pos:  append([]geom.Vec3(nil), f.Sys.Pos[n.Start:n.End]...),
+		Mass: append([]float64(nil), f.Sys.Mass[n.Start:n.End]...),
+	}
+}
+
+func (f *GravityField) Poison(body int32) { f.Sys.Phi[body] = math.NaN() }

@@ -8,7 +8,7 @@ import (
 )
 
 // Kernel-speed layer: the shared M2L translation-class table, prepared
-// once per Solve, before the near/far fork, so workers only ever read
+// once per Solve, before the step graph runs, so workers only ever read
 // settled state, and the translate-or-sum threshold.
 
 // DirectK is the gravity solver's break-even threshold, handed to
@@ -43,9 +43,10 @@ func DirectK(p int) int64 {
 
 // SharedM2L is the factored M2L operator table (expansion.M2LTable) of one
 // tree's current interaction lists, with the class schedule it was built
-// from and the list epoch it is valid for. One value serves one tree: the
-// gravity and Stokes solvers and the dmem runtime each hold one, prepare
-// it before their workers start and only read it afterwards.
+// from and the list epoch it is valid for. One value serves one tree: a
+// Solver holds it, its Field and the dmem nodes' private fields translate
+// through it, and whoever drives the step (Solve, or the dmem runtime)
+// prepares it before the workers start.
 type SharedM2L struct {
 	Tab   *expansion.M2LTable
 	Cls   *octree.M2LClassSchedule
@@ -81,8 +82,8 @@ func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *teleme
 // farRun returns the next maximal run [lo, hi) of translated pairs in node
 // ni's V list at or after from — the entries the near-field schedule does
 // not sum directly (octree.Tree.DirectMask); lo == len(V) when none is
-// left. Both M2L forms below walk V in these runs, so the sweeps, the task
-// graph and the dmem engines all skip the same pairs in the same order.
+// left. Both M2L forms below walk V in these runs, so every field skips the
+// same pairs in the same order.
 func farRun(t *octree.Tree, ni int32, from int) (lo, hi int) {
 	mask := t.DirectMask(ni)
 	lo = from
@@ -99,9 +100,8 @@ func farRun(t *octree.Tree, ni int32, from int) (lo, hi int) {
 // M2L accumulates into l the translated pairs of node ni's V list (srcs
 // parallel to t.Nodes[ni].V; entries the near-field schedule sums directly
 // are skipped): through the table when it was built for
-// exactly t's current list topology (direct sweep callers may run without
-// Prepare), else through the reference form — the same arithmetic either
-// way.
+// exactly t's current list topology, else through the reference form — the
+// same arithmetic either way.
 func (m *SharedM2L) M2L(w *expansion.Workspace, l expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource) {
 	to := t.Nodes[ni].Box.Center
 	table := m.Tab != nil && m.epoch == t.ListEpoch()
@@ -145,11 +145,10 @@ func (m *SharedM2L) Stats() (classes int, pairs, keyHits, keyMisses int64) {
 	return m.Cls.Classes(), m.Cls.Pairs, m.Cls.KeyHits, m.Cls.KeyMisses
 }
 
-// prepareM2LTable readies the shared table for this Solve (level-
-// synchronous sweeps with a far field, unless disabled).
-func (s *Solver) prepareM2LTable() {
-	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec,
-		!s.Cfg.DisableM2LTable && s.Cfg.SweepMode == SweepLevelSync && !s.Cfg.SkipFarField)
+// PrepareM2L readies the shared table for a step over the current lists
+// (dropped when the far field is skipped or the table is disabled).
+func (s *Solver) PrepareM2L() {
+	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec, !s.Cfg.DisableM2LTable && !s.Cfg.SkipFarField)
 }
 
 // M2LTableStats returns the current class schedule stats (zero-valued

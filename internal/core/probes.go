@@ -19,7 +19,8 @@ const sqrt3Const = 1.7320508075688772
 // matches the solver's (same MAC, same order).
 //
 // Solve must have run since the last tree modification (it fills the
-// multipoles this walk consumes).
+// multipoles this walk consumes). Gravity only: the walk reads the gravity
+// field's multipoles.
 func (s *Solver) EvaluateAt(points []geom.Vec3) (phi []float64, field []geom.Vec3) {
 	phi = make([]float64, len(points))
 	field = make([]geom.Vec3, len(points))
@@ -38,8 +39,8 @@ func (s *Solver) EvaluateAt(points []geom.Vec3) (phi []float64, field []geom.Vec
 		}
 		lo, hi := lo, hi
 		g.Spawn(func() {
-			w := s.getWS()
-			defer s.putWS(w)
+			w := s.ws.Get()
+			defer s.ws.Put(w)
 			local := expansion.NewExpansion(1)
 			for i := lo; i < hi; i++ {
 				phi[i], field[i] = s.evaluateOne(w, local, points[i])
@@ -53,7 +54,8 @@ func (s *Solver) EvaluateAt(points []geom.Vec3) (phi []float64, field []geom.Vec
 // evaluateOne walks the visible tree for a single probe.
 func (s *Solver) evaluateOne(w *expansion.Workspace, local expansion.Expansion, x geom.Vec3) (float64, geom.Vec3) {
 	t := s.Tree
-	gconst := s.Cfg.Kernel.G
+	f := s.Field.(*GravityField)
+	gconst := f.Kernel.G
 	local.Zero()
 	var phiNear float64
 	var accNear geom.Vec3
@@ -67,12 +69,12 @@ func (s *Solver) evaluateOne(w *expansion.Workspace, local expansion.Expansion, 
 		// Point target: accept the cell's multipole when the probe is
 		// outside the cell's scaled bounding sphere.
 		if t.Cfg.MAC*d > sqrt3Const*n.Box.Half {
-			w.M2L(local, x, s.mpole(ni), n.Box.Center)
+			w.M2L(local, x, f.Mpole(0, ni), n.Box.Center)
 			return
 		}
 		if n.IsVisibleLeaf() {
 			for i := n.Start; i < n.End; i++ {
-				p, a := s.Cfg.Kernel.Accumulate(x, s.Sys.Pos[i], s.Sys.Mass[i])
+				p, a := f.Kernel.Accumulate(x, s.Sys.Pos[i], s.Sys.Mass[i])
 				phiNear += p
 				accNear = accNear.Add(a)
 			}

@@ -1,0 +1,371 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"afmm/internal/distrib"
+	"afmm/internal/expansion"
+	"afmm/internal/geom"
+	"afmm/internal/octree"
+	"afmm/internal/particle"
+	"afmm/internal/sched"
+	"afmm/internal/telemetry"
+)
+
+// serialStep is the reference every execution test compares the step graph
+// with: one whole step of s's field on the calling goroutine — near rows in
+// order, up sweep from the deepest level, down sweep from the root, leaf
+// evaluation — with no dag, no sched and no M2L table (s never Solves, so
+// its field translates through the uncached reference form).
+func serialStep(s *Solver) { sweep(s, s.Field.Down) }
+
+// sweep runs the step serially with down as the down-sweep operator.
+func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
+	t, f := s.Tree, s.Field
+	t.BuildLists()
+	sch := t.NearField()
+	s.Sys.ResetAccumulators()
+	f.Reset()
+	w := expansion.NewWorkspace(s.Cfg.P)
+	for r := range sch.Leaves {
+		f.NearRow(sch, r, nil)
+	}
+	levels := t.LevelOrder()
+	for lv := len(levels) - 1; lv >= 0; lv-- {
+		for _, ni := range levels[lv] {
+			f.Up(w, ni)
+		}
+	}
+	for _, nodes := range levels {
+		for _, ni := range nodes {
+			down(w, ni)
+		}
+	}
+	for _, ni := range t.VisibleLeaves() {
+		f.L2P(w, ni)
+	}
+}
+
+// perPairStep is serialStep with the down operator of the paper's task
+// recursion: one direct (or rotated) M2L per translated V pair and column,
+// written against the field's slabs (both kernels' fields embed Cells) —
+// the operator the batched table kernel is compared with, to rounding: the
+// two share no arithmetic.
+func perPairStep(s *Solver, rotated bool) {
+	f := s.Field.(interface {
+		Field
+		Mpole(k int, ni int32) expansion.Expansion
+		Local(k int, ni int32) expansion.Expansion
+		L2L(w *expansion.Workspace, ni int32)
+	})
+	t := s.Tree
+	sweep(s, func(w *expansion.Workspace, ni int32) {
+		n := &t.Nodes[ni]
+		f.L2L(w, ni)
+		direct := t.DirectMask(ni)
+		for k := 0; k < f.Width(); k++ {
+			for j, vi := range n.V {
+				if direct[j] {
+					continue // summed by the near-field schedule
+				}
+				if rotated {
+					w.M2LRotated(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
+				} else {
+					w.M2L(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
+				}
+			}
+		}
+	})
+}
+
+// assertBitIdentical compares the two systems' potentials and
+// accelerations bit for bit: a schedule must not change a single ulp.
+func assertBitIdentical(t *testing.T, got, want *particle.System) {
+	t.Helper()
+	phiA, phiB := got.PhiInInputOrder(), want.PhiInInputOrder()
+	accA, accB := got.AccInInputOrder(), want.AccInInputOrder()
+	for i := range phiA {
+		if math.Float64bits(phiA[i]) != math.Float64bits(phiB[i]) {
+			t.Fatalf("phi not bit-identical at body %d: %x vs %x", i, phiA[i], phiB[i])
+		}
+		for c, v := range [3]float64{accA[i].X, accA[i].Y, accA[i].Z} {
+			if r := [3]float64{accB[i].X, accB[i].Y, accB[i].Z}[c]; math.Float64bits(v) != math.Float64bits(r) {
+				t.Fatalf("acc not bit-identical at body %d: %v vs %v", i, accA[i], accB[i])
+			}
+		}
+	}
+}
+
+// drift moves every body the way a step would, identically on systems
+// with the same permutation history.
+func drift(sys *particle.System) {
+	for i := range sys.Pos {
+		d := sys.Pos[i].Scale(0.05)
+		sys.Pos[i] = sys.Pos[i].Add(geom.Vec3{X: d.Y, Y: -d.X, Z: d.Z * 0.5})
+	}
+}
+
+type variant struct {
+	name string
+	mut  func(cfg *Config)
+}
+
+// The configurations the step graph is held to the serial reference on.
+// The last two pin the driver-slot reservation at its edges: three workers
+// leave the far field one slot beside the two reserved ones, and on one
+// worker the reservation clamps to none.
+var (
+	cpuOnly      = variant{"cpu-only", func(cfg *Config) {}}
+	oneGPU       = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
+	twoGPUs      = variant{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
+	noM2LTable   = variant{"no-m2l-table", func(cfg *Config) { cfg.DisableM2LTable = true }}
+	twoGPUsTight = variant{"two-gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
+	gpuNoReserve = variant{"gpu-no-reserve", func(cfg *Config) { cfg.NumGPUs = 1; cfg.Pool = sched.NewPool(1) }}
+)
+
+// graphMatchesSerial solves each variant on each pool size through the
+// step graph and holds Phi and Acc to the serial reference, bit for bit,
+// on the fresh tree and again after a move + Refill + EnforceS (the
+// balancer's edits change chunk geometry, not results).
+func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
+	for _, v := range variants {
+		for _, w := range workers {
+			t.Run(v.name, func(t *testing.T) {
+				sys := skewedSystem(1200, 7)
+				cfg := Config{P: 6, S: 24, Pool: sched.NewPool(w)}
+				v.mut(&cfg)
+				s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
+				s.Solve()
+				serialStep(ref)
+				assertBitIdentical(t, s.Sys, ref.Sys)
+				for _, x := range []*Solver{s, ref} {
+					drift(x.Sys)
+					x.Refill()
+					x.EnforceS()
+				}
+				s.Solve()
+				serialStep(ref)
+				assertBitIdentical(t, s.Sys, ref.Sys)
+				if r := s.Cfg.Pool.Reserved(); r != 0 {
+					t.Fatalf("pool still has %d reserved workers after Solve", r)
+				}
+			})
+		}
+	}
+}
+
+// TestGraphMatchesSerialReference: the one execution path against a
+// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
+func TestGraphMatchesSerialReference(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, twoGPUs, noM2LTable)
+		})
+	}
+	t.Run("failstop", graphMatchesSerialUnderFailStop)
+}
+
+// The tests the reference matrix replaced compared one execution path with
+// another; the paths are gone, their names stay as the slices of the matrix
+// they used to cover.
+func TestOverlapBitIdenticalGravity(t *testing.T) {
+	graphMatchesSerial(t, []int{4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight, gpuNoReserve)
+}
+
+func TestTaskGraphBitIdenticalGravity(t *testing.T) {
+	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight, noM2LTable)
+}
+
+func TestTaskGraphBitIdenticalUnderFaults(t *testing.T) { graphMatchesSerialUnderFailStop(t) }
+
+// graphMatchesSerialUnderFailStop: a fail-stop device loss recovered by the
+// host fallback stays bit-identical to the serial reference (the recovery
+// rows run inside the near node, before the L2P join).
+func graphMatchesSerialUnderFailStop(t *testing.T) {
+	cfg, _ := faultCfg("gpu0:failstop@step1", t)
+	cfg.Pool = sched.NewPool(4)
+	s := NewSolver(testSystem(t, 2500), cfg)
+	cfg.Faults = nil
+	ref := NewSolver(testSystem(t, 2500), cfg)
+	for step := 0; step < 3; step++ {
+		if _, err := s.SolveChecked(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		serialStep(ref)
+		assertBitIdentical(t, s.Sys, ref.Sys)
+	}
+	if rep := s.Cluster.LastReport(); rep.DeadDevices != 1 {
+		t.Fatalf("want 1 dead device, got %d", rep.DeadDevices)
+	}
+}
+
+// agreesWithRecursion holds a solve to the per-pair operator at the
+// to-rounding tolerance the batched kernel has always been held to.
+func agreesWithRecursion(t *testing.T, s, ref *Solver) {
+	t.Helper()
+	s.Solve()
+	perPairStep(ref, ref.Cfg.UseRotatedTranslations)
+	accA, accB := s.Sys.AccInInputOrder(), ref.Sys.AccInInputOrder()
+	phiA, phiB := s.Sys.PhiInInputOrder(), ref.Sys.PhiInInputOrder()
+	for i := range accA {
+		if accA[i].Sub(accB[i]).Norm() > 1e-8*(1+accA[i].Norm()) {
+			t.Fatalf("acc diverged at body %d: %v vs %v", i, accA[i], accB[i])
+		}
+		if math.Abs(phiA[i]-phiB[i]) > 1e-8*(1+math.Abs(phiA[i])) {
+			t.Fatalf("phi diverged at body %d: %v vs %v", i, phiA[i], phiB[i])
+		}
+	}
+}
+
+// TestSweepModesAgree: the batched, table-driven M2L of the step graph
+// against the per-pair direct (or rotated) operator of the paper's task
+// recursion — what the deleted recursive sweep mode executed.
+func TestSweepModesAgree(t *testing.T) {
+	for _, v := range []variant{
+		{"direct", func(cfg *Config) {}},
+		{"rotated", func(cfg *Config) { cfg.UseRotatedTranslations = true }},
+		{"uniform", func(cfg *Config) { cfg.Mode = octree.Uniform }},
+		{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			sys := distrib.Plummer(900, 1, 1, 19)
+			cfg := Config{P: 8, S: 16}
+			v.mut(&cfg)
+			s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
+			agreesWithRecursion(t, s, ref)
+			// Both stay within the solver's error bound vs direct sum.
+			if e := rmsAccError(s); e > 2e-4 {
+				t.Fatalf("error %g vs direct sum", e)
+			}
+		})
+	}
+}
+
+// TestSweepModesAgreeAfterTreeEdits: the same agreement on a tree the
+// balancer has edited (move, Refill + EnforceS).
+func TestSweepModesAgreeAfterTreeEdits(t *testing.T) {
+	sys := distrib.Plummer(800, 1, 1, 23)
+	cfg := Config{P: 6, S: 24}
+	s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
+	agreesWithRecursion(t, s, ref)
+	for _, x := range []*Solver{s, ref} {
+		drift(x.Sys)
+		x.Refill()
+		x.EnforceS()
+	}
+	agreesWithRecursion(t, s, ref)
+}
+
+// TestOverlapReportsHostPhases: every solve reports the near/far overlap
+// of its graph region, on any pool size and phase subset, and releases the
+// driver-slot reservation.
+func TestOverlapReportsHostPhases(t *testing.T) {
+	for _, tc := range []variant{
+		{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
+		{"one-worker", func(cfg *Config) { cfg.Pool = sched.NewPool(1) }},
+		{"far-skipped", func(cfg *Config) { cfg.SkipFarField = true }},
+		{"dry", func(cfg *Config) { cfg.SkipFarField, cfg.SkipNearField = true, true }},
+	} {
+		cfg := Config{P: 6, S: 24, Pool: sched.NewPool(4)}
+		tc.mut(&cfg)
+		s := NewSolver(skewedSystem(1200, 7), cfg)
+		st := s.Solve()
+		if !st.Host.Overlapped || st.Host.SerialWall < st.Host.Wall {
+			t.Fatalf("%s: overlapped %v, serial-equivalent wall %v < wall %v",
+				tc.name, st.Host.Overlapped, st.Host.SerialWall, st.Host.Wall)
+		}
+		if far, near := st.Host.Far > 0, st.Host.Near > 0; far == cfg.SkipFarField || near == cfg.SkipNearField {
+			t.Fatalf("%s: far %v near %v", tc.name, st.Host.Far, st.Host.Near)
+		}
+		if r := s.Cfg.Pool.Reserved(); r != 0 {
+			t.Fatalf("%s: pool still has %d reserved workers after Solve", tc.name, r)
+		}
+	}
+}
+
+// TestTaskGraphTelemetry: a traced solve reports the graph's shape and
+// schedule quality, one span per graph node on the task kinds, and one
+// top-level span per phase — what StepRecord.PhaseNs, the per-phase
+// histograms and the sentinel read.
+func TestTaskGraphTelemetry(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	s := NewSolver(skewedSystem(1200, 7), Config{P: 6, S: 24, Pool: sched.NewPool(4), NumGPUs: 1})
+	s.SetRecorder(rec)
+	s.Solve()
+	rec.EndStep()
+	if gs := s.TaskGraphStats(); gs.Nodes <= 0 || gs.Edges <= 0 {
+		t.Fatalf("no graph stats: %+v", gs)
+	}
+	s0 := rec.Steps()[0]
+	if s0.TaskNodes <= 0 || s0.TaskEdges <= 0 || s0.TaskMaxReady < 1 {
+		t.Fatalf("task graph stats not recorded: %+v", s0)
+	}
+	if s0.TaskCriticalNs <= 0 || s0.TaskMakespanNs < s0.TaskCriticalNs {
+		t.Fatalf("critical path %d / makespan %d", s0.TaskCriticalNs, s0.TaskMakespanNs)
+	}
+	seen := map[telemetry.SpanKind]int64{}
+	for _, sp := range s0.Spans {
+		seen[sp.Kind] += sp.DurNs
+	}
+	for _, k := range []telemetry.SpanKind{
+		telemetry.SpanTaskUp, telemetry.SpanTaskDown, telemetry.SpanTaskL2P, telemetry.SpanTaskNear,
+		telemetry.SpanUpSweep, telemetry.SpanDownSweep, telemetry.SpanL2P, telemetry.SpanNearExec,
+	} {
+		if seen[k] <= 0 {
+			t.Fatalf("no %v span on a traced solve (saw %v)", k, seen)
+		}
+	}
+	if s0.PhaseNs() < seen[telemetry.SpanDownSweep]+seen[telemetry.SpanNearExec] {
+		t.Fatalf("PhaseNs %d misses the far or near phase", s0.PhaseNs())
+	}
+
+	// CPU-only near field: the same phases under near.cpu.
+	cpu := NewSolver(skewedSystem(1200, 7), Config{P: 6, S: 24, Pool: sched.NewPool(2)})
+	cpu.SetRecorder(rec)
+	cpu.Solve()
+	rec.EndStep()
+	var nearCPU int64
+	for _, sp := range rec.Steps()[1].Spans {
+		if sp.Kind == telemetry.SpanNearCPU {
+			nearCPU += sp.DurNs
+		}
+	}
+	if nearCPU <= 0 {
+		t.Fatal("no near.cpu span on a CPU-only traced solve")
+	}
+}
+
+// TestSentinelSeesFarField: fed the step record of a real traced solve as
+// its baseline, the sentinel raises far.down when the down phase takes
+// three times as long — which it could not before the graph emitted phase
+// spans.
+func TestSentinelSeesFarField(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	s := NewSolver(distrib.Plummer(1500, 1, 1, 5), Config{P: 6, S: 24, Pool: sched.NewPool(2)})
+	s.SetRecorder(rec)
+	s.Solve()
+	rec.EndStep()
+	step := rec.Steps()[0]
+	sen := telemetry.NewSentinel(telemetry.SentinelConfig{MinWall: time.Microsecond})
+	for i := 0; i < 10; i++ {
+		if as := sen.Observe(&step); len(as) != 0 {
+			t.Fatalf("steady baseline alarmed: %v", as)
+		}
+	}
+	slow := step
+	slow.Spans = append([]telemetry.Span(nil), step.Spans...)
+	for i := range slow.Spans {
+		if slow.Spans[i].Kind == telemetry.SpanDownSweep {
+			slow.Spans[i].DurNs *= 3
+		}
+	}
+	for _, a := range sen.Observe(&slow) {
+		if a.Kind == telemetry.SpanDownSweep {
+			return
+		}
+	}
+	t.Fatal("a 3x slower down phase raised no far.down anomaly")
+}

@@ -26,8 +26,8 @@ func (e *ValidationError) Error() string {
 
 // SolveChecked runs one Solve and surfaces the step's failure modes as an
 // error instead of letting them escape: a panic anywhere in the solve
-// (including worker-task panics resurfaced by sched.Group.Wait and
-// near-driver-goroutine panics), an unrecoverable device fault (host
+// (including graph-node panics resurfaced at the graph's join), an
+// unrecoverable device fault (host
 // fallback disabled, rows lost), and — when Config.Validate is set — a
 // non-finite accumulator found by the post-solve scan. The step loop uses
 // this as its checkpoint/restore trigger.
@@ -60,7 +60,8 @@ func (s *Solver) SolveChecked() (st StepTimes, err error) {
 }
 
 // ValidateAccumulators scans every visible leaf's bodies for NaN/Inf in
-// Phi and Acc, in parallel over the near-field weight distribution, and
+// Phi and Acc (a field that never writes Phi leaves it 0, which is
+// finite), in parallel over the near-field weight distribution, and
 // returns a *ValidationError for the lowest-index offending body (nil when
 // all accumulators are finite).
 func (s *Solver) ValidateAccumulators() error {
@@ -69,9 +70,11 @@ func (s *Solver) ValidateAccumulators() error {
 	if len(leaves) == 0 {
 		return nil
 	}
-	weights := s.levelWeights(leaves, func(ni int32) int64 {
-		return int64(t.Nodes[ni].Count()) + 1
-	})
+	weights := s.weightBuf[:0]
+	for _, ni := range leaves {
+		weights = append(weights, int64(t.Nodes[ni].Count())+1)
+	}
+	s.weightBuf = weights
 	var worst atomic.Int64
 	worst.Store(-1)
 	sys := s.Sys

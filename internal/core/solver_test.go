@@ -327,83 +327,6 @@ func BenchmarkEvaluateAtProbes(b *testing.B) {
 	b.ReportMetric(float64(len(probes)), "probes")
 }
 
-func TestSweepModesAgree(t *testing.T) {
-	// The level-synchronous far field (flat per-level ranges, batched M2L)
-	// and the legacy task recursion must produce the same potentials and
-	// accelerations to rounding: the batched M2L is the rotated operator,
-	// which agrees with the direct one to ~1e-9 relative.
-	for _, tc := range []struct {
-		name string
-		mut  func(cfg *Config)
-	}{
-		{"direct", func(cfg *Config) {}},
-		{"rotated", func(cfg *Config) { cfg.UseRotatedTranslations = true }},
-		{"uniform", func(cfg *Config) { cfg.Mode = octree.Uniform }},
-		{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sysA := distrib.Plummer(900, 1, 1, 19)
-			sysB := sysA.Clone()
-			cfgA := Config{P: 8, S: 16, SweepMode: SweepRecursive}
-			cfgB := Config{P: 8, S: 16, SweepMode: SweepLevelSync}
-			tc.mut(&cfgA)
-			tc.mut(&cfgB)
-			a := NewSolver(sysA, cfgA)
-			b := NewSolver(sysB, cfgB)
-			a.Solve()
-			b.Solve()
-			accA, accB := sysA.AccInInputOrder(), sysB.AccInInputOrder()
-			phiA, phiB := sysA.PhiInInputOrder(), sysB.PhiInInputOrder()
-			for i := range accA {
-				if accA[i].Sub(accB[i]).Norm() > 1e-8*(1+accA[i].Norm()) {
-					t.Fatalf("acc diverged at body %d: %v vs %v", i, accA[i], accB[i])
-				}
-				if math.Abs(phiA[i]-phiB[i]) > 1e-8*(1+math.Abs(phiA[i])) {
-					t.Fatalf("phi diverged at body %d: %v vs %v", i, phiA[i], phiB[i])
-				}
-			}
-			// Both modes stay within the solver's error bound vs direct sum.
-			if e := rmsAccError(b); e > 2e-4 {
-				t.Fatalf("level-sync error %g vs direct sum", e)
-			}
-		})
-	}
-}
-
-func TestSweepModesAgreeAfterTreeEdits(t *testing.T) {
-	// The level index must stay correct through the balancer's tree
-	// mutations: solve, move bodies, Refill + EnforceS, solve again, and
-	// compare modes on the edited tree.
-	sysA := distrib.Plummer(800, 1, 1, 23)
-	sysB := sysA.Clone()
-	a := NewSolver(sysA, Config{P: 6, S: 24, SweepMode: SweepRecursive})
-	b := NewSolver(sysB, Config{P: 6, S: 24})
-	a.Solve()
-	b.Solve()
-	move := func(sys *particle.System) {
-		for i := range sys.Pos {
-			d := sys.Pos[i].Scale(0.05)
-			sys.Pos[i] = sys.Pos[i].Add(geom.Vec3{X: d.Y, Y: -d.X, Z: d.Z * 0.5})
-		}
-	}
-	// Both systems are permuted identically (same tree ops so far), so the
-	// same storage-order move keeps them physically identical.
-	move(sysA)
-	move(sysB)
-	a.Refill()
-	b.Refill()
-	a.EnforceS()
-	b.EnforceS()
-	a.Solve()
-	b.Solve()
-	accA, accB := sysA.AccInInputOrder(), sysB.AccInInputOrder()
-	for i := range accA {
-		if accA[i].Sub(accB[i]).Norm() > 1e-8*(1+accA[i].Norm()) {
-			t.Fatalf("post-edit acc diverged at body %d: %v vs %v", i, accA[i], accB[i])
-		}
-	}
-}
-
 // skewedSystem builds a distribution with a deliberately heavy near-field
 // tail: most bodies in one dense clump that bottoms out at MaxDepth (so a
 // few leaves carry most of the P2P interactions) plus a sparse halo.
@@ -416,20 +339,10 @@ func skewedSystem(n int, seed int64) *particle.System {
 }
 
 func BenchmarkNearFieldSkewed(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		m    SweepMode
-	}{{"weighted", SweepLevelSync}, {"legacy-chunked", SweepRecursive}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := skewedSystem(8000, 3)
-			s := NewSolver(sys, Config{P: 4, S: 64, MaxDepth: 6, SweepMode: mode.m,
-				SkipFarField: true})
-			s.Tree.BuildLists()
-			s.Sys.ResetAccumulators()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.runCPUNearField()
-			}
-		})
+	sys := skewedSystem(8000, 3)
+	s := NewSolver(sys, Config{P: 4, S: 64, MaxDepth: 6, SkipFarField: true})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Solve()
 	}
 }

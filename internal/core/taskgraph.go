@@ -4,18 +4,21 @@ import (
 	"time"
 
 	"afmm/internal/dag"
+	"afmm/internal/expansion"
+	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 	"afmm/internal/vgpu"
 )
 
-// Task-graph solve path: the whole step as one dependency graph (see
-// internal/dag) instead of the fork-join phase barriers. Up-sweep chunks
-// feed exactly the down-sweep chunks that read them; near-field work is
-// an independent root; the only near/far join is each leaf chunk's L2P —
-// the single far-field write into the body accumulators. Results are
-// bit-identical to the level-synchronous sweeps (same chunk bodies, same
-// per-node operation order, one L2P addition per body).
+// The step graph: the only way a solve executes, for every pool size and
+// every phase subset. The whole step is one dependency graph (see
+// internal/dag): up-sweep chunks feed exactly the down-sweep chunks that
+// read them; near-field work is an independent root; the only near/far
+// join is each leaf chunk's L2P — the single far-field write into the body
+// accumulators. A one-worker pool drains the same graph, help-first; a
+// solve that skips the far or the near field runs a graph without those
+// nodes.
 
 // taskTags maps the dag node categories onto telemetry span kinds; the
 // milestone tag is negative so join nodes are never emitted as spans.
@@ -27,44 +30,52 @@ var taskTags = dag.Tags{
 	Milestone: -1,
 }
 
-// taskGraphResult carries what Solve needs from the graph region: the
-// device time, per-phase durations (union of the phase's node spans, the
-// closest analogue of the fork-join phase walls), the region wall clock,
-// and the graph statistics for telemetry/benchmarks.
-type taskGraphResult struct {
+// graphResult carries what Solve needs from the graph region: the device
+// time, per-phase durations (union of the phase's node spans: the wall
+// time during which the phase was executing) and the region wall clock.
+type graphResult struct {
 	gpuTime             float64
 	near, up, down, l2p time.Duration
 	region              time.Duration
-	stats               sched.GraphStats
 }
 
-// taskGraphEligible reports whether this Solve runs the dependency-driven
-// path: opted in, level-synchronous chunk bodies available, a far field
-// present, and a pool that can actually exploit the removed barriers (a
-// single worker would only time-slice the ready queues).
-func (s *Solver) taskGraphEligible() bool {
-	if !s.Cfg.TaskGraph {
-		return false
-	}
-	if s.Cfg.SweepMode != SweepLevelSync || s.Cfg.SkipFarField {
-		return false
-	}
-	return s.Cfg.Pool.Workers() >= 2
-}
-
-// TaskGraphStats returns the graph statistics of the most recent
-// task-graph Solve: node/edge counts, ready-queue depth histogram, and
-// the critical-path vs makespan gap. The zero value is returned while no
-// solve has taken the task-graph path.
+// TaskGraphStats returns the graph statistics of the most recent Solve:
+// node/edge counts, ready-queue depth histogram, and the critical-path vs
+// makespan gap.
 func (s *Solver) TaskGraphStats() sched.GraphStats { return s.taskStats }
 
-// solveTaskGraph builds and runs the step DAG. The caller has already
-// run BuildLists, accumulator reset, slab sizing, M2L table preparation,
-// the precision gate, and (with a cluster) Partition.
-func (s *Solver) solveTaskGraph() taskGraphResult {
+// reservedDrivers is the number of pool worker slots dedicated to the
+// near-field class while the graph runs — the paper's "one core per GPU
+// driver thread": one slot per simulated device (none on CPU-only
+// configurations, where near and far share all slots), clamped so the far
+// field keeps at least one.
+func (s *Solver) reservedDrivers() int {
+	if s.Cluster == nil {
+		return 0
+	}
+	return min(len(s.Cluster.Devices), s.Cfg.Pool.Workers()-1)
+}
+
+// chunk returns a graph node body applying op to every cell of nodes with
+// one workspace.
+func (s *Solver) chunk(nodes []int32, op func(w *expansion.Workspace, ni int32)) func() {
+	return func() {
+		w := s.ws.Get()
+		for _, ni := range nodes {
+			op(w, ni)
+		}
+		s.ws.Put(w)
+	}
+}
+
+// runGraph builds and runs the step graph over the resolved near-field
+// schedule. The caller has already run BuildLists, accumulator and slab
+// reset, M2L table preparation and (with a cluster) Partition.
+func (s *Solver) runGraph(sch *octree.NearSchedule) graphResult {
 	t := s.Tree
 	rec := s.Cfg.Rec
-	var out taskGraphResult
+	f := s.Field
+	var out graphResult
 
 	// Reserve driver slots before the build: the builder's chunk bounds
 	// are reservation-aware, so they must see the final partition.
@@ -73,42 +84,20 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		defer s.Cfg.Pool.SetReserved(0)
 	}
 
-	spec := dag.Spec{
-		Tree:       t,
-		Pool:       s.Cfg.Pool,
-		UpWeight:   s.upWeight,
-		DownWeight: s.downWeight,
-		UpChunk: func(_ int, nodes []int32) func() {
-			return func() {
-				w := s.getWS()
-				for _, ni := range nodes {
-					s.upNode(w, ni)
-				}
-				s.putWS(w)
-			}
-		},
-		DownChunk: func(_ int, nodes []int32) func() {
-			return func() {
-				w := s.getWS()
-				for _, ni := range nodes {
-					s.downNode(w, ni, false)
-				}
-				s.putWS(w)
-			}
-		},
-		L2P: func(leaves []int32) func() {
-			return func() {
-				w := s.getWS()
-				for _, ni := range leaves {
-					s.leafL2P(w, ni)
-				}
-				s.putWS(w)
-			}
-		},
-		Tags: taskTags,
+	spec := dag.Spec{Tree: t, Pool: s.Cfg.Pool, Tags: taskTags}
+	if !s.Cfg.SkipFarField {
+		up, down, l2p := f.Up, f.Down, f.L2P
+		spec.UpWeight, spec.DownWeight = s.upWeight, s.downWeight
+		spec.UpChunk = func(_ int, nodes []int32) func() { return s.chunk(nodes, up) }
+		spec.DownChunk = func(_ int, nodes []int32) func() { return s.chunk(nodes, down) }
+		spec.L2P = func(leaves []int32) func() { return s.chunk(leaves, l2p) }
 	}
+	nearKind := telemetry.SpanNearCPU
 	if s.Cluster != nil {
-		fn := vgpu.P2PFunc(s.p2pPair)
+		nearKind = telemetry.SpanNearExec
+		// A device cluster walks its chunks even under SkipNearField: the
+		// timing model still runs.
+		fn := vgpu.P2PFunc(f.Pair)
 		if s.Cfg.SkipNearField {
 			fn = nil
 		}
@@ -116,9 +105,12 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 			out.gpuTime = s.Cluster.ExecuteParallel(t, fn, s.Cfg.Pool)
 		}
 	} else if !s.Cfg.SkipNearField {
-		sch := t.NearField()
 		spec.NearChunk = func(lo, hi int) func() {
-			return func() { s.nearFieldChunk(sch, lo, hi) }
+			return func() {
+				for r := lo; r < hi; r++ {
+					f.NearRow(sch, r, nil)
+				}
+			}
 		}
 	}
 
@@ -131,23 +123,34 @@ func (s *Solver) solveTaskGraph() taskGraphResult {
 		panic(err)
 	}
 	out.region = regionTimer.Elapsed()
-	out.stats = g.Stats()
-	s.taskStats = out.stats
-	out.near = sched.SpanUnion(out.stats.Spans, taskTags.Near)
-	out.up = sched.SpanUnion(out.stats.Spans, taskTags.Up)
-	out.down = sched.SpanUnion(out.stats.Spans, taskTags.Down)
-	out.l2p = sched.SpanUnion(out.stats.Spans, taskTags.L2P)
+	stats := g.Stats()
+	s.taskStats = stats
+
+	// One top-level span per phase, under the kinds the sentinel, the
+	// per-phase histograms and StepRecord.PhaseNs read: start = the
+	// phase's first node, duration = the union of its node spans.
+	phase := func(tag int32, kind telemetry.SpanKind) time.Duration {
+		startNs, union := sched.SpanUnion(stats.Spans, tag)
+		if union > 0 {
+			rec.AddSpan(kind, 0, stats.Start.Add(time.Duration(startNs)), union)
+		}
+		return union
+	}
+	out.near = phase(taskTags.Near, nearKind)
+	out.up = phase(taskTags.Up, telemetry.SpanUpSweep)
+	out.down = phase(taskTags.Down, telemetry.SpanDownSweep)
+	out.l2p = phase(taskTags.L2P, telemetry.SpanL2P)
 	if rec.Enabled() {
-		for _, sp := range out.stats.Spans {
+		for _, sp := range stats.Spans {
 			if sp.Tag < 0 || sp.DurNs <= 0 {
 				continue // milestones and cancelled nodes
 			}
 			rec.AddSpan(telemetry.SpanKind(sp.Tag), sp.Arg,
-				out.stats.Start.Add(time.Duration(sp.StartNs)),
+				stats.Start.Add(time.Duration(sp.StartNs)),
 				time.Duration(sp.DurNs))
 		}
-		rec.SetTaskGraph(out.stats.Nodes, out.stats.Edges, out.stats.MaxReady,
-			out.stats.CriticalPathNs, out.stats.MakespanNs)
+		rec.SetTaskGraph(stats.Nodes, stats.Edges, stats.MaxReady,
+			stats.CriticalPathNs, stats.MakespanNs)
 	}
 	return out
 }

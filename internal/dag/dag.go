@@ -1,8 +1,9 @@
 // Package dag assembles one FMM step as a dependency graph over the
-// sched task-graph runtime, shared by the gravity and Stokes solvers.
+// sched task-graph runtime: the one way a solve executes, for every
+// kernel, pool size and phase subset.
 //
-// The fork-join sweeps end every phase and every octree level in a full
-// barrier; the DAG keeps only the semantic dependencies:
+// The graph holds only the step's semantic dependencies — no phase or
+// level barriers:
 //
 //   - an up-sweep chunk at level L depends on the level-L+1 chunks that
 //     hold its children (cell-range granularity, so one slow chunk only
@@ -21,7 +22,7 @@
 //     the only join between the two phases, and a semantic one: L2P is
 //     the single far-field write into the body accumulators.
 //
-// Bit-identity with the level-synchronous sweeps follows from the node
+// The result's bits do not depend on the schedule, because of the node
 // granularity: every multipole/local is computed wholly inside one node
 // with a fixed internal operation order, and every body receives its
 // near-field contributions in CSR row order plus exactly one L2P
@@ -51,14 +52,14 @@ type Spec struct {
 	Tree *octree.Tree
 	Pool *sched.Pool
 
-	// Per-node chunking weights, identical to the level-sync sweeps so
-	// graph chunks match ParallelRangeWeightedClass boundaries.
+	// Per-node weights steering the far-field chunk boundaries.
 	UpWeight   func(ni int32) int64
 	DownWeight func(ni int32) int64
 
 	// UpChunk/DownChunk build one far-field chunk body over the given
 	// level slice. DownChunk must NOT evaluate L2P (that is the L2P
-	// node's job, after the near field converges).
+	// node's job, after the near field converges). Both nil: the far
+	// field is skipped and the graph is its near-field roots.
 	UpChunk   func(level int, nodes []int32) func()
 	DownChunk func(level int, nodes []int32) func()
 	// L2P builds the leaf-evaluation body for the given visible leaves
@@ -137,8 +138,11 @@ func build(spec Spec, g graph) {
 		}
 	}
 
-	// Per-level chunk bounds for both sweeps (reservation-aware, same as
-	// the level-sync ParallelRangeWeightedClass).
+	if spec.UpChunk == nil {
+		return
+	}
+
+	// Per-level chunk bounds for both sweeps (reservation-aware).
 	upBounds := make([][]int, nLevels)
 	downBounds := make([][]int, nLevels)
 	var wbuf []int64

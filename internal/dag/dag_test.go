@@ -61,8 +61,8 @@ func (r *recorder) Node(_ sched.Class, _, _ int32, fn func()) sched.NodeID {
 func (r *recorder) Edge(from, to sched.NodeID) { r.edges[[2]sched.NodeID{from, to}] = true }
 
 // record builds the spec's graph into a recorder whose tasks carry their
-// brute-force access sets.
-func record(t *octree.Tree, pool *sched.Pool, near string) *recorder {
+// brute-force access sets; without far the spec has no far-field chunks.
+func record(t *octree.Tree, pool *sched.Pool, near string, far bool) *recorder {
 	r := &recorder{edges: map[[2]sched.NodeID]bool{}}
 	leafAcc := func(leaves []int32) (out []res) {
 		for _, li := range leaves {
@@ -123,6 +123,9 @@ func record(t *octree.Tree, pool *sched.Pool, near string) *recorder {
 		},
 		Tags: Tags{Milestone: -1},
 	}
+	if !far {
+		spec.UpChunk, spec.DownChunk, spec.L2P = nil, nil, nil
+	}
 	switch near {
 	case "chunks":
 		sch := t.NearField()
@@ -170,8 +173,14 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 		tr.SetDirectK([]int64{0, 30, 400, math.MaxInt64}[trial%4])
 		workers := 1 + rng.Intn(6)
 		near := []string{"chunks", "single", "none"}[rng.Intn(3)]
-		name := fmt.Sprintf("trial %d (n=%d S=%d workers=%d near=%s)", trial, n, tr.Cfg.S, workers, near)
-		r := record(tr, sched.NewPool(workers), near)
+		// Every phase subset: far-only is near "none"; near-only (every
+		// fourth trial) drops the far-field chunks and keeps a near field.
+		far := trial%4 != 3
+		if !far && near == "none" {
+			near = "chunks"
+		}
+		name := fmt.Sprintf("trial %d (n=%d S=%d workers=%d near=%s far=%v)", trial, n, tr.Cfg.S, workers, near, far)
+		r := record(tr, sched.NewPool(workers), near, far)
 		nLevels := len(tr.LevelOrder())
 
 		// One chain: every occupied cell is computed by exactly one up and
@@ -182,17 +191,20 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 				writers[w] = append(writers[w], sched.NodeID(id))
 			}
 		}
+		wantFar, wantAcc := 0, 0
+		if far {
+			wantFar, wantAcc = 1, 1
+		}
+		if near != "none" {
+			wantAcc++
+		}
 		for ni := range tr.Nodes {
 			if tr.Nodes[ni].Count() == 0 {
 				continue
 			}
-			if m, l := len(writers[res{'M', int32(ni)}]), len(writers[res{'L', int32(ni)}]); m != 1 || l != 1 {
-				t.Fatalf("%s: node %d has %d up and %d down tasks, want 1 and 1", name, ni, m, l)
+			if m, l := len(writers[res{'M', int32(ni)}]), len(writers[res{'L', int32(ni)}]); m != wantFar || l != wantFar {
+				t.Fatalf("%s: node %d has %d up and %d down tasks, want %d of each", name, ni, m, l, wantFar)
 			}
-		}
-		wantAcc := 1
-		if near != "none" {
-			wantAcc = 2
 		}
 		for _, li := range tr.VisibleLeaves() {
 			if got := len(writers[res{'A', li}]); got != wantAcc {

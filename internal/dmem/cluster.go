@@ -3,15 +3,14 @@ package dmem
 import (
 	"fmt"
 
-	"afmm/internal/core"
 	"afmm/internal/fault"
 	"afmm/internal/stokes"
 	"afmm/internal/telemetry"
 )
 
 // StokesCluster executes a Stokes solver's partitioned tree on the
-// distributed runtime: the kernel-agnostic LET/ghost exchange and graph
-// machinery are shared with the gravity path; only the per-cell engine
+// distributed runtime: the LET/ghost exchange, the graph machinery and
+// the node engine are the gravity path's; only the field the engines copy
 // differs (four harmonic passes, force charges, velocity combine). The
 // numerics are bit-identical to stokes.Solver.Solve.
 type StokesCluster struct {
@@ -31,19 +30,9 @@ func NewStokesCluster(sv *stokes.Solver, nodes int, net NetworkSpec) (*StokesClu
 	if net.Bandwidth == 0 {
 		net = DefaultNetwork()
 	}
-	m2l := new(core.SharedM2L)
-	eng := make([]nodeEngine, nodes)
-	for k := range eng {
-		eng[k] = newStokesEngine(sv, m2l)
-	}
 	c := &StokesCluster{
-		sv: sv,
-		rt: &Runtime{
-			tree: sv.Tree, sys: sv.Sys, eng: eng, net: net,
-			m2l: m2l, p: sv.Cfg.P, pool: sv.Cfg.Pool, noTable: sv.Cfg.DisableM2LTable,
-			rec:     sv.Cfg.Rec,
-			skipFar: sv.Cfg.SkipFarField,
-		},
+		sv:    sv,
+		rt:    newRuntime(sv.Solver, nodes, net),
 		alive: make([]bool, nodes),
 	}
 	for k := range c.alive {
@@ -55,7 +44,6 @@ func NewStokesCluster(sv *stokes.Solver, nodes int, net NetworkSpec) (*StokesClu
 // SetRecorder routes the cluster's node/comm spans to rec.
 func (c *StokesCluster) SetRecorder(rec *telemetry.Recorder) {
 	c.sv.SetRecorder(rec)
-	c.rt.rec = rec
 }
 
 // SetLinkFaults arms a deterministic link-fault schedule on the

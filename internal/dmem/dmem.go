@@ -227,20 +227,8 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	}
 	s.equalCountCuts()
 	if cfg.Execute {
-		m2l := new(core.SharedM2L)
-		eng := make([]nodeEngine, p)
-		for k := range eng {
-			eng[k] = newGravityEngine(inner, m2l)
-		}
-		s.rt = &Runtime{
-			tree: inner.Tree, sys: inner.Sys, eng: eng, net: s.Cfg.Net,
-			m2l: m2l, p: inner.Cfg.P, pool: inner.Cfg.Pool, noTable: inner.Cfg.DisableM2LTable,
-			rec:      inner.Cfg.Rec,
-			link:     cfg.Link,
-			linkSch:  cfg.LinkFaults,
-			linkSeed: cfg.LinkSeed,
-			skipFar:  inner.Cfg.SkipFarField, skipNear: inner.Cfg.SkipNearField,
-		}
+		s.rt = newRuntime(inner, p, s.Cfg.Net)
+		s.rt.link, s.rt.linkSch, s.rt.linkSeed = cfg.Link, cfg.LinkFaults, cfg.LinkSeed
 	}
 	return s, nil
 }
@@ -250,9 +238,6 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 // the recorder carries an enabled metrics registry.
 func (s *Solver) SetRecorder(rec *telemetry.Recorder) {
 	s.Inner.SetRecorder(rec)
-	if s.rt != nil {
-		s.rt.rec = rec
-	}
 	if reg := rec.Metrics(); reg.Enabled() {
 		s.met = newDmemMetrics(reg, len(s.Cfg.Nodes))
 	}
@@ -760,7 +745,7 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 	}
 	var rec *telemetry.Recorder
 	if s.rt != nil {
-		rec = s.rt.rec
+		rec = s.Inner.Cfg.Rec
 	}
 	for step := rc.StartStep; step < rc.StartStep+rc.Steps; step++ {
 		if s.det != nil {

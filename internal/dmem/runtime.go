@@ -8,8 +8,8 @@ import (
 	"afmm/internal/core"
 	"afmm/internal/fault"
 	"afmm/internal/octree"
-	"afmm/internal/particle"
 	"afmm/internal/sched"
+	"afmm/internal/sphharm"
 	"afmm/internal/telemetry"
 )
 
@@ -31,28 +31,29 @@ import (
 // the cross-node message graph is acyclic by level (see plan.go).
 // Progress then follows by induction over the global dependency DAG.
 type Runtime struct {
-	tree *octree.Tree
-	sys  *particle.System
-	eng  []nodeEngine
-	net  NetworkSpec
-	rec  *telemetry.Recorder
+	// drv is the single-node solver whose tree this runtime partitions:
+	// the tree, bodies, order, pool, recorder, skip flags and the one M2L
+	// class table all node engines translate through (built on drv's pool
+	// once per list epoch before the node goroutines start).
+	drv *core.Solver
+	eng []*nodeEngine
+	net NetworkSpec
 
 	// link layer: protocol knobs plus the (possibly empty) chaos
 	// schedule and its verdict seed.
 	link     LinkConfig
 	linkSch  *fault.LinkSchedule
 	linkSeed int64
+}
 
-	skipFar  bool
-	skipNear bool
-
-	// m2l is the one M2L class table all node engines translate through,
-	// built on pool once per list epoch before the node goroutines start.
-	// noTable is the solver's DisableM2LTable A/B switch.
-	m2l     *core.SharedM2L
-	p       int
-	pool    *sched.Pool
-	noTable bool
+// newRuntime returns the runtime executing drv's tree on nodes engines,
+// each over a private copy of drv's field.
+func newRuntime(drv *core.Solver, nodes int, net NetworkSpec) *Runtime {
+	rt := &Runtime{drv: drv, eng: make([]*nodeEngine, nodes), net: net}
+	for k := range rt.eng {
+		rt.eng[k] = newNodeEngine(drv)
+	}
+	return rt
 }
 
 // NodeComm is one node's measured communication activity in a step.
@@ -101,17 +102,17 @@ type nodeCommAtomic struct {
 // beyond the retry budget. Dead nodes (alive[k] == false) must own no
 // bodies under cuts — callers repartition before calling Step.
 func (rt *Runtime) Step(ownerOf func(int32) int32, alive []bool, step int) *ExecStats {
-	t := rt.tree
+	t := rt.drv.Tree
 	t.BuildLists()
-	rt.m2l.Prepare(t, rt.p, rt.pool, rt.rec, !rt.noTable && !rt.skipFar)
+	rt.drv.PrepareM2L()
 	sch := t.NearField()
-	rt.sys.ResetAccumulators()
+	rt.drv.Sys.ResetAccumulators()
 
 	p := len(rt.eng)
 	pl := buildPlan(t, sch, ownerOf, p)
 	for k := 0; k < p; k++ {
 		if alive[k] {
-			rt.eng[k].prepare(pl.owner, k)
+			rt.eng[k].prepare(len(t.Nodes))
 		}
 	}
 
@@ -149,13 +150,15 @@ func (rt *Runtime) Step(ownerOf func(int32) int32, alive []bool, step int) *Exec
 // runNode builds and runs node k's step graph.
 func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp *transport, nc *nodeCommAtomic) {
 	start := time.Now()
-	t := rt.tree
+	t := rt.drv.Tree
+	rec := rt.drv.Cfg.Rec
+	skipFar, skipNear := rt.drv.Cfg.SkipFarField, rt.drv.Cfg.SkipNearField
 	e := rt.eng[k]
-	expLen := e.expLen()
+	expLen := e.Width() * sphharm.PackedLen(rt.drv.Cfg.P)
 
 	// Count incoming milestones to size the node's private pool.
 	ms := 0
-	if !rt.skipFar {
+	if !skipFar {
 		for fk := range pl.mpoleNeed {
 			if fk.to == k {
 				ms++
@@ -167,7 +170,7 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 			}
 		}
 	}
-	if !rt.skipNear {
+	if !skipNear {
 		for pk := range pl.ghostNeed {
 			if pk.to == k {
 				ms++
@@ -202,14 +205,14 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 	cellMpoleMS := map[int32]sched.NodeID{}
 	cellLocalMS := map[int32]sched.NodeID{}
 	ghostMS := map[int]sched.NodeID{}
-	if !rt.skipFar {
+	if !skipFar {
 		for fk, cells := range pl.mpoleNeed {
 			if fk.to != k {
 				continue
 			}
 			f, cs := flowID{kind: flowMpole, from: fk.from, to: fk.to, level: fk.level}, cells
 			id := g.Node(sched.ClassGeneral, 0, int32(fk.from), func() {
-				recvExp(f, cs, e.loadMpole)
+				recvExp(f, cs, e.LoadMpole)
 			})
 			for _, ci := range cs {
 				cellMpoleMS[ci] = id
@@ -221,14 +224,14 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 			}
 			f, cs := flowID{kind: flowLocal, from: fk.from, to: fk.to, level: fk.level}, cells
 			id := g.Node(sched.ClassGeneral, 0, int32(fk.from), func() {
-				recvExp(f, cs, e.loadLocal)
+				recvExp(f, cs, e.LoadLocal)
 			})
 			for _, ci := range cs {
 				cellLocalMS[ci] = id
 			}
 		}
 	}
-	if !rt.skipNear {
+	if !skipNear {
 		for pk, cells := range pl.ghostNeed {
 			if pk.to != k {
 				continue
@@ -249,14 +252,14 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 					// owner's bytes by construction (PR 5's row-atomic
 					// fallback discipline), so the degradation costs time,
 					// never values.
-					data = make([]ghostLeaf, len(cs))
+					data = make([]core.GhostLeaf, len(cs))
 					for i, ci := range cs {
-						data[i] = e.packGhost(ci)
+						data[i] = e.PackGhost(ci)
 					}
 					tp.noteGhostDegrade()
 				}
 				for i, ci := range cs {
-					e.loadGhost(ci, data[i])
+					e.ghosts[ci] = data[i]
 				}
 				nc.bytesIn.Add(bytes)
 				nc.msgsIn.Add(1)
@@ -267,15 +270,15 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 	owned := pl.ownedCells[k]
 	upID := map[int32]sched.NodeID{}
 	downID := map[int32]sched.NodeID{}
-	if !rt.skipFar {
+	if !skipFar {
 		// Up tasks first (all created before edges: a parent precedes its
 		// children in the DFS order but its up task depends on theirs).
 		for _, ni := range owned {
 			ni := ni
 			upID[ni] = g.Node(sched.ClassGeneral, 1, ni, func() {
-				w := e.getWS()
-				e.upCell(w, ni)
-				e.putWS(w)
+				w := e.ws.Get()
+				e.Up(w, ni)
+				e.ws.Put(w)
 			})
 		}
 		for _, ni := range owned {
@@ -304,7 +307,7 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 			id := g.Node(sched.ClassGeneral, 2, int32(fk.to), func() {
 				buf := make([]complex128, len(cs)*expLen)
 				for i, ci := range cs {
-					e.packMpole(ci, buf[i*expLen:(i+1)*expLen])
+					e.PackMpole(ci, buf[i*expLen:(i+1)*expLen])
 				}
 				tp.Send(f, payload{exp: buf})
 			})
@@ -318,9 +321,9 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 			ni := ni
 			n := &t.Nodes[ni]
 			downID[ni] = g.Node(sched.ClassGeneral, 3, ni, func() {
-				w := e.getWS()
-				e.downCell(w, ni)
-				e.putWS(w)
+				w := e.ws.Get()
+				e.Down(w, ni)
+				e.ws.Put(w)
 			})
 			if pi := n.Parent; pi != octree.NilNode && t.Nodes[pi].Count() > 0 {
 				if pl.owner[pi] == int32(k) {
@@ -350,7 +353,7 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 			id := g.Node(sched.ClassGeneral, 4, int32(fk.to), func() {
 				buf := make([]complex128, len(cs)*expLen)
 				for i, ci := range cs {
-					e.packLocal(ci, buf[i*expLen:(i+1)*expLen])
+					e.PackLocal(ci, buf[i*expLen:(i+1)*expLen])
 				}
 				tp.Send(f, payload{exp: buf})
 			})
@@ -361,7 +364,7 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 	}
 
 	rowID := map[int32]sched.NodeID{}
-	if !rt.skipNear {
+	if !skipNear {
 		// Ghost sends are roots: body positions are step inputs.
 		for pk, cells := range pl.ghostNeed {
 			if pk.from != k {
@@ -369,9 +372,9 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 			}
 			f, cs := flowID{kind: flowGhost, from: pk.from, to: pk.to}, cells
 			g.Node(sched.ClassGeneral, 5, int32(pk.to), func() {
-				data := make([]ghostLeaf, len(cs))
+				data := make([]core.GhostLeaf, len(cs))
 				for i, ci := range cs {
-					data[i] = e.packGhost(ci)
+					data[i] = e.PackGhost(ci)
 				}
 				tp.Send(f, payload{ghost: data})
 			})
@@ -382,7 +385,7 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 		for _, r := range pl.rows[k] {
 			r := r
 			id := g.Node(sched.ClassGeneral, 6, sch.Leaves[r], func() {
-				e.nearRow(sch, r)
+				e.NearRow(sch, r, e.ghosts)
 			})
 			rowID[sch.Leaves[r]] = id
 			for s := sch.RowPtr[r]; s < sch.RowPtr[r+1]; s++ {
@@ -393,7 +396,7 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 		}
 	}
 
-	if !rt.skipFar {
+	if !skipFar {
 		// L2P last per leaf: after the leaf's down task and its near row,
 		// so the far-field addition lands after the P2P accumulations —
 		// the single-node operation order, hence bit-identity.
@@ -403,9 +406,9 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 				continue
 			}
 			id := g.Node(sched.ClassGeneral, 7, ni, func() {
-				w := e.getWS()
-				e.leafL2P(w, ni)
-				e.putWS(w)
+				w := e.ws.Get()
+				e.L2P(w, ni)
+				e.ws.Put(w)
 			})
 			g.Edge(downID[ni], id)
 			if rid, ok := rowID[ni]; ok {
@@ -418,8 +421,8 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 		panic(err) // the plan's flows are acyclic by construction
 	}
 	dur := time.Since(start)
-	rt.rec.AddSpan(telemetry.SpanDmemNode, int32(k), start, dur)
+	rec.AddSpan(telemetry.SpanDmemNode, int32(k), start, dur)
 	if w := nc.waitNs.Load(); w > 0 {
-		rt.rec.AddSpan(telemetry.SpanDmemComm, int32(k), start, time.Duration(w))
+		rec.AddSpan(telemetry.SpanDmemComm, int32(k), start, time.Duration(w))
 	}
 }

@@ -197,9 +197,10 @@ func TestExecuteRunsSharedTable(t *testing.T) {
 		d.Solve()
 
 		classes, pairs, _, _ := single.M2LTableStats()
-		dClasses, dPairs, _, _ := d.rt.m2l.Stats()
+		dClasses, dPairs, _, _ := d.Inner.M2LTableStats()
+		m2l := d.Inner.Field.(*core.GravityField).M2L
 		if disable {
-			if classes != 0 || d.rt.m2l.Tab != nil {
+			if classes != 0 || m2l.Tab != nil {
 				t.Fatal("DisableM2LTable still built a table")
 			}
 		} else {
@@ -208,13 +209,13 @@ func TestExecuteRunsSharedTable(t *testing.T) {
 					dClasses, dPairs, classes, pairs)
 			}
 			for c := 0; c < dClasses; c++ {
-				if !d.rt.m2l.Tab.HasRot(c) {
+				if !m2l.Tab.HasRot(c) {
 					t.Fatalf("class %d not covered by the engines' table", c)
 				}
 			}
 			for _, e := range d.rt.eng {
-				if e.(*gravityEngine).m2l != d.rt.m2l {
-					t.Fatal("a node engine does not share the runtime's table")
+				if e.Field.(*core.GravityField).M2L != m2l {
+					t.Fatal("a node engine does not share the solver's table")
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"afmm/internal/core"
 	"afmm/internal/fault"
 	"afmm/internal/geom"
 )
@@ -57,7 +58,7 @@ type flowID struct {
 // matching the flow's kind.
 type payload struct {
 	exp   []complex128
-	ghost []ghostLeaf
+	ghost []core.GhostLeaf
 }
 
 // LinkConfig tunes the delivery protocol. The zero value selects
@@ -573,18 +574,18 @@ func payloadSum(p payload) uint64 {
 	}
 	w64(uint64(len(p.ghost)))
 	for _, gl := range p.ghost {
-		w64(uint64(len(gl.pos)))
-		for _, v := range gl.pos {
+		w64(uint64(len(gl.Pos)))
+		for _, v := range gl.Pos {
 			wf(v.X)
 			wf(v.Y)
 			wf(v.Z)
 		}
-		w64(uint64(len(gl.mass)))
-		for _, m := range gl.mass {
+		w64(uint64(len(gl.Mass)))
+		for _, m := range gl.Mass {
 			wf(m)
 		}
-		w64(uint64(len(gl.aux)))
-		for _, v := range gl.aux {
+		w64(uint64(len(gl.Aux)))
+		for _, v := range gl.Aux {
 			wf(v.X)
 			wf(v.Y)
 			wf(v.Z)
@@ -608,24 +609,24 @@ func corruptCopy(p payload, r float64) payload {
 		return payload{exp: exp}
 	}
 	if len(p.ghost) > 0 {
-		ghost := append([]ghostLeaf(nil), p.ghost...)
+		ghost := append([]core.GhostLeaf(nil), p.ghost...)
 		i := int(r * float64(len(ghost)))
 		if i >= len(ghost) {
 			i = len(ghost) - 1
 		}
 		gl := ghost[i]
-		if len(gl.pos) > 0 {
-			pos := append([]geom.Vec3(nil), gl.pos...)
+		if len(gl.Pos) > 0 {
+			pos := append([]geom.Vec3(nil), gl.Pos...)
 			b := math.Float64bits(pos[0].X)
 			b ^= 1 << 31
 			pos[0].X = math.Float64frombits(b)
-			gl.pos = pos
-		} else if len(gl.mass) > 0 {
-			mass := append([]float64(nil), gl.mass...)
+			gl.Pos = pos
+		} else if len(gl.Mass) > 0 {
+			mass := append([]float64(nil), gl.Mass...)
 			b := math.Float64bits(mass[0])
 			b ^= 1 << 31
 			mass[0] = math.Float64frombits(b)
-			gl.mass = mass
+			gl.Mass = mass
 		}
 		ghost[i] = gl
 		return payload{ghost: ghost}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"afmm/internal/core"
 	"afmm/internal/fault"
 	"afmm/internal/geom"
 )
@@ -28,9 +29,9 @@ func expPayload(n int, base float64) payload {
 }
 
 func ghostPayload() payload {
-	return payload{ghost: []ghostLeaf{{
-		pos:  []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: -4, Y: 5, Z: -6}},
-		mass: []float64{0.5, 0.25},
+	return payload{ghost: []core.GhostLeaf{{
+		Pos:  []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: -4, Y: 5, Z: -6}},
+		Mass: []float64{0.5, 0.25},
 	}}}
 }
 

@@ -623,9 +623,9 @@ func clampIntoBox(p geom.Vec3, b geom.Box) geom.Vec3 {
 
 // LevelOrder returns the visible nodes grouped by level: element l holds
 // the node indices with Node.Level == l, in DFS order, covering exactly
-// the nodes WalkVisible reaches. The index is the backbone of the
-// level-synchronous far-field sweeps (all nodes of one level are
-// data-independent given the adjacent levels) and is cached until a
+// the nodes WalkVisible reaches. The index is the backbone of the step
+// graph's far-field chunks (all nodes of one level are data-independent
+// given the adjacent levels) and is cached until a
 // structural or occupancy edit — Rebuild, Collapse, PushDown, EnforceS,
 // Refill — invalidates it. The returned slices are owned by the tree and
 // valid until the next invalidation.

@@ -9,8 +9,7 @@ import (
 	"time"
 )
 
-// Task-graph runtime: dependency-driven execution on top of Pool, the
-// data-driven alternative to the fork-join phase barriers (Ltaief &
+// Task-graph runtime: dependency-driven execution on top of Pool (Ltaief &
 // Yokota, "Data-Driven Execution of Fast Multipole Methods"; Agullo et
 // al., "Pipelining the Fast Multipole Method over a Runtime System").
 // Nodes are closures tagged with a work Class and a data-locality hint;
@@ -373,11 +372,11 @@ func (g *Graph) runNode(nd *gnode, id NodeID) {
 	}
 }
 
-// SpanUnion returns the union length of the intervals of all spans with
-// the given tag — the wall time during which at least one node of that
-// tag was executing, the graph schedule's analogue of a fork-join phase
-// duration.
-func SpanUnion(spans []NodeSpan, tag int32) time.Duration {
+// SpanUnion returns when the first span with the given tag started (ns
+// after the run start) and the union length of all such spans' intervals —
+// the wall time during which at least one node of that tag was executing,
+// which is what "the duration of a phase" means in a graph schedule.
+func SpanUnion(spans []NodeSpan, tag int32) (startNs int64, union time.Duration) {
 	var iv [][2]int64
 	for _, sp := range spans {
 		if sp.Tag == tag && sp.DurNs > 0 {
@@ -385,7 +384,7 @@ func SpanUnion(spans []NodeSpan, tag int32) time.Duration {
 		}
 	}
 	if len(iv) == 0 {
-		return 0
+		return 0, 0
 	}
 	sort.Slice(iv, func(i, j int) bool { return iv[i][0] < iv[j][0] })
 	total := int64(0)
@@ -399,7 +398,7 @@ func SpanUnion(spans []NodeSpan, tag int32) time.Duration {
 		}
 	}
 	total += hi - lo
-	return time.Duration(total)
+	return iv[0][0], time.Duration(total)
 }
 
 // Stats reports the executed graph's shape and schedule quality. Call

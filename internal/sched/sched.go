@@ -414,10 +414,10 @@ func (p *Pool) ParallelRangeWeightedClass(c Class, weights []int64, f func(lo, h
 
 // WeightedBounds returns the chunk boundaries ParallelRangeWeightedClass
 // uses for weights under class c: ascending indices b with b[0] == 0 and
-// b[len(b)-1] == len(weights); chunk k covers [b[k], b[k+1]). The task
-// graph builders call this directly so graph nodes chunk exactly like
-// the level-synchronous sweeps. Boundaries depend only on the weights
-// and the pool geometry at call time, never on execution interleaving.
+// b[len(b)-1] == len(weights); chunk k covers [b[k], b[k+1]). The step
+// graph's builder (internal/dag) cuts its chunk nodes with it. Boundaries
+// depend only on the weights and the pool geometry at call time, never on
+// execution interleaving.
 func (p *Pool) WeightedBounds(c Class, weights []int64) []int {
 	n := len(weights)
 	if n == 0 {

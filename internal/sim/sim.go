@@ -65,7 +65,7 @@ type Config struct {
 	// step — copy anything that must survive the callback.
 	Observe func(step int, phi []float64, acc []geom.Vec3)
 	// OverlapObserve runs the Observe callback concurrently with the next
-	// step's tree refill (the companion of the solvers' task-graph path:
+	// step's tree refill (the companion of the solvers' step graph:
 	// step k's observation tail and step k+1's structure maintenance have
 	// no data dependency once the input-order buffers are captured —
 	// Refill permutes the storage arrays, not the copies). The callback
@@ -96,8 +96,8 @@ type StepRecord struct {
 	WallNs   int64 // whole step (solve + move + refill + balance)
 
 	// SerialWallNs is WallNs plus the time the solver saved by running
-	// its near and far phases concurrently (== WallNs on sequential
-	// steps); Overlapped marks steps whose solve overlapped.
+	// its near and far phases concurrently in one graph; Overlapped marks
+	// steps whose solve reported it (every core.Solver step).
 	SerialWallNs int64
 	Overlapped   bool
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"afmm/internal/core"
 	"afmm/internal/distrib"
 	"afmm/internal/kernels"
 	"afmm/internal/particle"
@@ -45,11 +44,11 @@ func TestDirectOffKeepsParentBits(t *testing.T) {
 }
 
 // TestDirectPairsBitIdenticalAcrossPaths: the mechanism is the gravity
-// solver's, so with a threshold set on the tree every Stokes path skips
-// the same V entries in the four-column translation and sums them in the
-// same near-field rows: velocities are exactly equal across paths, agree
-// with the per-pair recursive reference to rounding, and are no further
-// from direct summation than with the mechanism off.
+// solver's, so with a threshold set on the tree every Stokes configuration
+// skips the same V entries in the four-column translation and sums them in
+// the same near-field rows: velocities are exactly equal across
+// configurations, agree with the per-pair recursive reference to rounding,
+// and are no further from direct summation than with the mechanism off.
 func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
 	base := distrib.Plummer(1500, 1, 1, 4)
 	randomForces(base, 5)
@@ -63,30 +62,30 @@ func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
 		return s
 	}
 	const directK = 150
-	ref := solve(directK, func(cfg *Config) { cfg.Overlap = core.OverlapOff })
+	ref := solve(directK, func(cfg *Config) {})
 	sch := ref.Tree.NearField()
 	if ops := ref.Tree.CountOps(); 10*sch.DirectPairs < ops.M2L {
 		t.Fatalf("only %d direct pairs beside %d translations", sch.DirectPairs, ops.M2L)
 	}
 	want := accHash(ref.Sys)
 	for name, mut := range map[string]func(cfg *Config){
-		"overlap":        func(cfg *Config) {},
-		"taskgraph":      func(cfg *Config) { cfg.TaskGraph = true },
-		"vgpu":           func(cfg *Config) { cfg.NumGPUs = 2 },
-		"vgpu-taskgraph": func(cfg *Config) { cfg.NumGPUs = 2; cfg.TaskGraph = true },
-		"no-list-cache":  func(cfg *Config) { cfg.DisableListCache = true },
-		"no-m2l-table":   func(cfg *Config) { cfg.DisableM2LTable = true },
+		"vgpu":          func(cfg *Config) { cfg.NumGPUs = 2 },
+		"one-worker":    func(cfg *Config) { cfg.Pool = sched.NewPool(1) },
+		"no-list-cache": func(cfg *Config) { cfg.DisableListCache = true },
+		"no-m2l-table":  func(cfg *Config) { cfg.DisableM2LTable = true },
 	} {
 		if h := accHash(solve(directK, mut).Sys); h != want {
-			t.Fatalf("%s: hash %#x, sequential %#x", name, h, want)
+			t.Fatalf("%s: hash %#x, cpu %#x", name, h, want)
 		}
 	}
-	rec := solve(directK, func(cfg *Config) { cfg.SweepMode = core.SweepRecursive })
+	rec := NewSolver(base.Clone(), Config{P: 6, S: 16, Kernel: k})
+	rec.Tree.SetDirectK(directK)
+	perPairStep(rec)
 	if e := velErr(rec.Sys.AccInInputOrder(), ref.Sys.AccInInputOrder()); e > 1e-9 {
-		t.Fatalf("recursive reference differs from level-sync by %g", e)
+		t.Fatalf("recursive reference differs from the solve by %g", e)
 	}
 	exact := DirectVelocities(ref.Sys, k)
-	off := solve(0, func(cfg *Config) { cfg.Overlap = core.OverlapOff })
+	off := solve(0, func(cfg *Config) {})
 	eOn, eOff := velErr(ref.Sys.Acc, exact), velErr(off.Sys.Acc, DirectVelocities(off.Sys, k))
 	if eOn > eOff {
 		t.Fatalf("error vs direct summation %g with direct pairs, %g without", eOn, eOff)

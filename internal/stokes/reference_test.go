@@ -1,0 +1,238 @@
+package stokes
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"afmm/internal/distrib"
+	"afmm/internal/expansion"
+	"afmm/internal/fault"
+	"afmm/internal/kernels"
+	"afmm/internal/sched"
+	"afmm/internal/vgpu"
+)
+
+// serialStep is core's test reference over the Stokeslet field: one whole
+// step on the calling goroutine — near rows in order, up sweep from the
+// deepest level, down sweep from the root, leaf evaluation — with no dag,
+// no sched and no M2L table (s never Solves).
+func serialStep(s *Solver) { sweep(s, s.Field.Down) }
+
+// sweep runs the step serially with down as the down-sweep operator.
+func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
+	t, f := s.Tree, s.Field
+	t.BuildLists()
+	sch := t.NearField()
+	s.Sys.ResetAccumulators()
+	f.Reset()
+	w := expansion.NewWorkspace(s.Cfg.P)
+	for r := range sch.Leaves {
+		f.NearRow(sch, r, nil)
+	}
+	levels := t.LevelOrder()
+	for lv := len(levels) - 1; lv >= 0; lv-- {
+		for _, ni := range levels[lv] {
+			f.Up(w, ni)
+		}
+	}
+	for _, nodes := range levels {
+		for _, ni := range nodes {
+			down(w, ni)
+		}
+	}
+	for _, ni := range t.VisibleLeaves() {
+		f.L2P(w, ni)
+	}
+}
+
+// perPairStep is serialStep with the down operator of the paper's task
+// recursion: one direct (or rotated) M2L per translated V pair, pass by
+// pass — the operator the four-column table kernel is compared with, to
+// rounding.
+func perPairStep(s *Solver) {
+	t, f := s.Tree, s.Field.(*Field)
+	sweep(s, func(w *expansion.Workspace, ni int32) {
+		n := &t.Nodes[ni]
+		f.L2L(w, ni)
+		direct := t.DirectMask(ni)
+		for k := 0; k < passes; k++ {
+			for j, vi := range n.V {
+				if direct[j] {
+					continue // summed by the near-field schedule
+				}
+				if f.Rotated {
+					w.M2LRotated(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
+				} else {
+					w.M2L(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
+				}
+			}
+		}
+	})
+}
+
+// assertBitIdentical compares velocities (and the never-written
+// potentials) bit for bit.
+func assertBitIdentical(t *testing.T, got, want *Solver) {
+	t.Helper()
+	phiA, phiB := got.Sys.PhiInInputOrder(), want.Sys.PhiInInputOrder()
+	va, vb := got.Sys.AccInInputOrder(), want.Sys.AccInInputOrder()
+	for i := range va {
+		for c, v := range [4]float64{va[i].X, va[i].Y, va[i].Z, phiA[i]} {
+			if r := [4]float64{vb[i].X, vb[i].Y, vb[i].Z, phiB[i]}[c]; math.Float64bits(v) != math.Float64bits(r) {
+				t.Fatalf("not bit-identical at body %d: %v / %x vs %v / %x", i, va[i], phiA[i], vb[i], phiB[i])
+			}
+		}
+	}
+}
+
+type variant struct {
+	name string
+	mut  func(cfg *Config)
+}
+
+// The configurations the step graph is held to the serial reference on;
+// gpus-reserved pins the driver-slot reservation at its tightest (three
+// workers: one far slot beside the two reserved ones).
+var (
+	cpuOnly    = variant{"cpu-only", func(cfg *Config) {}}
+	oneGPU     = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
+	gpus       = variant{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
+	gpusTight  = variant{"gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
+	noM2LTable = variant{"no-m2l-table", func(cfg *Config) { cfg.DisableM2LTable = true }}
+	rotated    = variant{"rotated", func(cfg *Config) { cfg.UseRotatedTranslations = true }}
+)
+
+// graphMatchesSerial solves each variant on each pool size through the
+// step graph and holds the velocities to the serial reference, bit for
+// bit, on the fresh tree and again after a move + Refill + EnforceS.
+func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
+	for _, v := range variants {
+		for _, w := range workers {
+			t.Run(v.name, func(t *testing.T) {
+				sys := distrib.Plummer(900, 1, 1, 37)
+				randomForces(sys, 41)
+				cfg := Config{P: 6, S: 24, Kernel: kernels.Stokeslet{Mu: 0.9, Eps: 1e-3}, Pool: sched.NewPool(w)}
+				v.mut(&cfg)
+				s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
+				if st := s.Solve(); !st.Host.Overlapped {
+					t.Fatal("solve did not report Overlapped")
+				}
+				serialStep(ref)
+				assertBitIdentical(t, s, ref)
+				for _, x := range []*Solver{s, ref} {
+					for i := range x.Sys.Pos {
+						x.Sys.Pos[i] = x.Sys.Pos[i].Add(x.Sys.Pos[i].Scale(0.04))
+					}
+					x.Refill()
+					x.EnforceS()
+				}
+				s.Solve()
+				serialStep(ref)
+				assertBitIdentical(t, s, ref)
+				if r := s.Cfg.Pool.Reserved(); r != 0 {
+					t.Fatalf("pool still has %d reserved workers after Solve", r)
+				}
+			})
+		}
+	}
+}
+
+// TestGraphMatchesSerialReference: the one execution path against a
+// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
+func TestGraphMatchesSerialReference(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, gpus, noM2LTable)
+		})
+	}
+	// A fail-stop device loss recovered by the host fallback: the recovery
+	// rows run inside the near node, before the L2P join.
+	t.Run("failstop", func(t *testing.T) {
+		sch, err := fault.Parse("gpu0:failstop@step1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := distrib.UniformCube(2500, 10, 42)
+		randomForces(sys, 43)
+		cfg := Config{P: 4, S: 32, NumGPUs: 2, Pool: sched.NewPool(4), Watchdog: vgpu.WatchdogConfig{ChunkRows: 4}}
+		ref := NewSolver(sys.Clone(), cfg)
+		cfg.Faults = fault.NewInjector(sch)
+		s := NewSolver(sys, cfg)
+		for step := 0; step < 3; step++ {
+			if _, err := s.SolveChecked(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			serialStep(ref)
+			assertBitIdentical(t, s, ref)
+		}
+		if rep := s.Cluster.LastReport(); rep.DeadDevices != 1 {
+			t.Fatalf("want 1 dead device, got %d", rep.DeadDevices)
+		}
+	})
+}
+
+// The tests the reference matrix replaced compared one execution path with
+// another; the paths are gone, their names stay as the slices of the matrix
+// they used to cover.
+func TestOverlapBitIdenticalStokes(t *testing.T) {
+	graphMatchesSerial(t, []int{4}, cpuOnly, gpus, gpusTight)
+}
+
+func TestTaskGraphBitIdenticalStokes(t *testing.T) {
+	graphMatchesSerial(t, []int{2, 4}, cpuOnly, gpus, gpusTight, rotated)
+}
+
+// TestSweepModesAgree: the batched four-column table M2L of the step graph
+// against the per-pair direct (or rotated) operator of the paper's task
+// recursion — what the deleted recursive sweep mode executed.
+func TestSweepModesAgree(t *testing.T) {
+	k := kernels.Stokeslet{Mu: 0.9, Eps: 1e-3}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"direct", Config{P: 8, S: 16, Kernel: k}},
+		{"rotated", Config{P: 8, S: 16, Kernel: k, UseRotatedTranslations: true}},
+		{"gpus", Config{P: 6, S: 24, Kernel: k, NumGPUs: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := distrib.Plummer(700, 1, 1, 31)
+			randomForces(sys, 32)
+			a, b := NewSolver(sys, tc.cfg), NewSolver(sys.Clone(), tc.cfg)
+			a.Solve()
+			perPairStep(b)
+			va, vb := a.Sys.AccInInputOrder(), b.Sys.AccInInputOrder()
+			for i := range va {
+				if d := va[i].Sub(vb[i]).Norm(); d > 1e-8*(1+vb[i].Norm()) {
+					t.Fatalf("disagree at body %d: %v vs %v (|d|=%g)", i, va[i], vb[i], d)
+				}
+			}
+			// Both must also stay near the direct sum (storage order), not
+			// merely each other.
+			if e := velErr(sys.Acc, DirectVelocities(sys, k)); e > 5e-3 {
+				t.Fatalf("error vs direct: %g", e)
+			}
+		})
+	}
+}
+
+// TestSolveAllocationCeiling is the Stokes allocs/step gate (see
+// core.TestSolveAllocationCeiling): a warmed Solve allocates per-step
+// structures only — the virtual-CPU replay's graph, chunk closures, the
+// step graph — never per translation, V list or body. The ceiling is 1.5x
+// the measured count (2016 at this size; with a far-field chain per
+// harmonic pass the graph made 2536).
+func TestSolveAllocationCeiling(t *testing.T) {
+	const ceiling = 3000
+	sys := distrib.UniformCube(2000, 1, 3)
+	randomForces(sys, 5)
+	s := NewSolver(sys, Config{P: 4, S: 32, Pool: sched.NewPool(2)})
+	s.Solve()
+	s.Solve()
+	if got := testing.AllocsPerRun(5, func() { s.Solve() }); got > ceiling {
+		t.Errorf("warmed Solve makes %.0f allocations, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("%.0f allocations per warmed Solve", got)
+	}
+}

@@ -1,15 +1,19 @@
 package stokes
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"afmm/internal/core"
 	"afmm/internal/distrib"
+	"afmm/internal/fault"
 	"afmm/internal/geom"
 	"afmm/internal/kernels"
 	"afmm/internal/particle"
+	"afmm/internal/telemetry"
+	"afmm/internal/vgpu"
 )
 
 func randomForces(sys *particle.System, seed int64) {
@@ -265,47 +269,44 @@ func TestRigidSphereMobilityApproximatesStokesDrag(t *testing.T) {
 	}
 }
 
-func TestSweepModesAgree(t *testing.T) {
-	// The level-synchronous sweeps with batched M2L must reproduce the
-	// legacy recursive sweeps within the solver's error bound on the
-	// Stokeslet profile (ISSUE acceptance: cross-mode agreement on both
-	// gravity and Stokes problems).
-	k := kernels.Stokeslet{Mu: 0.9, Eps: 1e-3}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"direct", Config{P: 8, S: 16, Kernel: k}},
-		{"rotated", Config{P: 8, S: 16, Kernel: k, UseRotatedTranslations: true}},
-		{"gpus", Config{P: 6, S: 24, Kernel: k, NumGPUs: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sysA := distrib.Plummer(700, 1, 1, 31)
-			randomForces(sysA, 32)
-			sysB := sysA.Clone()
-
-			cfgA := tc.cfg
-			a := NewSolver(sysA, cfgA) // default: level-synchronous
-			cfgB := tc.cfg
-			cfgB.SweepMode = core.SweepRecursive
-			b := NewSolver(sysB, cfgB)
-			a.Solve()
-			b.Solve()
-
-			va := a.Sys.AccInInputOrder()
-			vb := b.Sys.AccInInputOrder()
-			for i := range va {
-				if d := va[i].Sub(vb[i]).Norm(); d > 1e-8*(1+vb[i].Norm()) {
-					t.Fatalf("modes disagree at body %d: %v vs %v (|d|=%g)",
-						i, va[i], vb[i], d)
-				}
-			}
-			// Both must also stay near the direct sum (storage order), not
-			// merely each other.
-			want := DirectVelocities(sysA, k)
-			if e := velErr(sysA.Acc, want); e > 5e-3 {
-				t.Fatalf("level-sync error vs direct: %g", e)
-			}
-		})
+// TestStepRecordParity: a Stokes step is the gravity driver's step, so it
+// reports what gravity's does — per-worker busy time and the device
+// efficiency on the record, the step graph's statistics, and a poisoned
+// accumulator as a typed *core.ValidationError.
+func TestStepRecordParity(t *testing.T) {
+	sch, err := fault.Parse("gpu0:corrupt@step1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := distrib.UniformCube(2000, 1, 3)
+	randomForces(sys, 5)
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	s := NewSolver(sys, Config{
+		P: 4, S: 32, NumGPUs: 2, Validate: true,
+		Faults: fault.NewInjector(sch), Watchdog: vgpu.WatchdogConfig{ChunkRows: 4},
+	})
+	s.SetRecorder(rec)
+	rec.StartStep(0)
+	st, err := s.SolveChecked()
+	rec.EndStep()
+	if err != nil {
+		t.Fatalf("step 0 (pre-fault) failed: %v", err)
+	}
+	if st.GPUEff <= 0 || st.GPUEff > 1 {
+		t.Fatalf("GPU efficiency %v", st.GPUEff)
+	}
+	if gs := s.TaskGraphStats(); gs.Nodes <= 0 {
+		t.Fatalf("no step-graph statistics: %+v", gs)
+	}
+	if r := rec.Steps()[0]; len(r.WorkerBusyNs) == 0 || r.GPUEff != st.GPUEff {
+		t.Fatalf("step record: worker busy %v, gpu_eff %v (solve reported %v)", r.WorkerBusyNs, r.GPUEff, st.GPUEff)
+	}
+	_, err = s.SolveChecked()
+	var verr *core.ValidationError
+	if !errors.As(err, &verr) {
+		t.Fatalf("poisoned step: want *core.ValidationError, got %T: %v", err, err)
+	}
+	if !math.IsNaN(verr.Acc.X) || verr.Phi != 0 {
+		t.Fatalf("body %d: want NaN velocity and the untouched zero potential, got acc=%v phi=%g", verr.Body, verr.Acc, verr.Phi)
 	}
 }

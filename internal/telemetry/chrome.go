@@ -30,9 +30,8 @@ const (
 	// Kernel-layer activity — M2L translation-class table builds and the
 	// per-step class/hit-rate counters — renders on its own track.
 	chromeTIDKern = 5
-	// Task-graph node spans (dependency-driven solve path) render on their
-	// own track so the pipelined schedule reads as one dense timeline next
-	// to the fork-join host phases.
+	// Step-graph node spans render on their own track so the pipelined
+	// schedule reads as one dense timeline next to the host phases.
 	chromeTIDTask = 6
 	// Distributed-runtime (dmem) node execution and comm-wait spans
 	// render on their own track: one bar per virtual cluster node per
@@ -87,8 +86,7 @@ func eventTID(k EventKind) int {
 
 func spanName(k SpanKind, arg int32) string {
 	switch k {
-	case SpanUpLevel, SpanDownLevel, SpanTaskUp, SpanTaskDown, SpanTaskL2P,
-		SpanDmemNode, SpanDmemComm:
+	case SpanTaskUp, SpanTaskDown, SpanTaskL2P, SpanDmemNode, SpanDmemComm:
 		return fmt.Sprintf("%s %d", k, arg)
 	case SpanDeviceP2P:
 		return "p2p kernel"

@@ -14,7 +14,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		r.SetStepInfo(step, 64, "search")
 		r.SetSolveTimes(1, 2, 0, 0)
 		r.AddSpan(SpanUpSweep, 0, time.Now(), time.Millisecond)
-		r.AddSpan(SpanUpLevel, 3, time.Now(), time.Microsecond)
+		r.AddSpan(SpanTaskUp, 3, time.Now(), time.Microsecond)
 		r.AddSpan(SpanDeviceP2P, 1, time.Now(), time.Microsecond)
 		r.AddSpan(SpanTreeBuild, 64, time.Now(), time.Microsecond)
 		r.EmitEvent(EventSChange, 32, 64, 0, 0)
@@ -47,7 +47,7 @@ func TestWriteChromeTrace(t *testing.T) {
 				sawStep = true
 			case name == "far.up":
 				sawSpan = true
-			case name == "far.up.level 3":
+			case name == "task.up 3":
 				sawLevel = true
 			case name == "p2p kernel":
 				sawDevice = true
@@ -113,8 +113,6 @@ func TestChromeTrackMapping(t *testing.T) {
 		SpanListSkip:   host,
 		SpanUpSweep:    host,
 		SpanDownSweep:  host,
-		SpanUpLevel:    host,
-		SpanDownLevel:  host,
 		SpanL2P:        host,
 		SpanNearCPU:    near,
 		SpanNearExec:   near,

@@ -53,10 +53,11 @@ var ClassNames = [NumClasses]string{"general", "far", "near"}
 // SpanKind identifies an instrumented phase or operator group.
 type SpanKind uint8
 
-// The instrumented span kinds. Top-level phases tile a step without
-// overlap; the remaining kinds nest inside them (levels inside sweeps,
-// device kernels inside the near-field execution, tree edits inside the
-// balance phase).
+// The instrumented span kinds. Top-level phases tile a step (the solve's
+// near and far phases concurrently, everything else without overlap); the
+// remaining kinds nest inside them (graph nodes inside the far and near
+// phases, device kernels inside the near-field execution, tree edits
+// inside the balance phase).
 const (
 	// SpanSolve covers one whole Solve call (parent of the solve phases).
 	SpanSolve SpanKind = iota
@@ -74,20 +75,18 @@ const (
 	SpanListFull
 	SpanListRepair
 	SpanListSkip
-	// SpanUpSweep / SpanDownSweep cover the far-field host sweeps;
-	// SpanUpLevel / SpanDownLevel nest inside them with Arg = level.
+	// SpanUpSweep / SpanDownSweep / SpanL2P are the far-field phases of
+	// the step graph — P2M+M2M, M2L+L2L, and the leaf evaluation: each
+	// starts at the phase's first graph node and lasts the union of its
+	// node spans (SpanTaskUp / SpanTaskDown / SpanTaskL2P, which carry the
+	// level in Arg).
 	SpanUpSweep
 	SpanDownSweep
-	SpanUpLevel
-	SpanDownLevel
-	// SpanL2P is the standalone leaf local-to-particle evaluation emitted
-	// by the overlapped solve path, where L2P is split out of the down
-	// sweep and runs after the near/far join (sequential solves keep L2P
-	// fused inside SpanDownSweep and never emit this kind).
 	SpanL2P
-	// SpanNearCPU is the host near field (CPU-only configurations);
-	// SpanNearExec is the device partition + parallel kernel execution,
-	// with SpanDeviceP2P nested per device (Arg = device id).
+	// SpanNearCPU is the host near field (CPU-only configurations), the
+	// same union over the SpanTaskNear chunks; SpanNearExec is the device
+	// cluster's parallel kernel execution, with SpanDeviceP2P nested per
+	// device (Arg = device id).
 	SpanNearCPU
 	SpanNearExec
 	SpanDeviceP2P
@@ -123,9 +122,8 @@ const (
 	// (classification + per-class operator precompute), rendered on the
 	// kernels track. Arg = number of classes built.
 	SpanM2LTable
-	// Task-graph node spans, emitted by the dependency-driven solve path
-	// (Config.TaskGraph) and rendered on their own Chrome-trace track:
-	// one span per executed graph node. SpanTaskUp / SpanTaskDown are
+	// Step-graph node spans, rendered on their own Chrome-trace track: one
+	// span per executed graph node. SpanTaskUp / SpanTaskDown are
 	// far-field chunk nodes (Arg = octree level), SpanTaskL2P the leaf
 	// evaluation nodes (Arg = level), SpanTaskNear the near-field root
 	// nodes (Arg = CSR chunk index, or 0 for the single device-cluster
@@ -156,8 +154,6 @@ var spanNames = [numSpanKinds]string{
 	SpanListSkip:   "list.skip",
 	SpanUpSweep:    "far.up",
 	SpanDownSweep:  "far.down",
-	SpanUpLevel:    "far.up.level",
-	SpanDownLevel:  "far.down.level",
 	SpanL2P:        "far.l2p",
 	SpanNearCPU:    "near.cpu",
 	SpanNearExec:   "near.exec",
@@ -195,10 +191,10 @@ func (k SpanKind) String() string {
 // set that tiles a step: summing the durations of the top-level spans of
 // one record approximates the step's wall clock (the acceptance check is
 // within 5%). Parent spans (SpanSolve, SpanBalance) and nested spans
-// (levels, devices, balancer sub-operations) are excluded. Note that on
-// the overlapped solve path the near and far top-level spans run
-// concurrently, so their sum measures serial-equivalent work, which can
-// legitimately exceed the step's wall clock.
+// (graph nodes, devices, balancer sub-operations) are excluded. Note that
+// the solve's near and far top-level spans run concurrently, so their sum
+// measures serial-equivalent work, which can legitimately exceed the
+// step's wall clock.
 func (k SpanKind) TopLevel() bool {
 	switch k {
 	case SpanPrep, SpanRefill, SpanListFull, SpanListRepair, SpanListSkip,
@@ -339,22 +335,23 @@ func (e Event) MarshalJSON() ([]byte, error) {
 }
 
 // HostPhases is the host wall-clock breakdown a solver reports for one
-// Solve call, surfaced through core.StepTimes / stokes.StepTimes so step
-// loops need not own a recorder to see where the time went.
+// Solve call, surfaced through core.StepTimes so step loops need not own a
+// recorder to see where the time went.
 //
-// When Overlapped is set, the near-field sweep ran concurrently with the
-// far-field sweeps: Wall is the real elapsed time and SerialWall the
-// serial-equivalent time (the wall the same solve would have paid running
-// the phases back-to-back: Wall − overlapRegion + Near + Far-inside-
-// region). SerialWall − Wall is the per-step saving from the overlap. On
-// sequential solves Overlapped is false and SerialWall == Wall.
+// The near field runs concurrently with the far field inside one step
+// graph (Overlapped, set by every Solve): Far and Near are the wall time
+// during which a node of that phase was executing, Wall is the real
+// elapsed time and SerialWall the serial-equivalent time (the wall the
+// same solve would have paid running the phases back-to-back: Wall −
+// graph region + Near + Far). SerialWall − Wall is the per-step saving
+// from the overlap.
 type HostPhases struct {
 	List       time.Duration // interaction-list build/repair/skip
-	Far        time.Duration // up + down sweeps (+ split L2P when overlapped)
+	Far        time.Duration // up + down + L2P phases
 	Near       time.Duration // CPU near field or device execution
 	Wall       time.Duration // whole Solve call, real elapsed
-	SerialWall time.Duration // serial-equivalent wall (== Wall when not overlapped)
-	Overlapped bool          // near and far phases ran concurrently
+	SerialWall time.Duration // serial-equivalent wall
+	Overlapped bool          // near and far phases ran in one graph
 }
 
 // ListDelta is one step's interaction-list activity (the octree.ListStats
@@ -391,9 +388,9 @@ type StepRecord struct {
 	StartNs int64 `json:"start_ns"` // step start since recorder creation
 	WallNs  int64 `json:"wall_ns"`  // host wall clock of the step
 
-	// SerialWallNs is the serial-equivalent solve wall when the solver
-	// overlapped its near and far phases (see HostPhases); Overlapped marks
-	// such steps. Both are zero-valued on sequential steps.
+	// SerialWallNs is the serial-equivalent solve wall of the step's graph
+	// region (see HostPhases); Overlapped marks steps a solver's graph ran
+	// in. Both are zero-valued on steps without one (dmem-executed steps).
 	SerialWallNs int64 `json:"serial_wall_ns,omitempty"`
 	Overlapped   bool  `json:"overlapped,omitempty"`
 
@@ -430,11 +427,10 @@ type StepRecord struct {
 	DirectPairs        int64 `json:"direct_pairs,omitempty"`
 	DirectInteractions int64 `json:"direct_interactions,omitempty"`
 
-	// Task-graph execution summary (dependency-driven solve path): node
-	// and edge counts of the step's DAG, the ready-queue depth high-water
-	// mark, the measured critical path (longest dependency chain under
-	// observed node durations) and the measured makespan of the graph
-	// region. Zero-valued on fork-join steps.
+	// Step-graph execution summary: node and edge counts of the step's
+	// DAG, the ready-queue depth high-water mark, the measured critical
+	// path (longest dependency chain under observed node durations) and
+	// the measured makespan of the graph region.
 	TaskNodes      int   `json:"task_nodes,omitempty"`
 	TaskEdges      int   `json:"task_edges,omitempty"`
 	TaskMaxReady   int   `json:"task_max_ready,omitempty"`
@@ -881,8 +877,8 @@ func (r *Recorder) SetOverlap(serialWall time.Duration) {
 	r.mu.Unlock()
 }
 
-// SetTaskGraph records the dependency-driven solve path's graph shape and
-// schedule quality for the step.
+// SetTaskGraph records the step graph's shape and schedule quality for
+// the step.
 func (r *Recorder) SetTaskGraph(nodes, edges, maxReady int, criticalNs, makespanNs int64) {
 	if r == nil {
 		return

@@ -79,7 +79,7 @@ func TestSpansAndClassification(t *testing.T) {
 	tok := r.Begin(SpanListFull, 0)
 	time.Sleep(time.Millisecond)
 	r.EndAs(tok, SpanListRepair) // classification decided after the fact
-	r.AddSpan(SpanUpLevel, 5, time.Now(), 2*time.Millisecond)
+	r.AddSpan(SpanTaskUp, 5, time.Now(), 2*time.Millisecond)
 	r.EndStep()
 	rec, _ := r.Last()
 	if len(rec.Spans) != 2 {
@@ -268,7 +268,7 @@ func TestPhaseNsSumsTopLevelOnly(t *testing.T) {
 		{Kind: SpanSolve, DurNs: 1000},   // parent: excluded
 		{Kind: SpanPrep, DurNs: 10},      // top-level
 		{Kind: SpanUpSweep, DurNs: 20},   // top-level
-		{Kind: SpanUpLevel, DurNs: 999},  // nested: excluded
+		{Kind: SpanTaskUp, DurNs: 999},   // nested: excluded
 		{Kind: SpanDeviceP2P, DurNs: 99}, // nested: excluded
 		{Kind: SpanBalance, DurNs: 30},   // top-level
 	}}
