@@ -357,7 +357,7 @@ func (s *Solver) Solve() StepTimes {
 	// The near-field "kernels" and the far-field traversal run as one
 	// dependency graph, as in the paper's concurrent kernel launch: the
 	// two meet only at each leaf's L2P.
-	tg := s.runGraph(sch)
+	tg := s.runGraph()
 	gpuTime := tg.gpuTime
 
 	graphTimer := sched.StartTimer()
@@ -508,33 +508,6 @@ func (s *Solver) System() *particle.System { return s.Sys }
 
 // Cores returns the virtual core count (balance.Target).
 func (s *Solver) Cores() int { return s.Cfg.CPU.Cores }
-
-// Rough per-node work weights for chunking a level. The constants only
-// steer chunk boundaries; they need no calibration against the cost model,
-// and the field's width scales every node equally, so it drops out.
-const (
-	m2lWeight = 12 // one M2L translation ~ this many per-body endpoint ops
-	m2mWeight = 4  // one M2M/L2L translation
-)
-
-func (s *Solver) upWeight(ni int32) int64 {
-	n := &s.Tree.Nodes[ni]
-	if n.IsVisibleLeaf() {
-		return int64(n.Count()) + 1
-	}
-	return 8*m2mWeight + 1
-}
-
-// downWeight weighs the translated pairs of the V list: entries the
-// near-field schedule sums directly cost the far field nothing.
-func (s *Solver) downWeight(ni int32) int64 {
-	n := &s.Tree.Nodes[ni]
-	w := int64(s.Tree.FarPairs(ni))*m2lWeight + m2mWeight + 1
-	if n.IsVisibleLeaf() {
-		w += int64(n.Count())
-	}
-	return w
-}
 
 // AllPairsReference computes exact (softened) potentials and accelerations
 // by direct summation into fresh slices, in storage order — the

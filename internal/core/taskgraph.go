@@ -5,7 +5,6 @@ import (
 
 	"afmm/internal/dag"
 	"afmm/internal/expansion"
-	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 	"afmm/internal/vgpu"
@@ -56,25 +55,47 @@ func (s *Solver) reservedDrivers() int {
 	return min(len(s.Cluster.Devices), s.Cfg.Pool.Workers()-1)
 }
 
-// chunk returns a graph node body applying op to every cell of nodes with
-// one workspace.
-func (s *Solver) chunk(nodes []int32, op func(w *expansion.Workspace, ni int32)) func() {
-	return func() {
-		w := s.ws.Get()
-		for _, ni := range nodes {
-			op(w, ni)
+// StepSpec describes the step graph of the solver's tree as computed by
+// field f: chunk bounds from the solver's pool, chunk bodies
+// calling f with workspaces from ws, near rows reading remote sources from
+// ghosts (nil: every source is local). The share is the whole tree; each
+// dmem node narrows it to its body range over a private field.
+func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
+	spec := dag.Spec{Tree: s.Tree, Pool: s.Cfg.Pool, Tags: taskTags, Share: dag.Share{Hi: int32(s.Sys.Len())}}
+	// chunk is a graph node body applying op to every cell of nodes with
+	// one workspace.
+	chunk := func(op func(w *expansion.Workspace, ni int32)) func(nodes []int32) func() {
+		return func(nodes []int32) func() {
+			return func() {
+				w := ws.Get()
+				for _, ni := range nodes {
+					op(w, ni)
+				}
+				ws.Put(w)
+			}
 		}
-		s.ws.Put(w)
 	}
+	if !s.Cfg.SkipFarField {
+		spec.UpChunk, spec.DownChunk, spec.L2P = chunk(f.Up), chunk(f.Down), chunk(f.L2P)
+	}
+	if !s.Cfg.SkipNearField {
+		sch := s.Tree.NearField()
+		spec.NearChunk = func(lo, hi int) func() {
+			return func() {
+				for r := lo; r < hi; r++ {
+					f.NearRow(sch, r, ghosts)
+				}
+			}
+		}
+	}
+	return spec
 }
 
 // runGraph builds and runs the step graph over the resolved near-field
 // schedule. The caller has already run BuildLists, accumulator and slab
 // reset, M2L table preparation and (with a cluster) Partition.
-func (s *Solver) runGraph(sch *octree.NearSchedule) graphResult {
-	t := s.Tree
+func (s *Solver) runGraph() graphResult {
 	rec := s.Cfg.Rec
-	f := s.Field
 	var out graphResult
 
 	// Reserve driver slots before the build: the builder's chunk bounds
@@ -84,37 +105,24 @@ func (s *Solver) runGraph(sch *octree.NearSchedule) graphResult {
 		defer s.Cfg.Pool.SetReserved(0)
 	}
 
-	spec := dag.Spec{Tree: t, Pool: s.Cfg.Pool, Tags: taskTags}
-	if !s.Cfg.SkipFarField {
-		up, down, l2p := f.Up, f.Down, f.L2P
-		spec.UpWeight, spec.DownWeight = s.upWeight, s.downWeight
-		spec.UpChunk = func(_ int, nodes []int32) func() { return s.chunk(nodes, up) }
-		spec.DownChunk = func(_ int, nodes []int32) func() { return s.chunk(nodes, down) }
-		spec.L2P = func(leaves []int32) func() { return s.chunk(leaves, l2p) }
-	}
+	spec := s.StepSpec(s.Field, s.ws, nil)
 	nearKind := telemetry.SpanNearCPU
 	if s.Cluster != nil {
 		nearKind = telemetry.SpanNearExec
 		// A device cluster walks its chunks even under SkipNearField: the
 		// timing model still runs.
-		fn := vgpu.P2PFunc(f.Pair)
+		fn := vgpu.P2PFunc(s.Field.Pair)
 		if s.Cfg.SkipNearField {
 			fn = nil
 		}
+		spec.NearChunk = nil
 		spec.NearSingle = func() {
-			out.gpuTime = s.Cluster.ExecuteParallel(t, fn, s.Cfg.Pool)
-		}
-	} else if !s.Cfg.SkipNearField {
-		spec.NearChunk = func(lo, hi int) func() {
-			return func() {
-				for r := lo; r < hi; r++ {
-					f.NearRow(sch, r, nil)
-				}
-			}
+			out.gpuTime = s.Cluster.ExecuteParallel(s.Tree, fn, s.Cfg.Pool)
 		}
 	}
 
-	g := dag.Build(spec)
+	g := s.Cfg.Pool.NewGraph()
+	dag.Build(spec, g)
 	g.SetTrace(true)
 	regionTimer := sched.StartTimer()
 	if err := g.Run(); err != nil {

@@ -1,6 +1,8 @@
 // Package dag assembles one FMM step as a dependency graph over the
 // sched task-graph runtime: the one way a solve executes, for every
-// kernel, pool size and phase subset.
+// kernel, pool size and phase subset — on one node, where the graph
+// computes the whole tree, and on a dmem cluster, where each node's graph
+// computes its Share of it.
 //
 // The graph holds only the step's semantic dependencies — no phase or
 // level barriers:
@@ -20,7 +22,9 @@
 //   - a leaf-evaluation (L2P) node depends on its down-sweep chunk and
 //     on exactly the near-field nodes that write its leaves' bodies —
 //     the only join between the two phases, and a semantic one: L2P is
-//     the single far-field write into the body accumulators.
+//     the single far-field write into the body accumulators;
+//   - whatever a chunk reads from outside the share depends on the
+//     caller's node that delivers it (Share).
 //
 // The result's bits do not depend on the schedule, because of the node
 // granularity: every multipole/local is computed wholly inside one node
@@ -43,6 +47,22 @@ type Tags struct {
 	Up, Down, L2P, Near, Milestone int32
 }
 
+// Share is the part of the tree one graph computes: the cells whose first
+// body lies in [Lo, Hi) and the near-field rows of the leaves among them
+// (no visible leaf straddles a bound). Level slices and schedule rows are
+// in DFS order, so a share is one contiguous run of each; the whole tree is
+// the share [0, N).
+//
+// What a share reads across its edge — a remote child's or translated V
+// partner's multipole, a remote parent's local, a remote near-field
+// source's bodies — becomes readable when a node the caller created in the
+// same graph has run (a dmem node's arrivals). Mpole, Local and Ghost give
+// that node per tree cell; they are read only at cells outside the share.
+type Share struct {
+	Lo, Hi              int32
+	Mpole, Local, Ghost []sched.NodeID
+}
+
 // Spec describes one step's DAG. The chunk callbacks are invoked at
 // build time with the node ranges and return the closure executed when
 // the graph node runs. There is one far-field chain per step: a solver
@@ -50,41 +70,44 @@ type Tags struct {
 // all of them inside each chunk body.
 type Spec struct {
 	Tree *octree.Tree
-	Pool *sched.Pool
-
-	// Per-node weights steering the far-field chunk boundaries.
-	UpWeight   func(ni int32) int64
-	DownWeight func(ni int32) int64
+	// Pool sizes the chunks (its class geometry, reservation-aware); the
+	// graph may run on another pool.
+	Pool  *sched.Pool
+	Share Share
 
 	// UpChunk/DownChunk build one far-field chunk body over the given
-	// level slice. DownChunk must NOT evaluate L2P (that is the L2P
-	// node's job, after the near field converges). Both nil: the far
-	// field is skipped and the graph is its near-field roots.
-	UpChunk   func(level int, nodes []int32) func()
-	DownChunk func(level int, nodes []int32) func()
+	// run of one level's cells. DownChunk must NOT evaluate L2P (that is
+	// the L2P node's job, after the near field converges). Both nil: the
+	// far field is skipped and the graph is its near-field roots.
+	UpChunk   func(nodes []int32) func()
+	DownChunk func(nodes []int32) func()
 	// L2P builds the leaf-evaluation body for the given visible leaves
 	// (reading their finalized locals). nil skips leaf nodes.
 	L2P func(leaves []int32) func()
 
 	// Exactly one of the near-field forms (or neither, when the near
 	// field is skipped): NearSingle is one node wrapping the device
-	// cluster walk; NearChunk builds one CPU CSR chunk body over rows
-	// [lo, hi) of Tree.NearField().
+	// cluster walk, which covers every row and so goes with the whole
+	// tree as the share; NearChunk builds one CPU CSR chunk body over
+	// rows [lo, hi) of Tree.NearField().
 	NearSingle func()
 	NearChunk  func(lo, hi int) func()
 
 	Tags Tags
 }
 
-// Build assembles the graph. The tree's level order and near-field
-// schedule (its rows for NearChunk, its direct masks for the V-list
-// edges) are resolved here, on the calling goroutine, so graph nodes only
-// read settled caches.
-func Build(spec Spec) *sched.Graph {
-	g := spec.Pool.NewGraph()
-	build(spec, g)
-	return g
+// Done names, per tree level, the chunk nodes after which the share's
+// multipoles (Up) and locals (Down) of that level are final: what a
+// caller's send of them waits for.
+type Done struct {
+	Up, Down [][]sched.NodeID
 }
+
+// Build adds the spec's nodes and edges to g. The tree's level order and
+// near-field schedule (its rows for NearChunk, its direct masks for the
+// V-list edges) are resolved here, on the calling goroutine, so graph nodes
+// only read settled caches.
+func Build(spec Spec, g *sched.Graph) Done { return build(spec, g) }
 
 // graph is what build needs of *sched.Graph; the test records nodes and
 // edges through it.
@@ -93,38 +116,70 @@ type graph interface {
 	Edge(from, to sched.NodeID)
 }
 
-func build(spec Spec, g graph) {
+func build(spec Spec, g graph) Done {
 	t := spec.Tree
 	pool := spec.Pool
-	levels := t.LevelOrder()
-	nLevels := len(levels)
+	sh := spec.Share
 	sch := t.NearField()
+	own := func(ni int32) bool {
+		s := t.Nodes[ni].Start
+		return sh.Lo <= s && s < sh.Hi
+	}
+	// clip returns the run of DFS-ordered cells the share owns.
+	clip := func(cells []int32) (lo, hi int) {
+		first := func(b int32) int {
+			return sort.Search(len(cells), func(i int) bool { return t.Nodes[cells[i]].Start >= b })
+		}
+		return first(sh.Lo), first(sh.Hi)
+	}
+	// arrive orders node id after arrival node a, once however many of the
+	// remote cells id reads a delivers (seen[a] is a's latest consumer).
+	var seen []sched.NodeID
+	arrive := func(a, id sched.NodeID) {
+		for int(a) >= len(seen) {
+			seen = append(seen, -1)
+		}
+		if seen[a] != id {
+			seen[a] = id
+			g.Edge(a, id)
+		}
+	}
 
-	// Position of every node within its level slice: children of a
+	// Position of every owned node within its level's run: children of a
 	// contiguous DFS-ordered parent range form a contiguous range at the
 	// next level, so chunk-to-chunk dependencies reduce to span overlap.
+	levels := append([][]int32(nil), t.LevelOrder()...)
+	nLevels := len(levels)
 	pos := make([]int32, len(t.Nodes))
-	for _, lvNodes := range levels {
-		for i, ni := range lvNodes {
+	for lv, nodes := range levels {
+		lo, hi := clip(nodes)
+		levels[lv] = nodes[lo:hi]
+		for i, ni := range levels[lv] {
 			pos[ni] = int32(i)
 		}
 	}
 
-	// Near-field roots.
+	// Near-field nodes: roots, except that a chunk with remote sources
+	// waits for their bodies.
 	nearSingle := sched.NodeID(-1)
 	var nearIDs []sched.NodeID
 	var rowOf, rowChunk []int32
 	if spec.NearSingle != nil {
 		nearSingle = g.Node(sched.ClassNear, spec.Tags.Near, 0, spec.NearSingle)
 	} else if spec.NearChunk != nil {
-		if len(sch.Weights) > 0 {
-			bounds := pool.WeightedBounds(sched.ClassNear, sch.Weights)
-			rowChunk = make([]int32, len(sch.Weights))
+		if rLo, rHi := clip(sch.Leaves); rLo < rHi {
+			bounds := pool.WeightedBounds(sched.ClassNear, sch.Weights[rLo:rHi])
+			rowChunk = make([]int32, rHi)
 			for c := 0; c+1 < len(bounds); c++ {
-				lo, hi := bounds[c], bounds[c+1]
+				lo, hi := rLo+bounds[c], rLo+bounds[c+1]
 				id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(lo, hi))
 				for r := lo; r < hi; r++ {
 					rowChunk[r] = int32(len(nearIDs))
+				}
+				for _, si := range sch.Srcs[sch.RowPtr[lo]:sch.RowPtr[hi]] {
+					if !own(si) {
+						arrive(sh.Ghost[si], id)
+					}
 				}
 				nearIDs = append(nearIDs, id)
 			}
@@ -132,24 +187,24 @@ func build(spec Spec, g graph) {
 			for i := range rowOf {
 				rowOf[i] = -1
 			}
-			for r, li := range sch.Leaves {
-				rowOf[li] = int32(r)
+			for r := rLo; r < rHi; r++ {
+				rowOf[sch.Leaves[r]] = int32(r)
 			}
 		}
 	}
 
 	if spec.UpChunk == nil {
-		return
+		return Done{}
 	}
 
 	// Per-level chunk bounds for both sweeps (reservation-aware).
 	upBounds := make([][]int, nLevels)
 	downBounds := make([][]int, nLevels)
 	var wbuf []int64
-	weigh := func(nodes []int32, w func(int32) int64) []int64 {
+	weigh := func(nodes []int32, w func(*octree.Tree, int32) int64) []int64 {
 		wbuf = wbuf[:0]
 		for _, ni := range nodes {
-			wbuf = append(wbuf, w(ni))
+			wbuf = append(wbuf, w(t, ni))
 		}
 		return wbuf
 	}
@@ -157,8 +212,8 @@ func build(spec Spec, g graph) {
 		if len(levels[lv]) == 0 {
 			continue
 		}
-		upBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], spec.UpWeight))
-		downBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], spec.DownWeight))
+		upBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], upWeight))
+		downBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], downWeight))
 	}
 
 	// Up sweep, bottom-up: chunk nodes plus one milestone per level
@@ -177,13 +232,13 @@ func build(spec Spec, g graph) {
 		b := upBounds[lv]
 		for c := 0; c+1 < len(b); c++ {
 			lo, hi := b[c], b[c+1]
-			id := g.Node(sched.ClassFar, spec.Tags.Up, int32(lv), spec.UpChunk(lv, nodes[lo:hi]))
-			if lv+1 < nLevels && len(upIDs[lv+1]) > 0 {
-				if clo, chi, ok := childSpan(t, pos, nodes[lo:hi]); ok {
-					forChunks(upBounds[lv+1], clo, chi+1, func(k int) {
-						g.Edge(upIDs[lv+1][k], id)
-					})
-				}
+			id := g.Node(sched.ClassFar, spec.Tags.Up, int32(lv), spec.UpChunk(nodes[lo:hi]))
+			remote := func(ci int32) { arrive(sh.Mpole[ci], id) }
+			clo, chi, ok := childSpan(t, pos, nodes[lo:hi], own, remote)
+			if ok && lv+1 < nLevels && len(upIDs[lv+1]) > 0 {
+				forChunks(upBounds[lv+1], clo, chi+1, func(k int) {
+					g.Edge(upIDs[lv+1][k], id)
+				})
 			}
 			upIDs[lv] = append(upIDs[lv], id)
 		}
@@ -199,47 +254,41 @@ func build(spec Spec, g graph) {
 	}
 
 	// Down sweep, top-down, with the L2P nodes hanging off each level's
-	// down chunks.
+	// down chunks. vSeen[pl] is the latest chunk ordered after level pl's
+	// up milestone.
 	downIDs := make([][]sched.NodeID, nLevels)
-	vSeen := make([]bool, nLevels)
-	var vTouched []int
+	vSeen := make([]sched.NodeID, nLevels)
+	for lv := range vSeen {
+		vSeen[lv] = -1
+	}
 	for lv := 0; lv < nLevels; lv++ {
 		nodes := levels[lv]
-		if len(nodes) == 0 {
-			continue
-		}
 		b := downBounds[lv]
 		for c := 0; c+1 < len(b); c++ {
 			lo, hi := b[c], b[c+1]
-			// Levels holding this chunk's translated V-list partners (the
-			// adaptive traversal pairs nodes across levels).
-			vTouched = vTouched[:0]
+			id := g.Node(sched.ClassFar, spec.Tags.Down, int32(lv), spec.DownChunk(nodes[lo:hi]))
+			remote := func(pi int32) { arrive(sh.Local[pi], id) }
+			if plo, phi, ok := parentSpan(t, pos, nodes[lo:hi], own, remote); ok {
+				forChunks(downBounds[lv-1], plo, phi+1, func(k int) {
+					g.Edge(downIDs[lv-1][k], id)
+				})
+			}
+			// Translated V-list partners (the adaptive traversal pairs nodes
+			// across levels): owned ones are final at their level's up
+			// milestone, remote ones at their arrival.
 			for _, ni := range nodes[lo:hi] {
 				direct := t.DirectMask(ni)
 				for k, vi := range t.Nodes[ni].V {
 					if direct[k] {
 						continue
 					}
-					if pl := int(t.Nodes[vi].Level); !vSeen[pl] {
-						vSeen[pl] = true
-						vTouched = append(vTouched, pl)
+					if !own(vi) {
+						arrive(sh.Mpole[vi], id)
+					} else if pl := t.Nodes[vi].Level; vSeen[pl] != id {
+						vSeen[pl] = id
+						g.Edge(upMile[pl], id)
 					}
 				}
-			}
-			id := g.Node(sched.ClassFar, spec.Tags.Down, int32(lv), spec.DownChunk(lv, nodes[lo:hi]))
-			if lv > 0 && len(downIDs[lv-1]) > 0 {
-				plo, phi, ok := parentSpan(t, pos, nodes[lo:hi])
-				if ok {
-					forChunks(downBounds[lv-1], plo, phi+1, func(k int) {
-						g.Edge(downIDs[lv-1][k], id)
-					})
-				}
-			}
-			for _, pl := range vTouched {
-				if upMile[pl] >= 0 {
-					g.Edge(upMile[pl], id)
-				}
-				vSeen[pl] = false
 			}
 			downIDs[lv] = append(downIDs[lv], id)
 			if spec.L2P == nil {
@@ -276,23 +325,58 @@ func build(spec Spec, g graph) {
 			}
 		}
 	}
+	return Done{Up: upIDs, Down: downIDs}
+}
+
+// Rough per-node work weights for chunking a level. The constants only
+// steer chunk boundaries; they need no calibration against the cost model,
+// and the field's width scales every node equally, so it drops out.
+const (
+	m2lWeight = 12 // one M2L translation ~ this many per-body endpoint ops
+	m2mWeight = 4  // one M2M/L2L translation
+)
+
+func upWeight(t *octree.Tree, ni int32) int64 {
+	n := &t.Nodes[ni]
+	if n.IsVisibleLeaf() {
+		return int64(n.Count()) + 1
+	}
+	return 8*m2mWeight + 1
+}
+
+// downWeight weighs the translated pairs of the V list: entries the
+// near-field schedule sums directly cost the far field nothing.
+func downWeight(t *octree.Tree, ni int32) int64 {
+	n := &t.Nodes[ni]
+	w := int64(t.FarPairs(ni))*m2lWeight + m2mWeight + 1
+	if n.IsVisibleLeaf() {
+		w += int64(n.Count())
+	}
+	return w
 }
 
 // childSpan returns the position span (inclusive) at level lv+1 covered
-// by the children of the given level-lv nodes; ok is false when no node
-// has an occupied child.
-func childSpan(t *octree.Tree, pos []int32, nodes []int32) (lo, hi int, ok bool) {
+// by the owned children of the given level-lv nodes, and reports each
+// remote child; ok is false when no node has an occupied owned child. (A
+// collapsed leaf's hidden children count as owned, at position 0.)
+func childSpan(t *octree.Tree, pos []int32, nodes []int32, own func(int32) bool, remote func(int32)) (lo, hi int, ok bool) {
 	lo, hi = 1<<30, -1
 	for _, ni := range nodes {
-		for _, ci := range t.Nodes[ni].Children {
-			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-				p := int(pos[ci])
-				if p < lo {
-					lo = p
-				}
-				if p > hi {
-					hi = p
-				}
+		n := &t.Nodes[ni]
+		for _, ci := range n.Children {
+			if ci == octree.NilNode || t.Nodes[ci].Count() == 0 {
+				continue
+			}
+			if !n.IsVisibleLeaf() && !own(ci) {
+				remote(ci)
+				continue
+			}
+			p := int(pos[ci])
+			if p < lo {
+				lo = p
+			}
+			if p > hi {
+				hi = p
 			}
 		}
 	}
@@ -300,18 +384,25 @@ func childSpan(t *octree.Tree, pos []int32, nodes []int32) (lo, hi int, ok bool)
 }
 
 // parentSpan returns the position span (inclusive) at level lv-1 covered
-// by the parents of the given level-lv nodes.
-func parentSpan(t *octree.Tree, pos []int32, nodes []int32) (lo, hi int, ok bool) {
+// by the owned parents of the given level-lv nodes, and reports each
+// remote parent.
+func parentSpan(t *octree.Tree, pos []int32, nodes []int32, own func(int32) bool, remote func(int32)) (lo, hi int, ok bool) {
 	lo, hi = 1<<30, -1
 	for _, ni := range nodes {
-		if pi := t.Nodes[ni].Parent; pi != octree.NilNode {
-			p := int(pos[pi])
-			if p < lo {
-				lo = p
-			}
-			if p > hi {
-				hi = p
-			}
+		pi := t.Nodes[ni].Parent
+		if pi == octree.NilNode {
+			continue
+		}
+		if !own(pi) {
+			remote(pi)
+			continue
+		}
+		p := int(pos[pi])
+		if p < lo {
+			lo = p
+		}
+		if p > hi {
+			hi = p
 		}
 	}
 	return lo, hi, hi >= 0

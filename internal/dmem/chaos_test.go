@@ -193,16 +193,15 @@ func TestChaosStokesClusterBitIdentical(t *testing.T) {
 	svD := stokesTwin(n, 19)
 	svS.Solve()
 
-	cl, err := NewStokesCluster(svD, 3, DefaultNetwork())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetLinkFaults(mustCluster(t,
-		"link0-1:drop0.4@step0,link1-2:corrupt0.5@step0,link2-0:dup@step0"),
-		9, chaosLink())
-	es := cl.Solve()
-	if es.Net.FramesDropped == 0 && es.Net.CorruptRejects == 0 {
-		t.Fatalf("schedule injected nothing: %+v", es.Net)
+	cl := stokesCluster(svD, func(cfg *Config) {
+		cfg.LinkFaults = mustCluster(t,
+			"link0-1:drop0.4@step0,link1-2:corrupt0.5@step0,link2-0:dup@step0")
+		cfg.LinkSeed = 9
+		cfg.Link = chaosLink()
+	})
+	net := cl.Solve().Net
+	if net.FramesDropped == 0 && net.CorruptRejects == 0 {
+		t.Fatalf("schedule injected nothing: %+v", net)
 	}
 	for i := 0; i < n; i++ {
 		if svD.Sys.Acc[i] != svS.Sys.Acc[i] {

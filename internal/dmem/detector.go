@@ -19,7 +19,7 @@ import (
 // silences the node's heartbeater (the injected failure). Detection is
 // then earned the production way: the step loop blocks until the dead
 // node's suspicion crosses the threshold, and the measured wall-clock
-// latency — not the priced path's modeled DetectTimeout — is what the
+// latency — not the priced path's modeled oracle delay — is what the
 // run report records. Heartbeats cross the same lossy links as data
 // frames: each beat survives with the link schedule's worst outgoing
 // drop rate for the node, drawn deterministically per beat, so

@@ -82,11 +82,6 @@ type Config struct {
 	// fault.ParseNodeEvents). A lost node's range is repartitioned over
 	// the survivors and the capacity epoch advances.
 	NodeFaults []fault.NodeEvent
-	// DetectTimeout is the modeled failure-detection delay charged to the
-	// step where a node loss is absorbed, seconds; 0 selects 100x
-	// Net.Latency. Execute mode measures detection with the heartbeat
-	// detector instead unless OracleDetect is set.
-	DetectTimeout float64
 	// LinkFaults injects per-link chaos into the executed runtime's
 	// transport (parse specs like "link0-2:drop0.05@step3" with
 	// fault.ParseLinkEvents, or mixed node+link specs with
@@ -101,10 +96,16 @@ type Config struct {
 	// detector. Zero fields select defaults.
 	Link LinkConfig
 	// OracleDetect reverts Execute-mode node-loss detection to the
-	// modeled oracle (the priced path's DetectTimeout charge) instead of
-	// the measured heartbeat detector.
+	// modeled oracle (the priced path's oracleDetectLatencies charge)
+	// instead of the measured heartbeat detector.
 	OracleDetect bool
 }
+
+// oracleDetectLatencies is the modeled failure-detection delay charged to
+// the step where a node loss is absorbed, in units of Net.Latency. Execute
+// mode measures detection with the heartbeat detector instead unless
+// OracleDetect is set.
+const oracleDetectLatencies = 100
 
 // HomogeneousNodes returns n identical node specs.
 func HomogeneousNodes(n int, spec NodeSpec) []NodeSpec {
@@ -192,8 +193,7 @@ type Solver struct {
 	stepIdx int
 }
 
-// NewSolver builds the distributed solver. The body partition starts as an
-// equal-count split of the tree-ordered bodies.
+// NewSolver builds the distributed gravity solver over sys.
 func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("dmem: no nodes configured")
@@ -213,7 +213,14 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 			}
 		}
 	}
-	inner := core.NewSolver(sys, cfg.Core)
+	return newOver(core.NewSolver(sys, cfg.Core), cfg), nil
+}
+
+// newOver distributes whatever single-node solver it is given (cfg.Core is
+// not read): the field the node engines copy is inner's, gravity or
+// Stokes. The body partition starts as an equal-count split of the
+// tree-ordered bodies.
+func newOver(inner *core.Solver, cfg Config) *Solver {
 	if cfg.Net.Bandwidth == 0 {
 		cfg.Net = DefaultNetwork()
 	}
@@ -227,10 +234,9 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	}
 	s.equalCountCuts()
 	if cfg.Execute {
-		s.rt = newRuntime(inner, p, s.Cfg.Net)
-		s.rt.link, s.rt.linkSch, s.rt.linkSeed = cfg.Link, cfg.LinkFaults, cfg.LinkSeed
+		s.rt = newRuntime(inner, &s.Cfg)
 	}
-	return s, nil
+	return s
 }
 
 // SetRecorder attaches a telemetry recorder: per-node execution and comm
@@ -263,21 +269,6 @@ func (s *Solver) equalCountCuts() {
 	for i := 0; i <= p; i++ {
 		s.cuts[i] = int32(i * n / p)
 	}
-}
-
-// owner returns the node owning body index i.
-func (s *Solver) owner(i int32) int {
-	// cuts is small; binary search.
-	lo, hi := 0, len(s.cuts)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if s.cuts[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Solve runs one distributed step. With Execute off, the numerics run
@@ -319,7 +310,7 @@ func (s *Solver) executeStep() *ExecStats {
 	s.alignCuts()
 	step := s.stepIdx
 	s.stepIdx++
-	return s.rt.Step(func(i int32) int32 { return int32(s.owner(i)) }, s.alive, step)
+	return s.rt.Step(s.cuts, s.alive, step)
 }
 
 // alignCuts snaps every interior ownership cut to the nearest visible
@@ -340,12 +331,6 @@ func (s *Solver) alignCuts() {
 	s.cuts[p] = int32(s.Inner.Sys.Len())
 }
 
-// attribute computes the per-node report for the current tree/lists.
-// (Kept as a thin wrapper: tests drive it directly.)
-func (s *Solver) attribute(single core.StepTimes) StepReport {
-	return s.attributeWith(single, nil)
-}
-
 // attributeWith computes the per-node report. es, when non-nil, carries
 // the executed step's measured exchange volumes, which replace the
 // modeled transfer accounting.
@@ -358,11 +343,7 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 		rep.GhostLeaves = es.GhostLeaves
 	}
 
-	// Ownership of visible cells: owner of the cell's first body.
-	cellOwner := map[int32]int{}
-	t.WalkVisible(func(ni int32) {
-		cellOwner[ni] = s.owner(t.Nodes[ni].Start)
-	})
+	cellOwner := cellOwners(t, s.cuts)
 
 	// Per-node far-field task graphs and per-node device work. Cross-node
 	// tree dependencies are carried by the communication phase, so each
@@ -499,7 +480,7 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 	s.lastLeaves = s.lastLeaves[:0]
 	s.lastLeafCost = s.lastLeafCost[:0]
 	for k := 0; k < p; k++ {
-		if s.alive != nil && !s.alive[k] {
+		if !s.alive[k] {
 			continue
 		}
 		nAlive++
@@ -841,7 +822,7 @@ func (s *Solver) observeNet(rec *telemetry.Recorder, step int, rep *StepReport) 
 // With the heartbeat detector live (Execute mode), the fault only
 // silences the node's heartbeater; the loop then blocks until the
 // detector's suspicion declares the node dead, and that measured
-// wall-clock latency — not the modeled DetectTimeout — is charged and
+// wall-clock latency — not the modeled oracle delay — is charged and
 // recorded. The node never participates in a step between its silencing
 // and its detection: detection completes before the step executes, so
 // bit-identity is preserved (the survivors compute everything).
@@ -864,10 +845,7 @@ func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 				s.met.detectLatency.Observe(detect)
 			}
 		} else {
-			detect = s.Cfg.DetectTimeout
-			if detect <= 0 {
-				detect = 100 * s.Cfg.Net.Latency
-			}
+			detect = oracleDetectLatencies * s.Cfg.Net.Latency
 		}
 		s.alive[ev.Node] = false
 		s.capEpoch++
@@ -875,9 +853,10 @@ func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 			s.caps[k] = 1
 		}
 		s.repartitionSurvivors()
-		recovery += detect + float64(len(s.Cfg.Nodes))*s.Cfg.Net.Latency
+		charge := detect + float64(len(s.Cfg.Nodes))*s.Cfg.Net.Latency
+		recovery += charge
 		res.NodeLosses++
-		res.RecoveryTime += recovery
+		res.RecoveryTime += charge
 		if s.met != nil {
 			s.met.losses.Inc()
 		}

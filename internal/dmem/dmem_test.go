@@ -1,10 +1,12 @@
 package dmem
 
 import (
+	"math"
 	"testing"
 
 	"afmm/internal/core"
 	"afmm/internal/distrib"
+	"afmm/internal/fault"
 	"afmm/internal/vcpu"
 	"afmm/internal/vgpu"
 )
@@ -140,7 +142,7 @@ func TestRebalanceImprovesSkewedPartition(t *testing.T) {
 	}
 	before := d.Solve()
 	gain := d.Rebalance()
-	after := d.attribute(before.Single)
+	after := d.attributeWith(before.Single, nil)
 	if gain < 0.99 {
 		t.Fatalf("rebalance predicted regression: gain %v", gain)
 	}
@@ -209,5 +211,40 @@ func TestRunRebalancesWhenSkewed(t *testing.T) {
 	}
 	if err := d.Inner.Tree.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveryTimeSumsPerEventCharges: two nodes failing on one step each
+// book their own detection + broadcast charge, once — RecoveryTime is what
+// the step times were charged, not a running total added twice.
+func TestRecoveryTimeSumsPerEventCharges(t *testing.T) {
+	events, err := fault.ParseNodeEvents("node1:failstop@step1,node2:failstop@step1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := clusterConfig(4)
+	cfg.NodeFaults = events
+	d, err := NewSolver(distrib.Plummer(2000, 1, 1, 3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.RunWith(RunConfig{Steps: 3, Dt: 1e-4})
+	if res.NodeLosses != 2 {
+		t.Fatalf("node losses = %d, want 2", res.NodeLosses)
+	}
+	// What a step was charged on top of its slowest node.
+	var charged float64
+	for _, rep := range res.Steps {
+		var slowest float64
+		for _, nt := range rep.PerNode {
+			slowest = math.Max(slowest, nt.Compute+nt.CommTime-nt.Hidden)
+		}
+		charged += rep.StepTime - slowest
+	}
+	// Priced mode charges the modeled amount: per event, the oracle's
+	// detection delay plus a repartition broadcast to every node.
+	want := 2 * (oracleDetectLatencies + 4) * d.Cfg.Net.Latency
+	if math.Abs(res.RecoveryTime-want) > 1e-9*want || math.Abs(charged-want) > 1e-9*want {
+		t.Fatalf("RecoveryTime = %v, step times were charged %v, want both %v", res.RecoveryTime, charged, want)
 	}
 }

@@ -1,7 +1,11 @@
 package dmem
 
 import (
+	"slices"
+
 	"afmm/internal/core"
+	"afmm/internal/sched"
+	"afmm/internal/sphharm"
 )
 
 // A nodeEngine is one virtual cluster node's private numeric state: a
@@ -20,23 +24,51 @@ type nodeEngine struct {
 	// ghosts[cell] holds the bodies of a remote source leaf once its flow
 	// arrived; Field.NearRow reads a source from here when present.
 	ghosts []core.GhostLeaf
-	ws     core.Workspaces
+	// arrival[kind][cell] is the step graph's arrival node of the incoming
+	// flow that delivers the remote cell (-1: no flow of the step does).
+	arrival [3][]sched.NodeID
+	ws      core.Workspaces
+	// expLen is a cell's length on the wire: Width packed expansions.
+	expLen int
 }
 
 func newNodeEngine(drv *core.Solver) *nodeEngine {
-	return &nodeEngine{Field: drv.Field.Private(), ws: core.NewWorkspaces(drv.Cfg.P, 32)}
+	return &nodeEngine{Field: drv.Field.Private(), ws: core.NewWorkspaces(drv.Cfg.P, 32),
+		expLen: drv.Field.Width() * sphharm.PackedLen(drv.Cfg.P)}
 }
 
 // prepare sizes and zeroes the private slabs for the current tree and
-// empties the ghost table.
+// empties the ghost and arrival tables.
 func (e *nodeEngine) prepare(cells int) {
 	e.Reset()
-	if cap(e.ghosts) < cells {
-		e.ghosts = make([]core.GhostLeaf, cells)
-		return
+	e.ghosts = slices.Grow(e.ghosts[:0], cells)[:cells]
+	clear(e.ghosts)
+	for kind, a := range e.arrival {
+		a = slices.Grow(a[:0], cells)[:cells]
+		for i := range a {
+			a[i] = -1
+		}
+		e.arrival[kind] = a
 	}
-	e.ghosts = e.ghosts[:cells]
-	for i := range e.ghosts {
-		e.ghosts[i] = core.GhostLeaf{}
+}
+
+// pack is a flow's payload as this engine holds it: the sender's side of
+// the wire format (and a receiver's host-side re-pack of ghost rows).
+func (e *nodeEngine) pack(f flow) payload {
+	if f.id.kind == flowGhost {
+		data := make([]core.GhostLeaf, len(f.cells))
+		for i, ci := range f.cells {
+			data[i] = e.PackGhost(ci)
+		}
+		return payload{ghost: data}
 	}
+	pack := e.PackMpole
+	if f.id.kind == flowLocal {
+		pack = e.PackLocal
+	}
+	buf := make([]complex128, len(f.cells)*e.expLen)
+	for i, ci := range f.cells {
+		pack(ci, buf[i*e.expLen:(i+1)*e.expLen])
+	}
+	return payload{exp: buf}
 }

@@ -1,7 +1,8 @@
 package dmem
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"afmm/internal/octree"
 )
@@ -14,150 +15,154 @@ import (
 // loop and the receiver's unpack loop walk the same sorted slice, so no
 // header metadata is ever shipped.
 //
-// Messages are keyed by (sender, receiver, tree level). Multipoles flow
-// while ascending — a level-L mpole message depends only on up work at
-// levels > L — and locals flow while descending — a level-L local
-// message depends only on down work at levels < L — so the cross-node
-// message graph is acyclic by induction on level. Ghost-body messages
-// depend on nothing (positions are step inputs) and are graph roots.
+// Expansion flows are keyed by (sender, receiver, tree level). Multipoles
+// flow while ascending — a level-L mpole message depends only on up work at
+// levels >= L — and locals flow while descending — a level-L local
+// message depends only on down work at levels <= L and on multipoles — so
+// the cross-node message graph is acyclic by induction on level. Ghost-body
+// flows (one per node pair) depend on nothing: positions are step inputs.
 
-type flowKey struct {
-	from, to int
-	level    int
-}
-
-type pairKey struct {
-	from, to int
+// flow is one message of the plan: its transport address and the cells
+// whose data it carries, ascending.
+type flow struct {
+	id    flowID
+	cells []int32
 }
 
 type exchangePlan struct {
-	// owner[ni] is the owning node of tree cell ni (-1 for cells outside
-	// every range, which only happens for empty cells).
-	owner []int32
-	// ownedCells[k] lists node k's cells in DFS (WalkVisible) order.
-	ownedCells [][]int32
-
-	// mpoleNeed[{j,k,L}]: level-L cells whose multipoles node k needs
-	// from node j (remote children of owned parents + remote sources of
-	// translated V-list pairs). localNeed[{j,k,L}]: level-L cells whose
-	// local expansions node k needs from j (remote parents of owned
-	// cells). ghostNeed[{j,k}]: remote source leaves of k's near-field
-	// rows — U-list neighbours and the accepted leaves Tree.Direct sums
-	// directly — whose bodies k needs from j. All slices sorted ascending
-	// and deduplicated.
-	mpoleNeed map[flowKey][]int32
-	localNeed map[flowKey][]int32
-	ghostNeed map[pairKey][]int32
-
-	// rows[k] lists the near-schedule CSR rows whose target leaf node k
-	// owns.
-	rows [][]int
+	// owner[ni] is the owning node of visible cell ni (-1 elsewhere).
+	owner []int
+	// in[k] lists the flows node k receives, out[k] the ones it sends:
+	// the same flows, each sorted by (kind, peer, level). A multipole flow
+	// carries remote children of the receiver's cells and remote sources of
+	// its translated V-list pairs; a local flow remote parents of its
+	// cells; a ghost flow the remote source leaves of its near-field rows —
+	// U-list neighbours and the accepted leaves Tree.Direct sums directly.
+	in, out [][]flow
 }
 
-// flowIDs enumerates every cross-node flow of the plan — the single
-// construction that used to be copy-pasted three times as per-kind
-// channel maps. The transport builds one frame endpoint per flow;
-// mpole/local flows are keyed by tree level, ghost flows by node pair.
-func (pl *exchangePlan) flowIDs() []flowID {
-	ids := make([]flowID, 0, len(pl.mpoleNeed)+len(pl.localNeed)+len(pl.ghostNeed))
-	for fk := range pl.mpoleNeed {
-		ids = append(ids, flowID{kind: flowMpole, from: fk.from, to: fk.to, level: fk.level})
-	}
-	for fk := range pl.localNeed {
-		ids = append(ids, flowID{kind: flowLocal, from: fk.from, to: fk.to, level: fk.level})
-	}
-	for pk := range pl.ghostNeed {
-		ids = append(ids, flowID{kind: flowGhost, from: pk.from, to: pk.to})
-	}
-	return ids
-}
-
-func sortDedup(s []int32) []int32 {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
+// nodeOf returns the node whose body range [cuts[k], cuts[k+1]) holds i.
+func nodeOf(cuts []int32, i int32) int {
+	lo, hi := 0, len(cuts)-1
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if cuts[mid] <= i {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	return out
+	return lo
 }
 
-// buildPlan derives the step's exchange plan. ownerOf maps a body index
-// to its owning node under the current cuts; p is the node count. Empty
-// cells never appear in need sets (both sides leave their slabs zeroed,
-// exactly like the single-node solver).
-func buildPlan(t *octree.Tree, sch *octree.NearSchedule, ownerOf func(int32) int32, p int) *exchangePlan {
-	pl := &exchangePlan{
-		owner:      make([]int32, len(t.Nodes)),
-		ownedCells: make([][]int32, p),
-		mpoleNeed:  make(map[flowKey][]int32),
-		localNeed:  make(map[flowKey][]int32),
-		ghostNeed:  make(map[pairKey][]int32),
-		rows:       make([][]int, p),
+// cellOwners returns every visible cell's owner under cuts: the owner of
+// the cell's first body.
+func cellOwners(t *octree.Tree, cuts []int32) []int {
+	owner := make([]int, len(t.Nodes))
+	for i := range owner {
+		owner[i] = -1
 	}
-	for i := range pl.owner {
-		pl.owner[i] = -1
+	for _, cells := range t.LevelOrder() {
+		for _, ni := range cells {
+			owner[ni] = nodeOf(cuts, t.Nodes[ni].Start)
+		}
 	}
-	t.WalkVisible(func(ni int32) {
-		k := ownerOf(t.Nodes[ni].Start)
-		pl.owner[ni] = k
-		pl.ownedCells[k] = append(pl.ownedCells[k], ni)
-	})
+	return owner
+}
 
-	// Expansion flows. A cell's owner computes its mpole and local; the
-	// dependencies that cross an ownership boundary become need entries.
-	t.WalkVisible(func(ni int32) {
-		n := &t.Nodes[ni]
-		k := int(pl.owner[ni])
-		if !n.IsVisibleLeaf() {
-			for _, ci := range n.Children {
-				if ci == octree.NilNode || t.Nodes[ci].Count() == 0 {
-					continue
-				}
-				if j := int(pl.owner[ci]); j != k {
-					fk := flowKey{from: j, to: k, level: int(t.Nodes[ci].Level)}
-					pl.mpoleNeed[fk] = append(pl.mpoleNeed[fk], ci)
+// buildPlan derives the step's exchange plan under the ownership cuts;
+// far and near say which of the two phases the step runs. Empty cells
+// never appear in a flow (both sides leave their slabs zeroed, exactly
+// like the single-node solver).
+func buildPlan(t *octree.Tree, sch *octree.NearSchedule, cuts []int32, far, near bool) *exchangePlan {
+	p := len(cuts) - 1
+	pl := &exchangePlan{owner: cellOwners(t, cuts), in: make([][]flow, p), out: make([][]flow, p)}
+
+	// Every dependency that crosses an ownership boundary, once per
+	// (kind, receiver, cell): receivers ascend along both walks below (DFS
+	// order is body order), so asked[kind][ci] == k+1 says receiver k
+	// already asked for ci.
+	type need struct {
+		id   flowID
+		cell int32
+	}
+	var needs []need
+	var asked [3][]int32
+	for kind := range asked {
+		asked[kind] = make([]int32, len(t.Nodes))
+	}
+	ask := func(kind flowKind, k int, ci int32) {
+		if j := pl.owner[ci]; j != k && asked[kind][ci] != int32(k+1) {
+			asked[kind][ci] = int32(k + 1)
+			id := flowID{kind: kind, from: j, to: k}
+			if kind != flowGhost {
+				id.level = int(t.Nodes[ci].Level)
+			}
+			needs = append(needs, need{id, ci})
+		}
+	}
+	if far {
+		t.WalkVisible(func(ni int32) {
+			n := &t.Nodes[ni]
+			k := pl.owner[ni]
+			if !n.IsVisibleLeaf() {
+				for _, ci := range n.Children {
+					if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
+						ask(flowMpole, k, ci)
+					}
 				}
 			}
-		}
-		direct := t.DirectMask(ni)
-		for i, vi := range n.V {
-			if j := int(pl.owner[vi]); j != k && !direct[i] {
-				fk := flowKey{from: j, to: k, level: int(t.Nodes[vi].Level)}
-				pl.mpoleNeed[fk] = append(pl.mpoleNeed[fk], vi)
+			direct := t.DirectMask(ni)
+			for i, vi := range n.V {
+				if !direct[i] {
+					ask(flowMpole, k, vi)
+				}
+			}
+			if pi := n.Parent; pi != octree.NilNode {
+				ask(flowLocal, k, pi)
+			}
+		})
+	}
+	if near {
+		for r, li := range sch.Leaves {
+			for _, si := range sch.Srcs[sch.RowPtr[r]:sch.RowPtr[r+1]] {
+				ask(flowGhost, pl.owner[li], si)
 			}
 		}
-		if pi := n.Parent; pi != octree.NilNode && t.Nodes[pi].Count() > 0 {
-			if j := int(pl.owner[pi]); j != k {
-				fk := flowKey{from: j, to: k, level: int(t.Nodes[pi].Level)}
-				pl.localNeed[fk] = append(pl.localNeed[fk], pi)
-			}
-		}
+	}
+
+	slices.SortFunc(needs, func(a, b need) int {
+		return cmp.Or(cmp.Compare(a.id.to, b.id.to), cmp.Compare(a.id.kind, b.id.kind),
+			cmp.Compare(a.id.from, b.id.from), cmp.Compare(a.id.level, b.id.level),
+			cmp.Compare(a.cell, b.cell))
 	})
-
-	// Ghost-body flows from the near-field schedule: each CSR row belongs
-	// to its target leaf's owner; remote source leaves become ghost needs.
-	for r := 0; r < sch.Rows(); r++ {
-		k := int(pl.owner[sch.Leaves[r]])
-		pl.rows[k] = append(pl.rows[k], r)
-		for s := sch.RowPtr[r]; s < sch.RowPtr[r+1]; s++ {
-			si := sch.Srcs[s]
-			if j := int(pl.owner[si]); j != k {
-				pk := pairKey{from: j, to: k}
-				pl.ghostNeed[pk] = append(pl.ghostNeed[pk], si)
+	for i := 0; i < len(needs); {
+		f := flow{id: needs[i].id}
+		for ; i < len(needs) && needs[i].id == f.id; i++ {
+			f.cells = append(f.cells, needs[i].cell)
+		}
+		pl.in[f.id.to] = append(pl.in[f.id.to], f)
+	}
+	for kind := flowMpole; kind <= flowGhost; kind++ {
+		for _, fs := range pl.in {
+			for _, f := range fs {
+				if f.id.kind == kind {
+					pl.out[f.id.from] = append(pl.out[f.id.from], f)
+				}
 			}
 		}
-	}
-
-	for fk, cells := range pl.mpoleNeed {
-		pl.mpoleNeed[fk] = sortDedup(cells)
-	}
-	for fk, cells := range pl.localNeed {
-		pl.localNeed[fk] = sortDedup(cells)
-	}
-	for pk, cells := range pl.ghostNeed {
-		pl.ghostNeed[pk] = sortDedup(cells)
 	}
 	return pl
+}
+
+// flowIDs enumerates every flow of the plan; the transport builds one
+// frame endpoint per flow.
+func (pl *exchangePlan) flowIDs() []flowID {
+	var ids []flowID
+	for _, fs := range pl.in {
+		for _, f := range fs {
+			ids = append(ids, f.id)
+		}
+	}
+	return ids
 }

@@ -1,55 +1,59 @@
 package dmem
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"afmm/internal/core"
-	"afmm/internal/fault"
-	"afmm/internal/octree"
+	"afmm/internal/dag"
 	"afmm/internal/sched"
-	"afmm/internal/sphharm"
 	"afmm/internal/telemetry"
 )
 
 // Runtime executes the partitioned tree: one goroutine per virtual
-// cluster node, each running its locally essential tree through its own
-// sched.Graph. Cross-node data (multipoles, locals, ghost bodies) moves
-// as framed messages over the step's transport; each incoming message is
-// a milestone node in the receiver's graph, so work that depends on
-// remote data — remote-source P2P rows, V-list translations with remote
-// sources — waits on exactly the arrival it needs while everything local
-// proceeds. That is the halo-hiding schedule: the near field's local
-// rows execute under the communication wait instead of after it.
+// cluster node, each running its share of the step graph (internal/dag:
+// the single-node builder, clipped to the node's body range) over a
+// private field. Cross-node data (multipoles, locals, ghost bodies) moves
+// as framed messages over the step's transport; each incoming flow is an
+// arrival node in the receiver's graph, so work that depends on remote
+// data — chunks of near rows with remote sources, down chunks translating
+// remote multipoles — waits on exactly the arrivals it needs while
+// everything local proceeds. That is the halo-hiding schedule: the near
+// field's local rows execute under the communication wait instead of
+// after it.
 //
-// Deadlock freedom: each node's pool has (milestones + 2) worker slots
-// and every graph node runs as ClassGeneral, so at most all milestones
-// can block in transport receives while two slots always remain to drain
-// compute; sends never block (transport.Send is asynchronous); receives
-// are deadline-bounded with an always-available degradation path; and
-// the cross-node message graph is acyclic by level (see plan.go).
-// Progress then follows by induction over the global dependency DAG.
+// Deadlock freedom: arrivals are the only nodes that block and the only
+// ClassGeneral nodes, and they are the graph's first nodes and roots. Run
+// enqueues roots in creation order, so each arrival is handed to a drainer
+// while the node's private pool of (arrivals + 2) slots still has one
+// free: every Recv sits on a goroutine of its own, never inline under
+// another node's completion, and at most `arrivals` slots are held in
+// transport receives. Compute chunks and sends (ClassFar/ClassNear) never
+// block (transport.Send is asynchronous), so whether they find one of the
+// two remaining slots or run inline (help-first) they finish. Receives are
+// deadline-bounded with an always-available degradation path, and the
+// cross-node message graph is acyclic by level (see plan.go). Progress
+// then follows by induction over the global dependency DAG.
 type Runtime struct {
 	// drv is the single-node solver whose tree this runtime partitions:
-	// the tree, bodies, order, pool, recorder, skip flags and the one M2L
-	// class table all node engines translate through (built on drv's pool
-	// once per list epoch before the node goroutines start).
+	// the tree, bodies, order, pool (its geometry cuts the chunks),
+	// recorder, skip flags and the one M2L class table all node engines
+	// translate through (built on drv's pool once per list epoch before
+	// the node goroutines start).
 	drv *core.Solver
 	eng []*nodeEngine
-	net NetworkSpec
-
-	// link layer: protocol knobs plus the (possibly empty) chaos
-	// schedule and its verdict seed.
-	link     LinkConfig
-	linkSch  *fault.LinkSchedule
-	linkSeed int64
+	// cfg is read for the interconnect model (Net) and the link layer:
+	// protocol knobs (Link) plus the possibly empty chaos schedule and its
+	// verdict seed (LinkFaults, LinkSeed).
+	cfg *Config
 }
 
-// newRuntime returns the runtime executing drv's tree on nodes engines,
-// each over a private copy of drv's field.
-func newRuntime(drv *core.Solver, nodes int, net NetworkSpec) *Runtime {
-	rt := &Runtime{drv: drv, eng: make([]*nodeEngine, nodes), net: net}
+// newRuntime returns the runtime executing drv's tree on the configured
+// nodes, each over a private copy of drv's field.
+func newRuntime(drv *core.Solver, cfg *Config) *Runtime {
+	rt := &Runtime{drv: drv, eng: make([]*nodeEngine, len(cfg.Nodes)), cfg: cfg}
 	for k := range rt.eng {
 		rt.eng[k] = newNodeEngine(drv)
 	}
@@ -65,7 +69,7 @@ type NodeComm struct {
 	// MsgsIn counts aggregated messages received (one per sender/kind/
 	// level flow).
 	MsgsIn int64
-	// WaitNs is wall time the node's milestones spent blocked in channel
+	// WaitNs is wall time the node's arrivals spent blocked in channel
 	// receives — comm wait that overlapped local work, not serialized
 	// after it.
 	WaitNs int64
@@ -83,9 +87,11 @@ type ExecStats struct {
 	// shipments: U-list neighbours plus the accepted leaves summed
 	// directly, which need bodies where a translation needed a multipole.
 	GhostLeaves int64
+	// GraphNodes and GraphEdges size the node graphs, summed.
+	GraphNodes, GraphEdges int
 }
 
-// nodeCommAtomic is NodeComm with atomic fields (milestones run on
+// nodeCommAtomic is NodeComm with atomic fields (arrivals run on
 // multiple drainer goroutines within one node's pool).
 type nodeCommAtomic struct {
 	bytesIn atomic.Int64
@@ -94,14 +100,14 @@ type nodeCommAtomic struct {
 }
 
 // Step executes one distributed solve over the current tree: builds the
-// exchange plan for the given ownership, zeroes the accumulators, and
-// runs every alive node's graph to completion over a per-step transport.
-// step indexes the run's link-fault schedule. On return the shared
-// particle accumulators hold the full (near + far) result, bit-identical
-// to the single-node solver — under any link-fault schedule, within or
-// beyond the retry budget. Dead nodes (alive[k] == false) must own no
-// bodies under cuts — callers repartition before calling Step.
-func (rt *Runtime) Step(ownerOf func(int32) int32, alive []bool, step int) *ExecStats {
+// exchange plan for the leaf-aligned ownership cuts, zeroes the
+// accumulators, and runs every alive node's graph to completion over a
+// per-step transport. step indexes the run's link-fault schedule. On
+// return the shared particle accumulators hold the full (near + far)
+// result, bit-identical to the single-node solver — under any link-fault
+// schedule, within or beyond the retry budget. A dead node (alive[k] ==
+// false) must own no bodies — callers repartition before calling Step.
+func (rt *Runtime) Step(cuts []int32, alive []bool, step int) *ExecStats {
 	t := rt.drv.Tree
 	t.BuildLists()
 	rt.drv.PrepareM2L()
@@ -109,15 +115,19 @@ func (rt *Runtime) Step(ownerOf func(int32) int32, alive []bool, step int) *Exec
 	rt.drv.Sys.ResetAccumulators()
 
 	p := len(rt.eng)
-	pl := buildPlan(t, sch, ownerOf, p)
 	for k := 0; k < p; k++ {
 		if alive[k] {
 			rt.eng[k].prepare(len(t.Nodes))
+		} else if cuts[k] != cuts[k+1] {
+			// Nobody would send this range's flows: a hang, not an error.
+			panic(fmt.Sprintf("dmem: dead node %d owns bodies [%d, %d)", k, cuts[k], cuts[k+1]))
 		}
 	}
+	pl := buildPlan(t, sch, cuts, !rt.drv.Cfg.SkipFarField, !rt.drv.Cfg.SkipNearField)
 
-	tp := newTransport(pl.flowIDs(), rt.link, rt.linkSch, rt.linkSeed, step)
+	tp := newTransport(pl.flowIDs(), rt.cfg.Link, rt.cfg.LinkFaults, rt.cfg.LinkSeed, step)
 	comm := make([]nodeCommAtomic, p)
+	sizes := make([]sched.GraphStats, p)
 	var wg sync.WaitGroup
 	for k := 0; k < p; k++ {
 		if !alive[k] {
@@ -126,293 +136,67 @@ func (rt *Runtime) Step(ownerOf func(int32) int32, alive []bool, step int) *Exec
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			rt.runNode(k, pl, sch, tp, &comm[k])
+			sizes[k] = rt.runNode(k, pl, cuts[k], cuts[k+1], tp, &comm[k])
 		}(k)
 	}
 	wg.Wait()
 	tp.Close()
 
 	es := &ExecStats{PerNode: make([]NodeComm, p), Net: tp.Stats()}
-	for _, cells := range pl.ghostNeed {
-		es.GhostLeaves += int64(len(cells))
-	}
 	for k := 0; k < p; k++ {
+		for _, f := range pl.in[k] {
+			if f.id.kind == flowGhost {
+				es.GhostLeaves += int64(len(f.cells))
+			}
+		}
 		nc := &es.PerNode[k]
 		nc.BytesIn = comm[k].bytesIn.Load()
 		nc.MsgsIn = comm[k].msgsIn.Load()
 		nc.WaitNs = comm[k].waitNs.Load()
 		es.TotalBytes += nc.BytesIn
 		es.TotalMsgs += nc.MsgsIn
+		es.GraphNodes += sizes[k].Nodes
+		es.GraphEdges += sizes[k].Edges
 	}
 	return es
 }
 
-// runNode builds and runs node k's step graph.
-func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp *transport, nc *nodeCommAtomic) {
+// runNode builds and runs node k's step graph over its body range
+// [lo, hi): one arrival node per incoming flow, the range's share of the
+// step graph, one send node per outgoing flow.
+func (rt *Runtime) runNode(k int, pl *exchangePlan, lo, hi int32, tp *transport, nc *nodeCommAtomic) sched.GraphStats {
 	start := time.Now()
-	t := rt.drv.Tree
 	rec := rt.drv.Cfg.Rec
-	skipFar, skipNear := rt.drv.Cfg.SkipFarField, rt.drv.Cfg.SkipNearField
 	e := rt.eng[k]
-	expLen := e.Width() * sphharm.PackedLen(rt.drv.Cfg.P)
+	in, out := pl.in[k], pl.out[k]
+	g := sched.NewPool(len(in) + 2).NewGraph()
+	spec := rt.drv.StepSpec(e.Field, e.ws, e.ghosts)
+	spec.Share = dag.Share{Lo: lo, Hi: hi,
+		Mpole: e.arrival[flowMpole], Local: e.arrival[flowLocal], Ghost: e.arrival[flowGhost]}
 
-	// Count incoming milestones to size the node's private pool.
-	ms := 0
-	if !skipFar {
-		for fk := range pl.mpoleNeed {
-			if fk.to == k {
-				ms++
-			}
-		}
-		for fk := range pl.localNeed {
-			if fk.to == k {
-				ms++
-			}
+	// Arrivals first (see the deadlock-freedom argument above Runtime).
+	for _, f := range in {
+		id := g.Node(sched.ClassGeneral, spec.Tags.Milestone, int32(f.id.from), func() { rt.receive(e, f, tp, nc) })
+		for _, ci := range f.cells {
+			e.arrival[f.id.kind][ci] = id
 		}
 	}
-	if !skipNear {
-		for pk := range pl.ghostNeed {
-			if pk.to == k {
-				ms++
-			}
+	done := dag.Build(spec, g)
+	// Sends: a level's multipoles leave after its up chunks, its locals
+	// after its down chunks; ghost sends are roots (body positions are
+	// step inputs), on the wire before any compute.
+	for _, f := range out {
+		class, after := sched.ClassFar, done.Up
+		switch f.id.kind {
+		case flowLocal:
+			after = done.Down
+		case flowGhost:
+			class, after = sched.ClassNear, nil
 		}
-	}
-	pool := sched.NewPool(ms + 2)
-	g := pool.NewGraph()
-
-	// recvExp blocks on the flow's delivery; on deadline expiry the
-	// payload is recovered over the reliable re-request path, so the
-	// slab load below always sees the sender's original bytes — the
-	// missing-expansion recovery before the L2P join.
-	recvExp := func(f flowID, cells []int32, load func(int32, []complex128)) {
-		t0 := time.Now()
-		pay, ok := tp.Recv(f)
-		if !ok {
-			pay = tp.Rerequest(f)
-		}
-		nc.waitNs.Add(int64(time.Since(t0)))
-		data := pay.exp
-		for i, ci := range cells {
-			load(ci, data[i*expLen:(i+1)*expLen])
-		}
-		nc.bytesIn.Add(int64(len(data)) * 16)
-		nc.msgsIn.Add(1)
-	}
-
-	// Arrival milestones, one per incoming flow; cellMpoleMS/cellLocalMS
-	// resolve a remote cell to the milestone that delivers it (each cell
-	// has one owner, so it arrives in exactly one flow).
-	cellMpoleMS := map[int32]sched.NodeID{}
-	cellLocalMS := map[int32]sched.NodeID{}
-	ghostMS := map[int]sched.NodeID{}
-	if !skipFar {
-		for fk, cells := range pl.mpoleNeed {
-			if fk.to != k {
-				continue
-			}
-			f, cs := flowID{kind: flowMpole, from: fk.from, to: fk.to, level: fk.level}, cells
-			id := g.Node(sched.ClassGeneral, 0, int32(fk.from), func() {
-				recvExp(f, cs, e.LoadMpole)
-			})
-			for _, ci := range cs {
-				cellMpoleMS[ci] = id
-			}
-		}
-		for fk, cells := range pl.localNeed {
-			if fk.to != k {
-				continue
-			}
-			f, cs := flowID{kind: flowLocal, from: fk.from, to: fk.to, level: fk.level}, cells
-			id := g.Node(sched.ClassGeneral, 0, int32(fk.from), func() {
-				recvExp(f, cs, e.LoadLocal)
-			})
-			for _, ci := range cs {
-				cellLocalMS[ci] = id
-			}
-		}
-	}
-	if !skipNear {
-		for pk, cells := range pl.ghostNeed {
-			if pk.to != k {
-				continue
-			}
-			f, cs := flowID{kind: flowGhost, from: pk.from, to: pk.to}, cells
-			var bytes int64
-			for _, ci := range cs {
-				bytes += int64(t.Nodes[ci].Count()) * int64(rt.net.BytesPerBody)
-			}
-			ghostMS[pk.from] = g.Node(sched.ClassGeneral, 0, int32(pk.from), func() {
-				t0 := time.Now()
-				pay, ok := tp.Recv(f)
-				nc.waitNs.Add(int64(time.Since(t0)))
-				data := pay.ghost
-				if !ok {
-					// Deadline expired: re-pack the ghost rows host-side from
-					// the shared read-only particle arrays. The bytes are the
-					// owner's bytes by construction (PR 5's row-atomic
-					// fallback discipline), so the degradation costs time,
-					// never values.
-					data = make([]core.GhostLeaf, len(cs))
-					for i, ci := range cs {
-						data[i] = e.PackGhost(ci)
-					}
-					tp.noteGhostDegrade()
-				}
-				for i, ci := range cs {
-					e.ghosts[ci] = data[i]
-				}
-				nc.bytesIn.Add(bytes)
-				nc.msgsIn.Add(1)
-			})
-		}
-	}
-
-	owned := pl.ownedCells[k]
-	upID := map[int32]sched.NodeID{}
-	downID := map[int32]sched.NodeID{}
-	if !skipFar {
-		// Up tasks first (all created before edges: a parent precedes its
-		// children in the DFS order but its up task depends on theirs).
-		for _, ni := range owned {
-			ni := ni
-			upID[ni] = g.Node(sched.ClassGeneral, 1, ni, func() {
-				w := e.ws.Get()
-				e.Up(w, ni)
-				e.ws.Put(w)
-			})
-		}
-		for _, ni := range owned {
-			n := &t.Nodes[ni]
-			if n.IsVisibleLeaf() {
-				continue
-			}
-			for _, ci := range n.Children {
-				if ci == octree.NilNode || t.Nodes[ci].Count() == 0 {
-					continue
-				}
-				if pl.owner[ci] == int32(k) {
-					g.Edge(upID[ci], upID[ni])
-				} else {
-					g.Edge(cellMpoleMS[ci], upID[ni])
-				}
-			}
-		}
-		// Multipole sends: one task per outgoing flow, after the cells'
-		// up tasks.
-		for fk, cells := range pl.mpoleNeed {
-			if fk.from != k {
-				continue
-			}
-			f, cs := flowID{kind: flowMpole, from: fk.from, to: fk.to, level: fk.level}, cells
-			id := g.Node(sched.ClassGeneral, 2, int32(fk.to), func() {
-				buf := make([]complex128, len(cs)*expLen)
-				for i, ci := range cs {
-					e.PackMpole(ci, buf[i*expLen:(i+1)*expLen])
-				}
-				tp.Send(f, payload{exp: buf})
-			})
-			for _, ci := range cs {
-				g.Edge(upID[ci], id)
-			}
-		}
-		// Down tasks in DFS order: a cell's parent precedes it, so the
-		// parent edge can be added inline.
-		for _, ni := range owned {
-			ni := ni
-			n := &t.Nodes[ni]
-			downID[ni] = g.Node(sched.ClassGeneral, 3, ni, func() {
-				w := e.ws.Get()
-				e.Down(w, ni)
-				e.ws.Put(w)
-			})
-			if pi := n.Parent; pi != octree.NilNode && t.Nodes[pi].Count() > 0 {
-				if pl.owner[pi] == int32(k) {
-					g.Edge(downID[pi], downID[ni])
-				} else {
-					g.Edge(cellLocalMS[pi], downID[ni])
-				}
-			}
-			direct := t.DirectMask(ni)
-			for j, vi := range n.V {
-				if direct[j] {
-					continue // summed by the near rows: reads no multipole
-				}
-				if pl.owner[vi] == int32(k) {
-					g.Edge(upID[vi], downID[ni])
-				} else {
-					g.Edge(cellMpoleMS[vi], downID[ni])
-				}
-			}
-		}
-		// Local sends, after the parents' down tasks.
-		for fk, cells := range pl.localNeed {
-			if fk.from != k {
-				continue
-			}
-			f, cs := flowID{kind: flowLocal, from: fk.from, to: fk.to, level: fk.level}, cells
-			id := g.Node(sched.ClassGeneral, 4, int32(fk.to), func() {
-				buf := make([]complex128, len(cs)*expLen)
-				for i, ci := range cs {
-					e.PackLocal(ci, buf[i*expLen:(i+1)*expLen])
-				}
-				tp.Send(f, payload{exp: buf})
-			})
-			for _, ci := range cs {
-				g.Edge(downID[ci], id)
-			}
-		}
-	}
-
-	rowID := map[int32]sched.NodeID{}
-	if !skipNear {
-		// Ghost sends are roots: body positions are step inputs.
-		for pk, cells := range pl.ghostNeed {
-			if pk.from != k {
-				continue
-			}
-			f, cs := flowID{kind: flowGhost, from: pk.from, to: pk.to}, cells
-			g.Node(sched.ClassGeneral, 5, int32(pk.to), func() {
-				data := make([]core.GhostLeaf, len(cs))
-				for i, ci := range cs {
-					data[i] = e.PackGhost(ci)
-				}
-				tp.Send(f, payload{ghost: data})
-			})
-		}
-		// Near rows: local-source rows are roots (they execute under the
-		// communication wait — the halo hiding); rows with remote sources
-		// depend on the ghost milestone of each sending peer.
-		for _, r := range pl.rows[k] {
-			r := r
-			id := g.Node(sched.ClassGeneral, 6, sch.Leaves[r], func() {
-				e.NearRow(sch, r, e.ghosts)
-			})
-			rowID[sch.Leaves[r]] = id
-			for s := sch.RowPtr[r]; s < sch.RowPtr[r+1]; s++ {
-				if j := pl.owner[sch.Srcs[s]]; j != int32(k) {
-					g.Edge(ghostMS[int(j)], id)
-				}
-			}
-		}
-	}
-
-	if !skipFar {
-		// L2P last per leaf: after the leaf's down task and its near row,
-		// so the far-field addition lands after the P2P accumulations —
-		// the single-node operation order, hence bit-identity.
-		for _, ni := range owned {
-			ni := ni
-			if !t.Nodes[ni].IsVisibleLeaf() {
-				continue
-			}
-			id := g.Node(sched.ClassGeneral, 7, ni, func() {
-				w := e.ws.Get()
-				e.L2P(w, ni)
-				e.ws.Put(w)
-			})
-			g.Edge(downID[ni], id)
-			if rid, ok := rowID[ni]; ok {
-				g.Edge(rid, id)
+		id := g.Node(class, spec.Tags.Milestone, int32(f.id.to), func() { tp.Send(f.id, e.pack(f)) })
+		if after != nil {
+			for _, chunk := range after[f.id.level] {
+				g.Edge(chunk, id)
 			}
 		}
 	}
@@ -425,4 +209,44 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, sch *octree.NearSchedule, tp
 	if w := nc.waitNs.Load(); w > 0 {
 		rec.AddSpan(telemetry.SpanDmemComm, int32(k), start, time.Duration(w))
 	}
+	return g.Stats()
+}
+
+// receive is an arrival node's body: it blocks on the flow's delivery and
+// loads the payload — expansions into the engine's slabs, ghost bodies
+// into its table. On deadline expiry the payload is recovered, so the load
+// always sees the sender's original bytes: expansions over the reliable
+// re-request path — the missing-expansion recovery before the L2P join —
+// and ghost rows re-packed host-side from the shared read-only particle
+// arrays (the owner's bytes by construction, PR 5's row-atomic fallback
+// discipline). Degradation costs time, never values.
+func (rt *Runtime) receive(e *nodeEngine, f flow, tp *transport, nc *nodeCommAtomic) {
+	t0 := time.Now()
+	pay, ok := tp.Recv(f.id)
+	if !ok && f.id.kind != flowGhost {
+		pay = tp.Rerequest(f.id)
+	}
+	nc.waitNs.Add(int64(time.Since(t0)))
+	var bytes int64
+	if f.id.kind == flowGhost {
+		if !ok {
+			pay = e.pack(f)
+			tp.noteGhostDegrade()
+		}
+		for i, ci := range f.cells {
+			e.ghosts[ci] = pay.ghost[i]
+			bytes += int64(rt.drv.Tree.Nodes[ci].Count()) * int64(rt.cfg.Net.BytesPerBody)
+		}
+	} else {
+		load := e.LoadMpole
+		if f.id.kind == flowLocal {
+			load = e.LoadLocal
+		}
+		for i, ci := range f.cells {
+			load(ci, pay.exp[i*e.expLen:(i+1)*e.expLen])
+		}
+		bytes = int64(len(pay.exp)) * 16
+	}
+	nc.bytesIn.Add(bytes)
+	nc.msgsIn.Add(1)
 }

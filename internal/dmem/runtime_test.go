@@ -1,11 +1,16 @@
 package dmem
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"afmm/internal/core"
 	"afmm/internal/distrib"
 	"afmm/internal/fault"
+	"afmm/internal/sched"
 	"afmm/internal/stokes"
 	"afmm/internal/vcpu"
 )
@@ -27,39 +32,44 @@ func execClusterConfig(nodes int) Config {
 
 // TestExecuteBitIdenticalGravity runs the distributed runtime and an
 // identically configured single-node solver on twin systems and demands
-// exact (==) agreement of every accumulator.
+// exact (==) agreement of every accumulator — for driver pools of 1, 2 and
+// 4 workers: the pool's geometry cuts the node graphs' chunks, and bits
+// must not depend on where the cuts fall.
 func TestExecuteBitIdenticalGravity(t *testing.T) {
 	const n = 1500
-	sysD := distrib.Plummer(n, 1.0, 1.0, 7)
 	sysS := distrib.Plummer(n, 1.0, 1.0, 7)
-
 	single := core.NewSolver(sysS, execCoreConfig())
 	single.Solve()
 
-	d, err := NewSolver(sysD, execClusterConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := d.Solve()
-	if !rep.Executed {
-		t.Fatal("expected an executed step")
-	}
-	if rep.TotalBytes == 0 || rep.TotalMsgs == 0 {
-		t.Fatalf("expected cross-node traffic, got bytes=%d msgs=%d",
-			rep.TotalBytes, rep.TotalMsgs)
-	}
-	// The twins agree with accepted pairs summed directly: their remote
-	// sources cross the wire as ghost bodies, not as multipoles.
-	if sch := d.Inner.Tree.NearField(); sch.DirectPairs == 0 || rep.GhostLeaves == 0 {
-		t.Fatalf("%d direct pairs, %d ghost leaves: the predicate is not exercised",
-			sch.DirectPairs, rep.GhostLeaves)
-	}
-	for i := 0; i < n; i++ {
-		if sysD.Phi[i] != sysS.Phi[i] {
-			t.Fatalf("phi[%d]: distributed %v != single %v", i, sysD.Phi[i], sysS.Phi[i])
+	for _, workers := range []int{1, 2, 4} {
+		sysD := distrib.Plummer(n, 1.0, 1.0, 7)
+		cfg := execClusterConfig(4)
+		cfg.Core.Pool = sched.NewPool(workers)
+		d, err := NewSolver(sysD, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sysD.Acc[i] != sysS.Acc[i] {
-			t.Fatalf("acc[%d]: distributed %v != single %v", i, sysD.Acc[i], sysS.Acc[i])
+		rep := d.Solve()
+		if !rep.Executed {
+			t.Fatal("expected an executed step")
+		}
+		if rep.TotalBytes == 0 || rep.TotalMsgs == 0 {
+			t.Fatalf("expected cross-node traffic, got bytes=%d msgs=%d",
+				rep.TotalBytes, rep.TotalMsgs)
+		}
+		// The twins agree with accepted pairs summed directly: their remote
+		// sources cross the wire as ghost bodies, not as multipoles.
+		if sch := d.Inner.Tree.NearField(); sch.DirectPairs == 0 || rep.GhostLeaves == 0 {
+			t.Fatalf("%d direct pairs, %d ghost leaves: the predicate is not exercised",
+				sch.DirectPairs, rep.GhostLeaves)
+		}
+		for i := 0; i < n; i++ {
+			if sysD.Phi[i] != sysS.Phi[i] {
+				t.Fatalf("%d workers: phi[%d]: distributed %v != single %v", workers, i, sysD.Phi[i], sysS.Phi[i])
+			}
+			if sysD.Acc[i] != sysS.Acc[i] {
+				t.Fatalf("%d workers: acc[%d]: distributed %v != single %v", workers, i, sysD.Acc[i], sysS.Acc[i])
+			}
 		}
 	}
 }
@@ -139,6 +149,17 @@ func stokesTwin(n int, seed int64) *stokes.Solver {
 	return sv
 }
 
+// stokesCluster distributes a Stokes solver over three executed nodes
+// through the one front-end: only the field the engines copy differs from
+// gravity (four harmonic passes, force charges, velocity combine).
+func stokesCluster(sv *stokes.Solver, mod func(*Config)) *Solver {
+	cfg := execClusterConfig(3)
+	if mod != nil {
+		mod(&cfg)
+	}
+	return newOver(sv.Solver, cfg)
+}
+
 // TestStokesClusterBitIdentical checks the distributed Stokes execution
 // (with and without a failed node) against the single-node solver.
 func TestStokesClusterBitIdentical(t *testing.T) {
@@ -147,13 +168,14 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 	svD := stokesTwin(n, 19)
 
 	svS.Solve()
-	cl, err := NewStokesCluster(svD, 3, DefaultNetwork())
+	events, err := fault.ParseNodeEvents("node1:failstop@step1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := cl.Solve()
-	if es.TotalBytes == 0 {
-		t.Fatal("expected cross-node traffic")
+	cl := stokesCluster(svD, func(cfg *Config) { cfg.NodeFaults = events })
+	rep := cl.Solve()
+	if !rep.Executed || rep.TotalBytes == 0 {
+		t.Fatal("expected an executed step with cross-node traffic")
 	}
 	if svD.Tree.NearField().DirectPairs == 0 {
 		t.Fatal("no accepted pair summed directly: the predicate is not exercised")
@@ -166,7 +188,11 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 
 	// Fail a node and solve again: the survivors must reproduce the
 	// single-node result exactly.
-	cl.Fail(1)
+	var res RunResult
+	cl.applyNodeFaults(1, &res)
+	if res.NodeLosses != 1 || cl.Alive()[1] {
+		t.Fatalf("node 1 not lost: %d losses, alive %v", res.NodeLosses, cl.Alive())
+	}
 	svS.Solve()
 	cl.Solve()
 	for i := 0; i < n; i++ {
@@ -235,4 +261,99 @@ func TestExecuteRunsSharedTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNodeGraphSizes pins the size of the node graphs on the benchmark's
+// dmem-grav-4n inputs: shares of the chunked step graph plus one node per
+// flow, where the per-cell builder this replaced made 4,971 nodes and
+// 214,909 edges. Run with -v to print the counts.
+func TestNodeGraphSizes(t *testing.T) {
+	sys := distrib.TwoClusters(16000, 0.3, 1, 8, 0, 42)
+	cfg := execClusterConfig(4)
+	cfg.Core = core.Config{P: 4, S: 64, Pool: sched.NewPool(2)}
+	d, err := NewSolver(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := d.executeStep()
+	t.Logf("4 node graphs: %d nodes, %d edges, %d flows", es.GraphNodes, es.GraphEdges, es.TotalMsgs)
+	if es.GraphNodes > 1500 || es.GraphEdges > 10000 {
+		t.Fatalf("node graphs hold %d nodes / %d edges, want <= 1500 / 10000", es.GraphNodes, es.GraphEdges)
+	}
+}
+
+// TestPlanFlowsMirrorAndSorted: every flow some node sends is a flow its
+// receiver expects, with the same cells, and both lists come in the one
+// order every run builds its graphs in.
+func TestPlanFlowsMirrorAndSorted(t *testing.T) {
+	sys := distrib.TwoClusters(3000, 0.3, 1, 8, 0, 5)
+	inner := core.NewSolver(sys, execCoreConfig())
+	tr := inner.Tree
+	tr.BuildLists()
+	cuts := []int32{0, tr.SnapToLeafEnd(700), tr.SnapToLeafEnd(700), tr.SnapToLeafEnd(2100), 3000}
+	pl := buildPlan(tr, tr.NearField(), cuts, true, true)
+
+	kinds := map[flowKind]int{}
+	for k := range pl.in {
+		for _, side := range []struct {
+			flows []flow
+			peer  func(flowID) int
+		}{
+			{pl.in[k], func(f flowID) int { return f.from }},
+			{pl.out[k], func(f flowID) int { return f.to }},
+		} {
+			for i, f := range side.flows {
+				if !slices.IsSorted(f.cells) || len(f.cells) == 0 {
+					t.Fatalf("node %d: flow %+v carries cells %v", k, f.id, f.cells)
+				}
+				if i == 0 {
+					continue
+				}
+				a, b := side.flows[i-1].id, f.id
+				if c := cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(side.peer(a), side.peer(b)), cmp.Compare(a.level, b.level)); c >= 0 {
+					t.Fatalf("node %d: flow %+v listed before %+v", k, a, b)
+				}
+			}
+		}
+		for _, f := range pl.in[k] {
+			kinds[f.id.kind]++
+			if f.id.to != k || f.id.from == k {
+				t.Fatalf("in[%d] holds flow %+v", k, f.id)
+			}
+			i := slices.IndexFunc(pl.out[f.id.from], func(o flow) bool { return o.id == f.id })
+			if i < 0 || !slices.Equal(pl.out[f.id.from][i].cells, f.cells) {
+				t.Fatalf("in[%d] flow %+v is not mirrored in out[%d]", k, f.id, f.id.from)
+			}
+		}
+	}
+	var nIn, nOut int
+	for k := range pl.in {
+		nIn, nOut = nIn+len(pl.in[k]), nOut+len(pl.out[k])
+	}
+	if nIn != nOut || nIn != len(pl.flowIDs()) {
+		t.Fatalf("%d incoming flows, %d outgoing, %d ids", nIn, nOut, len(pl.flowIDs()))
+	}
+	if kinds[flowMpole] == 0 || kinds[flowLocal] == 0 || kinds[flowGhost] == 0 {
+		t.Fatalf("flows by kind %v: a kind is not exercised", kinds)
+	}
+	if len(pl.in[1])+len(pl.out[1]) != 0 {
+		t.Fatal("the node that owns nothing has flows")
+	}
+}
+
+// TestStepRejectsDeadNodeWithBodies: a dead node's flows are never sent
+// and the fault-free Recv arms no timer, so a caller that did not
+// repartition must fail loudly before any goroutine starts.
+func TestStepRejectsDeadNodeWithBodies(t *testing.T) {
+	d, err := NewSolver(distrib.Plummer(600, 1, 1, 3), execClusterConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.alive[1] = false
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "dead node 1") {
+			t.Fatalf("recovered %v, want a panic naming dead node 1", r)
+		}
+	}()
+	d.Solve()
 }

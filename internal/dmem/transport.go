@@ -45,14 +45,17 @@ const (
 	flowGhost
 )
 
-// flowID names one cross-node flow of the step: the transport's frame
-// address. Mpole/local flows are keyed by tree level (matching the
-// plan's flowKey); ghost flows carry level 0 (matching pairKey).
+// flowID names one cross-node flow of the step: the plan's key and the
+// transport's frame address. Mpole/local flows are keyed by tree level;
+// ghost flows carry level 0.
 type flowID struct {
 	kind     flowKind
 	from, to int
 	level    int
 }
+
+// link is the directed link the flow crosses, the per-link counters' key.
+func (f flowID) link() [2]int { return [2]int{f.from, f.to} }
 
 // payload is the frame body: exactly one of the two slices is set,
 // matching the flow's kind.
@@ -249,7 +252,7 @@ type transport struct {
 	chaos bool
 
 	flows map[flowID]*flowState
-	links map[pairKey]*linkCounters
+	links map[[2]int]*linkCounters
 	nc    netCounters
 
 	done      chan struct{}
@@ -266,7 +269,7 @@ func newTransport(flows []flowID, cfg LinkConfig, sch *fault.LinkSchedule, seed 
 		step:  step,
 		chaos: sch.Faulty(),
 		flows: make(map[flowID]*flowState, len(flows)),
-		links: make(map[pairKey]*linkCounters),
+		links: make(map[[2]int]*linkCounters),
 		done:  make(chan struct{}),
 	}
 	for _, f := range flows {
@@ -277,9 +280,8 @@ func newTransport(flows []flowID, cfg LinkConfig, sch *fault.LinkSchedule, seed 
 			nackCh:    make(chan struct{}, 1),
 			delivered: make(chan struct{}),
 		}
-		pk := pairKey{from: f.from, to: f.to}
-		if tp.links[pk] == nil {
-			tp.links[pk] = &linkCounters{}
+		if tp.links[f.link()] == nil {
+			tp.links[f.link()] = &linkCounters{}
 		}
 	}
 	return tp
@@ -308,9 +310,9 @@ func (tp *transport) Stats() NetStats {
 		Rerequests:         tp.nc.rerequests.Load(),
 		DegradedGhostFlows: tp.nc.degradedGhost.Load(),
 	}
-	for pk, lc := range tp.links {
+	for l, lc := range tp.links {
 		ls := LinkStat{
-			From: pk.from, To: pk.to,
+			From: l[0], To: l[1],
 			Frames:   lc.frames.Load(),
 			Retries:  lc.retries.Load(),
 			RTTCount: lc.rttCount.Load(),
@@ -358,7 +360,7 @@ func (tp *transport) Send(f flowID, p payload) {
 		// Default link layer: framed, checksummed, delivered in order over
 		// the same in-process handoff the buffered channels provided.
 		tp.nc.sent.Add(1)
-		tp.links[pairKey{from: f.from, to: f.to}].frames.Add(1)
+		tp.links[f.link()].frames.Add(1)
 		tp.accept(fs, frame{flow: f, seq: 0, sum: fs.sum, pay: p})
 		return
 	}
@@ -383,7 +385,7 @@ func (tp *transport) sender(fs *flowState) {
 	for attempt := int64(0); attempt <= int64(tp.cfg.MaxRetries); attempt++ {
 		if attempt > 0 {
 			tp.nc.retries.Add(1)
-			tp.links[pairKey{from: fs.id.from, to: fs.id.to}].retries.Add(1)
+			tp.links[fs.id.link()].retries.Add(1)
 		}
 		tp.transmit(fs, attempt)
 		timer := time.NewTimer(backoff)
@@ -418,7 +420,7 @@ func (tp *transport) transmit(fs *flowState, attempt int64) {
 	}
 	for c := 0; c < copies; c++ {
 		tp.nc.sent.Add(1)
-		tp.links[pairKey{from: f.from, to: f.to}].frames.Add(1)
+		tp.links[f.link()].frames.Add(1)
 		if c > 0 {
 			tp.nc.dup.Add(1)
 		}
@@ -491,7 +493,7 @@ func (tp *transport) accept(fs *flowState, fr frame) {
 		return
 	}
 	if rtt := time.Now().UnixNano() - atomic.LoadInt64(&fs.payNs); rtt >= 0 {
-		lc := tp.links[pairKey{from: fs.id.from, to: fs.id.to}]
+		lc := tp.links[fs.id.link()]
 		lc.rttSumNs.Add(rtt)
 		lc.rttCount.Add(1)
 	}

@@ -41,7 +41,7 @@ type NetFaultScenario struct {
 // NetFaultDetection compares the heartbeat failure detector against the
 // priced path's oracle on the same injected fail-stop.
 type NetFaultDetection struct {
-	// OracleSec is the modeled oracle charge (DetectTimeout).
+	// OracleSec is the modeled oracle charge (100x network latency).
 	OracleSec float64 `json:"oracle_sec"`
 	// HeartbeatSec is the measured wall-clock heartbeat detection latency.
 	HeartbeatSec float64 `json:"heartbeat_sec"`
@@ -210,7 +210,7 @@ func NetFaults(p Params) NetFaultsResult {
 		return r, sameTrajectory(sysD, want)
 	}
 	if r, ok := runLoss(true); r.NodeLosses == 1 {
-		// The oracle charge is the configured DetectTimeout default.
+		// The oracle charge is what is left after the repartition broadcast.
 		res.Detection.OracleSec = r.RecoveryTime - float64(nodes)*dmem.DefaultNetwork().Latency
 		res.Detection.BitIdentical = ok
 	}
