@@ -23,20 +23,23 @@ import (
 // end-to-end optimum is flat from about 0.8 of it up to 1.3
 // (EXPERIMENTS.md); the low end of the flat region, 3.2 (p+1)², is kept,
 // because every pair moved inflates the near field. Those readings are
-// against the scalar pair walk of PR 18; with the packed P2P body the same
-// benchmark (five runs, scalar | packed side by side) reads 138–143 |
-// 168–177, 449–461 | 494–513, 1072–1110 | 1000–1102 for p = 4, 8, 12: on
-// its cache-cold 2–20-body leaves both kernels wait for the bodies, so the
-// break-even rises 1.2x at p = 4 and not at all at p = 12, although the
-// packed body is 2.5–3x faster on resident rows. K is not moved here:
-// raising it changes force bits, so it is a change of its own behind
-// TestAccuracyMatrix, and a host without AVX2 runs the scalar column
-// (EXPERIMENTS.md, ROADMAP direction 4). The value depends on
-// nothing but p: not on wall-clock observations, which would make the
-// operator choice, hence the force bits, differ from run to run, and not
-// on the virtual machine's coefficients, whose M2L/P2P ratio (700, the
-// same at every p) is far above the host's at low order. (The Stokes
-// solver sets no threshold; see stokes.NewSolver.)
+// against the scalar pair walk and the scalar M2L kernel of PR 18. With the
+// packed P2P body the same benchmark (five runs, scalar | packed P2P side
+// by side) read 138–143 | 168–177, 449–461 | 494–513, 1072–1110 |
+// 1000–1102 for p = 4, 8, 12; with the packed M2L body as well (PR 24) a
+// translation costs 2.2–2.6x less and it reads 60–67 | 72–79, 182–204 |
+// 202–217, 405–464 | 433–458: K = 80, 259, 540 sat at half of the packed
+// break-even and now sits 1.05–1.25x above it. K is not moved here: it
+// changes force bits, so it is a change of its own behind
+// TestAccuracyMatrix — and a lower K trades exact pairs for truncated
+// ones, so the sweep has to show the matrix no worse, not only the step
+// faster. A host without AVX2 runs both scalar kernels, whose ratio is
+// where PR 18 measured it (EXPERIMENTS.md, ROADMAP direction 5(a)). The
+// value depends on nothing but p: not on wall-clock observations, which
+// would make the operator choice, hence the force bits, differ from run to
+// run, and not on the virtual machine's coefficients, whose M2L/P2P ratio
+// (700, the same at every p) is far above the host's at low order. (The
+// Stokes solver sets no threshold; see stokes.NewSolver.)
 func DirectK(p int) int64 {
 	return int64(3.2 * float64((p+1)*(p+1)))
 }

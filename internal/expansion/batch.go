@@ -58,29 +58,46 @@ func (w *Workspace) Sources4(n int) []M2LSource4 {
 //	Im out_n^{m'} = sum_{m=0..n} Q_{m'm} Im in_n^m,
 //
 // the real form of out_n^{m'} = sum_{m=-n..n} w_{m'm} in_n^m under the
-// packed storage's in_n^{-m} = conj(in_n^m). in is degree-major
-// (sphharm.Idx); out is written order-major (m' = 0..p, n = m'..p), the
-// order both consumers read: the axial step and the phase merge run per
-// order.
-func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64) {
-	off, base := 0, 0
+// packed storage's in_n^{-m} = conj(in_n^m). out is degree-major
+// (sphharm.Idx). in is degree-major for the forward rotation and
+// order-major (m = 0..p, n = m..p: the axial step writes a run per order)
+// for the back rotation.
+//
+// This is the scalar reference of rotHalfAVX2 and what a host without the
+// packed body runs. It walks the lane-major slab column by column, so
+// every out_n^{m'} starts at +0 and takes its terms in the order
+// m = 0..n, one rounded product and one rounded sum each. The float64
+// conversions are rounding points: without them arm64 (and any other
+// target with a fused multiply-add) contracts p*x + acc into one rounding
+// and the kernel's bits would depend on the architecture. The same holds
+// for every product below that feeds a sum. (P2M, M2M, L2L and L2P carry
+// no such points and still fuse off amd64; THEORY §14 has the counts.)
+func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64, orderMajor bool) {
+	off, base := 0, 0 // degree n's block of half; Idx(n, 0)
 	for n := 0; n <= p; n++ {
 		h := n + 1
-		xr := inRe[base : base+h]
-		xi := inIm[base:][:h]
-		base += h
-		o := n
-		for mp := 0; mp <= n; mp++ {
-			pr, qr := half[off:][:h], half[off+h:][:h]
-			off += 2 * h
-			var ar, ai float64
-			for m, x := range xr {
-				ar += pr[m] * x
-				ai += qr[m] * xi[m]
-			}
-			outRe[o], outIm[o] = ar, ai
-			o += p - mp
+		hp := lanePad(h)
+		or, oi := outRe[base:base+h], outIm[base:][:h]
+		clear(or)
+		clear(oi)
+		q, step := base, 1 // in_n^0, and the way to in_n^1
+		if orderMajor {
+			q, step = n, p
 		}
+		for m := 0; m <= n; m++ {
+			x, y := inRe[q], inIm[q]
+			pc, qc := half[off:][:h], half[off+hp:][:h]
+			off += 2 * hp
+			for mp := range or {
+				or[mp] += float64(pc[mp] * x)
+				oi[mp] += float64(qc[mp] * y)
+			}
+			q += step
+			if orderMajor {
+				step--
+			}
+		}
+		base += h
 	}
 }
 
@@ -88,19 +105,28 @@ func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64) {
 // the translation vector lies along +z, translate axially, rotate back,
 // and accumulate into l — in real arithmetic on split re/im scratch. half
 // is the half Wigner stack of the vector's theta, zph its e^{im phi}
-// (m = 0..p), rpow its rho^-(i+1) (i = 0..2p+1).
+// (m = 0..p), rpow its rho^-(i+1) (i = 0..2p+1, followed by laneSlack
+// readable floats).
 //
 // The forward rotation is the back rotation's transpose, and the signed
 // stack satisfies w(m,m') = (-1)^{m+m'} w(m',m): forward = D back D,
 // D = diag((-1)^m). Both D are exact sign flips, folded into the phase
 // split and the axial write (the axial step is diagonal in the order k),
 // so one half stack serves both rotations (THEORY §14).
+//
+// The routine has two bodies: the AVX2 one (m2l_amd64.s) where the host
+// has it, the scalar one below otherwise and as the reference. They leave
+// the same bits in l.
 func (w *Workspace) m2lApply(l Expansion, src []complex128, half []float64, zph []complex128, rpow []float64) {
+	if packedOK {
+		w.m2lPacked(l, src, half, zph, rpow)
+		return
+	}
 	p := l.P
 	r := w.rot
 	aRe, aIm, bRe, bIm := r.aRe, r.aIm, r.bRe, r.bIm
 
-	// Forward frame change: split D * e^{im phi} * src, rotate.
+	// Forward frame change: split D * e^{im phi} * src.
 	for m := 0; m <= p; m++ {
 		c, s := real(zph[m]), imag(zph[m])
 		if m%2 == 1 {
@@ -108,80 +134,87 @@ func (w *Workspace) m2lApply(l Expansion, src []complex128, half []float64, zph 
 		}
 		for n, i := m, sphharm.Idx(m, m); n <= p; n, i = n+1, i+n+1 {
 			x, y := real(src[i]), imag(src[i])
-			aRe[i], aIm[i] = x*c-y*s, x*s+y*c
+			aRe[i], aIm[i] = float64(x*c)-float64(y*s), float64(x*s)+float64(y*c)
 		}
 	}
-	rotateHalf(p, bRe, bIm, aRe, aIm, half)
 
-	// Axial M2L along +z:
+	rotateHalf(p, bRe, bIm, aRe, aIm, half, false)
+
+	// Axial M2L along +z, written order-major:
 	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}
 	axb := w.axb
-	o := 0 // Idx(j, k)
 	for j := 0; j <= p; j++ {
-		ko := 0 // order k's run of b, n = k..p
+		ko := 0 // order k's run of a, j = k..p
 		for k := 0; k <= j; k++ {
 			cnt := p - k + 1
-			xr, xi := bRe[ko:ko+cnt], bIm[ko:][:cnt]
 			ab, rp := axb[:cnt], rpow[j+k:][:cnt]
-			axb, ko = axb[cnt:], ko+cnt
+			axb = axb[cnt:]
 			var ar, ai float64
-			for i, x := range xr {
-				c := ab[i] * rp[i]
-				ar += c * x
-				ai += c * xi[i]
+			q := sphharm.Idx(k, k)
+			for i, a := range ab { // n = k+i
+				c := a * rp[i]
+				ar += float64(c * bRe[q])
+				ai += float64(c * bIm[q])
+				q += k + i + 1
 			}
 			if k%2 == 1 {
 				ar, ai = -ar, -ai
 			}
-			aRe[o], aIm[o] = ar, ai
-			o++
+			aRe[ko+j-k], aIm[ko+j-k] = ar, ai
+			ko += cnt
 		}
 	}
 
-	// Back rotation, conjugate phases; accumulate.
-	rotateHalf(p, bRe, bIm, aRe, aIm, half)
-	o = 0
+	rotateHalf(p, bRe, bIm, aRe, aIm, half, true)
+
+	// Back to the source frame: conjugate phases; accumulate.
 	for m := 0; m <= p; m++ {
 		c, s := real(zph[m]), imag(zph[m])
 		for n, i := m, sphharm.Idx(m, m); n <= p; n, i = n+1, i+n+1 {
-			l.C[i] += complex(bRe[o]*c+bIm[o]*s, bIm[o]*c-bRe[o]*s)
-			o++
+			x, y := bRe[i], bIm[i]
+			l.C[i] += complex(float64(x*c)+float64(y*s), float64(y*c)-float64(x*s))
 		}
 	}
 }
 
 // rotateHalf4 is rotateHalf over four columns: element i of a scratch
 // vector holds coefficient i of all four, so one read of a P/Q entry feeds
-// eight independent accumulators. Each column's sum runs over m in
-// rotateHalf's order.
-func rotateHalf4(p int, outRe, outIm, inRe, inIm [][4]float64, half []float64) {
+// eight independent sums. Each column's sum runs over m in rotateHalf's
+// order.
+func rotateHalf4(p int, outRe, outIm, inRe, inIm [][4]float64, half []float64, orderMajor bool) {
 	off, base := 0, 0
 	for n := 0; n <= p; n++ {
 		h := n + 1
-		xr := inRe[base : base+h]
-		xi := inIm[base:][:h]
-		base += h
-		o := n
-		for mp := 0; mp <= n; mp++ {
-			pr, qr := half[off:][:h], half[off+h:][:h]
-			off += 2 * h
-			var r0, r1, r2, r3, i0, i1, i2, i3 float64
-			for m := range xr {
-				pv, qv := pr[m], qr[m]
-				x, y := &xr[m], &xi[m]
-				r0 += pv * x[0]
-				r1 += pv * x[1]
-				r2 += pv * x[2]
-				r3 += pv * x[3]
-				i0 += qv * y[0]
-				i1 += qv * y[1]
-				i2 += qv * y[2]
-				i3 += qv * y[3]
-			}
-			outRe[o] = [4]float64{r0, r1, r2, r3}
-			outIm[o] = [4]float64{i0, i1, i2, i3}
-			o += p - mp
+		hp := lanePad(h)
+		or, oi := outRe[base:base+h], outIm[base:][:h]
+		clear(or)
+		clear(oi)
+		q, step := base, 1
+		if orderMajor {
+			q, step = n, p
 		}
+		for m := 0; m <= n; m++ {
+			x, y := &inRe[q], &inIm[q]
+			pc, qc := half[off:][:h], half[off+hp:][:h]
+			off += 2 * hp
+			for mp := range or {
+				pv, qv := pc[mp], qc[mp]
+				re, im := &or[mp], &oi[mp]
+				re[0] += float64(pv * x[0])
+				re[1] += float64(pv * x[1])
+				re[2] += float64(pv * x[2])
+				re[3] += float64(pv * x[3])
+				im[0] += float64(qv * y[0])
+				im[1] += float64(qv * y[1])
+				im[2] += float64(qv * y[2])
+				im[3] += float64(qv * y[3])
+			}
+			q += step
+			if orderMajor {
+				step--
+			}
+		}
+		base += h
 	}
 }
 
@@ -193,15 +226,19 @@ func rotateHalf4(p int, outRe, outIm, inRe, inIm [][4]float64, half []float64) {
 func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []complex128, rpow []float64) {
 	p := l[0].P
 	r := w.rot
-	pl := len(r.aRe)
+	pl := sphharm.PackedLen(p)
 	if r.aRe4 == nil { // this workspace's first four-column translation
 		split := make([][4]float64, 4*pl)
 		r.aRe4, r.aIm4, r.bRe4, r.bIm4 = split[:pl], split[pl:2*pl], split[2*pl:3*pl], split[3*pl:]
 	}
+	if packedOK {
+		w.m2lPacked4(l, src, half, zph, rpow)
+		return
+	}
 	aRe, aIm, bRe, bIm := r.aRe4, r.aIm4, r.bRe4, r.bIm4
 	s0, s1, s2, s3 := src[0].C[:pl], src[1].C[:pl], src[2].C[:pl], src[3].C[:pl]
 
-	// Forward frame change: split D * e^{im phi} * src, rotate.
+	// Forward frame change: split D * e^{im phi} * src.
 	for m := 0; m <= p; m++ {
 		c, s := real(zph[m]), imag(zph[m])
 		if m%2 == 1 {
@@ -212,57 +249,59 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 			x1, y1 := real(s1[i]), imag(s1[i])
 			x2, y2 := real(s2[i]), imag(s2[i])
 			x3, y3 := real(s3[i]), imag(s3[i])
-			aRe[i] = [4]float64{x0*c - y0*s, x1*c - y1*s, x2*c - y2*s, x3*c - y3*s}
-			aIm[i] = [4]float64{x0*s + y0*c, x1*s + y1*c, x2*s + y2*c, x3*s + y3*c}
+			aRe[i] = [4]float64{float64(x0*c) - float64(y0*s), float64(x1*c) - float64(y1*s),
+				float64(x2*c) - float64(y2*s), float64(x3*c) - float64(y3*s)}
+			aIm[i] = [4]float64{float64(x0*s) + float64(y0*c), float64(x1*s) + float64(y1*c),
+				float64(x2*s) + float64(y2*c), float64(x3*s) + float64(y3*c)}
 		}
 	}
-	rotateHalf4(p, bRe, bIm, aRe, aIm, half)
+
+	rotateHalf4(p, bRe, bIm, aRe, aIm, half, false)
 
 	// Axial M2L along +z (see m2lApply).
 	axb := w.axb
-	o := 0 // Idx(j, k)
 	for j := 0; j <= p; j++ {
-		ko := 0 // order k's run of b, n = k..p
+		ko := 0
 		for k := 0; k <= j; k++ {
 			cnt := p - k + 1
-			xr, xi := bRe[ko:ko+cnt], bIm[ko:][:cnt]
 			ab, rp := axb[:cnt], rpow[j+k:][:cnt]
-			axb, ko = axb[cnt:], ko+cnt
+			axb = axb[cnt:]
 			var r0, r1, r2, r3, i0, i1, i2, i3 float64
-			for i := range xr {
-				c := ab[i] * rp[i]
-				x, y := &xr[i], &xi[i]
-				r0 += c * x[0]
-				r1 += c * x[1]
-				r2 += c * x[2]
-				r3 += c * x[3]
-				i0 += c * y[0]
-				i1 += c * y[1]
-				i2 += c * y[2]
-				i3 += c * y[3]
+			q := sphharm.Idx(k, k)
+			for i, a := range ab {
+				c := a * rp[i]
+				x, y := &bRe[q], &bIm[q]
+				r0 += float64(c * x[0])
+				r1 += float64(c * x[1])
+				r2 += float64(c * x[2])
+				r3 += float64(c * x[3])
+				i0 += float64(c * y[0])
+				i1 += float64(c * y[1])
+				i2 += float64(c * y[2])
+				i3 += float64(c * y[3])
+				q += k + i + 1
 			}
 			if k%2 == 1 {
 				r0, r1, r2, r3, i0, i1, i2, i3 = -r0, -r1, -r2, -r3, -i0, -i1, -i2, -i3
 			}
-			aRe[o] = [4]float64{r0, r1, r2, r3}
-			aIm[o] = [4]float64{i0, i1, i2, i3}
-			o++
+			aRe[ko+j-k] = [4]float64{r0, r1, r2, r3}
+			aIm[ko+j-k] = [4]float64{i0, i1, i2, i3}
+			ko += cnt
 		}
 	}
 
-	// Back rotation, conjugate phases; accumulate.
-	rotateHalf4(p, bRe, bIm, aRe, aIm, half)
+	rotateHalf4(p, bRe, bIm, aRe, aIm, half, true)
+
+	// Back to the source frame: conjugate phases; accumulate.
 	l0, l1, l2, l3 := l[0].C[:pl], l[1].C[:pl], l[2].C[:pl], l[3].C[:pl]
-	o = 0
 	for m := 0; m <= p; m++ {
 		c, s := real(zph[m]), imag(zph[m])
 		for n, i := m, sphharm.Idx(m, m); n <= p; n, i = n+1, i+n+1 {
-			x, y := &bRe[o], &bIm[o]
-			l0[i] += complex(x[0]*c+y[0]*s, y[0]*c-x[0]*s)
-			l1[i] += complex(x[1]*c+y[1]*s, y[1]*c-x[1]*s)
-			l2[i] += complex(x[2]*c+y[2]*s, y[2]*c-x[2]*s)
-			l3[i] += complex(x[3]*c+y[3]*s, y[3]*c-x[3]*s)
-			o++
+			x, y := &bRe[i], &bIm[i]
+			l0[i] += complex(float64(x[0]*c)+float64(y[0]*s), float64(y[0]*c)-float64(x[0]*s))
+			l1[i] += complex(float64(x[1]*c)+float64(y[1]*s), float64(y[1]*c)-float64(x[1]*s))
+			l2[i] += complex(float64(x[2]*c)+float64(y[2]*s), float64(y[2]*c)-float64(x[2]*s))
+			l3[i] += complex(float64(x[3]*c)+float64(y[3]*s), float64(y[3]*c)-float64(x[3]*s))
 		}
 	}
 }

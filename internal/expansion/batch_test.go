@@ -105,30 +105,32 @@ func TestM2LBatchMatchesDirect(t *testing.T) {
 // computes every setup into the workspace scratch, so a warmed workspace
 // translates without allocating — repeated directions and fresh ones.
 func TestM2LBatchAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const p = 6
-	w := NewWorkspace(p)
-	to := geom.Vec3{}
-	var srcs []M2LSource
-	for i := 0; i < 40; i++ {
-		srcs = append(srcs, M2LSource{
-			M:    randomExpansion(p, rng),
-			From: geom.Vec3{X: 3 + float64(i%4), Y: 1 + rng.Float64(), Z: float64(i%3) - 1},
-		})
-	}
-	l := NewExpansion(p)
-	if a := testing.AllocsPerRun(10, func() { w.M2LBatch(l, to, srcs) }); a != 0 {
-		t.Fatalf("M2LBatch allocates %v times per call, want 0", a)
-	}
-	// Reuse leaves no state behind: a used workspace equals a fresh one.
-	used, fresh := NewExpansion(p), NewExpansion(p)
-	w.M2LBatch(used, to, srcs)
-	NewWorkspace(p).M2LBatch(fresh, to, srcs)
-	for i := range used.C {
-		if used.C[i] != fresh.C[i] {
-			t.Fatalf("coefficient %d: used workspace %v != fresh %v", i, used.C[i], fresh.C[i])
+	eachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		const p = 6
+		w := NewWorkspace(p)
+		to := geom.Vec3{}
+		var srcs []M2LSource
+		for i := 0; i < 40; i++ {
+			srcs = append(srcs, M2LSource{
+				M:    randomExpansion(p, rng),
+				From: geom.Vec3{X: 3 + float64(i%4), Y: 1 + rng.Float64(), Z: float64(i%3) - 1},
+			})
 		}
-	}
+		l := NewExpansion(p)
+		if a := testing.AllocsPerRun(10, func() { w.M2LBatch(l, to, srcs) }); a != 0 {
+			t.Fatalf("M2LBatch allocates %v times per call, want 0", a)
+		}
+		// Reuse leaves no state behind: a used workspace equals a fresh one.
+		used, fresh := NewExpansion(p), NewExpansion(p)
+		w.M2LBatch(used, to, srcs)
+		NewWorkspace(p).M2LBatch(fresh, to, srcs)
+		for i := range used.C {
+			if used.C[i] != fresh.C[i] {
+				t.Fatalf("coefficient %d: used workspace %v != fresh %v", i, used.C[i], fresh.C[i])
+			}
+		}
+	})
 }
 
 func BenchmarkM2LPerPairRotated(b *testing.B) {

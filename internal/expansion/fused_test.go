@@ -39,24 +39,37 @@ func randomLocals(p int, rng *rand.Rand) (a, b [4]Expansion) {
 // through the table in budget and squeezed to five stacks (so most theta
 // spill) — on the golden batch, on exactly axial and equatorial offsets,
 // and on every translation class of the three real trees (sampled at
-// MaxOrder and under -short, as in TestM2LKernelMatchesOracle).
+// MaxOrder and under -short, as in TestM2LKernelMatchesOracle), under both
+// dispatch states over one build of each table.
 func TestM2LFusedMatchesSingle(t *testing.T) {
+	states := dispatchStates(t)
 	check := func(name string, p int, to geom.Vec3, froms []geom.Vec3) {
 		t.Helper()
 		rng := rand.New(rand.NewSource(int64(70 + p)))
 		quads, cols := randomQuads(p, rng, froms)
 		w := NewWorkspace(p)
+		var got, want [4]Expansion
+		for c := range got {
+			got[c], want[c] = NewExpansion(p), NewExpansion(p)
+		}
 		for _, rotCap := range []int{0, 5} {
 			tb, classes := tableFor(p, to, cols[0], rotCap)
 			for i := range quads {
-				got, want := randomLocals(p, rng)
-				w.M2LBatchTable4(&got, quads[i:i+1], classes[i:i+1], tb)
-				for c := range want {
-					w.M2LBatchTable(want[c], to, cols[c][i:i+1], classes[i:i+1], tb)
-					for k := range want[c].C {
-						if got[c].C[k] != want[c].C[k] {
-							t.Fatalf("%s p=%d rotCap=%d offset %v column %d coefficient %d: fused %v, single %v",
-								name, p, rotCap, froms[i].Sub(to), c, k, got[c].C[k], want[c].C[k])
+				start, _ := randomLocals(p, rng)
+				for _, packed := range states {
+					packedOK = packed
+					for c := range start {
+						copy(got[c].C, start[c].C)
+						copy(want[c].C, start[c].C)
+					}
+					w.M2LBatchTable4(&got, quads[i:i+1], classes[i:i+1], tb)
+					for c := range want {
+						w.M2LBatchTable(want[c], to, cols[c][i:i+1], classes[i:i+1], tb)
+						for k := range want[c].C {
+							if got[c].C[k] != want[c].C[k] {
+								t.Fatalf("%s p=%d rotCap=%d packed=%v offset %v column %d coefficient %d: fused %v, single %v",
+									name, p, rotCap, packed, froms[i].Sub(to), c, k, got[c].C[k], want[c].C[k])
+							}
 						}
 					}
 				}
@@ -86,33 +99,35 @@ func TestM2LFusedMatchesSingle(t *testing.T) {
 // (the first call makes it), the fused table form translates a real V list
 // without allocating, in budget and through the spill branch.
 func TestM2LBatchTable4AllocationFree(t *testing.T) {
-	const p = 4
-	tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
-	tr.BuildLists()
-	cls := tr.M2LClasses()
-	ni := 0
-	for i := range tr.Nodes {
-		if len(tr.Nodes[i].V) > len(tr.Nodes[ni].V) {
-			ni = i
+	eachDispatch(t, func(t *testing.T) {
+		const p = 4
+		tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
+		ni := 0
+		for i := range tr.Nodes {
+			if len(tr.Nodes[i].V) > len(tr.Nodes[ni].V) {
+				ni = i
+			}
 		}
-	}
-	var froms []geom.Vec3
-	for _, vi := range tr.Nodes[ni].V {
-		froms = append(froms, tr.Nodes[vi].Box.Center)
-	}
-	rng := rand.New(rand.NewSource(34))
-	quads, _ := randomQuads(p, rng, froms)
-	l, _ := randomLocals(p, rng)
-	w := NewWorkspace(p)
-	for _, rotCap := range []int{0, 2} {
-		tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
-		a := testing.AllocsPerRun(10, func() {
-			w.M2LBatchTable4(&l, quads, cls.Row(int32(ni)), tb)
-		})
-		if a != 0 {
-			t.Errorf("rotCap=%d: M2LBatchTable4 allocates %v times per V list, want 0", rotCap, a)
+		var froms []geom.Vec3
+		for _, vi := range tr.Nodes[ni].V {
+			froms = append(froms, tr.Nodes[vi].Box.Center)
 		}
-	}
+		rng := rand.New(rand.NewSource(34))
+		quads, _ := randomQuads(p, rng, froms)
+		l, _ := randomLocals(p, rng)
+		w := NewWorkspace(p)
+		for _, rotCap := range []int{0, 2} {
+			tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
+			a := testing.AllocsPerRun(10, func() {
+				w.M2LBatchTable4(&l, quads, cls.Row(int32(ni)), tb)
+			})
+			if a != 0 {
+				t.Errorf("rotCap=%d: M2LBatchTable4 allocates %v times per V list, want 0", rotCap, a)
+			}
+		}
+	})
 }
 
 // BenchmarkM2LBatchTableFused holds the two ways of translating four

@@ -47,13 +47,15 @@ type Workspace struct {
 	tmp  []complex128 // generic degree-p buffer
 	rpow []float64
 	rot  *rotWorkspace // buffers for the rotation-accelerated operators
-	axb  []float64     // axialBase(p), shared read-only
-	srcs []M2LSource   // V-list scratch (see Sources)
-	src4 []M2LSource4  // four-column V-list scratch (see Sources4)
+	axb  []float64     // axialBase(p) and its lane-major twin, shared read-only
+	axbL []float64
+	srcs []M2LSource  // V-list scratch (see Sources)
+	src4 []M2LSource4 // four-column V-list scratch (see Sources4)
 }
 
 // NewWorkspace creates scratch space for order-p operators.
 func NewWorkspace(p int) *Workspace {
+	axb, axbL := axialBase(p)
 	return &Workspace{
 		p:    p,
 		t:    sphharm.NewTables(p),
@@ -66,7 +68,8 @@ func NewWorkspace(p int) *Workspace {
 		tmp:  make([]complex128, sphharm.PackedLen(p)),
 		rpow: make([]float64, 2*p+2),
 		rot:  newRotWorkspace(p),
-		axb:  axialBase(p),
+		axb:  axb,
+		axbL: axbL,
 	}
 }
 

@@ -189,25 +189,30 @@ func sampledClasses(dirs []geom.Vec3, p int) (out []geom.Vec3) {
 // (theta 0, pi, pi/2: the commonest V-list entries, and the old kernel's
 // sparse fast case), and on every translation class (every distinct
 // V-list offset; every 16th at MaxOrder) of the three real trees. Translations are compared one by
-// one, so no pair hides behind its neighbours' sum.
+// one, so no pair hides behind its neighbours' sum, and under both dispatch
+// states.
 func TestM2LKernelMatchesOracle(t *testing.T) {
 	const tol = 1e-13
+	states := dispatchStates(t) // the oracle side runs once per translation, the kernel once per state
 	check := func(name string, p int, w *Workspace, to geom.Vec3, srcs []M2LSource) {
 		t.Helper()
 		got, want := NewExpansion(p), NewExpansion(p)
 		var worst float64
 		defer func() { t.Logf("%s p=%d: %d translations, worst deviation %.2g", name, p, len(srcs), worst) }()
 		for i := range srcs {
-			got.Zero()
 			want.Zero()
-			w.M2LBatch(got, to, srcs[i:i+1])
 			w.m2lBatchOracle(want, to, srcs[i:i+1])
 			off := srcs[i].From.Sub(to)
-			if d := m2lRelDiff(w, got.C, want.C, srcs[i].M.C, off.Norm()); !(d <= tol) {
-				t.Fatalf("%s p=%d offset %v: kernel deviates from the oracle by %g (tolerance %g)",
-					name, p, off, d, tol)
-			} else if d > worst {
-				worst = d
+			for _, packed := range states {
+				packedOK = packed
+				got.Zero()
+				w.M2LBatch(got, to, srcs[i:i+1])
+				if d := m2lRelDiff(w, got.C, want.C, srcs[i].M.C, off.Norm()); !(d <= tol) {
+					t.Fatalf("%s p=%d packed=%v offset %v: kernel deviates from the oracle by %g (tolerance %g)",
+						name, p, packed, off, d, tol)
+				} else if d > worst {
+					worst = d
+				}
 			}
 		}
 	}

@@ -31,9 +31,11 @@ type rotWorkspace struct {
 	half  []float64    // half stack scratch (M2LBatch, spilled theta)
 	buf1  []complex128 // packed coefficients, scratch
 	buf2  []complex128
-	rpow  []float64    // powers of 1/rho or rho
-	zph   []complex128 // e^{i m phi} scratch (M2LBatch)
-	// Split re/im packed coefficients, ping-pong pairs of m2lApply.
+	rpow  []float64    // powers of 1/rho or rho; laneSlack spare capacity
+	zph   []complex128 // e^{i m phi} scratch (M2LBatch); laneSlack spare capacity
+	zip   []complex128 // the packed merge's re/im-zipped output, with laneSlack
+	// Split re/im packed coefficients, ping-pong pairs of m2lApply, each
+	// followed by laneSlack floats the packed body may overwrite.
 	aRe, aIm, bRe, bIm []float64
 	// The same for m2lApply4, four columns per coefficient; allocated on
 	// the first four-column call.
@@ -42,16 +44,18 @@ type rotWorkspace struct {
 
 func newRotWorkspace(p int) *rotWorkspace {
 	pl := sphharm.PackedLen(p)
-	split := make([]float64, 4*pl)
+	sl := pl + laneSlack
+	split := make([]float64, 4*sl)
 	r := &rotWorkspace{
 		flat:  make([]float64, stackLen(p)),
 		stack: make([][]float64, p+1),
 		half:  make([]float64, halfLen(p)),
 		buf1:  make([]complex128, pl),
 		buf2:  make([]complex128, pl),
-		rpow:  make([]float64, 2*p+2),
-		zph:   make([]complex128, p+1),
-		aRe:   split[:pl], aIm: split[pl : 2*pl], bRe: split[2*pl : 3*pl], bIm: split[3*pl:],
+		rpow:  make([]float64, 2*p+2, 2*p+2+laneSlack),
+		zph:   make([]complex128, p+1, p+1+laneSlack),
+		zip:   make([]complex128, pl+laneSlack),
+		aRe:   split[:sl], aIm: split[sl : 2*sl], bRe: split[2*sl : 3*sl], bIm: split[3*sl:],
 	}
 	stackViews(r.stack, r.flat)
 	return r

@@ -50,9 +50,10 @@ type M2LTable struct {
 	// (angle ascending on ties); the first nStack have a row in stacks.
 	thetas []thetaKey
 	nStack int
-	stacks []float64    // nStack rows of halfLen(p): half stacks of d^l(theta), l = 0..p
-	zph    []complex128 // per distinct phi: e^{i m phi}, m = 0..p
-	rpow   []float64    // per distinct rho: rho^-(i+1), i = 0..2p+1
+	hl     int          // halfLen(p)
+	stacks []float64    // nStack rows of hl: half stacks of d^l(theta), l = 0..p
+	zph    []complex128 // per distinct phi: e^{i m phi}, m = 0..p; laneSlack spare capacity
+	rpow   []float64    // per distinct rho: rho^-(i+1), i = 0..2p+1; laneSlack spare capacity
 
 	thetaBudget int // bytes; m2lThetaBudget outside tests
 
@@ -76,14 +77,15 @@ type thetaKey struct {
 	seen   int32
 }
 
-// m2lThetaBudget bounds the theta slab. At p=8 a row is 4.5 KB and a
-// 100k-body Plummer tree has ~3000 distinct theta (13.6 MB); the budget is
-// reached near p=19.
+// m2lThetaBudget bounds the theta slab. At p=8 a row is 5.6 KB (712
+// floats, 570 of them matrix entries and the rest lane padding) and a
+// 100k-body Plummer tree has ~3000 distinct theta (16.9 MB); the budget is
+// reached near p=19, where a row is 49 KB and 2654 fit.
 const m2lThetaBudget = 128 << 20
 
 // NewM2LTable creates an empty table for order-p translations.
 func NewM2LTable(p int) *M2LTable {
-	return &M2LTable{p: p, thetaBudget: m2lThetaBudget,
+	return &M2LTable{p: p, hl: halfLen(p), thetaBudget: m2lThetaBudget,
 		thetaRow: map[uint64]int32{}, phiRow: map[uint64]int32{}, rhoRow: map[uint64]int32{}}
 }
 
@@ -99,41 +101,78 @@ func (tb *M2LTable) HasRot(c int) bool { return int(tb.ops[c].theta) < tb.nStack
 // degree l is a dense (2l+1)x(2l+1) block, blocks in degree order.
 func stackLen(p int) int { return (p + 1) * (2*p + 1) * (2*p + 3) / 3 }
 
-// halfLen is the float count of a half stack of degrees 0..p: degree l
-// holds l+1 row pairs (P row, Q row) of l+1 entries.
-func halfLen(p int) int { return (p + 1) * (p + 2) * (2*p + 3) / 3 }
+// laneWidth is the number of float64 lanes of the packed M2L body; the
+// half stack and the axial twin are laid out in groups of laneWidth
+// outputs whether or not the host runs that body (one layout, read by
+// index where there are no lanes).
+const laneWidth = 4
+
+// laneSlack is what a last, partly filled lane group may touch beyond the
+// outputs it owns. The split scratch vectors and the merge's zip vector
+// have that many writable entries after their coefficients; a row of
+// radial powers and a row of phases have that many readable ones (the next
+// row of the slab, or spare capacity behind the last).
+const laneSlack = laneWidth - 1
+
+// lanePad rounds a row count up to whole lane groups.
+func lanePad(h int) int { return (h + laneWidth - 1) &^ (laneWidth - 1) }
+
+// halfLen is the float count of a half stack of degrees 0..p: degree l has
+// l+1 columns, each lanePad(l+1) P entries followed by as many Q entries.
+func halfLen(p int) int {
+	n := 0
+	for l := 0; l <= p; l++ {
+		n += 2 * (l + 1) * lanePad(l+1)
+	}
+	return n
+}
 
 var axialBases [sphharm.MaxOrder + 1]struct {
 	once sync.Once
 	axb  []float64
+	lane []float64
 }
 
-// axialBase returns sk * Anm(n,k) * Anm(j,k) * Fact[j+n] flattened over
-// the axial loop (j = 0..p, k = 0..j, n = k..p): the leading factors of
-// the axial M2L term in evaluation order; the kernel multiplies in the
-// radial power. Built once per order.
-func axialBase(p int) []float64 {
+// axialBase returns sk * Anm(n,k) * Anm(j,k) * Fact[j+n], the leading
+// factors of the axial M2L term (the kernel multiplies in the radial
+// power), in two orders. axb is flattened over the scalar axial loop
+// (j = 0..p, k = 0..j, n = k..p). lane is its lane-major twin for the
+// packed body: per order k, per group of laneWidth consecutive degrees
+// j = k+4g.., per term n = k..p, the group's laneWidth factors (+0 where
+// j > p). Built once per order.
+func axialBase(p int) (axb, lane []float64) {
 	e := &axialBases[p]
 	e.once.Do(func() {
 		t := sphharm.NewTables(p)
-		for j := 0; j <= p; j++ {
-			sj := 1.0
-			if j%2 == 1 {
-				sj = -1
+		factor := func(j, k, n int) float64 {
+			sk := 1.0
+			if (j+k)%2 == 1 {
+				sk = -1
 			}
+			return sk * t.Anm(n, k) * t.Anm(j, k) * t.Fact[j+n]
+		}
+		for j := 0; j <= p; j++ {
 			for k := 0; k <= j; k++ {
-				sk := sj
-				if k%2 == 1 {
-					sk = -sk
-				}
-				ajk := t.Anm(j, k)
 				for n := k; n <= p; n++ {
-					e.axb = append(e.axb, sk*t.Anm(n, k)*ajk*t.Fact[j+n])
+					e.axb = append(e.axb, factor(j, k, n))
+				}
+			}
+		}
+		for k := 0; k <= p; k++ {
+			for j0 := k; j0 <= p; j0 += laneWidth {
+				for n := k; n <= p; n++ {
+					for j := j0; j < j0+laneWidth; j++ {
+						if j <= p {
+							e.lane = append(e.lane, factor(j, k, n))
+						} else {
+							e.lane = append(e.lane, 0)
+						}
+					}
 				}
 			}
 		}
 	})
-	return e.axb
+	return e.axb, e.lane
 }
 
 // rowOf returns the slab row keyed by the exact bits of x, assigning the
@@ -177,11 +216,11 @@ func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 			keys[op.theta].weight++
 		}
 		if op.phi, isNew = rowOf(tb.phiRow, phi); isNew {
-			tb.zph = slices.Grow(tb.zph, p+1)[:len(tb.zph)+p+1]
+			tb.zph = slices.Grow(tb.zph, p+1+laneSlack)[:len(tb.zph)+p+1]
 			fillPhases(tb.zph[len(tb.zph)-(p+1):], phi)
 		}
 		if op.rho, isNew = rowOf(tb.rhoRow, rho); isNew {
-			tb.rpow = slices.Grow(tb.rpow, 2*p+2)[:len(tb.rpow)+2*p+2]
+			tb.rpow = slices.Grow(tb.rpow, 2*p+2+laneSlack)[:len(tb.rpow)+2*p+2]
 			fillInvPowers(tb.rpow[len(tb.rpow)-(2*p+2):], rho)
 		}
 	}
@@ -197,9 +236,8 @@ func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 	for ci := range tb.ops {
 		tb.ops[ci].theta = tb.rank[tb.ops[ci].theta]
 	}
-	hl := halfLen(p)
-	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*hl))
-	tb.stacks = slices.Grow(tb.stacks[:0], tb.nStack*hl)[:tb.nStack*hl]
+	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*tb.hl))
+	tb.stacks = slices.Grow(tb.stacks[:0], tb.nStack*tb.hl)[:tb.nStack*tb.hl]
 	return tb.nStack
 }
 
@@ -215,9 +253,8 @@ func (tb *M2LTable) BuildRotRange(lo, hi int) {
 	if r == nil {
 		r = newRotWorkspace(tb.p)
 	}
-	hl := halfLen(tb.p)
 	for ri := lo; ri < hi; ri++ {
-		r.halfStackInto(tb.stacks[ri*hl:(ri+1)*hl], tb.p, tb.thetas[ri].theta)
+		r.halfStackInto(tb.stacks[ri*tb.hl:(ri+1)*tb.hl], tb.p, tb.thetas[ri].theta)
 	}
 	tb.mu.Lock()
 	tb.free = append(tb.free, r)
@@ -270,26 +307,34 @@ func signedWignerInto(stack [][]float64, p int, theta float64) {
 
 // halfStackInto is the one fold every M2L path builds its rotation with:
 // it computes the full signed stack of theta into r's scratch and folds it
-// into dst (halfLen(p) floats). Per degree n and row m' = 0..n it stores
+// into dst (halfLen(p) floats). With
 //
 //	P[m'][m] = w(m',m) + w(m',-m),  Q[m'][m] = w(m',m) - w(m',-m)   (m >= 1)
 //
-// and w(m',0) in column 0 of both, row pair after row pair, so that for
-// Hermitian-packed coefficients Re out = P Re in and Im out = Q Im in
-// (rotateHalf).
+// and w(m',0) in column 0 of both, Re out = P Re in and Im out = Q Im in
+// for Hermitian-packed coefficients (rotateHalf). The layout is lane-major:
+// per degree n, column after column (m = 0..n), a column being its P
+// entries for rows m' = 0..lanePad(n+1)-1 followed by its Q entries, so
+// that laneWidth consecutive outputs of the rotation read one contiguous
+// group. Rows m' > n are padding, written as +0 on every call (dst may be
+// a recycled table slab).
 func (r *rotWorkspace) halfStackInto(dst []float64, p int, theta float64) {
 	signedWignerInto(r.stack, p, theta)
 	off := 0
 	for n := 0; n <= p; n++ {
-		h := n + 1
+		h, dim := n+1, 2*n+1
+		hp := lanePad(h)
+		blk := dst[off : off+2*hp*h] // column m at blk[2*hp*m:], its Q entries hp on
+		off += len(blk)
 		for mp := 0; mp <= n; mp++ {
-			row := r.stack[n][(mp+n)*(2*n+1):][:2*n+1] // w(m', -n..n)
-			pr, qr := dst[off:off+h], dst[off+h:off+2*h]
-			off += 2 * h
-			pr[0], qr[0] = row[n], row[n]
-			for m := 1; m <= n; m++ {
-				pr[m], qr[m] = row[n+m]+row[n-m], row[n+m]-row[n-m]
+			row := r.stack[n][(mp+n)*dim:][:dim] // w(m', -n..n)
+			blk[mp], blk[hp+mp] = row[n], row[n]
+			for m, o := 1, 2*hp+mp; m <= n; m, o = m+1, o+2*hp {
+				blk[o], blk[o+hp] = row[n+m]+row[n-m], row[n+m]-row[n-m]
 			}
+		}
+		for o := h; o < len(blk); o += hp { // the padding rows of every P and Q run
+			clear(blk[o : o+hp-h])
 		}
 	}
 }
@@ -301,21 +346,9 @@ func (r *rotWorkspace) halfStackInto(dst []float64, p int, theta float64) {
 // parameter keeps M2LBatch's call shape. Results are bit-identical to
 // M2LBatch for the same sources.
 func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, classes []int32, tb *M2LTable) {
-	p := l.P
-	hl := halfLen(p)
 	for i := range srcs {
-		op := tb.ops[classes[i]]
-		var half []float64
-		if ti := int(op.theta); ti < tb.nStack {
-			half = tb.stacks[ti*hl : (ti+1)*hl]
-		} else {
-			// Spilled theta: same values, folded into the scratch.
-			half = w.rot.half
-			w.rot.halfStackInto(half, p, tb.thetas[ti].theta)
-		}
-		w.m2lApply(l, srcs[i].M.C, half,
-			tb.zph[int(op.phi)*(p+1):int(op.phi+1)*(p+1)],
-			tb.rpow[int(op.rho)*(2*p+2):int(op.rho+1)*(2*p+2)])
+		half, zph, rpow := tb.setup(w.rot, classes[i])
+		w.m2lApply(l, srcs[i].M.C, half, zph, rpow)
 	}
 }
 
@@ -324,19 +357,23 @@ func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, cl
 // fold) per pair serving all four columns. l[c] ends bit-identical to
 // M2LBatchTable over column c's sources alone.
 func (w *Workspace) M2LBatchTable4(l *[4]Expansion, srcs []M2LSource4, classes []int32, tb *M2LTable) {
-	p := l[0].P
-	hl := halfLen(p)
 	for i := range srcs {
-		op := tb.ops[classes[i]]
-		var half []float64
-		if ti := int(op.theta); ti < tb.nStack {
-			half = tb.stacks[ti*hl : (ti+1)*hl]
-		} else {
-			half = w.rot.half
-			w.rot.halfStackInto(half, p, tb.thetas[ti].theta)
-		}
-		w.m2lApply4(l, &srcs[i].M, half,
-			tb.zph[int(op.phi)*(p+1):int(op.phi+1)*(p+1)],
-			tb.rpow[int(op.rho)*(2*p+2):int(op.rho+1)*(2*p+2)])
+		half, zph, rpow := tb.setup(w.rot, classes[i])
+		w.m2lApply4(l, &srcs[i].M, half, zph, rpow)
 	}
+}
+
+// setup returns the kernel's per-direction factors for class c; a spilled
+// theta folds its half stack, the same values, into r's scratch.
+func (tb *M2LTable) setup(r *rotWorkspace, c int32) (half []float64, zph []complex128, rpow []float64) {
+	p, op := tb.p, tb.ops[c]
+	if ti := int(op.theta); ti < tb.nStack {
+		half = tb.stacks[ti*tb.hl : (ti+1)*tb.hl]
+	} else {
+		half = r.half
+		r.halfStackInto(half, p, tb.thetas[ti].theta)
+	}
+	return half,
+		tb.zph[int(op.phi)*(p+1) : int(op.phi+1)*(p+1)],
+		tb.rpow[int(op.rho)*(2*p+2) : int(op.rho+1)*(2*p+2)]
 }

@@ -53,44 +53,46 @@ func buildTable(p int, dirs []geom.Vec3, pairs []int64, rotCap int) *M2LTable {
 // bit-for-bit, over random expansions, orders, and direction sets
 // (repeated V-list-like offsets plus arbitrary fresh ones).
 func TestM2LBatchTableBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, p := range []int{2, 3, 5, 8, 12} {
-		to := geom.Vec3{X: 0.3, Y: -0.1, Z: 0.2}
-		var srcs []M2LSource
-		lattice := []geom.Vec3{
-			{X: 3, Y: 0, Z: 0}, {X: 0, Y: 3, Z: 1.5}, {X: -3, Y: 3, Z: -3},
-			{X: 2, Y: -2, Z: 2},
-		}
-		for rep := 0; rep < 3; rep++ {
-			for _, d := range lattice {
-				srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: to.Add(d)})
+	eachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, p := range []int{2, 3, 5, 8, 12} {
+			to := geom.Vec3{X: 0.3, Y: -0.1, Z: 0.2}
+			var srcs []M2LSource
+			lattice := []geom.Vec3{
+				{X: 3, Y: 0, Z: 0}, {X: 0, Y: 3, Z: 1.5}, {X: -3, Y: 3, Z: -3},
+				{X: 2, Y: -2, Z: 2},
 			}
-		}
-		for i := 0; i < 6; i++ {
-			srcs = append(srcs, M2LSource{
-				M:    randomExpansion(p, rng),
-				From: to.Add(geom.Vec3{X: 3 + rng.Float64(), Y: -2 + rng.Float64(), Z: 2 + rng.Float64()}),
-			})
-		}
-		// Full table, and a tiny-budget table that forces the spill path for
-		// the less popular theta — both must be bit-identical to M2LBatch.
-		for _, rotCap := range []int{0, 3} {
-			tb, classes := tableFor(p, to, srcs, rotCap)
+			for rep := 0; rep < 3; rep++ {
+				for _, d := range lattice {
+					srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: to.Add(d)})
+				}
+			}
+			for i := 0; i < 6; i++ {
+				srcs = append(srcs, M2LSource{
+					M:    randomExpansion(p, rng),
+					From: to.Add(geom.Vec3{X: 3 + rng.Float64(), Y: -2 + rng.Float64(), Z: 2 + rng.Float64()}),
+				})
+			}
+			// Full table, and a tiny-budget table that forces the spill path for
+			// the less popular theta — both must be bit-identical to M2LBatch.
+			for _, rotCap := range []int{0, 3} {
+				tb, classes := tableFor(p, to, srcs, rotCap)
 
-			got := NewExpansion(p)
-			NewWorkspace(p).M2LBatchTable(got, to, srcs, classes, tb)
+				got := NewExpansion(p)
+				NewWorkspace(p).M2LBatchTable(got, to, srcs, classes, tb)
 
-			want := NewExpansion(p)
-			NewWorkspace(p).M2LBatch(want, to, srcs)
+				want := NewExpansion(p)
+				NewWorkspace(p).M2LBatch(want, to, srcs)
 
-			for i := range got.C {
-				if got.C[i] != want.C[i] {
-					t.Fatalf("p=%d rotCap=%d: coefficient %d differs: table %v vs batch %v",
-						p, rotCap, i, got.C[i], want.C[i])
+				for i := range got.C {
+					if got.C[i] != want.C[i] {
+						t.Fatalf("p=%d rotCap=%d: coefficient %d differs: table %v vs batch %v",
+							p, rotCap, i, got.C[i], want.C[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestM2LBatchTableRandomTrees fuzzes the bit-identity over many random
@@ -236,26 +238,28 @@ func hashCoeffs(c []complex128) uint64 {
 // rounding, TestM2LKernelMatchesOracle). The table, its spill path and the
 // uncached M2LBatch must all reproduce them.
 func TestM2LKernelGoldenBits(t *testing.T) {
-	golden := map[int]uint64{
-		2: 0x7fb297f7e92805b0, 4: 0xddac083fb5873fbc,
-		8: 0xc475ca7a2fa378d2, 12: 0x19f290b23ef892b6,
-	}
-	for p, want := range golden {
-		to, srcs := goldenBatch(p)
-		batch := NewExpansion(p)
-		NewWorkspace(p).M2LBatch(batch, to, srcs)
-		if got := hashCoeffs(batch.C); got != want {
-			t.Errorf("p=%d: M2LBatch hash %#x, pinned %#x", p, got, want)
+	eachDispatch(t, func(t *testing.T) {
+		golden := map[int]uint64{
+			2: 0x7fb297f7e92805b0, 4: 0xddac083fb5873fbc,
+			8: 0xc475ca7a2fa378d2, 12: 0x19f290b23ef892b6,
 		}
-		for _, rotCap := range []int{0, 3} {
-			tb, classes := tableFor(p, to, srcs, rotCap)
-			l := NewExpansion(p)
-			NewWorkspace(p).M2LBatchTable(l, to, srcs, classes, tb)
-			if got := hashCoeffs(l.C); got != want {
-				t.Errorf("p=%d rotCap=%d: M2LBatchTable hash %#x, pinned %#x", p, rotCap, got, want)
+		for p, want := range golden {
+			to, srcs := goldenBatch(p)
+			batch := NewExpansion(p)
+			NewWorkspace(p).M2LBatch(batch, to, srcs)
+			if got := hashCoeffs(batch.C); got != want {
+				t.Errorf("p=%d: M2LBatch hash %#x, pinned %#x", p, got, want)
+			}
+			for _, rotCap := range []int{0, 3} {
+				tb, classes := tableFor(p, to, srcs, rotCap)
+				l := NewExpansion(p)
+				NewWorkspace(p).M2LBatchTable(l, to, srcs, classes, tb)
+				if got := hashCoeffs(l.C); got != want {
+					t.Errorf("p=%d rotCap=%d: M2LBatchTable hash %#x, pinned %#x", p, rotCap, got, want)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestHalfStackFold checks the fold the kernel's rotations read against
@@ -264,22 +268,50 @@ func TestM2LKernelGoldenBits(t *testing.T) {
 // differences; Q's row 0 vanishes (w(0,m) == w(0,-m), so a real M_n^0
 // stays real); and the signed stack is D-symmetric bit-for-bit,
 // w(m,m') == (-1)^{m+m'} w(m',m) — the identity that lets the forward
-// (transposed) rotation run on the back rotation's half stack.
+// (transposed) rotation run on the back rotation's half stack. The slab is
+// lane-major (halfStackInto): entry (m', m) of degree n sits in column m
+// at row m', and every padding row of every column is +0 — also in a table
+// slab that served another list epoch and was poisoned in between.
 func TestHalfStackFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	thetas := []float64{0, math.Pi / 2, math.Pi, math.Pi / 4, math.Acos(1 / math.Sqrt(3))}
 	for i := 0; i < 60; i++ {
 		thetas = append(thetas, math.Pi*rng.Float64())
 	}
+	// checkPadding fails unless every padding float of the half stack is +0
+	// and the columns cover it exactly.
+	checkPadding := func(what string, p int, half []float64) {
+		t.Helper()
+		off := 0
+		for n := 0; n <= p; n++ {
+			h, hp := n+1, lanePad(n+1)
+			for m := 0; m <= n; m++ {
+				for _, v := range append(half[off+h:off+hp:off+hp], half[off+hp+h:off+2*hp]...) {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("%s p=%d n=%d column %d: padding holds %v (%#x), want +0",
+							what, p, n, m, v, math.Float64bits(v))
+					}
+				}
+				off += 2 * hp
+			}
+		}
+		if off != len(half) {
+			t.Fatalf("%s p=%d: fold covers %d of %d floats", what, p, off, len(half))
+		}
+	}
 	for _, p := range []int{0, 1, 3, 8, sphharm.MaxOrder} {
 		r := newRotWorkspace(p)
 		half := make([]float64, halfLen(p))
 		for _, theta := range thetas {
+			for i := range half {
+				half[i] = math.NaN() // the fold writes every float
+			}
 			r.halfStackInto(half, p, theta)
 			signedWignerInto(r.stack, p, theta) // the fold's input, recomputed
+			checkPadding("scratch", p, half)
 			off := 0
 			for n := 0; n <= p; n++ {
-				dim := 2*n + 1
+				dim, hp := 2*n+1, lanePad(n+1)
 				w := func(mp, m int) float64 { return r.stack[n][(mp+n)*dim+m+n] }
 				for mp := -n; mp <= n; mp++ {
 					for m := -n; m <= n; m++ {
@@ -290,25 +322,48 @@ func TestHalfStackFold(t *testing.T) {
 					}
 				}
 				for mp := 0; mp <= n; mp++ {
-					pr, qr := half[off:off+n+1], half[off+n+1:off+2*(n+1)]
-					off += 2 * (n + 1)
-					if pr[0] != w(mp, 0) || qr[0] != w(mp, 0) {
+					pr := func(m int) float64 { return half[off+2*hp*m+mp] }
+					qr := func(m int) float64 { return half[off+2*hp*m+hp+mp] }
+					if pr(0) != w(mp, 0) || qr(0) != w(mp, 0) {
 						t.Fatalf("p=%d theta=%v n=%d m'=%d: column 0 is (%v, %v), want w(m',0) = %v",
-							p, theta, n, mp, pr[0], qr[0], w(mp, 0))
+							p, theta, n, mp, pr(0), qr(0), w(mp, 0))
 					}
 					for m := 1; m <= n; m++ {
-						if pr[m] != w(mp, m)+w(mp, -m) || qr[m] != w(mp, m)-w(mp, -m) {
+						if pr(m) != w(mp, m)+w(mp, -m) || qr(m) != w(mp, m)-w(mp, -m) {
 							t.Fatalf("p=%d theta=%v n=%d: P/Q[%d][%d] = (%v, %v), want (%v, %v)", p, theta, n, mp, m,
-								pr[m], qr[m], w(mp, m)+w(mp, -m), w(mp, m)-w(mp, -m))
+								pr(m), qr(m), w(mp, m)+w(mp, -m), w(mp, m)-w(mp, -m))
 						}
-						if mp == 0 && qr[m] != 0 {
-							t.Fatalf("p=%d theta=%v n=%d: Q[0][%d] = %v, want 0", p, theta, n, m, qr[m])
+						if mp == 0 && qr(m) != 0 {
+							t.Fatalf("p=%d theta=%v n=%d: Q[0][%d] = %v, want 0", p, theta, n, m, qr(m))
 						}
 					}
 				}
+				off += 2 * hp * (n + 1)
 			}
-			if off != len(half) {
-				t.Fatalf("p=%d: fold covers %d of %d floats", p, off, len(half))
+		}
+	}
+	// A table slab is recycled across list epochs: poison it, re-plan for
+	// other directions, and the rebuilt rows must equal a fresh table's.
+	for _, p := range []int{3, 8} {
+		dirs := benchDirs(rng, 40)
+		tb := buildTable(p, dirs, nil, 0)
+		poison := tb.stacks[:cap(tb.stacks)]
+		for i := range poison {
+			poison[i] = math.NaN()
+		}
+		dirs = benchDirs(rng, 30)
+		tb.BuildRotRange(0, tb.Plan(dirs, nil, 0))
+		fresh := buildTable(p, dirs, nil, 0)
+		if len(tb.stacks) != len(fresh.stacks) || tb.Rotations() == 0 {
+			t.Fatalf("p=%d: recycled slab has %d floats, fresh %d", p, len(tb.stacks), len(fresh.stacks))
+		}
+		for ri := 0; ri < tb.Rotations(); ri++ {
+			row := tb.stacks[ri*tb.hl : (ri+1)*tb.hl]
+			checkPadding("recycled slab", p, row)
+			for i, v := range row {
+				if math.Float64bits(v) != math.Float64bits(fresh.stacks[ri*tb.hl+i]) {
+					t.Fatalf("p=%d row %d float %d: recycled %v, fresh %v", p, ri, i, v, fresh.stacks[ri*tb.hl+i])
+				}
 			}
 		}
 	}
@@ -351,42 +406,44 @@ func sweepTree(tr *octree.Tree, p int, mp []Expansion, apply func(w *Workspace, 
 // them, and both equal the uncached reference bit-for-bit over every V
 // list.
 func TestM2LTableRealTrees(t *testing.T) {
-	const p = 4
-	for _, tc := range treeCases {
-		tr := octree.Build(tc.sys(), octree.Config{S: 24})
-		tr.BuildLists()
-		cls := tr.M2LClasses()
-		rng := rand.New(rand.NewSource(31))
-		mp := make([]Expansion, len(tr.Nodes))
-		for i := range mp {
-			mp[i] = randomExpansion(p, rng)
-		}
-		want := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
-			w.M2LBatch(l, tr.Nodes[ni].Box.Center, srcs)
-		})
-		for _, rotCap := range []int{0, 5} {
-			tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
-			covered := 0
-			for c := range cls.Dirs {
-				if tb.HasRot(c) {
-					covered++
+	eachDispatch(t, func(t *testing.T) {
+		const p = 4
+		for _, tc := range treeCases {
+			tr := octree.Build(tc.sys(), octree.Config{S: 24})
+			tr.BuildLists()
+			cls := tr.M2LClasses()
+			rng := rand.New(rand.NewSource(31))
+			mp := make([]Expansion, len(tr.Nodes))
+			for i := range mp {
+				mp[i] = randomExpansion(p, rng)
+			}
+			want := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
+				w.M2LBatch(l, tr.Nodes[ni].Box.Center, srcs)
+			})
+			for _, rotCap := range []int{0, 5} {
+				tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
+				covered := 0
+				for c := range cls.Dirs {
+					if tb.HasRot(c) {
+						covered++
+					}
+				}
+				if rotCap == 0 && covered != cls.Classes() {
+					t.Errorf("%s: in-budget table covers %d of %d classes", tc.name, covered, cls.Classes())
+				}
+				if rotCap > 0 && (tb.Rotations() != rotCap || covered == cls.Classes()) {
+					t.Errorf("%s: squeezed table kept %d stacks (want %d), covers %d of %d classes",
+						tc.name, tb.Rotations(), rotCap, covered, cls.Classes())
+				}
+				got := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
+					w.M2LBatchTable(l, tr.Nodes[ni].Box.Center, srcs, cls.Row(ni), tb)
+				})
+				if got != want {
+					t.Errorf("%s rotCap=%d: table sweep hash %#x != batch sweep %#x", tc.name, rotCap, got, want)
 				}
 			}
-			if rotCap == 0 && covered != cls.Classes() {
-				t.Errorf("%s: in-budget table covers %d of %d classes", tc.name, covered, cls.Classes())
-			}
-			if rotCap > 0 && (tb.Rotations() != rotCap || covered == cls.Classes()) {
-				t.Errorf("%s: squeezed table kept %d stacks (want %d), covers %d of %d classes",
-					tc.name, tb.Rotations(), rotCap, covered, cls.Classes())
-			}
-			got := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
-				w.M2LBatchTable(l, tr.Nodes[ni].Box.Center, srcs, cls.Row(ni), tb)
-			})
-			if got != want {
-				t.Errorf("%s rotCap=%d: table sweep hash %#x != batch sweep %#x", tc.name, rotCap, got, want)
-			}
 		}
-	}
+	})
 }
 
 // TestM2LTablePlanDeterministic: the slab layout is a function of the
@@ -445,42 +502,44 @@ func TestM2LTableReplanAllocationFree(t *testing.T) {
 // TestM2LBatchTableAllocationFree gates the steady state: over a real V
 // list neither the in-budget table nor the spill branch allocates.
 func TestM2LBatchTableAllocationFree(t *testing.T) {
-	const p = 4
-	tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
-	tr.BuildLists()
-	cls := tr.M2LClasses()
-	ni := 0
-	for i := range tr.Nodes {
-		if len(tr.Nodes[i].V) > len(tr.Nodes[ni].V) {
-			ni = i
-		}
-	}
-	n := &tr.Nodes[ni]
-	rng := rand.New(rand.NewSource(32))
-	w := NewWorkspace(p)
-	srcs := w.Sources(len(n.V))
-	for _, vi := range n.V {
-		srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: tr.Nodes[vi].Box.Center})
-	}
-	l := NewExpansion(p)
-	for _, rotCap := range []int{0, 2} {
-		tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
-		spilled := 0
-		for _, c := range cls.Row(int32(ni)) {
-			if !tb.HasRot(int(c)) {
-				spilled++
+	eachDispatch(t, func(t *testing.T) {
+		const p = 4
+		tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
+		ni := 0
+		for i := range tr.Nodes {
+			if len(tr.Nodes[i].V) > len(tr.Nodes[ni].V) {
+				ni = i
 			}
 		}
-		if (rotCap > 0) != (spilled > 0) {
-			t.Fatalf("rotCap=%d: %d of %d pairs spill", rotCap, spilled, len(srcs))
+		n := &tr.Nodes[ni]
+		rng := rand.New(rand.NewSource(32))
+		w := NewWorkspace(p)
+		srcs := w.Sources(len(n.V))
+		for _, vi := range n.V {
+			srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: tr.Nodes[vi].Box.Center})
 		}
-		a := testing.AllocsPerRun(10, func() {
-			w.M2LBatchTable(l, n.Box.Center, srcs, cls.Row(int32(ni)), tb)
-		})
-		if a != 0 {
-			t.Errorf("rotCap=%d: M2LBatchTable allocates %v times per V list, want 0", rotCap, a)
+		l := NewExpansion(p)
+		for _, rotCap := range []int{0, 2} {
+			tb := buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap)
+			spilled := 0
+			for _, c := range cls.Row(int32(ni)) {
+				if !tb.HasRot(int(c)) {
+					spilled++
+				}
+			}
+			if (rotCap > 0) != (spilled > 0) {
+				t.Fatalf("rotCap=%d: %d of %d pairs spill", rotCap, spilled, len(srcs))
+			}
+			a := testing.AllocsPerRun(10, func() {
+				w.M2LBatchTable(l, n.Box.Center, srcs, cls.Row(int32(ni)), tb)
+			})
+			if a != 0 {
+				t.Errorf("rotCap=%d: M2LBatchTable allocates %v times per V list, want 0", rotCap, a)
+			}
 		}
-	}
+	})
 }
 
 // FuzzM2LTable: for arbitrary direction sets, orders and theta budgets the

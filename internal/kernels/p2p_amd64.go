@@ -2,31 +2,15 @@
 
 package kernels
 
-import "afmm/internal/geom"
+import (
+	"afmm/internal/cpu"
+	"afmm/internal/geom"
+)
 
-// packedOK is the CPUID verdict, taken once at package init: the packed P2P
-// bodies of p2p_amd64.s need AVX2 and an OS that saves the ymm state.
-// Without it P2P is P2PScalar. Tests flip it to run both dispatch states.
-var packedOK = hasAVX2()
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
-
-func hasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv0(); xcr0&6 != 6 { // xmm and ymm state enabled
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
-}
+// packedOK is the CPUID verdict (internal/cpu): the packed P2P bodies of
+// p2p_amd64.s need AVX2 and an OS that saves the ymm state. Without it P2P
+// is P2PScalar. Tests flip it to run both dispatch states.
+var packedOK = cpu.AVX2
 
 // One assembly call covers whole blocks of four consecutive targets
 // against one source list; the transposes between the AoS arrays and the
