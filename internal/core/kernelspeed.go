@@ -54,12 +54,18 @@ type SharedM2L struct {
 	Tab   *expansion.M2LTable
 	Cls   *octree.M2LClassSchedule
 	epoch uint64
+	// gen and planned are the schedule's Gen and class count the table
+	// was last planned or extended for.
+	gen     uint64
+	planned int
 }
 
 // Prepare builds (or revalidates) the table for t's current lists: one
 // Wigner/phase/radial setup per translation class, built in parallel on
-// pool, invalidated by the list epoch. use == false drops the table, so
-// M2L falls back to the uncached reference form.
+// pool, invalidated by the list epoch. When the schedule kept its class
+// numbering (same Gen: a list repair only appended classes) the table is
+// extended by the new classes instead of re-planned. use == false drops
+// the table, so M2L falls back to the uncached reference form.
 func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *telemetry.Recorder, use bool) {
 	if !use {
 		*m = SharedM2L{}
@@ -69,16 +75,22 @@ func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *teleme
 	if m.Tab == nil || m.epoch != t.ListEpoch() {
 		cls := t.M2LClasses()
 		tok := rec.Begin(telemetry.SpanM2LTable, int32(cls.Classes()))
-		if m.Tab == nil {
-			m.Tab = expansion.NewM2LTable(p)
+		var lo, hi int
+		if m.Tab != nil && m.gen == cls.Gen {
+			lo, hi = m.Tab.Extend(cls.Dirs, cls.PairsPerClass, m.planned)
+		} else {
+			if m.Tab == nil {
+				m.Tab = expansion.NewM2LTable(p)
+			}
+			hi = m.Tab.Plan(cls.Dirs, cls.PairsPerClass, 0)
 		}
-		pool.ParallelRange(m.Tab.Plan(cls.Dirs, cls.PairsPerClass, 0), m.Tab.BuildRotRange)
-		m.Cls, m.epoch = cls, t.ListEpoch()
+		pool.ParallelRange(hi-lo, func(a, b int) { m.Tab.BuildRotRange(lo+a, lo+b) })
+		m.Cls, m.epoch, m.gen, m.planned = cls, t.ListEpoch(), cls.Gen, cls.Classes()
 		rebuilt = true
 		rec.End(tok)
 	}
 	if rec.Enabled() {
-		rec.SetM2LTable(m.Cls.Classes(), m.Cls.Pairs, m.Cls.KeyHits, m.Cls.KeyMisses, rebuilt)
+		rec.SetM2LTable(m.Cls.Classes(), m.Cls.Pairs, m.Cls.RowsReused, m.Cls.ClassesNew, rebuilt)
 	}
 }
 
@@ -140,12 +152,13 @@ func (m *SharedM2L) M2L4(w *expansion.Workspace, l *[4]expansion.Expansion, t *o
 }
 
 // Stats returns the class schedule stats (zero-valued when the table is
-// off or not yet built).
-func (m *SharedM2L) Stats() (classes int, pairs, keyHits, keyMisses int64) {
+// off or not yet built): classes, pairs, and of the last classification
+// the pairs carried from the previous epoch and the classes it created.
+func (m *SharedM2L) Stats() (classes int, pairs, rowsReused, classesNew int64) {
 	if m.Cls == nil {
 		return 0, 0, 0, 0
 	}
-	return m.Cls.Classes(), m.Cls.Pairs, m.Cls.KeyHits, m.Cls.KeyMisses
+	return m.Cls.Classes(), m.Cls.Pairs, m.Cls.RowsReused, m.Cls.ClassesNew
 }
 
 // PrepareM2L readies the shared table for a step over the current lists
@@ -156,6 +169,6 @@ func (s *Solver) PrepareM2L() {
 
 // M2LTableStats returns the current class schedule stats (zero-valued
 // when the table path is off or not yet built).
-func (s *Solver) M2LTableStats() (classes int, pairs, keyHits, keyMisses int64) {
+func (s *Solver) M2LTableStats() (classes int, pairs, rowsReused, classesNew int64) {
 	return s.m2l.Stats()
 }

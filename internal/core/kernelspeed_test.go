@@ -59,12 +59,12 @@ func TestM2LTableStatsReported(t *testing.T) {
 	rec.StartStep(0)
 	s.Solve()
 	rec.EndStep()
-	classes, pairs, hits, misses := s.M2LTableStats()
+	classes, pairs, reused, fresh := s.M2LTableStats()
 	if classes <= 0 || pairs <= 0 {
 		t.Fatalf("no table stats: classes=%d pairs=%d", classes, pairs)
 	}
-	if hits+misses != pairs {
-		t.Fatalf("hits %d + misses %d != pairs %d", hits, misses, pairs)
+	if reused != 0 || fresh != int64(classes) {
+		t.Fatalf("first build reused %d pairs and created %d of %d classes", reused, fresh, classes)
 	}
 	steps := rec.Steps()
 	if len(steps) != 1 {
@@ -77,6 +77,37 @@ func TestM2LTableStatsReported(t *testing.T) {
 	}
 	if !r.M2LRebuilt {
 		t.Fatal("first solve should report a table rebuild")
+	}
+}
+
+// TestM2LRowsReusedReported: the step record says how incremental the
+// class build was — a full list build carries no row and creates every
+// class, a repair step carries the rows it did not touch.
+func TestM2LRowsReusedReported(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	s := NewSolver(distrib.Plummer(2000, 1, 1, 5), Config{P: 4, S: 24, Rec: rec})
+	rec.StartStep(0)
+	s.Solve()
+	rec.EndStep()
+	for _, li := range s.Tree.VisibleLeaves() {
+		if s.Tree.PushDown(li) {
+			break
+		}
+	}
+	rec.StartStep(1)
+	s.Solve()
+	rec.EndStep()
+	steps := rec.Steps()
+	full, repair := steps[0], steps[1]
+	if full.Lists.Full != 1 || full.M2LRowsReused != 0 || full.M2LClassesNew != int64(full.M2LClasses) {
+		t.Fatalf("full build: lists %+v, reused %d, new %d of %d classes",
+			full.Lists, full.M2LRowsReused, full.M2LClassesNew, full.M2LClasses)
+	}
+	if repair.Lists.Repairs != 1 || repair.M2LRowsReused <= 0 || !repair.M2LRebuilt {
+		t.Fatalf("repair step: lists %+v, reused %d, rebuilt %v", repair.Lists, repair.M2LRowsReused, repair.M2LRebuilt)
+	}
+	if _, pairs, reused, _ := s.M2LTableStats(); reused >= pairs {
+		t.Fatalf("repair carried %d of %d pairs: nothing was re-derived", reused, pairs)
 	}
 }
 

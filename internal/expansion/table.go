@@ -43,6 +43,10 @@ import (
 // distinct theta outgrow it (p >= ~19 on large trees) the least
 // pair-weighted ones spill. A spill class folds its half stack into the
 // workspace scratch and runs the same kernel on the same values.
+//
+// Plan lays a table out for a class list; Extend appends the classes a
+// list repair added to it (the schedule keeps its numbering across a
+// repair), planning and building only their new rows.
 type M2LTable struct {
 	p   int
 	ops []m2lOp // per class
@@ -57,7 +61,9 @@ type M2LTable struct {
 
 	thetaBudget int // bytes; m2lThetaBudget outside tests
 
-	// Plan scratch, kept across list epochs so a re-plan does not allocate.
+	// Key maps (exact bits -> slab row; theta's hold ranked rows after a
+	// Plan) and ranking scratch, kept across list epochs: Extend looks rows
+	// up in them, and a re-plan does not allocate.
 	thetaRow, phiRow, rhoRow map[uint64]int32
 	rank                     []int32 // first-seen row -> ranked row
 
@@ -89,8 +95,8 @@ func NewM2LTable(p int) *M2LTable {
 		thetaRow: map[uint64]int32{}, phiRow: map[uint64]int32{}, rhoRow: map[uint64]int32{}}
 }
 
-// Rotations returns the number of Wigner stacks the last Plan kept (the
-// expensive part of the table).
+// Rotations returns the number of Wigner stacks the last Plan or Extend
+// kept (the expensive part of the table).
 func (tb *M2LTable) Rotations() int { return tb.nStack }
 
 // HasRot reports whether class c translates through a precomputed Wigner
@@ -236,9 +242,54 @@ func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 	for ci := range tb.ops {
 		tb.ops[ci].theta = tb.rank[tb.ops[ci].theta]
 	}
+	for r, k := range keys { // key -> ranked row, for Extend
+		tb.thetaRow[math.Float64bits(k.theta)] = int32(r)
+	}
 	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*tb.hl))
 	tb.stacks = slices.Grow(tb.stacks[:0], tb.nStack*tb.hl)[:tb.nStack*tb.hl]
 	return tb.nStack
+}
+
+// Extend plans the classes dirs[from:] on top of the from classes the
+// table was last planned (or extended) for, without touching a planned
+// row: a theta, phi or rho seen before reuses its row through the kept key
+// maps, a new one gets the next row of its slab. It returns the new theta
+// rows [lo, hi), which the caller builds with BuildRotRange before first
+// use. A row holds the same bits wherever it sits (it is a function of the
+// key alone), so an extended table translates exactly as a fresh Plan of
+// dirs would. When some theta already spilled, a new theta would cross the
+// byte budget, or from is not the planned class count, Extend re-plans
+// instead (pairsPerClass weighting the ranking as in Plan) and returns
+// [0, Rotations()).
+func (tb *M2LTable) Extend(dirs []geom.Vec3, pairsPerClass []int64, from int) (lo, hi int) {
+	if from != len(tb.ops) || tb.nStack < len(tb.thetas) {
+		return 0, tb.Plan(dirs, pairsPerClass, 0)
+	}
+	p, lo := tb.p, tb.nStack
+	tb.ops = slices.Grow(tb.ops, len(dirs)-from)
+	for _, d := range dirs[from:] {
+		rho, theta, phi := d.Spherical()
+		var op m2lOp
+		var isNew bool
+		if op.theta, isNew = rowOf(tb.thetaRow, theta); isNew {
+			if 8*tb.hl*(len(tb.thetas)+1) > tb.thetaBudget {
+				return 0, tb.Plan(dirs, pairsPerClass, 0)
+			}
+			tb.thetas = append(tb.thetas, thetaKey{theta: theta})
+		}
+		if op.phi, isNew = rowOf(tb.phiRow, phi); isNew {
+			tb.zph = slices.Grow(tb.zph, p+1+laneSlack)[:len(tb.zph)+p+1]
+			fillPhases(tb.zph[len(tb.zph)-(p+1):], phi)
+		}
+		if op.rho, isNew = rowOf(tb.rhoRow, rho); isNew {
+			tb.rpow = slices.Grow(tb.rpow, 2*p+2+laneSlack)[:len(tb.rpow)+2*p+2]
+			fillInvPowers(tb.rpow[len(tb.rpow)-(2*p+2):], rho)
+		}
+		tb.ops = append(tb.ops, op)
+	}
+	tb.nStack = len(tb.thetas)
+	tb.stacks = slices.Grow(tb.stacks, (tb.nStack-lo)*tb.hl)[:tb.nStack*tb.hl]
+	return lo, tb.nStack
 }
 
 // BuildRotRange fills half stacks [lo, hi) from their planned angles.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -497,6 +498,159 @@ func TestM2LTableReplanAllocationFree(t *testing.T) {
 	if !reflect.DeepEqual(tb.stacks, want) {
 		t.Error("re-planned table differs from the first build")
 	}
+}
+
+// repairEpoch moves tr's bodies a little and repairs the lists the way the
+// balancer does between solves (Refill, Enforce_S, BuildLists).
+func repairEpoch(tr *octree.Tree, rng *rand.Rand) {
+	for i := range tr.Sys.Pos {
+		tr.Sys.Pos[i] = tr.Sys.Pos[i].Add(geom.Vec3{
+			X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64(),
+		}.Scale(0.01))
+	}
+	tr.Refill()
+	tr.EnforceS()
+	tr.BuildLists()
+}
+
+// requireSetupBits asserts every class of got sets up the bits of want's:
+// half stack, phase row and radial row, compared with Float64bits.
+func requireSetupBits(t *testing.T, got, want *M2LTable, classes int, stage string) {
+	t.Helper()
+	rg, rw := newRotWorkspace(got.p), newRotWorkspace(want.p)
+	for c := int32(0); c < int32(classes); c++ {
+		gh, gz, gr := got.setup(rg, c)
+		wh, wz, wr := want.setup(rw, c)
+		same := len(gh) == len(wh) && len(gz) == len(wz) && len(gr) == len(wr)
+		for i := 0; same && i < len(wh); i++ {
+			same = math.Float64bits(gh[i]) == math.Float64bits(wh[i])
+		}
+		for i := 0; same && i < len(wz); i++ {
+			same = math.Float64bits(real(gz[i])) == math.Float64bits(real(wz[i])) &&
+				math.Float64bits(imag(gz[i])) == math.Float64bits(imag(wz[i]))
+		}
+		for i := 0; same && i < len(wr); i++ {
+			same = math.Float64bits(gr[i]) == math.Float64bits(wr[i])
+		}
+		if !same {
+			t.Fatalf("%s: class %d sets up different bits than a fresh Plan", stage, c)
+		}
+	}
+}
+
+// TestM2LTableExtendMatchesPlan: a table carried through a chain of list
+// repairs by Extend — the way core.SharedM2L carries it while the class
+// schedule keeps its Gen — sets up, for every class, the bits a table
+// freshly planned from the same directions does. An Extend that meets no
+// new theta, phi or rho allocates nothing, and under a squeezed theta
+// budget Extend re-plans and the translations still equal the reference.
+func TestM2LTableExtendMatchesPlan(t *testing.T) {
+	const p = 4
+	for _, tc := range treeCases {
+		rng := rand.New(rand.NewSource(43))
+		tr := octree.Build(tc.sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
+		tb := buildTable(p, cls.Dirs, cls.PairsPerClass, 0)
+		gen, planned, extended := cls.Gen, cls.Classes(), 0
+		for epoch := 0; epoch < 8; epoch++ {
+			repairEpoch(tr, rng)
+			cls = tr.M2LClasses()
+			var lo, hi int
+			if cls.Gen == gen {
+				if lo, hi = tb.Extend(cls.Dirs, cls.PairsPerClass, planned); lo != 0 {
+					extended++
+				}
+			} else {
+				hi = tb.Plan(cls.Dirs, cls.PairsPerClass, 0)
+			}
+			tb.BuildRotRange(lo, hi)
+			gen, planned = cls.Gen, cls.Classes()
+			if tb.Rotations() != len(tb.thetas) {
+				t.Fatalf("%s epoch %d: in-budget table spilled", tc.name, epoch)
+			}
+			fresh := buildTable(p, cls.Dirs, cls.PairsPerClass, 0)
+			requireSetupBits(t, tb, fresh, cls.Classes(), fmt.Sprintf("%s epoch %d", tc.name, epoch))
+		}
+		if extended == 0 {
+			t.Fatalf("%s: no epoch extended the table", tc.name)
+		}
+
+		// Classes whose theta, phi and rho are all known: no allocation,
+		// no new theta row. (Truncating ops undoes such an Extend exactly;
+		// a re-plan per run would not do, since a cleared map may re-grow.)
+		n := cls.Classes()
+		dirs := append(append([]geom.Vec3(nil), cls.Dirs...), cls.Dirs[:64]...)
+		tb.Plan(dirs, nil, 0)
+		tb.Plan(dirs[:n], nil, 0)
+		var lo, hi int
+		if a := testing.AllocsPerRun(5, func() {
+			tb.ops = tb.ops[:n]
+			lo, hi = tb.Extend(dirs, nil, n)
+		}); a != 0 {
+			t.Errorf("%s: Extend by known keys allocates %v times, want 0", tc.name, a)
+		}
+		if lo != hi || len(tb.ops) != len(dirs) {
+			t.Errorf("%s: Extend by known keys added theta rows [%d, %d)", tc.name, lo, hi)
+		}
+	}
+
+	// Squeezed budget: a spilled table, and one whose budget is exactly
+	// full, both re-plan instead of extending, and translate as M2LBatch.
+	eachDispatch(t, func(t *testing.T) {
+		tc := treeCases[0]
+		for _, squeeze := range []string{"spilled", "full"} {
+			rng := rand.New(rand.NewSource(44))
+			tr := octree.Build(tc.sys(), octree.Config{S: 24})
+			tr.BuildLists()
+			cls := tr.M2LClasses()
+			tb := buildTable(p, cls.Dirs, cls.PairsPerClass, 5)
+			if squeeze == "full" {
+				tb = buildTable(p, cls.Dirs, cls.PairsPerClass, 0)
+				tb.thetaBudget = tb.Rotations() * 8 * tb.hl
+			}
+			// Repair until the schedule appends a class with an unseen theta.
+			newTheta := func(dirs []geom.Vec3) bool {
+				for _, d := range dirs {
+					if _, theta, _ := d.Spherical(); !slices.ContainsFunc(tb.thetas, func(k thetaKey) bool { return k.theta == theta }) {
+						return true
+					}
+				}
+				return false
+			}
+			gen, planned := cls.Gen, cls.Classes()
+			for epoch := 0; cls.Gen != gen || !newTheta(cls.Dirs[planned:]); epoch++ {
+				if epoch == 50 {
+					t.Fatalf("%s: no repair met a new theta in 50 epochs", squeeze)
+				}
+				if cls.Gen != gen {
+					gen, planned = cls.Gen, cls.Classes()
+					tb.BuildRotRange(0, tb.Plan(cls.Dirs, cls.PairsPerClass, 0))
+				}
+				repairEpoch(tr, rng)
+				cls = tr.M2LClasses()
+			}
+			lo, hi := tb.Extend(cls.Dirs, cls.PairsPerClass, planned)
+			if lo != 0 || hi != tb.Rotations() || tb.Rotations() == len(tb.thetas) {
+				t.Fatalf("%s: Extend kept [%d, %d) of %d stacks for %d theta instead of re-planning",
+					squeeze, lo, hi, tb.Rotations(), len(tb.thetas))
+			}
+			tb.BuildRotRange(lo, hi)
+			mp := make([]Expansion, len(tr.Nodes))
+			for i := range mp {
+				mp[i] = randomExpansion(p, rng)
+			}
+			want := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
+				w.M2LBatch(l, tr.Nodes[ni].Box.Center, srcs)
+			})
+			got := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
+				w.M2LBatchTable(l, tr.Nodes[ni].Box.Center, srcs, cls.Row(ni), tb)
+			})
+			if got != want {
+				t.Errorf("%s: table sweep hash %#x != batch sweep %#x", squeeze, got, want)
+			}
+		}
+	})
 }
 
 // TestM2LBatchTableAllocationFree gates the steady state: over a real V

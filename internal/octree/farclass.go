@@ -2,25 +2,25 @@ package octree
 
 import (
 	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"afmm/internal/geom"
 )
 
 // M2LClassSchedule annotates every V-list (M2L) pair with its translation
-// class: cell centers on the cubic octree differ by (near-)integer
-// multiples of the finer cell's half width, and translated subdivision
-// chains reproduce the same float64 rounding, so the exact center
-// difference of many pairs coincides bit-for-bit. The expensive
+// class: pairs are merged only when their exact float64 translation
+// vectors src.Center - target.Center compare equal, so a class-table
+// translation is bit-for-bit equal to the per-pair path. The expensive
 // per-direction setup (Wigner stack, radial powers, phases) can then be
 // precomputed once per class and shared read-only across all workers.
 //
 // Row ni of the CSR mirrors Tree.Nodes[ni].V element-for-element: the
 // class of pair (ni, V[k]) is Class[RowPtr[ni]+k], and Dirs[class] holds
-// the exact translation vector src.Center - target.Center of every pair in
-// the class (pairs are only merged when their float64 direction vectors
-// are bit-identical, so a class-table translation is bit-for-bit equal to
-// the per-pair path). The schedule is cached on the tree and keyed on
-// ListEpoch, like the near-field schedule.
+// the exact translation vector of every pair in the class. The schedule is
+// cached on the tree and keyed on ListEpoch, like the near-field schedule;
+// across a list repair it keeps its class numbering (see buildM2LClasses),
+// so classes are only ever appended within one Gen.
 type M2LClassSchedule struct {
 	RowPtr []int32
 	Class  []int32
@@ -28,23 +28,35 @@ type M2LClassSchedule struct {
 	Dirs []geom.Vec3
 	// PairsPerClass counts the V-list pairs in each class (parallel to
 	// Dirs) — the popularity weight the table build uses to elect which
-	// rotation setups are worth precomputing.
+	// rotation setups are worth precomputing. A class no pair uses any
+	// more (after a repair) reads 0 until the next renumbering.
 	PairsPerClass []int64
 
-	// Pairs counts V-list pairs; KeyHits is how many were classified by
-	// the O(1) integer-offset key, KeyMisses how many fell back to the
-	// exact-vector map (rounding collisions or out-of-range offsets).
-	Pairs     int64
-	KeyHits   int64
-	KeyMisses int64
+	// Pairs counts V-list pairs; RowsReused is how many of them the last
+	// build carried verbatim from the previous epoch's rows, ClassesNew how
+	// many classes it created. Without a repair in between both say "full":
+	// RowsReused 0, ClassesNew = Classes().
+	Pairs      int64
+	RowsReused int64
+	ClassesNew int64
+
+	// Gen identifies the class numbering: it changes whenever the build
+	// restarts it (a full list build, or compaction of stale classes), and
+	// stays put while repairs only append classes, so a consumer that
+	// derived per-class data for Dirs[:k] under the same Gen may keep it.
+	// Gens are unique across trees.
+	Gen uint64
 }
+
+// classGens hands out M2LClassSchedule.Gen values.
+var classGens atomic.Uint64
 
 // Row returns the per-pair classes of node ni's V list (parallel to it).
 func (s *M2LClassSchedule) Row(ni int32) []int32 {
 	return s.Class[s.RowPtr[ni]:s.RowPtr[ni+1]]
 }
 
-// Classes returns the number of distinct translation classes.
+// Classes returns the number of translation classes, stale ones included.
 func (s *M2LClassSchedule) Classes() int { return len(s.Dirs) }
 
 // M2LClasses returns the cached translation-class schedule for the current
@@ -54,84 +66,159 @@ func (t *Tree) M2LClasses() *M2LClassSchedule {
 	if t.farEpoch == t.listEpoch && t.farEpoch != 0 {
 		return &t.farSched
 	}
-	t.buildM2LClasses()
-	return &t.farSched
+	s := &t.farSched
+	// Compaction: once stale classes outnumber live ones, restart the
+	// numbering so the class table (and everything sized by it) stays
+	// bounded by twice the live classes.
+	if stale := t.buildM2LClasses(t.farFull || s.Gen == 0); 2*stale > len(s.Dirs) {
+		t.buildM2LClasses(true)
+	}
+	return s
 }
 
-// classKeyRange bounds the per-axis quantized offset representable in the
-// packed integer key (10 bits signed per axis).
-const classKeyRange = 511
-
-// buildM2LClasses walks every node's V list and assigns each pair a class.
-// Fast path: quantize d by the finer cell's half width and pack both
-// levels plus the three integer offsets into one int64 key; the candidate
-// class is accepted only if its stored direction equals d exactly, so
-// float rounding can never merge two distinct directions. Any pair the
-// integer key cannot serve exactly falls back to a map keyed on the exact
-// vector.
-func (t *Tree) buildM2LClasses() {
-	s := &t.farSched
-	s.RowPtr = append(s.RowPtr[:0], 0)
-	s.Class = s.Class[:0]
-	s.Dirs = s.Dirs[:0]
-	s.PairsPerClass = s.PairsPerClass[:0]
-	s.Pairs, s.KeyHits, s.KeyMisses = 0, 0, 0
-	byKey := make(map[int64]int32, 512)
-	// byVec is authoritative for class creation (the same exact direction
-	// can recur at several level pairs — one class serves them all); it is
-	// only consulted when a new key appears or the key fast path fails, so
-	// steady-state classification stays one int64 lookup per pair.
-	byVec := make(map[geom.Vec3]int32, 512)
-	classOf := func(d geom.Vec3) int32 {
-		if c, ok := byVec[d]; ok {
-			return c
-		}
-		c := int32(len(s.Dirs))
-		s.Dirs = append(s.Dirs, d)
-		s.PairsPerClass = append(s.PairsPerClass, 0)
-		byVec[d] = c
-		return c
+// touchClassRows records nodes whose V list a repair changed; the next
+// classification re-derives their rows and carries every other row.
+func (t *Tree) touchClassRows(nodes []int32) {
+	if n := len(t.Nodes); len(t.farTouched) < n {
+		t.farTouched = append(t.farTouched, make([]bool, n-len(t.farTouched))...)
 	}
+	for _, ni := range nodes {
+		t.farTouched[ni] = true
+	}
+}
+
+// buildM2LClasses classifies the V lists and returns the number of stale
+// classes (no pair left). It is one pass over the nodes: a node the
+// previous schedule covered and no repair touched since (the touched set
+// accumulates until this consumes it) copies its previous row verbatim —
+// centers never change within a tree's lifetime, so neither does the class
+// of an untouched pair — and every other row classifies each pair through
+// the exact-vector hash of classOf. all restarts the numbering (a new Gen,
+// every row touched); it is the full build, not a second code path.
+func (t *Tree) buildM2LClasses(all bool) (stale int) {
+	s := &t.farSched
+	prevPtr, prevClass := s.RowPtr, s.Class
+	carry := len(prevPtr) - 1 // nodes the previous rows cover
+	if all {
+		s.Gen = classGens.Add(1)
+		s.Dirs, s.PairsPerClass = s.Dirs[:0], s.PairsPerClass[:0]
+		carry = 0
+		var pairs int
+		for ni := range t.Nodes {
+			pairs += len(t.Nodes[ni].V)
+		}
+		t.sizeClassSlots(pairs)
+	}
+	from := len(s.Dirs)
+	rowPtr := append(t.farRowPtr[:0], 0)
+	class := t.farClass[:0]
+	s.RowsReused = 0
 	for ni := range t.Nodes {
 		n := &t.Nodes[ni]
-		for _, vi := range n.V {
-			sv := &t.Nodes[vi]
-			d := sv.Box.Center.Sub(n.Box.Center)
-			q := n.Box.Half
-			if sv.Box.Half < q {
-				q = sv.Box.Half
+		if ni < carry {
+			old := prevClass[prevPtr[ni]:prevPtr[ni+1]]
+			if ni >= len(t.farTouched) || !t.farTouched[ni] {
+				class = append(class, old...)
+				s.RowsReused += int64(len(old))
+				rowPtr = append(rowPtr, int32(len(class)))
+				continue
 			}
-			ci := int32(-1)
-			ox := math.Round(d.X / q)
-			oy := math.Round(d.Y / q)
-			oz := math.Round(d.Z / q)
-			if ox >= -classKeyRange && ox <= classKeyRange &&
-				oy >= -classKeyRange && oy <= classKeyRange &&
-				oz >= -classKeyRange && oz <= classKeyRange {
-				key := int64(n.Level)<<38 | int64(sv.Level)<<30 |
-					(int64(ox)+512)<<20 | (int64(oy)+512)<<10 | (int64(oz) + 512)
-				if c, ok := byKey[key]; ok {
-					if s.Dirs[c] == d {
-						ci = c
-						s.KeyHits++
-					}
-				} else {
-					ci = classOf(d)
-					byKey[key] = ci
-					s.KeyHits++
-				}
+			for _, c := range old {
+				s.PairsPerClass[c]--
 			}
-			if ci < 0 {
-				// Rounding collision or out-of-range offset: exact-vector
-				// fallback, never merging distinct directions.
-				s.KeyMisses++
-				ci = classOf(d)
-			}
-			s.Class = append(s.Class, ci)
-			s.PairsPerClass[ci]++
-			s.Pairs++
 		}
-		s.RowPtr = append(s.RowPtr, int32(len(s.Class)))
+		for _, vi := range n.V {
+			c := t.classOf(t.Nodes[vi].Box.Center.Sub(n.Box.Center))
+			class = append(class, c)
+			s.PairsPerClass[c]++
+		}
+		rowPtr = append(rowPtr, int32(len(class)))
 	}
+	// The previous rows become the next build's scratch.
+	t.farRowPtr, t.farClass = prevPtr, prevClass
+	s.RowPtr, s.Class = rowPtr, class
+	s.Pairs = int64(len(class))
+	s.ClassesNew = int64(len(s.Dirs) - from)
+	clear(t.farTouched)
+	t.farFull = false
 	t.farEpoch = t.listEpoch
+	for _, c := range s.PairsPerClass {
+		if c == 0 {
+			stale++
+		}
+	}
+	return stale
+}
+
+// sizeClassSlots sizes the open-addressing class table once per full
+// build: one slot per pair or more, which holds a load of at most 1/2
+// while there are fewer classes than half the pairs (0.37 on a Plummer
+// tree), so repairs, which append few classes, do not grow it.
+func (t *Tree) sizeClassSlots(pairs int) {
+	n := max(64, 1<<bits.Len(uint(pairs)))
+	if cap(t.farSlots) < n {
+		t.farSlots = make([]int32, n)
+	} else {
+		t.farSlots = t.farSlots[:n]
+		clear(t.farSlots)
+	}
+	t.farShift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// classOf returns the class of exact direction d, creating it when new.
+// farSlots holds class+1 (0 = empty) under linear probing; the probe
+// compares with ==, so +0 and -0 components (equal, and hashed alike)
+// share a class, as a map keyed on the vector would.
+func (t *Tree) classOf(d geom.Vec3) int32 {
+	s := &t.farSched
+	mask := uint64(len(t.farSlots) - 1)
+	for i := dirHash(d) >> t.farShift; ; i = (i + 1) & mask {
+		c := t.farSlots[i] - 1
+		if c < 0 {
+			c = int32(len(s.Dirs))
+			s.Dirs = append(s.Dirs, d)
+			s.PairsPerClass = append(s.PairsPerClass, 0)
+			t.farSlots[i] = c + 1
+			if 2*len(s.Dirs) > len(t.farSlots) {
+				t.growClassSlots()
+			}
+			return c
+		}
+		if s.Dirs[c] == d {
+			return c
+		}
+	}
+}
+
+// growClassSlots doubles the class table and re-inserts every class, when
+// the classes reach half the slots (trees whose pairs repeat few
+// directions, or long runs of repairs).
+func (t *Tree) growClassSlots() {
+	n := 2 * len(t.farSlots)
+	t.farSlots = make([]int32, n)
+	t.farShift--
+	mask := uint64(n - 1)
+	for c, d := range t.farSched.Dirs {
+		i := dirHash(d) >> t.farShift
+		for t.farSlots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.farSlots[i] = int32(c) + 1
+	}
+}
+
+// dirHash mixes the exact bits of d's components (a zero of either sign
+// hashes as +0); callers take the top bits.
+func dirHash(d geom.Vec3) uint64 {
+	const k = 0x9E3779B97F4A7C15
+	var h uint64
+	for _, x := range [3]float64{d.X, d.Y, d.Z} {
+		b := math.Float64bits(x)
+		if x == 0 {
+			b = 0
+		}
+		h = (h ^ b) * k
+		h ^= h >> 32
+	}
+	return h * k
 }

@@ -192,6 +192,7 @@ func (t *Tree) BuildLists() {
 func (t *Tree) RebuildLists() {
 	t.listStats.FullBuilds++
 	t.listEpoch++
+	t.farFull = true
 	t.listsFullDirty = false
 	t.dirtyRoots = t.dirtyRoots[:0]
 	// Reset lists, keeping capacity.
@@ -415,6 +416,10 @@ func (t *Tree) repairLists() {
 		slices.Sort(nr.U)
 		slices.Sort(nr.V)
 	}
+
+	// Only these lists changed: the class schedule re-derives their rows.
+	t.touchClassRows(sub)
+	t.touchClassRows(outTouched)
 
 	t.listEpoch++
 	t.listStats.Repairs++

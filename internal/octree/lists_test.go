@@ -344,6 +344,7 @@ func FuzzListRepair(f *testing.F) {
 		tr := Build(sys, Config{S: 4})
 		tr.SetDirectK(6)
 		tr.BuildLists()
+		tr.M2LClasses()
 		for k, op := range script {
 			mutate(tr, rand.New(rand.NewSource(int64(op)*977+int64(k))), 0.2)
 			tr.BuildLists()
@@ -351,6 +352,7 @@ func FuzzListRepair(f *testing.F) {
 			ref.RebuildLists()
 			requireListsEqual(t, tr, ref, fmt.Sprintf("op %d (%d)", k, op))
 			checkListRef(t, tr, fmt.Sprintf("op %d (%d)", k, op))
+			checkClassSchedule(t, tr, ref, fmt.Sprintf("op %d (%d)", k, op))
 			if n <= 40 {
 				if err := tr.ValidateLists(); err != nil {
 					t.Fatalf("op %d: %v", k, err)

@@ -169,9 +169,20 @@ type Tree struct {
 	nDirect    []int32
 
 	// M2L translation-class schedule cache (see farclass.go), keyed on
-	// listEpoch like the near-field schedule.
-	farSched M2LClassSchedule
-	farEpoch uint64
+	// listEpoch like the near-field schedule. farTouched marks the nodes
+	// whose V list a repair changed since the last classification, farFull
+	// that a full list build did (restart the numbering); farSlots is the
+	// exact-direction hash (class+1 per slot, indexed by
+	// dirHash >> farShift); farRowPtr/farClass are the CSR scratch the next
+	// build writes into.
+	farSched   M2LClassSchedule
+	farEpoch   uint64
+	farTouched []bool
+	farFull    bool
+	farSlots   []int32
+	farShift   uint
+	farRowPtr  []int32
+	farClass   []int32
 }
 
 // Build constructs a tree over sys with the given configuration.

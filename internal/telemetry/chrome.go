@@ -164,7 +164,7 @@ func WriteChromeTrace(w io.Writer, steps []StepRecord) error {
 				Name: "m2l table", Ph: "C", PID: chromePID, TID: chromeTIDKern, TS: base,
 				Args: map[string]any{
 					"classes": rec.M2LClasses, "pairs": rec.M2LPairs,
-					"key_hits": rec.M2LKeyHits, "key_misses": rec.M2LKeyMisses,
+					"rows_reused": rec.M2LRowsReused, "classes_new": rec.M2LClassesNew,
 				},
 			})
 		}

@@ -409,14 +409,15 @@ type StepRecord struct {
 	Pushdowns    int            `json:"pushdowns,omitempty"`
 
 	// M2L translation-class table effectiveness: classes/pairs of the
-	// current schedule, the integer-key hit/miss split of the last
-	// classification, and whether this step rebuilt the table (a list
+	// current schedule; of its last classification the pairs carried
+	// verbatim from the previous list epoch (0 after a full build) and the
+	// classes it created; and whether this step rebuilt the table (a list
 	// topology change); zero-valued when the table path is off.
-	M2LClasses   int   `json:"m2l_classes,omitempty"`
-	M2LPairs     int64 `json:"m2l_pairs,omitempty"`
-	M2LKeyHits   int64 `json:"m2l_key_hits,omitempty"`
-	M2LKeyMisses int64 `json:"m2l_key_misses,omitempty"`
-	M2LRebuilt   bool  `json:"m2l_rebuilt,omitempty"`
+	M2LClasses    int   `json:"m2l_classes,omitempty"`
+	M2LPairs      int64 `json:"m2l_pairs,omitempty"`
+	M2LRowsReused int64 `json:"m2l_rows_reused,omitempty"`
+	M2LClassesNew int64 `json:"m2l_classes_new,omitempty"`
+	M2LRebuilt    bool  `json:"m2l_rebuilt,omitempty"`
 	// DirectPairs counts the accepted (V-list) leaf pairs this step summed
 	// directly instead of translating, DirectInteractions their body-body
 	// interactions. Counts keeps the paper's operator assignment (M2L =
@@ -905,7 +906,7 @@ func (r *Recorder) SetLists(d ListDelta) {
 }
 
 // SetM2LTable records the step's translation-class table stats.
-func (r *Recorder) SetM2LTable(classes int, pairs, keyHits, keyMisses int64, rebuilt bool) {
+func (r *Recorder) SetM2LTable(classes int, pairs, rowsReused, classesNew int64, rebuilt bool) {
 	if r == nil {
 		return
 	}
@@ -913,8 +914,8 @@ func (r *Recorder) SetM2LTable(classes int, pairs, keyHits, keyMisses int64, reb
 	r.ensureStepLocked()
 	r.cur.M2LClasses = classes
 	r.cur.M2LPairs = pairs
-	r.cur.M2LKeyHits = keyHits
-	r.cur.M2LKeyMisses = keyMisses
+	r.cur.M2LRowsReused = rowsReused
+	r.cur.M2LClassesNew = classesNew
 	r.cur.M2LRebuilt = rebuilt
 	r.mu.Unlock()
 }
