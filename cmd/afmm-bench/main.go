@@ -7,12 +7,12 @@
 //	afmm-bench [flags] <experiment>
 //
 // where experiment is one of: fig3 fig4 fig6 table1 fig7 fig8 fig9 table2
-// fig10 all. Absolute times are virtual-machine seconds; the reproduction
-// target is the shape of each result (see EXPERIMENTS.md).
+// fig10 all, or cluster (the distributed-memory extension, not part of
+// all). Absolute times are virtual-machine seconds; the reproduction target
+// is the shape of each result (see EXPERIMENTS.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +20,7 @@ import (
 
 	"afmm/internal/experiments"
 	"afmm/internal/metrics"
+	"afmm/internal/sphharm"
 	"afmm/internal/telemetry"
 )
 
@@ -38,6 +39,10 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve the live dashboard, Prometheus /metrics and /status on this address while the dynamic experiments run")
 	flightDir := flag.String("flightrec", "", "keep a flight-recorder ring of the headline run's last 32 steps and dump it into this directory on faults and sentinel anomalies")
 	flag.Parse()
+	if p.P < 1 || p.P > sphharm.MaxOrder {
+		fmt.Fprintf(os.Stderr, "-p %d: the expansion order must be in [1, %d]\n", p.P, sphharm.MaxOrder)
+		os.Exit(2)
+	}
 	if *traceFile != "" {
 		tf, err := os.Create(*traceFile)
 		if err != nil {
@@ -64,15 +69,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "debug server (dashboard, /metrics, /status, pprof) on http://%s/\n", d.Addr())
 		}
 	}
-	pSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "p" {
-			pSet = true
-		}
-	})
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: afmm-bench [flags] fig3|fig4|fig6|table1|fig7|fig8|fig9|table2|fig10|all|cluster|lists|telemetry|faults|kernels|dmem|netfaults")
+		fmt.Fprintln(os.Stderr, "usage: afmm-bench [flags] fig3|fig4|fig6|table1|fig7|fig8|fig9|table2|fig10|all|cluster")
 		os.Exit(2)
 	}
 	which := strings.ToLower(flag.Arg(0))
@@ -85,10 +84,7 @@ func main() {
 	}
 	known := map[string]bool{"fig3": true, "fig4": true, "fig6": true,
 		"table1": true, "fig7": true, "fig8": true, "fig9": true,
-		"table2": true, "fig10": true, "cluster": true,
-		"lists": true, "telemetry": true, "faults": true,
-		"kernels": true, "dmem": true, "netfaults": true,
-		"all": true}
+		"table2": true, "fig10": true, "cluster": true, "all": true}
 	if !known[which] {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
 		os.Exit(2)
@@ -123,192 +119,6 @@ func main() {
 		fmt.Println("==== CLUSTER (distributed-memory extension, strong scaling) ====")
 		runCluster(p)
 	}
-	if which == "lists" { // host wall-clock benchmark; not part of "all"
-		fmt.Println("==== LISTS (persistent interaction lists, cached vs from-scratch) ====")
-		runLists(p)
-	}
-	if which == "telemetry" { // host wall-clock benchmark; not part of "all"
-		fmt.Println("==== TELEMETRY (step-trace recorder overhead and coverage) ====")
-		runTelemetry(p)
-	}
-	if which == "faults" { // resilience benchmark; not part of "all"
-		fmt.Println("==== FAULTS (device fault injection: detection, recovery, degradation) ====")
-		runFaults(p)
-	}
-	if which == "kernels" { // host wall-clock benchmark; not part of "all"
-		fmt.Println("==== KERNELS (M2L class table, packed P2P) ====")
-		runKernels(p, pSet)
-	}
-	if which == "dmem" { // distributed-runtime benchmark; not part of "all"
-		fmt.Println("==== DMEM (virtual-node scaling, cost-driven repartitioning, executed runtime) ====")
-		runDmem(p)
-	}
-	if which == "netfaults" { // resilience benchmark; not part of "all"
-		fmt.Println("==== NETFAULTS (lossy links: delivery rate, retry overhead, failure detection) ====")
-		runNetFaults(p)
-	}
-}
-
-// runNetFaults drives the executed runtime through escalating link-fault
-// schedules and both failure detectors, and writes the machine-readable
-// BENCH_netfaults.json. The acceptance targets are bit-identity on every
-// scenario (faults cost throughput, never values) and a measured
-// heartbeat detection latency at the same order as its suspicion window.
-func runNetFaults(p experiments.Params) {
-	res := experiments.NetFaults(p)
-	fmt.Printf("cluster: Plummer N=%d, P=%d, %d nodes, %d steps (host cores: %d)\n",
-		res.N, res.P, res.Nodes, res.Steps, res.HostCores)
-	fmt.Printf("%-16s %9s %9s %9s %9s %9s %10s %8s %5s\n",
-		"scenario", "frames", "dropped", "delivrate", "retries", "timeouts", "recoveries", "slowdown", "exact")
-	for _, sc := range res.Scenarios {
-		fmt.Printf("%-16s %9d %9d %9.3f %9d %9d %10d %7.2fx %5v\n",
-			sc.Name, sc.FramesSent, sc.FramesDropped, sc.DeliveredRate,
-			sc.Retries, sc.Timeouts, sc.Recoveries, sc.Slowdown, sc.BitIdentical)
-	}
-	fmt.Printf("detection: oracle (modeled) %.3f ms, heartbeat (measured) %.3f ms over a %.3f ms suspicion window, exact=%v\n",
-		1e3*res.Detection.OracleSec, 1e3*res.Detection.HeartbeatSec,
-		1e3*res.Detection.WindowSec, res.Detection.BitIdentical)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_netfaults.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_netfaults.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_netfaults.json")
-}
-
-// runKernels benchmarks the raw translation and P2P kernels on the host
-// (single core) and writes the machine-readable BENCH_kernels.json: the
-// class table against its uncached reference form and the per-pair
-// rotated operator, and the packed P2P against the scalar reference.
-func runKernels(p experiments.Params, pSet bool) {
-	if !pSet {
-		// The kernels under test are the accuracy-grade rotation path, so
-		// default to order 8 rather than the cost-model default.
-		p.P = 8
-	}
-	res := experiments.Kernels(p)
-	fmt.Printf("workload: Plummer N=%d, S=%d, P=%d — %d M2L pairs, %d classes, %d Wigner stacks (%.1f%% pair coverage), table build %.1f ms\n",
-		res.N, res.S, res.P, res.M2LPairs, res.M2LClasses, res.M2LRotations,
-		100*res.M2LRotCoverage, float64(res.TableBuildNs)/1e6)
-	fmt.Printf("%-34s %12.1f ns/translation\n", "M2L class table", res.M2LNsTable)
-	fmt.Printf("%-34s %12.1f ns/translation\n", "M2L uncached reference (M2LBatch)", res.M2LNsReference)
-	fmt.Printf("%-34s %12.1f ns/translation\n", "M2L per-pair rotation", res.M2LNsDirect)
-	fmt.Printf("%-34s %12.2fx vs reference, %.2fx vs per-pair rotation\n",
-		"M2L table speedup", res.M2LSpeedupVsReference, res.M2LSpeedupVsDirect)
-	fmt.Printf("P2P call shape: %d targets x %d sources\n", res.P2PTargets, res.P2PSources)
-	fmt.Printf("%-34s %12.1f Mpairs/s (packed) %10.1f (scalar): %.2fx packed\n",
-		"gravity", res.GravPairRatePacked/1e6, res.GravPairRateScalar/1e6, res.GravPackedSpeedup)
-	fmt.Printf("%-34s %12.1f Mpairs/s (packed) %10.1f (scalar): %.2fx packed\n",
-		"stokeslet", res.StokesPairRatePacked/1e6, res.StokesPairRateScalar/1e6, res.StokesPackedSpeedup)
-	fmt.Printf("%-34s %12.3f ms/step (table) vs %.3f ms/step (no table): %.3fx over %d steps\n",
-		"end-to-end step, 1 worker", float64(res.StepNsTable)/1e6,
-		float64(res.StepNsNoTable)/1e6, res.EndToEndSpeedup, res.EndToEndSteps)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_kernels.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_kernels.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_kernels.json")
-}
-
-// runFaults drives every fault class through a paired fault-free/faulted
-// simulation and writes the machine-readable BENCH_faults.json: per-class
-// detection latency, recovery overhead and degraded throughput, the
-// checkpoint-restore path, and the balancer's reaction to a device loss.
-func runFaults(p experiments.Params) {
-	res := experiments.Faults(p)
-	fmt.Printf("trajectory: Plummer N=%d, S=%d, P=%d, %d GPUs, %d steps, fault at step %d\n",
-		res.N, res.S, res.P, res.GPUs, res.Steps, res.FaultStep)
-	fmt.Printf("%-10s %5s %9s %11s %11s %10s %6s %8s %8s\n",
-		"class", "ident", "detect", "recov-over", "throughput", "fallback", "dead", "retries", "recov")
-	for _, c := range res.Cases {
-		ident := "yes"
-		if !c.BitIdentical {
-			ident = "NO"
-		}
-		fmt.Printf("%-10s %5s %7.1fms %9.1fms %11.3f %7drow %6d %8d %8d\n",
-			c.Name, ident, float64(c.DetectNs)/1e6, float64(c.RecoveryOverheadNs)/1e6,
-			c.DegradedThroughput, c.FallbackRows, c.DeadDevices,
-			c.TransientRetries, c.Recoveries)
-	}
-	fmt.Printf("restore path (%s): %d recoveries, %d checkpoints, bit-identical=%v, overhead %.1fms\n",
-		res.Recovery.Spec, res.Recovery.Recoveries, res.Recovery.Checkpoints,
-		res.Recovery.BitIdentical, float64(res.Recovery.OverheadNs)/1e6)
-	fmt.Printf("balancer (full strategy): S %d -> %d, capacity drop %.0f%%, search re-entered=%v, alive devices %d\n",
-		res.Balancer.SPreFault, res.Balancer.SFinal, 100*res.Balancer.CapacityDropFrac,
-		res.Balancer.SearchReentered, res.Balancer.AliveDevices)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_faults.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_faults.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_faults.json")
-}
-
-// runTelemetry benchmarks the enabled step tracer against untraced solver
-// steps (host wall clock) and writes the machine-readable
-// BENCH_telemetry.json. The acceptance target is overhead < 2%.
-func runTelemetry(p experiments.Params) {
-	res := experiments.Telemetry(p)
-	fmt.Printf("trajectory: Plummer N=%d, S=%d, %d steps each variant\n", res.N, res.S, res.Steps)
-	fmt.Printf("%-34s %12.3f ms/step\n", "solver step (tracing off)", float64(res.StepNsOff)/1e6)
-	fmt.Printf("%-34s %12.3f ms/step\n", "solver step (tracing on)", float64(res.StepNsOn)/1e6)
-	fmt.Printf("%-34s %12.3f ms/step\n", "solver step (metrics+flight)", float64(res.StepNsMetrics)/1e6)
-	fmt.Printf("%-34s %+12.3f%% (target < 2%%)\n", "tracing overhead", 100*res.OverheadFrac)
-	fmt.Printf("%-34s %+12.3f%% (target < 2%%)\n", "metrics+flight overhead", 100*res.MetricsOverheadFrac)
-	fmt.Printf("%-34s %12.1f ns/sample\n", "histogram observe", res.HistObserveNs)
-	fmt.Printf("%-34s %12.1f%% of step wall clock\n", "phase-span coverage", 100*res.PhaseCoverage)
-	fmt.Printf("%-34s %12.1f spans, %d JSONL bytes\n", "per step", res.SpansPerStep, res.BytesPerStep)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_telemetry.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_telemetry.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_telemetry.json")
-}
-
-// runLists benchmarks interaction-list maintenance and end-to-end solver
-// steps on the host (wall clock, not the virtual machine) and writes the
-// machine-readable BENCH_lists.json.
-func runLists(p experiments.Params) {
-	res := experiments.Lists(p)
-	fmt.Printf("trajectory: Plummer N=%d, S=%d, %d steps\n", res.N, res.S, res.Steps)
-	fmt.Printf("%-34s %12.3f ms/step\n", "list maintenance (cached)",
-		float64(res.EnsureNsPerStep)/1e6)
-	fmt.Printf("%-34s %12.3f ms/step\n", "list build (from scratch)",
-		float64(res.ScratchNsPerStep)/1e6)
-	fmt.Printf("%-34s %12.4f (target <= 0.10)\n", "maintenance ratio", res.MaintenanceRatio)
-	fmt.Printf("cache activity: %d full builds, %d repairs, %d skips; "+
-		"pair visits %d vs %d from scratch\n",
-		res.FullBuilds, res.Repairs, res.Skips, res.CachedPairs, res.ScratchPairs)
-	fmt.Printf("%-34s %12.3f ms/step\n", "solver step (cached lists)",
-		float64(res.StepNsCached)/1e6)
-	fmt.Printf("%-34s %12.3f ms/step\n", "solver step (from-scratch lists)",
-		float64(res.StepNsScratch)/1e6)
-	fmt.Printf("end-to-end speedup: %.3fx over %d steps "+
-		"(list build is %.1f%% of a from-scratch step)\n",
-		res.EndToEndSpeedup, res.EndToEndSteps, 100*res.ListShareScratch)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_lists.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_lists.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_lists.json")
 }
 
 func runCluster(p experiments.Params) {
@@ -530,51 +340,4 @@ func runFig10(p experiments.Params, csv bool) {
 		}
 	}
 	fmt.Printf("mean advantage after step 15: %.2f%% (paper: ~3%%)\n", 100*(mean-1))
-}
-
-// runDmem benchmarks the distributed-memory layer: strong/weak scaling
-// of the priced decomposition over 1-64 virtual nodes, cost-driven
-// repartitioning vs static equal-count ranges on a skewed distribution,
-// and a bit-identity acceptance run of the executing goroutine-node
-// runtime under an injected node loss. Writes BENCH_dmem.json.
-func runDmem(p experiments.Params) {
-	res := experiments.Dmem(p)
-	fmt.Printf("Plummer N=%d, P=%d, weak scaling at %d bodies/node (host cores: %d)\n",
-		res.N, res.P, res.NPerNode, res.HostCores)
-	scale := func(title string, pts []experiments.DmemScalePoint) {
-		fmt.Printf("---- %s ----\n", title)
-		fmt.Printf("%6s %9s %12s %9s %10s %12s %8s\n",
-			"nodes", "N", "step (s)", "speedup", "imbalance", "comm bytes", "hidden")
-		for _, pt := range pts {
-			fmt.Printf("%6d %9d %12.4e %9.2f %10.3f %12d %7.1f%%\n",
-				pt.Nodes, pt.NTotal, pt.StepTime, pt.Speedup,
-				pt.Imbalance, pt.CommBytes, 100*pt.HiddenFrac)
-		}
-	}
-	scale("strong scaling (fixed total N)", res.Strong)
-	scale("weak scaling (fixed N per node)", res.Weak)
-	sk := res.Skew
-	fmt.Printf("---- skewed two-cluster run (N=%d, %d nodes, %d steps) ----\n",
-		sk.N, sk.Nodes, sk.Steps)
-	fmt.Printf("%-34s %12.4e s (final imbalance %.3f)\n", "static equal-count ranges", sk.StaticTime, sk.StaticImbalance)
-	fmt.Printf("%-34s %12.4e s (final imbalance %.3f, %d repartitions)\n",
-		"cost-driven repartitioning", sk.CostTime, sk.CostImbalance, sk.Repartitions)
-	fmt.Printf("%-34s %12.2fx (target > 1)\n", "static/cost margin", sk.Margin)
-	ex := res.Exec
-	status := "FAIL"
-	if ex.BitIdentical {
-		status = "ok"
-	}
-	fmt.Printf("executed runtime: N=%d over %d nodes, %d steps, %d node loss(es): "+
-		"%d bytes, %d msgs on the wire; bit-identical to single-node: %s\n",
-		ex.N, ex.Nodes, ex.Steps, ex.NodeLosses, ex.TotalBytes, ex.TotalMsgs, status)
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_dmem.json", b, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "BENCH_dmem.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_dmem.json")
 }

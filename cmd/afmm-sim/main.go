@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"afmm"
+	"afmm/internal/sphharm"
 )
 
 func main() {
@@ -46,6 +47,10 @@ func main() {
 	clusterFaults := flag.String("cluster-faults", "", "cluster fault schedule mixing node and link events, e.g. node2:failstop@step3,link0-1:drop0.1@step2 (requires -dmem-nodes)")
 	linkSeed := flag.Int64("link-seed", 1, "seed for the deterministic per-frame link-fault verdicts")
 	flag.Parse()
+	if *p < 1 || *p > sphharm.MaxOrder {
+		fmt.Fprintf(os.Stderr, "-p %d: the expansion order must be in [1, %d]\n", *p, sphharm.MaxOrder)
+		os.Exit(2)
+	}
 
 	var resumeSnap *afmm.Snapshot
 	if *resume != "" {

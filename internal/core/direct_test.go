@@ -57,20 +57,20 @@ func TestDirectKZeroKeepsParentBits(t *testing.T) {
 
 // TestDirectPairsBitIdenticalAcrossPaths: with the predicate selecting a
 // good share of the accepted pairs, every configuration of the step — CPU
-// near field, the device walk, list cache off, table off, one worker —
-// sums and translates the same pairs in the same order: accelerations are
-// exactly equal, over steps that move bodies across the threshold.
+// near field, the device walk, from-scratch lists, one worker — sums and
+// translates the same pairs in the same order: accelerations are exactly
+// equal, over steps that move bodies across the threshold.
 func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
 	base := distrib.Plummer(2500, 1, 1, 12)
 	paths := []struct {
-		name string
-		mut  func(cfg *Config)
+		name    string
+		mut     func(cfg *Config)
+		scratch bool // rebuild the lists from scratch on every solve
 	}{
-		{"cpu", func(cfg *Config) {}},
-		{"vgpu", func(cfg *Config) { cfg.NumGPUs = 2 }},
-		{"no-list-cache", func(cfg *Config) { cfg.DisableListCache = true }},
-		{"no-m2l-table", func(cfg *Config) { cfg.DisableM2LTable = true }},
-		{"one-worker", func(cfg *Config) { cfg.Pool = sched.NewPool(1) }},
+		{"cpu", func(cfg *Config) {}, false},
+		{"vgpu", func(cfg *Config) { cfg.NumGPUs = 2 }, false},
+		{"no-list-cache", func(cfg *Config) {}, true},
+		{"one-worker", func(cfg *Config) { cfg.Pool = sched.NewPool(1) }, false},
 	}
 	var want [3]uint64
 	for pi, pc := range paths {
@@ -79,6 +79,7 @@ func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
 		cfg := Config{P: 6, S: 16, Pool: sched.NewPool(3), Rec: rec}
 		pc.mut(&cfg)
 		s := NewSolver(sys, cfg)
+		s.Tree.Cfg.NoListCache = pc.scratch
 		var direct [3]int64
 		for step := range want {
 			rec.StartStep(step)

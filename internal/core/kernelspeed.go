@@ -162,9 +162,9 @@ func (m *SharedM2L) Stats() (classes int, pairs, rowsReused, classesNew int64) {
 }
 
 // PrepareM2L readies the shared table for a step over the current lists
-// (dropped when the far field is skipped or the table is disabled).
+// (dropped when the far field is skipped).
 func (s *Solver) PrepareM2L() {
-	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec, !s.Cfg.DisableM2LTable && !s.Cfg.SkipFarField)
+	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec, !s.Cfg.SkipFarField)
 }
 
 // M2LTableStats returns the current class schedule stats (zero-valued

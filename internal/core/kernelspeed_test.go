@@ -8,26 +8,21 @@ import (
 	"afmm/internal/telemetry"
 )
 
-// solveBoth runs two solvers on cloned systems — one with the class table,
-// one without — and returns both systems for comparison.
+// solveBoth runs two solvers on cloned systems — one solving through the
+// class table, the other stepped by the serial reference, which never
+// builds one — and returns both systems for comparison.
 func solveBoth(t *testing.T, sys *particle.System, cfg Config, steps int) (*particle.System, *particle.System) {
 	t.Helper()
 	sysA := sys.Clone()
 	sysB := sys.Clone()
-	cfgA := cfg
-	cfgB := cfg
-	cfgB.DisableM2LTable = true
-	a := NewSolver(sysA, cfgA)
-	b := NewSolver(sysB, cfgB)
+	a := NewSolver(sysA, cfg)
+	b := NewSolver(sysB, cfg)
 	for i := 0; i < steps; i++ {
 		a.Solve()
-		b.Solve()
+		serialStep(b)
 	}
-	if a.M2LTableStats(); a.m2l.Tab == nil {
+	if a.m2l.Tab == nil {
 		t.Fatal("table solver did not build a class table")
-	}
-	if b.m2l.Tab != nil {
-		t.Fatal("DisableM2LTable still built a table")
 	}
 	return sysA, sysB
 }

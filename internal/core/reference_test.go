@@ -121,7 +121,6 @@ var (
 	cpuOnly      = variant{"cpu-only", func(cfg *Config) {}}
 	oneGPU       = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
 	twoGPUs      = variant{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
-	noM2LTable   = variant{"no-m2l-table", func(cfg *Config) { cfg.DisableM2LTable = true }}
 	twoGPUsTight = variant{"two-gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
 	gpuNoReserve = variant{"gpu-no-reserve", func(cfg *Config) { cfg.NumGPUs = 1; cfg.Pool = sched.NewPool(1) }}
 )
@@ -162,7 +161,7 @@ func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, twoGPUs, noM2LTable)
+			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, twoGPUs)
 		})
 	}
 	t.Run("failstop", graphMatchesSerialUnderFailStop)
@@ -176,7 +175,7 @@ func TestOverlapBitIdenticalGravity(t *testing.T) {
 }
 
 func TestTaskGraphBitIdenticalGravity(t *testing.T) {
-	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight, noM2LTable)
+	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight)
 }
 
 func TestTaskGraphBitIdenticalUnderFaults(t *testing.T) { graphMatchesSerialUnderFailStop(t) }

@@ -85,21 +85,11 @@ type Config struct {
 	// virtual-machine cost model is unchanged (the paper's implementation
 	// uses direct translations), so this only affects host wall time.
 	UseRotatedTranslations bool
-	// DisableListCache turns off the persistent interaction-list cache:
-	// every solve re-runs the full dual traversal and rebuilds the
-	// near-field schedule from scratch (octree.Config.NoListCache). Kept
-	// for A/B measurement; results are bit-identical either way.
-	DisableListCache bool
 	// TaskGraph is accepted and ignored: every solve runs the step graph.
 	// The field survives only because benchmark/workloads.go, which a
 	// non-benchmark change may not edit, sets it in keyed literals; no code
 	// reads it, and the next benchmark change drops it.
 	TaskGraph bool
-	// DisableM2LTable turns off the shared M2L translation-class table:
-	// every translation then recomputes its setup (Workspace.M2LBatch, the
-	// uncached reference form of the same kernel). Kept as the A/B switch
-	// of the == tests; results are bit-identical either way.
-	DisableM2LTable bool
 	// Rec, when non-nil, receives per-phase spans, device kernel samples,
 	// worker busy times, and the step's cost-model observation from every
 	// Solve. A nil recorder compiles to no-ops on the hot paths. Prefer
@@ -218,12 +208,11 @@ func NewSolverWith(sys *particle.System, cfg Config, newField func(t *octree.Tre
 	cfg.setDefaults()
 	s := &Solver{Cfg: cfg, Sys: sys, ws: NewWorkspaces(cfg.P, cfg.Pool.Workers()+8)}
 	s.Tree = octree.Build(sys, octree.Config{
-		S:           cfg.S,
-		MaxDepth:    cfg.MaxDepth,
-		Mode:        cfg.Mode,
-		MAC:         cfg.MAC,
-		Pool:        cfg.Pool,
-		NoListCache: cfg.DisableListCache,
+		S:        cfg.S,
+		MaxDepth: cfg.MaxDepth,
+		Mode:     cfg.Mode,
+		MAC:      cfg.MAC,
+		Pool:     cfg.Pool,
 	})
 	s.Field = newField(s.Tree, cfg, &s.m2l)
 	if cfg.NumGPUs > 0 {

@@ -95,16 +95,11 @@ type Config struct {
 	// retry budget, per-phase deadlines) and the heartbeat failure
 	// detector. Zero fields select defaults.
 	Link LinkConfig
-	// OracleDetect reverts Execute-mode node-loss detection to the
-	// modeled oracle (the priced path's oracleDetectLatencies charge)
-	// instead of the measured heartbeat detector.
-	OracleDetect bool
 }
 
 // oracleDetectLatencies is the modeled failure-detection delay charged to
 // the step where a node loss is absorbed, in units of Net.Latency. Execute
-// mode measures detection with the heartbeat detector instead unless
-// OracleDetect is set.
+// mode measures detection with the heartbeat detector instead.
 const oracleDetectLatencies = 100
 
 // HomogeneousNodes returns n identical node specs.
@@ -186,7 +181,7 @@ type Solver struct {
 	rt  *Runtime
 	met *dmemMetrics
 	// det is the heartbeat failure detector, live during RunWith in
-	// Execute mode (unless Cfg.OracleDetect).
+	// Execute mode.
 	det *detector
 	// stepIdx is the next Solve's step index into the link-fault
 	// schedule (RunWith pins it to the run step).
@@ -197,6 +192,9 @@ type Solver struct {
 func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("dmem: no nodes configured")
+	}
+	if cfg.Core.P > sphharm.MaxOrder {
+		return nil, fmt.Errorf("dmem: expansion order %d above the supported %d", cfg.Core.P, sphharm.MaxOrder)
 	}
 	for _, ev := range cfg.NodeFaults {
 		if ev.Node < 0 || ev.Node >= len(cfg.Nodes) {
@@ -717,7 +715,7 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 	// fault event only silences the dead node's heartbeater, and the
 	// step loop blocks until suspicion crosses the threshold — measured
 	// detection, not the oracle.
-	if s.rt != nil && !s.Cfg.OracleDetect && len(s.Cfg.NodeFaults) > 0 {
+	if s.rt != nil && len(s.Cfg.NodeFaults) > 0 {
 		s.det = newDetector(len(s.Cfg.Nodes), s.Cfg.Link, s.Cfg.LinkFaults, s.Cfg.LinkSeed)
 		defer func() {
 			s.det.stop()

@@ -7,6 +7,7 @@ import (
 	"afmm/internal/core"
 	"afmm/internal/distrib"
 	"afmm/internal/fault"
+	"afmm/internal/sphharm"
 	"afmm/internal/vcpu"
 	"afmm/internal/vgpu"
 )
@@ -182,6 +183,16 @@ func TestNoNodesRejected(t *testing.T) {
 	sys := distrib.Plummer(100, 1, 1, 1)
 	if _, err := NewSolver(sys, Config{}); err == nil {
 		t.Fatal("empty cluster accepted")
+	}
+}
+
+// TestOrderAboveMaxRejected: an expansion order the harmonics cannot
+// evaluate is a configuration error, not a panic inside the solver.
+func TestOrderAboveMaxRejected(t *testing.T) {
+	cfg := clusterConfig(2)
+	cfg.Core.P = sphharm.MaxOrder + 1
+	if _, err := NewSolver(distrib.Plummer(100, 1, 1, 1), cfg); err == nil {
+		t.Fatalf("order %d accepted", cfg.Core.P)
 	}
 }
 

@@ -204,61 +204,41 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 
 // TestExecuteRunsSharedTable: the node engines and the single-node twin
 // both translate through the class table — one table per runtime, built
-// for the current list epoch, every class covered — and still end ==;
-// DisableM2LTable switches both to the reference form with the same bits.
+// for the current list epoch, every class covered — and still end ==.
 func TestExecuteRunsSharedTable(t *testing.T) {
 	const n = 1200
-	var ref []float64
-	for _, disable := range []bool{false, true} {
-		cfg := execClusterConfig(3)
-		cfg.Core.DisableM2LTable = disable
-		sysD := distrib.TwoClusters(n, 0.3, 1, 8, 0, 13)
-		sysS := distrib.TwoClusters(n, 0.3, 1, 8, 0, 13)
-		single := core.NewSolver(sysS, cfg.Core)
-		single.Solve()
-		d, err := NewSolver(sysD, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Solve()
+	cfg := execClusterConfig(3)
+	sysD := distrib.TwoClusters(n, 0.3, 1, 8, 0, 13)
+	sysS := distrib.TwoClusters(n, 0.3, 1, 8, 0, 13)
+	single := core.NewSolver(sysS, cfg.Core)
+	single.Solve()
+	d, err := NewSolver(sysD, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Solve()
 
-		classes, pairs, _, _ := single.M2LTableStats()
-		dClasses, dPairs, _, _ := d.Inner.M2LTableStats()
-		m2l := d.Inner.Field.(*core.GravityField).M2L
-		if disable {
-			if classes != 0 || m2l.Tab != nil {
-				t.Fatal("DisableM2LTable still built a table")
-			}
-		} else {
-			if classes == 0 || dClasses != classes || dPairs != pairs {
-				t.Fatalf("engine table has %d classes / %d pairs, twin %d / %d",
-					dClasses, dPairs, classes, pairs)
-			}
-			for c := 0; c < dClasses; c++ {
-				if !m2l.Tab.HasRot(c) {
-					t.Fatalf("class %d not covered by the engines' table", c)
-				}
-			}
-			for _, e := range d.rt.eng {
-				if e.Field.(*core.GravityField).M2L != m2l {
-					t.Fatal("a node engine does not share the solver's table")
-				}
-			}
+	classes, pairs, _, _ := single.M2LTableStats()
+	dClasses, dPairs, _, _ := d.Inner.M2LTableStats()
+	m2l := d.Inner.Field.(*core.GravityField).M2L
+	if classes == 0 || dClasses != classes || dPairs != pairs {
+		t.Fatalf("engine table has %d classes / %d pairs, twin %d / %d",
+			dClasses, dPairs, classes, pairs)
+	}
+	for c := 0; c < dClasses; c++ {
+		if !m2l.Tab.HasRot(c) {
+			t.Fatalf("class %d not covered by the engines' table", c)
 		}
-		for i := 0; i < n; i++ {
-			if sysD.Phi[i] != sysS.Phi[i] || sysD.Acc[i] != sysS.Acc[i] {
-				t.Fatalf("disable=%v body %d: distributed (%v, %v) != single (%v, %v)",
-					disable, i, sysD.Phi[i], sysD.Acc[i], sysS.Phi[i], sysS.Acc[i])
-			}
+	}
+	for _, e := range d.rt.eng {
+		if e.Field.(*core.GravityField).M2L != m2l {
+			t.Fatal("a node engine does not share the solver's table")
 		}
-		if ref == nil {
-			ref = append(ref, sysS.Phi...)
-		} else {
-			for i := range ref {
-				if ref[i] != sysS.Phi[i] {
-					t.Fatalf("phi[%d]: table %v != reference form %v", i, ref[i], sysS.Phi[i])
-				}
-			}
+	}
+	for i := 0; i < n; i++ {
+		if sysD.Phi[i] != sysS.Phi[i] || sysD.Acc[i] != sysS.Acc[i] {
+			t.Fatalf("body %d: distributed (%v, %v) != single (%v, %v)",
+				i, sysD.Phi[i], sysD.Acc[i], sysS.Phi[i], sysS.Acc[i])
 		}
 	}
 }

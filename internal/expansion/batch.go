@@ -71,7 +71,7 @@ func (w *Workspace) Sources4(n int) []M2LSource4 {
 // target with a fused multiply-add) contracts p*x + acc into one rounding
 // and the kernel's bits would depend on the architecture. The same holds
 // for every product below that feeds a sum. (P2M, M2M, L2L and L2P carry
-// no such points and still fuse off amd64; THEORY §14 has the counts.)
+// no such points and still fuse off amd64; THEORY §13 has the counts.)
 func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64, orderMajor bool) {
 	off, base := 0, 0 // degree n's block of half; Idx(n, 0)
 	for n := 0; n <= p; n++ {
@@ -112,7 +112,7 @@ func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64, orderMajor bool
 // stack satisfies w(m,m') = (-1)^{m+m'} w(m',m): forward = D back D,
 // D = diag((-1)^m). Both D are exact sign flips, folded into the phase
 // split and the axial write (the axial step is diagonal in the order k),
-// so one half stack serves both rotations (THEORY §14).
+// so one half stack serves both rotations (THEORY §13).
 //
 // The routine has two bodies: the AVX2 one (m2l_amd64.s) where the host
 // has it, the scalar one below otherwise and as the reference. They leave

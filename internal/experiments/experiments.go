@@ -18,7 +18,6 @@ import (
 
 	"afmm/internal/balance"
 	"afmm/internal/core"
-	"afmm/internal/costmodel"
 	"afmm/internal/distrib"
 	"afmm/internal/dmem"
 	"afmm/internal/geom"
@@ -51,8 +50,6 @@ type Params struct {
 	// Steps and Dt drive the time-dependent experiments.
 	Steps int
 	Dt    float64
-	// Quiet suppresses progress output hooks (reserved).
-	Quiet bool
 	// Trace, when non-nil, receives the telemetry JSONL trace of the
 	// dynamic experiments' headline run (Fig8's strategy-3 simulation,
 	// Fig10's FGO-enabled simulation).
@@ -582,12 +579,6 @@ func Fig10(p Params) ([]RatioPoint, float64) {
 		mean = sum / float64(n)
 	}
 	return pts, mean
-}
-
-// Counts re-exported for assertions in the harness tests.
-func opCounts(sol *core.Solver) costmodel.Counts {
-	sol.Tree.BuildLists()
-	return costmodel.FromTree(sol.Tree.CountOps())
 }
 
 // ClusterPoint is one node-count sample of the distributed weak-scaling

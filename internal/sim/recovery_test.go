@@ -67,28 +67,51 @@ func assertSameFinalState(t *testing.T, a, b *core.Solver) {
 	}
 }
 
-// TestFaultySimBitIdenticalViaFallback: a run that loses a device to
-// fail-stop and has another straggling completes through the host
-// fallback — no failed steps, no recoveries — and its trajectory is
-// bit-for-bit the fault-free one.
+// TestFaultySimBitIdenticalViaFallback: a run hit by any device fault the
+// cluster absorbs inside the step — fail-stop (with another device
+// straggling), hang, a 3x straggler, transient launch errors — completes
+// through retries and the host fallback, with no failed steps and no
+// recoveries, and its trajectory is bit-for-bit the fault-free one.
 func TestFaultySimBitIdenticalViaFallback(t *testing.T) {
 	const steps = 6
 	a := faultSolver(t, 2000, "", nil)
-	b := faultSolver(t, 2000, "gpu0:failstop@step2,gpu1:straggle2@step4", nil)
-	ra := RunGravity(a, pinnedCfg(steps))
-	rb := RunGravity(b, pinnedCfg(steps))
-	if ra.Err != nil || rb.Err != nil {
-		t.Fatalf("runs errored: %v / %v", ra.Err, rb.Err)
+	if ra := RunGravity(a, pinnedCfg(steps)); ra.Err != nil {
+		t.Fatalf("fault-free run errored: %v", ra.Err)
 	}
-	if rb.Recoveries != 0 {
-		t.Fatalf("fallback path took %d recoveries, want 0", rb.Recoveries)
-	}
-	if len(rb.Records) != steps {
-		t.Fatalf("got %d records, want %d", len(rb.Records), steps)
-	}
-	assertSameFinalState(t, a, b)
-	if rep := b.Cluster.LastReport(); rep.DeadDevices != 1 {
-		t.Fatalf("dead devices = %d, want 1", rep.DeadDevices)
+	for _, tc := range []struct {
+		name, spec string
+		// verdict is the per-chunk verdict the class must have delivered
+		// (None for a straggler, which is a device speed, not a verdict);
+		// dead and degraded are the cluster's device states after the run.
+		verdict        fault.Kind
+		dead, degraded int
+	}{
+		{"failstop", "gpu0:failstop@step2,gpu1:straggle2@step4", fault.FailStop, 1, 1},
+		{"hang", "gpu0:hang@step2", fault.Hang, 1, 0},
+		{"straggle3", "gpu1:straggle3@step2", fault.None, 0, 1},
+		{"transient", "gpu0:transient@step2", fault.Transient, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := faultSolver(t, 2000, tc.spec, nil)
+			rb := RunGravity(b, pinnedCfg(steps))
+			if rb.Err != nil {
+				t.Fatalf("faulted run errored: %v", rb.Err)
+			}
+			if rb.Recoveries != 0 {
+				t.Fatalf("fallback path took %d recoveries, want 0", rb.Recoveries)
+			}
+			if len(rb.Records) != steps {
+				t.Fatalf("got %d records, want %d", len(rb.Records), steps)
+			}
+			assertSameFinalState(t, a, b)
+			if tc.verdict != fault.None && b.Cfg.Faults.FiredCount(tc.verdict) == 0 {
+				t.Fatalf("no %s verdict was delivered", tc.name)
+			}
+			if rep := b.Cluster.LastReport(); rep.DeadDevices != tc.dead || rep.DegradedDevices != tc.degraded {
+				t.Fatalf("dead / degraded devices = %d / %d, want %d / %d",
+					rep.DeadDevices, rep.DegradedDevices, tc.dead, tc.degraded)
+			}
+		})
 	}
 }
 

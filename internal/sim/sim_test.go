@@ -165,8 +165,8 @@ func TestGravityListCacheBitForBit(t *testing.T) {
 			Kernel:  kernels.Gravity{G: 1, Softening: 0.005},
 		}
 		cfg.CPU.Cores = 10
-		cfg.DisableListCache = disableCache
 		s := core.NewSolver(sys, cfg)
+		s.Tree.Cfg.NoListCache = disableCache // octree.Build built no lists yet
 		return s, RunGravity(s, simCfg(balance.StrategyFull, 40))
 	}
 	cached, resCached := run(false)
@@ -226,8 +226,8 @@ func TestStokesListCacheBitForBit(t *testing.T) {
 			Kernel:  kernels.Stokeslet{Mu: 1, Eps: 1e-3},
 		}
 		cfg.CPU.Cores = 10
-		cfg.DisableListCache = disableCache
 		s := stokes.NewSolver(sys, cfg)
+		s.Tree.Cfg.NoListCache = disableCache // octree.Build built no lists yet
 		return s, RunStokes(s, bs, simCfg(balance.StrategyFull, 25))
 	}
 	cached, resCached := run(false)

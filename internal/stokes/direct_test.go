@@ -69,10 +69,8 @@ func TestDirectPairsBitIdenticalAcrossPaths(t *testing.T) {
 	}
 	want := accHash(ref.Sys)
 	for name, mut := range map[string]func(cfg *Config){
-		"vgpu":          func(cfg *Config) { cfg.NumGPUs = 2 },
-		"one-worker":    func(cfg *Config) { cfg.Pool = sched.NewPool(1) },
-		"no-list-cache": func(cfg *Config) { cfg.DisableListCache = true },
-		"no-m2l-table":  func(cfg *Config) { cfg.DisableM2LTable = true },
+		"vgpu":       func(cfg *Config) { cfg.NumGPUs = 2 },
+		"one-worker": func(cfg *Config) { cfg.Pool = sched.NewPool(1) },
 	} {
 		if h := accHash(solve(directK, mut).Sys); h != want {
 			t.Fatalf("%s: hash %#x, cpu %#x", name, h, want)

@@ -95,12 +95,11 @@ type variant struct {
 // gpus-reserved pins the driver-slot reservation at its tightest (three
 // workers: one far slot beside the two reserved ones).
 var (
-	cpuOnly    = variant{"cpu-only", func(cfg *Config) {}}
-	oneGPU     = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
-	gpus       = variant{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
-	gpusTight  = variant{"gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
-	noM2LTable = variant{"no-m2l-table", func(cfg *Config) { cfg.DisableM2LTable = true }}
-	rotated    = variant{"rotated", func(cfg *Config) { cfg.UseRotatedTranslations = true }}
+	cpuOnly   = variant{"cpu-only", func(cfg *Config) {}}
+	oneGPU    = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
+	gpus      = variant{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
+	gpusTight = variant{"gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
+	rotated   = variant{"rotated", func(cfg *Config) { cfg.UseRotatedTranslations = true }}
 )
 
 // graphMatchesSerial solves each variant on each pool size through the
@@ -143,7 +142,7 @@ func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, gpus, noM2LTable)
+			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, gpus)
 		})
 	}
 	// A fail-stop device loss recovered by the host fallback: the recovery

@@ -61,14 +61,12 @@ type Config struct {
 	// SkipFarField disables far-field numerics (timing-only harnesses).
 	SkipFarField           bool
 	UseRotatedTranslations bool
-	DisableListCache       bool
 	// TaskGraph is accepted and ignored (see core.Config).
-	TaskGraph       bool
-	DisableM2LTable bool
-	Rec             *telemetry.Recorder
-	Validate        bool
-	Faults          *fault.Injector
-	Watchdog        vgpu.WatchdogConfig
+	TaskGraph bool
+	Rec       *telemetry.Recorder
+	Validate  bool
+	Faults    *fault.Injector
+	Watchdog  vgpu.WatchdogConfig
 }
 
 func (c *Config) setDefaults() {
@@ -112,8 +110,6 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 		Profile:                core.StokesProfile(),
 		SkipFarField:           cfg.SkipFarField,
 		UseRotatedTranslations: cfg.UseRotatedTranslations,
-		DisableListCache:       cfg.DisableListCache,
-		DisableM2LTable:        cfg.DisableM2LTable,
 		Rec:                    cfg.Rec, Validate: cfg.Validate,
 		Faults: cfg.Faults, Watchdog: cfg.Watchdog,
 	}, func(t *octree.Tree, c core.Config, m2l *core.SharedM2L) core.Field {
