@@ -156,27 +156,3 @@ func BenchmarkExtensionEndpointOffload(b *testing.B) {
 		b.ReportMetric(rich, "gain-10c4g")
 	}
 }
-
-// BenchmarkAblationRotatedTranslations measures the real (host) wall time
-// of a full far-field evaluation with the direct O(p^4) operators vs the
-// rotation-accelerated O(p^3) ones at a production order.
-func BenchmarkAblationRotatedTranslations(b *testing.B) {
-	for _, rotated := range []bool{false, true} {
-		name := "direct-p10"
-		if rotated {
-			name = "rotated-p10"
-		}
-		b.Run(name, func(b *testing.B) {
-			sys := distrib.Plummer(4000, 1, 1, 42)
-			s := afmm.NewGravitySolver(sys, afmm.GravityConfig{
-				P: 10, S: 32, NumGPUs: 1,
-				SkipNearField:          true,
-				UseRotatedTranslations: rotated,
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Solve()
-			}
-		})
-	}
-}

@@ -34,7 +34,8 @@ func accHash(sys *particle.System) uint64 {
 // TestDirectKZeroKeepsParentBits: with the threshold forced to 0 the
 // mechanism selects nothing, and the solve reproduces, bit for bit, the
 // accelerations of the commit before the per-pair operator choice existed
-// (hash recorded there: Plummer N=1500 seed 7, p=6, S=16).
+// (Plummer N=1500 seed 7, p=6, S=16) — as re-recorded when M2M and L2L
+// moved onto the translation kernel, the one change of bits since.
 func TestDirectKZeroKeepsParentBits(t *testing.T) {
 	sys := distrib.Plummer(1500, 1, 1, 7)
 	s := NewSolver(sys, Config{P: 6, S: 16})
@@ -43,7 +44,7 @@ func TestDirectKZeroKeepsParentBits(t *testing.T) {
 	if sch := s.Tree.NearField(); sch.DirectPairs != 0 {
 		t.Fatalf("K=0 selected %d pairs", sch.DirectPairs)
 	}
-	const parent = 0x234f9fa98830970c
+	const parent uint64 = 0xf476db998a44cff7
 	if h := accHash(sys); h != parent {
 		t.Fatalf("K=0 accelerations hash %#x, parent commit %#x", h, parent)
 	}

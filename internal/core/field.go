@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"afmm/internal/expansion"
 	"afmm/internal/geom"
@@ -82,11 +83,8 @@ type Cells struct {
 	Tree *octree.Tree
 	Sys  *particle.System
 	P    int
-	// Rotated routes M2M/L2L through the O(p^3) rotation-accelerated
-	// operators (Config.UseRotatedTranslations).
-	Rotated bool
-	// M2L is the translation table of Tree's lists: prepared by the
-	// step's driver before any Down runs, read-only afterwards.
+	// M2L holds the translation tables of Tree's lists and levels: prepared
+	// by the step's driver before any Up or Down runs, read-only afterwards.
 	M2L *SharedM2L
 
 	packed         int
@@ -94,9 +92,9 @@ type Cells struct {
 }
 
 // NewCells returns the shared state of a width-column field.
-func NewCells(t *octree.Tree, sys *particle.System, p, width int, rotated bool, m2l *SharedM2L) Cells {
+func NewCells(t *octree.Tree, sys *particle.System, p, width int, m2l *SharedM2L) Cells {
 	return Cells{
-		Tree: t, Sys: sys, P: p, Rotated: rotated, M2L: m2l,
+		Tree: t, Sys: sys, P: p, M2L: m2l,
 		packed: sphharm.PackedLen(p),
 		mpoles: make([][]complex128, width),
 		locals: make([][]complex128, width),
@@ -124,50 +122,50 @@ func (c *Cells) Reset() {
 
 // Mpole and Local return column k of cell ni's multipole / local
 // expansion, aliasing the slab.
-func (c *Cells) Mpole(k int, ni int32) expansion.Expansion {
-	off := int(ni) * c.packed
-	return expansion.Expansion{P: c.P, C: c.mpoles[k][off : off+c.packed]}
-}
+func (c *Cells) Mpole(k int, ni int32) expansion.Expansion { return c.cell(c.mpoles[k], ni) }
+func (c *Cells) Local(k int, ni int32) expansion.Expansion { return c.cell(c.locals[k], ni) }
 
-func (c *Cells) Local(k int, ni int32) expansion.Expansion {
+func (c *Cells) cell(slab []complex128, ni int32) expansion.Expansion {
 	off := int(ni) * c.packed
-	return expansion.Expansion{P: c.P, C: c.locals[k][off : off+c.packed]}
+	return expansion.Expansion{P: c.P, C: slab[off : off+c.packed]}
 }
 
 // M2M accumulates the occupied children's multipoles into cell ni's,
-// column by column.
+// child by child in slot order.
 func (c *Cells) M2M(w *expansion.Workspace, ni int32) {
 	t := c.Tree
 	n := &t.Nodes[ni]
-	for k := range c.mpoles {
-		m := c.Mpole(k, ni)
-		for _, ci := range n.Children {
-			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-				if c.Rotated {
-					w.M2MRotated(m, n.Box.Center, c.Mpole(k, ci), t.Nodes[ci].Box.Center)
-				} else {
-					w.M2M(m, n.Box.Center, c.Mpole(k, ci), t.Nodes[ci].Box.Center)
-				}
-			}
+	for slot, ci := range n.Children {
+		if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
+			c.shift(w, c.mpoles, ni, ci, expansion.ShiftM2M, slot, n.Box.Half/2)
 		}
 	}
 }
 
-// L2L shifts the parent's locals into cell ni's, column by column; the
-// root has none to shift.
+// L2L shifts the parent's locals into cell ni's; the root has none to
+// shift.
 func (c *Cells) L2L(w *expansion.Workspace, ni int32) {
 	t := c.Tree
-	n := &t.Nodes[ni]
-	parent := n.Parent
-	if parent == octree.NilNode {
+	if parent := t.Nodes[ni].Parent; parent != octree.NilNode {
+		pn := &t.Nodes[parent]
+		c.shift(w, c.locals, ni, parent, expansion.ShiftL2L, slices.Index(pn.Children[:], ni), pn.Box.Half/2)
+	}
+}
+
+// shift accumulates into cell dst's expansions in slabs the kind
+// translation of cell src's (expansion.Workspace.ChildShift): at width 4
+// in one four-column pass, else column by column.
+func (c *Cells) shift(w *expansion.Workspace, slabs [][]complex128, dst, src int32, kind expansion.Shift, slot int, h float64) {
+	if len(slabs) == 4 {
+		var d, s [4]expansion.Expansion
+		for k := range d {
+			d[k], s[k] = c.cell(slabs[k], dst), c.cell(slabs[k], src)
+		}
+		w.ChildShift4(&d, &s, kind, slot, h, &c.M2L.Shifts)
 		return
 	}
-	for k := range c.locals {
-		if c.Rotated {
-			w.L2LRotated(c.Local(k, ni), n.Box.Center, c.Local(k, parent), t.Nodes[parent].Box.Center)
-		} else {
-			w.L2L(c.Local(k, ni), n.Box.Center, c.Local(k, parent), t.Nodes[parent].Box.Center)
-		}
+	for _, slab := range slabs {
+		w.ChildShift(c.cell(slab, dst), c.cell(slab, src), kind, slot, h, &c.M2L.Shifts)
 	}
 }
 
@@ -229,12 +227,12 @@ type GravityField struct {
 }
 
 // NewGravityField returns the gravity field of t's cells and sys's bodies.
-func NewGravityField(t *octree.Tree, sys *particle.System, p int, k kernels.Gravity, rotated bool, m2l *SharedM2L) *GravityField {
-	return &GravityField{Cells: NewCells(t, sys, p, 1, rotated, m2l), Kernel: k}
+func NewGravityField(t *octree.Tree, sys *particle.System, p int, k kernels.Gravity, m2l *SharedM2L) *GravityField {
+	return &GravityField{Cells: NewCells(t, sys, p, 1, m2l), Kernel: k}
 }
 
 func (f *GravityField) Private() Field {
-	return NewGravityField(f.Tree, f.Sys, f.P, f.Kernel, f.Rotated, f.M2L)
+	return NewGravityField(f.Tree, f.Sys, f.P, f.Kernel, f.M2L)
 }
 
 func (f *GravityField) Up(w *expansion.Workspace, ni int32) {

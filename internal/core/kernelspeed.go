@@ -7,9 +7,9 @@ import (
 	"afmm/internal/telemetry"
 )
 
-// Kernel-speed layer: the shared M2L translation-class table, prepared
-// once per Solve, before the step graph runs, so workers only ever read
-// settled state, and the translate-or-sum threshold.
+// Kernel-speed layer: the shared translation tables, prepared once per
+// Solve, before the step graph runs, so workers only ever read settled
+// state, and the translate-or-sum threshold.
 
 // DirectK is the gravity solver's break-even threshold, handed to
 // octree.Tree.SetDirectK: an accepted leaf–leaf pair with n_t·n_s <=
@@ -46,14 +46,16 @@ func DirectK(p int) int64 {
 
 // SharedM2L is the factored M2L operator table (expansion.M2LTable) of one
 // tree's current interaction lists, with the class schedule it was built
-// from and the list epoch it is valid for. One value serves one tree: a
-// Solver holds it, its Field and the dmem nodes' private fields translate
-// through it, and whoever drives the step (Solve, or the dmem runtime)
-// prepares it before the workers start.
+// from and the list epoch it is valid for, and the M2M/L2L rows of the
+// tree's levels. One value serves one tree: a Solver holds it, its Field
+// and the dmem nodes' private fields translate through it, and whoever
+// drives the step (Solve, or the dmem runtime) prepares it before the
+// workers start.
 type SharedM2L struct {
-	Tab   *expansion.M2LTable
-	Cls   *octree.M2LClassSchedule
-	epoch uint64
+	Tab    *expansion.M2LTable
+	Cls    *octree.M2LClassSchedule
+	Shifts expansion.ShiftRows
+	epoch  uint64
 	// gen and planned are the schedule's Gen and class count the table
 	// was last planned or extended for.
 	gen     uint64
@@ -65,12 +67,13 @@ type SharedM2L struct {
 // pool, invalidated by the list epoch. When the schedule kept its class
 // numbering (same Gen: a list repair only appended classes) the table is
 // extended by the new classes instead of re-planned. use == false drops
-// the table, so M2L falls back to the uncached reference form.
+// the tables, so the translations fall back to the uncached forms.
 func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *telemetry.Recorder, use bool) {
 	if !use {
 		*m = SharedM2L{}
 		return
 	}
+	m.Shifts.Cover(p, t.Nodes[t.Root].Box.Half/2, t.Cfg.MaxDepth) // every level a parent can sit at
 	rebuilt := false
 	if m.Tab == nil || m.epoch != t.ListEpoch() {
 		cls := t.M2LClasses()

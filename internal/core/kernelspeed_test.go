@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"afmm/internal/distrib"
+	"afmm/internal/expansion"
 	"afmm/internal/particle"
 	"afmm/internal/telemetry"
 )
@@ -121,5 +122,30 @@ func TestSolveAllocationCeiling(t *testing.T) {
 		t.Errorf("warmed Solve makes %.0f allocations, ceiling %d", got, ceiling)
 	} else {
 		t.Logf("%.0f allocations per warmed Solve", got)
+	}
+}
+
+// TestCellShiftsAllocationFree: after the first step has prepared the
+// level rows, a field's M2M and L2L over the whole tree allocate nothing,
+// at width 1 (gravity) and width 4 (the Stokeslet's layout).
+func TestCellShiftsAllocationFree(t *testing.T) {
+	s := NewSolver(distrib.Plummer(2000, 1, 1, 3), Config{P: 6, S: 32})
+	s.Solve()
+	w := expansion.NewWorkspace(s.Cfg.P)
+	wide := NewCells(s.Tree, s.Sys, s.Cfg.P, 4, &s.m2l)
+	wide.Reset()
+	for _, c := range []*Cells{&s.Field.(*GravityField).Cells, &wide} {
+		sweep := func() {
+			for ni := range s.Tree.Nodes {
+				if n := &s.Tree.Nodes[ni]; n.Count() > 0 && !n.IsVisibleLeaf() {
+					c.M2M(w, int32(ni))
+				}
+				c.L2L(w, int32(ni))
+			}
+		}
+		sweep() // the first four-column call makes the scratch
+		if a := testing.AllocsPerRun(5, sweep); a != 0 {
+			t.Errorf("width %d: M2M and L2L over the tree allocate %v times, want 0", c.Width(), a)
+		}
 	}
 }

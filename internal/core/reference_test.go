@@ -12,6 +12,7 @@ import (
 	"afmm/internal/octree"
 	"afmm/internal/particle"
 	"afmm/internal/sched"
+	"afmm/internal/sphharm"
 	"afmm/internal/telemetry"
 )
 
@@ -20,10 +21,10 @@ import (
 // order, up sweep from the deepest level, down sweep from the root, leaf
 // evaluation — with no dag, no sched and no M2L table (s never Solves, so
 // its field translates through the uncached reference form).
-func serialStep(s *Solver) { sweep(s, s.Field.Down) }
+func serialStep(s *Solver) { sweep(s, s.Field.Up, s.Field.Down) }
 
-// sweep runs the step serially with down as the down-sweep operator.
-func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
+// sweep runs the step serially with up and down as the sweep operators.
+func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	t, f := s.Tree, s.Field
 	t.BuildLists()
 	sch := t.NearField()
@@ -36,7 +37,7 @@ func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
 	levels := t.LevelOrder()
 	for lv := len(levels) - 1; lv >= 0; lv-- {
 		for _, ni := range levels[lv] {
-			f.Up(w, ni)
+			up(w, ni)
 		}
 	}
 	for _, nodes := range levels {
@@ -49,37 +50,103 @@ func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
 	}
 }
 
-// perPairStep is serialStep with the down operator of the paper's task
-// recursion: one direct (or rotated) M2L per translated V pair and column,
-// written against the field's slabs (both kernels' fields embed Cells) —
-// the operator the batched table kernel is compared with, to rounding: the
-// two share no arithmetic.
-func perPairStep(s *Solver, rotated bool) {
+// perPairStep is serialStep with the operators of the paper's task
+// recursion: per child one direct O(p^4) M2M, per cell one direct L2L and
+// per translated V pair one direct M2L, column by column, written against
+// the field's slabs (both kernels' fields embed Cells) — the reference the
+// translation kernel is compared with, to rounding: the two share no
+// arithmetic.
+func perPairStep(s *Solver) {
 	f := s.Field.(interface {
 		Field
 		Mpole(k int, ni int32) expansion.Expansion
 		Local(k int, ni int32) expansion.Expansion
-		L2L(w *expansion.Workspace, ni int32)
 	})
 	t := s.Tree
-	sweep(s, func(w *expansion.Workspace, ni int32) {
+	up := func(w *expansion.Workspace, ni int32) {
 		n := &t.Nodes[ni]
-		f.L2L(w, ni)
+		if n.IsVisibleLeaf() {
+			f.Up(w, ni) // P2M
+			return
+		}
+		for _, ci := range n.Children {
+			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
+				for k := 0; k < f.Width(); k++ {
+					directM2M(f.Mpole(k, ni), n.Box.Center, f.Mpole(k, ci), t.Nodes[ci].Box.Center)
+				}
+			}
+		}
+	}
+	sweep(s, up, func(w *expansion.Workspace, ni int32) {
+		n := &t.Nodes[ni]
+		if pi := n.Parent; pi != octree.NilNode {
+			for k := 0; k < f.Width(); k++ {
+				directL2L(f.Local(k, ni), n.Box.Center, f.Local(k, pi), t.Nodes[pi].Box.Center)
+			}
+		}
 		direct := t.DirectMask(ni)
 		for k := 0; k < f.Width(); k++ {
 			for j, vi := range n.V {
 				if direct[j] {
 					continue // summed by the near-field schedule
 				}
-				if rotated {
-					w.M2LRotated(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
-				} else {
-					w.M2L(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
-				}
+				w.M2L(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
 			}
 		}
 	})
 }
+
+// directM2M and directL2L are the O(p^4) M2M and L2L the tree ran before
+// both went through the translation kernel (internal/expansion keeps the
+// same forms as its oracle): m += the child multipole o at from,
+// translated to to; l += the parent local o at from, translated to to.
+func directM2M(m expansion.Expansion, to geom.Vec3, o expansion.Expansion, from geom.Vec3) {
+	p, t := m.P, sphharm.NewTables(m.P)
+	reg := make([]complex128, sphharm.PackedLen(p))
+	expansion.Regular(p, from.Sub(to), reg)
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			var acc complex128
+			for n := 0; n <= j; n++ {
+				for mm := max(-n, k-(j-n)); mm <= min(n, k+(j-n)); mm++ {
+					acc += packed(o.C, j-n, k-mm) * sphharm.IPow(abs(k)-abs(mm)-abs(k-mm)) *
+						complex(t.Anm(n, mm)*t.Anm(j-n, k-mm), 0) * packed(reg, n, -mm)
+				}
+			}
+			m.C[sphharm.Idx(j, k)] += acc / complex(t.Anm(j, k), 0)
+		}
+	}
+}
+
+func directL2L(l expansion.Expansion, to geom.Vec3, o expansion.Expansion, from geom.Vec3) {
+	p, t := l.P, sphharm.NewTables(l.P)
+	reg := make([]complex128, sphharm.PackedLen(p))
+	expansion.Regular(p, from.Sub(to), reg)
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			var acc complex128
+			for n := j; n <= p; n++ {
+				neg := float64(1 - 2*((n+j)%2))
+				for mm := max(-n, k-(n-j)); mm <= min(n, k+(n-j)); mm++ {
+					acc += packed(o.C, n, mm) * sphharm.IPow(abs(mm)-abs(mm-k)-abs(k)) *
+						complex(t.Anm(n-j, mm-k)*t.Anm(j, k)*neg/t.Anm(n, mm), 0) * packed(reg, n-j, mm-k)
+				}
+			}
+			l.C[sphharm.Idx(j, k)] += acc
+		}
+	}
+}
+
+// packed returns coefficient (n, m) of a packed Hermitian expansion.
+func packed(e []complex128, n, m int) complex128 {
+	if m >= 0 {
+		return e[sphharm.Idx(n, m)]
+	}
+	c := e[sphharm.Idx(n, -m)]
+	return complex(real(c), -imag(c))
+}
+
+func abs(x int) int { return max(x, -x) }
 
 // assertBitIdentical compares the two systems' potentials and
 // accelerations bit for bit: a schedule must not change a single ulp.
@@ -201,12 +268,12 @@ func graphMatchesSerialUnderFailStop(t *testing.T) {
 	}
 }
 
-// agreesWithRecursion holds a solve to the per-pair operator at the
-// to-rounding tolerance the batched kernel has always been held to.
+// agreesWithRecursion holds a solve to the per-pair operators at the
+// to-rounding tolerance the translation kernel has always been held to.
 func agreesWithRecursion(t *testing.T, s, ref *Solver) {
 	t.Helper()
 	s.Solve()
-	perPairStep(ref, ref.Cfg.UseRotatedTranslations)
+	perPairStep(ref)
 	accA, accB := s.Sys.AccInInputOrder(), ref.Sys.AccInInputOrder()
 	phiA, phiB := s.Sys.PhiInInputOrder(), ref.Sys.PhiInInputOrder()
 	for i := range accA {
@@ -219,13 +286,12 @@ func agreesWithRecursion(t *testing.T, s, ref *Solver) {
 	}
 }
 
-// TestSweepModesAgree: the batched, table-driven M2L of the step graph
-// against the per-pair direct (or rotated) operator of the paper's task
-// recursion — what the deleted recursive sweep mode executed.
-func TestSweepModesAgree(t *testing.T) {
+// TestKernelMatchesPerPairDirect: the step graph's translations — M2M,
+// table-driven M2L and L2L, all through the one translation kernel —
+// against the per-pair direct operators of the paper's task recursion.
+func TestKernelMatchesPerPairDirect(t *testing.T) {
 	for _, v := range []variant{
 		{"direct", func(cfg *Config) {}},
-		{"rotated", func(cfg *Config) { cfg.UseRotatedTranslations = true }},
 		{"uniform", func(cfg *Config) { cfg.Mode = octree.Uniform }},
 		{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
 	} {
@@ -243,9 +309,9 @@ func TestSweepModesAgree(t *testing.T) {
 	}
 }
 
-// TestSweepModesAgreeAfterTreeEdits: the same agreement on a tree the
-// balancer has edited (move, Refill + EnforceS).
-func TestSweepModesAgreeAfterTreeEdits(t *testing.T) {
+// TestKernelMatchesPerPairDirectAfterTreeEdits: the same agreement on a
+// tree the balancer has edited (move, Refill + EnforceS).
+func TestKernelMatchesPerPairDirectAfterTreeEdits(t *testing.T) {
 	sys := distrib.Plummer(800, 1, 1, 23)
 	cfg := Config{P: 6, S: 24}
 	s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)

@@ -78,13 +78,6 @@ type Config struct {
 	// device timing model still runs. With both Skip flags set a Solve
 	// is a pure timing dry run (no forces are produced).
 	SkipNearField bool
-	// UseRotatedTranslations switches M2M/L2L to the O(p^3)
-	// rotation-accelerated ("point and shoot") operators (M2L always runs
-	// the batched rotated kernel). Numerically equivalent to the direct
-	// O(p^4) operators up to rounding; faster for P >= ~6. The
-	// virtual-machine cost model is unchanged (the paper's implementation
-	// uses direct translations), so this only affects host wall time.
-	UseRotatedTranslations bool
 	// TaskGraph is accepted and ignored: every solve runs the step graph.
 	// The field survives only because benchmark/workloads.go, which a
 	// non-benchmark change may not edit, sets it in keyed literals; no code
@@ -196,7 +189,7 @@ type Solver struct {
 // cluster.
 func NewSolver(sys *particle.System, cfg Config) *Solver {
 	s := NewSolverWith(sys, cfg, func(t *octree.Tree, c Config, m2l *SharedM2L) Field {
-		return NewGravityField(t, sys, c.P, c.Kernel, c.UseRotatedTranslations, m2l)
+		return NewGravityField(t, sys, c.P, c.Kernel, m2l)
 	})
 	s.Tree.SetDirectK(DirectK(s.Cfg.P))
 	return s

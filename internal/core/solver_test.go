@@ -199,25 +199,6 @@ func TestOffloadEndpointsShiftsTime(t *testing.T) {
 	}
 }
 
-func TestRotatedTranslationsMatchDirect(t *testing.T) {
-	// The O(p^3) rotation-accelerated path must agree with the direct
-	// O(p^4) operators to rounding across a full solve.
-	sysA := distrib.Plummer(1000, 1, 1, 17)
-	sysB := sysA.Clone()
-	a := NewSolver(sysA, Config{P: 10, S: 16, NumGPUs: 1})
-	b := NewSolver(sysB, Config{P: 10, S: 16, NumGPUs: 1, UseRotatedTranslations: true})
-	a.Solve()
-	b.Solve()
-	accA := sysA.AccInInputOrder()
-	accB := sysB.AccInInputOrder()
-	for i := range accA {
-		if accA[i].Sub(accB[i]).Norm() > 1e-9*(1+accA[i].Norm()) {
-			t.Fatalf("rotated path diverged at body %d: %v vs %v",
-				i, accA[i], accB[i])
-		}
-	}
-}
-
 func TestEstimateErrorTracksOrderAndMAC(t *testing.T) {
 	mk := func(p int, mac float64) ErrorBound {
 		sys := distrib.Plummer(2000, 1, 1, 23)

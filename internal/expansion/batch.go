@@ -9,9 +9,10 @@ import (
 // batch forms run one kernel, m2lApply, over the per-direction setup of
 // the rotation-accelerated translation — the half Wigner stack for the
 // polar angle theta, the azimuthal phases e^{i m phi} and the radial
-// powers 1/rho^k. M2LBatchTable (the production form) reads the setup from
-// the shared class table; M2LBatch (the reference form) computes it per
-// source into the workspace scratch.
+// powers 1/rho^k — with the M2L axial row (axialBase). M2LBatchTable (the
+// production form) reads the setup from the shared class table; M2LBatch
+// (the reference form) computes it per source into the workspace scratch.
+// M2M and L2L run the same kernel with their own axial rows (rotation.go).
 //
 // The kernel has two widths. Width 1 (m2lApply) translates one expansion;
 // width 4 (m2lApply4, table form M2LBatchTable4) translates four
@@ -70,8 +71,8 @@ func (w *Workspace) Sources4(n int) []M2LSource4 {
 // conversions are rounding points: without them arm64 (and any other
 // target with a fused multiply-add) contracts p*x + acc into one rounding
 // and the kernel's bits would depend on the architecture. The same holds
-// for every product below that feeds a sum. (P2M, M2M, L2L and L2P carry
-// no such points and still fuse off amd64; THEORY §13 has the counts.)
+// for every product below that feeds a sum. (P2M and L2P carry no such
+// points and still fuse off amd64; THEORY §13 has the counts.)
 func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64, orderMajor bool) {
 	off, base := 0, 0 // degree n's block of half; Idx(n, 0)
 	for n := 0; n <= p; n++ {
@@ -101,25 +102,27 @@ func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64, orderMajor bool
 	}
 }
 
-// m2lApply is the one M2L inner routine: rotate the source coefficients so
-// the translation vector lies along +z, translate axially, rotate back,
+// m2lApply is the one translation routine: rotate the source coefficients
+// so the translation vector lies along +z, translate axially, rotate back,
 // and accumulate into l — in real arithmetic on split re/im scratch. half
 // is the half Wigner stack of the vector's theta, zph its e^{im phi}
-// (m = 0..p), rpow its rho^-(i+1) (i = 0..2p+1, followed by laneSlack
-// readable floats).
+// (m = 0..p), ax the axial row (laneRowInto's layout) and rpow the radial
+// powers its factors are multiplied by (i = 0..2p+1, followed by laneSlack
+// readable floats): for M2L axialBase and rho^-(i+1), for M2M and L2L a
+// row with the powers folded in and ones (rotation.go).
 //
 // The forward rotation is the back rotation's transpose, and the signed
 // stack satisfies w(m,m') = (-1)^{m+m'} w(m',m): forward = D back D,
 // D = diag((-1)^m). Both D are exact sign flips, folded into the phase
-// split and the axial write (the axial step is diagonal in the order k),
+// split and the axial write (every axial step is diagonal in the order k),
 // so one half stack serves both rotations (THEORY §13).
 //
 // The routine has two bodies: the AVX2 one (m2l_amd64.s) where the host
 // has it, the scalar one below otherwise and as the reference. They leave
 // the same bits in l.
-func (w *Workspace) m2lApply(l Expansion, src []complex128, half []float64, zph []complex128, rpow []float64) {
+func (w *Workspace) m2lApply(l Expansion, src []complex128, half []float64, zph []complex128, rpow, ax []float64) {
 	if packedOK {
-		w.m2lPacked(l, src, half, zph, rpow)
+		w.m2lPacked(l, src, half, zph, rpow, ax)
 		return
 	}
 	p := l.P
@@ -140,29 +143,41 @@ func (w *Workspace) m2lApply(l Expansion, src []complex128, half []float64, zph 
 
 	rotateHalf(p, bRe, bIm, aRe, aIm, half, false)
 
-	// Axial M2L along +z, written order-major:
-	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}
-	axb := w.axb
-	for j := 0; j <= p; j++ {
-		ko := 0 // order k's run of a, j = k..p
-		for k := 0; k <= j; k++ {
-			cnt := p - k + 1
-			ab, rp := axb[:cnt], rpow[j+k:][:cnt]
-			axb = axb[cnt:]
-			var ar, ai float64
+	// Axial step along +z, written order-major; for M2L
+	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}.
+	// The row is walked in its own order, laneWidth degrees j = j0.. of
+	// order k at a time (a lane past p sums +0 terms and is not stored).
+	rpow = rpow[:2*p+2+laneSlack]
+	ko := 0 // order k's run of a, j = k..p
+	for k := 0; k <= p; k++ {
+		cnt := p - k + 1
+		for j0 := k; j0 <= p; j0 += laneWidth {
+			var r0, r1, r2, r3, i0, i1, i2, i3 float64
 			q := sphharm.Idx(k, k)
-			for i, a := range ab { // n = k+i
-				c := a * rp[i]
-				ar += float64(c * bRe[q])
-				ai += float64(c * bIm[q])
+			for i := 0; i < cnt; i++ { // n = k+i
+				ab, rp := ax[:laneWidth], rpow[j0+k+i:][:laneWidth]
+				ax = ax[laneWidth:]
+				x, y := bRe[q], bIm[q]
+				c0, c1, c2, c3 := ab[0]*rp[0], ab[1]*rp[1], ab[2]*rp[2], ab[3]*rp[3]
+				r0 += float64(c0 * x)
+				r1 += float64(c1 * x)
+				r2 += float64(c2 * x)
+				r3 += float64(c3 * x)
+				i0 += float64(c0 * y)
+				i1 += float64(c1 * y)
+				i2 += float64(c2 * y)
+				i3 += float64(c3 * y)
 				q += k + i + 1
 			}
-			if k%2 == 1 {
-				ar, ai = -ar, -ai
+			ar, ai := [laneWidth]float64{r0, r1, r2, r3}, [laneWidth]float64{i0, i1, i2, i3}
+			for l := 0; l < laneWidth && j0+l <= p; l++ {
+				if k%2 == 1 {
+					ar[l], ai[l] = -ar[l], -ai[l]
+				}
+				aRe[ko+j0+l-k], aIm[ko+j0+l-k] = ar[l], ai[l]
 			}
-			aRe[ko+j-k], aIm[ko+j-k] = ar, ai
-			ko += cnt
 		}
+		ko += cnt
 	}
 
 	rotateHalf(p, bRe, bIm, aRe, aIm, half, true)
@@ -219,11 +234,10 @@ func rotateHalf4(p int, outRe, outIm, inRe, inIm [][4]float64, half []float64, o
 }
 
 // m2lApply4 is m2lApply over four columns: src[c] translates into l[c]
-// through one pass over half, zph and rpow. The axial coefficient
-// ab[i]*rp[i] and each phase pair are computed once per term and applied to
-// all four columns; per column the operations and their order are
-// m2lApply's.
-func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []complex128, rpow []float64) {
+// through one pass over half, zph, rpow and ax. The axial coefficient and
+// each phase pair are computed once per term and applied to all four
+// columns; per column the operations and their order are m2lApply's.
+func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []complex128, rpow, ax []float64) {
 	p := l[0].P
 	r := w.rot
 	pl := sphharm.PackedLen(p)
@@ -232,7 +246,7 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 		r.aRe4, r.aIm4, r.bRe4, r.bIm4 = split[:pl], split[pl:2*pl], split[2*pl:3*pl], split[3*pl:]
 	}
 	if packedOK {
-		w.m2lPacked4(l, src, half, zph, rpow)
+		w.m2lPacked4(l, src, half, zph, rpow, ax)
 		return
 	}
 	aRe, aIm, bRe, bIm := r.aRe4, r.aIm4, r.bRe4, r.bIm4
@@ -258,18 +272,16 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 
 	rotateHalf4(p, bRe, bIm, aRe, aIm, half, false)
 
-	// Axial M2L along +z (see m2lApply).
-	axb := w.axb
-	for j := 0; j <= p; j++ {
-		ko := 0
-		for k := 0; k <= j; k++ {
-			cnt := p - k + 1
-			ab, rp := axb[:cnt], rpow[j+k:][:cnt]
-			axb = axb[cnt:]
+	// Axial step along +z (see m2lApply).
+	off, ko := 0, 0
+	for k := 0; k <= p; k++ {
+		cnt := p - k + 1
+		for j := k; j <= p; j++ {
+			ab, rp := ax[off+(j-k)/laneWidth*laneWidth*cnt+(j-k)%laneWidth:], rpow[j+k:][:cnt]
 			var r0, r1, r2, r3, i0, i1, i2, i3 float64
 			q := sphharm.Idx(k, k)
-			for i, a := range ab {
-				c := a * rp[i]
+			for i, rv := range rp {
+				c := ab[i*laneWidth] * rv
 				x, y := &bRe[q], &bIm[q]
 				r0 += float64(c * x[0])
 				r1 += float64(c * x[1])
@@ -286,8 +298,9 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 			}
 			aRe[ko+j-k] = [4]float64{r0, r1, r2, r3}
 			aIm[ko+j-k] = [4]float64{i0, i1, i2, i3}
-			ko += cnt
 		}
+		off += lanePad(cnt) * cnt
+		ko += cnt
 	}
 
 	rotateHalf4(p, bRe, bIm, aRe, aIm, half, true)
@@ -308,8 +321,7 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 
 // M2LBatch accumulates into l the local expansions at `to` of every source
 // multipole in srcs: the uncached, allocation-free reference form of
-// M2LBatchTable, equivalent to calling M2LRotated once per source. Sources
-// and target must have the workspace's order.
+// M2LBatchTable. Sources and target must have the workspace's order.
 func (w *Workspace) M2LBatch(l Expansion, to geom.Vec3, srcs []M2LSource) {
 	p := l.P
 	r := w.rot
@@ -318,6 +330,6 @@ func (w *Workspace) M2LBatch(l Expansion, to geom.Vec3, srcs []M2LSource) {
 		r.halfStackInto(r.half, p, theta)
 		fillPhases(r.zph, phi)
 		fillInvPowers(r.rpow, rho)
-		w.m2lApply(l, s.M.C, r.half, r.zph, r.rpow)
+		w.m2lApply(l, s.M.C, r.half, r.zph, r.rpow, w.axb)
 	}
 }

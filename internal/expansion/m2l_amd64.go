@@ -25,7 +25,7 @@ func splitAVX2(p int, aRe, aIm *float64, src, zph *complex128)
 func rotHalfAVX2(p int, outRe, outIm, inRe, inIm, half *float64, orderMajor int)
 
 // axialAVX2 is the axial stage with four consecutive degrees j of one order
-// per register, written order-major; axbL is axialBase's lane-major twin.
+// per register, written order-major, from an axial row (laneRowInto).
 // It reads rpow[0 : 2p+2+laneSlack] and overruns its outputs as rotHalfAVX2
 // does, by order instead of by degree.
 //
@@ -53,24 +53,24 @@ func merge4AVX2(p int, l0, l1, l2, l3 *complex128, bRe, bIm *[4]float64, zph *co
 // m2lPacked is m2lApply on the packed bodies: split, rotate, translate
 // axially, rotate back, merge, a -> b -> a -> b through the scratch as the
 // scalar stages do. The reslices assert the slack the bodies read.
-func (w *Workspace) m2lPacked(l Expansion, src []complex128, half []float64, zph []complex128, rpow []float64) {
+func (w *Workspace) m2lPacked(l Expansion, src []complex128, half []float64, zph []complex128, rpow, ax []float64) {
 	p, r := l.P, w.rot
 	aRe, aIm, bRe, bIm := &r.aRe[0], &r.aIm[0], &r.bRe[0], &r.bIm[0]
 	_, _ = zph[:p+1+laneSlack], rpow[:2*p+2+laneSlack]
 	splitAVX2(p, aRe, aIm, &src[0], &zph[0])
 	rotHalfAVX2(p, bRe, bIm, aRe, aIm, &half[0], 0)
-	axialAVX2(p, aRe, aIm, bRe, bIm, &w.axbL[0], &rpow[0])
+	axialAVX2(p, aRe, aIm, bRe, bIm, &ax[0], &rpow[0])
 	rotHalfAVX2(p, bRe, bIm, aRe, aIm, &half[0], 1)
 	mergeAVX2(p, &l.C[0], bRe, bIm, &zph[0], &r.zip[0])
 }
 
 // m2lPacked4 is m2lApply4 on the packed bodies.
-func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph []complex128, rpow []float64) {
+func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph []complex128, rpow, ax []float64) {
 	p, r := l[0].P, w.rot
 	aRe, aIm, bRe, bIm := &r.aRe4[0], &r.aIm4[0], &r.bRe4[0], &r.bIm4[0]
 	split4AVX2(p, aRe, aIm, &src[0].C[0], &src[1].C[0], &src[2].C[0], &src[3].C[0], &zph[0])
 	rotHalf4AVX2(p, bRe, bIm, aRe, aIm, &half[0], 0)
-	axial4AVX2(p, aRe, aIm, bRe, bIm, &w.axbL[0], &rpow[0])
+	axial4AVX2(p, aRe, aIm, bRe, bIm, &ax[0], &rpow[0])
 	rotHalf4AVX2(p, bRe, bIm, aRe, aIm, &half[0], 1)
 	merge4AVX2(p, &l[0].C[0], &l[1].C[0], &l[2].C[0], &l[3].C[0], bRe, bIm, &zph[0])
 }

@@ -11,7 +11,7 @@
 // At width 1 the lanes of the rotation and of the axial stage are four
 // consecutive outputs (rows m' of a degree; degrees j of an order): the
 // matrix entries come as one vector load from a lane-major table
-// (halfStackInto, axialBase) and the input coefficient is broadcast. At
+// (halfStackInto, laneRowInto) and the input coefficient is broadcast. At
 // width 4 the lanes are the four columns of one output: the input is the
 // vector load and the matrix entry the broadcast, from the same tables.
 //

@@ -6,10 +6,10 @@ package expansion
 // stages on every host, and nothing may set packedOK.
 var packedOK = false
 
-func (w *Workspace) m2lPacked(l Expansion, src []complex128, half []float64, zph []complex128, rpow []float64) {
+func (w *Workspace) m2lPacked(l Expansion, src []complex128, half []float64, zph []complex128, rpow, ax []float64) {
 	panic("expansion: no packed M2L body on this architecture")
 }
 
-func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph []complex128, rpow []float64) {
+func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph []complex128, rpow, ax []float64) {
 	panic("expansion: no packed M2L body on this architecture")
 }

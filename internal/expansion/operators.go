@@ -44,32 +44,25 @@ type Workspace struct {
 	gx   []complex128
 	gy   []complex128
 	gz   []complex128
-	tmp  []complex128 // generic degree-p buffer
-	rpow []float64
-	rot  *rotWorkspace // buffers for the rotation-accelerated operators
-	axb  []float64     // axialBase(p) and its lane-major twin, shared read-only
-	axbL []float64
-	srcs []M2LSource  // V-list scratch (see Sources)
-	src4 []M2LSource4 // four-column V-list scratch (see Sources4)
+	rot  *rotWorkspace // buffers of the translation kernel
+	axb  []float64     // axialBase(p), shared read-only
+	srcs []M2LSource   // V-list scratch (see Sources)
+	src4 []M2LSource4  // four-column V-list scratch (see Sources4)
 }
 
 // NewWorkspace creates scratch space for order-p operators.
 func NewWorkspace(p int) *Workspace {
-	axb, axbL := axialBase(p)
 	return &Workspace{
-		p:    p,
-		t:    sphharm.NewTables(p),
-		reg:  make([]complex128, sphharm.PackedLen(p)),
-		irr:  make([]complex128, sphharm.PackedLen(2*p)),
-		val:  make([]complex128, sphharm.PackedLen(p)),
-		gx:   make([]complex128, sphharm.PackedLen(p)),
-		gy:   make([]complex128, sphharm.PackedLen(p)),
-		gz:   make([]complex128, sphharm.PackedLen(p)),
-		tmp:  make([]complex128, sphharm.PackedLen(p)),
-		rpow: make([]float64, 2*p+2),
-		rot:  newRotWorkspace(p),
-		axb:  axb,
-		axbL: axbL,
+		p:   p,
+		t:   sphharm.NewTables(p),
+		reg: make([]complex128, sphharm.PackedLen(p)),
+		irr: make([]complex128, sphharm.PackedLen(2*p)),
+		val: make([]complex128, sphharm.PackedLen(p)),
+		gx:  make([]complex128, sphharm.PackedLen(p)),
+		gy:  make([]complex128, sphharm.PackedLen(p)),
+		gz:  make([]complex128, sphharm.PackedLen(p)),
+		rot: newRotWorkspace(p),
+		axb: axialBase(p),
 	}
 }
 
@@ -100,36 +93,6 @@ func (w *Workspace) P2M4(m *[4]Expansion, center, pos geom.Vec3, q [4]float64) {
 	}
 }
 
-// M2M translates the child multipole o centered at from into the parent
-// expansion m centered at to (accumulating):
-//
-//	M_j^k += sum_{n<=j, |k-m|<=j-n} O_{j-n}^{k-m} i^{|k|-|m|-|k-m|}
-//	          A_n^m A_{j-n}^{k-m} conj(R_n^m(d)) / A_j^k,  d = from - to
-func (w *Workspace) M2M(m Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
-	p := m.P
-	Regular(p, from.Sub(to), w.reg)
-	t := w.t
-	for j := 0; j <= p; j++ {
-		for k := 0; k <= j; k++ {
-			var acc complex128
-			for n := 0; n <= j; n++ {
-				jn := j - n
-				for mm := -n; mm <= n; mm++ {
-					km := k - mm
-					if km < -jn || km > jn {
-						continue
-					}
-					sign := sphharm.IPow(abs(k) - abs(mm) - abs(km))
-					r := get(w.reg, n, -mm) // conj(R_n^m) = R_n^{-m}
-					acc += get(o.C, jn, km) * sign *
-						complex(t.Anm(n, mm)*t.Anm(jn, km), 0) * r
-				}
-			}
-			m.C[sphharm.Idx(j, k)] += acc / complex(t.Anm(j, k), 0)
-		}
-	}
-}
-
 // M2L converts the multipole o centered at from into a local expansion
 // accumulated into l centered at to:
 //
@@ -156,41 +119,6 @@ func (w *Workspace) M2L(l Expansion, to geom.Vec3, o Expansion, from geom.Vec3) 
 					s := get(w.irr, j+n, mm-k)
 					acc += get(o.C, n, mm) * sign *
 						complex(t.Anm(n, mm)*ajk*neg/t.Anm(j+n, mm-k), 0) * s
-				}
-			}
-			l.C[sphharm.Idx(j, k)] += acc
-		}
-	}
-}
-
-// L2L translates the parent local expansion o centered at from into the
-// child expansion l centered at to (accumulating):
-//
-//	L_j^k += sum_{n>=j,m} O_n^m i^{|m|-|m-k|-|k|} A_{n-j}^{m-k} A_j^k
-//	          R_{n-j}^{m-k}(d) / ((-1)^{n+j} A_n^m),  d = from - to
-func (w *Workspace) L2L(l Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
-	p := l.P
-	Regular(p, from.Sub(to), w.reg)
-	t := w.t
-	for j := 0; j <= p; j++ {
-		for k := 0; k <= j; k++ {
-			ajk := t.Anm(j, k)
-			var acc complex128
-			for n := j; n <= p; n++ {
-				nj := n - j
-				neg := 1.0
-				if (n+j)%2 == 1 {
-					neg = -1.0
-				}
-				for mm := -n; mm <= n; mm++ {
-					mk := mm - k
-					if mk < -nj || mk > nj {
-						continue
-					}
-					sign := sphharm.IPow(abs(mm) - abs(mk) - abs(k))
-					r := get(w.reg, nj, mk)
-					acc += get(o.C, n, mm) * sign *
-						complex(t.Anm(nj, mk)*ajk*neg/t.Anm(n, mm), 0) * r
 				}
 			}
 			l.C[sphharm.Idx(j, k)] += acc

@@ -48,6 +48,74 @@ func directField(pos []geom.Vec3, q []float64, x geom.Vec3) geom.Vec3 {
 	return g
 }
 
+// m2mOracle and l2lOracle are the direct O(p^4) M2M and L2L, the forms
+// the tree ran before both went through the translation kernel: the
+// oracle ChildShift and the general-offset M2M and L2L are held
+// to. M2M translates the child multipole o centered at from into the
+// parent expansion m centered at to (accumulating):
+//
+//	M_j^k += sum_{n<=j, |k-m|<=j-n} O_{j-n}^{k-m} i^{|k|-|m|-|k-m|}
+//	          A_n^m A_{j-n}^{k-m} conj(R_n^m(d)) / A_j^k,  d = from - to
+func (w *Workspace) m2mOracle(m Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
+	p := m.P
+	Regular(p, from.Sub(to), w.reg)
+	t := w.t
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			var acc complex128
+			for n := 0; n <= j; n++ {
+				jn := j - n
+				for mm := -n; mm <= n; mm++ {
+					km := k - mm
+					if km < -jn || km > jn {
+						continue
+					}
+					sign := sphharm.IPow(abs(k) - abs(mm) - abs(km))
+					r := get(w.reg, n, -mm) // conj(R_n^m) = R_n^{-m}
+					acc += get(o.C, jn, km) * sign *
+						complex(t.Anm(n, mm)*t.Anm(jn, km), 0) * r
+				}
+			}
+			m.C[sphharm.Idx(j, k)] += acc / complex(t.Anm(j, k), 0)
+		}
+	}
+}
+
+// l2lOracle translates the parent local expansion o centered at from into
+// the child expansion l centered at to (accumulating):
+//
+//	L_j^k += sum_{n>=j,m} O_n^m i^{|m|-|m-k|-|k|} A_{n-j}^{m-k} A_j^k
+//	          R_{n-j}^{m-k}(d) / ((-1)^{n+j} A_n^m),  d = from - to
+func (w *Workspace) l2lOracle(l Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
+	p := l.P
+	Regular(p, from.Sub(to), w.reg)
+	t := w.t
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			ajk := t.Anm(j, k)
+			var acc complex128
+			for n := j; n <= p; n++ {
+				nj := n - j
+				neg := 1.0
+				if (n+j)%2 == 1 {
+					neg = -1.0
+				}
+				for mm := -n; mm <= n; mm++ {
+					mk := mm - k
+					if mk < -nj || mk > nj {
+						continue
+					}
+					sign := sphharm.IPow(abs(mm) - abs(mk) - abs(k))
+					r := get(w.reg, nj, mk)
+					acc += get(o.C, n, mm) * sign *
+						complex(t.Anm(nj, mk)*ajk*neg/t.Anm(n, mm), 0) * r
+				}
+			}
+			l.C[sphharm.Idx(j, k)] += acc
+		}
+	}
+}
+
 func TestRegularMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const deg = 8

@@ -77,34 +77,62 @@ func rotateYSigned(p int, out, in []complex128, stack []float64, transpose bool)
 // (i = 0..2p+1).
 func (w *Workspace) m2lApplyOracle(l Expansion, src []complex128, stack []float64, zph []complex128, rpow []float64) {
 	p := l.P
-	r := w.rot
+
+	buf1, buf2 := make([]complex128, len(src)), make([]complex128, len(src))
 
 	// Forward frame change: phase e^{im phi}, transposed stack.
-	copy(r.buf1, src)
-	rotateZCached(p, r.buf1, zph, false)
-	rotateYSigned(p, r.buf2, r.buf1, stack, true)
+	copy(buf1, src)
+	rotateZCached(p, buf1, zph, false)
+	rotateYSigned(p, buf2, buf1, stack, true)
 
 	// Axial M2L along +z:
 	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}
-	axb := w.axb
-	idx := 0
+	axb, idx := axialBaseScalar(p), 0
 	for j := 0; j <= p; j++ {
 		for k := 0; k <= j; k++ {
 			var acc complex128
 			for n := k; n <= p; n++ {
-				acc += complex(axb[idx]*rpow[j+n], 0) * r.buf2[sphharm.Idx(n, k)]
+				acc += complex(axb[idx]*rpow[j+n], 0) * buf2[sphharm.Idx(n, k)]
 				idx++
 			}
-			r.buf1[sphharm.Idx(j, k)] = acc
+			buf1[sphharm.Idx(j, k)] = acc
 		}
 	}
 
 	// Back rotation: untransposed stack, conjugate phases; accumulate.
-	rotateYSigned(p, r.buf2, r.buf1, stack, false)
-	rotateZCached(p, r.buf2, zph, true)
+	rotateYSigned(p, buf2, buf1, stack, false)
+	rotateZCached(p, buf2, zph, true)
 	for i := range l.C {
-		l.C[i] += r.buf2[i]
+		l.C[i] += buf2[i]
 	}
+}
+
+// axialBaseScalar is scalarOrder(axialBase(p), p), made once per order.
+func axialBaseScalar(p int) []float64 {
+	if axialBaseScalars[p] == nil {
+		axialBaseScalars[p] = scalarOrder(axialBase(p), p)
+	}
+	return axialBaseScalars[p]
+}
+
+var axialBaseScalars [sphharm.MaxOrder + 1][]float64
+
+// scalarOrder returns the factors of an axial row (laneRowInto's layout)
+// in the scalar loop's order: j = 0..p, k = 0..j, n = k..p.
+func scalarOrder(ax []float64, p int) (out []float64) {
+	offs := make([]int, p+1) // order k's block of ax
+	for k := 1; k <= p; k++ {
+		offs[k] = offs[k-1] + lanePad(p-k+2)*(p-k+2)
+	}
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			g := ax[offs[k]+(j-k)/laneWidth*laneWidth*(p-k+1)+(j-k)%laneWidth:]
+			for n := k; n <= p; n++ {
+				out = append(out, g[(n-k)*laneWidth])
+			}
+		}
+	}
+	return out
 }
 
 // m2lBatchOracle is commit 14d1dcf's M2LBatch over the oracle kernel.
@@ -122,12 +150,20 @@ func (w *Workspace) m2lBatchOracle(l Expansion, to geom.Vec3, srcs []M2LSource) 
 
 // m2lRelDiff is the largest coefficient difference of one translation of
 // src over distance rho, relative to the size of the terms its output
-// degree j sums: max_k sum_n |axial coefficient| rho^-(j+n+1) |O_n|, with
-// |O_n| the rotation-invariant norm of the source's degree n. (Relative to
-// the result itself would measure the conditioning of the sum, which
-// cancels freely for random sources, not the kernels.)
+// degree j sums (shiftRelDiff with the M2L row).
 func m2lRelDiff(w *Workspace, got, want, src []complex128, rho float64) float64 {
-	p := w.p
+	fillInvPowers(w.rot.rpow, rho)
+	return shiftRelDiff(w.p, got, want, src, axialBaseScalar(w.p), w.rot.rpow)
+}
+
+// shiftRelDiff is the largest coefficient difference of one translation
+// of src through the axial row axs (in scalarOrder) and radial powers
+// rpow, relative to the
+// size of the terms its output degree j sums: max_k sum_n |ax(j, k, n)|
+// rpow[j+n] |O_n|, with |O_n| the rotation-invariant norm of the source's
+// degree n. (Relative to the result itself would measure the conditioning
+// of the sum, which cancels freely for random sources, not the kernels.)
+func shiftRelDiff(p int, got, want, src []complex128, axs, rpow []float64) float64 {
 	norm := make([]float64, p+1)
 	for n := range norm {
 		for m := 0; m <= n; m++ {
@@ -136,7 +172,6 @@ func m2lRelDiff(w *Workspace, got, want, src []complex128, rho float64) float64 
 		}
 		norm[n] = math.Sqrt(norm[n])
 	}
-	fillInvPowers(w.rot.rpow, rho)
 	var worst float64
 	idx := 0
 	for j := 0; j <= p; j++ {
@@ -144,7 +179,7 @@ func m2lRelDiff(w *Workspace, got, want, src []complex128, rho float64) float64 
 		for k := 0; k <= j; k++ {
 			var terms float64
 			for n := k; n <= p; n++ {
-				terms += math.Abs(w.axb[idx]) * w.rot.rpow[j+n] * norm[n]
+				terms += math.Abs(axs[idx]) * rpow[j+n] * norm[n]
 				idx++
 			}
 			scale = math.Max(scale, terms)

@@ -55,11 +55,13 @@ func sameBits(a, b float64) bool {
 }
 
 // everyForm translates the four source columns drawn from seed over froms
-// through every M2L form — table rows, spilled theta (a table squeezed to
-// two stacks) and the uncached M2LBatch at width 1, table rows and spilled
-// theta at width 4 — onto nonzero locals, and returns every resulting
-// coefficient. The inputs depend on the arguments only, so two calls differ
-// by the dispatch state alone.
+// through every translation form onto nonzero locals and returns every
+// resulting coefficient: M2L through table rows, spilled theta (a table
+// squeezed to two stacks) and the uncached M2LBatch at width 1, table rows
+// and spilled theta at width 4; M2M and L2L through every octant, on a
+// level the shared rows cover and on one they do not, at both widths, and
+// the general-offset M2M and L2L over froms. The inputs depend on the
+// arguments only, so two calls differ by the dispatch state alone.
 func everyForm(p int, to geom.Vec3, froms []geom.Vec3, seed int64) (out []complex128) {
 	rng := rand.New(rand.NewSource(seed))
 	quads, cols := randomQuads(p, rng, froms)
@@ -85,13 +87,34 @@ func everyForm(p int, to geom.Vec3, froms []geom.Vec3, seed int64) (out []comple
 	}
 	l := local()
 	w.M2LBatch(l[1], to, cols[1])
-	return append(out, l[1].C...)
+	out = append(out, l[1].C...)
+	var rows ShiftRows
+	rows.Cover(p, 0.3712, 2)
+	for o := 0; o < 8; o++ {
+		for _, h := range []float64{0.3712 / 2, 0.1} {
+			l = local()
+			w.ChildShift(l[0], quads[0].M[0], ShiftM2M, o, h, &rows)
+			w.ChildShift(l[1], quads[0].M[1], ShiftL2L, o, h, &rows)
+			w.ChildShift4(&l, &quads[0].M, ShiftM2M, o, h, &rows)
+			w.ChildShift4(&l, &quads[0].M, ShiftL2L, o, h, &rows)
+			for c := range l {
+				out = append(out, l[c].C...)
+			}
+		}
+	}
+	l = local()
+	for _, s := range cols[2] {
+		w.M2M(l[2], to, s.M, s.From)
+		w.L2L(l[3], to, s.M, s.From)
+	}
+	return append(append(out, l[2].C...), l[3].C...)
 }
 
 // TestM2LPackedMatchesScalar: packed == scalar to the bit at widths 1 and
-// 4, for every order the benchmark, the accuracy matrix and the fuzz
-// targets run plus 20 and MaxOrder, on random offsets, on exactly axial and
-// equatorial ones, and on the V lists of a real adaptive tree.
+// 4, for every translation form (everyForm) and every order the benchmark,
+// the accuracy matrix and the fuzz targets run plus 20 and MaxOrder, on
+// random offsets, on exactly axial and equatorial ones, and on the V lists
+// of a real adaptive tree.
 func TestM2LPackedMatchesScalar(t *testing.T) {
 	if !packedOK {
 		t.Skip("no AVX2 on this host")
@@ -162,9 +185,9 @@ func canaried[T comparable](n, size int, canary T) (vecs [][]T, intact func() bo
 // vector and behind the merge's zip vector and never beyond them; the
 // width-4 scratch, whose lanes are columns, is not overrun at all. And it
 // reads past a row of phases or radial powers — here the last rows of the
-// table's slabs and the workspace's own, their slack filled with NaN —
-// without the values reaching a result. Every order up to MaxOrder, both
-// states.
+// table's slabs, of the octant setup's phases and ones, and the
+// workspace's own, their slack filled with NaN — without the values
+// reaching a result. Every order up to MaxOrder, both states.
 func TestM2LScratchSlackHoldsOverrun(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		for p := 0; p <= sphharm.MaxOrder; p++ {
@@ -181,10 +204,17 @@ func TestM2LScratchSlackHoldsOverrun(t *testing.T) {
 			quads, cols := randomQuads(p, rng, benchDirs(rng, 3))
 			tb, classes := tableFor(p, geom.Vec3{}, cols[0], 0)
 			nan := math.NaN()
+			oct := octants(p)
 			for i := 0; i < laneSlack; i++ {
 				r.zph[:cap(r.zph)][len(r.zph)+i], tb.zph[:cap(tb.zph)][len(tb.zph)+i] = complex(nan, nan), complex(nan, nan)
 				r.rpow[:cap(r.rpow)][len(r.rpow)+i], tb.rpow[:cap(tb.rpow)][len(tb.rpow)+i] = nan, nan
+				oct.zph[:cap(oct.zph)][len(oct.zph)+i], oct.ones[2*p+2+i] = complex(nan, nan), nan
 			}
+			t.Cleanup(func() { // the setup is process-wide
+				for i := 0; i < laneSlack; i++ {
+					oct.zph[:cap(oct.zph)][len(oct.zph)+i], oct.ones[2*p+2+i] = 0, 1
+				}
+			})
 			if last := tb.ops[classes[2]]; int(last.phi+1)*(p+1) != len(tb.zph) || int(last.rho+1)*(2*p+2) != len(tb.rpow) {
 				t.Fatalf("p=%d: the last class does not read the last rows of the slabs", p)
 			}
@@ -192,6 +222,12 @@ func TestM2LScratchSlackHoldsOverrun(t *testing.T) {
 			w.M2LBatch(l[0], geom.Vec3{}, cols[0])
 			w.M2LBatchTable(l[0], geom.Vec3{}, cols[0], classes, tb)
 			w.M2LBatchTable4(&l, quads, classes, tb)
+			for o := 0; o < 8; o++ {
+				w.ChildShift(l[0], quads[0].M[0], ShiftM2M, o, 0.25, nil)
+				w.ChildShift(l[1], quads[0].M[1], ShiftL2L, o, 0.25, nil)
+				w.ChildShift4(&l, &quads[0].M, ShiftM2M, o, 0.25, nil)
+				w.ChildShift4(&l, &quads[0].M, ShiftL2L, o, 0.25, nil)
+			}
 			if !ok1() || !okz() || !ok4() {
 				t.Fatalf("p=%d: a canary behind the scratch was overwritten (width 1 intact: %v, zip: %v, width 4: %v)", p, ok1(), okz(), ok4())
 			}
@@ -231,8 +267,10 @@ func fuzzTranslation(order uint8, theta, phi, rho float64, coef []byte) (p int, 
 
 // FuzzM2LPackedMatchesScalar: for any order, direction and coefficient bits
 // — signed zeros, infinities, NaN, subnormals — one translation through the
-// table and through M2LBatch leaves the same bits under both dispatch
-// states, at both widths (any NaN equal to any NaN).
+// table and through M2LBatch, the general-offset M2M and L2L over the same
+// offset, and both ChildShift kinds over octant order/21 % 8 at half-width
+// rho leave the same bits under both dispatch states, at both widths (any
+// NaN equal to any NaN).
 func FuzzM2LPackedMatchesScalar(f *testing.F) {
 	bits := func(vs ...float64) (b []byte) {
 		for _, v := range vs {
@@ -247,6 +285,8 @@ func FuzzM2LPackedMatchesScalar(f *testing.F) {
 	f.Add(uint8(12), math.Pi, 1.0, 1e-3, bits(1e300, -1e300, 1e-300, 7))
 	f.Add(uint8(0), 0.7, 0.1, 0.0, bits(1))
 	f.Add(uint8(20), 2.0, 4.0, math.Inf(1), bits(3, 4, 5, 6, 7, 8, 9, 10, 11))
+	f.Add(uint8(8+21*3), 1.0, 2.0, 0.0, bits(1, -2, 0.5, negZero, 3))
+	f.Add(uint8(12+21*7), 0.5, -2.0, 0.3712, bits(2, math.Inf(-1), 1e-300, 4))
 	f.Fuzz(func(t *testing.T, order uint8, theta, phi, rho float64, coef []byte) {
 		if !packedOK {
 			t.Skip("no AVX2 on this host")
@@ -268,7 +308,19 @@ func FuzzM2LPackedMatchesScalar(f *testing.F) {
 			single, batch := NewExpansion(p), NewExpansion(p)
 			w.M2LBatchTable(single, geom.Vec3{}, srcs, classes, tb)
 			w.M2LBatch(batch, geom.Vec3{}, srcs)
-			return append(append(out, single.C...), batch.C...)
+			out = append(append(out, single.C...), batch.C...)
+			o := int(order/21) % 8
+			shifts := [4]Expansion{NewExpansion(p), NewExpansion(p), NewExpansion(p), NewExpansion(p)}
+			w.M2M(shifts[0], geom.Vec3{}, quad.M[0], quad.From)
+			w.L2L(shifts[1], geom.Vec3{}, quad.M[1], quad.From)
+			w.ChildShift(shifts[2], quad.M[2], ShiftM2M, o, rho, nil)
+			w.ChildShift(shifts[3], quad.M[3], ShiftL2L, o, rho, nil)
+			w.ChildShift4(&shifts, &quad.M, ShiftM2M, o, rho, nil)
+			w.ChildShift4(&shifts, &quad.M, ShiftL2L, o, rho, nil)
+			for c := range shifts {
+				out = append(out, shifts[c].C...)
+			}
+			return out
 		}
 		packedOK = true
 		got := run()

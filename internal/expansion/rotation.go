@@ -1,7 +1,8 @@
 package expansion
 
 import (
-	"math/cmplx"
+	"math"
+	"sync"
 
 	"afmm/internal/geom"
 	"afmm/internal/sphharm"
@@ -14,8 +15,10 @@ import (
 //	rotate back,
 //
 // reducing the O(p^4) translation double sums to O(p^3): rotations cost
-// one dense (2n+1)^2 product per degree and the axial translations couple
-// only coefficients with equal order m.
+// one (n+1)^2 half-matrix product per degree and the axial translations
+// couple only coefficients with equal order m. All three translations —
+// M2L, M2M and L2L — run the one kernel, m2lApply (batch.go); they differ
+// only in the axial row it is handed.
 //
 // Basis bookkeeping: this package's harmonics relate to the
 // quantum-normalized ones by Y_here^{nm} = sigma_m c_n Y_quantum^{nm} with
@@ -24,16 +27,20 @@ import (
 // therefore rotate with sigma-conjugated Wigner matrices,
 // G^n = diag(sigma) d^n diag(sigma), and z-rotations stay diagonal.
 
-// rotWorkspace holds the reusable buffers for rotated operators.
+// rotWorkspace holds the reusable buffers of the translation kernel.
 type rotWorkspace struct {
 	flat  []float64    // Wigner stack storage, degree blocks in order
 	stack [][]float64  // per-degree views of flat, reused across calls
-	half  []float64    // half stack scratch (M2LBatch, spilled theta)
-	buf1  []complex128 // packed coefficients, scratch
-	buf2  []complex128
-	rpow  []float64    // powers of 1/rho or rho; laneSlack spare capacity
-	zph   []complex128 // e^{i m phi} scratch (M2LBatch); laneSlack spare capacity
+	half  []float64    // half stack scratch (M2LBatch, M2M, L2L, spilled theta)
+	rpow  []float64    // powers of 1/rho; laneSlack spare capacity
+	zph   []complex128 // e^{i m phi} scratch; laneSlack spare capacity
 	zip   []complex128 // the packed merge's re/im-zipped output, with laneSlack
+	// row is an M2M or L2L axial row computed per call (shift, and a child
+	// shift whose level has no shared row), for the distance with bits
+	// rowRho; rowKind is 0 while row holds none.
+	row     []float64
+	rowRho  uint64
+	rowKind Shift
 	// Split re/im packed coefficients, ping-pong pairs of m2lApply, each
 	// followed by laneSlack floats the packed body may overwrite.
 	aRe, aIm, bRe, bIm []float64
@@ -45,62 +52,19 @@ type rotWorkspace struct {
 func newRotWorkspace(p int) *rotWorkspace {
 	pl := sphharm.PackedLen(p)
 	sl := pl + laneSlack
-	split := make([]float64, 4*sl)
+	split := make([]float64, 4*sl+axialLen(p)) // and the row behind them
 	r := &rotWorkspace{
 		flat:  make([]float64, stackLen(p)),
 		stack: make([][]float64, p+1),
 		half:  make([]float64, halfLen(p)),
-		buf1:  make([]complex128, pl),
-		buf2:  make([]complex128, pl),
 		rpow:  make([]float64, 2*p+2, 2*p+2+laneSlack),
 		zph:   make([]complex128, p+1, p+1+laneSlack),
 		zip:   make([]complex128, pl+laneSlack),
-		aRe:   split[:sl], aIm: split[sl : 2*sl], bRe: split[2*sl : 3*sl], bIm: split[3*sl:],
+		row:   split[4*sl:],
+		aRe:   split[:sl], aIm: split[sl : 2*sl], bRe: split[2*sl : 3*sl], bIm: split[3*sl : 4*sl],
 	}
 	stackViews(r.stack, r.flat)
 	return r
-}
-
-// rotateZ multiplies coefficient (n, m) by e^{i m phase} in place
-// (m >= 0 packed storage; the Hermitian negative-m half follows by
-// conjugation).
-func rotateZ(p int, e []complex128, phase float64) {
-	for m := 1; m <= p; m++ {
-		f := cmplx.Exp(complex(0, float64(m)*phase))
-		for n := m; n <= p; n++ {
-			e[sphharm.Idx(n, m)] *= f
-		}
-	}
-}
-
-// rotateY applies the sigma-conjugated Wigner matrix of each degree:
-//
-//	out_n^{m'} = sigma_{m'} sum_m d*_{m'm} sigma_m in_n^m
-//
-// where d* is stack[n] or its transpose. Negative-m inputs come from the
-// Hermitian symmetry of the packed storage.
-func rotateY(p int, out, in []complex128, stack [][]float64, transpose bool) {
-	for n := 0; n <= p; n++ {
-		dim := 2*n + 1
-		d := stack[n]
-		for mp := 0; mp <= n; mp++ {
-			var acc complex128
-			for m := -n; m <= n; m++ {
-				var w float64
-				if transpose {
-					w = d[(m+n)*dim+(mp+n)]
-				} else {
-					w = d[(mp+n)*dim+(m+n)]
-				}
-				if w == 0 {
-					continue
-				}
-				w *= sigma(mp) * sigma(m)
-				acc += complex(w, 0) * get(in[:], n, m)
-			}
-			out[sphharm.Idx(n, mp)] = acc
-		}
-	}
 }
 
 // sigma is the basis-conversion sign: (-1)^m for m >= 0, +1 for m < 0.
@@ -111,135 +75,205 @@ func sigma(m int) float64 {
 	return 1
 }
 
-// M2LRotated is the O(p^3) equivalent of M2L: it accumulates into l the
-// local expansion at `to` of the multipole o centered at `from`.
-func (w *Workspace) M2LRotated(l Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
-	p := l.P
-	r := w.rot
-	d := from.Sub(to)
-	rho, theta, phi := d.Spherical()
-	WignerStackInto(r.stack, p, theta)
+// M2M and L2L. Along +z at distance rho the translations are diagonal in
+// the order k (j the output degree, n the source degree):
+//
+//	M2M: M_j^k = sum_{n=k..j} O_n^k A_{j-n}^0 A_n^k rho^{j-n} / A_j^k
+//	L2L: L_j^k = sum_{n=j..p} O_n^k A_j^k rho^{n-j} / ((n-j)! A_n^k)
+//
+// so m2lApply runs them unchanged with these factors (radial powers
+// included) as its axial row, +0 outside the ranges, and a row of ones as
+// its radial powers: a*1 is exact, and the odd-k sign of the forward
+// rotation commutes with any k-diagonal axial step.
 
-	// Forward frame change Q = Ry(-theta) Rz(-phi): phase e^{im phi},
-	// then the transposed Wigner stack (d(-theta) = d(theta)^T).
-	copy(r.buf1, o.C)
-	rotateZ(p, r.buf1, phi)
-	rotateY(p, r.buf2, r.buf1, r.stack, true)
+// Shift names a translation between a cell and one of its children.
+type Shift int
 
-	// Axial M2L along +z at distance rho:
-	//   L_j^k = sum_n O_n^k (-1)^{|k|+j} A_n^k A_j^k (j+n)! / rho^{j+n+1}
-	t := w.t
-	fillInvPowers(r.rpow, rho)
-	for j := 0; j <= p; j++ {
-		sj := 1.0
-		if j%2 == 1 {
-			sj = -1
-		}
-		for k := 0; k <= j; k++ {
-			sk := sj
-			if k%2 == 1 {
-				sk = -sk
-			}
-			ajk := t.Anm(j, k)
-			var acc complex128
-			for n := k; n <= p; n++ {
-				c := sk * t.Anm(n, k) * ajk * t.Fact[j+n] * r.rpow[j+n]
-				acc += complex(c, 0) * r.buf2[sphharm.Idx(n, k)]
-			}
-			r.buf1[sphharm.Idx(j, k)] = acc
-		}
+const (
+	ShiftM2M Shift = 1 // the child's multipole into the parent's
+	ShiftL2L Shift = 2 // the parent's local into the child's
+)
+
+// shiftRowInto fills dst (axialLen(p) floats) with the axial row of a
+// kind translation over rho along +z.
+func shiftRowInto(dst []float64, t *sphharm.Tables, p int, rho float64, kind Shift) {
+	var pw [sphharm.MaxOrder + 1]float64
+	pw[0] = 1
+	for i := 1; i <= p; i++ {
+		pw[i] = pw[i-1] * rho
 	}
+	if kind == ShiftL2L {
+		laneRowInto(dst, p, func(j, k, n int) float64 {
+			if n < j {
+				return 0
+			}
+			return t.Anm(j, k) * pw[n-j] / (t.Fact[n-j] * t.Anm(n, k))
+		})
+		return
+	}
+	laneRowInto(dst, p, func(j, k, n int) float64 {
+		if n > j {
+			return 0
+		}
+		return t.Anm(j-n, 0) * t.Anm(n, k) * pw[j-n] / t.Anm(j, k)
+	})
+}
 
-	// Back rotation Q^{-1} = Rz(phi) Ry(theta): Wigner stack untransposed,
-	// then phase e^{-im phi}; accumulate into l.
-	rotateY(p, r.buf2, r.buf1, r.stack, false)
-	rotateZ(p, r.buf2, -phi)
-	for i := range l.C {
-		l.C[i] += r.buf2[i]
+// scratchRow returns the kind row of rho from the workspace scratch,
+// computing it unless the scratch already holds it.
+func (w *Workspace) scratchRow(rho float64, kind Shift) []float64 {
+	r := w.rot
+	if r.rowKind != kind || r.rowRho != math.Float64bits(rho) {
+		shiftRowInto(r.row, w.t, w.p, rho, kind)
+		r.rowKind, r.rowRho = kind, math.Float64bits(rho)
+	}
+	return r.row
+}
+
+// The eight parent–child offsets. A child's center is its parent's plus
+// (±h, ±h, ±h), h the child's half-width; octant o is the sign pattern
+// with bit 0 set for +x, bit 1 for +y and bit 2 for +z — the child's slot
+// in its parent (geom.Box.Child). Its polar angle depends on the z sign
+// alone and its azimuth on the (x, y) signs alone, so the rotations of
+// every M2M and L2L of every tree are two half stacks and four phase rows.
+type octantSetup struct {
+	hl   int          // halfLen(p)
+	half []float64    // the half stacks of the theta of z < 0 and of z > 0
+	zph  []complex128 // e^{i m phi} per (x, y) sign pair; laneSlack spare capacity
+	ones []float64    // the radial powers operand: 2p+2+laneSlack ones
+}
+
+var octantSetups [sphharm.MaxOrder + 1]struct {
+	once sync.Once
+	s    octantSetup
+}
+
+// octants returns the order-p octant setup, built once.
+func octants(p int) *octantSetup {
+	e := &octantSetups[p]
+	e.once.Do(func() {
+		s, hl, r := &e.s, halfLen(p), newRotWorkspace(p)
+		s.hl = hl
+		s.half = make([]float64, 2*hl)
+		s.zph = make([]complex128, 4*(p+1), 4*(p+1)+laneSlack)
+		s.ones = make([]float64, 2*p+2+laneSlack)
+		for i := range s.ones {
+			s.ones[i] = 1
+		}
+		for o := 0; o < 8; o++ {
+			sign := func(bit int) float64 { return float64(o>>bit&1)*2 - 1 }
+			_, theta, phi := geom.Vec3{X: sign(0), Y: sign(1), Z: sign(2)}.Spherical()
+			if o&3 == 0 {
+				r.halfStackInto(s.half[(o>>2)*hl:][:hl], p, theta)
+			}
+			if o < 4 {
+				fillPhases(s.zph[o*(p+1):][:p+1], phi)
+			}
+		}
+	})
+	return &e.s
+}
+
+// ShiftRows holds the M2M and L2L rows of one tree's levels, keyed by the
+// exact bits of the child half-width h (rho = sqrt(3) h): the rows of h0,
+// h0/2, h0/4, ..., the children of the root, of its children, and so on.
+// It is filled before a step and read-only during it; the zero value
+// covers nothing.
+type ShiftRows struct {
+	p, n int // order, axialLen(p)
+	t    *sphharm.Tables
+	keys []uint64
+	rows []float64 // per key, its M2M row, then its L2L row
+}
+
+// Cover makes the order-p rows cover h0/2^i for i < levels. Rows of the
+// same order and h0 are kept (and deeper ones appended); another h0
+// rebuilds them in place, so the storage is bounded by the most levels
+// asked for.
+func (s *ShiftRows) Cover(p int, h0 float64, levels int) {
+	if s.t == nil || s.p != p {
+		*s = ShiftRows{p: p, n: axialLen(p), t: sphharm.NewTables(p)}
+	}
+	if len(s.keys) > 0 && s.keys[0] != math.Float64bits(h0) {
+		s.keys, s.rows = s.keys[:0], s.rows[:0]
+	}
+	for i := len(s.keys); i < levels; i++ {
+		h := math.Ldexp(h0, -i)
+		s.keys = append(s.keys, math.Float64bits(h))
+		s.rows = append(s.rows, make([]float64, 2*s.n)...)
+		row := s.rows[2*i*s.n:]
+		shiftRowInto(row[:s.n], s.t, p, math.Sqrt(3)*h, ShiftM2M)
+		shiftRowInto(row[s.n:2*s.n], s.t, p, math.Sqrt(3)*h, ShiftL2L)
 	}
 }
 
-// M2MRotated is the O(p^3) equivalent of M2M (child multipole at `from`
-// into parent at `to`).
-func (w *Workspace) M2MRotated(m Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
-	p := m.P
-	r := w.rot
-	d := from.Sub(to)
-	rho, theta, phi := d.Spherical()
-	if rho == 0 {
-		m.Add(o)
-		return
+// row returns the kind row of h, or nil when s does not cover h.
+func (s *ShiftRows) row(h float64, kind Shift) []float64 {
+	if s == nil || len(s.keys) == 0 {
+		return nil
 	}
-	WignerStackInto(r.stack, p, theta)
-	copy(r.buf1, o.C)
-	rotateZ(p, r.buf1, phi)
-	rotateY(p, r.buf2, r.buf1, r.stack, true)
-
-	// Axial M2M: M_j^k = sum_{n=0}^{j-|k|} O_{j-n}^k A_n^0 A_{j-n}^k rho^n / A_j^k
-	t := w.t
-	r.rpow[0] = 1
-	for i := 1; i < len(r.rpow); i++ {
-		r.rpow[i] = r.rpow[i-1] * rho
+	_, e0 := math.Frexp(math.Float64frombits(s.keys[0]))
+	_, e := math.Frexp(h)
+	if i := e0 - e; i >= 0 && i < len(s.keys) && s.keys[i] == math.Float64bits(h) {
+		return s.rows[(2*i+int(kind)-1)*s.n:][:s.n]
 	}
-	for j := p; j >= 0; j-- {
-		for k := 0; k <= j; k++ {
-			ajk := t.Anm(j, k)
-			var acc complex128
-			for n := 0; n <= j-k; n++ {
-				c := t.Anm(n, 0) * t.Anm(j-n, k) * r.rpow[n] / ajk
-				acc += complex(c, 0) * r.buf2[sphharm.Idx(j-n, k)]
-			}
-			r.buf1[sphharm.Idx(j, k)] = acc
-		}
-	}
-
-	rotateY(p, r.buf2, r.buf1, r.stack, false)
-	rotateZ(p, r.buf2, -phi)
-	for i := range m.C {
-		m.C[i] += r.buf2[i]
-	}
+	return nil
 }
 
-// L2LRotated is the O(p^3) equivalent of L2L (parent local at `from` into
-// child at `to`).
-func (w *Workspace) L2LRotated(l Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
-	p := l.P
+// childSetup returns the kernel operands of a kind translation between a
+// cell and its child in slot, h being the child's half-width: the
+// offset's octant half stack and phases, the ones row, and the level's
+// axial row — from rows, or computed into the workspace scratch (the same
+// bits) when rows does not cover h. An M2M offset runs from parent to
+// child, the octant of slot; an L2L offset the other way, the opposite
+// octant.
+func (w *Workspace) childSetup(kind Shift, slot int, h float64, rows *ShiftRows) (half []float64, zph []complex128, ones, ax []float64) {
+	p, s, o := w.p, octants(w.p), slot
+	if kind == ShiftL2L {
+		o ^= 7
+	}
+	if ax = rows.row(h, kind); ax == nil {
+		ax = w.scratchRow(math.Sqrt(3)*h, kind)
+	}
+	return s.half[(o>>2)*s.hl:][:s.hl], s.zph[(o&3)*(p+1):][:p+1], s.ones, ax
+}
+
+// ChildShift accumulates into dst the kind translation of src between a
+// cell and its child in slot (the child's index in its parent's
+// Children), h being the child's half-width: for ShiftM2M dst is the
+// parent's multipole and src the child's, for ShiftL2L dst is the child's
+// local and src the parent's. rows may be nil.
+func (w *Workspace) ChildShift(dst, src Expansion, kind Shift, slot int, h float64, rows *ShiftRows) {
+	half, zph, ones, ax := w.childSetup(kind, slot, h, rows)
+	w.m2lApply(dst, src.C, half, zph, ones, ax)
+}
+
+// ChildShift4 is ChildShift over four columns; column c ends bit-identical
+// to ChildShift on column c.
+func (w *Workspace) ChildShift4(dst, src *[4]Expansion, kind Shift, slot int, h float64, rows *ShiftRows) {
+	half, zph, ones, ax := w.childSetup(kind, slot, h, rows)
+	w.m2lApply4(dst, src, half, zph, ones, ax)
+}
+
+// M2M translates the child multipole o centered at from into the parent
+// expansion m centered at to (accumulating), for any offset: the kernel
+// over a setup computed per call into the workspace scratch, as M2LBatch
+// does for M2L. The tree's sweeps use ChildShift.
+func (w *Workspace) M2M(m Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
+	w.shift(m, o, from.Sub(to), ShiftM2M)
+}
+
+// L2L translates the parent local expansion o centered at from into the
+// child expansion l centered at to (accumulating), for any offset (see
+// M2M; the tree's sweeps use ChildShift).
+func (w *Workspace) L2L(l Expansion, to geom.Vec3, o Expansion, from geom.Vec3) {
+	w.shift(l, o, from.Sub(to), ShiftL2L)
+}
+
+func (w *Workspace) shift(dst, src Expansion, d geom.Vec3, kind Shift) {
 	r := w.rot
-	d := from.Sub(to)
 	rho, theta, phi := d.Spherical()
-	if rho == 0 {
-		l.Add(o)
-		return
-	}
-	WignerStackInto(r.stack, p, theta)
-	copy(r.buf1, o.C)
-	rotateZ(p, r.buf1, phi)
-	rotateY(p, r.buf2, r.buf1, r.stack, true)
-
-	// Axial L2L: L_j^k = sum_{n>=max(j,|k|)} O_n^k A_j^k rho^{n-j} / ((n-j)! A_n^k)
-	t := w.t
-	r.rpow[0] = 1
-	for i := 1; i < len(r.rpow); i++ {
-		r.rpow[i] = r.rpow[i-1] * rho
-	}
-	for j := 0; j <= p; j++ {
-		for k := 0; k <= j; k++ {
-			ajk := t.Anm(j, k)
-			var acc complex128
-			for n := j; n <= p; n++ {
-				if k > n {
-					continue
-				}
-				c := ajk * r.rpow[n-j] / (t.Fact[n-j] * t.Anm(n, k))
-				acc += complex(c, 0) * r.buf2[sphharm.Idx(n, k)]
-			}
-			r.buf1[sphharm.Idx(j, k)] = acc
-		}
-	}
-
-	rotateY(p, r.buf2, r.buf1, r.stack, false)
-	rotateZ(p, r.buf2, -phi)
-	for i := range l.C {
-		l.C[i] += r.buf2[i]
-	}
+	r.halfStackInto(r.half, w.p, theta)
+	fillPhases(r.zph, phi)
+	w.m2lApply(dst, src.C, r.half, r.zph, octants(w.p).ones, w.scratchRow(rho, kind))
 }

@@ -108,7 +108,7 @@ func (tb *M2LTable) HasRot(c int) bool { return int(tb.ops[c].theta) < tb.nStack
 func stackLen(p int) int { return (p + 1) * (2*p + 1) * (2*p + 3) / 3 }
 
 // laneWidth is the number of float64 lanes of the packed M2L body; the
-// half stack and the axial twin are laid out in groups of laneWidth
+// half stack and the axial rows are laid out in groups of laneWidth
 // outputs whether or not the host runs that body (one layout, read by
 // index where there are no lanes).
 const laneWidth = 4
@@ -136,49 +136,56 @@ func halfLen(p int) int {
 var axialBases [sphharm.MaxOrder + 1]struct {
 	once sync.Once
 	axb  []float64
-	lane []float64
 }
 
 // axialBase returns sk * Anm(n,k) * Anm(j,k) * Fact[j+n], the leading
 // factors of the axial M2L term (the kernel multiplies in the radial
-// power), in two orders. axb is flattened over the scalar axial loop
-// (j = 0..p, k = 0..j, n = k..p). lane is its lane-major twin for the
-// packed body: per order k, per group of laneWidth consecutive degrees
-// j = k+4g.., per term n = k..p, the group's laneWidth factors (+0 where
-// j > p). Built once per order.
-func axialBase(p int) (axb, lane []float64) {
+// power), as an axial row (laneRowInto). Built once per order.
+func axialBase(p int) []float64 {
 	e := &axialBases[p]
 	e.once.Do(func() {
 		t := sphharm.NewTables(p)
-		factor := func(j, k, n int) float64 {
+		e.axb = make([]float64, axialLen(p))
+		laneRowInto(e.axb, p, func(j, k, n int) float64 {
 			sk := 1.0
 			if (j+k)%2 == 1 {
 				sk = -1
 			}
 			return sk * t.Anm(n, k) * t.Anm(j, k) * t.Fact[j+n]
-		}
-		for j := 0; j <= p; j++ {
-			for k := 0; k <= j; k++ {
-				for n := k; n <= p; n++ {
-					e.axb = append(e.axb, factor(j, k, n))
-				}
-			}
-		}
-		for k := 0; k <= p; k++ {
-			for j0 := k; j0 <= p; j0 += laneWidth {
-				for n := k; n <= p; n++ {
-					for j := j0; j < j0+laneWidth; j++ {
-						if j <= p {
-							e.lane = append(e.lane, factor(j, k, n))
-						} else {
-							e.lane = append(e.lane, 0)
-						}
-					}
-				}
-			}
-		}
+		})
 	})
-	return e.axb, e.lane
+	return e.axb
+}
+
+// axialLen is the float count of an axial row: per order k, lanePad(p-k+1)
+// degrees times p-k+1 terms.
+func axialLen(p int) int {
+	n := 0
+	for k := 0; k <= p; k++ {
+		n += lanePad(p-k+1) * (p - k + 1)
+	}
+	return n
+}
+
+// laneRowInto lays the axial factors factor(j, k, n) out lane-major, as
+// every axial row the kernel takes is laid out: per order k, per group of
+// laneWidth consecutive degrees j = k+4g.., per term n = k..p, the group's
+// laneWidth factors (+0 where j > p).
+func laneRowInto(dst []float64, p int, factor func(j, k, n int) float64) {
+	i := 0
+	for k := 0; k <= p; k++ {
+		for j0 := k; j0 <= p; j0 += laneWidth {
+			for n := k; n <= p; n++ {
+				for j := j0; j < j0+laneWidth; j++ {
+					dst[i] = 0
+					if j <= p {
+						dst[i] = factor(j, k, n)
+					}
+					i++
+				}
+			}
+		}
+	}
 }
 
 // rowOf returns the slab row keyed by the exact bits of x, assigning the
@@ -399,7 +406,7 @@ func (r *rotWorkspace) halfStackInto(dst []float64, p int, theta float64) {
 func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, classes []int32, tb *M2LTable) {
 	for i := range srcs {
 		half, zph, rpow := tb.setup(w.rot, classes[i])
-		w.m2lApply(l, srcs[i].M.C, half, zph, rpow)
+		w.m2lApply(l, srcs[i].M.C, half, zph, rpow, w.axb)
 	}
 }
 
@@ -410,7 +417,7 @@ func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, cl
 func (w *Workspace) M2LBatchTable4(l *[4]Expansion, srcs []M2LSource4, classes []int32, tb *M2LTable) {
 	for i := range srcs {
 		half, zph, rpow := tb.setup(w.rot, classes[i])
-		w.m2lApply4(l, &srcs[i].M, half, zph, rpow)
+		w.m2lApply4(l, &srcs[i].M, half, zph, rpow, w.axb)
 	}
 }
 

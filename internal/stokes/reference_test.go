@@ -8,8 +8,11 @@ import (
 	"afmm/internal/distrib"
 	"afmm/internal/expansion"
 	"afmm/internal/fault"
+	"afmm/internal/geom"
 	"afmm/internal/kernels"
+	"afmm/internal/octree"
 	"afmm/internal/sched"
+	"afmm/internal/sphharm"
 	"afmm/internal/vgpu"
 )
 
@@ -17,10 +20,10 @@ import (
 // step on the calling goroutine — near rows in order, up sweep from the
 // deepest level, down sweep from the root, leaf evaluation — with no dag,
 // no sched and no M2L table (s never Solves).
-func serialStep(s *Solver) { sweep(s, s.Field.Down) }
+func serialStep(s *Solver) { sweep(s, s.Field.Up, s.Field.Down) }
 
-// sweep runs the step serially with down as the down-sweep operator.
-func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
+// sweep runs the step serially with up and down as the sweep operators.
+func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	t, f := s.Tree, s.Field
 	t.BuildLists()
 	sch := t.NearField()
@@ -33,7 +36,7 @@ func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
 	levels := t.LevelOrder()
 	for lv := len(levels) - 1; lv >= 0; lv-- {
 		for _, ni := range levels[lv] {
-			f.Up(w, ni)
+			up(w, ni)
 		}
 	}
 	for _, nodes := range levels {
@@ -46,30 +49,95 @@ func sweep(s *Solver, down func(w *expansion.Workspace, ni int32)) {
 	}
 }
 
-// perPairStep is serialStep with the down operator of the paper's task
-// recursion: one direct (or rotated) M2L per translated V pair, pass by
-// pass — the operator the four-column table kernel is compared with, to
-// rounding.
+// perPairStep is serialStep with the operators of the paper's task
+// recursion: per child one direct O(p^4) M2M, per cell one direct L2L and
+// per translated V pair one direct M2L, pass by pass — the reference the
+// four-column translation kernel is compared with, to rounding.
 func perPairStep(s *Solver) {
 	t, f := s.Tree, s.Field.(*Field)
-	sweep(s, func(w *expansion.Workspace, ni int32) {
+	up := func(w *expansion.Workspace, ni int32) {
 		n := &t.Nodes[ni]
-		f.L2L(w, ni)
+		if n.IsVisibleLeaf() {
+			f.Up(w, ni) // P2M
+			return
+		}
+		for _, ci := range n.Children {
+			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
+				for k := 0; k < passes; k++ {
+					directM2M(f.Mpole(k, ni), n.Box.Center, f.Mpole(k, ci), t.Nodes[ci].Box.Center)
+				}
+			}
+		}
+	}
+	sweep(s, up, func(w *expansion.Workspace, ni int32) {
+		n := &t.Nodes[ni]
+		if pi := n.Parent; pi != octree.NilNode {
+			for k := 0; k < passes; k++ {
+				directL2L(f.Local(k, ni), n.Box.Center, f.Local(k, pi), t.Nodes[pi].Box.Center)
+			}
+		}
 		direct := t.DirectMask(ni)
 		for k := 0; k < passes; k++ {
 			for j, vi := range n.V {
 				if direct[j] {
 					continue // summed by the near-field schedule
 				}
-				if f.Rotated {
-					w.M2LRotated(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
-				} else {
-					w.M2L(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
-				}
+				w.M2L(f.Local(k, ni), n.Box.Center, f.Mpole(k, vi), t.Nodes[vi].Box.Center)
 			}
 		}
 	})
 }
+
+// directM2M and directL2L are the O(p^4) M2M and L2L the tree ran before
+// both went through the translation kernel (a copy of core's test
+// reference; internal/expansion keeps the same forms as its oracle).
+func directM2M(m expansion.Expansion, to geom.Vec3, o expansion.Expansion, from geom.Vec3) {
+	p, t := m.P, sphharm.NewTables(m.P)
+	reg := make([]complex128, sphharm.PackedLen(p))
+	expansion.Regular(p, from.Sub(to), reg)
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			var acc complex128
+			for n := 0; n <= j; n++ {
+				for mm := max(-n, k-(j-n)); mm <= min(n, k+(j-n)); mm++ {
+					acc += packed(o.C, j-n, k-mm) * sphharm.IPow(abs(k)-abs(mm)-abs(k-mm)) *
+						complex(t.Anm(n, mm)*t.Anm(j-n, k-mm), 0) * packed(reg, n, -mm)
+				}
+			}
+			m.C[sphharm.Idx(j, k)] += acc / complex(t.Anm(j, k), 0)
+		}
+	}
+}
+
+func directL2L(l expansion.Expansion, to geom.Vec3, o expansion.Expansion, from geom.Vec3) {
+	p, t := l.P, sphharm.NewTables(l.P)
+	reg := make([]complex128, sphharm.PackedLen(p))
+	expansion.Regular(p, from.Sub(to), reg)
+	for j := 0; j <= p; j++ {
+		for k := 0; k <= j; k++ {
+			var acc complex128
+			for n := j; n <= p; n++ {
+				neg := float64(1 - 2*((n+j)%2))
+				for mm := max(-n, k-(n-j)); mm <= min(n, k+(n-j)); mm++ {
+					acc += packed(o.C, n, mm) * sphharm.IPow(abs(mm)-abs(mm-k)-abs(k)) *
+						complex(t.Anm(n-j, mm-k)*t.Anm(j, k)*neg/t.Anm(n, mm), 0) * packed(reg, n-j, mm-k)
+				}
+			}
+			l.C[sphharm.Idx(j, k)] += acc
+		}
+	}
+}
+
+// packed returns coefficient (n, m) of a packed Hermitian expansion.
+func packed(e []complex128, n, m int) complex128 {
+	if m >= 0 {
+		return e[sphharm.Idx(n, m)]
+	}
+	c := e[sphharm.Idx(n, -m)]
+	return complex(real(c), -imag(c))
+}
+
+func abs(x int) int { return max(x, -x) }
 
 // assertBitIdentical compares velocities (and the never-written
 // potentials) bit for bit.
@@ -99,7 +167,6 @@ var (
 	oneGPU    = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
 	gpus      = variant{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
 	gpusTight = variant{"gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
-	rotated   = variant{"rotated", func(cfg *Config) { cfg.UseRotatedTranslations = true }}
 )
 
 // graphMatchesSerial solves each variant on each pool size through the
@@ -179,20 +246,20 @@ func TestOverlapBitIdenticalStokes(t *testing.T) {
 }
 
 func TestTaskGraphBitIdenticalStokes(t *testing.T) {
-	graphMatchesSerial(t, []int{2, 4}, cpuOnly, gpus, gpusTight, rotated)
+	graphMatchesSerial(t, []int{2, 4}, cpuOnly, gpus, gpusTight)
 }
 
-// TestSweepModesAgree: the batched four-column table M2L of the step graph
-// against the per-pair direct (or rotated) operator of the paper's task
-// recursion — what the deleted recursive sweep mode executed.
-func TestSweepModesAgree(t *testing.T) {
+// TestKernelMatchesPerPairDirect: the step graph's four-column
+// translations — M2M, table-driven M2L and L2L, all through the one
+// translation kernel — against the per-pair direct operators of the
+// paper's task recursion.
+func TestKernelMatchesPerPairDirect(t *testing.T) {
 	k := kernels.Stokeslet{Mu: 0.9, Eps: 1e-3}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"direct", Config{P: 8, S: 16, Kernel: k}},
-		{"rotated", Config{P: 8, S: 16, Kernel: k, UseRotatedTranslations: true}},
 		{"gpus", Config{P: 6, S: 24, Kernel: k, NumGPUs: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -59,8 +59,7 @@ type Config struct {
 	// this kernel's own pair (see core.Profile).
 	GPUSpec vgpu.Spec
 	// SkipFarField disables far-field numerics (timing-only harnesses).
-	SkipFarField           bool
-	UseRotatedTranslations bool
+	SkipFarField bool
 	// TaskGraph is accepted and ignored (see core.Config).
 	TaskGraph bool
 	Rec       *telemetry.Recorder
@@ -107,13 +106,12 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 	drv := core.NewSolverWith(sys, core.Config{
 		P: cfg.P, S: cfg.S, MAC: cfg.MAC, Mode: cfg.Mode, MaxDepth: cfg.MaxDepth,
 		Pool: cfg.Pool, CPU: cfg.CPU, NumGPUs: cfg.NumGPUs, GPUSpec: cfg.GPUSpec,
-		Profile:                core.StokesProfile(),
-		SkipFarField:           cfg.SkipFarField,
-		UseRotatedTranslations: cfg.UseRotatedTranslations,
-		Rec:                    cfg.Rec, Validate: cfg.Validate,
+		Profile:      core.StokesProfile(),
+		SkipFarField: cfg.SkipFarField,
+		Rec:          cfg.Rec, Validate: cfg.Validate,
 		Faults: cfg.Faults, Watchdog: cfg.Watchdog,
 	}, func(t *octree.Tree, c core.Config, m2l *core.SharedM2L) core.Field {
-		return NewField(t, sys, c.P, cfg.Kernel, c.UseRotatedTranslations, m2l)
+		return NewField(t, sys, c.P, cfg.Kernel, m2l)
 	})
 	return &Solver{drv}
 }
@@ -127,12 +125,12 @@ type Field struct {
 }
 
 // NewField returns the Stokeslet field of t's cells and sys's bodies.
-func NewField(t *octree.Tree, sys *particle.System, p int, k kernels.Stokeslet, rotated bool, m2l *core.SharedM2L) *Field {
-	return &Field{Cells: core.NewCells(t, sys, p, passes, rotated, m2l), Kernel: k}
+func NewField(t *octree.Tree, sys *particle.System, p int, k kernels.Stokeslet, m2l *core.SharedM2L) *Field {
+	return &Field{Cells: core.NewCells(t, sys, p, passes, m2l), Kernel: k}
 }
 
 func (f *Field) Private() core.Field {
-	return NewField(f.Tree, f.Sys, f.P, f.Kernel, f.Rotated, f.M2L)
+	return NewField(f.Tree, f.Sys, f.P, f.Kernel, f.M2L)
 }
 
 // mpoles4 and locals4 return node ni's four harmonic expansions.
@@ -167,9 +165,9 @@ func Combine(x geom.Vec3, phi *[passes]float64, g *[passes]geom.Vec3) geom.Vec3 
 }
 
 // Up computes node ni's four multipoles: at a leaf one harmonic evaluation
-// per body feeds all four charges; above, each pass translates its
-// children's multipoles. Every pass writes only its own slab, in the order
-// a pass-by-pass sweep would.
+// per body feeds all four charges; above, one four-column translation per
+// child (core.Cells.M2M). Every pass writes only its own slab, in the
+// order a pass-by-pass sweep would.
 func (f *Field) Up(w *expansion.Workspace, ni int32) {
 	n := &f.Tree.Nodes[ni]
 	if !n.IsVisibleLeaf() {
@@ -182,10 +180,11 @@ func (f *Field) Up(w *expansion.Workspace, ni int32) {
 	}
 }
 
-// Down applies L2L per pass and then node ni's V list to all four locals at
-// once: the passes translate over one geometry, so each V pair is one
-// four-column translation (core.SharedM2L.M2L4). Per pass the operations
-// and their order are those of a pass-by-pass sweep.
+// Down applies the L2L and then node ni's V list to all four locals at
+// once: the passes translate over one geometry, so the parent and each V
+// pair are one four-column translation (core.Cells.L2L,
+// core.SharedM2L.M2L4). Per pass the operations and their order are those
+// of a pass-by-pass sweep.
 func (f *Field) Down(w *expansion.Workspace, ni int32) {
 	t := f.Tree
 	n := &t.Nodes[ni]
