@@ -241,10 +241,7 @@ func (f *GravityField) Up(w *expansion.Workspace, ni int32) {
 		f.M2M(w, ni)
 		return
 	}
-	m := f.Mpole(0, ni)
-	for i := n.Start; i < n.End; i++ {
-		w.P2M(m, n.Box.Center, f.Sys.Pos[i], f.Sys.Mass[i])
-	}
+	w.P2MLeaf(f.Mpole(0, ni), n.Box.Center, f.Sys.Pos[n.Start:n.End], f.Sys.Mass[n.Start:n.End])
 }
 
 func (f *GravityField) Down(w *expansion.Workspace, ni int32) {
@@ -265,11 +262,11 @@ func (f *GravityField) L2P(w *expansion.Workspace, ni int32) {
 	l := f.Local(0, ni)
 	g := f.Kernel.G
 	sys := f.Sys
-	for i := n.Start; i < n.End; i++ {
-		phi, grad := w.L2P(l, n.Box.Center, sys.Pos[i])
+	w.L2PLeaf(l, n.Box.Center, sys.Pos[n.Start:n.End], func(k int, phi float64, grad geom.Vec3) {
+		i := int(n.Start) + k
 		sys.Phi[i] += -g * phi
 		sys.Acc[i] = sys.Acc[i].Add(grad.Scale(g))
-	}
+	})
 }
 
 func (f *GravityField) NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf) {

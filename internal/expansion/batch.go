@@ -71,8 +71,8 @@ func (w *Workspace) Sources4(n int) []M2LSource4 {
 // conversions are rounding points: without them arm64 (and any other
 // target with a fused multiply-add) contracts p*x + acc into one rounding
 // and the kernel's bits would depend on the architecture. The same holds
-// for every product below that feeds a sum. (P2M and L2P carry no such
-// points and still fuse off amd64; THEORY §13 has the counts.)
+// for every product below that feeds a sum, and in the solid harmonics and
+// the leaf operators (solid.go).
 func rotateHalf(p int, outRe, outIm, inRe, inIm, half []float64, orderMajor bool) {
 	off, base := 0, 0 // degree n's block of half; Idx(n, 0)
 	for n := 0; n <= p; n++ {

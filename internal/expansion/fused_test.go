@@ -33,14 +33,19 @@ func randomLocals(p int, rng *rand.Rand) (a, b [4]Expansion) {
 	return a, b
 }
 
+// fusedClassStride thins the real-tree classes of the width-4 gate.
+const fusedClassStride = 8
+
 // TestM2LFusedMatchesSingle is the gate of kernel width 4: translation by
 // translation, column c of m2lApply4 equals m2lApply on column c's inputs,
 // coefficient for coefficient, accumulating onto the same nonzero local —
 // through the table in budget and squeezed to five stacks (so most theta
 // spill) — on the golden batch, on exactly axial and equatorial offsets,
-// and on every translation class of the three real trees (sampled at
-// MaxOrder and under -short, as in TestM2LKernelMatchesOracle), under both
-// dispatch states over one build of each table.
+// and on the translation classes of the three real trees, under both
+// dispatch states over one build of each table. The width-1 gate
+// (TestM2LKernelMatchesOracle) visits every class sampledClasses keeps;
+// this one every fusedClassStride-th of those, spread over each tree's
+// directions.
 func TestM2LFusedMatchesSingle(t *testing.T) {
 	states := dispatchStates(t)
 	check := func(name string, p int, to geom.Vec3, froms []geom.Vec3) {
@@ -90,7 +95,13 @@ func TestM2LFusedMatchesSingle(t *testing.T) {
 		tr.BuildLists()
 		cls := tr.M2LClasses()
 		for _, p := range oracleOrders {
-			check(tc.name, p, geom.Vec3{}, sampledClasses(cls.Dirs, p))
+			var froms []geom.Vec3
+			for i, d := range sampledClasses(cls.Dirs, p) {
+				if i%fusedClassStride == 0 {
+					froms = append(froms, d)
+				}
+			}
+			check(tc.name, p, geom.Vec3{}, froms)
 		}
 	}
 }
@@ -189,8 +200,9 @@ func BenchmarkM2LBatchTableFused(b *testing.B) {
 }
 
 // TestLeafOperators4MatchSingle: P2M4 and L2P4 evaluate the harmonics once
-// for four charges or locals; each column must equal the single operator
-// bit for bit.
+// for four charges or locals, and P2MLeaf4 and L2PLeaf4 once per body of a
+// leaf; each column must equal the single-column operator (P2M, L2P,
+// P2MLeaf, L2PLeaf) bit for bit, the leaf forms under both dispatch states.
 func TestLeafOperators4MatchSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for _, p := range []int{0, 1, 4, 8} {
@@ -217,4 +229,37 @@ func TestLeafOperators4MatchSingle(t *testing.T) {
 			}
 		}
 	}
+	eachDispatch(t, func(t *testing.T) {
+		for _, p := range []int{0, 1, 4, 8} {
+			w := NewWorkspace(p)
+			for n := 1; n <= 9; n++ {
+				in := randomLeaf(p, n, rng)
+				got := in.copies()
+				w.P2MLeaf4(&got, in.center, in.pos, func(i int) [4]float64 { return in.q[i] })
+				var phi4 [][4]float64
+				var grad4 [][4]geom.Vec3
+				w.L2PLeaf4(&in.l, in.center, in.pos, func(_ int, phi [4]float64, grad [4]geom.Vec3) {
+					phi4, grad4 = append(phi4, phi), append(grad4, grad)
+				})
+				want := in.copies()
+				q := make([]float64, n)
+				for c := range want {
+					for i := range q {
+						q[i] = in.q[i][c]
+					}
+					w.P2MLeaf(want[c], in.center, in.pos, q)
+					for k := range want[c].C {
+						if got[c].C[k] != want[c].C[k] {
+							t.Fatalf("p=%d leaf of %d column %d coefficient %d: P2MLeaf4 %v, P2MLeaf %v", p, n, c, k, got[c].C[k], want[c].C[k])
+						}
+					}
+					w.L2PLeaf(in.l[c], in.center, in.pos, func(i int, phi float64, grad geom.Vec3) {
+						if phi != phi4[i][c] || grad != grad4[i][c] {
+							t.Fatalf("p=%d leaf of %d column %d body %d: L2PLeaf4 (%v, %v), L2PLeaf (%v, %v)", p, n, c, i, phi4[i][c], grad4[i][c], phi, grad)
+						}
+					})
+				}
+			}
+		}
+	})
 }

@@ -36,31 +36,34 @@ func (e Expansion) Add(o Expansion) {
 // Workspace holds per-goroutine scratch buffers for the operators so hot
 // paths do not allocate. A Workspace must not be shared across goroutines.
 type Workspace struct {
-	p    int
-	t    *sphharm.Tables
-	reg  []complex128 // regular harmonics, degree p
-	irr  []complex128 // irregular harmonics, degree 2p
-	val  []complex128 // L2P value buffer
-	gx   []complex128
-	gy   []complex128
-	gz   []complex128
-	rot  *rotWorkspace // buffers of the translation kernel
-	axb  []float64     // axialBase(p), shared read-only
-	srcs []M2LSource   // V-list scratch (see Sources)
-	src4 []M2LSource4  // four-column V-list scratch (see Sources4)
+	p     int
+	t     *sphharm.Tables
+	reg   []complex128 // regular harmonics, degree p
+	irr   []complex128 // irregular harmonics, degree 2p
+	val   []complex128 // L2P value buffer
+	gx    []complex128
+	gy    []complex128
+	gz    []complex128
+	rot   *rotWorkspace // buffers of the translation kernel
+	axb   []float64     // axialBase(p), shared read-only
+	srcs  []M2LSource   // V-list scratch (see Sources)
+	src4  []M2LSource4  // four-column V-list scratch (see Sources4)
+	lanes []float64     // the packed leaf bodies' scratch (leaf.go)
 }
 
 // NewWorkspace creates scratch space for order-p operators.
 func NewWorkspace(p int) *Workspace {
+	pl := sphharm.PackedLen(p)
+	h := make([]complex128, 5*pl+sphharm.PackedLen(2*p)) // one allocation for the harmonics
 	return &Workspace{
 		p:   p,
 		t:   sphharm.NewTables(p),
-		reg: make([]complex128, sphharm.PackedLen(p)),
-		irr: make([]complex128, sphharm.PackedLen(2*p)),
-		val: make([]complex128, sphharm.PackedLen(p)),
-		gx:  make([]complex128, sphharm.PackedLen(p)),
-		gy:  make([]complex128, sphharm.PackedLen(p)),
-		gz:  make([]complex128, sphharm.PackedLen(p)),
+		reg: h[:pl:pl],
+		val: h[pl : 2*pl : 2*pl],
+		gx:  h[2*pl : 3*pl : 3*pl],
+		gy:  h[3*pl : 4*pl : 4*pl],
+		gz:  h[4*pl : 5*pl : 5*pl],
+		irr: h[5*pl:],
 		rot: newRotWorkspace(p),
 		axb: axialBase(p),
 	}
@@ -75,9 +78,7 @@ func (w *Workspace) Order() int { return w.p }
 //	M_n^k += q * conj(R_n^k(pos - center))
 func (w *Workspace) P2M(m Expansion, center, pos geom.Vec3, q float64) {
 	Regular(m.P, pos.Sub(center), w.reg)
-	for i, r := range w.reg[:len(m.C)] {
-		m.C[i] += complex(q, 0) * complex(real(r), -imag(r))
-	}
+	accumulateP2M(m.C, w.reg, q)
 }
 
 // P2M4 is P2M for four charges q[c] at one position, accumulated into the
@@ -86,10 +87,14 @@ func (w *Workspace) P2M(m Expansion, center, pos geom.Vec3, q float64) {
 func (w *Workspace) P2M4(m *[4]Expansion, center, pos geom.Vec3, q [4]float64) {
 	Regular(m[0].P, pos.Sub(center), w.reg)
 	for c := range m {
-		qc := complex(q[c], 0)
-		for i, r := range w.reg[:len(m[c].C)] {
-			m[c].C[i] += qc * complex(real(r), -imag(r))
-		}
+		accumulateP2M(m[c].C, w.reg, q[c])
+	}
+}
+
+// accumulateP2M adds q * conj(reg[i]) to dst[i], in real arithmetic.
+func accumulateP2M(dst, reg []complex128, q float64) {
+	for i, r := range reg[:len(dst)] {
+		dst[i] = complex(real(dst[i])+float64(q*real(r)), imag(dst[i])-float64(q*imag(r)))
 	}
 }
 
@@ -145,26 +150,29 @@ func (w *Workspace) L2P4(l *[4]Expansion, center, pos geom.Vec3) (phi [4]float64
 }
 
 // evalLocal contracts l with the harmonics and gradients RegularGrad left
-// in the workspace.
+// in the workspace, in real arithmetic: the m > 0 terms count twice for
+// their m < 0 conjugates. Every product feeding a sum is a rounding point.
 func (w *Workspace) evalLocal(l Expansion) (phi float64, grad geom.Vec3) {
 	var p, gx, gy, gz float64
 	for n := 0; n <= l.P; n++ {
 		i0 := sphharm.Idx(n, 0)
 		c := l.C[i0]
-		p += real(c) * real(w.val[i0])
+		cr, ci := real(c), imag(c)
 		// m = 0 harmonics are real-valued polynomials, but retain the
 		// general complex product for safety against rounding drift.
-		p -= imag(c) * imag(w.val[i0])
-		gx += real(c)*real(w.gx[i0]) - imag(c)*imag(w.gx[i0])
-		gy += real(c)*real(w.gy[i0]) - imag(c)*imag(w.gy[i0])
-		gz += real(c)*real(w.gz[i0]) - imag(c)*imag(w.gz[i0])
+		p += float64(cr * real(w.val[i0]))
+		p -= float64(ci * imag(w.val[i0]))
+		gx += float64(cr*real(w.gx[i0])) - float64(ci*imag(w.gx[i0]))
+		gy += float64(cr*real(w.gy[i0])) - float64(ci*imag(w.gy[i0]))
+		gz += float64(cr*real(w.gz[i0])) - float64(ci*imag(w.gz[i0]))
 		for m := 1; m <= n; m++ {
-			i := sphharm.Idx(n, m)
+			i := i0 + m
 			c := l.C[i]
-			p += 2 * (real(c)*real(w.val[i]) - imag(c)*imag(w.val[i]))
-			gx += 2 * (real(c)*real(w.gx[i]) - imag(c)*imag(w.gx[i]))
-			gy += 2 * (real(c)*real(w.gy[i]) - imag(c)*imag(w.gy[i]))
-			gz += 2 * (real(c)*real(w.gz[i]) - imag(c)*imag(w.gz[i]))
+			cr, ci := real(c), imag(c)
+			p += float64(2 * (float64(cr*real(w.val[i])) - float64(ci*imag(w.val[i]))))
+			gx += float64(2 * (float64(cr*real(w.gx[i])) - float64(ci*imag(w.gx[i]))))
+			gy += float64(2 * (float64(cr*real(w.gy[i])) - float64(ci*imag(w.gy[i]))))
+			gz += float64(2 * (float64(cr*real(w.gz[i])) - float64(ci*imag(w.gz[i]))))
 		}
 	}
 	return p, geom.Vec3{X: gx, Y: gy, Z: gz}

@@ -18,30 +18,72 @@ import (
 	"afmm/internal/sphharm"
 )
 
+// The solid harmonics run three-term recurrences in real arithmetic, re
+// and im side by side. Every product that feeds a sum or a difference is
+// wrapped in float64(...), a rounding point no target may fuse across, so
+// each output is the correctly rounded result of the same operations on
+// every architecture and at every GOAMD64 level (THEORY §2). The products
+// the complex forms formed with a zero imaginary part (complex(c, 0) * w)
+// are gone; they could only change the sign of a zero result.
+
+// recur holds the recurrence constants of the solid harmonics to degree
+// 2·MaxOrder (M2L's irregular harmonics reach degree 2p), two per packed
+// coefficient (n, m): at n = m the diagonal factor sqrt((2m-1)/(2m)) and
+// 0; at n > m the a and b of the three-term step
+//
+//	a = (2n-1) / sqrt((n-m)(n+m)),
+//	b = sqrt((n+m-1)(n-m-1) / ((n-m)(n+m))).
+//
+// It is built once and read-only afterwards.
+var recur = recurRow(2 * sphharm.MaxOrder)
+
+func recurRow(deg int) []float64 {
+	ab := make([]float64, 2*sphharm.PackedLen(deg))
+	for m := 0; m <= deg; m++ {
+		mm := sphharm.Idx(m, m)
+		if m > 0 {
+			ab[2*mm] = math.Sqrt(float64(2*m-1) / float64(2*m))
+		}
+		for n := m + 1; n <= deg; n++ {
+			i := sphharm.Idx(n, m)
+			ab[2*i] = float64(2*n-1) / math.Sqrt(float64(n-m)*float64(n+m))
+			ab[2*i+1] = math.Sqrt(float64(n+m-1) * float64(n-m-1) /
+				(float64(n-m) * float64(n+m)))
+		}
+	}
+	return ab
+}
+
+// radius2 is |v|^2 with the rounding of (x*x + y*y) + z*z.
+func radius2(x, y, z float64) float64 {
+	return float64(x*x) + float64(y*y) + float64(z*z)
+}
+
 // Regular fills out[Idx(n,m)] with the regular solid harmonics
 // R_n^m(v) = r^n Y_n^m for 0 <= m <= n <= deg. out must have length
 // >= PackedLen(deg).
 func Regular(deg int, v geom.Vec3, out []complex128) {
 	x, y, z := v.X, v.Y, v.Z
-	r2 := x*x + y*y + z*z
-	xy := complex(x, y)
+	r2 := radius2(x, y, z)
+	out = out[:sphharm.PackedLen(deg)]
+	ab := recur[:2*len(out)]
 	out[0] = 1
 	for m := 0; m <= deg; m++ {
 		mm := sphharm.Idx(m, m)
 		if m > 0 {
 			// R_m^m = sqrt((2m-1)/(2m)) (x+iy) R_{m-1}^{m-1}
-			c := math.Sqrt(float64(2*m-1) / float64(2*m))
-			out[mm] = complex(c, 0) * xy * out[sphharm.Idx(m-1, m-1)]
+			c := ab[2*mm]
+			u, w := c*x, c*y
+			pr, pi := real(out[mm-m-1]), imag(out[mm-m-1])
+			out[mm] = complex(float64(u*pr)-float64(w*pi), float64(u*pi)+float64(w*pr))
 		}
-		prev2 := complex(0, 0) // R_{n-2}^m
-		prev1 := out[mm]       // R_{n-1}^m
-		for n := m + 1; n <= deg; n++ {
-			a := float64(2*n-1) / math.Sqrt(float64(n-m)*float64(n+m))
-			b := math.Sqrt(float64(n+m-1) * float64(n-m-1) /
-				(float64(n-m) * float64(n+m)))
-			cur := complex(a*z, 0)*prev1 - complex(b*r2, 0)*prev2
-			out[sphharm.Idx(n, m)] = cur
-			prev2, prev1 = prev1, cur
+		var r2r, r2i float64 // R_{n-2}^m
+		r1r, r1i := real(out[mm]), imag(out[mm])
+		for n, i := m+1, mm+m+1; n <= deg; n, i = n+1, i+n+1 {
+			az, br := ab[2*i]*z, ab[2*i+1]*r2
+			cr, ci := float64(az*r1r)-float64(br*r2r), float64(az*r1i)-float64(br*r2i)
+			out[i] = complex(cr, ci)
+			r2r, r2i, r1r, r1i = r1r, r1i, cr, ci
 		}
 	}
 }
@@ -52,32 +94,48 @@ func Regular(deg int, v geom.Vec3, out []complex128) {
 // (R_n^m are harmonic polynomials), so there are no polar singularities.
 func RegularGrad(deg int, v geom.Vec3, val, gx, gy, gz []complex128) {
 	x, y, z := v.X, v.Y, v.Z
-	r2 := x*x + y*y + z*z
-	xy := complex(x, y)
+	r2 := radius2(x, y, z)
+	tx, ty, tz := 2*x, 2*y, 2*z
+	pl := sphharm.PackedLen(deg)
+	val, gx, gy, gz = val[:pl], gx[:pl], gy[:pl], gz[:pl]
+	ab := recur[:2*pl]
 	val[0], gx[0], gy[0], gz[0] = 1, 0, 0, 0
 	for m := 0; m <= deg; m++ {
 		mm := sphharm.Idx(m, m)
 		if m > 0 {
-			pm := sphharm.Idx(m-1, m-1)
-			c := complex(math.Sqrt(float64(2*m-1)/float64(2*m)), 0)
-			val[mm] = c * xy * val[pm]
-			gx[mm] = c * (val[pm] + xy*gx[pm])
-			gy[mm] = c * (complex(0, 1)*val[pm] + xy*gy[pm])
-			gz[mm] = c * xy * gz[pm]
+			// d/dx (x+iy) R = R + (x+iy) dR/dx, d/dy (x+iy) R = iR + (x+iy) dR/dy.
+			pm := mm - m - 1
+			c := ab[2*mm]
+			u, w := c*x, c*y
+			vr, vi := real(val[pm]), imag(val[pm])
+			xr, xi := real(gx[pm]), imag(gx[pm])
+			yr, yi := real(gy[pm]), imag(gy[pm])
+			zr, zi := real(gz[pm]), imag(gz[pm])
+			val[mm] = complex(float64(u*vr)-float64(w*vi), float64(u*vi)+float64(w*vr))
+			gx[mm] = complex(c*(vr+(float64(x*xr)-float64(y*xi))), c*(vi+(float64(x*xi)+float64(y*xr))))
+			gy[mm] = complex(c*(float64(x*yr)-float64(y*yi)-vi), c*(vr+(float64(x*yi)+float64(y*yr))))
+			gz[mm] = complex(float64(u*zr)-float64(w*zi), float64(u*zi)+float64(w*zr))
 		}
-		var v2, x2, y2, z2 complex128 // degree n-2 values/grads
-		v1, x1, y1, z1 := val[mm], gx[mm], gy[mm], gz[mm]
-		for n := m + 1; n <= deg; n++ {
-			a := complex(float64(2*n-1)/math.Sqrt(float64(n-m)*float64(n+m)), 0)
-			b := complex(math.Sqrt(float64(n+m-1)*float64(n-m-1)/
-				(float64(n-m)*float64(n+m))), 0)
-			i := sphharm.Idx(n, m)
-			val[i] = a*complex(z, 0)*v1 - b*complex(r2, 0)*v2
-			gx[i] = a*complex(z, 0)*x1 - b*(complex(2*x, 0)*v2+complex(r2, 0)*x2)
-			gy[i] = a*complex(z, 0)*y1 - b*(complex(2*y, 0)*v2+complex(r2, 0)*y2)
-			gz[i] = a*(v1+complex(z, 0)*z1) - b*(complex(2*z, 0)*v2+complex(r2, 0)*z2)
-			v2, x2, y2, z2 = v1, x1, y1, z1
-			v1, x1, y1, z1 = val[i], gx[i], gy[i], gz[i]
+		// Degree n-1 (…1) and n-2 (…2) values and gradients, re and im.
+		var v2r, v2i, x2r, x2i, y2r, y2i, z2r, z2i float64
+		v1r, v1i := real(val[mm]), imag(val[mm])
+		x1r, x1i := real(gx[mm]), imag(gx[mm])
+		y1r, y1i := real(gy[mm]), imag(gy[mm])
+		z1r, z1i := real(gz[mm]), imag(gz[mm])
+		for n, i := m+1, mm+m+1; n <= deg; n, i = n+1, i+n+1 {
+			a, b := ab[2*i], ab[2*i+1]
+			az, br := a*z, b*r2
+			vr := float64(az*v1r) - float64(br*v2r)
+			vi := float64(az*v1i) - float64(br*v2i)
+			xr := float64(az*x1r) - float64(b*(float64(tx*v2r)+float64(r2*x2r)))
+			xi := float64(az*x1i) - float64(b*(float64(tx*v2i)+float64(r2*x2i)))
+			yr := float64(az*y1r) - float64(b*(float64(ty*v2r)+float64(r2*y2r)))
+			yi := float64(az*y1i) - float64(b*(float64(ty*v2i)+float64(r2*y2i)))
+			zr := float64(a*(v1r+float64(z*z1r))) - float64(b*(float64(tz*v2r)+float64(r2*z2r)))
+			zi := float64(a*(v1i+float64(z*z1i))) - float64(b*(float64(tz*v2i)+float64(r2*z2i)))
+			val[i], gx[i], gy[i], gz[i] = complex(vr, vi), complex(xr, xi), complex(yr, yi), complex(zr, zi)
+			v2r, v2i, x2r, x2i, y2r, y2i, z2r, z2i = v1r, v1i, x1r, x1i, y1r, y1i, z1r, z1i
+			v1r, v1i, x1r, x1i, y1r, y1i, z1r, z1i = vr, vi, xr, xi, yr, yi, zr, zi
 		}
 	}
 }
@@ -86,29 +144,28 @@ func RegularGrad(deg int, v geom.Vec3, val, gx, gy, gz []complex128) {
 // S_n^m(v) = Y_n^m / r^{n+1} for 0 <= m <= n <= deg. v must be nonzero.
 func Irregular(deg int, v geom.Vec3, out []complex128) {
 	x, y, z := v.X, v.Y, v.Z
-	r2 := x*x + y*y + z*z
-	inv := 1 / r2
-	xy := complex(x, y)
+	inv := 1 / radius2(x, y, z)
+	out = out[:sphharm.PackedLen(deg)]
+	ab := recur[:2*len(out)]
 	out[0] = complex(math.Sqrt(inv), 0) // 1/r
 	for m := 0; m <= deg; m++ {
 		mm := sphharm.Idx(m, m)
 		if m > 0 {
-			c := math.Sqrt(float64(2*m-1) / float64(2*m))
-			out[mm] = complex(c*inv, 0) * xy * out[sphharm.Idx(m-1, m-1)]
+			ci := ab[2*mm] * inv
+			u, w := ci*x, ci*y
+			pr, pi := real(out[mm-m-1]), imag(out[mm-m-1])
+			out[mm] = complex(float64(u*pr)-float64(w*pi), float64(u*pi)+float64(w*pr))
 		}
-		prev2 := complex(0, 0)
-		prev1 := out[mm]
-		for n := m + 1; n <= deg; n++ {
-			// Note: for S the standard three-term coefficients differ
-			// from R; derived from the same Legendre recurrence:
-			// S_n^m = ((2n-1) z S_{n-1}^m - c2 S_{n-2}^m) / (c1 r^2)
-			// with the normalization folded in below.
-			a := float64(2*n-1) / math.Sqrt(float64(n-m)*float64(n+m))
-			b := math.Sqrt(float64(n+m-1) * float64(n-m-1) /
-				(float64(n-m) * float64(n+m)))
-			cur := complex(inv, 0) * (complex(a*z, 0)*prev1 - complex(b, 0)*prev2)
-			out[sphharm.Idx(n, m)] = cur
-			prev2, prev1 = prev1, cur
+		// The same a and b as R's, the normalization folded in:
+		// S_n^m = (a z S_{n-1}^m - b S_{n-2}^m) / r^2.
+		var r2r, r2i float64
+		r1r, r1i := real(out[mm]), imag(out[mm])
+		for n, i := m+1, mm+m+1; n <= deg; n, i = n+1, i+n+1 {
+			az, b := ab[2*i]*z, ab[2*i+1]
+			cr := inv * (float64(az*r1r) - float64(b*r2r))
+			ci := inv * (float64(az*r1i) - float64(b*r2i))
+			out[i] = complex(cr, ci)
+			r2r, r2i, r1r, r1i = r1r, r1i, cr, ci
 		}
 	}
 }

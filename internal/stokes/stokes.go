@@ -165,8 +165,8 @@ func Combine(x geom.Vec3, phi *[passes]float64, g *[passes]geom.Vec3) geom.Vec3 
 }
 
 // Up computes node ni's four multipoles: at a leaf one harmonic evaluation
-// per body feeds all four charges; above, one four-column translation per
-// child (core.Cells.M2M). Every pass writes only its own slab, in the
+// per body feeds all four charges (expansion.Workspace.P2MLeaf4); above,
+// one four-column translation per child (core.Cells.M2M). Every pass writes only its own slab, in the
 // order a pass-by-pass sweep would.
 func (f *Field) Up(w *expansion.Workspace, ni int32) {
 	n := &f.Tree.Nodes[ni]
@@ -175,9 +175,8 @@ func (f *Field) Up(w *expansion.Workspace, ni int32) {
 		return
 	}
 	m := f.mpoles4(ni)
-	for i := n.Start; i < n.End; i++ {
-		w.P2M4(&m, n.Box.Center, f.Sys.Pos[i], Charges(f.Sys.Aux[i], f.Sys.Pos[i]))
-	}
+	pos, aux := f.Sys.Pos[n.Start:n.End], f.Sys.Aux[n.Start:n.End]
+	w.P2MLeaf4(&m, n.Box.Center, pos, func(k int) [passes]float64 { return Charges(aux[k], pos[k]) })
 }
 
 // Down applies the L2L and then node ni's V list to all four locals at
@@ -200,18 +199,18 @@ func (f *Field) Down(w *expansion.Workspace, ni int32) {
 }
 
 // L2P evaluates the four finalized harmonic locals of one visible leaf —
-// one harmonic evaluation per body — and combines them into the Stokeslet
-// velocity.
+// one harmonic evaluation per body (expansion.Workspace.L2PLeaf4) — and
+// combines them into the Stokeslet velocity.
 func (f *Field) L2P(w *expansion.Workspace, ni int32) {
 	n := &f.Tree.Nodes[ni]
 	l := f.locals4(ni)
 	c0 := 1 / (8 * math.Pi * f.Kernel.Mu)
 	sys := f.Sys
-	for i := n.Start; i < n.End; i++ {
-		x := sys.Pos[i]
-		phi, grad := w.L2P4(&l, n.Box.Center, x)
-		sys.Acc[i] = sys.Acc[i].Add(Combine(x, &phi, &grad).Scale(c0))
-	}
+	pos := sys.Pos[n.Start:n.End]
+	w.L2PLeaf4(&l, n.Box.Center, pos, func(k int, phi [passes]float64, grad [passes]geom.Vec3) {
+		i := int(n.Start) + k
+		sys.Acc[i] = sys.Acc[i].Add(Combine(pos[k], &phi, &grad).Scale(c0))
+	})
 }
 
 func (f *Field) NearRow(sch *octree.NearSchedule, r int, ghosts []core.GhostLeaf) {
