@@ -218,7 +218,7 @@ type (
 	// TelemetryStepRecord is the per-step record a Recorder emits.
 	TelemetryStepRecord = telemetry.StepRecord
 	// MetricsRegistry is the live metrics registry (counters, gauges,
-	// histograms) the recorder and subsystems publish into; the debug
+	// histograms) the recorder fills from each step record; the debug
 	// server serves it as Prometheus text on /metrics.
 	MetricsRegistry = metrics.Registry
 	// FlightRecorder retains the last K step records in memory and dumps
@@ -245,9 +245,6 @@ var (
 	// StartTelemetryDebug starts the debug server (dashboard, metrics,
 	// status, flight ring, pprof) and returns a handle with Shutdown.
 	StartTelemetryDebug = telemetry.StartDebug
-	// ServeTelemetryDebug is the legacy debug entry point returning the
-	// raw (addr, *http.Server) pair.
-	ServeTelemetryDebug = telemetry.ServeDebug
 )
 
 // Virtual machine.

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 
-	"afmm/internal/metrics"
 	"afmm/internal/octree"
 	"afmm/internal/particle"
 	"afmm/internal/sched"
@@ -176,14 +175,6 @@ type Balancer struct {
 	capSeen  bool
 	capEpoch int64
 	capVal   float64
-
-	// metric handles, resolved on first AfterStep under a recorder with
-	// a registry. Set from the step loop's goroutine only — the balancer
-	// state they publish is not atomic.
-	metInit  bool
-	metState metrics.Gauge
-	metS     metrics.Gauge
-	metBest  metrics.Gauge
 }
 
 // New creates a balancer for a system of n bodies starting at S0.
@@ -285,31 +276,7 @@ func (b *Balancer) AfterStep(s Target, st StepTimes) Report {
 	if len(pre.Events) > 0 {
 		r.Events = append(pre.Events, r.Events...)
 	}
-	b.publishMetrics(r)
 	return r
-}
-
-// publishMetrics refreshes the balancer gauges after the FSM step.
-// Runs on the step loop's goroutine (the balancer state is not atomic);
-// a recorder without a registry makes this a no-op.
-func (b *Balancer) publishMetrics(r Report) {
-	reg := b.rec().Metrics()
-	if !reg.Enabled() {
-		return
-	}
-	if !b.metInit {
-		b.metState = reg.Gauge("afmm_balancer_state",
-			"balance FSM state: 0 search, 1 incremental, 2 observation, 3 frozen")
-		b.metS = reg.Gauge("afmm_balancer_target_s", "S the balancer chose for the next step")
-		b.metBest = reg.Gauge("afmm_balancer_best_compute_seconds",
-			"best compute time seen since the last search reset")
-		b.metInit = true
-	}
-	b.metState.Set(float64(r.State))
-	b.metS.Set(float64(r.NewS))
-	if b.haveBest {
-		b.metBest.Set(b.best)
-	}
 }
 
 func (b *Balancer) stepFSM(s Target, st StepTimes) Report {

@@ -13,7 +13,7 @@ import (
 )
 
 // Field is a kernel on a tree: the six FMM operators (P2M and M2M in Up,
-// M2L and L2L in Down, L2P, P2P in NearRow and Pair) over expansion slabs
+// M2L and L2L in Down, L2P, P2P in NearRow) over expansion slabs
 // the value owns. It is implemented once per kernel — GravityField here,
 // stokes.Field for the regularized Stokeslet — and everything that
 // executes a step calls these methods and nothing else for numerics: the
@@ -40,13 +40,12 @@ type Field interface {
 	// only far-field write into the body accumulators.
 	L2P(w *expansion.Workspace, ni int32)
 	// NearRow executes row r of the near-field schedule, its sources in
-	// schedule order. A source whose entry in ghosts holds bodies is read
+	// schedule order: the one numeric near-field entry point, for the
+	// host chunks, a simulated device's walk (vgpu.P2PFunc) and its host
+	// fallback alike. A source whose entry in ghosts holds bodies is read
 	// from there (a dmem node's copies of remote leaves); nil ghosts means
 	// every source is local.
 	NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf)
-	// Pair is the direct interaction of one target/source leaf pair: the
-	// numeric work of a simulated device (vgpu.P2PFunc).
-	Pair(target, source int32)
 
 	// Pack/Load copy cell ni's Width packed expansions to and from a
 	// buffer: the dmem wire format.
@@ -282,15 +281,6 @@ func (f *GravityField) NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLe
 		}
 		f.Kernel.P2P(xt, pot, acc, xs, ms)
 	}
-}
-
-func (f *GravityField) Pair(target, source int32) {
-	sys := f.Sys
-	tn := &f.Tree.Nodes[target]
-	sn := &f.Tree.Nodes[source]
-	f.Kernel.P2P(
-		sys.Pos[tn.Start:tn.End], sys.Phi[tn.Start:tn.End], sys.Acc[tn.Start:tn.End],
-		sys.Pos[sn.Start:sn.End], sys.Mass[sn.Start:sn.End])
 }
 
 func (f *GravityField) PackGhost(ni int32) GhostLeaf {

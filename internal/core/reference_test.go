@@ -245,8 +245,6 @@ func TestTaskGraphBitIdenticalGravity(t *testing.T) {
 	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight)
 }
 
-func TestTaskGraphBitIdenticalUnderFaults(t *testing.T) { graphMatchesSerialUnderFailStop(t) }
-
 // graphMatchesSerialUnderFailStop: a fail-stop device loss recovered by the
 // host fallback stays bit-identical to the serial reference (the recovery
 // rows run inside the near node, before the L2P join).

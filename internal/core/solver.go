@@ -233,20 +233,11 @@ func NewSolverWith(sys *particle.System, cfg Config, newField func(t *octree.Tre
 }
 
 // SetRecorder attaches (or detaches, with nil) the telemetry recorder,
-// propagating it to the device cluster. When the recorder carries a
-// metrics registry, the solver's pool, cluster, and injector register
-// their scrape-time series on it.
+// propagating it to the device cluster.
 func (s *Solver) SetRecorder(rec *telemetry.Recorder) {
 	s.Cfg.Rec = rec
 	if s.Cluster != nil {
 		s.Cluster.Rec = rec
-	}
-	if reg := rec.Metrics(); reg.Enabled() {
-		s.Cfg.Pool.RegisterMetrics(reg)
-		s.Cluster.RegisterMetrics(reg)
-		if s.Cluster != nil {
-			s.Cluster.Injector.RegisterMetrics(reg)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"afmm/internal/dag"
 	"afmm/internal/expansion"
+	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 	"afmm/internal/vgpu"
@@ -111,9 +112,10 @@ func (s *Solver) runGraph() graphResult {
 		nearKind = telemetry.SpanNearExec
 		// A device cluster walks its chunks even under SkipNearField: the
 		// timing model still runs.
-		fn := vgpu.P2PFunc(s.Field.Pair)
-		if s.Cfg.SkipNearField {
-			fn = nil
+		var fn vgpu.P2PFunc
+		if !s.Cfg.SkipNearField {
+			f := s.Field
+			fn = func(sch *octree.NearSchedule, r int) { f.NearRow(sch, r, nil) }
 		}
 		spec.NearChunk = nil
 		spec.NearSingle = func() {

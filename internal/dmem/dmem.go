@@ -178,8 +178,7 @@ type Solver struct {
 	capEpoch int64
 
 	// rt executes the partitioned tree when Cfg.Execute is set.
-	rt  *Runtime
-	met *dmemMetrics
+	rt *Runtime
 	// det is the heartbeat failure detector, live during RunWith in
 	// Execute mode.
 	det *detector
@@ -238,14 +237,9 @@ func newOver(inner *core.Solver, cfg Config) *Solver {
 }
 
 // SetRecorder attaches a telemetry recorder: per-node execution and comm
-// spans land on the dmem track, and the dmem live series register when
-// the recorder carries an enabled metrics registry.
-func (s *Solver) SetRecorder(rec *telemetry.Recorder) {
-	s.Inner.SetRecorder(rec)
-	if reg := rec.Metrics(); reg.Enabled() {
-		s.met = newDmemMetrics(reg, len(s.Cfg.Nodes))
-	}
-}
+// spans land on the dmem track, and executed steps carry their link-layer
+// sample.
+func (s *Solver) SetRecorder(rec *telemetry.Recorder) { s.Inner.SetRecorder(rec) }
 
 // Alive reports which nodes are still participating.
 func (s *Solver) Alive() []bool { return append([]bool(nil), s.alive...) }
@@ -286,7 +280,6 @@ func (s *Solver) Solve() StepReport {
 	}
 	rep.AliveNodes = s.aliveCount()
 	rep.CapacityEpoch = s.capEpoch
-	s.met.observe(&rep, s.alive)
 	return rep
 }
 
@@ -737,9 +730,7 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 		rec.StartStep(step)
 		rep := s.Solve()
 		rep.StepTime += recovery
-		if s.rt != nil {
-			s.observeNet(rec, step, &rep)
-		}
+		observeNet(rec, step, &rep.Net)
 		rec.EndStep()
 		// Kick-drift using the solved accelerations.
 		sys := s.Inner.Sys
@@ -757,9 +748,6 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 			} else {
 				res.Rebalances++
 				lastRepart = step
-				if s.met != nil {
-					s.met.reparts.Inc()
-				}
 			}
 		}
 		res.Steps = append(res.Steps, rep)
@@ -777,37 +765,29 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 // record and flags deadline breaches: an EventNetTimeout makes the
 // flight recorder dump the last 32 step records — each carrying its
 // per-link retry counts — under the "net-timeout" reason.
-func (s *Solver) observeNet(rec *telemetry.Recorder, step int, rep *StepReport) {
-	net := &rep.Net
-	if rec.Enabled() {
-		links := make([]telemetry.LinkSample, len(net.PerLink))
-		for i, ls := range net.PerLink {
-			links[i] = telemetry.LinkSample{
-				From: ls.From, To: ls.To,
-				Frames: ls.Frames, Retries: ls.Retries, RTTNs: ls.RTTNs,
-			}
-		}
-		rec.SetNetStats(telemetry.NetSample{
-			FramesSent:     net.FramesSent,
-			FramesDropped:  net.FramesDropped,
-			Retries:        net.Retries,
-			CorruptRejects: net.CorruptRejects,
-			Timeouts:       net.Timeouts,
-			Rerequests:     net.Rerequests,
-			Links:          links,
-		})
-		if net.Timeouts > 0 {
-			rec.EmitEvent(telemetry.EventNetTimeout, net.Timeouts, int64(step),
-				float64(net.Retries), float64(net.Rerequests+net.DegradedGhostFlows))
+func observeNet(rec *telemetry.Recorder, step int, net *NetStats) {
+	if !rec.Enabled() {
+		return
+	}
+	links := make([]telemetry.LinkSample, len(net.PerLink))
+	for i, ls := range net.PerLink {
+		links[i] = telemetry.LinkSample{
+			From: ls.From, To: ls.To,
+			Frames: ls.Frames, Retries: ls.Retries, RTTNs: ls.RTTNs,
 		}
 	}
-	if s.met != nil {
-		s.met.observeNet(net)
-		if s.det != nil {
-			for k := range s.Cfg.Nodes {
-				s.met.setSuspicion(k, s.det.suspicion(k), s.alive[k])
-			}
-		}
+	rec.SetNetStats(telemetry.NetSample{
+		FramesSent:     net.FramesSent,
+		FramesDropped:  net.FramesDropped,
+		Retries:        net.Retries,
+		CorruptRejects: net.CorruptRejects,
+		Timeouts:       net.Timeouts,
+		Rerequests:     net.Rerequests,
+		Links:          links,
+	})
+	if net.Timeouts > 0 {
+		rec.EmitEvent(telemetry.EventNetTimeout, net.Timeouts, int64(step),
+			float64(net.Retries), float64(net.Rerequests+net.DegradedGhostFlows))
 	}
 }
 
@@ -839,9 +819,6 @@ func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 			lat := s.det.waitDead(ev.Node)
 			detect = lat.Seconds()
 			res.DetectLatencies = append(res.DetectLatencies, detect)
-			if s.met != nil {
-				s.met.detectLatency.Observe(detect)
-			}
 		} else {
 			detect = oracleDetectLatencies * s.Cfg.Net.Latency
 		}
@@ -855,9 +832,6 @@ func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 		recovery += charge
 		res.NodeLosses++
 		res.RecoveryTime += charge
-		if s.met != nil {
-			s.met.losses.Inc()
-		}
 	}
 	return recovery
 }

@@ -9,6 +9,8 @@ import (
 	"afmm/internal/telemetry"
 )
 
+// TestMetricsPublished: an executed dmem run reaches /metrics through its
+// step records alone — the recorder publishes them, dmem registers nothing.
 func TestMetricsPublished(t *testing.T) {
 	sys := distrib.Plummer(800, 1, 1, 5)
 	d, err := NewSolver(sys, execClusterConfig(3))
@@ -24,9 +26,12 @@ func TestMetricsPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"afmm_dmem_nodes 3", "afmm_dmem_bytes_on_wire_total", "afmm_dmem_node_busy_seconds"} {
+	for _, want := range []string{"afmm_steps_total 2", `afmm_phase_seconds_count{phase="vm.observe"}`} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in exposition", want)
+			t.Fatalf("missing %q in exposition:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "afmm_dmem_") {
+		t.Fatalf("dmem publishes a family of its own:\n%s", out)
 	}
 }

@@ -1,7 +1,9 @@
 package dmem
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,7 +147,8 @@ type NetStats struct {
 	// DegradedGhostFlows counts ghost flows re-packed host-side after a
 	// deadline expiry.
 	DegradedGhostFlows int64
-	// PerLink breaks frames/retries/RTT down by directed link.
+	// PerLink breaks frames/retries/RTT down by directed link, sorted by
+	// (From, To).
 	PerLink []LinkStat
 }
 
@@ -161,8 +164,16 @@ type LinkStat struct {
 	RTTCount int64
 }
 
+// cmpLink orders link rows by (From, To).
+func cmpLink(a, b LinkStat) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.To, b.To)
+}
+
 // add folds another step's stats into the receiver (PerLink merged by
-// link).
+// link, kept sorted).
 func (s *NetStats) add(o *NetStats) {
 	if o == nil {
 		return
@@ -179,24 +190,18 @@ func (s *NetStats) add(o *NetStats) {
 	s.Rerequests += o.Rerequests
 	s.DegradedGhostFlows += o.DegradedGhostFlows
 	for _, ls := range o.PerLink {
-		merged := false
-		for i := range s.PerLink {
-			if s.PerLink[i].From == ls.From && s.PerLink[i].To == ls.To {
-				tot := s.PerLink[i].RTTCount + ls.RTTCount
-				if tot > 0 {
-					s.PerLink[i].RTTNs = (s.PerLink[i].RTTNs*s.PerLink[i].RTTCount +
-						ls.RTTNs*ls.RTTCount) / tot
-				}
-				s.PerLink[i].Frames += ls.Frames
-				s.PerLink[i].Retries += ls.Retries
-				s.PerLink[i].RTTCount = tot
-				merged = true
-				break
-			}
+		i, found := slices.BinarySearchFunc(s.PerLink, ls, cmpLink)
+		if !found {
+			s.PerLink = slices.Insert(s.PerLink, i, ls)
+			continue
 		}
-		if !merged {
-			s.PerLink = append(s.PerLink, ls)
+		l := &s.PerLink[i]
+		if tot := l.RTTCount + ls.RTTCount; tot > 0 {
+			l.RTTNs = (l.RTTNs*l.RTTCount + ls.RTTNs*ls.RTTCount) / tot
 		}
+		l.Frames += ls.Frames
+		l.Retries += ls.Retries
+		l.RTTCount += ls.RTTCount
 	}
 }
 
@@ -324,6 +329,7 @@ func (tp *transport) Stats() NetStats {
 			s.PerLink = append(s.PerLink, ls)
 		}
 	}
+	slices.SortFunc(s.PerLink, cmpLink)
 	return s
 }
 

@@ -1,10 +1,12 @@
 package dmem
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"afmm/internal/core"
+	"afmm/internal/distrib"
 	"afmm/internal/fault"
 	"afmm/internal/geom"
 )
@@ -247,6 +249,28 @@ func TestNetStatsAddMergesLinks(t *testing.T) {
 	l01 := s.PerLink[0]
 	if l01.Frames != 3 || l01.Retries != 1 || l01.RTTCount != 3 || l01.RTTNs != 200 {
 		t.Fatalf("merged link 0-1 wrong: %+v", l01)
+	}
+}
+
+// TestPerLinkSorted: every step's link rows, and the run's sum, come out
+// sorted by (From, To), so the net.links order of the step records, the
+// flight dumps and RunResult.Net does not change from run to run.
+func TestPerLinkSorted(t *testing.T) {
+	d, err := NewSolver(distrib.Plummer(600, 1, 1, 17), execClusterConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.RunWith(RunConfig{Steps: 24, Dt: 1e-4})
+	for i, rep := range res.Steps {
+		if len(rep.Net.PerLink) < 2 {
+			t.Fatalf("step %d: %d link rows, want several to order", i, len(rep.Net.PerLink))
+		}
+		if !slices.IsSortedFunc(rep.Net.PerLink, cmpLink) {
+			t.Fatalf("step %d: link rows out of order: %+v", i, rep.Net.PerLink)
+		}
+	}
+	if !slices.IsSortedFunc(res.Net.PerLink, cmpLink) {
+		t.Fatalf("run link rows out of order: %+v", res.Net.PerLink)
 	}
 }
 

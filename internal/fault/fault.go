@@ -40,9 +40,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-
-	"afmm/internal/metrics"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -353,9 +350,8 @@ type Injector struct {
 	// budget holds remaining transient failures per (device, chunk)
 	// for the current step.
 	budget map[[2]int]int
-	// fires counts delivered verdicts by kind (atomic so the metrics
-	// registry can read them at scrape time without taking mu).
-	fires [len(kindNames)]atomic.Int64
+	// fires counts delivered verdicts by kind.
+	fires [len(kindNames)]int64
 }
 
 // NewInjector builds an injector over sch. A nil or empty schedule
@@ -448,31 +444,14 @@ func (in *Injector) Probe(dev int) Kind {
 }
 
 // FiredCount reports how many verdicts of the given kind the injector
-// has delivered. Nil-safe, lock-free.
+// has delivered. Nil-safe.
 func (in *Injector) FiredCount(k Kind) int64 {
 	if in == nil || int(k) >= len(kindNames) {
 		return 0
 	}
-	return in.fires[k].Load()
-}
-
-// RegisterMetrics exposes the injector's schedule size and delivered
-// verdicts on the registry. The schedule is immutable after NewInjector
-// and the fire counts are atomics, so the scrape-time callbacks never
-// contend with the per-chunk verdict path. Nil-safe.
-func (in *Injector) RegisterMetrics(reg *metrics.Registry) {
-	if in == nil || !reg.Enabled() {
-		return
-	}
-	reg.Func("afmm_fault_scheduled_events", "fault events in the injector's schedule",
-		metrics.KindGauge, func() float64 { return float64(len(in.sched.Events)) })
-	for k := FailStop; k <= Corrupt; k++ {
-		k := k
-		reg.Func("afmm_faults_fired_total", "fault verdicts delivered by kind",
-			metrics.KindCounter,
-			func() float64 { return float64(in.fires[k].Load()) },
-			"kind", k.String())
-	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.fires[k]
 }
 
 // Chunk delivers the injector's verdict for one attempt at chunk
@@ -496,7 +475,7 @@ func (in *Injector) Chunk(dev, chunk int) Outcome {
 			// step never reaches still fires at the final chunk seen.
 			if in.step > ev.Step || (in.step == ev.Step && chunk >= ev.Chunk) {
 				in.fired[i] = true
-				in.fires[kind].Add(1)
+				in.fires[kind]++
 				return Outcome{Kind: kind}
 			}
 		}
@@ -509,7 +488,7 @@ func (in *Injector) Chunk(dev, chunk int) Outcome {
 			}
 			if in.budget[key] > 0 {
 				in.budget[key]--
-				in.fires[Transient].Add(1)
+				in.fires[Transient]++
 				return Outcome{Kind: Transient}
 			}
 		}

@@ -1,9 +1,8 @@
 // Package metrics is the live monitoring registry of the reproduction:
-// named counters, gauges, and fixed-bucket histograms that every layer
-// (telemetry recorder, sched pool, balancer, virtual devices, fault
-// injector, step loop) publishes into, and that the debug server exposes
-// as a Prometheus text-format endpoint, a JSON snapshot, and a minimal
-// live dashboard.
+// named counters, gauges, and fixed-bucket histograms that the telemetry
+// recorder fills from each finalized step record, and that the debug
+// server exposes as a Prometheus text-format endpoint, a JSON snapshot,
+// and a minimal live dashboard.
 //
 // The hot paths are lock-free: a Counter.Add is one atomic add, a
 // Gauge.Set one atomic store, a Histogram.Observe a binary search over
@@ -53,13 +52,11 @@ func (k Kind) String() string {
 }
 
 // series is one (name, labels) line. Exactly one of the value fields is
-// active, selected by the family kind; fn, when non-nil, overrides the
-// stored value at read time (func-backed counters and gauges).
+// active, selected by the family kind.
 type series struct {
 	labels string // rendered {k="v",...} suffix, "" for the bare series
 	ival   atomic.Int64
 	fbits  atomic.Uint64 // float64 bits (gauges)
-	fn     func() float64
 	h      *histData
 }
 
@@ -228,24 +225,6 @@ func (g Gauge) Value() float64 {
 	return math.Float64frombits(g.s.fbits.Load())
 }
 
-// Func registers a function-backed series of the given kind (KindCounter
-// or KindGauge): the function is evaluated at scrape time, so the value
-// is always live. The function must be safe to call from any goroutine —
-// read only atomics or immutable state. Re-registering the same
-// (name, labels) replaces the function, which keeps registration
-// idempotent across solver rebuilds.
-func (r *Registry) Func(name, help string, kind Kind, fn func() float64, labels ...string) {
-	if r == nil || fn == nil || kind == KindHistogram {
-		return
-	}
-	f := r.getFamily(name, help, kind, nil)
-	if s := f.getSeries(formatLabels(labels)); s != nil {
-		f.mu.Lock()
-		s.fn = fn
-		f.mu.Unlock()
-	}
-}
-
 // DefBuckets are the default histogram bounds for host durations in
 // seconds: exponential from 250µs to ~2000s, wide enough that a step
 // wall at N=1e5 on one core and a microsecond phase both land inside
@@ -378,12 +357,8 @@ func (h Histogram) Count() int64 {
 	return h.s.h.count.Load()
 }
 
-// value reads a scalar series (counter or gauge), preferring the
-// func backing when set.
+// value reads a scalar series (counter or gauge).
 func (s *series) value(kind Kind) float64 {
-	if s.fn != nil {
-		return s.fn()
-	}
 	if kind == KindCounter {
 		return float64(s.ival.Load())
 	}

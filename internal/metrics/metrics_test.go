@@ -24,7 +24,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram observed")
 	}
-	r.Func("f", "", KindGauge, func() float64 { return 1 })
 	if err := r.WriteProm(&strings.Builder{}); err != nil {
 		t.Fatalf("nil WriteProm: %v", err)
 	}
@@ -110,7 +109,6 @@ func TestPromTextFormat(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.Func("afmm_live", "a live value", KindGauge, func() float64 { return 42 })
 
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -128,7 +126,6 @@ func TestPromTextFormat(t *testing.T) {
 		`afmm_step_wall_seconds_bucket{le="+Inf"} 3`,
 		"afmm_step_wall_seconds_sum 5.55",
 		"afmm_step_wall_seconds_count 3",
-		"afmm_live 42",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prom output missing %q:\n%s", want, out)

@@ -15,7 +15,6 @@ import (
 	"afmm/internal/checkpoint"
 	"afmm/internal/core"
 	"afmm/internal/geom"
-	"afmm/internal/metrics"
 	"afmm/internal/particle"
 	"afmm/internal/sched"
 	"afmm/internal/stokes"
@@ -224,13 +223,6 @@ func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (
 	if cfg.MaxRecoveries == 0 {
 		cfg.MaxRecoveries = 3
 	}
-	// Resilience counters (the zero Counter is inert when no registry is
-	// attached, so the loop body increments unconditionally).
-	var ckptCtr, recovCtr metrics.Counter
-	if reg := rec.Metrics(); reg.Enabled() {
-		ckptCtr = reg.Counter("afmm_checkpoints_total", "snapshots captured by the step loop")
-		recovCtr = reg.Counter("afmm_recoveries_total", "snapshot restorations after failed steps")
-	}
 	bal := balance.New(cfg.Balance, s.System().Len())
 	var res Result
 	startStep := 0
@@ -282,7 +274,6 @@ func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (
 		checkpoint.CaptureStateInto(sn, s.System(), s.S(), step, float64(step)*cfg.Dt, bal)
 		lastSnap = sn
 		res.Checkpoints++
-		ckptCtr.Inc()
 		if cfg.CheckpointDir != "" {
 			path := filepath.Join(cfg.CheckpointDir, CheckpointFile)
 			writeDone = make(chan error, 1)
@@ -302,7 +293,6 @@ func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (
 		if serr != nil {
 			rec.EmitEvent(telemetry.EventStepFail, int64(step), 0, 0, 0)
 			res.Recoveries++
-			recovCtr.Inc()
 			if res.Recoveries > cfg.MaxRecoveries {
 				rec.EndStep()
 				res.Err = fmt.Errorf("sim: step %d failed after %d recoveries: %w",

@@ -227,15 +227,6 @@ func (f *Field) NearRow(sch *octree.NearSchedule, r int, ghosts []core.GhostLeaf
 	}
 }
 
-func (f *Field) Pair(target, source int32) {
-	sys := f.Sys
-	tn := &f.Tree.Nodes[target]
-	sn := &f.Tree.Nodes[source]
-	f.Kernel.P2P(
-		sys.Pos[tn.Start:tn.End], sys.Acc[tn.Start:tn.End],
-		sys.Pos[sn.Start:sn.End], sys.Aux[sn.Start:sn.End])
-}
-
 func (f *Field) PackGhost(ni int32) core.GhostLeaf {
 	n := &f.Tree.Nodes[ni]
 	return core.GhostLeaf{

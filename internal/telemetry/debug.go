@@ -100,16 +100,6 @@ func StartDebug(addr string, rec *Recorder) (*DebugServer, error) {
 	return d, nil
 }
 
-// ServeDebug is the legacy entry point, kept for callers that hold the
-// (addr, *http.Server) pair. New code should use StartDebug.
-func ServeDebug(addr string, rec *Recorder) (string, *http.Server, error) {
-	d, err := StartDebug(addr, rec)
-	if err != nil {
-		return "", nil, err
-	}
-	return d.addr, d.srv, nil
-}
-
 // serveVars renders expvar-compatible JSON: every process-global expvar
 // plus this server's own "afmm_telemetry" snapshot. The per-server var
 // shadows any global of the same name, so the published name stays

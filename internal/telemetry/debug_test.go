@@ -12,63 +12,10 @@ import (
 	"afmm/internal/metrics"
 )
 
-func TestServeDebug(t *testing.T) {
-	r := New(Options{Keep: true})
-	r.StartStep(0)
-	r.SetStepInfo(0, 64, "search")
-	r.EndStep()
-
-	addr, srv, err := ServeDebug("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatalf("ServeDebug: %v", err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	raw, ok := vars["afmm_telemetry"]
-	if !ok {
-		t.Fatalf("afmm_telemetry var missing: %s", body)
-	}
-	var snap struct {
-		Enabled   bool `json:"enabled"`
-		StepsDone int  `json:"steps_done"`
-		LastStep  struct {
-			S int `json:"s"`
-		} `json:"last_step"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("snapshot not JSON: %v", err)
-	}
-	if !snap.Enabled || snap.StepsDone != 1 || snap.LastStep.S != 64 {
-		t.Fatalf("snapshot wrong: %s", raw)
-	}
-
-	// pprof index must answer too.
-	pr, err := http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatalf("GET /debug/pprof/: %v", err)
-	}
-	pr.Body.Close()
-	if pr.StatusCode != http.StatusOK {
-		t.Fatalf("pprof index status %d", pr.StatusCode)
-	}
-}
-
 // TestStartDebugEndpoints exercises the full endpoint surface of one
 // DebugServer: /metrics (Prometheus text), /status (JSON), /flightrec,
-// the HTML dashboard, and graceful Shutdown.
+// the HTML dashboard, /debug/vars (the afmm_telemetry snapshot), the pprof
+// index, and graceful Shutdown.
 func TestStartDebugEndpoints(t *testing.T) {
 	reg := metrics.NewRegistry()
 	fr := NewFlightRecorder(4, "")
@@ -123,6 +70,30 @@ func TestStartDebugEndpoints(t *testing.T) {
 	}
 	if code, body := get("/"); code != http.StatusOK || !strings.Contains(body, "afmm live") {
 		t.Fatalf("dashboard = %d", code)
+	}
+	code, body = get("/debug/vars")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/vars = %d", code)
+	}
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &vars); err != nil {
+		t.Fatalf("/debug/vars is not JSON: %v", err)
+	}
+	var snap struct {
+		Enabled   bool `json:"enabled"`
+		StepsDone int  `json:"steps_done"`
+		LastStep  struct {
+			S int `json:"s"`
+		} `json:"last_step"`
+	}
+	if err := json.Unmarshal(vars["afmm_telemetry"], &snap); err != nil {
+		t.Fatalf("afmm_telemetry var missing or not JSON (%v): %s", err, body)
+	}
+	if !snap.Enabled || snap.StepsDone != 1 || snap.LastStep.S != 32 {
+		t.Fatalf("afmm_telemetry snapshot wrong: %s", vars["afmm_telemetry"])
+	}
+	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+		t.Fatalf("pprof index = %d", code)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)

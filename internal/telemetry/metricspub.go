@@ -45,6 +45,8 @@ type stepMetrics struct {
 	taskNodes metrics.Gauge
 	taskReady metrics.Gauge
 
+	dumps metrics.Counter
+
 	devKernel []metrics.Gauge
 	devInter  []metrics.Counter
 	devHost   []metrics.Histogram
@@ -91,8 +93,7 @@ func newStepMetrics(reg *metrics.Registry, flight *FlightRecorder) *stepMetrics 
 	m.taskNodes = reg.Gauge("afmm_taskgraph_nodes", "node count of the last task-graph step")
 	m.taskReady = reg.Gauge("afmm_taskgraph_max_ready", "ready-queue high-water mark of the last task-graph step")
 	if flight != nil {
-		reg.Func("afmm_flightrec_dumps_total", "flight-recorder dumps written", metrics.KindCounter,
-			func() float64 { return float64(flight.Dumps()) })
+		m.dumps = reg.Counter("afmm_flightrec_dumps_total", "flight-recorder dumps written")
 	}
 	return m
 }

@@ -19,7 +19,7 @@
 //
 // Sinks: JSONL step records (Options.JSONL, one record per line), a
 // Chrome trace_event export for about:tracing / Perfetto (WriteChrome),
-// and a live expvar + net/http/pprof debug server (ServeDebug). See
+// and a live expvar + net/http/pprof debug server (StartDebug). See
 // docs/OBSERVABILITY.md for the record schema.
 package telemetry
 
@@ -570,11 +570,22 @@ func (r *Recorder) StartStep(step int) {
 		r.endStepLocked()
 	}
 	r.startStepLocked(step)
+	r.unlockAndDump()
+}
+
+// unlockAndDump releases the recorder lock and then writes the flight dump
+// the step just finalized asked for, if any: dump I/O must not block
+// concurrent span emission. A written dump bumps
+// afmm_flightrec_dumps_total.
+func (r *Recorder) unlockAndDump() {
 	reason := r.pendingDump
 	r.pendingDump = ""
 	r.mu.Unlock()
-	if reason != "" {
-		r.flight.Dump(reason)
+	if reason == "" {
+		return
+	}
+	if path, err := r.flight.Dump(reason); err == nil && path != "" && r.met != nil {
+		r.met.dumps.Inc()
 	}
 }
 
@@ -609,12 +620,7 @@ func (r *Recorder) EndStep() {
 	if r.inStep {
 		r.endStepLocked()
 	}
-	reason := r.pendingDump
-	r.pendingDump = ""
-	r.mu.Unlock()
-	if reason != "" {
-		r.flight.Dump(reason)
-	}
+	r.unlockAndDump()
 }
 
 func (r *Recorder) endStepLocked() {

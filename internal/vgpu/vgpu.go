@@ -183,11 +183,10 @@ type Cluster struct {
 	// fallback charges recovered work against it on the virtual clock.
 	HostP2PRate float64
 
-	capEpoch  atomic.Int64
-	execCount atomic.Int64
-	mu        sync.Mutex
-	report    FaultReport
-	met       *clusterMetrics
+	capEpoch atomic.Int64
+	execs    int // Execute calls so far: the injector's step index
+	mu       sync.Mutex
+	report   FaultReport
 }
 
 // NewCluster creates n devices with the given spec.
@@ -311,10 +310,11 @@ func (c *Cluster) PartitionByLeafCount(t *octree.Tree) {
 	}
 }
 
-// P2PFunc executes the direct interaction of one (target leaf, source
-// leaf) node pair numerically. It is supplied by the solver so the device
-// model stays kernel-agnostic.
-type P2PFunc func(target, source int32)
+// P2PFunc numerically executes row r of the near-field schedule: the
+// row's target leaf against each of its sources, in schedule order. It is
+// supplied by the solver (core.Field.NearRow) so the device model stays
+// kernel-agnostic.
+type P2PFunc func(sch *octree.NearSchedule, r int)
 
 // Execute runs each device's assigned near-field work: the numeric P2P via
 // fn and the SIMT timing model. It returns the maximum kernel time across
@@ -471,9 +471,7 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 		row := int(d.Rows[k])
 		ns := sch.Priced(row) / int64(nt)
 		if fn != nil {
-			for _, si := range sch.Row(row) {
-				fn(ti, si)
-			}
+			fn(sch, row)
 		}
 		sourceBodies += ns
 		targetBodies += int64(nt)

@@ -114,7 +114,7 @@ func TestExecuteRunsNumericCallback(t *testing.T) {
 	c := NewCluster(2, DefaultSpec())
 	c.Partition(tree)
 	var pairs int64
-	c.Execute(tree, func(target, source int32) { pairs++ })
+	c.Execute(tree, func(sch *octree.NearSchedule, r int) { pairs += int64(len(sch.Row(r))) })
 	if pairs != tree.CountOps().P2PN {
 		t.Fatalf("callback pairs %d != tree pairs %d", pairs, tree.CountOps().P2PN)
 	}
@@ -138,7 +138,7 @@ func TestDirectPairsExecutedNotCharged(t *testing.T) {
 	cOn.Partition(on)
 	var calls int64
 	tOff := cOff.Execute(off, nil)
-	tOn := cOn.Execute(on, func(target, source int32) { calls++ })
+	tOn := cOn.Execute(on, func(sch *octree.NearSchedule, r int) { calls += int64(len(sch.Row(r))) })
 	if calls != int64(len(sch.Srcs)) || calls != on.CountOps().P2PN+sch.DirectPairs {
 		t.Fatalf("callback saw %d entries, rows hold %d (%d of them direct)", calls, len(sch.Srcs), sch.DirectPairs)
 	}

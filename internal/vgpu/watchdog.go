@@ -175,7 +175,8 @@ func (c *Cluster) AliveDevices() int {
 // call and resets the per-call fault report. Returns the watchdog
 // shutdown func (nil-safe to call).
 func (c *Cluster) beginExecute() func() {
-	step := int(c.execCount.Add(1)) - 1
+	step := c.execs
+	c.execs++
 	c.mu.Lock()
 	c.report = FaultReport{}
 	c.mu.Unlock()
@@ -357,12 +358,8 @@ func (c *Cluster) fallback(sch *octree.NearSchedule, fn P2PFunc, pool *sched.Poo
 		rows := len(lw.rows)
 		var inter int64
 		runRow := func(k int) {
-			if fn == nil {
-				return
-			}
-			row := int(lw.rows[k])
-			for j := sch.RowPtr[row]; j < sch.RowPtr[row+1]; j++ {
-				fn(sch.Leaves[row], sch.Srcs[j])
+			if fn != nil {
+				fn(sch, int(lw.rows[k]))
 			}
 		}
 		devTimer := sched.StartTimer()
@@ -429,7 +426,6 @@ func (c *Cluster) finishExecute(sch *octree.NearSchedule, fn P2PFunc, pool *sche
 	c.report.DeadDevices = dead
 	c.report.DegradedDevices = degraded
 	c.mu.Unlock()
-	c.publishMetrics()
 	return virtual
 }
 

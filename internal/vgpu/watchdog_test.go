@@ -14,8 +14,11 @@ import (
 // duplicated, or reordered pair changes the accumulator bit pattern.
 // Devices own disjoint targets, so concurrent execution never aliases.
 func accumFn(acc []float64) P2PFunc {
-	return func(ti, si int32) {
-		acc[ti] = acc[ti]*1.0000001 + float64(si)*0.5
+	return func(sch *octree.NearSchedule, r int) {
+		ti := sch.Leaves[r]
+		for _, si := range sch.Row(r) {
+			acc[ti] = acc[ti]*1.0000001 + float64(si)*0.5
+		}
 	}
 }
 
