@@ -289,11 +289,9 @@ type (
 	ClusterRunConfig = dmem.RunConfig
 	// ClusterRunResult summarizes a multi-step distributed run.
 	ClusterRunResult = dmem.RunResult
-	// ClusterLinkConfig tunes the transport's delivery protocol and the
-	// heartbeat failure detector.
-	ClusterLinkConfig = dmem.LinkConfig
-	// ClusterNetStats aggregates the link layer's delivery activity.
-	ClusterNetStats = dmem.NetStats
+	// ClusterNetStats is the link layer's delivery activity, the step
+	// record's net sample.
+	ClusterNetStats = telemetry.NetSample
 	// LinkSchedule is a parsed deterministic per-link fault schedule.
 	LinkSchedule = fault.LinkSchedule
 	// NodeFaultEvent is one scheduled virtual-node fail-stop.

@@ -415,6 +415,7 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 	r.LBTime += b.Cfg.Costs.predictCost(s)
 	pred := math.Max(cpu, gpu)
 	b.rec().EmitEvent(telemetry.EventPrediction, 0, 0, pred, threshold)
+	b.rec().SetPrediction(cpu, gpu)
 	if pred <= threshold {
 		b.best = math.Min(b.best, pred)
 		return r
@@ -426,6 +427,7 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 		r.LBTime += b.Cfg.Costs.predictCost(s)
 		pred = math.Max(cpu, gpu)
 		b.rec().EmitEvent(telemetry.EventPrediction, 0, 0, pred, threshold)
+		b.rec().SetPrediction(cpu, gpu)
 	}
 	if pred > threshold {
 		// Fine-grained adjustment failed: fall back to incremental on

@@ -221,3 +221,49 @@ func TestBalancerEventsSilentWhenStable(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictionRecorded: the step whose record carries a prediction
+// event also carries the prediction itself — the CPU and GPU times the
+// balancer expects of the next step, the last one made when fine-grained
+// optimization predicts twice.
+func TestPredictionRecorded(t *testing.T) {
+	for _, fine := range []bool{false, true} {
+		sys := distrib.Plummer(2000, 1, 1, 7)
+		tgt := &scriptedTarget{
+			tr:  octree.Build(sys, octree.Config{S: 32}),
+			sys: sys,
+			// post-enforce prediction, then (with FGO) its baseline, two
+			// batches and the post-FGO prediction
+			predicts: [][2]float64{{3.0, 0.5}, {2.9, 0.5}, {2.5, 0.5}, {2.6, 0.5}, {2.5, 0.5}},
+		}
+		rec := telemetry.New(telemetry.Options{Keep: true})
+		b := New(Config{
+			Strategy: StrategyFull, MinS: 4, MaxS: 256,
+			FineGrainBatch: 2, MaxFineGrainIters: 4, DisableFineGrain: !fine,
+			Rec: rec,
+		}, sys.Len())
+		b.State = Observation
+		for i, cpu := range []float64{1.0, 2.0} { // best, then a regression
+			rec.StartStep(i)
+			b.AfterStep(tgt, StepTimes{CPU: cpu, GPU: 0.5})
+			rec.EndStep()
+		}
+		steps := rec.Steps()
+		if steps[0].PredCPU != 0 {
+			t.Fatalf("fine=%v: step 0 made no prediction but records pred_cpu %g", fine, steps[0].PredCPU)
+		}
+		var last telemetry.Event
+		for _, e := range steps[1].Events {
+			if e.Kind == telemetry.EventPrediction {
+				last = e
+			}
+		}
+		if last.Kind != telemetry.EventPrediction {
+			t.Fatalf("fine=%v: step 1 emitted no prediction event: %v", fine, eventKinds(steps[1].Events))
+		}
+		if got := max(steps[1].PredCPU, steps[1].PredGPU); got == 0 || got != last.FA || steps[1].PredGPU != 0.5 {
+			t.Fatalf("fine=%v: step 1 records pred_cpu %g, pred_gpu %g; its last prediction event says %g",
+				fine, steps[1].PredCPU, steps[1].PredGPU, last.FA)
+		}
+	}
+}

@@ -59,8 +59,8 @@ func requireIdentical(t *testing.T, got, want *particle.System, what string) {
 
 // chaosLink keeps multi-step chaos runs fast without starving the retry
 // budget.
-func chaosLink() LinkConfig {
-	return LinkConfig{
+func chaosLink() linkConfig {
+	return linkConfig{
 		RetransmitTimeout: 200 * time.Microsecond,
 		MaxRetries:        10,
 		NearDeadline:      5 * time.Second,
@@ -85,7 +85,7 @@ func TestChaosWithinBudgetBitIdentical(t *testing.T) {
 	cfg := execClusterConfig(4)
 	cfg.LinkFaults = sch
 	cfg.LinkSeed = 42
-	cfg.Link = chaosLink()
+	cfg.link = chaosLink()
 
 	sysD := distrib.Plummer(n, 1.0, 1.0, 23)
 	d, err := NewSolver(sysD, cfg)
@@ -122,7 +122,7 @@ func TestChaosBeyondBudgetDegradesValuesExact(t *testing.T) {
 	cfg := execClusterConfig(3)
 	cfg.LinkFaults = sch
 	cfg.LinkSeed = 7
-	cfg.Link = LinkConfig{
+	cfg.link = linkConfig{
 		RetransmitTimeout: 100 * time.Microsecond,
 		MaxRetries:        2,
 		NearDeadline:      20 * time.Millisecond,
@@ -171,7 +171,7 @@ func TestChaosRandomSchedulesProperty(t *testing.T) {
 		cfg := execClusterConfig(nodes)
 		cfg.LinkFaults = sch
 		cfg.LinkSeed = seed
-		cfg.Link = chaosLink()
+		cfg.link = chaosLink()
 		sysD := distrib.Plummer(n, 1.0, 1.0, 47)
 		d, err := NewSolver(sysD, cfg)
 		if err != nil {
@@ -197,7 +197,7 @@ func TestChaosStokesClusterBitIdentical(t *testing.T) {
 		cfg.LinkFaults = mustCluster(t,
 			"link0-1:drop0.4@step0,link1-2:corrupt0.5@step0,link2-0:dup@step0")
 		cfg.LinkSeed = 9
-		cfg.Link = chaosLink()
+		cfg.link = chaosLink()
 	})
 	net := cl.Solve().Net
 	if net.FramesDropped == 0 && net.CorruptRejects == 0 {
@@ -228,9 +228,9 @@ func TestHeartbeatDetectorRecovery(t *testing.T) {
 	cfg.NodeFaults = events
 	cfg.LinkFaults = mustCluster(t, "link1-3:drop0.3@step0")
 	cfg.LinkSeed = 13
-	cfg.Link = chaosLink()
-	cfg.Link.HeartbeatInterval = 500 * time.Microsecond
-	cfg.Link.SuspectAfter = 10
+	cfg.link = chaosLink()
+	cfg.link.HeartbeatInterval = 500 * time.Microsecond
+	cfg.link.SuspectAfter = 10
 
 	sysD := distrib.Plummer(n, 1.0, 1.0, 53)
 	d, err := NewSolver(sysD, cfg)
@@ -246,8 +246,8 @@ func TestHeartbeatDetectorRecovery(t *testing.T) {
 			res.DetectLatencies)
 	}
 	// The detector needs at least SuspectAfter silent intervals.
-	if min := 0.5 * float64(cfg.Link.HeartbeatInterval.Seconds()) *
-		float64(cfg.Link.SuspectAfter); res.DetectLatencies[0] < min {
+	if min := 0.5 * float64(cfg.link.HeartbeatInterval.Seconds()) *
+		float64(cfg.link.SuspectAfter); res.DetectLatencies[0] < min {
 		t.Fatalf("detection latency %v below the suspicion window floor %v",
 			res.DetectLatencies[0], min)
 	}
@@ -271,7 +271,7 @@ func TestNetTimeoutFlightDump(t *testing.T) {
 	cfg := execClusterConfig(3)
 	cfg.LinkFaults = mustCluster(t, "link0-1:drop1.0@step0")
 	cfg.LinkSeed = 3
-	cfg.Link = LinkConfig{
+	cfg.link = linkConfig{
 		RetransmitTimeout: 100 * time.Microsecond,
 		MaxRetries:        1,
 		NearDeadline:      10 * time.Millisecond,

@@ -41,7 +41,7 @@ type detector struct {
 }
 
 // newDetector starts one heartbeater per node. Callers must stop() it.
-func newDetector(nodes int, cfg LinkConfig, sch *fault.LinkSchedule, seed int64) *detector {
+func newDetector(nodes int, cfg linkConfig, sch *fault.LinkSchedule, seed int64) *detector {
 	cfg = cfg.withDefaults()
 	d := &detector{
 		interval:     cfg.HeartbeatInterval,

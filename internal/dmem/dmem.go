@@ -91,10 +91,8 @@ type Config struct {
 	LinkFaults *fault.LinkSchedule
 	// LinkSeed seeds the deterministic per-frame fault verdicts.
 	LinkSeed int64
-	// Link tunes the delivery protocol (retransmit timeout/backoff,
-	// retry budget, per-phase deadlines) and the heartbeat failure
-	// detector. Zero fields select defaults.
-	Link LinkConfig
+
+	link linkConfig // protocol knobs; zero (the defaults) outside tests
 }
 
 // oracleDetectLatencies is the modeled failure-detection delay charged to
@@ -120,9 +118,14 @@ type NodeTimes struct {
 	// Hidden is the part of CommTime overlapped with local-source near
 	// field work (min(CommTime, local near time) — the halo-hiding
 	// schedule executes local P2P rows while remote data is in flight).
-	Hidden   float64
+	Hidden float64
+	// BytesIn and Messages are the payload bytes (expansion coefficients
+	// at 16 bytes/complex, ghost bodies at NetworkSpec.BytesPerBody) and
+	// aggregated peer messages received: measured when the step executed
+	// (one message per sender/kind/level flow), modeled when priced (one
+	// per peer).
 	BytesIn  int64
-	Messages int64   // aggregated peer messages received
+	Messages int64
 	Bodies   int     // bodies owned
 	OpShare  float64 // fraction of the global op cost owned
 }
@@ -149,10 +152,14 @@ type StepReport struct {
 	CapacityEpoch int64
 	// Net is the executed step's link-layer delivery activity (zero when
 	// pricing).
-	Net NetStats
+	Net telemetry.NetSample
 	// GhostLeaves counts the (receiver, source leaf) ghost-body shipments
-	// of the executed step's exchange plan (zero when pricing).
+	// of the executed step's exchange plan: U-list neighbours plus the
+	// accepted leaves summed directly (zero when pricing).
 	GhostLeaves int64
+	// GraphNodes and GraphEdges size the executed step's node graphs,
+	// summed (zero when pricing).
+	GraphNodes, GraphEdges int
 	// Single is the underlying single-node timing for reference (zero in
 	// Execute mode, where no single-node solve runs).
 	Single core.StepTimes
@@ -271,13 +278,11 @@ func (s *Solver) equalCountCuts() {
 func (s *Solver) Solve() StepReport {
 	var rep StepReport
 	if s.rt != nil {
-		es := s.executeStep()
-		rep = s.attributeWith(core.StepTimes{}, es)
-		rep.Executed = true
+		rep = s.executeStep()
 	} else {
-		single := s.Inner.Solve()
-		rep = s.attributeWith(single, nil)
+		rep.Single = s.Inner.Solve()
 	}
+	s.attribute(&rep)
 	rep.AliveNodes = s.aliveCount()
 	rep.CapacityEpoch = s.capEpoch
 	return rep
@@ -297,7 +302,7 @@ func (s *Solver) aliveCount() int {
 // distributed runtime over the current tree. The step index feeds the
 // link-fault schedule; bare Solve calls advance it monotonically, and
 // RunWith pins it to the run step.
-func (s *Solver) executeStep() *ExecStats {
+func (s *Solver) executeStep() StepReport {
 	s.alignCuts()
 	step := s.stepIdx
 	s.stepIdx++
@@ -322,16 +327,15 @@ func (s *Solver) alignCuts() {
 	s.cuts[p] = int32(s.Inner.Sys.Len())
 }
 
-// attributeWith computes the per-node report. es, when non-nil, carries
-// the executed step's measured exchange volumes, which replace the
-// modeled transfer accounting.
-func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport {
+// attribute completes the per-node report with the model: compute
+// times, comm times and halo hiding. An executed step's report already
+// carries its measured exchange volumes; a priced step's are modeled
+// here.
+func (s *Solver) attribute(rep *StepReport) {
 	t := s.Inner.Tree
 	p := len(s.Cfg.Nodes)
-	rep := StepReport{PerNode: make([]NodeTimes, p), Single: single}
-	if es != nil {
-		rep.Net = es.Net
-		rep.GhostLeaves = es.GhostLeaves
+	if !rep.Executed {
+		rep.PerNode = make([]NodeTimes, p)
 	}
 
 	cellOwner := cellOwners(t, s.cuts)
@@ -353,19 +357,30 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 	}
 	base := func(k int) costmodel.Coefficients { return s.Cfg.Nodes[k].CPU.Base }
 
-	// transfers[k] dedupes (receiver k, source cell) pairs.
+	// incoming[k] is receiver k's modeled transfer volume, deduped per
+	// (receiver, source cell) by seen; both stay nil for an executed step,
+	// whose volumes were measured.
 	type transfer struct {
 		bytes int64
 		peers map[int]bool
 	}
-	incoming := make([]transfer, p)
-	for k := range incoming {
-		incoming[k].peers = map[int]bool{}
+	var (
+		incoming []transfer
+		seen     map[[2]int32]bool
+	)
+	if !rep.Executed {
+		incoming = make([]transfer, p)
+		for k := range incoming {
+			incoming[k].peers = map[int]bool{}
+		}
+		seen = map[[2]int32]bool{}
 	}
-	seen := map[[2]int32]bool{} // (receiver, source cell) dedup
 	expBytes := int64(sphharm.PackedLen(s.Inner.Cfg.P)) * 16 * int64(passes)
 
 	addComm := func(recv int, src int32, bytes int64) {
+		if seen == nil {
+			return
+		}
 		key := [2]int32{int32(recv), src}
 		if seen[key] {
 			return
@@ -500,10 +515,7 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 			nearLocal = float64(localInts) * spec.Base[costmodel.P2P] / k2
 		}
 		nt.Compute = math.Max(nt.CPUTime, nt.GPUTime)
-		if es != nil {
-			nt.BytesIn = es.PerNode[k].BytesIn
-			nt.Messages = es.PerNode[k].MsgsIn
-		} else {
+		if !rep.Executed {
 			nt.BytesIn = incoming[k].bytes
 			nt.Messages = int64(len(incoming[k].peers))
 		}
@@ -552,7 +564,6 @@ func (s *Solver) attributeWith(single core.StepTimes, es *ExecStats) StepReport 
 		s.lastLeaves = append(s.lastLeaves, ni)
 		s.lastLeafCost = append(s.lastLeafCost, c)
 	}
-	return rep
 }
 
 // assignRows distributes a node's near-field schedule rows over its
@@ -668,7 +679,7 @@ type RunResult struct {
 	// seconds, one per node loss (empty when the oracle detected).
 	DetectLatencies []float64
 	// Net aggregates the run's link-layer delivery activity.
-	Net NetStats
+	Net telemetry.NetSample
 }
 
 // RunConfig parameterizes RunWith.
@@ -682,17 +693,6 @@ type RunConfig struct {
 	// OnStep, when non-nil, runs after each step's integration and
 	// refill — the checkpoint/observation hook.
 	OnStep func(step int)
-}
-
-// Run advances a gravitational simulation for steps time steps on the
-// cluster: each step solves, integrates (kick-drift), refills, and
-// rebalances the node partition whenever the compute imbalance exceeds
-// rebalanceAt (e.g. 1.15); rebalanceAt <= 0 disables rebalancing.
-func (s *Solver) Run(steps int, dt, rebalanceAt float64) RunResult {
-	return s.RunWith(RunConfig{
-		Steps: steps, Dt: dt,
-		Policy: RebalancePolicy{Threshold: rebalanceAt},
-	})
 }
 
 // RunWith advances the simulation under an explicit repartition policy,
@@ -709,7 +709,7 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 	// step loop blocks until suspicion crosses the threshold — measured
 	// detection, not the oracle.
 	if s.rt != nil && len(s.Cfg.NodeFaults) > 0 {
-		s.det = newDetector(len(s.Cfg.Nodes), s.Cfg.Link, s.Cfg.LinkFaults, s.Cfg.LinkSeed)
+		s.det = newDetector(len(s.Cfg.Nodes), s.Cfg.link, s.Cfg.LinkFaults, s.Cfg.LinkSeed)
 		defer func() {
 			s.det.stop()
 			s.det = nil
@@ -730,7 +730,7 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 		rec.StartStep(step)
 		rep := s.Solve()
 		rep.StepTime += recovery
-		observeNet(rec, step, &rep.Net)
+		observeNet(rec, step, rep.Net)
 		rec.EndStep()
 		// Kick-drift using the solved accelerations.
 		sys := s.Inner.Sys
@@ -753,7 +753,7 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 		res.Steps = append(res.Steps, rep)
 		res.TotalTime += rep.StepTime
 		res.TotalBytes += rep.TotalBytes
-		res.Net.add(&rep.Net)
+		addNet(&res.Net, &rep.Net)
 		if rc.OnStep != nil {
 			rc.OnStep(step)
 		}
@@ -765,26 +765,11 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 // record and flags deadline breaches: an EventNetTimeout makes the
 // flight recorder dump the last 32 step records — each carrying its
 // per-link retry counts — under the "net-timeout" reason.
-func observeNet(rec *telemetry.Recorder, step int, net *NetStats) {
+func observeNet(rec *telemetry.Recorder, step int, net telemetry.NetSample) {
 	if !rec.Enabled() {
 		return
 	}
-	links := make([]telemetry.LinkSample, len(net.PerLink))
-	for i, ls := range net.PerLink {
-		links[i] = telemetry.LinkSample{
-			From: ls.From, To: ls.To,
-			Frames: ls.Frames, Retries: ls.Retries, RTTNs: ls.RTTNs,
-		}
-	}
-	rec.SetNetStats(telemetry.NetSample{
-		FramesSent:     net.FramesSent,
-		FramesDropped:  net.FramesDropped,
-		Retries:        net.Retries,
-		CorruptRejects: net.CorruptRejects,
-		Timeouts:       net.Timeouts,
-		Rerequests:     net.Rerequests,
-		Links:          links,
-	})
+	rec.SetNetStats(net)
 	if net.Timeouts > 0 {
 		rec.EmitEvent(telemetry.EventNetTimeout, net.Timeouts, int64(step),
 			float64(net.Retries), float64(net.Rerequests+net.DegradedGhostFlows))

@@ -143,7 +143,8 @@ func TestRebalanceImprovesSkewedPartition(t *testing.T) {
 	}
 	before := d.Solve()
 	gain := d.Rebalance()
-	after := d.attributeWith(before.Single, nil)
+	after := StepReport{Single: before.Single}
+	d.attribute(&after)
 	if gain < 0.99 {
 		t.Fatalf("rebalance predicted regression: gain %v", gain)
 	}
@@ -210,7 +211,7 @@ func TestRunRebalancesWhenSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := d.Run(30, 5e-4, 1.05)
+	res := d.RunWith(RunConfig{Steps: 30, Dt: 5e-4, Policy: RebalancePolicy{Threshold: 1.05}})
 	if len(res.Steps) != 30 {
 		t.Fatalf("%d step reports", len(res.Steps))
 	}

@@ -24,15 +24,13 @@ import (
 // field's local rows execute under the communication wait instead of
 // after it.
 //
-// Deadlock freedom: arrivals are the only nodes that block and the only
-// ClassGeneral nodes, and they are the graph's first nodes and roots. Run
-// enqueues roots in creation order, so each arrival is handed to a drainer
-// while the node's private pool of (arrivals + 2) slots still has one
-// free: every Recv sits on a goroutine of its own, never inline under
-// another node's completion, and at most `arrivals` slots are held in
-// transport receives. Compute chunks and sends (ClassFar/ClassNear) never
-// block (transport.Send is asynchronous), so whether they find one of the
-// two remaining slots or run inline (help-first) they finish. Receives are
+// Deadlock freedom: arrivals are the only nodes that block, and they are
+// sched.Graph Wait nodes: each runs on a goroutine of its own, outside the
+// node pool's slots, so a receive never holds a slot, never runs inline
+// under another node or under Run, and never delays another arrival.
+// Compute chunks and sends (ClassFar/ClassNear) never block
+// (transport.Send does not wait for the wire), so whether they find a
+// slot or run inline (help-first) they finish. Receives are
 // deadline-bounded with an always-available degradation path, and the
 // cross-node message graph is acyclic by level (see plan.go). Progress
 // then follows by induction over the global dependency DAG.
@@ -45,8 +43,8 @@ type Runtime struct {
 	drv *core.Solver
 	eng []*nodeEngine
 	// cfg is read for the interconnect model (Net) and the link layer:
-	// protocol knobs (Link) plus the possibly empty chaos schedule and its
-	// verdict seed (LinkFaults, LinkSeed).
+	// the possibly empty chaos schedule and its verdict seed (LinkFaults,
+	// LinkSeed), and the tests' protocol knobs (link).
 	cfg *Config
 }
 
@@ -60,40 +58,12 @@ func newRuntime(drv *core.Solver, cfg *Config) *Runtime {
 	return rt
 }
 
-// NodeComm is one node's measured communication activity in a step.
-type NodeComm struct {
-	// BytesIn counts modeled payload bytes received (expansion
-	// coefficients at 16 bytes/complex, ghost bodies at
-	// NetworkSpec.BytesPerBody).
-	BytesIn int64
-	// MsgsIn counts aggregated messages received (one per sender/kind/
-	// level flow).
-	MsgsIn int64
-	// WaitNs is wall time the node's arrivals spent blocked in channel
-	// receives — comm wait that overlapped local work, not serialized
-	// after it.
-	WaitNs int64
-}
-
-// ExecStats aggregates one executed distributed step.
-type ExecStats struct {
-	PerNode    []NodeComm
-	TotalBytes int64
-	TotalMsgs  int64
-	// Net is the step's link-layer delivery activity (frames, retries,
-	// checksum rejects, deadline degradations, per-link RTT).
-	Net NetStats
-	// GhostLeaves counts the plan's (receiver, source leaf) ghost-body
-	// shipments: U-list neighbours plus the accepted leaves summed
-	// directly, which need bodies where a translation needed a multipole.
-	GhostLeaves int64
-	// GraphNodes and GraphEdges size the node graphs, summed.
-	GraphNodes, GraphEdges int
-}
-
-// nodeCommAtomic is NodeComm with atomic fields (arrivals run on
-// multiple drainer goroutines within one node's pool).
-type nodeCommAtomic struct {
+// nodeComm is one node's measured communication activity in a step,
+// with atomic fields (arrivals run on multiple drainer goroutines within
+// one node's pool). waitNs is the wall time the node's arrivals spent
+// blocked in receives — comm wait that overlapped local work — and feeds
+// the node's comm span.
+type nodeComm struct {
 	bytesIn atomic.Int64
 	msgsIn  atomic.Int64
 	waitNs  atomic.Int64
@@ -107,7 +77,10 @@ type nodeCommAtomic struct {
 // result, bit-identical to the single-node solver — under any link-fault
 // schedule, within or beyond the retry budget. A dead node (alive[k] ==
 // false) must own no bodies — callers repartition before calling Step.
-func (rt *Runtime) Step(cuts []int32, alive []bool, step int) *ExecStats {
+// The returned report carries what the step measured: per-node bytes and
+// messages received, the link layer's activity, the plan's ghost-leaf
+// count and the node graphs' sizes; Solver.attribute adds the model.
+func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 	t := rt.drv.Tree
 	t.BuildLists()
 	rt.drv.PrepareM2L()
@@ -125,8 +98,8 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) *ExecStats {
 	}
 	pl := buildPlan(t, sch, cuts, !rt.drv.Cfg.SkipFarField, !rt.drv.Cfg.SkipNearField)
 
-	tp := newTransport(pl.flowIDs(), rt.cfg.Link, rt.cfg.LinkFaults, rt.cfg.LinkSeed, step)
-	comm := make([]nodeCommAtomic, p)
+	tp := newTransport(pl.flowIDs(), rt.cfg.link, rt.cfg.LinkFaults, rt.cfg.LinkSeed, step)
+	comm := make([]nodeComm, p)
 	sizes := make([]sched.GraphStats, p)
 	var wg sync.WaitGroup
 	for k := 0; k < p; k++ {
@@ -142,41 +115,39 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) *ExecStats {
 	wg.Wait()
 	tp.Close()
 
-	es := &ExecStats{PerNode: make([]NodeComm, p), Net: tp.Stats()}
+	rep := StepReport{PerNode: make([]NodeTimes, p), Executed: true, Net: tp.Stats()}
 	for k := 0; k < p; k++ {
 		for _, f := range pl.in[k] {
 			if f.id.kind == flowGhost {
-				es.GhostLeaves += int64(len(f.cells))
+				rep.GhostLeaves += int64(len(f.cells))
 			}
 		}
-		nc := &es.PerNode[k]
-		nc.BytesIn = comm[k].bytesIn.Load()
-		nc.MsgsIn = comm[k].msgsIn.Load()
-		nc.WaitNs = comm[k].waitNs.Load()
-		es.TotalBytes += nc.BytesIn
-		es.TotalMsgs += nc.MsgsIn
-		es.GraphNodes += sizes[k].Nodes
-		es.GraphEdges += sizes[k].Edges
+		rep.PerNode[k].BytesIn = comm[k].bytesIn.Load()
+		rep.PerNode[k].Messages = comm[k].msgsIn.Load()
+		rep.GraphNodes += sizes[k].Nodes
+		rep.GraphEdges += sizes[k].Edges
 	}
-	return es
+	return rep
 }
 
 // runNode builds and runs node k's step graph over its body range
 // [lo, hi): one arrival node per incoming flow, the range's share of the
 // step graph, one send node per outgoing flow.
-func (rt *Runtime) runNode(k int, pl *exchangePlan, lo, hi int32, tp *transport, nc *nodeCommAtomic) sched.GraphStats {
+func (rt *Runtime) runNode(k int, pl *exchangePlan, lo, hi int32, tp *transport, nc *nodeComm) sched.GraphStats {
 	start := time.Now()
 	rec := rt.drv.Cfg.Rec
 	e := rt.eng[k]
 	in, out := pl.in[k], pl.out[k]
+	// Arrivals wait outside the pool; its slots bound the node's compute
+	// and sends.
 	g := sched.NewPool(len(in) + 2).NewGraph()
 	spec := rt.drv.StepSpec(e.Field, e.ws, e.ghosts)
 	spec.Share = dag.Share{Lo: lo, Hi: hi,
 		Mpole: e.arrival[flowMpole], Local: e.arrival[flowLocal], Ghost: e.arrival[flowGhost]}
 
-	// Arrivals first (see the deadlock-freedom argument above Runtime).
+	// Arrivals (see the deadlock-freedom argument above Runtime).
 	for _, f := range in {
-		id := g.Node(sched.ClassGeneral, spec.Tags.Milestone, int32(f.id.from), func() { rt.receive(e, f, tp, nc) })
+		id := g.Wait(spec.Tags.Milestone, int32(f.id.from), func() { rt.receive(e, f, tp, nc) })
 		for _, ci := range f.cells {
 			e.arrival[f.id.kind][ci] = id
 		}
@@ -220,7 +191,7 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, lo, hi int32, tp *transport,
 // and ghost rows re-packed host-side from the shared read-only particle
 // arrays (the owner's bytes by construction, PR 5's row-atomic fallback
 // discipline). Degradation costs time, never values.
-func (rt *Runtime) receive(e *nodeEngine, f flow, tp *transport, nc *nodeCommAtomic) {
+func (rt *Runtime) receive(e *nodeEngine, f flow, tp *transport, nc *nodeComm) {
 	t0 := time.Now()
 	pay, ok := tp.Recv(f.id)
 	if !ok && f.id.kind != flowGhost {

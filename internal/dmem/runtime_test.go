@@ -255,10 +255,10 @@ func TestNodeGraphSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := d.executeStep()
-	t.Logf("4 node graphs: %d nodes, %d edges, %d flows", es.GraphNodes, es.GraphEdges, es.TotalMsgs)
-	if es.GraphNodes > 1500 || es.GraphEdges > 10000 {
-		t.Fatalf("node graphs hold %d nodes / %d edges, want <= 1500 / 10000", es.GraphNodes, es.GraphEdges)
+	rep := d.Solve()
+	t.Logf("4 node graphs: %d nodes, %d edges, %d flows", rep.GraphNodes, rep.GraphEdges, rep.TotalMsgs)
+	if rep.GraphNodes > 1500 || rep.GraphEdges > 10000 {
+		t.Fatalf("node graphs hold %d nodes / %d edges, want <= 1500 / 10000", rep.GraphNodes, rep.GraphEdges)
 	}
 }
 
@@ -321,9 +321,10 @@ func TestPlanFlowsMirrorAndSorted(t *testing.T) {
 	}
 }
 
-// TestStepRejectsDeadNodeWithBodies: a dead node's flows are never sent
-// and the fault-free Recv arms no timer, so a caller that did not
-// repartition must fail loudly before any goroutine starts.
+// TestStepRejectsDeadNodeWithBodies: a dead node's flows are never sent,
+// and the degradation path of an expansion flow waits for the send, so a
+// caller that did not repartition must fail loudly before any goroutine
+// starts.
 func TestStepRejectsDeadNodeWithBodies(t *testing.T) {
 	d, err := NewSolver(distrib.Plummer(600, 1, 1, 3), execClusterConfig(3))
 	if err != nil {

@@ -11,19 +11,21 @@ import (
 	"afmm/internal/core"
 	"afmm/internal/fault"
 	"afmm/internal/geom"
+	"afmm/internal/telemetry"
 )
 
 // The transport is the link layer between the exchange plan and the
 // node goroutines. Every cross-node payload — a multipole batch, a
 // local batch, a ghost-leaf batch — travels as a framed message carrying
 // its flow identity, a sequence (attempt) number, and an FNV-1a checksum
-// over the payload's float bits. The default path delivers frames over
-// the same in-process handoff the buffered channels used to provide; the
-// chaos path consults a deterministic, seedable fault.LinkSchedule per
-// transmission and runs the delivery protocol the reliable channels made
-// unnecessary: receiver-side checksum verify + dedup, ack + bounded
-// retransmit with exponential backoff, nack-triggered re-send for
-// corrupt frames, and per-phase deadline budgets.
+// over the payload's float bits. Every flow runs one delivery protocol,
+// whether or not a fault.LinkSchedule is armed: each transmission
+// consults the (possibly empty) schedule, and the receiver verifies the
+// checksum, dedups and acks; an unacknowledged frame is retransmitted
+// with exponential backoff, a nack (corrupt frame) triggers an immediate
+// re-send, and receives are bounded by per-phase deadlines. On a clean
+// link the first frame is delivered and acked inside Send, so no
+// protocol goroutine starts.
 //
 // Bit-identity under chaos holds because a flow's payload is loaded into
 // the engine slabs exactly once, and every byte that can be loaded is
@@ -66,24 +68,25 @@ type payload struct {
 	ghost []core.GhostLeaf
 }
 
-// LinkConfig tunes the delivery protocol. The zero value selects
-// defaults chosen so that any within-budget fault schedule recovers by
-// retransmission long before a deadline, while a hard-failed link
-// (drop 1.0) degrades in bounded time.
-type LinkConfig struct {
+// linkConfig tunes the delivery protocol and the heartbeat detector.
+// Only tests set it (Config.link); the zero value selects defaults chosen
+// so that any within-budget fault schedule recovers by retransmission
+// long before a deadline, while a hard-failed link (drop 1.0) degrades in
+// bounded time.
+type linkConfig struct {
 	// RetransmitTimeout is the initial ack wait before the first
 	// retransmission; each further attempt doubles it (exponential
 	// backoff). 0 selects 2ms.
 	RetransmitTimeout time.Duration
 	// MaxRetries bounds retransmissions per frame (first transmission
-	// excluded). 0 selects 8; negative disables retransmission.
+	// excluded). 0 selects 8.
 	MaxRetries int
-	// NearDeadline is the Recv budget for ghost flows; on expiry the
-	// receiver re-packs the bodies host-side. 0 selects 10s.
+	// NearDeadline is the receive budget of the ghost phase; on expiry
+	// the receiver re-packs the bodies host-side. 0 selects 10s.
 	NearDeadline time.Duration
-	// FarDeadline is the Recv budget for expansion flows; on expiry the
-	// receiver recovers the payload over the reliable re-request path.
-	// 0 selects 10s.
+	// FarDeadline is the receive budget of the expansion phase; on
+	// expiry the receiver recovers the payload over the reliable
+	// re-request path. 0 selects 10s.
 	FarDeadline time.Duration
 	// HeartbeatInterval paces the failure detector's per-node
 	// heartbeats. 0 selects 1ms.
@@ -93,15 +96,12 @@ type LinkConfig struct {
 	SuspectAfter int
 }
 
-func (c LinkConfig) withDefaults() LinkConfig {
+func (c linkConfig) withDefaults() linkConfig {
 	if c.RetransmitTimeout <= 0 {
 		c.RetransmitTimeout = 2 * time.Millisecond
 	}
-	if c.MaxRetries == 0 {
+	if c.MaxRetries <= 0 {
 		c.MaxRetries = 8
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
 	}
 	if c.NearDeadline <= 0 {
 		c.NearDeadline = 10 * time.Second
@@ -118,66 +118,17 @@ func (c LinkConfig) withDefaults() LinkConfig {
 	return c
 }
 
-// NetStats aggregates the link layer's delivery-protocol activity for
-// one executed step (or a whole run, summed by the solver).
-type NetStats struct {
-	// FramesSent counts transmissions that reached the wire, including
-	// retransmissions and chaos-injected duplicates.
-	FramesSent int64
-	// FramesDelivered counts verified first deliveries (one per flow).
-	FramesDelivered int64
-	// FramesDropped counts transmissions lost to the link-fault schedule.
-	FramesDropped int64
-	// DupFrames counts duplicate deliveries discarded by the receiver.
-	DupFrames int64
-	// CorruptRejects counts frames rejected by the payload checksum.
-	CorruptRejects int64
-	// Retries counts retransmissions (ack timeout or nack).
-	Retries int64
-	// Nacks counts checksum-reject re-request signals that reached the
-	// sender.
-	Nacks int64
-	// AcksDropped counts acknowledgements lost to the fault schedule.
-	AcksDropped int64
-	// Timeouts counts Recv deadline expiries (degradation entries).
-	Timeouts int64
-	// Rerequests counts expansion payloads recovered over the reliable
-	// re-request path after a deadline expiry.
-	Rerequests int64
-	// DegradedGhostFlows counts ghost flows re-packed host-side after a
-	// deadline expiry.
-	DegradedGhostFlows int64
-	// PerLink breaks frames/retries/RTT down by directed link, sorted by
-	// (From, To).
-	PerLink []LinkStat
-}
-
-// LinkStat is one directed link's delivery activity.
-type LinkStat struct {
-	From, To int
-	Frames   int64
-	Retries  int64
-	// RTTNs is the mean observed send->ack round trip, nanoseconds
-	// (0 when no ack was observed).
-	RTTNs int64
-	// RTTCount is the number of acked round trips observed.
-	RTTCount int64
-}
-
 // cmpLink orders link rows by (From, To).
-func cmpLink(a, b LinkStat) int {
+func cmpLink(a, b telemetry.LinkSample) int {
 	if c := cmp.Compare(a.From, b.From); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.To, b.To)
 }
 
-// add folds another step's stats into the receiver (PerLink merged by
-// link, kept sorted).
-func (s *NetStats) add(o *NetStats) {
-	if o == nil {
-		return
-	}
+// addNet folds another step's delivery activity into s (links merged by
+// link, kept sorted; RTT means weighted by their counts).
+func addNet(s, o *telemetry.NetSample) {
 	s.FramesSent += o.FramesSent
 	s.FramesDelivered += o.FramesDelivered
 	s.FramesDropped += o.FramesDropped
@@ -189,13 +140,13 @@ func (s *NetStats) add(o *NetStats) {
 	s.Timeouts += o.Timeouts
 	s.Rerequests += o.Rerequests
 	s.DegradedGhostFlows += o.DegradedGhostFlows
-	for _, ls := range o.PerLink {
-		i, found := slices.BinarySearchFunc(s.PerLink, ls, cmpLink)
+	for _, ls := range o.Links {
+		i, found := slices.BinarySearchFunc(s.Links, ls, cmpLink)
 		if !found {
-			s.PerLink = slices.Insert(s.PerLink, i, ls)
+			s.Links = slices.Insert(s.Links, i, ls)
 			continue
 		}
-		l := &s.PerLink[i]
+		l := &s.Links[i]
 		if tot := l.RTTCount + ls.RTTCount; tot > 0 {
 			l.RTTNs = (l.RTTNs*l.RTTCount + ls.RTTNs*ls.RTTCount) / tot
 		}
@@ -205,8 +156,8 @@ func (s *NetStats) add(o *NetStats) {
 	}
 }
 
-// netCounters is NetStats with atomic fields (senders, couriers and
-// receivers update concurrently).
+// netCounters is the NetSample totals with atomic fields (senders,
+// couriers and receivers update concurrently).
 type netCounters struct {
 	sent, delivered, dropped, dup atomic.Int64
 	corrupt, retries, nacks       atomic.Int64
@@ -214,7 +165,7 @@ type netCounters struct {
 	rerequests, degradedGhost     atomic.Int64
 }
 
-// linkCounters is LinkStat with atomic fields.
+// linkCounters is a LinkSample with atomic fields.
 type linkCounters struct {
 	frames, retries    atomic.Int64
 	rttSumNs, rttCount atomic.Int64
@@ -246,33 +197,49 @@ type flowState struct {
 	recvPay     payload
 }
 
-// transport carries every flow of one executed step. A fault-free
-// schedule takes the synchronous fast path (frame + verify, no protocol
-// goroutines); a faulty schedule runs the full delivery protocol.
+// transport carries every flow of one executed step.
 type transport struct {
-	cfg   LinkConfig
-	sch   *fault.LinkSchedule
-	seed  int64
-	step  int
-	chaos bool
+	cfg  linkConfig
+	sch  *fault.LinkSchedule
+	seed int64
+	step int
 
 	flows map[flowID]*flowState
 	links map[[2]int]*linkCounters
 	nc    netCounters
+	// far and near bound the receives of the expansion and ghost flows.
+	far, near phaseDeadline
 
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
+// phaseDeadline is one phase's receive budget, armed by the phase's first
+// receive that has to wait and shared by every later one.
+type phaseDeadline struct {
+	once    sync.Once
+	timer   *time.Timer
+	expired chan struct{}
+}
+
+// arm starts the budget on first use and returns the channel that closes
+// when it runs out.
+func (ph *phaseDeadline) arm(budget time.Duration) <-chan struct{} {
+	ph.once.Do(func() {
+		ph.expired = make(chan struct{})
+		ph.timer = time.AfterFunc(budget, func() { close(ph.expired) })
+	})
+	return ph.expired
+}
+
 // newTransport builds the step's transport over the plan's flows.
-func newTransport(flows []flowID, cfg LinkConfig, sch *fault.LinkSchedule, seed int64, step int) *transport {
+func newTransport(flows []flowID, cfg linkConfig, sch *fault.LinkSchedule, seed int64, step int) *transport {
 	tp := &transport{
 		cfg:   cfg.withDefaults(),
 		sch:   sch,
 		seed:  seed,
 		step:  step,
-		chaos: sch.Faulty(),
 		flows: make(map[flowID]*flowState, len(flows)),
 		links: make(map[[2]int]*linkCounters),
 		done:  make(chan struct{}),
@@ -293,16 +260,21 @@ func newTransport(flows []flowID, cfg LinkConfig, sch *fault.LinkSchedule, seed 
 }
 
 // Close tears the transport down: in-flight senders and couriers exit at
-// their next select. Callers invoke it after every node graph completed,
-// so all deliveries are settled.
+// their next select, and the phase deadlines are disarmed. Callers invoke
+// it after every node graph completed, so all deliveries are settled.
 func (tp *transport) Close() {
 	tp.closeOnce.Do(func() { close(tp.done) })
 	tp.wg.Wait()
+	for _, ph := range []*phaseDeadline{&tp.far, &tp.near} {
+		if ph.timer != nil {
+			ph.timer.Stop()
+		}
+	}
 }
 
 // Stats snapshots the step's delivery activity.
-func (tp *transport) Stats() NetStats {
-	s := NetStats{
+func (tp *transport) Stats() telemetry.NetSample {
+	s := telemetry.NetSample{
 		FramesSent:         tp.nc.sent.Load(),
 		FramesDelivered:    tp.nc.delivered.Load(),
 		FramesDropped:      tp.nc.dropped.Load(),
@@ -316,7 +288,7 @@ func (tp *transport) Stats() NetStats {
 		DegradedGhostFlows: tp.nc.degradedGhost.Load(),
 	}
 	for l, lc := range tp.links {
-		ls := LinkStat{
+		ls := telemetry.LinkSample{
 			From: l[0], To: l[1],
 			Frames:   lc.frames.Load(),
 			Retries:  lc.retries.Load(),
@@ -326,10 +298,10 @@ func (tp *transport) Stats() NetStats {
 			ls.RTTNs = lc.rttSumNs.Load() / ls.RTTCount
 		}
 		if ls.Frames > 0 {
-			s.PerLink = append(s.PerLink, ls)
+			s.Links = append(s.Links, ls)
 		}
 	}
-	slices.SortFunc(s.PerLink, cmpLink)
+	slices.SortFunc(s.Links, cmpLink)
 	return s
 }
 
@@ -354,46 +326,38 @@ func (tp *transport) verdict(salt int, f flowID, attempt int64) float64 {
 }
 
 // Send transmits the flow's payload. It never blocks the graph's send
-// task: the fault-free path delivers synchronously (a few stores and a
-// channel close); the chaos path hands the frame to a sender goroutine
-// that runs the retransmission protocol.
+// task: attempt 0 goes out synchronously, and only a frame still
+// unacknowledged after it (lost, corrupt, delayed, or its ack lost) hands
+// the flow to a goroutine that runs the retransmission protocol.
 func (tp *transport) Send(f flowID, p payload) {
 	fs := tp.flows[f]
 	fs.pay = p
 	fs.sum = payloadSum(p)
 	close(fs.sent)
-	if !tp.chaos {
-		// Default link layer: framed, checksummed, delivered in order over
-		// the same in-process handoff the buffered channels provided.
-		tp.nc.sent.Add(1)
-		tp.links[f.link()].frames.Add(1)
-		tp.accept(fs, frame{flow: f, seq: 0, sum: fs.sum, pay: p})
+	tp.transmit(fs, 0)
+	select {
+	case <-fs.ackCh:
 		return
+	default:
 	}
 	tp.wg.Add(1)
-	go tp.sender(fs)
+	go tp.retransmit(fs)
 }
 
-// frame is one transmission on the wire.
+// frame is one transmission on the wire, addressed to its flow.
 type frame struct {
-	flow flowID
-	seq  int64 // attempt number
-	sum  uint64
-	pay  payload
+	seq int64 // attempt number
+	sum uint64
+	pay payload
 }
 
-// sender runs one flow's delivery protocol: transmit, wait for the ack
-// with exponential backoff, retransmit on timeout or nack, give up after
-// MaxRetries (the receiver's deadline degradation then recovers).
-func (tp *transport) sender(fs *flowState) {
+// retransmit runs the rest of one flow's delivery protocol: wait for the
+// ack with exponential backoff, retransmit on timeout or nack, give up
+// after MaxRetries (the receiver's deadline degradation then recovers).
+func (tp *transport) retransmit(fs *flowState) {
 	defer tp.wg.Done()
 	backoff := tp.cfg.RetransmitTimeout
-	for attempt := int64(0); attempt <= int64(tp.cfg.MaxRetries); attempt++ {
-		if attempt > 0 {
-			tp.nc.retries.Add(1)
-			tp.links[fs.id.link()].retries.Add(1)
-		}
-		tp.transmit(fs, attempt)
+	for attempt := int64(1); attempt <= int64(tp.cfg.MaxRetries); attempt++ {
 		timer := time.NewTimer(backoff)
 		select {
 		case <-fs.ackCh:
@@ -407,9 +371,11 @@ func (tp *transport) sender(fs *flowState) {
 			timer.Stop()
 			return
 		}
+		tp.nc.retries.Add(1)
+		tp.links[fs.id.link()].retries.Add(1)
+		tp.transmit(fs, attempt)
 		backoff *= 2
 	}
-	// Retry budget exhausted: the receiver's deadline path takes over.
 }
 
 // transmit puts one frame (and possibly a duplicate) on the wire,
@@ -434,7 +400,7 @@ func (tp *transport) transmit(fs *flowState, attempt int64) {
 			tp.nc.dropped.Add(1)
 			continue
 		}
-		fr := frame{flow: f, seq: attempt, sum: fs.sum, pay: fs.pay}
+		fr := frame{seq: attempt, sum: fs.sum, pay: fs.pay}
 		if st.Corrupt > 0 && tp.verdict(saltCorrupt, f, attempt*2+int64(c)) < st.Corrupt {
 			// Flip one bit in a private copy: the original stays intact for
 			// retransmission, and the stale checksum guarantees rejection.
@@ -448,7 +414,7 @@ func (tp *transport) transmit(fs *flowState, attempt int64) {
 				float64(tp.cfg.RetransmitTimeout) / 4)
 		}
 		if delay <= 0 {
-			tp.accept(tp.flows[f], fr)
+			tp.accept(fs, fr)
 			continue
 		}
 		tp.wg.Add(1)
@@ -457,7 +423,7 @@ func (tp *transport) transmit(fs *flowState, attempt int64) {
 			timer := time.NewTimer(d)
 			select {
 			case <-timer.C:
-				tp.accept(tp.flows[fr.flow], fr)
+				tp.accept(fs, fr)
 			case <-tp.done:
 				timer.Stop()
 			}
@@ -509,35 +475,29 @@ func (tp *transport) accept(fs *flowState, fr frame) {
 // reverseDropped draws the reverse-link (receiver -> sender) drop
 // verdict for an ack or nack.
 func (tp *transport) reverseDropped(f flowID, key int64) bool {
-	if !tp.chaos {
-		return false
-	}
 	st := tp.sch.State(f.to, f.from, tp.step)
 	return st.Drop > 0 && tp.verdict(saltAck, f, key) < st.Drop
 }
 
-// Recv blocks until the flow's verified payload is delivered or the
-// phase deadline expires. ok == false means the deadline passed: the
+// Recv returns the flow's verified payload, waiting for it at most until
+// the phase deadline expires. ok == false means the deadline passed: the
 // caller must take the flow's degradation path (host-side ghost re-pack
 // or Rerequest), which reproduces the payload exactly.
 func (tp *transport) Recv(f flowID) (payload, bool) {
 	fs := tp.flows[f]
-	deadline := tp.cfg.FarDeadline
-	if f.kind == flowGhost {
-		deadline = tp.cfg.NearDeadline
-	}
-	if !tp.chaos {
-		// Fault-free: delivery happened inside Send; wait without arming a
-		// timer.
-		<-fs.delivered
-		return fs.recvPay, true
-	}
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
 	select {
 	case <-fs.delivered:
 		return fs.recvPay, true
-	case <-timer.C:
+	default:
+	}
+	ph, budget := &tp.far, tp.cfg.FarDeadline
+	if f.kind == flowGhost {
+		ph, budget = &tp.near, tp.cfg.NearDeadline
+	}
+	select {
+	case <-fs.delivered:
+		return fs.recvPay, true
+	case <-ph.arm(budget):
 		tp.nc.timeouts.Add(1)
 		return payload{}, false
 	}

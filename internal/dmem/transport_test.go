@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -9,12 +10,13 @@ import (
 	"afmm/internal/distrib"
 	"afmm/internal/fault"
 	"afmm/internal/geom"
+	"afmm/internal/telemetry"
 )
 
 // fastLink keeps chaos tests quick: microsecond-scale retransmits, tight
 // deadlines where a test wants degradation to trigger.
-func fastLink() LinkConfig {
-	return LinkConfig{
+func fastLink() linkConfig {
+	return linkConfig{
 		RetransmitTimeout: 200 * time.Microsecond,
 		MaxRetries:        8,
 		NearDeadline:      2 * time.Second,
@@ -61,7 +63,7 @@ func TestTransportDefaultDelivery(t *testing.T) {
 		{kind: flowMpole, from: 0, to: 1, level: 2},
 		{kind: flowGhost, from: 1, to: 0},
 	}
-	tp := newTransport(flows, LinkConfig{}, nil, 1, 0)
+	tp := newTransport(flows, linkConfig{}, nil, 1, 0)
 	defer tp.Close()
 
 	want0 := expPayload(8, 1.5)
@@ -83,6 +85,54 @@ func TestTransportDefaultDelivery(t *testing.T) {
 	}
 	if st.Retries != 0 || st.FramesDropped != 0 || st.Timeouts != 0 {
 		t.Fatalf("fault-free stats show protocol activity: %+v", st)
+	}
+}
+
+// TestNullScheduleOnePath: a schedule whose events all have probability
+// zero runs exactly what no schedule runs — every frame delivered and
+// acked inside Send, the same counters, the same per-link rows and RTT
+// counts, and RTTs that are real round trips.
+func TestNullScheduleOnePath(t *testing.T) {
+	flows := []flowID{
+		{kind: flowMpole, from: 0, to: 1, level: 2},
+		{kind: flowLocal, from: 0, to: 1, level: 3},
+		{kind: flowGhost, from: 0, to: 1},
+		{kind: flowMpole, from: 1, to: 0, level: 2},
+		{kind: flowGhost, from: 2, to: 0},
+	}
+	run := func(sch *fault.LinkSchedule) telemetry.NetSample {
+		tp := newTransport(flows, linkConfig{}, sch, 1, 0)
+		for i, f := range flows {
+			want := expPayload(4+i, float64(i))
+			if f.kind == flowGhost {
+				want = ghostPayload()
+			}
+			tp.Send(f, want)
+			select {
+			case <-tp.flows[f].delivered:
+			default:
+				t.Fatalf("schedule %q: flow %+v not delivered inside Send", sch, f)
+			}
+			if got, ok := tp.Recv(f); !ok || !samePayload(got, want) {
+				t.Fatalf("schedule %q: flow %+v delivered ok=%v, or other bytes", sch, f, ok)
+			}
+		}
+		tp.Close()
+		st := tp.Stats()
+		for i, l := range st.Links {
+			if l.RTTCount == 0 || l.RTTNs < 0 || l.RTTNs > int64(time.Second) {
+				t.Fatalf("schedule %q: link %d-%d RTT %d ns over %d acks", sch, l.From, l.To, l.RTTNs, l.RTTCount)
+			}
+			st.Links[i].RTTNs = 0 // a clock reading; everything else must match
+		}
+		return st
+	}
+	clean, null := run(nil), run(mustLinks(t, "link0-1:drop0@step0"))
+	if !reflect.DeepEqual(clean, null) {
+		t.Fatalf("stats differ:\n  no schedule   %+v\n  drop0@step0   %+v", clean, null)
+	}
+	if clean.FramesSent != int64(len(flows)) || clean.FramesDelivered != int64(len(flows)) || len(clean.Links) != 3 {
+		t.Fatalf("want %d frames sent and delivered over 3 links, got %+v", len(flows), clean)
 	}
 }
 
@@ -189,7 +239,7 @@ func TestTransportDeterministicVerdicts(t *testing.T) {
 	// sender exhausts its whole retry budget before the deadline.
 	cfg.FarDeadline = 200 * time.Millisecond
 
-	run := func() NetStats {
+	run := func() telemetry.NetSample {
 		tp := newTransport([]flowID{f}, cfg, sch, 11, 0)
 		defer tp.Close()
 		tp.Send(f, expPayload(4, 1))
@@ -232,21 +282,21 @@ func TestCorruptCopyPreservesOriginal(t *testing.T) {
 // TestNetStatsAddMergesLinks: run-level aggregation merges per-link rows
 // and RTT means by directed link.
 func TestNetStatsAddMergesLinks(t *testing.T) {
-	var s NetStats
-	s.add(&NetStats{FramesSent: 2, PerLink: []LinkStat{
+	var s telemetry.NetSample
+	addNet(&s, &telemetry.NetSample{FramesSent: 2, Links: []telemetry.LinkSample{
 		{From: 0, To: 1, Frames: 2, RTTNs: 100, RTTCount: 2},
 	}})
-	s.add(&NetStats{FramesSent: 1, Retries: 1, PerLink: []LinkStat{
+	addNet(&s, &telemetry.NetSample{FramesSent: 1, Retries: 1, Links: []telemetry.LinkSample{
 		{From: 0, To: 1, Frames: 1, Retries: 1, RTTNs: 400, RTTCount: 1},
 		{From: 1, To: 0, Frames: 5},
 	}})
 	if s.FramesSent != 3 || s.Retries != 1 {
 		t.Fatalf("totals wrong: %+v", s)
 	}
-	if len(s.PerLink) != 2 {
-		t.Fatalf("want 2 merged links, got %d", len(s.PerLink))
+	if len(s.Links) != 2 {
+		t.Fatalf("want 2 merged links, got %d", len(s.Links))
 	}
-	l01 := s.PerLink[0]
+	l01 := s.Links[0]
 	if l01.Frames != 3 || l01.Retries != 1 || l01.RTTCount != 3 || l01.RTTNs != 200 {
 		t.Fatalf("merged link 0-1 wrong: %+v", l01)
 	}
@@ -262,22 +312,22 @@ func TestPerLinkSorted(t *testing.T) {
 	}
 	res := d.RunWith(RunConfig{Steps: 24, Dt: 1e-4})
 	for i, rep := range res.Steps {
-		if len(rep.Net.PerLink) < 2 {
-			t.Fatalf("step %d: %d link rows, want several to order", i, len(rep.Net.PerLink))
+		if len(rep.Net.Links) < 2 {
+			t.Fatalf("step %d: %d link rows, want several to order", i, len(rep.Net.Links))
 		}
-		if !slices.IsSortedFunc(rep.Net.PerLink, cmpLink) {
-			t.Fatalf("step %d: link rows out of order: %+v", i, rep.Net.PerLink)
+		if !slices.IsSortedFunc(rep.Net.Links, cmpLink) {
+			t.Fatalf("step %d: link rows out of order: %+v", i, rep.Net.Links)
 		}
 	}
-	if !slices.IsSortedFunc(res.Net.PerLink, cmpLink) {
-		t.Fatalf("run link rows out of order: %+v", res.Net.PerLink)
+	if !slices.IsSortedFunc(res.Net.Links, cmpLink) {
+		t.Fatalf("run link rows out of order: %+v", res.Net.Links)
 	}
 }
 
 // TestDetectorHeartbeat: silent nodes cross the suspicion threshold; live
 // nodes do not.
 func TestDetectorHeartbeat(t *testing.T) {
-	cfg := LinkConfig{HeartbeatInterval: 500 * time.Microsecond, SuspectAfter: 10}
+	cfg := linkConfig{HeartbeatInterval: 500 * time.Microsecond, SuspectAfter: 10}
 	d := newDetector(3, cfg, nil, 1)
 	defer d.stop()
 

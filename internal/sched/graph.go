@@ -42,6 +42,7 @@ type gnode struct {
 	arg   int32 // data-locality hint: level, chunk or device index
 	succs []NodeID
 	preds int32
+	wait  bool // runs on a goroutine of its own (see Wait)
 }
 
 // NodeSpan is the per-node execution record collected when tracing is
@@ -106,6 +107,7 @@ type Graph struct {
 	groups [NumClasses]*Group
 
 	indeg     []atomic.Int32
+	waits     sync.WaitGroup // Wait nodes in flight
 	completed atomic.Int32
 	done      chan struct{}
 	panicked  atomic.Pointer[TaskPanic]
@@ -140,6 +142,18 @@ func (g *Graph) SetTrace(on bool) { g.trace = on }
 func (g *Graph) Node(c Class, tag, arg int32, fn func()) NodeID {
 	g.nodes = append(g.nodes, gnode{fn: fn, class: c, tag: tag, arg: arg})
 	return NodeID(len(g.nodes) - 1)
+}
+
+// Wait adds a ClassGeneral node whose fn blocks on something outside the
+// graph — a message arrival, say. Once ready it runs on a goroutine of
+// its own, outside the pool's worker slots: a blocked wait never holds a
+// slot, never runs inline under another node (or under Run while the
+// remaining roots are still to be enqueued), and never delays a ready
+// node behind it.
+func (g *Graph) Wait(tag, arg int32, fn func()) NodeID {
+	id := g.Node(ClassGeneral, tag, arg, fn)
+	g.nodes[id].wait = true
+	return id
 }
 
 // Edge declares that node from must complete before node to starts.
@@ -228,6 +242,7 @@ func (g *Graph) Run() error {
 	for c := range g.groups {
 		g.groups[c].wg.Wait()
 	}
+	g.waits.Wait()
 	g.makespan = int64(time.Since(g.start))
 	if tp := g.panicked.Load(); tp != nil {
 		panic(tp)
@@ -241,8 +256,17 @@ func (g *Graph) Run() error {
 }
 
 // enqueue pushes a runnable node onto its class's ready queue and kicks
-// a drainer if the class has spare slots.
+// a drainer if the class has spare slots; a Wait node starts on its own
+// goroutine instead.
 func (g *Graph) enqueue(id NodeID) {
+	if g.nodes[id].wait {
+		g.waits.Add(1)
+		go func() {
+			defer g.waits.Done()
+			g.exec(id, 0)
+		}()
+		return
+	}
 	c := g.nodes[id].class
 	d := g.ready.Add(1)
 	for {

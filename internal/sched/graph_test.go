@@ -161,6 +161,34 @@ func TestGraphTopologicalFuzz(t *testing.T) {
 
 // TestGraphDiamondOrder pins the core dependency semantics with a
 // diamond: a -> {b, c} -> d.
+// TestGraphWaitNodesRunOutsideSlots: on a one-slot pool, a Wait node
+// blocked on a signal that only a later node produces must not hold the
+// slot, nor hold up the other Wait node that producer depends on. As
+// plain nodes the two waits would share the class's one drainer, the
+// blocked one first, and deadlock.
+func TestGraphWaitNodesRunOutsideSlots(t *testing.T) {
+	g := NewPool(1).NewGraph()
+	signal := make(chan struct{})
+	blocked := g.Wait(0, 0, func() { <-signal })
+	slow := g.Node(ClassFar, 0, 0, func() { time.Sleep(20 * time.Millisecond) })
+	released := g.Wait(0, 0, func() {})
+	produce := g.Node(ClassFar, 0, 0, func() { close(signal) })
+	g.Edge(slow, released)
+	g.Edge(released, produce)
+	var ran atomic.Bool
+	g.Edge(blocked, g.Node(ClassNear, 0, 0, func() { ran.Store(true) }))
+	done := make(chan error, 1)
+	go func() { done <- g.Run() }()
+	select {
+	case err := <-done:
+		if err != nil || !ran.Load() {
+			t.Fatalf("Run = %v, successor of the released wait ran: %v", err, ran.Load())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a blocked Wait node held up the graph")
+	}
+}
+
 func TestGraphDiamondOrder(t *testing.T) {
 	g := NewPool(4).NewGraph()
 	var order []string

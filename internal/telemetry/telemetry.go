@@ -446,27 +446,49 @@ type StepRecord struct {
 	Net *NetSample `json:"net,omitempty"`
 }
 
-// NetSample is the per-step summary of the dmem transport: global
-// delivery-protocol counters plus per-directed-link traffic with retry
-// counts, so a net-timeout flight dump shows which links were struggling.
+// NetSample is the dmem transport's delivery-protocol activity for one
+// executed step (or, summed, a whole run): every counter the link layer
+// keeps, plus per-directed-link traffic sorted by (From, To), so a
+// net-timeout flight dump shows which links were struggling.
 type NetSample struct {
-	FramesSent     int64        `json:"frames_sent"`
-	FramesDropped  int64        `json:"frames_dropped,omitempty"`
-	Retries        int64        `json:"retries,omitempty"`
-	CorruptRejects int64        `json:"corrupt_rejects,omitempty"`
-	Timeouts       int64        `json:"timeouts,omitempty"`
-	Rerequests     int64        `json:"rerequests,omitempty"`
-	Links          []LinkSample `json:"links,omitempty"`
+	// FramesSent counts transmissions that reached the wire, including
+	// retransmissions and chaos-injected duplicates.
+	FramesSent int64 `json:"frames_sent"`
+	// FramesDelivered counts verified first deliveries (one per flow).
+	FramesDelivered int64 `json:"frames_delivered,omitempty"`
+	// FramesDropped counts transmissions lost to the link-fault schedule.
+	FramesDropped int64 `json:"frames_dropped,omitempty"`
+	// DupFrames counts duplicate deliveries discarded by the receiver.
+	DupFrames int64 `json:"dup_frames,omitempty"`
+	// CorruptRejects counts frames rejected by the payload checksum.
+	CorruptRejects int64 `json:"corrupt_rejects,omitempty"`
+	// Retries counts retransmissions (ack timeout or nack).
+	Retries int64 `json:"retries,omitempty"`
+	// Nacks counts checksum-reject re-request signals that reached the
+	// sender.
+	Nacks int64 `json:"nacks,omitempty"`
+	// AcksDropped counts acknowledgements lost to the fault schedule.
+	AcksDropped int64 `json:"acks_dropped,omitempty"`
+	// Timeouts counts receive deadline expiries (degradation entries).
+	Timeouts int64 `json:"timeouts,omitempty"`
+	// Rerequests counts expansion payloads recovered over the reliable
+	// re-request path after a deadline expiry.
+	Rerequests int64 `json:"rerequests,omitempty"`
+	// DegradedGhostFlows counts ghost flows re-packed host-side after a
+	// deadline expiry.
+	DegradedGhostFlows int64        `json:"degraded_ghost_flows,omitempty"`
+	Links              []LinkSample `json:"links,omitempty"`
 }
 
-// LinkSample is one directed link's traffic within a step. RTTNs is the
-// summed ack round-trip time of its delivered frames.
+// LinkSample is one directed link's traffic. RTTNs is the mean acked
+// send-to-ack round trip over RTTCount observations (0 when none).
 type LinkSample struct {
-	From    int   `json:"from"`
-	To      int   `json:"to"`
-	Frames  int64 `json:"frames"`
-	Retries int64 `json:"retries,omitempty"`
-	RTTNs   int64 `json:"rtt_ns,omitempty"`
+	From     int   `json:"from"`
+	To       int   `json:"to"`
+	Frames   int64 `json:"frames"`
+	Retries  int64 `json:"retries,omitempty"`
+	RTTNs    int64 `json:"rtt_ns,omitempty"`
+	RTTCount int64 `json:"rtt_count,omitempty"`
 }
 
 // PhaseNs sums the record's top-level phase spans (see SpanKind.TopLevel);
@@ -817,8 +839,9 @@ func (r *Recorder) SetOps(counts [NumOps]int64, opTime, coef [NumOps]float64) {
 	r.mu.Unlock()
 }
 
-// SetPrediction records the model's pre-solve prediction, for
-// predicted-vs-actual drift plots.
+// SetPrediction records the balancer's prediction of the next step's CPU
+// and GPU compute times (the tree it just checked is the one that step
+// solves), for predicted-vs-actual drift plots.
 func (r *Recorder) SetPrediction(cpu, gpu float64) {
 	if r == nil {
 		return

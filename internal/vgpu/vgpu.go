@@ -29,7 +29,6 @@ package vgpu
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,38 +252,6 @@ func (c *Cluster) Partition(t *octree.Tree) {
 			di++
 			acc = 0
 		}
-	}
-}
-
-// PartitionLPT assigns leaves to devices by longest-processing-time-first
-// greedy scheduling on the interaction counts: leaves are considered in
-// decreasing interaction order and each goes to the currently least-loaded
-// device. Tighter balance than the paper's in-order walk at the cost of a
-// sort and the loss of the walk's spatial contiguity (coalesced uploads);
-// the ablation benchmarks compare both.
-func (c *Cluster) PartitionLPT(t *octree.Tree) {
-	sch := t.NearField()
-	c.resetAssignments()
-	devs := c.alive()
-	nd := len(devs)
-	if nd == 0 {
-		return
-	}
-	order := make([]int, sch.Rows())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return sch.Priced(order[a]) > sch.Priced(order[b]) })
-	load := make([]int64, nd)
-	for _, idx := range order {
-		k := 0
-		for j := 1; j < nd; j++ {
-			if load[j] < load[k] {
-				k = j
-			}
-		}
-		devs[k].Assign(sch, idx)
-		load[k] += sch.Priced(idx)
 	}
 }
 

@@ -187,42 +187,6 @@ func TestEmptyCluster(t *testing.T) {
 	}
 }
 
-func TestPartitionLPTBalancesBetterOrEqual(t *testing.T) {
-	tree := buildTree(8000, 64, 21)
-	imb := func(c *Cluster) float64 {
-		c.Execute(tree, nil)
-		var sum, max float64
-		for _, d := range c.Devices {
-			sum += d.KernelTime
-			if d.KernelTime > max {
-				max = d.KernelTime
-			}
-		}
-		return max / (sum / float64(len(c.Devices)))
-	}
-	walk := NewCluster(4, DefaultSpec())
-	walk.Partition(tree)
-	lpt := NewCluster(4, DefaultSpec())
-	lpt.PartitionLPT(tree)
-	// LPT must cover every leaf exactly once too.
-	seen := map[int32]bool{}
-	for _, d := range lpt.Devices {
-		for _, leaf := range d.Targets {
-			if seen[leaf] {
-				t.Fatalf("leaf %d assigned twice", leaf)
-			}
-			seen[leaf] = true
-		}
-	}
-	leaves, _ := tree.LeafInteractions()
-	if len(seen) != len(leaves) {
-		t.Fatalf("LPT covered %d of %d leaves", len(seen), len(leaves))
-	}
-	if imb(lpt) > imb(walk)*1.02 {
-		t.Fatalf("LPT imbalance %v worse than walk %v", imb(lpt), imb(walk))
-	}
-}
-
 func TestExecuteParallelMatchesSequential(t *testing.T) {
 	tree := buildTree(3000, 32, 22)
 	seq := NewCluster(4, DefaultSpec())
