@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"afmm/internal/distrib"
 	"afmm/internal/expansion"
+	"afmm/internal/geom"
 	"afmm/internal/particle"
 	"afmm/internal/telemetry"
 )
@@ -146,6 +149,58 @@ func TestCellShiftsAllocationFree(t *testing.T) {
 		sweep() // the first four-column call makes the scratch
 		if a := testing.AllocsPerRun(5, sweep); a != 0 {
 			t.Errorf("width %d: M2M and L2L over the tree allocate %v times, want 0", c.Width(), a)
+		}
+	}
+}
+
+// TestNearRowMatchesPerSpanScalar: a near-field row through its span
+// buffer — flushed through further P2PRow calls when a row holds more
+// than RowSpans entries — equals P2PScalar entry by entry, bit for bit,
+// with local sources and ghost copies mixed; and a row, its span list on
+// the stack, allocates nothing, with and without ghosts.
+func TestNearRowMatchesPerSpanScalar(t *testing.T) {
+	s := NewSolver(distrib.Plummer(3000, 1, 1, 5), Config{P: 4, S: 16})
+	s.Solve()
+	f := s.Field.(*GravityField)
+	sys, sch := s.Sys, s.Tree.NearField()
+	ghosts := make([]GhostLeaf, len(s.Tree.Nodes))
+	for ni := range s.Tree.Nodes {
+		if ni%3 == 0 && s.Tree.Nodes[ni].IsVisibleLeaf() {
+			ghosts[ni] = f.PackGhost(int32(ni))
+		}
+	}
+	phi, acc := slices.Clone(sys.Phi), slices.Clone(sys.Acc)
+	long := 0
+	for r := 0; r < sch.Rows(); r++ {
+		if len(sch.Row(r)) > RowSpans {
+			long++
+		}
+		f.NearRow(sch, r, ghosts)
+		tn := &s.Tree.Nodes[sch.Leaves[r]]
+		for k := sch.RowPtr[r]; k < sch.RowPtr[r+1]; k++ {
+			lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
+			f.Kernel.P2PScalar(sys.Pos[tn.Start:tn.End], phi[tn.Start:tn.End], acc[tn.Start:tn.End], sys.Pos[lo:hi], sys.Mass[lo:hi])
+		}
+	}
+	if long == 0 {
+		t.Fatalf("no row holds more than %d entries: the buffer never flushed", RowSpans)
+	}
+	bits := func(v float64, a geom.Vec3) [4]uint64 {
+		return [4]uint64{math.Float64bits(v), math.Float64bits(a.X), math.Float64bits(a.Y), math.Float64bits(a.Z)}
+	}
+	for i := range phi {
+		if bits(phi[i], acc[i]) != bits(sys.Phi[i], sys.Acc[i]) {
+			t.Fatalf("body %d: NearRow %v %v, per-span scalar %v %v", i, sys.Phi[i], sys.Acc[i], phi[i], acc[i])
+		}
+	}
+	for _, g := range [][]GhostLeaf{nil, ghosts} {
+		sweep := func() {
+			for r := 0; r < sch.Rows(); r++ {
+				f.NearRow(sch, r, g)
+			}
+		}
+		if a := testing.AllocsPerRun(3, sweep); a != 0 {
+			t.Errorf("ghosts %v: the near-field rows allocate %v times, want 0", g != nil, a)
 		}
 	}
 }

@@ -224,23 +224,24 @@ func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
 }
 
 // TestGraphMatchesSerialReference: the one execution path against a
-// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
+// reference that shares no scheduling code with it, on 1, 2 and 4 workers;
+// reservation runs four workers over every configuration, the two that
+// pin the slot reservation at its edges included.
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, twoGPUs)
 		})
 	}
+	t.Run("reservation", func(t *testing.T) {
+		graphMatchesSerial(t, []int{4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight, gpuNoReserve)
+	})
 	t.Run("failstop", graphMatchesSerialUnderFailStop)
 }
 
-// The tests the reference matrix replaced compared one execution path with
-// another; the paths are gone, their names stay as the slices of the matrix
-// they used to cover.
-func TestOverlapBitIdenticalGravity(t *testing.T) {
-	graphMatchesSerial(t, []int{4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight, gpuNoReserve)
-}
-
+// The test the reference matrix replaced compared one execution path with
+// another; the path is gone, its name stays as the slice of the matrix it
+// used to cover.
 func TestTaskGraphBitIdenticalGravity(t *testing.T) {
 	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight)
 }

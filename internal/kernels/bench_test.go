@@ -63,62 +63,48 @@ func BenchmarkP2P(b *testing.B) {
 	}
 }
 
-// nearFieldTree builds a Plummer decomposition with lists for the two
-// near-field sweep benchmarks below.
-func nearFieldTree(b *testing.B) *octree.Tree {
-	b.Helper()
+// BenchmarkNearFieldCSR sweeps the near field of a Plummer tree through
+// its CSR schedule and reports ns per body pair: row makes one P2PRow call
+// per row over the row's spans, as the solvers' NearRow does; per-span
+// makes one P2P call per (target leaf, source leaf) entry on the same tree.
+func BenchmarkNearFieldCSR(b *testing.B) {
 	sys := distrib.Plummer(20000, 1, 1, 42)
 	t := octree.Build(sys, octree.Config{S: 48})
 	t.BuildLists()
-	return t
-}
-
-// BenchmarkNearFieldPerLeaf sweeps the near field the pre-schedule way:
-// per-target U-list chasing, re-indirecting each source leaf's bodies
-// through the tree for every target that references it.
-func BenchmarkNearFieldPerLeaf(b *testing.B) {
-	t := nearFieldTree(b)
-	sys := t.Sys
-	k := Gravity{G: 1, Softening: 0.01}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, ni := range t.VisibleLeaves() {
-			tn := &t.Nodes[ni]
-			xt := sys.Pos[tn.Start:tn.End]
-			pot := sys.Phi[tn.Start:tn.End]
-			acc := sys.Acc[tn.Start:tn.End]
-			for _, si := range tn.U {
-				sn := &t.Nodes[si]
-				k.P2P(xt, pot, acc, sys.Pos[sn.Start:sn.End], sys.Mass[sn.Start:sn.End])
-			}
-		}
-	}
-	b.ReportMetric(float64(t.CountOps().P2P)*float64(b.N)/b.Elapsed().Seconds()/1e9,
-		"Ginteractions/s")
-}
-
-// BenchmarkNearFieldCSR sweeps the same near field through the cached CSR
-// schedule's source spans (the solver's default path): no per-source Node
-// indirection and no copying.
-func BenchmarkNearFieldCSR(b *testing.B) {
-	t := nearFieldTree(b)
-	sys := t.Sys
 	k := Gravity{G: 1, Softening: 0.01}
 	sch := t.NearField()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < sch.Rows(); r++ {
-			tn := &t.Nodes[sch.Leaves[r]]
-			xt := sys.Pos[tn.Start:tn.End]
-			pot := sys.Phi[tn.Start:tn.End]
-			acc := sys.Acc[tn.Start:tn.End]
-			for j := sch.RowPtr[r]; j < sch.RowPtr[r+1]; j++ {
-				k.P2P(xt, pot, acc,
-					sys.Pos[sch.SrcStart[j]:sch.SrcEnd[j]],
-					sys.Mass[sch.SrcStart[j]:sch.SrcEnd[j]])
+	target := func(r int) ([]geom.Vec3, []float64, []geom.Vec3) {
+		tn := &t.Nodes[sch.Leaves[r]]
+		return sys.Pos[tn.Start:tn.End], sys.Phi[tn.Start:tn.End], sys.Acc[tn.Start:tn.End]
+	}
+	pairs := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sch.Total()), "ns/pair")
+	}
+	b.Run("row", func(b *testing.B) {
+		var spans []GravitySpan
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < sch.Rows(); r++ {
+				spans = spans[:0]
+				for j := sch.RowPtr[r]; j < sch.RowPtr[r+1]; j++ {
+					lo, hi := sch.SrcStart[j], sch.SrcEnd[j]
+					spans = append(spans, GravitySpan{Pos: sys.Pos[lo:hi], Mass: sys.Mass[lo:hi]})
+				}
+				xt, pot, acc := target(r)
+				k.P2PRow(xt, pot, acc, spans)
 			}
 		}
-	}
-	b.ReportMetric(float64(sch.Total())*float64(b.N)/b.Elapsed().Seconds()/1e9,
-		"Ginteractions/s")
+		pairs(b)
+	})
+	b.Run("per-span", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < sch.Rows(); r++ {
+				xt, pot, acc := target(r)
+				for j := sch.RowPtr[r]; j < sch.RowPtr[r+1]; j++ {
+					lo, hi := sch.SrcStart[j], sch.SrcEnd[j]
+					k.P2P(xt, pot, acc, sys.Pos[lo:hi], sys.Mass[lo:hi])
+				}
+			}
+		}
+		pairs(b)
+	})
 }

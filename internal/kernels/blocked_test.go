@@ -8,11 +8,12 @@ import (
 	"afmm/internal/geom"
 )
 
-// The packed P2P bodies take targets in blocks of four, one per vector
-// lane (a last block of one to three is padded). These tests hold P2P to
-// P2PScalar bit for bit — math.Float64bits of every accumulator — over every
-// block/tail split, in both dispatch states: with the packed body (where the
-// host has it) and with the fallback forced.
+// The packed P2P row bodies take targets in blocks of four, one per vector
+// lane (a last block of one to three is padded), against a row's source
+// spans. These tests hold P2P and P2PRow to P2PScalar, span by span, bit
+// for bit — math.Float64bits of every accumulator — over every block/tail
+// split and span cut, in both dispatch states: with the packed body (where
+// the host has it) and with the fallback forced.
 
 func randVec(rng *rand.Rand) geom.Vec3 {
 	return geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
@@ -214,16 +215,21 @@ func TestP2PPackedNonFiniteStaysInLane(t *testing.T) {
 }
 
 // TestP2PPackedLongSourceList: more sources than one assembly call takes
-// in a single block, so the target blocks go out one call at a time.
+// in a single block, as one span and as a row whose spans add up past the
+// budget, so the row goes out in several calls and the long span in pieces.
 func TestP2PPackedLongSourceList(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		in := genInput(rand.New(rand.NewSource(7)), 13, 140000, false)
 		checkGravity(t, Gravity{G: 1, Softening: 0.01}, in, "long")
 		checkStokeslet(t, Stokeslet{Mu: 1, Eps: 0.01}, in, "long")
+		row := spanCut{cuts: []int{0, 50000, 50000, 90000, 140000}, ghost: 2}
+		checkGravityRow(t, Gravity{G: 1, Softening: 0.01}, in, row, "long row")
+		checkStokesletRow(t, Stokeslet{Mu: 1, Eps: 0.01}, in, row, "long row")
 	})
 }
 
-// TestP2PNoAllocs: the padded tail block lives on the stack.
+// TestP2PNoAllocs: the span list and the padded tail block live on the
+// stack, for one span and for a row.
 func TestP2PNoAllocs(t *testing.T) {
 	in := genInput(rand.New(rand.NewSource(6)), 14, 30, false)
 	g := Gravity{G: 1, Softening: 0.01}
@@ -233,6 +239,18 @@ func TestP2PNoAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, func() { s.P2P(in.xt, in.acc, in.ys, in.fs) }); a != 0 {
 		t.Fatalf("Stokeslet.P2P allocates %v per call", a)
+	}
+	var gs [3]GravitySpan
+	var ss [3]StokesletSpan
+	for i, c := range [][2]int{{0, 9}, {9, 9}, {9, 30}} {
+		gs[i] = GravitySpan{Pos: in.ys[c[0]:c[1]], Mass: in.ms[c[0]:c[1]]}
+		ss[i] = StokesletSpan{Pos: in.ys[c[0]:c[1]], Force: in.fs[c[0]:c[1]]}
+	}
+	if a := testing.AllocsPerRun(20, func() { g.P2PRow(in.xt, in.phi, in.acc, gs[:]) }); a != 0 {
+		t.Fatalf("Gravity.P2PRow allocates %v per call", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { s.P2PRow(in.xt, in.acc, ss[:]) }); a != 0 {
+		t.Fatalf("Stokeslet.P2PRow allocates %v per call", a)
 	}
 }
 

@@ -35,32 +35,51 @@ func (k Gravity) Accumulate(x, y geom.Vec3, m float64) (phi float64, acc geom.Ve
 	return -k.G * m * inv, d.Scale(-k.G * m * inv3)
 }
 
-// P2P computes the mutual interactions of targets (positions xt) against
-// sources (positions ys, masses ms; the shorter of the two bounds the list),
-// accumulating potential into phi and acceleration into acc (parallel to
-// xt). Where the host has AVX2 the targets run four at a time through the
-// packed body of p2p_amd64.s — one target per vector lane, the sources
-// streamed, every lane performing P2PScalar's IEEE operations in its order,
-// a last block of one to three targets padded; elsewhere everything is
-// P2PScalar. The results are bit-identical either way.
-func (k Gravity) P2P(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
-	n := len(ys)
-	if n > len(ms) {
-		n = len(ms)
-	}
-	ys, ms = ys[:n], ms[:n]
-	if packedOK && n > 0 {
-		k.p2pPacked(xt, phi, acc, ys, ms)
+// GravitySpan is one source list of a near-field row: the positions and
+// masses of a source leaf's bodies, local or a dmem node's ghost copy. The
+// shorter of the two slices bounds it.
+type GravitySpan struct {
+	Pos  []geom.Vec3
+	Mass []float64
+}
+
+func (s GravitySpan) sources() int { return min(len(s.Pos), len(s.Mass)) }
+
+func (s GravitySpan) cut(lo, hi int) GravitySpan {
+	return GravitySpan{Pos: s.Pos[lo:hi], Mass: s.Mass[lo:hi]}
+}
+
+// P2PRow accumulates into phi and acc (parallel to the targets xt) the
+// potential and acceleration due to every span of spans, in order: the
+// bits of one P2PScalar call per span. Where the host has AVX2 the targets
+// run four at a time through the packed row body of p2p_amd64.s — one
+// target per vector lane, each block's accumulators held in registers
+// across all spans, every lane performing P2PScalar's IEEE operations in
+// its order, a last block of one to three targets padded; elsewhere it is
+// P2PScalar span by span.
+func (k Gravity) P2PRow(xt []geom.Vec3, phi []float64, acc []geom.Vec3, spans []GravitySpan) {
+	if packedOK {
+		k.rowPacked(xt, phi, acc, spans)
 		return
 	}
-	k.P2PScalar(xt, phi, acc, ys, ms)
+	for _, s := range spans {
+		n := s.sources()
+		k.P2PScalar(xt, phi, acc, s.Pos[:n], s.Mass[:n])
+	}
+}
+
+// P2P is P2PRow with the one span (ys, ms).
+func (k Gravity) P2P(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
+	s := [1]GravitySpan{{Pos: ys, Mass: ms}}
+	k.P2PRow(xt, phi, acc, s[:])
 }
 
 // P2PScalar is the portable reference kernel: one target at a time over all
-// sources. It is P2P on hosts without the packed body and the oracle of the
-// bit-identity tests. Every product is wrapped in an explicit float64 conversion — a
-// rounding point by the language spec — so no compiler may fuse it into a
-// multiply-add and the function computes the same bits on every target.
+// sources. Run span by span it is P2PRow on hosts without the packed body,
+// and it is the oracle of the bit-identity tests. Every product is wrapped
+// in an explicit float64 conversion — a rounding point by the language
+// spec — so no compiler may fuse it into a multiply-add and the function
+// computes the same bits on every target.
 func (k Gravity) P2PScalar(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
 	eps2 := float64(k.Softening * k.Softening)
 	for i := range xt {
@@ -131,20 +150,37 @@ func (k Stokeslet) SingularVelocity(x, y geom.Vec3, f geom.Vec3) geom.Vec3 {
 	return f.Scale(c / r).Add(d.Scale(c * d.Dot(f) / (r * r * r)))
 }
 
-// P2P accumulates regularized Stokeslet velocities at targets xt due to
-// point forces fs at ys (the shorter of the two bounds the list) into vel,
-// dispatched exactly as Gravity.P2P.
-func (k Stokeslet) P2P(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
-	n := len(ys)
-	if n > len(fs) {
-		n = len(fs)
-	}
-	ys, fs = ys[:n], fs[:n]
-	if packedOK && n > 0 {
-		k.p2pPacked(xt, vel, ys, fs)
+// StokesletSpan is one source list of a near-field row for the
+// Stokeslet: positions and point forces, bounded by the shorter slice.
+type StokesletSpan struct {
+	Pos   []geom.Vec3
+	Force []geom.Vec3
+}
+
+func (s StokesletSpan) sources() int { return min(len(s.Pos), len(s.Force)) }
+
+func (s StokesletSpan) cut(lo, hi int) StokesletSpan {
+	return StokesletSpan{Pos: s.Pos[lo:hi], Force: s.Force[lo:hi]}
+}
+
+// P2PRow accumulates regularized Stokeslet velocities at targets xt due to
+// every span of spans, in order, into vel; dispatched exactly as
+// Gravity.P2PRow, with the bits of one P2PScalar call per span.
+func (k Stokeslet) P2PRow(xt []geom.Vec3, vel []geom.Vec3, spans []StokesletSpan) {
+	if packedOK {
+		k.rowPacked(xt, vel, spans)
 		return
 	}
-	k.P2PScalar(xt, vel, ys, fs)
+	for _, s := range spans {
+		n := s.sources()
+		k.P2PScalar(xt, vel, s.Pos[:n], s.Force[:n])
+	}
+}
+
+// P2P is P2PRow with the one span (ys, fs).
+func (k Stokeslet) P2P(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
+	s := [1]StokesletSpan{{Pos: ys, Force: fs}}
+	k.P2PRow(xt, vel, s[:])
 }
 
 // consts returns the per-call constants of the pair walk: eps^2, 2 eps^2

@@ -13,66 +13,113 @@ import (
 var packedOK = cpu.AVX2
 
 // One assembly call covers whole blocks of four consecutive targets
-// against one source list; the transposes between the AoS arrays and the
-// lane registers happen inside it, so nothing is staged in memory. The
-// assembly has no preemption points, so a call is kept to packedCallIters
-// block-source iterations (under a millisecond): a direct sum over every
-// body must not hold off a stop-the-world for its whole duration.
+// against a list of source spans; the transposes between the AoS arrays
+// and the lane registers happen inside it, so nothing is staged in memory.
+// The assembly has no preemption points, so a call is kept to
+// packedCallIters block–source iterations, counted over all of its spans
+// (under a millisecond): a direct sum over every body must not hold off a
+// stop-the-world for its whole duration.
 const packedCallIters = 1 << 17
 
-// gravityP2PBlocks streams the ns sources over nblk blocks of four targets,
-// updating phi and acc in place (p2p_amd64.s).
+// rowSpan is what rowCursor needs of a span type.
+type rowSpan[S any] interface {
+	sources() int
+	cut(lo, hi int) S
+}
+
+// rowCursor hands out a row's spans in the groups one assembly call may
+// take: consecutive spans of at most packedCallIters sources in all, a
+// longer span in pieces of that size. Splitting a row between calls is
+// exact: each call stores the accumulators and the next one reloads them.
+type rowCursor[S rowSpan[S]] struct {
+	spans []S
+	lo    int // sources of spans[0] already handed out in pieces
+	piece [1]S
+}
+
+// next returns the next group and its source count, which is zero once
+// the row is done; spans without sources are skipped.
+func (c *rowCursor[S]) next() ([]S, int) {
+	for len(c.spans) > 0 {
+		if n := c.spans[0].sources(); c.lo > 0 || n > packedCallIters {
+			hi := min(n, c.lo+packedCallIters)
+			c.piece[0] = c.spans[0].cut(c.lo, hi)
+			ns := hi - c.lo
+			c.lo = hi
+			if hi == n {
+				c.lo, c.spans = 0, c.spans[1:]
+			}
+			return c.piece[:], ns
+		}
+		g, ns := 0, 0
+		for g < len(c.spans) && ns+c.spans[g].sources() <= packedCallIters {
+			ns += c.spans[g].sources()
+			g++
+		}
+		group := c.spans[:g]
+		c.spans = c.spans[g:]
+		if ns > 0 {
+			return group, ns
+		}
+	}
+	return nil, 0
+}
+
+// gravityP2PRow streams the nspan spans, in order, over nblk blocks of
+// four targets, updating phi and acc in place (p2p_amd64.s).
 //
 //go:noescape
-func gravityP2PBlocks(xt *geom.Vec3, phi *float64, acc *geom.Vec3, nblk int, ys *geom.Vec3, ms *float64, ns int, eps2, bigG float64)
+func gravityP2PRow(xt *geom.Vec3, phi *float64, acc *geom.Vec3, nblk int, spans *GravitySpan, nspan int, eps2, bigG float64)
 
-// p2pPacked runs every target through the packed body, four per block;
-// ys and ms are non-empty and of equal length. A last block of one to
-// three targets is padded with copies of its last target, whose lanes are
+// rowPacked runs every target through the packed row body, four per
+// block. A last block of one to three targets is staged once per row in a
+// stack array, padded with copies of its last target, whose lanes are
 // computed and discarded: lanes are independent, so padding is exact.
-func (k Gravity) p2pPacked(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
+func (k Gravity) rowPacked(xt []geom.Vec3, phi []float64, acc []geom.Vec3, spans []GravitySpan) {
 	eps2 := k.Softening * k.Softening
-	ns := len(ys)
-	step := max(1, packedCallIters/ns)
-	i := 0
-	for nblk := len(xt) / 4; nblk > 0; nblk -= step {
-		nb := min(nblk, step)
-		gravityP2PBlocks(&xt[i], &phi[i], &acc[i], nb, &ys[0], &ms[0], ns, eps2, k.G)
-		i += 4 * nb
+	full, w := len(xt)&^3, len(xt)&3
+	var x4, a4 [4]geom.Vec3
+	var p4 [4]float64
+	for l := 0; w > 0 && l < 4; l++ {
+		m := full + min(l, w-1)
+		x4[l], p4[l], a4[l] = xt[m], phi[m], acc[m]
 	}
-	if w := len(xt) - i; w > 0 {
-		var x4, a4 [4]geom.Vec3
-		var p4 [4]float64
-		for l := range x4 {
-			m := i + min(l, w-1)
-			x4[l], p4[l], a4[l] = xt[m], phi[m], acc[m]
+	c := rowCursor[GravitySpan]{spans: spans}
+	for g, ns := c.next(); ns > 0; g, ns = c.next() {
+		step := 4 * max(1, packedCallIters/ns)
+		for i := 0; i < full; i += step {
+			nb := min(full-i, step) / 4
+			gravityP2PRow(&xt[i], &phi[i], &acc[i], nb, &g[0], len(g), eps2, k.G)
 		}
-		gravityP2PBlocks(&x4[0], &p4[0], &a4[0], 1, &ys[0], &ms[0], ns, eps2, k.G)
-		copy(phi[i:], p4[:w])
-		copy(acc[i:], a4[:w])
+		if w > 0 {
+			gravityP2PRow(&x4[0], &p4[0], &a4[0], 1, &g[0], len(g), eps2, k.G)
+		}
 	}
+	copy(phi[full:], p4[:w])
+	copy(acc[full:], a4[:w])
 }
 
 //go:noescape
-func stokesletP2PBlocks(xt, vel *geom.Vec3, nblk int, ys, fs *geom.Vec3, ns int, e2, twoE2, c0 float64)
+func stokesletP2PRow(xt, vel *geom.Vec3, nblk int, spans *StokesletSpan, nspan int, e2, twoE2, c0 float64)
 
-func (k Stokeslet) p2pPacked(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
+func (k Stokeslet) rowPacked(xt []geom.Vec3, vel []geom.Vec3, spans []StokesletSpan) {
 	e2, twoE2, c0 := k.consts()
-	ns := len(ys)
-	step := max(1, packedCallIters/ns)
-	i := 0
-	for nblk := len(xt) / 4; nblk > 0; nblk -= step {
-		nb := min(nblk, step)
-		stokesletP2PBlocks(&xt[i], &vel[i], nb, &ys[0], &fs[0], ns, e2, twoE2, c0)
-		i += 4 * nb
+	full, w := len(xt)&^3, len(xt)&3
+	var x4, v4 [4]geom.Vec3
+	for l := 0; w > 0 && l < 4; l++ {
+		m := full + min(l, w-1)
+		x4[l], v4[l] = xt[m], vel[m]
 	}
-	if w := len(xt) - i; w > 0 {
-		var x4, v4 [4]geom.Vec3
-		for l := range x4 {
-			m := i + min(l, w-1)
-			x4[l], v4[l] = xt[m], vel[m]
+	c := rowCursor[StokesletSpan]{spans: spans}
+	for g, ns := c.next(); ns > 0; g, ns = c.next() {
+		step := 4 * max(1, packedCallIters/ns)
+		for i := 0; i < full; i += step {
+			nb := min(full-i, step) / 4
+			stokesletP2PRow(&xt[i], &vel[i], nb, &g[0], len(g), e2, twoE2, c0)
 		}
-		stokesletP2PBlocks(&x4[0], &v4[0], 1, &ys[0], &fs[0], ns, e2, twoE2, c0)
-		copy(vel[i:], v4[:w])
+		if w > 0 {
+			stokesletP2PRow(&x4[0], &v4[0], 1, &g[0], len(g), e2, twoE2, c0)
+		}
 	}
+	copy(vel[full:], v4[:w])
 }

@@ -1,16 +1,32 @@
 //go:build amd64
 
 #include "textflag.h"
+#include "go_asm.h"
 
-// Packed P2P bodies: four target bodies per ymm register, one lane each,
-// against a streamed source list. Every lane performs exactly the IEEE
-// operations of the scalar reference (Gravity.P2PScalar, Stokeslet.P2PScalar)
-// in the same order: VSQRTPD/VDIVPD are correctly rounded per lane, there is
-// no FMA, and the scalar loop's `continue` is a VBLENDVPD that leaves a
-// skipped lane's accumulators untouched.
+// Packed P2P row bodies: four target bodies per ymm register, one lane
+// each, against a row's source spans in order. Every lane performs exactly
+// the IEEE operations of the scalar reference (Gravity.P2PScalar,
+// Stokeslet.P2PScalar, run span by span) in the same order:
+// VSQRTPD/VDIVPD are correctly rounded per lane, there is no FMA, and the
+// scalar loop's `continue` is a mask ANDed onto the finished contribution,
+// which is then subtracted: a skipped lane subtracts +0, and x - (+0) == x
+// for every x, -0 and NaN included.
 //
 // Plan 9 operand order: VSUBPD b, a, d is d = a - b; VDIVPD b, a, d is
-// d = a / b; VBLENDVPD m, new, old, d is d = m ? new : old (per lane sign bit).
+// d = a / b; VANDPD m, a, d is d = a & m.
+
+// 1.0 and -0.0 in every lane.
+DATA one4<>+0(SB)/8, $0x3FF0000000000000
+DATA one4<>+8(SB)/8, $0x3FF0000000000000
+DATA one4<>+16(SB)/8, $0x3FF0000000000000
+DATA one4<>+24(SB)/8, $0x3FF0000000000000
+GLOBL one4<>(SB), RODATA|NOPTR, $32
+
+DATA negzero4<>+0(SB)/8, $0x8000000000000000
+DATA negzero4<>+8(SB)/8, $0x8000000000000000
+DATA negzero4<>+16(SB)/8, $0x8000000000000000
+DATA negzero4<>+24(SB)/8, $0x8000000000000000
+GLOBL negzero4<>(SB), RODATA|NOPTR, $32
 
 // LOAD4 gathers one float64 field of four consecutive geom.Vec3 (stride 24)
 // into the four lanes of y; x is y's low half, tx a scratch xmm register.
@@ -29,30 +45,42 @@
 	VMOVLPD tx, (off+48)(base) \
 	VMOVHPD tx, (off+72)(base)
 
-// func gravityP2PBlocks(xt *geom.Vec3, phi *float64, acc *geom.Vec3, nblk int, ys *geom.Vec3, ms *float64, ns int, eps2, bigG float64)
+// SPAN loads the span at R11 — two slices, at offsets pos and pay — into
+// BX (positions), CX (payload) and DX (the shorter of the two lengths),
+// and jumps to empty when DX is zero.
+#define SPAN(pos, pay, empty) \
+	MOVQ pos(R11), BX \
+	MOVQ (pos+8)(R11), DX \
+	MOVQ pay(R11), CX \
+	MOVQ (pay+8)(R11), AX \
+	CMPQ AX, DX \
+	CMOVQLT AX, DX \
+	TESTQ DX, DX \
+	JLE  empty
+
+// func gravityP2PRow(xt *geom.Vec3, phi *float64, acc *geom.Vec3, nblk int, spans *GravitySpan, nspan int, eps2, bigG float64)
 //
-// nblk blocks of four consecutive targets against the same ns sources.
+// nblk blocks of four consecutive targets, each against the nspan spans in
+// order; a block's registers stay live across span boundaries.
 // Y0-2 = target x,y,z   Y3 = phi   Y4-6 = acc x,y,z   Y13 = 0   Y14 = 1
 // 0(SP) = eps2 x4, 32(SP) = G x4.
-TEXT ·gravityP2PBlocks(SB), NOSPLIT, $64-72
+TEXT ·gravityP2PRow(SB), NOSPLIT, $64-64
 	MOVQ xt+0(FP), SI
 	MOVQ phi+8(FP), DI
 	MOVQ acc+16(FP), R8
 	MOVQ nblk+24(FP), R9
-	MOVQ ns+48(FP), R10
+	MOVQ nspan+40(FP), R10
 	TESTQ R9, R9
 	JLE  gdone
 	TESTQ R10, R10
 	JLE  gdone
 
-	VBROADCASTSD eps2+56(FP), Y13
+	VBROADCASTSD eps2+48(FP), Y13
 	VMOVUPD Y13, 0(SP)
-	VBROADCASTSD bigG+64(FP), Y13
+	VBROADCASTSD bigG+56(FP), Y13
 	VMOVUPD Y13, 32(SP)
 	VXORPD  Y13, Y13, Y13
-	VPCMPEQD Y14, Y14, Y14
-	VPSLLQ  $54, Y14, Y14
-	VPSRLQ  $2, Y14, Y14               // 1.0 in every lane (0x3FF0000000000000)
+	VMOVUPD one4<>(SB), Y14
 
 gblock:
 	LOAD4(0, SI, X0, Y0, X15)
@@ -62,9 +90,11 @@ gblock:
 	LOAD4(0, R8, X4, Y4, X15)
 	LOAD4(8, R8, X5, Y5, X15)
 	LOAD4(16, R8, X6, Y6, X15)
-	MOVQ ys+32(FP), BX
-	MOVQ ms+40(FP), CX
-	MOVQ R10, DX
+	MOVQ spans+32(FP), R11
+	MOVQ R10, R12
+
+gspan:
+	SPAN(GravitySpan_Pos, GravitySpan_Mass, gnext)
 
 gloop:
 	VBROADCASTSD 0(BX), Y7
@@ -85,23 +115,28 @@ gloop:
 	VSQRTPD Y11, Y11
 	VDIVPD  Y11, Y14, Y11              // inv = 1/sqrt(r2 + eps2)
 	VMULPD  Y11, Y10, Y10              // t = gm*inv
-	VSUBPD  Y10, Y3, Y15
-	VBLENDVPD Y12, Y15, Y3, Y3         // phi -= t
+	VANDPD  Y12, Y10, Y15
+	VSUBPD  Y15, Y3, Y3                // phi -= t
 	VMULPD  Y11, Y10, Y10
 	VMULPD  Y11, Y10, Y10              // f = (t*inv)*inv
 	VMULPD  Y7, Y10, Y7
-	VSUBPD  Y7, Y4, Y7
-	VBLENDVPD Y12, Y7, Y4, Y4          // acc.X -= f*dx
+	VANDPD  Y12, Y7, Y7
+	VSUBPD  Y7, Y4, Y4                 // acc.X -= f*dx
 	VMULPD  Y8, Y10, Y8
-	VSUBPD  Y8, Y5, Y8
-	VBLENDVPD Y12, Y8, Y5, Y5
+	VANDPD  Y12, Y8, Y8
+	VSUBPD  Y8, Y5, Y5
 	VMULPD  Y9, Y10, Y9
-	VSUBPD  Y9, Y6, Y9
-	VBLENDVPD Y12, Y9, Y6, Y6
+	VANDPD  Y12, Y9, Y9
+	VSUBPD  Y9, Y6, Y6
 	ADDQ $24, BX
 	ADDQ $8, CX
 	DECQ DX
 	JNZ  gloop
+
+gnext:
+	ADDQ $GravitySpan__size, R11
+	DECQ R12
+	JNZ  gspan
 
 	VMOVUPD Y3, (DI)
 	STORE4(0, R8, X4, Y4, X15)
@@ -117,25 +152,30 @@ gloop:
 gdone:
 	RET
 
-// func stokesletP2PBlocks(xt, vel *geom.Vec3, nblk int, ys, fs *geom.Vec3, ns int, e2, twoE2, c0 float64)
+// func stokesletP2PRow(xt, vel *geom.Vec3, nblk int, spans *StokesletSpan, nspan int, e2, twoE2, c0 float64)
 //
+// The contribution u = f*h1 + d*h2 is negated by its sign bit, masked and
+// subtracted: v - (-u) is v + u for every v, while v - (+0) keeps a
+// skipped lane's v, -0 included. (Carrying -c0 instead would negate each
+// product exactly, but not their sum when it cancels to +0 — then
+// -0 - (+0) is -0 where the reference's -0 + (+0) is +0.)
 // Y0-2 = target x,y,z   Y3-5 = vel x,y,z
 // 0(SP) = e2 x4, 32(SP) = 2*e2 x4, 64(SP) = c0 x4, 96(SP) = 0 x4.
-TEXT ·stokesletP2PBlocks(SB), NOSPLIT, $128-72
+TEXT ·stokesletP2PRow(SB), NOSPLIT, $128-64
 	MOVQ xt+0(FP), SI
 	MOVQ vel+8(FP), DI
 	MOVQ nblk+16(FP), R9
-	MOVQ ns+40(FP), R10
+	MOVQ nspan+32(FP), R10
 	TESTQ R9, R9
 	JLE  sdone
 	TESTQ R10, R10
 	JLE  sdone
 
-	VBROADCASTSD e2+48(FP), Y15
+	VBROADCASTSD e2+40(FP), Y15
 	VMOVUPD Y15, 0(SP)
-	VBROADCASTSD twoE2+56(FP), Y15
+	VBROADCASTSD twoE2+48(FP), Y15
 	VMOVUPD Y15, 32(SP)
-	VBROADCASTSD c0+64(FP), Y15
+	VBROADCASTSD c0+56(FP), Y15
 	VMOVUPD Y15, 64(SP)
 	VXORPD  Y15, Y15, Y15
 	VMOVUPD Y15, 96(SP)
@@ -147,9 +187,11 @@ sblock:
 	LOAD4(0, DI, X3, Y3, X15)
 	LOAD4(8, DI, X4, Y4, X15)
 	LOAD4(16, DI, X5, Y5, X15)
-	MOVQ ys+24(FP), BX
-	MOVQ fs+32(FP), CX
-	MOVQ R10, DX
+	MOVQ spans+24(FP), R11
+	MOVQ R10, R12
+
+sspan:
+	SPAN(StokesletSpan_Pos, StokesletSpan_Force, snext)
 
 sloop:
 	VBROADCASTSD 0(BX), Y6
@@ -183,22 +225,30 @@ sloop:
 	VMULPD  Y12, Y9, Y15
 	VMULPD  Y13, Y6, Y9
 	VADDPD  Y9, Y15, Y15               // fx*h1 + dx*h2
-	VADDPD  Y15, Y3, Y15
-	VBLENDVPD Y14, Y15, Y3, Y3         // v.X += ...
+	VXORPD  negzero4<>(SB), Y15, Y15
+	VANDPD  Y14, Y15, Y15
+	VSUBPD  Y15, Y3, Y3                // v.X += ...
 	VMULPD  Y12, Y10, Y15
 	VMULPD  Y13, Y7, Y10
 	VADDPD  Y10, Y15, Y15
-	VADDPD  Y15, Y4, Y15
-	VBLENDVPD Y14, Y15, Y4, Y4
+	VXORPD  negzero4<>(SB), Y15, Y15
+	VANDPD  Y14, Y15, Y15
+	VSUBPD  Y15, Y4, Y4
 	VMULPD  Y12, Y11, Y15
 	VMULPD  Y13, Y8, Y11
 	VADDPD  Y11, Y15, Y15
-	VADDPD  Y15, Y5, Y15
-	VBLENDVPD Y14, Y15, Y5, Y5
+	VXORPD  negzero4<>(SB), Y15, Y15
+	VANDPD  Y14, Y15, Y15
+	VSUBPD  Y15, Y5, Y5
 	ADDQ $24, BX
 	ADDQ $24, CX
 	DECQ DX
 	JNZ  sloop
+
+snext:
+	ADDQ $StokesletSpan__size, R11
+	DECQ R12
+	JNZ  sspan
 
 	STORE4(0, DI, X3, Y3, X15)
 	STORE4(8, DI, X4, Y4, X15)

@@ -4,11 +4,11 @@ package kernels
 
 import "afmm/internal/geom"
 
-// No packed body off amd64: P2P is P2PScalar on every target.
+// No packed body off amd64: P2PRow is P2PScalar span by span.
 var packedOK = false
 
-func (k Gravity) p2pPacked(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64) {
+func (k Gravity) rowPacked(xt []geom.Vec3, phi []float64, acc []geom.Vec3, spans []GravitySpan) {
 }
 
-func (k Stokeslet) p2pPacked(xt []geom.Vec3, vel []geom.Vec3, ys []geom.Vec3, fs []geom.Vec3) {
+func (k Stokeslet) rowPacked(xt []geom.Vec3, vel []geom.Vec3, spans []StokesletSpan) {
 }

@@ -205,13 +205,18 @@ func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
 }
 
 // TestGraphMatchesSerialReference: the one execution path against a
-// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
+// reference that shares no scheduling code with it, on 1, 2 and 4 workers;
+// reservation runs four workers with the slot reservation at its
+// tightest beside the plain configurations.
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, gpus)
 		})
 	}
+	t.Run("reservation", func(t *testing.T) {
+		graphMatchesSerial(t, []int{4}, cpuOnly, gpus, gpusTight)
+	})
 	// A fail-stop device loss recovered by the host fallback: the recovery
 	// rows run inside the near node, before the L2P join.
 	t.Run("failstop", func(t *testing.T) {
@@ -238,13 +243,9 @@ func TestGraphMatchesSerialReference(t *testing.T) {
 	})
 }
 
-// The tests the reference matrix replaced compared one execution path with
-// another; the paths are gone, their names stay as the slices of the matrix
-// they used to cover.
-func TestOverlapBitIdenticalStokes(t *testing.T) {
-	graphMatchesSerial(t, []int{4}, cpuOnly, gpus, gpusTight)
-}
-
+// The test the reference matrix replaced compared one execution path with
+// another; the path is gone, its name stays as the slice of the matrix it
+// used to cover.
 func TestTaskGraphBitIdenticalStokes(t *testing.T) {
 	graphMatchesSerial(t, []int{2, 4}, cpuOnly, gpus, gpusTight)
 }

@@ -213,18 +213,27 @@ func (f *Field) L2P(w *expansion.Workspace, ni int32) {
 	})
 }
 
+// NearRow hands the row's spans to P2PRow as GravityField.NearRow does.
 func (f *Field) NearRow(sch *octree.NearSchedule, r int, ghosts []core.GhostLeaf) {
 	sys := f.Sys
 	tn := &f.Tree.Nodes[sch.Leaves[r]]
 	xt := sys.Pos[tn.Start:tn.End]
 	vel := sys.Acc[tn.Start:tn.End]
+	var buf [core.RowSpans]kernels.StokesletSpan
+	n := 0
 	for k := sch.RowPtr[r]; k < sch.RowPtr[r+1]; k++ {
-		xs, fs := sys.Pos[sch.SrcStart[k]:sch.SrcEnd[k]], sys.Aux[sch.SrcStart[k]:sch.SrcEnd[k]]
-		if ghosts != nil && ghosts[sch.Srcs[k]].Pos != nil {
-			xs, fs = ghosts[sch.Srcs[k]].Pos, ghosts[sch.Srcs[k]].Aux
+		if n == len(buf) {
+			f.Kernel.P2PRow(xt, vel, buf[:])
+			n = 0
 		}
-		f.Kernel.P2P(xt, vel, xs, fs)
+		lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
+		buf[n] = kernels.StokesletSpan{Pos: sys.Pos[lo:hi], Force: sys.Aux[lo:hi]}
+		if ghosts != nil && ghosts[sch.Srcs[k]].Pos != nil {
+			buf[n] = kernels.StokesletSpan{Pos: ghosts[sch.Srcs[k]].Pos, Force: ghosts[sch.Srcs[k]].Aux}
+		}
+		n++
 	}
+	f.Kernel.P2PRow(xt, vel, buf[:n])
 }
 
 func (f *Field) PackGhost(ni int32) core.GhostLeaf {

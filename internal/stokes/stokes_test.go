@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"afmm/internal/core"
@@ -308,5 +309,57 @@ func TestStepRecordParity(t *testing.T) {
 	}
 	if !math.IsNaN(verr.Acc.X) || verr.Phi != 0 {
 		t.Fatalf("body %d: want NaN velocity and the untouched zero potential, got acc=%v phi=%g", verr.Body, verr.Acc, verr.Phi)
+	}
+}
+
+// TestNearRowMatchesPerSpanScalar is core's test of the same name for the
+// Stokeslet field: rows through the span buffer, flushes and ghost copies
+// included, equal P2PScalar entry by entry, bit for bit; and a row
+// allocates nothing.
+func TestNearRowMatchesPerSpanScalar(t *testing.T) {
+	sys := distrib.UniformCube(3000, 1, 9)
+	randomForces(sys, 10)
+	s := NewSolver(sys, Config{P: 4, S: 16})
+	s.Solve()
+	f := s.Field.(*Field)
+	sch := s.Tree.NearField()
+	ghosts := make([]core.GhostLeaf, len(s.Tree.Nodes))
+	for ni := range s.Tree.Nodes {
+		if ni%3 == 0 && s.Tree.Nodes[ni].IsVisibleLeaf() {
+			ghosts[ni] = f.PackGhost(int32(ni))
+		}
+	}
+	vel := slices.Clone(sys.Acc)
+	long := 0
+	for r := 0; r < sch.Rows(); r++ {
+		if len(sch.Row(r)) > core.RowSpans {
+			long++
+		}
+		f.NearRow(sch, r, ghosts)
+		tn := &s.Tree.Nodes[sch.Leaves[r]]
+		for k := sch.RowPtr[r]; k < sch.RowPtr[r+1]; k++ {
+			lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
+			f.Kernel.P2PScalar(sys.Pos[tn.Start:tn.End], vel[tn.Start:tn.End], sys.Pos[lo:hi], sys.Aux[lo:hi])
+		}
+	}
+	if long == 0 {
+		t.Fatalf("no row holds more than %d entries: the buffer never flushed", core.RowSpans)
+	}
+	for i := range vel {
+		for c, v := range [3]float64{vel[i].X, vel[i].Y, vel[i].Z} {
+			if w := [3]float64{sys.Acc[i].X, sys.Acc[i].Y, sys.Acc[i].Z}[c]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("body %d: NearRow %v, per-span scalar %v", i, sys.Acc[i], vel[i])
+			}
+		}
+	}
+	for _, g := range [][]core.GhostLeaf{nil, ghosts} {
+		sweep := func() {
+			for r := 0; r < sch.Rows(); r++ {
+				f.NearRow(sch, r, g)
+			}
+		}
+		if a := testing.AllocsPerRun(3, sweep); a != 0 {
+			t.Errorf("ghosts %v: the near-field rows allocate %v times, want 0", g != nil, a)
+		}
 	}
 }
