@@ -18,6 +18,7 @@ import (
 	"afmm/internal/core"
 	"afmm/internal/costmodel"
 	"afmm/internal/particle"
+	"afmm/internal/telemetry"
 )
 
 // Request describes the tuning goal.
@@ -124,7 +125,7 @@ func Tune(sys *particle.System, req Request) Choice {
 		rec.StartStep(len(c.Sweep))
 		solver := core.NewSolver(sys.Clone(), cfg)
 		st := solver.Solve()
-		rec.SetStepInfo(len(c.Sweep), s, "tune")
+		rec.Update(func(r *telemetry.StepRecord) { r.Step, r.S, r.State = len(c.Sweep), s, "tune" })
 		rec.EndStep()
 		c.Sweep = append(c.Sweep, SPoint{S: s, Compute: st.Compute})
 		if st.Compute < c.PredictedCompute {

@@ -238,7 +238,7 @@ func (b *Balancer) enforce(s Target) (col, push int) {
 	col, push = s.EnforceS()
 	b.rec().End(tok)
 	b.rec().EmitEvent(telemetry.EventEnforceS, int64(col), int64(push), 0, 0)
-	b.rec().AddTreeEdits(col, push)
+	b.rec().Update(func(r *telemetry.StepRecord) { r.Collapses += col; r.Pushdowns += push })
 	return col, push
 }
 
@@ -415,7 +415,7 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 	r.LBTime += b.Cfg.Costs.predictCost(s)
 	pred := math.Max(cpu, gpu)
 	b.rec().EmitEvent(telemetry.EventPrediction, 0, 0, pred, threshold)
-	b.rec().SetPrediction(cpu, gpu)
+	b.rec().Update(func(r *telemetry.StepRecord) { r.PredCPU, r.PredGPU = cpu, gpu })
 	if pred <= threshold {
 		b.best = math.Min(b.best, pred)
 		return r
@@ -427,7 +427,7 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 		r.LBTime += b.Cfg.Costs.predictCost(s)
 		pred = math.Max(cpu, gpu)
 		b.rec().EmitEvent(telemetry.EventPrediction, 0, 0, pred, threshold)
-		b.rec().SetPrediction(cpu, gpu)
+		b.rec().Update(func(r *telemetry.StepRecord) { r.PredCPU, r.PredGPU = cpu, gpu })
 	}
 	if pred > threshold {
 		// Fine-grained adjustment failed: fall back to incremental on
@@ -491,11 +491,13 @@ func (b *Balancer) fineGrainedOptimize(s Target, r *Report) float64 {
 		}
 		bestPred = pred
 		b.rec().EmitEvent(telemetry.EventFineGrain, int64(len(batch)), 0, pred, 0)
-		if cpu > gpu {
-			b.rec().AddTreeEdits(len(batch), 0)
-		} else {
-			b.rec().AddTreeEdits(0, len(batch))
-		}
+		b.rec().Update(func(r *telemetry.StepRecord) {
+			if cpu > gpu {
+				r.Collapses += len(batch)
+			} else {
+				r.Pushdowns += len(batch)
+			}
+		})
 		cpu, gpu = nc, ng
 		r.Events = append(r.Events, fmt.Sprintf("fgo batch %d nodes, pred %.4g", len(batch), pred))
 	}

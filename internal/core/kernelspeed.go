@@ -92,9 +92,10 @@ func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *teleme
 		rebuilt = true
 		rec.End(tok)
 	}
-	if rec.Enabled() {
-		rec.SetM2LTable(m.Cls.Classes(), m.Cls.Pairs, m.Cls.RowsReused, m.Cls.ClassesNew, rebuilt)
-	}
+	rec.Update(func(r *telemetry.StepRecord) {
+		r.M2LClasses, r.M2LPairs = m.Cls.Classes(), m.Cls.Pairs
+		r.M2LRowsReused, r.M2LClassesNew, r.M2LRebuilt = m.Cls.RowsReused, m.Cls.ClassesNew, rebuilt
+	})
 }
 
 // farRun returns the next maximal run [lo, hi) of translated pairs in node

@@ -296,8 +296,8 @@ func (s *Solver) Solve() StepTimes {
 	listTimer := sched.StartTimer()
 	t.BuildLists()
 	listDur := listTimer.Elapsed()
+	ld := t.ListBuildStats().Sub(ls0)
 	if rec.Enabled() {
-		ld := t.ListBuildStats().Sub(ls0)
 		kind := telemetry.SpanListSkip
 		switch {
 		case ld.FullBuilds > 0:
@@ -306,9 +306,6 @@ func (s *Solver) Solve() StepTimes {
 			kind = telemetry.SpanListRepair
 		}
 		rec.AddSpan(kind, 0, listTimer.StartTime(), listDur)
-		rec.SetLists(telemetry.ListDelta{
-			Full: ld.FullBuilds, Repairs: ld.Repairs, Skips: ld.Skips, Pairs: ld.Pairs,
-		})
 	}
 
 	prepTimer := sched.StartTimer()
@@ -318,7 +315,6 @@ func (s *Solver) Solve() StepTimes {
 	// rows (and the translated-pair counts behind the far-field weights)
 	// follow this step's occupancy, and every graph node only reads it.
 	sch := t.NearField()
-	rec.SetDirect(sch.DirectPairs, sch.DirectInteractions)
 	rec.AddSpan(telemetry.SpanPrep, 0, prepTimer.StartTime(), prepTimer.Elapsed())
 
 	// The shared M2L class table must be complete before any worker
@@ -418,36 +414,6 @@ func (s *Solver) Solve() StepTimes {
 	}
 	rec.AddSpan(telemetry.SpanObserve, 0, obsTimer.StartTime(), obsTimer.Elapsed())
 
-	if rec.Enabled() {
-		var c64 [telemetry.NumOps]int64
-		var opTime, coef [telemetry.NumOps]float64
-		for op := costmodel.Op(0); op < costmodel.NumOps; op++ {
-			c64[op] = counts[op]
-			opTime[op] = obs.Time[op]
-			coef[op] = s.Model.Coef[op]
-		}
-		rec.SetOps(c64, opTime, coef)
-		rec.SetSolveTimes(st.CPUTime, st.GPUTime, st.CPUEff, st.GPUEff)
-		if s.Cluster != nil {
-			for _, d := range s.Cluster.Devices {
-				rec.AddDevice(d.KernelTime, d.Interactions, d.HostTime)
-			}
-		}
-		s.busyDelta = s.Cfg.Pool.WorkerBusyNs(s.busyDelta[:0])
-		for i := range s.busyDelta {
-			if i < len(s.busySnap) {
-				s.busyDelta[i] -= s.busySnap[i]
-			}
-		}
-		rec.SetWorkerBusy(s.busyDelta)
-		s.classDelta = s.Cfg.Pool.ClassBusyNs(s.classDelta[:0])
-		for i := range s.classDelta {
-			if i < len(s.classSnap) {
-				s.classDelta[i] -= s.classSnap[i]
-			}
-		}
-		rec.SetClassBusy(s.classDelta)
-	}
 	st.Real = timer.Elapsed()
 	// Serial-equivalent wall: replace the graph region with what its
 	// phases would have cost back to back. Back to back cannot beat
@@ -459,7 +425,36 @@ func (s *Solver) Solve() StepTimes {
 		List: listDur, Far: tg.up + tg.down + tg.l2p, Near: tg.near,
 		Wall: st.Real, SerialWall: serial, Overlapped: true,
 	}
-	rec.SetOverlap(serial)
+	if rec.Enabled() {
+		s.busyDelta = s.Cfg.Pool.WorkerBusyNs(s.busyDelta[:0])
+		for i := range min(len(s.busyDelta), len(s.busySnap)) {
+			s.busyDelta[i] -= s.busySnap[i]
+		}
+		s.classDelta = s.Cfg.Pool.ClassBusyNs(s.classDelta[:0])
+		for i := range min(len(s.classDelta), len(s.classSnap)) {
+			s.classDelta[i] -= s.classSnap[i]
+		}
+		rec.Update(func(r *telemetry.StepRecord) {
+			r.Lists = telemetry.ListDelta{Full: ld.FullBuilds, Repairs: ld.Repairs, Skips: ld.Skips, Pairs: ld.Pairs}
+			r.DirectPairs, r.DirectInteractions = sch.DirectPairs, sch.DirectInteractions
+			for op := costmodel.Op(0); op < costmodel.NumOps; op++ {
+				r.Counts[op] = counts[op]
+				r.OpTime[op] = obs.Time[op]
+				r.Coef[op] = s.Model.Coef[op]
+			}
+			r.CPU, r.GPU, r.CPUEff, r.GPUEff = st.CPUTime, st.GPUTime, st.CPUEff, st.GPUEff
+			if s.Cluster != nil {
+				for _, d := range s.Cluster.Devices {
+					r.Devices = append(r.Devices, telemetry.DeviceSample{
+						Kernel: d.KernelTime, Interactions: d.Interactions, HostNs: d.HostTime.Nanoseconds(),
+					})
+				}
+			}
+			r.WorkerBusyNs = append(r.WorkerBusyNs[:0], s.busyDelta...)
+			r.ClassBusyNs = append(r.ClassBusyNs[:0], s.classDelta...)
+			r.Overlapped, r.SerialWallNs = true, serial.Nanoseconds()
+		})
+	}
 	rec.End(solveTok)
 	return st
 }

@@ -159,8 +159,10 @@ func (s *Solver) runGraph() graphResult {
 				stats.Start.Add(time.Duration(sp.StartNs)),
 				time.Duration(sp.DurNs))
 		}
-		rec.SetTaskGraph(stats.Nodes, stats.Edges, stats.MaxReady,
-			stats.CriticalPathNs, stats.MakespanNs)
+		rec.Update(func(r *telemetry.StepRecord) {
+			r.TaskNodes, r.TaskEdges, r.TaskMaxReady = stats.Nodes, stats.Edges, stats.MaxReady
+			r.TaskCriticalNs, r.TaskMakespanNs = stats.CriticalPathNs, stats.MakespanNs
+		})
 	}
 	return out
 }

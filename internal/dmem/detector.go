@@ -9,14 +9,16 @@ import (
 )
 
 // detector is the heartbeat-based failure detector that replaces the
-// oracle node-loss detection of the priced path: every node runs a
-// heartbeater goroutine that stamps a per-node last-seen clock each
-// interval, and a node's suspicion level is its heartbeat age measured
-// in intervals, normalized so that suspicion >= 1 declares it dead
-// (SuspectAfter consecutive silent intervals).
+// oracle node-loss detection of the priced path: a heartbeat goroutine
+// stamps every node's last-seen clock each interval, and a node's
+// suspicion level is its heartbeat age behind the freshest beat, measured
+// in intervals and normalized so that suspicion >= 1 declares it dead
+// (SuspectAfter consecutive silent intervals). One goroutine beats for
+// every node, so a process-wide stall delays all beats alike and ages no
+// node against its peers.
 //
 // A fail-stop fault does not tell the solver the node died — it only
-// silences the node's heartbeater (the injected failure). Detection is
+// silences the node's heartbeat (the injected failure). Detection is
 // then earned the production way: the step loop blocks until the dead
 // node's suspicion crosses the threshold, and the measured wall-clock
 // latency — not the priced path's modeled oracle delay — is what the
@@ -40,7 +42,7 @@ type detector struct {
 	wg   sync.WaitGroup
 }
 
-// newDetector starts one heartbeater per node. Callers must stop() it.
+// newDetector starts the heartbeat goroutine. Callers must stop() it.
 func newDetector(nodes int, cfg linkConfig, sch *fault.LinkSchedule, seed int64) *detector {
 	cfg = cfg.withDefaults()
 	d := &detector{
@@ -55,9 +57,9 @@ func newDetector(nodes int, cfg linkConfig, sch *fault.LinkSchedule, seed int64)
 	now := time.Now().UnixNano()
 	for k := range d.lastBeat {
 		d.lastBeat[k].Store(now)
-		d.wg.Add(1)
-		go d.heartbeater(k)
 	}
+	d.wg.Add(1)
+	go d.heartbeats()
 	return d
 }
 
@@ -66,29 +68,30 @@ func (d *detector) stop() {
 	d.wg.Wait()
 }
 
-// heartbeater stamps node k's last-seen clock every interval until the
-// node is silenced (its fail-stop) or the run ends. Beats are subject to
-// the node's worst outgoing link drop rate, drawn deterministically per
-// beat index.
-func (d *detector) heartbeater(k int) {
+// heartbeats stamps the last-seen clock of every node that is not
+// silenced (its fail-stop) each interval until the run ends. Beats are
+// subject to the node's worst outgoing link drop rate, drawn
+// deterministically per beat index.
+func (d *detector) heartbeats() {
 	defer d.wg.Done()
 	ticker := time.NewTicker(d.interval)
 	defer ticker.Stop()
-	beat := int64(0)
-	for {
+	for beat := int64(1); ; beat++ {
 		select {
 		case <-d.done:
 			return
 		case <-ticker.C:
+		}
+		now := time.Now().UnixNano()
+		for k := range d.lastBeat {
 			if d.silenced[k].Load() {
-				return
+				continue
 			}
-			beat++
 			if p := d.sch.MaxDropFrom(k, int(d.step.Load())); p > 0 &&
 				fault.Hash01(d.seed, int64(saltAck)<<8, int64(k), beat) < p {
 				continue // beat lost on the wire
 			}
-			d.lastBeat[k].Store(time.Now().UnixNano())
+			d.lastBeat[k].Store(now)
 		}
 	}
 }
@@ -97,11 +100,11 @@ func (d *detector) heartbeater(k int) {
 // schedule is step-indexed).
 func (d *detector) setStep(step int) { d.step.Store(int64(step)) }
 
-// silence injects node k's fail-stop: its heartbeater falls silent at
-// the next tick. The detector itself is not informed of the death. The
+// silence injects node k's fail-stop: its heartbeat falls silent at the
+// next tick. The detector itself is not informed of the death. The
 // last-seen clock re-stamps to the injection instant so the measured
 // detection latency is the genuine silent window — not leftover staleness
-// from heartbeaters starved by a compute-saturated scheduler.
+// from beats lost on the wire.
 func (d *detector) silence(k int) {
 	d.silenced[k].Store(true)
 	d.lastBeat[k].Store(time.Now().UnixNano())
@@ -109,8 +112,16 @@ func (d *detector) silence(k int) {
 
 // suspicion reports node k's current suspicion level: heartbeat age over
 // the declare-dead window. >= 1 means the detector considers it dead.
+// The age is measured against the freshest beat of any node, not the
+// wall clock: a stall of the heartbeat goroutine ages no node, while a
+// silent node ages as soon as its live peers beat again (the run never
+// kills its last node, so a peer is always beating).
 func (d *detector) suspicion(k int) float64 {
-	age := time.Duration(time.Now().UnixNano() - d.lastBeat[k].Load())
+	var freshest int64
+	for j := range d.lastBeat {
+		freshest = max(freshest, d.lastBeat[j].Load())
+	}
+	age := time.Duration(freshest - d.lastBeat[k].Load())
 	return float64(age) / float64(d.interval*time.Duration(d.suspectAfter))
 }
 

@@ -255,9 +255,6 @@ func (s *Solver) Alive() []bool { return append([]bool(nil), s.alive...) }
 // loss).
 func (s *Solver) CapacityEpoch() int64 { return s.capEpoch }
 
-// NumNodes returns the cluster size.
-func (s *Solver) NumNodes() int { return len(s.Cfg.Nodes) }
-
 // Cuts exposes the current ownership boundaries (body indices).
 func (s *Solver) Cuts() []int32 { return append([]int32(nil), s.cuts...) }
 
@@ -766,10 +763,10 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 // flight recorder dump the last 32 step records — each carrying its
 // per-link retry counts — under the "net-timeout" reason.
 func observeNet(rec *telemetry.Recorder, step int, net telemetry.NetSample) {
-	if !rec.Enabled() {
-		return
-	}
-	rec.SetNetStats(net)
+	rec.Update(func(r *telemetry.StepRecord) {
+		n := net
+		r.Net = &n
+	})
 	if net.Timeouts > 0 {
 		rec.EmitEvent(telemetry.EventNetTimeout, net.Timeouts, int64(step),
 			float64(net.Retries), float64(net.Rerequests+net.DegradedGhostFlows))

@@ -76,9 +76,3 @@ type RebalancePolicy struct {
 	// Cooldown is the minimum number of steps between repartitions.
 	Cooldown int
 }
-
-// DefaultPolicy triggers above 15% imbalance, requires a predicted 5%
-// makespan gain, and waits 3 steps between repartitions.
-func DefaultPolicy() RebalancePolicy {
-	return RebalancePolicy{Threshold: 1.15, MinGain: 1.05, Cooldown: 3}
-}

@@ -7,19 +7,6 @@ import "sort"
 // at visible-leaf boundaries so a range owner always owns whole leaves,
 // and the owner of a cell is the owner of its first body.
 
-// LeafEnds returns the End body index of every visible leaf in DFS
-// order — the admissible cut points of a contiguous-range ownership
-// partition (a cut placed on a leaf End never splits a leaf's bodies
-// between owners). The returned slice is freshly allocated.
-func (t *Tree) LeafEnds() []int32 {
-	leaves := t.VisibleLeaves()
-	ends := make([]int32, len(leaves))
-	for i, li := range leaves {
-		ends[i] = t.Nodes[li].End
-	}
-	return ends
-}
-
 // SnapToLeafEnd returns the admissible ownership cut nearest to the body
 // index cut: 0 or a visible-leaf End. Ties prefer the lower boundary, so
 // snapping is deterministic; inputs outside [0, N] clamp to the range.

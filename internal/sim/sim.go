@@ -368,8 +368,10 @@ func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (
 			SerialWallNs: (wall + (host.SerialWall - host.Wall)).Nanoseconds(),
 			Overlapped:   host.Overlapped,
 		}
-		rec.SetStepInfo(step, rep.NewS, r.State)
-		rec.SetBalance(rep.LBTime, refill)
+		rec.Update(func(sr *telemetry.StepRecord) {
+			sr.Step, sr.S, sr.State = step, rep.NewS, r.State
+			sr.LB, sr.Refill = rep.LBTime, refill
+		})
 		rec.EndStep()
 		res.Records = append(res.Records, r)
 		res.TotalCompute += r.Compute

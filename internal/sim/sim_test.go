@@ -332,7 +332,8 @@ func TestStepRecordsSurfacePhaseBreakdown(t *testing.T) {
 }
 
 // TestRecorderThreadedThroughRun: an explicit recorder sees solver spans,
-// balancer events, per-worker busy time and the step bracketing.
+// balancer events, per-worker busy time, the step bracketing, and every
+// record field the solver and the step loop write.
 func TestRecorderThreadedThroughRun(t *testing.T) {
 	s := dynamicSolver(600, 39)
 	rec := telemetry.New(telemetry.Options{Keep: true})
@@ -380,6 +381,41 @@ func TestRecorderThreadedThroughRun(t *testing.T) {
 		}
 		if sr.PhaseNs() <= 0 || sr.WallNs <= 0 {
 			t.Fatalf("step %d phase/wall missing: %d / %d", i, sr.PhaseNs(), sr.WallNs)
+		}
+		rr := res.Records[i]
+		if sr.State != rr.State || sr.LB != rr.LBTime || sr.Refill != rr.Refill {
+			t.Fatalf("step %d: state/lb/refill %q %g %g, record %q %g %g",
+				i, sr.State, sr.LB, sr.Refill, rr.State, rr.LBTime, rr.Refill)
+		}
+		if l := sr.Lists; l.Full+l.Repairs+l.Skips != 1 {
+			t.Fatalf("step %d list activity %+v, want one build classification", i, l)
+		}
+		if sr.M2LClasses <= 0 || sr.M2LPairs < int64(sr.M2LClasses) {
+			t.Fatalf("step %d M2L table %d classes / %d pairs", i, sr.M2LClasses, sr.M2LPairs)
+		}
+		if sr.DirectPairs <= 0 || sr.DirectInteractions < sr.DirectPairs || sr.DirectPairs > sr.Counts[2] {
+			t.Fatalf("step %d direct %d pairs / %d interactions of %d M2L",
+				i, sr.DirectPairs, sr.DirectInteractions, sr.Counts[2])
+		}
+		if sr.TaskNodes <= 0 || sr.TaskEdges <= 0 || sr.TaskMakespanNs <= 0 {
+			t.Fatalf("step %d task graph %d nodes / %d edges / %d ns",
+				i, sr.TaskNodes, sr.TaskEdges, sr.TaskMakespanNs)
+		}
+		var opTime float64
+		for op := range sr.OpTime {
+			opTime += sr.OpTime[op]
+		}
+		if opTime <= 0 || sr.Coef[2] <= 0 || sr.Coef[5] <= 0 {
+			t.Fatalf("step %d observation op_time %v coef %v", i, sr.OpTime, sr.Coef)
+		}
+		if sr.CPUEff <= 0 || sr.CPUEff > 1 || sr.GPUEff <= 0 || sr.GPUEff > 1 {
+			t.Fatalf("step %d efficiencies cpu %g gpu %g", i, sr.CPUEff, sr.GPUEff)
+		}
+		if len(sr.ClassBusyNs) != telemetry.NumClasses {
+			t.Fatalf("step %d class busy %v, want %d classes", i, sr.ClassBusyNs, telemetry.NumClasses)
+		}
+		if !sr.Overlapped || sr.SerialWallNs <= 0 {
+			t.Fatalf("step %d overlap %v / serial wall %d", i, sr.Overlapped, sr.SerialWallNs)
 		}
 	}
 	// The first step of a StrategyFull run is a Search step: the balancer

@@ -11,8 +11,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	r := New(Options{Keep: true})
 	for step := 0; step < 2; step++ {
 		r.StartStep(step)
-		r.SetStepInfo(step, 64, "search")
-		r.SetSolveTimes(1, 2, 0, 0)
+		r.Update(func(sr *StepRecord) {
+			sr.Step, sr.S, sr.State = step, 64, "search"
+			sr.CPU, sr.GPU = 1, 2
+		})
 		r.AddSpan(SpanUpSweep, 0, time.Now(), time.Millisecond)
 		r.AddSpan(SpanTaskUp, 3, time.Now(), time.Microsecond)
 		r.AddSpan(SpanDeviceP2P, 1, time.Now(), time.Microsecond)

@@ -21,7 +21,7 @@ func TestStartDebugEndpoints(t *testing.T) {
 	fr := NewFlightRecorder(4, "")
 	r := New(Options{Metrics: reg, Flight: fr})
 	r.StartStep(0)
-	r.SetStepInfo(0, 32, "steady")
+	r.Update(func(sr *StepRecord) { sr.Step, sr.S, sr.State = 0, 32, "steady" })
 	r.EndStep()
 
 	d, err := StartDebug("127.0.0.1:0", r)

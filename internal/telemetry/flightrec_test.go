@@ -124,10 +124,12 @@ func TestRecorderPublishesMetrics(t *testing.T) {
 	rec := New(Options{Metrics: reg})
 	for i := 0; i < 3; i++ {
 		rec.StartStep(i)
-		rec.SetStepInfo(i, 64, "steady")
 		rec.AddSpan(SpanUpSweep, 0, time.Now(), 2*time.Millisecond)
-		rec.SetClassBusy([]int64{1000, 2000, 3000})
-		rec.SetLists(ListDelta{Skips: 1, Pairs: 50})
+		rec.Update(func(sr *StepRecord) {
+			sr.Step, sr.S, sr.State = i, 64, "steady"
+			sr.ClassBusyNs = append(sr.ClassBusyNs, 1000, 2000, 3000)
+			sr.Lists = ListDelta{Skips: 1, Pairs: 50}
+		})
 		rec.EmitEvent(EventSChange, 48, 64, 0, 0)
 		rec.EndStep()
 	}

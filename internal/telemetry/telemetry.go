@@ -10,6 +10,10 @@
 // counts, attributed times, fitted coefficients), so predictor drift is
 // plottable across a trajectory.
 //
+// Spans and events are appended (Begin/End, AddSpan, EmitEvent); every
+// other StepRecord field is assigned through Update by the layer that
+// knows its value, and Compute/Total are derived when the step ends.
+//
 // A nil *Recorder is valid everywhere and compiles to no-ops, so the
 // solver hot paths carry no tracing cost when telemetry is off. With a
 // recorder attached the per-span cost is two time.Now calls and one
@@ -27,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -616,11 +621,13 @@ func (r *Recorder) startStepLocked(step int) {
 	r.inStep = true
 	r.autoStep = step + 1
 	r.cur = StepRecord{
-		Step:    step,
-		StartNs: r.stepStart.Sub(r.origin).Nanoseconds(),
-		Spans:   r.spanBuf[:0],
-		Events:  r.eventBuf[:0],
-		Devices: r.devBuf[:0],
+		Step:         step,
+		StartNs:      r.stepStart.Sub(r.origin).Nanoseconds(),
+		Spans:        r.spanBuf[:0],
+		Events:       r.eventBuf[:0],
+		Devices:      r.devBuf[:0],
+		WorkerBusyNs: r.busyBuf[:0],
+		ClassBusyNs:  r.classBuf[:0],
 	}
 }
 
@@ -647,9 +654,7 @@ func (r *Recorder) EndStep() {
 
 func (r *Recorder) endStepLocked() {
 	r.cur.WallNs = time.Since(r.stepStart).Nanoseconds()
-	if r.cur.Compute == 0 {
-		r.cur.Compute = maxf(r.cur.CPU, r.cur.GPU)
-	}
+	r.cur.Compute = math.Max(r.cur.CPU, r.cur.GPU)
 	r.cur.Total = r.cur.Compute + r.cur.LB + r.cur.Refill
 	// The sentinel sees the finalized step before it is encoded anywhere,
 	// so an EventAnomaly lands in the same record across every sink:
@@ -671,6 +676,8 @@ func (r *Recorder) endStepLocked() {
 	r.spanBuf = r.cur.Spans[:0]
 	r.eventBuf = r.cur.Events[:0]
 	r.devBuf = r.cur.Devices[:0]
+	r.busyBuf = r.cur.WorkerBusyNs[:0]
+	r.classBuf = r.cur.ClassBusyNs[:0]
 	if r.opts.JSONL != nil {
 		b, err := json.Marshal(&r.cur)
 		if err == nil {
@@ -726,7 +733,7 @@ type Token struct {
 	start time.Time
 }
 
-// Begin opens a span. End (or EndAs) closes it.
+// Begin opens a span. End closes it.
 func (r *Recorder) Begin(kind SpanKind, arg int32) Token {
 	if r == nil {
 		return Token{}
@@ -735,15 +742,11 @@ func (r *Recorder) Begin(kind SpanKind, arg int32) Token {
 }
 
 // End closes a span opened by Begin.
-func (r *Recorder) End(t Token) { r.EndAs(t, t.kind) }
-
-// EndAs closes a span under a different kind than it was opened with —
-// used when the kind is only known afterwards (list build classification).
-func (r *Recorder) EndAs(t Token, kind SpanKind) {
+func (r *Recorder) End(t Token) {
 	if r == nil || t.start.IsZero() {
 		return
 	}
-	r.AddSpan(kind, t.arg, t.start, time.Since(t.start))
+	r.AddSpan(t.kind, t.arg, t.start, time.Since(t.start))
 }
 
 // AddSpan records a completed interval measured by the caller.
@@ -773,204 +776,19 @@ func (r *Recorder) EmitEvent(kind EventKind, a, b int64, fa, fb float64) {
 	r.mu.Unlock()
 }
 
-// SetNetStats records the step's dmem link-layer summary.
-func (r *Recorder) SetNetStats(n NetSample) {
+// Update is the one write path into the step record: it opens a step if
+// none is open and calls fn on the current record under the recorder
+// lock. fn only assigns and must not call back into the recorder. Devices,
+// WorkerBusyNs and ClassBusyNs start each step as recycled empty buffers:
+// fn appends into them rather than storing a slice of its own. Compute
+// and Total are derived when the step ends.
+func (r *Recorder) Update(fn func(*StepRecord)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.ensureStepLocked()
-	r.cur.Net = &n
-	r.mu.Unlock()
-}
-
-// SetStepInfo stamps the step identity fields.
-func (r *Recorder) SetStepInfo(step, s int, state string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.Step = step
-	r.cur.S = s
-	r.cur.State = state
-	r.mu.Unlock()
-}
-
-// SetSolveTimes records the virtual-machine timing of the step's solve.
-func (r *Recorder) SetSolveTimes(cpu, gpu, cpuEff, gpuEff float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.CPU = cpu
-	r.cur.GPU = gpu
-	r.cur.Compute = maxf(cpu, gpu)
-	r.cur.CPUEff = cpuEff
-	r.cur.GPUEff = gpuEff
-	r.mu.Unlock()
-}
-
-// SetBalance records the virtual balancing and refill costs.
-func (r *Recorder) SetBalance(lb, refill float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.LB = lb
-	r.cur.Refill = refill
-	r.mu.Unlock()
-}
-
-// SetOps records the step's cost-model observation: operation counts, the
-// attributed per-operation times, and the fitted coefficients after the
-// fold (OpNames order).
-func (r *Recorder) SetOps(counts [NumOps]int64, opTime, coef [NumOps]float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.Counts = counts
-	r.cur.OpTime = opTime
-	r.cur.Coef = coef
-	r.mu.Unlock()
-}
-
-// SetPrediction records the balancer's prediction of the next step's CPU
-// and GPU compute times (the tree it just checked is the one that step
-// solves), for predicted-vs-actual drift plots.
-func (r *Recorder) SetPrediction(cpu, gpu float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.PredCPU = cpu
-	r.cur.PredGPU = gpu
-	r.mu.Unlock()
-}
-
-// AddDevice records one device's kernel result.
-func (r *Recorder) AddDevice(kernel float64, interactions int64, host time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.Devices = append(r.cur.Devices, DeviceSample{
-		Kernel: kernel, Interactions: interactions, HostNs: host.Nanoseconds(),
-	})
-	r.mu.Unlock()
-}
-
-// SetWorkerBusy records the per-worker busy-time deltas of the step (ns
-// per pool slot; by convention the last entry is the inline-execution
-// bucket). The slice is copied into a reused buffer.
-func (r *Recorder) SetWorkerBusy(busyNs []int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.busyBuf = append(r.busyBuf[:0], busyNs...)
-	r.cur.WorkerBusyNs = r.busyBuf
-	r.mu.Unlock()
-}
-
-// SetClassBusy records the per-class busy-time deltas of the step (ns
-// per sched work class, ClassNames order). The slice is copied into a
-// reused buffer.
-func (r *Recorder) SetClassBusy(busyNs []int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.classBuf = append(r.classBuf[:0], busyNs...)
-	r.cur.ClassBusyNs = r.classBuf
-	r.mu.Unlock()
-}
-
-// SetOverlap records that the step's solve ran its near and far phases
-// concurrently, and the serial-equivalent wall time of the solve.
-func (r *Recorder) SetOverlap(serialWall time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.Overlapped = true
-	r.cur.SerialWallNs = serialWall.Nanoseconds()
-	r.mu.Unlock()
-}
-
-// SetTaskGraph records the step graph's shape and schedule quality for
-// the step.
-func (r *Recorder) SetTaskGraph(nodes, edges, maxReady int, criticalNs, makespanNs int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.TaskNodes = nodes
-	r.cur.TaskEdges = edges
-	r.cur.TaskMaxReady = maxReady
-	r.cur.TaskCriticalNs = criticalNs
-	r.cur.TaskMakespanNs = makespanNs
-	r.mu.Unlock()
-}
-
-// SetLists records the step's interaction-list activity delta.
-func (r *Recorder) SetLists(d ListDelta) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.Lists = d
-	r.mu.Unlock()
-}
-
-// SetM2LTable records the step's translation-class table stats.
-func (r *Recorder) SetM2LTable(classes int, pairs, rowsReused, classesNew int64, rebuilt bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.M2LClasses = classes
-	r.cur.M2LPairs = pairs
-	r.cur.M2LRowsReused = rowsReused
-	r.cur.M2LClassesNew = classesNew
-	r.cur.M2LRebuilt = rebuilt
-	r.mu.Unlock()
-}
-
-// SetDirect records how many accepted pairs the step summed directly and
-// how many body-body interactions that was.
-func (r *Recorder) SetDirect(pairs, interactions int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.DirectPairs = pairs
-	r.cur.DirectInteractions = interactions
-	r.mu.Unlock()
-}
-
-// AddTreeEdits accumulates Collapse/PushDown counts performed this step.
-func (r *Recorder) AddTreeEdits(collapses, pushdowns int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ensureStepLocked()
-	r.cur.Collapses += collapses
-	r.cur.Pushdowns += pushdowns
+	fn(&r.cur)
 	r.mu.Unlock()
 }
 
@@ -1041,11 +859,4 @@ func (r *Recorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

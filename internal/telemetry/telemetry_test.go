@@ -21,18 +21,9 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.StartStep(0)
 	tok := r.Begin(SpanUpSweep, 0)
 	r.End(tok)
-	r.EndAs(tok, SpanDownSweep)
 	r.AddSpan(SpanPrep, 0, time.Now(), time.Millisecond)
 	r.EmitEvent(EventState, 0, 1, 0, 0)
-	r.SetStepInfo(0, 64, "search")
-	r.SetSolveTimes(1, 2, 0.5, 0.5)
-	r.SetBalance(0.1, 0.2)
-	r.SetOps([NumOps]int64{}, [NumOps]float64{}, [NumOps]float64{})
-	r.SetPrediction(1, 2)
-	r.AddDevice(0.5, 100, time.Millisecond)
-	r.SetWorkerBusy([]int64{1, 2, 3})
-	r.SetLists(ListDelta{})
-	r.AddTreeEdits(1, 2)
+	r.Update(func(*StepRecord) { t.Fatal("nil recorder ran an Update") })
 	r.EndStep()
 	if _, ok := r.Last(); ok {
 		t.Fatal("nil recorder has a last record")
@@ -48,9 +39,11 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestStepRecordTotals(t *testing.T) {
 	r := New(Options{Keep: true})
 	r.StartStep(3)
-	r.SetStepInfo(3, 128, "observation")
-	r.SetSolveTimes(1.5, 2.5, 0.9, 0.8)
-	r.SetBalance(0.25, 0.125)
+	r.Update(func(sr *StepRecord) {
+		sr.Step, sr.S, sr.State = 3, 128, "observation"
+		sr.CPU, sr.GPU, sr.CPUEff, sr.GPUEff = 1.5, 2.5, 0.9, 0.8
+		sr.LB, sr.Refill = 0.25, 0.125
+	})
 	r.EndStep()
 	rec, ok := r.Last()
 	if !ok {
@@ -78,15 +71,15 @@ func TestSpansAndClassification(t *testing.T) {
 	r.StartStep(0)
 	tok := r.Begin(SpanListFull, 0)
 	time.Sleep(time.Millisecond)
-	r.EndAs(tok, SpanListRepair) // classification decided after the fact
+	r.End(tok)
 	r.AddSpan(SpanTaskUp, 5, time.Now(), 2*time.Millisecond)
 	r.EndStep()
 	rec, _ := r.Last()
 	if len(rec.Spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(rec.Spans))
 	}
-	if rec.Spans[0].Kind != SpanListRepair {
-		t.Fatalf("EndAs kept the Begin kind: %v", rec.Spans[0].Kind)
+	if rec.Spans[0].Kind != SpanListFull {
+		t.Fatalf("End changed the Begin kind: %v", rec.Spans[0].Kind)
 	}
 	if rec.Spans[0].DurNs < int64(time.Millisecond) {
 		t.Fatalf("span duration too small: %d", rec.Spans[0].DurNs)
@@ -117,7 +110,7 @@ func TestAutoStep(t *testing.T) {
 func TestStartStepFinalizesOpenStep(t *testing.T) {
 	r := New(Options{Keep: true})
 	r.StartStep(0)
-	r.SetSolveTimes(1, 0, 0, 0)
+	r.Update(func(sr *StepRecord) { sr.CPU = 1 })
 	r.StartStep(1) // no EndStep for step 0
 	r.EndStep()
 	if len(r.Steps()) != 2 {
@@ -133,9 +126,11 @@ func TestJSONLSink(t *testing.T) {
 	r := New(Options{JSONL: &buf})
 	for i := 0; i < 3; i++ {
 		r.StartStep(i)
-		r.SetStepInfo(i, 64, "search")
-		r.SetSolveTimes(float64(i), 1, 0, 0)
-		r.SetLists(ListDelta{Skips: 1, Pairs: 42})
+		r.Update(func(sr *StepRecord) {
+			sr.Step, sr.S, sr.State = i, 64, "search"
+			sr.CPU, sr.GPU = float64(i), 1
+			sr.Lists = ListDelta{Skips: 1, Pairs: 42}
+		})
 		r.EmitEvent(EventRebuild, 64, 0, 0, 0)
 		r.EndStep()
 	}
@@ -199,7 +194,9 @@ func TestConcurrentEmission(t *testing.T) {
 					tok := r.Begin(SpanDeviceP2P, int32(g))
 					r.End(tok)
 					r.EmitEvent(EventFineGrain, int64(i), 0, 0, 0)
-					r.AddDevice(0.1, int64(i), time.Microsecond)
+					r.Update(func(sr *StepRecord) {
+						sr.Devices = append(sr.Devices, DeviceSample{Kernel: 0.1, Interactions: int64(i), HostNs: 1000})
+					})
 				}
 			}(g)
 		}
@@ -213,7 +210,7 @@ func TestConcurrentEmission(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-		r.SetSolveTimes(1, 2, 0, 0)
+		r.Update(func(sr *StepRecord) { sr.CPU, sr.GPU = 1, 2 })
 		r.EndStep()
 	}
 	if err := r.Err(); err != nil {
@@ -246,7 +243,7 @@ func TestConcurrentRecorders(t *testing.T) {
 			defer wg.Done()
 			for step := 0; step < 30; step++ {
 				r.StartStep(step)
-				r.SetStepInfo(step, id, "search")
+				r.Update(func(sr *StepRecord) { sr.Step, sr.S, sr.State = step, id, "search" })
 				r.AddSpan(SpanPrep, int32(id), time.Now(), time.Microsecond)
 				r.EndStep()
 			}
@@ -287,5 +284,34 @@ func TestSpanAndEventNamesComplete(t *testing.T) {
 		if strings.HasPrefix(k.String(), "event(") {
 			t.Fatalf("event kind %d has no name", k)
 		}
+	}
+}
+
+// TestUpdateRecyclesSliceBuffers: the slice fields start every step
+// empty, an Update appends into the recycled buffer, and a kept record
+// does not see a later step's writes.
+func TestUpdateRecyclesSliceBuffers(t *testing.T) {
+	r := New(Options{Keep: true})
+	for step, busy := range [][]int64{{1, 2, 3}, nil, {4, 5}} {
+		r.StartStep(step)
+		if busy != nil {
+			r.Update(func(sr *StepRecord) {
+				if len(sr.WorkerBusyNs) != 0 || len(sr.ClassBusyNs) != 0 || len(sr.Devices) != 0 {
+					t.Fatalf("step %d opened with stale slices: %+v", step, sr)
+				}
+				sr.WorkerBusyNs = append(sr.WorkerBusyNs, busy...)
+				sr.ClassBusyNs = append(sr.ClassBusyNs, busy...)
+			})
+		}
+		r.EndStep()
+	}
+	kept := r.Steps()
+	for i, want := range []int{3, 0, 2} {
+		if len(kept[i].WorkerBusyNs) != want || len(kept[i].ClassBusyNs) != want {
+			t.Fatalf("step %d kept %v / %v, want %d entries", i, kept[i].WorkerBusyNs, kept[i].ClassBusyNs, want)
+		}
+	}
+	if kept[0].WorkerBusyNs[0] != 1 || kept[2].ClassBusyNs[1] != 5 {
+		t.Fatalf("kept records share a buffer: %v, %v", kept[0].WorkerBusyNs, kept[2].ClassBusyNs)
 	}
 }
