@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"afmm/internal/experiments"
-	"afmm/internal/metrics"
 	"afmm/internal/sphharm"
 	"afmm/internal/telemetry"
 )
@@ -35,40 +34,19 @@ func main() {
 	flag.IntVar(&p.Steps, "steps", 0, "time steps for dynamic experiments (0 = default)")
 	flag.Float64Var(&p.Dt, "dt", 0, "time step size (0 = default)")
 	csv := flag.Bool("csv", false, "emit raw CSV instead of tables")
-	traceFile := flag.String("trace", "", "write the telemetry JSONL trace of the dynamic experiments' headline run to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve the live dashboard, Prometheus /metrics and /status on this address while the dynamic experiments run")
-	flightDir := flag.String("flightrec", "", "keep a flight-recorder ring of the headline run's last 32 steps and dump it into this directory on faults and sentinel anomalies")
+	tel := telemetry.RegisterFlags(flag.CommandLine, "one line per step of the dynamic experiments' headline run")
 	flag.Parse()
 	if p.P < 1 || p.P > sphharm.MaxOrder {
 		fmt.Fprintf(os.Stderr, "-p %d: the expansion order must be in [1, %d]\n", p.P, sphharm.MaxOrder)
 		os.Exit(2)
 	}
-	if *traceFile != "" {
-		tf, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer tf.Close()
-		p.Trace = tf
+	rec, err := tel.Open(false)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *metricsAddr != "" || *flightDir != "" {
-		opts := telemetry.Options{JSONL: p.Trace, Sentinel: &telemetry.SentinelConfig{}}
-		p.Trace = nil // the recorder owns the JSONL sink now
-		if *metricsAddr != "" {
-			opts.Metrics = metrics.NewRegistry()
-		}
-		opts.Flight = telemetry.NewFlightRecorder(0, *flightDir)
-		p.Rec = telemetry.New(opts)
-		if *metricsAddr != "" {
-			d, err := telemetry.StartDebug(*metricsAddr, p.Rec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "debug server (dashboard, /metrics, /status, pprof) on http://%s/\n", d.Addr())
-		}
-	}
+	defer tel.Close()
+	p.Rec = rec
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: afmm-bench [flags] fig3|fig4|fig6|table1|fig7|fig8|fig9|table2|fig10|all|cluster")

@@ -13,6 +13,7 @@ import (
 
 	"afmm"
 	"afmm/internal/sphharm"
+	"afmm/internal/telemetry"
 )
 
 func main() {
@@ -30,12 +31,8 @@ func main() {
 	soft := flag.Float64("soften", 0.01, "gravitational softening")
 	strategy := flag.Int("strategy", 3, "balancing strategy 1..3")
 	out := flag.String("o", "", "CSV output file (default stdout)")
-	traceFile := flag.String("trace", "", "write per-step JSONL trace to this file")
+	tel := telemetry.RegisterFlags(flag.CommandLine, "one line per step")
 	chromeFile := flag.String("chrome-trace", "", "write a Chrome trace_event JSON timeline (open in Perfetto) to this file")
-	debugAddr := flag.String("debug-addr", "", "serve expvar + net/http/pprof on this address (e.g. localhost:6060)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the live dashboard, Prometheus /metrics, /status and /flightrec on this address (implies a metrics registry; alias for -debug-addr with metrics enabled)")
-	flightDir := flag.String("flightrec", "", "keep a flight-recorder ring of the last 32 steps and dump it into this directory on faults, failed steps, and sentinel anomalies (use '.' for the working directory)")
-	sentinel := flag.Bool("sentinel", true, "arm the step-time regression sentinel (emits anomaly events; with -flightrec, alarms also dump)")
 	faults := flag.String("faults", "", "fault-injection schedule, e.g. gpu1:failstop@step12,gpu0:straggle2.5@step20")
 	pinS := flag.Bool("pin-s", false, "hold S fixed at its initial value (no balancer-driven rebuilds) so paired runs can be compared for bit-identity")
 	validate := flag.Bool("validate", false, "check accumulators for NaN/Inf after every solve (fails the step, triggering checkpoint recovery)")
@@ -75,43 +72,12 @@ func main() {
 		sys = makeSystem(*dist, *n, *seed)
 	}
 
-	var rec *afmm.Recorder
-	if *traceFile != "" || *chromeFile != "" || *debugAddr != "" || *metricsAddr != "" || *flightDir != "" {
-		var opts afmm.RecorderOptions
-		if *traceFile != "" {
-			tf, err := os.Create(*traceFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer tf.Close()
-			opts.JSONL = tf
-		}
-		opts.Keep = *chromeFile != ""
-		if *metricsAddr != "" {
-			opts.Metrics = afmm.NewMetricsRegistry()
-		}
-		if *flightDir != "" || *metricsAddr != "" {
-			// A metrics server without -flightrec still gets the in-memory
-			// ring, so /flightrec answers; dumps need a directory.
-			opts.Flight = afmm.NewFlightRecorder(0, *flightDir)
-		}
-		if *sentinel {
-			opts.Sentinel = &afmm.SentinelConfig{}
-		}
-		rec = afmm.NewRecorder(opts)
+	rec, err := tel.Open(*chromeFile != "")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	for _, addr := range []string{*debugAddr, *metricsAddr} {
-		if addr == "" {
-			continue
-		}
-		d, err := afmm.StartTelemetryDebug(addr, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug server (dashboard, /metrics, /status, pprof) on http://%s/\n", d.Addr())
-	}
+	defer tel.Close()
 
 	if *dmemNodes > 0 {
 		runClusterSim(clusterSimArgs{

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"afmm"
+	"afmm/internal/telemetry"
 )
 
 func main() {
@@ -20,9 +21,7 @@ func main() {
 	cores := flag.Int("cores", 10, "virtual CPU cores")
 	gpus := flag.Int("gpus", 2, "simulated GPUs")
 	gpuscale := flag.Float64("gpuscale", 1.0/64, "device throughput derating")
-	traceFile := flag.String("trace", "", "write a JSONL trace of the tuning sweep (one record per S candidate) to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve the live dashboard, Prometheus /metrics and /status on this address during the sweep")
-	flightDir := flag.String("flightrec", "", "keep a flight-recorder ring of the last 32 candidate records and dump it into this directory on sentinel anomalies")
+	tel := telemetry.RegisterFlags(flag.CommandLine, "one line per S candidate of the tuning sweep")
 	flag.Parse()
 
 	var sys *afmm.System
@@ -47,36 +46,13 @@ func main() {
 	machine.CPU = afmm.DefaultCPU()
 	machine.CPU.Cores = *cores
 
-	var rec *afmm.Recorder
-	if *traceFile != "" || *metricsAddr != "" || *flightDir != "" {
-		var opts afmm.RecorderOptions
-		if *traceFile != "" {
-			tf, err := os.Create(*traceFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer tf.Close()
-			opts.JSONL = tf
-		}
-		if *metricsAddr != "" {
-			opts.Metrics = afmm.NewMetricsRegistry()
-		}
-		if *flightDir != "" || *metricsAddr != "" {
-			opts.Flight = afmm.NewFlightRecorder(0, *flightDir)
-		}
-		opts.Sentinel = &afmm.SentinelConfig{}
-		rec = afmm.NewRecorder(opts)
-		machine.Rec = rec
+	rec, err := tel.Open(false)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *metricsAddr != "" {
-		d, err := afmm.StartTelemetryDebug(*metricsAddr, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug server (dashboard, /metrics, /status, pprof) on http://%s/\n", d.Addr())
-	}
+	defer tel.Close()
+	machine.Rec = rec
 
 	choice := afmm.Tune(sys, afmm.TuneRequest{
 		TargetRMSError: *target,

@@ -96,22 +96,25 @@ const (
 	StrategyFull
 )
 
-// Config tunes the balancer.
-type Config struct {
-	Strategy Strategy
-	// RegressionFrac triggers intervention when the compute time exceeds
+// The paper's fixed balancer constants.
+const (
+	// regressionFrac triggers intervention when the compute time exceeds
 	// the best seen by this fraction (paper: 5%).
-	RegressionFrac float64
-	// SwitchFrac ends Search/Incremental when |CPU-GPU| is within this
+	regressionFrac = 0.05
+	// switchFrac ends Search/Incremental when |CPU-GPU| is within this
 	// fraction of the compute time. The paper uses an absolute 0.15 s on
 	// ~1 s steps; the relative form keeps the behaviour at scaled-down
-	// problem sizes. SwitchAbs, when positive, is also accepted.
-	SwitchFrac float64
-	SwitchAbs  float64
+	// problem sizes.
+	switchFrac = 0.15
+	// incrementalFrac is the per-step relative S step in the incremental
+	// state.
+	incrementalFrac = 0.125
+)
+
+// Config tunes the balancer.
+type Config struct {
+	Strategy   Strategy
 	MinS, MaxS int
-	// IncrementalFrac is the per-step relative S step in the incremental
-	// state (default 1/8).
-	IncrementalFrac float64
 	// FineGrainBatch is the number of nodes modified per
 	// FineGrainedOptimize iteration (default: 1/64 of visible leaves,
 	// minimum 4).
@@ -121,7 +124,10 @@ type Config struct {
 	// DisableFineGrain turns FineGrainedOptimize off while keeping the
 	// rest of the full workflow — the ablation compared in Figure 10.
 	DisableFineGrain bool
-	// Costs models the virtual time spent by balancing operations.
+	// Costs models the virtual time spent by balancing operations. Its
+	// coefficients are constants; the field survives only because
+	// benchmark/trace.go, which a non-benchmark change may not edit, calls
+	// bal.Cfg.Costs.RefillCost, and the next benchmark change drops it.
 	Costs LBCostModel
 	// Rec, when non-nil, receives the balancer's typed event log (state
 	// transitions, S changes, probes/nudges, regressions, enforcement) and
@@ -132,25 +138,15 @@ type Config struct {
 }
 
 func (c *Config) setDefaults(n int) {
-	if c.RegressionFrac <= 0 {
-		c.RegressionFrac = 0.05
-	}
-	if c.SwitchFrac <= 0 {
-		c.SwitchFrac = 0.15
-	}
 	if c.MinS <= 0 {
 		c.MinS = 4
 	}
 	if c.MaxS <= 0 {
 		c.MaxS = n/2 + 8
 	}
-	if c.IncrementalFrac <= 0 {
-		c.IncrementalFrac = 0.125
-	}
 	if c.MaxFineGrainIters <= 0 {
 		c.MaxFineGrainIters = 12
 	}
-	c.Costs.setDefaults()
 }
 
 // Balancer drives one solver across time steps.
@@ -252,10 +248,7 @@ func dominant(st StepTimes) int {
 
 func (b *Balancer) withinSwitch(st StepTimes) bool {
 	gap := math.Abs(st.CPU - st.GPU)
-	if b.Cfg.SwitchAbs > 0 && gap <= b.Cfg.SwitchAbs {
-		return true
-	}
-	return gap <= b.Cfg.SwitchFrac*math.Max(st.Compute(), 1e-300)
+	return gap <= switchFrac*math.Max(st.Compute(), 1e-300)
 }
 
 // AfterStep runs the balancing workflow of §VII.B after a completed solve
@@ -366,7 +359,7 @@ func (b *Balancer) incrementalStep(s Target, st StepTimes) Report {
 		return r
 	}
 	b.prevDom = dom
-	step := int(math.Max(1, float64(cur)*b.Cfg.IncrementalFrac))
+	step := int(math.Max(1, float64(cur)*incrementalFrac))
 	next := cur + dom*step
 	if next < b.Cfg.MinS {
 		next = b.Cfg.MinS
@@ -393,7 +386,7 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 		b.haveBest = true
 		return r
 	}
-	if st.Compute() <= b.best*(1+b.Cfg.RegressionFrac) {
+	if st.Compute() <= b.best*(1+regressionFrac) {
 		if st.Compute() < b.best {
 			b.best = st.Compute()
 		}
@@ -410,7 +403,7 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 		b.haveBest = false
 		return r
 	}
-	threshold := b.best * (1 + b.Cfg.RegressionFrac)
+	threshold := b.best * (1 + regressionFrac)
 	cpu, gpu := b.predict(s)
 	r.LBTime += b.Cfg.Costs.predictCost(s)
 	pred := math.Max(cpu, gpu)

@@ -17,7 +17,7 @@ type CapacitySensor interface {
 }
 
 // noteCapacity folds a capacity epoch change into the balancer before the
-// normal state step. A shift beyond RegressionFrac means the CPU/GPU
+// normal state step. A shift beyond regressionFrac means the CPU/GPU
 // balance point moved for a reason no tree edit caused, so the optimal S
 // is stale: the full strategy re-enters Search bounded on the side of the
 // old S the shift points to (capacity dropped -> the near field got
@@ -40,7 +40,7 @@ func (b *Balancer) noteCapacity(s Target, cs CapacitySensor) (r Report) {
 	if old > 0 {
 		frac = math.Abs(c-old) / old
 	}
-	if frac <= b.Cfg.RegressionFrac {
+	if frac <= regressionFrac {
 		return r
 	}
 	switch b.Cfg.Strategy {

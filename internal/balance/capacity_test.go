@@ -32,7 +32,7 @@ func newCapTarget(t *testing.T, s int, predicts [][2]float64) *capTarget {
 }
 
 // TestCapacityLossReentersSearch: in Observation, a capacity drop beyond
-// RegressionFrac re-enters Search bounded below the current S (the near
+// regressionFrac re-enters Search bounded below the current S (the near
 // field got slower, so the optimum moved toward smaller leaves), and the
 // event log shows capacity -> state -> probe in order.
 func TestCapacityLossReentersSearch(t *testing.T) {
@@ -95,7 +95,7 @@ func TestCapacityGainSearchesUpward(t *testing.T) {
 	}
 }
 
-// TestCapacitySmallShiftIgnored: shifts within RegressionFrac leave the
+// TestCapacitySmallShiftIgnored: shifts within regressionFrac leave the
 // state machine alone (the event is still logged).
 func TestCapacitySmallShiftIgnored(t *testing.T) {
 	tgt := newCapTarget(t, 32, [][2]float64{{1, 1}})
@@ -103,7 +103,7 @@ func TestCapacitySmallShiftIgnored(t *testing.T) {
 	b := New(Config{Strategy: StrategyFull, MinS: 4, MaxS: 256, Rec: rec}, tgt.sys.Len())
 	b.Import(Snapshot{State: Observation, Best: 1.0, HaveBest: true})
 	b.AfterStep(tgt, StepTimes{CPU: 1, GPU: 1})
-	tgt.epoch, tgt.cap_ = 1, 97 // 3% < RegressionFrac 5%
+	tgt.epoch, tgt.cap_ = 1, 97 // 3% < regressionFrac 5%
 	rec.StartStep(1)
 	b.AfterStep(tgt, StepTimes{CPU: 1, GPU: 1})
 	rec.EndStep()

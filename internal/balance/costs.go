@@ -7,46 +7,31 @@ package balance
 // its benefit. Costs scale with the work each operation touches and are
 // divided over the virtual cores (construction and maintenance are
 // task-parallel in the paper).
-type LBCostModel struct {
-	// PartitionPerBodyLevel: seconds to route one body down one level
+type LBCostModel struct{}
+
+// The cost model's coefficients.
+const (
+	// partitionPerBodyLevel: seconds to route one body down one level
 	// during a rebuild or repartition.
-	PartitionPerBodyLevel float64
-	// RefillPerBodyLevel: seconds to re-bin one body down one level of
+	partitionPerBodyLevel = 12e-9
+	// refillPerBodyLevel: seconds to re-bin one body down one level of
 	// the existing tree.
-	RefillPerBodyLevel float64
-	// ListPerPair: seconds per interaction-list pair visited during the
+	refillPerBodyLevel = 18e-9
+	// listPerPair: seconds per interaction-list pair visited during the
 	// dual traversal that prediction requires.
-	ListPerPair float64
-	// WalkPerNode: seconds per visible node for tree walks.
-	WalkPerNode float64
-	// ParallelEff discounts the core count for these memory-bound phases.
-	ParallelEff float64
-}
+	listPerPair = 60e-9
+	// walkPerNode: seconds per visible node for tree walks.
+	walkPerNode = 40e-9
+	// parallelEff discounts the core count for these memory-bound phases.
+	parallelEff = 0.7
+)
 
-func (m *LBCostModel) setDefaults() {
-	if m.PartitionPerBodyLevel <= 0 {
-		m.PartitionPerBodyLevel = 12e-9
-	}
-	if m.RefillPerBodyLevel <= 0 {
-		m.RefillPerBodyLevel = 18e-9
-	}
-	if m.ListPerPair <= 0 {
-		m.ListPerPair = 60e-9
-	}
-	if m.WalkPerNode <= 0 {
-		m.WalkPerNode = 40e-9
-	}
-	if m.ParallelEff <= 0 {
-		m.ParallelEff = 0.7
-	}
-}
-
-func (m *LBCostModel) cores(s Target) float64 {
+func (LBCostModel) cores(s Target) float64 {
 	k := float64(s.Cores())
 	if k < 1 {
 		k = 1
 	}
-	return k * m.ParallelEff
+	return k * parallelEff
 }
 
 // avgLeafDepth returns the body-weighted mean visible-leaf depth.
@@ -70,7 +55,7 @@ func avgLeafDepth(s Target) float64 {
 // per level of its final depth (estimated from the current tree).
 func (m LBCostModel) rebuildCost(s Target) float64 {
 	depth := avgLeafDepth(s) + 1
-	return float64(s.System().Len()) * depth * m.PartitionPerBodyLevel / m.cores(s)
+	return float64(s.System().Len()) * depth * partitionPerBodyLevel / m.cores(s)
 }
 
 // RefillCost charges for re-binning all bodies into the existing
@@ -78,16 +63,16 @@ func (m LBCostModel) rebuildCost(s Target) float64 {
 // every step for every strategy.
 func (m LBCostModel) RefillCost(s Target) float64 {
 	depth := avgLeafDepth(s) + 1
-	return float64(s.System().Len()) * depth * m.RefillPerBodyLevel / m.cores(s)
+	return float64(s.System().Len()) * depth * refillPerBodyLevel / m.cores(s)
 }
 
 // enforceCost charges for the Enforce_S walk plus its repartitions.
 func (m LBCostModel) enforceCost(s Target, collapses, pushdowns int) float64 {
 	st := s.Octree().ComputeStats()
-	walk := float64(st.VisibleNodes) * m.WalkPerNode
+	walk := float64(st.VisibleNodes) * walkPerNode
 	// A pushdown repartitions roughly S bodies one level; collapses only
 	// flip flags.
-	part := float64(pushdowns) * float64(s.S()) * m.PartitionPerBodyLevel
+	part := float64(pushdowns) * float64(s.S()) * partitionPerBodyLevel
 	return (walk + part) / m.cores(s)
 }
 
@@ -99,7 +84,7 @@ func (m LBCostModel) enforceCost(s Target, collapses, pushdowns int) float64 {
 func (m LBCostModel) predictCost(s Target) float64 {
 	st := s.Octree().ComputeStats()
 	pairs := float64(s.Octree().LastListWork().Pairs)
-	return (pairs*m.ListPerPair + float64(st.VisibleNodes)*m.WalkPerNode) / m.cores(s)
+	return (pairs*listPerPair + float64(st.VisibleNodes)*walkPerNode) / m.cores(s)
 }
 
 // modifyCost charges for applying (or reverting) a Collapse/PushDown batch.
@@ -109,5 +94,5 @@ func (m LBCostModel) modifyCost(s Target, batch []int32) float64 {
 	for _, ni := range batch {
 		bodies += float64(t.Nodes[ni].Count())
 	}
-	return bodies * m.PartitionPerBodyLevel / m.cores(s)
+	return bodies * partitionPerBodyLevel / m.cores(s)
 }

@@ -212,7 +212,7 @@ func TestChaosStokesClusterBitIdentical(t *testing.T) {
 }
 
 // TestHeartbeatDetectorRecovery: a fail-stop under lossy links is
-// detected by heartbeat age — not the oracle — and the run still matches
+// detected by heartbeat age and the run still matches
 // the single-node trajectory exactly.
 func TestHeartbeatDetectorRecovery(t *testing.T) {
 	const (

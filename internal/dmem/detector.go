@@ -8,8 +8,8 @@ import (
 	"afmm/internal/fault"
 )
 
-// detector is the heartbeat-based failure detector that replaces the
-// oracle node-loss detection of the priced path: a heartbeat goroutine
+// detector is the heartbeat-based failure detector, the one way a node
+// loss is found (node faults require Execute): a heartbeat goroutine
 // stamps every node's last-seen clock each interval, and a node's
 // suspicion level is its heartbeat age behind the freshest beat, measured
 // in intervals and normalized so that suspicion >= 1 declares it dead
@@ -21,13 +21,13 @@ import (
 // silences the node's heartbeat (the injected failure). Detection is
 // then earned the production way: the step loop blocks until the dead
 // node's suspicion crosses the threshold, and the measured wall-clock
-// latency — not the priced path's modeled oracle delay — is what the
-// run report records. Heartbeats cross the same lossy links as data
-// frames: each beat survives with the link schedule's worst outgoing
-// drop rate for the node, drawn deterministically per beat, so
-// within-budget loss schedules widen detection latency without causing
-// false positives (SuspectAfter consecutive losses of a < 1.0-rate link
-// is vanishingly unlikely at the default threshold).
+// latency is what the run report records and the step is charged.
+// Heartbeats cross the same lossy links as data frames: each beat
+// survives with the link schedule's worst outgoing drop rate for the
+// node, drawn deterministically per beat, so within-budget loss
+// schedules widen detection latency without causing false positives
+// (SuspectAfter consecutive losses of a < 1.0-rate link is vanishingly
+// unlikely at the default threshold).
 type detector struct {
 	interval     time.Duration
 	suspectAfter int

@@ -80,7 +80,8 @@ type Config struct {
 	// NodeFaults injects node-level fail-stop events into RunWith
 	// (parse specs like "node2:failstop@step12" with
 	// fault.ParseNodeEvents). A lost node's range is repartitioned over
-	// the survivors and the capacity epoch advances.
+	// the survivors and the capacity epoch advances. Requires Execute:
+	// the runtime's heartbeat detector is what finds the loss.
 	NodeFaults []fault.NodeEvent
 	// LinkFaults injects per-link chaos into the executed runtime's
 	// transport (parse specs like "link0-2:drop0.05@step3" with
@@ -94,11 +95,6 @@ type Config struct {
 
 	link linkConfig // protocol knobs; zero (the defaults) outside tests
 }
-
-// oracleDetectLatencies is the modeled failure-detection delay charged to
-// the step where a node loss is absorbed, in units of Net.Latency. Execute
-// mode measures detection with the heartbeat detector instead.
-const oracleDetectLatencies = 100
 
 // HomogeneousNodes returns n identical node specs.
 func HomogeneousNodes(n int, spec NodeSpec) []NodeSpec {
@@ -201,6 +197,9 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	}
 	if cfg.Core.P > sphharm.MaxOrder {
 		return nil, fmt.Errorf("dmem: expansion order %d above the supported %d", cfg.Core.P, sphharm.MaxOrder)
+	}
+	if len(cfg.NodeFaults) > 0 && !cfg.Execute {
+		return nil, fmt.Errorf("dmem: NodeFaults require Execute (node loss is detected by the runtime's heartbeats)")
 	}
 	for _, ev := range cfg.NodeFaults {
 		if ev.Node < 0 || ev.Node >= len(cfg.Nodes) {
@@ -668,12 +667,12 @@ type RunResult struct {
 	TotalBytes int64
 	Rebalances int
 	// NodeLosses counts fail-stop events absorbed; RecoveryTime is the
-	// detection + repartition-broadcast time charged for them (measured
-	// heartbeat latency in Execute mode, modeled otherwise).
+	// detection + repartition-broadcast time charged for them, detection
+	// being the measured heartbeat latency.
 	NodeLosses   int
 	RecoveryTime float64
 	// DetectLatencies are the measured heartbeat detection latencies,
-	// seconds, one per node loss (empty when the oracle detected).
+	// seconds, one per node loss.
 	DetectLatencies []float64
 	// Net aggregates the run's link-layer delivery activity.
 	Net telemetry.NetSample
@@ -696,16 +695,15 @@ type RunConfig struct {
 // absorbing any configured node faults at step boundaries: the dead
 // node's range is redistributed over the survivors, the capacity epoch
 // advances (capacity estimates re-derive from 1), and the step is
-// charged the modeled detection timeout plus a repartition broadcast.
+// charged the heartbeat detector's measured detection latency plus a
+// repartition broadcast.
 func (s *Solver) RunWith(rc RunConfig) RunResult {
 	var res RunResult
 	pol := rc.Policy
-	lastRepart := rc.StartStep - pol.Cooldown - 1
-	// Execute mode detects node loss with the heartbeat detector: the
-	// fault event only silences the dead node's heartbeater, and the
-	// step loop blocks until suspicion crosses the threshold — measured
-	// detection, not the oracle.
-	if s.rt != nil && len(s.Cfg.NodeFaults) > 0 {
+	// Node loss is detected with the heartbeat detector: the fault event
+	// only silences the dead node's heartbeater, and the step loop blocks
+	// until suspicion crosses the threshold.
+	if len(s.Cfg.NodeFaults) > 0 {
 		s.det = newDetector(len(s.Cfg.Nodes), s.Cfg.link, s.Cfg.LinkFaults, s.Cfg.LinkSeed)
 		defer func() {
 			s.det.stop()
@@ -736,16 +734,9 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 			sys.Pos[i] = sys.Pos[i].Add(sys.Vel[i].Scale(rc.Dt))
 		}
 		s.Inner.Refill()
-		if pol.Threshold > 0 && rep.Imbalance > pol.Threshold &&
-			step-lastRepart > pol.Cooldown {
-			oldCuts := append([]int32(nil), s.cuts...)
-			gain := s.Rebalance()
-			if pol.MinGain > 1 && gain < pol.MinGain {
-				s.cuts = oldCuts // hysteresis: predicted gain too small
-			} else {
-				res.Rebalances++
-				lastRepart = step
-			}
+		if pol.Threshold > 0 && rep.Imbalance > pol.Threshold {
+			s.Rebalance()
+			res.Rebalances++
 		}
 		res.Steps = append(res.Steps, rep)
 		res.TotalTime += rep.StepTime
@@ -779,13 +770,13 @@ func observeNet(rec *telemetry.Recorder, step int, net telemetry.NetSample) {
 // capacity epoch advances so per-node capacity estimates re-derive.
 // Returns the recovery time to charge to this step.
 //
-// With the heartbeat detector live (Execute mode), the fault only
-// silences the node's heartbeater; the loop then blocks until the
-// detector's suspicion declares the node dead, and that measured
-// wall-clock latency — not the modeled oracle delay — is charged and
-// recorded. The node never participates in a step between its silencing
-// and its detection: detection completes before the step executes, so
-// bit-identity is preserved (the survivors compute everything).
+// The fault only silences the node's heartbeater in the live detector
+// (RunWith starts it); the loop then blocks until the detector's
+// suspicion declares the node dead, and that measured wall-clock latency
+// is charged and recorded. The node never participates in a step between
+// its silencing and its detection: detection completes before the step
+// executes, so bit-identity is preserved (the survivors compute
+// everything).
 func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 	var recovery float64
 	for _, ev := range s.Cfg.NodeFaults {
@@ -795,15 +786,9 @@ func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 		if s.aliveCount() <= 1 {
 			continue // never kill the last node
 		}
-		var detect float64
-		if s.det != nil {
-			s.det.silence(ev.Node)
-			lat := s.det.waitDead(ev.Node)
-			detect = lat.Seconds()
-			res.DetectLatencies = append(res.DetectLatencies, detect)
-		} else {
-			detect = oracleDetectLatencies * s.Cfg.Net.Latency
-		}
+		s.det.silence(ev.Node)
+		detect := s.det.waitDead(ev.Node).Seconds()
+		res.DetectLatencies = append(res.DetectLatencies, detect)
 		s.alive[ev.Node] = false
 		s.capEpoch++
 		for k := range s.caps {

@@ -2,6 +2,7 @@ package dmem
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"afmm/internal/core"
@@ -234,15 +235,16 @@ func TestRecoveryTimeSumsPerEventCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := clusterConfig(4)
+	cfg := execClusterConfig(4)
 	cfg.NodeFaults = events
 	d, err := NewSolver(distrib.Plummer(2000, 1, 1, 3), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := d.RunWith(RunConfig{Steps: 3, Dt: 1e-4})
-	if res.NodeLosses != 2 {
-		t.Fatalf("node losses = %d, want 2", res.NodeLosses)
+	if res.NodeLosses != 2 || len(res.DetectLatencies) != 2 {
+		t.Fatalf("node losses = %d with %d detection latencies, want 2 and 2",
+			res.NodeLosses, len(res.DetectLatencies))
 	}
 	// What a step was charged on top of its slowest node.
 	var charged float64
@@ -253,10 +255,52 @@ func TestRecoveryTimeSumsPerEventCharges(t *testing.T) {
 		}
 		charged += rep.StepTime - slowest
 	}
-	// Priced mode charges the modeled amount: per event, the oracle's
-	// detection delay plus a repartition broadcast to every node.
-	want := 2 * (oracleDetectLatencies + 4) * d.Cfg.Net.Latency
+	// Per event: the heartbeat detector's measured detection latency
+	// plus a repartition broadcast to every node.
+	want := 2 * 4 * d.Cfg.Net.Latency
+	for _, lat := range res.DetectLatencies {
+		want += lat
+	}
 	if math.Abs(res.RecoveryTime-want) > 1e-9*want || math.Abs(charged-want) > 1e-9*want {
 		t.Fatalf("RecoveryTime = %v, step times were charged %v, want both %v", res.RecoveryTime, charged, want)
+	}
+}
+
+// TestInvalidClusterConfigRejected: a fault schedule NewSolver cannot run
+// is a configuration error, not a failure inside the run.
+func TestInvalidClusterConfigRejected(t *testing.T) {
+	nodeEvents := func(spec string) []fault.NodeEvent {
+		ev, err := fault.ParseNodeEvents(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	cases := []struct {
+		name, want string // want: a substring of the error
+		mod        func(*Config)
+	}{
+		{"node faults without Execute", "NodeFaults require Execute", func(c *Config) {
+			c.Execute = false
+			c.NodeFaults = nodeEvents("node1:failstop@step1")
+		}},
+		{"link faults without Execute", "LinkFaults require Execute", func(c *Config) {
+			c.Execute = false
+			c.LinkFaults = mustCluster(t, "link0-1:drop0.3@step0")
+		}},
+		{"node fault on an unknown node", "unknown node 4", func(c *Config) {
+			c.NodeFaults = nodeEvents("node4:failstop@step1")
+		}},
+		{"link fault on an unknown link", "unknown link 0-4", func(c *Config) {
+			c.LinkFaults = mustCluster(t, "link0-4:drop0.3@step0")
+		}},
+	}
+	for _, tc := range cases {
+		cfg := execClusterConfig(4)
+		tc.mod(&cfg)
+		_, err := NewSolver(distrib.Plummer(100, 1, 1, 1), cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

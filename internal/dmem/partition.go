@@ -63,16 +63,9 @@ func computeCuts(leafEnds []int32, costs []float64, shares []float64, n int) []i
 	return cuts
 }
 
-// RebalancePolicy gates cost-driven repartitioning with hysteresis, so a
-// noisy imbalance signal cannot thrash the cuts every step.
+// RebalancePolicy gates cost-driven repartitioning.
 type RebalancePolicy struct {
-	// Threshold is the compute imbalance (max/mean) above which a
-	// repartition is considered; <= 0 disables repartitioning.
+	// Threshold is the compute imbalance (max/mean) above which the step
+	// repartitions; <= 0 disables repartitioning.
 	Threshold float64
-	// MinGain is the minimum predicted improvement ratio (old max node
-	// cost / new max node cost) required to adopt new cuts; values <= 1
-	// adopt every computed repartition.
-	MinGain float64
-	// Cooldown is the minimum number of steps between repartitions.
-	Cooldown int
 }

@@ -3,9 +3,11 @@ package dmem
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"afmm/internal/core"
 	"afmm/internal/distrib"
@@ -71,6 +73,39 @@ func TestExecuteBitIdenticalGravity(t *testing.T) {
 				t.Fatalf("%d workers: acc[%d]: distributed %v != single %v", workers, i, sysD.Acc[i], sysS.Acc[i])
 			}
 		}
+	}
+}
+
+// TestExecuteStressOneProc is a cheap stress for the executed runtime:
+// 40 steps of a small 4-node cluster, repartitioning whenever it skews,
+// on a 1-worker driver pool under GOMAXPROCS=1, where every arrival and
+// send node blocks on the one P. A deadlock fails the test on a timer,
+// with every goroutine's stack, instead of hanging it.
+func TestExecuteStressOneProc(t *testing.T) {
+	const steps = 40
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := execClusterConfig(4)
+	cfg.Core.Pool = sched.NewPool(1)
+	d, err := NewSolver(distrib.TwoClusters(400, 0.3, 1, 4, 4, 17), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan RunResult, 1)
+	go func() { done <- d.RunWith(RunConfig{Steps: steps, Dt: 5e-4, Policy: RebalancePolicy{Threshold: 1.05}}) }()
+	select {
+	case res := <-done:
+		if len(res.Steps) != steps || res.TotalBytes == 0 || res.Rebalances == 0 {
+			t.Fatalf("%d step reports, %d bytes exchanged, %d repartitions",
+				len(res.Steps), res.TotalBytes, res.Rebalances)
+		}
+		for i, rep := range res.Steps {
+			if !rep.Executed {
+				t.Fatalf("step %d was not executed", i)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d executed steps did not finish in 30s: deadlock?\n%s", steps, buf[:runtime.Stack(buf, true)])
 	}
 }
 
@@ -189,7 +224,10 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 	// Fail a node and solve again: the survivors must reproduce the
 	// single-node result exactly.
 	var res RunResult
+	cl.det = newDetector(len(cl.Cfg.Nodes), cl.Cfg.link, cl.Cfg.LinkFaults, cl.Cfg.LinkSeed)
 	cl.applyNodeFaults(1, &res)
+	cl.det.stop()
+	cl.det = nil
 	if res.NodeLosses != 1 || cl.Alive()[1] {
 		t.Fatalf("node 1 not lost: %d losses, alive %v", res.NodeLosses, cl.Alive())
 	}

@@ -13,7 +13,6 @@
 package experiments
 
 import (
-	"io"
 	"math"
 
 	"afmm/internal/balance"
@@ -50,14 +49,11 @@ type Params struct {
 	// Steps and Dt drive the time-dependent experiments.
 	Steps int
 	Dt    float64
-	// Trace, when non-nil, receives the telemetry JSONL trace of the
-	// dynamic experiments' headline run (Fig8's strategy-3 simulation,
-	// Fig10's FGO-enabled simulation).
-	Trace io.Writer
-	// Rec, when non-nil, is attached to the same headline runs in place
-	// of Trace — it carries whatever sinks the caller configured (JSONL,
-	// metrics registry, flight recorder, sentinel), so afmm-bench's
-	// -metrics-addr server watches the dynamic experiments live.
+	// Rec, when non-nil, is attached to the dynamic experiments' headline
+	// run (Fig8's strategy-3 simulation, Fig10's FGO-enabled simulation)
+	// with whatever sinks the caller configured (JSONL trace, metrics
+	// registry, flight recorder, sentinel), so afmm-bench's -metrics-addr
+	// server watches the dynamic experiments live.
 	Rec *telemetry.Recorder
 }
 
@@ -459,7 +455,6 @@ func Fig8(p Params) []StrategyRun {
 		c := cfg
 		c.Balance = balance.Config{Strategy: sr.st}
 		if sr.st == balance.StrategyFull {
-			c.Trace = p.Trace
 			c.Rec = p.Rec
 		}
 		res := sim.RunGravity(dynamicSolver(p), c)
@@ -550,7 +545,6 @@ func Fig10(p Params) ([]RatioPoint, float64) {
 			},
 		}
 		if !disableFGO {
-			simCfg.Trace = p.Trace
 			simCfg.Rec = p.Rec
 		}
 		return sim.RunStokes(sol, nil, simCfg)

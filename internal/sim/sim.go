@@ -46,15 +46,12 @@ type Config struct {
 	// the snapshot's S); the loop imports the balancer FSM state and
 	// continues step numbering from Snapshot.Step toward Steps.
 	Resume *checkpoint.Snapshot
-	// Trace, when non-nil, receives one JSON line per step — the
-	// telemetry.StepRecord schema (timings, S, balancer state and typed
-	// events, phase spans, cost-model observation). When Rec is nil a
-	// recorder is created internally to feed it.
-	Trace io.Writer
 	// Rec, when non-nil, is the telemetry recorder the run threads through
-	// the solver, the balancer, and the step loop (use Options.Keep +
-	// WriteChrome for a timeline export). Takes precedence over creating
-	// one from Trace.
+	// the solver, the balancer, and the step loop: a recorder with
+	// Options.JSONL writes one telemetry.StepRecord per step as a JSON
+	// line (timings, S, balancer state and typed events, phase spans,
+	// cost-model observation); Options.Keep + WriteChrome export a
+	// timeline.
 	Rec *telemetry.Recorder
 	// Observe, when non-nil, is called after each step's solve+move with
 	// the step's potentials and accelerations (velocities, for Stokes)
@@ -63,14 +60,6 @@ type Config struct {
 	// permuters), so the whole run costs two allocations, not two per
 	// step — copy anything that must survive the callback.
 	Observe func(step int, phi []float64, acc []geom.Vec3)
-	// OverlapObserve runs the Observe callback concurrently with the next
-	// step's tree refill (the companion of the solvers' step graph:
-	// step k's observation tail and step k+1's structure maintenance have
-	// no data dependency once the input-order buffers are captured —
-	// Refill permutes the storage arrays, not the copies). The callback
-	// must then only read its arguments, not the solver's system. Results
-	// are unchanged; the refill cost hides behind the observation.
-	OverlapObserve bool
 }
 
 // StepRecord captures one time step. The *Ns fields are host wall-clock
@@ -213,9 +202,6 @@ func (r *Result) trimTo(from int) {
 // after MaxRecoveries failures.
 func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (cpu, gpu float64, host telemetry.HostPhases, err error)) Result {
 	rec := cfg.Rec
-	if rec == nil && cfg.Trace != nil {
-		rec = telemetry.New(telemetry.Options{JSONL: cfg.Trace})
-	}
 	if rec.Enabled() {
 		s.SetRecorder(rec)
 		cfg.Balance.Rec = rec
@@ -310,39 +296,19 @@ func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (
 			continue
 		}
 		compute := math.Max(cpu, gpu)
-		// Observation tail: capture the input-order copies before Refill
-		// (which permutes the storage arrays), then either run the callback
-		// inline or — with OverlapObserve — concurrently with the refill,
-		// the copies being the only data the two share is severed from.
-		var obsDone chan struct{}
-		var obsPanic any
+		// Observation tail: the input-order copies are taken before Refill
+		// permutes the storage arrays.
 		if cfg.Observe != nil {
 			sys := s.System()
 			phiBuf = sys.PhiInInputOrderInto(phiBuf)
 			accBuf = sys.AccInInputOrderInto(accBuf)
-			if cfg.OverlapObserve {
-				obsDone = make(chan struct{})
-				go func() {
-					defer close(obsDone)
-					defer func() { obsPanic = recover() }()
-					cfg.Observe(step, phiBuf, accBuf)
-				}()
-			} else {
-				cfg.Observe(step, phiBuf, accBuf)
-			}
+			cfg.Observe(step, phiBuf, accBuf)
 		}
 		refillTimer := sched.StartTimer()
 		s.Refill()
 		refillDur := refillTimer.Elapsed()
 		rec.AddSpan(telemetry.SpanRefill, 0, refillTimer.StartTime(), refillDur)
-		if obsDone != nil {
-			<-obsDone
-			if obsPanic != nil {
-				// Re-raise the observer's failure on the loop goroutine.
-				panic(obsPanic)
-			}
-		}
-		refill := bal.Cfg.Costs.RefillCost(s)
+		refill := balance.LBCostModel{}.RefillCost(s)
 		balTimer := sched.StartTimer()
 		rep := bal.AfterStep(s, balance.StepTimes{CPU: cpu, GPU: gpu})
 		rec.AddSpan(telemetry.SpanBalance, 0, balTimer.StartTime(), balTimer.Elapsed())

@@ -279,7 +279,7 @@ func TestTraceEmitsValidJSONL(t *testing.T) {
 	res := RunGravity(s, Config{
 		Dt: 2e-4, Steps: 10,
 		Balance: balance.Config{Strategy: balance.StrategyFull},
-		Trace:   &buf,
+		Rec:     telemetry.New(telemetry.Options{JSONL: &buf}),
 	})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 10 {
@@ -429,67 +429,34 @@ func TestRecorderThreadedThroughRun(t *testing.T) {
 	}
 }
 
-// TestOverlapObserveMatchesInline: the observation tail overlapped with
-// the next step's refill sees exactly what the inline callback sees — the
-// input-order copies are captured before Refill permutes the storage
-// arrays, so overlapping cannot change a bit of what is observed.
-func TestOverlapObserveMatchesInline(t *testing.T) {
-	type obs struct {
-		step int
-		phi  float64
-		acc  geom.Vec3
-	}
-	collect := func(overlap bool) []obs {
-		s := dynamicSolver(1000, 5)
-		cfg := simCfg(balance.StrategyFull, 12)
-		var got []obs
-		cfg.Observe = func(step int, phi []float64, acc []geom.Vec3) {
-			var sp float64
-			var sa geom.Vec3
-			for i := range phi {
-				sp += phi[i]
-				sa = sa.Add(acc[i])
-			}
-			got = append(got, obs{step, sp, sa})
-		}
-		cfg.OverlapObserve = overlap
-		if res := RunGravity(s, cfg); res.Err != nil {
-			t.Fatalf("overlap=%v: %v", overlap, res.Err)
-		}
-		return got
-	}
-	inline := collect(false)
-	over := collect(true)
-	if len(inline) != len(over) || len(inline) != 12 {
-		t.Fatalf("callback counts: inline %d, overlapped %d", len(inline), len(over))
-	}
-	for i := range inline {
-		if inline[i] != over[i] {
-			t.Fatalf("step %d: overlapped observation %+v differs from inline %+v",
-				i, over[i], inline[i])
-		}
-	}
-}
-
-// TestOverlapObservePanicPropagates: a failure on the observer goroutine
-// must surface on the loop goroutine, not vanish.
-func TestOverlapObservePanicPropagates(t *testing.T) {
-	s := dynamicSolver(600, 6)
-	cfg := simCfg(balance.StrategyFull, 3)
+// TestObserveSeesEveryStepInInputOrder: the Observe callback runs once
+// per step, in step order, and its phi is in input order — the last call's
+// copy equals what the system reports after the run (Refill and the
+// balancer only permute the storage arrays).
+func TestObserveSeesEveryStepInInputOrder(t *testing.T) {
+	s := dynamicSolver(1000, 5)
+	cfg := simCfg(balance.StrategyFull, 12)
+	var steps []int
+	var last []float64
 	cfg.Observe = func(step int, phi []float64, acc []geom.Vec3) {
-		if step == 1 {
-			panic("observer boom")
+		steps = append(steps, step)
+		last = append(last[:0], phi...)
+	}
+	if res := RunGravity(s, cfg); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if len(steps) != 12 {
+		t.Fatalf("%d callbacks, want 12", len(steps))
+	}
+	for i, st := range steps {
+		if st != i {
+			t.Fatalf("callback %d saw step %d", i, st)
 		}
 	}
-	cfg.OverlapObserve = true
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("observer panic did not propagate to the loop")
+	want := s.Sys.PhiInInputOrder()
+	for i := range want {
+		if last[i] != want[i] {
+			t.Fatalf("phi[%d]: last observed %v, system reports %v", i, last[i], want[i])
 		}
-		if r != "observer boom" {
-			t.Fatalf("unexpected panic payload: %v", r)
-		}
-	}()
-	RunGravity(s, cfg)
+	}
 }

@@ -516,8 +516,6 @@ type Options struct {
 	// Keep retains every finalized StepRecord in memory (required for
 	// WriteChrome and for tests that inspect whole runs).
 	Keep bool
-	// SpanCap presizes the span buffer (default 256).
-	SpanCap int
 	// Metrics, when non-nil, receives per-step aggregates at every
 	// EndStep: step-wall and per-phase histograms, event/list/tree-edit
 	// counters, worker-class busy time, task-graph schedule quality, and
@@ -561,15 +559,15 @@ type Recorder struct {
 	pendingDump string // dump reason set in endStepLocked, flushed after unlock
 }
 
+// spanCap presizes the span buffer.
+const spanCap = 256
+
 // New creates a recorder.
 func New(opts Options) *Recorder {
-	if opts.SpanCap <= 0 {
-		opts.SpanCap = 256
-	}
 	r := &Recorder{
 		opts:     opts,
 		origin:   time.Now(),
-		spanBuf:  make([]Span, 0, opts.SpanCap),
+		spanBuf:  make([]Span, 0, spanCap),
 		eventBuf: make([]Event, 0, 32),
 		flight:   opts.Flight,
 	}
