@@ -32,9 +32,11 @@ type Field interface {
 	// Up computes cell ni's multipoles: P2M at a visible leaf, M2M from
 	// the occupied children above.
 	Up(w *expansion.Workspace, ni int32)
-	// Down computes cell ni's locals: L2L from the parent, then the
-	// translated pairs of the V list through the shared M2L table.
-	Down(w *expansion.Workspace, ni int32)
+	// Down computes the locals of a run of one level's cells: into each,
+	// L2L from the parent, then the translated pairs of its V list through
+	// the shared M2L table. A cell's bits do not depend on the run it is
+	// in.
+	Down(w *expansion.Workspace, nodes []int32)
 	// L2P evaluates leaf ni's finalized locals at its bodies: per body
 	// exactly one addition onto the near-field-accumulated value — the
 	// only far-field write into the body accumulators.
@@ -249,17 +251,15 @@ func (f *GravityField) Up(w *expansion.Workspace, ni int32) {
 	w.P2MLeaf(f.Mpole(0, ni), n.Box.Center, f.Sys.Pos[n.Start:n.End], f.Sys.Mass[n.Start:n.End])
 }
 
-func (f *GravityField) Down(w *expansion.Workspace, ni int32) {
-	t := f.Tree
-	n := &t.Nodes[ni]
-	f.L2L(w, ni)
-	if len(n.V) > 0 {
-		srcs := w.Sources(len(n.V))
-		for _, vi := range n.V {
-			srcs = append(srcs, expansion.M2LSource{M: f.Mpole(0, vi), From: t.Nodes[vi].Box.Center})
-		}
-		f.M2L.M2L(w, f.Local(0, ni), t, ni, srcs)
+// Down shifts every parent's locals into the run's cells, then translates
+// the run's V pairs as one theta-batched M2L (SharedM2L.M2L): a quad of
+// the packed kernel may take pairs of several cells, and each cell still
+// takes its pairs in the one canonical order.
+func (f *GravityField) Down(w *expansion.Workspace, nodes []int32) {
+	for _, ni := range nodes {
+		f.L2L(w, ni)
 	}
+	f.M2L.M2L(w, &f.Cells, nodes)
 }
 
 func (f *GravityField) L2P(w *expansion.Workspace, ni int32) {

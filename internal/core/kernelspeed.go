@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"afmm/internal/expansion"
 	"afmm/internal/octree"
 	"afmm/internal/sched"
@@ -116,21 +119,65 @@ func farRun(t *octree.Tree, ni int32, from int) (lo, hi int) {
 	return lo, hi
 }
 
-// M2L accumulates into l the translated pairs of node ni's V list (srcs
-// parallel to t.Nodes[ni].V; entries the near-field schedule sums directly
-// are skipped): through the table when it was built for
-// exactly t's current list topology, else through the reference form — the
-// same arithmetic either way.
-func (m *SharedM2L) M2L(w *expansion.Workspace, l expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource) {
-	to := t.Nodes[ni].Box.Center
-	table := m.Tab != nil && m.epoch == t.ListEpoch()
-	for lo, hi := farRun(t, ni, 0); lo < len(srcs); lo, hi = farRun(t, ni, hi) {
-		if table {
-			w.M2LBatchTable(l, to, srcs[lo:hi], m.Cls.Row(ni)[lo:hi], m.Tab)
-		} else {
-			w.M2LBatch(l, to, srcs[lo:hi])
+// M2L accumulates into column 0 of c's locals, for every cell in nodes
+// (cells of one level), the translated pairs of its V list — the entries
+// the near-field schedule sums directly are skipped. Each cell takes its
+// pairs in the canonical order: theta (the polar angle of the translation
+// vector) ascending, then V-list index. Through the table, the run's pairs
+// go to theta-batched calls (expansion.Workspace.M2LBatchTheta) of whole
+// cells, which keep that order per cell whatever the run; without a table
+// built for exactly t's current list topology, each cell sorts its pairs
+// so and runs the reference form — the same arithmetic either way.
+func (m *SharedM2L) M2L(w *expansion.Workspace, c *Cells, nodes []int32) {
+	t := c.Tree
+	if m.Tab == nil || m.epoch != t.ListEpoch() {
+		for _, ni := range nodes {
+			m2lReference(w, c, ni)
+		}
+		return
+	}
+	pairs := w.Pairs(int(min(thetaBatch, m.Cls.Pairs)))
+	for _, ni := range nodes {
+		v, row := t.Nodes[ni].V, m.Cls.Row(ni)
+		if len(pairs) > 0 && len(pairs)+len(v) > thetaBatch {
+			w.M2LBatchTheta(c.locals[0], c.mpoles[0], pairs, m.Tab)
+			pairs = pairs[:0]
+		}
+		for lo, hi := farRun(t, ni, 0); lo < len(v); lo, hi = farRun(t, ni, hi) {
+			for k := lo; k < hi; k++ {
+				pairs = append(pairs, expansion.M2LPair{L: ni, M: v[k], Class: row[k]})
+			}
 		}
 	}
+	w.M2LBatchTheta(c.locals[0], c.mpoles[0], pairs, m.Tab)
+}
+
+// thetaBatch bounds the pairs of one theta-batched call: M2L hands a run
+// over in batches of whole cells of at most this many pairs (a cell with
+// more is a batch of its own), so the workspace's pair scratch (28 bytes a
+// pair) has a fixed size however long the run. On grav-far-p8's tree at 8
+// down chunks a level, whole chunks (up to 10.9k pairs) put 83.2% of the
+// translated pairs in full quads, batches of at most 8192 pairs 81.8%,
+// and one cell at a time 24.9%.
+const thetaBatch = 8192
+
+// m2lReference is M2L's table-free form for cell ni: its translated pairs
+// sorted stably by theta, through the uncached M2LBatch.
+func m2lReference(w *expansion.Workspace, c *Cells, ni int32) {
+	t := c.Tree
+	v, to := t.Nodes[ni].V, t.Nodes[ni].Box.Center
+	srcs := w.Sources(len(v))
+	for lo, hi := farRun(t, ni, 0); lo < len(v); lo, hi = farRun(t, ni, hi) {
+		for _, vi := range v[lo:hi] {
+			srcs = append(srcs, expansion.M2LSource{M: c.Mpole(0, vi), From: t.Nodes[vi].Box.Center})
+		}
+	}
+	polar := func(s expansion.M2LSource) float64 {
+		_, theta, _ := s.From.Sub(to).Spherical()
+		return theta
+	}
+	slices.SortStableFunc(srcs, func(a, b expansion.M2LSource) int { return cmp.Compare(polar(a), polar(b)) })
+	w.M2LBatch(c.Local(0, ni), to, srcs)
 }
 
 // M2L4 is M2L for four expansions per cell over one geometry (the

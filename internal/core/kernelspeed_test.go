@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -201,6 +203,160 @@ func TestNearRowMatchesPerSpanScalar(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(3, sweep); a != 0 {
 			t.Errorf("ghosts %v: the near-field rows allocate %v times, want 0", g != nil, a)
+		}
+	}
+}
+
+// downRunTree is a solved gravity tree whose down sweep has what the theta
+// batching must get right: cells with four or more translated partners at
+// one polar angle, cells with exactly three, and cells whose V list is
+// summed directly entry by entry.
+func downRunTree(t *testing.T) (*Solver, *GravityField) {
+	t.Helper()
+	s := NewSolver(distrib.Plummer(1500, 1, 1, 9), Config{P: 4, S: 8})
+	s.Solve()
+	tr := s.Tree
+	var quads, triples, allDirect int
+	for ni := range tr.Nodes {
+		n := &tr.Nodes[ni]
+		if len(n.V) == 0 {
+			continue
+		}
+		mask := tr.DirectMask(int32(ni))
+		perTheta := map[float64]int{}
+		for k, vi := range n.V {
+			if !mask[k] {
+				_, theta, _ := tr.Nodes[vi].Box.Center.Sub(n.Box.Center).Spherical()
+				perTheta[theta]++
+			}
+		}
+		if len(perTheta) == 0 {
+			allDirect++
+		}
+		for _, c := range perTheta {
+			if c >= 4 {
+				quads++
+			}
+			if c == 3 {
+				triples++
+			}
+		}
+	}
+	if quads == 0 || triples == 0 || allDirect == 0 {
+		t.Fatalf("tree lacks a case: %d same-theta quads, %d triples, %d fully direct V lists", quads, triples, allDirect)
+	}
+	return s, s.Field.(*GravityField)
+}
+
+// TestDownRunMatchesPerCell: Down over a level's cells as one run, split
+// in two at every point, and split at random points into many runs leaves
+// every local bit-identical to one Down call per cell — the theta batch of
+// a chunk never changes a cell's bits.
+func TestDownRunMatchesPerCell(t *testing.T) {
+	s, f := downRunTree(t)
+	rng := rand.New(rand.NewSource(4))
+	w := expansion.NewWorkspace(s.Cfg.P)
+	slab := f.locals[0]
+	for lv, cells := range s.Tree.LevelOrder() {
+		done := slices.Clone(slab) // the solved locals: every parent final
+		redo := func(runs ...[]int32) []complex128 {
+			copy(slab, done)
+			for _, ni := range cells {
+				clear(f.Local(0, ni).C)
+			}
+			for _, run := range runs {
+				f.Down(w, run)
+			}
+			return slices.Clone(slab)
+		}
+		var single [][]int32
+		for i := range cells {
+			single = append(single, cells[i:i+1])
+		}
+		want := redo(single...)
+		check := func(how string, runs ...[]int32) {
+			t.Helper()
+			got := redo(runs...)
+			for k := range want {
+				if math.Float64bits(real(got[k])) != math.Float64bits(real(want[k])) ||
+					math.Float64bits(imag(got[k])) != math.Float64bits(imag(want[k])) {
+					t.Fatalf("level %d, %s: coefficient %d: run %v, per cell %v", lv, how, k, got[k], want[k])
+				}
+			}
+		}
+		check("whole level", cells)
+		for cut := 1; cut < len(cells); cut++ {
+			check(fmt.Sprintf("cut at %d", cut), cells[:cut], cells[cut:])
+		}
+		for trial := 0; trial < 4; trial++ {
+			var runs [][]int32
+			for lo := 0; lo < len(cells); {
+				hi := min(len(cells), lo+1+rng.Intn(12))
+				runs = append(runs, cells[lo:hi])
+				lo = hi
+			}
+			check(fmt.Sprintf("random runs %d", trial), runs...)
+		}
+		copy(slab, done)
+	}
+}
+
+// TestDownChunkAllocationFree: a down chunk of the step graph — one Down
+// over its run, the theta batch's scratch in the workspace — allocates
+// nothing once the workspaces have run a step.
+func TestDownChunkAllocationFree(t *testing.T) {
+	s := NewSolver(distrib.Plummer(3000, 1, 1, 3), Config{P: 6, S: 16})
+	s.Solve()
+	spec := s.StepSpec(s.Field, s.ws, nil)
+	levels := s.Tree.LevelOrder()
+	deepest := levels[len(levels)-1]
+	for _, cells := range [][]int32{levels[2], deepest, deepest[:len(deepest)/2]} {
+		chunk := spec.DownChunk(cells)
+		chunk()
+		if a := testing.AllocsPerRun(5, chunk); a != 0 {
+			t.Errorf("a down chunk over %d cells allocates %v times, want 0", len(cells), a)
+		}
+	}
+}
+
+// BenchmarkThetaDownSweep times the gravity down sweep of a Plummer tree
+// (N = 20000, S = 64, as grav-far-p8) level by level on one workspace, in
+// two cuts of the same cells: every level in 8 runs of equal cell count
+// (the step graph's chunks at two workers), and one run per cell, where a
+// theta batch can only pair a cell with itself. ns/pair is per translated
+// V pair, L2L included; the two cuts leave the same bits.
+func BenchmarkThetaDownSweep(b *testing.B) {
+	for _, p := range []int{4, 8} {
+		s := NewSolver(distrib.Plummer(20000, 1, 1, 7), Config{P: p, S: 64})
+		s.Solve()
+		f := s.Field.(*GravityField)
+		var pairs int
+		for ni := range s.Tree.Nodes {
+			pairs += s.Tree.FarPairs(int32(ni))
+		}
+		levels := s.Tree.LevelOrder()
+		w := expansion.NewWorkspace(p)
+		for _, cut := range []string{"chunks", "cells"} {
+			var runs [][]int32
+			for _, cells := range levels {
+				n := 8
+				if cut == "cells" {
+					n = len(cells)
+				}
+				for i := 0; i < n; i++ {
+					if lo, hi := i*len(cells)/n, (i+1)*len(cells)/n; lo < hi {
+						runs = append(runs, cells[lo:hi])
+					}
+				}
+			}
+			b.Run(fmt.Sprintf("p=%d/%s", p, cut), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, run := range runs {
+						f.Down(w, run)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
+			})
 		}
 	}
 }

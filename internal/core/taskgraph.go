@@ -63,21 +63,27 @@ func (s *Solver) reservedDrivers() int {
 // dmem node narrows it to its body range over a private field.
 func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 	spec := dag.Spec{Tree: s.Tree, Pool: s.Cfg.Pool, Tags: taskTags, Share: dag.Share{Hi: int32(s.Sys.Len())}}
-	// chunk is a graph node body applying op to every cell of nodes with
-	// one workspace.
-	chunk := func(op func(w *expansion.Workspace, ni int32)) func(nodes []int32) func() {
+	// chunk is a graph node body applying op to the run nodes with one
+	// workspace. Up and L2P go cell by cell (each); Down takes the whole
+	// run, so a down chunk's M2L pairs are batched by theta together.
+	chunk := func(op func(w *expansion.Workspace, nodes []int32)) func(nodes []int32) func() {
 		return func(nodes []int32) func() {
 			return func() {
 				w := ws.Get()
-				for _, ni := range nodes {
-					op(w, ni)
-				}
+				op(w, nodes)
 				ws.Put(w)
 			}
 		}
 	}
+	each := func(op func(w *expansion.Workspace, ni int32)) func(w *expansion.Workspace, nodes []int32) {
+		return func(w *expansion.Workspace, nodes []int32) {
+			for _, ni := range nodes {
+				op(w, ni)
+			}
+		}
+	}
 	if !s.Cfg.SkipFarField {
-		spec.UpChunk, spec.DownChunk, spec.L2P = chunk(f.Up), chunk(f.Down), chunk(f.L2P)
+		spec.UpChunk, spec.DownChunk, spec.L2P = chunk(each(f.Up)), chunk(f.Down), chunk(each(f.L2P))
 	}
 	if !s.Cfg.SkipNearField {
 		sch := s.Tree.NearField()

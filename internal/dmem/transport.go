@@ -519,21 +519,19 @@ func (tp *transport) Rerequest(f flowID) payload {
 // noteGhostDegrade records a ghost flow recovered host-side.
 func (tp *transport) noteGhostDegrade() { tp.nc.degradedGhost.Add(1) }
 
-// payloadSum is an FNV-1a checksum over the payload's float bits (and
-// slice structure), the frame's integrity check.
+// payloadSum is the frame's integrity check: the payload's float bits and
+// slice lengths folded in one 64-bit word at a time, h = (h ^ w) * prime,
+// with FNV's offset and prime. For a fixed word a step is a bijection of
+// the state (xor, then a multiply by an odd constant), and for a fixed
+// state it is injective in the word, so two payloads of the same shape
+// that differ in one bit always sum differently.
 func payloadSum(p payload) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	h := uint64(offset)
-	w64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
+	w64 := func(v uint64) { h = (h ^ v) * prime }
 	wf := func(f float64) { w64(math.Float64bits(f)) }
 	w64(uint64(len(p.exp)))
 	for _, c := range p.exp {

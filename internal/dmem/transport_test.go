@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -277,6 +278,51 @@ func TestCorruptCopyPreservesOriginal(t *testing.T) {
 			t.Fatal("corruptCopy mutated the original payload")
 		}
 	}
+}
+
+// TestPayloadSumCatchesEveryBitFlip: flipping any single bit of a small
+// expansion payload or of a small ghost payload (positions, masses and
+// auxiliary vectors) changes the frame checksum.
+func TestPayloadSumCatchesEveryBitFlip(t *testing.T) {
+	// flipAll toggles each bit of each of the payload's n float words in
+	// turn through flip(word, bit), which a second call undoes.
+	flipAll := func(name string, p payload, n int, flip func(word, bit int)) {
+		sum := payloadSum(p)
+		for word := 0; word < n; word++ {
+			for bit := 0; bit < 64; bit++ {
+				flip(word, bit)
+				if payloadSum(p) == sum {
+					t.Fatalf("%s: flipping bit %d of word %d left the checksum unchanged", name, bit, word)
+				}
+				flip(word, bit)
+			}
+		}
+		if payloadSum(p) != sum {
+			t.Fatalf("%s: undoing every flip did not restore the checksum", name)
+		}
+	}
+	toggle := func(f *float64, bit int) { *f = math.Float64frombits(math.Float64bits(*f) ^ 1<<bit) }
+
+	exp := expPayload(6, 3)
+	flipAll("expansion", exp, 2*len(exp.exp), func(word, bit int) {
+		parts := [2]float64{real(exp.exp[word/2]), imag(exp.exp[word/2])}
+		toggle(&parts[word%2], bit)
+		exp.exp[word/2] = complex(parts[0], parts[1])
+	})
+
+	ghost := ghostPayload()
+	gl := &ghost.ghost[0]
+	gl.Aux = []geom.Vec3{{X: 7, Y: -8, Z: 9}, {X: 0, Y: 1e-300, Z: math.Copysign(0, -1)}}
+	var words []*float64
+	for _, vs := range [][]geom.Vec3{gl.Pos, gl.Aux} {
+		for i := range vs {
+			words = append(words, &vs[i].X, &vs[i].Y, &vs[i].Z)
+		}
+	}
+	for i := range gl.Mass {
+		words = append(words, &gl.Mass[i])
+	}
+	flipAll("ghost", ghost, len(words), func(word, bit int) { toggle(words[word], bit) })
 }
 
 // TestNetStatsAddMergesLinks: run-level aggregation merges per-link rows

@@ -15,11 +15,14 @@ import (
 // M2M and L2L run the same kernel with their own axial rows (rotation.go).
 //
 // The kernel has two widths. Width 1 (m2lApply) translates one expansion;
-// width 4 (m2lApply4, table form M2LBatchTable4) translates four
-// expansions that share one geometry — the Stokeslet's four harmonic
-// passes — through one read of the setup. Every column of the wide kernel
-// executes m2lApply's operations in m2lApply's order, so a column equals
-// the single-column translation of the same inputs bit for bit.
+// width 4 (m2lApply4) translates four expansions that share one theta —
+// one read of the half stack, the setup's expensive factor — each column
+// with its own phases and radial powers (colGeom). Two table forms run it:
+// M2LBatchTable4, the Stokeslet's four harmonic passes over one geometry,
+// and M2LBatchTheta, gravity's pairs grouped four to a theta (table.go).
+// Every column of the wide kernel executes m2lApply's operations in
+// m2lApply's order, so a column equals the single-column translation of
+// the same inputs bit for bit.
 
 // M2LSource pairs a source multipole expansion with its center for a
 // batched translation. The source order must equal the target order.
@@ -233,18 +236,69 @@ func rotateHalf4(p int, outRe, outIm, inRe, inIm [][4]float64, half []float64, o
 	}
 }
 
+// colGeom is the per-column geometry of a four-column translation,
+// lane-major: zph[2m] holds the four columns' cos(m phi), zph[2m+1] their
+// sin(m phi) (m = 0..p), and rpow[i] their radial-power factors
+// (i = 0..2p+1). The columns share the half stack, so they share theta;
+// phi and rho are each column's own.
+type colGeom struct {
+	zph, rpow [][4]float64
+}
+
+func newColGeom(p int) colGeom {
+	g := make([][4]float64, 4*p+4)
+	return colGeom{zph: g[:2*p+2], rpow: g[2*p+2:]}
+}
+
+// fill makes column c's geometry the width-1 rows zph[c] (p+1 phases) and
+// rpow[c] (2p+2 powers, as the table's rows). Where the packed body runs,
+// an assembly transpose with whole-vector stores does it: over the theta
+// batches of grav-far-p8's tree that ran the M2L 1–10 % faster (median
+// 5 %, five in-process comparisons) than this loop.
+func (g *colGeom) fill(zph *[4][]complex128, rpow *[4][]float64) {
+	p := len(g.zph)/2 - 1
+	for c := range zph {
+		zph[c], rpow[c] = zph[c][:p+1], rpow[c][:2*p+2]
+	}
+	if packedOK {
+		geoLanesAVX2(p, &g.zph[0], &g.rpow[0], &zph[0][0], &zph[1][0], &zph[2][0], &zph[3][0],
+			&rpow[0][0], &rpow[1][0], &rpow[2][0], &rpow[3][0])
+		return
+	}
+	for c := range zph {
+		for m, z := range zph[c] {
+			g.zph[2*m][c], g.zph[2*m+1][c] = real(z), imag(z)
+		}
+		for i, r := range rpow[c] {
+			g.rpow[i][c] = r
+		}
+	}
+}
+
+// wide returns the four-column scratch and geometry, made on the
+// workspace's first four-column translation.
+func (r *rotWorkspace) wide(p int) *colGeom {
+	if r.aRe4 == nil {
+		pl := sphharm.PackedLen(p)
+		split := make([][4]float64, 4*pl)
+		r.aRe4, r.aIm4, r.bRe4, r.bIm4 = split[:pl], split[pl:2*pl], split[2*pl:3*pl], split[3*pl:]
+		r.geo = newColGeom(p)
+	}
+	return &r.geo
+}
+
 // m2lApply4 is m2lApply over four columns: src[c] translates into l[c]
-// through one pass over half, zph, rpow and ax. The axial coefficient and
-// each phase pair are computed once per term and applied to all four
-// columns; per column the operations and their order are m2lApply's.
-func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []complex128, rpow, ax []float64) {
+// through one pass over half and ax, with column c's phases and radial
+// powers (colGeom's layout). Each phase pair and axial coefficient is
+// applied lane by lane; per column the operations and their order are
+// m2lApply's on that column's geometry. The columns are added to their
+// targets in column order, so l may name one expansion more than once: it
+// then ends as after m2lApply on columns 0, 1, 2, 3 in turn.
+func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph, rpow [][4]float64, ax []float64) {
 	p := l[0].P
 	r := w.rot
 	pl := sphharm.PackedLen(p)
-	if r.aRe4 == nil { // this workspace's first four-column translation
-		split := make([][4]float64, 4*pl)
-		r.aRe4, r.aIm4, r.bRe4, r.bIm4 = split[:pl], split[pl:2*pl], split[2*pl:3*pl], split[3*pl:]
-	}
+	r.wide(p)
 	if packedOK {
 		w.m2lPacked4(l, src, half, zph, rpow, ax)
 		return
@@ -254,19 +308,21 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 
 	// Forward frame change: split D * e^{im phi} * src.
 	for m := 0; m <= p; m++ {
-		c, s := real(zph[m]), imag(zph[m])
+		c, s := zph[2*m], zph[2*m+1]
 		if m%2 == 1 {
-			c, s = -c, -s
+			for k := range c {
+				c[k], s[k] = -c[k], -s[k]
+			}
 		}
 		for n, i := m, sphharm.Idx(m, m); n <= p; n, i = n+1, i+n+1 {
 			x0, y0 := real(s0[i]), imag(s0[i])
 			x1, y1 := real(s1[i]), imag(s1[i])
 			x2, y2 := real(s2[i]), imag(s2[i])
 			x3, y3 := real(s3[i]), imag(s3[i])
-			aRe[i] = [4]float64{float64(x0*c) - float64(y0*s), float64(x1*c) - float64(y1*s),
-				float64(x2*c) - float64(y2*s), float64(x3*c) - float64(y3*s)}
-			aIm[i] = [4]float64{float64(x0*s) + float64(y0*c), float64(x1*s) + float64(y1*c),
-				float64(x2*s) + float64(y2*c), float64(x3*s) + float64(y3*c)}
+			aRe[i] = [4]float64{float64(x0*c[0]) - float64(y0*s[0]), float64(x1*c[1]) - float64(y1*s[1]),
+				float64(x2*c[2]) - float64(y2*s[2]), float64(x3*c[3]) - float64(y3*s[3])}
+			aIm[i] = [4]float64{float64(x0*s[0]) + float64(y0*c[0]), float64(x1*s[1]) + float64(y1*c[1]),
+				float64(x2*s[2]) + float64(y2*c[2]), float64(x3*s[3]) + float64(y3*c[3])}
 		}
 	}
 
@@ -280,17 +336,18 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 			ab, rp := ax[off+(j-k)/laneWidth*laneWidth*cnt+(j-k)%laneWidth:], rpow[j+k:][:cnt]
 			var r0, r1, r2, r3, i0, i1, i2, i3 float64
 			q := sphharm.Idx(k, k)
-			for i, rv := range rp {
-				c := ab[i*laneWidth] * rv
+			for i := range rp {
+				a, rv := ab[i*laneWidth], &rp[i]
+				c0, c1, c2, c3 := a*rv[0], a*rv[1], a*rv[2], a*rv[3]
 				x, y := &bRe[q], &bIm[q]
-				r0 += float64(c * x[0])
-				r1 += float64(c * x[1])
-				r2 += float64(c * x[2])
-				r3 += float64(c * x[3])
-				i0 += float64(c * y[0])
-				i1 += float64(c * y[1])
-				i2 += float64(c * y[2])
-				i3 += float64(c * y[3])
+				r0 += float64(c0 * x[0])
+				r1 += float64(c1 * x[1])
+				r2 += float64(c2 * x[2])
+				r3 += float64(c3 * x[3])
+				i0 += float64(c0 * y[0])
+				i1 += float64(c1 * y[1])
+				i2 += float64(c2 * y[2])
+				i3 += float64(c3 * y[3])
 				q += k + i + 1
 			}
 			if k%2 == 1 {
@@ -305,16 +362,17 @@ func (w *Workspace) m2lApply4(l, src *[4]Expansion, half []float64, zph []comple
 
 	rotateHalf4(p, bRe, bIm, aRe, aIm, half, true)
 
-	// Back to the source frame: conjugate phases; accumulate.
+	// Back to the source frame: conjugate phases; accumulate column by
+	// column.
 	l0, l1, l2, l3 := l[0].C[:pl], l[1].C[:pl], l[2].C[:pl], l[3].C[:pl]
 	for m := 0; m <= p; m++ {
-		c, s := real(zph[m]), imag(zph[m])
+		c, s := &zph[2*m], &zph[2*m+1]
 		for n, i := m, sphharm.Idx(m, m); n <= p; n, i = n+1, i+n+1 {
 			x, y := &bRe[i], &bIm[i]
-			l0[i] += complex(float64(x[0]*c)+float64(y[0]*s), float64(y[0]*c)-float64(x[0]*s))
-			l1[i] += complex(float64(x[1]*c)+float64(y[1]*s), float64(y[1]*c)-float64(x[1]*s))
-			l2[i] += complex(float64(x[2]*c)+float64(y[2]*s), float64(y[2]*c)-float64(x[2]*s))
-			l3[i] += complex(float64(x[3]*c)+float64(y[3]*s), float64(y[3]*c)-float64(x[3]*s))
+			l0[i] += complex(float64(x[0]*c[0])+float64(y[0]*s[0]), float64(y[0]*c[0])-float64(x[0]*s[0]))
+			l1[i] += complex(float64(x[1]*c[1])+float64(y[1]*s[1]), float64(y[1]*c[1])-float64(x[1]*s[1]))
+			l2[i] += complex(float64(x[2]*c[2])+float64(y[2]*s[2]), float64(y[2]*c[2])-float64(x[2]*s[2]))
+			l3[i] += complex(float64(x[3]*c[3])+float64(y[3]*s[3]), float64(y[3]*c[3])-float64(x[3]*s[3]))
 		}
 	}
 }

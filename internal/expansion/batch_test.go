@@ -121,6 +121,18 @@ func TestM2LBatchAllocationFree(t *testing.T) {
 		if a := testing.AllocsPerRun(10, func() { w.M2LBatch(l, to, srcs) }); a != 0 {
 			t.Fatalf("M2LBatch allocates %v times per call, want 0", a)
 		}
+		// The theta-batched form, once its pair scratch holds the batch.
+		dirs := thetaQuads(benchDirs(rng, 20))
+		tb := buildTable(p, dirs, nil, 0)
+		slab := make([]complex128, 8*sphharm.PackedLen(p))
+		pairs := w.Pairs(300)
+		for i := 0; i < 300; i++ {
+			pairs = append(pairs, M2LPair{L: int32(rng.Intn(8)), M: int32(rng.Intn(8)), Class: int32(rng.Intn(len(dirs)))})
+		}
+		w.M2LBatchTheta(slab, slab, pairs, tb)
+		if a := testing.AllocsPerRun(5, func() { w.M2LBatchTheta(slab, slab, pairs, tb) }); a != 0 {
+			t.Fatalf("M2LBatchTheta allocates %v times per call, want 0", a)
+		}
 		// Reuse leaves no state behind: a used workspace equals a fresh one.
 		used, fresh := NewExpansion(p), NewExpansion(p)
 		w.M2LBatch(used, to, srcs)

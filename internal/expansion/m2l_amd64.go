@@ -36,19 +36,30 @@ func axialAVX2(p int, outRe, outIm, inRe, inIm, axbL, rpow *float64)
 func mergeAVX2(p int, l *complex128, bRe, bIm *float64, zph, tmp *complex128)
 
 // The width-4 stages: the lanes are the four columns of one coefficient,
-// so nothing is padded or overrun.
+// so nothing is padded or overrun. The phases and radial powers are the
+// columns' own, lane-major (colGeom).
 
 //go:noescape
-func split4AVX2(p int, aRe, aIm *[4]float64, s0, s1, s2, s3, zph *complex128)
+func split4AVX2(p int, aRe, aIm *[4]float64, s0, s1, s2, s3 *complex128, zph *[4]float64)
 
 //go:noescape
 func rotHalf4AVX2(p int, outRe, outIm, inRe, inIm *[4]float64, half *float64, orderMajor int)
 
 //go:noescape
-func axial4AVX2(p int, outRe, outIm, inRe, inIm *[4]float64, axbL, rpow *float64)
+func axial4AVX2(p int, outRe, outIm, inRe, inIm *[4]float64, axbL *float64, rpow *[4]float64)
 
+// geoLanesAVX2 is colGeom.fill on vector registers: it transposes the four
+// columns' width-1 rows into the lane-major layout with whole-vector
+// stores.
+//
 //go:noescape
-func merge4AVX2(p int, l0, l1, l2, l3 *complex128, bRe, bIm *[4]float64, zph *complex128)
+func geoLanesAVX2(p int, zph, rpow *[4]float64, z0, z1, z2, z3 *complex128, r0, r1, r2, r3 *float64)
+
+// merge4AVX2 adds the columns to l0..l3 in column order; the targets may
+// repeat.
+//
+//go:noescape
+func merge4AVX2(p int, l0, l1, l2, l3 *complex128, bRe, bIm, zph *[4]float64)
 
 // m2lPacked is m2lApply on the packed bodies: split, rotate, translate
 // axially, rotate back, merge, a -> b -> a -> b through the scratch as the
@@ -65,9 +76,10 @@ func (w *Workspace) m2lPacked(l Expansion, src []complex128, half []float64, zph
 }
 
 // m2lPacked4 is m2lApply4 on the packed bodies.
-func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph []complex128, rpow, ax []float64) {
+func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph, rpow [][4]float64, ax []float64) {
 	p, r := l[0].P, w.rot
 	aRe, aIm, bRe, bIm := &r.aRe4[0], &r.aIm4[0], &r.bRe4[0], &r.bIm4[0]
+	_, _ = zph[:2*p+2], rpow[:2*p+2]
 	split4AVX2(p, aRe, aIm, &src[0].C[0], &src[1].C[0], &src[2].C[0], &src[3].C[0], &zph[0])
 	rotHalf4AVX2(p, bRe, bIm, aRe, aIm, &half[0], 0)
 	axial4AVX2(p, aRe, aIm, bRe, bIm, &ax[0], &rpow[0])

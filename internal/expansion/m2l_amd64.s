@@ -13,7 +13,9 @@
 // matrix entries come as one vector load from a lane-major table
 // (halfStackInto, laneRowInto) and the input coefficient is broadcast. At
 // width 4 the lanes are the four columns of one output: the input is the
-// vector load and the matrix entry the broadcast, from the same tables.
+// vector load and the matrix entry the broadcast, from the same tables;
+// each column has its own phases and radial powers, laid out lane-major
+// (colGeom), so those are vector loads too.
 //
 // Plan 9 operand order: VMULPD b, a, d is d = a * b; VADDPD b, a, d is
 // d = a + b; VSUBPD b, a, d is d = a - b.
@@ -253,11 +255,12 @@ r4term:
 	VZEROUPPER
 	RET
 
-// func axial4AVX2(p int, outRe, outIm, inRe, inIm *[4]float64, axbL, rpow *float64)
+// func axial4AVX2(p int, outRe, outIm, inRe, inIm *[4]float64, axbL *float64, rpow *[4]float64)
 //
 // axialAVX2 with one output degree j per pass (DX = j-k) and 32-byte
-// coefficients: ab and rpow are broadcast, the input loaded. BX = order k's
-// block of axbL, 0(SP) = k, AX counts the terms.
+// coefficients: ab is broadcast, the four columns' radial powers and the
+// input loaded. BX = order k's block of axbL, R10 = &rpow[2k], 0(SP) = k,
+// AX counts the terms.
 TEXT ·axial4AVX2(SB), NOSPLIT, $8-56
 	MOVQ p+0(FP), CX
 	INCQ CX
@@ -283,7 +286,9 @@ a4degree:
 	MOVQ 0(SP), R13
 	INCQ R13
 	SHLQ $5, R13
-	LEAQ (R10)(DX*8), R14              // rpow[j+k+i]
+	MOVQ DX, R14                       // &rpow[j+k+i], 32 bytes a row
+	SHLQ $5, R14
+	ADDQ R10, R14
 	MOVQ DX, R15                       // lane (j-k)%4 of group (j-k)/4,
 	SHRQ $2, R15                       // a group being p-k+1 terms of 4
 	IMULQ CX, R15
@@ -296,14 +301,13 @@ a4degree:
 
 a4term:
 	VBROADCASTSD (R15), Y2
-	VBROADCASTSD (R14), Y3
-	VMULPD  Y3, Y2, Y2                 // c = ab * rpow
+	VMULPD  (R14), Y2, Y2              // c = ab * rpow, per column
 	VMULPD  (R11), Y2, Y3
 	VMULPD  (R12), Y2, Y4
 	VADDPD  Y3, Y0, Y0
 	VADDPD  Y4, Y1, Y1
 	ADDQ $32, R15
-	ADDQ $8, R14
+	ADDQ $32, R14
 	ADDQ R13, R11
 	ADDQ R13, R12
 	ADDQ $32, R13
@@ -334,7 +338,7 @@ a4term:
 	SHLQ $5, R15
 	ADDQ R15, SI
 	ADDQ R15, DI
-	ADDQ $16, R10
+	ADDQ $64, R10
 	VXORPD  Y14, Y15, Y15
 	INCQ AX
 	MOVQ AX, 0(SP)
@@ -532,12 +536,12 @@ mdone:
 	VZEROUPPER
 	RET
 
-// func split4AVX2(p int, aRe, aIm *[4]float64, s0, s1, s2, s3, zph *complex128)
+// func split4AVX2(p int, aRe, aIm *[4]float64, s0, s1, s2, s3 *complex128, zph *[4]float64)
 //
-// Order by order: c, s broadcast, the four columns' (re, im) zipped into
-// one re and one im vector.
+// Order by order: the four columns' c and s loaded (zph[2m], zph[2m+1]),
+// their (re, im) zipped into one re and one im vector.
 //
-// AX = m   BX = zph_m   CX = 16 Idx(n, m)   DX = 16 (n+1)   SI, DI, R10,
+// AX = m   BX = &zph[2m]   CX = 16 Idx(n, m)   DX = 16 (n+1)   SI, DI, R10,
 // R11 = columns   R8, R9 = a   R12 = degrees left   Y13 = sign bits if m is
 // odd, else 0.
 TEXT ·split4AVX2(SB), NOSPLIT, $0-64
@@ -555,8 +559,8 @@ TEXT ·split4AVX2(SB), NOSPLIT, $0-64
 	XORQ CX, CX                        // Idx(0, 0)
 
 s4order:
-	VBROADCASTSD (BX), Y6
-	VBROADCASTSD 8(BX), Y7
+	VMOVUPD (BX), Y6
+	VMOVUPD 32(BX), Y7
 	VXORPD  Y13, Y6, Y6
 	VXORPD  Y13, Y7, Y7
 	MOVQ CX, R13
@@ -589,7 +593,7 @@ s4term:
 	LEAQ 2(AX), DX                     // Idx(m+1, m+1) - Idx(m, m) = m+2
 	SHLQ $4, DX
 	ADDQ DX, CX
-	ADDQ $16, BX
+	ADDQ $64, BX
 	VXORPD  Y14, Y13, Y13
 	INCQ AX
 	CMPQ AX, p+0(FP)
@@ -598,9 +602,12 @@ s4term:
 	VZEROUPPER
 	RET
 
-// func merge4AVX2(p int, l0, l1, l2, l3 *complex128, bRe, bIm *[4]float64, zph *complex128)
+// func merge4AVX2(p int, l0, l1, l2, l3 *complex128, bRe, bIm, zph *[4]float64)
 //
-// split4AVX2's registers, with R8, R9 = b and no sign.
+// split4AVX2's registers, with R8, R9 = b and no sign. The four columns'
+// values are added to l0, l1, l2, l3 one after another, each a load, an
+// add and a store, so a column reads what the columns before it stored:
+// targets may repeat, and each then takes its columns in column order.
 TEXT ·merge4AVX2(SB), NOSPLIT, $0-64
 	MOVQ l0+8(FP), SI
 	MOVQ l1+16(FP), DI
@@ -613,8 +620,8 @@ TEXT ·merge4AVX2(SB), NOSPLIT, $0-64
 	XORQ CX, CX
 
 m4order:
-	VBROADCASTSD (BX), Y6
-	VBROADCASTSD 8(BX), Y7
+	VMOVUPD (BX), Y6
+	VMOVUPD 32(BX), Y7
 	MOVQ CX, R13
 	LEAQ 1(AX), DX
 	SHLQ $4, DX
@@ -634,15 +641,19 @@ m4term:
 	VUNPCKLPD Y8, Y2, Y10              // re0 im0 | re2 im2
 	VUNPCKHPD Y8, Y2, Y11              // re1 im1 | re3 im3
 	VMOVUPD (SI)(R13*1), X4
-	VINSERTF128 $1, (R10)(R13*1), Y4, Y4
-	VADDPD  Y10, Y4, Y4
+	VADDPD  X10, X4, X4
 	VMOVUPD X4, (SI)(R13*1)
-	VEXTRACTF128 $1, Y4, (R10)(R13*1)
 	VMOVUPD (DI)(R13*1), X5
-	VINSERTF128 $1, (R11)(R13*1), Y5, Y5
-	VADDPD  Y11, Y5, Y5
+	VADDPD  X11, X5, X5
 	VMOVUPD X5, (DI)(R13*1)
-	VEXTRACTF128 $1, Y5, (R11)(R13*1)
+	VEXTRACTF128 $1, Y10, X10
+	VEXTRACTF128 $1, Y11, X11
+	VMOVUPD (R10)(R13*1), X4
+	VADDPD  X10, X4, X4
+	VMOVUPD X4, (R10)(R13*1)
+	VMOVUPD (R11)(R13*1), X5
+	VADDPD  X11, X5, X5
+	VMOVUPD X5, (R11)(R13*1)
 	ADDQ DX, R13
 	ADDQ $16, DX
 	DECQ R12
@@ -651,10 +662,67 @@ m4term:
 	LEAQ 2(AX), DX
 	SHLQ $4, DX
 	ADDQ DX, CX
-	ADDQ $16, BX
+	ADDQ $64, BX
 	INCQ AX
 	CMPQ AX, p+0(FP)
 	JLE  m4order
+
+	VZEROUPPER
+	RET
+
+// func geoLanesAVX2(p int, zph, rpow *[4]float64, z0, z1, z2, z3 *complex128, r0, r1, r2, r3 *float64)
+//
+// colGeom.fill: transposes four phase rows (p+1 entries, each cos and sin)
+// and four radial-power rows (2p+2 entries) into the lane-major layout,
+// two entries per pass, with whole 32-byte stores that the width-4
+// stages' vector loads forward from.
+//
+// AX = byte offset into the rows (16 a pass)   CX = passes, p+1
+// DI = destination   R8..R11 = the four rows   DX = passes left.
+TEXT ·geoLanesAVX2(SB), NOSPLIT, $0-88
+	MOVQ p+0(FP), CX
+	INCQ CX
+	MOVQ zph+8(FP), DI
+	MOVQ z0+24(FP), R8
+	MOVQ z1+32(FP), R9
+	MOVQ z2+40(FP), R10
+	MOVQ z3+48(FP), R11
+	XORQ AX, AX
+	MOVQ CX, DX
+
+glz:
+	VMOVUPD (R8)(AX*1), X0
+	VINSERTF128 $1, (R10)(AX*1), Y0, Y0   // a0 a1 | c0 c1
+	VMOVUPD (R9)(AX*1), X1
+	VINSERTF128 $1, (R11)(AX*1), Y1, Y1   // b0 b1 | d0 d1
+	VUNPCKLPD Y1, Y0, Y2                  // a0 b0 | c0 d0
+	VUNPCKHPD Y1, Y0, Y3                  // a1 b1 | c1 d1
+	VMOVUPD Y2, (DI)(AX*4)
+	VMOVUPD Y3, 32(DI)(AX*4)
+	ADDQ $16, AX
+	DECQ DX
+	JNZ  glz
+
+	MOVQ rpow+16(FP), DI
+	MOVQ r0+56(FP), R8
+	MOVQ r1+64(FP), R9
+	MOVQ r2+72(FP), R10
+	MOVQ r3+80(FP), R11
+	XORQ AX, AX
+	MOVQ CX, DX
+
+glr:
+	VMOVUPD (R8)(AX*1), X0
+	VINSERTF128 $1, (R10)(AX*1), Y0, Y0
+	VMOVUPD (R9)(AX*1), X1
+	VINSERTF128 $1, (R11)(AX*1), Y1, Y1
+	VUNPCKLPD Y1, Y0, Y2
+	VUNPCKHPD Y1, Y0, Y3
+	VMOVUPD Y2, (DI)(AX*4)
+	VMOVUPD Y3, 32(DI)(AX*4)
+	ADDQ $16, AX
+	DECQ DX
+	JNZ  glr
 
 	VZEROUPPER
 	RET

@@ -10,6 +10,10 @@ func (w *Workspace) m2lPacked(l Expansion, src []complex128, half []float64, zph
 	panic("expansion: no packed M2L body on this architecture")
 }
 
-func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph []complex128, rpow, ax []float64) {
+func (w *Workspace) m2lPacked4(l, src *[4]Expansion, half []float64, zph, rpow [][4]float64, ax []float64) {
+	panic("expansion: no packed M2L body on this architecture")
+}
+
+func geoLanesAVX2(p int, zph, rpow *[4]float64, z0, z1, z2, z3 *complex128, r0, r1, r2, r3 *float64) {
 	panic("expansion: no packed M2L body on this architecture")
 }

@@ -49,6 +49,11 @@ type Workspace struct {
 	srcs  []M2LSource   // V-list scratch (see Sources)
 	src4  []M2LSource4  // four-column V-list scratch (see Sources4)
 	lanes []float64     // the packed leaf bodies' scratch (leaf.go)
+	// M2LBatchTheta's scratch: the caller's pairs (see Pairs), the bucket
+	// bounds and the pairs in bucket order.
+	pairs  []M2LPair
+	bucket []int32
+	sorted []thetaPair
 }
 
 // NewWorkspace creates scratch space for order-p operators.

@@ -200,6 +200,7 @@ func TestM2LScratchSlackHoldsOverrun(t *testing.T) {
 			vz, okz := canaried(1, pl+laneSlack, complex(mark, mark))
 			v4, ok4 := canaried(4, pl, [4]float64{mark, mark, mark, mark})
 			r.aRe, r.aIm, r.bRe, r.bIm, r.zip = v1[0], v1[1], v1[2], v1[3], vz[0]
+			r.wide(p) // the column geometry; the split scratch it made is replaced
 			r.aRe4, r.aIm4, r.bRe4, r.bIm4 = v4[0], v4[1], v4[2], v4[3]
 			quads, cols := randomQuads(p, rng, benchDirs(rng, 3))
 			tb, classes := tableFor(p, geom.Vec3{}, cols[0], 0)
@@ -334,11 +335,26 @@ func FuzzM2LPackedMatchesScalar(f *testing.F) {
 	})
 }
 
+// thetaQuads returns four directions per base direction that share its
+// polar angle to the bit: (±x, ±y) swaps keep z and the norm's sum, so
+// theta and rho are the base's and only phi differs.
+func thetaQuads(base []geom.Vec3) (dirs []geom.Vec3) {
+	for _, d := range base {
+		dirs = append(dirs, d, geom.Vec3{X: -d.X, Y: d.Y, Z: d.Z},
+			geom.Vec3{X: d.Y, Y: -d.X, Z: d.Z}, geom.Vec3{X: -d.Y, Y: -d.X, Z: d.Z})
+	}
+	return dirs
+}
+
 // BenchmarkM2LKernel times one translation (at width 4: one pair of four)
 // through the table under both dispatch states, with the theta row in L1
 // (warm: one class over and over) and fetched cold from a 2 600-row slab in
 // shuffled class order (cold: what the far field pays, see
-// BenchmarkM2LBatchTable). ns/translation is the figure of EXPERIMENTS.md's
+// BenchmarkM2LBatchTable). The theta4 rows time M2LBatchTheta over pairs
+// whose classes come four to a theta (thetaQuads; warm: one theta, cold:
+// 650 theta rows in shuffled order), so every quad runs the four-column
+// kernel with per-column geometry: ns/translation there is per column,
+// against w=1's per translation. It is the figure of EXPERIMENTS.md's
 // kernel table.
 func BenchmarkM2LKernel(b *testing.B) {
 	const nDirs, vList, nSrc = 2600, 128, 256
@@ -347,9 +363,12 @@ func BenchmarkM2LKernel(b *testing.B) {
 	for _, p := range []int{4, 8, 12} {
 		rng := rand.New(rand.NewSource(43))
 		tb := buildTable(p, benchDirs(rng, nDirs), nil, 0)
+		tbq := buildTable(p, thetaQuads(benchDirs(rng, nDirs/4)), nil, 0)
 		pool := make([]Expansion, nSrc)
+		mslab := make([]complex128, 0, nSrc*sphharm.PackedLen(p))
 		for i := range pool {
 			pool[i] = randomExpansion(p, rng)
+			mslab = append(mslab, pool[i].C...)
 		}
 		srcs := make([]M2LSource, vList)
 		quads := make([]M2LSource4, vList)
@@ -361,20 +380,30 @@ func BenchmarkM2LKernel(b *testing.B) {
 		}
 		w := NewWorkspace(p)
 		l, _ := randomLocals(p, rng)
+		var lslab []complex128
+		for range l {
+			lslab = append(lslab, randomExpansion(p, rng).C...)
+		}
 		for _, slab := range []string{"warm", "cold"} {
 			classes := make([][]int32, 64)
+			pairs := make([][]M2LPair, 64)
 			for bi := range classes {
 				for i := 0; i < vList; i++ {
-					c := int32(7)
+					c, q := int32(7), int32(1)
 					if slab == "cold" {
-						c = int32(rng.Intn(nDirs))
+						c, q = int32(rng.Intn(nDirs)), int32(rng.Intn(nDirs/4))
 					}
 					classes[bi] = append(classes[bi], c)
+					if i%4 == 0 {
+						for k := range int32(4) {
+							pairs[bi] = append(pairs[bi], M2LPair{L: int32(rng.Intn(4)), M: int32(rng.Intn(nSrc)), Class: 4*q + k})
+						}
+					}
 				}
 			}
 			for _, state := range []string{"scalar", "packed"} {
-				run := func(width int, batch func(i int)) {
-					b.Run(fmt.Sprintf("p=%d/w=%d/%s/%s", p, width, slab, state), func(b *testing.B) {
+				run := func(form string, batch func(i int)) {
+					b.Run(fmt.Sprintf("p=%d/%s/%s/%s", p, form, slab, state), func(b *testing.B) {
 						if packedOK = state == "packed"; packedOK && !host {
 							b.Skip("no AVX2 on this host")
 						}
@@ -386,8 +415,9 @@ func BenchmarkM2LKernel(b *testing.B) {
 						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vList), "ns/translation")
 					})
 				}
-				run(1, func(i int) { w.M2LBatchTable(l[0], geom.Vec3{}, srcs, classes[i%len(classes)], tb) })
-				run(4, func(i int) { w.M2LBatchTable4(&l, quads, classes[i%len(classes)], tb) })
+				run("w=1", func(i int) { w.M2LBatchTable(l[0], geom.Vec3{}, srcs, classes[i%len(classes)], tb) })
+				run("w=4", func(i int) { w.M2LBatchTable4(&l, quads, classes[i%len(classes)], tb) })
+				run("theta4", func(i int) { w.M2LBatchTheta(lslab, mslab, pairs[i%len(pairs)], tbq) })
 			}
 		}
 	}

@@ -44,9 +44,10 @@ type rotWorkspace struct {
 	// Split re/im packed coefficients, ping-pong pairs of m2lApply, each
 	// followed by laneSlack floats the packed body may overwrite.
 	aRe, aIm, bRe, bIm []float64
-	// The same for m2lApply4, four columns per coefficient; allocated on
-	// the first four-column call.
+	// The same for m2lApply4, four columns per coefficient, and the
+	// columns' geometry; made on the first four-column call (wide).
 	aRe4, aIm4, bRe4, bIm4 [][4]float64
+	geo                    colGeom
 }
 
 func newRotWorkspace(p int) *rotWorkspace {
@@ -141,6 +142,9 @@ type octantSetup struct {
 	half []float64    // the half stacks of the theta of z < 0 and of z > 0
 	zph  []complex128 // e^{i m phi} per (x, y) sign pair; laneSlack spare capacity
 	ones []float64    // the radial powers operand: 2p+2+laneSlack ones
+	// The same phases and ones in every column of a four-column
+	// translation (colGeom), per (x, y) sign pair.
+	wide [4]colGeom
 }
 
 var octantSetups [sphharm.MaxOrder + 1]struct {
@@ -168,6 +172,9 @@ func octants(p int) *octantSetup {
 			}
 			if o < 4 {
 				fillPhases(s.zph[o*(p+1):][:p+1], phi)
+				z := s.zph[o*(p+1):][:p+1]
+				s.wide[o] = newColGeom(p)
+				s.wide[o].fill(&[4][]complex128{z, z, z, z}, &[4][]float64{s.ones, s.ones, s.ones, s.ones})
 			}
 		}
 	})
@@ -221,21 +228,21 @@ func (s *ShiftRows) row(h float64, kind Shift) []float64 {
 }
 
 // childSetup returns the kernel operands of a kind translation between a
-// cell and its child in slot, h being the child's half-width: the
-// offset's octant half stack and phases, the ones row, and the level's
-// axial row — from rows, or computed into the workspace scratch (the same
-// bits) when rows does not cover h. An M2M offset runs from parent to
-// child, the octant of slot; an L2L offset the other way, the opposite
-// octant.
-func (w *Workspace) childSetup(kind Shift, slot int, h float64, rows *ShiftRows) (half []float64, zph []complex128, ones, ax []float64) {
-	p, s, o := w.p, octants(w.p), slot
+// cell and its child in slot, h being the child's half-width: the octant
+// setup, the offset's octant and its half stack, and the level's axial row
+// — from rows, or computed into the workspace scratch (the same bits) when
+// rows does not cover h. An M2M offset runs from parent to child, the
+// octant of slot; an L2L offset the other way, the opposite octant. The
+// phases are those of the octant's (x, y) sign pair, o&3.
+func (w *Workspace) childSetup(kind Shift, slot int, h float64, rows *ShiftRows) (s *octantSetup, o int, half, ax []float64) {
+	s, o = octants(w.p), slot
 	if kind == ShiftL2L {
 		o ^= 7
 	}
 	if ax = rows.row(h, kind); ax == nil {
 		ax = w.scratchRow(math.Sqrt(3)*h, kind)
 	}
-	return s.half[(o>>2)*s.hl:][:s.hl], s.zph[(o&3)*(p+1):][:p+1], s.ones, ax
+	return s, o, s.half[(o>>2)*s.hl:][:s.hl], ax
 }
 
 // ChildShift accumulates into dst the kind translation of src between a
@@ -244,15 +251,16 @@ func (w *Workspace) childSetup(kind Shift, slot int, h float64, rows *ShiftRows)
 // parent's multipole and src the child's, for ShiftL2L dst is the child's
 // local and src the parent's. rows may be nil.
 func (w *Workspace) ChildShift(dst, src Expansion, kind Shift, slot int, h float64, rows *ShiftRows) {
-	half, zph, ones, ax := w.childSetup(kind, slot, h, rows)
-	w.m2lApply(dst, src.C, half, zph, ones, ax)
+	s, o, half, ax := w.childSetup(kind, slot, h, rows)
+	w.m2lApply(dst, src.C, half, s.zph[(o&3)*(w.p+1):][:w.p+1], s.ones, ax)
 }
 
 // ChildShift4 is ChildShift over four columns; column c ends bit-identical
 // to ChildShift on column c.
 func (w *Workspace) ChildShift4(dst, src *[4]Expansion, kind Shift, slot int, h float64, rows *ShiftRows) {
-	half, zph, ones, ax := w.childSetup(kind, slot, h, rows)
-	w.m2lApply4(dst, src, half, zph, ones, ax)
+	s, o, half, ax := w.childSetup(kind, slot, h, rows)
+	g := &s.wide[o&3]
+	w.m2lApply4(dst, src, half, g.zph, g.rpow, ax)
 }
 
 // M2M translates the child multipole o centered at from into the parent

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"afmm/internal/geom"
 	"afmm/internal/sphharm"
@@ -65,11 +66,22 @@ type M2LTable struct {
 	// Plan) and ranking scratch, kept across list epochs: Extend looks rows
 	// up in them, and a re-plan does not allocate.
 	thetaRow, phiRow, rhoRow map[uint64]int32
-	rank                     []int32 // first-seen row -> ranked row
+	rank                     []int32    // first-seen row -> ranked row
+	byValue                  []thetaKey // the thetas in angle order, seen = slab row
+	// ord is, per theta row, the rank of its angle among the distinct
+	// theta in ascending order: the bucket of M2LBatchTheta.
+	ord []int32
 
 	// Full-stack scratch of BuildRotRange, one per concurrent range.
 	mu   sync.Mutex
 	free []*rotWorkspace
+
+	// The phase and radial rows as four columns that share them (colGeom's
+	// layout, every column the row): what M2LBatchTable4 hands the kernel,
+	// so a Stokeslet pair pays no per-pair layout. Made by the first
+	// four-column call after a Plan or Extend (wideOK), under mu.
+	wideOK      atomic.Bool
+	zph4, rpow4 [][4]float64
 }
 
 // m2lOp is one class: its rows in the theta, phi and rho slabs.
@@ -254,7 +266,24 @@ func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 	}
 	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*tb.hl))
 	tb.stacks = slices.Grow(tb.stacks[:0], tb.nStack*tb.hl)[:tb.nStack*tb.hl]
+	tb.ordThetas()
+	tb.wideOK.Store(false)
 	return tb.nStack
+}
+
+// ordThetas sets every theta row's ord: its rank in ascending angle. The
+// keys are distinct float64 values, so the order is strict.
+func (tb *M2LTable) ordThetas() {
+	byValue := append(tb.byValue[:0], tb.thetas...)
+	for r := range byValue {
+		byValue[r].seen = int32(r) // the slab row
+	}
+	slices.SortFunc(byValue, func(a, b thetaKey) int { return cmp.Compare(a.theta, b.theta) })
+	tb.ord = slices.Grow(tb.ord[:0], len(byValue))[:len(byValue)]
+	for o, k := range byValue {
+		tb.ord[k.seen] = int32(o)
+	}
+	tb.byValue = byValue
 }
 
 // Extend plans the classes dirs[from:] on top of the from classes the
@@ -296,6 +325,8 @@ func (tb *M2LTable) Extend(dirs []geom.Vec3, pairsPerClass []int64, from int) (l
 	}
 	tb.nStack = len(tb.thetas)
 	tb.stacks = slices.Grow(tb.stacks, (tb.nStack-lo)*tb.hl)[:tb.nStack*tb.hl]
+	tb.ordThetas()
+	tb.wideOK.Store(false)
 	return lo, tb.nStack
 }
 
@@ -415,23 +446,131 @@ func (w *Workspace) M2LBatchTable(l Expansion, _ geom.Vec3, srcs []M2LSource, cl
 // fold) per pair serving all four columns. l[c] ends bit-identical to
 // M2LBatchTable over column c's sources alone.
 func (w *Workspace) M2LBatchTable4(l *[4]Expansion, srcs []M2LSource4, classes []int32, tb *M2LTable) {
+	p := tb.p
+	tb.widen()
 	for i := range srcs {
-		half, zph, rpow := tb.setup(w.rot, classes[i])
-		w.m2lApply4(l, &srcs[i].M, half, zph, rpow, w.axb)
+		op := tb.ops[classes[i]]
+		w.m2lApply4(l, &srcs[i].M, tb.halfStack(w.rot, int(op.theta)),
+			tb.zph4[int(op.phi)*(2*p+2):][:2*p+2], tb.rpow4[int(op.rho)*(2*p+2):][:2*p+2], w.axb)
 	}
+}
+
+// widen makes zph4 and rpow4 for the rows of the last Plan or Extend, once.
+func (tb *M2LTable) widen() {
+	if tb.wideOK.Load() {
+		return
+	}
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if tb.wideOK.Load() {
+		return
+	}
+	n := 2*tb.p + 2
+	tb.zph4 = slices.Grow(tb.zph4[:0], len(tb.zph)/(tb.p+1)*n)[:len(tb.zph)/(tb.p+1)*n]
+	for i, z := range tb.zph {
+		c, s := real(z), imag(z)
+		tb.zph4[2*i], tb.zph4[2*i+1] = [4]float64{c, c, c, c}, [4]float64{s, s, s, s}
+	}
+	tb.rpow4 = slices.Grow(tb.rpow4[:0], len(tb.rpow))[:len(tb.rpow)]
+	for i, r := range tb.rpow {
+		tb.rpow4[i] = [4]float64{r, r, r, r}
+	}
+	tb.wideOK.Store(true)
+}
+
+// M2LPair is one translated pair of a theta-batched M2L: the multipole of
+// cell M translates into the local of cell L through table class Class.
+// Cells index slabs of PackedLen(p) coefficients a cell.
+type M2LPair struct{ L, M, Class int32 }
+
+// thetaPair is a pair as M2LBatchTheta runs it, in bucket order: its cells
+// and its class's phi and rho rows (the bucket names the theta row).
+type thetaPair struct{ l, m, phi, rho int32 }
+
+// Pairs returns the workspace's reusable pair scratch, emptied, with room
+// for n pairs (and M2LBatchTheta's scratch sized for as many).
+func (w *Workspace) Pairs(n int) []M2LPair {
+	w.pairs, w.sorted = slices.Grow(w.pairs[:0], n), slices.Grow(w.sorted[:0], n)
+	return w.pairs
+}
+
+// M2LBatchTheta accumulates every pair's translation into its target
+// through the class table, in theta batches; locals and mpoles are the
+// slabs the pairs' cells index. The pairs are bucketed by the polar angle
+// of their class, buckets in ascending angle, each keeping the pairs in
+// the order given. A bucket shares one half stack (a spilled theta is
+// folded once for the bucket); four consecutive pairs of it run as one
+// four-column translation over that stack, each column with its own phases
+// and radial powers, and the one to three left over run at width 1. A
+// target therefore takes its translations in one order, theta ascending
+// and then the order given, whatever else shares the call: it ends
+// bit-identical to M2LBatchTable over its own pairs sorted stably by theta.
+func (w *Workspace) M2LBatchTheta(locals, mpoles []complex128, pairs []M2LPair, tb *M2LTable) {
+	// Counting sort by ord: end[b] counts up to bucket b's end.
+	nb := len(tb.thetas)
+	end := slices.Grow(w.bucket[:0], nb+1)[:nb+1]
+	clear(end)
+	for _, pr := range pairs {
+		end[tb.ord[tb.ops[pr.Class].theta]+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		end[b] += end[b-1]
+	}
+	sorted := slices.Grow(w.sorted[:0], len(pairs))[:len(pairs)]
+	for _, pr := range pairs {
+		op := tb.ops[pr.Class]
+		b := &end[tb.ord[op.theta]]
+		sorted[*b] = thetaPair{pr.L, pr.M, op.phi, op.rho}
+		*b++
+	}
+	w.bucket, w.sorted = end, sorted
+
+	p, pl := tb.p, sphharm.PackedLen(tb.p)
+	cell := func(slab []complex128, i int32) Expansion {
+		return Expansion{P: p, C: slab[int(i)*pl:][:pl]}
+	}
+	zph := func(pr thetaPair) []complex128 { return tb.zph[int(pr.phi)*(p+1):][:p+1] }
+	rpow := func(pr thetaPair) []float64 { return tb.rpow[int(pr.rho)*(2*p+2):][:2*p+2] }
+	g := w.rot.wide(p)
+	lo := int32(0)
+	for b, hi := range end[:nb] {
+		if lo == hi {
+			continue
+		}
+		half := tb.halfStack(w.rot, int(tb.byValue[b].seen))
+		k := lo
+		for ; k+4 <= hi; k += 4 {
+			var l, m [4]Expansion
+			var zr [4][]complex128
+			var rr [4][]float64
+			for c, pr := range sorted[k : k+4] {
+				l[c], m[c], zr[c], rr[c] = cell(locals, pr.l), cell(mpoles, pr.m), zph(pr), rpow(pr)
+			}
+			g.fill(&zr, &rr)
+			w.m2lApply4(&l, &m, half, g.zph, g.rpow, w.axb)
+		}
+		for _, pr := range sorted[k:hi] {
+			w.m2lApply(cell(locals, pr.l), mpoles[int(pr.m)*pl:][:pl], half, zph(pr), rpow(pr), w.axb)
+		}
+		lo = hi
+	}
+}
+
+// halfStack returns theta row ti's half stack: its slab row, or for a
+// spilled theta the same values folded into r's scratch.
+func (tb *M2LTable) halfStack(r *rotWorkspace, ti int) []float64 {
+	if ti < tb.nStack {
+		return tb.stacks[ti*tb.hl : (ti+1)*tb.hl]
+	}
+	r.halfStackInto(r.half, tb.p, tb.thetas[ti].theta)
+	return r.half
 }
 
 // setup returns the kernel's per-direction factors for class c; a spilled
 // theta folds its half stack, the same values, into r's scratch.
 func (tb *M2LTable) setup(r *rotWorkspace, c int32) (half []float64, zph []complex128, rpow []float64) {
 	p, op := tb.p, tb.ops[c]
-	if ti := int(op.theta); ti < tb.nStack {
-		half = tb.stacks[ti*tb.hl : (ti+1)*tb.hl]
-	} else {
-		half = r.half
-		r.halfStackInto(half, p, tb.thetas[ti].theta)
-	}
-	return half,
+	return tb.halfStack(r, int(op.theta)),
 		tb.zph[int(op.phi)*(p+1) : int(op.phi+1)*(p+1)],
 		tb.rpow[int(op.rho)*(2*p+2) : int(op.rho+1)*(2*p+2)]
 }

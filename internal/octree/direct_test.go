@@ -270,3 +270,48 @@ func TestNearFieldRefillAllocatesNothing(t *testing.T) {
 		t.Fatalf("steady-state NearField rebuild allocates %v times", a)
 	}
 }
+
+// TestCandidateFlagsMatchDirectCandidate: the schedule's candidate flags,
+// merged from the reversed leaf V lists, equal directCandidate on every
+// leaf V entry — after a full build, after list repairs (Collapse,
+// PushDown) and after a Refill that moved bodies.
+func TestCandidateFlagsMatchDirectCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range directCases {
+		tr := Build(tc.sys(), Config{S: tc.s})
+		check := func(stage string) {
+			t.Helper()
+			tr.BuildLists()
+			tr.NearField()
+			flagged := 0
+			for _, li := range tr.VisibleLeaves() {
+				cand := tr.directCand[tr.maskOff[li]:][:len(tr.Nodes[li].V)]
+				for k, vi := range tr.Nodes[li].V {
+					if want := tr.directCandidate(li, vi); cand[k] != want {
+						t.Fatalf("%s %s: leaf %d entry %d (node %d) flagged %v, directCandidate %v", tc.name, stage, li, k, vi, cand[k], want)
+					}
+					if cand[k] {
+						flagged++
+					}
+				}
+			}
+			if flagged == 0 {
+				t.Fatalf("%s %s: no candidate on the tree", tc.name, stage)
+			}
+		}
+		check("full build")
+		repairs := tr.ListBuildStats().Repairs
+		for i := 0; i < 6; i++ {
+			mutate(tr, rng, 0) // one edit a round: Collapse, PushDown, Refill or EnforceS
+			check(fmt.Sprintf("edit %d", i))
+		}
+		for i := range tr.Sys.Pos {
+			tr.Sys.Pos[i] = tr.Sys.Pos[i].Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(0.01))
+		}
+		tr.Refill()
+		check("refill")
+		if tr.ListBuildStats().Repairs == repairs {
+			t.Fatalf("%s: the edits repaired no list", tc.name)
+		}
+	}
+}

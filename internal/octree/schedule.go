@@ -191,13 +191,12 @@ func (t *Tree) reserveNearSchedule() {
 	t.directMask = slices.Grow(t.directMask[:0], vs)[:vs]
 	clear(t.directMask)
 	// A row holds U and at most the candidates of V.
+	t.flagCandidates()
 	bound := 0
 	for _, ni := range s.Leaves {
 		bound += len(t.Nodes[ni].U)
-		cand := t.directCand[t.maskOff[ni]:]
-		for k, vi := range t.Nodes[ni].V {
-			cand[k] = t.directCandidate(ni, vi)
-			if cand[k] {
+		for _, c := range t.directCand[t.maskOff[ni]:][:len(t.Nodes[ni].V)] {
+			if c {
 				bound++
 			}
 		}
@@ -210,6 +209,37 @@ func (t *Tree) reserveNearSchedule() {
 	s.Weights = slices.Grow(s.Weights[:0], len(s.Leaves))
 	s.priced = slices.Grow(s.priced[:0], len(s.Leaves))
 	s.Prefix = slices.Grow(s.Prefix[:0], len(s.Leaves)+1)
+}
+
+// flagCandidates sets the candidate flag of every leaf V entry to
+// directCandidate without a search: one ascending pass over the visible
+// leaves b meets, for each visible leaf a, the b with a in V(b) in
+// ascending order, so a cursor per a walks a's ascending V list once and
+// finds each such b in it or finds it absent — the merge of V(a) with the
+// reversed leaf V lists, which are never stored.
+func (t *Tree) flagCandidates() {
+	clear(t.directCand)
+	cur := slices.Grow(t.candCur[:0], len(t.Nodes))[:len(t.Nodes)]
+	clear(cur)
+	for b := range t.Nodes {
+		if !t.Nodes[b].IsVisibleLeaf() {
+			continue
+		}
+		for _, a := range t.Nodes[b].V {
+			if !t.Nodes[a].IsVisibleLeaf() {
+				continue
+			}
+			va, k := t.Nodes[a].V, cur[a]
+			for int(k) < len(va) && va[k] < int32(b) {
+				k++
+			}
+			if int(k) < len(va) && va[k] == int32(b) {
+				t.directCand[int(t.maskOff[a])+int(k)] = true
+			}
+			cur[a] = k
+		}
+	}
+	t.candCur = cur
 }
 
 // fillNearRows recomputes the occupancy-derived part — row sources, body

@@ -157,8 +157,9 @@ type Tree struct {
 	// near-field CSR schedule cache (see schedule.go). directK is the
 	// threshold of Direct. The entries of V(ni) have flags at maskOff[ni]
 	// (set for visible leaves only): directCand is topological (kept per
-	// list epoch), directMask and the count nDirect[ni] follow the
-	// occupancy the rows were filled at.
+	// list epoch, merged with a cursor per leaf in candCur),
+	// directMask and the count nDirect[ni] follow the occupancy the rows
+	// were filled at.
 	nearSched  NearSchedule
 	nearEpoch  uint64 // listEpoch the leaf index was built at (0 = never)
 	nearRowsOK bool
@@ -167,6 +168,7 @@ type Tree struct {
 	directCand []bool
 	directMask []bool
 	nDirect    []int32
+	candCur    []int32
 
 	// M2L translation-class schedule cache (see farclass.go), keyed on
 	// listEpoch like the near-field schedule. farTouched marks the nodes

@@ -18,9 +18,11 @@ import (
 
 // serialStep is core's test reference over the Stokeslet field: one whole
 // step on the calling goroutine — near rows in order, up sweep from the
-// deepest level, down sweep from the root, leaf evaluation — with no dag,
-// no sched and no M2L table (s never Solves).
-func serialStep(s *Solver) { sweep(s, s.Field.Up, s.Field.Down) }
+// deepest level, down sweep from the root one cell at a time, leaf
+// evaluation — with no dag, no sched and no M2L table (s never Solves).
+func serialStep(s *Solver) {
+	sweep(s, s.Field.Up, func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
+}
 
 // sweep runs the step serially with up and down as the sweep operators.
 func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {

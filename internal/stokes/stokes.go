@@ -179,22 +179,24 @@ func (f *Field) Up(w *expansion.Workspace, ni int32) {
 	w.P2MLeaf4(&m, n.Box.Center, pos, func(k int) [passes]float64 { return Charges(aux[k], pos[k]) })
 }
 
-// Down applies the L2L and then node ni's V list to all four locals at
-// once: the passes translate over one geometry, so the parent and each V
-// pair are one four-column translation (core.Cells.L2L,
-// core.SharedM2L.M2L4). Per pass the operations and their order are those
-// of a pass-by-pass sweep.
-func (f *Field) Down(w *expansion.Workspace, ni int32) {
+// Down applies, cell by cell, the L2L and then the cell's V list to all
+// four locals at once: the passes translate over one geometry, so the
+// parent and each V pair are one four-column translation
+// (core.Cells.L2L, core.SharedM2L.M2L4). Per pass the operations and
+// their order are those of a pass-by-pass sweep.
+func (f *Field) Down(w *expansion.Workspace, nodes []int32) {
 	t := f.Tree
-	n := &t.Nodes[ni]
-	f.L2L(w, ni)
-	if len(n.V) > 0 {
-		l := f.locals4(ni)
-		srcs := w.Sources4(len(n.V))
-		for _, vi := range n.V {
-			srcs = append(srcs, expansion.M2LSource4{M: f.mpoles4(vi), From: t.Nodes[vi].Box.Center})
+	for _, ni := range nodes {
+		n := &t.Nodes[ni]
+		f.L2L(w, ni)
+		if len(n.V) > 0 {
+			l := f.locals4(ni)
+			srcs := w.Sources4(len(n.V))
+			for _, vi := range n.V {
+				srcs = append(srcs, expansion.M2LSource4{M: f.mpoles4(vi), From: t.Nodes[vi].Box.Center})
+			}
+			f.M2L.M2L4(w, &l, t, ni, srcs)
 		}
-		f.M2L.M2L4(w, &l, t, ni, srcs)
 	}
 }
 
