@@ -27,6 +27,9 @@ type Field interface {
 	// Stokeslet's harmonic passes); PackMpole/PackLocal move Width packed
 	// expansions per cell.
 	Width() int
+	// PairFlops is the flop count of one near-field pair of the kernel:
+	// the virtual CPU prices the field's P2P relative to gravity's by it.
+	PairFlops() int
 	// Reset sizes the multipole/local slabs to the tree and zeroes them.
 	Reset()
 	// Up computes cell ni's multipoles: P2M at a visible leaf, M2M from
@@ -241,6 +244,8 @@ func NewGravityField(t *octree.Tree, sys *particle.System, p int, k kernels.Grav
 func (f *GravityField) Private() Field {
 	return NewGravityField(f.Tree, f.Sys, f.P, f.Kernel, f.M2L)
 }
+
+func (f *GravityField) PairFlops() int { return kernels.FlopsPerGravityInteraction }
 
 func (f *GravityField) Up(w *expansion.Workspace, ni int32) {
 	n := &f.Tree.Nodes[ni]

@@ -22,20 +22,15 @@ import (
 	"afmm/internal/vgpu"
 )
 
-// Profile adapts the timing model to the physical problem: the Stokes
-// solver performs four harmonic far-field passes per solve and its direct
-// kernel is costlier per interaction than gravity's. P2PCostFactor scales
-// the virtual CPU's per-interaction P2P cost only: a device spec is given
-// in the kernel's own interactions per second (stokes.Config derates its
-// default spec by the same flop ratio), so the device side never applies
-// the factor a second time.
+// Profile is a field's timing profile: its far-field passes (Field.Width)
+// and its P2P cost relative to gravity's (Field.PairFlops over
+// kernels.FlopsPerGravityInteraction). The solver reads both from its
+// field; the type survives for the benchmark's replay, which prices the
+// Stokes graph without building a field.
 type Profile struct {
 	FarFieldPasses int
 	P2PCostFactor  float64
 }
-
-// GravityProfile is the single-pass Laplace profile.
-func GravityProfile() Profile { return Profile{FarFieldPasses: 1, P2PCostFactor: 1} }
 
 // StokesProfile reflects the 4-harmonic decomposition (M2L cost ~4x the
 // gravitational problem, §IX.B) and the regularized Stokeslet P2P cost.
@@ -68,8 +63,6 @@ type Config struct {
 	// runs the near field on the virtual CPU (serial/CPU-only configs).
 	NumGPUs int
 	GPUSpec vgpu.Spec
-	// Profile adapts timing to the physical problem.
-	Profile Profile
 	// SkipFarField disables the far-field numeric execution (used by
 	// harnesses that only study timing behaviour at scale). Timing is
 	// unaffected; accelerations are then near-field only.
@@ -125,9 +118,6 @@ func (c *Config) setDefaults() {
 	c.CPU = c.CPU.Normalized()
 	if c.NumGPUs > 0 && c.GPUSpec.SMs == 0 {
 		c.GPUSpec = vgpu.DefaultSpec()
-	}
-	if c.Profile.FarFieldPasses == 0 {
-		c.Profile = GravityProfile()
 	}
 	if c.Kernel.G == 0 {
 		c.Kernel.G = 1
@@ -215,7 +205,7 @@ func NewSolverWith(sys *particle.System, cfg Config, newField func(t *octree.Tre
 		s.Cluster.Watchdog = cfg.Watchdog
 		// Host fallback rate: how fast the virtual CPU would grind P2P
 		// interactions, for charging recovered rows in virtual time.
-		if base := cfg.CPU.Base[costmodel.P2P] * cfg.Profile.P2PCostFactor; base > 0 {
+		if base := cfg.CPU.Base[costmodel.P2P] * s.p2pCostFactor(); base > 0 {
 			s.Cluster.HostP2PRate = float64(cfg.CPU.Cores) / base
 		}
 		// Corrupt faults poison one accumulator of the chunk's first
@@ -241,16 +231,25 @@ func (s *Solver) SetRecorder(rec *telemetry.Recorder) {
 	}
 }
 
+// p2pCostFactor is the field's pair cost relative to gravity's. It scales
+// the virtual CPU's per-interaction P2P cost only: a device spec is given
+// in the kernel's own interactions per second (stokes.Config derates its
+// default spec by the same flop ratio), so the device side never applies
+// the factor a second time.
+func (s *Solver) p2pCostFactor() float64 {
+	return float64(s.Field.PairFlops()) / float64(kernels.FlopsPerGravityInteraction)
+}
+
 // priorCoefficients predicts costs before any observation: base CPU costs
-// spread over the cores, and the device's ideal interaction rate (in the
-// kernel's own interactions, see Profile).
+// of the field's passes spread over the cores, and the device's ideal
+// interaction rate (in the kernel's own interactions, see p2pCostFactor).
 func (s *Solver) priorCoefficients() costmodel.Coefficients {
 	var c costmodel.Coefficients
 	k := float64(s.Cfg.CPU.Cores)
 	if k < 1 {
 		k = 1
 	}
-	passes := float64(s.Cfg.Profile.FarFieldPasses)
+	passes := float64(s.Field.Width())
 	for op := costmodel.P2M; op <= costmodel.L2P; op++ {
 		c[op] = s.Cfg.CPU.Base[op] * passes / k
 	}
@@ -258,7 +257,7 @@ func (s *Solver) priorCoefficients() costmodel.Coefficients {
 		rate := s.Cfg.GPUSpec.InteractionsPerSecPerSM * float64(s.Cfg.GPUSpec.SMs) * float64(s.Cfg.NumGPUs)
 		c[costmodel.P2P] = 1 / rate
 	} else {
-		c[costmodel.P2P] = s.Cfg.CPU.Base[costmodel.P2P] * s.Cfg.Profile.P2PCostFactor / k
+		c[costmodel.P2P] = s.Cfg.CPU.Base[costmodel.P2P] * s.p2pCostFactor() / k
 	}
 	return c
 }
@@ -334,8 +333,8 @@ func (s *Solver) Solve() StepTimes {
 	offload := s.Cfg.OffloadEndpoints && s.Cluster != nil
 	graph := vcpu.BuildFMMGraph(t, s.Cfg.CPU.Base, vcpu.FMMGraphOptions{
 		IncludeP2P:       s.Cluster == nil,
-		FarFieldPasses:   s.Cfg.Profile.FarFieldPasses,
-		P2PCostFactor:    s.Cfg.Profile.P2PCostFactor,
+		FarFieldPasses:   s.Field.Width(),
+		P2PCostFactor:    s.p2pCostFactor(),
 		ExcludeEndpoints: offload,
 	})
 	rec.AddSpan(telemetry.SpanGraph, 0, graphTimer.StartTime(), graphTimer.Elapsed())
@@ -346,7 +345,7 @@ func (s *Solver) Solve() StepTimes {
 		// Endpoint work runs on the devices: one P2M/L2P application is
 		// charged like EndpointInteractionEquiv near-field interactions,
 		// spread over the cluster.
-		passes := float64(s.Cfg.Profile.FarFieldPasses)
+		passes := float64(s.Field.Width())
 		rate := s.Cfg.GPUSpec.InteractionsPerSecPerSM * float64(s.Cfg.GPUSpec.SMs) *
 			float64(len(s.Cluster.Devices))
 		gpuTime += passes * float64(counts[costmodel.P2M]+counts[costmodel.L2P]) *

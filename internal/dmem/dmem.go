@@ -16,22 +16,26 @@
 //     an accepted leaf the tree's Direct predicate sums directly — ships
 //     its bodies: the ghost-particle exchange.
 //
-// Transfers are deduplicated per (receiver, source cell) and charged to an
-// alpha-beta network model; per-node compute times come from the same
-// virtual CPU/GPU machinery as the single-node solver. The numerics are
-// exactly the shared-memory solver's (the decomposition only re-attributes
-// work), so distributed results are bit-identical to single-node results.
+// A priced step charges the transfers of the exchange plan the runtime
+// executes to an alpha-beta network model, once per (receiver, source
+// cell), a ghost leaf's bodies standing in for its multipole. Per-node
+// compute times come from the single-node machine's own models: the
+// far-field graph restricted to the node's cells, and the node's rows split
+// over its devices by interaction count. The numerics are exactly the
+// shared-memory solver's (the decomposition only re-attributes work), so
+// distributed results are bit-identical to single-node results.
 package dmem
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"afmm/internal/core"
 	"afmm/internal/costmodel"
 	"afmm/internal/fault"
-	"afmm/internal/octree"
 	"afmm/internal/particle"
+	"afmm/internal/sim"
 	"afmm/internal/sphharm"
 	"afmm/internal/telemetry"
 	"afmm/internal/vcpu"
@@ -180,6 +184,9 @@ type Solver struct {
 	caps     []float64
 	capEpoch int64
 
+	// clusters[k] is GPU node k's device cluster (nil on a CPU-only
+	// node): the model splits the node's near-field rows over it.
+	clusters []*vgpu.Cluster
 	// rt executes the partitioned tree when Cfg.Execute is set.
 	rt *Runtime
 	// det is the heartbeat failure detector, live during RunWith in
@@ -221,19 +228,29 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 
 // newOver distributes whatever single-node solver it is given (cfg.Core is
 // not read): the field the node engines copy is inner's, gravity or
-// Stokes. The body partition starts as an equal-count split of the
-// tree-ordered bodies.
+// Stokes. The node specs are defaulted on a copy, and the body partition
+// starts as an equal-count split of the tree-ordered bodies.
 func newOver(inner *core.Solver, cfg Config) *Solver {
 	if cfg.Net.Bandwidth == 0 {
 		cfg.Net = DefaultNetwork()
 	}
 	p := len(cfg.Nodes)
+	cfg.Nodes = slices.Clone(cfg.Nodes)
 	s := &Solver{Cfg: cfg, Inner: inner}
 	s.alive = make([]bool, p)
 	s.caps = make([]float64, p)
+	s.clusters = make([]*vgpu.Cluster, p)
 	for k := 0; k < p; k++ {
 		s.alive[k] = true
 		s.caps[k] = 1
+		n := &s.Cfg.Nodes[k]
+		n.CPU = n.CPU.Normalized()
+		if n.GPUs > 0 {
+			if n.GPUSpec.SMs == 0 {
+				n.GPUSpec = vgpu.DefaultSpec()
+			}
+			s.clusters[k] = vgpu.NewCluster(n.GPUs, n.GPUSpec)
+		}
 	}
 	s.equalCountCuts()
 	if cfg.Execute {
@@ -266,12 +283,14 @@ func (s *Solver) equalCountCuts() {
 	}
 }
 
-// Solve runs one distributed step. With Execute off, the numerics run
-// via the inner (single-node) solver and the decomposition is priced
-// after the fact. With Execute on, the per-node goroutines produce the
-// accumulators themselves — the inner solver's numerics never run — and
-// the measured exchange volumes replace the modeled ones.
+// Solve runs one distributed step over the leaf-aligned cuts. With
+// Execute off, the numerics run via the inner (single-node) solver and the
+// decomposition is priced after the fact. With Execute on, the per-node
+// goroutines produce the accumulators themselves — the inner solver's
+// numerics never run — and the measured exchange volumes replace the
+// priced ones.
 func (s *Solver) Solve() StepReport {
+	s.alignCuts()
 	var rep StepReport
 	if s.rt != nil {
 		rep = s.executeStep()
@@ -294,12 +313,10 @@ func (s *Solver) aliveCount() int {
 	return n
 }
 
-// executeStep aligns the cuts to leaf boundaries and runs the
-// distributed runtime over the current tree. The step index feeds the
-// link-fault schedule; bare Solve calls advance it monotonically, and
-// RunWith pins it to the run step.
+// executeStep runs the distributed runtime over the current tree. The
+// step index feeds the link-fault schedule; bare Solve calls advance it
+// monotonically, and RunWith pins it to the run step.
 func (s *Solver) executeStep() StepReport {
-	s.alignCuts()
 	step := s.stepIdx
 	s.stepIdx++
 	return s.rt.Step(s.cuts, s.alive, step)
@@ -325,149 +342,51 @@ func (s *Solver) alignCuts() {
 
 // attribute completes the per-node report with the model: compute
 // times, comm times and halo hiding. An executed step's report already
-// carries its measured exchange volumes; a priced step's are modeled
-// here.
+// carries its measured exchange volumes; a priced step's come from the
+// exchange plan the runtime would execute.
 func (s *Solver) attribute(rep *StepReport) {
 	t := s.Inner.Tree
 	p := len(s.Cfg.Nodes)
-	if !rep.Executed {
+	sch := t.NearField()
+	var owner []int
+	if rep.Executed {
+		owner = cellOwners(t, s.cuts)
+	} else {
+		pl := buildPlan(t, sch, s.cuts, true, true)
+		owner = pl.owner
 		rep.PerNode = make([]NodeTimes, p)
+		expBytes := int64(sphharm.PackedLen(s.Inner.Cfg.P)) * 16 * int64(s.Inner.Field.Width())
+		pl.price(rep.PerNode, t, expBytes, int64(s.Cfg.Net.BytesPerBody))
 	}
 
-	cellOwner := cellOwners(t, s.cuts)
-
-	// Per-node far-field task graphs and per-node device work. Cross-node
-	// tree dependencies are carried by the communication phase, so each
-	// node's graph keeps only intra-node precedence.
-	passes := s.Inner.Cfg.Profile.FarFieldPasses
-	if passes < 1 {
-		passes = 1
+	// Per-node far-field graphs: the single-node graph restricted to each
+	// node's cells. Cross-node tree dependencies are carried by the
+	// exchange, so each graph keeps only intra-node precedence.
+	bases := make([]costmodel.Coefficients, p)
+	for k := range bases {
+		bases[k] = s.Cfg.Nodes[k].CPU.Base
 	}
-	graphs := make([]*vcpu.Graph, p)
-	upTask := make([]map[int32]int32, p)
-	downTask := make([]map[int32]int32, p)
-	for k := 0; k < p; k++ {
-		graphs[k] = &vcpu.Graph{}
-		upTask[k] = map[int32]int32{}
-		downTask[k] = map[int32]int32{}
-	}
-	base := func(k int) costmodel.Coefficients { return s.Cfg.Nodes[k].CPU.Base }
-
-	// incoming[k] is receiver k's modeled transfer volume, deduped per
-	// (receiver, source cell) by seen; both stay nil for an executed step,
-	// whose volumes were measured.
-	type transfer struct {
-		bytes int64
-		peers map[int]bool
-	}
-	var (
-		incoming []transfer
-		seen     map[[2]int32]bool
-	)
-	if !rep.Executed {
-		incoming = make([]transfer, p)
-		for k := range incoming {
-			incoming[k].peers = map[int]bool{}
-		}
-		seen = map[[2]int32]bool{}
-	}
-	expBytes := int64(sphharm.PackedLen(s.Inner.Cfg.P)) * 16 * int64(passes)
-
-	addComm := func(recv int, src int32, bytes int64) {
-		if seen == nil {
-			return
-		}
-		key := [2]int32{int32(recv), src}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		incoming[recv].bytes += bytes
-		incoming[recv].peers[cellOwner[src]] = true
-	}
-
-	t.WalkVisible(func(ni int32) {
-		n := &t.Nodes[ni]
-		k := cellOwner[ni]
-		g := graphs[k]
-		var up vcpu.TaskCost
-		if n.IsVisibleLeaf() {
-			up[costmodel.P2M] = float64(passes) * base(k)[costmodel.P2M] * float64(n.Count())
-		} else {
-			kids := 0
-			for _, ci := range n.Children {
-				if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-					kids++
-				}
-			}
-			up[costmodel.M2M] = float64(passes) * base(k)[costmodel.M2M] * float64(kids)
-		}
-		upID := g.AddTask(up)
-		upTask[k][ni] = upID
-		if !n.IsVisibleLeaf() {
-			for _, ci := range n.Children {
-				if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-					if cellOwner[ci] == k {
-						if cid, ok := upTask[k][ci]; ok {
-							g.AddDep(cid, upID)
-						}
-					} else {
-						// Child multipole arrives from its owner.
-						addComm(k, ci, expBytes)
-					}
-				}
-			}
-		}
-
-		var down vcpu.TaskCost
-		down[costmodel.M2L] = float64(passes) * base(k)[costmodel.M2L] * float64(len(n.V))
-		if n.Parent != octree.NilNode {
-			down[costmodel.L2L] = float64(passes) * base(k)[costmodel.L2L]
-		}
-		if n.IsVisibleLeaf() {
-			down[costmodel.L2P] = float64(passes) * base(k)[costmodel.L2P] * float64(n.Count())
-		}
-		downID := g.AddTask(down)
-		downTask[k][ni] = downID
-		if n.Parent != octree.NilNode && cellOwner[n.Parent] == k {
-			if pid, ok := downTask[k][n.Parent]; ok {
-				g.AddDep(pid, downID)
-			}
-		} else if n.Parent != octree.NilNode {
-			// Parent local expansion arrives from the parent's owner.
-			addComm(k, n.Parent, expBytes)
-		}
-		// Remote V-list multipoles.
-		for _, vi := range n.V {
-			if cellOwner[vi] != k {
-				addComm(k, vi, expBytes)
-			}
-		}
-	})
+	graphs := vcpu.BuildNodeGraphs(t, bases, owner, vcpu.FMMGraphOptions{FarFieldPasses: s.Inner.Field.Width()})
 
 	// Near field, from the schedule rows — their U-list entries: like the
 	// single-node virtual machine, the priced cluster keeps the paper's
-	// operator assignment, and the executed step's measured volumes
-	// replace these modeled ones anyway. Each row belongs to its target
-	// leaf's owner (whose GPUs run it); remote source leaves ship their
-	// bodies as ghosts. Interactions split by source ownership — ghost
-	// sends are roots of the executed step graph, on the wire before any
-	// compute, so while halos are in flight a node works through the
-	// interactions whose sources it already owns. That locally-sourced
-	// volume is the halo-hiding budget; the remotely-sourced remainder
-	// gates on arrival.
-	sch := t.NearField()
-	rowSets := make([][]int, p)
+	// operator assignment. Each row belongs to its target leaf's owner
+	// (whose GPUs run it); remote source leaves ship their bodies as
+	// ghosts. Interactions split by source ownership — ghost sends are
+	// roots of the executed step graph, on the wire before any compute, so
+	// while halos are in flight a node works through the interactions
+	// whose sources it already owns. That locally-sourced volume is the
+	// halo-hiding budget; the remotely-sourced remainder gates on arrival.
+	rows := make([][]int32, p)
 	localBy := make([]int64, p)
 	remoteBy := make([]int64, p)
 	for r, li := range sch.Leaves {
-		k := cellOwner[li]
-		rowSets[k] = append(rowSets[k], r)
+		k := owner[li]
+		rows[k] = append(rows[k], int32(r))
 		cnt := int64(t.Nodes[li].Count())
 		sch.PricedRow(r, func(si int32, src int64) {
-			if cellOwner[si] != k {
+			if owner[si] != k {
 				remoteBy[k] += cnt * src
-				addComm(k, si, src*int64(s.Cfg.Net.BytesPerBody))
 			} else {
 				localBy[k] += cnt * src
 			}
@@ -486,19 +405,14 @@ func (s *Solver) attribute(rep *StepReport) {
 			continue
 		}
 		nAlive++
-		spec := s.Cfg.Nodes[k].CPU.Normalized()
+		spec := s.Cfg.Nodes[k].CPU
 		res := spec.Simulate(graphs[k])
 		nt := &rep.PerNode[k]
 		nt.CPUTime = res.Makespan
 		localInts, remoteInts := localBy[k], remoteBy[k]
 		var nearLocal float64
-		if s.Cfg.Nodes[k].GPUs > 0 {
-			gs := s.Cfg.Nodes[k].GPUSpec
-			if gs.SMs == 0 {
-				gs = vgpu.DefaultSpec()
-			}
-			cl := vgpu.NewCluster(s.Cfg.Nodes[k].GPUs, gs)
-			assignRows(cl, sch, rowSets[k])
+		if cl := s.clusters[k]; cl != nil {
+			cl.PartitionRows(sch, rows[k])
 			nt.GPUTime = cl.Execute(t, nil)
 			if tot := localInts + remoteInts; tot > 0 {
 				nearLocal = nt.GPUTime * float64(localInts) / float64(tot)
@@ -511,10 +425,6 @@ func (s *Solver) attribute(rep *StepReport) {
 			nearLocal = float64(localInts) * spec.Base[costmodel.P2P] / k2
 		}
 		nt.Compute = math.Max(nt.CPUTime, nt.GPUTime)
-		if !rep.Executed {
-			nt.BytesIn = incoming[k].bytes
-			nt.Messages = int64(len(incoming[k].peers))
-		}
 		nt.CommTime = float64(nt.Messages)*s.Cfg.Net.Latency +
 			float64(nt.BytesIn)/s.Cfg.Net.Bandwidth
 		// Halo hiding: comm overlaps the local-source near rows, so only
@@ -559,25 +469,6 @@ func (s *Solver) attribute(rep *StepReport) {
 			float64(sch.Priced(r))*model.Coef[costmodel.P2P]
 		s.lastLeaves = append(s.lastLeaves, ni)
 		s.lastLeafCost = append(s.lastLeafCost, c)
-	}
-}
-
-// assignRows distributes a node's near-field schedule rows over its
-// devices in equal row counts.
-func assignRows(cl *vgpu.Cluster, sch *octree.NearSchedule, rows []int) {
-	if len(cl.Devices) == 0 {
-		return
-	}
-	per := (len(rows) + len(cl.Devices) - 1) / len(cl.Devices)
-	if per < 1 {
-		per = 1
-	}
-	for i, r := range rows {
-		di := i / per
-		if di >= len(cl.Devices) {
-			di = len(cl.Devices) - 1
-		}
-		cl.Devices[di].Assign(sch, r)
 	}
 }
 
@@ -727,12 +618,7 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 		rep.StepTime += recovery
 		observeNet(rec, step, rep.Net)
 		rec.EndStep()
-		// Kick-drift using the solved accelerations.
-		sys := s.Inner.Sys
-		for i := range sys.Pos {
-			sys.Vel[i] = sys.Vel[i].Add(sys.Acc[i].Scale(rc.Dt))
-			sys.Pos[i] = sys.Pos[i].Add(sys.Vel[i].Scale(rc.Dt))
-		}
+		sim.KickDrift(s.Inner.Sys, rc.Dt)
 		s.Inner.Refill()
 		if pol.Threshold > 0 && rep.Imbalance > pol.Threshold {
 			s.Rebalance()

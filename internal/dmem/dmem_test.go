@@ -131,6 +131,35 @@ func TestCommVolumeBounded(t *testing.T) {
 	if rep.TotalBytes == 0 {
 		t.Fatal("no communication recorded on 4 nodes")
 	}
+
+	// The priced volume holds at least the ghost bodies the step's
+	// near-field rows read from other nodes, each remote source leaf once
+	// per receiver: counted here from the schedule and the cuts alone.
+	tree := d.Inner.Tree
+	cuts := d.Cuts()
+	ownerOf := func(ni int32) int {
+		k := 0
+		for k+1 < len(cuts)-1 && cuts[k+1] <= tree.Nodes[ni].Start {
+			k++
+		}
+		return k
+	}
+	sch := tree.NearField()
+	shipped := map[[2]int32]bool{}
+	var ghostBytes int64
+	for r, li := range sch.Leaves {
+		k := ownerOf(li)
+		for _, si := range sch.Row(r) {
+			key := [2]int32{int32(k), si}
+			if ownerOf(si) != k && !shipped[key] {
+				shipped[key] = true
+				ghostBytes += int64(tree.Nodes[si].Count()) * int64(d.Cfg.Net.BytesPerBody)
+			}
+		}
+	}
+	if rep.TotalBytes < ghostBytes {
+		t.Fatalf("priced comm %d bytes below the %d ghost bytes the near field needs", rep.TotalBytes, ghostBytes)
+	}
 }
 
 func TestRebalanceImprovesSkewedPartition(t *testing.T) {

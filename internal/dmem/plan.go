@@ -166,3 +166,40 @@ func (pl *exchangePlan) flowIDs() []flowID {
 	}
 	return ids
 }
+
+// price charges each receiver the plan's inbound volume as a priced step
+// models it: every (receiver, cell) once, at expBytes for expansions and
+// bodyBytes a body for a ghost leaf — whose bodies replace its multipole,
+// since the receiver can form that itself — and one message per sending
+// peer.
+func (pl *exchangePlan) price(nts []NodeTimes, t *octree.Tree, expBytes, bodyBytes int64) {
+	// charged[ci] == k+1 and peer[j] == k+1 say receiver k already paid
+	// for cell ci and counted a message from node j.
+	charged := make([]int32, len(t.Nodes))
+	peer := make([]int, len(pl.in))
+	for k, fs := range pl.in {
+		nt := &nts[k]
+		for _, ghosts := range [2]bool{true, false} {
+			for _, f := range fs {
+				if (f.id.kind == flowGhost) != ghosts {
+					continue
+				}
+				if peer[f.id.from] != k+1 {
+					peer[f.id.from] = k + 1
+					nt.Messages++
+				}
+				for _, ci := range f.cells {
+					if charged[ci] == int32(k+1) {
+						continue
+					}
+					charged[ci] = int32(k + 1)
+					if ghosts {
+						nt.BytesIn += int64(t.Nodes[ci].Count()) * bodyBytes
+					} else {
+						nt.BytesIn += expBytes
+					}
+				}
+			}
+		}
+	}
+}

@@ -56,7 +56,7 @@ type Config struct {
 	NumGPUs  int
 	// GPUSpec defaults to vgpu.DefaultSpec with its interaction rate
 	// derated by the Stokeslet/gravity flop ratio: a device spec prices
-	// this kernel's own pair (see core.Profile).
+	// this kernel's own pair (see Field.PairFlops).
 	GPUSpec vgpu.Spec
 	// SkipFarField disables far-field numerics (timing-only harnesses).
 	SkipFarField bool
@@ -106,7 +106,6 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 	drv := core.NewSolverWith(sys, core.Config{
 		P: cfg.P, S: cfg.S, MAC: cfg.MAC, Mode: cfg.Mode, MaxDepth: cfg.MaxDepth,
 		Pool: cfg.Pool, CPU: cfg.CPU, NumGPUs: cfg.NumGPUs, GPUSpec: cfg.GPUSpec,
-		Profile:      core.StokesProfile(),
 		SkipFarField: cfg.SkipFarField,
 		Rec:          cfg.Rec, Validate: cfg.Validate,
 		Faults: cfg.Faults, Watchdog: cfg.Watchdog,
@@ -128,6 +127,8 @@ type Field struct {
 func NewField(t *octree.Tree, sys *particle.System, p int, k kernels.Stokeslet, m2l *core.SharedM2L) *Field {
 	return &Field{Cells: core.NewCells(t, sys, p, passes, m2l), Kernel: k}
 }
+
+func (f *Field) PairFlops() int { return kernels.FlopsPerStokesletInteraction }
 
 func (f *Field) Private() core.Field {
 	return NewField(f.Tree, f.Sys, f.P, f.Kernel, f.M2L)

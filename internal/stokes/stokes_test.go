@@ -137,6 +137,19 @@ func TestM2LCostIsFourTimesGravity(t *testing.T) {
 	}
 }
 
+// TestFieldIsTheStokesProfile: the profile the benchmark's replay prices
+// the Stokes graph with is the one the solver reads from its field.
+func TestFieldIsTheStokesProfile(t *testing.T) {
+	f := NewField(nil, nil, 4, kernels.Stokeslet{}, nil)
+	got := core.Profile{
+		FarFieldPasses: f.Width(),
+		P2PCostFactor:  float64(f.PairFlops()) / float64(kernels.FlopsPerGravityInteraction),
+	}
+	if got != core.StokesProfile() {
+		t.Fatalf("field profile %+v, core.StokesProfile %+v", got, core.StokesProfile())
+	}
+}
+
 func TestRingBoundaryForces(t *testing.T) {
 	sys := particle.New(64)
 	b := Ring(sys, 0, 64, geom.Vec3{}, 1, 2, 10)

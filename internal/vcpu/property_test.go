@@ -38,7 +38,7 @@ func TestQuickGrahamBounds(t *testing.T) {
 		longest := make([]float64, n)
 		for i := n - 1; i >= 0; i-- {
 			longest[i] = costs[i]
-			for _, succ := range g.succ[i] {
+			for _, succ := range g.successors(int32(i)) {
 				if costs[i]+longest[succ] > longest[i] {
 					longest[i] = costs[i] + longest[succ]
 				}

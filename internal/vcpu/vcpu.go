@@ -117,24 +117,39 @@ func (c TaskCost) Total() float64 {
 	return t
 }
 
-// Graph is a task DAG with per-task costs and op attribution.
+// Graph is a task DAG with per-task costs and op attribution. Edges live
+// in flat arrays, so a graph grows by amortized appends rather than one
+// successor slice per task: first[t] and last[t] are task t's first and
+// last out-edge, next[e] the edge after e from the same task (-1 ends a
+// list), to[e] its successor. A task's edges keep the order they were
+// added in.
 type Graph struct {
-	cost  []TaskCost
-	succ  [][]int32
-	indeg []int32
+	cost        []TaskCost
+	indeg       []int32
+	first, last []int32
+	to, next    []int32
 }
 
 // AddTask appends a task and returns its id.
 func (g *Graph) AddTask(cost TaskCost) int32 {
 	g.cost = append(g.cost, cost)
-	g.succ = append(g.succ, nil)
 	g.indeg = append(g.indeg, 0)
+	g.first = append(g.first, -1)
+	g.last = append(g.last, -1)
 	return int32(len(g.cost) - 1)
 }
 
 // AddDep declares that task a must complete before task b starts.
 func (g *Graph) AddDep(a, b int32) {
-	g.succ[a] = append(g.succ[a], b)
+	e := int32(len(g.to))
+	g.to = append(g.to, b)
+	g.next = append(g.next, -1)
+	if g.last[a] < 0 {
+		g.first[a] = e
+	} else {
+		g.next[g.last[a]] = e
+	}
+	g.last[a] = e
 	g.indeg[b]++
 }
 
@@ -226,7 +241,8 @@ func (s Spec) Simulate(g *Graph) Result {
 		clock = c.at
 		free++
 		done++
-		for _, nxt := range g.succ[c.task] {
+		for e := g.first[c.task]; e >= 0; e = g.next[e] {
+			nxt := g.to[e]
 			indeg[nxt]--
 			if indeg[nxt] == 0 {
 				ready = append(ready, nxt)
@@ -257,6 +273,15 @@ type FMMGraphOptions struct {
 // BuildFMMGraph constructs the up/down far-field task DAG of the current
 // visible tree with costs from base coefficients. BuildLists must have run.
 func BuildFMMGraph(t *octree.Tree, base costmodel.Coefficients, opt FMMGraphOptions) *Graph {
+	return BuildNodeGraphs(t, []costmodel.Coefficients{base}, nil, opt)[0]
+}
+
+// BuildNodeGraphs splits BuildFMMGraph's DAG over the nodes of a
+// distributed machine: graph k holds the tasks of the cells with
+// owner[ni] == k, costed with bases[k], and the edges between them (the
+// dependences that cross nodes are the exchange's, not a core's). A nil
+// owner gives every cell to graph 0, whose graph is then BuildFMMGraph's.
+func BuildNodeGraphs(t *octree.Tree, bases []costmodel.Coefficients, owner []int, opt FMMGraphOptions) []*Graph {
 	passes := float64(opt.FarFieldPasses)
 	if passes < 1 {
 		passes = 1
@@ -265,9 +290,19 @@ func BuildFMMGraph(t *octree.Tree, base costmodel.Coefficients, opt FMMGraphOpti
 	if p2pf <= 0 {
 		p2pf = 1
 	}
-	g := &Graph{}
-	up := map[int32]int32{}
-	down := map[int32]int32{}
+	graphs := make([]*Graph, len(bases))
+	for k := range graphs {
+		graphs[k] = &Graph{}
+	}
+	own := func(ni int32) int {
+		if owner == nil {
+			return 0
+		}
+		return owner[ni]
+	}
+	// up[ni] and down[ni] are cell ni's task ids in its owner's graph.
+	up := make([]int32, len(t.Nodes))
+	down := make([]int32, len(t.Nodes))
 	// The near-field costs come from the cached CSR schedule (its U-list
 	// weights: the virtual machine keeps the paper's operator assignment,
 	// every V pair a translation); its rows are the visible leaves in DFS
@@ -280,43 +315,46 @@ func BuildFMMGraph(t *octree.Tree, base costmodel.Coefficients, opt FMMGraphOpti
 	}
 
 	// Up-sweep tasks: children before parents.
-	var buildUp func(ni int32) int32
-	buildUp = func(ni int32) int32 {
+	var buildUp func(ni int32)
+	buildUp = func(ni int32) {
 		n := &t.Nodes[ni]
+		k := own(ni)
+		base := &bases[k]
+		var tc TaskCost
 		if n.IsVisibleLeaf() {
-			var tc TaskCost
 			if !opt.ExcludeEndpoints {
 				tc[costmodel.P2M] = passes * base[costmodel.P2M] * float64(n.Count())
 			}
-			id := g.AddTask(tc)
-			up[ni] = id
-			return id
+			up[ni] = graphs[k].AddTask(tc)
+			return
 		}
-		var kids []int32
+		kids := 0
 		for _, ci := range n.Children {
 			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-				kids = append(kids, buildUp(ci))
+				buildUp(ci)
+				kids++
 			}
 		}
-		var tc TaskCost
-		tc[costmodel.M2M] = passes * base[costmodel.M2M] * float64(len(kids))
-		id := g.AddTask(tc)
-		for _, kid := range kids {
-			g.AddDep(kid, id)
+		tc[costmodel.M2M] = passes * base[costmodel.M2M] * float64(kids)
+		up[ni] = graphs[k].AddTask(tc)
+		for _, ci := range n.Children {
+			if ci != octree.NilNode && t.Nodes[ci].Count() > 0 && own(ci) == k {
+				graphs[k].AddDep(up[ci], up[ni])
+			}
 		}
-		up[ni] = id
-		return id
 	}
-	rootUp := buildUp(t.Root)
+	buildUp(t.Root)
 
 	// Down-sweep tasks: parents before children; the whole down phase
 	// starts after the up phase completes (phase barrier).
-	var buildDown func(ni int32, parent int32)
-	buildDown = func(ni int32, parent int32) {
+	var buildDown func(ni int32)
+	buildDown = func(ni int32) {
 		n := &t.Nodes[ni]
+		k := own(ni)
+		base := &bases[k]
 		var tc TaskCost
 		tc[costmodel.M2L] = passes * base[costmodel.M2L] * float64(len(n.V))
-		if parent != octree.NilNode {
+		if n.Parent != octree.NilNode {
 			tc[costmodel.L2L] = passes * base[costmodel.L2L]
 		}
 		if n.IsVisibleLeaf() {
@@ -328,23 +366,24 @@ func BuildFMMGraph(t *octree.Tree, base costmodel.Coefficients, opt FMMGraphOpti
 				row++
 			}
 		}
-		id := g.AddTask(tc)
-		down[ni] = id
-		if parent == octree.NilNode {
-			g.AddDep(rootUp, id)
-		} else {
-			g.AddDep(down[parent], id)
+		g := graphs[k]
+		down[ni] = g.AddTask(tc)
+		switch {
+		case n.Parent == octree.NilNode:
+			g.AddDep(up[ni], down[ni])
+		case own(n.Parent) == k:
+			g.AddDep(down[n.Parent], down[ni])
 		}
 		if !n.IsVisibleLeaf() {
 			for _, ci := range n.Children {
 				if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-					buildDown(ci, ni)
+					buildDown(ci)
 				}
 			}
 		}
 	}
 	if t.Nodes[t.Root].Count() > 0 {
-		buildDown(t.Root, octree.NilNode)
+		buildDown(t.Root)
 	}
-	return g
+	return graphs
 }

@@ -2,6 +2,7 @@ package vcpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"afmm/internal/costmodel"
@@ -34,6 +35,15 @@ func fanout(n int, unit float64) *Graph {
 		g.AddTask(tc)
 	}
 	return g
+}
+
+// successors lists task t's successors in the order they were added.
+func (g *Graph) successors(t int32) []int32 {
+	var out []int32
+	for e := g.first[t]; e >= 0; e = g.next[e] {
+		out = append(out, g.to[e])
+	}
+	return out
 }
 
 func plainSpec(cores int) Spec {
@@ -153,6 +163,46 @@ func TestFMMGraphPassesScaleCost(t *testing.T) {
 	r4 := spec.Simulate(g4)
 	if math.Abs(r4.Makespan/r1.Makespan-4) > 1e-9 {
 		t.Fatalf("4-pass graph cost ratio %v, want 4", r4.Makespan/r1.Makespan)
+	}
+}
+
+// TestNodeGraphsSplitTheSingleGraph: node graphs hold exactly the single
+// graph's tasks between them, costed alike, and only its edges whose ends
+// share an owner; one owner for every cell gives the single graph.
+func TestNodeGraphsSplitTheSingleGraph(t *testing.T) {
+	sys := distrib.Plummer(3000, 1, 1, 4)
+	tree := octree.Build(sys, octree.Config{S: 16})
+	tree.BuildLists()
+	spec := plainSpec(4)
+	bases := []costmodel.Coefficients{spec.Base, spec.Base, spec.Base}
+	opt := FMMGraphOptions{IncludeP2P: true}
+	single := BuildFMMGraph(tree, spec.Base, opt)
+
+	g := BuildNodeGraphs(tree, bases, make([]int, len(tree.Nodes)), opt)
+	if !reflect.DeepEqual(g[0], single) || g[1].Len() != 0 || g[2].Len() != 0 {
+		t.Fatal("a single owner's graph differs from BuildFMMGraph's")
+	}
+
+	owner := make([]int, len(tree.Nodes))
+	for i := range tree.Nodes {
+		owner[i] = 3 * int(tree.Nodes[i].Start) / sys.Len()
+	}
+	var tasks, edges int
+	var busy float64
+	for _, g := range BuildNodeGraphs(tree, bases, owner, opt) {
+		tasks += g.Len()
+		edges += len(g.to)
+		busy += spec.Simulate(g).TotalBusy
+	}
+	singleEdges := len(single.to)
+	if tasks != single.Len() {
+		t.Fatalf("node graphs hold %d tasks, the single graph %d", tasks, single.Len())
+	}
+	if edges >= singleEdges {
+		t.Fatalf("node graphs keep %d of the single graph's %d edges", edges, singleEdges)
+	}
+	if want := spec.Simulate(single).TotalBusy; math.Abs(busy-want) > 1e-12*want {
+		t.Fatalf("node graphs cost %v, the single graph %v", busy, want)
 	}
 }
 

@@ -232,20 +232,36 @@ func (c *Cluster) alive() []*Device {
 // device's share meets total/numDevices, then moving to the next device
 // (the paper's scheme). Every leaf lands on exactly one surviving
 // device; dead devices receive no work.
-func (c *Cluster) Partition(t *octree.Tree) {
-	sch := t.NearField()
+func (c *Cluster) Partition(t *octree.Tree) { c.PartitionRows(t.NearField(), nil) }
+
+// PartitionRows is Partition's walk over the given schedule rows, in
+// order (nil: every row): a distributed node splits the rows of the
+// leaves it owns over its devices.
+func (c *Cluster) PartitionRows(sch *octree.NearSchedule, rows []int32) {
 	c.resetAssignments()
 	devs := c.alive()
 	if len(devs) == 0 {
 		return
 	}
-	share := sch.PricedTotal() / int64(len(devs))
+	n, total := len(rows), int64(0)
+	if rows == nil {
+		n, total = sch.Rows(), sch.PricedTotal()
+	} else {
+		for _, r := range rows {
+			total += sch.Priced(int(r))
+		}
+	}
+	share := total / int64(len(devs))
 	if share < 1 {
 		share = 1
 	}
 	di := 0
 	var acc int64
-	for r := 0; r < sch.Rows(); r++ {
+	for i := 0; i < n; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
 		devs[di].Assign(sch, r)
 		acc += sch.Priced(r)
 		if acc >= share && di < len(devs)-1 {

@@ -2,6 +2,7 @@ package vgpu
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"afmm/internal/distrib"
@@ -36,6 +37,39 @@ func TestPartitionCoversEveryLeafOnce(t *testing.T) {
 				t.Fatalf("ng=%d: leaf %d assigned %d times", ng, leaf, cnt)
 			}
 		}
+	}
+}
+
+// TestPartitionRowsWalksTheGivenRows: the walk over every row listed is
+// Partition's, and over a subset it assigns exactly that subset, in order,
+// with the shares measured against the subset's own total.
+func TestPartitionRowsWalksTheGivenRows(t *testing.T) {
+	tree := buildTree(6000, 32, 3)
+	sch := tree.NearField()
+	all := make([]int32, sch.Rows())
+	for r := range all {
+		all[r] = int32(r)
+	}
+	a, b := NewCluster(3, DefaultSpec()), NewCluster(3, DefaultSpec())
+	a.Partition(tree)
+	b.PartitionRows(sch, all)
+	for i := range a.Devices {
+		if !slices.Equal(a.Devices[i].Rows, b.Devices[i].Rows) {
+			t.Fatalf("device %d: listing every row assigns %v, Partition %v", i, b.Devices[i].Rows, a.Devices[i].Rows)
+		}
+	}
+
+	half := all[len(all)/2:]
+	b.PartitionRows(sch, half)
+	var got []int32
+	for _, d := range b.Devices {
+		if len(d.Rows) == 0 {
+			t.Fatalf("device %d got none of %d rows", d.ID, len(half))
+		}
+		got = append(got, d.Rows...)
+	}
+	if !slices.Equal(got, half) {
+		t.Fatalf("the devices hold rows %v, want %v", got, half)
 	}
 }
 
