@@ -237,7 +237,6 @@ func runClusterSim(a clusterSimArgs) {
 			CPU:    cpu,
 		},
 		Nodes:      afmm.HomogeneousNodes(a.nodes, afmm.ClusterNodeSpec{CPU: cpu}),
-		Execute:    true,
 		NodeFaults: nodeEvents,
 		LinkFaults: linkSch,
 		LinkSeed:   a.linkSeed,

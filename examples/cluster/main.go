@@ -53,7 +53,7 @@ func main() {
 			tag, rep.StepTime, rep.Imbalance, float64(rep.TotalBytes)/1024)
 		for k, nt := range rep.PerNode {
 			fmt.Printf("  node %d: %6d bodies, compute %.5fs (cpu %.5f / gpu %.5f), "+
-				"comm %.5fs in %5.1f KiB from %d peers\n",
+				"comm %.5fs, %5.1f KiB in %d messages\n",
 				k, nt.Bodies, nt.Compute, nt.CPUTime, nt.GPUTime,
 				nt.CommTime, float64(nt.BytesIn)/1024, nt.Messages)
 		}

@@ -33,8 +33,10 @@ type Field interface {
 	// Reset sizes the multipole/local slabs to the tree and zeroes them.
 	Reset()
 	// Up computes cell ni's multipoles: P2M at a visible leaf, M2M from
-	// the occupied children above.
-	Up(w *expansion.Workspace, ni int32)
+	// the occupied children above. A leaf whose entry in ghosts holds
+	// bodies is formed from there (a dmem node's copy of a remote leaf, as
+	// in NearRow); nil ghosts means every leaf is local.
+	Up(w *expansion.Workspace, ni int32, ghosts []GhostLeaf)
 	// Down computes the locals of a run of one level's cells: into each,
 	// L2L from the parent, then the translated pairs of its V list through
 	// the shared M2L table. A cell's bits do not depend on the run it is
@@ -84,6 +86,15 @@ type GhostLeaf struct {
 	Pos  []geom.Vec3
 	Mass []float64
 	Aux  []geom.Vec3
+}
+
+// Ghost returns the copy of leaf ni that ghosts holds, nil when ni's
+// bodies are read from the shared particle arrays.
+func Ghost(ghosts []GhostLeaf, ni int32) *GhostLeaf {
+	if ghosts == nil || ghosts[ni].Pos == nil {
+		return nil
+	}
+	return &ghosts[ni]
 }
 
 // Cells is what the kernels' fields share: the tree and bodies they read,
@@ -247,13 +258,17 @@ func (f *GravityField) Private() Field {
 
 func (f *GravityField) PairFlops() int { return kernels.FlopsPerGravityInteraction }
 
-func (f *GravityField) Up(w *expansion.Workspace, ni int32) {
+func (f *GravityField) Up(w *expansion.Workspace, ni int32, ghosts []GhostLeaf) {
 	n := &f.Tree.Nodes[ni]
 	if !n.IsVisibleLeaf() {
 		f.M2M(w, ni)
 		return
 	}
-	w.P2MLeaf(f.Mpole(0, ni), n.Box.Center, f.Sys.Pos[n.Start:n.End], f.Sys.Mass[n.Start:n.End])
+	pos, mass := f.Sys.Pos[n.Start:n.End], f.Sys.Mass[n.Start:n.End]
+	if g := Ghost(ghosts, ni); g != nil {
+		pos, mass = g.Pos, g.Mass
+	}
+	w.P2MLeaf(f.Mpole(0, ni), n.Box.Center, pos, mass)
 }
 
 // Down shifts every parent's locals into the run's cells, then translates
@@ -297,8 +312,8 @@ func (f *GravityField) NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLe
 		}
 		lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
 		buf[n] = kernels.GravitySpan{Pos: sys.Pos[lo:hi], Mass: sys.Mass[lo:hi]}
-		if ghosts != nil && ghosts[sch.Srcs[k]].Pos != nil {
-			buf[n] = kernels.GravitySpan{Pos: ghosts[sch.Srcs[k]].Pos, Mass: ghosts[sch.Srcs[k]].Mass}
+		if g := Ghost(ghosts, sch.Srcs[k]); g != nil {
+			buf[n] = kernels.GravitySpan{Pos: g.Pos, Mass: g.Mass}
 		}
 		n++
 	}

@@ -207,6 +207,43 @@ func TestNearRowMatchesPerSpanScalar(t *testing.T) {
 	}
 }
 
+// TestUpReadsGhostCopy: a leaf's P2M over a ghost copy of its bodies — how
+// a dmem node forms a remote leaf's multipole — equals the owner's, bit
+// for bit, and reads the copy, not the shared arrays.
+func TestUpReadsGhostCopy(t *testing.T) {
+	s := NewSolver(distrib.Plummer(2000, 1, 1, 5), Config{P: 4, S: 16})
+	s.Solve()
+	f := s.Field.(*GravityField)
+	w := expansion.NewWorkspace(f.P)
+	ghosts := make([]GhostLeaf, len(s.Tree.Nodes))
+	leaves := s.Tree.VisibleLeaves()
+	for _, li := range leaves {
+		ghosts[li] = f.PackGhost(li)
+	}
+	own := slices.Clone(f.mpoles[0])
+	f.Reset()
+	for _, li := range leaves {
+		f.Up(w, li, ghosts)
+	}
+	for _, li := range leaves {
+		for i, c := range f.Mpole(0, li).C {
+			if math.Float64bits(real(c)) != math.Float64bits(real(own[int(li)*f.packed+i])) ||
+				math.Float64bits(imag(c)) != math.Float64bits(imag(own[int(li)*f.packed+i])) {
+				t.Fatalf("leaf %d coefficient %d: from the copy %v, the owner's %v", li, i, c, own[int(li)*f.packed+i])
+			}
+		}
+	}
+	li := leaves[0]
+	for i := range ghosts[li].Mass {
+		ghosts[li].Mass[i] *= 2
+	}
+	f.Reset()
+	f.Up(w, li, ghosts)
+	if got, want := f.Mpole(0, li).C[0], 2*own[int(li)*f.packed]; got != want {
+		t.Fatalf("doubled ghost masses: monopole %v, want %v", got, want)
+	}
+}
+
 // downRunTree is a solved gravity tree whose down sweep has what the theta
 // batching must get right: cells with four or more translated partners at
 // one polar angle, cells with exactly three, and cells whose V list is

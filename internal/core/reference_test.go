@@ -23,7 +23,8 @@ import (
 // never Solves, so its field translates through the uncached reference
 // form, each cell's pairs sorted by theta).
 func serialStep(s *Solver) {
-	sweep(s, s.Field.Up, func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
+	sweep(s, func(w *expansion.Workspace, ni int32) { s.Field.Up(w, ni, nil) },
+		func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
 }
 
 // sweep runs the step serially with up and down as the sweep operators.
@@ -69,7 +70,7 @@ func perPairStep(s *Solver) {
 	up := func(w *expansion.Workspace, ni int32) {
 		n := &t.Nodes[ni]
 		if n.IsVisibleLeaf() {
-			f.Up(w, ni) // P2M
+			f.Up(w, ni, nil) // P2M
 			return
 		}
 		for _, ci := range n.Children {

@@ -57,9 +57,9 @@ func (s *Solver) reservedDrivers() int {
 }
 
 // StepSpec describes the step graph of the solver's tree as computed by
-// field f: chunk bounds from the solver's pool, chunk bodies
-// calling f with workspaces from ws, near rows reading remote sources from
-// ghosts (nil: every source is local). The share is the whole tree; each
+// field f: chunk bounds from the solver's pool, chunk bodies calling f
+// with workspaces from ws, leaves and near rows reading remote bodies from
+// ghosts (nil: every body is local). The share is the whole tree; each
 // dmem node narrows it to its body range over a private field.
 func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 	spec := dag.Spec{Tree: s.Tree, Pool: s.Cfg.Pool, Tags: taskTags, Share: dag.Share{Hi: int32(s.Sys.Len())}}
@@ -83,7 +83,8 @@ func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 		}
 	}
 	if !s.Cfg.SkipFarField {
-		spec.UpChunk, spec.DownChunk, spec.L2P = chunk(each(f.Up)), chunk(f.Down), chunk(each(f.L2P))
+		up := func(w *expansion.Workspace, ni int32) { f.Up(w, ni, ghosts) }
+		spec.UpChunk, spec.DownChunk, spec.L2P = chunk(each(up)), chunk(f.Down), chunk(each(f.L2P))
 	}
 	if !s.Cfg.SkipNearField {
 		sch := s.Tree.NearField()

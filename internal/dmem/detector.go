@@ -9,7 +9,7 @@ import (
 )
 
 // detector is the heartbeat-based failure detector, the one way a node
-// loss is found (node faults require Execute): a heartbeat goroutine
+// loss is found: a heartbeat goroutine
 // stamps every node's last-seen clock each interval, and a node's
 // suspicion level is its heartbeat age behind the freshest beat, measured
 // in intervals and normalized so that suspicion >= 1 declares it dead

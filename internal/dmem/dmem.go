@@ -16,13 +16,14 @@
 //     an accepted leaf the tree's Direct predicate sums directly — ships
 //     its bodies: the ghost-particle exchange.
 //
-// A priced step charges the transfers of the exchange plan the runtime
-// executes to an alpha-beta network model, once per (receiver, source
-// cell), a ghost leaf's bodies standing in for its multipole. Per-node
+// Every step executes: one goroutine per node runs its share of the step
+// graph and exchanges the plan's flows (Runtime), the essential set — a
+// ghost leaf's bodies stand in for its multipole, which the receiver forms
+// itself. The measured volumes go to an alpha-beta network model. Per-node
 // compute times come from the single-node machine's own models: the
 // far-field graph restricted to the node's cells, and the node's rows split
-// over its devices by interaction count. The numerics are exactly the
-// shared-memory solver's (the decomposition only re-attributes work), so
+// over its devices by interaction count. Every cell is computed wholly by
+// one node through the shared-memory solver's own operators, so
 // distributed results are bit-identical to single-node results.
 package dmem
 
@@ -75,24 +76,24 @@ type Config struct {
 	Nodes []NodeSpec
 	// Net is the interconnect model.
 	Net NetworkSpec
-	// Execute runs the partitioned tree for real: one goroutine per node,
-	// each executing its locally essential tree through its own task
-	// graph, with multipole/local/ghost exchange over channels (see
-	// Runtime). Off, Solve prices the decomposition against the
-	// single-node solve as before.
+	// Execute is accepted and ignored: every step runs the partitioned
+	// tree (Runtime). The field survives only because
+	// benchmark/workloads.go, which a non-benchmark change may not edit,
+	// sets it in keyed literals; no code reads it, and the next benchmark
+	// change drops it.
 	Execute bool
 	// NodeFaults injects node-level fail-stop events into RunWith
 	// (parse specs like "node2:failstop@step12" with
 	// fault.ParseNodeEvents). A lost node's range is repartitioned over
-	// the survivors and the capacity epoch advances. Requires Execute:
-	// the runtime's heartbeat detector is what finds the loss.
+	// the survivors and the capacity epoch advances; the runtime's
+	// heartbeat detector is what finds the loss.
 	NodeFaults []fault.NodeEvent
-	// LinkFaults injects per-link chaos into the executed runtime's
-	// transport (parse specs like "link0-2:drop0.05@step3" with
+	// LinkFaults injects per-link chaos into the runtime's transport
+	// (parse specs like "link0-2:drop0.05@step3" with
 	// fault.ParseLinkEvents, or mixed node+link specs with
-	// fault.ParseClusterEvents). Requires Execute. Any schedule — within
-	// or beyond the retry budget — leaves results bit-identical to the
-	// fault-free single-node run; faults cost time only.
+	// fault.ParseClusterEvents). Any schedule — within or beyond the
+	// retry budget — leaves results bit-identical to the fault-free
+	// single-node run; faults cost time only.
 	LinkFaults *fault.LinkSchedule
 	// LinkSeed seeds the deterministic per-frame fault verdicts.
 	LinkSeed int64
@@ -119,11 +120,10 @@ type NodeTimes struct {
 	// field work (min(CommTime, local near time) — the halo-hiding
 	// schedule executes local P2P rows while remote data is in flight).
 	Hidden float64
-	// BytesIn and Messages are the payload bytes (expansion coefficients
-	// at 16 bytes/complex, ghost bodies at NetworkSpec.BytesPerBody) and
-	// aggregated peer messages received: measured when the step executed
-	// (one message per sender/kind/level flow), modeled when priced (one
-	// per peer).
+	// BytesIn and Messages are the measured payload bytes (expansion
+	// coefficients at 16 bytes/complex, ghost bodies at
+	// NetworkSpec.BytesPerBody) and messages received, one per
+	// sender/kind/level flow.
 	BytesIn  int64
 	Messages int64
 	Bodies   int     // bodies owned
@@ -143,26 +143,17 @@ type StepReport struct {
 	TotalMsgs int64
 	// AliveNodes is the number of nodes that participated.
 	AliveNodes int
-	// Executed reports whether the step ran the distributed runtime (the
-	// accumulators were produced by the per-node goroutines) rather than
-	// pricing the single-node solve.
-	Executed bool
 	// CapacityEpoch advances whenever the cluster topology changes (node
 	// loss); per-node capacity estimates re-derive from 1 afterwards.
 	CapacityEpoch int64
-	// Net is the executed step's link-layer delivery activity (zero when
-	// pricing).
+	// Net is the step's link-layer delivery activity.
 	Net telemetry.NetSample
 	// GhostLeaves counts the (receiver, source leaf) ghost-body shipments
-	// of the executed step's exchange plan: U-list neighbours plus the
-	// accepted leaves summed directly (zero when pricing).
+	// of the step's exchange plan: U-list neighbours plus the accepted
+	// leaves summed directly.
 	GhostLeaves int64
-	// GraphNodes and GraphEdges size the executed step's node graphs,
-	// summed (zero when pricing).
+	// GraphNodes and GraphEdges size the step's node graphs, summed.
 	GraphNodes, GraphEdges int
-	// Single is the underlying single-node timing for reference (zero in
-	// Execute mode, where no single-node solve runs).
-	Single core.StepTimes
 }
 
 // Solver runs the AFMM on a simulated cluster.
@@ -187,10 +178,10 @@ type Solver struct {
 	// clusters[k] is GPU node k's device cluster (nil on a CPU-only
 	// node): the model splits the node's near-field rows over it.
 	clusters []*vgpu.Cluster
-	// rt executes the partitioned tree when Cfg.Execute is set.
+	// rt executes the partitioned tree.
 	rt *Runtime
-	// det is the heartbeat failure detector, live during RunWith in
-	// Execute mode.
+	// det is the heartbeat failure detector, live during a RunWith with
+	// node faults.
 	det *detector
 	// stepIdx is the next Solve's step index into the link-fault
 	// schedule (RunWith pins it to the run step).
@@ -205,18 +196,12 @@ func NewSolver(sys *particle.System, cfg Config) (*Solver, error) {
 	if cfg.Core.P > sphharm.MaxOrder {
 		return nil, fmt.Errorf("dmem: expansion order %d above the supported %d", cfg.Core.P, sphharm.MaxOrder)
 	}
-	if len(cfg.NodeFaults) > 0 && !cfg.Execute {
-		return nil, fmt.Errorf("dmem: NodeFaults require Execute (node loss is detected by the runtime's heartbeats)")
-	}
 	for _, ev := range cfg.NodeFaults {
 		if ev.Node < 0 || ev.Node >= len(cfg.Nodes) {
 			return nil, fmt.Errorf("dmem: fault for unknown node %d", ev.Node)
 		}
 	}
 	if cfg.LinkFaults.Faulty() {
-		if !cfg.Execute {
-			return nil, fmt.Errorf("dmem: LinkFaults require Execute (the priced path has no transport)")
-		}
 		for _, ev := range cfg.LinkFaults.Events {
 			if ev.From >= len(cfg.Nodes) || ev.To >= len(cfg.Nodes) {
 				return nil, fmt.Errorf("dmem: link fault for unknown link %d-%d", ev.From, ev.To)
@@ -253,14 +238,12 @@ func newOver(inner *core.Solver, cfg Config) *Solver {
 		}
 	}
 	s.equalCountCuts()
-	if cfg.Execute {
-		s.rt = newRuntime(inner, &s.Cfg)
-	}
+	s.rt = newRuntime(inner, &s.Cfg)
 	return s
 }
 
 // SetRecorder attaches a telemetry recorder: per-node execution and comm
-// spans land on the dmem track, and executed steps carry their link-layer
+// spans land on the dmem track, and every step carries its link-layer
 // sample.
 func (s *Solver) SetRecorder(rec *telemetry.Recorder) { s.Inner.SetRecorder(rec) }
 
@@ -283,20 +266,15 @@ func (s *Solver) equalCountCuts() {
 	}
 }
 
-// Solve runs one distributed step over the leaf-aligned cuts. With
-// Execute off, the numerics run via the inner (single-node) solver and the
-// decomposition is priced after the fact. With Execute on, the per-node
+// Solve runs one distributed step over the leaf-aligned cuts: the per-node
 // goroutines produce the accumulators themselves — the inner solver's
-// numerics never run — and the measured exchange volumes replace the
-// priced ones.
+// numerics never run — and the model is attributed over what they
+// measured. The step index feeds the link-fault schedule; bare Solve calls
+// advance it monotonically, and RunWith pins it to the run step.
 func (s *Solver) Solve() StepReport {
 	s.alignCuts()
-	var rep StepReport
-	if s.rt != nil {
-		rep = s.executeStep()
-	} else {
-		rep.Single = s.Inner.Solve()
-	}
+	rep := s.rt.Step(s.cuts, s.alive, s.stepIdx)
+	s.stepIdx++
 	s.attribute(&rep)
 	rep.AliveNodes = s.aliveCount()
 	rep.CapacityEpoch = s.capEpoch
@@ -311,15 +289,6 @@ func (s *Solver) aliveCount() int {
 		}
 	}
 	return n
-}
-
-// executeStep runs the distributed runtime over the current tree. The
-// step index feeds the link-fault schedule; bare Solve calls advance it
-// monotonically, and RunWith pins it to the run step.
-func (s *Solver) executeStep() StepReport {
-	step := s.stepIdx
-	s.stepIdx++
-	return s.rt.Step(s.cuts, s.alive, step)
 }
 
 // alignCuts snaps every interior ownership cut to the nearest visible
@@ -340,24 +309,14 @@ func (s *Solver) alignCuts() {
 	s.cuts[p] = int32(s.Inner.Sys.Len())
 }
 
-// attribute completes the per-node report with the model: compute
-// times, comm times and halo hiding. An executed step's report already
-// carries its measured exchange volumes; a priced step's come from the
-// exchange plan the runtime would execute.
+// attribute completes the step's report, which carries its measured
+// exchange volumes, with the model: compute times, comm times and halo
+// hiding.
 func (s *Solver) attribute(rep *StepReport) {
 	t := s.Inner.Tree
 	p := len(s.Cfg.Nodes)
 	sch := t.NearField()
-	var owner []int
-	if rep.Executed {
-		owner = cellOwners(t, s.cuts)
-	} else {
-		pl := buildPlan(t, sch, s.cuts, true, true)
-		owner = pl.owner
-		rep.PerNode = make([]NodeTimes, p)
-		expBytes := int64(sphharm.PackedLen(s.Inner.Cfg.P)) * 16 * int64(s.Inner.Field.Width())
-		pl.price(rep.PerNode, t, expBytes, int64(s.Cfg.Net.BytesPerBody))
-	}
+	owner := cellOwners(t, s.cuts)
 
 	// Per-node far-field graphs: the single-node graph restricted to each
 	// node's cells. Cross-node tree dependencies are carried by the
@@ -369,11 +328,11 @@ func (s *Solver) attribute(rep *StepReport) {
 	graphs := vcpu.BuildNodeGraphs(t, bases, owner, vcpu.FMMGraphOptions{FarFieldPasses: s.Inner.Field.Width()})
 
 	// Near field, from the schedule rows — their U-list entries: like the
-	// single-node virtual machine, the priced cluster keeps the paper's
+	// single-node virtual machine, the modeled cluster keeps the paper's
 	// operator assignment. Each row belongs to its target leaf's owner
 	// (whose GPUs run it); remote source leaves ship their bodies as
 	// ghosts. Interactions split by source ownership — ghost sends are
-	// roots of the executed step graph, on the wire before any compute, so
+	// roots of the node's step graph, on the wire before any compute, so
 	// while halos are in flight a node works through the interactions
 	// whose sources it already owns. That locally-sourced volume is the
 	// halo-hiding budget; the remotely-sourced remainder gates on arrival.
@@ -515,18 +474,7 @@ func (s *Solver) Rebalance() float64 {
 	if total == 0 {
 		return 1
 	}
-	leafEnds := make([]int32, len(s.lastLeaves))
-	for i, li := range s.lastLeaves {
-		leafEnds[i] = t.Nodes[li].End
-	}
-	shares := make([]float64, p)
-	for k := range shares {
-		if s.alive[k] {
-			shares[k] = s.caps[k]
-		}
-	}
-	newCuts := computeCuts(leafEnds, s.lastLeafCost, shares, p)
-	newCuts[p] = int32(s.Inner.Sys.Len())
+	newCuts := s.capacityCuts(s.lastLeaves, s.lastLeafCost)
 
 	maxCost := func(cuts []int32) float64 {
 		var worst float64
@@ -601,17 +549,12 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 			s.det = nil
 		}()
 	}
-	var rec *telemetry.Recorder
-	if s.rt != nil {
-		rec = s.Inner.Cfg.Rec
-	}
+	rec := s.Inner.Cfg.Rec
 	for step := rc.StartStep; step < rc.StartStep+rc.Steps; step++ {
 		if s.det != nil {
 			s.det.setStep(step)
 		}
-		if s.rt != nil {
-			s.stepIdx = step
-		}
+		s.stepIdx = step
 		recovery := s.applyNodeFaults(step, &res)
 		rec.StartStep(step)
 		rep := s.Solve()
@@ -694,17 +637,24 @@ func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 // set and by leaf body counts otherwise.
 func (s *Solver) repartitionSurvivors() {
 	t := s.Inner.Tree
-	p := len(s.Cfg.Nodes)
 	leaves := t.VisibleLeaves()
-	leafEnds := make([]int32, len(leaves))
-	costs := make([]float64, len(leaves))
-	for i, li := range leaves {
-		leafEnds[i] = t.Nodes[li].End
-		if len(s.lastLeafCost) == len(leaves) {
-			costs[i] = s.lastLeafCost[i]
-		} else {
+	costs := s.lastLeafCost
+	if len(costs) != len(leaves) {
+		costs = make([]float64, len(leaves))
+		for i, li := range leaves {
 			costs[i] = float64(t.Nodes[li].Count())
 		}
+	}
+	s.cuts = s.capacityCuts(leaves, costs)
+}
+
+// capacityCuts splits the DFS-ordered leaves, weighted by costs, over the
+// alive nodes in proportion to their capacity estimates.
+func (s *Solver) capacityCuts(leaves []int32, costs []float64) []int32 {
+	p := len(s.Cfg.Nodes)
+	leafEnds := make([]int32, len(leaves))
+	for i, li := range leaves {
+		leafEnds[i] = s.Inner.Tree.Nodes[li].End
 	}
 	shares := make([]float64, p)
 	for k := range shares {
@@ -712,6 +662,7 @@ func (s *Solver) repartitionSurvivors() {
 			shares[k] = s.caps[k]
 		}
 	}
-	s.cuts = computeCuts(leafEnds, costs, shares, p)
-	s.cuts[p] = int32(s.Inner.Sys.Len())
+	cuts := computeCuts(leafEnds, costs, shares, p)
+	cuts[p] = int32(s.Inner.Sys.Len())
+	return cuts
 }

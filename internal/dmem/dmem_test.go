@@ -132,7 +132,7 @@ func TestCommVolumeBounded(t *testing.T) {
 		t.Fatal("no communication recorded on 4 nodes")
 	}
 
-	// The priced volume holds at least the ghost bodies the step's
+	// The exchanged volume holds at least the ghost bodies the step's
 	// near-field rows read from other nodes, each remote source leaf once
 	// per receiver: counted here from the schedule and the cuts alone.
 	tree := d.Inner.Tree
@@ -158,8 +158,69 @@ func TestCommVolumeBounded(t *testing.T) {
 		}
 	}
 	if rep.TotalBytes < ghostBytes {
-		t.Fatalf("priced comm %d bytes below the %d ghost bytes the near field needs", rep.TotalBytes, ghostBytes)
+		t.Fatalf("comm %d bytes below the %d ghost bytes the near field needs", rep.TotalBytes, ghostBytes)
 	}
+}
+
+// TestPlanShipsEachCellOnce: on TestCommVolumeBounded's input no receiver
+// gets a leaf both as ghost bodies and as a multipole — it forms that
+// multipole from the bodies — and the executed step moves exactly the
+// bytes of the plan, summed here per kind.
+func TestPlanShipsEachCellOnce(t *testing.T) {
+	sys := distrib.Plummer(20000, 1, 1, 9)
+	d, err := NewSolver(sys, clusterConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := d.Solve()
+	tree := d.Inner.Tree
+	pl := buildPlan(tree, tree.NearField(), d.Cuts())
+	expBytes := int64(d.Inner.Field.Width()) * int64(sphharm.PackedLen(d.Inner.Cfg.P)) * 16
+	var planned int64
+	twice, formed := 0, 0
+	for k, fs := range pl.in {
+		ghost := map[int32]bool{}
+		for _, f := range fs {
+			if f.id.kind != flowGhost {
+				continue
+			}
+			for _, ci := range f.cells {
+				ghost[ci] = true
+				planned += int64(tree.Nodes[ci].Count()) * int64(d.Cfg.Net.BytesPerBody)
+			}
+			for _, ci := range f.form {
+				if !ghost[ci] {
+					t.Fatalf("node %d forms the multipole of cell %d without its bodies", k, ci)
+				}
+				formed++
+			}
+		}
+		for _, f := range fs {
+			if f.id.kind == flowGhost {
+				continue
+			}
+			planned += int64(len(f.cells)) * expBytes
+			for _, ci := range f.cells {
+				if f.id.kind == flowMpole && ghost[ci] {
+					twice++
+				}
+			}
+		}
+	}
+	if twice > 0 {
+		t.Fatalf("%d (receiver, cell) pairs ship both bodies and a multipole", twice)
+	}
+	if formed == 0 {
+		t.Fatal("no receiver forms a multipole from ghost bodies: the rule is not exercised")
+	}
+	if rep.TotalBytes != planned {
+		t.Fatalf("step moved %d bytes, the plan %d", rep.TotalBytes, planned)
+	}
+	// Multipoles shipped beside the ghosts would move 2,644,976 B.
+	if rep.TotalBytes > 1_940_000 {
+		t.Fatalf("step moved %d bytes, want <= 1,940,000", rep.TotalBytes)
+	}
+	t.Logf("%d bytes in %d flows, %d multipoles formed from ghost bodies", rep.TotalBytes, rep.TotalMsgs, formed)
 }
 
 func TestRebalanceImprovesSkewedPartition(t *testing.T) {
@@ -173,8 +234,7 @@ func TestRebalanceImprovesSkewedPartition(t *testing.T) {
 	}
 	before := d.Solve()
 	gain := d.Rebalance()
-	after := StepReport{Single: before.Single}
-	d.attribute(&after)
+	after := d.Solve()
 	if gain < 0.99 {
 		t.Fatalf("rebalance predicted regression: gain %v", gain)
 	}
@@ -309,14 +369,6 @@ func TestInvalidClusterConfigRejected(t *testing.T) {
 		name, want string // want: a substring of the error
 		mod        func(*Config)
 	}{
-		{"node faults without Execute", "NodeFaults require Execute", func(c *Config) {
-			c.Execute = false
-			c.NodeFaults = nodeEvents("node1:failstop@step1")
-		}},
-		{"link faults without Execute", "LinkFaults require Execute", func(c *Config) {
-			c.Execute = false
-			c.LinkFaults = mustCluster(t, "link0-1:drop0.3@step0")
-		}},
 		{"node fault on an unknown node", "unknown node 4", func(c *Config) {
 			c.NodeFaults = nodeEvents("node4:failstop@step1")
 		}},

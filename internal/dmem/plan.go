@@ -15,6 +15,11 @@ import (
 // loop and the receiver's unpack loop walk the same sorted slice, so no
 // header metadata is ever shipped.
 //
+// It is the essential set: each (receiver, cell) crosses the wire at most
+// once per kind, and a leaf whose bodies a receiver gets as a ghost never
+// also ships its multipole — the receiver forms that itself, P2M of the
+// delivered copy, which gives the owner's bits.
+//
 // Expansion flows are keyed by (sender, receiver, tree level). Multipoles
 // flow while ascending — a level-L mpole message depends only on up work at
 // levels >= L — and locals flow while descending — a level-L local
@@ -23,10 +28,12 @@ import (
 // flows (one per node pair) depend on nothing: positions are step inputs.
 
 // flow is one message of the plan: its transport address and the cells
-// whose data it carries, ascending.
+// whose data it carries, ascending. form, on a ghost flow, lists the cells
+// among them whose multipole the receiver forms from the delivered bodies,
+// ascending.
 type flow struct {
-	id    flowID
-	cells []int32
+	id          flowID
+	cells, form []int32
 }
 
 type exchangePlan struct {
@@ -70,66 +77,77 @@ func cellOwners(t *octree.Tree, cuts []int32) []int {
 	return owner
 }
 
-// buildPlan derives the step's exchange plan under the ownership cuts;
-// far and near say which of the two phases the step runs. Empty cells
-// never appear in a flow (both sides leave their slabs zeroed, exactly
-// like the single-node solver).
-func buildPlan(t *octree.Tree, sch *octree.NearSchedule, cuts []int32, far, near bool) *exchangePlan {
+// buildPlan derives the step's exchange plan under the ownership cuts,
+// for both phases whichever of them the step computes. Empty cells never
+// appear in a flow (both sides leave their slabs zeroed, exactly like the
+// single-node solver).
+func buildPlan(t *octree.Tree, sch *octree.NearSchedule, cuts []int32) *exchangePlan {
 	p := len(cuts) - 1
 	pl := &exchangePlan{owner: cellOwners(t, cuts), in: make([][]flow, p), out: make([][]flow, p)}
 
 	// Every dependency that crosses an ownership boundary, once per
 	// (kind, receiver, cell): receivers ascend along both walks below (DFS
 	// order is body order), so asked[kind][ci] == k+1 says receiver k
-	// already asked for ci.
+	// already asked for ci. A multipole a ghost flow delivers the bodies of
+	// becomes a form entry of that flow.
 	type need struct {
 		id   flowID
 		cell int32
+		form bool
 	}
 	var needs []need
 	var asked [3][]int32
 	for kind := range asked {
 		asked[kind] = make([]int32, len(t.Nodes))
 	}
+	// held[ci] == k+1 says receiver k gets leaf ci's bodies: the ghost
+	// needs[:ghosts] are marked up to the far walk's current receiver.
+	held := make([]int32, len(t.Nodes))
+	ghosts, marked := 0, 0
 	ask := func(kind flowKind, k int, ci int32) {
-		if j := pl.owner[ci]; j != k && asked[kind][ci] != int32(k+1) {
-			asked[kind][ci] = int32(k + 1)
-			id := flowID{kind: kind, from: j, to: k}
-			if kind != flowGhost {
-				id.level = int(t.Nodes[ci].Level)
-			}
-			needs = append(needs, need{id, ci})
+		j := pl.owner[ci]
+		if j == k || asked[kind][ci] == int32(k+1) {
+			return
+		}
+		asked[kind][ci] = int32(k + 1)
+		id := flowID{kind: kind, from: j, to: k}
+		for ; marked < ghosts && needs[marked].id.to <= k; marked++ {
+			held[needs[marked].cell] = int32(needs[marked].id.to + 1)
+		}
+		form := kind == flowMpole && held[ci] == int32(k+1)
+		if form {
+			id.kind = flowGhost
+		} else if kind != flowGhost {
+			id.level = int(t.Nodes[ci].Level)
+		}
+		needs = append(needs, need{id, ci, form})
+	}
+	for r, li := range sch.Leaves {
+		for _, si := range sch.Srcs[sch.RowPtr[r]:sch.RowPtr[r+1]] {
+			ask(flowGhost, pl.owner[li], si)
 		}
 	}
-	if far {
-		t.WalkVisible(func(ni int32) {
-			n := &t.Nodes[ni]
-			k := pl.owner[ni]
-			if !n.IsVisibleLeaf() {
-				for _, ci := range n.Children {
-					if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-						ask(flowMpole, k, ci)
-					}
+	ghosts = len(needs)
+	t.WalkVisible(func(ni int32) {
+		n := &t.Nodes[ni]
+		k := pl.owner[ni]
+		if !n.IsVisibleLeaf() {
+			for _, ci := range n.Children {
+				if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
+					ask(flowMpole, k, ci)
 				}
-			}
-			direct := t.DirectMask(ni)
-			for i, vi := range n.V {
-				if !direct[i] {
-					ask(flowMpole, k, vi)
-				}
-			}
-			if pi := n.Parent; pi != octree.NilNode {
-				ask(flowLocal, k, pi)
-			}
-		})
-	}
-	if near {
-		for r, li := range sch.Leaves {
-			for _, si := range sch.Srcs[sch.RowPtr[r]:sch.RowPtr[r+1]] {
-				ask(flowGhost, pl.owner[li], si)
 			}
 		}
-	}
+		direct := t.DirectMask(ni)
+		for i, vi := range n.V {
+			if !direct[i] {
+				ask(flowMpole, k, vi)
+			}
+		}
+		if pi := n.Parent; pi != octree.NilNode {
+			ask(flowLocal, k, pi)
+		}
+	})
 
 	slices.SortFunc(needs, func(a, b need) int {
 		return cmp.Or(cmp.Compare(a.id.to, b.id.to), cmp.Compare(a.id.kind, b.id.kind),
@@ -139,7 +157,11 @@ func buildPlan(t *octree.Tree, sch *octree.NearSchedule, cuts []int32, far, near
 	for i := 0; i < len(needs); {
 		f := flow{id: needs[i].id}
 		for ; i < len(needs) && needs[i].id == f.id; i++ {
-			f.cells = append(f.cells, needs[i].cell)
+			if needs[i].form {
+				f.form = append(f.form, needs[i].cell)
+			} else {
+				f.cells = append(f.cells, needs[i].cell)
+			}
 		}
 		pl.in[f.id.to] = append(pl.in[f.id.to], f)
 	}
@@ -165,41 +187,4 @@ func (pl *exchangePlan) flowIDs() []flowID {
 		}
 	}
 	return ids
-}
-
-// price charges each receiver the plan's inbound volume as a priced step
-// models it: every (receiver, cell) once, at expBytes for expansions and
-// bodyBytes a body for a ghost leaf — whose bodies replace its multipole,
-// since the receiver can form that itself — and one message per sending
-// peer.
-func (pl *exchangePlan) price(nts []NodeTimes, t *octree.Tree, expBytes, bodyBytes int64) {
-	// charged[ci] == k+1 and peer[j] == k+1 say receiver k already paid
-	// for cell ci and counted a message from node j.
-	charged := make([]int32, len(t.Nodes))
-	peer := make([]int, len(pl.in))
-	for k, fs := range pl.in {
-		nt := &nts[k]
-		for _, ghosts := range [2]bool{true, false} {
-			for _, f := range fs {
-				if (f.id.kind == flowGhost) != ghosts {
-					continue
-				}
-				if peer[f.id.from] != k+1 {
-					peer[f.id.from] = k + 1
-					nt.Messages++
-				}
-				for _, ci := range f.cells {
-					if charged[ci] == int32(k+1) {
-						continue
-					}
-					charged[ci] = int32(k + 1)
-					if ghosts {
-						nt.BytesIn += int64(t.Nodes[ci].Count()) * bodyBytes
-					} else {
-						nt.BytesIn += expBytes
-					}
-				}
-			}
-		}
-	}
 }

@@ -96,7 +96,7 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 			panic(fmt.Sprintf("dmem: dead node %d owns bodies [%d, %d)", k, cuts[k], cuts[k+1]))
 		}
 	}
-	pl := buildPlan(t, sch, cuts, !rt.drv.Cfg.SkipFarField, !rt.drv.Cfg.SkipNearField)
+	pl := buildPlan(t, sch, cuts)
 
 	tp := newTransport(pl.flowIDs(), rt.cfg.link, rt.cfg.LinkFaults, rt.cfg.LinkSeed, step)
 	comm := make([]nodeComm, p)
@@ -115,7 +115,7 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 	wg.Wait()
 	tp.Close()
 
-	rep := StepReport{PerNode: make([]NodeTimes, p), Executed: true, Net: tp.Stats()}
+	rep := StepReport{PerNode: make([]NodeTimes, p), Net: tp.Stats()}
 	for k := 0; k < p; k++ {
 		for _, f := range pl.in[k] {
 			if f.id.kind == flowGhost {
@@ -131,8 +131,10 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 }
 
 // runNode builds and runs node k's step graph over its body range
-// [lo, hi): one arrival node per incoming flow, the range's share of the
-// step graph, one send node per outgoing flow.
+// [lo, hi): one arrival node per incoming flow, one P2M node per incoming
+// ghost flow with cells to form, the range's share of the step graph, one
+// send node per outgoing flow. A skipped phase's flows still cross the
+// wire; only its compute is left out.
 func (rt *Runtime) runNode(k int, pl *exchangePlan, lo, hi int32, tp *transport, nc *nodeComm) sched.GraphStats {
 	start := time.Now()
 	rec := rt.drv.Cfg.Rec
@@ -145,11 +147,27 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, lo, hi int32, tp *transport,
 	spec.Share = dag.Share{Lo: lo, Hi: hi,
 		Mpole: e.arrival[flowMpole], Local: e.arrival[flowLocal], Ghost: e.arrival[flowGhost]}
 
-	// Arrivals (see the deadlock-freedom argument above Runtime).
+	// Arrivals (see the deadlock-freedom argument above Runtime). A ghost
+	// flow's form cells get their multipoles from a P2M node over the
+	// delivered copies, which stands as their multipole arrival.
 	for _, f := range in {
 		id := g.Wait(spec.Tags.Milestone, int32(f.id.from), func() { rt.receive(e, f, tp, nc) })
 		for _, ci := range f.cells {
 			e.arrival[f.id.kind][ci] = id
+		}
+		if len(f.form) == 0 || spec.UpChunk == nil {
+			continue
+		}
+		p2m := g.Node(sched.ClassFar, spec.Tags.Up, int32(f.id.from), func() {
+			w := e.ws.Get()
+			for _, ci := range f.form {
+				e.Up(w, ci, e.ghosts)
+			}
+			e.ws.Put(w)
+		})
+		g.Edge(id, p2m)
+		for _, ci := range f.form {
+			e.arrival[flowMpole][ci] = p2m
 		}
 	}
 	done := dag.Build(spec, g)

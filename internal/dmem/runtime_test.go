@@ -26,9 +26,8 @@ func execCoreConfig() core.Config {
 
 func execClusterConfig(nodes int) Config {
 	return Config{
-		Core:    execCoreConfig(),
-		Nodes:   HomogeneousNodes(nodes, NodeSpec{CPU: vcpu.Spec{Cores: 4}.Normalized()}),
-		Execute: true,
+		Core:  execCoreConfig(),
+		Nodes: HomogeneousNodes(nodes, NodeSpec{CPU: vcpu.Spec{Cores: 4}.Normalized()}),
 	}
 }
 
@@ -52,9 +51,6 @@ func TestExecuteBitIdenticalGravity(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := d.Solve()
-		if !rep.Executed {
-			t.Fatal("expected an executed step")
-		}
 		if rep.TotalBytes == 0 || rep.TotalMsgs == 0 {
 			t.Fatalf("expected cross-node traffic, got bytes=%d msgs=%d",
 				rep.TotalBytes, rep.TotalMsgs)
@@ -97,11 +93,6 @@ func TestExecuteStressOneProc(t *testing.T) {
 		if len(res.Steps) != steps || res.TotalBytes == 0 || res.Rebalances == 0 {
 			t.Fatalf("%d step reports, %d bytes exchanged, %d repartitions",
 				len(res.Steps), res.TotalBytes, res.Rebalances)
-		}
-		for i, rep := range res.Steps {
-			if !rep.Executed {
-				t.Fatalf("step %d was not executed", i)
-			}
 		}
 	case <-time.After(30 * time.Second):
 		buf := make([]byte, 1<<20)
@@ -209,8 +200,8 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 	}
 	cl := stokesCluster(svD, func(cfg *Config) { cfg.NodeFaults = events })
 	rep := cl.Solve()
-	if !rep.Executed || rep.TotalBytes == 0 {
-		t.Fatal("expected an executed step with cross-node traffic")
+	if rep.TotalBytes == 0 {
+		t.Fatal("expected cross-node traffic")
 	}
 	if svD.Tree.NearField().DirectPairs == 0 {
 		t.Fatal("no accepted pair summed directly: the predicate is not exercised")
@@ -309,7 +300,7 @@ func TestPlanFlowsMirrorAndSorted(t *testing.T) {
 	tr := inner.Tree
 	tr.BuildLists()
 	cuts := []int32{0, tr.SnapToLeafEnd(700), tr.SnapToLeafEnd(700), tr.SnapToLeafEnd(2100), 3000}
-	pl := buildPlan(tr, tr.NearField(), cuts, true, true)
+	pl := buildPlan(tr, tr.NearField(), cuts)
 
 	kinds := map[flowKind]int{}
 	for k := range pl.in {

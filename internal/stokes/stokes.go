@@ -168,8 +168,9 @@ func Combine(x geom.Vec3, phi *[passes]float64, g *[passes]geom.Vec3) geom.Vec3 
 // Up computes node ni's four multipoles: at a leaf one harmonic evaluation
 // per body feeds all four charges (expansion.Workspace.P2MLeaf4); above,
 // one four-column translation per child (core.Cells.M2M). Every pass writes only its own slab, in the
-// order a pass-by-pass sweep would.
-func (f *Field) Up(w *expansion.Workspace, ni int32) {
+// order a pass-by-pass sweep would. A leaf held in ghosts is formed from
+// the copy (core.Field.Up).
+func (f *Field) Up(w *expansion.Workspace, ni int32, ghosts []core.GhostLeaf) {
 	n := &f.Tree.Nodes[ni]
 	if !n.IsVisibleLeaf() {
 		f.M2M(w, ni)
@@ -177,6 +178,9 @@ func (f *Field) Up(w *expansion.Workspace, ni int32) {
 	}
 	m := f.mpoles4(ni)
 	pos, aux := f.Sys.Pos[n.Start:n.End], f.Sys.Aux[n.Start:n.End]
+	if g := core.Ghost(ghosts, ni); g != nil {
+		pos, aux = g.Pos, g.Aux
+	}
 	w.P2MLeaf4(&m, n.Box.Center, pos, func(k int) [passes]float64 { return Charges(aux[k], pos[k]) })
 }
 
@@ -231,8 +235,8 @@ func (f *Field) NearRow(sch *octree.NearSchedule, r int, ghosts []core.GhostLeaf
 		}
 		lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
 		buf[n] = kernels.StokesletSpan{Pos: sys.Pos[lo:hi], Force: sys.Aux[lo:hi]}
-		if ghosts != nil && ghosts[sch.Srcs[k]].Pos != nil {
-			buf[n] = kernels.StokesletSpan{Pos: ghosts[sch.Srcs[k]].Pos, Force: ghosts[sch.Srcs[k]].Aux}
+		if g := core.Ghost(ghosts, sch.Srcs[k]); g != nil {
+			buf[n] = kernels.StokesletSpan{Pos: g.Pos, Force: g.Aux}
 		}
 		n++
 	}

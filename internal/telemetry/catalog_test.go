@@ -67,9 +67,8 @@ func TestMetricCatalog(t *testing.T) {
 	}
 
 	d, err := dmem.NewSolver(distrib.Plummer(800, 1, 1, 5), dmem.Config{
-		Core:    core.Config{P: 4, S: 32},
-		Nodes:   dmem.HomogeneousNodes(3, dmem.NodeSpec{CPU: vcpu.Spec{Cores: 4}.Normalized()}),
-		Execute: true,
+		Core:  core.Config{P: 4, S: 32},
+		Nodes: dmem.HomogeneousNodes(3, dmem.NodeSpec{CPU: vcpu.Spec{Cores: 4}.Normalized()}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -395,7 +395,7 @@ type StepRecord struct {
 
 	// SerialWallNs is the serial-equivalent solve wall of the step's graph
 	// region (see HostPhases); Overlapped marks steps a solver's graph ran
-	// in. Both are zero-valued on steps without one (dmem-executed steps).
+	// in. Both are zero-valued on steps without one (dmem steps).
 	SerialWallNs int64 `json:"serial_wall_ns,omitempty"`
 	Overlapped   bool  `json:"overlapped,omitempty"`
 
@@ -452,7 +452,7 @@ type StepRecord struct {
 }
 
 // NetSample is the dmem transport's delivery-protocol activity for one
-// executed step (or, summed, a whole run): every counter the link layer
+// step (or, summed, a whole run): every counter the link layer
 // keeps, plus per-directed-link traffic sorted by (From, To), so a
 // net-timeout flight dump shows which links were struggling.
 type NetSample struct {
