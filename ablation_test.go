@@ -72,7 +72,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 	tree := octree.Build(sys, octree.Config{S: 64})
 	tree.BuildLists()
 	imbalance := func(c *vgpu.Cluster) float64 {
-		c.Execute(tree, nil)
+		c.Execute(tree)
 		var sum, max float64
 		for _, d := range c.Devices {
 			sum += d.KernelTime

@@ -47,9 +47,9 @@ type Field interface {
 	// only far-field write into the body accumulators.
 	L2P(w *expansion.Workspace, ni int32)
 	// NearRow executes row r of the near-field schedule, its sources in
-	// schedule order: the one numeric near-field entry point, for the
-	// host chunks, a simulated device's walk (vgpu.P2PFunc) and its host
-	// fallback alike. A source whose entry in ghosts holds bodies is read
+	// schedule order: the one numeric near-field entry point, called by
+	// the step graph's near chunks on every configuration (simulated
+	// devices only price the rows). A source whose entry in ghosts holds bodies is read
 	// from there (a dmem node's copies of remote leaves); nil ghosts means
 	// every source is local.
 	NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf)

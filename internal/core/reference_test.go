@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,15 +188,10 @@ type variant struct {
 }
 
 // The configurations the step graph is held to the serial reference on.
-// The last two pin the driver-slot reservation at its edges: three workers
-// leave the far field one slot beside the two reserved ones, and on one
-// worker the reservation clamps to none.
 var (
-	cpuOnly      = variant{"cpu-only", func(cfg *Config) {}}
-	oneGPU       = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
-	twoGPUs      = variant{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
-	twoGPUsTight = variant{"two-gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
-	gpuNoReserve = variant{"gpu-no-reserve", func(cfg *Config) { cfg.NumGPUs = 1; cfg.Pool = sched.NewPool(1) }}
+	cpuOnly = variant{"cpu-only", func(cfg *Config) {}}
+	oneGPU  = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
+	twoGPUs = variant{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
 )
 
 // graphMatchesSerial solves each variant on each pool size through the
@@ -219,27 +217,19 @@ func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
 				s.Solve()
 				serialStep(ref)
 				assertBitIdentical(t, s.Sys, ref.Sys)
-				if r := s.Cfg.Pool.Reserved(); r != 0 {
-					t.Fatalf("pool still has %d reserved workers after Solve", r)
-				}
 			})
 		}
 	}
 }
 
 // TestGraphMatchesSerialReference: the one execution path against a
-// reference that shares no scheduling code with it, on 1, 2 and 4 workers;
-// reservation runs four workers over every configuration, the two that
-// pin the slot reservation at its edges included.
+// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, twoGPUs)
 		})
 	}
-	t.Run("reservation", func(t *testing.T) {
-		graphMatchesSerial(t, []int{4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight, gpuNoReserve)
-	})
 	t.Run("failstop", graphMatchesSerialUnderFailStop)
 }
 
@@ -247,12 +237,91 @@ func TestGraphMatchesSerialReference(t *testing.T) {
 // another; the path is gone, its name stays as the slice of the matrix it
 // used to cover.
 func TestTaskGraphBitIdenticalGravity(t *testing.T) {
-	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU, twoGPUs, twoGPUsTight)
+	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU, twoGPUs)
 }
 
-// graphMatchesSerialUnderFailStop: a fail-stop device loss recovered by the
-// host fallback stays bit-identical to the serial reference (the recovery
-// rows run inside the near node, before the L2P join).
+// rowClock wraps a field and stamps each near-field row with the moment
+// it ran.
+type rowClock struct {
+	Field
+	mu sync.Mutex
+	at map[int]time.Time
+}
+
+func (f *rowClock) NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf) {
+	f.mu.Lock()
+	f.at[r] = time.Now()
+	f.mu.Unlock()
+	f.Field.NearRow(sch, r, ghosts)
+}
+
+// nearChunks solves once and returns the row range [lo, hi) of each
+// task.near node, indexed by chunk. A row belongs to the node whose span
+// was the last to start before the row ran: on a one-worker pool the near
+// chunks run one at a time.
+func nearChunks(t *testing.T, s *Solver) [][2]int {
+	t.Helper()
+	clock := &rowClock{Field: s.Field, at: map[int]time.Time{}}
+	s.Field = clock
+	s.Solve()
+	gs := s.TaskGraphStats()
+	var spans []sched.NodeSpan
+	for _, sp := range gs.Spans {
+		if sp.Tag == int32(telemetry.SpanTaskNear) {
+			spans = append(spans, sp)
+		}
+	}
+	slices.SortFunc(spans, func(a, b sched.NodeSpan) int { return cmp.Compare(a.StartNs, b.StartNs) })
+	chunks := make([][2]int, len(spans))
+	rows := make([]int, len(spans))
+	for i := range chunks {
+		chunks[i] = [2]int{math.MaxInt, -1}
+	}
+	if n := s.Tree.NearField().Rows(); len(clock.at) != n {
+		t.Fatalf("%d of %d rows ran", len(clock.at), n)
+	}
+	for r, at := range clock.at {
+		k := -1
+		for i, sp := range spans {
+			if !gs.Start.Add(time.Duration(sp.StartNs)).After(at) {
+				k = i
+			}
+		}
+		if k < 0 {
+			t.Fatalf("row %d ran outside every near chunk", r)
+		}
+		c := &chunks[spans[k].Arg]
+		c[0], c[1] = min(c[0], r), max(c[1], r+1)
+		rows[spans[k].Arg]++
+	}
+	for i, c := range chunks {
+		if rows[i] != c[1]-c[0] {
+			t.Fatalf("chunk %d ran %d rows over [%d, %d)", i, rows[i], c[0], c[1])
+		}
+	}
+	return chunks
+}
+
+// TestDeviceSolveRunsCPUNearChunks: a solve with two simulated devices
+// runs exactly the near-field chunks of the CPU-only solve of the same
+// tree on the same pool — as many task.near nodes, over the same rows.
+func TestDeviceSolveRunsCPUNearChunks(t *testing.T) {
+	pool := sched.NewPool(1)
+	solve := func(gpus int) [][2]int {
+		return nearChunks(t, NewSolver(skewedSystem(1200, 7), Config{P: 6, S: 24, Pool: pool, NumGPUs: gpus}))
+	}
+	cpu, gpu := solve(0), solve(2)
+	if len(cpu) < 2 {
+		t.Fatalf("the CPU-only solve cut %d near chunks, want several", len(cpu))
+	}
+	if !slices.Equal(cpu, gpu) {
+		t.Fatalf("near chunks: CPU-only %v, two devices %v", cpu, gpu)
+	}
+}
+
+// graphMatchesSerialUnderFailStop: a fail-stop device loss moves the
+// clock, never the rows — the fallback is a virtual charge, and the step
+// graph's forces stay bit-identical to the serial reference.
 func graphMatchesSerialUnderFailStop(t *testing.T) {
 	cfg, _ := faultCfg("gpu0:failstop@step1", t)
 	cfg.Pool = sched.NewPool(4)
@@ -328,8 +397,7 @@ func TestKernelMatchesPerPairDirectAfterTreeEdits(t *testing.T) {
 }
 
 // TestOverlapReportsHostPhases: every solve reports the near/far overlap
-// of its graph region, on any pool size and phase subset, and releases the
-// driver-slot reservation.
+// of its graph region, on any pool size and phase subset.
 func TestOverlapReportsHostPhases(t *testing.T) {
 	for _, tc := range []variant{
 		{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
@@ -347,9 +415,6 @@ func TestOverlapReportsHostPhases(t *testing.T) {
 		}
 		if far, near := st.Host.Far > 0, st.Host.Near > 0; far == cfg.SkipFarField || near == cfg.SkipNearField {
 			t.Fatalf("%s: far %v near %v", tc.name, st.Host.Far, st.Host.Near)
-		}
-		if r := s.Cfg.Pool.Reserved(); r != 0 {
-			t.Fatalf("%s: pool still has %d reserved workers after Solve", tc.name, r)
 		}
 	}
 }
@@ -380,17 +445,17 @@ func TestTaskGraphTelemetry(t *testing.T) {
 	}
 	for _, k := range []telemetry.SpanKind{
 		telemetry.SpanTaskUp, telemetry.SpanTaskDown, telemetry.SpanTaskL2P, telemetry.SpanTaskNear,
-		telemetry.SpanUpSweep, telemetry.SpanDownSweep, telemetry.SpanL2P, telemetry.SpanNearExec,
+		telemetry.SpanUpSweep, telemetry.SpanDownSweep, telemetry.SpanL2P, telemetry.SpanNearCPU,
 	} {
 		if seen[k] <= 0 {
 			t.Fatalf("no %v span on a traced solve (saw %v)", k, seen)
 		}
 	}
-	if s0.PhaseNs() < seen[telemetry.SpanDownSweep]+seen[telemetry.SpanNearExec] {
+	if s0.PhaseNs() < seen[telemetry.SpanDownSweep]+seen[telemetry.SpanNearCPU] {
 		t.Fatalf("PhaseNs %d misses the far or near phase", s0.PhaseNs())
 	}
 
-	// CPU-only near field: the same phases under near.cpu.
+	// CPU-only near field: the same near.cpu phase.
 	cpu := NewSolver(skewedSystem(1200, 7), Config{P: 6, S: 24, Pool: sched.NewPool(2)})
 	cpu.SetRecorder(rec)
 	cpu.Solve()

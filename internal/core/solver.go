@@ -1,9 +1,11 @@
 // Package core implements the heterogeneous AFMM solver of the paper: the
 // far-field expansion phases (P2M, M2M, M2L, L2L, L2P) executed by CPU
 // task parallelism over the adaptive octree, concurrently with the
-// near-field (P2P) work on the (simulated) GPUs, under the paper's timing
-// definitions — CPU Time is the up-sweep-to-down-sweep span, GPU Time is
-// the maximum per-device kernel time, Compute Time is their maximum.
+// near-field (P2P) work that the paper runs on GPUs (here host chunks of
+// the same graph, priced by the simulated GPUs' clock), under the paper's
+// timing definitions — CPU Time is the up-sweep-to-down-sweep span, GPU
+// Time is the maximum per-device kernel time, Compute Time is their
+// maximum.
 package core
 
 import (
@@ -88,9 +90,9 @@ type Config struct {
 	// its results can reach the integrator.
 	Validate bool
 	// Faults, when non-nil, arms the device cluster's deterministic
-	// fault injector: device runs consult it per chunk, the watchdog
-	// monitor starts, and dead devices' work is recovered by the host
-	// fallback. Nil (the default) executes the exact pre-fault paths.
+	// fault injector: device walks consult it per chunk, the watchdog
+	// monitor starts, and dead devices' rows are charged to the host
+	// fallback. Nil (the default) walks the exact pre-fault paths.
 	Faults *fault.Injector
 	// Watchdog tunes fault detection and recovery (zero value =
 	// documented defaults); only consulted when Faults is set.
@@ -319,14 +321,18 @@ func (s *Solver) Solve() StepTimes {
 	// The shared M2L class table must be complete before any worker
 	// translates.
 	s.PrepareM2L()
-	if s.Cluster != nil {
-		s.Cluster.Partition(t)
-	}
 	// The near-field "kernels" and the far-field traversal run as one
 	// dependency graph, as in the paper's concurrent kernel launch: the
 	// two meet only at each leaf's L2P.
 	tg := s.runGraph()
-	gpuTime := tg.gpuTime
+	// The devices' clock walks the rows the graph just computed (even
+	// under SkipNearField: the timing model still runs). A Corrupt fault
+	// poisons its target now, when nothing else writes to it.
+	var gpuTime float64
+	if s.Cluster != nil {
+		s.Cluster.Partition(t)
+		gpuTime = s.Cluster.Execute(t)
+	}
 
 	graphTimer := sched.StartTimer()
 	counts := costmodel.FromTree(t.CountOps())
@@ -444,9 +450,7 @@ func (s *Solver) Solve() StepTimes {
 			r.CPU, r.GPU, r.CPUEff, r.GPUEff = st.CPUTime, st.GPUTime, st.CPUEff, st.GPUEff
 			if s.Cluster != nil {
 				for _, d := range s.Cluster.Devices {
-					r.Devices = append(r.Devices, telemetry.DeviceSample{
-						Kernel: d.KernelTime, Interactions: d.Interactions, HostNs: d.HostTime.Nanoseconds(),
-					})
+					r.Devices = append(r.Devices, telemetry.DeviceSample{Kernel: d.KernelTime, Interactions: d.Interactions})
 				}
 			}
 			r.WorkerBusyNs = append(r.WorkerBusyNs[:0], s.busyDelta...)

@@ -5,20 +5,19 @@ import (
 
 	"afmm/internal/dag"
 	"afmm/internal/expansion"
-	"afmm/internal/octree"
 	"afmm/internal/sched"
 	"afmm/internal/telemetry"
-	"afmm/internal/vgpu"
 )
 
-// The step graph: the only way a solve executes, for every pool size and
-// every phase subset. The whole step is one dependency graph (see
-// internal/dag): up-sweep chunks feed exactly the down-sweep chunks that
-// read them; near-field work is an independent root; the only near/far
-// join is each leaf chunk's L2P — the single far-field write into the body
-// accumulators. A one-worker pool drains the same graph, help-first; a
-// solve that skips the far or the near field runs a graph without those
-// nodes.
+// The step graph: the only way a solve executes, for every pool size,
+// device count and phase subset. The whole step is one dependency graph
+// (see internal/dag): up-sweep chunks feed exactly the down-sweep chunks
+// that read them; the near-field row chunks are independent roots; the
+// only near/far join is each leaf chunk's L2P — the single far-field write
+// into the body accumulators. A one-worker pool drains the same graph,
+// help-first; a solve that skips the far or the near field runs a graph
+// without those nodes. Simulated devices add nothing to the graph: their
+// clock walks the same rows after it (Solve).
 
 // taskTags maps the dag node categories onto telemetry span kinds; the
 // milestone tag is negative so join nodes are never emitted as spans.
@@ -30,11 +29,10 @@ var taskTags = dag.Tags{
 	Milestone: -1,
 }
 
-// graphResult carries what Solve needs from the graph region: the device
-// time, per-phase durations (union of the phase's node spans: the wall
-// time during which the phase was executing) and the region wall clock.
+// graphResult carries what Solve needs from the graph region: per-phase
+// durations (union of the phase's node spans: the wall time during which
+// the phase was executing) and the region wall clock.
 type graphResult struct {
-	gpuTime             float64
 	near, up, down, l2p time.Duration
 	region              time.Duration
 }
@@ -43,18 +41,6 @@ type graphResult struct {
 // node/edge counts, ready-queue depth histogram, and the critical-path vs
 // makespan gap.
 func (s *Solver) TaskGraphStats() sched.GraphStats { return s.taskStats }
-
-// reservedDrivers is the number of pool worker slots dedicated to the
-// near-field class while the graph runs — the paper's "one core per GPU
-// driver thread": one slot per simulated device (none on CPU-only
-// configurations, where near and far share all slots), clamped so the far
-// field keeps at least one.
-func (s *Solver) reservedDrivers() int {
-	if s.Cluster == nil {
-		return 0
-	}
-	return min(len(s.Cluster.Devices), s.Cfg.Pool.Workers()-1)
-}
 
 // StepSpec describes the step graph of the solver's tree as computed by
 // field f: chunk bounds from the solver's pool, chunk bodies calling f
@@ -101,37 +87,13 @@ func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 
 // runGraph builds and runs the step graph over the resolved near-field
 // schedule. The caller has already run BuildLists, accumulator and slab
-// reset, M2L table preparation and (with a cluster) Partition.
+// reset and M2L table preparation.
 func (s *Solver) runGraph() graphResult {
 	rec := s.Cfg.Rec
 	var out graphResult
 
-	// Reserve driver slots before the build: the builder's chunk bounds
-	// are reservation-aware, so they must see the final partition.
-	if k := s.reservedDrivers(); k > 0 {
-		s.Cfg.Pool.SetReserved(k)
-		defer s.Cfg.Pool.SetReserved(0)
-	}
-
-	spec := s.StepSpec(s.Field, s.ws, nil)
-	nearKind := telemetry.SpanNearCPU
-	if s.Cluster != nil {
-		nearKind = telemetry.SpanNearExec
-		// A device cluster walks its chunks even under SkipNearField: the
-		// timing model still runs.
-		var fn vgpu.P2PFunc
-		if !s.Cfg.SkipNearField {
-			f := s.Field
-			fn = func(sch *octree.NearSchedule, r int) { f.NearRow(sch, r, nil) }
-		}
-		spec.NearChunk = nil
-		spec.NearSingle = func() {
-			out.gpuTime = s.Cluster.ExecuteParallel(s.Tree, fn, s.Cfg.Pool)
-		}
-	}
-
 	g := s.Cfg.Pool.NewGraph()
-	dag.Build(spec, g)
+	dag.Build(s.StepSpec(s.Field, s.ws, nil), g)
 	g.SetTrace(true)
 	regionTimer := sched.StartTimer()
 	if err := g.Run(); err != nil {
@@ -153,7 +115,7 @@ func (s *Solver) runGraph() graphResult {
 		}
 		return union
 	}
-	out.near = phase(taskTags.Near, nearKind)
+	out.near = phase(taskTags.Near, telemetry.SpanNearCPU)
 	out.up = phase(taskTags.Up, telemetry.SpanUpSweep)
 	out.down = phase(taskTags.Down, telemetry.SpanDownSweep)
 	out.l2p = phase(taskTags.L2P, telemetry.SpanL2P)

@@ -17,8 +17,7 @@
 //     none; the adaptive dual traversal pairs nodes across levels, so the
 //     partner levels are collected per chunk and joined through
 //     per-level up milestones);
-//   - near-field work (CPU CSR chunks, or the device cluster walk) is
-//     an independent root;
+//   - near-field work (CSR row chunks) is an independent root;
 //   - a leaf-evaluation (L2P) node depends on its down-sweep chunk and
 //     on exactly the near-field nodes that write its leaves' bodies —
 //     the only join between the two phases, and a semantic one: L2P is
@@ -70,8 +69,8 @@ type Share struct {
 // all of them inside each chunk body.
 type Spec struct {
 	Tree *octree.Tree
-	// Pool sizes the chunks (its class geometry, reservation-aware); the
-	// graph may run on another pool.
+	// Pool sizes the chunks (its worker count); the graph may run on
+	// another pool.
 	Pool  *sched.Pool
 	Share Share
 
@@ -85,13 +84,9 @@ type Spec struct {
 	// (reading their finalized locals). nil skips leaf nodes.
 	L2P func(leaves []int32) func()
 
-	// Exactly one of the near-field forms (or neither, when the near
-	// field is skipped): NearSingle is one node wrapping the device
-	// cluster walk, which covers every row and so goes with the whole
-	// tree as the share; NearChunk builds one CPU CSR chunk body over
-	// rows [lo, hi) of Tree.NearField().
-	NearSingle func()
-	NearChunk  func(lo, hi int) func()
+	// NearChunk builds one near-field chunk body over rows [lo, hi) of
+	// Tree.NearField(); nil skips the near field.
+	NearChunk func(lo, hi int) func()
 
 	Tags Tags
 }
@@ -161,14 +156,11 @@ func build(spec Spec, g graph) Done {
 
 	// Near-field nodes: roots, except that a chunk with remote sources
 	// waits for their bodies.
-	nearSingle := sched.NodeID(-1)
 	var nearIDs []sched.NodeID
 	var rowOf, rowChunk []int32
-	if spec.NearSingle != nil {
-		nearSingle = g.Node(sched.ClassNear, spec.Tags.Near, 0, spec.NearSingle)
-	} else if spec.NearChunk != nil {
+	if spec.NearChunk != nil {
 		if rLo, rHi := clip(sch.Leaves); rLo < rHi {
-			bounds := pool.WeightedBounds(sched.ClassNear, sch.Weights[rLo:rHi])
+			bounds := pool.WeightedBounds(sch.Weights[rLo:rHi])
 			rowChunk = make([]int32, rHi)
 			for c := 0; c+1 < len(bounds); c++ {
 				lo, hi := rLo+bounds[c], rLo+bounds[c+1]
@@ -197,10 +189,12 @@ func build(spec Spec, g graph) Done {
 		return Done{}
 	}
 
-	// Per-level chunk bounds for both sweeps (reservation-aware).
+	// Per-level chunk bounds for both sweeps, and the share's visible
+	// leaves, which the L2P nodes take as subslices of one buffer.
 	upBounds := make([][]int, nLevels)
 	downBounds := make([][]int, nLevels)
 	var wbuf []int64
+	nLeaves := 0
 	weigh := func(nodes []int32, w func(*octree.Tree, int32) int64) []int64 {
 		wbuf = wbuf[:0]
 		for _, ni := range nodes {
@@ -212,9 +206,15 @@ func build(spec Spec, g graph) Done {
 		if len(levels[lv]) == 0 {
 			continue
 		}
-		upBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], upWeight))
-		downBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], downWeight))
+		upBounds[lv] = pool.WeightedBounds(weigh(levels[lv], upWeight))
+		downBounds[lv] = pool.WeightedBounds(weigh(levels[lv], downWeight))
+		for _, ni := range levels[lv] {
+			if t.Nodes[ni].IsVisibleLeaf() {
+				nLeaves++
+			}
+		}
 	}
+	leafBuf := make([]int32, 0, nLeaves)
 
 	// Up sweep, bottom-up: chunk nodes plus one milestone per level
 	// joining the level's chunks (a single-chunk level is its own
@@ -294,33 +294,32 @@ func build(spec Spec, g graph) Done {
 			if spec.L2P == nil {
 				continue
 			}
-			var leaves []int32
+			first := len(leafBuf)
 			for _, ni := range nodes[lo:hi] {
 				if t.Nodes[ni].IsVisibleLeaf() {
-					leaves = append(leaves, ni)
+					leafBuf = append(leafBuf, ni)
 				}
 			}
+			leaves := leafBuf[first:len(leafBuf):len(leafBuf)]
 			if len(leaves) == 0 {
 				continue
 			}
 			l2p := g.Node(sched.ClassFar, spec.Tags.L2P, int32(lv), spec.L2P(leaves))
 			g.Edge(id, l2p)
-			switch {
-			case nearSingle >= 0:
-				g.Edge(nearSingle, l2p)
-			case nearIDs != nil:
-				// Depend on exactly the near chunks whose CSR rows write
-				// these leaves' bodies (rows are target-leaf-major).
-				last := int32(-1)
-				for _, li := range leaves {
-					r := rowOf[li]
-					if r < 0 {
-						continue
-					}
-					if k := rowChunk[r]; k != last {
-						g.Edge(nearIDs[k], l2p)
-						last = k
-					}
+			if nearIDs == nil {
+				continue
+			}
+			// Depend on exactly the near chunks whose CSR rows write these
+			// leaves' bodies (rows are target-leaf-major).
+			last := int32(-1)
+			for _, li := range leaves {
+				r := rowOf[li]
+				if r < 0 {
+					continue
+				}
+				if k := rowChunk[r]; k != last {
+					g.Edge(nearIDs[k], l2p)
+					last = k
 				}
 			}
 		}

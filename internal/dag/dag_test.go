@@ -144,8 +144,6 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 				}
 			}
 		}
-	case "single":
-		spec.NearSingle = func() { r.cur = task{kind: kindNear, writes: leafAcc(t.VisibleLeaves())} }
 	}
 	return spec
 }
@@ -190,7 +188,10 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 		// From "translate everything" to "sum every mutual leaf pair".
 		tr.SetDirectK([]int64{0, 30, 400, math.MaxInt64}[trial%4])
 		workers := 1 + rng.Intn(6)
-		near := []string{"chunks", "single", "none"}[rng.Intn(3)]
+		near := "chunks"
+		if rng.Intn(3) == 2 {
+			near = "none"
+		}
 		// Every phase subset: far-only is near "none"; near-only (every
 		// fourth trial) drops the far-field chunks and keeps a near field.
 		far := trial%4 != 3
@@ -607,14 +608,11 @@ func parentBuild(spec Spec, g graph) {
 	}
 
 	// Near-field roots.
-	nearSingle := sched.NodeID(-1)
 	var nearIDs []sched.NodeID
 	var rowOf, rowChunk []int32
-	if spec.NearSingle != nil {
-		nearSingle = g.Node(sched.ClassNear, spec.Tags.Near, 0, spec.NearSingle)
-	} else if spec.NearChunk != nil {
+	if spec.NearChunk != nil {
 		if len(sch.Weights) > 0 {
-			bounds := pool.WeightedBounds(sched.ClassNear, sch.Weights)
+			bounds := pool.WeightedBounds(sch.Weights)
 			rowChunk = make([]int32, len(sch.Weights))
 			for c := 0; c+1 < len(bounds); c++ {
 				lo, hi := bounds[c], bounds[c+1]
@@ -638,7 +636,7 @@ func parentBuild(spec Spec, g graph) {
 		return
 	}
 
-	// Per-level chunk bounds for both sweeps (reservation-aware).
+	// Per-level chunk bounds for both sweeps.
 	upBounds := make([][]int, nLevels)
 	downBounds := make([][]int, nLevels)
 	var wbuf []int64
@@ -653,8 +651,8 @@ func parentBuild(spec Spec, g graph) {
 		if len(levels[lv]) == 0 {
 			continue
 		}
-		upBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], func(ni int32) int64 { return upWeight(t, ni) }))
-		downBounds[lv] = pool.WeightedBounds(sched.ClassFar, weigh(levels[lv], func(ni int32) int64 { return downWeight(t, ni) }))
+		upBounds[lv] = pool.WeightedBounds(weigh(levels[lv], func(ni int32) int64 { return upWeight(t, ni) }))
+		downBounds[lv] = pool.WeightedBounds(weigh(levels[lv], func(ni int32) int64 { return downWeight(t, ni) }))
 	}
 
 	// Up sweep, bottom-up: chunk nodes plus one milestone per level
@@ -752,22 +750,16 @@ func parentBuild(spec Spec, g graph) {
 			}
 			l2p := g.Node(sched.ClassFar, spec.Tags.L2P, int32(lv), spec.L2P(leaves))
 			g.Edge(id, l2p)
-			switch {
-			case nearSingle >= 0:
-				g.Edge(nearSingle, l2p)
-			case nearIDs != nil:
-				// Depend on exactly the near chunks whose CSR rows write
-				// these leaves' bodies (rows are target-leaf-major).
-				last := int32(-1)
-				for _, li := range leaves {
-					r := rowOf[li]
-					if r < 0 {
-						continue
-					}
-					if k := rowChunk[r]; k != last {
-						g.Edge(nearIDs[k], l2p)
-						last = k
-					}
+			// Depend on exactly the near chunks whose CSR rows write these
+			// leaves' bodies (rows are target-leaf-major).
+			last := int32(-1)
+			for _, li := range leaves {
+				if rowOf == nil || rowOf[li] < 0 {
+					continue
+				}
+				if k := rowChunk[rowOf[li]]; k != last {
+					g.Edge(nearIDs[k], l2p)
+					last = k
 				}
 			}
 		}

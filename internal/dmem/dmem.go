@@ -372,7 +372,7 @@ func (s *Solver) attribute(rep *StepReport) {
 		var nearLocal float64
 		if cl := s.clusters[k]; cl != nil {
 			cl.PartitionRows(sch, rows[k])
-			nt.GPUTime = cl.Execute(t, nil)
+			nt.GPUTime = cl.Execute(t)
 			if tot := localInts + remoteInts; tot > 0 {
 				nearLocal = nt.GPUTime * float64(localInts) / float64(tot)
 			}

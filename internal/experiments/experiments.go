@@ -366,7 +366,7 @@ func Fig7(p Params) (serial HeteroCurve, curves []HeteroCurve) {
 		for _, g := range []int{1, 2, 4} {
 			cl := vgpu.NewCluster(g, p.gpuSpec())
 			cl.Partition(tree)
-			gpuTime[g] = cl.Execute(tree, nil)
+			gpuTime[g] = cl.Execute(tree)
 		}
 		for i, cb := range combos {
 			spec := base

@@ -15,10 +15,8 @@ import (
 // Nodes are closures tagged with a work Class and a data-locality hint;
 // edges are dependencies. A node becomes runnable when its in-degree
 // drops to zero; runnable nodes are pushed to per-class ready queues
-// drained by tasks admitted through the pool's existing worker slots, so
-// reserved-slot semantics (ClassNear on the reserved partition) carry
-// over unchanged and a graph execution can share the pool with
-// conventional parallel ranges.
+// drained by tasks admitted through the pool's worker slots, so a graph
+// execution can share the pool with conventional parallel ranges.
 //
 // The runtime makes no scheduling promises beyond dependency order —
 // bit-identical results therefore require the graph's *nodes* to be
@@ -39,8 +37,7 @@ type gnode struct {
 	fn    func()
 	class Class
 	tag   int32 // caller-defined span kind (opaque to sched)
-	arg   int32 // data-locality hint: level, chunk or device index
-	succs []NodeID
+	arg   int32 // data-locality hint: level, chunk or peer node index
 	preds int32
 	wait  bool // runs on a goroutine of its own (see Wait)
 }
@@ -61,13 +58,10 @@ type GraphStats struct {
 	Nodes int
 	Edges int
 	// MaxReady is the high-water mark of the total ready-queue depth
-	// (across classes); ReadyHist[d] counts enqueue operations that
-	// observed total depth d, with the last bucket collecting >= len-1.
-	// Depth persistently near 1 means the graph is chain-like (no slack
-	// to recover); depth near the worker count means the pool, not the
-	// dependency structure, is the bound.
-	MaxReady  int
-	ReadyHist []int64
+	// (across classes). Depth persistently near 1 means the graph is
+	// chain-like (no slack to recover); depth near the worker count means
+	// the pool, not the dependency structure, is the bound.
+	MaxReady int
 	// CriticalPathNs is the longest dependency chain weighted by the
 	// measured node durations (only available when tracing was enabled);
 	// MakespanNs is the measured wall time of Run. Their gap is the
@@ -88,17 +82,21 @@ type GraphStats struct {
 	LocalityHits int64
 }
 
-const readyHistSize = 32
-
 // Graph is a single-use dependency graph. Build nodes with Node, add
 // edges with Edge, execute once with Run. A Graph must not be reused
 // after Run returns.
+//
+// Edges live in one flat list while the graph is built; Run sorts them
+// into CSR form, node id's successors being succ[ptr[id]:ptr[id+1]] in the
+// order their edges were added.
 type Graph struct {
 	pool  *Pool
 	trace bool
 
 	nodes []gnode
-	edges int
+	edges [][2]NodeID
+	ptr   []int32
+	succ  []NodeID
 	topo  []NodeID
 
 	mu     [NumClasses]sync.Mutex
@@ -121,7 +119,6 @@ type Graph struct {
 
 	ready    atomic.Int32
 	maxReady atomic.Int32
-	hist     [readyHistSize]atomic.Int64
 
 	spans    []NodeSpan
 	start    time.Time
@@ -138,7 +135,7 @@ func (g *Graph) SetTrace(on bool) { g.trace = on }
 // Node adds a task executing fn under class c and returns its id. tag is
 // an opaque caller-defined label (the solvers store a telemetry span
 // kind); arg is the data-locality hint (octree level, chunk index or
-// device id) reported alongside.
+// peer node id) reported alongside.
 func (g *Graph) Node(c Class, tag, arg int32, fn func()) NodeID {
 	g.nodes = append(g.nodes, gnode{fn: fn, class: c, tag: tag, arg: arg})
 	return NodeID(len(g.nodes) - 1)
@@ -163,27 +160,12 @@ func (g *Graph) Edge(from, to NodeID) {
 	if int(from) >= len(g.nodes) || int(to) >= len(g.nodes) || from < 0 || to < 0 {
 		panic("sched: Edge references unknown node")
 	}
-	g.nodes[from].succs = append(g.nodes[from].succs, to)
+	g.edges = append(g.edges, [2]NodeID{from, to})
 	g.nodes[to].preds++
-	g.edges++
 }
 
-// classSlots returns how many worker slots class c can occupy, which
-// bounds the number of concurrent drainers per ready queue.
-func (g *Graph) classSlots(c Class) int32 {
-	w := g.pool.workers
-	if res := int(g.pool.reserved.Load()); res > 0 {
-		if c == ClassNear {
-			w = res
-		} else {
-			w = g.pool.workers - res
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return int32(w)
-}
+// succs returns node id's successors (valid once Run has built the CSR).
+func (g *Graph) succs(id NodeID) []NodeID { return g.succ[g.ptr[id]:g.ptr[id+1]] }
 
 // Run executes the graph and blocks until every node has completed.
 // A cyclic graph is rejected up front with ErrCycle, before any node
@@ -196,6 +178,25 @@ func (g *Graph) Run() error {
 	if n == 0 {
 		return nil
 	}
+	// Counting sort of the edges by source, stable so every node keeps its
+	// successors in the order they were added.
+	// After the prefix sums ptr[id] is where id's edges start; placing
+	// them advances it to where they end, which the final shift turns
+	// back into starts.
+	g.ptr = make([]int32, n+1)
+	for _, e := range g.edges {
+		g.ptr[e[0]+1]++
+	}
+	for i := 0; i < n; i++ {
+		g.ptr[i+1] += g.ptr[i]
+	}
+	g.succ = make([]NodeID, len(g.edges))
+	for _, e := range g.edges {
+		g.succ[g.ptr[e[0]]] = e[1]
+		g.ptr[e[0]]++
+	}
+	copy(g.ptr[1:], g.ptr[:n])
+	g.ptr[0] = 0
 	// Kahn's algorithm on the static in-degrees: both the cycle check
 	// and the topological order Stats later uses for the critical path.
 	indeg := make([]int32, n)
@@ -207,7 +208,7 @@ func (g *Graph) Run() error {
 		}
 	}
 	for k := 0; k < len(order); k++ {
-		for _, s := range g.nodes[order[k]].succs {
+		for _, s := range g.succs(order[k]) {
 			if indeg[s]--; indeg[s] == 0 {
 				order = append(order, s)
 			}
@@ -275,11 +276,6 @@ func (g *Graph) enqueue(id NodeID) {
 			break
 		}
 	}
-	b := int(d)
-	if b >= readyHistSize {
-		b = readyHistSize - 1
-	}
-	g.hist[b].Add(1)
 	g.mu[c].Lock()
 	g.queue[c] = append(g.queue[c], id)
 	g.mu[c].Unlock()
@@ -287,11 +283,11 @@ func (g *Graph) enqueue(id NodeID) {
 }
 
 // kick admits one more drainer for class c unless the class already has
-// as many drainers as slots it can occupy. Spawn never blocks: with no
+// as many drainers as the pool has slots. Spawn never blocks: with no
 // free slot the drainer runs inline in the caller (help-first), which
 // keeps the completion protocol deadlock-free.
 func (g *Graph) kick(c Class) {
-	limit := g.classSlots(c)
+	limit := int32(g.pool.workers)
 	for {
 		a := g.active[c].Load()
 		if a >= limit {
@@ -356,7 +352,7 @@ func (g *Graph) exec(id NodeID, drainer int32) {
 	if !g.aborted.Load() {
 		g.runNode(nd, id)
 	}
-	for _, s := range nd.succs {
+	for _, s := range g.succs(id) {
 		// Stamp the locality hint before the release decrement so any
 		// drainer that sees the node ready also sees a preference (last
 		// completing predecessor wins — any producer is a fine hint).
@@ -431,15 +427,11 @@ func SpanUnion(spans []NodeSpan, tag int32) (startNs int64, union time.Duration)
 func (g *Graph) Stats() GraphStats {
 	st := GraphStats{
 		Nodes:        len(g.nodes),
-		Edges:        g.edges,
+		Edges:        len(g.edges),
 		MaxReady:     int(g.maxReady.Load()),
 		MakespanNs:   g.makespan,
 		Start:        g.start,
 		LocalityHits: g.localityHits.Load(),
-	}
-	st.ReadyHist = make([]int64, readyHistSize)
-	for i := range g.hist {
-		st.ReadyHist[i] = g.hist[i].Load()
 	}
 	if g.spans != nil && g.topo != nil {
 		st.Spans = g.spans
@@ -452,7 +444,7 @@ func (g *Graph) Stats() GraphStats {
 			if finish[id] > cp {
 				cp = finish[id]
 			}
-			for _, s := range g.nodes[id].succs {
+			for _, s := range g.succs(id) {
 				if finish[id] > finish[s] {
 					finish[s] = finish[id]
 				}

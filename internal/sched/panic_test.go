@@ -45,28 +45,15 @@ func TestPanicSurfacesAtWait(t *testing.T) {
 	}
 }
 
-func TestWaitErrReturnsPanicAsError(t *testing.T) {
-	p := NewPool(2)
-	g := p.NewGroup()
-	g.Spawn(func() { panic(errors.New("kernel fault")) })
-	err := g.WaitErr()
-	if err == nil {
-		t.Fatal("WaitErr = nil, want error")
-	}
-	var tp *TaskPanic
-	if !errors.As(err, &tp) {
-		t.Fatalf("WaitErr error type %T, want *TaskPanic", err)
-	}
-	if !strings.Contains(err.Error(), "kernel fault") {
-		t.Fatalf("error text: %q", err.Error())
-	}
-
-	// A clean group returns nil.
-	g2 := p.NewGroup()
-	g2.Spawn(func() {})
-	if err := g2.WaitErr(); err != nil {
-		t.Fatalf("clean group WaitErr = %v", err)
-	}
+// waitErr joins g and returns the *TaskPanic Wait re-panics, or nil.
+func waitErr(g *Group) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = r.(*TaskPanic)
+		}
+	}()
+	g.Wait()
+	return nil
 }
 
 // An inline-executed task (all slots busy) panicking must also be
@@ -79,14 +66,14 @@ func TestInlinePanicCaptured(t *testing.T) {
 	// This Spawn must execute inline; its panic must not propagate here.
 	g.Spawn(func() { panic("inline boom") })
 	close(block)
-	err := g.WaitErr()
+	err := waitErr(g)
 	if err == nil || !strings.Contains(err.Error(), "inline boom") {
 		t.Fatalf("inline panic not captured: %v", err)
 	}
 }
 
 // After a panicking task, the pool must be fully usable: no slot leaked
-// (no deadlock on full-width work) and reserved partitions intact.
+// (no deadlock on full-width work).
 func TestPanicDoesNotPoisonPool(t *testing.T) {
 	const workers = 4
 	p := NewPool(workers)
@@ -95,7 +82,7 @@ func TestPanicDoesNotPoisonPool(t *testing.T) {
 	for i := 0; i < workers*4; i++ {
 		g.Spawn(func() { panic("die") })
 	}
-	if err := g.WaitErr(); err == nil {
+	if err := waitErr(g); err == nil {
 		t.Fatal("expected panic error")
 	}
 
@@ -120,49 +107,6 @@ func TestPanicDoesNotPoisonPool(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("pool deadlocked after task panic: slot leaked")
-	}
-}
-
-// A panic on a reserved (ClassNear) slot must return that slot to the
-// reserved partition, and SetReserved must still be able to quiesce and
-// repartition afterwards.
-func TestPanicDoesNotPoisonReservedSlots(t *testing.T) {
-	p := NewPool(4)
-	p.SetReserved(2)
-
-	g := p.NewGroupClass(ClassNear)
-	g.Spawn(func() { panic("driver died") })
-	if err := g.WaitErr(); err == nil {
-		t.Fatal("expected panic error")
-	}
-
-	// Both reserved slots must still be usable concurrently.
-	g2 := p.NewGroupClass(ClassNear)
-	var peak atomic.Int32
-	var cur atomic.Int32
-	for i := 0; i < 2; i++ {
-		g2.Spawn(func() {
-			n := cur.Add(1)
-			for peak.Load() < n {
-				peak.CompareAndSwap(peak.Load(), n)
-			}
-			time.Sleep(20 * time.Millisecond)
-			cur.Add(-1)
-		})
-	}
-	g2.Wait()
-	if peak.Load() != 2 {
-		t.Fatalf("reserved concurrency after panic = %d, want 2", peak.Load())
-	}
-
-	// SetReserved quiesces by draining all slots; it would hang forever
-	// if the panicking task had leaked one.
-	done := make(chan struct{})
-	go func() { p.SetReserved(0); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("SetReserved hung after panic: reserved slot leaked")
 	}
 }
 
@@ -193,7 +137,7 @@ func TestNestedGroupPanicUnwrapped(t *testing.T) {
 		inner.Spawn(func() { panic("deep") })
 		inner.Wait()
 	})
-	err := outer.WaitErr()
+	err := waitErr(outer)
 	var tp *TaskPanic
 	if !errors.As(err, &tp) {
 		t.Fatalf("outer error %T", err)

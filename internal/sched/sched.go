@@ -7,13 +7,9 @@
 // workers are busy (the standard depth-cutoff-free OpenMP-style pattern).
 //
 // The pool additionally supports the paper's concurrent-phase execution
-// (§V): independent parallel ranges may be admitted concurrently from
-// different goroutines under distinct work classes (far field vs.
-// near-field drivers), busy time is accounted per class as well as per
-// worker slot, and SetReserved can dedicate a number of worker slots to
-// the near-field driver class — the analogue of pinning one host core per
-// GPU to drive its kernels while the remaining cores run the expansion
-// work.
+// (§V): work of different classes (far field, near field) shares the
+// worker slots, and busy time is accounted per class as well as per
+// worker slot.
 package sched
 
 import (
@@ -26,9 +22,8 @@ import (
 )
 
 // Class labels the work admitted to the pool, so concurrently executing
-// phases can be accounted (and, for ClassNear, placed) separately. Tasks
-// of every class share the same worker slots until SetReserved dedicates
-// slots to ClassNear.
+// phases can be accounted separately. Tasks of every class share the same
+// worker slots.
 type Class uint8
 
 const (
@@ -36,11 +31,9 @@ const (
 	// traversal, prep, and every pre-existing call site.
 	ClassGeneral Class = iota
 	// ClassFar is the far-field expansion work (P2M/M2M/M2L/L2L/L2P
-	// sweeps). It always runs on the general (non-reserved) slots.
+	// sweeps).
 	ClassFar
-	// ClassNear is the near-field execution: the virtual-GPU device walks
-	// and the CPU P2P chunks. When SetReserved is active this class runs
-	// exclusively on the reserved slots (the paper's driver cores).
+	// ClassNear is the near-field execution: the P2P chunks.
 	ClassNear
 	// NumClasses bounds the class enumeration.
 	NumClasses
@@ -63,30 +56,14 @@ func (c Class) String() string {
 // telemetry layer a per-worker utilization profile (paper §VII.A's
 // "CPU Time" is a makespan; the busy vector shows the imbalance behind
 // it). Inline executions — tasks run in the caller because every slot was
-// taken — are charged to per-class inline buckets (InlineClassBusyNs).
-//
-// Slots are split into a general semaphore and a reserved semaphore by
-// SetReserved; with zero reserved slots (the default) every class draws
-// from the general semaphore and the pool behaves exactly as before.
+// taken — are charged to one inline bucket.
 type Pool struct {
 	workers int
-	sem     chan int // general slots
-	resSem  chan int // reserved slots (ClassNear when reservation active)
+	sem     chan int
 
-	// reconf serializes SetReserved reconfigurations. reserved is the
-	// current reserved-slot count, read atomically by Spawn.
-	reconf   sync.Mutex
-	reserved atomic.Int32
-
-	spawned atomic.Int64
-	inlined atomic.Int64
-	busy    []atomic.Int64 // ns of task execution per worker slot
-	// inlineClass buckets inline-executed task time per work class. The
-	// split matters under reservation: inline ClassNear work charged to a
-	// shared bucket would be indistinguishable from inline far-field
-	// work, hiding the idle-reserved-slot signal the autotuner reads.
-	inlineClass [NumClasses]atomic.Int64
-	classBusy   [NumClasses]atomic.Int64 // ns of task execution per work class
+	busy      []atomic.Int64           // ns of task execution per worker slot
+	inline    atomic.Int64             // ns of inline task execution
+	classBusy [NumClasses]atomic.Int64 // ns of task execution per work class
 }
 
 // NewPool creates a pool that allows up to workers tasks to run
@@ -98,7 +75,6 @@ func NewPool(workers int) *Pool {
 	p := &Pool{
 		workers: workers,
 		sem:     make(chan int, workers),
-		resSem:  make(chan int, workers),
 		busy:    make([]atomic.Int64, workers),
 	}
 	for i := 0; i < workers; i++ {
@@ -110,106 +86,23 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Reserved returns the number of worker slots currently dedicated to
-// ClassNear by SetReserved.
-func (p *Pool) Reserved() int { return int(p.reserved.Load()) }
-
-// SetReserved dedicates k worker slots to ClassNear tasks; the remaining
-// workers-k slots serve every other class. k is clamped to
-// [0, workers-1] so at least one general slot always remains. Passing 0
-// restores the shared-slot default.
-//
-// The call quiesces the pool: it blocks until every outstanding task has
-// returned its slot, then repartitions. Callers must therefore invoke it
-// only between phases (the solvers bracket the overlapped near/far region
-// with it); invoking it while tasks the caller is itself waiting on are
-// running would deadlock. Concurrent Spawns during the repartition are
-// safe — they simply execute inline.
-func (p *Pool) SetReserved(k int) {
-	if k < 0 {
-		k = 0
-	}
-	if k > p.workers-1 {
-		k = p.workers - 1
-	}
-	p.reconf.Lock()
-	defer p.reconf.Unlock()
-	cur := int(p.reserved.Load())
-	if k == cur {
-		return
-	}
-	// Drain every slot from both semaphores (waits for running tasks).
-	for i := 0; i < p.workers-cur; i++ {
-		<-p.sem
-	}
-	for i := 0; i < cur; i++ {
-		<-p.resSem
-	}
-	p.reserved.Store(int32(k))
-	for i := 0; i < k; i++ {
-		p.resSem <- i
-	}
-	for i := k; i < p.workers; i++ {
-		p.sem <- i
-	}
-}
-
-// SpawnedTasks returns how many tasks ran on their own goroutine since the
-// pool was created; InlinedTasks how many ran inline because all workers
-// were busy.
-func (p *Pool) SpawnedTasks() int64 { return p.spawned.Load() }
-
-// InlinedTasks returns the count of tasks executed inline.
-func (p *Pool) InlinedTasks() int64 { return p.inlined.Load() }
-
 // WorkerBusyNs appends the cumulative per-slot busy time (ns) to dst and
 // returns it; the final appended element is the inline-execution bucket,
 // so the result has Workers()+1 entries beyond dst's original length.
-// Counters are cumulative since pool creation (or the last
-// ResetWorkerBusy); callers wanting a per-step profile take deltas of two
-// snapshots. Passing a reused dst[:0] keeps the snapshot allocation-free.
+// Counters are cumulative since pool creation; callers wanting a per-step
+// profile take deltas of two snapshots. Passing a reused dst[:0] keeps the
+// snapshot allocation-free.
 func (p *Pool) WorkerBusyNs(dst []int64) []int64 {
 	for i := range p.busy {
 		dst = append(dst, p.busy[i].Load())
 	}
-	var inline int64
-	for i := range p.inlineClass {
-		inline += p.inlineClass[i].Load()
-	}
-	return append(dst, inline)
-}
-
-// InlineClassBusyNs appends the cumulative inline-execution busy time
-// (ns) per class to dst and returns it, one entry per Class in
-// enumeration order. The per-class split distinguishes near-field work
-// squeezed inline (a sign the reserved partition is under-provisioned)
-// from ordinary help-first far-field spill.
-func (p *Pool) InlineClassBusyNs(dst []int64) []int64 {
-	for i := range p.inlineClass {
-		dst = append(dst, p.inlineClass[i].Load())
-	}
-	return dst
-}
-
-// ResetWorkerBusy zeroes the per-worker and per-class busy counters.
-// Racing tasks may re-add time concurrently; intended for quiescent
-// points.
-func (p *Pool) ResetWorkerBusy() {
-	for i := range p.busy {
-		p.busy[i].Store(0)
-	}
-	for i := range p.inlineClass {
-		p.inlineClass[i].Store(0)
-	}
-	for i := range p.classBusy {
-		p.classBusy[i].Store(0)
-	}
+	return append(dst, p.inline.Load())
 }
 
 // ClassBusyNs appends the cumulative per-class busy time (ns) to dst and
 // returns it, one entry per Class in enumeration order (general, far,
 // near). Inline executions are included in their class's bucket. Counters
-// are cumulative since pool creation or the last ResetWorkerBusy.
+// are cumulative since pool creation.
 func (p *Pool) ClassBusyNs(dst []int64) []int64 {
 	for i := range p.classBusy {
 		dst = append(dst, p.classBusy[i].Load())
@@ -219,11 +112,9 @@ func (p *Pool) ClassBusyNs(dst []int64) []int64 {
 
 // TaskPanic wraps a panic recovered from a pool task. Worker panics do
 // not kill the process: the group captures the first one (with its
-// stack) and re-raises it at the join point — Wait re-panics it in the
-// waiting goroutine, WaitErr returns it as an error. Either way the
-// panicking task's worker slot is returned to the pool first, so a
-// crashing task can neither deadlock the pool nor poison a reserved
-// slot partition.
+// stack) and re-raises it at the join point: Wait re-panics it in the
+// waiting goroutine. The panicking task's worker slot is returned to the
+// pool first, so a crashing task cannot deadlock the pool.
 type TaskPanic struct {
 	Value any    // the value passed to panic()
 	Stack []byte // stack of the panicking task
@@ -242,28 +133,15 @@ type Group struct {
 	class Class
 	wg    sync.WaitGroup
 	// panicked holds the first TaskPanic recovered from this group's
-	// tasks; Wait/WaitErr surface it after the join.
+	// tasks; Wait surfaces it after the join.
 	panicked atomic.Pointer[TaskPanic]
 }
 
 // NewGroup returns a ClassGeneral task group bound to the pool.
 func (p *Pool) NewGroup() *Group { return &Group{pool: p} }
 
-// NewGroupClass returns a task group whose tasks are charged to class c
-// and, for ClassNear under an active reservation, placed on the reserved
-// worker slots.
+// NewGroupClass returns a task group whose tasks are charged to class c.
 func (p *Pool) NewGroupClass(c Class) *Group { return &Group{pool: p, class: c} }
-
-// sems returns the semaphore this group's class draws slots from. Only
-// ClassNear uses the reserved partition, and only while one is active;
-// everything else (and ClassNear with no reservation) shares the general
-// slots.
-func (g *Group) sems() chan int {
-	if g.class == ClassNear && g.pool.reserved.Load() > 0 {
-		return g.pool.resSem
-	}
-	return g.pool.sem
-}
 
 // runTask executes f, converting a panic into a recorded TaskPanic
 // (first one wins) instead of letting it unwind past the task boundary.
@@ -287,10 +165,9 @@ func (g *Group) runTask(f func()) {
 // otherwise inline in the caller (which preserves progress and bounds
 // parallelism without deadlock, as in help-first task runtimes).
 func (g *Group) Spawn(f func()) {
-	sem := g.sems()
+	sem := g.pool.sem
 	select {
 	case slot := <-sem:
-		g.pool.spawned.Add(1)
 		g.wg.Add(1)
 		go func() {
 			start := time.Now()
@@ -304,11 +181,10 @@ func (g *Group) Spawn(f func()) {
 			g.runTask(f)
 		}()
 	default:
-		g.pool.inlined.Add(1)
 		start := time.Now()
 		g.runTask(f)
 		dt := int64(time.Since(start))
-		g.pool.inlineClass[g.class].Add(dt)
+		g.pool.inline.Add(dt)
 		g.pool.classBusy[g.class].Add(dt)
 	}
 }
@@ -325,34 +201,14 @@ func (g *Group) Wait() {
 	}
 }
 
-// WaitErr blocks like Wait but returns a recovered task panic as an
-// error instead of re-panicking, for callers that degrade gracefully.
-func (g *Group) WaitErr() error {
-	g.wg.Wait()
-	if tp := g.panicked.Load(); tp != nil {
-		return tp
-	}
-	return nil
-}
-
 // ParallelRange splits [0, n) into roughly equal chunks and processes them
 // concurrently, at most pool.Workers() at a time.
 func (p *Pool) ParallelRange(n int, f func(lo, hi int)) {
-	p.ParallelRangeClass(ClassGeneral, n, f)
-}
-
-// ParallelRangeClass is ParallelRange with the chunk tasks admitted under
-// class c. Ranges of different classes may run concurrently from
-// different goroutines.
-func (p *Pool) ParallelRangeClass(c Class, n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	chunks := p.rangeChunks(c)
-	if chunks > n {
-		chunks = n
-	}
-	g := p.NewGroupClass(c)
+	chunks := min(p.rangeChunks(), n)
+	g := p.NewGroup()
 	size := (n + chunks - 1) / chunks
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
@@ -365,24 +221,8 @@ func (p *Pool) ParallelRangeClass(c Class, n int, f func(lo, hi int)) {
 	g.Wait()
 }
 
-// rangeChunks sizes the chunk count for a parallel range of class c: 4×
-// the slot count the class can actually occupy, so chunk granularity
-// tracks the partition rather than the whole pool when a reservation is
-// active.
-func (p *Pool) rangeChunks(c Class) int {
-	w := p.workers
-	if res := int(p.reserved.Load()); res > 0 {
-		if c == ClassNear {
-			w = res
-		} else {
-			w = p.workers - res
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w * 4
-}
+// rangeChunks sizes the chunk count of a parallel range: 4× the slots.
+func (p *Pool) rangeChunks() int { return p.workers * 4 }
 
 // ParallelRangeWeighted splits [0, len(weights)) into contiguous chunks of
 // roughly equal total weight and processes them concurrently, at most
@@ -390,21 +230,13 @@ func (p *Pool) rangeChunks(c Class) int {
 // (negative weights count as zero); a single item heavier than the chunk
 // target forms its own chunk, so a few heavy items cannot serialize the
 // tail behind one task. With all-zero weights it degrades to ParallelRange.
+// The chunk boundaries are WeightedBounds'.
 func (p *Pool) ParallelRangeWeighted(weights []int64, f func(lo, hi int)) {
-	p.ParallelRangeWeightedClass(ClassGeneral, weights, f)
-}
-
-// ParallelRangeWeightedClass is ParallelRangeWeighted with the chunk
-// tasks admitted under class c. The chunk boundaries depend only on the
-// weights and the pool geometry as seen at entry, never on execution
-// interleaving, which is what keeps accumulation order — and therefore
-// floating-point results — independent of what else runs concurrently.
-func (p *Pool) ParallelRangeWeightedClass(c Class, weights []int64, f func(lo, hi int)) {
 	if len(weights) == 0 {
 		return
 	}
-	bounds := p.WeightedBounds(c, weights)
-	g := p.NewGroupClass(c)
+	bounds := p.WeightedBounds(weights)
+	g := p.NewGroup()
 	for i := 0; i+1 < len(bounds); i++ {
 		lo, hi := bounds[i], bounds[i+1]
 		g.Spawn(func() { f(lo, hi) })
@@ -412,21 +244,19 @@ func (p *Pool) ParallelRangeWeightedClass(c Class, weights []int64, f func(lo, h
 	g.Wait()
 }
 
-// WeightedBounds returns the chunk boundaries ParallelRangeWeightedClass
-// uses for weights under class c: ascending indices b with b[0] == 0 and
-// b[len(b)-1] == len(weights); chunk k covers [b[k], b[k+1]). The step
-// graph's builder (internal/dag) cuts its chunk nodes with it. Boundaries
-// depend only on the weights and the pool geometry at call time, never on
-// execution interleaving.
-func (p *Pool) WeightedBounds(c Class, weights []int64) []int {
+// WeightedBounds returns the chunk boundaries ParallelRangeWeighted uses
+// for weights: ascending indices b with b[0] == 0 and b[len(b)-1] ==
+// len(weights); chunk k covers [b[k], b[k+1]). internal/dag cuts the step
+// graph's chunk nodes with it. Boundaries depend only on the weights and
+// the pool's worker count, never on execution interleaving, which is what
+// keeps accumulation order — and therefore floating-point results —
+// independent of what else runs concurrently.
+func (p *Pool) WeightedBounds(weights []int64) []int {
 	n := len(weights)
 	if n == 0 {
 		return []int{0}
 	}
-	chunks := p.rangeChunks(c)
-	if chunks > n {
-		chunks = n
-	}
+	chunks := min(p.rangeChunks(), n)
 	var total int64
 	for _, w := range weights {
 		if w > 0 {

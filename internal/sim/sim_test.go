@@ -359,7 +359,7 @@ func TestRecorderThreadedThroughRun(t *testing.T) {
 		}
 		for _, k := range []telemetry.SpanKind{
 			telemetry.SpanSolve, telemetry.SpanPrep, telemetry.SpanUpSweep,
-			telemetry.SpanDownSweep, telemetry.SpanNearExec, telemetry.SpanGraph,
+			telemetry.SpanDownSweep, telemetry.SpanNearCPU, telemetry.SpanGraph,
 			telemetry.SpanVCPUSim, telemetry.SpanObserve, telemetry.SpanIntegrate,
 			telemetry.SpanRefill, telemetry.SpanBalance,
 		} {

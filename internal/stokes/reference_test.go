@@ -162,14 +162,11 @@ type variant struct {
 	mut  func(cfg *Config)
 }
 
-// The configurations the step graph is held to the serial reference on;
-// gpus-reserved pins the driver-slot reservation at its tightest (three
-// workers: one far slot beside the two reserved ones).
+// The configurations the step graph is held to the serial reference on.
 var (
-	cpuOnly   = variant{"cpu-only", func(cfg *Config) {}}
-	oneGPU    = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
-	gpus      = variant{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
-	gpusTight = variant{"gpus-reserved", func(cfg *Config) { cfg.NumGPUs = 2; cfg.Pool = sched.NewPool(3) }}
+	cpuOnly = variant{"cpu-only", func(cfg *Config) {}}
+	oneGPU  = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
+	gpus    = variant{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
 )
 
 // graphMatchesSerial solves each variant on each pool size through the
@@ -199,29 +196,21 @@ func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
 				s.Solve()
 				serialStep(ref)
 				assertBitIdentical(t, s, ref)
-				if r := s.Cfg.Pool.Reserved(); r != 0 {
-					t.Fatalf("pool still has %d reserved workers after Solve", r)
-				}
 			})
 		}
 	}
 }
 
 // TestGraphMatchesSerialReference: the one execution path against a
-// reference that shares no scheduling code with it, on 1, 2 and 4 workers;
-// reservation runs four workers with the slot reservation at its
-// tightest beside the plain configurations.
+// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, gpus)
 		})
 	}
-	t.Run("reservation", func(t *testing.T) {
-		graphMatchesSerial(t, []int{4}, cpuOnly, gpus, gpusTight)
-	})
-	// A fail-stop device loss recovered by the host fallback: the recovery
-	// rows run inside the near node, before the L2P join.
+	// A fail-stop device loss moves the clock, never the rows: the
+	// fallback is a virtual charge.
 	t.Run("failstop", func(t *testing.T) {
 		sch, err := fault.Parse("gpu0:failstop@step1")
 		if err != nil {
@@ -250,7 +239,7 @@ func TestGraphMatchesSerialReference(t *testing.T) {
 // another; the path is gone, its name stays as the slice of the matrix it
 // used to cover.
 func TestTaskGraphBitIdenticalStokes(t *testing.T) {
-	graphMatchesSerial(t, []int{2, 4}, cpuOnly, gpus, gpusTight)
+	graphMatchesSerial(t, []int{2, 4}, cpuOnly, gpus)
 }
 
 // TestKernelMatchesPerPairDirect: the step graph's four-column

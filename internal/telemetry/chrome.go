@@ -38,8 +38,6 @@ const (
 	// step (Arg = node id), so the partitioned-tree execution reads as
 	// its own timeline next to the single-node phases.
 	chromeTIDDmem = 7
-	// Device tracks start here; device i renders on chromeTIDDev + i.
-	chromeTIDDev = 100
 )
 
 type chromeEvent struct {
@@ -53,15 +51,13 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-func spanTID(k SpanKind, arg int32) int {
+func spanTID(k SpanKind) int {
 	switch k {
-	case SpanDeviceP2P:
-		return chromeTIDDev + int(arg)
-	case SpanNearCPU, SpanNearExec:
+	case SpanNearCPU:
 		return chromeTIDNear
 	case SpanBalance, SpanPredict, SpanFineGrain, SpanTreeBuild, SpanEnforceS:
 		return chromeTIDBal
-	case SpanFallback, SpanCheckpoint, SpanRestore, SpanCkptWait, SpanValidate:
+	case SpanCheckpoint, SpanRestore, SpanCkptWait, SpanValidate:
 		return chromeTIDFault
 	case SpanM2LTable:
 		return chromeTIDKern
@@ -88,8 +84,6 @@ func spanName(k SpanKind, arg int32) string {
 	switch k {
 	case SpanTaskUp, SpanTaskDown, SpanTaskL2P, SpanDmemNode, SpanDmemComm:
 		return fmt.Sprintf("%s %d", k, arg)
-	case SpanDeviceP2P:
-		return "p2p kernel"
 	}
 	return k.String()
 }
@@ -107,18 +101,6 @@ func WriteChromeTrace(w io.Writer, steps []StepRecord) error {
 		{Name: "thread_name", Ph: "M", PID: chromePID, TID: chromeTIDTask, Args: map[string]any{"name": "taskgraph"}},
 		{Name: "thread_name", Ph: "M", PID: chromePID, TID: chromeTIDDmem, Args: map[string]any{"name": "dmem"}},
 	}
-	maxDev := 0
-	for i := range steps {
-		if n := len(steps[i].Devices); n > maxDev {
-			maxDev = n
-		}
-	}
-	for d := 0; d < maxDev; d++ {
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: chromePID, TID: chromeTIDDev + d,
-			Args: map[string]any{"name": fmt.Sprintf("gpu[%d]", d)},
-		})
-	}
 	for i := range steps {
 		rec := &steps[i]
 		base := float64(rec.StartNs) / 1e3
@@ -134,7 +116,7 @@ func WriteChromeTrace(w io.Writer, steps []StepRecord) error {
 		for _, sp := range rec.Spans {
 			events = append(events, chromeEvent{
 				Name: spanName(sp.Kind, sp.Arg),
-				Ph:   "X", PID: chromePID, TID: spanTID(sp.Kind, sp.Arg),
+				Ph:   "X", PID: chromePID, TID: spanTID(sp.Kind),
 				TS:  base + float64(sp.StartNs)/1e3,
 				Dur: float64(sp.DurNs) / 1e3,
 				Cat: "phase",

@@ -17,7 +17,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		})
 		r.AddSpan(SpanUpSweep, 0, time.Now(), time.Millisecond)
 		r.AddSpan(SpanTaskUp, 3, time.Now(), time.Microsecond)
-		r.AddSpan(SpanDeviceP2P, 1, time.Now(), time.Microsecond)
+		r.AddSpan(SpanNearCPU, 0, time.Now(), time.Microsecond)
 		r.AddSpan(SpanTreeBuild, 64, time.Now(), time.Microsecond)
 		r.EmitEvent(EventSChange, 32, 64, 0, 0)
 		r.EndStep()
@@ -36,7 +36,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no trace events")
 	}
-	var sawMeta, sawStep, sawSpan, sawLevel, sawDevice, sawBalancerTid, sawInstant, sawCounter bool
+	var sawMeta, sawStep, sawSpan, sawLevel, sawNear, sawBalancerTid, sawInstant, sawCounter bool
 	for _, ev := range doc.TraceEvents {
 		ph, _ := ev["ph"].(string)
 		name, _ := ev["name"].(string)
@@ -51,10 +51,10 @@ func TestWriteChromeTrace(t *testing.T) {
 				sawSpan = true
 			case name == "task.up 3":
 				sawLevel = true
-			case name == "p2p kernel":
-				sawDevice = true
-				if tid, _ := ev["tid"].(float64); tid != 101 {
-					t.Fatalf("device span on tid %v, want 101", ev["tid"])
+			case name == "near.cpu":
+				sawNear = true
+				if tid, _ := ev["tid"].(float64); tid != chromeTIDNear {
+					t.Fatalf("near.cpu on tid %v, want near tid %d", ev["tid"], chromeTIDNear)
 				}
 			case name == "tree.build":
 				if tid, _ := ev["tid"].(float64); tid != chromeTIDBal {
@@ -71,9 +71,9 @@ func TestWriteChromeTrace(t *testing.T) {
 			sawCounter = true
 		}
 	}
-	if !sawMeta || !sawStep || !sawSpan || !sawLevel || !sawDevice || !sawBalancerTid || !sawInstant || !sawCounter {
-		t.Fatalf("missing event classes: meta=%v step=%v span=%v level=%v device=%v bal=%v instant=%v counter=%v",
-			sawMeta, sawStep, sawSpan, sawLevel, sawDevice, sawBalancerTid, sawInstant, sawCounter)
+	if !sawMeta || !sawStep || !sawSpan || !sawLevel || !sawNear || !sawBalancerTid || !sawInstant || !sawCounter {
+		t.Fatalf("missing event classes: meta=%v step=%v span=%v level=%v near=%v bal=%v instant=%v counter=%v",
+			sawMeta, sawStep, sawSpan, sawLevel, sawNear, sawBalancerTid, sawInstant, sawCounter)
 	}
 }
 
@@ -102,7 +102,6 @@ func TestChromeTrackMapping(t *testing.T) {
 		kern = 5
 		task = 6
 		dmem = 7
-		dev  = 100
 	)
 	spanTracks := map[SpanKind]int{
 		SpanSolve:      host,
@@ -117,8 +116,6 @@ func TestChromeTrackMapping(t *testing.T) {
 		SpanDownSweep:  host,
 		SpanL2P:        host,
 		SpanNearCPU:    near,
-		SpanNearExec:   near,
-		SpanDeviceP2P:  dev, // + device arg
 		SpanGraph:      host,
 		SpanVCPUSim:    host,
 		SpanObserve:    host,
@@ -127,7 +124,6 @@ func TestChromeTrackMapping(t *testing.T) {
 		SpanBalance:    bal,
 		SpanPredict:    bal,
 		SpanFineGrain:  bal,
-		SpanFallback:   flt,
 		SpanValidate:   flt,
 		SpanCheckpoint: flt,
 		SpanRestore:    flt,
@@ -145,13 +141,9 @@ func TestChromeTrackMapping(t *testing.T) {
 			len(spanTracks), numSpanKinds)
 	}
 	for k, want := range spanTracks {
-		if got := spanTID(k, 0); got != want {
+		if got := spanTID(k); got != want {
 			t.Errorf("spanTID(%v) = %d, want %d", k, got, want)
 		}
-	}
-	// Device spans offset by the device id.
-	if got := spanTID(SpanDeviceP2P, 3); got != dev+3 {
-		t.Errorf("spanTID(SpanDeviceP2P, 3) = %d, want %d", got, dev+3)
 	}
 
 	eventTracks := map[EventKind]int{

@@ -49,7 +49,6 @@ type stepMetrics struct {
 
 	devKernel []metrics.Gauge
 	devInter  []metrics.Counter
-	devHost   []metrics.Histogram
 }
 
 func newStepMetrics(reg *metrics.Registry, flight *FlightRecorder) *stepMetrics {
@@ -170,14 +169,9 @@ func (m *stepMetrics) publish(rec *StepRecord) {
 				"virtual kernel seconds of the last step", "device", id))
 			m.devInter = append(m.devInter, m.reg.Counter("afmm_device_interactions_total",
 				"near-field interactions executed", "device", id))
-			m.devHost = append(m.devHost, m.reg.Histogram("afmm_device_host_seconds",
-				"host wall time of device executions", metrics.DefBuckets(), "device", id))
 		}
 		m.devKernel[i].Set(d.Kernel)
 		m.devInter[i].Add(d.Interactions)
-		if d.HostNs > 0 {
-			m.devHost[i].Observe(float64(d.HostNs) / 1e9)
-		}
 	}
 }
 

@@ -61,8 +61,7 @@ type SpanKind uint8
 // The instrumented span kinds. Top-level phases tile a step (the solve's
 // near and far phases concurrently, everything else without overlap); the
 // remaining kinds nest inside them (graph nodes inside the far and near
-// phases, device kernels inside the near-field execution, tree edits
-// inside the balance phase).
+// phases, tree edits inside the balance phase).
 const (
 	// SpanSolve covers one whole Solve call (parent of the solve phases).
 	SpanSolve SpanKind = iota
@@ -88,13 +87,10 @@ const (
 	SpanUpSweep
 	SpanDownSweep
 	SpanL2P
-	// SpanNearCPU is the host near field (CPU-only configurations), the
-	// same union over the SpanTaskNear chunks; SpanNearExec is the device
-	// cluster's parallel kernel execution, with SpanDeviceP2P nested per
-	// device (Arg = device id).
+	// SpanNearCPU is the near field, the same union over the SpanTaskNear
+	// chunks. The host computes it on every configuration: a simulated
+	// device only charges the virtual clock for its rows.
 	SpanNearCPU
-	SpanNearExec
-	SpanDeviceP2P
 	// SpanGraph is operation counting + task-graph construction;
 	// SpanVCPUSim the virtual-CPU schedule replay; SpanObserve the
 	// cost-model coefficient fold.
@@ -110,9 +106,6 @@ const (
 	SpanBalance
 	SpanPredict
 	SpanFineGrain
-	// SpanFallback is the host re-execution of a dead device's remaining
-	// near-field chunks (Arg = device id); it nests inside SpanNearExec.
-	SpanFallback
 	// SpanValidate is the opt-in post-solve NaN/Inf accumulator scan.
 	SpanValidate
 	// SpanCheckpoint / SpanRestore bracket snapshot capture+write and
@@ -131,8 +124,7 @@ const (
 	// span per executed graph node. SpanTaskUp / SpanTaskDown are
 	// far-field chunk nodes (Arg = octree level), SpanTaskL2P the leaf
 	// evaluation nodes (Arg = level), SpanTaskNear the near-field root
-	// nodes (Arg = CSR chunk index, or 0 for the single device-cluster
-	// node). Milestone (join) nodes are not emitted — they carry no work.
+	// nodes (Arg = CSR chunk index). Milestone (join) nodes are not emitted — they carry no work.
 	SpanTaskUp
 	SpanTaskDown
 	SpanTaskL2P
@@ -161,8 +153,6 @@ var spanNames = [numSpanKinds]string{
 	SpanDownSweep:  "far.down",
 	SpanL2P:        "far.l2p",
 	SpanNearCPU:    "near.cpu",
-	SpanNearExec:   "near.exec",
-	SpanDeviceP2P:  "near.gpu",
 	SpanGraph:      "vm.graph",
 	SpanVCPUSim:    "vm.sim",
 	SpanObserve:    "vm.observe",
@@ -171,7 +161,6 @@ var spanNames = [numSpanKinds]string{
 	SpanBalance:    "balance",
 	SpanPredict:    "balance.predict",
 	SpanFineGrain:  "balance.finegrain",
-	SpanFallback:   "near.fallback",
 	SpanValidate:   "validate",
 	SpanCheckpoint: "ckpt.save",
 	SpanRestore:    "ckpt.restore",
@@ -196,14 +185,14 @@ func (k SpanKind) String() string {
 // set that tiles a step: summing the durations of the top-level spans of
 // one record approximates the step's wall clock (the acceptance check is
 // within 5%). Parent spans (SpanSolve, SpanBalance) and nested spans
-// (graph nodes, devices, balancer sub-operations) are excluded. Note that
+// (graph nodes, balancer sub-operations) are excluded. Note that
 // the solve's near and far top-level spans run concurrently, so their sum
 // measures serial-equivalent work, which can legitimately exceed the
 // step's wall clock.
 func (k SpanKind) TopLevel() bool {
 	switch k {
 	case SpanPrep, SpanRefill, SpanListFull, SpanListRepair, SpanListSkip,
-		SpanUpSweep, SpanDownSweep, SpanL2P, SpanNearCPU, SpanNearExec,
+		SpanUpSweep, SpanDownSweep, SpanL2P, SpanNearCPU,
 		SpanGraph, SpanVCPUSim, SpanObserve, SpanIntegrate, SpanForces,
 		SpanBalance, SpanValidate, SpanCheckpoint, SpanRestore,
 		SpanCkptWait, SpanM2LTable:
@@ -266,9 +255,9 @@ const (
 	// EventWatchdog: the watchdog aborted a hung device. A = device id,
 	// B = chunk index at abort, FA = detection latency in seconds.
 	EventWatchdog
-	// EventFallback: host re-execution of a dead device's remaining
-	// chunks. A = device id, B = rows re-executed, FA = virtual seconds
-	// charged for the fallback work.
+	// EventFallback: the host fallback was charged for a dead device's
+	// unfinished rows. A = device id (-1 when every device is dead),
+	// B = rows, FA = virtual seconds charged.
 	EventFallback
 	// EventCapacity: aggregate near-field capacity changed (device loss,
 	// derating, or restoration). A = capacity epoch, FA = new capacity
@@ -372,7 +361,6 @@ type ListDelta struct {
 type DeviceSample struct {
 	Kernel       float64 `json:"kernel"` // virtual kernel seconds
 	Interactions int64   `json:"interactions"`
-	HostNs       int64   `json:"host_ns"` // host wall time of the numeric execution
 }
 
 // StepRecord is the per-step trace record — one JSON line per step in the

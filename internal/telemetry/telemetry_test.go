@@ -177,8 +177,8 @@ func TestSinkErrorSurfaced(t *testing.T) {
 }
 
 // TestConcurrentEmission exercises the recorder from many goroutines at
-// once — the device kernels and pool workers emit spans concurrently in
-// real runs. Run under -race in CI.
+// once — the dmem node goroutines emit spans concurrently in real runs.
+// Run under -race in CI.
 func TestConcurrentEmission(t *testing.T) {
 	var buf bytes.Buffer
 	r := New(Options{JSONL: &buf, Keep: true})
@@ -191,11 +191,11 @@ func TestConcurrentEmission(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < spansPer; i++ {
-					tok := r.Begin(SpanDeviceP2P, int32(g))
+					tok := r.Begin(SpanTaskNear, int32(g))
 					r.End(tok)
 					r.EmitEvent(EventFineGrain, int64(i), 0, 0, 0)
 					r.Update(func(sr *StepRecord) {
-						sr.Devices = append(sr.Devices, DeviceSample{Kernel: 0.1, Interactions: int64(i), HostNs: 1000})
+						sr.Devices = append(sr.Devices, DeviceSample{Kernel: 0.1, Interactions: int64(i)})
 					})
 				}
 			}(g)
@@ -262,12 +262,12 @@ func TestConcurrentRecorders(t *testing.T) {
 
 func TestPhaseNsSumsTopLevelOnly(t *testing.T) {
 	rec := StepRecord{Spans: []Span{
-		{Kind: SpanSolve, DurNs: 1000},   // parent: excluded
-		{Kind: SpanPrep, DurNs: 10},      // top-level
-		{Kind: SpanUpSweep, DurNs: 20},   // top-level
-		{Kind: SpanTaskUp, DurNs: 999},   // nested: excluded
-		{Kind: SpanDeviceP2P, DurNs: 99}, // nested: excluded
-		{Kind: SpanBalance, DurNs: 30},   // top-level
+		{Kind: SpanSolve, DurNs: 1000},  // parent: excluded
+		{Kind: SpanPrep, DurNs: 10},     // top-level
+		{Kind: SpanUpSweep, DurNs: 20},  // top-level
+		{Kind: SpanTaskUp, DurNs: 999},  // nested: excluded
+		{Kind: SpanTaskNear, DurNs: 99}, // nested: excluded
+		{Kind: SpanBalance, DurNs: 30},  // top-level
 	}}
 	if got := rec.PhaseNs(); got != 60 {
 		t.Fatalf("PhaseNs = %d, want 60", got)

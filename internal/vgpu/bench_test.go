@@ -15,6 +15,6 @@ func BenchmarkPartitionAndTime(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Partition(tree)
-		c.Execute(tree, nil) // timing model only
+		c.Execute(tree)
 	}
 }

@@ -1,10 +1,11 @@
 // Package vgpu simulates the CUDA side of the paper's heterogeneous node.
 //
 // This environment has no GPU, so the near-field device is replaced by a
-// SIMT execution-model simulator (see DESIGN.md). Each device numerically
-// executes its share of the P2P work on the host — bit-identical to the
-// CPU reference kernel — while a cost model charges virtual time following
-// the paper's kernel structure (§III.C):
+// SIMT execution-model simulator (see DESIGN.md). The simulator computes
+// no numbers: the step graph runs every near-field row on the host, as it
+// does on CPU-only configurations, and a cluster only walks its devices'
+// rows to charge virtual time following the paper's kernel structure
+// (§III.C):
 //
 //   - one thread per target body; a target node with n_t bodies occupies
 //     ceil(n_t / WarpSize) warps, and lanes in partially filled warps idle
@@ -19,8 +20,8 @@
 //
 // The device is charged for the paper's near field, the U-list entries of
 // its rows (octree.NearSchedule.Priced); the accepted pairs the host
-// sums directly ride in the same rows and are executed with them, but in
-// the modeled machine they remain translations on the CPU.
+// sums directly ride in the same rows, but in the modeled machine they
+// remain translations on the CPU.
 //
 // Work is split across devices by equalizing per-target-node interaction
 // counts, exactly as in the paper: no target node is split across devices.
@@ -85,18 +86,15 @@ type Device struct {
 	// computes.
 	Targets []int32
 	// Rows are the near-field schedule rows of Targets (parallel slice):
-	// execution walks the cached CSR schedule, the one near-field
+	// the walk reads the cached CSR schedule, the one near-field
 	// description (octree.NearSchedule). The Partition* methods fill both;
 	// code that assigns work itself calls Assign.
 	Rows []int32
 	// Results of the last Execute call:
 	KernelTime   float64 // simulated kernel seconds (event-timer analogue)
-	Interactions int64   // useful body-body interactions executed
+	Interactions int64   // useful body-body interactions charged
 	SlotWork     int64   // lane-slot interactions incl. idle lanes
 	Warps        int64
-	// HostTime is the host wall clock of the last run's numeric execution
-	// (the real cost of simulating this device's kernel).
-	HostTime time.Duration
 
 	// Fault state. Health persists across steps (a dead device stays
 	// dead and is skipped by the Partition methods); the per-run fields
@@ -107,8 +105,8 @@ type Device struct {
 	StraggleFactor float64
 	// FaultKind is the fault that killed the device (None while alive).
 	FaultKind fault.Kind
-	// CompletedRows counts assignment rows fully executed on-device in
-	// the last run; rows beyond it were recovered by the host fallback.
+	// CompletedRows counts assignment rows the device finished in the
+	// last run; rows beyond it were charged to the host fallback.
 	CompletedRows int
 	// Retries counts transient-error chunk retries in the last run.
 	Retries int
@@ -120,15 +118,10 @@ type Device struct {
 	healthyProbes int
 
 	// Watchdog runtime state, valid during one Execute call.
-	beat       atomic.Int64 // UnixNano of the last completed chunk
-	deadlineNs atomic.Int64 // allowed heartbeat silence for the current chunk
-	running    atomic.Bool
-	aborted    atomic.Bool
-	abort      chan struct{}
-	// nsPerInter is the device's measured host cost per interaction
-	// (EWMA over completed chunks), feeding the watchdog's predicted
-	// chunk time. Only the device's own run goroutine touches it.
-	nsPerInter float64
+	beat    atomic.Int64 // UnixNano of the run's start or last completed chunk
+	running atomic.Bool
+	aborted atomic.Bool
+	abort   chan struct{}
 }
 
 // Efficiency returns useful / slot interactions of the last kernel — the
@@ -160,15 +153,14 @@ func ScaledSpec(scale float64) Spec {
 // Cluster is the set of devices on the node.
 type Cluster struct {
 	Devices []*Device
-	// Rec, when non-nil, receives one SpanDeviceP2P span per device per
-	// Execute (Arg = device ID). Devices run concurrently under
-	// ExecuteParallel; the recorder is safe for that.
+	// Rec, when non-nil, receives the fault, watchdog, fallback and
+	// capacity events of every Execute.
 	Rec *telemetry.Recorder
 
 	// Injector, when non-nil, is consulted once per chunk of every
 	// device run and arms the watchdog (heartbeat monitor + host
-	// fallback). A nil injector executes exactly the pre-fault code
-	// path with no monitor goroutine.
+	// fallback). A nil injector walks exactly the pre-fault code path
+	// with no monitor goroutine.
 	Injector *fault.Injector
 	// Watchdog tunes detection and recovery; the zero value uses the
 	// documented defaults.
@@ -179,7 +171,8 @@ type Cluster struct {
 	Corrupt func(target int32)
 	// HostP2PRate is the host's near-field throughput in
 	// interactions/second (set by the solver from its CPU spec); the
-	// fallback charges recovered work against it on the virtual clock.
+	// fallback charges a dead device's rows against it on the virtual
+	// clock.
 	HostP2PRate float64
 
 	capEpoch atomic.Int64
@@ -293,53 +286,30 @@ func (c *Cluster) PartitionByLeafCount(t *octree.Tree) {
 	}
 }
 
-// P2PFunc numerically executes row r of the near-field schedule: the
-// row's target leaf against each of its sources, in schedule order. It is
-// supplied by the solver (core.Field.NearRow) so the device model stays
-// kernel-agnostic.
-type P2PFunc func(sch *octree.NearSchedule, r int)
-
-// Execute runs each device's assigned near-field work: the numeric P2P via
-// fn and the SIMT timing model. It returns the maximum kernel time across
-// devices (the paper's GPU Time definition, one kernel per device) plus
-// the virtual time of any host fallback re-execution for devices that
-// died during the call.
-func (c *Cluster) Execute(t *octree.Tree, fn P2PFunc) float64 {
-	return c.executeWith(t, fn, nil)
-}
-
-// ExecuteParallel is Execute with the numeric work spread over the host
-// pool: devices own disjoint target leaves, so their writes never alias
-// and each device's chunk walk can run as a sched.ClassNear task — on the
-// reserved driver slots when the solver has dedicated some (the paper's
-// one-host-core-per-GPU split), sharing the general slots otherwise. The
-// calling goroutine is the blocking "collect" thread. Even a single
-// device is spawned as a task so a reserved driver slot executes it.
-// Timing is identical to Execute (the virtual clock does not depend on
-// host scheduling).
-func (c *Cluster) ExecuteParallel(t *octree.Tree, fn P2PFunc, pool *sched.Pool) float64 {
-	return c.executeWith(t, fn, pool)
-}
-
-func (c *Cluster) executeWith(t *octree.Tree, fn P2PFunc, pool *sched.Pool) float64 {
-	// Resolved once, on the caller's goroutine: concurrently running
-	// devices only read the schedule.
+// Execute walks each device's assigned rows through the SIMT timing
+// model, on the calling goroutine, one device after another. It returns
+// the maximum kernel time across devices (the paper's GPU Time
+// definition, one kernel per device) plus the virtual time the host
+// fallback is charged for the rows of devices that died during the call.
+// It writes no accumulator: the only data it touches is a Corrupt fault's
+// payload.
+func (c *Cluster) Execute(t *octree.Tree) float64 {
+	// Resolved once, before the watchdog starts.
 	sch := t.NearField()
 	stopWatch := c.beginExecute()
-	// With every device dead the whole schedule is fallback work: the
-	// cluster still completes the near field, entirely on the host.
+	// With every device dead the whole schedule is fallback work.
 	if c.Injector != nil && len(c.Devices) > 0 && c.AliveDevices() == 0 {
 		stopWatch()
 		lw := lostWork{dev: -1, rows: make([]int32, sch.Rows())}
 		for r := range lw.rows {
 			lw.rows[r] = int32(r)
 		}
-		virtual := c.fallback(sch, fn, pool, []lostWork{lw})
+		virtual := c.fallback(sch, []lostWork{lw})
 		c.mu.Lock()
 		c.report.DeadDevices = len(c.Devices)
 		c.mu.Unlock()
 		for _, d := range c.Devices {
-			d.KernelTime, d.Interactions, d.SlotWork, d.Warps, d.HostTime = 0, 0, 0, 0, 0
+			d.KernelTime, d.Interactions, d.SlotWork, d.Warps = 0, 0, 0, 0
 		}
 		return virtual
 	}
@@ -348,30 +318,25 @@ func (c *Cluster) executeWith(t *octree.Tree, fn P2PFunc, pool *sched.Pool) floa
 			// A device dead from an earlier step holds no assignment;
 			// clear its stale last-run results so cluster aggregates
 			// (MaxKernelTime, TotalInteractions) see only survivors.
-			d.KernelTime, d.Interactions, d.SlotWork, d.Warps, d.HostTime = 0, 0, 0, 0, 0
+			d.KernelTime, d.Interactions, d.SlotWork, d.Warps = 0, 0, 0, 0
+			continue
 		}
-	}
-	if pool == nil {
-		for _, d := range c.Devices {
-			if d.Health == Dead {
-				continue
-			}
-			d.run(c, t, sch, fn)
-		}
-	} else {
-		g := pool.NewGroupClass(sched.ClassNear)
-		for _, d := range c.Devices {
-			if d.Health == Dead {
-				continue
-			}
-			d := d
-			g.Spawn(func() { d.run(c, t, sch, fn) })
-		}
-		g.Wait()
+		d.run(c, t, sch)
 	}
 	stopWatch()
-	virtual := c.finishExecute(sch, fn, pool)
+	virtual := c.finishExecute(sch)
 	return c.MaxKernelTime() + virtual
+}
+
+// P2PFunc is the numeric row callback ExecuteParallel still accepts.
+type P2PFunc func(sch *octree.NearSchedule, r int)
+
+// ExecuteParallel is Execute(t); fn and pool are ignored. It survives
+// only because benchmark/replay.go, which a non-benchmark change may not
+// edit, calls it; no other code does, and the next benchmark change drops
+// it (and P2PFunc with it).
+func (c *Cluster) ExecuteParallel(t *octree.Tree, fn P2PFunc, pool *sched.Pool) float64 {
+	return c.Execute(t)
 }
 
 // MaxKernelTime returns the slowest device time of the last Execute.
@@ -395,22 +360,19 @@ func (c *Cluster) TotalInteractions() int64 {
 	return n
 }
 
-// run executes the device's assignment in heartbeat chunks of
+// run walks the device's assignment in heartbeat chunks of
 // Watchdog.ChunkRows rows each. With no injector on the cluster every
-// chunk takes the fault-free fast path and the walk is exactly the
-// pre-fault code; with an injector, each chunk first publishes its
-// watchdog deadline, then consults the injector (retrying transient
-// errors with backoff), then executes — so a fault always lands at a
-// chunk boundary and the executed-rows prefix is well defined for the
-// host fallback.
-func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2PFunc) {
-	rec := c.Rec
-	hostTimer := sched.StartTimer()
-	defer func() {
-		d.running.Store(false)
-		d.HostTime = hostTimer.Elapsed()
-		rec.AddSpan(telemetry.SpanDeviceP2P, int32(d.ID), hostTimer.StartTime(), d.HostTime)
-	}()
+// chunk takes the fault-free fast path; with an injector, the watchdog
+// watches the device from the start of its run, and each chunk first
+// consults the injector (retrying transient errors with backoff), then
+// charges its rows — so a fault always lands at a chunk boundary and the
+// finished-rows prefix is well defined for the host fallback.
+func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule) {
+	if c.Injector != nil {
+		d.beat.Store(time.Now().UnixNano())
+		d.running.Store(true)
+		defer d.running.Store(false)
+	}
 	spec := d.Spec
 	d.Interactions = 0
 	d.SlotWork = 0
@@ -449,13 +411,9 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 		if nt == 0 {
 			return
 		}
-		// Every entry of the row is executed; the timing model counts
-		// the priced source bodies, Interactions(t) / n_t.
-		row := int(d.Rows[k])
-		ns := sch.Priced(row) / int64(nt)
-		if fn != nil {
-			fn(sch, row)
-		}
+		// The timing model counts the priced source bodies,
+		// Interactions(t) / n_t.
+		ns := sch.Priced(int(d.Rows[k])) / int64(nt)
 		sourceBodies += ns
 		targetBodies += int64(nt)
 		d.Interactions += int64(nt) * ns
@@ -486,23 +444,6 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 		}
 		corrupt := false
 		if c.Injector != nil {
-			// Publish this chunk's heartbeat deadline: predicted chunk
-			// host time (measured per-interaction rate × chunk
-			// interactions) × slack, floored at MinDeadline.
-			var predNs float64
-			if d.nsPerInter > 0 {
-				var ci int64
-				for k := k0; k < k1; k++ {
-					ci += sch.Priced(int(d.Rows[k]))
-				}
-				predNs = float64(ci) * d.nsPerInter
-			}
-			dl := int64(cfg.Slack * predNs)
-			if min := int64(cfg.MinDeadline); dl < min {
-				dl = min
-			}
-			d.deadlineNs.Store(dl)
-
 			attempt := 0
 		consult:
 			for {
@@ -543,20 +484,10 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 				break consult
 			}
 		}
-		chunkTimer := sched.StartTimer()
-		before := d.Interactions
 		for k := k0; k < k1; k++ {
 			runRow(k)
 		}
 		if c.Injector != nil {
-			if ci := d.Interactions - before; ci > 0 {
-				per := float64(chunkTimer.Elapsed()) / float64(ci)
-				if d.nsPerInter == 0 {
-					d.nsPerInter = per
-				} else {
-					d.nsPerInter = 0.5*d.nsPerInter + 0.5*per
-				}
-			}
 			d.beat.Store(time.Now().UnixNano())
 		}
 		d.CompletedRows = k1
@@ -564,7 +495,7 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule, fn P2
 			if c.Corrupt != nil {
 				c.Corrupt(d.Targets[k0])
 			}
-			rec.EmitEvent(telemetry.EventFault, int64(d.ID), int64(fault.Corrupt), 0, 0)
+			c.Rec.EmitEvent(telemetry.EventFault, int64(d.ID), int64(fault.Corrupt), 0, 0)
 		}
 	}
 	finish()

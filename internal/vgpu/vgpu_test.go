@@ -77,7 +77,7 @@ func TestPartitionBalancesInteractions(t *testing.T) {
 	tree := buildTree(8000, 64, 2)
 	c := NewCluster(4, DefaultSpec())
 	c.Partition(tree)
-	c.Execute(tree, nil)
+	c.Execute(tree)
 	var min, max int64 = math.MaxInt64, 0
 	for _, d := range c.Devices {
 		if d.Interactions < min {
@@ -101,7 +101,7 @@ func TestExecuteCountsMatchTree(t *testing.T) {
 	tree := buildTree(3000, 16, 3)
 	c := NewCluster(2, DefaultSpec())
 	c.Partition(tree)
-	c.Execute(tree, nil)
+	c.Execute(tree)
 	ops := tree.CountOps()
 	if got := c.TotalInteractions(); got != ops.P2P {
 		t.Fatalf("device interactions %d != tree count %d", got, ops.P2P)
@@ -114,7 +114,7 @@ func TestKernelTimeDecreasesWithDevices(t *testing.T) {
 	for _, ng := range []int{1, 2, 4} {
 		c := NewCluster(ng, DefaultSpec())
 		c.Partition(tree)
-		kt := c.Execute(tree, nil)
+		kt := c.Execute(tree)
 		if kt <= 0 {
 			t.Fatalf("ng=%d: zero kernel time", ng)
 		}
@@ -134,8 +134,8 @@ func TestIdleLanesPenalizeTinyLeaves(t *testing.T) {
 	cb := NewCluster(1, DefaultSpec())
 	cs.Partition(small)
 	cb.Partition(big)
-	cs.Execute(small, nil)
-	cb.Execute(big, nil)
+	cs.Execute(small)
+	cb.Execute(big)
 	effSmall := cs.Devices[0].Efficiency()
 	effBig := cb.Devices[0].Efficiency()
 	if effSmall >= effBig {
@@ -143,22 +143,29 @@ func TestIdleLanesPenalizeTinyLeaves(t *testing.T) {
 	}
 }
 
+// TestExecuteRunsNumericCallback: the device model computes no numbers —
+// ExecuteParallel never calls the row callback it still accepts, and
+// charges what Execute charges.
 func TestExecuteRunsNumericCallback(t *testing.T) {
 	tree := buildTree(500, 8, 6)
-	c := NewCluster(2, DefaultSpec())
-	c.Partition(tree)
-	var pairs int64
-	c.Execute(tree, func(sch *octree.NearSchedule, r int) { pairs += int64(len(sch.Row(r))) })
-	if pairs != tree.CountOps().P2PN {
-		t.Fatalf("callback pairs %d != tree pairs %d", pairs, tree.CountOps().P2PN)
+	a, b := NewCluster(2, DefaultSpec()), NewCluster(2, DefaultSpec())
+	a.Partition(tree)
+	b.Partition(tree)
+	called := false
+	kb := b.ExecuteParallel(tree, func(*octree.NearSchedule, int) { called = true }, sched.NewPool(2))
+	if called {
+		t.Fatal("ExecuteParallel ran the numeric callback")
+	}
+	if ka := a.Execute(tree); ka != kb || a.TotalInteractions() != b.TotalInteractions() {
+		t.Fatalf("kernel %v / %d interactions, through ExecuteParallel %v / %d", ka, a.TotalInteractions(), kb, b.TotalInteractions())
 	}
 }
 
 // TestDirectPairsExecutedNotCharged: accepted pairs the host sums directly
-// ride in the device's rows — the callback sees every row entry — but the
-// modeled device prices the paper's near field, the U-list entries: kernel
-// times, interaction and slot counts and the partition are those of the
-// same tree with the mechanism off.
+// ride in the device's rows, but the modeled device prices the paper's
+// near field, the U-list entries: kernel times, interaction and slot
+// counts and the partition are those of the same tree with the mechanism
+// off.
 func TestDirectPairsExecutedNotCharged(t *testing.T) {
 	off := buildTree(3000, 12, 6)
 	on := buildTree(3000, 12, 6)
@@ -170,11 +177,10 @@ func TestDirectPairsExecutedNotCharged(t *testing.T) {
 	cOff, cOn := NewCluster(3, DefaultSpec()), NewCluster(3, DefaultSpec())
 	cOff.Partition(off)
 	cOn.Partition(on)
-	var calls int64
-	tOff := cOff.Execute(off, nil)
-	tOn := cOn.Execute(on, func(sch *octree.NearSchedule, r int) { calls += int64(len(sch.Row(r))) })
-	if calls != int64(len(sch.Srcs)) || calls != on.CountOps().P2PN+sch.DirectPairs {
-		t.Fatalf("callback saw %d entries, rows hold %d (%d of them direct)", calls, len(sch.Srcs), sch.DirectPairs)
+	tOff := cOff.Execute(off)
+	tOn := cOn.Execute(on)
+	if entries := int64(len(sch.Srcs)); entries != on.CountOps().P2PN+sch.DirectPairs {
+		t.Fatalf("rows hold %d entries, want %d U-list + %d direct", entries, on.CountOps().P2PN, sch.DirectPairs)
 	}
 	if tOn != tOff {
 		t.Fatalf("modeled kernel time %v with direct pairs in the rows, %v without", tOn, tOff)
@@ -216,7 +222,7 @@ func TestEmptyCluster(t *testing.T) {
 	tree := buildTree(100, 8, 7)
 	c := &Cluster{}
 	c.Partition(tree)
-	if kt := c.Execute(tree, nil); kt != 0 {
+	if kt := c.Execute(tree); kt != 0 {
 		t.Fatalf("empty cluster time %v", kt)
 	}
 }
@@ -227,7 +233,7 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 	par := NewCluster(4, DefaultSpec())
 	seq.Partition(tree)
 	par.Partition(tree)
-	ktSeq := seq.Execute(tree, nil)
+	ktSeq := seq.Execute(tree)
 	ktPar := par.ExecuteParallel(tree, nil, sched.NewPool(4))
 	if ktSeq != ktPar {
 		t.Fatalf("parallel execute changed timing: %v vs %v", ktSeq, ktPar)

@@ -7,7 +7,6 @@ import (
 
 	"afmm/internal/fault"
 	"afmm/internal/octree"
-	"afmm/internal/sched"
 	"afmm/internal/telemetry"
 )
 
@@ -20,8 +19,8 @@ const (
 	// Degraded devices still complete their work but at a derated
 	// virtual rate (an active straggle fault).
 	Degraded
-	// Dead devices are excluded from partitioning; their in-flight work
-	// is re-executed by the host fallback.
+	// Dead devices are excluded from partitioning; the host fallback is
+	// charged for their unfinished rows.
 	Dead
 )
 
@@ -37,14 +36,8 @@ func (h Health) String() string {
 // WatchdogConfig tunes fault detection and recovery. The zero value
 // selects the defaults documented per field.
 type WatchdogConfig struct {
-	// Slack multiplies the predicted chunk time to form the heartbeat
-	// deadline: a device silent for longer than
-	// max(MinDeadline, Slack × predicted chunk host time) is declared
-	// hung and aborted. Default 8.
-	Slack float64
-	// MinDeadline floors the heartbeat deadline so noisy early
-	// predictions (or empty chunks) cannot trigger spurious aborts.
-	// Default 50ms.
+	// MinDeadline is the heartbeat deadline: a running device silent for
+	// longer than MinDeadline is declared hung and aborted. Default 50ms.
 	MinDeadline time.Duration
 	// MaxRetries bounds transient-error retries per chunk; a chunk
 	// still failing after MaxRetries attempts escalates to a device
@@ -56,8 +49,10 @@ type WatchdogConfig struct {
 	// ChunkRows is the number of near-field schedule rows per heartbeat
 	// chunk (the unit of retry, abort, and fallback). Default 32.
 	ChunkRows int
-	// DisableFallback turns off host re-execution of dead devices' rows:
-	// lost rows are reported via FaultReport.Err instead. For tests.
+	// DisableFallback turns off the host fallback: a dead device's
+	// unfinished rows are reported as lost via FaultReport.Err (which
+	// fails the solver's step) instead of being charged to the host.
+	// For tests.
 	DisableFallback bool
 	// RestoreAfter enables device restoration: a dead device whose
 	// injector probe comes back clean for RestoreAfter consecutive steps
@@ -72,9 +67,6 @@ type WatchdogConfig struct {
 }
 
 func (w WatchdogConfig) withDefaults() WatchdogConfig {
-	if w.Slack <= 0 {
-		w.Slack = 8
-	}
 	if w.MinDeadline <= 0 {
 		w.MinDeadline = 50 * time.Millisecond
 	}
@@ -109,16 +101,14 @@ type FaultReport struct {
 	DeadDevices      int
 	DegradedDevices  int
 	TransientRetries int // chunk attempts retried after transient errors
-	// Host fallback accounting: rows and interactions re-executed on
-	// the host for dead devices, the virtual time charged for them, and
-	// the host wall clock they actually took.
+	// Host fallback accounting: the rows and interactions of dead
+	// devices charged to the host, and the virtual time charged for them.
 	FallbackRows         int
 	FallbackInteractions int64
 	FallbackVirtual      float64
-	FallbackHostNs       int64
-	// LostRows counts schedule rows that were neither executed on a
-	// device nor recovered (only possible with DisableFallback); any
-	// loss also sets Err.
+	// LostRows counts schedule rows that were neither finished on a
+	// device nor charged to the fallback (only possible with
+	// DisableFallback); any loss also sets Err.
 	LostRows int
 	Err      error
 	// Restored lists devices re-admitted at the top of this call after
@@ -244,17 +234,14 @@ func (c *Cluster) beginExecute() func() {
 			c.Rec.EmitEvent(telemetry.EventFault, int64(d.ID), int64(fault.Straggle), f, 0)
 		}
 	}
-	// Arm heartbeats and start the monitor.
-	now := time.Now().UnixNano()
+	// Arm the abort channels and start the monitor; each device's run
+	// starts its own heartbeat.
 	for _, d := range c.Devices {
 		if d.Health == Dead {
 			continue
 		}
 		d.abort = make(chan struct{})
 		d.aborted.Store(false)
-		d.beat.Store(now)
-		d.deadlineNs.Store(0)
-		d.running.Store(true)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -270,10 +257,11 @@ func (c *Cluster) beginExecute() func() {
 }
 
 // watch is the watchdog monitor: it polls device heartbeats and aborts
-// any running device whose silence exceeds its published deadline.
+// any running device silent for longer than MinDeadline.
 func (c *Cluster) watch(stop <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	cfg := c.Watchdog.withDefaults()
+	dl := int64(cfg.MinDeadline)
 	tick := cfg.MinDeadline / 8
 	if tick < time.Millisecond {
 		tick = time.Millisecond
@@ -291,10 +279,6 @@ func (c *Cluster) watch(stop <-chan struct{}, wg *sync.WaitGroup) {
 			if !d.running.Load() || d.aborted.Load() {
 				continue
 			}
-			dl := d.deadlineNs.Load()
-			if dl <= 0 {
-				continue
-			}
 			if now-d.beat.Load() > dl {
 				if d.aborted.CompareAndSwap(false, true) {
 					close(d.abort)
@@ -304,14 +288,14 @@ func (c *Cluster) watch(stop <-chan struct{}, wg *sync.WaitGroup) {
 	}
 }
 
-// lostWork is the un-executed remainder of a dead device's assignment:
-// the schedule rows to re-execute.
+// lostWork is the unfinished remainder of a dead device's assignment:
+// the schedule rows the fallback is charged for.
 type lostWork struct {
 	dev  int
 	rows []int32
 }
 
-// collectLosses gathers the rows each device failed to execute this
+// collectLosses gathers the rows each device failed to finish this
 // call. A device dead before the call has an empty assignment (the
 // Partition methods skip dead devices), so only fresh casualties
 // contribute.
@@ -326,21 +310,15 @@ func (c *Cluster) collectLosses() []lostWork {
 	return losses
 }
 
-// fallback re-executes lost rows on the host. Rows are independent
-// (each owns its target leaf) and within a row the source order is the
-// schedule order — the same order the device walk uses — so the
-// recovered accumulators are bit-identical to a fault-free run. The
-// rows run as ClassNear tasks when a pool is available.
-//
-// Returns the virtual seconds charged for the recovered work: the
-// fallback executes after detection, serialized behind the surviving
-// kernels, at the host's P2P rate.
-func (c *Cluster) fallback(sch *octree.NearSchedule, fn P2PFunc, pool *sched.Pool, losses []lostWork) float64 {
+// fallback charges lost rows to the host: the virtual seconds their
+// interactions take at the host's P2P rate, serialized behind the
+// surviving kernels. The rows themselves are never re-run — the step
+// graph computed every row, whichever device the clock assigned it to.
+func (c *Cluster) fallback(sch *octree.NearSchedule, losses []lostWork) float64 {
 	if len(losses) == 0 {
 		return 0
 	}
-	cfg := c.Watchdog.withDefaults()
-	if cfg.DisableFallback {
+	if c.Watchdog.DisableFallback {
 		lost := 0
 		for _, lw := range losses {
 			lost += len(lw.rows)
@@ -351,67 +329,38 @@ func (c *Cluster) fallback(sch *octree.NearSchedule, fn P2PFunc, pool *sched.Poo
 		c.mu.Unlock()
 		return 0
 	}
-	timer := sched.StartTimer()
+	rate := c.HostP2PRate
+	if rate <= 0 {
+		// No host rate supplied: charge at the (healthy) device rate as a
+		// conservative stand-in.
+		rate = c.Devices[0].Spec.InteractionsPerSecPerSM * float64(c.Devices[0].Spec.SMs)
+	}
 	var totalRows int
 	var totalInter int64
 	for _, lw := range losses {
-		rows := len(lw.rows)
 		var inter int64
-		runRow := func(k int) {
-			if fn != nil {
-				fn(sch, int(lw.rows[k]))
-			}
+		for _, r := range lw.rows {
+			inter += sch.Priced(int(r))
 		}
-		devTimer := sched.StartTimer()
-		weights := make([]int64, rows)
-		for k := range weights {
-			w := sch.Priced(int(lw.rows[k]))
-			weights[k] = w
-			inter += w
-		}
-		if pool != nil {
-			pool.ParallelRangeWeightedClass(sched.ClassNear, weights, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					runRow(k)
-				}
-			})
-		} else {
-			for k := 0; k < rows; k++ {
-				runRow(k)
-			}
-		}
-		dt := devTimer.Elapsed()
-		c.Rec.AddSpan(telemetry.SpanFallback, int32(lw.dev), devTimer.StartTime(), dt)
-		rate := c.HostP2PRate
-		if rate <= 0 {
-			// No host rate supplied: charge at the (healthy) device rate
-			// as a conservative stand-in.
-			rate = c.Devices[0].Spec.InteractionsPerSecPerSM * float64(c.Devices[0].Spec.SMs)
-		}
-		c.Rec.EmitEvent(telemetry.EventFallback, int64(lw.dev), int64(rows), float64(inter)/rate, 0)
-		totalRows += rows
+		c.Rec.EmitEvent(telemetry.EventFallback, int64(lw.dev), int64(len(lw.rows)), float64(inter)/rate, 0)
+		totalRows += len(lw.rows)
 		totalInter += inter
-	}
-	rate := c.HostP2PRate
-	if rate <= 0 {
-		rate = c.Devices[0].Spec.InteractionsPerSecPerSM * float64(c.Devices[0].Spec.SMs)
 	}
 	virtual := float64(totalInter) / rate
 	c.mu.Lock()
 	c.report.FallbackRows += totalRows
 	c.report.FallbackInteractions += totalInter
 	c.report.FallbackVirtual += virtual
-	c.report.FallbackHostNs += int64(timer.Elapsed())
 	c.mu.Unlock()
 	return virtual
 }
 
-// finishExecute runs fallback recovery and fills the cluster-state
+// finishExecute charges the fallback and fills the cluster-state
 // counters of the report; returns the fallback's virtual-time charge.
-func (c *Cluster) finishExecute(sch *octree.NearSchedule, fn P2PFunc, pool *sched.Pool) float64 {
+func (c *Cluster) finishExecute(sch *octree.NearSchedule) float64 {
 	var virtual float64
 	if c.Injector != nil {
-		virtual = c.fallback(sch, fn, pool, c.collectLosses())
+		virtual = c.fallback(sch, c.collectLosses())
 	}
 	dead, degraded := 0, 0
 	for _, d := range c.Devices {
@@ -431,7 +380,7 @@ func (c *Cluster) finishExecute(sch *octree.NearSchedule, fn P2PFunc, pool *sche
 
 // die transitions the device to Dead at chunk boundary `chunk`,
 // records the fault, and bumps the capacity epoch. completed is the
-// number of assignment rows fully executed on-device.
+// number of assignment rows the device finished.
 func (d *Device) die(c *Cluster, kind fault.Kind, chunk, completed int, detectNs int64) {
 	d.Health = Dead
 	d.FaultKind = kind

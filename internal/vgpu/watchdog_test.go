@@ -7,20 +7,8 @@ import (
 	"afmm/internal/fault"
 	"afmm/internal/octree"
 	"afmm/internal/sched"
+	"afmm/internal/telemetry"
 )
-
-// accumFn returns a P2PFunc whose result is sensitive to both the set
-// and the order of (target, source) applications: any dropped,
-// duplicated, or reordered pair changes the accumulator bit pattern.
-// Devices own disjoint targets, so concurrent execution never aliases.
-func accumFn(acc []float64) P2PFunc {
-	return func(sch *octree.NearSchedule, r int) {
-		ti := sch.Leaves[r]
-		for _, si := range sch.Row(r) {
-			acc[ti] = acc[ti]*1.0000001 + float64(si)*0.5
-		}
-	}
-}
 
 func mustParse(t *testing.T, spec string) *fault.Injector {
 	t.Helper()
@@ -31,56 +19,75 @@ func mustParse(t *testing.T, spec string) *fault.Injector {
 	return fault.NewInjector(sch)
 }
 
-// runAccum executes one partitioned step on a fresh cluster and returns
-// the accumulator.
-func runAccum(t *testing.T, tree *octree.Tree, ng int, inj *fault.Injector, wd WatchdogConfig, pool *sched.Pool) ([]float64, *Cluster) {
+// runStep walks one partitioned step on a fresh cluster and returns the
+// cluster and the step's virtual time.
+func runStep(t *testing.T, tree *octree.Tree, ng int, inj *fault.Injector, wd WatchdogConfig) (*Cluster, float64) {
 	t.Helper()
 	c := NewCluster(ng, DefaultSpec())
 	c.Injector = inj
 	c.Watchdog = wd
-	acc := make([]float64, len(tree.Nodes))
 	c.Partition(tree)
-	if pool != nil {
-		c.ExecuteParallel(tree, accumFn(acc), pool)
-	} else {
-		c.Execute(tree, accumFn(acc))
-	}
-	return acc, c
+	return c, c.Execute(tree)
 }
 
-func assertBitIdentical(t *testing.T, want, got []float64, label string) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: length mismatch", label)
+// pricedRows sums the priced interactions of rows.
+func pricedRows(sch *octree.NearSchedule, rows []int32) (n int64) {
+	for _, r := range rows {
+		n += sch.Priced(int(r))
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: accumulator %d differs: %v vs %v", label, i, want[i], got[i])
-		}
+	return n
+}
+
+// assertChargedOnce: every schedule row is either finished on a device or
+// charged to the fallback, exactly once.
+func assertChargedOnce(t *testing.T, c *Cluster, tree *octree.Tree, label string) {
+	t.Helper()
+	rows := c.LastReport().FallbackRows
+	for _, d := range c.Devices {
+		rows += d.CompletedRows
+	}
+	if want := tree.NearField().Rows(); rows != want {
+		t.Fatalf("%s: %d rows finished or charged to the fallback, want %d", label, rows, want)
 	}
 }
 
 func TestFailStopFallbackBitIdentical(t *testing.T) {
 	tree := buildTree(5000, 32, 11)
 	wd := WatchdogConfig{ChunkRows: 8}
-	ref, _ := runAccum(t, tree, 2, nil, wd, nil)
+	ref, _ := runStep(t, tree, 2, nil, wd)
 
 	inj := mustParse(t, "gpu1:failstop@step0#2")
-	acc, c := runAccum(t, tree, 2, inj, wd, nil)
-	assertBitIdentical(t, ref, acc, "failstop")
+	c, virt := runStep(t, tree, 2, inj, wd)
 
 	rep := c.LastReport()
 	if len(rep.Faults) != 1 || rep.Faults[0].Kind != fault.FailStop || rep.Faults[0].Device != 1 {
 		t.Fatalf("report faults: %+v", rep.Faults)
 	}
-	if rep.Faults[0].Rows == 0 {
-		t.Fatalf("device should have completed some rows before chunk 2: %+v", rep.Faults[0])
+	if rep.Faults[0].Rows != 2*wd.ChunkRows {
+		t.Fatalf("device should have finished chunks 0 and 1 before chunk 2: %+v", rep.Faults[0])
 	}
-	if rep.FallbackRows == 0 || rep.FallbackInteractions == 0 || rep.FallbackVirtual <= 0 {
-		t.Fatalf("fallback accounting empty: %+v", rep)
+	// The fallback is charged exactly the dead device's unfinished rows,
+	// at the host rate (the device rate when none is set).
+	sch := tree.NearField()
+	d := c.Devices[1]
+	lost := d.Rows[d.CompletedRows:]
+	rate := d.Spec.InteractionsPerSecPerSM * float64(d.Spec.SMs)
+	if rep.FallbackRows != len(lost) || rep.FallbackInteractions != pricedRows(sch, lost) ||
+		rep.FallbackVirtual != float64(rep.FallbackInteractions)/rate {
+		t.Fatalf("fallback charged %d rows / %d interactions / %v s, want %d / %d at %v/s",
+			rep.FallbackRows, rep.FallbackInteractions, rep.FallbackVirtual, len(lost), pricedRows(sch, lost), rate)
 	}
-	if c.Devices[1].Health != Dead || c.Devices[0].Health != Healthy {
-		t.Fatalf("health: %v %v", c.Devices[0].Health, c.Devices[1].Health)
+	assertChargedOnce(t, c, tree, "failstop")
+	// The survivor's clock is the fault-free one, and the step's virtual
+	// time is the slowest kernel plus the fallback's charge.
+	if c.Devices[0].KernelTime != ref.Devices[0].KernelTime {
+		t.Fatalf("survivor kernel %v, fault-free %v", c.Devices[0].KernelTime, ref.Devices[0].KernelTime)
+	}
+	if virt != c.MaxKernelTime()+rep.FallbackVirtual {
+		t.Fatalf("virtual time %v != max kernel %v + fallback %v", virt, c.MaxKernelTime(), rep.FallbackVirtual)
+	}
+	if d.Health != Dead || c.Devices[0].Health != Healthy {
+		t.Fatalf("health: %v %v", c.Devices[0].Health, d.Health)
 	}
 	if rep.DeadDevices != 1 {
 		t.Fatalf("DeadDevices = %d", rep.DeadDevices)
@@ -95,9 +102,8 @@ func TestFailStopResplitsOverSurvivors(t *testing.T) {
 	ep0 := c.CapacityEpoch()
 	cap0 := c.Capacity()
 
-	acc := make([]float64, len(tree.Nodes))
 	c.Partition(tree)
-	c.Execute(tree, accumFn(acc))
+	c.Execute(tree)
 	if c.CapacityEpoch() == ep0 {
 		t.Fatal("capacity epoch did not advance on device death")
 	}
@@ -118,11 +124,9 @@ func TestFailStopResplitsOverSurvivors(t *testing.T) {
 	if total != sch.Rows() {
 		t.Fatalf("survivors cover %d of %d rows", total, sch.Rows())
 	}
-	// And the step executes correctly without fallback.
-	ref, _ := runAccum(t, tree, 3, nil, WatchdogConfig{}, nil)
-	acc2 := make([]float64, len(tree.Nodes))
-	c.Execute(tree, accumFn(acc2))
-	assertBitIdentical(t, ref, acc2, "post-loss step")
+	// And the survivors finish the step without fallback.
+	c.Execute(tree)
+	assertChargedOnce(t, c, tree, "post-loss step")
 	if rep := c.LastReport(); rep.FallbackRows != 0 {
 		t.Fatalf("unexpected fallback on post-loss step: %+v", rep)
 	}
@@ -131,11 +135,9 @@ func TestFailStopResplitsOverSurvivors(t *testing.T) {
 func TestHangDetectedByWatchdog(t *testing.T) {
 	tree := buildTree(5000, 32, 12)
 	wd := WatchdogConfig{ChunkRows: 8, MinDeadline: 20 * time.Millisecond}
-	ref, _ := runAccum(t, tree, 2, nil, wd, nil)
-
 	inj := mustParse(t, "gpu0:hang@step0#1")
-	acc, c := runAccum(t, tree, 2, inj, wd, nil)
-	assertBitIdentical(t, ref, acc, "hang")
+	c, _ := runStep(t, tree, 2, inj, wd)
+	assertChargedOnce(t, c, tree, "hang")
 
 	rep := c.LastReport()
 	if len(rep.Faults) != 1 || rep.Faults[0].Kind != fault.Hang {
@@ -151,16 +153,23 @@ func TestHangDetectedByWatchdog(t *testing.T) {
 	if c.Devices[0].Health != Dead {
 		t.Fatal("hung device not declared dead")
 	}
+	// The second device walks after the first one's park: the watchdog
+	// times its silence from the start of its own run, not the call's.
+	if c.Devices[1].Health != Healthy {
+		t.Fatalf("device 1 health %v after device 0's hang", c.Devices[1].Health)
+	}
 }
 
 func TestTransientRetriesThenSucceeds(t *testing.T) {
 	tree := buildTree(4000, 32, 13)
 	wd := WatchdogConfig{ChunkRows: 16, Backoff: 50 * time.Microsecond}
-	ref, _ := runAccum(t, tree, 2, nil, wd, nil)
+	ref, _ := runStep(t, tree, 2, nil, wd)
 
 	inj := mustParse(t, "gpu0:transient2@step0")
-	acc, c := runAccum(t, tree, 2, inj, wd, nil)
-	assertBitIdentical(t, ref, acc, "transient")
+	c, _ := runStep(t, tree, 2, inj, wd)
+	if c.Devices[0].KernelTime != ref.Devices[0].KernelTime {
+		t.Fatalf("retried device kernel %v, fault-free %v", c.Devices[0].KernelTime, ref.Devices[0].KernelTime)
+	}
 
 	rep := c.LastReport()
 	if rep.TransientRetries < 2 {
@@ -177,12 +186,10 @@ func TestTransientRetriesThenSucceeds(t *testing.T) {
 func TestTransientEscalatesToDeviceLoss(t *testing.T) {
 	tree := buildTree(4000, 32, 13)
 	wd := WatchdogConfig{ChunkRows: 16, MaxRetries: 2, Backoff: 50 * time.Microsecond}
-	ref, _ := runAccum(t, tree, 2, nil, wd, nil)
-
 	// 100 failures per chunk can never clear a 2-retry budget.
 	inj := mustParse(t, "gpu0:transient100@step0")
-	acc, c := runAccum(t, tree, 2, inj, wd, nil)
-	assertBitIdentical(t, ref, acc, "transient escalation")
+	c, _ := runStep(t, tree, 2, inj, wd)
+	assertChargedOnce(t, c, tree, "transient escalation")
 
 	rep := c.LastReport()
 	if len(rep.Faults) != 1 || rep.Faults[0].Kind != fault.Transient {
@@ -198,11 +205,10 @@ func TestTransientEscalatesToDeviceLoss(t *testing.T) {
 
 func TestStraggleDeratesWithoutChangingResults(t *testing.T) {
 	tree := buildTree(5000, 32, 14)
-	ref, refC := runAccum(t, tree, 2, nil, WatchdogConfig{}, nil)
+	refC, _ := runStep(t, tree, 2, nil, WatchdogConfig{})
 
 	inj := mustParse(t, "gpu0:straggle2.5@step0")
-	acc, c := runAccum(t, tree, 2, inj, WatchdogConfig{}, nil)
-	assertBitIdentical(t, ref, acc, "straggle")
+	c, _ := runStep(t, tree, 2, inj, WatchdogConfig{})
 
 	if c.Devices[0].Health != Degraded {
 		t.Fatalf("health = %v, want Degraded", c.Devices[0].Health)
@@ -227,95 +233,123 @@ func TestStraggleDeratesWithoutChangingResults(t *testing.T) {
 
 func TestAllDevicesDeadRunsEntirelyOnHost(t *testing.T) {
 	tree := buildTree(4000, 32, 15)
-	ref, _ := runAccum(t, tree, 2, nil, WatchdogConfig{}, nil)
-
 	inj := mustParse(t, "gpu0:failstop@step0,gpu1:failstop@step0")
-	acc, c := runAccum(t, tree, 2, inj, WatchdogConfig{}, nil)
-	assertBitIdentical(t, ref, acc, "both dead, fault step")
+	c, _ := runStep(t, tree, 2, inj, WatchdogConfig{})
+	assertChargedOnce(t, c, tree, "both dead, fault step")
 	if c.AliveDevices() != 0 {
 		t.Fatalf("alive = %d", c.AliveDevices())
 	}
 
-	// Subsequent steps: no device left, the whole schedule runs as host
-	// fallback and still produces identical results with nonzero
-	// virtual time.
-	acc2 := make([]float64, len(tree.Nodes))
+	// Subsequent steps: no device left, the whole schedule is charged to
+	// the host fallback, under one fallback event for no device.
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	c.Rec = rec
+	c.HostP2PRate = 1e9
 	c.Partition(tree)
-	virt := c.Execute(tree, accumFn(acc2))
-	assertBitIdentical(t, ref, acc2, "both dead, next step")
-	if virt <= 0 {
-		t.Fatalf("virtual time = %v, want > 0", virt)
+	virt := c.Execute(tree)
+	rec.EndStep()
+	sch := tree.NearField()
+	if want := float64(sch.PricedTotal()) / c.HostP2PRate; virt != want {
+		t.Fatalf("virtual time = %v, want %v", virt, want)
 	}
 	rep := c.LastReport()
-	if rep.DeadDevices != 2 || rep.FallbackRows != tree.NearField().Rows() {
+	if rep.DeadDevices != 2 || rep.FallbackRows != sch.Rows() || rep.FallbackInteractions != sch.PricedTotal() {
 		t.Fatalf("report: %+v", rep)
+	}
+	evs := rec.Steps()[0].Events
+	if len(evs) != 1 || evs[0].Kind != telemetry.EventFallback || evs[0].A != -1 || evs[0].B != int64(sch.Rows()) || evs[0].FA != virt {
+		t.Fatalf("events %+v, want one fallback event of every row", evs)
+	}
+	for _, d := range c.Devices {
+		if d.KernelTime != 0 || d.Interactions != 0 {
+			t.Fatalf("dead device %d reports kernel %v, %d interactions", d.ID, d.KernelTime, d.Interactions)
+		}
 	}
 }
 
 func TestDisableFallbackSurfacesLoss(t *testing.T) {
 	tree := buildTree(4000, 32, 16)
 	inj := mustParse(t, "gpu0:failstop@step0")
-	_, c := runAccum(t, tree, 2, inj, WatchdogConfig{DisableFallback: true}, nil)
+	c, _ := runStep(t, tree, 2, inj, WatchdogConfig{DisableFallback: true})
 	rep := c.LastReport()
 	if rep.Err == nil || rep.LostRows == 0 {
 		t.Fatalf("disabled fallback must report loss: %+v", rep)
 	}
 }
 
+// TestFallbackBitIdenticalUnderPool: ExecuteParallel ignores its pool —
+// a faulted step through it charges exactly what Execute charges.
 func TestFallbackBitIdenticalUnderPool(t *testing.T) {
 	tree := buildTree(6000, 32, 17)
 	wd := WatchdogConfig{ChunkRows: 8, MinDeadline: 20 * time.Millisecond}
-	ref, _ := runAccum(t, tree, 3, nil, wd, nil)
+	const spec = "gpu1:failstop@step0#1,gpu2:straggle2@step0"
+	seq, virtSeq := runStep(t, tree, 3, mustParse(t, spec), wd)
 
-	pool := sched.NewPool(4)
-	inj := mustParse(t, "gpu1:failstop@step0#1,gpu2:straggle2@step0")
-	acc, c := runAccum(t, tree, 3, inj, wd, pool)
-	assertBitIdentical(t, ref, acc, "pooled fallback")
-	rep := c.LastReport()
-	if rep.FallbackRows == 0 || rep.DeadDevices != 1 || rep.DegradedDevices != 1 {
-		t.Fatalf("report: %+v", rep)
+	par := NewCluster(3, DefaultSpec())
+	par.Injector, par.Watchdog = mustParse(t, spec), wd
+	par.Partition(tree)
+	virtPar := par.ExecuteParallel(tree, nil, sched.NewPool(4))
+	if virtPar != virtSeq {
+		t.Fatalf("virtual time %v through the pool, %v without", virtPar, virtSeq)
+	}
+	a, b := seq.LastReport(), par.LastReport()
+	if a.FallbackRows == 0 || a.DeadDevices != 1 || a.DegradedDevices != 1 ||
+		a.FallbackRows != b.FallbackRows || a.FallbackInteractions != b.FallbackInteractions ||
+		a.DeadDevices != b.DeadDevices || a.DegradedDevices != b.DegradedDevices {
+		t.Fatalf("reports differ or miss the faults: %+v vs %+v", a, b)
+	}
+	for i, d := range seq.Devices {
+		if d.KernelTime != par.Devices[i].KernelTime || d.CompletedRows != par.Devices[i].CompletedRows {
+			t.Fatalf("device %d: kernel %v / %d rows, through the pool %v / %d",
+				i, d.KernelTime, d.CompletedRows, par.Devices[i].KernelTime, par.Devices[i].CompletedRows)
+		}
 	}
 }
 
+// TestCorruptPoisonsViaCallback: a Corrupt fault hands the chunk's first
+// target to the Corrupt hook once and emits its fault event; the device
+// stays healthy.
 func TestCorruptPoisonsViaCallback(t *testing.T) {
 	tree := buildTree(3000, 32, 18)
-	inj := mustParse(t, "gpu0:corrupt@step0")
 	c := NewCluster(1, DefaultSpec())
-	c.Injector = inj
+	c.Injector = mustParse(t, "gpu0:corrupt@step0")
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	c.Rec = rec
 	var poisoned []int32
 	c.Corrupt = func(target int32) { poisoned = append(poisoned, target) }
-	acc := make([]float64, len(tree.Nodes))
 	c.Partition(tree)
-	c.Execute(tree, accumFn(acc))
-	if len(poisoned) != 1 {
-		t.Fatalf("corrupt callback fired %d times, want 1", len(poisoned))
+	c.Execute(tree)
+	rec.EndStep()
+	if len(poisoned) != 1 || poisoned[0] != c.Devices[0].Targets[0] {
+		t.Fatalf("corrupt callback got %v, want the first chunk's first target %d", poisoned, c.Devices[0].Targets[0])
+	}
+	evs := rec.Steps()[0].Events
+	if len(evs) != 1 || evs[0].Kind != telemetry.EventFault || evs[0].B != int64(fault.Corrupt) {
+		t.Fatalf("events %+v, want one corrupt fault", evs)
 	}
 	if c.Devices[0].Health != Healthy {
 		t.Fatal("corrupt is a data fault; the device must stay healthy")
 	}
 }
 
-// stepOn runs one more partitioned step on an existing cluster.
-func stepOn(t *testing.T, c *Cluster, tree *octree.Tree) []float64 {
+// stepOn walks one more partitioned step on an existing cluster.
+func stepOn(t *testing.T, c *Cluster, tree *octree.Tree) {
 	t.Helper()
-	acc := make([]float64, len(tree.Nodes))
 	c.Partition(tree)
-	c.Execute(tree, accumFn(acc))
-	return acc
+	c.Execute(tree)
+	assertChargedOnce(t, c, tree, "step")
 }
 
 // TestDeviceRestorationAfterCleanProbes: with RestoreAfter set, a dead
 // device whose probes come back clean for K consecutive steps is
 // re-admitted — capacity epoch bumps, capacity recovers, and the next
-// partition gives it work again, all without perturbing the numerics.
+// partition gives it work again.
 func TestDeviceRestorationAfterCleanProbes(t *testing.T) {
 	tree := buildTree(5000, 32, 21)
 	wd := WatchdogConfig{ChunkRows: 8, RestoreAfter: 2}
-	ref, _ := runAccum(t, tree, 2, nil, wd, nil)
-
 	inj := mustParse(t, "gpu1:failstop@step0")
-	acc, c := runAccum(t, tree, 2, inj, wd, nil)
-	assertBitIdentical(t, ref, acc, "fault step")
+	c, _ := runStep(t, tree, 2, inj, wd)
+	assertChargedOnce(t, c, tree, "fault step")
 	if c.Devices[1].Health != Dead {
 		t.Fatal("device not dead after failstop")
 	}
@@ -323,13 +357,13 @@ func TestDeviceRestorationAfterCleanProbes(t *testing.T) {
 	ep := c.CapacityEpoch()
 
 	// Step 1: first clean probe — streak 1 of 2, still dead.
-	assertBitIdentical(t, ref, stepOn(t, c, tree), "streak step")
+	stepOn(t, c, tree)
 	if c.Devices[1].Health != Dead {
 		t.Fatal("device restored after one clean probe, want two")
 	}
 	// Step 2: second clean probe restores the device at the top of the
 	// call; partition preceded restoration, so it holds no work yet.
-	assertBitIdentical(t, ref, stepOn(t, c, tree), "restoration step")
+	stepOn(t, c, tree)
 	if c.Devices[1].Health != Healthy {
 		t.Fatalf("health after restoration = %v", c.Devices[1].Health)
 	}
@@ -348,7 +382,7 @@ func TestDeviceRestorationAfterCleanProbes(t *testing.T) {
 	}
 	// Step 3: the restored device regains a share of the rows and the
 	// step needs no fallback.
-	assertBitIdentical(t, ref, stepOn(t, c, tree), "post-restoration step")
+	stepOn(t, c, tree)
 	if len(c.Devices[1].Targets) == 0 {
 		t.Fatal("restored device received no work")
 	}
@@ -363,27 +397,25 @@ func TestDeviceRestorationAfterCleanProbes(t *testing.T) {
 func TestFlappingDeviceStaysOut(t *testing.T) {
 	tree := buildTree(4000, 32, 22)
 	wd := WatchdogConfig{ChunkRows: 8, RestoreAfter: 2}
-	ref, _ := runAccum(t, tree, 2, nil, wd, nil)
-
 	inj := mustParse(t,
 		"gpu0:failstop@step0,gpu0:transient@step1,gpu0:transient@step2,gpu0:transient@step3")
-	acc, c := runAccum(t, tree, 2, inj, wd, nil)
-	assertBitIdentical(t, ref, acc, "flapping fault step")
+	c, _ := runStep(t, tree, 2, inj, wd)
+	assertChargedOnce(t, c, tree, "flapping fault step")
 
 	// Steps 1-3: every probe hits a transient, streak stays at zero.
 	for step := 1; step <= 3; step++ {
-		assertBitIdentical(t, ref, stepOn(t, c, tree), "flapping step")
+		stepOn(t, c, tree)
 		if c.Devices[0].Health != Dead {
 			t.Fatalf("flapping device restored at step %d", step)
 		}
 	}
 	// Step 4: first clean probe — one of two, still out.
-	assertBitIdentical(t, ref, stepOn(t, c, tree), "first clean step")
+	stepOn(t, c, tree)
 	if c.Devices[0].Health != Dead {
 		t.Fatal("device restored after a single clean probe")
 	}
 	// Step 5: second consecutive clean probe re-admits it.
-	assertBitIdentical(t, ref, stepOn(t, c, tree), "second clean step")
+	stepOn(t, c, tree)
 	if c.Devices[0].Health != Healthy {
 		t.Fatalf("health after clean streak = %v", c.Devices[0].Health)
 	}
@@ -394,12 +426,11 @@ func TestFlappingDeviceStaysOut(t *testing.T) {
 
 func TestNoInjectorPathUnchanged(t *testing.T) {
 	tree := buildTree(4000, 32, 19)
-	ref, refC := runAccum(t, tree, 2, nil, WatchdogConfig{}, nil)
+	refC, _ := runStep(t, tree, 2, nil, WatchdogConfig{})
 	// Injector with an empty schedule: the chunked walk must still
-	// produce identical numerics and identical virtual timing.
+	// produce identical virtual timing.
 	inj := fault.NewInjector(nil)
-	acc, c := runAccum(t, tree, 2, inj, WatchdogConfig{ChunkRows: 8}, nil)
-	assertBitIdentical(t, ref, acc, "empty injector")
+	c, _ := runStep(t, tree, 2, inj, WatchdogConfig{ChunkRows: 8})
 	for i := range c.Devices {
 		if c.Devices[i].KernelTime != refC.Devices[i].KernelTime {
 			t.Fatalf("device %d kernel time drifted: %v vs %v",
