@@ -366,8 +366,9 @@ type (
 	// FaultKind identifies a fault class (fail-stop, hang, straggle,
 	// transient, corrupt).
 	FaultKind = fault.Kind
-	// WatchdogConfig tunes the device watchdog: heartbeat deadline,
-	// transient-retry budget and backoff, fallback chunking.
+	// WatchdogConfig tunes fault handling on the device walk: the
+	// transient-retry budget, the chunking faults land on, the fallback
+	// switch and device restoration.
 	WatchdogConfig = vgpu.WatchdogConfig
 	// FaultReport summarizes fault handling for a solve's near field.
 	FaultReport = vgpu.FaultReport

@@ -90,11 +90,11 @@ type Config struct {
 	// its results can reach the integrator.
 	Validate bool
 	// Faults, when non-nil, arms the device cluster's deterministic
-	// fault injector: device walks consult it per chunk, the watchdog
-	// monitor starts, and dead devices' rows are charged to the host
-	// fallback. Nil (the default) walks the exact pre-fault paths.
+	// fault injector: device walks consult it per chunk, and dead
+	// devices' rows are charged to the host fallback. Nil (the default)
+	// never faults.
 	Faults *fault.Injector
-	// Watchdog tunes fault detection and recovery (zero value =
+	// Watchdog tunes fault handling on the device walk (zero value =
 	// documented defaults); only consulted when Faults is set.
 	Watchdog vgpu.WatchdogConfig
 	// OffloadEndpoints moves the P2M and L2P work to the GPUs — the

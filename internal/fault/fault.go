@@ -7,19 +7,19 @@
 // seed, same fault at the same chunk of the same step.
 //
 // The injector is consulted by vgpu.Device.run once per chunk of the
-// near-field schedule, *before* the chunk's numeric work. Fault
+// near-field schedule, *before* the walk charges the chunk's rows. Fault
 // semantics are chosen so that recovery can stay bit-identical to the
 // fault-free run:
 //
 //   - FailStop: the device dies at the chunk boundary; rows from that
-//     chunk on are never executed on-device and must be re-executed by
-//     the host fallback.
-//   - Hang: the device parks instead of executing the chunk; the
-//     watchdog detects the missed heartbeat and aborts it, after which
-//     it is treated like a fail-stop at the same boundary.
+//     chunk on are never charged to the device, and the host fallback
+//     is charged for them instead.
+//   - Hang: the device goes silent at the chunk boundary; the walk
+//     declares it hung there and treats it like a fail-stop at the same
+//     boundary.
 //   - Transient: the chunk "errors" before executing; the caller
-//     retries (with backoff) and the chunk runs exactly once on
-//     success, so no numeric work is duplicated or reordered.
+//     retries at once and the chunk runs exactly once on success, so
+//     no work is duplicated or reordered.
 //   - Straggle: the device's virtual execution rate is divided by
 //     Factor; numeric work is untouched, only timing changes.
 //   - Corrupt: the chunk executes normally and then the first target
@@ -49,7 +49,8 @@ const (
 	None Kind = iota
 	// FailStop kills the device at a chunk boundary.
 	FailStop
-	// Hang parks the device mid-run until the watchdog aborts it.
+	// Hang silences the device at a chunk boundary; the walk declares
+	// it hung there.
 	Hang
 	// Transient fails individual chunk attempts Count times, then
 	// succeeds.
@@ -129,14 +130,16 @@ func (s *Schedule) String() string {
 // where <fault> is one of
 //
 //	failstop            — die at the chunk boundary
-//	hang                — park until the watchdog aborts
+//	hang                — go silent at the chunk boundary
 //	straggle<F>         — divide the virtual rate by F (e.g. straggle2.5)
 //	transient[<C>]      — each chunk attempt fails C times (default 1)
 //	corrupt             — poison the chunk's first target with NaN
 //
 // The optional #<chunk> suffix (failstop/hang/corrupt only) selects the
 // chunk index within the step at which the fault fires; it defaults to
-// chunk 0. An empty spec yields an empty schedule.
+// chunk 0. A chunk index past the device's last chunk of that step
+// fires at chunk 0 of the device's next walk. An empty spec yields an
+// empty schedule.
 func Parse(spec string) (*Schedule, error) {
 	sch := &Schedule{}
 	spec = strings.TrimSpace(spec)
@@ -334,8 +337,8 @@ type Outcome struct {
 }
 
 // Injector replays a Schedule against a live execution. All methods
-// are safe for concurrent use (devices run in parallel) and are
-// nil-safe: a nil *Injector injects nothing.
+// are safe for concurrent use and nil-safe: a nil *Injector injects
+// nothing.
 type Injector struct {
 	mu    sync.Mutex
 	sched Schedule
@@ -471,8 +474,9 @@ func (in *Injector) Chunk(dev, chunk int) Outcome {
 				continue
 			}
 			// Fire when execution reaches (or has passed) the armed
-			// step and chunk, so a fault armed at a chunk index the
-			// step never reaches still fires at the final chunk seen.
+			// step and chunk. A fault armed at a chunk index its step
+			// never reaches therefore fires at chunk 0 of the device's
+			// next walk, one step late.
 			if in.step > ev.Step || (in.step == ev.Step && chunk >= ev.Chunk) {
 				in.fired[i] = true
 				in.fires[kind]++

@@ -119,18 +119,21 @@ func TestInjectorFailStop(t *testing.T) {
 	}
 }
 
+// TestInjectorFailStopLateChunk: a fault pinned past the device's last
+// chunk of its step fires at chunk 0 of the device's next walk, one step
+// late (execution "reached or passed" the arm point).
 func TestInjectorFailStopLateChunk(t *testing.T) {
-	// A fault armed at a chunk the step never reaches must still fire
-	// on a later step (execution "reached or passed" the arm point).
-	sch, _ := Parse("gpu0:failstop@step1#100")
+	sch, _ := Parse("gpu0:failstop@step1#5")
 	in := NewInjector(sch)
 	in.BeginStep(1)
-	if out := in.Chunk(0, 3); out.Kind != None {
-		t.Fatalf("fired too early: %+v", out)
+	for chunk := 0; chunk <= 2; chunk++ {
+		if out := in.Chunk(0, chunk); out.Kind != None {
+			t.Fatalf("fired at chunk %d of the armed step: %+v", chunk, out)
+		}
 	}
 	in.BeginStep(2)
 	if out := in.Chunk(0, 0); out.Kind != FailStop {
-		t.Fatalf("want FailStop on the step after arming, got %+v", out)
+		t.Fatalf("want FailStop at chunk 0 of the next step, got %+v", out)
 	}
 }
 

@@ -64,8 +64,9 @@ type Config struct {
 	TaskGraph bool
 	Rec       *telemetry.Recorder
 	Validate  bool
-	Faults    *fault.Injector
-	Watchdog  vgpu.WatchdogConfig
+	// Faults and Watchdog act on the device walk as core.Config's do.
+	Faults   *fault.Injector
+	Watchdog vgpu.WatchdogConfig
 }
 
 func (c *Config) setDefaults() {

@@ -252,8 +252,9 @@ const (
 	// B = fault kind (fault.Kind integer), FA = straggle factor when the
 	// fault is a derating (0 otherwise).
 	EventFault
-	// EventWatchdog: the watchdog aborted a hung device. A = device id,
-	// B = chunk index at abort, FA = detection latency in seconds.
+	// EventWatchdog: the device walk declared a hung device dead at the
+	// chunk boundary where the hang landed. A = device id, B = chunk
+	// index.
 	EventWatchdog
 	// EventFallback: the host fallback was charged for a dead device's
 	// unfinished rows. A = device id (-1 when every device is dead),

@@ -32,7 +32,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"afmm/internal/fault"
 	"afmm/internal/octree"
@@ -110,18 +109,9 @@ type Device struct {
 	CompletedRows int
 	// Retries counts transient-error chunk retries in the last run.
 	Retries int
-	// DetectNs is the watchdog's hang-detection latency in the last run
-	// (host ns; 0 when no hang was detected).
-	DetectNs int64
 	// healthyProbes counts consecutive clean injector probes while Dead —
 	// the restoration streak (see WatchdogConfig.RestoreAfter).
 	healthyProbes int
-
-	// Watchdog runtime state, valid during one Execute call.
-	beat    atomic.Int64 // UnixNano of the run's start or last completed chunk
-	running atomic.Bool
-	aborted atomic.Bool
-	abort   chan struct{}
 }
 
 // Efficiency returns useful / slot interactions of the last kernel — the
@@ -157,10 +147,10 @@ type Cluster struct {
 	// capacity events of every Execute.
 	Rec *telemetry.Recorder
 
-	// Injector, when non-nil, is consulted once per chunk of every
-	// device run and arms the watchdog (heartbeat monitor + host
-	// fallback). A nil injector walks exactly the pre-fault code path
-	// with no monitor goroutine.
+	// Injector, when non-nil, is consulted at every chunk boundary of
+	// every device walk; its verdict ends, retries or poisons the chunk
+	// there, and the host fallback is charged for the rows of devices
+	// that die. A nil injector never faults.
 	Injector *fault.Injector
 	// Watchdog tunes detection and recovery; the zero value uses the
 	// documented defaults.
@@ -294,12 +284,10 @@ func (c *Cluster) PartitionByLeafCount(t *octree.Tree) {
 // It writes no accumulator: the only data it touches is a Corrupt fault's
 // payload.
 func (c *Cluster) Execute(t *octree.Tree) float64 {
-	// Resolved once, before the watchdog starts.
 	sch := t.NearField()
-	stopWatch := c.beginExecute()
+	c.beginExecute()
 	// With every device dead the whole schedule is fallback work.
 	if c.Injector != nil && len(c.Devices) > 0 && c.AliveDevices() == 0 {
-		stopWatch()
 		lw := lostWork{dev: -1, rows: make([]int32, sch.Rows())}
 		for r := range lw.rows {
 			lw.rows[r] = int32(r)
@@ -323,7 +311,6 @@ func (c *Cluster) Execute(t *octree.Tree) float64 {
 		}
 		d.run(c, t, sch)
 	}
-	stopWatch()
 	virtual := c.finishExecute(sch)
 	return c.MaxKernelTime() + virtual
 }
@@ -360,25 +347,19 @@ func (c *Cluster) TotalInteractions() int64 {
 	return n
 }
 
-// run walks the device's assignment in heartbeat chunks of
-// Watchdog.ChunkRows rows each. With no injector on the cluster every
-// chunk takes the fault-free fast path; with an injector, the watchdog
-// watches the device from the start of its run, and each chunk first
-// consults the injector (retrying transient errors with backoff), then
-// charges its rows — so a fault always lands at a chunk boundary and the
+// run walks the device's assignment in chunks of Watchdog.ChunkRows
+// rows each. At every chunk boundary the injector's verdict decides the
+// chunk (a nil injector always answers None): a fail-stop or a hang ends
+// the walk there, a transient error is retried at once up to MaxRetries
+// and then ends it too, and a corrupt chunk runs and poisons its first
+// target. A fault therefore always lands at a chunk boundary, and the
 // finished-rows prefix is well defined for the host fallback.
 func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule) {
-	if c.Injector != nil {
-		d.beat.Store(time.Now().UnixNano())
-		d.running.Store(true)
-		defer d.running.Store(false)
-	}
 	spec := d.Spec
 	d.Interactions = 0
 	d.SlotWork = 0
 	d.Warps = 0
 	d.Retries = 0
-	d.DetectNs = 0
 	d.CompletedRows = 0
 	if len(d.Targets) == 0 {
 		d.KernelTime = 0
@@ -391,18 +372,6 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule) {
 	var warpTimes []float64
 	var targetBodies, sourceBodies int64
 	ws := float64(spec.WarpSize)
-
-	// finish folds whatever executed — all rows, or the prefix before a
-	// fault — into the device's virtual kernel time. A straggle factor
-	// divides the device's compute rate, i.e. multiplies the makespan.
-	finish := func() {
-		makespan := greedyMakespan(warpTimes, spec.SMs)
-		if f := d.StraggleFactor; f > 1 {
-			makespan *= f
-		}
-		transfer := float64((targetBodies*2+sourceBodies)*int64(spec.BytesPerBody)) / spec.PCIeBandwidth
-		d.KernelTime = spec.KernelLaunch + transfer + makespan
-	}
 
 	runRow := func(k int) {
 		ti := d.Targets[k]
@@ -430,75 +399,53 @@ func (d *Device) run(c *Cluster, t *octree.Tree, sch *octree.NearSchedule) {
 
 	n := len(d.Targets)
 	for k0 := 0; k0 < n; k0 += cfg.ChunkRows {
-		k1 := k0 + cfg.ChunkRows
-		if k1 > n {
-			k1 = n
+		chunk := k0 / cfg.ChunkRows
+		verdict := d.verdict(c, chunk, cfg.MaxRetries)
+		if verdict == fault.FailStop || verdict == fault.Hang || verdict == fault.Transient {
+			d.die(c, verdict, chunk, k0)
+			break
 		}
-		chunkIdx := k0 / cfg.ChunkRows
-		if d.aborted.Load() {
-			// The watchdog declared us hung while a previous chunk ran
-			// long; stop at this boundary.
-			d.die(c, fault.Hang, chunkIdx, k0, 0)
-			finish()
-			return
-		}
-		corrupt := false
-		if c.Injector != nil {
-			attempt := 0
-		consult:
-			for {
-				out := c.Injector.Chunk(d.ID, chunkIdx)
-				switch out.Kind {
-				case fault.FailStop:
-					d.die(c, fault.FailStop, chunkIdx, k0, 0)
-					finish()
-					return
-				case fault.Hang:
-					// Park until the watchdog misses our heartbeat and
-					// aborts us; the elapsed park time is the detection
-					// latency.
-					park := sched.StartTimer()
-					if d.abort != nil {
-						<-d.abort
-					}
-					d.die(c, fault.Hang, chunkIdx, k0, int64(park.Elapsed()))
-					finish()
-					return
-				case fault.Transient:
-					d.Retries++
-					c.mu.Lock()
-					c.report.TransientRetries++
-					c.mu.Unlock()
-					attempt++
-					if attempt > cfg.MaxRetries {
-						// Retry budget exhausted: escalate to device loss.
-						d.die(c, fault.Transient, chunkIdx, k0, 0)
-						finish()
-						return
-					}
-					time.Sleep(cfg.Backoff << (attempt - 1))
-					continue
-				case fault.Corrupt:
-					corrupt = true
-				}
-				break consult
-			}
-		}
+		k1 := min(k0+cfg.ChunkRows, n)
 		for k := k0; k < k1; k++ {
 			runRow(k)
 		}
-		if c.Injector != nil {
-			d.beat.Store(time.Now().UnixNano())
-		}
 		d.CompletedRows = k1
-		if corrupt {
+		if verdict == fault.Corrupt {
 			if c.Corrupt != nil {
 				c.Corrupt(d.Targets[k0])
 			}
 			c.Rec.EmitEvent(telemetry.EventFault, int64(d.ID), int64(fault.Corrupt), 0, 0)
 		}
 	}
-	finish()
+
+	// Whatever executed — all rows, or the prefix before a fault — makes
+	// the device's virtual kernel time. A straggle factor divides the
+	// device's compute rate, i.e. multiplies the makespan.
+	makespan := greedyMakespan(warpTimes, spec.SMs)
+	if f := d.StraggleFactor; f > 1 {
+		makespan *= f
+	}
+	transfer := float64((targetBodies*2+sourceBodies)*int64(spec.BytesPerBody)) / spec.PCIeBandwidth
+	d.KernelTime = spec.KernelLaunch + transfer + makespan
+}
+
+// verdict is the injector's answer for one chunk. A transient error is
+// counted and the injector asked again at once; the chunk's verdict is
+// Transient only when the error outlasts maxRetries retries.
+func (d *Device) verdict(c *Cluster, chunk, maxRetries int) fault.Kind {
+	for attempt := 0; ; attempt++ {
+		kind := c.Injector.Chunk(d.ID, chunk).Kind
+		if kind != fault.Transient {
+			return kind
+		}
+		d.Retries++
+		c.mu.Lock()
+		c.report.TransientRetries++
+		c.mu.Unlock()
+		if attempt == maxRetries {
+			return fault.Transient
+		}
+	}
 }
 
 // greedyMakespan schedules jobs in order onto m identical machines, each

@@ -2,8 +2,6 @@ package vgpu
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"afmm/internal/fault"
 	"afmm/internal/octree"
@@ -33,21 +31,15 @@ func (h Health) String() string {
 	return fmt.Sprintf("health(%d)", uint8(h))
 }
 
-// WatchdogConfig tunes fault detection and recovery. The zero value
+// WatchdogConfig tunes fault handling on the device walk. The zero value
 // selects the defaults documented per field.
 type WatchdogConfig struct {
-	// MinDeadline is the heartbeat deadline: a running device silent for
-	// longer than MinDeadline is declared hung and aborted. Default 50ms.
-	MinDeadline time.Duration
 	// MaxRetries bounds transient-error retries per chunk; a chunk
-	// still failing after MaxRetries attempts escalates to a device
+	// still failing after MaxRetries retries escalates to a device
 	// fail-stop. Default 3.
 	MaxRetries int
-	// Backoff is the base delay between transient retries, doubled on
-	// each subsequent attempt. Default 200µs.
-	Backoff time.Duration
-	// ChunkRows is the number of near-field schedule rows per heartbeat
-	// chunk (the unit of retry, abort, and fallback). Default 32.
+	// ChunkRows is the number of near-field schedule rows per chunk
+	// (the unit of retry, death and fallback). Default 32.
 	ChunkRows int
 	// DisableFallback turns off the host fallback: a dead device's
 	// unfinished rows are reported as lost via FaultReport.Err (which
@@ -67,14 +59,8 @@ type WatchdogConfig struct {
 }
 
 func (w WatchdogConfig) withDefaults() WatchdogConfig {
-	if w.MinDeadline <= 0 {
-		w.MinDeadline = 50 * time.Millisecond
-	}
 	if w.MaxRetries <= 0 {
 		w.MaxRetries = 3
-	}
-	if w.Backoff <= 0 {
-		w.Backoff = 200 * time.Microsecond
 	}
 	if w.ChunkRows <= 0 {
 		w.ChunkRows = 32
@@ -87,9 +73,8 @@ func (w WatchdogConfig) withDefaults() WatchdogConfig {
 type DeviceFault struct {
 	Device int
 	Kind   fault.Kind
-	Chunk  int   // chunk index at which the device stopped
-	Rows   int   // assignment rows completed on-device before the fault
-	Detect int64 // hang-detection latency (host ns; 0 for non-hang faults)
+	Chunk  int // chunk index at which the device stopped
+	Rows   int // assignment rows completed on-device before the fault
 }
 
 // FaultReport summarizes fault handling for the last Execute call.
@@ -162,9 +147,8 @@ func (c *Cluster) AliveDevices() int {
 }
 
 // beginExecute arms the injector and straggle state for one Execute
-// call and resets the per-call fault report. Returns the watchdog
-// shutdown func (nil-safe to call).
-func (c *Cluster) beginExecute() func() {
+// call and resets the per-call fault report.
+func (c *Cluster) beginExecute() {
 	step := c.execs
 	c.execs++
 	c.mu.Lock()
@@ -176,7 +160,7 @@ func (c *Cluster) beginExecute() func() {
 		}
 	}
 	if c.Injector == nil {
-		return func() {}
+		return
 	}
 	c.Injector.BeginStep(step)
 	// Probe dead devices for restoration: RestoreAfter consecutive clean
@@ -202,7 +186,6 @@ func (c *Cluster) beginExecute() func() {
 			d.StraggleFactor = 1
 			d.CompletedRows = 0
 			d.Retries = 0
-			d.DetectNs = 0
 			d.healthyProbes = 0
 			d.Targets = d.Targets[:0]
 			d.Rows = d.Rows[:0]
@@ -232,58 +215,6 @@ func (c *Cluster) beginExecute() func() {
 				c.capEpoch.Add(1)
 			}
 			c.Rec.EmitEvent(telemetry.EventFault, int64(d.ID), int64(fault.Straggle), f, 0)
-		}
-	}
-	// Arm the abort channels and start the monitor; each device's run
-	// starts its own heartbeat.
-	for _, d := range c.Devices {
-		if d.Health == Dead {
-			continue
-		}
-		d.abort = make(chan struct{})
-		d.aborted.Store(false)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go c.watch(stop, &wg)
-	return func() {
-		close(stop)
-		wg.Wait()
-		for _, d := range c.Devices {
-			d.running.Store(false)
-		}
-	}
-}
-
-// watch is the watchdog monitor: it polls device heartbeats and aborts
-// any running device silent for longer than MinDeadline.
-func (c *Cluster) watch(stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	cfg := c.Watchdog.withDefaults()
-	dl := int64(cfg.MinDeadline)
-	tick := cfg.MinDeadline / 8
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now().UnixNano()
-		for _, d := range c.Devices {
-			if !d.running.Load() || d.aborted.Load() {
-				continue
-			}
-			if now-d.beat.Load() > dl {
-				if d.aborted.CompareAndSwap(false, true) {
-					close(d.abort)
-				}
-			}
 		}
 	}
 }
@@ -381,20 +312,19 @@ func (c *Cluster) finishExecute(sch *octree.NearSchedule) float64 {
 // die transitions the device to Dead at chunk boundary `chunk`,
 // records the fault, and bumps the capacity epoch. completed is the
 // number of assignment rows the device finished.
-func (d *Device) die(c *Cluster, kind fault.Kind, chunk, completed int, detectNs int64) {
+func (d *Device) die(c *Cluster, kind fault.Kind, chunk, completed int) {
 	d.Health = Dead
 	d.FaultKind = kind
 	d.StraggleFactor = 1
 	d.CompletedRows = completed
-	d.DetectNs = detectNs
 	c.capEpoch.Add(1)
 	c.mu.Lock()
 	c.report.Faults = append(c.report.Faults, DeviceFault{
-		Device: d.ID, Kind: kind, Chunk: chunk, Rows: completed, Detect: detectNs,
+		Device: d.ID, Kind: kind, Chunk: chunk, Rows: completed,
 	})
 	c.mu.Unlock()
 	c.Rec.EmitEvent(telemetry.EventFault, int64(d.ID), int64(kind), 0, 0)
 	if kind == fault.Hang {
-		c.Rec.EmitEvent(telemetry.EventWatchdog, int64(d.ID), int64(chunk), float64(detectNs)/1e9, 0)
+		c.Rec.EmitEvent(telemetry.EventWatchdog, int64(d.ID), int64(chunk), 0, 0)
 	}
 }
