@@ -2,6 +2,8 @@ package dmem
 
 import (
 	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -57,17 +59,6 @@ func requireIdentical(t *testing.T, got, want *particle.System, what string) {
 	}
 }
 
-// chaosLink keeps multi-step chaos runs fast without starving the retry
-// budget.
-func chaosLink() linkConfig {
-	return linkConfig{
-		RetransmitTimeout: 200 * time.Microsecond,
-		MaxRetries:        10,
-		NearDeadline:      5 * time.Second,
-		FarDeadline:       5 * time.Second,
-	}
-}
-
 // TestChaosWithinBudgetBitIdentical: a mixed drop/dup/reorder/corrupt/
 // delay schedule whose rates the retry budget absorbs. Every value must
 // stay exactly the fault-free single-node value; the stats must show the
@@ -85,7 +76,6 @@ func TestChaosWithinBudgetBitIdentical(t *testing.T) {
 	cfg := execClusterConfig(4)
 	cfg.LinkFaults = sch
 	cfg.LinkSeed = 42
-	cfg.link = chaosLink()
 
 	sysD := distrib.Plummer(n, 1.0, 1.0, 23)
 	d, err := NewSolver(sysD, cfg)
@@ -101,16 +91,17 @@ func TestChaosWithinBudgetBitIdentical(t *testing.T) {
 		t.Fatalf("corrupt0.4 produced no checksum rejects: %+v", res.Net)
 	}
 	if res.Net.Timeouts != 0 {
-		t.Fatalf("within-budget schedule must not hit deadlines, got %d timeouts",
+		t.Fatalf("within-budget schedule must not exhaust a retry budget, got %d timeouts",
 			res.Net.Timeouts)
 	}
 	requireIdentical(t, sysD, singleTwin(n, steps, dt, 23), "within-budget chaos")
 }
 
 // TestChaosBeyondBudgetDegradesValuesExact: drop1.0 on every link out of
-// node 0 defeats retransmission entirely; the deadline paths (host-side
-// ghost re-pack, reliable re-request) take over and the values are STILL
-// exactly the single-node values — degradation costs throughput only.
+// node 0 defeats retransmission entirely; once a flow's retry budget runs
+// out the degradation paths (host-side ghost re-pack, reliable re-request)
+// take over and the values are STILL exactly the single-node values —
+// degradation costs modeled time only.
 func TestChaosBeyondBudgetDegradesValuesExact(t *testing.T) {
 	const (
 		n     = 900
@@ -122,12 +113,6 @@ func TestChaosBeyondBudgetDegradesValuesExact(t *testing.T) {
 	cfg := execClusterConfig(3)
 	cfg.LinkFaults = sch
 	cfg.LinkSeed = 7
-	cfg.link = linkConfig{
-		RetransmitTimeout: 100 * time.Microsecond,
-		MaxRetries:        2,
-		NearDeadline:      20 * time.Millisecond,
-		FarDeadline:       20 * time.Millisecond,
-	}
 
 	sysD := distrib.Plummer(n, 1.0, 1.0, 31)
 	d, err := NewSolver(sysD, cfg)
@@ -171,7 +156,6 @@ func TestChaosRandomSchedulesProperty(t *testing.T) {
 		cfg := execClusterConfig(nodes)
 		cfg.LinkFaults = sch
 		cfg.LinkSeed = seed
-		cfg.link = chaosLink()
 		sysD := distrib.Plummer(n, 1.0, 1.0, 47)
 		d, err := NewSolver(sysD, cfg)
 		if err != nil {
@@ -197,7 +181,6 @@ func TestChaosStokesClusterBitIdentical(t *testing.T) {
 		cfg.LinkFaults = mustCluster(t,
 			"link0-1:drop0.4@step0,link1-2:corrupt0.5@step0,link2-0:dup@step0")
 		cfg.LinkSeed = 9
-		cfg.link = chaosLink()
 	})
 	net := cl.Solve().Net
 	if net.FramesDropped == 0 && net.CorruptRejects == 0 {
@@ -212,8 +195,9 @@ func TestChaosStokesClusterBitIdentical(t *testing.T) {
 }
 
 // TestHeartbeatDetectorRecovery: a fail-stop under lossy links is
-// detected by heartbeat age and the run still matches
-// the single-node trajectory exactly.
+// detected by heartbeat age — exactly 25 ms, since peers 0 and 3 beat over
+// clean links — and the run still matches the single-node trajectory
+// exactly.
 func TestHeartbeatDetectorRecovery(t *testing.T) {
 	const (
 		n     = 1000
@@ -228,9 +212,6 @@ func TestHeartbeatDetectorRecovery(t *testing.T) {
 	cfg.NodeFaults = events
 	cfg.LinkFaults = mustCluster(t, "link1-3:drop0.3@step0")
 	cfg.LinkSeed = 13
-	cfg.link = chaosLink()
-	cfg.link.HeartbeatInterval = 500 * time.Microsecond
-	cfg.link.SuspectAfter = 10
 
 	sysD := distrib.Plummer(n, 1.0, 1.0, 53)
 	d, err := NewSolver(sysD, cfg)
@@ -241,15 +222,9 @@ func TestHeartbeatDetectorRecovery(t *testing.T) {
 	if res.NodeLosses != 1 {
 		t.Fatalf("node losses = %d, want 1", res.NodeLosses)
 	}
-	if len(res.DetectLatencies) != 1 || res.DetectLatencies[0] <= 0 {
-		t.Fatalf("heartbeat detection latencies = %v, want one positive entry",
+	if len(res.DetectLatencies) != 1 || res.DetectLatencies[0] != 0.025 {
+		t.Fatalf("heartbeat detection latencies = %v, want exactly [0.025]",
 			res.DetectLatencies)
-	}
-	// The detector needs at least SuspectAfter silent intervals.
-	if min := 0.5 * float64(cfg.link.HeartbeatInterval.Seconds()) *
-		float64(cfg.link.SuspectAfter); res.DetectLatencies[0] < min {
-		t.Fatalf("detection latency %v below the suspicion window floor %v",
-			res.DetectLatencies[0], min)
 	}
 	if got := d.Alive(); got[2] {
 		t.Fatal("node 2 should be dead")
@@ -257,26 +232,20 @@ func TestHeartbeatDetectorRecovery(t *testing.T) {
 	requireIdentical(t, sysD, singleTwin(n, steps, dt, 53), "heartbeat recovery")
 }
 
-// TestNetTimeoutFlightDump: a deadline breach emits the net-timeout
-// event, which triggers a flight dump carrying the per-link retry
-// breakdown of the recorded steps.
+// TestNetTimeoutFlightDump: a flow whose retry budget runs out emits the
+// net-timeout event, which triggers a flight dump carrying the per-link
+// retry breakdown of the recorded steps.
 func TestNetTimeoutFlightDump(t *testing.T) {
 	const n = 700
 	fr := telemetry.NewFlightRecorder(32, t.TempDir())
 	reg := metrics.NewRegistry()
 	rec := telemetry.New(telemetry.Options{Flight: fr, Metrics: reg})
 
-	// Three nodes: the dead link's flows hit the deadline while the
-	// healthy links keep delivering (and earning RTT observations).
+	// Three nodes: the dead link's flows exhaust their retry budget while
+	// the healthy links keep delivering (and earning RTT observations).
 	cfg := execClusterConfig(3)
 	cfg.LinkFaults = mustCluster(t, "link0-1:drop1.0@step0")
 	cfg.LinkSeed = 3
-	cfg.link = linkConfig{
-		RetransmitTimeout: 100 * time.Microsecond,
-		MaxRetries:        1,
-		NearDeadline:      10 * time.Millisecond,
-		FarDeadline:       10 * time.Millisecond,
-	}
 	sysD := distrib.Plummer(n, 1.0, 1.0, 61)
 	d, err := NewSolver(sysD, cfg)
 	if err != nil {
@@ -286,7 +255,7 @@ func TestNetTimeoutFlightDump(t *testing.T) {
 	d.RunWith(RunConfig{Steps: 1, Dt: 1e-4})
 
 	if fr.Dumps() == 0 {
-		t.Fatal("deadline breach did not trigger a flight dump")
+		t.Fatal("an exhausted retry budget did not trigger a flight dump")
 	}
 	if path := fr.LastDump(); !strings.Contains(path, "net-timeout") {
 		t.Fatalf("dump reason path = %q, want a net-timeout dump", path)
@@ -307,5 +276,43 @@ func TestNetTimeoutFlightDump(t *testing.T) {
 	out := sb.String()
 	if want := `afmm_events_total{kind="net-timeout"} 1`; !strings.Contains(out, want) {
 		t.Fatalf("missing %q in metrics exposition:\n%s", want, out)
+	}
+}
+
+// TestLinkClockReplays: the link layer and the heartbeat detector run on
+// the modeled clock, so two runs of one chaotic schedule with a node loss
+// report the same counters, per-link RTTs, detection latencies and
+// modeled times. The 3 ms delay on link 1-3 puts that link's round trip
+// past the 2 ms retransmit timer: its retransmissions race the acks.
+func TestLinkClockReplays(t *testing.T) {
+	events, links, err := fault.ParseClusterEvents("node2:failstop@step1," +
+		"link0-1:drop0.3@step0,link1-0:dup@step0,link0-3:reorder@step0," +
+		"link3-0:corrupt0.4@step0,link1-3:delay3ms@step0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() RunResult {
+		cfg := execClusterConfig(4)
+		cfg.NodeFaults = events
+		cfg.LinkFaults = links
+		cfg.LinkSeed = 5
+		d, err := NewSolver(distrib.Plummer(800, 1, 1, 29), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.RunWith(RunConfig{Steps: 3, Dt: 5e-4})
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a.Net, b.Net) || !reflect.DeepEqual(a.DetectLatencies, b.DetectLatencies) ||
+		a.RecoveryTime != b.RecoveryTime || a.TotalTime != b.TotalTime {
+		t.Fatalf("replay diverged:\n  net %+v\n      %+v\n  detect %v / %v, recovery %v / %v, total %v / %v",
+			a.Net, b.Net, a.DetectLatencies, b.DetectLatencies, a.RecoveryTime, b.RecoveryTime, a.TotalTime, b.TotalTime)
+	}
+	if a.Net.FramesDropped == 0 || a.Net.DupFrames == 0 || a.Net.CorruptRejects == 0 || a.NodeLosses != 1 {
+		t.Fatalf("the schedule injected too little: %d losses, %+v", a.NodeLosses, a.Net)
+	}
+	i := slices.IndexFunc(a.Net.Links, func(l telemetry.LinkSample) bool { return l.From == 1 && l.To == 3 })
+	if i < 0 || a.Net.Links[i].Retries == 0 || a.Net.Links[i].RTTNs <= int64(3*time.Millisecond) {
+		t.Fatalf("link 1-3 under delay3ms: %+v, want retries and an RTT above 3ms", a.Net.Links)
 	}
 }

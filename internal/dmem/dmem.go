@@ -84,21 +84,22 @@ type Config struct {
 	Execute bool
 	// NodeFaults injects node-level fail-stop events into RunWith
 	// (parse specs like "node2:failstop@step12" with
-	// fault.ParseNodeEvents). A lost node's range is repartitioned over
-	// the survivors and the capacity epoch advances; the runtime's
-	// heartbeat detector is what finds the loss.
+	// fault.ParseNodeEvents). The event only silences the node's
+	// heartbeat; the heartbeat detector finds the loss on the modeled
+	// clock, then the node's range is repartitioned over the survivors
+	// and the capacity epoch advances.
 	NodeFaults []fault.NodeEvent
 	// LinkFaults injects per-link chaos into the runtime's transport
 	// (parse specs like "link0-2:drop0.05@step3" with
 	// fault.ParseLinkEvents, or mixed node+link specs with
 	// fault.ParseClusterEvents). Any schedule — within or beyond the
 	// retry budget — leaves results bit-identical to the fault-free
-	// single-node run; faults cost time only.
+	// single-node run; faults cost frames and modeled time only, and the
+	// same schedule and seed replay the same counts and times.
 	LinkFaults *fault.LinkSchedule
-	// LinkSeed seeds the deterministic per-frame fault verdicts.
+	// LinkSeed seeds the deterministic per-frame and per-beat fault
+	// verdicts.
 	LinkSeed int64
-
-	link linkConfig // protocol knobs; zero (the defaults) outside tests
 }
 
 // HomogeneousNodes returns n identical node specs.
@@ -180,9 +181,6 @@ type Solver struct {
 	clusters []*vgpu.Cluster
 	// rt executes the partitioned tree.
 	rt *Runtime
-	// det is the heartbeat failure detector, live during a RunWith with
-	// node faults.
-	det *detector
 	// stepIdx is the next Solve's step index into the link-fault
 	// schedule (RunWith pins it to the run step).
 	stepIdx int
@@ -506,12 +504,12 @@ type RunResult struct {
 	TotalBytes int64
 	Rebalances int
 	// NodeLosses counts fail-stop events absorbed; RecoveryTime is the
-	// detection + repartition-broadcast time charged for them, detection
-	// being the measured heartbeat latency.
+	// detection + repartition-broadcast time charged for them.
 	NodeLosses   int
 	RecoveryTime float64
-	// DetectLatencies are the measured heartbeat detection latencies,
-	// seconds, one per node loss.
+	// DetectLatencies are the heartbeat detector's modeled detection
+	// latencies, seconds, one per node loss: whole heartbeat intervals,
+	// exactly 25 ms when the survivors' beats cross clean links.
 	DetectLatencies []float64
 	// Net aggregates the run's link-layer delivery activity.
 	Net telemetry.NetSample
@@ -534,26 +532,13 @@ type RunConfig struct {
 // absorbing any configured node faults at step boundaries: the dead
 // node's range is redistributed over the survivors, the capacity epoch
 // advances (capacity estimates re-derive from 1), and the step is
-// charged the heartbeat detector's measured detection latency plus a
-// repartition broadcast.
+// charged the heartbeat detector's detection latency plus a repartition
+// broadcast.
 func (s *Solver) RunWith(rc RunConfig) RunResult {
 	var res RunResult
 	pol := rc.Policy
-	// Node loss is detected with the heartbeat detector: the fault event
-	// only silences the dead node's heartbeater, and the step loop blocks
-	// until suspicion crosses the threshold.
-	if len(s.Cfg.NodeFaults) > 0 {
-		s.det = newDetector(len(s.Cfg.Nodes), s.Cfg.link, s.Cfg.LinkFaults, s.Cfg.LinkSeed)
-		defer func() {
-			s.det.stop()
-			s.det = nil
-		}()
-	}
 	rec := s.Inner.Cfg.Rec
 	for step := rc.StartStep; step < rc.StartStep+rc.Steps; step++ {
-		if s.det != nil {
-			s.det.setStep(step)
-		}
 		s.stepIdx = step
 		recovery := s.applyNodeFaults(step, &res)
 		rec.StartStep(step)
@@ -579,9 +564,9 @@ func (s *Solver) RunWith(rc RunConfig) RunResult {
 }
 
 // observeNet lands the step's link-layer activity on the telemetry
-// record and flags deadline breaches: an EventNetTimeout makes the
-// flight recorder dump the last 32 step records — each carrying its
-// per-link retry counts — under the "net-timeout" reason.
+// record and flags flows whose retry budget ran out: an EventNetTimeout
+// makes the flight recorder dump the last 32 step records — each
+// carrying its per-link retry counts — under the "net-timeout" reason.
 func observeNet(rec *telemetry.Recorder, step int, net telemetry.NetSample) {
 	rec.Update(func(r *telemetry.StepRecord) {
 		n := net
@@ -599,13 +584,12 @@ func observeNet(rec *telemetry.Recorder, step int, net telemetry.NetSample) {
 // capacity epoch advances so per-node capacity estimates re-derive.
 // Returns the recovery time to charge to this step.
 //
-// The fault only silences the node's heartbeater in the live detector
-// (RunWith starts it); the loop then blocks until the detector's
-// suspicion declares the node dead, and that measured wall-clock latency
-// is charged and recorded. The node never participates in a step between
-// its silencing and its detection: detection completes before the step
-// executes, so bit-identity is preserved (the survivors compute
-// everything).
+// The fault only silences the node's heartbeat; the detector's latency
+// (detectLatency, a function of the step, the alive set, the schedule and
+// the seed) is charged and recorded. The node never participates in a
+// step between its silencing and its detection: detection completes
+// before the step executes, so bit-identity is preserved (the survivors
+// compute everything).
 func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 	var recovery float64
 	for _, ev := range s.Cfg.NodeFaults {
@@ -615,8 +599,7 @@ func (s *Solver) applyNodeFaults(step int, res *RunResult) float64 {
 		if s.aliveCount() <= 1 {
 			continue // never kill the last node
 		}
-		s.det.silence(ev.Node)
-		detect := s.det.waitDead(ev.Node).Seconds()
+		detect := detectLatency(step, ev.Node, s.alive, s.Cfg.LinkFaults, s.Cfg.LinkSeed).Seconds()
 		res.DetectLatencies = append(res.DetectLatencies, detect)
 		s.alive[ev.Node] = false
 		s.capEpoch++

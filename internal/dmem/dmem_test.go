@@ -344,12 +344,9 @@ func TestRecoveryTimeSumsPerEventCharges(t *testing.T) {
 		}
 		charged += rep.StepTime - slowest
 	}
-	// Per event: the heartbeat detector's measured detection latency
-	// plus a repartition broadcast to every node.
-	want := 2 * 4 * d.Cfg.Net.Latency
-	for _, lat := range res.DetectLatencies {
-		want += lat
-	}
+	// Per event: the heartbeat detector's 25 ms on clean links plus a
+	// repartition broadcast to every node.
+	want := 2 * (0.025 + 4*d.Cfg.Net.Latency)
 	if math.Abs(res.RecoveryTime-want) > 1e-9*want || math.Abs(charged-want) > 1e-9*want {
 		t.Fatalf("RecoveryTime = %v, step times were charged %v, want both %v", res.RecoveryTime, charged, want)
 	}

@@ -29,11 +29,13 @@ import (
 // node pool's slots, so a receive never holds a slot, never runs inline
 // under another node or under Run, and never delays another arrival.
 // Compute chunks and sends (ClassFar/ClassNear) never block
-// (transport.Send does not wait for the wire), so whether they find a
-// slot or run inline (help-first) they finish. Receives are
-// deadline-bounded with an always-available degradation path, and the
+// (transport.Send settles the flow on the modeled clock and returns), so
+// whether they find a slot or run inline (help-first) they finish. A
+// receive waits only for its flow's send node, which an alive node's
+// graph always holds (a dead node owns no bodies, so no flow), and the
 // cross-node message graph is acyclic by level (see plan.go). Progress
-// then follows by induction over the global dependency DAG.
+// then follows by induction over the global dependency DAG; no receive
+// needs a deadline.
 type Runtime struct {
 	// drv is the single-node solver whose tree this runtime partitions:
 	// the tree, bodies, order, pool (its geometry cuts the chunks),
@@ -44,7 +46,7 @@ type Runtime struct {
 	eng []*nodeEngine
 	// cfg is read for the interconnect model (Net) and the link layer:
 	// the possibly empty chaos schedule and its verdict seed (LinkFaults,
-	// LinkSeed), and the tests' protocol knobs (link).
+	// LinkSeed).
 	cfg *Config
 }
 
@@ -98,7 +100,7 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 	}
 	pl := buildPlan(t, sch, cuts)
 
-	tp := newTransport(pl.flowIDs(), rt.cfg.link, rt.cfg.LinkFaults, rt.cfg.LinkSeed, step)
+	tp := newTransport(pl.flowIDs(), rt.cfg.Net, rt.cfg.LinkFaults, rt.cfg.LinkSeed, step)
 	comm := make([]nodeComm, p)
 	sizes := make([]sched.GraphStats, p)
 	var wg sync.WaitGroup
@@ -113,7 +115,6 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 		}(k)
 	}
 	wg.Wait()
-	tp.Close()
 
 	rep := StepReport{PerNode: make([]NodeTimes, p), Net: tp.Stats()}
 	for k := 0; k < p; k++ {
@@ -201,30 +202,24 @@ func (rt *Runtime) runNode(k int, pl *exchangePlan, lo, hi int32, tp *transport,
 	return g.Stats()
 }
 
-// receive is an arrival node's body: it blocks on the flow's delivery and
+// receive is an arrival node's body: it blocks on the flow's send and
 // loads the payload — expansions into the engine's slabs, ghost bodies
-// into its table. On deadline expiry the payload is recovered, so the load
-// always sees the sender's original bytes: expansions over the reliable
-// re-request path — the missing-expansion recovery before the L2P join —
-// and ghost rows re-packed host-side from the shared read-only particle
-// arrays (the owner's bytes by construction, PR 5's row-atomic fallback
+// into its table. A flow whose retry budget ran out still loads the
+// sender's original bytes: expansions arrive over the reliable re-request
+// path — the missing-expansion recovery before the L2P join — and ghost
+// rows are re-packed host-side from the shared read-only particle arrays
+// (the owner's bytes by construction, the row-atomic fallback
 // discipline). Degradation costs time, never values.
 func (rt *Runtime) receive(e *nodeEngine, f flow, tp *transport, nc *nodeComm) {
 	t0 := time.Now()
 	pay, ok := tp.Recv(f.id)
-	if !ok && f.id.kind != flowGhost {
-		pay = tp.Rerequest(f.id)
-	}
 	nc.waitNs.Add(int64(time.Since(t0)))
-	var bytes int64
 	if f.id.kind == flowGhost {
 		if !ok {
 			pay = e.pack(f)
-			tp.noteGhostDegrade()
 		}
 		for i, ci := range f.cells {
 			e.ghosts[ci] = pay.ghost[i]
-			bytes += int64(rt.drv.Tree.Nodes[ci].Count()) * int64(rt.cfg.Net.BytesPerBody)
 		}
 	} else {
 		load := e.LoadMpole
@@ -234,8 +229,7 @@ func (rt *Runtime) receive(e *nodeEngine, f flow, tp *transport, nc *nodeComm) {
 		for i, ci := range f.cells {
 			load(ci, pay.exp[i*e.expLen:(i+1)*e.expLen])
 		}
-		bytes = int64(len(pay.exp)) * 16
 	}
-	nc.bytesIn.Add(bytes)
+	nc.bytesIn.Add(payloadBytes(pay, rt.cfg.Net.BytesPerBody))
 	nc.msgsIn.Add(1)
 }

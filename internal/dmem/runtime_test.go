@@ -215,10 +215,7 @@ func TestStokesClusterBitIdentical(t *testing.T) {
 	// Fail a node and solve again: the survivors must reproduce the
 	// single-node result exactly.
 	var res RunResult
-	cl.det = newDetector(len(cl.Cfg.Nodes), cl.Cfg.link, cl.Cfg.LinkFaults, cl.Cfg.LinkSeed)
 	cl.applyNodeFaults(1, &res)
-	cl.det.stop()
-	cl.det = nil
 	if res.NodeLosses != 1 || cl.Alive()[1] {
 		t.Fatalf("node 1 not lost: %d losses, alive %v", res.NodeLosses, cl.Alive())
 	}

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"afmm/internal/core"
@@ -16,29 +14,41 @@ import (
 
 // The transport is the link layer between the exchange plan and the
 // node goroutines. Every cross-node payload — a multipole batch, a
-// local batch, a ghost-leaf batch — travels as a framed message carrying
+// local batch, a ghost-leaf batch — travels as framed messages carrying
 // its flow identity, a sequence (attempt) number, and an FNV-1a checksum
 // over the payload's float bits. Every flow runs one delivery protocol,
-// whether or not a fault.LinkSchedule is armed: each transmission
-// consults the (possibly empty) schedule, and the receiver verifies the
-// checksum, dedups and acks; an unacknowledged frame is retransmitted
-// with exponential backoff, a nack (corrupt frame) triggers an immediate
-// re-send, and receives are bounded by per-phase deadlines. On a clean
-// link the first frame is delivered and acked inside Send, so no
-// protocol goroutine starts.
+// whether or not a fault.LinkSchedule is armed, and Send plays all of it
+// out on the modeled clock before it returns: each transmission consults
+// the (possibly empty) schedule, the receiver verifies the checksum,
+// dedups and acks, an unacknowledged frame is retransmitted with
+// exponential backoff, and a nack (corrupt frame) triggers a re-send when
+// it reaches the sender. A frame's fate and its arrival time are
+// functions of the schedule, the seed and the interconnect model alone,
+// so no goroutine, timer or deadline takes part, and a chaotic run
+// replays exactly.
 //
 // Bit-identity under chaos holds because a flow's payload is loaded into
 // the engine slabs exactly once, and every byte that can be loaded is
 // the sender's original: duplicate frames are dropped by the dedup
 // guard, corrupt frames fail checksum and are never loaded (corruption
-// mutates a private copy, so retransmissions carry the original), and
-// the two degradation paths — host-side ghost re-pack and the reliable
-// Rerequest — reproduce the original payload by construction. Faults
-// cost time, never values.
+// mutates a private copy, so retransmissions carry the original), and a
+// flow whose retry budget runs out takes a degradation path that
+// reproduces the original payload by construction: the host-side ghost
+// re-pack, or the sender's bytes over the reliable re-request channel.
+// Faults cost frames and modeled time, never values.
 //
 // Fault verdicts come from fault.Hash01 over (seed, link, step, flow,
-// attempt), never from shared RNG state or the clock, so a chaotic run
-// is exactly reproducible regardless of goroutine interleaving.
+// attempt), never from shared RNG state or the clock.
+
+// The delivery protocol's fixed settings.
+const (
+	// retransmitTimeout is the ack wait after a flow's first
+	// transmission; each further attempt doubles it.
+	retransmitTimeout = 2 * time.Millisecond
+	// maxRetries bounds the retransmissions per flow, the first
+	// transmission excluded.
+	maxRetries = 8
+)
 
 // flowKind distinguishes the three payload classes of the exchange plan.
 type flowKind uint8
@@ -68,54 +78,14 @@ type payload struct {
 	ghost []core.GhostLeaf
 }
 
-// linkConfig tunes the delivery protocol and the heartbeat detector.
-// Only tests set it (Config.link); the zero value selects defaults chosen
-// so that any within-budget fault schedule recovers by retransmission
-// long before a deadline, while a hard-failed link (drop 1.0) degrades in
-// bounded time.
-type linkConfig struct {
-	// RetransmitTimeout is the initial ack wait before the first
-	// retransmission; each further attempt doubles it (exponential
-	// backoff). 0 selects 2ms.
-	RetransmitTimeout time.Duration
-	// MaxRetries bounds retransmissions per frame (first transmission
-	// excluded). 0 selects 8.
-	MaxRetries int
-	// NearDeadline is the receive budget of the ghost phase; on expiry
-	// the receiver re-packs the bodies host-side. 0 selects 10s.
-	NearDeadline time.Duration
-	// FarDeadline is the receive budget of the expansion phase; on
-	// expiry the receiver recovers the payload over the reliable
-	// re-request path. 0 selects 10s.
-	FarDeadline time.Duration
-	// HeartbeatInterval paces the failure detector's per-node
-	// heartbeats. 0 selects 1ms.
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the number of heartbeat intervals of silence after
-	// which the detector declares a node dead. 0 selects 25.
-	SuspectAfter int
-}
-
-func (c linkConfig) withDefaults() linkConfig {
-	if c.RetransmitTimeout <= 0 {
-		c.RetransmitTimeout = 2 * time.Millisecond
+// payloadBytes is the payload's size on the wire: 16 bytes per expansion
+// coefficient, perBody bytes per ghost body.
+func payloadBytes(p payload, perBody int) int64 {
+	n := int64(len(p.exp)) * 16
+	for _, gl := range p.ghost {
+		n += int64(len(gl.Pos)) * int64(perBody)
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
-	}
-	if c.NearDeadline <= 0 {
-		c.NearDeadline = 10 * time.Second
-	}
-	if c.FarDeadline <= 0 {
-		c.FarDeadline = 10 * time.Second
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 25
-	}
-	return c
+	return n
 }
 
 // cmpLink orders link rows by (From, To).
@@ -156,150 +126,68 @@ func addNet(s, o *telemetry.NetSample) {
 	}
 }
 
-// netCounters is the NetSample totals with atomic fields (senders,
-// couriers and receivers update concurrently).
-type netCounters struct {
-	sent, delivered, dropped, dup atomic.Int64
-	corrupt, retries, nacks       atomic.Int64
-	acksDropped, timeouts         atomic.Int64
-	rerequests, degradedGhost     atomic.Int64
-}
-
-// linkCounters is a LinkSample with atomic fields.
-type linkCounters struct {
-	frames, retries    atomic.Int64
-	rttSumNs, rttCount atomic.Int64
-}
-
-// flowState is one flow's endpoint pair. The sender side stores the
-// original payload (immutable after Send) for retransmission and the
-// reliable re-request path; the receiver side holds the dedup guard and
-// the delivered payload.
+// flowState is one flow's outcome, written once by its Send: the
+// sender's payload, whether a copy verified at the receiver, and the
+// flow's share of the step's delivery counters.
 type flowState struct {
-	id  flowID
-	sum uint64
-
-	// sent closes once Send stored the payload; Rerequest waits on it.
-	sent  chan struct{}
-	pay   payload
-	payNs int64 // unixnano of the last transmission (RTT base)
-
-	// ackCh closes when a verified delivery's ack survives the reverse
-	// link; the sender stops retransmitting. nackCh wakes the sender for
-	// an immediate re-send after a checksum reject.
-	ackCh   chan struct{}
-	ackOnce sync.Once
-	nackCh  chan struct{}
-
-	// delivered closes on the first verified delivery.
-	delivered   chan struct{}
-	deliverOnce sync.Once
-	recvPay     payload
+	// sent closes when Send settled the flow; Recv waits on it.
+	sent chan struct{}
+	pay  payload
+	ok   bool
+	// net holds the flow's counters (Links stays empty); rttNs sums the
+	// modeled round trips of its rtts acks that reached the sender.
+	net         telemetry.NetSample
+	rttNs, rtts int64
 }
 
 // transport carries every flow of one executed step.
 type transport struct {
-	cfg  linkConfig
-	sch  *fault.LinkSchedule
-	seed int64
-	step int
-
+	net   NetworkSpec
+	sch   *fault.LinkSchedule
+	seed  int64
+	step  int
 	flows map[flowID]*flowState
-	links map[[2]int]*linkCounters
-	nc    netCounters
-	// far and near bound the receives of the expansion and ghost flows.
-	far, near phaseDeadline
-
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-}
-
-// phaseDeadline is one phase's receive budget, armed by the phase's first
-// receive that has to wait and shared by every later one.
-type phaseDeadline struct {
-	once    sync.Once
-	timer   *time.Timer
-	expired chan struct{}
-}
-
-// arm starts the budget on first use and returns the channel that closes
-// when it runs out.
-func (ph *phaseDeadline) arm(budget time.Duration) <-chan struct{} {
-	ph.once.Do(func() {
-		ph.expired = make(chan struct{})
-		ph.timer = time.AfterFunc(budget, func() { close(ph.expired) })
-	})
-	return ph.expired
 }
 
 // newTransport builds the step's transport over the plan's flows.
-func newTransport(flows []flowID, cfg linkConfig, sch *fault.LinkSchedule, seed int64, step int) *transport {
-	tp := &transport{
-		cfg:   cfg.withDefaults(),
-		sch:   sch,
-		seed:  seed,
-		step:  step,
-		flows: make(map[flowID]*flowState, len(flows)),
-		links: make(map[[2]int]*linkCounters),
-		done:  make(chan struct{}),
-	}
+func newTransport(flows []flowID, net NetworkSpec, sch *fault.LinkSchedule, seed int64, step int) *transport {
+	tp := &transport{net: net, sch: sch, seed: seed, step: step,
+		flows: make(map[flowID]*flowState, len(flows))}
 	for _, f := range flows {
-		tp.flows[f] = &flowState{
-			id:        f,
-			sent:      make(chan struct{}),
-			ackCh:     make(chan struct{}),
-			nackCh:    make(chan struct{}, 1),
-			delivered: make(chan struct{}),
-		}
-		if tp.links[f.link()] == nil {
-			tp.links[f.link()] = &linkCounters{}
-		}
+		tp.flows[f] = &flowState{sent: make(chan struct{})}
 	}
 	return tp
 }
 
-// Close tears the transport down: in-flight senders and couriers exit at
-// their next select, and the phase deadlines are disarmed. Callers invoke
-// it after every node graph completed, so all deliveries are settled.
-func (tp *transport) Close() {
-	tp.closeOnce.Do(func() { close(tp.done) })
-	tp.wg.Wait()
-	for _, ph := range []*phaseDeadline{&tp.far, &tp.near} {
-		if ph.timer != nil {
-			ph.timer.Stop()
-		}
-	}
-}
-
-// Stats snapshots the step's delivery activity.
+// Stats sums the step's delivery activity over its flows. Callers invoke
+// it once every Send returned.
 func (tp *transport) Stats() telemetry.NetSample {
-	s := telemetry.NetSample{
-		FramesSent:         tp.nc.sent.Load(),
-		FramesDelivered:    tp.nc.delivered.Load(),
-		FramesDropped:      tp.nc.dropped.Load(),
-		DupFrames:          tp.nc.dup.Load(),
-		CorruptRejects:     tp.nc.corrupt.Load(),
-		Retries:            tp.nc.retries.Load(),
-		Nacks:              tp.nc.nacks.Load(),
-		AcksDropped:        tp.nc.acksDropped.Load(),
-		Timeouts:           tp.nc.timeouts.Load(),
-		Rerequests:         tp.nc.rerequests.Load(),
-		DegradedGhostFlows: tp.nc.degradedGhost.Load(),
+	var s telemetry.NetSample
+	type linkSum struct {
+		telemetry.LinkSample
+		rttNs int64
 	}
-	for l, lc := range tp.links {
-		ls := telemetry.LinkSample{
-			From: l[0], To: l[1],
-			Frames:   lc.frames.Load(),
-			Retries:  lc.retries.Load(),
-			RTTCount: lc.rttCount.Load(),
+	links := make(map[[2]int]*linkSum)
+	for f, fs := range tp.flows {
+		if fs.net.FramesSent == 0 {
+			continue
 		}
-		if ls.RTTCount > 0 {
-			ls.RTTNs = lc.rttSumNs.Load() / ls.RTTCount
+		addNet(&s, &fs.net)
+		l := links[f.link()]
+		if l == nil {
+			l = &linkSum{LinkSample: telemetry.LinkSample{From: f.from, To: f.to}}
+			links[f.link()] = l
 		}
-		if ls.Frames > 0 {
-			s.Links = append(s.Links, ls)
+		l.Frames += fs.net.FramesSent
+		l.Retries += fs.net.Retries
+		l.RTTCount += fs.rtts
+		l.rttNs += fs.rttNs
+	}
+	for _, l := range links {
+		if l.RTTCount > 0 {
+			l.RTTNs = l.rttNs / l.RTTCount
 		}
+		s.Links = append(s.Links, l.LinkSample)
 	}
 	slices.SortFunc(s.Links, cmpLink)
 	return s
@@ -325,153 +213,6 @@ func (tp *transport) verdict(salt int, f flowID, attempt int64) float64 {
 	return fault.Hash01(tp.seed, int64(salt), flowHash(f), int64(tp.step), attempt)
 }
 
-// Send transmits the flow's payload. It never blocks the graph's send
-// task: attempt 0 goes out synchronously, and only a frame still
-// unacknowledged after it (lost, corrupt, delayed, or its ack lost) hands
-// the flow to a goroutine that runs the retransmission protocol.
-func (tp *transport) Send(f flowID, p payload) {
-	fs := tp.flows[f]
-	fs.pay = p
-	fs.sum = payloadSum(p)
-	close(fs.sent)
-	tp.transmit(fs, 0)
-	select {
-	case <-fs.ackCh:
-		return
-	default:
-	}
-	tp.wg.Add(1)
-	go tp.retransmit(fs)
-}
-
-// frame is one transmission on the wire, addressed to its flow.
-type frame struct {
-	seq int64 // attempt number
-	sum uint64
-	pay payload
-}
-
-// retransmit runs the rest of one flow's delivery protocol: wait for the
-// ack with exponential backoff, retransmit on timeout or nack, give up
-// after MaxRetries (the receiver's deadline degradation then recovers).
-func (tp *transport) retransmit(fs *flowState) {
-	defer tp.wg.Done()
-	backoff := tp.cfg.RetransmitTimeout
-	for attempt := int64(1); attempt <= int64(tp.cfg.MaxRetries); attempt++ {
-		timer := time.NewTimer(backoff)
-		select {
-		case <-fs.ackCh:
-			timer.Stop()
-			return
-		case <-fs.nackCh:
-			timer.Stop()
-			// Checksum reject: re-request means an immediate re-send.
-		case <-timer.C:
-		case <-tp.done:
-			timer.Stop()
-			return
-		}
-		tp.nc.retries.Add(1)
-		tp.links[fs.id.link()].retries.Add(1)
-		tp.transmit(fs, attempt)
-		backoff *= 2
-	}
-}
-
-// transmit puts one frame (and possibly a duplicate) on the wire,
-// consulting the link-fault schedule for drop/delay/reorder/corrupt
-// verdicts.
-func (tp *transport) transmit(fs *flowState, attempt int64) {
-	f := fs.id
-	st := tp.sch.State(f.from, f.to, tp.step)
-	atomic.StoreInt64(&fs.payNs, time.Now().UnixNano())
-
-	copies := 1
-	if st.Dup > 0 && tp.verdict(saltDup, f, attempt) < st.Dup {
-		copies = 2
-	}
-	for c := 0; c < copies; c++ {
-		tp.nc.sent.Add(1)
-		tp.links[f.link()].frames.Add(1)
-		if c > 0 {
-			tp.nc.dup.Add(1)
-		}
-		if st.Drop > 0 && tp.verdict(saltDrop, f, attempt*2+int64(c)) < st.Drop {
-			tp.nc.dropped.Add(1)
-			continue
-		}
-		fr := frame{seq: attempt, sum: fs.sum, pay: fs.pay}
-		if st.Corrupt > 0 && tp.verdict(saltCorrupt, f, attempt*2+int64(c)) < st.Corrupt {
-			// Flip one bit in a private copy: the original stays intact for
-			// retransmission, and the stale checksum guarantees rejection.
-			fr.pay = corruptCopy(fr.pay, tp.verdict(saltCorruptBit, f, attempt))
-		}
-		delay := time.Duration(st.Delay * float64(time.Second))
-		if st.Reorder > 0 && tp.verdict(saltReorder, f, attempt*2+int64(c)) < st.Reorder {
-			// Deterministic jitter below the retransmit timeout: enough to
-			// let frames overtake each other, not enough to look lost.
-			delay += time.Duration(tp.verdict(saltReorder, f, attempt*2+int64(c)+1<<20) *
-				float64(tp.cfg.RetransmitTimeout) / 4)
-		}
-		if delay <= 0 {
-			tp.accept(fs, fr)
-			continue
-		}
-		tp.wg.Add(1)
-		go func(fr frame, d time.Duration) {
-			defer tp.wg.Done()
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-				tp.accept(fs, fr)
-			case <-tp.done:
-				timer.Stop()
-			}
-		}(fr, delay)
-	}
-}
-
-// accept is the receiver side: verify the checksum, dedup, deliver once,
-// acknowledge (the ack itself crosses the reverse link and is subject to
-// its drop rate).
-func (tp *transport) accept(fs *flowState, fr frame) {
-	if payloadSum(fr.pay) != fr.sum {
-		tp.nc.corrupt.Add(1)
-		// Re-request: signal the sender to re-send without waiting out the
-		// backoff. The nack crosses the reverse link.
-		if !tp.reverseDropped(fs.id, fr.seq) {
-			tp.nc.nacks.Add(1)
-			select {
-			case fs.nackCh <- struct{}{}:
-			default:
-			}
-		}
-		return
-	}
-	first := false
-	fs.deliverOnce.Do(func() {
-		first = true
-		fs.recvPay = fr.pay
-		tp.nc.delivered.Add(1)
-		close(fs.delivered)
-	})
-	if !first {
-		tp.nc.dup.Add(1)
-	}
-	// Ack every verified copy: if the first ack is lost, a retransmission
-	// earns another, so the sender eventually stops.
-	if tp.reverseDropped(fs.id, fr.seq+1<<30) {
-		tp.nc.acksDropped.Add(1)
-		return
-	}
-	if rtt := time.Now().UnixNano() - atomic.LoadInt64(&fs.payNs); rtt >= 0 {
-		lc := tp.links[fs.id.link()]
-		lc.rttSumNs.Add(rtt)
-		lc.rttCount.Add(1)
-	}
-	fs.ackOnce.Do(func() { close(fs.ackCh) })
-}
-
 // reverseDropped draws the reverse-link (receiver -> sender) drop
 // verdict for an ack or nack.
 func (tp *transport) reverseDropped(f flowID, key int64) bool {
@@ -479,45 +220,124 @@ func (tp *transport) reverseDropped(f flowID, key int64) bool {
 	return st.Drop > 0 && tp.verdict(saltAck, f, key) < st.Drop
 }
 
-// Recv returns the flow's verified payload, waiting for it at most until
-// the phase deadline expires. ok == false means the deadline passed: the
-// caller must take the flow's degradation path (host-side ghost re-pack
-// or Rerequest), which reproduces the payload exactly.
+// reply is an ack or nack on its way back to the sender.
+type reply struct {
+	at  int64 // modeled arrival at the sender, ns after the first transmission
+	ack bool
+}
+
+// ns converts modeled seconds to the protocol clock's nanoseconds.
+func ns(seconds float64) int64 { return int64(math.Round(seconds * 1e9)) }
+
+// Send runs the flow's whole delivery protocol on the modeled clock and
+// settles what Recv returns. Attempt a leaves at t_a (t_0 = 0); each copy
+// arrives one way later — Net.Latency + bytes/Net.Bandwidth plus the
+// link's scheduled delay and reorder jitter — unless dropped, and its ack
+// or nack crosses the reverse link in Net.Latency plus that link's delay,
+// unless dropped there. The sender then waits retransmitTimeout·2^a: the
+// first reply to arrive ends the wait — an ack the protocol, a nack with
+// a re-send at its arrival — and an empty wait re-sends when it runs out,
+// at most maxRetries times. Send never blocks, so the graph's send task always
+// finishes.
+func (tp *transport) Send(f flowID, p payload) {
+	fs := tp.flows[f]
+	fs.pay = p
+	n := &fs.net
+	sum := payloadSum(p)
+	st := tp.sch.State(f.from, f.to, tp.step)
+	wire := ns(tp.net.Latency + float64(payloadBytes(p, tp.net.BytesPerBody))/tp.net.Bandwidth + st.Delay)
+	back := ns(tp.net.Latency + tp.sch.State(f.to, f.from, tp.step).Delay)
+	var buf [4]reply
+	replies := buf[:0]
+	var t int64
+	for attempt := int64(0); ; attempt++ {
+		copies := int64(1)
+		if st.Dup > 0 && tp.verdict(saltDup, f, attempt) < st.Dup {
+			copies = 2
+		}
+		for c := int64(0); c < copies; c++ {
+			key := attempt*2 + c
+			n.FramesSent++
+			if c > 0 {
+				n.DupFrames++
+			}
+			if st.Drop > 0 && tp.verdict(saltDrop, f, key) < st.Drop {
+				n.FramesDropped++
+				continue
+			}
+			arrive := t + wire
+			if st.Reorder > 0 && tp.verdict(saltReorder, f, key) < st.Reorder {
+				// Jitter below the retransmit timeout: enough to let frames
+				// overtake each other, not enough to look lost.
+				arrive += int64(tp.verdict(saltReorder, f, key+1<<20) * float64(retransmitTimeout) / 4)
+			}
+			fr := p
+			if st.Corrupt > 0 && tp.verdict(saltCorrupt, f, key) < st.Corrupt {
+				// Flip one bit in a private copy: the original stays intact for
+				// retransmission, and the stale checksum guarantees rejection.
+				fr = corruptCopy(p, tp.verdict(saltCorruptBit, f, attempt))
+			}
+			// The receiver: verify, dedup, ack every verified copy (if the
+			// first ack is lost, a retransmission earns another).
+			if payloadSum(fr) != sum {
+				n.CorruptRejects++
+				if !tp.reverseDropped(f, attempt) {
+					n.Nacks++
+					replies = append(replies, reply{at: arrive + back})
+				}
+				continue
+			}
+			if fs.ok {
+				n.DupFrames++
+			} else {
+				fs.ok = true
+				n.FramesDelivered++
+			}
+			if tp.reverseDropped(f, attempt+1<<30) {
+				n.AcksDropped++
+				continue
+			}
+			fs.rttNs += arrive + back - t
+			fs.rtts++
+			replies = append(replies, reply{at: arrive + back, ack: true})
+		}
+		if attempt == maxRetries {
+			break
+		}
+		wake := t + int64(retransmitTimeout)<<attempt
+		slices.SortFunc(replies, func(a, b reply) int { return cmp.Compare(a.at, b.at) })
+		if len(replies) > 0 && replies[0].at <= wake {
+			if replies[0].ack {
+				break
+			}
+			wake = replies[0].at
+			replies = replies[1:]
+		}
+		t = wake
+		n.Retries++
+	}
+	if !fs.ok {
+		n.Timeouts++
+		if f.kind == flowGhost {
+			n.DegradedGhostFlows++
+		} else {
+			n.Rerequests++
+		}
+	}
+	close(fs.sent)
+}
+
+// Recv waits for the flow's Send — an arrival's one data dependency —
+// and returns the payload with whether a copy verified at the receiver.
+// ok == false means the flow's retry budget ran out: the payload is then
+// the sender's original bytes over the reliable re-request channel, which
+// an expansion flow loads as is, while a ghost flow's receiver re-packs
+// the bodies host-side. Either way the loaded bytes are the sender's.
 func (tp *transport) Recv(f flowID) (payload, bool) {
 	fs := tp.flows[f]
-	select {
-	case <-fs.delivered:
-		return fs.recvPay, true
-	default:
-	}
-	ph, budget := &tp.far, tp.cfg.FarDeadline
-	if f.kind == flowGhost {
-		ph, budget = &tp.near, tp.cfg.NearDeadline
-	}
-	select {
-	case <-fs.delivered:
-		return fs.recvPay, true
-	case <-ph.arm(budget):
-		tp.nc.timeouts.Add(1)
-		return payload{}, false
-	}
-}
-
-// Rerequest recovers an expansion payload over the reliable re-request
-// path after a Recv deadline expiry: it waits for the sender to have
-// produced the payload (the send task is scheduled independently of the
-// lossy wire) and returns the sender's original bytes. This models the
-// separate acknowledged recovery channel a production link layer falls
-// back to; it cannot lose data, only time.
-func (tp *transport) Rerequest(f flowID) payload {
-	fs := tp.flows[f]
 	<-fs.sent
-	tp.nc.rerequests.Add(1)
-	return fs.pay
+	return fs.pay, fs.ok
 }
-
-// noteGhostDegrade records a ghost flow recovered host-side.
-func (tp *transport) noteGhostDegrade() { tp.nc.degradedGhost.Add(1) }
 
 // payloadSum is the frame's integrity check: the payload's float bits and
 // slice lengths folded in one 64-bit word at a time, h = (h ^ w) * prime,

@@ -14,17 +14,6 @@ import (
 	"afmm/internal/telemetry"
 )
 
-// fastLink keeps chaos tests quick: microsecond-scale retransmits, tight
-// deadlines where a test wants degradation to trigger.
-func fastLink() linkConfig {
-	return linkConfig{
-		RetransmitTimeout: 200 * time.Microsecond,
-		MaxRetries:        8,
-		NearDeadline:      2 * time.Second,
-		FarDeadline:       2 * time.Second,
-	}
-}
-
 func expPayload(n int, base float64) payload {
 	exp := make([]complex128, n)
 	for i := range exp {
@@ -64,8 +53,7 @@ func TestTransportDefaultDelivery(t *testing.T) {
 		{kind: flowMpole, from: 0, to: 1, level: 2},
 		{kind: flowGhost, from: 1, to: 0},
 	}
-	tp := newTransport(flows, linkConfig{}, nil, 1, 0)
-	defer tp.Close()
+	tp := newTransport(flows, DefaultNetwork(), nil, 1, 0)
 
 	want0 := expPayload(8, 1.5)
 	want1 := ghostPayload()
@@ -91,8 +79,9 @@ func TestTransportDefaultDelivery(t *testing.T) {
 
 // TestNullScheduleOnePath: a schedule whose events all have probability
 // zero runs exactly what no schedule runs — every frame delivered and
-// acked inside Send, the same counters, the same per-link rows and RTT
-// counts, and RTTs that are real round trips.
+// acked inside Send, the same counters, the same per-link rows, RTT
+// counts and modeled RTTs, each the clean round trip
+// 2·Latency + bytes/Bandwidth.
 func TestNullScheduleOnePath(t *testing.T) {
 	flows := []flowID{
 		{kind: flowMpole, from: 0, to: 1, level: 2},
@@ -102,29 +91,27 @@ func TestNullScheduleOnePath(t *testing.T) {
 		{kind: flowGhost, from: 2, to: 0},
 	}
 	run := func(sch *fault.LinkSchedule) telemetry.NetSample {
-		tp := newTransport(flows, linkConfig{}, sch, 1, 0)
+		net := DefaultNetwork()
+		tp := newTransport(flows, net, sch, 1, 0)
 		for i, f := range flows {
 			want := expPayload(4+i, float64(i))
 			if f.kind == flowGhost {
 				want = ghostPayload()
 			}
 			tp.Send(f, want)
-			select {
-			case <-tp.flows[f].delivered:
-			default:
-				t.Fatalf("schedule %q: flow %+v not delivered inside Send", sch, f)
+			if fs := tp.flows[f]; !fs.ok || fs.net.FramesSent != 1 || fs.rtts != 1 ||
+				fs.rttNs != ns(net.Latency+float64(payloadBytes(want, net.BytesPerBody))/net.Bandwidth)+ns(net.Latency) {
+				t.Fatalf("schedule %q: flow %+v not delivered and acked once inside Send at the clean RTT: %+v", sch, f, fs)
 			}
 			if got, ok := tp.Recv(f); !ok || !samePayload(got, want) {
 				t.Fatalf("schedule %q: flow %+v delivered ok=%v, or other bytes", sch, f, ok)
 			}
 		}
-		tp.Close()
 		st := tp.Stats()
-		for i, l := range st.Links {
-			if l.RTTCount == 0 || l.RTTNs < 0 || l.RTTNs > int64(time.Second) {
+		for _, l := range st.Links {
+			if l.RTTCount == 0 || l.RTTNs <= 0 {
 				t.Fatalf("schedule %q: link %d-%d RTT %d ns over %d acks", sch, l.From, l.To, l.RTTNs, l.RTTCount)
 			}
-			st.Links[i].RTTNs = 0 // a clock reading; everything else must match
 		}
 		return st
 	}
@@ -147,10 +134,9 @@ func TestTransportDropRetransmit(t *testing.T) {
 	var delivered int
 	var drops, retries int64
 	for seed := int64(1); seed <= 8; seed++ {
-		tp := newTransport([]flowID{f}, fastLink(), sch, seed, 0)
+		tp := newTransport([]flowID{f}, DefaultNetwork(), sch, seed, 0)
 		tp.Send(f, want)
 		got, ok := tp.Recv(f)
-		tp.Close()
 		st := tp.Stats()
 		drops += st.FramesDropped
 		retries += st.Retries
@@ -171,28 +157,26 @@ func TestTransportDropRetransmit(t *testing.T) {
 }
 
 // TestTransportCorruptRejectRerequest: corrupt1.0 poisons every attempt;
-// the checksum rejects each frame, the deadline expires, and Rerequest
-// recovers the sender's original bytes.
+// the checksum rejects each frame, every nack re-sends at once until the
+// retry budget runs out, and Recv hands back the sender's original bytes
+// over the re-request path.
 func TestTransportCorruptRejectRerequest(t *testing.T) {
 	sch := mustLinks(t, "link0-1:corrupt@step0")
 	f := flowID{kind: flowLocal, from: 0, to: 1, level: 1}
-	cfg := fastLink()
-	cfg.FarDeadline = 50 * time.Millisecond
-	tp := newTransport([]flowID{f}, cfg, sch, 3, 0)
-	defer tp.Close()
+	tp := newTransport([]flowID{f}, DefaultNetwork(), sch, 3, 0)
 
 	want := expPayload(16, -2.5)
 	tp.Send(f, want)
-	if _, ok := tp.Recv(f); ok {
+	got, ok := tp.Recv(f)
+	if ok {
 		t.Fatal("corrupt1.0 must never deliver a verified frame")
 	}
-	got := tp.Rerequest(f)
 	if !samePayload(got, want) {
-		t.Fatal("Rerequest returned different bytes than Send stored")
+		t.Fatal("the re-request returned different bytes than Send stored")
 	}
 	st := tp.Stats()
-	if st.CorruptRejects == 0 {
-		t.Fatalf("expected checksum rejects, got %+v", st)
+	if st.CorruptRejects != maxRetries+1 || st.Nacks != maxRetries+1 || st.Retries != maxRetries {
+		t.Fatalf("want %d rejects and nacks and %d retries, got %+v", maxRetries+1, maxRetries, st)
 	}
 	if st.Timeouts != 1 || st.Rerequests != 1 {
 		t.Fatalf("timeouts=%d rerequests=%d, want 1/1", st.Timeouts, st.Rerequests)
@@ -207,8 +191,7 @@ func TestTransportCorruptRejectRerequest(t *testing.T) {
 func TestTransportDupDedup(t *testing.T) {
 	sch := mustLinks(t, "link0-1:dup@step0")
 	f := flowID{kind: flowGhost, from: 0, to: 1}
-	tp := newTransport([]flowID{f}, fastLink(), sch, 5, 0)
-	defer tp.Close()
+	tp := newTransport([]flowID{f}, DefaultNetwork(), sch, 5, 0)
 
 	want := ghostPayload()
 	tp.Send(f, want)
@@ -219,8 +202,6 @@ func TestTransportDupDedup(t *testing.T) {
 	if !samePayload(got, want) {
 		t.Fatal("delivered payload differs from sent")
 	}
-	// Let the duplicate copy land before snapshotting stats.
-	tp.Close()
 	st := tp.Stats()
 	if st.DupFrames == 0 {
 		t.Fatalf("dup1.0 produced no duplicates: %+v", st)
@@ -231,34 +212,27 @@ func TestTransportDupDedup(t *testing.T) {
 }
 
 // TestTransportDeterministicVerdicts: the same seed and schedule replay
-// the exact same fault pattern regardless of wall-clock interleaving.
+// the exact same fault pattern; a dead link costs the whole retry budget,
+// 9 frames, and one timeout.
 func TestTransportDeterministicVerdicts(t *testing.T) {
 	sch := mustLinks(t, "link0-1:drop1.0@step0")
 	f := flowID{kind: flowMpole, from: 0, to: 1, level: 2}
-	cfg := fastLink()
-	// Past the full backoff sum (200µs * (2^9 - 1) ≈ 102ms), so the
-	// sender exhausts its whole retry budget before the deadline.
-	cfg.FarDeadline = 200 * time.Millisecond
 
 	run := func() telemetry.NetSample {
-		tp := newTransport([]flowID{f}, cfg, sch, 11, 0)
-		defer tp.Close()
+		tp := newTransport([]flowID{f}, DefaultNetwork(), sch, 11, 0)
 		tp.Send(f, expPayload(4, 1))
 		if _, ok := tp.Recv(f); ok {
 			t.Fatal("drop1.0 must never deliver")
 		}
-		tp.Rerequest(f)
-		tp.Close()
 		return tp.Stats()
 	}
 	a, b := run(), run()
-	if a.FramesSent != b.FramesSent || a.FramesDropped != b.FramesDropped ||
-		a.Retries != b.Retries || a.Timeouts != b.Timeouts {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("replay diverged: %+v vs %+v", a, b)
 	}
-	if a.FramesSent != int64(cfg.MaxRetries+1) {
-		t.Fatalf("drop1.0 sent %d frames, want MaxRetries+1 = %d",
-			a.FramesSent, cfg.MaxRetries+1)
+	if a.FramesSent != 9 || a.Retries != 8 || a.Timeouts != 1 || a.Rerequests != 1 {
+		t.Fatalf("drop1.0 sent %d frames with %d retries, %d timeouts, %d re-requests; want 9, 8, 1, 1",
+			a.FramesSent, a.Retries, a.Timeouts, a.Rerequests)
 	}
 	if a.FramesDropped != a.FramesSent {
 		t.Fatalf("drop1.0 dropped %d of %d frames", a.FramesDropped, a.FramesSent)
@@ -370,24 +344,29 @@ func TestPerLinkSorted(t *testing.T) {
 	}
 }
 
-// TestDetectorHeartbeat: silent nodes cross the suspicion threshold; live
-// nodes do not.
+// TestDetectorHeartbeat: the detector counts beats on the modeled clock.
+// On clean links the silent node is declared dead exactly suspectAfter
+// ticks after its silence; lossy peers delay detection by whole ticks,
+// the same ones on every call; peers that lose every beat end at the cap
+// instead of hanging.
 func TestDetectorHeartbeat(t *testing.T) {
-	cfg := linkConfig{HeartbeatInterval: 500 * time.Microsecond, SuspectAfter: 10}
-	d := newDetector(3, cfg, nil, 1)
-	defer d.stop()
+	alive := []bool{true, true, true, true}
+	if got := detectLatency(3, 1, alive, nil, 1); got != 25*time.Millisecond {
+		t.Fatalf("clean links: detection after %v, want exactly 25ms", got)
+	}
 
-	d.silence(1)
-	lat := d.waitDead(1)
-	if lat <= 0 {
-		t.Fatal("detection latency must be positive")
+	lossy := mustLinks(t, "link0-1:drop0.5@step0,link2-3:drop0.5@step0,link3-0:drop0.5@step0")
+	got := detectLatency(3, 1, alive, lossy, 7)
+	if got < 25*time.Millisecond || got%heartbeatInterval != 0 {
+		t.Fatalf("drop0.5 peers: detection after %v, want whole ticks, at least 25", got)
 	}
-	if s := d.suspicion(1); s < 1 {
-		t.Fatalf("silenced node suspicion = %v, want >= 1", s)
+	if again := detectLatency(3, 1, alive, lossy, 7); again != got {
+		t.Fatalf("drop0.5 peers: detection after %v, then %v", got, again)
 	}
-	for _, k := range []int{0, 2} {
-		if s := d.suspicion(k); s >= 1 {
-			t.Fatalf("live node %d suspicion = %v, want < 1", k, s)
-		}
+
+	// Node 2 is already dead: its clean links carry no beats.
+	dead := mustLinks(t, "link0-1:drop1.0@step0,link3-1:drop1.0@step0")
+	if got := detectLatency(3, 1, []bool{true, true, false, true}, dead, 7); got != 1000*25*time.Millisecond {
+		t.Fatalf("drop1.0 peers: detection after %v, want the 25s cap", got)
 	}
 }

@@ -13,9 +13,10 @@ import (
 // link (sender -> receiver) from a given step onward, at message
 // granularity. The dmem transport consults the schedule once per frame
 // transmission, with verdicts drawn from Hash01 over (seed, link, step,
-// flow, attempt) — never from shared RNG state or the clock — so a
-// chaotic run is exactly reproducible regardless of goroutine
-// interleaving.
+// flow, attempt) — never from shared RNG state or the clock — and plays
+// the protocol out on its modeled clock, so a chaotic run is exactly
+// reproducible: the same schedule and seed give the same frames, retries
+// and modeled times.
 //
 // Like device straggle events, link events persist: an event armed at
 // step S shapes the link until a later event of the same kind replaces
@@ -108,11 +109,6 @@ type LinkState struct {
 	Reorder float64 // per-frame jitter probability
 	Corrupt float64 // per-frame bit-flip probability
 	Delay   float64 // added one-way latency, seconds
-}
-
-// Faulty reports whether any behaviour is active.
-func (st LinkState) Faulty() bool {
-	return st.Drop > 0 || st.Dup > 0 || st.Reorder > 0 || st.Corrupt > 0 || st.Delay > 0
 }
 
 // State resolves the link's profile at a step. Events are sorted by
@@ -381,9 +377,10 @@ func RandomLinks(seed int64, nodes, steps, n int) *LinkSchedule {
 }
 
 // Hash01 maps (seed, parts...) to a deterministic uniform value in
-// [0, 1). The dmem transport draws every per-frame fault verdict from it
-// — keyed by link, step, flow, and attempt — so chaos decisions are
-// independent of goroutine interleaving and wall-clock timing.
+// [0, 1). The dmem transport draws every per-frame fault verdict from it,
+// keyed by link, step, flow and attempt, and the heartbeat detector every
+// beat's, keyed by node and tick: each verdict is a function of its key
+// alone.
 func Hash01(seed int64, parts ...int64) float64 {
 	x := uint64(seed)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
 	for _, p := range parts {

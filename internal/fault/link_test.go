@@ -108,7 +108,7 @@ func TestLinkStateLatestEventWins(t *testing.T) {
 	if st := sch.State(0, 1, 3); st.Drop != 0 || st.Delay != 1e-3 {
 		t.Errorf("step 3 state (drop cleared) = %+v", st)
 	}
-	if st := sch.State(1, 0, 5); st.Faulty() {
+	if st := sch.State(1, 0, 5); st != (LinkState{}) {
 		t.Errorf("reverse link should be clean, got %+v", st)
 	}
 }

@@ -275,10 +275,10 @@ const (
 	// left its rolling EWMA+MAD baseline band. B = step index, FA =
 	// observed seconds, FB = the baseline mean it was compared against.
 	EventAnomaly
-	// EventNetTimeout: a dmem flow receive exhausted its phase deadline
-	// and the step fell back to degraded recovery. A = timed-out flow
-	// count, B = step index, FA = frame retries this step, FB = recovery
-	// actions (re-requests + host-side ghost re-executions).
+	// EventNetTimeout: dmem flows ran out of their retry budget and the
+	// step fell back to degraded recovery. A = such flows, B = step
+	// index, FA = frame retries this step, FB = recovery actions
+	// (re-requests + host-side ghost re-executions).
 	EventNetTimeout
 	numEventKinds
 )
@@ -463,19 +463,21 @@ type NetSample struct {
 	Nacks int64 `json:"nacks,omitempty"`
 	// AcksDropped counts acknowledgements lost to the fault schedule.
 	AcksDropped int64 `json:"acks_dropped,omitempty"`
-	// Timeouts counts receive deadline expiries (degradation entries).
+	// Timeouts counts flows whose retry budget ran out with no copy
+	// verified (degradation entries).
 	Timeouts int64 `json:"timeouts,omitempty"`
 	// Rerequests counts expansion payloads recovered over the reliable
-	// re-request path after a deadline expiry.
+	// re-request path after their retry budget ran out.
 	Rerequests int64 `json:"rerequests,omitempty"`
-	// DegradedGhostFlows counts ghost flows re-packed host-side after a
-	// deadline expiry.
+	// DegradedGhostFlows counts ghost flows re-packed host-side after
+	// their retry budget ran out.
 	DegradedGhostFlows int64        `json:"degraded_ghost_flows,omitempty"`
 	Links              []LinkSample `json:"links,omitempty"`
 }
 
-// LinkSample is one directed link's traffic. RTTNs is the mean acked
-// send-to-ack round trip over RTTCount observations (0 when none).
+// LinkSample is one directed link's traffic. RTTNs is the mean modeled
+// send-to-ack round trip over RTTCount acks that reached the sender (0
+// when none).
 type LinkSample struct {
 	From     int   `json:"from"`
 	To       int   `json:"to"`
