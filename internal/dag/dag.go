@@ -1,8 +1,8 @@
 // Package dag assembles one FMM step as a dependency graph over the
 // sched task-graph runtime: the one way a solve executes, for every
 // kernel, pool size and phase subset — on one node, where the graph
-// computes the whole tree, and on a dmem cluster, where each node's graph
-// computes its Share of it.
+// computes the whole tree, and on a dmem cluster, where one graph holds
+// every node's Share of it.
 //
 // The graph holds only the step's semantic dependencies — no phase or
 // level barriers:
@@ -55,7 +55,7 @@ type Tags struct {
 // What a share reads across its edge — a remote child's or translated V
 // partner's multipole, a remote parent's local, a remote near-field
 // source's bodies — becomes readable when a node the caller created in the
-// same graph has run (a dmem node's arrivals). Mpole, Local and Ghost give
+// same graph has run (a dmem node's unpacks). Mpole, Local and Ghost give
 // that node per tree cell; they are read only at cells outside the share.
 type Share struct {
 	Lo, Hi              int32

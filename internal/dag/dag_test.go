@@ -361,10 +361,10 @@ func shareCuts(t *octree.Tree, p int, split string) []int32 {
 
 // TestSharesJoinIntoTheWholeTreesDependences gives the distributed graphs
 // the single-node oracle: the p share graphs are recorded into one graph
-// the way a dmem node assembles its step — an arrival node per incoming
+// the way a dmem step assembles it — per node an unpack node per incoming
 // flow writing the remote data it delivers into the receiver's slabs, the
 // share, a send node per outgoing flow reading what it ships after that
-// level's chunks — and joined by the flows (send -> arrival). Every datum
+// level's chunks — and joined by the flows (send -> unpack). Every datum
 // then has one writer, and every task that reads it runs after that
 // writer: the whole tree's dependences, whoever computes what.
 func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {

@@ -16,15 +16,15 @@
 //     an accepted leaf the tree's Direct predicate sums directly — ships
 //     its bodies: the ghost-particle exchange.
 //
-// Every step executes: one goroutine per node runs its share of the step
-// graph and exchanges the plan's flows (Runtime), the essential set — a
-// ghost leaf's bodies stand in for its multipole, which the receiver forms
-// itself. The measured volumes go to an alpha-beta network model. Per-node
-// compute times come from the single-node machine's own models: the
-// far-field graph restricted to the node's cells, and the node's rows split
-// over its devices by interaction count. Every cell is computed wholly by
-// one node through the shared-memory solver's own operators, so
-// distributed results are bit-identical to single-node results.
+// Every step executes as one step graph (Runtime): the nodes' shares of
+// it, joined by the plan's flows, the essential set — a ghost leaf's bodies
+// stand in for its multipole, which the receiver forms itself. The
+// measured volumes go to an alpha-beta network model. Per-node compute
+// times come from the single-node machine's own models: the far-field
+// graph restricted to the node's cells, and the node's rows split over its
+// devices by interaction count. Every cell is computed wholly by one node
+// through the shared-memory solver's own operators, so distributed results
+// are bit-identical to single-node results.
 package dmem
 
 import (
@@ -153,7 +153,8 @@ type StepReport struct {
 	// of the step's exchange plan: U-list neighbours plus the accepted
 	// leaves summed directly.
 	GhostLeaves int64
-	// GraphNodes and GraphEdges size the step's node graphs, summed.
+	// GraphNodes and GraphEdges size the step graph: every node's share,
+	// unpacks, P2Ms and sends, and one edge per flow joining them.
 	GraphNodes, GraphEdges int
 }
 
@@ -240,9 +241,9 @@ func newOver(inner *core.Solver, cfg Config) *Solver {
 	return s
 }
 
-// SetRecorder attaches a telemetry recorder: per-node execution and comm
-// spans land on the dmem track, and every step carries its link-layer
-// sample.
+// SetRecorder attaches a telemetry recorder: one span per node and step
+// lands on the dmem track — the union of its graph nodes' wall intervals —
+// and every step carries its link-layer sample.
 func (s *Solver) SetRecorder(rec *telemetry.Recorder) { s.Inner.SetRecorder(rec) }
 
 // Alive reports which nodes are still participating.
@@ -264,9 +265,9 @@ func (s *Solver) equalCountCuts() {
 	}
 }
 
-// Solve runs one distributed step over the leaf-aligned cuts: the per-node
-// goroutines produce the accumulators themselves — the inner solver's
-// numerics never run — and the model is attributed over what they
+// Solve runs one distributed step over the leaf-aligned cuts: the nodes'
+// shares of the step graph produce the accumulators themselves — the inner
+// solver's numerics never run — and the model is attributed over what they
 // measured. The step index feeds the link-fault schedule; bare Solve calls
 // advance it monotonically, and RunWith pins it to the run step.
 func (s *Solver) Solve() StepReport {

@@ -24,8 +24,8 @@ type nodeEngine struct {
 	// ghosts[cell] holds the bodies of a remote source leaf once its flow
 	// arrived; Field.NearRow reads a source from here when present.
 	ghosts []core.GhostLeaf
-	// arrival[kind][cell] is the step graph's arrival node of the incoming
-	// flow that delivers the remote cell (-1: no flow of the step does).
+	// arrival[kind][cell] is the graph node after which remote cell is
+	// readable: its flow's unpack or P2M (-1: no flow of the step has it).
 	arrival [3][]sched.NodeID
 	ws      core.Workspaces
 	// expLen is a cell's length on the wire: Width packed expansions.
@@ -71,4 +71,27 @@ func (e *nodeEngine) pack(f flow) payload {
 		pack(ci, buf[i*e.expLen:(i+1)*e.expLen])
 	}
 	return payload{exp: buf}
+}
+
+// unpack is an unpack node's body, run after the flow's send: it loads the
+// payload into the engine's slabs or ghost table. A ghost flow whose retry
+// budget ran out re-packs the owner's rows from the shared particle arrays.
+func (e *nodeEngine) unpack(f flow, tp *transport) {
+	pay, ok := tp.Recv(f.id)
+	if f.id.kind == flowGhost {
+		if !ok {
+			pay = e.pack(f)
+		}
+		for i, ci := range f.cells {
+			e.ghosts[ci] = pay.ghost[i]
+		}
+		return
+	}
+	load := e.LoadMpole
+	if f.id.kind == flowLocal {
+		load = e.LoadLocal
+	}
+	for i, ci := range f.cells {
+		load(ci, pay.exp[i*e.expLen:(i+1)*e.expLen])
+	}
 }

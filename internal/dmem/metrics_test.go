@@ -1,10 +1,12 @@
 package dmem
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"afmm/internal/distrib"
+	"afmm/internal/fault"
 	"afmm/internal/metrics"
 	"afmm/internal/telemetry"
 )
@@ -33,5 +35,40 @@ func TestMetricsPublished(t *testing.T) {
 	}
 	if strings.Contains(out, "afmm_dmem_") {
 		t.Fatalf("dmem publishes a family of its own:\n%s", out)
+	}
+}
+
+// TestNodeSpansOnDmemTrack: with a recorder on, each alive node gets one
+// dmem.node span per step — the union of its step-graph nodes' intervals,
+// inside the step's wall time — and a lost node gets none.
+func TestNodeSpansOnDmemTrack(t *testing.T) {
+	events, err := fault.ParseNodeEvents("node1:failstop@step1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := execClusterConfig(3)
+	cfg.NodeFaults = events
+	d, err := NewSolver(distrib.Plummer(800, 1, 1, 5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	d.SetRecorder(rec)
+	d.RunWith(RunConfig{Steps: 2, Dt: 1e-4})
+	want := [][]int32{{0, 1, 2}, {0, 2}}
+	for step, r := range rec.Steps() {
+		var got []int32
+		for _, sp := range r.Spans {
+			if sp.Kind != telemetry.SpanDmemNode {
+				continue
+			}
+			if sp.DurNs <= 0 || sp.DurNs > r.WallNs {
+				t.Errorf("step %d: node %d span lasts %d ns of a %d ns step", step, sp.Arg, sp.DurNs, r.WallNs)
+			}
+			got = append(got, sp.Arg)
+		}
+		if !slices.Equal(got, want[step]) {
+			t.Errorf("step %d: dmem.node spans for nodes %v, want %v", step, got, want[step])
+		}
 	}
 }

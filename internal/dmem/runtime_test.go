@@ -74,9 +74,11 @@ func TestExecuteBitIdenticalGravity(t *testing.T) {
 
 // TestExecuteStressOneProc is a cheap stress for the executed runtime:
 // 40 steps of a small 4-node cluster, repartitioning whenever it skews,
-// on a 1-worker driver pool under GOMAXPROCS=1, where every arrival and
-// send node blocks on the one P. A deadlock fails the test on a timer,
-// with every goroutine's stack, instead of hanging it.
+// on a 1-worker solver pool under GOMAXPROCS=1. No node blocks; the test
+// guards that the one step graph joining the nodes' shares still drains,
+// help-first, on one P: every send must release its unpack and every
+// unpack its readers. A lost release fails the test on a timer, with
+// every goroutine's stack, instead of hanging it.
 func TestExecuteStressOneProc(t *testing.T) {
 	const steps = 40
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -269,11 +271,9 @@ func TestExecuteRunsSharedTable(t *testing.T) {
 	}
 }
 
-// TestNodeGraphSizes pins the size of the node graphs on the benchmark's
-// dmem-grav-4n inputs: shares of the chunked step graph plus one node per
-// flow, where the per-cell builder this replaced made 4,971 nodes and
-// 214,909 edges. Run with -v to print the counts.
-func TestNodeGraphSizes(t *testing.T) {
+// benchInput is a solver over the benchmark's dmem-grav-4n inputs: two
+// clusters of 16,000 bodies on 4 nodes, p = 4, S = 64, a 2-worker pool.
+func benchInput(t *testing.T) *Solver {
 	sys := distrib.TwoClusters(16000, 0.3, 1, 8, 0, 42)
 	cfg := execClusterConfig(4)
 	cfg.Core = core.Config{P: 4, S: 64, Pool: sched.NewPool(2)}
@@ -281,10 +281,39 @@ func TestNodeGraphSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := d.Solve()
-	t.Logf("4 node graphs: %d nodes, %d edges, %d flows", rep.GraphNodes, rep.GraphEdges, rep.TotalMsgs)
+	return d
+}
+
+// TestNodeGraphSizes pins the size of the step graph on the benchmark's
+// dmem-grav-4n inputs: the 4 nodes' shares of the chunked step graph, one
+// unpack and one send node per flow and one edge joining them, where the
+// per-cell builder this replaced made 4,971 nodes and 214,909 edges. Run
+// with -v to print the counts.
+func TestNodeGraphSizes(t *testing.T) {
+	rep := benchInput(t).Solve()
+	t.Logf("one step graph over 4 nodes: %d nodes, %d edges, %d flows", rep.GraphNodes, rep.GraphEdges, rep.TotalMsgs)
 	if rep.GraphNodes > 1500 || rep.GraphEdges > 10000 {
-		t.Fatalf("node graphs hold %d nodes / %d edges, want <= 1500 / 10000", rep.GraphNodes, rep.GraphEdges)
+		t.Fatalf("step graph holds %d nodes / %d edges, want <= 1500 / 10000", rep.GraphNodes, rep.GraphEdges)
+	}
+}
+
+// TestClusterSolveAllocationCeiling is the allocs/step gate of the
+// executed runtime on the same inputs: once slabs, lists, the class table
+// and the engines are warm, a Solve allocates only per-step structures
+// (the plan, the payloads, the step graph and its closures, the model's
+// node graphs). It measured 13,424–13,469 with one step graph on the
+// solver's pool, against 14,311–14,331 when every node ran a graph of its
+// own on a private pool with a goroutine per arrival: the ceiling sits
+// 3.2 % above the one and 2.9 % below the other.
+func TestClusterSolveAllocationCeiling(t *testing.T) {
+	const ceiling = 13900
+	d := benchInput(t)
+	d.Solve()
+	d.Solve()
+	if got := testing.AllocsPerRun(5, func() { d.Solve() }); got > ceiling {
+		t.Errorf("warmed Solve makes %.0f allocations, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("%.0f allocations per warmed Solve", got)
 	}
 }
 
@@ -348,9 +377,8 @@ func TestPlanFlowsMirrorAndSorted(t *testing.T) {
 }
 
 // TestStepRejectsDeadNodeWithBodies: a dead node's flows are never sent,
-// and the degradation path of an expansion flow waits for the send, so a
-// caller that did not repartition must fail loudly before any goroutine
-// starts.
+// and an unpack reads what its send settled, so a caller that did not
+// repartition must fail loudly before the step graph is built.
 func TestStepRejectsDeadNodeWithBodies(t *testing.T) {
 	d, err := NewSolver(distrib.Plummer(600, 1, 1, 3), execClusterConfig(3))
 	if err != nil {

@@ -12,11 +12,11 @@ import (
 	"afmm/internal/telemetry"
 )
 
-// The transport is the link layer between the exchange plan and the
-// node goroutines. Every cross-node payload — a multipole batch, a
-// local batch, a ghost-leaf batch — travels as framed messages carrying
-// its flow identity, a sequence (attempt) number, and an FNV-1a checksum
-// over the payload's float bits. Every flow runs one delivery protocol,
+// The transport is the link layer between a flow's send and unpack
+// nodes. Every cross-node payload — a multipole batch, a local batch, a
+// ghost-leaf batch — travels as framed messages carrying its flow
+// identity, a sequence (attempt) number, and an FNV-1a checksum over the
+// payload's float bits. Every flow runs one delivery protocol,
 // whether or not a fault.LinkSchedule is armed, and Send plays all of it
 // out on the modeled clock before it returns: each transmission consults
 // the (possibly empty) schedule, the receiver verifies the checksum,
@@ -130,10 +130,8 @@ func addNet(s, o *telemetry.NetSample) {
 // sender's payload, whether a copy verified at the receiver, and the
 // flow's share of the step's delivery counters.
 type flowState struct {
-	// sent closes when Send settled the flow; Recv waits on it.
-	sent chan struct{}
-	pay  payload
-	ok   bool
+	pay payload
+	ok  bool
 	// net holds the flow's counters (Links stays empty); rttNs sums the
 	// modeled round trips of its rtts acks that reached the sender.
 	net         telemetry.NetSample
@@ -154,7 +152,7 @@ func newTransport(flows []flowID, net NetworkSpec, sch *fault.LinkSchedule, seed
 	tp := &transport{net: net, sch: sch, seed: seed, step: step,
 		flows: make(map[flowID]*flowState, len(flows))}
 	for _, f := range flows {
-		tp.flows[f] = &flowState{sent: make(chan struct{})}
+		tp.flows[f] = &flowState{}
 	}
 	return tp
 }
@@ -237,8 +235,8 @@ func ns(seconds float64) int64 { return int64(math.Round(seconds * 1e9)) }
 // unless dropped there. The sender then waits retransmitTimeout·2^a: the
 // first reply to arrive ends the wait — an ack the protocol, a nack with
 // a re-send at its arrival — and an empty wait re-sends when it runs out,
-// at most maxRetries times. Send never blocks, so the graph's send task always
-// finishes.
+// at most maxRetries times. Send never blocks, so the graph's send node
+// always finishes.
 func (tp *transport) Send(f flowID, p payload) {
 	fs := tp.flows[f]
 	fs.pay = p
@@ -324,18 +322,17 @@ func (tp *transport) Send(f flowID, p payload) {
 			n.Rerequests++
 		}
 	}
-	close(fs.sent)
 }
 
-// Recv waits for the flow's Send — an arrival's one data dependency —
-// and returns the payload with whether a copy verified at the receiver.
-// ok == false means the flow's retry budget ran out: the payload is then
-// the sender's original bytes over the reliable re-request channel, which
-// an expansion flow loads as is, while a ghost flow's receiver re-packs
-// the bodies host-side. Either way the loaded bytes are the sender's.
+// Recv returns what the flow's Send settled, so it is called after the
+// Send (an unpack node runs after its send node): the payload and whether
+// a copy verified at the receiver. ok == false means the flow's retry
+// budget ran out: the payload is then the sender's original bytes over
+// the reliable re-request channel, which an expansion flow loads as is,
+// while a ghost flow's receiver re-packs the bodies host-side. Either way
+// the loaded bytes are the sender's.
 func (tp *transport) Recv(f flowID) (payload, bool) {
 	fs := tp.flows[f]
-	<-fs.sent
 	return fs.pay, fs.ok
 }
 

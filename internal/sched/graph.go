@@ -39,7 +39,6 @@ type gnode struct {
 	tag   int32 // caller-defined span kind (opaque to sched)
 	arg   int32 // data-locality hint: level, chunk or peer node index
 	preds int32
-	wait  bool // runs on a goroutine of its own (see Wait)
 }
 
 // NodeSpan is the per-node execution record collected when tracing is
@@ -105,7 +104,6 @@ type Graph struct {
 	groups [NumClasses]*Group
 
 	indeg     []atomic.Int32
-	waits     sync.WaitGroup // Wait nodes in flight
 	completed atomic.Int32
 	done      chan struct{}
 	panicked  atomic.Pointer[TaskPanic]
@@ -135,22 +133,11 @@ func (g *Graph) SetTrace(on bool) { g.trace = on }
 // Node adds a task executing fn under class c and returns its id. tag is
 // an opaque caller-defined label (the solvers store a telemetry span
 // kind); arg is the data-locality hint (octree level, chunk index or
-// peer node id) reported alongside.
+// peer node id) reported alongside. fn must not block on another node: a
+// ready node may run inline under another, so order them with Edge.
 func (g *Graph) Node(c Class, tag, arg int32, fn func()) NodeID {
 	g.nodes = append(g.nodes, gnode{fn: fn, class: c, tag: tag, arg: arg})
 	return NodeID(len(g.nodes) - 1)
-}
-
-// Wait adds a ClassGeneral node whose fn blocks on something outside the
-// graph — a message arrival, say. Once ready it runs on a goroutine of
-// its own, outside the pool's worker slots: a blocked wait never holds a
-// slot, never runs inline under another node (or under Run while the
-// remaining roots are still to be enqueued), and never delays a ready
-// node behind it.
-func (g *Graph) Wait(tag, arg int32, fn func()) NodeID {
-	id := g.Node(ClassGeneral, tag, arg, fn)
-	g.nodes[id].wait = true
-	return id
 }
 
 // Edge declares that node from must complete before node to starts.
@@ -243,7 +230,6 @@ func (g *Graph) Run() error {
 	for c := range g.groups {
 		g.groups[c].wg.Wait()
 	}
-	g.waits.Wait()
 	g.makespan = int64(time.Since(g.start))
 	if tp := g.panicked.Load(); tp != nil {
 		panic(tp)
@@ -257,17 +243,8 @@ func (g *Graph) Run() error {
 }
 
 // enqueue pushes a runnable node onto its class's ready queue and kicks
-// a drainer if the class has spare slots; a Wait node starts on its own
-// goroutine instead.
+// a drainer if the class has spare slots.
 func (g *Graph) enqueue(id NodeID) {
-	if g.nodes[id].wait {
-		g.waits.Add(1)
-		go func() {
-			defer g.waits.Done()
-			g.exec(id, 0)
-		}()
-		return
-	}
 	c := g.nodes[id].class
 	d := g.ready.Add(1)
 	for {

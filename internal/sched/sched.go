@@ -28,7 +28,8 @@ type Class uint8
 
 const (
 	// ClassGeneral is unclassified pool work: tree construction, list
-	// traversal, prep, and every pre-existing call site.
+	// traversal, prep, a dmem step's sends and unpacks, and every
+	// pre-existing call site.
 	ClassGeneral Class = iota
 	// ClassFar is the far-field expansion work (P2M/M2M/M2L/L2L/L2P
 	// sweeps).

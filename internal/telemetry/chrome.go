@@ -63,7 +63,7 @@ func spanTID(k SpanKind) int {
 		return chromeTIDKern
 	case SpanTaskUp, SpanTaskDown, SpanTaskL2P, SpanTaskNear:
 		return chromeTIDTask
-	case SpanDmemNode, SpanDmemComm:
+	case SpanDmemNode:
 		return chromeTIDDmem
 	}
 	return chromeTIDHost
@@ -82,7 +82,7 @@ func eventTID(k EventKind) int {
 
 func spanName(k SpanKind, arg int32) string {
 	switch k {
-	case SpanTaskUp, SpanTaskDown, SpanTaskL2P, SpanDmemNode, SpanDmemComm:
+	case SpanTaskUp, SpanTaskDown, SpanTaskL2P, SpanDmemNode:
 		return fmt.Sprintf("%s %d", k, arg)
 	}
 	return k.String()

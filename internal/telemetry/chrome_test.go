@@ -134,7 +134,6 @@ func TestChromeTrackMapping(t *testing.T) {
 		SpanTaskL2P:    task,
 		SpanTaskNear:   task,
 		SpanDmemNode:   dmem,
-		SpanDmemComm:   dmem,
 	}
 	if len(spanTracks) != int(numSpanKinds) {
 		t.Fatalf("track table covers %d span kinds, package has %d — extend the table",

@@ -129,14 +129,11 @@ const (
 	SpanTaskDown
 	SpanTaskL2P
 	SpanTaskNear
-	// Distributed-runtime spans, emitted by the dmem executing runtime
-	// and rendered on their own Chrome-trace track: SpanDmemNode is one
-	// virtual cluster node's per-step execution (its whole LET exchange +
-	// local step graph, Arg = node id); SpanDmemComm aggregates the host
-	// wall that node's arrival milestones spent blocked on peer channels
-	// during the same step (Arg = node id).
+	// SpanDmemNode is one virtual cluster node's share of a dmem step
+	// (Arg = node id), rendered on its own Chrome-trace track: the union
+	// of the wall intervals of the node's nodes in the step graph — its
+	// unpacks, P2Ms, share of the step graph and sends.
 	SpanDmemNode
-	SpanDmemComm
 	numSpanKinds
 )
 
@@ -171,7 +168,6 @@ var spanNames = [numSpanKinds]string{
 	SpanTaskL2P:    "task.l2p",
 	SpanTaskNear:   "task.near",
 	SpanDmemNode:   "dmem.node",
-	SpanDmemComm:   "dmem.comm",
 }
 
 func (k SpanKind) String() string {
