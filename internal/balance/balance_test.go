@@ -192,4 +192,19 @@ func TestWorkflowTransitions(t *testing.T) {
 	if !rep.EnforcedS {
 		t.Fatalf("regression did not trigger enforcement: %+v", rep)
 	}
+	// Against a best far below what the model predicts, a regression that
+	// Enforce_S and the fine-grained pass cannot bring under the threshold
+	// returns to incremental, led by the unit the prediction finds slower:
+	// a step that unit dominates nudges S, it is no flip.
+	b.AfterStep(s, StepTimes{CPU: 1e-9, GPU: 2e-9})
+	if rep = b.AfterStep(s, StepTimes{CPU: 1e-8, GPU: 2e-8}); !rep.EnforcedS || b.State != Incremental {
+		t.Fatalf("unrecoverable regression: %+v (state %v), want a return to incremental", rep, b.State)
+	}
+	next := StepTimes{CPU: 1e-9, GPU: 2e-9}
+	if cpu, gpu := b.predict(s); cpu >= gpu {
+		next = StepTimes{CPU: 2e-9, GPU: 1e-9}
+	}
+	if rep = b.AfterStep(s, next); b.State != Incremental || !rep.Rebuilt {
+		t.Fatalf("first incremental step after the fallback: %+v (state %v), want a nudge", rep, b.State)
+	}
 }

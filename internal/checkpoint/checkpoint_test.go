@@ -21,50 +21,52 @@ func kickDrift(sys *particle.System, dt float64) {
 	}
 }
 
+// TestRoundTrip: a snapshot taken by Capture, or by CaptureInto over a
+// used one, survives the codec with its metadata and every body exact.
 func TestRoundTrip(t *testing.T) {
 	sys := distrib.Plummer(500, 1, 1, 42)
 	sys.Aux[3].X = 7 // exercise the aux channel
-	sn := Capture(sys, 48, 17, 0.0017)
-	var buf bytes.Buffer
-	if err := Write(&buf, sn); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.S != 48 || got.Step != 17 || got.Time != 0.0017 {
-		t.Fatalf("metadata lost: %+v", got)
-	}
-	restored, err := got.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sys.Pos {
-		if restored.Pos[i] != sys.Pos[i] || restored.Vel[i] != sys.Vel[i] ||
-			restored.Mass[i] != sys.Mass[i] || restored.Index[i] != sys.Index[i] ||
-			restored.Aux[i] != sys.Aux[i] {
-			t.Fatalf("body %d not restored exactly", i)
+	into := Capture(distrib.Plummer(80, 1, 1, 3), 4, 2, 1)
+	CaptureInto(&into, sys, 48, 17, 0.0017)
+	for name, sn := range map[string]Snapshot{"Capture": Capture(sys, 48, 17, 0.0017), "CaptureInto": into} {
+		var buf bytes.Buffer
+		if err := Write(&buf, sn); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.S != 48 || got.Step != 17 || got.Time != 0.0017 {
+			t.Fatalf("%s: metadata lost: %+v", name, got)
+		}
+		restored, err := got.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sys.Pos {
+			if restored.Pos[i] != sys.Pos[i] || restored.Vel[i] != sys.Vel[i] ||
+				restored.Mass[i] != sys.Mass[i] || restored.Index[i] != sys.Index[i] ||
+				restored.Aux[i] != sys.Aux[i] {
+				t.Fatalf("%s: body %d not restored exactly", name, i)
+			}
 		}
 	}
 }
 
 func TestRestoreRejectsCorruption(t *testing.T) {
 	sys := distrib.Plummer(50, 1, 1, 1)
-	sn := Capture(sys, 8, 0, 0)
-	sn.Pos = sn.Pos[:10]
-	if _, err := sn.Restore(); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-	sn2 := Capture(sys, 8, 0, 0)
-	sn2.Version = 99
-	if _, err := sn2.Restore(); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-	sn3 := Capture(sys, 8, 0, 0)
-	sn3.Index[0] = sn3.Index[1]
-	if _, err := sn3.Restore(); err == nil {
-		t.Fatal("corrupt permutation accepted")
+	for name, corrupt := range map[string]func(sn *Snapshot){
+		"truncated snapshot":  func(sn *Snapshot) { sn.Pos = sn.Pos[:10] },
+		"wrong version":       func(sn *Snapshot) { sn.Version = 99 },
+		"next version":        func(sn *Snapshot) { sn.Version = Version + 1 },
+		"corrupt permutation": func(sn *Snapshot) { sn.Index[0] = sn.Index[1] },
+	} {
+		sn := Capture(sys, 8, 0, 0)
+		corrupt(&sn)
+		if _, err := sn.Restore(); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

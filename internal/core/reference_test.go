@@ -22,9 +22,9 @@ import (
 // serialStep is the reference every execution test compares the step graph
 // with: one whole step of s's field on the calling goroutine — near rows in
 // order, up sweep from the deepest level, down sweep from the root one cell
-// at a time, leaf evaluation — with no dag, no sched and no M2L table (s
-// never Solves, so its field translates through the uncached reference
-// form, each cell's pairs sorted by theta).
+// at a time, leaf evaluation, less the phases s.Cfg skips — with no dag, no
+// sched and no M2L table (s never Solves, so its field translates through
+// the uncached reference form, each cell's pairs sorted by theta).
 func serialStep(s *Solver) {
 	sweep(s, func(w *expansion.Workspace, ni int32) { s.Field.Up(w, ni, nil) },
 		func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
@@ -39,7 +39,12 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	f.Reset()
 	w := expansion.NewWorkspace(s.Cfg.P)
 	for r := range sch.Leaves {
-		f.NearRow(sch, r, nil)
+		if !s.Cfg.SkipNearField {
+			f.NearRow(sch, r, nil)
+		}
+	}
+	if s.Cfg.SkipFarField {
+		return // no sweeps, no leaf evaluation: the graph has no far nodes
 	}
 	levels := t.LevelOrder()
 	for lv := len(levels) - 1; lv >= 0; lv-- {
@@ -187,58 +192,46 @@ type variant struct {
 	mut  func(cfg *Config)
 }
 
-// The configurations the step graph is held to the serial reference on.
-var (
-	cpuOnly = variant{"cpu-only", func(cfg *Config) {}}
-	oneGPU  = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
-	twoGPUs = variant{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
-)
-
-// graphMatchesSerial solves each variant on each pool size through the
-// step graph and holds Phi and Acc to the serial reference, bit for bit,
-// on the fresh tree and again after a move + Refill + EnforceS (the
-// balancer's edits change chunk geometry, not results).
-func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
-	for _, v := range variants {
-		for _, w := range workers {
-			t.Run(v.name, func(t *testing.T) {
-				sys := skewedSystem(1200, 7)
-				cfg := Config{P: 6, S: 24, Pool: sched.NewPool(w)}
-				v.mut(&cfg)
-				s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
-				s.Solve()
-				serialStep(ref)
-				assertBitIdentical(t, s.Sys, ref.Sys)
-				for _, x := range []*Solver{s, ref} {
-					drift(x.Sys)
-					x.Refill()
-					x.EnforceS()
-				}
-				s.Solve()
-				serialStep(ref)
-				assertBitIdentical(t, s.Sys, ref.Sys)
-			})
-		}
-	}
+// graphCases are the device sets and phase subsets the step graph is held
+// to the serial reference on, each on every pool size.
+var graphCases = []variant{
+	{"cpu-only", func(cfg *Config) {}},
+	{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
+	{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
+	{"near-only", func(cfg *Config) { cfg.SkipFarField = true }},
+	{"far-only", func(cfg *Config) { cfg.NumGPUs, cfg.SkipNearField = 1, true }},
 }
 
 // TestGraphMatchesSerialReference: the one execution path against a
-// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
+// reference that shares no scheduling code with it, for every case on 1, 2
+// and 4 workers, holding Phi and Acc to the reference bit for bit on the
+// fresh tree and again after a move + Refill + EnforceS (the balancer's
+// edits change chunk geometry, not results).
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, twoGPUs)
+			for _, v := range graphCases {
+				t.Run(v.name, func(t *testing.T) {
+					sys := skewedSystem(1200, 7)
+					cfg := Config{P: 6, S: 24, Pool: sched.NewPool(w)}
+					v.mut(&cfg)
+					s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
+					s.Solve()
+					serialStep(ref)
+					assertBitIdentical(t, s.Sys, ref.Sys)
+					for _, x := range []*Solver{s, ref} {
+						drift(x.Sys)
+						x.Refill()
+						x.EnforceS()
+					}
+					s.Solve()
+					serialStep(ref)
+					assertBitIdentical(t, s.Sys, ref.Sys)
+				})
+			}
 		})
 	}
 	t.Run("failstop", graphMatchesSerialUnderFailStop)
-}
-
-// The test the reference matrix replaced compared one execution path with
-// another; the path is gone, its name stays as the slice of the matrix it
-// used to cover. Two GPUs on 2 and 4 workers run under
-// TestGraphMatchesSerialReference.
-func TestTaskGraphBitIdenticalGravity(t *testing.T) {
-	graphMatchesSerial(t, []int{2, 4}, cpuOnly, oneGPU)
 }
 
 // rowClock wraps a field and stamps each near-field row with the moment

@@ -33,30 +33,49 @@ func mustCluster(t *testing.T, spec string) *fault.LinkSchedule {
 	return sch
 }
 
-// singleTwin runs the fault-free single-node reference trajectory.
-func singleTwin(n, steps int, dt float64, seed int64) *particle.System {
+// twinDt is the step of every twin trajectory.
+const twinDt = 5e-4
+
+// singleTwin runs the fault-free single-node reference trajectory of a
+// Plummer sphere of n bodies.
+func singleTwin(n, steps int, seed int64) *particle.System {
 	sys := distrib.Plummer(n, 1.0, 1.0, seed)
 	sv := core.NewSolver(sys, execCoreConfig())
 	for step := 0; step < steps; step++ {
 		sv.Solve()
 		for i := range sys.Pos {
-			sys.Vel[i] = sys.Vel[i].Add(sys.Acc[i].Scale(dt))
-			sys.Pos[i] = sys.Pos[i].Add(sys.Vel[i].Scale(dt))
+			sys.Vel[i] = sys.Vel[i].Add(sys.Acc[i].Scale(twinDt))
+			sys.Pos[i] = sys.Pos[i].Add(sys.Vel[i].Scale(twinDt))
 		}
 		sv.Refill()
 	}
 	return sys
 }
 
-func requireIdentical(t *testing.T, got, want *particle.System, what string) {
+// twinRun is the harness of the dmem contract: it runs a cluster of the
+// given nodes, configured by mod (link schedule, node faults), for steps
+// over the same Plummer sphere and demands every position, velocity and
+// potential == the single-node trajectory want (singleTwin(n, steps,
+// seed)). It returns the solver and the run for the caller's checks on
+// what the faults cost.
+func twinRun(t *testing.T, want *particle.System, seed int64, steps, nodes int, mod func(*Config)) (*Solver, RunResult) {
 	t.Helper()
+	cfg := execClusterConfig(nodes)
+	mod(&cfg)
+	got := distrib.Plummer(len(want.Pos), 1.0, 1.0, seed)
+	d, err := NewSolver(got, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.RunWith(RunConfig{Steps: steps, Dt: twinDt})
 	for i := range want.Pos {
 		if got.Pos[i] != want.Pos[i] || got.Vel[i] != want.Vel[i] || got.Phi[i] != want.Phi[i] {
-			t.Fatalf("%s: body %d diverged: pos %v vs %v, vel %v vs %v, phi %v vs %v",
-				what, i, got.Pos[i], want.Pos[i], got.Vel[i], want.Vel[i],
+			t.Fatalf("%v / %v: body %d diverged: pos %v vs %v, vel %v vs %v, phi %v vs %v",
+				cfg.LinkFaults, cfg.NodeFaults, i, got.Pos[i], want.Pos[i], got.Vel[i], want.Vel[i],
 				got.Phi[i], want.Phi[i])
 		}
 	}
+	return d, res
 }
 
 // TestChaosWithinBudgetBitIdentical: a mixed drop/dup/reorder/corrupt/
@@ -64,26 +83,13 @@ func requireIdentical(t *testing.T, got, want *particle.System, what string) {
 // stay exactly the fault-free single-node value; the stats must show the
 // protocol actually fought the schedule.
 func TestChaosWithinBudgetBitIdentical(t *testing.T) {
-	const (
-		n     = 1200
-		steps = 3
-		dt    = 5e-4
-	)
 	sch := mustCluster(t,
 		"link0-1:drop0.4@step0,link1-0:drop0.3@step0,link0-2:dup@step0,"+
 			"link2-0:corrupt0.4@step0,link1-2:reorder@step1,link2-1:delay0.2ms@step0,"+
 			"link0-3:drop0.3@step1,link3-0:corrupt0.3@step2")
-	cfg := execClusterConfig(4)
-	cfg.LinkFaults = sch
-	cfg.LinkSeed = 42
-
-	sysD := distrib.Plummer(n, 1.0, 1.0, 23)
-	d, err := NewSolver(sysD, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := d.RunWith(RunConfig{Steps: steps, Dt: dt})
-
+	_, res := twinRun(t, singleTwin(1200, 3, 23), 23, 3, 4, func(cfg *Config) {
+		cfg.LinkFaults, cfg.LinkSeed = sch, 42
+	})
 	if res.Net.FramesDropped == 0 || res.Net.Retries == 0 {
 		t.Fatalf("schedule injected no observable faults: %+v", res.Net)
 	}
@@ -94,7 +100,6 @@ func TestChaosWithinBudgetBitIdentical(t *testing.T) {
 		t.Fatalf("within-budget schedule must not exhaust a retry budget, got %d timeouts",
 			res.Net.Timeouts)
 	}
-	requireIdentical(t, sysD, singleTwin(n, steps, dt, 23), "within-budget chaos")
 }
 
 // TestChaosBeyondBudgetDegradesValuesExact: drop1.0 on every link out of
@@ -103,31 +108,16 @@ func TestChaosWithinBudgetBitIdentical(t *testing.T) {
 // take over and the values are STILL exactly the single-node values —
 // degradation costs modeled time only.
 func TestChaosBeyondBudgetDegradesValuesExact(t *testing.T) {
-	const (
-		n     = 900
-		steps = 2
-		dt    = 5e-4
-	)
-	sch := mustCluster(t,
-		"link0-1:drop1.0@step0,link0-2:drop1.0@step0")
-	cfg := execClusterConfig(3)
-	cfg.LinkFaults = sch
-	cfg.LinkSeed = 7
-
-	sysD := distrib.Plummer(n, 1.0, 1.0, 31)
-	d, err := NewSolver(sysD, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := d.RunWith(RunConfig{Steps: steps, Dt: dt})
-
+	sch := mustCluster(t, "link0-1:drop1.0@step0,link0-2:drop1.0@step0")
+	_, res := twinRun(t, singleTwin(900, 2, 31), 31, 2, 3, func(cfg *Config) {
+		cfg.LinkFaults, cfg.LinkSeed = sch, 7
+	})
 	if res.Net.Timeouts == 0 {
 		t.Fatalf("drop1.0 links must exhaust the retry budget: %+v", res.Net)
 	}
 	if res.Net.Rerequests+res.Net.DegradedGhostFlows == 0 {
 		t.Fatalf("timeouts without degraded recoveries: %+v", res.Net)
 	}
-	requireIdentical(t, sysD, singleTwin(n, steps, dt, 31), "beyond-budget chaos")
 }
 
 // TestChaosRandomSchedulesProperty: the property under randomly generated
@@ -143,29 +133,15 @@ func TestChaosRandomSchedulesProperty(t *testing.T) {
 		}
 		base = p
 	}
-	const (
-		n     = 800
-		steps = 2
-		dt    = 5e-4
-		nodes = 3
-	)
-	want := singleTwin(n, steps, dt, 47)
+	want := singleTwin(800, 2, 47)
 	for trial := int64(0); trial < 3; trial++ {
 		seed := base*100 + trial
-		sch := fault.RandomLinks(seed, nodes, steps, 6)
-		cfg := execClusterConfig(nodes)
-		cfg.LinkFaults = sch
-		cfg.LinkSeed = seed
-		sysD := distrib.Plummer(n, 1.0, 1.0, 47)
-		d, err := NewSolver(sysD, cfg)
-		if err != nil {
-			t.Fatalf("seed %d (%s): %v", seed, sch, err)
-		}
-		res := d.RunWith(RunConfig{Steps: steps, Dt: dt})
+		_, res := twinRun(t, want, 47, 2, 3, func(cfg *Config) {
+			cfg.LinkFaults, cfg.LinkSeed = fault.RandomLinks(seed, 3, 2, 6), seed
+		})
 		if res.Net.FramesSent == 0 {
 			t.Fatalf("seed %d: no traffic executed", seed)
 		}
-		requireIdentical(t, sysD, want, "random schedule "+sch.String())
 	}
 }
 
@@ -199,26 +175,14 @@ func TestChaosStokesClusterBitIdentical(t *testing.T) {
 // clean links — and the run still matches the single-node trajectory
 // exactly.
 func TestHeartbeatDetectorRecovery(t *testing.T) {
-	const (
-		n     = 1000
-		steps = 4
-		dt    = 5e-4
-	)
 	events, err := fault.ParseNodeEvents("node2:failstop@step1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := execClusterConfig(4)
-	cfg.NodeFaults = events
-	cfg.LinkFaults = mustCluster(t, "link1-3:drop0.3@step0")
-	cfg.LinkSeed = 13
-
-	sysD := distrib.Plummer(n, 1.0, 1.0, 53)
-	d, err := NewSolver(sysD, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := d.RunWith(RunConfig{Steps: steps, Dt: dt})
+	d, res := twinRun(t, singleTwin(1000, 4, 53), 53, 4, 4, func(cfg *Config) {
+		cfg.NodeFaults = events
+		cfg.LinkFaults, cfg.LinkSeed = mustCluster(t, "link1-3:drop0.3@step0"), 13
+	})
 	if res.NodeLosses != 1 {
 		t.Fatalf("node losses = %d, want 1", res.NodeLosses)
 	}
@@ -229,7 +193,6 @@ func TestHeartbeatDetectorRecovery(t *testing.T) {
 	if got := d.Alive(); got[2] {
 		t.Fatal("node 2 should be dead")
 	}
-	requireIdentical(t, sysD, singleTwin(n, steps, dt, 53), "heartbeat recovery")
 }
 
 // TestNetTimeoutFlightDump: a flow whose retry budget runs out emits the

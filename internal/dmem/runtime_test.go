@@ -106,25 +106,11 @@ func TestExecuteStressOneProc(t *testing.T) {
 // injected fail-stop and checks the trajectory stays exactly the
 // single-node trajectory: the survivors execute every lost range.
 func TestExecuteBitIdenticalUnderNodeLoss(t *testing.T) {
-	const (
-		n     = 1200
-		steps = 5
-		dt    = 5e-4
-	)
-	sysD := distrib.Plummer(n, 1.0, 1.0, 11)
-	sysS := distrib.Plummer(n, 1.0, 1.0, 11)
-
 	events, err := fault.ParseNodeEvents("node2:failstop@step2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := execClusterConfig(4)
-	cfg.NodeFaults = events
-	d, err := NewSolver(sysD, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := d.RunWith(RunConfig{Steps: steps, Dt: dt})
+	d, res := twinRun(t, singleTwin(1200, 5, 11), 11, 5, 4, func(cfg *Config) { cfg.NodeFaults = events })
 	if res.NodeLosses != 1 {
 		t.Fatalf("expected 1 node loss, got %d", res.NodeLosses)
 	}
@@ -138,26 +124,6 @@ func TestExecuteBitIdenticalUnderNodeLoss(t *testing.T) {
 		t.Fatalf("capacity epoch = %d, want 1", d.CapacityEpoch())
 	}
 
-	single := core.NewSolver(sysS, execCoreConfig())
-	for step := 0; step < steps; step++ {
-		single.Solve()
-		for i := range sysS.Pos {
-			sysS.Vel[i] = sysS.Vel[i].Add(sysS.Acc[i].Scale(dt))
-			sysS.Pos[i] = sysS.Pos[i].Add(sysS.Vel[i].Scale(dt))
-		}
-		single.Refill()
-	}
-	for i := 0; i < n; i++ {
-		if sysD.Pos[i] != sysS.Pos[i] {
-			t.Fatalf("pos[%d]: distributed %v != single %v", i, sysD.Pos[i], sysS.Pos[i])
-		}
-		if sysD.Vel[i] != sysS.Vel[i] {
-			t.Fatalf("vel[%d]: distributed %v != single %v", i, sysD.Vel[i], sysS.Vel[i])
-		}
-		if sysD.Phi[i] != sysS.Phi[i] {
-			t.Fatalf("phi[%d]: distributed %v != single %v", i, sysD.Phi[i], sysS.Phi[i])
-		}
-	}
 }
 
 func stokesTwin(n int, seed int64) *stokes.Solver {

@@ -1,7 +1,6 @@
 package expansion
 
 import (
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -143,52 +142,4 @@ func TestM2LBatchAllocationFree(t *testing.T) {
 			}
 		}
 	})
-}
-
-func BenchmarkM2LPerPairRotated(b *testing.B) {
-	benchM2L(b, func(w *Workspace, l Expansion, to geom.Vec3, srcs []M2LSource) {
-		for _, s := range srcs {
-			w.M2LRotated(l, to, s.M, s.From)
-		}
-	})
-}
-
-func BenchmarkM2LPerPairDirect(b *testing.B) {
-	benchM2L(b, func(w *Workspace, l Expansion, to geom.Vec3, srcs []M2LSource) {
-		for _, s := range srcs {
-			w.M2L(l, to, s.M, s.From)
-		}
-	})
-}
-
-func BenchmarkM2LBatch(b *testing.B) {
-	benchM2L(b, func(w *Workspace, l Expansion, to geom.Vec3, srcs []M2LSource) {
-		w.M2LBatch(l, to, srcs)
-	})
-}
-
-// benchM2L applies a V-list-like batch: 27 sources drawn from a repeating
-// direction set, order 8 (the acceptance configuration).
-func benchM2L(b *testing.B, apply func(*Workspace, Expansion, geom.Vec3, []M2LSource)) {
-	rng := rand.New(rand.NewSource(1))
-	const p = 8
-	w := NewWorkspace(p)
-	to := geom.Vec3{}
-	var srcs []M2LSource
-	for i := 0; i < 27; i++ {
-		d := geom.Vec3{
-			X: float64(i%3-1) * 3,
-			Y: float64((i/3)%3-1) * 3,
-			Z: math.Floor(float64(i/9)-1) * 3,
-		}
-		if d.Norm() == 0 {
-			d = geom.Vec3{X: 3, Y: 3, Z: 3}
-		}
-		srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: to.Add(d)})
-	}
-	l := NewExpansion(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		apply(w, l, to, srcs)
-	}
 }

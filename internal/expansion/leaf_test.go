@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"afmm/internal/geom"
-	"afmm/internal/sphharm"
 )
 
 // The leaf entry points (leaf.go) are held to the per-body operators bit
@@ -129,22 +128,12 @@ func (in *leafInputs) viaBodies(w *Workspace) (out []uint64) {
 	return out
 }
 
-// leafOrders are the orders the leaf gates run at: every order the
-// benchmark, the accuracy matrix and the fuzz targets use, 20 and MaxOrder.
-func leafOrders() []int {
-	orders := []int{20, sphharm.MaxOrder}
-	for p := 0; p <= 14; p++ {
-		orders = append(orders, p)
-	}
-	return orders
-}
-
 // TestLeafPackedMatchesScalar: every leaf entry point equals the per-body
 // operators in Float64bits, for leaves of 1 to 9 bodies (full groups of
 // four and every tail), at both widths, under both dispatch states.
 func TestLeafPackedMatchesScalar(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
-		for _, p := range leafOrders() {
+		for _, p := range packedOrders {
 			rng := rand.New(rand.NewSource(int64(130 + p)))
 			w := NewWorkspace(p)
 			for n := 1; n <= 9; n++ {

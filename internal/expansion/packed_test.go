@@ -47,6 +47,11 @@ func eachDispatch(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
+// packedOrders are the orders the packed-vs-scalar and child-shift gates
+// run at: every order the benchmark, the accuracy matrix and the fuzz
+// targets use, 20 and MaxOrder.
+var packedOrders = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 20, sphharm.MaxOrder}
+
 // sameBits is bit equality, with any NaN equal to any NaN: IEEE 754 leaves
 // the payload a NaN operation propagates to the implementation, so operand
 // order may show there and nowhere else.
@@ -128,11 +133,7 @@ func TestM2LPackedMatchesScalar(t *testing.T) {
 			vlist = append(vlist, tr.Nodes[vi].Box.Center.Sub(tr.Nodes[ni].Box.Center))
 		}
 	}
-	orders := []int{20, sphharm.MaxOrder}
-	for p := 0; p <= 14; p++ {
-		orders = append(orders, p)
-	}
-	for _, p := range orders {
+	for _, p := range packedOrders {
 		stride := 1 // through vlist: O(p^3) a translation, five forms, two states
 		if p > 8 {
 			stride = 1 + p*p*p/200

@@ -284,41 +284,3 @@ func TestL2LRotatedMatchesGeneric(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkM2LGeneric and BenchmarkM2LRotated quantify the O(p^4) -> O(p^3)
-// crossover of the rotation-accelerated translation.
-func BenchmarkM2LGeneric(b *testing.B) {
-	for _, p := range []int{4, 8, 12, 16} {
-		b.Run(orderName(p), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			w := NewWorkspace(p)
-			from := geom.Vec3{X: 4}
-			m := randomMultipole(rng, p, from, 0.5)
-			l := NewExpansion(p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.M2L(l, geom.Vec3{}, m, from)
-			}
-		})
-	}
-}
-
-func BenchmarkM2LRotated(b *testing.B) {
-	for _, p := range []int{4, 8, 12, 16} {
-		b.Run(orderName(p), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			w := NewWorkspace(p)
-			from := geom.Vec3{X: 3, Y: 2, Z: 1}
-			m := randomMultipole(rng, p, from, 0.5)
-			l := NewExpansion(p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.M2LRotated(l, geom.Vec3{}, m, from)
-			}
-		})
-	}
-}
-
-func orderName(p int) string {
-	return "p" + string(rune('0'+p/10)) + string(rune('0'+p%10))
-}

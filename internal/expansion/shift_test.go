@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"afmm/internal/geom"
-	"afmm/internal/sphharm"
 )
 
 // octantOffset is the center of the child in slot o of a parent at the
@@ -17,9 +16,6 @@ func octantOffset(o int, h float64) geom.Vec3 {
 	return geom.Vec3{X: sign(0) * h, Y: sign(1) * h, Z: sign(2) * h}
 }
 
-// shiftOrders are the orders the child-shift gates run at.
-var shiftOrders = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 20, sphharm.MaxOrder}
-
 // TestChildShiftsMatchOracle: ChildShift (M2M and L2L) through the octant
 // setup against the direct O(p^4) oracle, for all eight octants and three
 // levels under a root half-width that is not a power of two, at 1e-13
@@ -28,7 +24,7 @@ var shiftOrders = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 20, sp
 // bit-identically, from the workspace scratch.
 func TestChildShiftsMatchOracle(t *testing.T) {
 	const tol, h0 = 1e-13, 0.3712
-	for _, p := range shiftOrders {
+	for _, p := range packedOrders {
 		rng := rand.New(rand.NewSource(int64(130 + p)))
 		w := NewWorkspace(p)
 		var rows ShiftRows

@@ -436,6 +436,14 @@ func TestM2LTableRealTrees(t *testing.T) {
 					t.Errorf("%s: squeezed table kept %d stacks (want %d), covers %d of %d classes",
 						tc.name, tb.Rotations(), rotCap, covered, cls.Classes())
 				}
+				// The stacks go to the theta that carry the most pairs.
+				weight := make([]int64, len(tb.thetas))
+				for c, op := range tb.ops {
+					weight[op.theta] += cls.PairsPerClass[c]
+				}
+				if kept, spilled := slices.Min(weight[:tb.Rotations()]), slices.Max(append(weight[tb.Rotations():], 0)); kept < spilled {
+					t.Errorf("%s rotCap=%d: a kept theta carries %d pairs, a spilled one %d", tc.name, rotCap, kept, spilled)
+				}
 				got := sweepTree(tr, p, mp, func(w *Workspace, l Expansion, ni int32, srcs []M2LSource) {
 					w.M2LBatchTable(l, tr.Nodes[ni].Box.Center, srcs, cls.Row(ni), tb)
 				})
@@ -599,13 +607,13 @@ func TestM2LTableExtendMatchesPlan(t *testing.T) {
 	// full, both re-plan instead of extending, and translate as M2LBatch.
 	eachDispatch(t, func(t *testing.T) {
 		tc := treeCases[0]
-		for _, squeeze := range []string{"spilled", "full"} {
+		for _, squeeze := range []string{"spilled", "full", "full-one-theta"} {
 			rng := rand.New(rand.NewSource(44))
 			tr := octree.Build(tc.sys(), octree.Config{S: 24})
 			tr.BuildLists()
 			cls := tr.M2LClasses()
 			tb := buildTable(p, cls.Dirs, cls.PairsPerClass, 5)
-			if squeeze == "full" {
+			if squeeze != "spilled" {
 				tb = buildTable(p, cls.Dirs, cls.PairsPerClass, 0)
 				tb.thetaBudget = tb.Rotations() * 8 * tb.hl
 			}
@@ -630,10 +638,19 @@ func TestM2LTableExtendMatchesPlan(t *testing.T) {
 				repairEpoch(tr, rng)
 				cls = tr.M2LClasses()
 			}
-			lo, hi := tb.Extend(cls.Dirs, cls.PairsPerClass, planned)
+			// full-one-theta extends through the first class with an unseen
+			// theta only: one theta past a full budget re-plans too.
+			end := len(cls.Dirs)
+			if squeeze == "full-one-theta" {
+				end = planned + 1 + slices.IndexFunc(cls.Dirs[planned:], func(d geom.Vec3) bool { return newTheta([]geom.Vec3{d}) })
+			}
+			lo, hi := tb.Extend(cls.Dirs[:end], cls.PairsPerClass[:end], planned)
 			if lo != 0 || hi != tb.Rotations() || tb.Rotations() == len(tb.thetas) {
 				t.Fatalf("%s: Extend kept [%d, %d) of %d stacks for %d theta instead of re-planning",
 					squeeze, lo, hi, tb.Rotations(), len(tb.thetas))
+			}
+			if end < len(cls.Dirs) { // the spilled table re-plans for the rest
+				lo, hi = tb.Extend(cls.Dirs, cls.PairsPerClass, end)
 			}
 			tb.BuildRotRange(lo, hi)
 			mp := make([]Expansion, len(tr.Nodes))

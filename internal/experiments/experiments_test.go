@@ -48,7 +48,7 @@ func TestFig4ShowsRegimes(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	pts := Fig6(Params{N: 20000, Seed: 42})
+	pts := fig6()
 	byCores := map[int]ScalePoint{}
 	for _, pt := range pts {
 		byCores[pt.Cores] = pt
@@ -70,7 +70,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestTable1NearLinear(t *testing.T) {
-	pts := Table1(Params{N: 20000, Seed: 42})
+	pts := table1()
 	if len(pts) != 4 {
 		t.Fatalf("%d rows", len(pts))
 	}
@@ -87,15 +87,16 @@ func TestTable1NearLinear(t *testing.T) {
 
 func TestFig7Ordering(t *testing.T) {
 	// Basic shape at small N: substantial heterogeneous speedups, the
-	// 10C_4G configuration on top, and more cores never hurting.
-	n := 8000
-	if !testing.Short() {
-		// The starved-CPU effect (10C_2G keeping up with 4C_4G despite
-		// half the GPUs) requires the linear interaction regime, i.e.
-		// larger N (see DESIGN.md scaling note).
-		n = 50000
+	// 10C_4G configuration on top, and more cores never hurting. The
+	// starved-CPU effect (10C_2G keeping up with 4C_4G despite half the
+	// GPUs) requires the linear interaction regime, i.e. the default
+	// N = 50,000 (see DESIGN.md scaling note).
+	var curves []HeteroCurve
+	if testing.Short() {
+		_, curves = Fig7(Params{N: 8000, Seed: 42})
+	} else {
+		_, curves = fig7()
 	}
-	_, curves := Fig7(Params{N: n, Seed: 42})
 	best := map[string]float64{}
 	for _, c := range curves {
 		best[c.Label] = c.BestSpeedup

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -10,6 +11,15 @@ import (
 // reproduction (EXPERIMENTS.md) so refactors cannot silently change the
 // recorded results. Tolerances are tight but not bit-exact, to allow
 // floating-point-neutral reorderings.
+
+// The figures both a golden test and a shape test read, computed once per
+// test binary. Fig6 and Table1 raise the default N = 20,000 to 50,000, and
+// Fig7 defaults to it.
+var (
+	fig6   = sync.OnceValue(func() []ScalePoint { return Fig6(Params{Seed: 42}) })
+	table1 = sync.OnceValue(func() []GPUPoint { return Table1(Params{Seed: 42}) })
+	fig7   = sync.OnceValues(func() (HeteroCurve, []HeteroCurve) { return Fig7(Params{Seed: 42}) })
+)
 
 func approx(t *testing.T, name string, got, want, rtol float64) {
 	t.Helper()
@@ -25,7 +35,7 @@ func approx(t *testing.T, name string, got, want, rtol float64) {
 }
 
 func TestGoldenFig6(t *testing.T) {
-	pts := Fig6(Params{Seed: 42})
+	pts := fig6()
 	by := map[int]ScalePoint{}
 	for _, pt := range pts {
 		by[pt.Cores] = pt
@@ -36,7 +46,7 @@ func TestGoldenFig6(t *testing.T) {
 }
 
 func TestGoldenTable1(t *testing.T) {
-	pts := Table1(Params{Seed: 42})
+	pts := table1()
 	approx(t, "gpu2", pts[1].Speedup, 1.98, 0.03)
 	approx(t, "gpu3", pts[2].Speedup, 2.93, 0.03)
 	approx(t, "gpu4", pts[3].Speedup, 3.68, 0.03)
@@ -58,7 +68,7 @@ func TestGoldenFig7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=50000 sweep; skipped with -short")
 	}
-	serial, curves := Fig7(Params{Seed: 42})
+	serial, curves := fig7()
 	approx(t, "serial best", serial.BestTime, 2.1011, 0.02)
 	want := map[string]float64{
 		"4C_1G": 16.0, "10C_1G": 22.2, "4C_2G": 25.0,

@@ -36,6 +36,9 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	for r := range sch.Leaves {
 		f.NearRow(sch, r, nil)
 	}
+	if s.Cfg.SkipFarField {
+		return // no sweeps, no leaf evaluation: the graph has no far nodes
+	}
 	levels := t.LevelOrder()
 	for lv := len(levels) - 1; lv >= 0; lv-- {
 		for _, ni := range levels[lv] {
@@ -157,56 +160,50 @@ func assertBitIdentical(t *testing.T, got, want *Solver) {
 	}
 }
 
-type variant struct {
+// graphCases are the device sets and phase subsets the step graph is held
+// to the serial reference on, each on every pool size (Stokes has no
+// SkipNearField).
+var graphCases = []struct {
 	name string
 	mut  func(cfg *Config)
+}{
+	{"cpu-only", func(cfg *Config) {}},
+	{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
+	{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
+	{"near-only", func(cfg *Config) { cfg.SkipFarField = true }},
 }
 
-// The configurations the step graph is held to the serial reference on.
-var (
-	cpuOnly = variant{"cpu-only", func(cfg *Config) {}}
-	oneGPU  = variant{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }}
-	gpus    = variant{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }}
-)
-
-// graphMatchesSerial solves each variant on each pool size through the
-// step graph and holds the velocities to the serial reference, bit for
-// bit, on the fresh tree and again after a move + Refill + EnforceS.
-func graphMatchesSerial(t *testing.T, workers []int, variants ...variant) {
-	for _, v := range variants {
-		for _, w := range workers {
-			t.Run(v.name, func(t *testing.T) {
-				sys := distrib.Plummer(900, 1, 1, 37)
-				randomForces(sys, 41)
-				cfg := Config{P: 6, S: 24, Kernel: kernels.Stokeslet{Mu: 0.9, Eps: 1e-3}, Pool: sched.NewPool(w)}
-				v.mut(&cfg)
-				s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
-				if st := s.Solve(); !st.Host.Overlapped {
-					t.Fatal("solve did not report Overlapped")
-				}
-				serialStep(ref)
-				assertBitIdentical(t, s, ref)
-				for _, x := range []*Solver{s, ref} {
-					for i := range x.Sys.Pos {
-						x.Sys.Pos[i] = x.Sys.Pos[i].Add(x.Sys.Pos[i].Scale(0.04))
-					}
-					x.Refill()
-					x.EnforceS()
-				}
-				s.Solve()
-				serialStep(ref)
-				assertBitIdentical(t, s, ref)
-			})
-		}
-	}
-}
-
-// TestGraphMatchesSerialReference: the one execution path against a
-// reference that shares no scheduling code with it, on 1, 2 and 4 workers.
+// TestGraphMatchesSerialReference: core's matrix over the Stokeslet field.
+// Every case on 1, 2 and 4 workers solves through the step graph and holds
+// the velocities to the serial reference, bit for bit, on the fresh tree
+// and again after a move + Refill + EnforceS.
 func TestGraphMatchesSerialReference(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			graphMatchesSerial(t, []int{w}, cpuOnly, oneGPU, gpus)
+			for _, v := range graphCases {
+				t.Run(v.name, func(t *testing.T) {
+					sys := distrib.Plummer(900, 1, 1, 37)
+					randomForces(sys, 41)
+					cfg := Config{P: 6, S: 24, Kernel: kernels.Stokeslet{Mu: 0.9, Eps: 1e-3}, Pool: sched.NewPool(w)}
+					v.mut(&cfg)
+					s, ref := NewSolver(sys, cfg), NewSolver(sys.Clone(), cfg)
+					if st := s.Solve(); !st.Host.Overlapped {
+						t.Fatal("solve did not report Overlapped")
+					}
+					serialStep(ref)
+					assertBitIdentical(t, s, ref)
+					for _, x := range []*Solver{s, ref} {
+						for i := range x.Sys.Pos {
+							x.Sys.Pos[i] = x.Sys.Pos[i].Add(x.Sys.Pos[i].Scale(0.04))
+						}
+						x.Refill()
+						x.EnforceS()
+					}
+					s.Solve()
+					serialStep(ref)
+					assertBitIdentical(t, s, ref)
+				})
+			}
 		})
 	}
 	// A fail-stop device loss moves the clock, never the rows: the
@@ -233,13 +230,6 @@ func TestGraphMatchesSerialReference(t *testing.T) {
 			t.Fatalf("want 1 dead device, got %d", rep.DeadDevices)
 		}
 	})
-}
-
-// The test the reference matrix replaced compared one execution path with
-// another; the path is gone, its name stays as the slice of the matrix it
-// used to cover.
-func TestTaskGraphBitIdenticalStokes(t *testing.T) {
-	graphMatchesSerial(t, []int{2, 4}, cpuOnly, gpus)
 }
 
 // TestKernelMatchesPerPairDirect: the step graph's four-column
