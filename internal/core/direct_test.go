@@ -35,9 +35,11 @@ func accHash(sys *particle.System) uint64 {
 // mechanism selects nothing, and the solve reproduces, bit for bit, the
 // accelerations of the commit before the per-pair operator choice existed
 // (Plummer N=1500 seed 7, p=6, S=16) — as re-recorded when M2M and L2L
-// moved onto the translation kernel and again when every cell's M2L pairs
-// took the order theta ascending, then V index (theta-batched M2L): the
-// two changes of bits since, both in summation order or rounding only.
+// moved onto the translation kernel, when every cell's M2L pairs took the
+// order theta ascending, then V index (theta-batched M2L), and when the
+// near field began to evaluate each unordered pair once (the mutual order
+// the tree fixes): the three changes of bits since, all in summation
+// order or rounding only.
 func TestDirectKZeroKeepsParentBits(t *testing.T) {
 	sys := distrib.Plummer(1500, 1, 1, 7)
 	s := NewSolver(sys, Config{P: 6, S: 16})
@@ -46,7 +48,7 @@ func TestDirectKZeroKeepsParentBits(t *testing.T) {
 	if sch := s.Tree.NearField(); sch.DirectPairs != 0 {
 		t.Fatalf("K=0 selected %d pairs", sch.DirectPairs)
 	}
-	const parent uint64 = 0xe1c33a40e856f0b5
+	const parent uint64 = 0x9116fde841ca26a
 	if h := accHash(sys); h != parent {
 		t.Fatalf("K=0 accelerations hash %#x, parent commit %#x", h, parent)
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // Field is a kernel on a tree: the six FMM operators (P2M and M2M in Up,
-// M2L and L2L in Down, L2P, P2P in NearRow) over expansion slabs
-// the value owns. It is implemented once per kernel — GravityField here,
+// M2L and L2L in Down, L2P, P2P in Near, and Fold for a mutual kernel's
+// reactions, see Folder) over expansion slabs the value owns. It is implemented once per kernel — GravityField here,
 // stokes.Field for the regularized Stokeslet — and everything that
 // executes a step calls these methods and nothing else for numerics: the
 // solver's step graph, and each dmem node through a Private copy.
@@ -46,13 +46,15 @@ type Field interface {
 	// exactly one addition onto the near-field-accumulated value — the
 	// only far-field write into the body accumulators.
 	L2P(w *expansion.Workspace, ni int32)
-	// NearRow executes row r of the near-field schedule, its sources in
-	// schedule order: the one numeric near-field entry point, called by
-	// the step graph's near chunks on every configuration (simulated
-	// devices only price the rows). A source whose entry in ghosts holds bodies is read
-	// from there (a dmem node's copies of remote leaves); nil ghosts means
-	// every source is local.
-	NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf)
+	// Near executes chunk c of the near-field schedule
+	// (octree.NearSchedule.Chunk) for the share that owns the bodies
+	// [lo, hi): the one numeric near-field entry point, called by the step
+	// graph's near nodes on every configuration (simulated devices only
+	// price the rows). It writes the accumulators of the share's rows in
+	// the chunk and, for a mutual kernel, the chunk's reaction buffer; a
+	// remote source is read from its entry in ghosts (a dmem node's copies
+	// of remote leaves); nil ghosts means every source is local.
+	Near(sch *octree.NearSchedule, c int, lo, hi int32, ghosts []GhostLeaf)
 
 	// Pack/Load copy cell ni's Width packed expansions to and from a
 	// buffer: the dmem wire format.
@@ -72,8 +74,17 @@ type Field interface {
 	Private() Field
 }
 
-// RowSpans is the span buffer a NearRow fills on its stack before one
-// P2PRow call; a longer row flushes it through further calls. Rows of
+// A Folder is a field whose near chunks leave reactions (a mutual kernel:
+// gravity). Fold adds those of leaf ni to its bodies, chunk by chunk in
+// order, after every chunk writing them ran and before L2P; the step
+// graph then waits for exactly those chunks. A one-way field (the
+// Stokeslet) is not one.
+type Folder interface {
+	Fold(sch *octree.NearSchedule, ni int32)
+}
+
+// RowSpans is the span buffer a near-field row fills on its stack before
+// one kernel call; a longer row flushes it through further calls. Rows of
 // Plummer trees at S = 64 and 256 hold 56–1,046 entries (median 107–163),
 // and flushing every 16 to 1,024 entries timed the same.
 const RowSpans = 64
@@ -241,10 +252,22 @@ func (ws Workspaces) Put(w *expansion.Workspace) {
 }
 
 // GravityField is the width-1 field of the softened Newtonian kernel:
-// masses are the charges, potentials and accelerations the result.
+// masses are the charges, potentials and accelerations the result. Its
+// near field is mutual: each unordered pair of rows is evaluated once, by
+// the chunk holding the lower row, and the reaction waits in that chunk's
+// buffer for Fold.
 type GravityField struct {
 	Cells
 	Kernel kernels.Gravity
+	near   [octree.NearChunks]nearChunk
+}
+
+// nearChunk is one near chunk's state, kept across steps: its reaction
+// buffer (octree.NearSchedule.ReactLen bodies) and the pair kernels'
+// scratch.
+type nearChunk struct {
+	react [][4]float64
+	lanes kernels.PairLanes
 }
 
 // NewGravityField returns the gravity field of t's cells and sys's bodies.
@@ -294,30 +317,143 @@ func (f *GravityField) L2P(w *expansion.Workspace, ni int32) {
 	})
 }
 
-// NearRow hands the row's spans to one P2PRow call, through a fixed stack
-// buffer flushed by another call when full: splitting a row between calls
-// is exact, the accumulators round-trip memory unchanged.
-func (f *GravityField) NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf) {
-	sys := f.Sys
-	tn := &f.Tree.Nodes[sch.Leaves[r]]
-	xt := sys.Pos[tn.Start:tn.End]
-	pot := sys.Phi[tn.Start:tn.End]
-	acc := sys.Acc[tn.Start:tn.End]
-	var buf [RowSpans]kernels.GravitySpan
-	n := 0
-	for k := sch.RowPtr[r]; k < sch.RowPtr[r+1]; k++ {
-		if n == len(buf) {
-			f.Kernel.P2PRow(xt, pot, acc, buf[:])
-			n = 0
-		}
-		lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
-		buf[n] = kernels.GravitySpan{Pos: sys.Pos[lo:hi], Mass: sys.Mass[lo:hi]}
-		if g := Ghost(ghosts, sch.Srcs[k]); g != nil {
-			buf[n] = kernels.GravitySpan{Pos: g.Pos, Mass: g.Mass}
-		}
-		n++
+// Near runs chunk c's rows in order. A row the share owns takes its upper
+// half (octree.NearSchedule.Upper): its own leaf and a remote partner
+// one-way through P2PRow, a local partner mutually through P2PPair, the
+// reaction into the chunk's buffer. A remote row gives its local partners
+// their reactions from the row's ghost copy through P2PReact, the pair
+// body's reaction half alone, so a reaction's bits do not depend on who
+// owns the row.
+func (f *GravityField) Near(sch *octree.NearSchedule, c int, lo, hi int32, ghosts []GhostLeaf) {
+	st := &f.near[c]
+	if n := int(sch.ReactLen[c]); cap(st.react) < n {
+		// Room for the slots to grow as bodies move between leaves.
+		st.react = make([][4]float64, n, n+n/4)
 	}
-	f.Kernel.P2PRow(xt, pot, acc, buf[:n])
+	st.react = st.react[:sch.ReactLen[c]]
+	sys := f.Sys
+	own := func(start int32) bool { return lo <= start && start < hi }
+	// Zero the slots of the share's leaves, the only ones it writes.
+	for r, li := range sch.Leaves {
+		if n := &f.Tree.Nodes[li]; own(n.Start) {
+			chunks, offs := sch.Fold(r)
+			if i := slices.Index(chunks, uint8(c)); i >= 0 {
+				clear(st.react[offs[i]:][:n.Count()])
+			}
+		}
+	}
+	rlo, rhi := sch.Chunk(c)
+	q := nearRun{k: f.Kernel, lanes: &st.lanes}
+	for r := rlo; r < rhi; r++ {
+		a := sch.Leaves[r]
+		tn := &f.Tree.Nodes[a]
+		q.xt = nil
+		if own(tn.Start) {
+			q.xt, q.mt = sys.Pos[tn.Start:tn.End], sys.Mass[tn.Start:tn.End]
+			q.phi, q.acc = sys.Phi[tn.Start:tn.End], sys.Acc[tn.Start:tn.End]
+			for k := sch.Upper[r]; k < sch.RowPtr[r+1]; k++ {
+				s := kernels.GravitySpan{Pos: sys.Pos[sch.SrcStart[k]:sch.SrcEnd[k]], Mass: sys.Mass[sch.SrcStart[k]:sch.SrcEnd[k]]}
+				if !own(sch.SrcStart[k]) {
+					g := Ghost(ghosts, sch.Srcs[k])
+					q.oneWay(kernels.GravitySpan{Pos: g.Pos, Mass: g.Mass})
+				} else if off := sch.Slot(k, c); k == sch.Upper[r] || off < 0 {
+					q.oneWay(s)
+				} else {
+					q.pair(kernels.GravityPair{Pos: s.Pos, Mass: s.Mass, React: st.react[off:][:len(s.Pos)]})
+				}
+			}
+			q.flush()
+			continue
+		}
+		for k := sch.Upper[r] + 1; k < sch.RowPtr[r+1]; k++ {
+			off := int32(-1)
+			if own(sch.SrcStart[k]) {
+				off = sch.Slot(k, c)
+			}
+			if off < 0 {
+				continue
+			}
+			if q.xt == nil {
+				g := Ghost(ghosts, a)
+				q.xt, q.mt = g.Pos, g.Mass
+			}
+			s := kernels.GravityPair{Pos: sys.Pos[sch.SrcStart[k]:sch.SrcEnd[k]], Mass: sys.Mass[sch.SrcStart[k]:sch.SrcEnd[k]]}
+			s.React = st.react[off:][:len(s.Pos)]
+			q.react(s)
+		}
+		q.flush()
+	}
+}
+
+// nearRun batches a row's consecutive entries of one kind — one-way spans,
+// mutual pairs, or reaction halves of a remote row — into one kernel call
+// per run and per RowSpans entries: splitting a row between calls is
+// exact, the accumulators round-trip memory unchanged.
+type nearRun struct {
+	k            kernels.Gravity
+	lanes        *kernels.PairLanes
+	xt           []geom.Vec3
+	mt, phi      []float64
+	acc          []geom.Vec3
+	one          [RowSpans]kernels.GravitySpan
+	two          [RowSpans]kernels.GravityPair
+	nOne, nPairs int
+	reacts       bool // two holds reaction halves
+}
+
+func (q *nearRun) oneWay(s kernels.GravitySpan) {
+	if q.nPairs > 0 || q.nOne == RowSpans {
+		q.flush()
+	}
+	q.one[q.nOne] = s
+	q.nOne++
+}
+
+func (q *nearRun) pair(p kernels.GravityPair) {
+	if q.nOne > 0 || q.nPairs == RowSpans {
+		q.flush()
+	}
+	q.two[q.nPairs] = p
+	q.nPairs++
+}
+
+func (q *nearRun) react(p kernels.GravityPair) {
+	q.pair(p)
+	q.reacts = true
+}
+
+func (q *nearRun) flush() {
+	if q.nOne > 0 {
+		q.k.P2PRow(q.xt, q.phi, q.acc, q.one[:q.nOne])
+		q.nOne = 0
+	}
+	if q.nPairs > 0 && q.reacts {
+		q.k.P2PReact(q.xt, q.mt, q.two[:q.nPairs], q.lanes)
+	} else if q.nPairs > 0 {
+		q.k.P2PPair(q.xt, q.mt, q.phi, q.acc, q.two[:q.nPairs], q.lanes)
+	}
+	q.nPairs, q.reacts = 0, false
+}
+
+// Fold adds leaf ni's reaction slots to its bodies in ascending chunk
+// order, one addition per slot and component.
+func (f *GravityField) Fold(sch *octree.NearSchedule, ni int32) {
+	r := sch.RowOf(ni)
+	if r < 0 {
+		return
+	}
+	n := &f.Tree.Nodes[ni]
+	phi, acc := f.Sys.Phi[n.Start:n.End], f.Sys.Acc[n.Start:n.End]
+	chunks, offs := sch.Fold(r)
+	for i, c := range chunks {
+		react := f.near[c].react[offs[i]:][:len(phi)]
+		for j := range phi {
+			phi[j] += react[j][0]
+			acc[j].X += react[j][1]
+			acc[j].Y += react[j][2]
+			acc[j].Z += react[j][3]
+		}
+	}
 }
 
 func (f *GravityField) PackGhost(ni int32) GhostLeaf {

@@ -10,6 +10,7 @@ import (
 	"afmm/internal/distrib"
 	"afmm/internal/expansion"
 	"afmm/internal/geom"
+	"afmm/internal/octree"
 	"afmm/internal/particle"
 	"afmm/internal/telemetry"
 )
@@ -155,54 +156,74 @@ func TestCellShiftsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestNearRowMatchesPerSpanScalar: a near-field row through its span
-// buffer — flushed through further P2PRow calls when a row holds more
-// than RowSpans entries — equals P2PScalar entry by entry, bit for bit,
-// with local sources and ghost copies mixed; and a row, its span list on
-// the stack, allocates nothing, with and without ghosts.
-func TestNearRowMatchesPerSpanScalar(t *testing.T) {
+// TestNearChunksMatchScalarReference: the gravity near chunks and the
+// fold — rows flushed through further kernel calls when their upper half
+// holds more than RowSpans entries — equal mutualNear, the scalar
+// reference of the tree's order, bit for bit; so does the same near field
+// cut into two shares over private fields, each reading the other's
+// leaves from ghost copies (how dmem nodes run it); and a warm sweep of
+// the chunks and folds allocates nothing, whole or in shares.
+func TestNearChunksMatchScalarReference(t *testing.T) {
 	s := NewSolver(distrib.Plummer(3000, 1, 1, 5), Config{P: 4, S: 16})
 	s.Solve()
 	f := s.Field.(*GravityField)
 	sys, sch := s.Sys, s.Tree.NearField()
-	ghosts := make([]GhostLeaf, len(s.Tree.Nodes))
-	for ni := range s.Tree.Nodes {
-		if ni%3 == 0 && s.Tree.Nodes[ni].IsVisibleLeaf() {
-			ghosts[ni] = f.PackGhost(int32(ni))
-		}
-	}
-	phi, acc := slices.Clone(sys.Phi), slices.Clone(sys.Acc)
 	long := 0
 	for r := 0; r < sch.Rows(); r++ {
-		if len(sch.Row(r)) > RowSpans {
+		if int(sch.RowPtr[r+1]-sch.Upper[r]) > RowSpans {
 			long++
-		}
-		f.NearRow(sch, r, ghosts)
-		tn := &s.Tree.Nodes[sch.Leaves[r]]
-		for k := sch.RowPtr[r]; k < sch.RowPtr[r+1]; k++ {
-			lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
-			f.Kernel.P2PScalar(sys.Pos[tn.Start:tn.End], phi[tn.Start:tn.End], acc[tn.Start:tn.End], sys.Pos[lo:hi], sys.Mass[lo:hi])
 		}
 	}
 	if long == 0 {
-		t.Fatalf("no row holds more than %d entries: the buffer never flushed", RowSpans)
+		t.Fatalf("no upper half holds more than %d entries: the buffer never flushed", RowSpans)
 	}
+	n := int32(sys.Len())
+	mid := s.Tree.SnapToLeafEnd(n / 2)
+	ghosts := make([]GhostLeaf, len(s.Tree.Nodes))
+	for _, li := range sch.Leaves {
+		ghosts[li] = f.PackGhost(li)
+	}
+	halves := [2]*GravityField{f.Private().(*GravityField), f.Private().(*GravityField)}
+	whole := func() {
+		sys.ResetAccumulators()
+		for c := range octree.NearChunks {
+			f.Near(sch, c, 0, n, nil)
+		}
+		for _, li := range sch.Leaves {
+			f.Fold(sch, li)
+		}
+	}
+	split := func() {
+		sys.ResetAccumulators()
+		cuts := [3]int32{0, mid, n}
+		for h, hf := range halves {
+			for c := range octree.NearChunks {
+				hf.Near(sch, c, cuts[h], cuts[h+1], ghosts)
+			}
+		}
+		for _, li := range sch.Leaves {
+			halves[min(1, int(s.Tree.Nodes[li].Start/mid))].Fold(sch, li)
+		}
+	}
+	sys.ResetAccumulators()
+	mutualNear(sys, s.Tree, sch, f.Kernel)
+	phi, acc := slices.Clone(sys.Phi), slices.Clone(sys.Acc)
 	bits := func(v float64, a geom.Vec3) [4]uint64 {
 		return [4]uint64{math.Float64bits(v), math.Float64bits(a.X), math.Float64bits(a.Y), math.Float64bits(a.Z)}
 	}
-	for i := range phi {
-		if bits(phi[i], acc[i]) != bits(sys.Phi[i], sys.Acc[i]) {
-			t.Fatalf("body %d: NearRow %v %v, per-span scalar %v %v", i, sys.Phi[i], sys.Acc[i], phi[i], acc[i])
-		}
-	}
-	for _, g := range [][]GhostLeaf{nil, ghosts} {
-		sweep := func() {
-			for r := 0; r < sch.Rows(); r++ {
-				f.NearRow(sch, r, g)
+	for _, run := range []struct {
+		name string
+		f    func()
+	}{{"whole", whole}, {"shares", split}} {
+		run.f()
+		run.f() // the kept reaction buffers hold the last step's sums
+		for i := range phi {
+			if bits(phi[i], acc[i]) != bits(sys.Phi[i], sys.Acc[i]) {
+				t.Fatalf("%s: body %d: chunks %v %v, scalar reference %v %v", run.name, i, sys.Phi[i], sys.Acc[i], phi[i], acc[i])
 			}
 		}
-		if a := testing.AllocsPerRun(3, sweep); a != 0 {
-			t.Errorf("ghosts %v: the near-field rows allocate %v times, want 0", g != nil, a)
+		if a := testing.AllocsPerRun(3, run.f); a != 0 {
+			t.Errorf("%s: the near chunks allocate %v times, want 0", run.name, a)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -12,6 +11,7 @@ import (
 	"afmm/internal/distrib"
 	"afmm/internal/expansion"
 	"afmm/internal/geom"
+	"afmm/internal/kernels"
 	"afmm/internal/octree"
 	"afmm/internal/particle"
 	"afmm/internal/sched"
@@ -20,11 +20,12 @@ import (
 )
 
 // serialStep is the reference every execution test compares the step graph
-// with: one whole step of s's field on the calling goroutine — near rows in
-// order, up sweep from the deepest level, down sweep from the root one cell
-// at a time, leaf evaluation, less the phases s.Cfg skips — with no dag, no
-// sched and no M2L table (s never Solves, so its field translates through
-// the uncached reference form, each cell's pairs sorted by theta).
+// with: one whole step of s's field on the calling goroutine — the near
+// field in the tree's order (mutualNear), up sweep from the deepest level,
+// down sweep from the root one cell at a time, leaf evaluation, less the
+// phases s.Cfg skips — with no dag, no sched, no M2L table (s never
+// Solves, so its field translates through the uncached reference form,
+// each cell's pairs sorted by theta) and none of the field's chunk code.
 func serialStep(s *Solver) {
 	sweep(s, func(w *expansion.Workspace, ni int32) { s.Field.Up(w, ni, nil) },
 		func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
@@ -38,10 +39,8 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	s.Sys.ResetAccumulators()
 	f.Reset()
 	w := expansion.NewWorkspace(s.Cfg.P)
-	for r := range sch.Leaves {
-		if !s.Cfg.SkipNearField {
-			f.NearRow(sch, r, nil)
-		}
+	if !s.Cfg.SkipNearField {
+		mutualNear(s.Sys, t, sch, f.(*GravityField).Kernel)
 	}
 	if s.Cfg.SkipFarField {
 		return // no sweeps, no leaf evaluation: the graph has no far nodes
@@ -59,6 +58,55 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	}
 	for _, ni := range t.VisibleLeaves() {
 		f.L2P(w, ni)
+	}
+}
+
+// mutualNear is the gravity near field in the order the tree fixes, from
+// the scalar kernels and the schedule's rows, upper halves and chunk
+// bounds alone: each body first takes its row's upper half in row order
+// (P2PScalar span by span, the pair body's targets' half), then, chunk by
+// chunk in order, the sum of the reactions its leaf took from the chunk's
+// rows in row order (P2PPairScalar, its targets' half discarded).
+func mutualNear(sys *particle.System, t *octree.Tree, sch *octree.NearSchedule, k kernels.Gravity) {
+	bodies := func(ni int32) (int32, int32) { return t.Nodes[ni].Start, t.Nodes[ni].End }
+	for r, li := range sch.Leaves {
+		lo, hi := bodies(li)
+		for e := sch.Upper[r]; e < sch.RowPtr[r+1]; e++ {
+			slo, shi := bodies(sch.Srcs[e])
+			k.P2PScalar(sys.Pos[lo:hi], sys.Phi[lo:hi], sys.Acc[lo:hi], sys.Pos[slo:shi], sys.Mass[slo:shi])
+		}
+	}
+	react := map[[2]int32][][4]float64{} // (chunk, leaf): the leaf's reactions
+	for c := range octree.NearChunks {
+		rlo, rhi := sch.Chunk(c)
+		for r := rlo; r < rhi; r++ {
+			lo, hi := bodies(sch.Leaves[r])
+			for e := sch.Upper[r] + 1; e < sch.RowPtr[r+1]; e++ {
+				b := sch.Srcs[e]
+				if sch.RowOf(b) < 0 {
+					continue
+				}
+				blo, bhi := bodies(b)
+				key := [2]int32{int32(c), b}
+				if react[key] == nil {
+					react[key] = make([][4]float64, bhi-blo)
+				}
+				k.P2PPairScalar(sys.Pos[lo:hi], sys.Mass[lo:hi], make([]float64, hi-lo), make([]geom.Vec3, hi-lo),
+					sys.Pos[blo:bhi], sys.Mass[blo:bhi], react[key])
+			}
+		}
+	}
+	for _, li := range sch.Leaves {
+		lo, _ := bodies(li)
+		for c := range int32(octree.NearChunks) {
+			for j, v := range react[[2]int32{c, li}] {
+				i := int(lo) + j
+				sys.Phi[i] += v[0]
+				sys.Acc[i].X += v[1]
+				sys.Acc[i].Y += v[2]
+				sys.Acc[i].Z += v[3]
+			}
+		}
 	}
 }
 
@@ -234,64 +282,50 @@ func TestGraphMatchesSerialReference(t *testing.T) {
 	t.Run("failstop", graphMatchesSerialUnderFailStop)
 }
 
-// rowClock wraps a field and stamps each near-field row with the moment
-// it ran.
-type rowClock struct {
-	Field
-	mu sync.Mutex
-	at map[int]time.Time
+// chunkLog wraps the gravity field and records the near chunks it ran.
+type chunkLog struct {
+	*GravityField
+	mu  sync.Mutex
+	ran []int
 }
 
-func (f *rowClock) NearRow(sch *octree.NearSchedule, r int, ghosts []GhostLeaf) {
+func (f *chunkLog) Near(sch *octree.NearSchedule, c int, lo, hi int32, ghosts []GhostLeaf) {
 	f.mu.Lock()
-	f.at[r] = time.Now()
+	f.ran = append(f.ran, c)
 	f.mu.Unlock()
-	f.Field.NearRow(sch, r, ghosts)
+	f.GravityField.Near(sch, c, lo, hi, ghosts)
 }
 
 // nearChunks solves once and returns the row range [lo, hi) of each
-// task.near node, indexed by chunk. A row belongs to the node whose span
-// was the last to start before the row ran: on a one-worker pool the near
-// chunks run one at a time.
+// near chunk that ran, in chunk order, after checking that each ran once,
+// as one task.near node, and that together they cover every row.
 func nearChunks(t *testing.T, s *Solver) [][2]int {
 	t.Helper()
-	clock := &rowClock{Field: s.Field, at: map[int]time.Time{}}
-	s.Field = clock
+	log := &chunkLog{GravityField: s.Field.(*GravityField)}
+	s.Field = log
 	s.Solve()
-	gs := s.TaskGraphStats()
-	var spans []sched.NodeSpan
-	for _, sp := range gs.Spans {
+	nodes := 0
+	for _, sp := range s.TaskGraphStats().Spans {
 		if sp.Tag == int32(telemetry.SpanTaskNear) {
-			spans = append(spans, sp)
+			nodes++
 		}
 	}
-	slices.SortFunc(spans, func(a, b sched.NodeSpan) int { return cmp.Compare(a.StartNs, b.StartNs) })
-	chunks := make([][2]int, len(spans))
-	rows := make([]int, len(spans))
-	for i := range chunks {
-		chunks[i] = [2]int{math.MaxInt, -1}
+	if nodes != len(log.ran) {
+		t.Fatalf("%d task.near nodes ran %d near chunks", nodes, len(log.ran))
 	}
-	if n := s.Tree.NearField().Rows(); len(clock.at) != n {
-		t.Fatalf("%d of %d rows ran", len(clock.at), n)
+	slices.Sort(log.ran)
+	sch := s.Tree.NearField()
+	var chunks [][2]int
+	next := 0
+	for i, c := range log.ran {
+		lo, hi := sch.Chunk(c)
+		if i > 0 && log.ran[i-1] == c || lo != next {
+			t.Fatalf("near chunks %v ran, rows %d.. not covered next", log.ran, next)
+		}
+		chunks, next = append(chunks, [2]int{lo, hi}), hi
 	}
-	for r, at := range clock.at {
-		k := -1
-		for i, sp := range spans {
-			if !gs.Start.Add(time.Duration(sp.StartNs)).After(at) {
-				k = i
-			}
-		}
-		if k < 0 {
-			t.Fatalf("row %d ran outside every near chunk", r)
-		}
-		c := &chunks[spans[k].Arg]
-		c[0], c[1] = min(c[0], r), max(c[1], r+1)
-		rows[spans[k].Arg]++
-	}
-	for i, c := range chunks {
-		if rows[i] != c[1]-c[0] {
-			t.Fatalf("chunk %d ran %d rows over [%d, %d)", i, rows[i], c[0], c[1])
-		}
+	if next != sch.Rows() {
+		t.Fatalf("the near chunks cover %d of %d rows", next, sch.Rows())
 	}
 	return chunks
 }

@@ -68,19 +68,30 @@ func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 			}
 		}
 	}
-	if !s.Cfg.SkipFarField {
-		up := func(w *expansion.Workspace, ni int32) { f.Up(w, ni, ghosts) }
-		spec.UpChunk, spec.DownChunk, spec.L2P = chunk(each(up)), chunk(f.Down), chunk(each(f.L2P))
-	}
+	l2p := f.L2P
 	if !s.Cfg.SkipNearField {
 		sch := s.Tree.NearField()
-		spec.NearChunk = func(lo, hi int) func() {
-			return func() {
-				for r := lo; r < hi; r++ {
-					f.NearRow(sch, r, ghosts)
+		spec.NearChunk = func(c int, lo, hi int32) func() {
+			return func() { f.Near(sch, c, lo, hi, ghosts) }
+		}
+		// A leaf's node folds its reactions in first; in a near-only
+		// graph that is all it does.
+		if fo, ok := f.(Folder); ok {
+			spec.Reactions = true
+			l2p = func(w *expansion.Workspace, ni int32) {
+				fo.Fold(sch, ni)
+				if !s.Cfg.SkipFarField {
+					f.L2P(w, ni)
 				}
 			}
 		}
+	}
+	if !s.Cfg.SkipFarField {
+		up := func(w *expansion.Workspace, ni int32) { f.Up(w, ni, ghosts) }
+		spec.UpChunk, spec.DownChunk = chunk(each(up)), chunk(f.Down)
+	}
+	if !s.Cfg.SkipFarField || spec.Reactions {
+		spec.L2P = chunk(each(l2p))
 	}
 	return spec
 }

@@ -17,20 +17,26 @@
 //     none; the adaptive dual traversal pairs nodes across levels, so the
 //     partner levels are collected per chunk and joined through
 //     per-level up milestones);
-//   - near-field work (CSR row chunks) is an independent root;
-//   - a leaf-evaluation (L2P) node depends on its down-sweep chunk and
-//     on exactly the near-field nodes that write its leaves' bodies —
-//     the only join between the two phases, and a semantic one: L2P is
-//     the single far-field write into the body accumulators;
+//   - near-field work runs in the tree's chunks (octree.NearChunks
+//     contiguous row ranges, NearSchedule.Chunk), independent roots;
+//   - a leaf node depends on exactly the near chunks that write its
+//     leaves' bodies: the chunk of each leaf's own row and, for a mutual
+//     kernel, every chunk holding a reaction for it. It folds those
+//     reactions in, then (with the far field) evaluates L2P after its
+//     down-sweep chunk — the only join between the two phases, and a
+//     semantic one: L2P is the single far-field write into the body
+//     accumulators;
 //   - whatever a chunk reads from outside the share depends on the
 //     caller's node that delivers it (Share).
 //
 // The result's bits do not depend on the schedule, because of the node
 // granularity: every multipole/local is computed wholly inside one node
 // with a fixed internal operation order, and every body receives its
-// near-field contributions in CSR row order plus exactly one L2P
-// addition, so no execution interleaving can reorder floating-point
-// operations.
+// near field in an order the tree alone fixes — its own row's upper half
+// in row order, then its reaction slots in chunk order, each summed
+// inside one chunk in pair order — plus exactly one L2P addition, so no
+// pool size, node count or execution interleaving can reorder
+// floating-point operations.
 package dag
 
 import (
@@ -80,13 +86,21 @@ type Spec struct {
 	// far field is skipped and the graph is its near-field roots.
 	UpChunk   func(nodes []int32) func()
 	DownChunk func(nodes []int32) func()
-	// L2P builds the leaf-evaluation body for the given visible leaves
-	// (reading their finalized locals). nil skips leaf nodes.
+	// L2P builds the leaf body for the given visible leaves: the near
+	// field's fold, then (with the far field) the evaluation of their
+	// finalized locals. nil skips leaf nodes.
 	L2P func(leaves []int32) func()
 
-	// NearChunk builds one near-field chunk body over rows [lo, hi) of
-	// Tree.NearField(); nil skips the near field.
-	NearChunk func(lo, hi int) func()
+	// NearChunk builds the body of near chunk c of Tree.NearField() for
+	// the share's body range [lo, hi); nil skips the near field.
+	NearChunk func(c int, lo, hi int32) func()
+	// Reactions says the near chunks are mutual: a chunk also writes the
+	// reactions of its rows' upper partners (a share's chunk runs for
+	// another share's row with a partner here), and the leaf nodes fold
+	// them — they wait for every chunk holding a reaction for their
+	// leaves, and a near-only graph gets leaf nodes for the fold alone.
+	// Without it a chunk writes its own rows and nothing else.
+	Reactions bool
 
 	Tags Tags
 }
@@ -99,7 +113,7 @@ type Done struct {
 }
 
 // Build adds the spec's nodes and edges to g. The tree's level order and
-// near-field schedule (its rows for NearChunk, its direct masks for the
+// near-field schedule (its chunks for NearChunk, its direct masks for the
 // V-list edges) are resolved here, on the calling goroutine, so graph nodes
 // only read settled caches.
 func Build(spec Spec, g *sched.Graph) Done { return build(spec, g) }
@@ -154,38 +168,85 @@ func build(spec Spec, g graph) Done {
 		}
 	}
 
-	// Near-field nodes: roots, except that a chunk with remote sources
-	// waits for their bodies.
-	var nearIDs []sched.NodeID
-	var rowOf, rowChunk []int32
+	// Near-field nodes, one per tree chunk the share has work in: its own
+	// rows, or another share's rows with a partner here to react on. Roots,
+	// except that a chunk waits for the remote bodies it reads.
+	var nearIDs [octree.NearChunks]sched.NodeID
+	// leafNear returns the near chunks that write leaf li's bodies, as a
+	// set of chunk bits.
+	leafNear := func(li int32) (set uint32) {
+		r := sch.RowOf(li)
+		if spec.NearChunk == nil || r < 0 {
+			return 0
+		}
+		if spec.Reactions {
+			chunks, _ := sch.Fold(r)
+			for _, c := range chunks {
+				set |= 1 << c
+			}
+		}
+		return set | 1<<sort.Search(octree.NearChunks, func(c int) bool { return int(sch.Chunks[c+1]) > r })
+	}
+	nearEdges := func(set uint32, to sched.NodeID) {
+		for c := range octree.NearChunks {
+			if set&(1<<c) != 0 {
+				g.Edge(nearIDs[c], to)
+			}
+		}
+	}
 	if spec.NearChunk != nil {
-		if rLo, rHi := clip(sch.Leaves); rLo < rHi {
-			bounds := pool.WeightedBounds(sch.Weights[rLo:rHi])
-			rowChunk = make([]int32, rHi)
-			for c := 0; c+1 < len(bounds); c++ {
-				lo, hi := rLo+bounds[c], rLo+bounds[c+1]
-				id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(lo, hi))
-				for r := lo; r < hi; r++ {
-					rowChunk[r] = int32(len(nearIDs))
+		for c := range octree.NearChunks {
+			nearIDs[c] = -1
+			lo, hi := sch.Chunk(c)
+			var id sched.NodeID = -1
+			node := func() {
+				if id < 0 {
+					id = g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(c, sh.Lo, sh.Hi))
 				}
-				for _, si := range sch.Srcs[sch.RowPtr[lo]:sch.RowPtr[hi]] {
-					if !own(si) {
-						arrive(sh.Ghost[si], id)
+			}
+			for r := lo; r < hi; r++ {
+				a := sch.Leaves[r]
+				if own(a) {
+					node()
+					for _, si := range sch.Row(r) {
+						if !own(si) {
+							arrive(sh.Ghost[si], id)
+						}
+					}
+					continue
+				}
+				for k := sch.Upper[r] + 1; spec.Reactions && k < sch.RowPtr[r+1]; k++ {
+					if own(sch.Srcs[k]) && sch.Slot(k, c) >= 0 {
+						node()
+						arrive(sh.Ghost[a], id)
+						break
 					}
 				}
-				nearIDs = append(nearIDs, id)
 			}
-			rowOf = make([]int32, len(t.Nodes))
-			for i := range rowOf {
-				rowOf[i] = -1
-			}
-			for r := rLo; r < rHi; r++ {
-				rowOf[sch.Leaves[r]] = int32(r)
-			}
+			nearIDs[c] = id
 		}
 	}
 
 	if spec.UpChunk == nil {
+		// Near only: a leaf node per near chunk folds its rows' leaves.
+		if spec.L2P == nil || !spec.Reactions {
+			return Done{}
+		}
+		rLo, rHi := clip(sch.Leaves)
+		for c := range octree.NearChunks {
+			lo, hi := sch.Chunk(c)
+			lo, hi = max(lo, rLo), min(hi, rHi)
+			if lo >= hi {
+				continue
+			}
+			leaves := sch.Leaves[lo:hi:hi]
+			id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.L2P(leaves))
+			var set uint32
+			for _, li := range leaves {
+				set |= leafNear(li)
+			}
+			nearEdges(set, id)
+		}
 		return Done{}
 	}
 
@@ -306,22 +367,11 @@ func build(spec Spec, g graph) Done {
 			}
 			l2p := g.Node(sched.ClassFar, spec.Tags.L2P, int32(lv), spec.L2P(leaves))
 			g.Edge(id, l2p)
-			if nearIDs == nil {
-				continue
-			}
-			// Depend on exactly the near chunks whose CSR rows write these
-			// leaves' bodies (rows are target-leaf-major).
-			last := int32(-1)
+			var set uint32
 			for _, li := range leaves {
-				r := rowOf[li]
-				if r < 0 {
-					continue
-				}
-				if k := rowChunk[r]; k != last {
-					g.Edge(nearIDs[k], l2p)
-					last = k
-				}
+				set |= leafNear(li)
 			}
+			nearEdges(set, l2p)
 		}
 	}
 	return Done{Up: upIDs, Down: downIDs}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"afmm/internal/distrib"
@@ -34,13 +35,14 @@ const (
 )
 
 // res is one datum a task touches: a node's multipole ('M') or local
-// ('L'), the accumulators of a leaf's bodies ('A'), or a copy of a remote
-// leaf's bodies ('G') — in the slabs of the graph that computes share k
-// (0 on one node).
+// ('L'), the accumulators of a leaf's bodies ('A'), a copy of a remote
+// leaf's bodies ('G'), or the reactions near chunk c holds for a leaf
+// ('R') — in the slabs of the graph that computes share k (0 on one node).
 type res struct {
 	share int
 	slab  byte
 	ni    int32
+	chunk int
 }
 
 type task struct {
@@ -77,7 +79,24 @@ func (r *recorder) Edge(from, to sched.NodeID) {
 func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, near string, far bool) Spec {
 	leafAcc := func(leaves []int32) (out []res) {
 		for _, li := range leaves {
-			out = append(out, res{k, 'A', li})
+			out = append(out, res{k, 'A', li, 0})
+		}
+		return out
+	}
+	sch := t.NearField()
+	own := func(ni int32) bool { s := t.Nodes[ni].Start; return sh.Lo <= s && s < sh.Hi }
+	// folds are the reactions a leaf node adds to its leaves' bodies.
+	folds := func(leaves []int32) (out []res) {
+		if near != "chunks" {
+			return nil
+		}
+		for _, li := range leaves {
+			if r := sch.RowOf(li); r >= 0 {
+				chunks, _ := sch.Fold(r)
+				for _, c := range chunks {
+					out = append(out, res{k, 'R', li, int(c)})
+				}
+			}
 		}
 		return out
 	}
@@ -89,11 +108,11 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 			return func() {
 				r.cur = task{kind: kindUp, level: int(t.Nodes[nodes[0]].Level)}
 				for _, ni := range nodes {
-					r.cur.writes = append(r.cur.writes, res{k, 'M', ni})
+					r.cur.writes = append(r.cur.writes, res{k, 'M', ni, 0})
 					if n := &t.Nodes[ni]; !n.IsVisibleLeaf() {
 						for _, ci := range n.Children {
 							if ci != octree.NilNode && t.Nodes[ci].Count() > 0 {
-								r.cur.reads = append(r.cur.reads, res{k, 'M', ci})
+								r.cur.reads = append(r.cur.reads, res{k, 'M', ci, 0})
 							}
 						}
 					}
@@ -105,14 +124,14 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 				r.cur = task{kind: kindDown, level: int(t.Nodes[nodes[0]].Level)}
 				for _, ni := range nodes {
 					n := &t.Nodes[ni]
-					r.cur.writes = append(r.cur.writes, res{k, 'L', ni})
+					r.cur.writes = append(r.cur.writes, res{k, 'L', ni, 0})
 					if n.Parent != octree.NilNode {
-						r.cur.reads = append(r.cur.reads, res{k, 'L', n.Parent})
+						r.cur.reads = append(r.cur.reads, res{k, 'L', n.Parent, 0})
 					}
 					for _, vi := range n.V {
 						// A pair summed directly reads no multipole.
 						if !t.Direct(ni, vi) {
-							r.cur.reads = append(r.cur.reads, res{k, 'M', vi})
+							r.cur.reads = append(r.cur.reads, res{k, 'M', vi, 0})
 						}
 					}
 				}
@@ -120,9 +139,9 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 		},
 		L2P: func(leaves []int32) func() {
 			return func() {
-				r.cur = task{kind: kindL2P, writes: leafAcc(leaves)}
+				r.cur = task{kind: kindL2P, writes: leafAcc(leaves), reads: folds(leaves)}
 				for _, li := range leaves {
-					r.cur.reads = append(r.cur.reads, res{k, 'L', li})
+					r.cur.reads = append(r.cur.reads, res{k, 'L', li, 0})
 				}
 			}
 		},
@@ -130,16 +149,63 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 	}
 	if !far {
 		spec.UpChunk, spec.DownChunk, spec.L2P = nil, nil, nil
+		if near == "chunks" {
+			spec.L2P = func(leaves []int32) func() {
+				return func() { r.cur = task{kind: kindL2P, writes: leafAcc(leaves), reads: folds(leaves)} }
+			}
+		}
 	}
 	switch near {
-	case "chunks":
-		sch := t.NearField()
-		spec.NearChunk = func(lo, hi int) func() {
+	case "oneway":
+		// A one-way chunk: its owned rows read their remote sources'
+		// copies and write their own leaves' bodies.
+		spec.NearChunk = func(c int, lo, hi int32) func() {
 			return func() {
-				r.cur = task{kind: kindNear, writes: leafAcc(sch.Leaves[lo:hi])}
-				for _, si := range sch.Srcs[sch.RowPtr[lo]:sch.RowPtr[hi]] {
-					if s := t.Nodes[si].Start; s < sh.Lo || s >= sh.Hi {
-						r.cur.reads = append(r.cur.reads, res{k, 'G', si})
+				r.cur = task{kind: kindNear}
+				rlo, rhi := sch.Chunk(c)
+				for row := rlo; row < rhi; row++ {
+					if a := sch.Leaves[row]; own(a) {
+						r.cur.writes = append(r.cur.writes, res{k, 'A', a, 0})
+						for _, si := range sch.Row(row) {
+							if !own(si) {
+								r.cur.reads = append(r.cur.reads, res{k, 'G', si, 0})
+							}
+						}
+					}
+				}
+			}
+		}
+	case "chunks":
+		spec.Reactions = true
+		// A mutual chunk: an owned row writes its leaf's bodies, reads its
+		// remote sources' copies and writes the reactions of its owned
+		// partners; a remote row with an owned partner is read from its
+		// copy and writes that partner's reactions.
+		spec.NearChunk = func(c int, lo, hi int32) func() {
+			return func() {
+				r.cur = task{kind: kindNear}
+				slotted := map[int32]bool{}
+				rlo, rhi := sch.Chunk(c)
+				for row := rlo; row < rhi; row++ {
+					a := sch.Leaves[row]
+					if own(a) {
+						r.cur.writes = append(r.cur.writes, res{k, 'A', a, 0})
+						for _, si := range sch.Row(row) {
+							if !own(si) {
+								r.cur.reads = append(r.cur.reads, res{k, 'G', si, 0})
+							}
+						}
+					}
+					for e := sch.Upper[row] + 1; e < sch.RowPtr[row+1]; e++ {
+						if b := sch.Srcs[e]; own(b) && sch.Slot(e, c) >= 0 {
+							if !slotted[b] {
+								slotted[b] = true
+								r.cur.writes = append(r.cur.writes, res{k, 'R', b, c})
+							}
+							if !own(a) {
+								r.cur.reads = append(r.cur.reads, res{k, 'G', a, 0})
+							}
+						}
 					}
 				}
 			}
@@ -188,10 +254,7 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 		// From "translate everything" to "sum every mutual leaf pair".
 		tr.SetDirectK([]int64{0, 30, 400, math.MaxInt64}[trial%4])
 		workers := 1 + rng.Intn(6)
-		near := "chunks"
-		if rng.Intn(3) == 2 {
-			near = "none"
-		}
+		near := []string{"chunks", "oneway", "none"}[rng.Intn(3)]
 		// Every phase subset: far-only is near "none"; near-only (every
 		// fourth trial) drops the far-field chunks and keeps a near field.
 		far := trial%4 != 3
@@ -219,9 +282,14 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 				writers[w] = append(writers[w], sched.NodeID(id))
 			}
 		}
+		// A leaf's bodies: the near chunk of its row, and its leaf node
+		// (the fold of a mutual near field, and L2P with the far field).
 		wantFar, wantAcc := 0, 0
 		if far {
-			wantFar, wantAcc = 1, 1
+			wantFar = 1
+		}
+		if far || near == "chunks" {
+			wantAcc++
 		}
 		if near != "none" {
 			wantAcc++
@@ -230,12 +298,12 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 			if tr.Nodes[ni].Count() == 0 {
 				continue
 			}
-			if m, l := len(writers[res{0, 'M', int32(ni)}]), len(writers[res{0, 'L', int32(ni)}]); m != wantFar || l != wantFar {
+			if m, l := len(writers[res{0, 'M', int32(ni), 0}]), len(writers[res{0, 'L', int32(ni), 0}]); m != wantFar || l != wantFar {
 				t.Fatalf("%s: node %d has %d up and %d down tasks, want %d of each", name, ni, m, l, wantFar)
 			}
 		}
 		for _, li := range tr.VisibleLeaves() {
-			if got := len(writers[res{0, 'A', li}]); got != wantAcc {
+			if got := len(writers[res{0, 'A', li, 0}]); got != wantAcc {
 				t.Fatalf("%s: leaf %d bodies are written by %d tasks, want %d", name, li, got, wantAcc)
 			}
 		}
@@ -389,11 +457,12 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 	}
 	for _, p := range []int{2, 3, 4} {
 		for _, split := range []string{"equal", "skewed", "empty"} {
-			for _, phases := range []string{"far+near", "far", "near"} {
+			for _, phases := range []string{"far+near", "far", "near", "far+oneway", "oneway"} {
 				name := fmt.Sprintf("p=%d %s %s", p, split, phases)
-				far, near := phases != "near", "chunks"
-				if phases == "far" {
-					near = "none"
+				far := strings.HasPrefix(phases, "far")
+				near := map[string]string{"far": "none", "far+oneway": "oneway", "oneway": "oneway"}[phases]
+				if near == "" {
+					near = "chunks"
 				}
 				cuts := shareCuts(tr, p, split)
 				owner := func(ni int32) int {
@@ -405,8 +474,8 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 				flows := map[wire][]int32{}
 				asked := map[res]bool{}
 				need := func(slab byte, to int, ci int32) {
-					if from := owner(ci); from != to && !asked[res{to, slab, ci}] {
-						asked[res{to, slab, ci}] = true
+					if from := owner(ci); from != to && !asked[res{to, slab, ci, 0}] {
+						asked[res{to, slab, ci, 0}] = true
 						k := wire{slab, from, to, tr.Nodes[ci].Level}
 						if slab == 'G' {
 							k.level = 0
@@ -463,7 +532,7 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 					id := r.Node(sched.ClassGeneral, -1, 0, func() {
 						r.cur = task{kind: kindArrive}
 						for _, ci := range flows[fk] {
-							r.cur.writes = append(r.cur.writes, res{fk.to, fk.slab, ci})
+							r.cur.writes = append(r.cur.writes, res{fk.to, fk.slab, ci, 0})
 						}
 					})
 					arrival[fk] = id
@@ -481,7 +550,7 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 						r.cur = task{kind: kindSend}
 						for _, ci := range flows[fk] {
 							if fk.slab != 'G' { // bodies are step inputs
-								r.cur.reads = append(r.cur.reads, res{fk.from, fk.slab, ci})
+								r.cur.reads = append(r.cur.reads, res{fk.from, fk.slab, ci, 0})
 							}
 						}
 					})
@@ -546,18 +615,21 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 				}
 				wantFar, wantAcc := 0, 0
 				if far {
-					wantFar, wantAcc = 1, 1
+					wantFar = 1
+				}
+				if far || near == "chunks" {
+					wantAcc++
 				}
 				if near != "none" {
 					wantAcc++
 				}
 				tr.WalkVisible(func(ni int32) {
 					k := owner(ni)
-					if m, l := len(writers[res{k, 'M', ni}]), len(writers[res{k, 'L', ni}]); m != wantFar || l != wantFar {
+					if m, l := len(writers[res{k, 'M', ni, 0}]), len(writers[res{k, 'L', ni, 0}]); m != wantFar || l != wantFar {
 						t.Fatalf("%s: node %d has %d up and %d down tasks at its owner %d, want %d of each", name, ni, m, l, k, wantFar)
 					}
 					if tr.Nodes[ni].IsVisibleLeaf() {
-						w := writers[res{k, 'A', ni}]
+						w := writers[res{k, 'A', ni, 0}]
 						if len(w) != wantAcc {
 							t.Fatalf("%s: leaf %d bodies are written by %d tasks, want %d", name, ni, len(w), wantAcc)
 						}
@@ -588,8 +660,10 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 	}
 }
 
-// parentBuild is the builder as it was before shares (PR 20), kept as the
-// reference the share [0, N) is compared against.
+// parentBuild is the builder as it was before shares, kept as the
+// reference the share [0, N) is compared against; its near field is the
+// tree's chunks, as the builder's has been since the near field became
+// mutual.
 func parentBuild(spec Spec, g graph) {
 	t := spec.Tree
 	pool := spec.Pool
@@ -607,32 +681,55 @@ func parentBuild(spec Spec, g graph) {
 		}
 	}
 
-	// Near-field roots.
-	var nearIDs []sched.NodeID
-	var rowOf, rowChunk []int32
+	// Near-field roots: one per tree chunk that holds rows.
+	var nearIDs [octree.NearChunks]sched.NodeID
+	leafEdges := func(leaves []int32, to sched.NodeID) {
+		if spec.NearChunk == nil {
+			return
+		}
+		var set uint32
+		for _, li := range leaves {
+			r := sch.RowOf(li)
+			if r < 0 {
+				continue
+			}
+			c := 0
+			for int(sch.Chunks[c+1]) <= r {
+				c++
+			}
+			set |= 1 << c
+			if !spec.Reactions {
+				continue
+			}
+			chunks, _ := sch.Fold(r)
+			for _, c := range chunks {
+				set |= 1 << c
+			}
+		}
+		for c := range octree.NearChunks {
+			if set&(1<<c) != 0 {
+				g.Edge(nearIDs[c], to)
+			}
+		}
+	}
 	if spec.NearChunk != nil {
-		if len(sch.Weights) > 0 {
-			bounds := pool.WeightedBounds(sch.Weights)
-			rowChunk = make([]int32, len(sch.Weights))
-			for c := 0; c+1 < len(bounds); c++ {
-				lo, hi := bounds[c], bounds[c+1]
-				id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(lo, hi))
-				for r := lo; r < hi; r++ {
-					rowChunk[r] = int32(len(nearIDs))
-				}
-				nearIDs = append(nearIDs, id)
-			}
-			rowOf = make([]int32, len(t.Nodes))
-			for i := range rowOf {
-				rowOf[i] = -1
-			}
-			for r, li := range sch.Leaves {
-				rowOf[li] = int32(r)
+		for c := range octree.NearChunks {
+			nearIDs[c] = -1
+			if lo, hi := sch.Chunk(c); lo < hi {
+				nearIDs[c] = g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(c, 0, int32(t.Sys.Len())))
 			}
 		}
 	}
 
 	if spec.UpChunk == nil {
+		if spec.L2P != nil && spec.Reactions {
+			for c := range octree.NearChunks {
+				if lo, hi := sch.Chunk(c); lo < hi {
+					id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.L2P(sch.Leaves[lo:hi]))
+					leafEdges(sch.Leaves[lo:hi], id)
+				}
+			}
+		}
 		return
 	}
 
@@ -750,18 +847,7 @@ func parentBuild(spec Spec, g graph) {
 			}
 			l2p := g.Node(sched.ClassFar, spec.Tags.L2P, int32(lv), spec.L2P(leaves))
 			g.Edge(id, l2p)
-			// Depend on exactly the near chunks whose CSR rows write these
-			// leaves' bodies (rows are target-leaf-major).
-			last := int32(-1)
-			for _, li := range leaves {
-				if rowOf == nil || rowOf[li] < 0 {
-					continue
-				}
-				if k := rowChunk[rowOf[li]]; k != last {
-					g.Edge(nearIDs[k], l2p)
-					last = k
-				}
-			}
+			leafEdges(leaves, l2p)
 		}
 	}
 }

@@ -78,6 +78,28 @@ func twinRun(t *testing.T, want *particle.System, seed int64, steps, nodes int, 
 	return d, res
 }
 
+// TestTwinCarriesParentLocal: a plain twin — no link or node fault —
+// whose cuts split parents' children, so a node's L2L reads a parent's
+// local that another node computes and a cut's first body decides a
+// cell's owner: the trajectory is still the single-node one, and the plan
+// did carry parent locals across nodes.
+func TestTwinCarriesParentLocal(t *testing.T) {
+	d, _ := twinRun(t, singleTwin(1200, 3, 23), 23, 3, 4, func(*Config) {})
+	tree := d.Inner.Tree
+	tree.BuildLists()
+	locals := 0
+	for _, fs := range buildPlan(tree, tree.NearField(), d.Cuts()).in {
+		for _, f := range fs {
+			if f.id.kind == flowLocal {
+				locals += len(f.cells)
+			}
+		}
+	}
+	if locals == 0 {
+		t.Fatal("no cut splits a parent's children: no parent local crossed a node")
+	}
+}
+
 // TestChaosWithinBudgetBitIdentical: a mixed drop/dup/reorder/corrupt/
 // delay schedule whose rates the retry budget absorbs. Every value must
 // stay exactly the fault-free single-node value; the stats must show the

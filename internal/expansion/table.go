@@ -62,10 +62,10 @@ type M2LTable struct {
 
 	thetaBudget int // bytes; m2lThetaBudget outside tests
 
-	// Key maps (exact bits -> slab row; theta's hold ranked rows after a
+	// Key indexes (exact bits -> slab row; theta's hold ranked rows after a
 	// Plan) and ranking scratch, kept across list epochs: Extend looks rows
 	// up in them, and a re-plan does not allocate.
-	thetaRow, phiRow, rhoRow map[uint64]int32
+	thetaRow, phiRow, rhoRow rowIndex
 	rank                     []int32    // first-seen row -> ranked row
 	byValue                  []thetaKey // the thetas in angle order, seen = slab row
 	// ord is, per theta row, the rank of its angle among the distinct
@@ -103,8 +103,7 @@ const m2lThetaBudget = 128 << 20
 
 // NewM2LTable creates an empty table for order-p translations.
 func NewM2LTable(p int) *M2LTable {
-	return &M2LTable{p: p, hl: halfLen(p), thetaBudget: m2lThetaBudget,
-		thetaRow: map[uint64]int32{}, phiRow: map[uint64]int32{}, rhoRow: map[uint64]int32{}}
+	return &M2LTable{p: p, hl: halfLen(p), thetaBudget: m2lThetaBudget}
 }
 
 // Rotations returns the number of Wigner stacks the last Plan or Extend
@@ -200,16 +199,66 @@ func laneRowInto(dst []float64, p int, factor func(j, k, n int) float64) {
 	}
 }
 
+// rowIndex maps the exact bits of a float64 to a slab row: open addressing
+// with a fixed hash over slices kept across plans, so a re-plan that meets
+// no more keys than the last one allocates nothing. (A Go map's clear
+// reseeds its hash, and the same keys can then need more room.)
+type rowIndex struct {
+	keys []uint64
+	rows []int32 // parallel to keys; -1 marks an empty slot
+	n    int
+}
+
+// reset empties the index, keeping its slots.
+func (x *rowIndex) reset() {
+	for i := range x.rows {
+		x.rows[i] = -1
+	}
+	x.n = 0
+}
+
+// slot returns k's slot, or the empty slot where it would go.
+func (x *rowIndex) slot(k uint64) int {
+	mask := len(x.rows) - 1
+	for i := int((k*0x9e3779b97f4a7c15)>>32) & mask; ; i = (i + 1) & mask {
+		if x.rows[i] < 0 || x.keys[i] == k {
+			return i
+		}
+	}
+}
+
+// set maps k to row, doubling the slots when half full.
+func (x *rowIndex) set(k uint64, row int32) {
+	if 2*(x.n+1) > len(x.rows) {
+		keys, rows := x.keys, x.rows
+		x.keys = make([]uint64, max(16, 2*len(rows)))
+		x.rows = make([]int32, len(x.keys))
+		x.reset()
+		for i, r := range rows {
+			if r >= 0 {
+				x.set(keys[i], r)
+			}
+		}
+	}
+	i := x.slot(k)
+	if x.rows[i] < 0 {
+		x.n++
+	}
+	x.keys[i], x.rows[i] = k, row
+}
+
 // rowOf returns the slab row keyed by the exact bits of x, assigning the
 // next row (first-seen order, so the layout is deterministic) when new.
-func rowOf(rows map[uint64]int32, x float64) (row int32, isNew bool) {
+func rowOf(rows *rowIndex, x float64) (row int32, isNew bool) {
 	k := math.Float64bits(x)
-	row, ok := rows[k]
-	if !ok {
-		row = int32(len(rows))
-		rows[k] = row
+	if len(rows.rows) > 0 {
+		if i := rows.slot(k); rows.rows[i] >= 0 {
+			return rows.rows[i], false
+		}
 	}
-	return row, !ok
+	row = int32(rows.n)
+	rows.set(k, row)
+	return row, true
 }
 
 // Plan sizes the table for the class directions, fills the phase and
@@ -224,15 +273,15 @@ func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 	p := tb.p
 	tb.ops = slices.Grow(tb.ops[:0], len(dirs))[:len(dirs)]
 	tb.zph, tb.rpow = tb.zph[:0], tb.rpow[:0]
-	clear(tb.thetaRow)
-	clear(tb.phiRow)
-	clear(tb.rhoRow)
+	tb.thetaRow.reset()
+	tb.phiRow.reset()
+	tb.rhoRow.reset()
 	keys := tb.thetas[:0] // first-seen order, ranked below
 	for ci, d := range dirs {
 		rho, theta, phi := d.Spherical()
 		op := &tb.ops[ci]
 		var isNew bool
-		if op.theta, isNew = rowOf(tb.thetaRow, theta); isNew {
+		if op.theta, isNew = rowOf(&tb.thetaRow, theta); isNew {
 			keys = append(keys, thetaKey{theta: theta, seen: op.theta})
 		}
 		if pairsPerClass != nil {
@@ -240,11 +289,11 @@ func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 		} else {
 			keys[op.theta].weight++
 		}
-		if op.phi, isNew = rowOf(tb.phiRow, phi); isNew {
+		if op.phi, isNew = rowOf(&tb.phiRow, phi); isNew {
 			tb.zph = slices.Grow(tb.zph, p+1+laneSlack)[:len(tb.zph)+p+1]
 			fillPhases(tb.zph[len(tb.zph)-(p+1):], phi)
 		}
-		if op.rho, isNew = rowOf(tb.rhoRow, rho); isNew {
+		if op.rho, isNew = rowOf(&tb.rhoRow, rho); isNew {
 			tb.rpow = slices.Grow(tb.rpow, 2*p+2+laneSlack)[:len(tb.rpow)+2*p+2]
 			fillInvPowers(tb.rpow[len(tb.rpow)-(2*p+2):], rho)
 		}
@@ -262,7 +311,7 @@ func (tb *M2LTable) Plan(dirs []geom.Vec3, pairsPerClass []int64, _ int) int {
 		tb.ops[ci].theta = tb.rank[tb.ops[ci].theta]
 	}
 	for r, k := range keys { // key -> ranked row, for Extend
-		tb.thetaRow[math.Float64bits(k.theta)] = int32(r)
+		tb.thetaRow.set(math.Float64bits(k.theta), int32(r))
 	}
 	tb.nStack = min(len(tb.thetas), tb.thetaBudget/(8*tb.hl))
 	tb.stacks = slices.Grow(tb.stacks[:0], tb.nStack*tb.hl)[:tb.nStack*tb.hl]
@@ -307,17 +356,17 @@ func (tb *M2LTable) Extend(dirs []geom.Vec3, pairsPerClass []int64, from int) (l
 		rho, theta, phi := d.Spherical()
 		var op m2lOp
 		var isNew bool
-		if op.theta, isNew = rowOf(tb.thetaRow, theta); isNew {
+		if op.theta, isNew = rowOf(&tb.thetaRow, theta); isNew {
 			if 8*tb.hl*(len(tb.thetas)+1) > tb.thetaBudget {
 				return 0, tb.Plan(dirs, pairsPerClass, 0)
 			}
 			tb.thetas = append(tb.thetas, thetaKey{theta: theta})
 		}
-		if op.phi, isNew = rowOf(tb.phiRow, phi); isNew {
+		if op.phi, isNew = rowOf(&tb.phiRow, phi); isNew {
 			tb.zph = slices.Grow(tb.zph, p+1+laneSlack)[:len(tb.zph)+p+1]
 			fillPhases(tb.zph[len(tb.zph)-(p+1):], phi)
 		}
-		if op.rho, isNew = rowOf(tb.rhoRow, rho); isNew {
+		if op.rho, isNew = rowOf(&tb.rhoRow, rho); isNew {
 			tb.rpow = slices.Grow(tb.rpow, 2*p+2+laneSlack)[:len(tb.rpow)+2*p+2]
 			fillInvPowers(tb.rpow[len(tb.rpow)-(2*p+2):], rho)
 		}

@@ -6,6 +6,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 
 	"afmm/internal/geom"
 )
@@ -105,6 +106,112 @@ func (k Gravity) P2PScalar(xt []geom.Vec3, phi []float64, acc []geom.Vec3, ys []
 		}
 		phi[i] = p
 		acc[i] = a
+	}
+}
+
+// GravityPair is one upper partner B of a mutual near-field row: its
+// bodies, as a GravitySpan, and React, parallel to them, where the pair
+// body adds each body's reaction — potential, then acceleration x, y, z.
+type GravityPair struct {
+	Pos   []geom.Vec3
+	Mass  []float64
+	React [][4]float64
+}
+
+func (s GravityPair) sources() int { return min(len(s.Pos), len(s.Mass)) }
+
+func (s GravityPair) cut(lo, hi int) GravityPair {
+	return GravityPair{Pos: s.Pos[lo:hi], Mass: s.Mass[lo:hi], React: s.React[lo:hi]}
+}
+
+// PairLanes is the scratch of the pair kernels: the packed bodies' four
+// lane sums of each reaction component per source of one call, and, off
+// the packed path, P2PReact's discarded targets' half. The zero value is
+// ready; it grows to the largest call and is reused.
+type PairLanes struct {
+	buf []float64
+	phi []float64
+	acc []geom.Vec3
+}
+
+// P2PPair evaluates each unordered pair between the targets xt (masses
+// mt) and the bodies of every pair of pairs once, for both sides. The
+// targets take the sources exactly as P2PRow over the pairs' spans does.
+// Each source b takes the reaction: four lane sums, lane l over the
+// targets i ≡ l (mod 4) in order, each term P2PScalar's with b as the
+// target and x_i as the source, folded as (l0 + l1) + (l2 + l3) and added
+// to its React entry — the bits of P2PPairScalar pair by pair. Where the
+// host has AVX2 the targets run four at a time through the packed pair
+// body of p2p_amd64.s, one target per lane, so one square root and one
+// division serve four unordered pairs; elsewhere it is P2PPairScalar.
+func (k Gravity) P2PPair(xt []geom.Vec3, mt []float64, phi []float64, acc []geom.Vec3, pairs []GravityPair, lanes *PairLanes) {
+	if packedOK {
+		k.pairPacked(xt, mt, phi, acc, pairs, lanes)
+		return
+	}
+	for _, p := range pairs {
+		n := p.sources()
+		k.P2PPairScalar(xt, mt, phi, acc, p.Pos[:n], p.Mass[:n], p.React[:n])
+	}
+}
+
+// P2PReact is P2PPair's reaction half alone: it adds to every pair's
+// React entries exactly what P2PPair(xt, mt, ...) would, without the
+// targets' half. Where the host has AVX2 it runs the packed pair body's
+// reaction operations alone, at the cost of a one-way walk; elsewhere
+// P2PPairScalar pair by pair, into a discarded copy of the targets'
+// accumulators. A dmem node computes its half of a pair whose row another
+// node owns this way.
+func (k Gravity) P2PReact(xt []geom.Vec3, mt []float64, pairs []GravityPair, lanes *PairLanes) {
+	if packedOK {
+		k.reactPacked(xt, mt, pairs, lanes)
+		return
+	}
+	lanes.phi = slices.Grow(lanes.phi[:0], len(xt))[:len(xt)]
+	lanes.acc = slices.Grow(lanes.acc[:0], len(xt))[:len(xt)]
+	for _, p := range pairs {
+		n := p.sources()
+		k.P2PPairScalar(xt, mt, lanes.phi, lanes.acc, p.Pos[:n], p.Mass[:n], p.React[:n])
+	}
+}
+
+// P2PPairScalar is the portable reference of the pair body over one
+// source span, and its oracle: the targets' half is P2PScalar's walk,
+// and source j's reaction is the four lane sums P2PPair describes,
+// folded into react[j]. Products carry explicit float64 rounding points
+// for the reason given at P2PScalar.
+func (k Gravity) P2PPairScalar(xt []geom.Vec3, mt []float64, phi []float64, acc []geom.Vec3, ys []geom.Vec3, ms []float64, react [][4]float64) {
+	eps2 := float64(k.Softening * k.Softening)
+	for j := range ys {
+		y := ys[j]
+		gm := k.G * ms[j]
+		var lane [4][4]float64
+		for i := range xt {
+			xi := xt[i]
+			dx, dy, dz := xi.X-y.X, xi.Y-y.Y, xi.Z-y.Z
+			r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
+			if r2 == 0 { // self pair or exact coincidence: neither side
+				continue
+			}
+			inv := 1 / math.Sqrt(r2+eps2)
+			t := float64(gm * inv)
+			phi[i] -= t
+			f := t * inv * inv
+			acc[i].X -= float64(f * dx)
+			acc[i].Y -= float64(f * dy)
+			acc[i].Z -= float64(f * dz)
+			u := float64(float64(k.G*mt[i]) * inv)
+			g := u * inv * inv
+			l := &lane[i&3]
+			l[0] -= u
+			l[1] -= float64(g * (y.X - xi.X))
+			l[2] -= float64(g * (y.Y - xi.Y))
+			l[3] -= float64(g * (y.Z - xi.Z))
+		}
+		r := &react[j]
+		for c := range r {
+			r[c] += (lane[0][c] + lane[1][c]) + (lane[2][c] + lane[3][c])
+		}
 	}
 }
 

@@ -28,11 +28,12 @@ type rowSpan[S any] interface {
 }
 
 // rowCursor hands out a row's spans in the groups one assembly call may
-// take: consecutive spans of at most packedCallIters sources in all, a
-// longer span in pieces of that size. Splitting a row between calls is
-// exact: each call stores the accumulators and the next one reloads them.
+// take: consecutive spans of at most max sources in all, a longer span in
+// pieces of that size. Splitting a row between calls is exact: each call
+// stores the accumulators and the next one reloads them.
 type rowCursor[S rowSpan[S]] struct {
 	spans []S
+	max   int
 	lo    int // sources of spans[0] already handed out in pieces
 	piece [1]S
 }
@@ -41,8 +42,8 @@ type rowCursor[S rowSpan[S]] struct {
 // the row is done; spans without sources are skipped.
 func (c *rowCursor[S]) next() ([]S, int) {
 	for len(c.spans) > 0 {
-		if n := c.spans[0].sources(); c.lo > 0 || n > packedCallIters {
-			hi := min(n, c.lo+packedCallIters)
+		if n := c.spans[0].sources(); c.lo > 0 || n > c.max {
+			hi := min(n, c.lo+c.max)
 			c.piece[0] = c.spans[0].cut(c.lo, hi)
 			ns := hi - c.lo
 			c.lo = hi
@@ -52,7 +53,7 @@ func (c *rowCursor[S]) next() ([]S, int) {
 			return c.piece[:], ns
 		}
 		g, ns := 0, 0
-		for g < len(c.spans) && ns+c.spans[g].sources() <= packedCallIters {
+		for g < len(c.spans) && ns+c.spans[g].sources() <= c.max {
 			ns += c.spans[g].sources()
 			g++
 		}
@@ -84,7 +85,7 @@ func (k Gravity) rowPacked(xt []geom.Vec3, phi []float64, acc []geom.Vec3, spans
 		m := full + min(l, w-1)
 		x4[l], p4[l], a4[l] = xt[m], phi[m], acc[m]
 	}
-	c := rowCursor[GravitySpan]{spans: spans}
+	c := rowCursor[GravitySpan]{spans: spans, max: packedCallIters}
 	for g, ns := c.next(); ns > 0; g, ns = c.next() {
 		step := 4 * max(1, packedCallIters/ns)
 		for i := 0; i < full; i += step {
@@ -99,6 +100,104 @@ func (k Gravity) rowPacked(xt []geom.Vec3, phi []float64, acc []geom.Vec3, spans
 	copy(acc[full:], a4[:w])
 }
 
+// pairGroup is the most sources one packed pair call takes: their lane
+// sums, 128 B a source, stay in the first-level cache across the call's
+// blocks.
+const pairGroup = 128
+
+// gravityP2PPair streams the npair pairs, in order, over nblk blocks of
+// four targets (masses mt), updating phi and acc in place and subtracting
+// each lane's reaction terms from the source's four lane sums in lanes;
+// valid masks the lanes that hold targets (p2p_amd64.s).
+//
+//go:noescape
+func gravityP2PPair(xt *geom.Vec3, mt *float64, phi *float64, acc *geom.Vec3, nblk int, pairs *GravityPair, npair int, lanes *float64, valid *[4]uint64, eps2, bigG float64)
+
+// gravityP2PReact is gravityP2PPair's reaction half alone (p2p_amd64.s).
+//
+//go:noescape
+func gravityP2PReact(xt *geom.Vec3, mt *float64, nblk int, pairs *GravityPair, npair int, lanes *float64, valid *[4]uint64, eps2, bigG float64)
+
+// reactPacked is pairPacked without the targets' half: the same blocks,
+// groups, tail and fold through the reaction-only body.
+func (k Gravity) reactPacked(xt []geom.Vec3, mt []float64, pairs []GravityPair, lanes *PairLanes) {
+	eps2 := k.Softening * k.Softening
+	full, w := len(xt)&^3, len(xt)&3
+	var x4 [4]geom.Vec3
+	var m4 [4]float64
+	all := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	var tail [4]uint64
+	for l := 0; w > 0 && l < 4; l++ {
+		m := full + min(l, w-1)
+		x4[l], m4[l] = xt[m], mt[m]
+		if l < w {
+			tail[l] = all[l]
+		}
+	}
+	if len(lanes.buf) < 16*pairGroup {
+		lanes.buf = make([]float64, 16*pairGroup)
+	}
+	c := rowCursor[GravityPair]{spans: pairs, max: pairGroup}
+	for g, ns := c.next(); ns > 0; g, ns = c.next() {
+		ln := lanes.buf[:16*ns]
+		clear(ln)
+		step := 4 * max(1, packedCallIters/ns)
+		for i := 0; i < full; i += step {
+			nb := min(full-i, step) / 4
+			gravityP2PReact(&xt[i], &mt[i], nb, &g[0], len(g), &ln[0], &all, eps2, k.G)
+		}
+		if w > 0 {
+			gravityP2PReact(&x4[0], &m4[0], 1, &g[0], len(g), &ln[0], &tail, eps2, k.G)
+		}
+		gravityFoldLanes(&g[0], len(g), &ln[0])
+	}
+}
+
+// pairPacked runs the targets through the packed pair body, four per
+// block, and the sources in groups of at most pairGroup: a group's lane
+// sums start at zero, take every block, the padded tail block last with
+// its copies masked out of the reaction, and are then folded into React.
+func (k Gravity) pairPacked(xt []geom.Vec3, mt []float64, phi []float64, acc []geom.Vec3, pairs []GravityPair, lanes *PairLanes) {
+	eps2 := k.Softening * k.Softening
+	full, w := len(xt)&^3, len(xt)&3
+	var x4, a4 [4]geom.Vec3
+	var p4, m4 [4]float64
+	all := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	var tail [4]uint64
+	for l := 0; w > 0 && l < 4; l++ {
+		m := full + min(l, w-1)
+		x4[l], m4[l], p4[l], a4[l] = xt[m], mt[m], phi[m], acc[m]
+		if l < w {
+			tail[l] = ^uint64(0)
+		}
+	}
+	if len(lanes.buf) < 16*pairGroup {
+		lanes.buf = make([]float64, 16*pairGroup)
+	}
+	c := rowCursor[GravityPair]{spans: pairs, max: pairGroup}
+	for g, ns := c.next(); ns > 0; g, ns = c.next() {
+		ln := lanes.buf[:16*ns]
+		clear(ln)
+		step := 4 * max(1, packedCallIters/ns)
+		for i := 0; i < full; i += step {
+			nb := min(full-i, step) / 4
+			gravityP2PPair(&xt[i], &mt[i], &phi[i], &acc[i], nb, &g[0], len(g), &ln[0], &all, eps2, k.G)
+		}
+		if w > 0 {
+			gravityP2PPair(&x4[0], &m4[0], &p4[0], &a4[0], 1, &g[0], len(g), &ln[0], &tail, eps2, k.G)
+		}
+		gravityFoldLanes(&g[0], len(g), &ln[0])
+	}
+	copy(phi[full:len(xt)], p4[:])
+	copy(acc[full:len(xt)], a4[:])
+}
+
+// gravityFoldLanes adds each source's four lane sums in lanes, folded as
+// (l0 + l1) + (l2 + l3) per component, to its React entry (p2p_amd64.s).
+//
+//go:noescape
+func gravityFoldLanes(pairs *GravityPair, npair int, lanes *float64)
+
 //go:noescape
 func stokesletP2PRow(xt, vel *geom.Vec3, nblk int, spans *StokesletSpan, nspan int, e2, twoE2, c0 float64)
 
@@ -110,7 +209,7 @@ func (k Stokeslet) rowPacked(xt []geom.Vec3, vel []geom.Vec3, spans []StokesletS
 		m := full + min(l, w-1)
 		x4[l], v4[l] = xt[m], vel[m]
 	}
-	c := rowCursor[StokesletSpan]{spans: spans}
+	c := rowCursor[StokesletSpan]{spans: spans, max: packedCallIters}
 	for g, ns := c.next(); ns > 0; g, ns = c.next() {
 		step := 4 * max(1, packedCallIters/ns)
 		for i := 0; i < full; i += step {

@@ -3,8 +3,8 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// Packed P2P row bodies: four target bodies per ymm register, one lane
-// each, against a row's source spans in order. Every lane performs exactly
+// Packed P2P row and pair bodies: four target bodies per ymm register, one
+// lane each, against a row's source spans in order. Every lane performs exactly
 // the IEEE operations of the scalar reference (Gravity.P2PScalar,
 // Stokeslet.P2PScalar, run span by span) in the same order:
 // VSQRTPD/VDIVPD are correctly rounded per lane, there is no FMA, and the
@@ -150,6 +150,285 @@ gnext:
 
 	VZEROUPPER
 gdone:
+	RET
+
+// func gravityP2PPair(xt *geom.Vec3, mt *float64, phi *float64, acc *geom.Vec3, nblk int, pairs *GravityPair, npair int, lanes *float64, valid *[4]uint64, eps2, bigG float64)
+//
+// gravityP2PRow's walk, and from the same r2, mask and inv each lane's
+// reaction on the source: t' = (G*m_target)*inv and f' = (t'*inv)*inv,
+// subtracted, masked by the pair mask and the valid lanes, from the
+// source's lane sums at R13 (potential, then acceleration x, y, z, 32 B
+// each); the acceleration term is (-f')*d, which is f'*(y - x) exactly.
+// Y0-2 = target x,y,z   Y3 = phi   Y4-6 = acc x,y,z   Y14 = 1
+// 0(SP) = eps2 x4, 32(SP) = G x4, 64(SP) = G*m of the block's targets,
+// 96(SP) = valid, 128(SP) = 0 x4, 160(SP) = the next block's masses.
+TEXT ·gravityP2PPair(SB), NOSPLIT, $168-88
+	MOVQ xt+0(FP), SI
+	MOVQ phi+16(FP), DI
+	MOVQ acc+24(FP), R8
+	MOVQ nblk+32(FP), R9
+	MOVQ npair+48(FP), R10
+	TESTQ R9, R9
+	JLE  pdone
+	TESTQ R10, R10
+	JLE  pdone
+
+	VBROADCASTSD eps2+72(FP), Y13
+	VMOVUPD Y13, 0(SP)
+	VBROADCASTSD bigG+80(FP), Y13
+	VMOVUPD Y13, 32(SP)
+	MOVQ valid+64(FP), AX
+	VMOVUPD (AX), Y13
+	VMOVUPD Y13, 96(SP)
+	VXORPD  Y13, Y13, Y13
+	VMOVUPD Y13, 128(SP)
+	MOVQ mt+8(FP), AX
+	MOVQ AX, 160(SP)
+	VMOVUPD one4<>(SB), Y14
+
+pblock:
+	LOAD4(0, SI, X0, Y0, X15)
+	LOAD4(8, SI, X1, Y1, X15)
+	LOAD4(16, SI, X2, Y2, X15)
+	VMOVUPD (DI), Y3
+	LOAD4(0, R8, X4, Y4, X15)
+	LOAD4(8, R8, X5, Y5, X15)
+	LOAD4(16, R8, X6, Y6, X15)
+	MOVQ 160(SP), AX
+	VMOVUPD (AX), Y15
+	VMULPD  32(SP), Y15, Y15           // G*m of the targets
+	VMOVUPD Y15, 64(SP)
+	ADDQ $32, AX
+	MOVQ AX, 160(SP)
+	MOVQ lanes+56(FP), R13
+	MOVQ pairs+40(FP), R11
+	MOVQ R10, R12
+
+pspan:
+	SPAN(GravityPair_Pos, GravityPair_Mass, pnext)
+
+ploop:
+	VBROADCASTSD 0(BX), Y7
+	VBROADCASTSD 8(BX), Y8
+	VBROADCASTSD 16(BX), Y9
+	VBROADCASTSD (CX), Y10
+	VMULPD  32(SP), Y10, Y10           // gm = G*m
+	VSUBPD  Y7, Y0, Y7                 // d = x - y
+	VSUBPD  Y8, Y1, Y8
+	VSUBPD  Y9, Y2, Y9
+	VMULPD  Y7, Y7, Y11
+	VMULPD  Y8, Y8, Y12
+	VADDPD  Y12, Y11, Y11
+	VMULPD  Y9, Y9, Y12
+	VADDPD  Y12, Y11, Y11              // r2 = (dx*dx + dy*dy) + dz*dz
+	VCMPPD  $4, 128(SP), Y11, Y12      // mask = r2 != 0
+	VADDPD  0(SP), Y11, Y11
+	VSQRTPD Y11, Y11
+	VDIVPD  Y11, Y14, Y11              // inv = 1/sqrt(r2 + eps2)
+	VMULPD  Y11, Y10, Y10              // t = gm*inv
+	VANDPD  Y12, Y10, Y15
+	VSUBPD  Y15, Y3, Y3                // target phi -= t
+	VMULPD  Y11, Y10, Y10
+	VMULPD  Y11, Y10, Y10              // f = (t*inv)*inv
+	VMULPD  Y7, Y10, Y15
+	VANDPD  Y12, Y15, Y15
+	VSUBPD  Y15, Y4, Y4                // target acc.X -= f*dx
+	VMULPD  Y8, Y10, Y15
+	VANDPD  Y12, Y15, Y15
+	VSUBPD  Y15, Y5, Y5
+	VMULPD  Y9, Y10, Y15
+	VANDPD  Y12, Y15, Y15
+	VSUBPD  Y15, Y6, Y6
+	VANDPD  96(SP), Y12, Y12           // the reaction: real lanes only
+	VMULPD  64(SP), Y11, Y10           // t' = (G*m_target)*inv
+	VANDPD  Y12, Y10, Y15
+	VMOVUPD 0(R13), Y13
+	VSUBPD  Y15, Y13, Y13
+	VMOVUPD Y13, 0(R13)                // lane phi -= t'
+	VMULPD  Y11, Y10, Y10
+	VMULPD  Y11, Y10, Y10              // f' = (t'*inv)*inv
+	VXORPD  negzero4<>(SB), Y10, Y10   // -f'
+	VMULPD  Y7, Y10, Y7
+	VANDPD  Y12, Y7, Y7
+	VMOVUPD 32(R13), Y13
+	VSUBPD  Y7, Y13, Y13
+	VMOVUPD Y13, 32(R13)               // lane acc.X -= f'*(y - x)
+	VMULPD  Y8, Y10, Y8
+	VANDPD  Y12, Y8, Y8
+	VMOVUPD 64(R13), Y13
+	VSUBPD  Y8, Y13, Y13
+	VMOVUPD Y13, 64(R13)
+	VMULPD  Y9, Y10, Y9
+	VANDPD  Y12, Y9, Y9
+	VMOVUPD 96(R13), Y13
+	VSUBPD  Y9, Y13, Y13
+	VMOVUPD Y13, 96(R13)
+	ADDQ $24, BX
+	ADDQ $8, CX
+	ADDQ $128, R13
+	DECQ DX
+	JNZ  ploop
+
+pnext:
+	ADDQ $GravityPair__size, R11
+	DECQ R12
+	JNZ  pspan
+
+	VMOVUPD Y3, (DI)
+	STORE4(0, R8, X4, Y4, X15)
+	STORE4(8, R8, X5, Y5, X15)
+	STORE4(16, R8, X6, Y6, X15)
+	ADDQ $96, SI
+	ADDQ $32, DI
+	ADDQ $96, R8
+	DECQ R9
+	JNZ  pblock
+
+	VZEROUPPER
+pdone:
+	RET
+
+// func gravityP2PReact(xt *geom.Vec3, mt *float64, nblk int, pairs *GravityPair, npair int, lanes *float64, valid *[4]uint64, eps2, bigG float64)
+//
+// gravityP2PPair's reaction half alone, with the same operations in the
+// same order: the targets' accumulators are neither read nor written, so
+// the constants stay in registers.
+// Y0-2 = target x,y,z   Y3 = G*m of the block's targets   Y4 = valid
+// Y5 = 0   Y6 = eps2   Y14 = 1   DI = the next block's masses.
+TEXT ·gravityP2PReact(SB), NOSPLIT, $0-72
+	MOVQ xt+0(FP), SI
+	MOVQ mt+8(FP), DI
+	MOVQ nblk+16(FP), R9
+	MOVQ npair+32(FP), R10
+	TESTQ R9, R9
+	JLE  rdone
+	TESTQ R10, R10
+	JLE  rdone
+
+	MOVQ valid+48(FP), AX
+	VMOVUPD (AX), Y4
+	VXORPD  Y5, Y5, Y5
+	VBROADCASTSD eps2+56(FP), Y6
+	VMOVUPD one4<>(SB), Y14
+
+rblock:
+	LOAD4(0, SI, X0, Y0, X15)
+	LOAD4(8, SI, X1, Y1, X15)
+	LOAD4(16, SI, X2, Y2, X15)
+	VBROADCASTSD bigG+64(FP), Y3
+	VMULPD  (DI), Y3, Y3               // G*m of the targets
+	MOVQ lanes+40(FP), R13
+	MOVQ pairs+24(FP), R11
+	MOVQ R10, R12
+
+rspan:
+	SPAN(GravityPair_Pos, GravityPair_Mass, rnext)
+
+rloop:
+	VBROADCASTSD 0(BX), Y7
+	VBROADCASTSD 8(BX), Y8
+	VBROADCASTSD 16(BX), Y9
+	VSUBPD  Y7, Y0, Y7                 // d = x - y
+	VSUBPD  Y8, Y1, Y8
+	VSUBPD  Y9, Y2, Y9
+	VMULPD  Y7, Y7, Y11
+	VMULPD  Y8, Y8, Y12
+	VADDPD  Y12, Y11, Y11
+	VMULPD  Y9, Y9, Y12
+	VADDPD  Y12, Y11, Y11              // r2 = (dx*dx + dy*dy) + dz*dz
+	VCMPPD  $4, Y5, Y11, Y12           // mask = r2 != 0
+	VANDPD  Y4, Y12, Y12               // real lanes only
+	VADDPD  Y6, Y11, Y11
+	VSQRTPD Y11, Y11
+	VDIVPD  Y11, Y14, Y11              // inv = 1/sqrt(r2 + eps2)
+	VMULPD  Y3, Y11, Y10               // t' = (G*m_target)*inv
+	VANDPD  Y12, Y10, Y15
+	VMOVUPD 0(R13), Y13
+	VSUBPD  Y15, Y13, Y13              // reaction only: lane phi -= t'
+	VMOVUPD Y13, 0(R13)
+	VMULPD  Y11, Y10, Y10
+	VMULPD  Y11, Y10, Y10              // f' = (t'*inv)*inv
+	VXORPD  negzero4<>(SB), Y10, Y10   // reaction only: -f'
+	VMULPD  Y7, Y10, Y7
+	VANDPD  Y12, Y7, Y7
+	VMOVUPD 32(R13), Y13
+	VSUBPD  Y7, Y13, Y13
+	VMOVUPD Y13, 32(R13)               // lane acc.X -= f'*(y - x)
+	VMULPD  Y8, Y10, Y8
+	VANDPD  Y12, Y8, Y8
+	VMOVUPD 64(R13), Y13
+	VSUBPD  Y8, Y13, Y13
+	VMOVUPD Y13, 64(R13)
+	VMULPD  Y9, Y10, Y9
+	VANDPD  Y12, Y9, Y9
+	VMOVUPD 96(R13), Y13
+	VSUBPD  Y9, Y13, Y13
+	VMOVUPD Y13, 96(R13)
+	ADDQ $24, BX
+	ADDQ $128, R13
+	DECQ DX
+	JNZ  rloop
+
+rnext:
+	ADDQ $GravityPair__size, R11
+	DECQ R12
+	JNZ  rspan
+
+	ADDQ $96, SI
+	ADDQ $32, DI
+	DECQ R9
+	JNZ  rblock
+
+	VZEROUPPER
+rdone:
+	RET
+
+// func gravityFoldLanes(pairs *GravityPair, npair int, lanes *float64)
+//
+// Adds each source's four lane sums, folded as (l0 + l1) + (l2 + l3) per
+// component, to its React entry: two horizontal adds pair the lanes
+// within each 128-bit half, two cross-half permutes line the half sums up
+// as (potential, x, y, z), and one add joins the halves.
+TEXT ·gravityFoldLanes(SB), NOSPLIT, $0-24
+	MOVQ pairs+0(FP), R11
+	MOVQ npair+8(FP), R12
+	MOVQ lanes+16(FP), R13
+	TESTQ R12, R12
+	JLE  fdone
+
+fspan:
+	MOVQ (GravityPair_Pos+8)(R11), DX
+	MOVQ (GravityPair_Mass+8)(R11), AX
+	CMPQ AX, DX
+	CMOVQLT AX, DX
+	MOVQ GravityPair_React(R11), BX
+	TESTQ DX, DX
+	JLE  fnext
+
+floop:
+	VMOVUPD 0(R13), Y0
+	VMOVUPD 32(R13), Y1
+	VMOVUPD 64(R13), Y2
+	VMOVUPD 96(R13), Y3
+	VHADDPD Y1, Y0, Y0                 // phi01 x01 phi23 x23
+	VHADDPD Y3, Y2, Y2                 // y01 z01 y23 z23
+	VPERM2F128 $0x20, Y2, Y0, Y1       // phi01 x01 y01 z01
+	VPERM2F128 $0x31, Y2, Y0, Y3       // phi23 x23 y23 z23
+	VADDPD  Y3, Y1, Y1
+	VADDPD  (BX), Y1, Y1
+	VMOVUPD Y1, (BX)
+	ADDQ $128, R13
+	ADDQ $32, BX
+	DECQ DX
+	JNZ  floop
+
+fnext:
+	ADDQ $GravityPair__size, R11
+	DECQ R12
+	JNZ  fspan
+
+	VZEROUPPER
+fdone:
 	RET
 
 // func stokesletP2PRow(xt, vel *geom.Vec3, nblk int, spans *StokesletSpan, nspan int, e2, twoE2, c0 float64)

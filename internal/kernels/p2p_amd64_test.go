@@ -28,7 +28,7 @@ func TestRowCursorBudget(t *testing.T) {
 		{cut(0, 2*b+7), cut(2*b+7, 2*b+9)},
 	} {
 		next := 0 // every row starts at source 0
-		c := rowCursor[GravitySpan]{spans: row}
+		c := rowCursor[GravitySpan]{spans: row, max: packedCallIters}
 		seen := 0
 		for g, ns := c.next(); ns > 0; g, ns = c.next() {
 			if ns > packedCallIters {

@@ -9,13 +9,14 @@ import (
 	"afmm/internal/geom"
 )
 
-// The packed P2P row bodies take targets in blocks of four, one per vector
-// lane (a last block of one to three is padded), against a row's source
-// spans. One harness holds them to P2PScalar, span by span, bit for bit —
-// math.Float64bits of every accumulator — over kernel (Gravity,
-// Stokeslet) × entry (P2P on whole lists, P2PRow on a cut of them) ×
-// problem, in both dispatch states: with the packed body (where the host
-// has it) and with the fallback forced.
+// The packed P2P row and pair bodies take targets in blocks of four, one
+// per vector lane (a last block of one to three is padded), against a
+// row's source spans. One harness holds them to their scalar references,
+// span by span, bit for bit — math.Float64bits of every accumulator — over
+// kernel (Gravity, Stokeslet, and Gravity's mutual pair body) × entry (P2P
+// on whole lists, P2PRow or P2PPair on a cut of them) × problem, in both
+// dispatch states: with the packed body (where the host has it) and with
+// the fallback forced.
 
 func randVec(rng *rand.Rand) geom.Vec3 {
 	return geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
@@ -147,15 +148,113 @@ func spans[Q any](c *spanCut, ys []geom.Vec3, qs []Q) (pos [][]geom.Vec3, q [][]
 	return pos, q
 }
 
+// mutual is the harness's name for Gravity's pair body: P2PPair against
+// P2PPairScalar span by span, reactions included.
+type mutual struct{ Gravity }
+
+// targetMasses returns the masses of n targets, a zero mass among them.
+func targetMasses(n int) []float64 {
+	mt := make([]float64, n)
+	for i := range mt {
+		mt[i] = 0.3 + 0.1*float64(i%5)
+	}
+	if n > 2 {
+		mt[2] = 0
+	}
+	return mt
+}
+
+// reactions returns a reaction buffer per span, non-zero with a -0 among
+// them, as a chunk's buffer holds earlier pairs' sums.
+func reactions(pos [][]geom.Vec3) [][][4]float64 {
+	out := make([][][4]float64, len(pos))
+	for i, p := range pos {
+		out[i] = make([][4]float64, len(p))
+		for j := range out[i] {
+			out[i][j] = [4]float64{0.5 * float64(j), -0.25, math.Copysign(0, -1), float64(i)}
+		}
+	}
+	return out
+}
+
+// checkPair runs k's pair body over in's sources cut by c (one span when
+// c is nil) against P2PPairScalar span by span, and checks that its
+// targets' half is P2PRow's, that P2PReact gives its reactions, and that
+// each reaction term is P2PScalar's with the roles swapped: a source's
+// reaction is the fold of four P2PScalar walks over the targets
+// i ≡ l (mod 4), from zero.
+func checkPair(t testing.TB, k Gravity, in p2pInput, c *spanCut, what string) {
+	t.Helper()
+	pos, ms := spans(c, in.ys, in.ms)
+	mt := targetMasses(len(in.xt))
+	phiA, phiB, phiR := slices.Clone(in.phi), slices.Clone(in.phi), slices.Clone(in.phi)
+	accA, accB, accR := slices.Clone(in.acc), slices.Clone(in.acc), slices.Clone(in.acc)
+	rA, rB, r0 := reactions(pos), reactions(pos), reactions(pos)
+	pairs := make([]GravityPair, len(pos))
+	row := make([]GravitySpan, len(pos))
+	for i := range pos {
+		pairs[i] = GravityPair{Pos: pos[i], Mass: ms[i], React: rA[i]}
+		row[i] = GravitySpan{Pos: pos[i], Mass: ms[i]}
+		n := pairs[i].sources()
+		k.P2PPairScalar(in.xt, mt, phiB, accB, pos[i][:n], ms[i][:n], rB[i][:n])
+	}
+	var lanes PairLanes
+	k.P2PPair(in.xt, mt, phiA, accA, pairs, &lanes)
+	k.P2PRow(in.xt, phiR, accR, row)
+	rR := reactions(pos)
+	for i := range pairs {
+		pairs[i].React = rR[i]
+	}
+	k.P2PReact(in.xt, mt, pairs, &lanes)
+	for i := range in.xt {
+		if !sameBits(phiA[i], phiB[i]) || !sameVec(accA[i], accB[i]) || !sameBits(phiA[i], phiR[i]) || !sameVec(accA[i], accR[i]) {
+			t.Fatalf("%+v %s nt=%d ns=%d cut=%v: target %d differs: pair %x %v, scalar %x %v, row %x %v",
+				k, what, len(in.xt), len(in.ys), c, i, math.Float64bits(phiA[i]), accA[i],
+				math.Float64bits(phiB[i]), accB[i], math.Float64bits(phiR[i]), accR[i])
+		}
+	}
+	for s := range pos {
+		for j := range pairs[s].sources() {
+			var lane [4]struct {
+				phi [1]float64
+				acc [1]geom.Vec3
+			}
+			for i := range in.xt {
+				l := &lane[i&3]
+				k.P2PScalar(pos[s][j:j+1], l.phi[:], l.acc[:], in.xt[i:i+1], mt[i:i+1])
+			}
+			want := r0[s][j]
+			for c, v := range [4]func(int) float64{
+				func(l int) float64 { return lane[l].phi[0] },
+				func(l int) float64 { return lane[l].acc[0].X },
+				func(l int) float64 { return lane[l].acc[0].Y },
+				func(l int) float64 { return lane[l].acc[0].Z },
+			} {
+				want[c] += (v(0) + v(1)) + (v(2) + v(3))
+			}
+			for c := range want {
+				if !sameBits(rA[s][j][c], rB[s][j][c]) || !sameBits(rA[s][j][c], want[c]) || !sameBits(rA[s][j][c], rR[s][j][c]) {
+					t.Fatalf("%+v %s nt=%d ns=%d cut=%v: span %d source %d reaction %d: pair %x, scalar %x, swapped P2PScalar %x, P2PReact %x",
+						k, what, len(in.xt), len(in.ys), c, s, j, c,
+						math.Float64bits(rA[s][j][c]), math.Float64bits(rB[s][j][c]), math.Float64bits(want[c]), math.Float64bits(rR[s][j][c]))
+				}
+			}
+		}
+	}
+}
+
 // check runs k over in's sources cut by c — P2P when c is nil, P2PRow
-// otherwise — on copies of in's accumulators, and P2PScalar span by span
-// on each span's clamped lists, and fails on the first accumulator whose
-// bits differ.
+// otherwise, P2PPair for mutual — on copies of in's accumulators, and the
+// scalar reference span by span on each span's clamped lists, and fails
+// on the first accumulator whose bits differ.
 func check(t testing.TB, k any, in p2pInput, c *spanCut, what string) {
 	t.Helper()
 	phiA, phiB := slices.Clone(in.phi), slices.Clone(in.phi)
 	accA, accB := slices.Clone(in.acc), slices.Clone(in.acc)
 	switch k := k.(type) {
+	case mutual:
+		checkPair(t, k.Gravity, in, c, what)
+		return
 	case Gravity:
 		pos, ms := spans(c, in.ys, in.ms)
 		row := make([]GravitySpan, len(pos))
@@ -241,6 +340,10 @@ func TestStokesletP2PRowBitIdentical(t *testing.T) {
 	p2pMatrix(t, 14, true, Stokeslet{Mu: 0.9}, Stokeslet{Mu: 0.9, Eps: 0.02})
 }
 
+func TestGravityP2PPairBitIdentical(t *testing.T) {
+	p2pMatrix(t, 23, true, mutual{Gravity{G: 1.25}}, mutual{Gravity{G: 1.25, Softening: 0.01}})
+}
+
 // TestP2PPackedNonFiniteStaysInLane plants a NaN in one target and an Inf
 // in another, then an Inf in one source: P2P still equals P2PScalar, and
 // with only targets poisoned every other lane of the block stays finite.
@@ -255,6 +358,7 @@ func TestP2PPackedNonFiniteStaysInLane(t *testing.T) {
 			in.xt[5].Z = math.Inf(1)
 			check(t, g, in, nil, "bad targets")
 			check(t, s, in, nil, "bad targets")
+			check(t, mutual{g}, in, nil, "bad targets")
 			phi := slices.Clone(in.phi)
 			acc := slices.Clone(in.acc)
 			vel := slices.Clone(in.acc)
@@ -274,6 +378,7 @@ func TestP2PPackedNonFiniteStaysInLane(t *testing.T) {
 			in.ys[9].X = math.NaN()
 			check(t, g, in, nil, "bad sources")
 			check(t, s, in, nil, "bad sources")
+			check(t, mutual{g}, in, nil, "bad sources")
 		}
 	})
 }
@@ -285,7 +390,7 @@ func TestP2PPackedLongSourceList(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		in := genInput(rand.New(rand.NewSource(7)), 13, 140000, false)
 		row := &spanCut{cuts: []int{0, 50000, 50000, 90000, 140000}, ghost: 2}
-		for _, k := range []any{Gravity{G: 1, Softening: 0.01}, Stokeslet{Mu: 1, Eps: 0.01}} {
+		for _, k := range []any{Gravity{G: 1, Softening: 0.01}, Stokeslet{Mu: 1, Eps: 0.01}, mutual{Gravity{G: 1, Softening: 0.01}}} {
 			check(t, k, in, nil, "long")
 			check(t, k, in, row, "long row")
 		}
@@ -293,7 +398,8 @@ func TestP2PPackedLongSourceList(t *testing.T) {
 }
 
 // TestP2PNoAllocs: the span list and the padded tail block live on the
-// stack, for one span and for a row.
+// stack, for one span and for a row; the pair body's lane sums live in its
+// PairLanes once that has grown.
 func TestP2PNoAllocs(t *testing.T) {
 	in := genInput(rand.New(rand.NewSource(6)), 14, 30, false)
 	g := Gravity{G: 1, Softening: 0.01}
@@ -304,7 +410,18 @@ func TestP2PNoAllocs(t *testing.T) {
 		gs[i] = GravitySpan{Pos: in.ys[c[0]:c[1]], Mass: in.ms[c[0]:c[1]]}
 		ss[i] = StokesletSpan{Pos: in.ys[c[0]:c[1]], Force: in.fs[c[0]:c[1]]}
 	}
+	mt := targetMasses(len(in.xt))
+	react := make([][4]float64, len(in.ys))
+	var gp [3]GravityPair
+	for i, sp := range gs {
+		gp[i] = GravityPair{Pos: sp.Pos, Mass: sp.Mass, React: react[:len(sp.Pos)]}
+	}
+	var lanes PairLanes
+	g.P2PPair(in.xt, mt, in.phi, in.acc, gp[:], &lanes)
+	g.P2PReact(in.xt, mt, gp[:], &lanes)
 	for name, f := range map[string]func(){
+		"Gravity.P2PPair":  func() { g.P2PPair(in.xt, mt, in.phi, in.acc, gp[:], &lanes) },
+		"Gravity.P2PReact": func() { g.P2PReact(in.xt, mt, gp[:], &lanes) },
 		"Gravity.P2P":      func() { g.P2P(in.xt, in.phi, in.acc, in.ys, in.ms) },
 		"Stokeslet.P2P":    func() { s.P2P(in.xt, in.acc, in.ys, in.fs) },
 		"Gravity.P2PRow":   func() { g.P2PRow(in.xt, in.phi, in.acc, gs[:]) },
@@ -331,6 +448,7 @@ func TestP2PRowNonFiniteAccumulators(t *testing.T) {
 				c := randCut(rng, min(len(in.ys), len(in.ms)), 4)
 				check(t, Gravity{G: 0.8, Softening: eps}, in, c, "non-finite")
 				check(t, Stokeslet{Mu: 1.2, Eps: eps}, in, c, "non-finite")
+				check(t, mutual{Gravity{G: 0.8, Softening: eps}}, in, c, "non-finite")
 			}
 		}
 	})
@@ -431,5 +549,22 @@ func FuzzP2PRowMatchesScalar(f *testing.F) {
 		c := randCut(rng, len(in.ys), 1+int(cuts%8))
 		check(t, Gravity{G: 0.7, Softening: eps}, in, c, "fuzz")
 		check(t, Stokeslet{Mu: 1.3, Eps: eps}, in, c, "fuzz")
+	})
+}
+
+// FuzzP2PPairMatchesScalar draws a problem as FuzzP2PRowMatchesScalar does
+// and holds the pair body to P2PPairScalar, P2PRow and the swapped
+// P2PScalar walks.
+func FuzzP2PPairMatchesScalar(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(1), 0.0, false, uint8(0))
+	f.Add(int64(2), uint8(7), uint8(70), 0.01, false, uint8(5))
+	f.Add(int64(3), uint8(40), uint8(0), 0.0, true, uint8(3))
+	f.Add(int64(4), uint8(9), uint8(3), 1e-160, true, uint8(7))
+	f.Add(int64(5), uint8(255), uint8(2), math.Inf(1), false, uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nt, ns uint8, eps float64, self bool, cuts uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		in := genInput(rng, int(nt), int(ns), self)
+		c := randCut(rng, len(in.ys), 1+int(cuts%8))
+		checkPair(t, Gravity{G: 0.7, Softening: eps}, in, c, "fuzz")
 	})
 }

@@ -315,3 +315,105 @@ func TestCandidateFlagsMatchDirectCandidate(t *testing.T) {
 		}
 	}
 }
+
+// TestNearChunksLayout: the mutual reading of the schedule evaluates every
+// unordered pair of distinct rows once, as an upper entry of the lower
+// row, with the mirror entry in the other row; the chunks cover the rows
+// in order with about equal mutual work; inside a chunk each partner leaf
+// has one reaction slot, slots do not overlap, and a row's fold list names
+// exactly the chunks holding a slot for it, ascending — at several
+// thresholds and after a Refill.
+func TestNearChunksLayout(t *testing.T) {
+	for _, tc := range directCases {
+		tr := Build(tc.sys(), Config{S: tc.s})
+		tr.BuildLists()
+		for _, k := range []int64{0, 40, math.MaxInt64, -1} {
+			if k < 0 {
+				for i := range tr.Sys.Pos {
+					tr.Sys.Pos[i] = tr.Sys.Pos[i].Scale(1.01)
+				}
+				tr.Refill()
+				tr.BuildLists()
+			} else {
+				tr.SetDirectK(k)
+			}
+			name := fmt.Sprintf("%s K=%d", tc.name, k)
+			sch := tr.NearField()
+			if sch.Unpaired != 0 {
+				t.Fatalf("%s: %d rows unpaired", name, sch.Unpaired)
+			}
+			rowOf := map[int32]int{}
+			for r, li := range sch.Leaves {
+				rowOf[li] = r
+			}
+			if sch.Chunks[0] != 0 || int(sch.Chunks[NearChunks]) != sch.Rows() {
+				t.Fatalf("%s: chunks %v do not cover %d rows", name, sch.Chunks, sch.Rows())
+			}
+			var total, heaviest, rowMax int64
+			seen := map[[2]int32]int{}
+			for c := range NearChunks {
+				lo, hi := sch.Chunk(c)
+				if lo > hi {
+					t.Fatalf("%s: chunk %d is [%d, %d)", name, c, lo, hi)
+				}
+				total += sch.ChunkWork(c)
+				heaviest = max(heaviest, sch.ChunkWork(c))
+				slot := map[int32]int32{}
+				used := make([]bool, sch.ReactLen[c])
+				for r := lo; r < hi; r++ {
+					a := sch.Leaves[r]
+					if sch.Srcs[sch.Upper[r]] != a {
+						t.Fatalf("%s: row %d's upper half starts at %d, not its own leaf", name, r, sch.Srcs[sch.Upper[r]])
+					}
+					var work int64
+					for k := sch.Upper[r]; k < sch.RowPtr[r+1]; k++ {
+						work += int64(tr.Nodes[a].Count()) * int64(sch.SrcEnd[k]-sch.SrcStart[k])
+						if k == sch.Upper[r] {
+							continue
+						}
+						b, off := sch.Srcs[k], sch.Slot(k, c)
+						seen[[2]int32{a, b}]++
+						if _, ok := slot[b]; !ok {
+							slot[b] = off
+							for i := off; i < off+sch.SrcEnd[k]-sch.SrcStart[k]; i++ {
+								if used[i] {
+									t.Fatalf("%s: chunk %d slots overlap at %d", name, c, i)
+								}
+								used[i] = true
+							}
+						}
+						if slot[b] != off {
+							t.Fatalf("%s: chunk %d gives leaf %d offsets %d and %d", name, c, b, slot[b], off)
+						}
+					}
+					rowMax = max(rowMax, work)
+				}
+				for b, off := range slot {
+					chunks, offs := sch.Fold(rowOf[b])
+					i := slices.Index(chunks, uint8(c))
+					if i < 0 || offs[i] != off {
+						t.Fatalf("%s: leaf %d's fold list %v %v misses chunk %d at %d", name, b, chunks, offs, c, off)
+					}
+				}
+			}
+			for r, li := range sch.Leaves {
+				chunks, _ := sch.Fold(r)
+				if !slices.IsSorted(chunks) || len(slices.Compact(slices.Clone(chunks))) != len(chunks) {
+					t.Fatalf("%s: row %d's fold chunks %v", name, r, chunks)
+				}
+				for _, b := range sch.Row(r) {
+					pair := [2]int32{li, b}
+					if b < li {
+						pair = [2]int32{b, li}
+					}
+					if li != b && seen[pair] != 1 {
+						t.Fatalf("%s: pair %v evaluated %d times", name, pair, seen[pair])
+					}
+				}
+			}
+			if total > 0 && heaviest > total/NearChunks+rowMax {
+				t.Fatalf("%s: heaviest chunk %d of %d, rows up to %d", name, heaviest, total, rowMax)
+			}
+		}
+	}
+}

@@ -1,6 +1,16 @@
 package octree
 
-import "slices"
+import (
+	"slices"
+	"sort"
+)
+
+// NearChunks is C, the number of tree-fixed chunks the mutual near field
+// runs in: contiguous row ranges of about equal mutual work, each with a
+// reaction buffer kept across steps. Eight keeps a 2-worker pool busy
+// through the near phase while every body of grav-near-s256 is touched by
+// 5.6 chunk buffers on average (3.6 MB there), against 9.4 (6.0 MB) at 16.
+const NearChunks = 8
 
 // NearSchedule is the near-field work description in CSR form: row i is
 // visible leaf Leaves[i] (DFS order, matching WalkVisible), its direct-sum
@@ -40,6 +50,19 @@ type NearSchedule struct {
 	fromV  []bool  // parallel to Srcs: the entry came from V (Tree.Direct)
 	priced []int64 // per row: Weights minus the entries from V
 
+	// The mutual reading (see Chunk).
+	Upper     []int32
+	Chunks    [NearChunks + 1]int32
+	ReactLen  [NearChunks]int32
+	foldPtr   []int32
+	foldChunk []uint8
+	foldOff   []int32
+	mutual    []int64 // prefix of the rows' mutual work
+	rowOf     []int32 // per node: its row, -1 for a node without one
+	// Unpaired counts the rows whose lower entries (B, A) and the upper
+	// entries (A, B) naming them differ in number: 0 on symmetric rows.
+	Unpaired int
+
 	// DirectPairs counts the row entries that came from V lists (accepted
 	// pairs summed directly instead of translated) and DirectInteractions
 	// their body-body interactions; both are included in the rows and in
@@ -65,6 +88,55 @@ func (s *NearSchedule) Total() int64 {
 // Priced returns the interactions row r is charged for on the modeled
 // machine: its U-list entries only, the paper's Interactions(t).
 func (s *NearSchedule) Priced(r int) int64 { return s.priced[r] }
+
+// The mutual reading, for a kernel that evaluates each unordered near pair
+// once (gravity). Row r's upper half is its entries from Upper[r] on: the
+// row's own leaf, then the partners B above it in node order. Summed
+// mutually, an entry (A, B) past the self entry gives A the row's terms
+// and B the reaction; (B, A), B's lower entry, is not evaluated again.
+// The rows are cut into NearChunks chunks (Chunk); chunk c's reactions go
+// to a buffer of ReactLen[c] bodies, one slot per partner leaf the chunk
+// touches, laid out in first-touch order (Slot); row r's slots, ascending
+// by chunk, are its fold list (Fold).
+// Everything here is a function of the rows alone, so a body's summation
+// order — its own upper half in row order, then its reaction slots in
+// chunk order — is fixed by the tree, never by a pool or a node count.
+
+// Chunk returns the row range [lo, hi) of chunk c.
+func (s *NearSchedule) Chunk(c int) (lo, hi int) { return int(s.Chunks[c]), int(s.Chunks[c+1]) }
+
+// ChunkWork returns chunk c's mutual work: n_A * Σ n_B over the upper
+// halves of its rows.
+func (s *NearSchedule) ChunkWork(c int) int64 {
+	lo, hi := s.Chunk(c)
+	return s.mutual[hi] - s.mutual[lo]
+}
+
+// RowOf returns the row of leaf ni, or -1 when ni has none.
+func (s *NearSchedule) RowOf(ni int32) int { return int(s.rowOf[ni]) }
+
+// Fold returns the reaction slots of row r: parallel chunk and offset
+// lists, ascending by chunk.
+func (s *NearSchedule) Fold(r int) (chunks []uint8, offs []int32) {
+	lo, hi := s.foldPtr[r], s.foldPtr[r+1]
+	return s.foldChunk[lo:hi], s.foldOff[lo:hi]
+}
+
+// Slot returns the offset, in chunk c's reaction buffer, of the slot of
+// entry k's source leaf, or -1 when it has none: it is not a row, and
+// the entry is summed one-way.
+func (s *NearSchedule) Slot(k int32, c int) int32 {
+	r := s.rowOf[s.Srcs[k]]
+	if r < 0 {
+		return -1
+	}
+	for i := s.foldPtr[r]; i < s.foldPtr[r+1]; i++ {
+		if int(s.foldChunk[i]) == c {
+			return s.foldOff[i]
+		}
+	}
+	return -1
+}
 
 // PricedTotal returns the near field of the paper's cost model: the
 // body-body interaction count over the U-list entries of all rows.
@@ -209,6 +281,27 @@ func (t *Tree) reserveNearSchedule() {
 	s.Weights = slices.Grow(s.Weights[:0], len(s.Leaves))
 	s.priced = slices.Grow(s.priced[:0], len(s.Leaves))
 	s.Prefix = slices.Grow(s.Prefix[:0], len(s.Leaves)+1)
+	s.rowOf = grown(s.rowOf, len(t.Nodes))
+	t.slotStamp = grown(t.slotStamp, len(t.Nodes))
+	t.slotOff = grown(t.slotOff, len(t.Nodes))
+	for i := range s.rowOf {
+		s.rowOf[i] = -1
+	}
+	for r, ni := range s.Leaves {
+		s.rowOf[ni] = int32(r)
+	}
+}
+
+// grown returns buf resized to n. The mutual layout's arrays are sized
+// here rather than reserved per list epoch: a larger one is made with a
+// quarter to spare, so the epochs of a run that rebuilds its tree every
+// few steps rarely reallocate them, and a refill at unchanged size never
+// does.
+func grown[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n, n+n/4)
+	}
+	return buf[:n]
 }
 
 // flagCandidates sets the candidate flag of every leaf V entry to
@@ -294,5 +387,108 @@ func (t *Tree) fillNearRows() {
 		run += w
 		s.Prefix = append(s.Prefix, run)
 	}
+	t.fillMutual()
 	t.nearRowsOK = true
+}
+
+// fillMutual lays out the mutual reading of the rows just filled: the
+// upper halves and their work, the chunk bounds, every chunk's reaction
+// slots in first-touch order and the rows' fold lists. It checks, by
+// count, that every row entry (A, B) has its (B, A), which the mutual sum
+// relies on, and counts the rows that fail in Unpaired. A source that is
+// not a row of its own gets no slot and is summed one-way.
+func (t *Tree) fillMutual() {
+	s := &t.nearSched
+	rows := len(s.Leaves)
+	s.Upper = grown(s.Upper, rows)
+	s.mutual = grown(s.mutual, rows+1)
+	t.nearCnt = grown(t.nearCnt, rows)
+	s.mutual[0] = 0
+	run := int64(0)
+	for r, ni := range s.Leaves {
+		k := s.RowPtr[r]
+		for k < s.RowPtr[r+1] && s.Srcs[k] < ni {
+			k++
+		}
+		s.Upper[r] = k
+		due := int32(0) // lower entries with a row, each a reaction due
+		for _, a := range s.Srcs[s.RowPtr[r]:k] {
+			if s.rowOf[a] >= 0 {
+				due++
+			}
+		}
+		t.nearCnt[r] = due
+		var srcs int64
+		for j := k; j < s.RowPtr[r+1]; j++ {
+			srcs += int64(s.SrcEnd[j] - s.SrcStart[j])
+		}
+		run += int64(t.Nodes[ni].Count()) * srcs
+		s.mutual[r+1] = run
+	}
+	// Chunk c starts at the row boundary nearest to c/C of the work.
+	for c := 1; c < NearChunks; c++ {
+		goal := run * int64(c)
+		r := sort.Search(rows+1, func(r int) bool { return s.mutual[r]*NearChunks >= goal })
+		if r > 0 && goal-s.mutual[r-1]*NearChunks < s.mutual[r]*NearChunks-goal {
+			r--
+		}
+		s.Chunks[c] = max(s.Chunks[c-1], int32(r))
+	}
+	s.Chunks[NearChunks] = int32(rows)
+
+	// Pass 1 counts each row's slots and sizes the buffers; pass 2 lays
+	// the slots out again, in the same first-touch order, into the fold
+	// lists. Stamp c (pass 1) or C+c (pass 2) marks a leaf slotted in c.
+	for i := range t.slotStamp {
+		t.slotStamp[i] = -1
+	}
+	s.foldPtr = grown(s.foldPtr, rows+1)
+	clear(s.foldPtr)
+	s.Unpaired = 0
+	for pass := range 2 {
+		for c := range NearChunks {
+			stamp, off := int32(pass*NearChunks+c), int32(0)
+			lo, hi := s.Chunk(c)
+			for r := lo; r < hi; r++ {
+				for k := s.Upper[r] + 1; k < s.RowPtr[r+1]; k++ {
+					b := s.Srcs[k]
+					rb := s.rowOf[b]
+					if rb < 0 || t.slotStamp[b] == stamp {
+						continue // no row to fold into (one-way), or slotted
+					}
+					t.slotStamp[b] = stamp
+					if pass == 0 {
+						s.foldPtr[rb+1]++
+					} else {
+						at := &t.nearCnt[rb]
+						s.foldChunk[*at], s.foldOff[*at] = uint8(c), off
+						*at++
+					}
+					off += s.SrcEnd[k] - s.SrcStart[k]
+				}
+			}
+			s.ReactLen[c] = off
+		}
+		if pass == 1 {
+			break
+		}
+		// Every upper entry (A, B) with a row pays one of B's lower
+		// entries; then the fold cursors replace the counts.
+		for r := range rows {
+			for k := s.Upper[r] + 1; k < s.RowPtr[r+1]; k++ {
+				if rb := s.rowOf[s.Srcs[k]]; rb >= 0 {
+					t.nearCnt[rb]--
+				}
+			}
+		}
+		for r := range rows {
+			if t.nearCnt[r] != 0 {
+				s.Unpaired++
+			}
+			s.foldPtr[r+1] += s.foldPtr[r]
+			t.nearCnt[r] = s.foldPtr[r]
+		}
+		s.foldChunk = grown(s.foldChunk, int(s.foldPtr[rows]))
+		s.foldOff = grown(s.foldOff, int(s.foldPtr[rows]))
+	}
 }

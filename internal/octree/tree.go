@@ -169,6 +169,12 @@ type Tree struct {
 	directMask []bool
 	nDirect    []int32
 	candCur    []int32
+	// Scratch of the mutual layout (fillMutual): per node the chunk stamp
+	// and reaction offset of its slot in the chunk being laid out; per row
+	// a pair count, then a fold cursor.
+	slotStamp []int32
+	slotOff   []int32
+	nearCnt   []int32
 
 	// M2L translation-class schedule cache (see farclass.go), keyed on
 	// listEpoch like the near-field schedule. farTouched marks the nodes

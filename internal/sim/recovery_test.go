@@ -234,6 +234,52 @@ func TestCheckpointStreamingOverlapBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointSpansLandInTheirStep: a traced run that checkpoints to
+// disk every other step writes exactly one record per step. Each
+// checkpoint's ckpt.save span, with the wait for the previous write inside
+// it, lands in the record of the step it follows, after that step's wall:
+// WallNs ends where the checkpoint begins, as it does without one.
+func TestCheckpointSpansLandInTheirStep(t *testing.T) {
+	const steps = 8
+	rec := telemetry.New(telemetry.Options{Keep: true})
+	cfg := pinnedCfg(steps)
+	cfg.CheckpointEvery = 2
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Rec = rec
+	if res := RunGravity(faultSolver(t, 1500, "", nil), cfg); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	recs := rec.Steps()
+	if len(recs) != steps {
+		t.Fatalf("%d step records for %d steps", len(recs), steps)
+	}
+	saves, waits := 0, 0
+	for i, sr := range recs {
+		if sr.Step != i {
+			t.Fatalf("record %d is step %d", i, sr.Step)
+		}
+		for _, sp := range sr.Spans {
+			if sp.Kind != telemetry.SpanCheckpoint && sp.Kind != telemetry.SpanCkptWait {
+				continue
+			}
+			if (i+1)%cfg.CheckpointEvery != 0 {
+				t.Fatalf("step %d checkpoints nothing but holds a %v span", i, sp.Kind)
+			}
+			if sp.StartNs < sr.WallNs {
+				t.Fatalf("step %d: %v span starts at %d ns, inside the step's wall of %d ns", i, sp.Kind, sp.StartNs, sr.WallNs)
+			}
+			if sp.Kind == telemetry.SpanCheckpoint {
+				saves++
+			} else {
+				waits++
+			}
+		}
+	}
+	if saves != steps/cfg.CheckpointEvery || waits == 0 {
+		t.Fatalf("%d ckpt.save and %d ckpt.wait spans, want %d saves and some waits", saves, waits, steps/cfg.CheckpointEvery)
+	}
+}
+
 // TestAutoCheckpointAndResume: the rolling on-disk checkpoint restores
 // into a fresh solver and the resumed loop continues from the snapshot's
 // step to the target.

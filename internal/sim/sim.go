@@ -280,10 +280,10 @@ func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (
 			rec.EmitEvent(telemetry.EventStepFail, int64(step), 0, 0, 0)
 			res.Recoveries++
 			if res.Recoveries > cfg.MaxRecoveries {
-				rec.EndStep()
 				res.Err = fmt.Errorf("sim: step %d failed after %d recoveries: %w",
 					step, cfg.MaxRecoveries, serr)
 				joinWrite()
+				rec.EndStep()
 				return res
 			}
 			rt := sched.StartTimer()
@@ -338,25 +338,31 @@ func runLoop(s Stepper, cfg Config, solveAndMove func(rec *telemetry.Recorder) (
 			sr.Step, sr.S, sr.State = step, rep.NewS, r.State
 			sr.LB, sr.Refill = rep.LBTime, refill
 		})
-		rec.EndStep()
+		// The step's wall ends here; its checkpoint and the wait for the
+		// previous write still land in its record, after the wall.
+		rec.StopWall()
 		res.Records = append(res.Records, r)
 		res.TotalCompute += r.Compute
 		res.TotalLB += r.LBTime
 		res.TotalRefill += r.Refill
 		res.TotalTime += r.Total
+		saved := true
 		if cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 {
 			// Snapshot after the completed step (post-move, post-balance),
 			// so a restore re-runs from exactly this boundary.
-			if !saveSnap(step + 1) {
-				joinWrite()
-				return res
+			saved = saveSnap(step + 1)
+		}
+		if !saved || step == cfg.Steps-1 {
+			// Drain the last streaming write so the on-disk checkpoint is
+			// committed (and its error reported) before the run returns.
+			if err := joinWrite(); err != nil && res.Err == nil {
+				res.Err = err
 			}
 		}
-	}
-	// Drain the last streaming write so the on-disk checkpoint is committed
-	// (and its error reported) before the run returns.
-	if err := joinWrite(); err != nil && res.Err == nil {
-		res.Err = err
+		rec.EndStep()
+		if !saved {
+			return res
+		}
 	}
 	return res
 }

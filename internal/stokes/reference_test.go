@@ -34,7 +34,7 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	f.Reset()
 	w := expansion.NewWorkspace(s.Cfg.P)
 	for r := range sch.Leaves {
-		f.NearRow(sch, r, nil)
+		f.(*Field).NearRow(sch, r, nil)
 	}
 	if s.Cfg.SkipFarField {
 		return // no sweeps, no leaf evaluation: the graph has no far nodes

@@ -221,7 +221,21 @@ func (f *Field) L2P(w *expansion.Workspace, ni int32) {
 	})
 }
 
-// NearRow hands the row's spans to P2PRow as GravityField.NearRow does.
+// Near runs chunk c's rows the share owns one-way, each row whole in
+// schedule order: the Stokeslet sums every near pair from both sides, so
+// its bits do not depend on the chunking.
+func (f *Field) Near(sch *octree.NearSchedule, c int, lo, hi int32, ghosts []core.GhostLeaf) {
+	rlo, rhi := sch.Chunk(c)
+	for r := rlo; r < rhi; r++ {
+		if s := f.Tree.Nodes[sch.Leaves[r]].Start; lo <= s && s < hi {
+			f.NearRow(sch, r, ghosts)
+		}
+	}
+}
+
+// NearRow hands row r's spans, in schedule order, to P2PRow through a
+// fixed stack buffer flushed by another call when full: splitting a row
+// between calls is exact, the accumulators round-trip memory unchanged.
 func (f *Field) NearRow(sch *octree.NearSchedule, r int, ghosts []core.GhostLeaf) {
 	sys := f.Sys
 	tn := &f.Tree.Nodes[sch.Leaves[r]]

@@ -526,6 +526,7 @@ type Recorder struct {
 	opts      Options
 	origin    time.Time
 	stepStart time.Time
+	wallNs    int64 // the step's wall once StopWall ended it, else 0
 	inStep    bool
 	autoStep  int
 	cur       StepRecord
@@ -637,8 +638,25 @@ func (r *Recorder) EndStep() {
 	r.unlockAndDump()
 }
 
+// StopWall ends the current step's wall clock: what the step does after
+// it (a checkpoint of the finished step) still lands in its record, but
+// outside its WallNs.
+func (r *Recorder) StopWall() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if r.inStep {
+		r.wallNs = time.Since(r.stepStart).Nanoseconds()
+	}
+	r.mu.Unlock()
+}
+
 func (r *Recorder) endStepLocked() {
 	r.cur.WallNs = time.Since(r.stepStart).Nanoseconds()
+	if r.wallNs > 0 {
+		r.cur.WallNs, r.wallNs = r.wallNs, 0
+	}
 	r.cur.Compute = math.Max(r.cur.CPU, r.cur.GPU)
 	r.cur.Total = r.cur.Compute + r.cur.LB + r.cur.Refill
 	// The sentinel sees the finalized step before it is encoded anywhere,
