@@ -11,7 +11,8 @@
 #
 #   go test -count=1 -json -timeout 5m <package> <its direct importers>
 #
-# and writes one line per mutant to FILE (default stdout):
+# then, in every package whose binary a panic aborted, each test that never
+# reported, alone; and writes one line per mutant to FILE (default stdout):
 #
 #   <id> <killed|survived|equivalent> <killing test ids, space-separated>
 #
@@ -112,6 +113,18 @@ while read -r id file expr; do
 	echo "census: $id ($pkg${importers[$pkg]:-})" >&2
 	log=$work/log.json
 	(cd "$m" && go test -count=1 -json -timeout 5m "$pkg" ${importers[$pkg]:-} >"$log" 2>&1 </dev/null) || true
+	# A test that panics aborts its package's test binary, and the tests
+	# after it never report: run each of those alone, so that every test
+	# the mutant kills is named, not only the first.
+	for p in $pkg ${importers[$pkg]:-}; do
+		grep -q "\"Action\":\"fail\",\"Package\":\"$p\",\"Elapsed\"" "$log" || continue
+		reported=" $(sed -n 's#.*"Action":"\(pass\|fail\|skip\)","Package":"'"$p"'","Test":"\([^"/]*\)".*#\2#p' "$log" | tr '\n' ' ') "
+		for t in $(cd "$m" && go test -list . "$p" 2>/dev/null | grep -E '^(Test|Fuzz|Example)'); do
+			[[ $reported == *" $t "* ]] && continue
+			echo "census: $id: $p.$t never reported, running it alone" >&2
+			(cd "$m" && go test -count=1 -json -timeout 5m -run "^$t\$" "$p" >>"$log" 2>&1 </dev/null) || true
+		done
+	done
 	killers=$(
 		{
 			sed -n 's/.*"Action":"fail","Package":"\([^"]*\)","Test":"\([^"/]*\).*/\1.\2/p' "$log"

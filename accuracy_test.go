@@ -149,24 +149,24 @@ var accuracyPins = map[string][4]float64{
 	"gravity/disk/S=8":        {0.0019865862089908934, 0.00012066246669438956, 1.398094425576547e-05, 2.0873113336409679e-06},
 	"gravity/disk/S=64":       {0.0003229534821691752, 5.2127681839036916e-05, 8.0469025412278999e-06, 1.4044916746721269e-06},
 	"gravity/disk/S=1001":     {0, 0, 0, 0},
-	"stokes/plummer/S=1":      {2.940214808754826e-05, 2.3720769386043416e-06, 3.2497127058928159e-07, 7.6171354746868801e-08},
-	"stokes/plummer/S=8":      {2.5594641797424517e-05, 2.3714805465670077e-06, 3.1750163780790006e-07, 4.9664274045646396e-08},
-	"stokes/plummer/S=64":     {5.1103861125972775e-06, 5.8210178417432088e-07, 8.0471710450604615e-08, 1.2023465004034753e-08},
+	"stokes/plummer/S=1":      {2.9402148087544862e-05, 2.3720769386036648e-06, 3.2497127059062584e-07, 7.617135474579295e-08},
+	"stokes/plummer/S=8":      {2.5594641797424785e-05, 2.3714805465654885e-06, 3.1750163780892725e-07, 4.9664274045782847e-08},
+	"stokes/plummer/S=64":     {5.1103861125960019e-06, 5.8210178417352848e-07, 8.0471710447641429e-08, 1.2023465004902315e-08},
 	"stokes/plummer/S=1001":   {8.6026678385280362e-16, 8.6026678385280362e-16, 8.6026678385280362e-16, 8.6026678385280362e-16},
-	"stokes/cube/S=1":         {4.0731000115477364e-05, 3.1668043576447229e-06, 3.4306007903761946e-07, 4.6499252445058863e-08},
-	"stokes/cube/S=8":         {2.997226433249374e-05, 2.0200363025540213e-06, 1.8563612873129463e-07, 2.4990226425159608e-08},
-	"stokes/cube/S=64":        {1.4517378594134668e-05, 9.3283657046026519e-07, 7.9500443757614547e-08, 8.4668808911960313e-09},
+	"stokes/cube/S=1":         {4.0731000115476652e-05, 3.1668043576446653e-06, 3.4306007903801926e-07, 4.6499252444460878e-08},
+	"stokes/cube/S=8":         {2.9972264332494339e-05, 2.0200363025547582e-06, 1.85636128729807e-07, 2.499022642361999e-08},
+	"stokes/cube/S=64":        {1.4517378594131495e-05, 9.328365704588031e-07, 7.9500443752145692e-08, 8.4668808856863351e-09},
 	"stokes/cube/S=1001":      {8.6243964630845788e-16, 8.6243964630845788e-16, 8.6243964630845788e-16, 8.6243964630845788e-16},
-	"stokes/shell/S=1":        {5.0081847845425808e-05, 3.9103139841902398e-06, 4.4655332911524698e-07, 6.2931173423049681e-08},
-	"stokes/shell/S=8":        {3.2964400487592706e-05, 2.2542750316868983e-06, 2.1412755413877917e-07, 2.787736913127501e-08},
-	"stokes/shell/S=64":       {1.8035367063986492e-05, 9.1730434035856827e-07, 7.3282513430119058e-08, 9.5441553129848753e-09},
+	"stokes/shell/S=1":        {5.0081847845425767e-05, 3.9103139841900737e-06, 4.4655332911506137e-07, 6.2931173421871445e-08},
+	"stokes/shell/S=8":        {3.2964400487592665e-05, 2.2542750316880287e-06, 2.1412755413916314e-07, 2.7877369134535838e-08},
+	"stokes/shell/S=64":       {1.8035367063988792e-05, 9.1730434035531789e-07, 7.3282513431356348e-08, 9.5441553125181982e-09},
 	"stokes/shell/S=1001":     {8.5924952390953607e-16, 8.5924952390953607e-16, 8.5924952390953607e-16, 8.5924952390953607e-16},
-	"stokes/clusters/S=1":     {2.2849414545747387e-05, 1.7180696223540782e-06, 1.7757487377305117e-07, 2.4326864203325785e-08},
-	"stokes/clusters/S=8":     {1.5625581781515884e-05, 1.4291039595744985e-06, 1.7182047123177521e-07, 2.8243087742360591e-08},
-	"stokes/clusters/S=64":    {6.3144928964475281e-06, 3.9735274709644323e-07, 3.9275267221590207e-08, 4.6914898766269326e-09},
+	"stokes/clusters/S=1":     {2.2849414545746113e-05, 1.718069622351387e-06, 1.7757487377484315e-07, 2.4326864200536344e-08},
+	"stokes/clusters/S=8":     {1.5625581781514708e-05, 1.429103959574886e-06, 1.7182047123004367e-07, 2.8243087739961628e-08},
+	"stokes/clusters/S=64":    {6.314492896446604e-06, 3.9735274709776508e-07, 3.9275267218101768e-08, 4.691489873392156e-09},
 	"stokes/clusters/S=1001":  {8.6002444930210265e-16, 8.6002444930210265e-16, 8.6002444930210265e-16, 8.6002444930210265e-16},
-	"stokes/disk/S=1":         {8.8184055281440824e-05, 8.2743708911764686e-06, 1.0771877745892295e-06, 2.3112544428865818e-07},
-	"stokes/disk/S=8":         {5.6903901042194159e-05, 6.7793179023523924e-06, 1.0098535198224293e-06, 2.053412427800996e-07},
-	"stokes/disk/S=64":        {1.0995507264884164e-05, 1.512808477483593e-06, 4.8949585555807722e-07, 6.4927209120920452e-08},
+	"stokes/disk/S=1":         {8.8184055281439672e-05, 8.274370891176782e-06, 1.0771877745887806e-06, 2.3112544429229561e-07},
+	"stokes/disk/S=8":         {5.6903901042190391e-05, 6.7793179023525414e-06, 1.0098535198294389e-06, 2.0534124277801976e-07},
+	"stokes/disk/S=64":        {1.0995507264881395e-05, 1.5128084774827619e-06, 4.894958555559392e-07, 6.4927209121055898e-08},
 	"stokes/disk/S=1001":      {8.600993565283284e-16, 8.600993565283284e-16, 8.600993565283284e-16, 8.600993565283284e-16},
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"afmm/internal/core/neartest"
 	"afmm/internal/distrib"
 	"afmm/internal/expansion"
 	"afmm/internal/geom"
@@ -61,53 +62,30 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	}
 }
 
-// mutualNear is the gravity near field in the order the tree fixes, from
-// the scalar kernels and the schedule's rows, upper halves and chunk
-// bounds alone: each body first takes its row's upper half in row order
-// (P2PScalar span by span, the pair body's targets' half), then, chunk by
-// chunk in order, the sum of the reactions its leaf took from the chunk's
-// rows in row order (P2PPairScalar, its targets' half discarded).
+// mutualNear is the gravity near field in the order the tree fixes
+// (neartest.Mutual) from the scalar kernels: P2PScalar one-way, and
+// P2PPairScalar, its targets' half discarded, for the reactions.
 func mutualNear(sys *particle.System, t *octree.Tree, sch *octree.NearSchedule, k kernels.Gravity) {
 	bodies := func(ni int32) (int32, int32) { return t.Nodes[ni].Start, t.Nodes[ni].End }
-	for r, li := range sch.Leaves {
-		lo, hi := bodies(li)
-		for e := sch.Upper[r]; e < sch.RowPtr[r+1]; e++ {
-			slo, shi := bodies(sch.Srcs[e])
-			k.P2PScalar(sys.Pos[lo:hi], sys.Phi[lo:hi], sys.Acc[lo:hi], sys.Pos[slo:shi], sys.Mass[slo:shi])
+	neartest.Mutual(t, sch, func(a, b int32) {
+		lo, hi := bodies(a)
+		slo, shi := bodies(b)
+		k.P2PScalar(sys.Pos[lo:hi], sys.Phi[lo:hi], sys.Acc[lo:hi], sys.Pos[slo:shi], sys.Mass[slo:shi])
+	}, func(a, b int32, slots [][4]float64) {
+		lo, hi := bodies(a)
+		blo, bhi := bodies(b)
+		k.P2PPairScalar(sys.Pos[lo:hi], sys.Mass[lo:hi], make([]float64, hi-lo), make([]geom.Vec3, hi-lo),
+			sys.Pos[blo:bhi], sys.Mass[blo:bhi], slots)
+	}, func(b int32, slots [][4]float64) {
+		lo, _ := bodies(b)
+		for j, v := range slots {
+			i := int(lo) + j
+			sys.Phi[i] += v[0]
+			sys.Acc[i].X += v[1]
+			sys.Acc[i].Y += v[2]
+			sys.Acc[i].Z += v[3]
 		}
-	}
-	react := map[[2]int32][][4]float64{} // (chunk, leaf): the leaf's reactions
-	for c := range octree.NearChunks {
-		rlo, rhi := sch.Chunk(c)
-		for r := rlo; r < rhi; r++ {
-			lo, hi := bodies(sch.Leaves[r])
-			for e := sch.Upper[r] + 1; e < sch.RowPtr[r+1]; e++ {
-				b := sch.Srcs[e]
-				if sch.RowOf(b) < 0 {
-					continue
-				}
-				blo, bhi := bodies(b)
-				key := [2]int32{int32(c), b}
-				if react[key] == nil {
-					react[key] = make([][4]float64, bhi-blo)
-				}
-				k.P2PPairScalar(sys.Pos[lo:hi], sys.Mass[lo:hi], make([]float64, hi-lo), make([]geom.Vec3, hi-lo),
-					sys.Pos[blo:bhi], sys.Mass[blo:bhi], react[key])
-			}
-		}
-	}
-	for _, li := range sch.Leaves {
-		lo, _ := bodies(li)
-		for c := range int32(octree.NearChunks) {
-			for j, v := range react[[2]int32{c, li}] {
-				i := int(lo) + j
-				sys.Phi[i] += v[0]
-				sys.Acc[i].X += v[1]
-				sys.Acc[i].Y += v[2]
-				sys.Acc[i].Z += v[3]
-			}
-		}
-	}
+	})
 }
 
 // perPairStep is serialStep with the operators of the paper's task

@@ -76,13 +76,10 @@ func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 		}
 		// A leaf's node folds its reactions in first; in a near-only
 		// graph that is all it does.
-		if fo, ok := f.(Folder); ok {
-			spec.Reactions = true
-			l2p = func(w *expansion.Workspace, ni int32) {
-				fo.Fold(sch, ni)
-				if !s.Cfg.SkipFarField {
-					f.L2P(w, ni)
-				}
+		l2p = func(w *expansion.Workspace, ni int32) {
+			f.Fold(sch, ni)
+			if !s.Cfg.SkipFarField {
+				f.L2P(w, ni)
 			}
 		}
 	}
@@ -90,7 +87,7 @@ func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 		up := func(w *expansion.Workspace, ni int32) { f.Up(w, ni, ghosts) }
 		spec.UpChunk, spec.DownChunk = chunk(each(up)), chunk(f.Down)
 	}
-	if !s.Cfg.SkipFarField || spec.Reactions {
+	if !s.Cfg.SkipFarField || !s.Cfg.SkipNearField {
 		spec.L2P = chunk(each(l2p))
 	}
 	return spec

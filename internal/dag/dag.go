@@ -20,8 +20,8 @@
 //   - near-field work runs in the tree's chunks (octree.NearChunks
 //     contiguous row ranges, NearSchedule.Chunk), independent roots;
 //   - a leaf node depends on exactly the near chunks that write its
-//     leaves' bodies: the chunk of each leaf's own row and, for a mutual
-//     kernel, every chunk holding a reaction for it. It folds those
+//     leaves' bodies: the chunk of each leaf's own row and every chunk
+//     holding a reaction for it (every kernel's near field is mutual). It folds those
 //     reactions in, then (with the far field) evaluates L2P after its
 //     down-sweep chunk — the only join between the two phases, and a
 //     semantic one: L2P is the single far-field write into the body
@@ -92,15 +92,13 @@ type Spec struct {
 	L2P func(leaves []int32) func()
 
 	// NearChunk builds the body of near chunk c of Tree.NearField() for
-	// the share's body range [lo, hi); nil skips the near field.
+	// the share's body range [lo, hi); nil skips the near field. The near
+	// chunks are mutual: a chunk also writes the reactions of its rows'
+	// upper partners (a share's chunk runs for another share's row with a
+	// partner here), and the leaf nodes fold them — they wait for every
+	// chunk holding a reaction for their leaves, and a near-only graph
+	// gets leaf nodes for the fold alone.
 	NearChunk func(c int, lo, hi int32) func()
-	// Reactions says the near chunks are mutual: a chunk also writes the
-	// reactions of its rows' upper partners (a share's chunk runs for
-	// another share's row with a partner here), and the leaf nodes fold
-	// them — they wait for every chunk holding a reaction for their
-	// leaves, and a near-only graph gets leaf nodes for the fold alone.
-	// Without it a chunk writes its own rows and nothing else.
-	Reactions bool
 
 	Tags Tags
 }
@@ -179,11 +177,9 @@ func build(spec Spec, g graph) Done {
 		if spec.NearChunk == nil || r < 0 {
 			return 0
 		}
-		if spec.Reactions {
-			chunks, _ := sch.Fold(r)
-			for _, c := range chunks {
-				set |= 1 << c
-			}
+		chunks, _ := sch.Fold(r)
+		for _, c := range chunks {
+			set |= 1 << c
 		}
 		return set | 1<<sort.Search(octree.NearChunks, func(c int) bool { return int(sch.Chunks[c+1]) > r })
 	}
@@ -215,7 +211,7 @@ func build(spec Spec, g graph) Done {
 					}
 					continue
 				}
-				for k := sch.Upper[r] + 1; spec.Reactions && k < sch.RowPtr[r+1]; k++ {
+				for k := sch.Upper[r] + 1; k < sch.RowPtr[r+1]; k++ {
 					if own(sch.Srcs[k]) && sch.Slot(k, c) >= 0 {
 						node()
 						arrive(sh.Ghost[a], id)
@@ -229,7 +225,7 @@ func build(spec Spec, g graph) Done {
 
 	if spec.UpChunk == nil {
 		// Near only: a leaf node per near chunk folds its rows' leaves.
-		if spec.L2P == nil || !spec.Reactions {
+		if spec.L2P == nil || spec.NearChunk == nil {
 			return Done{}
 		}
 		rLo, rHi := clip(sch.Leaves)

@@ -156,27 +156,7 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 		}
 	}
 	switch near {
-	case "oneway":
-		// A one-way chunk: its owned rows read their remote sources'
-		// copies and write their own leaves' bodies.
-		spec.NearChunk = func(c int, lo, hi int32) func() {
-			return func() {
-				r.cur = task{kind: kindNear}
-				rlo, rhi := sch.Chunk(c)
-				for row := rlo; row < rhi; row++ {
-					if a := sch.Leaves[row]; own(a) {
-						r.cur.writes = append(r.cur.writes, res{k, 'A', a, 0})
-						for _, si := range sch.Row(row) {
-							if !own(si) {
-								r.cur.reads = append(r.cur.reads, res{k, 'G', si, 0})
-							}
-						}
-					}
-				}
-			}
-		}
 	case "chunks":
-		spec.Reactions = true
 		// A mutual chunk: an owned row writes its leaf's bodies, reads its
 		// remote sources' copies and writes the reactions of its owned
 		// partners; a remote row with an owned partner is read from its
@@ -254,7 +234,7 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 		// From "translate everything" to "sum every mutual leaf pair".
 		tr.SetDirectK([]int64{0, 30, 400, math.MaxInt64}[trial%4])
 		workers := 1 + rng.Intn(6)
-		near := []string{"chunks", "oneway", "none"}[rng.Intn(3)]
+		near := []string{"chunks", "none"}[rng.Intn(2)]
 		// Every phase subset: far-only is near "none"; near-only (every
 		// fourth trial) drops the far-field chunks and keeps a near field.
 		far := trial%4 != 3
@@ -457,12 +437,12 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 	}
 	for _, p := range []int{2, 3, 4} {
 		for _, split := range []string{"equal", "skewed", "empty"} {
-			for _, phases := range []string{"far+near", "far", "near", "far+oneway", "oneway"} {
+			for _, phases := range []string{"far+near", "far", "near"} {
 				name := fmt.Sprintf("p=%d %s %s", p, split, phases)
 				far := strings.HasPrefix(phases, "far")
-				near := map[string]string{"far": "none", "far+oneway": "oneway", "oneway": "oneway"}[phases]
-				if near == "" {
-					near = "chunks"
+				near := "chunks"
+				if phases == "far" {
+					near = "none"
 				}
 				cuts := shareCuts(tr, p, split)
 				owner := func(ni int32) int {
@@ -698,9 +678,6 @@ func parentBuild(spec Spec, g graph) {
 				c++
 			}
 			set |= 1 << c
-			if !spec.Reactions {
-				continue
-			}
 			chunks, _ := sch.Fold(r)
 			for _, c := range chunks {
 				set |= 1 << c
@@ -722,7 +699,7 @@ func parentBuild(spec Spec, g graph) {
 	}
 
 	if spec.UpChunk == nil {
-		if spec.L2P != nil && spec.Reactions {
+		if spec.L2P != nil && spec.NearChunk != nil {
 			for c := range octree.NearChunks {
 				if lo, hi := sch.Chunk(c); lo < hi {
 					id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.L2P(sch.Leaves[lo:hi]))

@@ -22,7 +22,7 @@ import (
 type nodeEngine struct {
 	core.Field
 	// ghosts[cell] holds the bodies of a remote source leaf once its flow
-	// arrived; Field.NearRow reads a source from here when present.
+	// arrived; Field.Near reads a source from here when present.
 	ghosts []core.GhostLeaf
 	// arrival[kind][cell] is the graph node after which remote cell is
 	// readable: its flow's unpack or P2M (-1: no flow of the step has it).

@@ -24,8 +24,8 @@ func randBodies(n int, seed int64) ([]geom.Vec3, []float64, []geom.Vec3) {
 
 // BenchmarkP2P times one P2P call of nt targets against ns sources —
 // packed is P2P as dispatched on this host, scalar is the reference
-// P2PScalar, and for gravity pair is P2PPair as dispatched, which covers
-// both directions, and react is P2PReact, its reaction half alone — and
+// P2PScalar, pair is P2PPair as dispatched, which covers both directions,
+// and react is P2PReact, its reaction half alone — and
 // reports ns per directed body pair. 8x10 is the short row of a
 // direct-summed accepted pair (core.DirectK), 64x64 and 256x256 are leaf
 // rows at S = 64 and 256.
@@ -38,9 +38,6 @@ func BenchmarkP2P(b *testing.B) {
 	s := Stokeslet{Mu: 1, Eps: 1e-3}
 	for _, field := range []string{"gravity", "stokeslet"} {
 		for _, kernel := range []string{"packed", "scalar", "pair", "react"} {
-			if field == "stokeslet" && (kernel == "pair" || kernel == "react") {
-				continue
-			}
 			for _, sh := range shapes {
 				xt, _, _ := randBodies(sh.nt, 1)
 				ys, ms, fs := randBodies(sh.ns, 2)
@@ -48,6 +45,8 @@ func BenchmarkP2P(b *testing.B) {
 				acc := make([]geom.Vec3, sh.nt)
 				mt := make([]float64, sh.nt)
 				pair := []GravityPair{{Pos: ys, Mass: ms, React: make([][4]float64, sh.ns)}}
+				spair := []StokesletPair{{Pos: ys, Force: fs, React: make([]geom.Vec3, sh.ns)}}
+				ft := make([]geom.Vec3, sh.nt)
 				var lanes PairLanes
 				directed := sh.nt * sh.ns
 				var call func()
@@ -61,6 +60,11 @@ func BenchmarkP2P(b *testing.B) {
 					call = func() { g.P2P(xt, phi, acc, ys, ms) }
 				case "gravity/scalar":
 					call = func() { g.P2PScalar(xt, phi, acc, ys, ms) }
+				case "stokeslet/pair":
+					call = func() { s.P2PPair(xt, ft, acc, spair, &lanes) }
+					directed *= 2
+				case "stokeslet/react":
+					call = func() { s.P2PReact(xt, ft, spair, &lanes) }
 				case "stokeslet/packed":
 					call = func() { s.P2P(xt, acc, ys, fs) }
 				default:

@@ -13,7 +13,7 @@ import (
 // per vector lane (a last block of one to three is padded), against a
 // row's source spans. One harness holds them to their scalar references,
 // span by span, bit for bit — math.Float64bits of every accumulator — over
-// kernel (Gravity, Stokeslet, and Gravity's mutual pair body) × entry (P2P
+// kernel (Gravity, Stokeslet, and both kernels' mutual pair bodies) × entry (P2P
 // on whole lists, P2PRow or P2PPair on a cut of them) × problem, in both
 // dispatch states: with the packed body (where the host has it) and with
 // the fallback forced.
@@ -243,8 +243,83 @@ func checkPair(t testing.TB, k Gravity, in p2pInput, c *spanCut, what string) {
 	}
 }
 
+// mutualStokes is the harness's name for the Stokeslet's pair body.
+type mutualStokes struct{ Stokeslet }
+
+// targetForces returns the forces of n targets, a zero force and a -0
+// component among them.
+func targetForces(n int) []geom.Vec3 {
+	ft := make([]geom.Vec3, n)
+	for i := range ft {
+		ft[i] = geom.Vec3{X: 0.3 + 0.1*float64(i%5), Y: -0.2 * float64(i%3), Z: 0.05 * float64(i%7)}
+	}
+	if n > 2 {
+		ft[2] = geom.Vec3{X: math.Copysign(0, -1)}
+	}
+	return ft
+}
+
+// checkStokesPair is checkPair for the Stokeslet: pair body against
+// P2PPairScalar span by span, its targets' half against P2PRow, its
+// reactions against P2PReact and against the fold of four swapped
+// P2PScalar walks from zero.
+func checkStokesPair(t testing.TB, k Stokeslet, in p2pInput, c *spanCut, what string) {
+	t.Helper()
+	pos, fs := spans(c, in.ys, in.fs)
+	ft := targetForces(len(in.xt))
+	velA, velB, velR := slices.Clone(in.acc), slices.Clone(in.acc), slices.Clone(in.acc)
+	react := func() [][]geom.Vec3 {
+		out := make([][]geom.Vec3, len(pos))
+		for i, p := range pos {
+			out[i] = make([]geom.Vec3, len(p))
+			for j := range out[i] {
+				out[i][j] = geom.Vec3{X: 0.5 * float64(j), Y: math.Copysign(0, -1), Z: float64(i)}
+			}
+		}
+		return out
+	}
+	rA, rB, rR, r0 := react(), react(), react(), react()
+	pairs := make([]StokesletPair, len(pos))
+	row := make([]StokesletSpan, len(pos))
+	for i := range pos {
+		pairs[i] = StokesletPair{Pos: pos[i], Force: fs[i], React: rA[i]}
+		row[i] = StokesletSpan{Pos: pos[i], Force: fs[i]}
+		n := pairs[i].sources()
+		k.P2PPairScalar(in.xt, ft, velB, pos[i][:n], fs[i][:n], rB[i][:n])
+	}
+	var lanes PairLanes
+	k.P2PPair(in.xt, ft, velA, pairs, &lanes)
+	k.P2PRow(in.xt, velR, row)
+	for i := range pairs {
+		pairs[i].React = rR[i]
+	}
+	k.P2PReact(in.xt, ft, pairs, &lanes)
+	for i := range in.xt {
+		if !sameVec(velA[i], velB[i]) || !sameVec(velA[i], velR[i]) {
+			t.Fatalf("%+v %s nt=%d ns=%d cut=%v: target %d differs: pair %v, scalar %v, row %v",
+				k, what, len(in.xt), len(in.ys), c, i, velA[i], velB[i], velR[i])
+		}
+	}
+	for s := range pos {
+		for j := range pairs[s].sources() {
+			var lane [4][1]geom.Vec3
+			for i := range in.xt {
+				k.P2PScalar(pos[s][j:j+1], lane[i&3][:], in.xt[i:i+1], ft[i:i+1])
+			}
+			want := r0[s][j]
+			want.X += (lane[0][0].X + lane[1][0].X) + (lane[2][0].X + lane[3][0].X)
+			want.Y += (lane[0][0].Y + lane[1][0].Y) + (lane[2][0].Y + lane[3][0].Y)
+			want.Z += (lane[0][0].Z + lane[1][0].Z) + (lane[2][0].Z + lane[3][0].Z)
+			if !sameVec(rA[s][j], rB[s][j]) || !sameVec(rA[s][j], want) || !sameVec(rA[s][j], rR[s][j]) {
+				t.Fatalf("%+v %s nt=%d ns=%d cut=%v: span %d source %d reaction: pair %v, scalar %v, swapped P2PScalar %v, P2PReact %v",
+					k, what, len(in.xt), len(in.ys), c, s, j, rA[s][j], rB[s][j], want, rR[s][j])
+			}
+		}
+	}
+}
+
 // check runs k over in's sources cut by c — P2P when c is nil, P2PRow
-// otherwise, P2PPair for mutual — on copies of in's accumulators, and the
+// otherwise, P2PPair for mutual and mutualStokes — on copies of in's accumulators, and the
 // scalar reference span by span on each span's clamped lists, and fails
 // on the first accumulator whose bits differ.
 func check(t testing.TB, k any, in p2pInput, c *spanCut, what string) {
@@ -254,6 +329,9 @@ func check(t testing.TB, k any, in p2pInput, c *spanCut, what string) {
 	switch k := k.(type) {
 	case mutual:
 		checkPair(t, k.Gravity, in, c, what)
+		return
+	case mutualStokes:
+		checkStokesPair(t, k.Stokeslet, in, c, what)
 		return
 	case Gravity:
 		pos, ms := spans(c, in.ys, in.ms)
@@ -344,6 +422,10 @@ func TestGravityP2PPairBitIdentical(t *testing.T) {
 	p2pMatrix(t, 23, true, mutual{Gravity{G: 1.25}}, mutual{Gravity{G: 1.25, Softening: 0.01}})
 }
 
+func TestStokesletP2PPairBitIdentical(t *testing.T) {
+	p2pMatrix(t, 24, true, mutualStokes{Stokeslet{Mu: 0.9}}, mutualStokes{Stokeslet{Mu: 0.9, Eps: 0.02}})
+}
+
 // TestP2PPackedNonFiniteStaysInLane plants a NaN in one target and an Inf
 // in another, then an Inf in one source: P2P still equals P2PScalar, and
 // with only targets poisoned every other lane of the block stays finite.
@@ -359,6 +441,7 @@ func TestP2PPackedNonFiniteStaysInLane(t *testing.T) {
 			check(t, g, in, nil, "bad targets")
 			check(t, s, in, nil, "bad targets")
 			check(t, mutual{g}, in, nil, "bad targets")
+			check(t, mutualStokes{s}, in, nil, "bad targets")
 			phi := slices.Clone(in.phi)
 			acc := slices.Clone(in.acc)
 			vel := slices.Clone(in.acc)
@@ -379,6 +462,7 @@ func TestP2PPackedNonFiniteStaysInLane(t *testing.T) {
 			check(t, g, in, nil, "bad sources")
 			check(t, s, in, nil, "bad sources")
 			check(t, mutual{g}, in, nil, "bad sources")
+			check(t, mutualStokes{s}, in, nil, "bad sources")
 		}
 	})
 }
@@ -390,7 +474,7 @@ func TestP2PPackedLongSourceList(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		in := genInput(rand.New(rand.NewSource(7)), 13, 140000, false)
 		row := &spanCut{cuts: []int{0, 50000, 50000, 90000, 140000}, ghost: 2}
-		for _, k := range []any{Gravity{G: 1, Softening: 0.01}, Stokeslet{Mu: 1, Eps: 0.01}, mutual{Gravity{G: 1, Softening: 0.01}}} {
+		for _, k := range []any{Gravity{G: 1, Softening: 0.01}, Stokeslet{Mu: 1, Eps: 0.01}, mutual{Gravity{G: 1, Softening: 0.01}}, mutualStokes{Stokeslet{Mu: 1, Eps: 0.01}}} {
 			check(t, k, in, nil, "long")
 			check(t, k, in, row, "long row")
 		}
@@ -416,16 +500,25 @@ func TestP2PNoAllocs(t *testing.T) {
 	for i, sp := range gs {
 		gp[i] = GravityPair{Pos: sp.Pos, Mass: sp.Mass, React: react[:len(sp.Pos)]}
 	}
+	ft := targetForces(len(in.xt))
+	sreact := make([]geom.Vec3, len(in.ys))
+	var sp [3]StokesletPair
+	for i, s := range ss {
+		sp[i] = StokesletPair{Pos: s.Pos, Force: s.Force, React: sreact[:len(s.Pos)]}
+	}
 	var lanes PairLanes
 	g.P2PPair(in.xt, mt, in.phi, in.acc, gp[:], &lanes)
 	g.P2PReact(in.xt, mt, gp[:], &lanes)
+	s.P2PReact(in.xt, ft, sp[:], &lanes)
 	for name, f := range map[string]func(){
-		"Gravity.P2PPair":  func() { g.P2PPair(in.xt, mt, in.phi, in.acc, gp[:], &lanes) },
-		"Gravity.P2PReact": func() { g.P2PReact(in.xt, mt, gp[:], &lanes) },
-		"Gravity.P2P":      func() { g.P2P(in.xt, in.phi, in.acc, in.ys, in.ms) },
-		"Stokeslet.P2P":    func() { s.P2P(in.xt, in.acc, in.ys, in.fs) },
-		"Gravity.P2PRow":   func() { g.P2PRow(in.xt, in.phi, in.acc, gs[:]) },
-		"Stokeslet.P2PRow": func() { s.P2PRow(in.xt, in.acc, ss[:]) },
+		"Gravity.P2PPair":    func() { g.P2PPair(in.xt, mt, in.phi, in.acc, gp[:], &lanes) },
+		"Gravity.P2PReact":   func() { g.P2PReact(in.xt, mt, gp[:], &lanes) },
+		"Stokeslet.P2PPair":  func() { s.P2PPair(in.xt, ft, in.acc, sp[:], &lanes) },
+		"Stokeslet.P2PReact": func() { s.P2PReact(in.xt, ft, sp[:], &lanes) },
+		"Gravity.P2P":        func() { g.P2P(in.xt, in.phi, in.acc, in.ys, in.ms) },
+		"Stokeslet.P2P":      func() { s.P2P(in.xt, in.acc, in.ys, in.fs) },
+		"Gravity.P2PRow":     func() { g.P2PRow(in.xt, in.phi, in.acc, gs[:]) },
+		"Stokeslet.P2PRow":   func() { s.P2PRow(in.xt, in.acc, ss[:]) },
 	} {
 		if a := testing.AllocsPerRun(20, f); a != 0 {
 			t.Fatalf("%s allocates %v per call", name, a)
@@ -449,6 +542,7 @@ func TestP2PRowNonFiniteAccumulators(t *testing.T) {
 				check(t, Gravity{G: 0.8, Softening: eps}, in, c, "non-finite")
 				check(t, Stokeslet{Mu: 1.2, Eps: eps}, in, c, "non-finite")
 				check(t, mutual{Gravity{G: 0.8, Softening: eps}}, in, c, "non-finite")
+				check(t, mutualStokes{Stokeslet{Mu: 1.2, Eps: eps}}, in, c, "non-finite")
 			}
 		}
 	})
@@ -553,8 +647,8 @@ func FuzzP2PRowMatchesScalar(f *testing.F) {
 }
 
 // FuzzP2PPairMatchesScalar draws a problem as FuzzP2PRowMatchesScalar does
-// and holds the pair body to P2PPairScalar, P2PRow and the swapped
-// P2PScalar walks.
+// and holds both pair bodies to P2PPairScalar, P2PRow, P2PReact and the
+// swapped P2PScalar walks.
 func FuzzP2PPairMatchesScalar(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(1), 0.0, false, uint8(0))
 	f.Add(int64(2), uint8(7), uint8(70), 0.01, false, uint8(5))
@@ -566,5 +660,6 @@ func FuzzP2PPairMatchesScalar(f *testing.F) {
 		in := genInput(rng, int(nt), int(ns), self)
 		c := randCut(rng, len(in.ys), 1+int(cuts%8))
 		checkPair(t, Gravity{G: 0.7, Softening: eps}, in, c, "fuzz")
+		checkStokesPair(t, Stokeslet{Mu: 1.3, Eps: eps}, in, c, "fuzz")
 	})
 }

@@ -282,6 +282,9 @@ func TestCandidateFlagsMatchDirectCandidate(t *testing.T) {
 		check := func(stage string) {
 			t.Helper()
 			tr.BuildLists()
+			if err := tr.ValidateLists(); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, stage, err)
+			}
 			tr.NearField()
 			flagged := 0
 			for _, li := range tr.VisibleLeaves() {
@@ -302,8 +305,8 @@ func TestCandidateFlagsMatchDirectCandidate(t *testing.T) {
 		check("full build")
 		repairs := tr.ListBuildStats().Repairs
 		for i := 0; i < 6; i++ {
-			mutate(tr, rng, 0) // one edit a round: Collapse, PushDown, Refill or EnforceS
-			check(fmt.Sprintf("edit %d", i))
+			lbl := mutate(tr, rng, 0) // one edit a round: Collapse, PushDown, Refill or EnforceS
+			check(fmt.Sprintf("edit %d (%s)", i, lbl))
 		}
 		for i := range tr.Sys.Pos {
 			tr.Sys.Pos[i] = tr.Sys.Pos[i].Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(0.01))

@@ -90,7 +90,7 @@ func (s *NearSchedule) Total() int64 {
 func (s *NearSchedule) Priced(r int) int64 { return s.priced[r] }
 
 // The mutual reading, for a kernel that evaluates each unordered near pair
-// once (gravity). Row r's upper half is its entries from Upper[r] on: the
+// once (every field). Row r's upper half is its entries from Upper[r] on: the
 // row's own leaf, then the partners B above it in node order. Summed
 // mutually, an entry (A, B) past the self entry gives A the row's terms
 // and B the reaction; (B, A), B's lower entry, is not evaluated again.

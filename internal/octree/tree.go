@@ -455,7 +455,10 @@ func (t *Tree) PushDown(ni int32) bool {
 }
 
 // repartitionInto redistributes ni's body range into its existing children
-// (all marked structural leaves afterwards).
+// (all marked structural leaves afterwards). A child that held hidden
+// children of its own drops them from the tree; they are marked for the
+// next list repair, which can no longer reach them from the child and
+// would otherwise leave their entries in other leaves' lists.
 func (t *Tree) repartitionInto(ni int32) {
 	n := &t.Nodes[ni]
 	counts := t.partition(n.Box, n.Start, n.End)
@@ -463,6 +466,13 @@ func (t *Tree) repartitionInto(ni int32) {
 	for o := 0; o < 8; o++ {
 		ci := n.Children[o]
 		c := &t.Nodes[ci]
+		if !c.Leaf {
+			for _, gi := range c.Children {
+				if gi != NilNode {
+					t.markListsDirty(gi)
+				}
+			}
+		}
 		c.Start = off
 		c.End = off + counts[o]
 		c.Leaf = true

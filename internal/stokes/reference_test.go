@@ -5,21 +5,24 @@ import (
 	"math"
 	"testing"
 
+	"afmm/internal/core/neartest"
 	"afmm/internal/distrib"
 	"afmm/internal/expansion"
 	"afmm/internal/fault"
 	"afmm/internal/geom"
 	"afmm/internal/kernels"
 	"afmm/internal/octree"
+	"afmm/internal/particle"
 	"afmm/internal/sched"
 	"afmm/internal/sphharm"
 	"afmm/internal/vgpu"
 )
 
 // serialStep is core's test reference over the Stokeslet field: one whole
-// step on the calling goroutine — near rows in order, up sweep from the
-// deepest level, down sweep from the root one cell at a time, leaf
-// evaluation — with no dag, no sched and no M2L table (s never Solves).
+// step on the calling goroutine — the near field in the tree's order
+// (mutualNear), up sweep from the deepest level, down sweep from the root
+// one cell at a time, leaf evaluation — with no dag, no sched, no M2L
+// table (s never Solves) and none of the field's chunk code.
 func serialStep(s *Solver) {
 	sweep(s, func(w *expansion.Workspace, ni int32) { s.Field.Up(w, ni, nil) },
 		func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
@@ -33,9 +36,7 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	s.Sys.ResetAccumulators()
 	f.Reset()
 	w := expansion.NewWorkspace(s.Cfg.P)
-	for r := range sch.Leaves {
-		f.(*Field).NearRow(sch, r, nil)
-	}
+	mutualNear(s.Sys, t, sch, f.(*Field).Kernel)
 	if s.Cfg.SkipFarField {
 		return // no sweeps, no leaf evaluation: the graph has no far nodes
 	}
@@ -53,6 +54,31 @@ func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	for _, ni := range t.VisibleLeaves() {
 		f.L2P(w, ni)
 	}
+}
+
+// mutualNear is the Stokeslet near field in the order the tree fixes
+// (neartest.Mutual, core's reference) from the scalar kernels: P2PScalar
+// one-way, and P2PPairScalar, its targets' half discarded, for the
+// reactions.
+func mutualNear(sys *particle.System, t *octree.Tree, sch *octree.NearSchedule, k kernels.Stokeslet) {
+	bodies := func(ni int32) (int32, int32) { return t.Nodes[ni].Start, t.Nodes[ni].End }
+	neartest.Mutual(t, sch, func(a, b int32) {
+		lo, hi := bodies(a)
+		slo, shi := bodies(b)
+		k.P2PScalar(sys.Pos[lo:hi], sys.Acc[lo:hi], sys.Pos[slo:shi], sys.Aux[slo:shi])
+	}, func(a, b int32, slots []geom.Vec3) {
+		lo, hi := bodies(a)
+		blo, bhi := bodies(b)
+		k.P2PPairScalar(sys.Pos[lo:hi], sys.Aux[lo:hi], make([]geom.Vec3, hi-lo), sys.Pos[blo:bhi], sys.Aux[blo:bhi], slots)
+	}, func(b int32, slots []geom.Vec3) {
+		lo, _ := bodies(b)
+		for j, v := range slots {
+			a := &sys.Acc[int(lo)+j]
+			a.X += v.X
+			a.Y += v.Y
+			a.Z += v.Z
+		}
+	})
 }
 
 // perPairStep is serialStep with the operators of the paper's task

@@ -12,6 +12,7 @@ import (
 	"afmm/internal/fault"
 	"afmm/internal/geom"
 	"afmm/internal/kernels"
+	"afmm/internal/octree"
 	"afmm/internal/particle"
 	"afmm/internal/telemetry"
 	"afmm/internal/vgpu"
@@ -325,54 +326,75 @@ func TestStepRecordParity(t *testing.T) {
 	}
 }
 
-// TestNearRowMatchesPerSpanScalar is core's test of the same name for the
-// Stokeslet field: rows through the span buffer, flushes and ghost copies
-// included, equal P2PScalar entry by entry, bit for bit; and a row
-// allocates nothing.
-func TestNearRowMatchesPerSpanScalar(t *testing.T) {
+// TestNearChunksMatchScalarReference is core's test of the same name for
+// the Stokeslet field: the near chunks and the fold — upper halves longer
+// than RowSpans entries flushed through further kernel calls — equal
+// mutualNear bit for bit, whole and cut into two shares over private
+// fields that read each other's leaves from ghost copies; and a warm
+// sweep allocates nothing.
+func TestNearChunksMatchScalarReference(t *testing.T) {
 	sys := distrib.UniformCube(3000, 1, 9)
 	randomForces(sys, 10)
 	s := NewSolver(sys, Config{P: 4, S: 16})
 	s.Solve()
 	f := s.Field.(*Field)
 	sch := s.Tree.NearField()
-	ghosts := make([]core.GhostLeaf, len(s.Tree.Nodes))
-	for ni := range s.Tree.Nodes {
-		if ni%3 == 0 && s.Tree.Nodes[ni].IsVisibleLeaf() {
-			ghosts[ni] = f.PackGhost(int32(ni))
-		}
-	}
-	vel := slices.Clone(sys.Acc)
 	long := 0
 	for r := 0; r < sch.Rows(); r++ {
-		if len(sch.Row(r)) > core.RowSpans {
+		if int(sch.RowPtr[r+1]-sch.Upper[r]) > core.RowSpans {
 			long++
-		}
-		f.NearRow(sch, r, ghosts)
-		tn := &s.Tree.Nodes[sch.Leaves[r]]
-		for k := sch.RowPtr[r]; k < sch.RowPtr[r+1]; k++ {
-			lo, hi := sch.SrcStart[k], sch.SrcEnd[k]
-			f.Kernel.P2PScalar(sys.Pos[tn.Start:tn.End], vel[tn.Start:tn.End], sys.Pos[lo:hi], sys.Aux[lo:hi])
 		}
 	}
 	if long == 0 {
-		t.Fatalf("no row holds more than %d entries: the buffer never flushed", core.RowSpans)
+		t.Fatalf("no upper half holds more than %d entries: the buffer never flushed", core.RowSpans)
 	}
-	for i := range vel {
-		for c, v := range [3]float64{vel[i].X, vel[i].Y, vel[i].Z} {
-			if w := [3]float64{sys.Acc[i].X, sys.Acc[i].Y, sys.Acc[i].Z}[c]; math.Float64bits(v) != math.Float64bits(w) {
-				t.Fatalf("body %d: NearRow %v, per-span scalar %v", i, sys.Acc[i], vel[i])
-			}
+	n := int32(sys.Len())
+	mid := s.Tree.SnapToLeafEnd(n / 2)
+	ghosts := make([]core.GhostLeaf, len(s.Tree.Nodes))
+	for _, li := range sch.Leaves {
+		ghosts[li] = f.PackGhost(li)
+	}
+	halves := [2]*Field{f.Private().(*Field), f.Private().(*Field)}
+	whole := func() {
+		sys.ResetAccumulators()
+		for c := range octree.NearChunks {
+			f.Near(sch, c, 0, n, nil)
+		}
+		for _, li := range sch.Leaves {
+			f.Fold(sch, li)
 		}
 	}
-	for _, g := range [][]core.GhostLeaf{nil, ghosts} {
-		sweep := func() {
-			for r := 0; r < sch.Rows(); r++ {
-				f.NearRow(sch, r, g)
+	split := func() {
+		sys.ResetAccumulators()
+		cuts := [3]int32{0, mid, n}
+		for h, hf := range halves {
+			for c := range octree.NearChunks {
+				hf.Near(sch, c, cuts[h], cuts[h+1], ghosts)
 			}
 		}
-		if a := testing.AllocsPerRun(3, sweep); a != 0 {
-			t.Errorf("ghosts %v: the near-field rows allocate %v times, want 0", g != nil, a)
+		for _, li := range sch.Leaves {
+			halves[min(1, int(s.Tree.Nodes[li].Start/mid))].Fold(sch, li)
+		}
+	}
+	sys.ResetAccumulators()
+	mutualNear(sys, s.Tree, sch, f.Kernel)
+	vel := slices.Clone(sys.Acc)
+	bits := func(a geom.Vec3) [3]uint64 {
+		return [3]uint64{math.Float64bits(a.X), math.Float64bits(a.Y), math.Float64bits(a.Z)}
+	}
+	for _, run := range []struct {
+		name string
+		f    func()
+	}{{"whole", whole}, {"shares", split}} {
+		run.f()
+		run.f() // the kept reaction buffers hold the last step's sums
+		for i := range vel {
+			if bits(vel[i]) != bits(sys.Acc[i]) {
+				t.Fatalf("%s: body %d: chunks %v, scalar reference %v", run.name, i, sys.Acc[i], vel[i])
+			}
+		}
+		if a := testing.AllocsPerRun(3, run.f); a != 0 {
+			t.Errorf("%s: the near chunks allocate %v times, want 0", run.name, a)
 		}
 	}
 }

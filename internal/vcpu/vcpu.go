@@ -18,7 +18,6 @@
 package vcpu
 
 import (
-	"container/heap"
 	"math"
 
 	"afmm/internal/costmodel"
@@ -181,18 +180,46 @@ type completion struct {
 	task int32
 }
 
+// completionHeap is a min-heap on at. It sifts exactly as container/heap
+// does — the same comparisons and swaps in the same order — so ties pop in
+// the same order and every modeled number is what the boxed heap gave,
+// without boxing a completion on each push and pop.
 type completionHeap []completion
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *completionHeap) push(c completion) {
+	*h = append(*h, c)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].at < q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *completionHeap) pop() completion {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].at < q[j1].at {
+			j = j2 // right child
+		}
+		if !(q[j].at < q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Simulate replays the graph on the machine and returns the makespan and
@@ -216,7 +243,7 @@ func (s Spec) Simulate(g *Graph) Result {
 			ready = append(ready, i)
 		}
 	}
-	var running completionHeap
+	running := make(completionHeap, 0, k)
 	clock := 0.0
 	free := k
 	done := 0
@@ -231,13 +258,13 @@ func (s Spec) Simulate(g *Graph) Result {
 				dur += scaled
 			}
 			res.TotalBusy += dur
-			heap.Push(&running, completion{at: clock + dur, task: t})
+			running.push(completion{at: clock + dur, task: t})
 			free--
 		}
-		if running.Len() == 0 {
+		if len(running) == 0 {
 			break // disconnected or cyclic graph; should not happen
 		}
-		c := heap.Pop(&running).(completion)
+		c := running.pop()
 		clock = c.at
 		free++
 		done++

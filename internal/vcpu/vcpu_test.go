@@ -1,7 +1,9 @@
 package vcpu
 
 import (
+	"container/heap"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -225,5 +227,58 @@ func TestEmptyGraph(t *testing.T) {
 	res := plainSpec(4).Simulate(&Graph{})
 	if res.Makespan != 0 || res.Tasks != 0 {
 		t.Fatalf("empty graph: %+v", res)
+	}
+}
+
+// boxedHeap is container/heap over completions, the order Simulate's
+// typed heap must keep.
+type boxedHeap []completion
+
+func (h boxedHeap) Len() int           { return len(h) }
+func (h boxedHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h boxedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x any)        { *h = append(*h, x.(completion)) }
+func (h *boxedHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestCompletionHeapSiftsAsContainerHeap: random pushes and pops, with
+// many equal completion times, pop the same tasks in the same order from
+// the typed heap as from container/heap, so no tie is broken differently.
+func TestCompletionHeapSiftsAsContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var typed completionHeap
+	var boxed boxedHeap
+	for i := 0; i < 20000; i++ {
+		if len(typed) == 0 || rng.Intn(3) > 0 {
+			c := completion{at: float64(rng.Intn(8)), task: int32(i)}
+			typed.push(c)
+			heap.Push(&boxed, c)
+			continue
+		}
+		if a, b := typed.pop(), heap.Pop(&boxed).(completion); a != b {
+			t.Fatalf("operation %d: typed heap pops %+v, container/heap %+v", i, a, b)
+		}
+	}
+}
+
+// TestSimulateAllocationsDoNotGrowWithGraph: a replay allocates its
+// in-degree copy, ready list and completion heap once, however many tasks
+// pass through the heap.
+func TestSimulateAllocationsDoNotGrowWithGraph(t *testing.T) {
+	spec := plainSpec(8)
+	var counts []float64
+	for _, n := range []int{64, 4096} {
+		for _, g := range []*Graph{fanout(n, 1e-3), chain(n, 1e-3)} {
+			counts = append(counts, testing.AllocsPerRun(5, func() { spec.Simulate(g) }))
+		}
+	}
+	for _, c := range counts {
+		if c != counts[0] || c > 3 {
+			t.Fatalf("Simulate allocations per run %v (fanout and chain, 64 and 4096 tasks): want one small count", counts)
+		}
 	}
 }
