@@ -161,8 +161,10 @@ func TestCellShiftsAllocationFree(t *testing.T) {
 // holds more than RowSpans entries — equal mutualNear, the scalar
 // reference of the tree's order, bit for bit; so does the same near field
 // cut into two shares over private fields, each reading the other's
-// leaves from ghost copies (how dmem nodes run it); and a warm sweep of
-// the chunks and folds allocates nothing, whole or in shares.
+// leaves from ghost copies (how dmem nodes run it); a warm sweep of the
+// chunks and folds allocates nothing, whole or in shares; and a share
+// lacking the ghost copy of a remote source fails on it rather than read
+// the particle arrays, which private fields share.
 func TestNearChunksMatchScalarReference(t *testing.T) {
 	s := NewSolver(distrib.Plummer(3000, 1, 1, 5), Config{P: 4, S: 16})
 	s.Solve()
@@ -226,6 +228,30 @@ func TestNearChunksMatchScalarReference(t *testing.T) {
 			t.Errorf("%s: the near chunks allocate %v times, want 0", run.name, a)
 		}
 	}
+	// A source of share 0's upper halves in share 1 whose own row lies in
+	// another chunk, so only the one-way span reads its ghost.
+	for c := range octree.NearChunks {
+		rlo, rhi := sch.Chunk(c)
+		for r := rlo; r < rhi; r++ {
+			if s.Tree.Nodes[sch.Leaves[r]].Start >= mid {
+				continue
+			}
+			for e := sch.Upper[r]; e < sch.RowPtr[r+1]; e++ {
+				if b := sch.Srcs[e]; sch.SrcStart[e] >= mid && (sch.RowOf(b) < rlo || sch.RowOf(b) >= rhi) {
+					lacking := slices.Clone(ghosts)
+					lacking[b] = GhostLeaf{}
+					defer func() {
+						if recover() == nil {
+							t.Errorf("chunk %d without leaf %d's ghost copy ran to the end", c, b)
+						}
+					}()
+					halves[0].Near(sch, c, 0, mid, lacking)
+					return
+				}
+			}
+		}
+	}
+	t.Fatal("no upper half of share 0 reads a share-1 leaf whose row is in another chunk")
 }
 
 // TestUpReadsGhostCopy: a leaf's P2M over a ghost copy of its bodies — how
