@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"afmm/internal/expansion"
 	"afmm/internal/octree"
 	"afmm/internal/sched"
@@ -69,8 +66,8 @@ type SharedM2L struct {
 // Wigner/phase/radial setup per translation class, built in parallel on
 // pool, invalidated by the list epoch. When the schedule kept its class
 // numbering (same Gen: a list repair only appended classes) the table is
-// extended by the new classes instead of re-planned. use == false drops
-// the tables, so the translations fall back to the uncached forms.
+// extended by the new classes instead of re-planned. use == false (no
+// far field) drops the tables: M2L and M2L4 then refuse to run.
 func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *telemetry.Recorder, use bool) {
 	if !use {
 		*m = SharedM2L{}
@@ -121,21 +118,14 @@ func farRun(t *octree.Tree, ni int32, from int) (lo, hi int) {
 
 // M2L accumulates into column 0 of c's locals, for every cell in nodes
 // (cells of one level), the translated pairs of its V list — the entries
-// the near-field schedule sums directly are skipped. Each cell takes its
-// pairs in the canonical order: theta (the polar angle of the translation
-// vector) ascending, then V-list index. Through the table, the run's pairs
-// go to theta-batched calls (expansion.Workspace.M2LBatchTheta) of whole
-// cells, which keep that order per cell whatever the run; without a table
-// built for exactly t's current list topology, each cell sorts its pairs
-// so and runs the reference form — the same arithmetic either way.
+// the near-field schedule sums directly are skipped. The run's pairs go to
+// theta-batched calls (expansion.Workspace.M2LBatchTheta) of whole cells,
+// so each cell takes its pairs in the canonical order whatever the run:
+// theta (the polar angle of the translation vector) ascending, then
+// V-list index.
 func (m *SharedM2L) M2L(w *expansion.Workspace, c *Cells, nodes []int32) {
 	t := c.Tree
-	if m.Tab == nil || m.epoch != t.ListEpoch() {
-		for _, ni := range nodes {
-			m2lReference(w, c, ni)
-		}
-		return
-	}
+	m.mustCover(t)
 	pairs := w.Pairs(int(min(thetaBatch, m.Cls.Pairs)))
 	for _, ni := range nodes {
 		v, row := t.Nodes[ni].V, m.Cls.Row(ni)
@@ -161,44 +151,24 @@ func (m *SharedM2L) M2L(w *expansion.Workspace, c *Cells, nodes []int32) {
 // and one cell at a time 24.9%.
 const thetaBatch = 8192
 
-// m2lReference is M2L's table-free form for cell ni: its translated pairs
-// sorted stably by theta, through the uncached M2LBatch.
-func m2lReference(w *expansion.Workspace, c *Cells, ni int32) {
-	t := c.Tree
-	v, to := t.Nodes[ni].V, t.Nodes[ni].Box.Center
-	srcs := w.Sources(len(v))
-	for lo, hi := farRun(t, ni, 0); lo < len(v); lo, hi = farRun(t, ni, hi) {
-		for _, vi := range v[lo:hi] {
-			srcs = append(srcs, expansion.M2LSource{M: c.Mpole(0, vi), From: t.Nodes[vi].Box.Center})
-		}
+// M2L4 is M2L for four expansions per cell over one geometry (the
+// Stokeslet's harmonic passes): srcs[i].M[c] translates into l[c] through
+// the table's four-column form, in V-list order — per column the
+// arithmetic of the table's width-1 form.
+func (m *SharedM2L) M2L4(w *expansion.Workspace, l *[4]expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource4) {
+	m.mustCover(t)
+	for lo, hi := farRun(t, ni, 0); lo < len(srcs); lo, hi = farRun(t, ni, hi) {
+		w.M2LBatchTable4(l, srcs[lo:hi], m.Cls.Row(ni)[lo:hi], m.Tab)
 	}
-	polar := func(s expansion.M2LSource) float64 {
-		_, theta, _ := s.From.Sub(to).Spherical()
-		return theta
-	}
-	slices.SortStableFunc(srcs, func(a, b expansion.M2LSource) int { return cmp.Compare(polar(a), polar(b)) })
-	w.M2LBatch(c.Local(0, ni), to, srcs)
 }
 
-// M2L4 is M2L for four expansions per cell over one geometry (the
-// Stokeslet's harmonic passes): srcs[i].M[c] translates into l[c], through
-// the table's four-column form or, without a table, one reference batch
-// per column — the same arithmetic either way, and per column the
-// arithmetic of M2L.
-func (m *SharedM2L) M2L4(w *expansion.Workspace, l *[4]expansion.Expansion, t *octree.Tree, ni int32, srcs []expansion.M2LSource4) {
-	table := m.Tab != nil && m.epoch == t.ListEpoch()
-	for lo, hi := farRun(t, ni, 0); lo < len(srcs); lo, hi = farRun(t, ni, hi) {
-		if table {
-			w.M2LBatchTable4(l, srcs[lo:hi], m.Cls.Row(ni)[lo:hi], m.Tab)
-			continue
-		}
-		for c := range l {
-			col := w.Sources(hi - lo)
-			for _, s := range srcs[lo:hi] {
-				col = append(col, expansion.M2LSource{M: s.M[c], From: s.From})
-			}
-			w.M2LBatch(l[c], t.Nodes[ni].Box.Center, col)
-		}
+// mustCover panics unless the table was prepared for t's current lists:
+// translating through a missing or stale table would read another list
+// epoch's classes. Prepare runs before every step's graph (Solve, the dmem
+// runtime); a driver of its own must call it first.
+func (m *SharedM2L) mustCover(t *octree.Tree) {
+	if m.Tab == nil || m.epoch != t.ListEpoch() {
+		panic("core: M2L before SharedM2L.Prepare covered the tree's current lists")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"afmm/internal/distrib"
@@ -330,6 +331,44 @@ func downRunTree(t *testing.T) (*Solver, *GravityField) {
 		t.Fatalf("tree lacks a case: %d same-theta quads, %d triples, %d fully direct V lists", quads, triples, allDirect)
 	}
 	return s, s.Field.(*GravityField)
+}
+
+// TestM2LRefusesUncoveredTable: the table is the only M2L path, so a down
+// sweep over lists the table was not prepared for panics instead of
+// translating through another epoch's classes — before any Prepare, after
+// a list change, and at width 4.
+func TestM2LRefusesUncoveredTable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(s *Solver, w *expansion.Workspace, ni int32)
+	}{
+		{"unprepared", func(s *Solver, w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) }},
+		{"stale", func(s *Solver, w *expansion.Workspace, ni int32) {
+			s.Solve()
+			drift(s.Sys)
+			s.Refill()
+			s.EnforceS()
+			s.Tree.BuildLists()
+			s.Tree.NearField()
+			s.Field.Down(w, []int32{ni})
+		}},
+		{"width 4", func(s *Solver, w *expansion.Workspace, ni int32) {
+			var l [4]expansion.Expansion
+			s.m2l.M2L4(w, &l, s.Tree, ni, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSolver(skewedSystem(600, 3), Config{P: 4, S: 16})
+			s.Tree.BuildLists()
+			s.Tree.NearField()
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: M2L before") {
+					t.Fatalf("recovered %q, want the uncovered-table panic", msg)
+				}
+			}()
+			tc.run(s, expansion.NewWorkspace(4), s.Tree.Root)
+		})
+	}
 }
 
 // TestDownRunMatchesPerCell: Down over a level's cells as one run, split

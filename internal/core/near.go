@@ -101,10 +101,10 @@ func (n *Near[S, P, R]) Run(k NearKernel[S, P, R], t *octree.Tree, sch *octree.N
 				slo, shi := sch.SrcStart[e], sch.SrcEnd[e]
 				if !own(slo) {
 					q.oneWay(k.GhostSpan(Ghost(ghosts, sch.Srcs[e])))
-				} else if off := sch.Slot(e, c); e == sch.Upper[r] || off < 0 {
+				} else if e == sch.Upper[r] {
 					q.oneWay(k.Span(slo, shi))
 				} else {
-					q.pair(k.Pair(slo, shi, q.react[off:][:shi-slo]))
+					q.pair(k.Pair(slo, shi, q.react[sch.Slot(e, c):][:shi-slo]))
 				}
 			}
 			q.flush()
@@ -113,11 +113,8 @@ func (n *Near[S, P, R]) Run(k NearKernel[S, P, R], t *octree.Tree, sch *octree.N
 		q.g = Ghost(ghosts, a)
 		for e := sch.Upper[r] + 1; e < sch.RowPtr[r+1]; e++ {
 			slo, shi := sch.SrcStart[e], sch.SrcEnd[e]
-			if !own(slo) {
-				continue
-			}
-			if off := sch.Slot(e, c); off >= 0 {
-				q.pair(k.Pair(slo, shi, q.react[off:][:shi-slo]))
+			if own(slo) {
+				q.pair(k.Pair(slo, shi, q.react[sch.Slot(e, c):][:shi-slo]))
 			}
 		}
 		q.flush()

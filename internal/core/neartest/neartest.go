@@ -13,8 +13,7 @@ import "afmm/internal/octree"
 // reactions its leaf took from the chunk's rows in row order: react(a, b,
 // slots) adds to leaf b's slots, one per body and zero at first, the
 // reactions of a's bodies (the kernel's P2PPairScalar with its targets'
-// half discarded), and fold(b, slots) adds them to b's bodies. A source
-// without a row of its own takes no reaction.
+// half discarded), and fold(b, slots) adds them to b's bodies.
 func Mutual[R any](t *octree.Tree, sch *octree.NearSchedule, oneWay func(a, b int32), react func(a, b int32, slots []R), fold func(b int32, slots []R)) {
 	for r, a := range sch.Leaves {
 		for e := sch.Upper[r]; e < sch.RowPtr[r+1]; e++ {
@@ -27,9 +26,6 @@ func Mutual[R any](t *octree.Tree, sch *octree.NearSchedule, oneWay func(a, b in
 		for r := rlo; r < rhi; r++ {
 			for e := sch.Upper[r] + 1; e < sch.RowPtr[r+1]; e++ {
 				b := sch.Srcs[e]
-				if sch.RowOf(b) < 0 {
-					continue
-				}
 				key := [2]int32{int32(c), b}
 				if slots[key] == nil {
 					slots[key] = make([]R, t.Nodes[b].Count())

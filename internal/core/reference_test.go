@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -25,11 +26,34 @@ import (
 // field in the tree's order (mutualNear), up sweep from the deepest level,
 // down sweep from the root one cell at a time, leaf evaluation, less the
 // phases s.Cfg skips — with no dag, no sched, no M2L table (s never
-// Solves, so its field translates through the uncached reference form,
-// each cell's pairs sorted by theta) and none of the field's chunk code.
+// Solves; its down sweep is referenceDown) and none of the field's chunk
+// code.
 func serialStep(s *Solver) {
-	sweep(s, func(w *expansion.Workspace, ni int32) { s.Field.Up(w, ni, nil) },
-		func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
+	f := s.Field.(*GravityField)
+	sweep(s, func(w *expansion.Workspace, ni int32) { f.Up(w, ni, nil) },
+		func(w *expansion.Workspace, ni int32) { referenceDown(w, &f.Cells, ni) })
+}
+
+// referenceDown is the gravity down sweep of cell ni without the M2L
+// table: the parent's locals shifted in, then the cell's translated V
+// pairs, sorted stably by theta as the theta batches order them, through
+// the uncached M2LBatch.
+func referenceDown(w *expansion.Workspace, c *Cells, ni int32) {
+	c.L2L(w, ni)
+	t := c.Tree
+	n := &t.Nodes[ni]
+	var srcs []expansion.M2LSource
+	for j, vi := range n.V {
+		if !t.DirectMask(ni)[j] {
+			srcs = append(srcs, expansion.M2LSource{M: c.Mpole(0, vi), From: t.Nodes[vi].Box.Center})
+		}
+	}
+	polar := func(s expansion.M2LSource) float64 {
+		_, theta, _ := s.From.Sub(n.Box.Center).Spherical()
+		return theta
+	}
+	slices.SortStableFunc(srcs, func(a, b expansion.M2LSource) int { return cmp.Compare(polar(a), polar(b)) })
+	w.M2LBatch(c.Local(0, ni), n.Box.Center, srcs)
 }
 
 // sweep runs the step serially with up and down as the sweep operators.

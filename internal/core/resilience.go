@@ -59,43 +59,30 @@ func (s *Solver) SolveChecked() (st StepTimes, err error) {
 	return st, nil
 }
 
-// ValidateAccumulators scans every visible leaf's bodies for NaN/Inf in
-// Phi and Acc (a field that never writes Phi leaves it 0, which is
-// finite), in parallel over the near-field weight distribution, and
-// returns a *ValidationError for the lowest-index offending body (nil when
-// all accumulators are finite).
+// ValidateAccumulators scans every body's Phi and Acc for NaN/Inf (a field
+// that never writes Phi leaves it 0, which is finite), in parallel over
+// even body ranges, and returns a *ValidationError for the lowest-index
+// offending body (nil when all accumulators are finite).
 func (s *Solver) ValidateAccumulators() error {
-	t := s.Tree
-	leaves := t.VisibleLeaves()
-	if len(leaves) == 0 {
-		return nil
-	}
-	weights := s.weightBuf[:0]
-	for _, ni := range leaves {
-		weights = append(weights, int64(t.Nodes[ni].Count())+1)
-	}
-	s.weightBuf = weights
 	var worst atomic.Int64
 	worst.Store(-1)
 	sys := s.Sys
-	s.Cfg.Pool.ParallelRangeWeighted(weights, func(lo, hi int) {
-		for _, ni := range leaves[lo:hi] {
-			n := &t.Nodes[ni]
-			for i := n.Start; i < n.End; i++ {
-				a := sys.Acc[i]
-				if isFinite(sys.Phi[i]) && isFinite(a.X) && isFinite(a.Y) && isFinite(a.Z) {
-					continue
+	s.Cfg.Pool.ParallelRange(sys.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := sys.Acc[i]
+			if isFinite(sys.Phi[i]) && isFinite(a.X) && isFinite(a.Y) && isFinite(a.Z) {
+				continue
+			}
+			// Keep the lowest offending index so the error is
+			// deterministic regardless of chunk scheduling; a range's
+			// first offender is its lowest.
+			for {
+				cur := worst.Load()
+				if cur >= 0 && cur <= int64(i) {
+					return
 				}
-				// Keep the lowest offending index so the error is
-				// deterministic regardless of chunk scheduling.
-				for {
-					cur := worst.Load()
-					if cur >= 0 && cur <= int64(i) {
-						break
-					}
-					if worst.CompareAndSwap(cur, int64(i)) {
-						break
-					}
+				if worst.CompareAndSwap(cur, int64(i)) {
+					return
 				}
 			}
 		}

@@ -154,8 +154,7 @@ type Solver struct {
 	// Field holds the kernel's operators and the expansion slabs.
 	Field Field
 
-	ws        Workspaces
-	weightBuf []int64
+	ws Workspaces
 	// busySnap/busyDelta are reused worker busy-time snapshot buffers
 	// (telemetry; unused when no recorder is attached), classSnap/
 	// classDelta the per-work-class equivalents.

@@ -212,7 +212,7 @@ func build(spec Spec, g graph) Done {
 					continue
 				}
 				for k := sch.Upper[r] + 1; k < sch.RowPtr[r+1]; k++ {
-					if own(sch.Srcs[k]) && sch.Slot(k, c) >= 0 {
+					if own(sch.Srcs[k]) {
 						node()
 						arrive(sh.Ghost[a], id)
 						break

@@ -177,7 +177,7 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 						}
 					}
 					for e := sch.Upper[row] + 1; e < sch.RowPtr[row+1]; e++ {
-						if b := sch.Srcs[e]; own(b) && sch.Slot(e, c) >= 0 {
+						if b := sch.Srcs[e]; own(b) {
 							if !slotted[b] {
 								slotted[b] = true
 								r.cur.writes = append(r.cur.writes, res{k, 'R', b, c})

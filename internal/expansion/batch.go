@@ -11,7 +11,9 @@ import (
 // polar angle theta, the azimuthal phases e^{i m phi} and the radial
 // powers 1/rho^k — with the M2L axial row (axialBase). M2LBatchTable (the
 // production form) reads the setup from the shared class table; M2LBatch
-// (the reference form) computes it per source into the workspace scratch.
+// computes it per source into the workspace scratch: the uncached reference
+// the table forms are held to, bit for bit, and the table-free sweeps of the
+// solvers' serial references run.
 // M2M and L2L run the same kernel with their own axial rows (rotation.go).
 //
 // The kernel has two widths. Width 1 (m2lApply) translates one expansion;
@@ -41,10 +43,9 @@ func (w *Workspace) Sources(n int) []M2LSource {
 }
 
 // M2LSource4 is one V-list pair of a four-column translation: the four
-// source multipoles sharing the center From.
+// source multipoles of one cell (the table's class carries the geometry).
 type M2LSource4 struct {
-	M    [4]Expansion
-	From geom.Vec3
+	M [4]Expansion
 }
 
 // Sources4 is Sources for four-column pairs.

@@ -264,3 +264,68 @@ func BenchmarkLeafOperators(b *testing.B) {
 		}
 	}
 }
+
+// TestLeafOperators4MatchSingle: P2M4 and L2P4 evaluate the harmonics once
+// for four charges or locals, and P2MLeaf4 and L2PLeaf4 once per body of a
+// leaf; each column must equal the single-column operator (P2M, L2P,
+// P2MLeaf, L2PLeaf) bit for bit, the leaf forms under both dispatch states.
+func TestLeafOperators4MatchSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, p := range []int{0, 1, 4, 8} {
+		w := NewWorkspace(p)
+		center := geom.Vec3{X: 0.25, Y: -0.5, Z: 0.125}
+		got, want := randomLocals(p, rng)
+		for body := 0; body < 10; body++ {
+			pos := center.Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(0.1))
+			q := [4]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			w.P2M4(&got, center, pos, q)
+			for c := range want {
+				w.P2M(want[c], center, pos, q[c])
+			}
+			phi, grad := w.L2P4(&got, center, pos)
+			for c := range want {
+				if ph, g := w.L2P(want[c], center, pos); ph != phi[c] || g != grad[c] {
+					t.Fatalf("p=%d column %d: L2P4 (%v, %v), L2P (%v, %v)", p, c, phi[c], grad[c], ph, g)
+				}
+				for k := range want[c].C {
+					if got[c].C[k] != want[c].C[k] {
+						t.Fatalf("p=%d column %d coefficient %d: P2M4 %v, P2M %v", p, c, k, got[c].C[k], want[c].C[k])
+					}
+				}
+			}
+		}
+	}
+	eachDispatch(t, func(t *testing.T) {
+		for _, p := range []int{0, 1, 4, 8} {
+			w := NewWorkspace(p)
+			for n := 1; n <= 9; n++ {
+				in := randomLeaf(p, n, rng)
+				got := in.copies()
+				w.P2MLeaf4(&got, in.center, in.pos, func(i int) [4]float64 { return in.q[i] })
+				var phi4 [][4]float64
+				var grad4 [][4]geom.Vec3
+				w.L2PLeaf4(&in.l, in.center, in.pos, func(_ int, phi [4]float64, grad [4]geom.Vec3) {
+					phi4, grad4 = append(phi4, phi), append(grad4, grad)
+				})
+				want := in.copies()
+				q := make([]float64, n)
+				for c := range want {
+					for i := range q {
+						q[i] = in.q[i][c]
+					}
+					w.P2MLeaf(want[c], in.center, in.pos, q)
+					for k := range want[c].C {
+						if got[c].C[k] != want[c].C[k] {
+							t.Fatalf("p=%d leaf of %d column %d coefficient %d: P2MLeaf4 %v, P2MLeaf %v", p, n, c, k, got[c].C[k], want[c].C[k])
+						}
+					}
+					w.L2PLeaf(in.l[c], in.center, in.pos, func(i int, phi float64, grad geom.Vec3) {
+						if phi != phi4[i][c] || grad != grad4[i][c] {
+							t.Fatalf("p=%d leaf of %d column %d body %d: L2PLeaf4 (%v, %v), L2PLeaf (%v, %v)", p, n, c, i, phi4[i][c], grad4[i][c], phi, grad)
+						}
+					})
+				}
+			}
+		}
+	})
+}

@@ -74,9 +74,6 @@ func NewWorkspace(p int) *Workspace {
 	}
 }
 
-// Order returns the expansion order the workspace was built for.
-func (w *Workspace) Order() int { return w.p }
-
 // P2M accumulates the multipole contribution of a charge q at position pos
 // into the expansion m centered at center:
 //

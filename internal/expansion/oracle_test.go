@@ -1,13 +1,14 @@
 package expansion
 
 import (
+	"cmp"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"afmm/internal/geom"
-	"afmm/internal/octree"
 	"afmm/internal/sphharm"
 )
 
@@ -135,19 +136,6 @@ func scalarOrder(ax []float64, p int) (out []float64) {
 	return out
 }
 
-// m2lBatchOracle is commit 14d1dcf's M2LBatch over the oracle kernel.
-func (w *Workspace) m2lBatchOracle(l Expansion, to geom.Vec3, srcs []M2LSource) {
-	p := l.P
-	r := w.rot
-	for _, s := range srcs {
-		rho, theta, phi := s.From.Sub(to).Spherical()
-		signedWignerInto(r.stack, p, theta)
-		fillPhases(r.zph, phi)
-		fillInvPowers(r.rpow, rho)
-		w.m2lApplyOracle(l, s.M.C, r.flat, r.zph, r.rpow)
-	}
-}
-
 // m2lRelDiff is the largest coefficient difference of one translation of
 // src over distance rho, relative to the size of the terms its output
 // degree j sums (shiftRelDiff with the M2L row).
@@ -199,11 +187,11 @@ var axialOffsets = []geom.Vec3{
 	{Z: 3}, {Z: -3}, {Z: 1.5}, {X: 3}, {Y: -3}, {X: 2, Y: 2}, {X: -3, Y: 1},
 }
 
-// sampledClasses returns the class directions the kernel gates visit at
-// order p: all of them, but every 16th above p = 12 (both kernels and both
-// stack builds are O(p^3): ~1 ms a translation at MaxOrder), and 8x
-// sparser under -short.
-func sampledClasses(dirs []geom.Vec3, p int) (out []geom.Vec3) {
+// sampledClasses returns the classes the kernel gates visit at order p of
+// a schedule of n: all of them, but every 16th above p = 12 (both kernels
+// and both stack builds are O(p^3): ~1 ms a translation at MaxOrder), and
+// 8x sparser under -short.
+func sampledClasses(n, p int) (out []int) {
 	stride := 1
 	if p > 12 {
 		stride = 16
@@ -211,71 +199,89 @@ func sampledClasses(dirs []geom.Vec3, p int) (out []geom.Vec3) {
 	if testing.Short() {
 		stride *= 8
 	}
-	for i := 0; i < len(dirs); i += stride {
-		out = append(out, dirs[i])
+	for i := 0; i < n; i += stride {
+		out = append(out, i)
 	}
 	return out
 }
 
-// TestM2LKernelMatchesOracle is the numerics gate of the real-arithmetic
+// TestM2LKernelMatchesOracle is the numerics harness of the real-arithmetic
 // kernel: against the complex-arithmetic kernel it replaced, a translation
 // may differ only by rounding (sums regrouped into P/Q entries, no w == 0
-// skip) — on the golden batch, on exactly axial and equatorial offsets
-// (theta 0, pi, pi/2: the commonest V-list entries, and the old kernel's
-// sparse fast case), and on every translation class (every distinct
-// V-list offset; every 16th at MaxOrder) of the three real trees. Translations are compared one by
-// one, so no pair hides behind its neighbours' sum, and under both dispatch
-// states.
+// skip), at 1e-13 of the terms each output degree sums — over the oracle
+// inputs of m2lCases: the golden batch, exactly axial and equatorial
+// offsets (theta 0, pi, pi/2: the commonest V-list entries, and the old
+// kernel's sparse fast case), every sampled class of the three real trees,
+// and the batches once held to the rotated and the direct operators, which
+// are summed through the direct O(p^4) M2L too (1e-9). Translations are
+// compared one by one, so no pair hides behind its neighbours' sum, under
+// both dispatch states. They run in theta order: one Wigner stack serves
+// the oracle and, folded, the kernel, exactly as M2LBatch folds it.
 func TestM2LKernelMatchesOracle(t *testing.T) {
 	const tol = 1e-13
-	states := dispatchStates(t) // the oracle side runs once per translation, the kernel once per state
-	check := func(name string, p int, w *Workspace, to geom.Vec3, srcs []M2LSource) {
-		t.Helper()
+	states := dispatchStates(t)
+	for _, c := range m2lCases(false) {
+		if !c.oracle {
+			continue
+		}
+		p := c.p
+		for _, d := range c.froms {
+			if _, theta, _ := d.Sub(c.to).Spherical(); c.name == "axial" && theta != 0 && theta != math.Pi && theta != math.Pi/2 {
+				t.Fatalf("offset %v has theta %v, want an exact 0, pi/2 or pi", d, theta)
+			}
+		}
+		_, cols := randomQuads(p, rand.New(rand.NewSource(c.seed)), c.froms)
+		w := NewWorkspace(p)
+		r := w.rot
 		got, want := NewExpansion(p), NewExpansion(p)
 		var worst float64
-		defer func() { t.Logf("%s p=%d: %d translations, worst deviation %.2g", name, p, len(srcs), worst) }()
-		for i := range srcs {
+		order := make([]int, len(c.froms))
+		for i := range order {
+			order[i] = i
+		}
+		polar := func(i int) float64 { return polarAngle(c.froms[i].Sub(c.to)) }
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(polar(a), polar(b)) })
+		for k, i := range order {
+			rho, theta, phi := c.froms[i].Sub(c.to).Spherical()
+			if k == 0 || theta != polar(order[k-1]) {
+				r.halfStackInto(r.half, p, theta) // leaves the signed stack in r.flat
+			}
+			fillPhases(r.zph, phi)
+			fillInvPowers(r.rpow, rho)
+			src := cols[0][i].M.C
 			want.Zero()
-			w.m2lBatchOracle(want, to, srcs[i:i+1])
-			off := srcs[i].From.Sub(to)
+			w.m2lApplyOracle(want, src, r.flat, r.zph, r.rpow)
 			for _, packed := range states {
 				packedOK = packed
 				got.Zero()
-				w.M2LBatch(got, to, srcs[i:i+1])
-				if d := m2lRelDiff(w, got.C, want.C, srcs[i].M.C, off.Norm()); !(d <= tol) {
+				w.m2lApply(got, src, r.half, r.zph, r.rpow, w.axb)
+				if d := m2lRelDiff(w, got.C, want.C, src, rho); !(d <= tol) {
 					t.Fatalf("%s p=%d packed=%v offset %v: kernel deviates from the oracle by %g (tolerance %g)",
-						name, p, packed, off, d, tol)
-				} else if d > worst {
-					worst = d
+						c.name, p, packed, c.froms[i].Sub(c.to), d, tol)
+				} else {
+					worst = max(worst, d)
 				}
 			}
 		}
-	}
-	for _, p := range oracleOrders {
-		w := NewWorkspace(p)
-		to, srcs := goldenBatch(p)
-		check("golden", p, w, to, srcs)
-		rng := rand.New(rand.NewSource(int64(50 + p)))
-		srcs = srcs[:0]
-		for _, d := range axialOffsets {
-			if _, theta, _ := d.Spherical(); theta != 0 && theta != math.Pi && theta != math.Pi/2 {
-				t.Fatalf("offset %v has theta %v, want an exact 0, pi/2 or pi", d, theta)
+		t.Logf("%s p=%d: %d translations, worst deviation %.2g", c.name, p, len(c.froms), worst)
+		if c.direct {
+			batch, direct := NewExpansion(p), NewExpansion(p)
+			w.M2LBatch(batch, c.to, cols[0])
+			for _, s := range cols[0] {
+				w.M2L(direct, c.to, s.M, s.From)
 			}
-			srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: d})
-		}
-		check("axial", p, w, geom.Vec3{}, srcs)
-	}
-	for _, tc := range treeCases {
-		tr := octree.Build(tc.sys(), octree.Config{S: 24})
-		tr.BuildLists()
-		cls := tr.M2LClasses()
-		for _, p := range oracleOrders {
-			rng := rand.New(rand.NewSource(int64(60 + p)))
-			var srcs []M2LSource
-			for _, d := range sampledClasses(cls.Dirs, p) {
-				srcs = append(srcs, M2LSource{M: randomExpansion(p, rng), From: d})
+			if d := maxRelDiff(batch.C, direct.C); d > 1e-9 {
+				t.Errorf("%s p=%d: M2LBatch deviates from the direct M2L by %g", c.name, p, d)
 			}
-			check(tc.name, p, NewWorkspace(p), geom.Vec3{}, srcs)
 		}
 	}
+}
+
+// maxRelDiff is the largest coefficient difference relative to 1 + |a|.
+func maxRelDiff(a, b []complex128) float64 {
+	var worst float64
+	for i := range a {
+		worst = max(worst, cmplx.Abs(a[i]-b[i])/(1+cmplx.Abs(a[i])))
+	}
+	return worst
 }

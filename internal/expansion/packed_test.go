@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"afmm/internal/geom"
-	"afmm/internal/octree"
 	"afmm/internal/sphharm"
 )
 
@@ -59,108 +58,6 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// everyForm translates the four source columns drawn from seed over froms
-// through every translation form onto nonzero locals and returns every
-// resulting coefficient: M2L through table rows, spilled theta (a table
-// squeezed to two stacks) and the uncached M2LBatch at width 1, table rows
-// and spilled theta at width 4; M2M and L2L through every octant, on a
-// level the shared rows cover and on one they do not, at both widths, and
-// the general-offset M2M and L2L over froms. The inputs depend on the
-// arguments only, so two calls differ by the dispatch state alone.
-func everyForm(p int, to geom.Vec3, froms []geom.Vec3, seed int64) (out []complex128) {
-	rng := rand.New(rand.NewSource(seed))
-	quads, cols := randomQuads(p, rng, froms)
-	start, _ := randomLocals(p, rng)
-	w := NewWorkspace(p)
-	local := func() (l [4]Expansion) {
-		for c := range l {
-			l[c] = NewExpansion(p)
-			copy(l[c].C, start[c].C)
-		}
-		return l
-	}
-	for _, rotCap := range []int{0, 2} {
-		tb, classes := tableFor(p, to, cols[0], rotCap)
-		l := local()
-		w.M2LBatchTable(l[0], to, cols[0], classes, tb)
-		out = append(out, l[0].C...)
-		l = local()
-		w.M2LBatchTable4(&l, quads, classes, tb)
-		for c := range l {
-			out = append(out, l[c].C...)
-		}
-	}
-	l := local()
-	w.M2LBatch(l[1], to, cols[1])
-	out = append(out, l[1].C...)
-	var rows ShiftRows
-	rows.Cover(p, 0.3712, 2)
-	for o := 0; o < 8; o++ {
-		for _, h := range []float64{0.3712 / 2, 0.1} {
-			l = local()
-			w.ChildShift(l[0], quads[0].M[0], ShiftM2M, o, h, &rows)
-			w.ChildShift(l[1], quads[0].M[1], ShiftL2L, o, h, &rows)
-			w.ChildShift4(&l, &quads[0].M, ShiftM2M, o, h, &rows)
-			w.ChildShift4(&l, &quads[0].M, ShiftL2L, o, h, &rows)
-			for c := range l {
-				out = append(out, l[c].C...)
-			}
-		}
-	}
-	l = local()
-	for _, s := range cols[2] {
-		w.M2M(l[2], to, s.M, s.From)
-		w.L2L(l[3], to, s.M, s.From)
-	}
-	return append(append(out, l[2].C...), l[3].C...)
-}
-
-// TestM2LPackedMatchesScalar: packed == scalar to the bit at widths 1 and
-// 4, for every translation form (everyForm) and every order the benchmark,
-// the accuracy matrix and the fuzz targets run plus 20 and MaxOrder, on
-// random offsets, on exactly axial and equatorial ones, and on the V lists
-// of a real adaptive tree.
-func TestM2LPackedMatchesScalar(t *testing.T) {
-	if !packedOK {
-		t.Skip("no AVX2 on this host")
-	}
-	defer func() { packedOK = true }()
-	tr := octree.Build(treeCases[0].sys(), octree.Config{S: 24})
-	tr.BuildLists()
-	var vlist []geom.Vec3 // the first 400 V-list offsets of the tree
-	for ni := 0; ni < len(tr.Nodes) && len(vlist) < 400; ni++ {
-		for _, vi := range tr.Nodes[ni].V {
-			vlist = append(vlist, tr.Nodes[vi].Box.Center.Sub(tr.Nodes[ni].Box.Center))
-		}
-	}
-	for _, p := range packedOrders {
-		stride := 1 // through vlist: O(p^3) a translation, five forms, two states
-		if p > 8 {
-			stride = 1 + p*p*p/200
-		}
-		if testing.Short() {
-			stride *= 4
-		}
-		rng := rand.New(rand.NewSource(int64(90 + p)))
-		cases := map[string][]geom.Vec3{"random": benchDirs(rng, 24), "axial": axialOffsets}
-		for i := 0; i < len(vlist); i += stride {
-			cases["tree"] = append(cases["tree"], vlist[i])
-		}
-		for name, froms := range cases {
-			packedOK = true
-			got := everyForm(p, geom.Vec3{}, froms, int64(p))
-			packedOK = false
-			want := everyForm(p, geom.Vec3{}, froms, int64(p))
-			for i := range want {
-				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
-					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-					t.Fatalf("%s p=%d coefficient %d of %d: packed %v, scalar %v", name, p, i, len(want), got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // canaried lays n vectors of size floats out in one buffer with a canary
 // after each and returns them with a check that no canary moved.
 func canaried[T comparable](n, size int, canary T) (vecs [][]T, intact func() bool) {
@@ -203,8 +100,9 @@ func TestM2LScratchSlackHoldsOverrun(t *testing.T) {
 			r.aRe, r.aIm, r.bRe, r.bIm, r.zip = v1[0], v1[1], v1[2], v1[3], vz[0]
 			r.wide(p) // the column geometry; the split scratch it made is replaced
 			r.aRe4, r.aIm4, r.bRe4, r.bIm4 = v4[0], v4[1], v4[2], v4[3]
-			quads, cols := randomQuads(p, rng, benchDirs(rng, 3))
-			tb, classes := tableFor(p, geom.Vec3{}, cols[0], 0)
+			froms := benchDirs(rng, 3)
+			quads, cols := randomQuads(p, rng, froms)
+			tb, classes := tableFor(p, geom.Vec3{}, froms, nil, 0)
 			nan := math.NaN()
 			oct := octants(p)
 			for i := 0; i < laneSlack; i++ {
@@ -246,11 +144,11 @@ func TestM2LScratchSlackHoldsOverrun(t *testing.T) {
 
 // fuzzTranslation is one translation of FuzzM2LPackedMatchesScalar: order,
 // direction, and four source columns made of raw coefficient bits.
-func fuzzTranslation(order uint8, theta, phi, rho float64, coef []byte) (p int, quad M2LSource4) {
+func fuzzTranslation(order uint8, theta, phi, rho float64, coef []byte) (p int, from geom.Vec3, quad M2LSource4) {
 	p = int(order) % 21
 	st, ct := math.Sincos(theta)
 	sp, cp := math.Sincos(phi)
-	quad.From = geom.Vec3{X: rho * st * cp, Y: rho * st * sp, Z: rho * ct}
+	from = geom.Vec3{X: rho * st * cp, Y: rho * st * sp, Z: rho * ct}
 	var word [8]byte
 	next := func() float64 {
 		n := copy(word[:], coef)
@@ -264,7 +162,7 @@ func fuzzTranslation(order uint8, theta, phi, rho float64, coef []byte) (p int, 
 			quad.M[c].C[i] = complex(next(), next())
 		}
 	}
-	return p, quad
+	return p, from, quad
 }
 
 // FuzzM2LPackedMatchesScalar: for any order, direction and coefficient bits
@@ -294,11 +192,11 @@ func FuzzM2LPackedMatchesScalar(f *testing.F) {
 			t.Skip("no AVX2 on this host")
 		}
 		defer func() { packedOK = true }()
-		p, quad := fuzzTranslation(order, theta, phi, rho, coef)
+		p, from, quad := fuzzTranslation(order, theta, phi, rho, coef)
 		run := func() (out []complex128) {
 			w := NewWorkspace(p)
-			srcs := []M2LSource{{M: quad.M[0], From: quad.From}}
-			tb, classes := tableFor(p, geom.Vec3{}, srcs, 0)
+			srcs := []M2LSource{{M: quad.M[0], From: from}}
+			tb, classes := tableFor(p, geom.Vec3{}, []geom.Vec3{from}, nil, 0)
 			var l [4]Expansion
 			for c := range l {
 				l[c] = NewExpansion(p)
@@ -313,8 +211,8 @@ func FuzzM2LPackedMatchesScalar(f *testing.F) {
 			out = append(append(out, single.C...), batch.C...)
 			o := int(order/21) % 8
 			shifts := [4]Expansion{NewExpansion(p), NewExpansion(p), NewExpansion(p), NewExpansion(p)}
-			w.M2M(shifts[0], geom.Vec3{}, quad.M[0], quad.From)
-			w.L2L(shifts[1], geom.Vec3{}, quad.M[1], quad.From)
+			w.M2M(shifts[0], geom.Vec3{}, quad.M[0], from)
+			w.L2L(shifts[1], geom.Vec3{}, quad.M[1], from)
 			w.ChildShift(shifts[2], quad.M[2], ShiftM2M, o, rho, nil)
 			w.ChildShift(shifts[3], quad.M[3], ShiftL2L, o, rho, nil)
 			w.ChildShift4(&shifts, &quad.M, ShiftM2M, o, rho, nil)
@@ -330,7 +228,7 @@ func FuzzM2LPackedMatchesScalar(f *testing.F) {
 		want := run()
 		for i := range want {
 			if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
-				t.Fatalf("p=%d from=%v coefficient %d: packed %v, scalar %v", p, quad.From, i, got[i], want[i])
+				t.Fatalf("p=%d from=%v coefficient %d: packed %v, scalar %v", p, from, i, got[i], want[i])
 			}
 		}
 	})

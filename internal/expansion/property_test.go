@@ -12,19 +12,6 @@ import (
 // The translation operators are linear maps; linearity must hold to
 // rounding for arbitrary coefficient vectors (not just physical ones).
 
-func randExpansion(rng *rand.Rand, p int) Expansion {
-	e := NewExpansion(p)
-	for i := range e.C {
-		e.C[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	// Enforce the Hermitian convention: m = 0 entries real.
-	for n := 0; n <= p; n++ {
-		idx := n * (n + 1) / 2
-		e.C[idx] = complex(real(e.C[idx]), 0)
-	}
-	return e
-}
-
 func TestQuickM2LLinearity(t *testing.T) {
 	const p = 6
 	w := NewWorkspace(p)
@@ -32,8 +19,8 @@ func TestQuickM2LLinearity(t *testing.T) {
 	f := func(aRaw, bRaw int16) bool {
 		a := float64(aRaw) / 256
 		b := float64(bRaw) / 256
-		m1 := randExpansion(rng, p)
-		m2 := randExpansion(rng, p)
+		m1 := randomExpansion(p, rng)
+		m2 := randomExpansion(p, rng)
 		from := geom.Vec3{X: 3, Y: -1, Z: 2}
 		to := geom.Vec3{}
 
@@ -69,7 +56,7 @@ func TestQuickRotatedOperatorsLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	f := func(aRaw int16) bool {
 		a := float64(aRaw) / 256
-		m := randExpansion(rng, p)
+		m := randomExpansion(p, rng)
 		from := geom.Vec3{X: 1, Y: 2, Z: -3}
 		to := geom.Vec3{X: 0.1}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"afmm/internal/geom"
@@ -21,9 +22,13 @@ func octantOffset(o int, h float64) geom.Vec3 {
 // levels under a root half-width that is not a power of two, at 1e-13
 // relative to the size of the terms each output degree sums
 // (shiftRelDiff). The rows come from a ShiftRows covering the levels and,
-// bit-identically, from the workspace scratch.
+// bit-identically, from the workspace scratch; ChildShift4 gives each
+// column ChildShift's bits; and every form, the general-offset M2M and
+// L2L over the same offset too, leaves the same bits under both dispatch
+// states.
 func TestChildShiftsMatchOracle(t *testing.T) {
 	const tol, h0 = 1e-13, 0.3712
+	states := dispatchStates(t)
 	for _, p := range packedOrders {
 		rng := rand.New(rand.NewSource(int64(130 + p)))
 		w := NewWorkspace(p)
@@ -35,25 +40,52 @@ func TestChildShiftsMatchOracle(t *testing.T) {
 			h := h0 / float64(int(1)<<lv)
 			for o := 0; o < 8; o++ {
 				child := octantOffset(o, h)
-				src := randomExpansion(p, rng)
+				var src [4]Expansion
+				for c := range src {
+					src[c] = randomExpansion(p, rng)
+				}
 				for _, kind := range []Shift{ShiftM2M, ShiftL2L} {
-					want, got, scratch := NewExpansion(p), NewExpansion(p), NewExpansion(p)
-					if kind == ShiftM2M {
-						w.m2mOracle(want, geom.Vec3{}, src, child)
-						w.ChildShift(got, src, ShiftM2M, o, h, &rows)
-						w.ChildShift(scratch, src, ShiftM2M, o, h, nil)
-					} else {
-						w.l2lOracle(want, child, src, geom.Vec3{})
-						w.ChildShift(got, src, ShiftL2L, o, h, &rows)
-						w.ChildShift(scratch, src, ShiftL2L, o, h, nil)
-					}
-					for i := range got.C {
-						if got.C[i] != scratch.C[i] {
-							t.Fatalf("p=%d level %d octant %d kind %d coefficient %d: shared row %v, scratch row %v",
-								p, lv, o, kind, i, got.C[i], scratch.C[i])
+					want := NewExpansion(p)
+					general := func(l Expansion) {
+						if kind == ShiftM2M {
+							w.M2M(l, geom.Vec3{}, src[0], child)
+						} else {
+							w.L2L(l, child, src[0], geom.Vec3{})
 						}
 					}
-					d := shiftRelDiff(p, got.C, want.C, src.C, scalarOrder(rows.row(h, kind), p), ones)
+					if kind == ShiftM2M {
+						w.m2mOracle(want, geom.Vec3{}, src[0], child)
+					} else {
+						w.l2lOracle(want, child, src[0], geom.Vec3{})
+					}
+					var first []complex128 // every form's bits in the first state
+					for si, packed := range states {
+						packedOK = packed
+						got, scratch, gen := NewExpansion(p), NewExpansion(p), NewExpansion(p)
+						var got4 [4]Expansion
+						for c := range got4 {
+							got4[c] = NewExpansion(p)
+						}
+						w.ChildShift(got, src[0], kind, o, h, &rows)
+						w.ChildShift(scratch, src[0], kind, o, h, nil)
+						w.ChildShift4(&got4, &src, kind, o, h, &rows)
+						general(gen)
+						if at := firstDiff(scratch.C, got.C); at >= 0 {
+							t.Fatalf("p=%d level %d octant %d kind %d packed=%v coefficient %d: shared row %v, scratch row %v",
+								p, lv, o, kind, packed, at, got.C[at], scratch.C[at])
+						}
+						if at := firstDiff(got4[0].C, got.C); at >= 0 {
+							t.Fatalf("p=%d level %d octant %d kind %d packed=%v coefficient %d: ChildShift4 %v, ChildShift %v",
+								p, lv, o, kind, packed, at, got4[0].C[at], got.C[at])
+						}
+						all := slices.Concat(got.C, got4[0].C, got4[1].C, got4[2].C, got4[3].C, gen.C)
+						if si == 0 {
+							first = all
+						} else if at := firstDiff(all, first); at >= 0 {
+							t.Fatalf("p=%d level %d octant %d kind %d: value %d differs between the dispatch states", p, lv, o, kind, at)
+						}
+					}
+					d := shiftRelDiff(p, first[:len(want.C)], want.C, src[0].C, scalarOrder(rows.row(h, kind), p), ones)
 					if !(d <= tol) {
 						t.Fatalf("p=%d level %d octant %d kind %d: deviates from the oracle by %g (tolerance %g)",
 							p, lv, o, kind, d, tol)

@@ -1,24 +1,19 @@
 package expansion
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
-	"slices"
 	"testing"
-
-	"afmm/internal/geom"
-	"afmm/internal/sphharm"
 )
 
 // The theta-batched M2L (M2LBatchTheta) runs four pairs that share a polar
 // angle as one four-column translation, each column with its own phases
 // and radial powers, and adds the columns to their targets in column
-// order. These tests hold a quad to four width-1 translations applied in
-// column order, bit for bit, and the batched call to the per-target table
-// form over the target's pairs sorted by theta.
+// order. The bit-identity harness holds the batched call to M2LBatch over
+// each target's pairs sorted by theta (checkTheta); the fuzz target here
+// holds a quad of any geometry to four width-1 translations applied in
+// column order, bit for bit.
 
 // quadSetup is the width-1 setup of four translations sharing theta: the
 // half stack, and per column its phases and radial powers, rows with the
@@ -75,107 +70,6 @@ func quadMatchesSingles(w *Workspace, q quadSetup, src [4]Expansion, start [4]Ex
 	return ""
 }
 
-// TestM2LQuadMatchesSingle: a four-column translation with per-column
-// phases and radial powers over one half stack equals four width-1
-// translations applied in column order — into four distinct locals, and
-// into one local repeated in all four columns (and in two pairs of
-// columns) — at every order the benchmark and the fuzz targets run, under
-// both dispatch states.
-func TestM2LQuadMatchesSingle(t *testing.T) {
-	eachDispatch(t, func(t *testing.T) {
-		orders := []int{0, 1, 2, 3, 4, 5, 6, 8, 12, 20}
-		for _, p := range orders {
-			rng := rand.New(rand.NewSource(int64(150 + p)))
-			w := NewWorkspace(p)
-			for trial := 0; trial < 6; trial++ {
-				theta := math.Pi * rng.Float64()
-				if trial == 0 {
-					theta = 0 // axial: the stack is the identity's signs
-				}
-				var phi, rho [4]float64
-				for c := range phi {
-					phi[c], rho[c] = 2*math.Pi*rng.Float64()-math.Pi, 1+3*rng.Float64()
-				}
-				q := newQuadSetup(w, theta, phi, rho)
-				var src [4]Expansion
-				for c := range src {
-					src[c] = randomExpansion(p, rng)
-				}
-				start, _ := randomLocals(p, rng)
-				for _, targets := range [][4]int{{0, 1, 2, 3}, {2, 2, 2, 2}, {0, 3, 0, 3}, {3, 2, 1, 0}} {
-					if msg := quadMatchesSingles(w, q, src, start, targets); msg != "" {
-						t.Fatalf("p=%d trial %d targets %v: %s", p, trial, targets, msg)
-					}
-				}
-			}
-		}
-	})
-}
-
-// TestM2LBatchThetaMatchesSortedTable: M2LBatchTheta over pairs of many
-// targets — classes four to a theta and singletons, so buckets hold full
-// quads, remainders of one to three and lone pairs, some theta spilled out
-// of a squeezed table — leaves every target bit-identical to M2LBatchTable
-// over that target's own pairs sorted stably by theta, under both dispatch
-// states, whatever the order the targets' pairs are interleaved in.
-func TestM2LBatchThetaMatchesSortedTable(t *testing.T) {
-	eachDispatch(t, func(t *testing.T) {
-		for _, p := range []int{3, 8} {
-			rng := rand.New(rand.NewSource(int64(170 + p)))
-			dirs := append(thetaQuads(benchDirs(rng, 12)), benchDirs(rng, 10)...)
-			const nCells = 24
-			pl := sphharm.PackedLen(p)
-			mslab := make([]complex128, 0, nCells*pl)
-			for i := 0; i < nCells; i++ {
-				mslab = append(mslab, randomExpansion(p, rng).C...)
-			}
-			start := make([]complex128, 0, nCells*pl)
-			for i := 0; i < nCells; i++ {
-				start = append(start, randomExpansion(p, rng).C...)
-			}
-			for _, rotCap := range []int{0, 9} {
-				tb := buildTable(p, dirs, nil, rotCap)
-				for trial := 0; trial < 4; trial++ {
-					var pairs []M2LPair
-					for i := 0; i < 200; i++ {
-						pairs = append(pairs, M2LPair{L: int32(rng.Intn(6)), M: int32(rng.Intn(nCells)), Class: int32(rng.Intn(len(dirs)))})
-					}
-					w := NewWorkspace(p)
-					got := slices.Clone(start)
-					w.M2LBatchTheta(got, mslab, pairs, tb)
-					want := slices.Clone(start)
-					for target := int32(0); target < 6; target++ {
-						var own []M2LPair
-						for _, pr := range pairs {
-							if pr.L == target {
-								own = append(own, pr)
-							}
-						}
-						slices.SortStableFunc(own, func(a, b M2LPair) int {
-							_, thetaA, _ := dirs[a.Class].Spherical()
-							_, thetaB, _ := dirs[b.Class].Spherical()
-							return cmp.Compare(thetaA, thetaB)
-						})
-						srcs := make([]M2LSource, len(own))
-						classes := make([]int32, len(own))
-						for i, pr := range own {
-							srcs[i] = M2LSource{M: Expansion{P: p, C: mslab[int(pr.M)*pl:][:pl]}}
-							classes[i] = pr.Class
-						}
-						w.M2LBatchTable(Expansion{P: p, C: want[int(target)*pl:][:pl]}, geom.Vec3{}, srcs, classes, tb)
-					}
-					for k := range want {
-						if !sameBits(real(got[k]), real(want[k])) || !sameBits(imag(got[k]), imag(want[k])) {
-							t.Fatalf("p=%d rotCap=%d trial %d: target %d coefficient %d: batched %v, sorted table %v",
-								p, rotCap, trial, k/pl, k%pl, got[k], want[k])
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
 // FuzzM2LQuadMatchesSingle: for any order, polar angle, per-column
 // azimuths and lengths, coefficient bits and target pattern, a quad equals
 // four width-1 translations in column order under both dispatch states
@@ -202,7 +96,7 @@ func FuzzM2LQuadMatchesSingle(f *testing.F) {
 		for c := range targets {
 			targets[c] = int(pattern>>(2*c)) & 3
 		}
-		_, quad := fuzzTranslation(order, theta, phi, rho, coef)
+		_, _, quad := fuzzTranslation(order, theta, phi, rho, coef)
 		for _, packed := range dispatchStates(t) {
 			packedOK = packed
 			w := NewWorkspace(p)

@@ -199,9 +199,8 @@ func ParseNodeEvents(spec string) ([]NodeEvent, error) {
 		if !ok {
 			return nil, fmt.Errorf("node fault spec %q: missing ':' between node and fault", entry)
 		}
-		nodeStr := strings.TrimPrefix(devPart, "node")
-		node, err := strconv.Atoi(nodeStr)
-		if err != nil || node < 0 || nodeStr == devPart {
+		node, ok := wordNum(devPart, "node")
+		if !ok {
 			return nil, fmt.Errorf("node fault spec %q: bad node %q (want node<K>)", entry, devPart)
 		}
 		kindPart, atPart, ok := strings.Cut(rest, "@")
@@ -211,9 +210,8 @@ func ParseNodeEvents(spec string) ([]NodeEvent, error) {
 		if kindPart != "failstop" {
 			return nil, fmt.Errorf("node fault spec %q: unknown node fault %q (only failstop)", entry, kindPart)
 		}
-		stepStr := strings.TrimPrefix(atPart, "step")
-		step, err := strconv.Atoi(stepStr)
-		if err != nil || step < 0 || stepStr == atPart {
+		step, ok := wordNum(atPart, "step")
+		if !ok {
 			return nil, fmt.Errorf("node fault spec %q: bad step %q (want @step<N>)", entry, atPart)
 		}
 		out = append(out, NodeEvent{Node: node, Step: step})
@@ -233,12 +231,9 @@ func parseEntry(entry string) (Event, error) {
 	if !ok {
 		return ev, fmt.Errorf("missing ':' between device and fault")
 	}
-	devStr := strings.TrimPrefix(devPart, "gpu")
-	dev, err := strconv.Atoi(devStr)
-	if err != nil || dev < 0 {
+	if ev.Device, ok = wordNum(devPart, "gpu"); !ok {
 		return ev, fmt.Errorf("bad device %q (want gpu<N>)", devPart)
 	}
-	ev.Device = dev
 
 	kindPart, atPart, ok := strings.Cut(rest, "@")
 	if !ok {
@@ -276,24 +271,31 @@ func parseEntry(entry string) (Event, error) {
 		return ev, fmt.Errorf("unknown fault %q", kindPart)
 	}
 
-	stepStr, chunkStr, hasChunk := strings.Cut(atPart, "#")
-	stepStr = strings.TrimPrefix(stepStr, "step")
-	step, err := strconv.Atoi(stepStr)
-	if err != nil || step < 0 {
+	stepPart, chunkStr, hasChunk := strings.Cut(atPart, "#")
+	if ev.Step, ok = wordNum(stepPart, "step"); !ok {
 		return ev, fmt.Errorf("bad step %q (want @step<N>)", atPart)
 	}
-	ev.Step = step
 	if hasChunk {
 		if ev.Kind != FailStop && ev.Kind != Hang && ev.Kind != Corrupt {
 			return ev, fmt.Errorf("#chunk only applies to failstop/hang/corrupt")
 		}
-		c, err := strconv.Atoi(chunkStr)
-		if err != nil || c < 0 {
+		if ev.Chunk, ok = wordNum(chunkStr, ""); !ok {
 			return ev, fmt.Errorf("bad chunk %q", chunkStr)
 		}
-		ev.Chunk = c
 	}
 	return ev, nil
+}
+
+// wordNum parses s as <word><N>, the one form of every device, node,
+// link end, step and chunk in a spec: word itself, then a decimal number
+// of digits only.
+func wordNum(s, word string) (int, bool) {
+	digits, ok := strings.CutPrefix(s, word)
+	if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
 }
 
 // Random draws n fault events over the given device and step ranges

@@ -41,29 +41,47 @@ func TestParseEmpty(t *testing.T) {
 	}
 }
 
+// TestParseErrors: every parser rejects a malformed spec, and all four
+// read a device, node, link end, step and chunk as <word><N> alike — a
+// missing word or a sign is an error, not a bare number.
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"gpu1failstop@step2",     // missing colon
-		"gpux:failstop@step2",    // bad device
-		"gpu1:explode@step2",     // unknown kind
-		"gpu1:failstop@2",        // missing "step"... actually "2" trims to "2" -> valid? see below
-		"gpu1:straggle@step2",    // straggle without factor
-		"gpu1:transient0@step3",  // transient count < 1
-		"gpu1:failstop@stepX",    // bad step
-		"gpu1:straggle2@step3#1", // chunk on straggle
+	parsers := map[string]func(string) error{
+		"device":  func(s string) error { _, err := Parse(s); return err },
+		"node":    func(s string) error { _, err := ParseNodeEvents(s); return err },
+		"link":    func(s string) error { _, err := ParseLinkEvents(s); return err },
+		"cluster": func(s string) error { _, _, err := ParseClusterEvents(s); return err },
 	}
-	for _, spec := range bad {
-		if spec == "gpu1:failstop@2" {
-			// "@2" without the "step" prefix is accepted as a bare
-			// number — verify it parses rather than errors.
-			sch, err := Parse(spec)
-			if err != nil || sch.Events[0].Step != 2 {
-				t.Fatalf("bare step number should parse: %v %+v", err, sch)
-			}
-			continue
-		}
-		if _, err := Parse(spec); err == nil {
-			t.Errorf("Parse(%q) = nil error, want failure", spec)
+	for _, tc := range []struct{ parser, spec string }{
+		{"device", "gpu1failstop@step2"},     // missing colon
+		{"device", "gpux:failstop@step2"},    // bad device
+		{"device", "3:failstop@step5"},       // missing "gpu"
+		{"device", "gpu+3:failstop@step5"},   // signed device
+		{"device", "gpu1:explode@step2"},     // unknown kind
+		{"device", "gpu1:failstop@2"},        // missing "step"
+		{"device", "3:failstop@5"},           // missing both words
+		{"device", "gpu1:failstop@step"},     // missing step number
+		{"device", "gpu1:failstop@step-1"},   // negative step
+		{"device", "gpu1:failstop@step2#"},   // missing chunk number
+		{"device", "gpu1:failstop@step2#+1"}, // signed chunk
+		{"device", "gpu1:straggle@step2"},    // straggle without factor
+		{"device", "gpu1:transient0@step3"},  // transient count < 1
+		{"device", "gpu1:failstop@stepX"},    // bad step
+		{"device", "gpu1:straggle2@step3#1"}, // chunk on straggle
+		{"node", "1:failstop@step2"},         // missing "node"
+		{"node", "node1:failstop@2"},         // missing "step"
+		{"node", "node+1:failstop@step2"},    // signed node
+		{"node", "node1:hang@step2"},         // only failstop
+		{"link", "0-1:drop0.1@step0"},        // missing "link"
+		{"link", "link0-1:drop0.1@0"},        // missing "step"
+		{"link", "link0-+1:drop0.1@step0"},   // signed peer
+		{"link", "link0-:drop0.1@step0"},     // missing peer number
+		{"cluster", "3:failstop@5"},          // neither node nor link
+		{"cluster", "node2:failstop@4"},      // node entry without "step"
+		{"cluster", "link0-1:drop0.1@2"},     // link entry without "step"
+		{"cluster", "gpu0:failstop@step1"},   // a device entry
+	} {
+		if err := parsers[tc.parser](tc.spec); err == nil {
+			t.Errorf("%s spec %q: want error, got none", tc.parser, tc.spec)
 		}
 	}
 }

@@ -216,17 +216,10 @@ func parseLinkEntry(entry string) (LinkEvent, error) {
 	if !ok {
 		return ev, fmt.Errorf("missing ':' between link and fault")
 	}
-	pairStr := strings.TrimPrefix(linkPart, "link")
-	if pairStr == linkPart {
-		return ev, fmt.Errorf("bad link %q (want link<A>-<B>)", linkPart)
-	}
-	fromStr, toStr, ok := strings.Cut(pairStr, "-")
-	if !ok {
-		return ev, fmt.Errorf("bad link %q (want link<A>-<B>)", linkPart)
-	}
-	from, err1 := strconv.Atoi(fromStr)
-	to, err2 := strconv.Atoi(toStr)
-	if err1 != nil || err2 != nil || from < 0 || to < 0 {
+	fromStr, toStr, _ := strings.Cut(linkPart, "-")
+	from, okFrom := wordNum(fromStr, "link")
+	to, okTo := wordNum(toStr, "")
+	if !okFrom || !okTo {
 		return ev, fmt.Errorf("bad link %q (want link<A>-<B>)", linkPart)
 	}
 	if from == to {
@@ -238,6 +231,7 @@ func parseLinkEntry(entry string) (LinkEvent, error) {
 	if !ok {
 		return ev, fmt.Errorf("missing '@step<N>'")
 	}
+	var err error
 	prob := func(s, kind string) (float64, error) {
 		if s == "" {
 			return 1, nil
@@ -255,8 +249,8 @@ func parseLinkEntry(entry string) (LinkEvent, error) {
 		if ps == "" {
 			return ev, fmt.Errorf("drop needs a probability (e.g. drop0.05)")
 		}
-		if ev.Prob, err1 = prob(ps, "drop"); err1 != nil {
-			return ev, err1
+		if ev.Prob, err = prob(ps, "drop"); err != nil {
+			return ev, err
 		}
 	case strings.HasPrefix(kindPart, "delay"):
 		ev.Kind = LinkDelay
@@ -277,29 +271,26 @@ func parseLinkEntry(entry string) (LinkEvent, error) {
 		ev.Delay = d * unit
 	case strings.HasPrefix(kindPart, "dup"):
 		ev.Kind = LinkDup
-		if ev.Prob, err1 = prob(strings.TrimPrefix(kindPart, "dup"), "dup"); err1 != nil {
-			return ev, err1
+		if ev.Prob, err = prob(strings.TrimPrefix(kindPart, "dup"), "dup"); err != nil {
+			return ev, err
 		}
 	case strings.HasPrefix(kindPart, "reorder"):
 		ev.Kind = LinkReorder
-		if ev.Prob, err1 = prob(strings.TrimPrefix(kindPart, "reorder"), "reorder"); err1 != nil {
-			return ev, err1
+		if ev.Prob, err = prob(strings.TrimPrefix(kindPart, "reorder"), "reorder"); err != nil {
+			return ev, err
 		}
 	case strings.HasPrefix(kindPart, "corrupt"):
 		ev.Kind = LinkCorrupt
-		if ev.Prob, err1 = prob(strings.TrimPrefix(kindPart, "corrupt"), "corrupt"); err1 != nil {
-			return ev, err1
+		if ev.Prob, err = prob(strings.TrimPrefix(kindPart, "corrupt"), "corrupt"); err != nil {
+			return ev, err
 		}
 	default:
 		return ev, fmt.Errorf("unknown link fault %q", kindPart)
 	}
 
-	stepStr := strings.TrimPrefix(atPart, "step")
-	step, err := strconv.Atoi(stepStr)
-	if err != nil || step < 0 || stepStr == atPart {
+	if ev.Step, ok = wordNum(atPart, "step"); !ok {
 		return ev, fmt.Errorf("bad step %q (want @step<N>)", atPart)
 	}
-	ev.Step = step
 	return ev, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"afmm/internal/distrib"
@@ -108,9 +109,8 @@ func requireScheduleEqual(t *testing.T, got, want *Tree, stage string) {
 	a, b := got.NearField(), want.NearField()
 	if !slices.Equal(a.Leaves, b.Leaves) || !slices.Equal(a.RowPtr, b.RowPtr) ||
 		!slices.Equal(a.Srcs, b.Srcs) || !slices.Equal(a.SrcStart, b.SrcStart) ||
-		!slices.Equal(a.SrcEnd, b.SrcEnd) || !slices.Equal(a.Weights, b.Weights) ||
-		!slices.Equal(a.Prefix, b.Prefix) || !slices.Equal(a.fromV, b.fromV) ||
-		!slices.Equal(a.priced, b.priced) ||
+		!slices.Equal(a.SrcEnd, b.SrcEnd) || a.total != b.total ||
+		!slices.Equal(a.fromV, b.fromV) || !slices.Equal(a.priced, b.priced) ||
 		a.DirectPairs != b.DirectPairs || a.DirectInteractions != b.DirectInteractions {
 		t.Fatalf("%s: cached schedule differs from a from-scratch one (direct pairs %d vs %d)",
 			stage, a.DirectPairs, b.DirectPairs)
@@ -341,10 +341,7 @@ func TestNearChunksLayout(t *testing.T) {
 				tr.SetDirectK(k)
 			}
 			name := fmt.Sprintf("%s K=%d", tc.name, k)
-			sch := tr.NearField()
-			if sch.Unpaired != 0 {
-				t.Fatalf("%s: %d rows unpaired", name, sch.Unpaired)
-			}
+			sch := tr.NearField() // panics on an unpaired row
 			rowOf := map[int32]int{}
 			for r, li := range sch.Leaves {
 				rowOf[li] = r
@@ -418,5 +415,43 @@ func TestNearChunksLayout(t *testing.T) {
 				t.Fatalf("%s: heaviest chunk %d of %d, rows up to %d", name, heaviest, total, rowMax)
 			}
 		}
+	}
+}
+
+// TestNearFieldPanicsOnBrokenRows: the mutual layout refuses rows that do
+// not pair, instead of summing an entry one-way without its reaction — a
+// U entry naming a node that is no visible leaf (an orphan), and a U entry
+// whose mirror entry is missing.
+func TestNearFieldPanicsOnBrokenRows(t *testing.T) {
+	for _, forge := range []struct {
+		name string
+		edit func(tr *Tree, a, b int32)
+	}{
+		{"orphan", func(tr *Tree, a, _ int32) {
+			tr.Nodes[a].U = slices.Insert(slices.Clone(tr.Nodes[a].U), 0, tr.Root)
+		}},
+		{"asymmetric", func(tr *Tree, a, b int32) {
+			tr.Nodes[b].U = slices.DeleteFunc(slices.Clone(tr.Nodes[b].U), func(x int32) bool { return x == a })
+		}},
+	} {
+		t.Run(forge.name, func(t *testing.T) {
+			tr := Build(directCases[0].sys(), Config{S: directCases[0].s})
+			tr.BuildLists()
+			tr.NearField()
+			for a := range tr.Nodes {
+				if i := slices.IndexFunc(tr.Nodes[a].U, func(b int32) bool { return b != int32(a) }); tr.Nodes[a].IsVisibleLeaf() && i >= 0 {
+					forge.edit(tr, int32(a), tr.Nodes[a].U[i])
+					break
+				}
+			}
+			tr.nearRowsOK = false
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "octree: near row") {
+					t.Fatalf("the near schedule accepted a broken row (recovered %q)", msg)
+				}
+			}()
+			tr.NearField()
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 )
@@ -16,12 +17,11 @@ const NearChunks = 8
 // visible leaf Leaves[i] (DFS order, matching WalkVisible), its direct-sum
 // sources are Srcs[RowPtr[i]:RowPtr[i+1]] in ascending node order — the
 // leaf's U list merged with the entries of its V list that Tree.Direct
-// selects for direct summation — Weights[i] = n_t * Σ n_s is its
-// interaction count, and Prefix is the running sum of Weights
-// (Prefix[len(Leaves)] is the total near-field work). The schedule is the
-// one near-field description: the CPU near-field chunking, the virtual-GPU
-// partitioners and device walk, the virtual-CPU task graph and the dmem
-// exchange plan all read its rows, never the node lists.
+// selects for direct summation — and Total is the body-body interaction
+// count n_t * Σ n_s over all rows. The schedule is the one near-field
+// description: the CPU near-field chunking, the virtual-GPU partitioners
+// and device walk, the virtual-CPU task graph and the dmem exchange plan
+// all read its rows, never the node lists.
 // SrcStart/SrcEnd are parallel to Srcs and hold each source leaf's body
 // range in the particle arrays, so near-field consumers slice source
 // positions/masses directly without re-indirecting through Tree.Nodes per
@@ -30,25 +30,24 @@ const NearChunks = 8
 // refilled into reserved buffers when the occupancy changed.
 //
 // Two readings of a row coexist. What is executed is the whole row:
-// Weights, Prefix and Total count it, the host chunking balances by it and
-// every executor walks it. What the virtual machine is charged is the
-// paper's near field, the U-list entries only — the modeled machine keeps
-// the paper's operator assignment, in which every accepted pair is a
-// translation. That second reading has exactly one door: Priced(r) =
-// n_t * Σ_{s ∈ U} n_s (the paper's Interactions(t)), PricedTotal, and
-// PricedRow for the one consumer that prices per source. The flags behind
-// it are not exported, so a consumer cannot filter rows by hand.
+// Total counts it and every executor walks it. What the virtual machine is
+// charged is the paper's near field, the U-list entries only — the modeled
+// machine keeps the paper's operator assignment, in which every accepted
+// pair is a translation. That second reading has exactly one door:
+// Priced(r) = n_t * Σ_{s ∈ U} n_s (the paper's Interactions(t)),
+// PricedTotal, and PricedRow for the one consumer that prices per source.
+// The flags behind it are not exported, so a consumer cannot filter rows
+// by hand.
 type NearSchedule struct {
 	Leaves   []int32
 	RowPtr   []int32
 	Srcs     []int32
 	SrcStart []int32
 	SrcEnd   []int32
-	Weights  []int64
-	Prefix   []int64
 
+	total  int64
 	fromV  []bool  // parallel to Srcs: the entry came from V (Tree.Direct)
-	priced []int64 // per row: Weights minus the entries from V
+	priced []int64 // per row: its interactions minus the entries from V
 
 	// The mutual reading (see Chunk).
 	Upper     []int32
@@ -59,14 +58,11 @@ type NearSchedule struct {
 	foldOff   []int32
 	mutual    []int64 // prefix of the rows' mutual work
 	rowOf     []int32 // per node: its row, -1 for a node without one
-	// Unpaired counts the rows whose lower entries (B, A) and the upper
-	// entries (A, B) naming them differ in number: 0 on symmetric rows.
-	Unpaired int
 
 	// DirectPairs counts the row entries that came from V lists (accepted
 	// pairs summed directly instead of translated) and DirectInteractions
 	// their body-body interactions; both are included in the rows and in
-	// Weights/Prefix/Total.
+	// Total.
 	DirectPairs        int64
 	DirectInteractions int64
 }
@@ -78,12 +74,7 @@ func (s *NearSchedule) Rows() int { return len(s.Leaves) }
 func (s *NearSchedule) Row(i int) []int32 { return s.Srcs[s.RowPtr[i]:s.RowPtr[i+1]] }
 
 // Total returns the total body-body interaction count of the schedule.
-func (s *NearSchedule) Total() int64 {
-	if len(s.Prefix) == 0 {
-		return 0
-	}
-	return s.Prefix[len(s.Prefix)-1]
-}
+func (s *NearSchedule) Total() int64 { return s.total }
 
 // Priced returns the interactions row r is charged for on the modeled
 // machine: its U-list entries only, the paper's Interactions(t).
@@ -123,19 +114,16 @@ func (s *NearSchedule) Fold(r int) (chunks []uint8, offs []int32) {
 }
 
 // Slot returns the offset, in chunk c's reaction buffer, of the slot of
-// entry k's source leaf, or -1 when it has none: it is not a row, and
-// the entry is summed one-way.
+// entry k's source leaf. Entry k must be past the self entry of a row of
+// chunk c: every such entry has a slot there.
 func (s *NearSchedule) Slot(k int32, c int) int32 {
 	r := s.rowOf[s.Srcs[k]]
-	if r < 0 {
-		return -1
-	}
 	for i := s.foldPtr[r]; i < s.foldPtr[r+1]; i++ {
 		if int(s.foldChunk[i]) == c {
 			return s.foldOff[i]
 		}
 	}
-	return -1
+	panic("octree: near entry without a reaction slot in its chunk")
 }
 
 // PricedTotal returns the near field of the paper's cost model: the
@@ -278,9 +266,7 @@ func (t *Tree) reserveNearSchedule() {
 	s.SrcEnd = slices.Grow(s.SrcEnd[:0], bound)
 	s.fromV = slices.Grow(s.fromV[:0], bound)
 	s.RowPtr = slices.Grow(s.RowPtr[:0], len(s.Leaves)+1)
-	s.Weights = slices.Grow(s.Weights[:0], len(s.Leaves))
 	s.priced = slices.Grow(s.priced[:0], len(s.Leaves))
-	s.Prefix = slices.Grow(s.Prefix[:0], len(s.Leaves)+1)
 	s.rowOf = grown(s.rowOf, len(t.Nodes))
 	t.slotStamp = grown(t.slotStamp, len(t.Nodes))
 	t.slotOff = grown(t.slotOff, len(t.Nodes))
@@ -342,8 +328,7 @@ func (t *Tree) fillNearRows() {
 	s := &t.nearSched
 	s.RowPtr = append(s.RowPtr[:0], 0)
 	s.Srcs, s.SrcStart, s.SrcEnd, s.fromV = s.Srcs[:0], s.SrcStart[:0], s.SrcEnd[:0], s.fromV[:0]
-	s.Weights, s.priced = s.Weights[:0], s.priced[:0]
-	s.Prefix = append(s.Prefix[:0], 0)
+	s.priced, s.total = s.priced[:0], 0
 	s.DirectPairs, s.DirectInteractions = 0, 0
 	add := func(si int32, direct bool) int64 {
 		sn := &t.Nodes[si]
@@ -353,7 +338,6 @@ func (t *Tree) fillNearRows() {
 		s.fromV = append(s.fromV, direct)
 		return int64(sn.Count())
 	}
-	run := int64(0)
 	for _, ni := range s.Leaves {
 		n := &t.Nodes[ni]
 		cand := t.directCand[t.maskOff[ni]:][:len(n.V)]
@@ -381,11 +365,8 @@ func (t *Tree) fillNearRows() {
 		s.RowPtr = append(s.RowPtr, int32(len(s.Srcs)))
 		s.DirectPairs += int64(nd)
 		s.DirectInteractions += int64(n.Count()) * direct
-		w := int64(n.Count()) * (srcs + direct)
-		s.Weights = append(s.Weights, w)
+		s.total += int64(n.Count()) * (srcs + direct)
 		s.priced = append(s.priced, int64(n.Count())*srcs)
-		run += w
-		s.Prefix = append(s.Prefix, run)
 	}
 	t.fillMutual()
 	t.nearRowsOK = true
@@ -393,10 +374,12 @@ func (t *Tree) fillNearRows() {
 
 // fillMutual lays out the mutual reading of the rows just filled: the
 // upper halves and their work, the chunk bounds, every chunk's reaction
-// slots in first-touch order and the rows' fold lists. It checks, by
-// count, that every row entry (A, B) has its (B, A), which the mutual sum
-// relies on, and counts the rows that fail in Unpaired. A source that is
-// not a row of its own gets no slot and is summed one-way.
+// slots in first-touch order and the rows' fold lists. The mutual sum
+// relies on every row entry (A, B) having its (B, A), so B is a row too;
+// lists that pass ValidateLists do. fillMutual checks both — that every
+// source has a row, and by count that the entries pair — and panics on a
+// row that fails: the lists are broken, and an entry summed one-way would
+// silently lose its reaction.
 func (t *Tree) fillMutual() {
 	s := &t.nearSched
 	rows := len(s.Leaves)
@@ -411,13 +394,12 @@ func (t *Tree) fillMutual() {
 			k++
 		}
 		s.Upper[r] = k
-		due := int32(0) // lower entries with a row, each a reaction due
-		for _, a := range s.Srcs[s.RowPtr[r]:k] {
-			if s.rowOf[a] >= 0 {
-				due++
+		for _, b := range s.Srcs[s.RowPtr[r]:s.RowPtr[r+1]] {
+			if s.rowOf[b] < 0 {
+				panic(fmt.Sprintf("octree: near row of leaf %d names node %d, which has no row", ni, b))
 			}
 		}
-		t.nearCnt[r] = due
+		t.nearCnt[r] = k - s.RowPtr[r] // lower entries, each a reaction due
 		var srcs int64
 		for j := k; j < s.RowPtr[r+1]; j++ {
 			srcs += int64(s.SrcEnd[j] - s.SrcStart[j])
@@ -444,7 +426,6 @@ func (t *Tree) fillMutual() {
 	}
 	s.foldPtr = grown(s.foldPtr, rows+1)
 	clear(s.foldPtr)
-	s.Unpaired = 0
 	for pass := range 2 {
 		for c := range NearChunks {
 			stamp, off := int32(pass*NearChunks+c), int32(0)
@@ -452,10 +433,10 @@ func (t *Tree) fillMutual() {
 			for r := lo; r < hi; r++ {
 				for k := s.Upper[r] + 1; k < s.RowPtr[r+1]; k++ {
 					b := s.Srcs[k]
-					rb := s.rowOf[b]
-					if rb < 0 || t.slotStamp[b] == stamp {
-						continue // no row to fold into (one-way), or slotted
+					if t.slotStamp[b] == stamp {
+						continue // slotted
 					}
+					rb := s.rowOf[b]
 					t.slotStamp[b] = stamp
 					if pass == 0 {
 						s.foldPtr[rb+1]++
@@ -472,18 +453,16 @@ func (t *Tree) fillMutual() {
 		if pass == 1 {
 			break
 		}
-		// Every upper entry (A, B) with a row pays one of B's lower
-		// entries; then the fold cursors replace the counts.
+		// Every upper entry (A, B) pays one of B's lower entries; then the
+		// fold cursors replace the counts.
 		for r := range rows {
 			for k := s.Upper[r] + 1; k < s.RowPtr[r+1]; k++ {
-				if rb := s.rowOf[s.Srcs[k]]; rb >= 0 {
-					t.nearCnt[rb]--
-				}
+				t.nearCnt[s.rowOf[s.Srcs[k]]]--
 			}
 		}
 		for r := range rows {
 			if t.nearCnt[r] != 0 {
-				s.Unpaired++
+				panic(fmt.Sprintf("octree: near row of leaf %d is named by %d more lower entries than upper ones", s.Leaves[r], t.nearCnt[r]))
 			}
 			s.foldPtr[r+1] += s.foldPtr[r]
 			t.nearCnt[r] = s.foldPtr[r]

@@ -225,30 +225,14 @@ func (p *Pool) ParallelRange(n int, f func(lo, hi int)) {
 // rangeChunks sizes the chunk count of a parallel range: 4× the slots.
 func (p *Pool) rangeChunks() int { return p.workers * 4 }
 
-// ParallelRangeWeighted splits [0, len(weights)) into contiguous chunks of
-// roughly equal total weight and processes them concurrently, at most
-// pool.Workers() at a time. Item i carries weights[i] units of work
-// (negative weights count as zero); a single item heavier than the chunk
-// target forms its own chunk, so a few heavy items cannot serialize the
-// tail behind one task. With all-zero weights it degrades to ParallelRange.
-// The chunk boundaries are WeightedBounds'.
-func (p *Pool) ParallelRangeWeighted(weights []int64, f func(lo, hi int)) {
-	if len(weights) == 0 {
-		return
-	}
-	bounds := p.WeightedBounds(weights)
-	g := p.NewGroup()
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		g.Spawn(func() { f(lo, hi) })
-	}
-	g.Wait()
-}
-
-// WeightedBounds returns the chunk boundaries ParallelRangeWeighted uses
-// for weights: ascending indices b with b[0] == 0 and b[len(b)-1] ==
-// len(weights); chunk k covers [b[k], b[k+1]). internal/dag cuts the step
-// graph's chunk nodes with it. Boundaries depend only on the weights and
+// WeightedBounds splits [0, len(weights)) into contiguous chunks of
+// roughly equal total weight, 4x the pool's workers of them at most, and
+// returns their boundaries: ascending indices b with b[0] == 0 and
+// b[len(b)-1] == len(weights); chunk k covers [b[k], b[k+1]). Item i
+// carries weights[i] units of work (negative weights count as zero); a
+// single item heavier than the chunk target forms its own chunk. With
+// all-zero weights the split is even. internal/dag cuts the step graph's
+// chunk nodes with it. Boundaries depend only on the weights and
 // the pool's worker count, never on execution interleaving, which is what
 // keeps accumulation order — and therefore floating-point results —
 // independent of what else runs concurrently.

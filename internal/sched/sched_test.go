@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,85 +145,64 @@ func TestParallelRangeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestParallelRangeWeightedCoversAllContiguously(t *testing.T) {
+// chunksOf returns the chunks [lo, hi) of WeightedBounds' boundaries.
+func chunksOf(bounds []int) (chunks [][2]int) {
+	for i := 0; i+1 < len(bounds); i++ {
+		chunks = append(chunks, [2]int{bounds[i], bounds[i+1]})
+	}
+	return chunks
+}
+
+func TestWeightedBoundsCoverAllContiguously(t *testing.T) {
 	p := NewPool(4)
 	const n = 500
 	weights := make([]int64, n)
 	for i := range weights {
 		weights[i] = int64(i % 17)
 	}
-	hits := make([]int32, n)
-	p.ParallelRangeWeighted(weights, func(lo, hi int) {
-		if lo >= hi {
-			t.Errorf("empty chunk [%d,%d)", lo, hi)
+	next := 0
+	for _, c := range chunksOf(p.WeightedBounds(weights)) {
+		if c[0] != next || c[0] >= c[1] {
+			t.Fatalf("chunk [%d,%d) after %d", c[0], c[1], next)
 		}
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
+		next = c[1]
+	}
+	if next != n {
+		t.Fatalf("chunks end at %d, want %d", next, n)
 	}
 }
 
-func TestParallelRangeWeightedIsolatesHeavyItems(t *testing.T) {
-	// One item dominating the total weight must not drag neighbors into its
-	// chunk: the chunk holding the heavy item should be small.
+func TestWeightedBoundsIsolateHeavyItems(t *testing.T) {
+	// One item dominating the total weight must not drag neighbors into
+	// its chunk: its weight exceeds the chunk target on its own, so the
+	// chunk holding it ends right after it.
 	p := NewPool(4)
 	weights := make([]int64, 100)
 	for i := range weights {
 		weights[i] = 1
 	}
 	weights[50] = 1_000_000
-	var mu sync.Mutex
-	var heavyChunk int
-	p.ParallelRangeWeighted(weights, func(lo, hi int) {
-		if lo <= 50 && 50 < hi {
-			mu.Lock()
-			heavyChunk = hi - lo
-			mu.Unlock()
+	for _, c := range chunksOf(p.WeightedBounds(weights)) {
+		if c[0] <= 50 && 50 < c[1] && c[1] != 51 {
+			t.Fatalf("heavy item's chunk is [%d,%d)", c[0], c[1])
 		}
-	})
-	if heavyChunk == 0 || heavyChunk > 52 {
-		t.Fatalf("heavy item chunk size %d", heavyChunk)
-	}
-	// In fact the heavy item's weight exceeds the chunk target on its own,
-	// so everything after it must land in later chunks.
-	var after atomic.Int64
-	p.ParallelRangeWeighted(weights, func(lo, hi int) {
-		if lo <= 50 && 50 < hi {
-			after.Store(int64(hi - 51))
-		}
-	})
-	if after.Load() != 0 {
-		t.Fatalf("heavy chunk extends %d items past the heavy item", after.Load())
 	}
 }
 
-func TestParallelRangeWeightedDegenerateInputs(t *testing.T) {
+func TestWeightedBoundsDegenerateInputs(t *testing.T) {
 	p := NewPool(4)
-	// Empty weights: no calls.
-	p.ParallelRangeWeighted(nil, func(lo, hi int) { t.Fatal("called for empty weights") })
-	// All-zero and negative weights fall back to even chunking.
-	weights := []int64{0, -5, 0, 0, -1}
-	hits := make([]int32, len(weights))
-	p.ParallelRangeWeighted(weights, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
+	for _, tc := range []struct {
+		name    string
+		weights []int64
+		want    []int
+	}{
+		{"empty", nil, []int{0}},
+		{"zero and negative weights split evenly", []int64{0, -5, 0, 0, -1}, []int{0, 1, 2, 3, 4, 5}},
+		{"single item", []int64{42}, []int{0, 1}},
+	} {
+		if got := p.WeightedBounds(tc.weights); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: bounds %v, want %v", tc.name, got, tc.want)
 		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("zero-weight fallback: index %d visited %d times", i, h)
-		}
-	}
-	// Single item.
-	var one atomic.Int64
-	p.ParallelRangeWeighted([]int64{42}, func(lo, hi int) { one.Add(int64(hi - lo)) })
-	if one.Load() != 1 {
-		t.Fatal("single-item weighted range wrong")
 	}
 }
 

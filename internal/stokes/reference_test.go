@@ -22,10 +22,30 @@ import (
 // step on the calling goroutine — the near field in the tree's order
 // (mutualNear), up sweep from the deepest level, down sweep from the root
 // one cell at a time, leaf evaluation — with no dag, no sched, no M2L
-// table (s never Solves) and none of the field's chunk code.
+// table (s never Solves; its down sweep is referenceDown) and none of the
+// field's chunk code.
 func serialStep(s *Solver) {
-	sweep(s, func(w *expansion.Workspace, ni int32) { s.Field.Up(w, ni, nil) },
-		func(w *expansion.Workspace, ni int32) { s.Field.Down(w, []int32{ni}) })
+	f := s.Field.(*Field)
+	sweep(s, func(w *expansion.Workspace, ni int32) { f.Up(w, ni, nil) },
+		func(w *expansion.Workspace, ni int32) { referenceDown(w, f, ni) })
+}
+
+// referenceDown is the Stokeslet down sweep of cell ni without the M2L
+// table: the parent's four locals shifted in, then, pass by pass, the
+// cell's translated V pairs in V-list order through the uncached M2LBatch.
+func referenceDown(w *expansion.Workspace, f *Field, ni int32) {
+	f.L2L(w, ni)
+	t := f.Tree
+	n := &t.Nodes[ni]
+	for k := 0; k < passes; k++ {
+		var srcs []expansion.M2LSource
+		for j, vi := range n.V {
+			if !t.DirectMask(ni)[j] {
+				srcs = append(srcs, expansion.M2LSource{M: f.Mpole(k, vi), From: t.Nodes[vi].Box.Center})
+			}
+		}
+		w.M2LBatch(f.Local(k, ni), n.Box.Center, srcs)
+	}
 }
 
 // sweep runs the step serially with up and down as the sweep operators.

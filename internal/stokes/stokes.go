@@ -201,7 +201,7 @@ func (f *Field) Down(w *expansion.Workspace, nodes []int32) {
 			l := f.locals4(ni)
 			srcs := w.Sources4(len(n.V))
 			for _, vi := range n.V {
-				srcs = append(srcs, expansion.M2LSource4{M: f.mpoles4(vi), From: t.Nodes[vi].Box.Center})
+				srcs = append(srcs, expansion.M2LSource4{M: f.mpoles4(vi)})
 			}
 			f.M2L.M2L4(w, &l, t, ni, srcs)
 		}
