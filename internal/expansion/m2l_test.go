@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"afmm/internal/geom"
@@ -14,14 +15,15 @@ import (
 )
 
 // The M2L contracts, each checked by one harness over one set of inputs
-// (m2lCases, thetaCases, checkPlans):
+// (m2lCases, thetaCases, checkPlans). Every input row names the test that
+// carries it, so each harness runs once per row:
 //
-//   - TestM2LBatchTableBitIdentical: every form equals the uncached
+//   - bit identity (formsHarness): every form equals the uncached
 //     reference M2LBatch bit for bit under both dispatch states, and the
 //     reference leaves the same bits in both;
-//   - TestM2LKernelMatchesOracle: every translation equals the complex
+//   - the oracle (oracleHarness): every translation equals the complex
 //     oracle of commit 14d1dcf to rounding;
-//   - TestM2LBatchAllocationFree: once warm, no form allocates.
+//   - allocation (allocHarness): once warm, no form allocates.
 
 func randomExpansion(p int, rng *rand.Rand) Expansion {
 	e := NewExpansion(p)
@@ -148,10 +150,25 @@ type m2lCase struct {
 	froms  []geom.Vec3
 	weight []int64 // per translation, its class's pair count (nil: one each)
 	spill  int     // the stacks a squeezed table keeps
-	oracle bool    // an input of TestM2LKernelMatchesOracle too,
-	direct bool    // summed there through the direct M2L as well
+	forms  string  // the test that runs it through the bit-identity harness
+	oracle string  // the test that runs it through the oracle harness ("": none),
+	direct bool    // summing it through the direct M2L as well
 	seed   int64
 }
+
+// The tests the input rows name.
+const (
+	bitIdentical  = "TestM2LBatchTableBitIdentical"
+	randomTrees   = "TestM2LBatchTableRandomTrees"
+	realTrees     = "TestM2LTableRealTrees"
+	fused         = "TestM2LFusedMatchesSingle"
+	packedScalar  = "TestM2LPackedMatchesScalar"
+	thetaSorted   = "TestM2LBatchThetaMatchesSortedTable"
+	quadSingle    = "TestM2LQuadMatchesSingle"
+	kernelOracle  = "TestM2LKernelMatchesOracle"
+	rotatedOracle = "TestM2LBatchMatchesRotated"
+	directOracle  = "TestM2LBatchMatchesDirect"
+)
 
 // m2lCases returns the translation inputs: the golden batch at every
 // oracle order; the axial offsets, random offsets and the first V-list
@@ -163,23 +180,24 @@ type m2lCase struct {
 func m2lCases(thin bool) (cases []m2lCase) {
 	add := func(c m2lCase) { c.seed = int64(len(cases)); cases = append(cases, c) }
 	for _, p := range packedOrders {
-		oracle := slices.Contains(oracleOrders, p)
-		if oracle {
+		oracle := ""
+		if slices.Contains(oracleOrders, p) {
+			oracle = kernelOracle
 			to, srcs := goldenBatch(p)
-			golden := m2lCase{name: "golden", p: p, to: to, spill: 5, oracle: true}
+			golden := m2lCase{name: "golden", p: p, to: to, spill: 5, forms: fused, oracle: oracle}
 			for _, s := range srcs {
 				golden.froms = append(golden.froms, s.From)
 			}
 			add(golden)
 		}
-		add(m2lCase{name: "axial", p: p, froms: axialOffsets, spill: 2, oracle: oracle})
+		add(m2lCase{name: "axial", p: p, froms: axialOffsets, spill: 2, forms: packedScalar, oracle: oracle})
 	}
 	for _, tc := range treeCases {
 		tr := octree.Build(tc.sys(), octree.Config{S: 24})
 		tr.BuildLists()
 		cls := tr.M2LClasses()
 		for _, p := range oracleOrders {
-			c := m2lCase{name: tc.name, p: p, spill: 5, oracle: true}
+			c := m2lCase{name: tc.name, p: p, spill: 5, forms: realTrees, oracle: kernelOracle}
 			for i, ci := range sampledClasses(cls.Classes(), p) {
 				if !thin || p <= 4 || i%fusedClassStride == 0 {
 					c.froms, c.weight = append(c.froms, cls.Dirs[ci]), append(c.weight, cls.PairsPerClass[ci])
@@ -202,7 +220,7 @@ func m2lCases(thin bool) (cases []m2lCase) {
 				if testing.Short() {
 					stride *= 4
 				}
-				c := m2lCase{name: "tree V lists", p: p, spill: 3}
+				c := m2lCase{name: "tree V lists", p: p, spill: 3, forms: packedScalar}
 				for i := 0; i < len(vlist); i += stride {
 					c.froms = append(c.froms, vlist[i])
 				}
@@ -213,7 +231,7 @@ func m2lCases(thin bool) (cases []m2lCase) {
 	rng := rand.New(rand.NewSource(21))
 	lattice := []geom.Vec3{{X: 3}, {Y: 3, Z: 1.5}, {X: -3, Y: 3, Z: -3}, {X: 2, Y: -2, Z: 2}}
 	for _, p := range []int{2, 3, 5, 8, 12} {
-		c := m2lCase{name: "lattice", p: p, to: geom.Vec3{X: 0.3, Y: -0.1, Z: 0.2}, spill: 3}
+		c := m2lCase{name: "lattice", p: p, to: geom.Vec3{X: 0.3, Y: -0.1, Z: 0.2}, spill: 3, forms: bitIdentical}
 		for rep := 0; rep < 3; rep++ {
 			for _, d := range lattice {
 				c.froms = append(c.froms, c.to.Add(d))
@@ -226,7 +244,7 @@ func m2lCases(thin bool) (cases []m2lCase) {
 	}
 	rng = rand.New(rand.NewSource(22))
 	for trial := 0; trial < 50; trial++ {
-		c := m2lCase{name: fmt.Sprintf("random %d", trial), p: 6, to: geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}}
+		c := m2lCase{name: fmt.Sprintf("random %d", trial), p: 6, to: geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}, forms: randomTrees}
 		dirs := make([]geom.Vec3, 1+rng.Intn(8))
 		for i := range dirs { // well separated, as the MAC guarantees
 			sign := func() float64 { return float64(1 - 2*rng.Intn(2)) }
@@ -240,7 +258,7 @@ func m2lCases(thin bool) (cases []m2lCase) {
 	}
 	rng = rand.New(rand.NewSource(5))
 	for _, p := range []int{2, 4, 8, 12} {
-		c := m2lCase{name: "rotated", p: p, to: geom.Vec3{X: 0.1, Y: -0.2, Z: 0.05}, spill: 2, oracle: true, direct: true}
+		c := m2lCase{name: "rotated", p: p, to: geom.Vec3{X: 0.1, Y: -0.2, Z: 0.05}, spill: 2, forms: bitIdentical, oracle: rotatedOracle, direct: true}
 		for rep := 0; rep < 4; rep++ {
 			for _, d := range []geom.Vec3{{X: 3}, {Y: 3, Z: 1.5}, {X: -3, Y: 3, Z: -3}} {
 				c.froms = append(c.froms, c.to.Add(d))
@@ -252,13 +270,13 @@ func m2lCases(thin bool) (cases []m2lCase) {
 		add(c)
 	}
 	rng = rand.New(rand.NewSource(9))
-	direct := m2lCase{name: "direct", p: 8, spill: 2, oracle: true, direct: true}
+	direct := m2lCase{name: "direct", p: 8, spill: 2, forms: bitIdentical, oracle: directOracle, direct: true}
 	for i := 0; i < 10; i++ {
 		direct.froms = append(direct.froms, geom.Vec3{X: 3 + rng.Float64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()})
 	}
 	add(direct)
 	for _, p := range packedOrders {
-		add(m2lCase{name: "random offsets", p: p, froms: benchDirs(rand.New(rand.NewSource(int64(90+p))), 24), spill: 2})
+		add(m2lCase{name: "random offsets", p: p, froms: benchDirs(rand.New(rand.NewSource(int64(90+p))), 24), spill: 2, forms: packedScalar})
 	}
 	return cases
 }
@@ -329,17 +347,10 @@ func checkForms(t *testing.T, c m2lCase, refs map[string][]uint64) {
 	refs[key] = hashes
 }
 
-// checkPlans holds the table's planning on the three real trees at p = 4:
-// the schedule's table in budget and squeezed to five stacks elects its
-// stacks as checkPlan asserts; a table carried by Extend through eight
-// list repairs of each tree, the way core.SharedM2L carries it while the
-// class schedule keeps its Gen, sets up every class with the bits of a
-// table freshly planned for the same directions; and Extend re-plans a
-// Plummer tree's table whose budget spilled, was exactly full, or would
-// overflow by one theta, setting up the bits of a fresh Plan under that
-// budget. A table's translations are a function of those bits
-// (checkForms).
-func checkPlans(t *testing.T) {
+// checkElection holds the stack election of the three real trees' class
+// schedules at p = 4: the table in budget and squeezed to five stacks
+// elects its stacks as checkPlan asserts.
+func checkElection(t *testing.T) {
 	const p = 4
 	for _, tc := range treeCases {
 		tr := octree.Build(tc.sys(), octree.Config{S: 24})
@@ -352,6 +363,24 @@ func checkPlans(t *testing.T) {
 		for _, rotCap := range []int{0, 5} {
 			checkPlan(t, tc.name, buildTable(p, cls.Dirs, cls.PairsPerClass, rotCap), classes, cls.PairsPerClass, rotCap)
 		}
+	}
+}
+
+// checkPlans holds Extend to Plan at p = 4: a table carried by Extend
+// through eight list repairs of each real tree, the way core.SharedM2L
+// carries it while the class schedule keeps its Gen, sets up every class
+// with the bits of a table freshly planned for the same directions; and
+// Extend re-plans a Plummer tree's table whose budget spilled, was exactly
+// full, or would overflow by one theta, setting up the bits of a fresh
+// Plan under that budget. A table's translations are a function of those
+// bits (checkForms); the re-planned tables are returned for
+// checkTranslations.
+func checkPlans(t *testing.T) (replanned []replan) {
+	const p = 4
+	for _, tc := range treeCases {
+		tr := octree.Build(tc.sys(), octree.Config{S: 24})
+		tr.BuildLists()
+		cls := tr.M2LClasses()
 		rng := rand.New(rand.NewSource(43))
 		tb := buildTable(p, cls.Dirs, cls.PairsPerClass, 0)
 		gen, planned, extended := cls.Gen, cls.Classes(), 0
@@ -425,6 +454,37 @@ func checkPlans(t *testing.T) {
 		fresh.thetaBudget = tb.thetaBudget
 		fresh.BuildRotRange(0, fresh.Plan(cls.Dirs, cls.PairsPerClass, 0))
 		requireSetupBits(t, tb, fresh, cls.Classes(), "squeezed, "+squeeze)
+		replanned = append(replanned, replan{"squeezed, " + squeeze, tb, cls.Dirs})
+	}
+	return replanned
+}
+
+// replan is a table Extend re-planned, and the directions of its classes.
+type replan struct {
+	name string
+	tb   *M2LTable
+	dirs []geom.Vec3
+}
+
+// checkTranslations holds a table to the uncached M2LBatch over the
+// direction of each of its classes: one random source onto a random local
+// a class, bit for bit, in the current dispatch state.
+func checkTranslations(t *testing.T, tb *M2LTable, dirs []geom.Vec3, stage string) {
+	t.Helper()
+	p := tb.p
+	rng := rand.New(rand.NewSource(45))
+	w := NewWorkspace(p)
+	got, want := NewExpansion(p), NewExpansion(p)
+	for c, d := range dirs {
+		src := []M2LSource{{M: randomExpansion(p, rng), From: d}}
+		start := randomExpansion(p, rng)
+		copy(got.C, start.C)
+		copy(want.C, start.C)
+		w.M2LBatchTable(got, geom.Vec3{}, src, []int32{int32(c)}, tb)
+		w.M2LBatch(want, geom.Vec3{}, src)
+		if at := firstDiff(got.C, want.C); at >= 0 {
+			t.Fatalf("%s: class %d offset %v coefficient %d: table %v, reference %v", stage, c, d, at, got.C[at], want.C[at])
+		}
 	}
 }
 
@@ -442,6 +502,7 @@ type thetaCase struct {
 	dirs  []geom.Vec3
 	pairs []M2LPair
 	spill int
+	test  string // the test that runs it
 }
 
 // thetaCases returns the theta-batched inputs: pairs of six targets over
@@ -456,7 +517,7 @@ func thetaCases() (cases []thetaCase) {
 		dirs := append(thetaQuads(benchDirs(rng, 12)), benchDirs(rng, 10)...)
 		for _, spill := range []int{0, 9} {
 			for trial := 0; trial < 4; trial++ {
-				c := thetaCase{name: fmt.Sprintf("mixed spill=%d trial %d", spill, trial), p: p, dirs: dirs, spill: spill}
+				c := thetaCase{name: fmt.Sprintf("mixed spill=%d trial %d", spill, trial), p: p, dirs: dirs, spill: spill, test: thetaSorted}
 				for i := 0; i < 200; i++ {
 					c.pairs = append(c.pairs, M2LPair{L: int32(rng.Intn(6)), M: int32(rng.Intn(24)), Class: int32(rng.Intn(len(dirs)))})
 				}
@@ -483,7 +544,7 @@ func thetaCases() (cases []thetaCase) {
 				}
 			}
 			for _, targets := range [][4]int32{{0, 1, 2, 3}, {2, 2, 2, 2}, {0, 3, 0, 3}, {3, 2, 1, 0}} {
-				c := thetaCase{name: fmt.Sprintf("quad trial %d targets %v", trial, targets), p: p, dirs: dirs}
+				c := thetaCase{name: fmt.Sprintf("quad trial %d targets %v", trial, targets), p: p, dirs: dirs, test: quadSingle}
 				for k, l := range targets {
 					c.pairs = append(c.pairs, M2LPair{L: l, M: int32(k), Class: int32(k)})
 				}
@@ -531,35 +592,108 @@ func checkTheta(t *testing.T, c thetaCase, seed int64) {
 	}
 }
 
-// TestM2LBatchTableBitIdentical is the bit-identity harness: over every
-// input (m2lCases with the real trees thinned, thetaCases), in both
-// dispatch states, the table at widths 1 and 4, in budget and squeezed,
-// and the theta-batched form equal the uncached M2LBatch bit for bit, and
-// M2LBatch is the same in both states; Extend sets up what Plan does
-// (checkPlans).
-func TestM2LBatchTableBitIdentical(t *testing.T) {
-	checkPlans(t)
-	cases, thetas := m2lCases(true), thetaCases()
-	refs := map[string][]uint64{}
+// The harnesses' inputs, built once for the tests that share them: the
+// translation rows with the real trees thinned (bit identity) and whole
+// (the oracle), and the theta-batched rows.
+var (
+	thinCases  = sync.OnceValue(func() []m2lCase { return m2lCases(true) })
+	wholeCases = sync.OnceValue(func() []m2lCase { return m2lCases(false) })
+	allThetas  = sync.OnceValue(thetaCases)
+)
+
+// formsHarness is the bit-identity harness over the rows of m2lCases and
+// thetaCases that name the calling test: in both dispatch states the table
+// at widths 1 and 4, in budget and squeezed (checkForms), and the
+// theta-batched form (checkTheta) equal the uncached M2LBatch bit for bit,
+// and M2LBatch is the same in both states.
+func formsHarness(t *testing.T) {
+	test, refs := t.Name(), map[string][]uint64{}
 	eachDispatch(t, func(t *testing.T) {
-		for _, c := range cases {
-			checkForms(t, c, refs)
+		rows := 0
+		for _, c := range thinCases() {
+			if c.forms == test {
+				checkForms(t, c, refs)
+				rows++
+			}
 		}
-		for i, c := range thetas {
-			checkTheta(t, c, int64(i))
+		for i, c := range allThetas() {
+			if c.test == test {
+				checkTheta(t, c, int64(i))
+				rows++
+			}
+		}
+		if rows == 0 {
+			t.Fatalf("no input row names %s", test)
 		}
 	})
 }
 
-// TestM2LBatchAllocationFree: once its scratch holds the batch, no M2L form
-// allocates — M2LBatch over repeated and fresh directions, the table over a
-// real tree's longest V list in budget and spilled at widths 1 and 4, the
-// theta-batched form — and neither does re-planning a table for the
-// directions it served nor extending one by classes whose theta, phi and
-// rho it knows (what a dynamic run pays per list rebuild), in both
-// dispatch states. A used workspace translates as a fresh one.
-func TestM2LBatchAllocationFree(t *testing.T) {
+// TestM2LBatchTableBitIdentical: lattice batches of repeated and fresh
+// directions at p = 2 to 12, and the batches of the rotated and direct
+// oracles.
+func TestM2LBatchTableBitIdentical(t *testing.T) { formsHarness(t) }
+
+// TestM2LBatchTableRandomTrees: 50 random batches of one to eight
+// directions repeated up to 20 times, each under a random theta budget.
+func TestM2LBatchTableRandomTrees(t *testing.T) { formsHarness(t) }
+
+// TestM2LFusedMatchesSingle: the golden batch at every oracle order.
+func TestM2LFusedMatchesSingle(t *testing.T) { formsHarness(t) }
+
+// TestM2LPackedMatchesScalar: exactly axial and equatorial offsets, random
+// offsets and the first V-list offsets of a real tree at every packed
+// order.
+func TestM2LPackedMatchesScalar(t *testing.T) { formsHarness(t) }
+
+// TestM2LTableRealTrees: the sampled classes of the three real trees at
+// every oracle order, and their schedules' stack election (checkElection).
+func TestM2LTableRealTrees(t *testing.T) {
+	checkElection(t)
+	formsHarness(t)
+}
+
+// TestM2LBatchThetaMatchesSortedTable: pairs of six targets over classes
+// four to a theta and singletons, in budget and with some theta spilled.
+func TestM2LBatchThetaMatchesSortedTable(t *testing.T) { formsHarness(t) }
+
+// TestM2LQuadMatchesSingle: single quads of four classes sharing a theta
+// into distinct, repeated and paired targets.
+func TestM2LQuadMatchesSingle(t *testing.T) { formsHarness(t) }
+
+// TestM2LTableExtendMatchesPlan: Extend sets up what Plan does
+// (checkPlans), and the tables it re-planned translate every class as
+// M2LBatch does, in both dispatch states.
+func TestM2LTableExtendMatchesPlan(t *testing.T) {
+	replanned := checkPlans(t)
+	eachDispatch(t, func(t *testing.T) {
+		for _, r := range replanned {
+			checkTranslations(t, r.tb, r.dirs, r.name)
+		}
+	})
+}
+
+// The allocation harness's tests.
+const (
+	batchAlloc  = "TestM2LBatchAllocationFree"
+	tableAlloc  = "TestM2LBatchTableAllocationFree"
+	table4Alloc = "TestM2LBatchTable4AllocationFree"
+	replanAlloc = "TestM2LTableReplanAllocationFree"
+)
+
+// allocHarness is the allocation harness: once its scratch holds the
+// batch, no M2L form allocates — M2LBatch over repeated and fresh
+// directions and the theta-batched form (TestM2LBatchAllocationFree), the
+// table over a real tree's longest V list in budget and spilled at width 1
+// (TestM2LBatchTableAllocationFree) and width 4
+// (TestM2LBatchTable4AllocationFree) — and neither does re-planning a
+// table for the directions it served nor extending one by classes whose
+// theta, phi and rho it knows (TestM2LTableReplanAllocationFree: what a
+// dynamic run pays per list rebuild), in both dispatch states. It runs the
+// rows of the calling test; where they translate through M2LBatch, a used
+// workspace translates as a fresh one.
+func allocHarness(t *testing.T) {
 	const q, p = 6, 4 // the free batches' order, the real tree's
+	test := t.Name()
 	rng := rand.New(rand.NewSource(11))
 	wq := NewWorkspace(q)
 	var srcs []M2LSource
@@ -570,7 +704,14 @@ func TestM2LBatchAllocationFree(t *testing.T) {
 		})
 	}
 	lq := NewExpansion(q)
-	rows := map[string]func(){"M2LBatch": func() { wq.M2LBatch(lq, geom.Vec3{}, srcs) }}
+	rows := map[string]map[string]func(){} // by test, by name
+	row := func(test, name string, run func()) {
+		if rows[test] == nil {
+			rows[test] = map[string]func(){}
+		}
+		rows[test][name] = run
+	}
+	row(batchAlloc, "M2LBatch", func() { wq.M2LBatch(lq, geom.Vec3{}, srcs) })
 
 	dirs := thetaQuads(benchDirs(rng, 20))
 	tq := buildTable(q, dirs, nil, 0)
@@ -579,7 +720,7 @@ func TestM2LBatchAllocationFree(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pairs = append(pairs, M2LPair{L: int32(rng.Intn(8)), M: int32(rng.Intn(8)), Class: int32(rng.Intn(len(dirs)))})
 	}
-	rows["M2LBatchTheta"] = func() { wq.M2LBatchTheta(slab, slab, pairs, tq) }
+	row(batchAlloc, "M2LBatchTheta", func() { wq.M2LBatchTheta(slab, slab, pairs, tq) })
 
 	w := NewWorkspace(p)
 	l, _ := randomLocals(p, rng)
@@ -592,22 +733,22 @@ func TestM2LBatchAllocationFree(t *testing.T) {
 		known := append(slices.Clone(cls.Dirs), cls.Dirs[:64]...)
 		te := buildTable(p, known, nil, 0)
 		te.Plan(known[:n], nil, 0)
-		rows["Extend by known keys, "+tc.name] = func() {
+		row(replanAlloc, "Extend by known keys, "+tc.name, func() {
 			te.ops = te.ops[:n] // undoes such an Extend exactly
 			if lo, hi := te.Extend(known, nil, n); lo != hi || len(te.ops) != len(known) {
 				t.Errorf("%s: Extend by known keys added theta rows [%d, %d)", tc.name, lo, hi)
 			}
-		}
+		})
 		if k > 0 {
 			continue
 		}
 		tb := buildTable(p, cls.Dirs, cls.PairsPerClass, 0)
 		stacks := slices.Clone(tb.stacks)
-		rows["re-plan"] = func() {
+		row(replanAlloc, "re-plan", func() {
 			if tb.BuildRotRange(0, tb.Plan(cls.Dirs, cls.PairsPerClass, 0)); !slices.Equal(tb.stacks, stacks) {
 				t.Error("re-planned table differs from the first build")
 			}
-		}
+		})
 		ni := int32(0)
 		for i := range tr.Nodes {
 			if len(tr.Nodes[i].V) > len(tr.Nodes[ni].V) {
@@ -624,17 +765,23 @@ func TestM2LBatchAllocationFree(t *testing.T) {
 			if spilled := slices.ContainsFunc(cls.Row(ni), func(c int32) bool { return !tv.HasRot(int(c)) }); spilled != (rotCap > 0) {
 				t.Fatalf("rotCap=%d: the V list spills: %v", rotCap, spilled)
 			}
-			rows[fmt.Sprintf("M2LBatchTable rotCap=%d", rotCap)] = func() {
+			row(tableAlloc, fmt.Sprintf("M2LBatchTable rotCap=%d", rotCap), func() {
 				w.M2LBatchTable(l[0], tr.Nodes[ni].Box.Center, cols[0], cls.Row(ni), tv)
-			}
-			rows[fmt.Sprintf("M2LBatchTable4 rotCap=%d", rotCap)] = func() { w.M2LBatchTable4(&l, quads, cls.Row(ni), tv) }
+			})
+			row(table4Alloc, fmt.Sprintf("M2LBatchTable4 rotCap=%d", rotCap), func() { w.M2LBatchTable4(&l, quads, cls.Row(ni), tv) })
 		}
 	}
+	if len(rows[test]) == 0 {
+		t.Fatalf("no allocation row names %s", test)
+	}
 	eachDispatch(t, func(t *testing.T) {
-		for name, run := range rows {
+		for name, run := range rows[test] {
 			if a := testing.AllocsPerRun(5, run); a != 0 {
 				t.Errorf("%s allocates %v times per call, want 0", name, a)
 			}
+		}
+		if test != batchAlloc {
+			return
 		}
 		used, fresh := NewExpansion(q), NewExpansion(q)
 		wq.M2LBatch(used, geom.Vec3{}, srcs)
@@ -644,3 +791,8 @@ func TestM2LBatchAllocationFree(t *testing.T) {
 		}
 	})
 }
+
+func TestM2LBatchAllocationFree(t *testing.T)       { allocHarness(t) }
+func TestM2LBatchTableAllocationFree(t *testing.T)  { allocHarness(t) }
+func TestM2LBatchTable4AllocationFree(t *testing.T) { allocHarness(t) }
+func TestM2LTableReplanAllocationFree(t *testing.T) { allocHarness(t) }

@@ -205,25 +205,24 @@ func sampledClasses(n, p int) (out []int) {
 	return out
 }
 
-// TestM2LKernelMatchesOracle is the numerics harness of the real-arithmetic
-// kernel: against the complex-arithmetic kernel it replaced, a translation
-// may differ only by rounding (sums regrouped into P/Q entries, no w == 0
-// skip), at 1e-13 of the terms each output degree sums — over the oracle
-// inputs of m2lCases: the golden batch, exactly axial and equatorial
-// offsets (theta 0, pi, pi/2: the commonest V-list entries, and the old
-// kernel's sparse fast case), every sampled class of the three real trees,
-// and the batches once held to the rotated and the direct operators, which
-// are summed through the direct O(p^4) M2L too (1e-9). Translations are
-// compared one by one, so no pair hides behind its neighbours' sum, under
-// both dispatch states. They run in theta order: one Wigner stack serves
-// the oracle and, folded, the kernel, exactly as M2LBatch folds it.
-func TestM2LKernelMatchesOracle(t *testing.T) {
+// oracleHarness is the numerics harness of the real-arithmetic kernel:
+// against the complex-arithmetic kernel it replaced, a translation may
+// differ only by rounding (sums regrouped into P/Q entries, no w == 0
+// skip), at 1e-13 of the terms each output degree sums — over the rows of
+// m2lCases that name the calling test. Batches marked direct are summed
+// through the direct O(p^4) M2L too (1e-9). Translations are compared one
+// by one, so no pair hides behind its neighbours' sum, under both dispatch
+// states. They run in theta order: one Wigner stack serves the oracle and,
+// folded, the kernel, exactly as M2LBatch folds it.
+func oracleHarness(t *testing.T) {
 	const tol = 1e-13
+	test, rows := t.Name(), 0
 	states := dispatchStates(t)
-	for _, c := range m2lCases(false) {
-		if !c.oracle {
+	for _, c := range wholeCases() {
+		if c.oracle != test {
 			continue
 		}
+		rows++
 		p := c.p
 		for _, d := range c.froms {
 			if _, theta, _ := d.Sub(c.to).Spherical(); c.name == "axial" && theta != 0 && theta != math.Pi && theta != math.Pi/2 {
@@ -275,7 +274,24 @@ func TestM2LKernelMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	if rows == 0 {
+		t.Fatalf("no input row names %s", test)
+	}
 }
+
+// TestM2LKernelMatchesOracle: the golden batch, exactly axial and
+// equatorial offsets (theta 0, pi, pi/2: the commonest V-list entries, and
+// the old kernel's sparse fast case) and every sampled class of the three
+// real trees.
+func TestM2LKernelMatchesOracle(t *testing.T) { oracleHarness(t) }
+
+// TestM2LBatchMatchesRotated: repeated and fresh directions at p = 2 to
+// 12, also summed through the direct M2L.
+func TestM2LBatchMatchesRotated(t *testing.T) { oracleHarness(t) }
+
+// TestM2LBatchMatchesDirect: ten random offsets at p = 8, also summed
+// through the direct M2L.
+func TestM2LBatchMatchesDirect(t *testing.T) { oracleHarness(t) }
 
 // maxRelDiff is the largest coefficient difference relative to 1 + |a|.
 func maxRelDiff(a, b []complex128) float64 {
