@@ -74,7 +74,11 @@ want=" $* "
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/base"
-(cd "$root" && git ls-files -co --exclude-standard -z | xargs -0 tar -cf - --) | tar -xf - -C "$work/base"
+# Only files that exist: a tracked file deleted in the working tree but not
+# yet staged is still listed by ls-files.
+(cd "$root" && git ls-files -co --exclude-standard -z |
+	while IFS= read -r -d '' f; do if [[ -e $f ]]; then printf '%s\0' "$f"; fi; done |
+	tar -cf - --null -T -) | tar -xf - -C "$work/base"
 
 # importers[pkg] = the module's packages that import pkg from code or tests.
 declare -A importers

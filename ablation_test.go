@@ -103,9 +103,8 @@ func BenchmarkAblationUniformVsAdaptive(b *testing.B) {
 			sysc := sys.Clone()
 			cfg := afmm.GravityConfig{
 				P: 4, S: s, Mode: mode, NumGPUs: 1,
-				GPUSpec:       vgpu.ScaledSpec(1.0 / 64),
-				SkipFarField:  true,
-				SkipNearField: true,
+				GPUSpec: vgpu.ScaledSpec(1.0 / 64),
+				DryRun:  true,
 			}
 			cfg.CPU.Cores = 10
 			sol := afmm.NewGravitySolver(sysc, cfg)
@@ -136,8 +135,7 @@ func BenchmarkExtensionEndpointOffload(b *testing.B) {
 			cfg := afmm.GravityConfig{
 				P: 4, S: s, NumGPUs: 4,
 				GPUSpec:          vgpu.ScaledSpec(1.0 / 6),
-				SkipFarField:     true,
-				SkipNearField:    true,
+				DryRun:           true,
 				OffloadEndpoints: offload,
 			}
 			cfg.CPU.Cores = cores

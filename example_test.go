@@ -25,7 +25,7 @@ func ExampleNewGravitySolver() {
 // steps, as the simulation drivers do internally.
 func ExampleNewBalancer() {
 	sys := afmm.Plummer(3000, 1, 1, 42)
-	cfg := afmm.GravityConfig{P: 4, S: 64, NumGPUs: 2, SkipFarField: true, SkipNearField: true}
+	cfg := afmm.GravityConfig{P: 4, S: 64, NumGPUs: 2, DryRun: true}
 	cfg.CPU.Cores = 10
 	solver := afmm.NewGravitySolver(sys, cfg)
 	bal := afmm.NewBalancer(afmm.BalanceConfig{Strategy: afmm.StrategyFull}, sys.Len())

@@ -118,8 +118,7 @@ func Tune(sys *particle.System, req Request) Choice {
 		cfg := req.Machine
 		cfg.P = p
 		cfg.S = s
-		cfg.SkipFarField = true
-		cfg.SkipNearField = true
+		cfg.DryRun = true
 		cfg.CPU = cfg.CPU.Normalized()
 		cfg.CPU.Base = orderCostScale(cfg.CPU.Base, p)
 		rec.StartStep(len(c.Sweep))

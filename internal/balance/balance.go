@@ -132,8 +132,7 @@ type Config struct {
 	// Rec, when non-nil, receives the balancer's typed event log (state
 	// transitions, S changes, probes/nudges, regressions, enforcement) and
 	// spans for rebuilds, Enforce_S, predictions, and fine-grained
-	// optimization. The string Report.Events stay as the human-readable
-	// summary; the recorder carries the machine-readable sequence.
+	// optimization.
 	Rec *telemetry.Recorder
 }
 
@@ -193,7 +192,6 @@ type Report struct {
 	NewS      int
 	EnforcedS bool
 	FineGrain bool
-	Events    []string
 }
 
 // rec returns the configured recorder (nil when telemetry is off; all
@@ -261,15 +259,10 @@ func (b *Balancer) withinSwitch(st StepTimes) bool {
 // re-enters Search over the surviving capacity before the normal state
 // step runs.
 func (b *Balancer) AfterStep(s Target, st StepTimes) Report {
-	var pre Report
 	if cs, ok := s.(CapacitySensor); ok {
-		pre = b.noteCapacity(s, cs)
+		b.noteCapacity(s, cs)
 	}
-	r := b.stepFSM(s, st)
-	if len(pre.Events) > 0 {
-		r.Events = append(pre.Events, r.Events...)
-	}
-	return r
+	return b.stepFSM(s, st)
 }
 
 func (b *Balancer) stepFSM(s Target, st StepTimes) Report {
@@ -317,7 +310,6 @@ func (b *Balancer) searchStep(s Target, st StepTimes) Report {
 		b.best = b.bestSComp
 		b.haveBest = true
 		r.NewS = s.S()
-		r.Events = append(r.Events, fmt.Sprintf("search done: S=%d", s.S()))
 		if b.Cfg.Strategy == StrategyStatic {
 			b.setState(Frozen)
 		}
@@ -355,7 +347,6 @@ func (b *Balancer) incrementalStep(s Target, st StepTimes) Report {
 		b.best = st.Compute()
 		b.haveBest = true
 		r.NewS = s.S()
-		r.Events = append(r.Events, fmt.Sprintf("incremental done: S=%d dom flip", cur))
 		return r
 	}
 	b.prevDom = dom
@@ -397,7 +388,6 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 	col, push := b.enforce(s)
 	r.EnforcedS = true
 	r.LBTime += b.Cfg.Costs.enforceCost(s, col, push)
-	r.Events = append(r.Events, fmt.Sprintf("enforceS: %d collapses, %d pushdowns", col, push))
 	if b.Cfg.Strategy == StrategyEnforce {
 		// Strategy 2: the next step's compute time becomes the new best.
 		b.haveBest = false
@@ -432,7 +422,6 @@ func (b *Balancer) observationStep(s Target, st StepTimes) Report {
 		} else {
 			b.prevDom = -1
 		}
-		r.Events = append(r.Events, "fine-grain insufficient: -> incremental")
 	}
 	return r
 }
@@ -492,7 +481,6 @@ func (b *Balancer) fineGrainedOptimize(s Target, r *Report) float64 {
 			}
 		})
 		cpu, gpu = nc, ng
-		r.Events = append(r.Events, fmt.Sprintf("fgo batch %d nodes, pred %.4g", len(batch), pred))
 	}
 	return lb
 }

@@ -9,7 +9,7 @@ import (
 
 func newHeteroSolver(n int, seed int64) *core.Solver {
 	sys := distrib.Plummer(n, 1, 1, seed)
-	cfg := core.Config{P: 6, S: 64, NumGPUs: 2, SkipFarField: true}
+	cfg := core.Config{P: 6, S: 64, NumGPUs: 2, DryRun: true}
 	cfg.CPU.Cores = 10
 	return core.NewSolver(sys, cfg)
 }
@@ -45,7 +45,7 @@ func TestSearchImprovesOverInitialS(t *testing.T) {
 	// Start from a deliberately bad S; the search must find something
 	// substantially better.
 	sys := distrib.Plummer(4000, 1, 1, 2)
-	cfg := core.Config{P: 6, S: 4, NumGPUs: 2, SkipFarField: true}
+	cfg := core.Config{P: 6, S: 4, NumGPUs: 2, DryRun: true}
 	cfg.CPU.Cores = 10
 	s := core.NewSolver(sys, cfg)
 	first := s.Solve()
@@ -97,7 +97,7 @@ func TestFineGrainedOptimizeImprovesPrediction(t *testing.T) {
 	// Build an imbalanced tree (CPU far heavier than GPU), then check the
 	// fine-grained pass improves the predicted compute time.
 	sys := distrib.Plummer(6000, 1, 1, 5)
-	cfg := core.Config{P: 6, S: 8, NumGPUs: 4, SkipFarField: true}
+	cfg := core.Config{P: 6, S: 8, NumGPUs: 4, DryRun: true}
 	cfg.CPU.Cores = 4
 	s := core.NewSolver(sys, cfg)
 	s.Solve() // observe coefficients

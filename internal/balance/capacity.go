@@ -1,7 +1,6 @@
 package balance
 
 import (
-	"fmt"
 	"math"
 
 	"afmm/internal/telemetry"
@@ -23,25 +22,24 @@ type CapacitySensor interface {
 // old S the shift points to (capacity dropped -> the near field got
 // slower -> search smaller S); the enforce strategy re-baselines its
 // regression detector; the static strategy only records the event.
-func (b *Balancer) noteCapacity(s Target, cs CapacitySensor) (r Report) {
+func (b *Balancer) noteCapacity(s Target, cs CapacitySensor) {
 	ep, c := cs.NearFieldCapacity()
 	if !b.capSeen {
 		b.capSeen, b.capEpoch, b.capVal = true, ep, c
-		return r
+		return
 	}
 	if ep == b.capEpoch {
-		return r
+		return
 	}
 	old := b.capVal
 	b.capEpoch, b.capVal = ep, c
 	b.rec().EmitEvent(telemetry.EventCapacity, ep, 0, c, old)
-	r.Events = append(r.Events, fmt.Sprintf("capacity shift: %.4g -> %.4g (epoch %d)", old, c, ep))
 	var frac float64
 	if old > 0 {
 		frac = math.Abs(c-old) / old
 	}
 	if frac <= regressionFrac {
-		return r
+		return
 	}
 	switch b.Cfg.Strategy {
 	case StrategyStatic:
@@ -49,7 +47,6 @@ func (b *Balancer) noteCapacity(s Target, cs CapacitySensor) (r Report) {
 		// trajectories show what it ignored.
 	case StrategyEnforce:
 		b.haveBest = false
-		r.Events = append(r.Events, "capacity: reset best")
 	default:
 		cur := s.S()
 		if c < old {
@@ -60,9 +57,7 @@ func (b *Balancer) noteCapacity(s Target, cs CapacitySensor) (r Report) {
 		b.bestS, b.bestSComp = -1, 0
 		b.haveBest = false
 		b.setState(Search)
-		r.Events = append(r.Events, fmt.Sprintf("capacity: re-search S in [%d,%d]", b.loS, b.hiS))
 	}
-	return r
 }
 
 // Snapshot is the balancer's serializable FSM state, captured for

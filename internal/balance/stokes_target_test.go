@@ -18,9 +18,10 @@ func TestBalancerDrivesStokesSolver(t *testing.T) {
 	for i := range sys.Aux {
 		sys.Aux[i] = geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
 	}
-	cfg := stokes.Config{P: 4, S: 64, NumGPUs: 2, GPUSpec: vgpu.ScaledSpec(1.0 / 64), SkipFarField: true}
+	cfg := stokes.Config{P: 4, S: 64, NumGPUs: 2, GPUSpec: vgpu.ScaledSpec(1.0 / 64)}
 	cfg.CPU.Cores = 10
 	s := stokes.NewSolver(sys, cfg)
+	s.Cfg.DryRun = true
 	var tgt Target = s
 	if tgt.S() != 64 || tgt.Cores() != 10 {
 		t.Fatalf("target surface wrong: S=%d cores=%d", tgt.S(), tgt.Cores())

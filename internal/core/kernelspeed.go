@@ -66,13 +66,8 @@ type SharedM2L struct {
 // Wigner/phase/radial setup per translation class, built in parallel on
 // pool, invalidated by the list epoch. When the schedule kept its class
 // numbering (same Gen: a list repair only appended classes) the table is
-// extended by the new classes instead of re-planned. use == false (no
-// far field) drops the tables: M2L and M2L4 then refuse to run.
-func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *telemetry.Recorder, use bool) {
-	if !use {
-		*m = SharedM2L{}
-		return
-	}
+// extended by the new classes instead of re-planned.
+func (m *SharedM2L) Prepare(t *octree.Tree, p int, pool *sched.Pool, rec *telemetry.Recorder) {
 	m.Shifts.Cover(p, t.Nodes[t.Root].Box.Half/2, t.Cfg.MaxDepth) // every level a parent can sit at
 	rebuilt := false
 	if m.Tab == nil || m.epoch != t.ListEpoch() {
@@ -172,9 +167,10 @@ func (m *SharedM2L) mustCover(t *octree.Tree) {
 	}
 }
 
-// Stats returns the class schedule stats (zero-valued when the table is
-// off or not yet built): classes, pairs, and of the last classification
-// the pairs carried from the previous epoch and the classes it created.
+// Stats returns the class schedule stats (zero-valued before the first
+// Prepare; a dry run never prepares): classes, pairs, and of the last
+// classification the pairs carried from the previous epoch and the
+// classes it created.
 func (m *SharedM2L) Stats() (classes int, pairs, rowsReused, classesNew int64) {
 	if m.Cls == nil {
 		return 0, 0, 0, 0
@@ -182,14 +178,13 @@ func (m *SharedM2L) Stats() (classes int, pairs, rowsReused, classesNew int64) {
 	return m.Cls.Classes(), m.Cls.Pairs, m.Cls.RowsReused, m.Cls.ClassesNew
 }
 
-// PrepareM2L readies the shared table for a step over the current lists
-// (dropped when the far field is skipped).
+// PrepareM2L readies the shared table for a step over the current lists.
 func (s *Solver) PrepareM2L() {
-	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec, !s.Cfg.SkipFarField)
+	s.m2l.Prepare(s.Tree, s.Cfg.P, s.Cfg.Pool, s.Cfg.Rec)
 }
 
-// M2LTableStats returns the current class schedule stats (zero-valued
-// when the table path is off or not yet built).
+// M2LTableStats returns the current class schedule stats (see
+// SharedM2L.Stats).
 func (s *Solver) M2LTableStats() (classes int, pairs, rowsReused, classesNew int64) {
 	return s.m2l.Stats()
 }

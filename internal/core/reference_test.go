@@ -24,10 +24,9 @@ import (
 // serialStep is the reference every execution test compares the step graph
 // with: one whole step of s's field on the calling goroutine — the near
 // field in the tree's order (mutualNear), up sweep from the deepest level,
-// down sweep from the root one cell at a time, leaf evaluation, less the
-// phases s.Cfg skips — with no dag, no sched, no M2L table (s never
-// Solves; its down sweep is referenceDown) and none of the field's chunk
-// code.
+// down sweep from the root one cell at a time, leaf evaluation — with no
+// dag, no sched, no M2L table (s never Solves; its down sweep is
+// referenceDown) and none of the field's chunk code.
 func serialStep(s *Solver) {
 	f := s.Field.(*GravityField)
 	sweep(s, func(w *expansion.Workspace, ni int32) { f.Up(w, ni, nil) },
@@ -56,20 +55,18 @@ func referenceDown(w *expansion.Workspace, c *Cells, ni int32) {
 	w.M2LBatch(c.Local(0, ni), n.Box.Center, srcs)
 }
 
-// sweep runs the step serially with up and down as the sweep operators.
+// sweep runs the step serially with up and down as the sweep operators,
+// over the M2M/L2L rows of the tree's levels (s's own: s never prepares
+// its M2L table).
 func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
 	t, f := s.Tree, s.Field
 	t.BuildLists()
+	s.m2l.Shifts.Cover(s.Cfg.P, t.Nodes[t.Root].Box.Half/2, t.Cfg.MaxDepth)
 	sch := t.NearField()
 	s.Sys.ResetAccumulators()
 	f.Reset()
 	w := expansion.NewWorkspace(s.Cfg.P)
-	if !s.Cfg.SkipNearField {
-		mutualNear(s.Sys, t, sch, f.(*GravityField).Kernel)
-	}
-	if s.Cfg.SkipFarField {
-		return // no sweeps, no leaf evaluation: the graph has no far nodes
-	}
+	mutualNear(s.Sys, t, sch, f.(*GravityField).Kernel)
 	levels := t.LevelOrder()
 	for lv := len(levels) - 1; lv >= 0; lv-- {
 		for _, ni := range levels[lv] {
@@ -242,14 +239,12 @@ type variant struct {
 	mut  func(cfg *Config)
 }
 
-// graphCases are the device sets and phase subsets the step graph is held
-// to the serial reference on, each on every pool size.
+// graphCases are the device sets the step graph is held to the serial
+// reference on, each on every pool size.
 var graphCases = []variant{
 	{"cpu-only", func(cfg *Config) {}},
 	{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
 	{"two-gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
-	{"near-only", func(cfg *Config) { cfg.SkipFarField = true }},
-	{"far-only", func(cfg *Config) { cfg.NumGPUs, cfg.SkipNearField = 1, true }},
 }
 
 // TestGraphMatchesSerialReference: the one execution path against a
@@ -427,13 +422,13 @@ func TestKernelMatchesPerPairDirectAfterTreeEdits(t *testing.T) {
 }
 
 // TestOverlapReportsHostPhases: every solve reports the near/far overlap
-// of its graph region, on any pool size and phase subset.
+// of its graph region, on any pool size; a dry run, which has no graph
+// region, reports no far or near time.
 func TestOverlapReportsHostPhases(t *testing.T) {
 	for _, tc := range []variant{
 		{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
 		{"one-worker", func(cfg *Config) { cfg.Pool = sched.NewPool(1) }},
-		{"far-skipped", func(cfg *Config) { cfg.SkipFarField = true }},
-		{"dry", func(cfg *Config) { cfg.SkipFarField, cfg.SkipNearField = true, true }},
+		{"dry", func(cfg *Config) { cfg.DryRun = true }},
 	} {
 		cfg := Config{P: 6, S: 24, Pool: sched.NewPool(4)}
 		tc.mut(&cfg)
@@ -443,7 +438,7 @@ func TestOverlapReportsHostPhases(t *testing.T) {
 			t.Fatalf("%s: overlapped %v, serial-equivalent wall %v < wall %v",
 				tc.name, st.Host.Overlapped, st.Host.SerialWall, st.Host.Wall)
 		}
-		if far, near := st.Host.Far > 0, st.Host.Near > 0; far == cfg.SkipFarField || near == cfg.SkipNearField {
+		if far, near := st.Host.Far > 0, st.Host.Near > 0; far == cfg.DryRun || near == cfg.DryRun {
 			t.Fatalf("%s: far %v near %v", tc.name, st.Host.Far, st.Host.Near)
 		}
 	}

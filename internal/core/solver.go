@@ -65,14 +65,12 @@ type Config struct {
 	// runs the near field on the virtual CPU (serial/CPU-only configs).
 	NumGPUs int
 	GPUSpec vgpu.Spec
-	// SkipFarField disables the far-field numeric execution (used by
-	// harnesses that only study timing behaviour at scale). Timing is
-	// unaffected; accelerations are then near-field only.
-	SkipFarField bool
-	// SkipNearField likewise disables the numeric P2P execution; the
-	// device timing model still runs. With both Skip flags set a Solve
-	// is a pure timing dry run (no forces are produced).
-	SkipNearField bool
+	// DryRun makes every Solve a clock-only step, for harnesses that study
+	// timing at scale: lists, near-field schedule, the devices' clock, the
+	// virtual CPU's replay and the cost-model fold, but no M2L table and no
+	// step graph, so no forces are produced. The modeled times are those
+	// of the full solve.
+	DryRun bool
 	// TaskGraph is accepted and ignored: every solve runs the step graph.
 	// The field survives only because benchmark/workloads.go, which a
 	// non-benchmark change may not edit, sets it in keyed literals; no code
@@ -317,16 +315,18 @@ func (s *Solver) Solve() StepTimes {
 	sch := t.NearField()
 	rec.AddSpan(telemetry.SpanPrep, 0, prepTimer.StartTime(), prepTimer.Elapsed())
 
-	// The shared M2L class table must be complete before any worker
-	// translates.
-	s.PrepareM2L()
 	// The near-field "kernels" and the far-field traversal run as one
 	// dependency graph, as in the paper's concurrent kernel launch: the
-	// two meet only at each leaf's L2P.
-	tg := s.runGraph()
-	// The devices' clock walks the rows the graph just computed (even
-	// under SkipNearField: the timing model still runs). A Corrupt fault
-	// poisons its target now, when nothing else writes to it.
+	// two meet only at each leaf's L2P. The shared M2L class table must be
+	// complete before any worker translates. A dry run computes neither.
+	var tg graphResult
+	if !s.Cfg.DryRun {
+		s.PrepareM2L()
+		tg = s.runGraph()
+	}
+	// The devices' clock walks the rows the graph just computed (in a dry
+	// run, the rows it would have). A Corrupt fault poisons its target
+	// now, when nothing else writes to it.
 	var gpuTime float64
 	if s.Cluster != nil {
 		s.Cluster.Partition(t)

@@ -150,7 +150,7 @@ func TestSShiftsWorkBetweenCPUAndGPU(t *testing.T) {
 	var prevM2L int64 = 1 << 62
 	for _, S := range []int{8, 32, 128, 512} {
 		sys := distrib.Plummer(4000, 1, 1, 99)
-		s := NewSolver(sys, Config{P: 6, S: S, NumGPUs: 1, SkipFarField: true})
+		s := NewSolver(sys, Config{P: 6, S: S, NumGPUs: 1, DryRun: true})
 		st := s.Solve()
 		if st.Counts[costmodel.P2P] < prevP2P {
 			t.Fatalf("P2P count decreased when S grew to %d", S)
@@ -202,8 +202,7 @@ func TestOffloadEndpointsShiftsTime(t *testing.T) {
 func TestEstimateErrorTracksOrderAndMAC(t *testing.T) {
 	mk := func(p int, mac float64) ErrorBound {
 		sys := distrib.Plummer(2000, 1, 1, 23)
-		s := NewSolver(sys, Config{P: p, S: 32, MAC: mac, NumGPUs: 1,
-			SkipFarField: true, SkipNearField: true})
+		s := NewSolver(sys, Config{P: p, S: 32, MAC: mac, NumGPUs: 1, DryRun: true})
 		s.Solve()
 		return s.EstimateError()
 	}
@@ -295,7 +294,7 @@ func TestSolverRotationEquivariance(t *testing.T) {
 
 func BenchmarkEvaluateAtProbes(b *testing.B) {
 	sys := distrib.Plummer(20000, 1, 1, 42)
-	s := NewSolver(sys, Config{P: 6, S: 64, NumGPUs: 1, SkipNearField: true})
+	s := NewSolver(sys, Config{P: 6, S: 64, NumGPUs: 1})
 	s.Solve()
 	probes := make([]geom.Vec3, 1000)
 	for i := range probes {
@@ -321,7 +320,7 @@ func skewedSystem(n int, seed int64) *particle.System {
 
 func BenchmarkNearFieldSkewed(b *testing.B) {
 	sys := skewedSystem(8000, 3)
-	s := NewSolver(sys, Config{P: 4, S: 64, MaxDepth: 6, SkipFarField: true})
+	s := NewSolver(sys, Config{P: 4, S: 64, MaxDepth: 6})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Solve()

@@ -9,15 +9,14 @@ import (
 	"afmm/internal/telemetry"
 )
 
-// The step graph: the only way a solve executes, for every pool size,
-// device count and phase subset. The whole step is one dependency graph
+// The step graph: the only way a solve computes, for every pool size and
+// device count. The whole step is one dependency graph
 // (see internal/dag): up-sweep chunks feed exactly the down-sweep chunks
 // that read them; the near-field row chunks are independent roots; the
 // only near/far join is each leaf chunk's L2P — the single far-field write
 // into the body accumulators. A one-worker pool drains the same graph,
-// help-first; a solve that skips the far or the near field runs a graph
-// without those nodes. Simulated devices add nothing to the graph: their
-// clock walks the same rows after it (Solve).
+// help-first; a dry run builds no graph. Simulated devices add nothing to
+// the graph: their clock walks the same rows after it (Solve).
 
 // taskTags maps the dag node categories onto telemetry span kinds; the
 // milestone tag is negative so join nodes are never emitted as spans.
@@ -37,7 +36,7 @@ type graphResult struct {
 	region              time.Duration
 }
 
-// TaskGraphStats returns the graph statistics of the most recent Solve:
+// TaskGraphStats returns the statistics of the most recent step graph:
 // node/edge counts, ready-queue depth histogram, and the critical-path vs
 // makespan gap.
 func (s *Solver) TaskGraphStats() sched.GraphStats { return s.taskStats }
@@ -48,7 +47,6 @@ func (s *Solver) TaskGraphStats() sched.GraphStats { return s.taskStats }
 // ghosts (nil: every body is local). The share is the whole tree; each
 // dmem node narrows it to its body range over a private field.
 func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
-	spec := dag.Spec{Tree: s.Tree, Pool: s.Cfg.Pool, Tags: taskTags, Share: dag.Share{Hi: int32(s.Sys.Len())}}
 	// chunk is a graph node body applying op to the run nodes with one
 	// workspace. Up and L2P go cell by cell (each); Down takes the whole
 	// run, so a down chunk's M2L pairs are batched by theta together.
@@ -68,29 +66,20 @@ func (s *Solver) StepSpec(f Field, ws Workspaces, ghosts []GhostLeaf) dag.Spec {
 			}
 		}
 	}
-	l2p := f.L2P
-	if !s.Cfg.SkipNearField {
-		sch := s.Tree.NearField()
-		spec.NearChunk = func(c int, lo, hi int32) func() {
+	sch := s.Tree.NearField()
+	up := func(w *expansion.Workspace, ni int32) { f.Up(w, ni, ghosts) }
+	// A leaf's node folds its reactions in, then evaluates its locals.
+	l2p := func(w *expansion.Workspace, ni int32) {
+		f.Fold(sch, ni)
+		f.L2P(w, ni)
+	}
+	return dag.Spec{
+		Tree: s.Tree, Pool: s.Cfg.Pool, Tags: taskTags, Share: dag.Share{Hi: int32(s.Sys.Len())},
+		UpChunk: chunk(each(up)), DownChunk: chunk(f.Down), L2P: chunk(each(l2p)),
+		NearChunk: func(c int, lo, hi int32) func() {
 			return func() { f.Near(sch, c, lo, hi, ghosts) }
-		}
-		// A leaf's node folds its reactions in first; in a near-only
-		// graph that is all it does.
-		l2p = func(w *expansion.Workspace, ni int32) {
-			f.Fold(sch, ni)
-			if !s.Cfg.SkipFarField {
-				f.L2P(w, ni)
-			}
-		}
+		},
 	}
-	if !s.Cfg.SkipFarField {
-		up := func(w *expansion.Workspace, ni int32) { f.Up(w, ni, ghosts) }
-		spec.UpChunk, spec.DownChunk = chunk(each(up)), chunk(f.Down)
-	}
-	if !s.Cfg.SkipFarField || !s.Cfg.SkipNearField {
-		spec.L2P = chunk(each(l2p))
-	}
-	return spec
 }
 
 // runGraph builds and runs the step graph over the resolved near-field

@@ -1,8 +1,7 @@
 // Package dag assembles one FMM step as a dependency graph over the
-// sched task-graph runtime: the one way a solve executes, for every
-// kernel, pool size and phase subset — on one node, where the graph
-// computes the whole tree, and on a dmem cluster, where one graph holds
-// every node's Share of it.
+// sched task-graph runtime: the one way a solve computes, for every kernel
+// and pool size — on one node, where the graph computes the whole tree,
+// and on a dmem cluster, where one graph holds every node's Share of it.
 //
 // The graph holds only the step's semantic dependencies — no phase or
 // level barriers:
@@ -21,11 +20,10 @@
 //     contiguous row ranges, NearSchedule.Chunk), independent roots;
 //   - a leaf node depends on exactly the near chunks that write its
 //     leaves' bodies: the chunk of each leaf's own row and every chunk
-//     holding a reaction for it (every kernel's near field is mutual). It folds those
-//     reactions in, then (with the far field) evaluates L2P after its
-//     down-sweep chunk — the only join between the two phases, and a
-//     semantic one: L2P is the single far-field write into the body
-//     accumulators;
+//     holding a reaction for it (every kernel's near field is mutual). It
+//     folds those reactions in, then evaluates L2P after its down-sweep
+//     chunk — the only join between the two phases, and a semantic one:
+//     L2P is the single far-field write into the body accumulators;
 //   - whatever a chunk reads from outside the share depends on the
 //     caller's node that delivers it (Share).
 //
@@ -68,11 +66,11 @@ type Share struct {
 	Mpole, Local, Ghost []sched.NodeID
 }
 
-// Spec describes one step's DAG. The chunk callbacks are invoked at
-// build time with the node ranges and return the closure executed when
-// the graph node runs. There is one far-field chain per step: a solver
-// with several expansions per cell (Stokes' four harmonic passes) computes
-// all of them inside each chunk body.
+// Spec describes one step's DAG. The chunk callbacks, all required, are
+// invoked at build time with the node ranges and return the closure
+// executed when the graph node runs. There is one far-field chain per
+// step: a solver with several expansions per cell (Stokes' four harmonic
+// passes) computes all of them inside each chunk body.
 type Spec struct {
 	Tree *octree.Tree
 	// Pool sizes the chunks (its worker count); the graph may run on
@@ -82,22 +80,19 @@ type Spec struct {
 
 	// UpChunk/DownChunk build one far-field chunk body over the given
 	// run of one level's cells. DownChunk must NOT evaluate L2P (that is
-	// the L2P node's job, after the near field converges). Both nil: the
-	// far field is skipped and the graph is its near-field roots.
+	// the L2P node's job, after the near field converges).
 	UpChunk   func(nodes []int32) func()
 	DownChunk func(nodes []int32) func()
 	// L2P builds the leaf body for the given visible leaves: the near
-	// field's fold, then (with the far field) the evaluation of their
-	// finalized locals. nil skips leaf nodes.
+	// field's fold, then the evaluation of their finalized locals.
 	L2P func(leaves []int32) func()
 
 	// NearChunk builds the body of near chunk c of Tree.NearField() for
-	// the share's body range [lo, hi); nil skips the near field. The near
-	// chunks are mutual: a chunk also writes the reactions of its rows'
-	// upper partners (a share's chunk runs for another share's row with a
-	// partner here), and the leaf nodes fold them — they wait for every
-	// chunk holding a reaction for their leaves, and a near-only graph
-	// gets leaf nodes for the fold alone.
+	// the share's body range [lo, hi). The near chunks are mutual: a chunk
+	// also writes the reactions of its rows' upper partners (a share's
+	// chunk runs for another share's row with a partner here), and the
+	// leaf nodes fold them — they wait for every chunk holding a reaction
+	// for their leaves.
 	NearChunk func(c int, lo, hi int32) func()
 
 	Tags Tags
@@ -174,7 +169,7 @@ func build(spec Spec, g graph) Done {
 	// set of chunk bits.
 	leafNear := func(li int32) (set uint32) {
 		r := sch.RowOf(li)
-		if spec.NearChunk == nil || r < 0 {
+		if r < 0 {
 			return 0
 		}
 		chunks, _ := sch.Fold(r)
@@ -190,60 +185,34 @@ func build(spec Spec, g graph) Done {
 			}
 		}
 	}
-	if spec.NearChunk != nil {
-		for c := range octree.NearChunks {
-			nearIDs[c] = -1
-			lo, hi := sch.Chunk(c)
-			var id sched.NodeID = -1
-			node := func() {
-				if id < 0 {
-					id = g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(c, sh.Lo, sh.Hi))
-				}
+	for c := range octree.NearChunks {
+		lo, hi := sch.Chunk(c)
+		var id sched.NodeID = -1
+		node := func() {
+			if id < 0 {
+				id = g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(c, sh.Lo, sh.Hi))
 			}
-			for r := lo; r < hi; r++ {
-				a := sch.Leaves[r]
-				if own(a) {
-					node()
-					for _, si := range sch.Row(r) {
-						if !own(si) {
-							arrive(sh.Ghost[si], id)
-						}
-					}
-					continue
-				}
-				for k := sch.Upper[r] + 1; k < sch.RowPtr[r+1]; k++ {
-					if own(sch.Srcs[k]) {
-						node()
-						arrive(sh.Ghost[a], id)
-						break
+		}
+		for r := lo; r < hi; r++ {
+			a := sch.Leaves[r]
+			if own(a) {
+				node()
+				for _, si := range sch.Row(r) {
+					if !own(si) {
+						arrive(sh.Ghost[si], id)
 					}
 				}
-			}
-			nearIDs[c] = id
-		}
-	}
-
-	if spec.UpChunk == nil {
-		// Near only: a leaf node per near chunk folds its rows' leaves.
-		if spec.L2P == nil || spec.NearChunk == nil {
-			return Done{}
-		}
-		rLo, rHi := clip(sch.Leaves)
-		for c := range octree.NearChunks {
-			lo, hi := sch.Chunk(c)
-			lo, hi = max(lo, rLo), min(hi, rHi)
-			if lo >= hi {
 				continue
 			}
-			leaves := sch.Leaves[lo:hi:hi]
-			id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.L2P(leaves))
-			var set uint32
-			for _, li := range leaves {
-				set |= leafNear(li)
+			for k := sch.Upper[r] + 1; k < sch.RowPtr[r+1]; k++ {
+				if own(sch.Srcs[k]) {
+					node()
+					arrive(sh.Ghost[a], id)
+					break
+				}
 			}
-			nearEdges(set, id)
 		}
-		return Done{}
+		nearIDs[c] = id
 	}
 
 	// Per-level chunk bounds for both sweeps, and the share's visible
@@ -348,9 +317,6 @@ func build(spec Spec, g graph) Done {
 				}
 			}
 			downIDs[lv] = append(downIDs[lv], id)
-			if spec.L2P == nil {
-				continue
-			}
 			first := len(leafBuf)
 			for _, ni := range nodes[lo:hi] {
 				if t.Nodes[ni].IsVisibleLeaf() {

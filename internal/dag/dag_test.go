@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"afmm/internal/distrib"
@@ -74,9 +73,8 @@ func (r *recorder) Edge(from, to sched.NodeID) {
 }
 
 // describe returns the spec of share sh (computed by graph k) whose chunk
-// bodies record their brute-force access sets into r; without far the spec
-// has no far-field chunks.
-func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, near string, far bool) Spec {
+// bodies record their brute-force access sets into r.
+func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share) Spec {
 	leafAcc := func(leaves []int32) (out []res) {
 		for _, li := range leaves {
 			out = append(out, res{k, 'A', li, 0})
@@ -87,9 +85,6 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 	own := func(ni int32) bool { s := t.Nodes[ni].Start; return sh.Lo <= s && s < sh.Hi }
 	// folds are the reactions a leaf node adds to its leaves' bodies.
 	folds := func(leaves []int32) (out []res) {
-		if near != "chunks" {
-			return nil
-		}
 		for _, li := range leaves {
 			if r := sch.RowOf(li); r >= 0 {
 				chunks, _ := sch.Fold(r)
@@ -100,7 +95,7 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 		}
 		return out
 	}
-	spec := Spec{
+	return Spec{
 		Tree:  t,
 		Pool:  pool,
 		Share: sh,
@@ -145,23 +140,11 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 				}
 			}
 		},
-		Tags: Tags{Milestone: -1},
-	}
-	if !far {
-		spec.UpChunk, spec.DownChunk, spec.L2P = nil, nil, nil
-		if near == "chunks" {
-			spec.L2P = func(leaves []int32) func() {
-				return func() { r.cur = task{kind: kindL2P, writes: leafAcc(leaves), reads: folds(leaves)} }
-			}
-		}
-	}
-	switch near {
-	case "chunks":
 		// A mutual chunk: an owned row writes its leaf's bodies, reads its
 		// remote sources' copies and writes the reactions of its owned
 		// partners; a remote row with an owned partner is read from its
 		// copy and writes that partner's reactions.
-		spec.NearChunk = func(c int, lo, hi int32) func() {
+		NearChunk: func(c int, lo, hi int32) func() {
 			return func() {
 				r.cur = task{kind: kindNear}
 				slotted := map[int32]bool{}
@@ -189,15 +172,15 @@ func describe(r *recorder, t *octree.Tree, pool *sched.Pool, k int, sh Share, ne
 					}
 				}
 			}
-		}
+		},
+		Tags: Tags{Milestone: -1},
 	}
-	return spec
 }
 
 // record builds the whole tree's graph into a recorder.
-func record(t *octree.Tree, pool *sched.Pool, near string, far bool) *recorder {
+func record(t *octree.Tree, pool *sched.Pool) *recorder {
 	r := &recorder{edges: map[[2]sched.NodeID]bool{}}
-	build(describe(r, t, pool, 0, Share{Hi: int32(t.Sys.Len())}, near, far), r)
+	build(describe(r, t, pool, 0, Share{Hi: int32(t.Sys.Len())}), r)
 	return r
 }
 
@@ -234,21 +217,14 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 		// From "translate everything" to "sum every mutual leaf pair".
 		tr.SetDirectK([]int64{0, 30, 400, math.MaxInt64}[trial%4])
 		workers := 1 + rng.Intn(6)
-		near := []string{"chunks", "none"}[rng.Intn(2)]
-		// Every phase subset: far-only is near "none"; near-only (every
-		// fourth trial) drops the far-field chunks and keeps a near field.
-		far := trial%4 != 3
-		if !far && near == "none" {
-			near = "chunks"
-		}
-		name := fmt.Sprintf("trial %d (n=%d S=%d workers=%d near=%s far=%v)", trial, n, tr.Cfg.S, workers, near, far)
-		r := record(tr, sched.NewPool(workers), near, far)
+		name := fmt.Sprintf("trial %d (n=%d S=%d workers=%d)", trial, n, tr.Cfg.S, workers)
+		r := record(tr, sched.NewPool(workers))
 		nLevels := len(tr.LevelOrder())
 
 		// The share [0, N) is the parent's whole-tree graph, node for node
 		// and edge for edge, in the same order.
 		ref := &recorder{edges: map[[2]sched.NodeID]bool{}}
-		parentBuild(describe(ref, tr, sched.NewPool(workers), 0, Share{Hi: int32(n)}, near, far), ref)
+		parentBuild(describe(ref, tr, sched.NewPool(workers), 0, Share{Hi: int32(n)}), ref)
 		if !reflect.DeepEqual(r.tasks, ref.tasks) || !reflect.DeepEqual(r.order, ref.order) {
 			t.Fatalf("%s: share [0, N) records %d nodes / %d edges, the parent's builder %d / %d (or the same in another order)",
 				name, len(r.tasks), len(r.order), len(ref.tasks), len(ref.order))
@@ -263,28 +239,18 @@ func TestBuildEdgesMatchDependences(t *testing.T) {
 			}
 		}
 		// A leaf's bodies: the near chunk of its row, and its leaf node
-		// (the fold of a mutual near field, and L2P with the far field).
-		wantFar, wantAcc := 0, 0
-		if far {
-			wantFar = 1
-		}
-		if far || near == "chunks" {
-			wantAcc++
-		}
-		if near != "none" {
-			wantAcc++
-		}
+		// (the fold of the mutual near field, then L2P).
 		for ni := range tr.Nodes {
 			if tr.Nodes[ni].Count() == 0 {
 				continue
 			}
-			if m, l := len(writers[res{0, 'M', int32(ni), 0}]), len(writers[res{0, 'L', int32(ni), 0}]); m != wantFar || l != wantFar {
-				t.Fatalf("%s: node %d has %d up and %d down tasks, want %d of each", name, ni, m, l, wantFar)
+			if m, l := len(writers[res{0, 'M', int32(ni), 0}]), len(writers[res{0, 'L', int32(ni), 0}]); m != 1 || l != 1 {
+				t.Fatalf("%s: node %d has %d up and %d down tasks, want 1 of each", name, ni, m, l)
 			}
 		}
 		for _, li := range tr.VisibleLeaves() {
-			if got := len(writers[res{0, 'A', li, 0}]); got != wantAcc {
-				t.Fatalf("%s: leaf %d bodies are written by %d tasks, want %d", name, li, got, wantAcc)
+			if got := len(writers[res{0, 'A', li, 0}]); got != 2 {
+				t.Fatalf("%s: leaf %d bodies are written by %d tasks, want 2", name, li, got)
 			}
 		}
 
@@ -376,9 +342,9 @@ func TestWholeTreeShareMatchesParentOnCollapsedTree(t *testing.T) {
 	tr.BuildLists()
 	for workers := 1; workers <= 4; workers++ {
 		whole := Share{Hi: int32(tr.Sys.Len())}
-		r := record(tr, sched.NewPool(workers), "chunks", true)
+		r := record(tr, sched.NewPool(workers))
 		ref := &recorder{edges: map[[2]sched.NodeID]bool{}}
-		parentBuild(describe(ref, tr, sched.NewPool(workers), 0, whole, "chunks", true), ref)
+		parentBuild(describe(ref, tr, sched.NewPool(workers), 0, whole), ref)
 		if !reflect.DeepEqual(r.tasks, ref.tasks) || !reflect.DeepEqual(r.order, ref.order) {
 			t.Fatalf("%d workers: share [0, N) records %d nodes / %d edges, the parent's builder %d / %d (or the same in another order)",
 				workers, len(r.tasks), len(r.order), len(ref.tasks), len(ref.order))
@@ -437,204 +403,185 @@ func TestSharesJoinIntoTheWholeTreesDependences(t *testing.T) {
 	}
 	for _, p := range []int{2, 3, 4} {
 		for _, split := range []string{"equal", "skewed", "empty"} {
-			for _, phases := range []string{"far+near", "far", "near"} {
-				name := fmt.Sprintf("p=%d %s %s", p, split, phases)
-				far := strings.HasPrefix(phases, "far")
-				near := "chunks"
-				if phases == "far" {
-					near = "none"
-				}
-				cuts := shareCuts(tr, p, split)
-				owner := func(ni int32) int {
-					return sort.Search(p, func(k int) bool { return cuts[k+1] > tr.Nodes[ni].Start })
-				}
+			name := fmt.Sprintf("p=%d %s", p, split)
+			cuts := shareCuts(tr, p, split)
+			owner := func(ni int32) int {
+				return sort.Search(p, func(k int) bool { return cuts[k+1] > tr.Nodes[ni].Start })
+			}
 
-				// The plan's flows, by brute force: what each cell's operators
-				// read from a cell another node owns.
-				flows := map[wire][]int32{}
-				asked := map[res]bool{}
-				need := func(slab byte, to int, ci int32) {
-					if from := owner(ci); from != to && !asked[res{to, slab, ci, 0}] {
-						asked[res{to, slab, ci, 0}] = true
-						k := wire{slab, from, to, tr.Nodes[ci].Level}
-						if slab == 'G' {
-							k.level = 0
-						}
-						flows[k] = append(flows[k], ci)
+			// The plan's flows, by brute force: what each cell's operators
+			// read from a cell another node owns.
+			flows := map[wire][]int32{}
+			asked := map[res]bool{}
+			need := func(slab byte, to int, ci int32) {
+				if from := owner(ci); from != to && !asked[res{to, slab, ci, 0}] {
+					asked[res{to, slab, ci, 0}] = true
+					k := wire{slab, from, to, tr.Nodes[ci].Level}
+					if slab == 'G' {
+						k.level = 0
 					}
+					flows[k] = append(flows[k], ci)
 				}
-				tr.WalkVisible(func(ni int32) {
-					n, k := &tr.Nodes[ni], owner(ni)
-					if far && !n.IsVisibleLeaf() {
-						for _, ci := range n.Children {
-							if ci != octree.NilNode && tr.Nodes[ci].Count() > 0 {
-								need('M', k, ci)
-							}
-						}
-					}
-					for _, vi := range n.V {
-						if far && !tr.Direct(ni, vi) {
-							need('M', k, vi)
-						}
-					}
-					if far && n.Parent != octree.NilNode {
-						need('L', k, n.Parent)
-					}
-				})
-				for r, li := range sch.Leaves {
-					for _, si := range sch.Srcs[sch.RowPtr[r]:sch.RowPtr[r+1]] {
-						if near != "none" {
-							need('G', owner(li), si)
+			}
+			tr.WalkVisible(func(ni int32) {
+				n, k := &tr.Nodes[ni], owner(ni)
+				if !n.IsVisibleLeaf() {
+					for _, ci := range n.Children {
+						if ci != octree.NilNode && tr.Nodes[ci].Count() > 0 {
+							need('M', k, ci)
 						}
 					}
 				}
-				keys := make([]wire, 0, len(flows))
-				for k := range flows {
-					keys = append(keys, k)
+				for _, vi := range n.V {
+					if !tr.Direct(ni, vi) {
+						need('M', k, vi)
+					}
 				}
-				sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+				if n.Parent != octree.NilNode {
+					need('L', k, n.Parent)
+				}
+			})
+			for r, li := range sch.Leaves {
+				for _, si := range sch.Srcs[sch.RowPtr[r]:sch.RowPtr[r+1]] {
+					need('G', owner(li), si)
+				}
+			}
+			keys := make([]wire, 0, len(flows))
+			for k := range flows {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
 
-				// Arrivals, shares, sends, wires.
-				r := &recorder{edges: map[[2]sched.NodeID]bool{}}
-				arrival := map[wire]sched.NodeID{}
-				at := make([]map[byte][]sched.NodeID, p)
-				for k := range at {
-					at[k] = map[byte][]sched.NodeID{}
-					for _, slab := range "MLG" {
-						ids := make([]sched.NodeID, len(tr.Nodes))
-						for i := range ids {
-							ids[i] = -1
-						}
-						at[k][byte(slab)] = ids
+			// Arrivals, shares, sends, wires.
+			r := &recorder{edges: map[[2]sched.NodeID]bool{}}
+			arrival := map[wire]sched.NodeID{}
+			at := make([]map[byte][]sched.NodeID, p)
+			for k := range at {
+				at[k] = map[byte][]sched.NodeID{}
+				for _, slab := range "MLG" {
+					ids := make([]sched.NodeID, len(tr.Nodes))
+					for i := range ids {
+						ids[i] = -1
 					}
+					at[k][byte(slab)] = ids
 				}
-				for _, fk := range keys {
-					id := r.Node(sched.ClassGeneral, -1, 0, func() {
-						r.cur = task{kind: kindArrive}
-						for _, ci := range flows[fk] {
-							r.cur.writes = append(r.cur.writes, res{fk.to, fk.slab, ci, 0})
-						}
-					})
-					arrival[fk] = id
+			}
+			for _, fk := range keys {
+				id := r.Node(sched.ClassGeneral, -1, 0, func() {
+					r.cur = task{kind: kindArrive}
 					for _, ci := range flows[fk] {
-						at[fk.to][fk.slab][ci] = id
+						r.cur.writes = append(r.cur.writes, res{fk.to, fk.slab, ci, 0})
 					}
+				})
+				arrival[fk] = id
+				for _, ci := range flows[fk] {
+					at[fk.to][fk.slab][ci] = id
 				}
-				done := make([]Done, p)
-				for k := 0; k < p; k++ {
-					sh := Share{Lo: cuts[k], Hi: cuts[k+1], Mpole: at[k]['M'], Local: at[k]['L'], Ghost: at[k]['G']}
-					done[k] = build(describe(r, tr, pool, k, sh, near, far), r)
-				}
-				for _, fk := range keys {
-					id := r.Node(sched.ClassFar, -1, 0, func() {
-						r.cur = task{kind: kindSend}
-						for _, ci := range flows[fk] {
-							if fk.slab != 'G' { // bodies are step inputs
-								r.cur.reads = append(r.cur.reads, res{fk.from, fk.slab, ci, 0})
-							}
-						}
-					})
-					switch fk.slab {
-					case 'M':
-						for _, c := range done[fk.from].Up[fk.level] {
-							r.Edge(c, id)
-						}
-					case 'L':
-						for _, c := range done[fk.from].Down[fk.level] {
-							r.Edge(c, id)
-						}
-					}
-					r.Edge(id, arrival[fk])
-				}
-
-				// One graph, acyclic: before[b] holds every a that must run
-				// before b, filled in topological order.
-				n := len(r.tasks)
-				succs := make([][]sched.NodeID, n)
-				indeg := make([]int, n)
-				for e := range r.edges {
-					succs[e[0]] = append(succs[e[0]], e[1])
-					indeg[e[1]]++
-				}
-				var order []sched.NodeID
-				for id := range r.tasks {
-					if indeg[id] == 0 {
-						order = append(order, sched.NodeID(id))
-					}
-				}
-				before := make([]map[sched.NodeID]bool, n)
-				for i := 0; i < len(order); i++ {
-					a := order[i]
-					if before[a] == nil {
-						before[a] = map[sched.NodeID]bool{}
-					}
-					for _, b := range succs[a] {
-						if before[b] == nil {
-							before[b] = map[sched.NodeID]bool{}
-						}
-						before[b][a] = true
-						for x := range before[a] {
-							before[b][x] = true
-						}
-						if indeg[b]--; indeg[b] == 0 {
-							order = append(order, b)
-						}
-					}
-				}
-				if len(order) != n {
-					t.Fatalf("%s: the joined graph has a cycle (%d of %d nodes sort)", name, len(order), n)
-				}
-
-				// Every cell is computed once, by its owner; every leaf's bodies
-				// take the near field and then one L2P there.
-				writers := map[res][]sched.NodeID{}
-				for id, k := range r.tasks {
-					for _, w := range k.writes {
-						writers[w] = append(writers[w], sched.NodeID(id))
-					}
-				}
-				wantFar, wantAcc := 0, 0
-				if far {
-					wantFar = 1
-				}
-				if far || near == "chunks" {
-					wantAcc++
-				}
-				if near != "none" {
-					wantAcc++
-				}
-				tr.WalkVisible(func(ni int32) {
-					k := owner(ni)
-					if m, l := len(writers[res{k, 'M', ni, 0}]), len(writers[res{k, 'L', ni, 0}]); m != wantFar || l != wantFar {
-						t.Fatalf("%s: node %d has %d up and %d down tasks at its owner %d, want %d of each", name, ni, m, l, k, wantFar)
-					}
-					if tr.Nodes[ni].IsVisibleLeaf() {
-						w := writers[res{k, 'A', ni, 0}]
-						if len(w) != wantAcc {
-							t.Fatalf("%s: leaf %d bodies are written by %d tasks, want %d", name, ni, len(w), wantAcc)
-						}
-						if len(w) == 2 && !(r.tasks[w[0]].kind == kindNear && r.tasks[w[1]].kind == kindL2P && before[w[1]][w[0]]) {
-							t.Fatalf("%s: leaf %d: L2P is not ordered after the near field", name, ni)
+			}
+			done := make([]Done, p)
+			for k := 0; k < p; k++ {
+				sh := Share{Lo: cuts[k], Hi: cuts[k+1], Mpole: at[k]['M'], Local: at[k]['L'], Ghost: at[k]['G']}
+				done[k] = build(describe(r, tr, pool, k, sh), r)
+			}
+			for _, fk := range keys {
+				id := r.Node(sched.ClassFar, -1, 0, func() {
+					r.cur = task{kind: kindSend}
+					for _, ci := range flows[fk] {
+						if fk.slab != 'G' { // bodies are step inputs
+							r.cur.reads = append(r.cur.reads, res{fk.from, fk.slab, ci, 0})
 						}
 					}
 				})
-				// Every read is ordered after its one write.
-				for id, k := range r.tasks {
-					for _, x := range k.reads {
-						w := writers[x]
-						if len(w) != 1 {
-							t.Fatalf("%s: task %d (kind %d level %d) reads %c of node %d in share %d, which has %d writers",
-								name, id, k.kind, k.level, x.slab, x.ni, x.share, len(w))
-						}
-						if !before[id][w[0]] {
-							t.Fatalf("%s: task %d (kind %d level %d) reads %c of node %d in share %d before task %d (kind %d) wrote it",
-								name, id, k.kind, k.level, x.slab, x.ni, x.share, w[0], r.tasks[w[0]].kind)
-						}
+				switch fk.slab {
+				case 'M':
+					for _, c := range done[fk.from].Up[fk.level] {
+						r.Edge(c, id)
+					}
+				case 'L':
+					for _, c := range done[fk.from].Down[fk.level] {
+						r.Edge(c, id)
 					}
 				}
-				if p > 1 && split != "empty" && len(keys) == 0 {
-					t.Fatalf("%s: no flow crosses a cut", name)
+				r.Edge(id, arrival[fk])
+			}
+
+			// One graph, acyclic: before[b] holds every a that must run
+			// before b, filled in topological order.
+			n := len(r.tasks)
+			succs := make([][]sched.NodeID, n)
+			indeg := make([]int, n)
+			for e := range r.edges {
+				succs[e[0]] = append(succs[e[0]], e[1])
+				indeg[e[1]]++
+			}
+			var order []sched.NodeID
+			for id := range r.tasks {
+				if indeg[id] == 0 {
+					order = append(order, sched.NodeID(id))
 				}
+			}
+			before := make([]map[sched.NodeID]bool, n)
+			for i := 0; i < len(order); i++ {
+				a := order[i]
+				if before[a] == nil {
+					before[a] = map[sched.NodeID]bool{}
+				}
+				for _, b := range succs[a] {
+					if before[b] == nil {
+						before[b] = map[sched.NodeID]bool{}
+					}
+					before[b][a] = true
+					for x := range before[a] {
+						before[b][x] = true
+					}
+					if indeg[b]--; indeg[b] == 0 {
+						order = append(order, b)
+					}
+				}
+			}
+			if len(order) != n {
+				t.Fatalf("%s: the joined graph has a cycle (%d of %d nodes sort)", name, len(order), n)
+			}
+
+			// Every cell is computed once, by its owner; every leaf's bodies
+			// take the near field and then one L2P there.
+			writers := map[res][]sched.NodeID{}
+			for id, k := range r.tasks {
+				for _, w := range k.writes {
+					writers[w] = append(writers[w], sched.NodeID(id))
+				}
+			}
+			tr.WalkVisible(func(ni int32) {
+				k := owner(ni)
+				if m, l := len(writers[res{k, 'M', ni, 0}]), len(writers[res{k, 'L', ni, 0}]); m != 1 || l != 1 {
+					t.Fatalf("%s: node %d has %d up and %d down tasks at its owner %d, want 1 of each", name, ni, m, l, k)
+				}
+				if tr.Nodes[ni].IsVisibleLeaf() {
+					w := writers[res{k, 'A', ni, 0}]
+					if len(w) != 2 {
+						t.Fatalf("%s: leaf %d bodies are written by %d tasks, want 2", name, ni, len(w))
+					}
+					if !(r.tasks[w[0]].kind == kindNear && r.tasks[w[1]].kind == kindL2P && before[w[1]][w[0]]) {
+						t.Fatalf("%s: leaf %d: L2P is not ordered after the near field", name, ni)
+					}
+				}
+			})
+			// Every read is ordered after its one write.
+			for id, k := range r.tasks {
+				for _, x := range k.reads {
+					w := writers[x]
+					if len(w) != 1 {
+						t.Fatalf("%s: task %d (kind %d level %d) reads %c of node %d in share %d, which has %d writers",
+							name, id, k.kind, k.level, x.slab, x.ni, x.share, len(w))
+					}
+					if !before[id][w[0]] {
+						t.Fatalf("%s: task %d (kind %d level %d) reads %c of node %d in share %d before task %d (kind %d) wrote it",
+							name, id, k.kind, k.level, x.slab, x.ni, x.share, w[0], r.tasks[w[0]].kind)
+					}
+				}
+			}
+			if p > 1 && split != "empty" && len(keys) == 0 {
+				t.Fatalf("%s: no flow crosses a cut", name)
 			}
 		}
 	}
@@ -664,9 +611,6 @@ func parentBuild(spec Spec, g graph) {
 	// Near-field roots: one per tree chunk that holds rows.
 	var nearIDs [octree.NearChunks]sched.NodeID
 	leafEdges := func(leaves []int32, to sched.NodeID) {
-		if spec.NearChunk == nil {
-			return
-		}
 		var set uint32
 		for _, li := range leaves {
 			r := sch.RowOf(li)
@@ -689,25 +633,11 @@ func parentBuild(spec Spec, g graph) {
 			}
 		}
 	}
-	if spec.NearChunk != nil {
-		for c := range octree.NearChunks {
-			nearIDs[c] = -1
-			if lo, hi := sch.Chunk(c); lo < hi {
-				nearIDs[c] = g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(c, 0, int32(t.Sys.Len())))
-			}
+	for c := range octree.NearChunks {
+		nearIDs[c] = -1
+		if lo, hi := sch.Chunk(c); lo < hi {
+			nearIDs[c] = g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.NearChunk(c, 0, int32(t.Sys.Len())))
 		}
-	}
-
-	if spec.UpChunk == nil {
-		if spec.L2P != nil && spec.NearChunk != nil {
-			for c := range octree.NearChunks {
-				if lo, hi := sch.Chunk(c); lo < hi {
-					id := g.Node(sched.ClassNear, spec.Tags.Near, int32(c), spec.L2P(sch.Leaves[lo:hi]))
-					leafEdges(sch.Leaves[lo:hi], id)
-				}
-			}
-		}
-		return
 	}
 
 	// Per-level chunk bounds for both sweeps.
@@ -810,9 +740,6 @@ func parentBuild(spec Spec, g graph) {
 				vSeen[pl] = false
 			}
 			downIDs[lv] = append(downIDs[lv], id)
-			if spec.L2P == nil {
-				continue
-			}
 			var leaves []int32
 			for _, ni := range nodes[lo:hi] {
 				if t.Nodes[ni].IsVisibleLeaf() {

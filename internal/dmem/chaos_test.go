@@ -21,8 +21,8 @@ import (
 // drop/dup/reorder/corrupt/delay schedule, the distributed trajectory is
 // exactly (==) the fault-free single-node trajectory. Within-budget
 // schedules recover by retransmission; budget-exceeding schedules fall
-// back to the degradation paths — either way faults cost time, never
-// values.
+// back to the reliable re-request path — either way faults cost time,
+// never values.
 
 func mustCluster(t *testing.T, spec string) *fault.LinkSchedule {
 	t.Helper()
@@ -126,9 +126,9 @@ func TestChaosWithinBudgetBitIdentical(t *testing.T) {
 
 // TestChaosBeyondBudgetDegradesValuesExact: drop1.0 on every link out of
 // node 0 defeats retransmission entirely; once a flow's retry budget runs
-// out the degradation paths (host-side ghost re-pack, reliable re-request)
-// take over and the values are STILL exactly the single-node values —
-// degradation costs modeled time only.
+// out the reliable re-request path delivers the sender's bytes and the
+// values are STILL exactly the single-node values — degradation costs
+// modeled time only.
 func TestChaosBeyondBudgetDegradesValuesExact(t *testing.T) {
 	sch := mustCluster(t, "link0-1:drop1.0@step0,link0-2:drop1.0@step0")
 	_, res := twinRun(t, singleTwin(900, 2, 31), 31, 2, 3, func(cfg *Config) {

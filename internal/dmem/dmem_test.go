@@ -21,7 +21,7 @@ func clusterConfig(nodes int) Config {
 	}
 	coreCfg := core.Config{
 		P: 4, S: 64, NumGPUs: 2, GPUSpec: vgpu.ScaledSpec(1.0 / 64),
-		SkipFarField: true, SkipNearField: true,
+		DryRun: true,
 	}
 	coreCfg.CPU.Cores = 10
 	return Config{
@@ -34,8 +34,7 @@ func TestDistributedMatchesSingleNodeNumerics(t *testing.T) {
 	sysA := distrib.Plummer(1200, 1, 1, 3)
 	sysB := sysA.Clone()
 	cfg := clusterConfig(4)
-	cfg.Core.SkipFarField = false
-	cfg.Core.SkipNearField = false
+	cfg.Core.DryRun = false
 	cfg.Core.P = 6
 	d, err := NewSolver(sysA, cfg)
 	if err != nil {
@@ -292,8 +291,7 @@ func TestRunRebalancesWhenSkewed(t *testing.T) {
 	// the driver must trigger rebalances and keep the run sane.
 	sys := distrib.TwoClusters(4000, 0.3, 1, 4, 4, 31)
 	cfg := clusterConfig(4)
-	cfg.Core.SkipFarField = false
-	cfg.Core.SkipNearField = false
+	cfg.Core.DryRun = false
 	cfg.Core.P = 2
 	cfg.Core.Kernel.G = 1
 	cfg.Core.Kernel.Softening = 0.02

@@ -53,7 +53,7 @@ func (e *nodeEngine) prepare(cells int) {
 }
 
 // pack is a flow's payload as this engine holds it: the sender's side of
-// the wire format (and a receiver's host-side re-pack of ghost rows).
+// the wire format.
 func (e *nodeEngine) pack(f flow) payload {
 	if f.id.kind == flowGhost {
 		data := make([]core.GhostLeaf, len(f.cells))
@@ -74,14 +74,11 @@ func (e *nodeEngine) pack(f flow) payload {
 }
 
 // unpack is an unpack node's body, run after the flow's send: it loads the
-// payload into the engine's slabs or ghost table. A ghost flow whose retry
-// budget ran out re-packs the owner's rows from the shared particle arrays.
+// payload Recv returns — the sender's bytes, also for a flow whose retry
+// budget ran out — into the engine's slabs or ghost table.
 func (e *nodeEngine) unpack(f flow, tp *transport) {
-	pay, ok := tp.Recv(f.id)
+	pay, _ := tp.Recv(f.id)
 	if f.id.kind == flowGhost {
-		if !ok {
-			pay = e.pack(f)
-		}
 		for i, ci := range f.cells {
 			e.ghosts[ci] = pay.ghost[i]
 		}

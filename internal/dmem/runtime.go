@@ -26,7 +26,7 @@ import (
 type Runtime struct {
 	// drv is the single-node solver whose tree this runtime partitions:
 	// the tree, bodies, order, pool (it cuts the chunks and runs the step
-	// graph), recorder, skip flags and the one M2L class table all node
+	// graph), recorder, DryRun and the one M2L class table all node
 	// engines translate through.
 	drv *core.Solver
 	eng []*nodeEngine
@@ -56,7 +56,9 @@ func newRuntime(drv *core.Solver, cfg *Config) *Runtime {
 func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 	t := rt.drv.Tree
 	t.BuildLists()
-	rt.drv.PrepareM2L()
+	if !rt.drv.Cfg.DryRun {
+		rt.drv.PrepareM2L()
+	}
 	sch := t.NearField()
 	rt.drv.Sys.ResetAccumulators()
 
@@ -132,22 +134,18 @@ func (rt *Runtime) Step(cuts []int32, alive []bool, step int) StepReport {
 // buildShare adds node k's part of the step graph over its body range
 // [lo, hi), every node tagged k: one unpack node per incoming flow, one
 // P2M node per incoming ghost flow with cells to form, and the range's
-// share. A skipped phase's flows still cross the wire.
+// share. A dry step's flows still cross the wire, but it builds no share.
 func (rt *Runtime) buildShare(g *sched.Graph, k int, in []flow, lo, hi int32, tp *transport, unpacks map[flowID]sched.NodeID) dag.Done {
 	e := rt.eng[k]
 	tag := int32(k)
-	spec := rt.drv.StepSpec(e.Field, e.ws, e.ghosts)
-	spec.Tags = dag.Tags{Up: tag, Down: tag, L2P: tag, Near: tag, Milestone: tag}
-	spec.Share = dag.Share{Lo: lo, Hi: hi,
-		Mpole: e.arrival[flowMpole], Local: e.arrival[flowLocal], Ghost: e.arrival[flowGhost]}
-
+	dry := rt.drv.Cfg.DryRun
 	for _, f := range in {
 		id := g.Node(sched.ClassGeneral, tag, int32(f.id.from), func() { e.unpack(f, tp) })
 		unpacks[f.id] = id
 		for _, ci := range f.cells {
 			e.arrival[f.id.kind][ci] = id
 		}
-		if len(f.form) == 0 || spec.UpChunk == nil {
+		if len(f.form) == 0 || dry {
 			continue
 		}
 		p2m := g.Node(sched.ClassFar, tag, int32(f.id.from), func() {
@@ -162,5 +160,12 @@ func (rt *Runtime) buildShare(g *sched.Graph, k int, in []flow, lo, hi int32, tp
 			e.arrival[flowMpole][ci] = p2m
 		}
 	}
+	if dry {
+		return dag.Done{}
+	}
+	spec := rt.drv.StepSpec(e.Field, e.ws, e.ghosts)
+	spec.Tags = dag.Tags{Up: tag, Down: tag, L2P: tag, Near: tag, Milestone: tag}
+	spec.Share = dag.Share{Lo: lo, Hi: hi,
+		Mpole: e.arrival[flowMpole], Local: e.arrival[flowLocal], Ghost: e.arrival[flowGhost]}
 	return dag.Build(spec, g)
 }

@@ -32,10 +32,9 @@ import (
 // the sender's original: duplicate frames are dropped by the dedup
 // guard, corrupt frames fail checksum and are never loaded (corruption
 // mutates a private copy, so retransmissions carry the original), and a
-// flow whose retry budget runs out takes a degradation path that
-// reproduces the original payload by construction: the host-side ghost
-// re-pack, or the sender's bytes over the reliable re-request channel.
-// Faults cost frames and modeled time, never values.
+// flow whose retry budget runs out, of any kind, is recovered with the
+// sender's original bytes over the reliable re-request channel. Faults
+// cost frames and modeled time, never values.
 //
 // Fault verdicts come from fault.Hash01 over (seed, link, step, flow,
 // attempt), never from shared RNG state or the clock.
@@ -328,9 +327,8 @@ func (tp *transport) Send(f flowID, p payload) {
 // Send (an unpack node runs after its send node): the payload and whether
 // a copy verified at the receiver. ok == false means the flow's retry
 // budget ran out: the payload is then the sender's original bytes over
-// the reliable re-request channel, which an expansion flow loads as is,
-// while a ghost flow's receiver re-packs the bodies host-side. Either way
-// the loaded bytes are the sender's.
+// the reliable re-request channel, which the receiver loads as it loads
+// a verified copy.
 func (tp *transport) Recv(f flowID) (payload, bool) {
 	fs := tp.flows[f]
 	return fs.pay, fs.ok

@@ -33,22 +33,14 @@ type M2LSource struct {
 	From geom.Vec3
 }
 
-// Sources returns the workspace's reusable V-list scratch, emptied, with
-// room for n sources.
-func (w *Workspace) Sources(n int) []M2LSource {
-	if cap(w.srcs) < n {
-		w.srcs = make([]M2LSource, 0, 2*n)
-	}
-	return w.srcs[:0]
-}
-
 // M2LSource4 is one V-list pair of a four-column translation: the four
 // source multipoles of one cell (the table's class carries the geometry).
 type M2LSource4 struct {
 	M [4]Expansion
 }
 
-// Sources4 is Sources for four-column pairs.
+// Sources4 returns the workspace's reusable four-column V-list scratch,
+// emptied, with room for n pairs.
 func (w *Workspace) Sources4(n int) []M2LSource4 {
 	if cap(w.src4) < n {
 		w.src4 = make([]M2LSource4, 0, 2*n)

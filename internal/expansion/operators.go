@@ -46,7 +46,6 @@ type Workspace struct {
 	gz    []complex128
 	rot   *rotWorkspace // buffers of the translation kernel
 	axb   []float64     // axialBase(p), shared read-only
-	srcs  []M2LSource   // V-list scratch (see Sources)
 	src4  []M2LSource4  // four-column V-list scratch (see Sources4)
 	lanes []float64     // the packed leaf bodies' scratch (leaf.go)
 	// M2LBatchTheta's scratch: the caller's pairs (see Pairs), the bucket

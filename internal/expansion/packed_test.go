@@ -119,14 +119,16 @@ func TestM2LScratchSlackHoldsOverrun(t *testing.T) {
 				t.Fatalf("p=%d: the last class does not read the last rows of the slabs", p)
 			}
 			l, _ := randomLocals(p, rng)
+			var rows ShiftRows
+			rows.Cover(p, 0.25, 1)
 			w.M2LBatch(l[0], geom.Vec3{}, cols[0])
 			w.M2LBatchTable(l[0], geom.Vec3{}, cols[0], classes, tb)
 			w.M2LBatchTable4(&l, quads, classes, tb)
 			for o := 0; o < 8; o++ {
-				w.ChildShift(l[0], quads[0].M[0], ShiftM2M, o, 0.25, nil)
-				w.ChildShift(l[1], quads[0].M[1], ShiftL2L, o, 0.25, nil)
-				w.ChildShift4(&l, &quads[0].M, ShiftM2M, o, 0.25, nil)
-				w.ChildShift4(&l, &quads[0].M, ShiftL2L, o, 0.25, nil)
+				w.ChildShift(l[0], quads[0].M[0], ShiftM2M, o, 0.25, &rows)
+				w.ChildShift(l[1], quads[0].M[1], ShiftL2L, o, 0.25, &rows)
+				w.ChildShift4(&l, &quads[0].M, ShiftM2M, o, 0.25, &rows)
+				w.ChildShift4(&l, &quads[0].M, ShiftL2L, o, 0.25, &rows)
 			}
 			if !ok1() || !okz() || !ok4() {
 				t.Fatalf("p=%d: a canary behind the scratch was overwritten (width 1 intact: %v, zip: %v, width 4: %v)", p, ok1(), okz(), ok4())
@@ -210,13 +212,15 @@ func FuzzM2LPackedMatchesScalar(f *testing.F) {
 			w.M2LBatch(batch, geom.Vec3{}, srcs)
 			out = append(append(out, single.C...), batch.C...)
 			o := int(order/21) % 8
+			var rows ShiftRows
+			rows.Cover(p, rho, 1)
 			shifts := [4]Expansion{NewExpansion(p), NewExpansion(p), NewExpansion(p), NewExpansion(p)}
 			w.M2M(shifts[0], geom.Vec3{}, quad.M[0], from)
 			w.L2L(shifts[1], geom.Vec3{}, quad.M[1], from)
-			w.ChildShift(shifts[2], quad.M[2], ShiftM2M, o, rho, nil)
-			w.ChildShift(shifts[3], quad.M[3], ShiftL2L, o, rho, nil)
-			w.ChildShift4(&shifts, &quad.M, ShiftM2M, o, rho, nil)
-			w.ChildShift4(&shifts, &quad.M, ShiftL2L, o, rho, nil)
+			w.ChildShift(shifts[2], quad.M[2], ShiftM2M, o, rho, &rows)
+			w.ChildShift(shifts[3], quad.M[3], ShiftL2L, o, rho, &rows)
+			w.ChildShift4(&shifts, &quad.M, ShiftM2M, o, rho, &rows)
+			w.ChildShift4(&shifts, &quad.M, ShiftL2L, o, rho, &rows)
 			for c := range shifts {
 				out = append(out, shifts[c].C...)
 			}

@@ -230,17 +230,18 @@ func (s *ShiftRows) row(h float64, kind Shift) []float64 {
 // childSetup returns the kernel operands of a kind translation between a
 // cell and its child in slot, h being the child's half-width: the octant
 // setup, the offset's octant and its half stack, and the level's axial row
-// — from rows, or computed into the workspace scratch (the same bits) when
-// rows does not cover h. An M2M offset runs from parent to child, the
-// octant of slot; an L2L offset the other way, the opposite octant. The
-// phases are those of the octant's (x, y) sign pair, o&3.
+// from rows. An M2M offset runs from parent to child, the octant of slot;
+// an L2L offset the other way, the opposite octant. The phases are those
+// of the octant's (x, y) sign pair, o&3. It panics when rows does not
+// cover h: the tree's sweeps run after the step's Cover, so a miss is a
+// driver that skipped it.
 func (w *Workspace) childSetup(kind Shift, slot int, h float64, rows *ShiftRows) (s *octantSetup, o int, half, ax []float64) {
 	s, o = octants(w.p), slot
 	if kind == ShiftL2L {
 		o ^= 7
 	}
 	if ax = rows.row(h, kind); ax == nil {
-		ax = w.scratchRow(math.Sqrt(3)*h, kind)
+		panic("expansion: child shift at a half-width the ShiftRows do not cover")
 	}
 	return s, o, s.half[(o>>2)*s.hl:][:s.hl], ax
 }
@@ -249,7 +250,7 @@ func (w *Workspace) childSetup(kind Shift, slot int, h float64, rows *ShiftRows)
 // cell and its child in slot (the child's index in its parent's
 // Children), h being the child's half-width: for ShiftM2M dst is the
 // parent's multipole and src the child's, for ShiftL2L dst is the child's
-// local and src the parent's. rows may be nil.
+// local and src the parent's. rows must cover h (ShiftRows.Cover).
 func (w *Workspace) ChildShift(dst, src Expansion, kind Shift, slot int, h float64, rows *ShiftRows) {
 	s, o, half, ax := w.childSetup(kind, slot, h, rows)
 	w.m2lApply(dst, src.C, half, s.zph[(o&3)*(w.p+1):][:w.p+1], s.ones, ax)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"afmm/internal/geom"
@@ -21,11 +22,10 @@ func octantOffset(o int, h float64) geom.Vec3 {
 // setup against the direct O(p^4) oracle, for all eight octants and three
 // levels under a root half-width that is not a power of two, at 1e-13
 // relative to the size of the terms each output degree sums
-// (shiftRelDiff). The rows come from a ShiftRows covering the levels and,
-// bit-identically, from the workspace scratch; ChildShift4 gives each
-// column ChildShift's bits; and every form, the general-offset M2M and
-// L2L over the same offset too, leaves the same bits under both dispatch
-// states.
+// (shiftRelDiff). The rows come from a ShiftRows covering the levels;
+// ChildShift4 gives each column ChildShift's bits; and every form, the
+// general-offset M2M and L2L over the same offset too, leaves the same
+// bits under both dispatch states.
 func TestChildShiftsMatchOracle(t *testing.T) {
 	const tol, h0 = 1e-13, 0.3712
 	states := dispatchStates(t)
@@ -61,19 +61,14 @@ func TestChildShiftsMatchOracle(t *testing.T) {
 					var first []complex128 // every form's bits in the first state
 					for si, packed := range states {
 						packedOK = packed
-						got, scratch, gen := NewExpansion(p), NewExpansion(p), NewExpansion(p)
+						got, gen := NewExpansion(p), NewExpansion(p)
 						var got4 [4]Expansion
 						for c := range got4 {
 							got4[c] = NewExpansion(p)
 						}
 						w.ChildShift(got, src[0], kind, o, h, &rows)
-						w.ChildShift(scratch, src[0], kind, o, h, nil)
 						w.ChildShift4(&got4, &src, kind, o, h, &rows)
 						general(gen)
-						if at := firstDiff(scratch.C, got.C); at >= 0 {
-							t.Fatalf("p=%d level %d octant %d kind %d packed=%v coefficient %d: shared row %v, scratch row %v",
-								p, lv, o, kind, packed, at, got.C[at], scratch.C[at])
-						}
 						if at := firstDiff(got4[0].C, got.C); at >= 0 {
 							t.Fatalf("p=%d level %d octant %d kind %d packed=%v coefficient %d: ChildShift4 %v, ChildShift %v",
 								p, lv, o, kind, packed, at, got4[0].C[at], got.C[at])
@@ -99,7 +94,8 @@ func TestChildShiftsMatchOracle(t *testing.T) {
 }
 
 // TestShiftRowsCover: rows are keyed by the exact half-width; a new root
-// half-width rebuilds them in place, and an uncovered one is not served.
+// half-width rebuilds them in place, and an uncovered one is not served:
+// a child shift there panics, at both widths.
 func TestShiftRowsCover(t *testing.T) {
 	const p = 6
 	var rows ShiftRows
@@ -119,11 +115,29 @@ func TestShiftRowsCover(t *testing.T) {
 			t.Fatalf("entry %d: shared row %v, scratch row %v", i, v, want[i])
 		}
 	}
+	var quad [4]Expansion
+	for c := range quad {
+		quad[c] = NewExpansion(p)
+	}
+	for _, shift := range []func(){
+		func() { w.ChildShift(quad[0], quad[1], ShiftM2M, 0, 0.5/16, &rows) },
+		func() { w.ChildShift4(&quad, &quad, ShiftL2L, 0, 0.3, &rows) },
+		func() { w.ChildShift(quad[0], quad[1], ShiftL2L, 0, 0.25, nil) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "expansion: child shift at a half-width") {
+					t.Fatalf("recovered %q, want the uncovered-row panic", msg)
+				}
+			}()
+			shift()
+		}()
+	}
 }
 
 // TestChildShiftsAllocationFree: once a workspace has made its four-column
-// scratch, M2M and L2L translate without allocating — through shared rows,
-// through the scratch row, and at a general offset — in both states.
+// scratch, M2M and L2L translate without allocating — through shared rows
+// and at a general offset — in both states.
 func TestChildShiftsAllocationFree(t *testing.T) {
 	eachDispatch(t, func(t *testing.T) {
 		const p = 6
@@ -138,7 +152,7 @@ func TestChildShiftsAllocationFree(t *testing.T) {
 		w.ChildShift4(&dst, &src, ShiftM2M, 0, 0.25, &rows)
 		a := testing.AllocsPerRun(10, func() {
 			for o := 0; o < 8; o++ {
-				for _, h := range []float64{0.25, 0.3} { // covered, not covered
+				for _, h := range []float64{0.25, 0.125} {
 					w.ChildShift(dst[0], src[0], ShiftM2M, o, h, &rows)
 					w.ChildShift(dst[1], src[1], ShiftL2L, o, h, &rows)
 					w.ChildShift4(&dst, &src, ShiftM2M, o, h, &rows)

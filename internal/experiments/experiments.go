@@ -122,15 +122,14 @@ type SweepPoint struct {
 // drySolver builds a timing-only solver for the sweep experiments.
 func drySolver(sys *particle.System, p Params, s int, mode octree.Mode, gpus int) *core.Solver {
 	cfg := core.Config{
-		P:             p.P,
-		S:             s,
-		Mode:          mode,
-		NumGPUs:       gpus,
-		GPUSpec:       p.gpuSpec(),
-		CPU:           cpuSpec(p.Cores),
-		Kernel:        kernels.Gravity{G: 1},
-		SkipFarField:  true,
-		SkipNearField: true,
+		P:       p.P,
+		S:       s,
+		Mode:    mode,
+		NumGPUs: gpus,
+		GPUSpec: p.gpuSpec(),
+		CPU:     cpuSpec(p.Cores),
+		Kernel:  kernels.Gravity{G: 1},
+		DryRun:  true,
 	}
 	return core.NewSolver(sys, cfg)
 }
@@ -603,8 +602,8 @@ func Cluster(p Params, maxNodes int) []ClusterPoint {
 		}
 		coreCfg := core.Config{
 			P: p.P, S: 64, NumGPUs: p.GPUs, GPUSpec: p.gpuSpec(),
-			CPU:          cpuSpec(p.Cores),
-			SkipFarField: true, SkipNearField: true,
+			CPU:    cpuSpec(p.Cores),
+			DryRun: true,
 		}
 		d, err := dmem.NewSolver(sys.Clone(), dmem.Config{
 			Core:  coreCfg,

@@ -17,18 +17,13 @@ var sqrt3 = math.Sqrt(3)
 // already current, plus the cumulative dual-traversal pair visits those
 // builds executed.
 //
-// Contract: the counters are cumulative and monotone for a given Epoch.
-// They survive Rebuild — the balancer's Search and Incremental states
-// rebuild the tree mid-trajectory, and zeroing there would erase history
-// a per-step consumer is about to difference — and are only zeroed by an
-// explicit ResetListStats, which bumps Epoch so stale snapshots cannot
-// produce negative deltas. Per-step consumers (the telemetry recorder)
-// snapshot before and after and call Sub.
+// Contract: the counters are cumulative and monotone over the tree's
+// lifetime. They survive Rebuild — the balancer's Search and Incremental
+// states rebuild the tree mid-trajectory, and zeroing there would erase
+// history a per-step consumer is about to difference. Per-step consumers
+// (the solvers, the benchmark's trace) snapshot before and after and call
+// Sub.
 type ListStats struct {
-	// Epoch identifies the reset generation. Snapshots from different
-	// epochs are not differencable; Sub detects this and returns the newer
-	// cumulative values instead of a bogus difference.
-	Epoch      uint64
 	FullBuilds int
 	Repairs    int
 	Skips      int
@@ -39,16 +34,8 @@ type ListStats struct {
 }
 
 // Sub returns the activity between the prev snapshot and s (s.Sub(prev)).
-// If the counters were reset in between (epoch mismatch), the counts
-// since the reset — s's own cumulative values — are returned, which is
-// the correct per-interval reading for a consumer that snapshotted just
-// before a reset.
 func (s ListStats) Sub(prev ListStats) ListStats {
-	if s.Epoch != prev.Epoch {
-		return s
-	}
 	return ListStats{
-		Epoch:      s.Epoch,
 		FullBuilds: s.FullBuilds - prev.FullBuilds,
 		Repairs:    s.Repairs - prev.Repairs,
 		Skips:      s.Skips - prev.Skips,
@@ -67,16 +54,8 @@ type ListWork struct {
 }
 
 // ListBuildStats returns the cumulative list-construction counters (see
-// the ListStats contract: cumulative across Rebuild, zeroed only by
-// ResetListStats).
+// the ListStats contract: cumulative across Rebuild).
 func (t *Tree) ListBuildStats() ListStats { return t.listStats }
-
-// ResetListStats zeroes the list-construction counters and bumps the
-// stats epoch, invalidating outstanding snapshots (their Sub against
-// post-reset readings returns the post-reset cumulative values).
-func (t *Tree) ResetListStats() {
-	t.listStats = ListStats{Epoch: t.listStats.Epoch + 1}
-}
 
 // LastListWork returns the work done by the most recent BuildLists call.
 func (t *Tree) LastListWork() ListWork { return t.lastWork }

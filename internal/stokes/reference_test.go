@@ -48,18 +48,18 @@ func referenceDown(w *expansion.Workspace, f *Field, ni int32) {
 	}
 }
 
-// sweep runs the step serially with up and down as the sweep operators.
+// sweep runs the step serially with up and down as the sweep operators,
+// over the M2M/L2L rows of the tree's levels (s's own: s never prepares
+// its M2L table).
 func sweep(s *Solver, up, down func(w *expansion.Workspace, ni int32)) {
-	t, f := s.Tree, s.Field
+	t, f := s.Tree, s.Field.(*Field)
 	t.BuildLists()
+	f.M2L.Shifts.Cover(s.Cfg.P, t.Nodes[t.Root].Box.Half/2, t.Cfg.MaxDepth)
 	sch := t.NearField()
 	s.Sys.ResetAccumulators()
 	f.Reset()
 	w := expansion.NewWorkspace(s.Cfg.P)
-	mutualNear(s.Sys, t, sch, f.(*Field).Kernel)
-	if s.Cfg.SkipFarField {
-		return // no sweeps, no leaf evaluation: the graph has no far nodes
-	}
+	mutualNear(s.Sys, t, sch, f.Kernel)
 	levels := t.LevelOrder()
 	for lv := len(levels) - 1; lv >= 0; lv-- {
 		for _, ni := range levels[lv] {
@@ -206,9 +206,8 @@ func assertBitIdentical(t *testing.T, got, want *Solver) {
 	}
 }
 
-// graphCases are the device sets and phase subsets the step graph is held
-// to the serial reference on, each on every pool size (Stokes has no
-// SkipNearField).
+// graphCases are the device sets the step graph is held to the serial
+// reference on, each on every pool size.
 var graphCases = []struct {
 	name string
 	mut  func(cfg *Config)
@@ -216,7 +215,6 @@ var graphCases = []struct {
 	{"cpu-only", func(cfg *Config) {}},
 	{"one-gpu", func(cfg *Config) { cfg.NumGPUs = 1 }},
 	{"gpus", func(cfg *Config) { cfg.NumGPUs = 2 }},
-	{"near-only", func(cfg *Config) { cfg.SkipFarField = true }},
 }
 
 // TestGraphMatchesSerialReference: core's matrix over the Stokeslet field.

@@ -59,8 +59,6 @@ type Config struct {
 	// derated by the Stokeslet/gravity flop ratio: a device spec prices
 	// this kernel's own pair (see Field.PairFlops).
 	GPUSpec vgpu.Spec
-	// SkipFarField disables far-field numerics (timing-only harnesses).
-	SkipFarField bool
 	// TaskGraph is accepted and ignored (see core.Config).
 	TaskGraph bool
 	Rec       *telemetry.Recorder
@@ -108,8 +106,7 @@ func NewSolver(sys *particle.System, cfg Config) *Solver {
 	drv := core.NewSolverWith(sys, core.Config{
 		P: cfg.P, S: cfg.S, MAC: cfg.MAC, Mode: cfg.Mode, MaxDepth: cfg.MaxDepth,
 		Pool: cfg.Pool, CPU: cfg.CPU, NumGPUs: cfg.NumGPUs, GPUSpec: cfg.GPUSpec,
-		SkipFarField: cfg.SkipFarField,
-		Rec:          cfg.Rec, Validate: cfg.Validate,
+		Rec: cfg.Rec, Validate: cfg.Validate,
 		Faults: cfg.Faults, Watchdog: cfg.Watchdog,
 	}, func(t *octree.Tree, c core.Config, m2l *core.SharedM2L) core.Field {
 		return NewField(t, sys, c.P, cfg.Kernel, m2l)

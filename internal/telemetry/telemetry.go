@@ -465,8 +465,8 @@ type NetSample struct {
 	// Rerequests counts expansion payloads recovered over the reliable
 	// re-request path after their retry budget ran out.
 	Rerequests int64 `json:"rerequests,omitempty"`
-	// DegradedGhostFlows counts ghost flows re-packed host-side after
-	// their retry budget ran out.
+	// DegradedGhostFlows counts ghost-body payloads recovered over the
+	// reliable re-request path after their retry budget ran out.
 	DegradedGhostFlows int64        `json:"degraded_ghost_flows,omitempty"`
 	Links              []LinkSample `json:"links,omitempty"`
 }
